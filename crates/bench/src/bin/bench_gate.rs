@@ -915,7 +915,11 @@ fn main() {
             }
             _ => println!("no readable previous baseline at {baseline_path}; writing fresh"),
         }
-        write_json(std::path::Path::new(&baseline_path), &current).expect("write baseline json");
+        // Sorted by name, so the committed file diffs row against row
+        // whatever order the sections measure in.
+        let mut sorted = current;
+        sorted.sort_by(|a, b| a.name.cmp(&b.name));
+        write_json(std::path::Path::new(&baseline_path), &sorted).expect("write baseline json");
         println!("updated baseline {baseline_path}");
         return;
     }

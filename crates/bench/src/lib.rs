@@ -205,10 +205,11 @@ pub mod report {
         }
     }
 
-    /// Serialise records as a JSON array.
+    /// Serialise records as a JSON array, one record per line, so a
+    /// committed file diffs row by row.
     pub fn to_json(records: &[BenchRecord]) -> String {
         let rows: Vec<String> = records.iter().map(BenchRecord::to_json).collect();
-        format!("[{}]", rows.join(","))
+        format!("[\n{}\n]", rows.join(",\n"))
     }
 
     /// Write records to a `BENCH_*.json` file.
@@ -495,9 +496,9 @@ mod tests {
         let json = to_json(&rows);
         assert_eq!(
             json,
-            "[{\"name\":\"fig4a/put_16mb\",\"value\":3.15,\"unit\":\"GB/s\",\
-             \"entries_processed\":1234,\"sim_wall_ms\":0.5},\
-             {\"name\":\"x\\\"y\",\"value\":2,\"unit\":\"us\"}]"
+            "[\n{\"name\":\"fig4a/put_16mb\",\"value\":3.15,\"unit\":\"GB/s\",\
+             \"entries_processed\":1234,\"sim_wall_ms\":0.5},\n\
+             {\"name\":\"x\\\"y\",\"value\":2,\"unit\":\"us\"}\n]"
         );
     }
 

@@ -94,6 +94,13 @@ impl HealthVec {
         self.links.get(&(res.index() as u32)).copied().unwrap_or(1000)
     }
 
+    /// True when any link is recorded dead (factor 0) — the cheap test
+    /// that lets communicator construction skip its dead-rail and
+    /// dead-server-NIC filters on a fabric with nothing to blacklist.
+    pub fn any_dead_link(&self) -> bool {
+        self.links.values().any(|&f| f == 0)
+    }
+
     /// The worst factor across every rank still alive, used to re-price
     /// collectives: 1000 when nothing is degraded. Dead ranks are
     /// excluded — they are blacklisted, not priced.

@@ -1,7 +1,24 @@
 //! XCCL communicators: bootstrap, topology discovery, collective launch.
+//!
+//! A communicator has two halves. The **plan** ([`CommPlan`]) is
+//! everything that is a pure function of `(world, ranks, opts)` — the
+//! node-major ring order, the rails over it, the reduction-server
+//! carving and the rendezvous gate — derived **once per [`UniqueId`]**
+//! by the first rank to reach [`XcclComm::init`] and shared by `Arc`
+//! with every other member. The per-rank half ([`XcclComm`]) is what
+//! genuinely differs between members: the rank's index, its QoS flow
+//! ids, and the rail / server-device sets *as filtered by the health
+//! vector that rank observed* when it initialised (members can leave the
+//! init delay at different instants under a straggler plan). With no
+//! dead link in sight — the overwhelmingly common case — the filter is
+//! skipped and every member holds the plan's own `Arc`s.
+//!
+//! The collective itself is launched by the **last** rank to arrive at
+//! the gate, with *its* rails, flow and regime boundaries; no other rank
+//! does any per-collective work beyond the arrival (DESIGN.md D18).
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use diomp_fabric::{FabricWorld, HealthVec, RankHealth};
 use diomp_sim::{derive_seed, Ctx, Dur, FlowId, QosClass, SimTime, Wait};
@@ -15,14 +32,87 @@ use crate::ring::{self, CollEngine, Rail};
 use crate::rserver::{self, ServerLayout, ServerPlacement, ServerSet, ServerSpec};
 use crate::unique_id::UniqueId;
 
-/// Process-global gate registry: every rank constructs its own
+/// The shared half of a communicator: what every member derives
+/// identically from `(world, ranks, opts)`.
+struct CommPlan {
+    ranks: Arc<[usize]>,
+    /// Ring summary over the *unfiltered* rails.
+    ring: Arc<RingInfo>,
+    /// Ring position of every flat device of the world (`u32::MAX` for
+    /// devices outside the communicator).
+    pos: Vec<u32>,
+    /// One rail per NIC, before any dead-link blacklisting.
+    rails: Arc<Vec<Rail>>,
+    /// Reduction-server carving with every server device listed, before
+    /// any dead-NIC blacklisting (None when servers are disabled).
+    servers: Option<Arc<ServerSet>>,
+    /// The rendezvous gate all members share — that sharing is exactly
+    /// what the UniqueId bootstrap establishes in NCCL.
+    gate: CollGate,
+}
+
+impl CommPlan {
+    fn build(world: &FabricWorld, ranks: Vec<usize>, servers: ServerSpec) -> CommPlan {
+        // Node-major device ordering minimises ring node-crossings.
+        let node_of = |f: usize| world.devs.dev(f).loc.node;
+        let mut order: Vec<usize> = ranks.iter().flat_map(|&r| world.devices_of(r)).collect();
+        order.sort_by_key(|&f| (node_of(f), world.devs.dev(f).loc.gpu));
+        let mut node_ids: Vec<usize> = order.iter().map(|&f| node_of(f)).collect();
+        node_ids.dedup();
+        let nodes = node_ids.len();
+        let devs_per_node = order.len().div_ceil(nodes.max(1));
+        let nrings = world.topo.nics_per_node().min(devs_per_node).max(1);
+        let rails = ring::build_rails(world, &order, nrings);
+
+        // Reduction-server carving: whole node blocks from the requested
+        // end of the node-major order become infrastructure (at least
+        // one client node always remains).
+        let servers = (servers.enabled() && nodes > 1).then(|| {
+            let nsrv = servers.nodes.min(nodes - 1);
+            let srv_nodes: Vec<usize> = match servers.placement {
+                ServerPlacement::Tail => node_ids[nodes - nsrv..].to_vec(),
+                ServerPlacement::Head => node_ids[..nsrv].to_vec(),
+            };
+            let devs = order.iter().copied().filter(|&f| srv_nodes.contains(&node_of(f))).collect();
+            Arc::new(ServerSet { nodes: srv_nodes, devs })
+        });
+
+        let mut pos = vec![u32::MAX; world.devs.len()];
+        for (i, &f) in order.iter().enumerate() {
+            pos[f] = i as u32;
+        }
+        CommPlan {
+            gate: CollGate::new(ranks.len()),
+            ranks: ranks.into(),
+            ring: Arc::new(RingInfo { order, nodes, nrings: rails.len() }),
+            pos,
+            rails: Arc::new(rails),
+            servers,
+        }
+    }
+}
+
+/// Process-global plan registry: every rank constructs its own
 /// communicator object, but all communicators created from the same
-/// [`UniqueId`] share one rendezvous gate — that sharing is exactly what
-/// the UniqueId bootstrap establishes in NCCL.
-fn gate_for(id: UniqueId, n: usize) -> Arc<CollGate> {
-    static GATES: OnceLock<Mutex<HashMap<u64, Arc<CollGate>>>> = OnceLock::new();
-    let gates = GATES.get_or_init(|| Mutex::new(HashMap::new()));
-    gates.lock().entry(id.bits()).or_insert_with(|| Arc::new(CollGate::new(n))).clone()
+/// [`UniqueId`] share one plan (and through it one rendezvous gate). The
+/// first arriver builds it; the rest take the `Arc`. Entries are weak —
+/// a plan lives exactly as long as some member's communicator does — and
+/// dead ones are purged whenever a new plan is registered, so init /
+/// shrink cycles hold the registry at its live size.
+fn plan_for(id: UniqueId, build: impl FnOnce() -> CommPlan) -> Arc<CommPlan> {
+    let mut plans = registry().lock();
+    if let Some(plan) = plans.get(&id.bits()).and_then(Weak::upgrade) {
+        return plan;
+    }
+    plans.retain(|_, p| p.strong_count() > 0);
+    let plan = Arc::new(build());
+    plans.insert(id.bits(), Arc::downgrade(&plan));
+    plan
+}
+
+fn registry() -> &'static Mutex<HashMap<u64, Weak<CommPlan>>> {
+    static PLANS: OnceLock<Mutex<HashMap<u64, Weak<CommPlan>>>> = OnceLock::new();
+    PLANS.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// How communicator construction treats rails whose edges the health
@@ -91,28 +181,37 @@ pub struct RingInfo {
 pub struct XcclComm {
     /// The fabric world.
     pub world: Arc<FabricWorld>,
-    /// Participating ranks, in order.
-    pub ranks: Vec<usize>,
+    /// Participating ranks, in order (shared by every member).
+    pub ranks: Arc<[usize]>,
     /// Bootstrap identifier this communicator was created from.
     pub id: UniqueId,
-    /// Discovered ring topology.
-    pub ring: RingInfo,
+    /// Discovered ring topology (shared by every member unless this
+    /// rank blacklisted dead rails).
+    pub ring: Arc<RingInfo>,
     /// Completion-time engine (emergent ring protocol or calibrated
     /// profile; see [`CollEngine`]).
     pub engine: CollEngine,
     /// QoS class of the owning job (see [`CommOpts::qos`]).
     pub qos: QosClass,
+    /// The once-per-[`UniqueId`] shared half.
+    plan: Arc<CommPlan>,
+    /// This rank's index in `ranks`.
+    idx: usize,
     /// This rank's traffic flow: tags every chunk charge the collective
     /// engines issue, so armed contention prices them at the
     /// communicator's QoS weight.
     flow: FlowId,
-    /// Per-rail rotated ring orders with their edge link assignments.
+    /// Per-rail rotated ring orders with their edge link assignments —
+    /// the plan's, minus the rails this rank's health vector condemned.
     rails: Arc<Vec<Rail>>,
-    /// Resolved reduction-server set (None when [`CommOpts::servers`]
-    /// is disabled — the communicator then behaves exactly as before
-    /// the server engine existed, including flow-id allocation).
-    servers: Option<Arc<ServerSet>>,
-    gate: Arc<CollGate>,
+    /// Resolved reduction-server set — the plan's carving, minus the
+    /// server devices whose NIC this rank saw dead — and the dedicated
+    /// flow server fan-back is charged to: same QoS weight as the
+    /// owning job (WFQ accounting stays per-job) but separately
+    /// observable in `flow_stats`. None when [`CommOpts::servers`] is
+    /// disabled — the communicator then behaves exactly as before the
+    /// server engine existed, including flow-id allocation.
+    servers: Option<(Arc<ServerSet>, FlowId)>,
     /// Construction options, kept verbatim so [`XcclComm::shrink`] can
     /// re-initialise the survivor communicator with the same policy.
     opts: CommOpts,
@@ -135,83 +234,66 @@ impl XcclComm {
         id: UniqueId,
         opts: CommOpts,
     ) -> Arc<XcclComm> {
-        assert!(ranks.contains(&my_rank));
-        let engine = opts.engine;
+        let idx = ranks.iter().position(|&r| r == my_rank).expect("rank not in communicator");
         // Topology discovery + transport setup (ncclCommInitRank).
         ctx.delay(Dur::micros(world.platform.coll.xccl_init_us));
 
-        // Node-major device ordering minimises ring node-crossings.
-        let mut order: Vec<usize> = ranks.iter().flat_map(|&r| world.devices_of(r)).collect();
-        order.sort_by_key(|&f| (world.devs.dev(f).loc.node, world.devs.dev(f).loc.gpu));
-        let mut nodes: Vec<usize> = order.iter().map(|&f| world.devs.dev(f).loc.node).collect();
-        nodes.dedup();
-        let nodes = nodes.len();
-        let devs_per_node = order.len().div_ceil(nodes.max(1));
-        let nrings = world.topo.nics_per_node().min(devs_per_node).max(1);
+        // The first member to get here derives the plan; the rest share it.
+        let plan = plan_for(id, || CommPlan::build(world, ranks, opts.servers));
+        debug_assert_eq!(plan.ranks[idx], my_rank, "members disagree on the rank list");
 
-        // Degradation awareness (under `RailPolicy::AvoidDead`, the
-        // default): rails whose edges ride a link the health vector
-        // (`gaspi_state_vec`) marks dead are blacklisted — see
-        // [`RailPolicy`]. On a healthy fabric the filter drops nothing
-        // and the layout is bit-identical to the fault-free build.
-        let mut rails = ring::build_rails(world, &order, nrings);
-        if opts.rail_policy == RailPolicy::AvoidDead {
-            let health = world.health();
+        // Degradation awareness, keyed on the health vector
+        // (`gaspi_state_vec`) *this* rank observes now. With no dead
+        // link in it — always, on a healthy fabric — both filters below
+        // drop nothing, so they are skipped and the layout is the
+        // plan's, bit-identical to the fault-free build.
+        let health = world.health();
+        let any_dead = health.any_dead_link();
+
+        // Rails whose edges ride a dead link are blacklisted under
+        // `RailPolicy::AvoidDead` (the default) — see [`RailPolicy`].
+        let mut rails = plan.rails.clone();
+        let mut ring = plan.ring.clone();
+        if any_dead && opts.rail_policy == RailPolicy::AvoidDead {
             let alive: Vec<Rail> =
                 rails.iter().filter(|r| !r.uses_dead_link(&health)).cloned().collect();
-            if !alive.is_empty() {
-                rails = alive;
+            if !alive.is_empty() && alive.len() < rails.len() {
+                ring = Arc::new(RingInfo { nrings: alive.len(), ..(*ring).clone() });
+                rails = Arc::new(alive);
             }
         }
-        let nrings = rails.len();
 
-        // Reduction-server carving: whole node blocks from the requested
-        // end of the node-major order become infrastructure (at least
-        // one client node always remains). Server devices whose NIC the
-        // health vector marks dead are blacklisted — the stripes
-        // re-split over the survivors, and with *every* server dead the
-        // set is empty and the engines fall back to the ring schedule:
-        // degrade, never hang. The dedicated server flow is allocated
-        // only when servers are configured, so server-free communicators
-        // keep their historical flow-id sequence bit for bit.
-        let servers = if opts.servers.enabled() && nodes > 1 {
-            let mut node_ids: Vec<usize> =
-                order.iter().map(|&f| world.devs.dev(f).loc.node).collect();
-            node_ids.dedup();
-            let nsrv = opts.servers.nodes.min(nodes - 1);
-            let srv_nodes: Vec<usize> = match opts.servers.placement {
-                ServerPlacement::Tail => node_ids[nodes - nsrv..].to_vec(),
-                ServerPlacement::Head => node_ids[..nsrv].to_vec(),
+        // Server devices whose NIC the health vector marks dead are
+        // blacklisted — the stripes re-split over the survivors, and
+        // with *every* server dead the set is empty and the engines fall
+        // back to the ring schedule: degrade, never hang. The dedicated
+        // server flow is allocated only when servers are configured, so
+        // server-free communicators keep their historical flow-id
+        // sequence bit for bit.
+        let servers = plan.servers.as_ref().map(|carved| {
+            let nic_alive = |&f: &usize| health.link_factor_milli(world.devs.dev(f).nic) != 0;
+            let set = if any_dead && !carved.devs.iter().all(nic_alive) {
+                let devs = carved.devs.iter().copied().filter(nic_alive).collect();
+                Arc::new(ServerSet { nodes: carved.nodes.clone(), devs })
+            } else {
+                carved.clone()
             };
-            let health = world.health();
-            let devs: Vec<usize> = order
-                .iter()
-                .copied()
-                .filter(|&f| {
-                    let d = world.devs.dev(f);
-                    srv_nodes.contains(&d.loc.node) && health.link_factor_milli(d.nic) != 0
-                })
-                .collect();
-            let flow = ctx.new_flow(opts.qos.weight_milli());
-            Some(Arc::new(ServerSet { nodes: srv_nodes, devs, flow }))
-        } else {
-            None
-        };
+            (set, ctx.new_flow(opts.qos.weight_milli()))
+        });
 
-        let rails = Arc::new(rails);
-        let gate = gate_for(id, ranks.len());
         let flow = ctx.new_flow(opts.qos.weight_milli());
         Arc::new(XcclComm {
             world: world.clone(),
-            ranks,
+            ranks: plan.ranks.clone(),
             id,
-            ring: RingInfo { order, nodes, nrings },
-            engine,
+            ring,
+            engine: opts.engine,
             qos: opts.qos,
+            plan,
+            idx,
             flow,
             rails,
             servers,
-            gate,
             opts,
         })
     }
@@ -251,15 +333,34 @@ impl XcclComm {
         // [`diomp_sim::SimHandle::flow_stats`] first (the workload
         // harness does).
         ctx.release_flow(self.flow);
-        if let Some(srv) = &self.servers {
-            ctx.release_flow(srv.flow);
+        if let Some((_, srv_flow)) = self.servers {
+            ctx.release_flow(srv_flow);
         }
         XcclComm::init(ctx, &self.world, survivors, my_rank, id, self.opts)
     }
 
+    /// Is any member's communicator created from `id` still alive? The
+    /// plan registry holds communicators weakly, so this turns false
+    /// once every member has dropped (or shrunk away from) its handle —
+    /// what the elastic path's leak tests assert.
+    pub fn is_live(id: UniqueId) -> bool {
+        registry().lock().get(&id.bits()).is_some_and(|p| p.strong_count() > 0)
+    }
+
+    /// The QoS flow this rank's collectives are charged to when it is
+    /// the one that launches them (the last arriver) — the client-side
+    /// twin of [`XcclComm::server_flow`], for
+    /// [`diomp_sim::SimHandle::flow_stats`].
+    pub fn flow(&self) -> FlowId {
+        self.flow
+    }
+
     /// Position of a device in the ring.
     pub fn ring_pos(&self, flat: usize) -> usize {
-        self.ring.order.iter().position(|&f| f == flat).expect("device not in communicator")
+        match self.plan.pos.get(flat) {
+            Some(&p) if p != u32::MAX => p as usize,
+            _ => panic!("device not in communicator"),
+        }
     }
 
     /// Number of devices in the communicator.
@@ -271,14 +372,14 @@ impl XcclComm {
     /// [`CommOpts::servers`] is disabled). These nodes' ranks are
     /// communicator members but contribute no data to allreduce.
     pub fn server_nodes(&self) -> &[usize] {
-        self.servers.as_ref().map_or(&[], |s| &s.nodes)
+        self.servers.as_ref().map_or(&[], |(s, _)| &s.nodes)
     }
 
     /// Live reduction-server devices (flat indices): the stripe owners
     /// after dead-NIC blacklisting. Empty when no servers are
     /// configured *or* every server NIC is dead (ring fallback).
     pub fn live_server_devices(&self) -> &[usize] {
-        self.servers.as_ref().map_or(&[], |s| &s.devs)
+        self.servers.as_ref().map_or(&[], |(s, _)| &s.devs)
     }
 
     /// The dedicated QoS flow server fan-back traffic is charged to
@@ -286,7 +387,7 @@ impl XcclComm {
     /// [`diomp_sim::SimHandle::flow_stats`] to observe server traffic
     /// separately from the communicator's client flow.
     pub fn server_flow(&self) -> Option<FlowId> {
-        self.servers.as_ref().map(|s| s.flow)
+        self.servers.as_ref().map(|&(_, flow)| flow)
     }
 
     /// The NIC-level shape [`rserver::crossover_bytes`] prices this
@@ -295,7 +396,7 @@ impl XcclComm {
     /// `server_nics` and the crossover retreats accordingly). None when
     /// no servers are configured.
     pub fn server_layout(&self) -> Option<ServerLayout> {
-        let srv = self.servers.as_ref()?;
+        let (srv, _) = self.servers.as_ref()?;
         let mut nics: Vec<usize> =
             srv.devs.iter().map(|&f| self.world.devs.dev(f).nic.index()).collect();
         nics.sort_unstable();
@@ -435,17 +536,7 @@ impl XcclComm {
         len: u64,
         wait: Wait,
     ) -> Result<SimTime, CollAbort> {
-        let idx = self.ranks.iter().position(|&r| r == my_rank).expect("rank not in communicator");
-        let world = self.world.clone();
-        let order = self.ring.order.clone();
-        let n = order.len();
-        let engine = self.engine;
-        let flow = self.flow;
-        let rails = self.rails.clone();
-        let servers = self.servers.clone();
-        // Protocol selection happens here, through the same query the
-        // public API exposes: None for single-protocol engines.
-        let auto_cuts = self.auto_regimes(&op);
+        assert_eq!(self.ranks[self.idx], my_rank, "collective called by a rank other than init's");
         let dead = |ctx: &mut Ctx| {
             // GASPI discipline: the expired deadline is the failure
             // signal; probe the state vector (committing any death
@@ -458,163 +549,296 @@ impl XcclComm {
                 self.ranks.iter().any(|&r| p.kill_time(r as u32).is_some_and(|t| t <= now))
             })
         };
-        self.gate.arrive_with(ctx, idx, my_bufs, wait, dead, move |ctx, arrivals| {
-            // Assemble buffers in ring order.
-            let mut by_flat: Vec<Option<DeviceBuf>> = vec![None; world.devs.len()];
-            for a in arrivals {
-                for b in &a.bufs {
-                    by_flat[b.flat] = Some(*b);
+        // Everything past the arrival — regime selection, schedule
+        // build, the march — runs once, on the last arriver, with *its*
+        // rails, flow and server set.
+        self.plan.gate.arrive_with(ctx, self.idx, my_bufs, wait, dead, |ctx, arrivals| {
+            self.launch(ctx, arrivals, op, len)
+        })
+    }
+
+    /// Run one collective whose gate just filled: pick the regime, drive
+    /// the schedule in this (the last arriving) task's context, and
+    /// schedule the data semantics at the completion instant.
+    fn launch(
+        &self,
+        ctx: &mut Ctx,
+        arrivals: &[Option<Vec<DeviceBuf>>],
+        op: XcclOp,
+        len: u64,
+    ) -> SimTime {
+        let world = &*self.world;
+        let order = &self.ring.order;
+        let rails = &self.rails;
+        let flow = self.flow;
+
+        // Assemble buffers in ring order.
+        let mut by_flat: Vec<Option<DeviceBuf>> = vec![None; world.devs.len()];
+        for b in arrivals.iter().flatten().flatten() {
+            by_flat[b.flat] = Some(*b);
+        }
+        let bufs: Vec<DeviceBuf> = order
+            .iter()
+            .map(|&f| by_flat[f].unwrap_or_else(|| panic!("no buffer for device {f}")))
+            .collect();
+
+        let root_pos = match op {
+            XcclOp::Broadcast { root } | XcclOp::Reduce { root, .. } => Some(root),
+            _ => None,
+        };
+        let root_flat = root_pos.map(|r| order[r]);
+        let allreduce = matches!(op, XcclOp::AllReduce { .. });
+        // Membership semantics of a server-equipped communicator:
+        // allreduce reduces over the *client* ranks only (in ring order —
+        // the sequential reference association), delivered to every
+        // client; server buffers pass through untouched. This is a
+        // property of the communicator, not of the engine that happens
+        // to run, so every engine on such a communicator stays
+        // byte-comparable — and the ring fallback for a dead server set
+        // produces the same bytes the server schedule would have.
+        let client_bufs: Option<Vec<DeviceBuf>> =
+            self.servers.as_ref().filter(|_| allreduce).map(|(srv, _)| {
+                order
+                    .iter()
+                    .zip(&bufs)
+                    .filter(|&(&f, _)| !srv.nodes.contains(&world.devs.dev(f).loc.node))
+                    .map(|(_, b)| *b)
+                    .collect()
+            });
+        // Live server set, when the schedule can actually run.
+        let live_srv = self.servers.as_ref().filter(|(s, _)| !s.devs.is_empty() && allreduce);
+        // Which semantics the completion action must apply: the ring
+        // engine combines in ring chain order; the profile, LL/tree, DBT
+        // and reduction-server paths keep the sequential reference order
+        // (`client_bufs`, when present, overrides both with the
+        // client-only fold).
+        let mut ring_semantics = false;
+        let mut run_ring = |ctx: &mut Ctx, rc| {
+            ring_semantics = true;
+            ring::execute(ctx, &world.platform, rails, flow, op, root_flat, len, rc)
+        };
+        let done = match self.engine {
+            CollEngine::Auto(ac) => {
+                // Protocol selection, through the same query the public
+                // API exposes.
+                let (ll_cut, dbt_cut, rsv_cut) =
+                    self.auto_regimes(&op).expect("Auto engine always has regime boundaries");
+                // Every chunked regime runs on the same live per-op
+                // chunking — one tuned config either side of a boundary.
+                let rc = ac.ring_for(&op);
+                if len <= ll_cut {
+                    ll::execute(ctx, world, order, op, root_pos, len, ac)
+                } else if len <= dbt_cut {
+                    dbt::execute(ctx, world, rails, flow, op, root_flat, len, rc)
+                } else if let Some((srv, srv_flow)) =
+                    live_srv.filter(|_| rsv_cut > 0 && len >= rsv_cut)
+                {
+                    // The fourth regime: clients are injection-bound at
+                    // these sizes, so hand the fold to the server ranks.
+                    rserver::execute(ctx, world, rails, flow, srv, *srv_flow, op, len, rc)
+                } else {
+                    run_ring(ctx, rc)
                 }
             }
-            let bufs: Vec<DeviceBuf> = order
-                .iter()
-                .map(|&f| by_flat[f].unwrap_or_else(|| panic!("no buffer for device {f}")))
-                .collect();
+            CollEngine::ReductionServer(rc) => match live_srv {
+                Some((srv, srv_flow)) => {
+                    rserver::execute(ctx, world, rails, flow, srv, *srv_flow, op, len, rc)
+                }
+                // No live servers (never configured, or every server NIC
+                // dead) or no server schedule for this op: the ring runs
+                // with the same chunking, so the engine stays total —
+                // degrade, never hang.
+                None => run_ring(ctx, rc),
+            },
+            // All-gather has no tree schedule: fall back to the ring
+            // with the same chunking so the engine stays total over ops.
+            CollEngine::Dbt(rc) if matches!(op, XcclOp::AllGather) => run_ring(ctx, rc),
+            CollEngine::Dbt(rc) => dbt::execute(ctx, world, rails, flow, op, root_flat, len, rc),
+            CollEngine::Profile => {
+                // Modelled completion: launch + ring-fill hop latency +
+                // wire bytes over the library's achieved-bandwidth
+                // curve. The curve is calibrated per platform against
+                // the vendor library's measured behaviour (Fig. 6) and
+                // already includes multi-rail aggregation and protocol
+                // switches (LL/LL128/Simple), which is why it need not
+                // be monotonic.
+                let n = order.len();
+                let profile = op.profile(&world.platform.coll);
+                let hops = (n.max(2) - 1) as u32;
+                let wire = (len as f64 * op.wire_factor(n)).ceil() as u64;
+                ctx.now() + Dur::micros(profile.time_us(wire.max(1), hops))
+            }
+            // Emergent completion: run the chunk-pipelined ring schedule
+            // over the simulated links.
+            CollEngine::Ring(rc) => run_ring(ctx, rc),
+        };
 
-            let root_pos = match op {
-                XcclOp::Broadcast { root } | XcclOp::Reduce { root, .. } => Some(root),
-                _ => None,
-            };
-            // Membership semantics of a server-equipped communicator:
-            // allreduce reduces over the *client* ranks only (in ring
-            // order — the sequential reference association), delivered
-            // to every client; server buffers pass through untouched.
-            // This is a property of the communicator, not of the engine
-            // that happens to run, so every engine on such a
-            // communicator stays byte-comparable — and the ring
-            // fallback for a dead server set produces the same bytes
-            // the server schedule would have.
-            let client_bufs: Option<Vec<DeviceBuf>> =
-                servers.as_ref().filter(|_| matches!(op, XcclOp::AllReduce { .. })).map(|srv| {
-                    order
-                        .iter()
-                        .zip(&bufs)
-                        .filter(|&(&f, _)| !srv.nodes.contains(&world.devs.dev(f).loc.node))
-                        .map(|(_, b)| *b)
-                        .collect()
-                });
-            // Live server set, when the schedule can actually run.
-            let live_srv = servers
-                .as_ref()
-                .filter(|s| !s.devs.is_empty() && matches!(op, XcclOp::AllReduce { .. }));
-            // Which semantics the completion action must apply: the ring
-            // engine combines in ring chain order; the profile, LL/tree,
-            // DBT and reduction-server paths keep the sequential
-            // reference order (`client_bufs`, when present, overrides
-            // both with the client-only fold).
-            let mut ring_semantics = false;
-            let done = match engine {
-                CollEngine::Auto(ac) => {
-                    let (ll_cut, dbt_cut, rsv_cut) =
-                        auto_cuts.expect("Auto engine always has regime boundaries");
-                    if len <= ll_cut {
-                        ll::execute(ctx, &world, &order, op, root_pos, len, ac)
-                    } else if len <= dbt_cut {
-                        // The mid band runs on the same live per-op
-                        // chunking as the ring fallback — one tuned
-                        // config, both engines.
-                        let root_flat = root_pos.map(|r| order[r]);
-                        dbt::execute(
-                            ctx,
-                            &world,
-                            &rails,
-                            flow,
-                            op,
-                            root_flat,
-                            len,
-                            ac.ring_for(&op),
-                        )
-                    } else if let Some(srv) = live_srv.filter(|_| rsv_cut > 0 && len >= rsv_cut) {
-                        // The fourth regime: clients are injection-bound
-                        // at these sizes, so hand the fold to the
-                        // server ranks — on the same live chunking as
-                        // the ring either side of the boundary.
-                        rserver::execute(ctx, &world, &rails, flow, srv, op, len, ac.ring_for(&op))
-                    } else {
-                        ring_semantics = true;
-                        let root_flat = root_pos.map(|r| order[r]);
-                        ring::execute(
-                            ctx,
-                            &world.platform,
-                            &rails,
-                            flow,
-                            op,
-                            root_flat,
-                            len,
-                            ac.ring_for(&op),
-                        )
-                    }
-                }
-                CollEngine::ReductionServer(rc) => match live_srv {
-                    Some(srv) => rserver::execute(ctx, &world, &rails, flow, srv, op, len, rc),
-                    // No live servers (never configured, or every
-                    // server NIC dead) or no server schedule for this
-                    // op: the ring runs with the same chunking, so the
-                    // engine stays total — degrade, never hang.
-                    None => {
-                        ring_semantics = true;
-                        let root_flat = root_pos.map(|r| order[r]);
-                        ring::execute(ctx, &world.platform, &rails, flow, op, root_flat, len, rc)
-                    }
-                },
-                CollEngine::Dbt(rc) => {
-                    // All-gather has no tree schedule: fall back to the
-                    // ring with the same chunking so the engine stays
-                    // total over ops.
-                    if matches!(op, XcclOp::AllGather) {
-                        ring_semantics = true;
-                        ring::execute(ctx, &world.platform, &rails, flow, op, None, len, rc)
-                    } else {
-                        let root_flat = root_pos.map(|r| order[r]);
-                        dbt::execute(ctx, &world, &rails, flow, op, root_flat, len, rc)
-                    }
-                }
-                CollEngine::Profile => {
-                    // Modelled completion: launch + ring-fill hop latency +
-                    // wire bytes over the library's achieved-bandwidth
-                    // curve. The curve is calibrated per platform against
-                    // the vendor library's measured behaviour (Fig. 6) and
-                    // already includes multi-rail aggregation and protocol
-                    // switches (LL/LL128/Simple), which is why it need not
-                    // be monotonic.
-                    let coll = &world.platform.coll;
-                    let profile = op.profile(coll);
-                    let hops = (n.max(2) - 1) as u32;
-                    let wire = (len as f64 * op.wire_factor(n)).ceil() as u64;
-                    let us = profile.time_us(wire.max(1), hops);
-                    ctx.now() + Dur::micros(us)
-                }
-                CollEngine::Ring(rc) => {
-                    // Emergent completion: run the chunk-pipelined ring
-                    // schedule over the simulated links in this (the last
-                    // arriving) task's context.
-                    ring_semantics = true;
-                    let root_flat = root_pos.map(|r| order[r]);
-                    ring::execute(ctx, &world.platform, &rails, flow, op, root_flat, len, rc)
-                }
-            };
+        // Real data semantics at completion. The ring engine combines
+        // reduction segments in ring chain order; the profile engine,
+        // the LL/tree fast path and the DBT engine keep the sequential
+        // reference order (tree reductions fold whole payloads with the
+        // root's contribution first — the reference association,
+        // property-tested byte-identical to the sequential fold). On a
+        // server-equipped communicator the client-only fold overrides
+        // both (membership semantics — uniform across engines).
+        let devs = world.devs.clone();
+        let rails = rails.clone();
+        ctx.handle().schedule_at(done, move |_| {
+            if let Some(cb) = &client_bufs {
+                op.apply(&devs, cb, len)
+            } else if ring_semantics {
+                ring::apply(&devs, &rails, op, &bufs, len)
+            } else {
+                op.apply(&devs, &bufs, len)
+            }
+        });
+        done
+    }
+}
 
-            // Real data semantics at completion. The ring engine combines
-            // reduction segments in ring chain order; the profile engine,
-            // the LL/tree fast path and the DBT engine keep the
-            // sequential reference order (tree reductions fold whole
-            // payloads with the root's contribution first — the
-            // reference association, property-tested byte-identical to
-            // the sequential fold). On a server-equipped communicator
-            // the client-only fold overrides both (membership
-            // semantics — uniform across engines).
-            let devs = world.devs.clone();
-            let rails2 = rails.clone();
-            ctx.handle().schedule_at(done, move |_| {
-                if let Some(cb) = &client_bufs {
-                    op.apply(&devs, cb, len)
-                } else if ring_semantics {
-                    ring::apply(&devs, &rails2, op, &bufs, len)
-                } else {
-                    op.apply(&devs, &bufs, len)
-                }
+#[cfg(test)]
+mod tests {
+    use diomp_device::{DataMode, DeviceTable};
+    use diomp_fabric::ReduceOp;
+    use diomp_sim::{ClusterSpec, FaultPlan, PlatformSpec, Sim, SimHandle, SimReport, Topology};
+
+    use super::*;
+    use crate::ring::RingConfig;
+
+    const NRANKS: usize = 8;
+
+    /// Platform A, 2 nodes × 4 GPUs, one rank per GPU. `plan_of` builds
+    /// the fault plan from the world (it needs its link ids); every rank
+    /// initialises a communicator, runs `body`, and hands its
+    /// communicator back.
+    fn run(
+        engine: CollEngine,
+        plan_of: impl FnOnce(&FabricWorld) -> FaultPlan,
+        body: impl Fn(&mut Ctx, &XcclComm, usize) + Send + Sync + 'static,
+    ) -> (SimHandle, Vec<Arc<XcclComm>>, SimReport) {
+        let mut sim = Sim::new();
+        let spec = ClusterSpec { platform: PlatformSpec::platform_a(), nodes: 2, gpus_per_node: 4 };
+        let topo = Arc::new(Topology::build(&sim.handle(), spec));
+        let devs =
+            DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, Some(8 << 20));
+        let world = FabricWorld::new(topo, devs, NRANKS);
+        let plan = plan_of(&world);
+        sim.set_fault_plan(plan.clone());
+        world.attach_sim(&sim.handle());
+        world.refresh_health_from_plan(&plan);
+        let id = UniqueId::generate();
+        let comms = Arc::new(Mutex::new(vec![None; NRANKS]));
+        let body = Arc::new(body);
+        for r in 0..NRANKS {
+            let (world, comms, body) = (world.clone(), comms.clone(), body.clone());
+            sim.spawn(format!("rank{r}"), move |ctx| {
+                let opts = CommOpts { engine, ..CommOpts::default() };
+                let comm = XcclComm::init(ctx, &world, (0..NRANKS).collect(), r, id, opts);
+                body(ctx, &comm, r);
+                comms.lock()[r] = Some(comm);
             });
-            done
-        })
+        }
+        let handle = sim.handle();
+        let rep = sim.run().expect("communicator test deadlocked");
+        let comms = comms.lock().drain(..).map(|c| c.expect("every rank finished")).collect();
+        (handle, comms, rep)
+    }
+
+    #[test]
+    fn members_share_one_plan_until_a_dead_link_makes_them_filter() {
+        let ring = CollEngine::Ring(RingConfig::default());
+        let (_, comms, _) = run(ring, |_| FaultPlan::new(), |_, _, _| {});
+        for c in &comms {
+            assert!(Arc::ptr_eq(&c.plan, &comms[0].plan), "one plan per UniqueId");
+            assert!(Arc::ptr_eq(&c.rails, &c.plan.rails), "healthy members hold the plan's rails");
+            assert!(Arc::ptr_eq(&c.ring, &c.plan.ring));
+            assert!(Arc::ptr_eq(&c.ranks, &c.plan.ranks));
+        }
+
+        // One NIC dead: every member blacklists the same rail on its own
+        // health vector; the shared plan keeps the unfiltered layout.
+        let (_, comms, _) =
+            run(ring, |w| FaultPlan::new().kill_link(w.devs.dev(1).nic), |_, _, _| {});
+        for c in &comms {
+            assert!(Arc::ptr_eq(&c.plan, &comms[0].plan));
+            assert_eq!(c.plan.rails.len(), 4);
+            assert_eq!((c.rails.len(), c.ring.nrings), (3, 3));
+            assert_eq!(c.ring.order, c.plan.ring.order);
+        }
+    }
+
+    #[test]
+    fn dead_plans_are_purged_when_the_next_one_registers() {
+        let ring = CollEngine::Ring(RingConfig::default());
+        let (_, comms, _) = run(ring, |_| FaultPlan::new(), |_, _, _| {});
+        let old = comms[0].id;
+        assert!(XcclComm::is_live(old));
+        drop(comms);
+        assert!(!XcclComm::is_live(old), "the registry must not keep a plan alive");
+        let (_, comms, _) = run(ring, |_| FaultPlan::new(), |_, _, _| {});
+        assert!(XcclComm::is_live(comms[0].id));
+        assert!(!registry().lock().contains_key(&old.bits()), "dead entries go on insert");
+    }
+
+    /// Rank 5 straggles out of the init delay 135 ms after the others,
+    /// and a dead window on one NIC opens and closes in between. Every
+    /// member must still blacklist that NIC's rail (health is the
+    /// whole-run worst) and the collective — launched by the straggler,
+    /// the last arriver — must land exactly where it did when each rank
+    /// derived its own plan: end time, entry count and link watermarks
+    /// below were recorded at the parent commit.
+    #[test]
+    fn straggler_and_dead_window_straddling_init_replay_the_per_rank_derivation() {
+        let ms = |m: u64| SimTime(m * 1_000_000);
+        let cells: [(CollEngine, u64, [u64; 16]); 2] = [
+            (
+                CollEngine::Ring(RingConfig::default()),
+                225179485,
+                [
+                    225175518, 225176008, 0, 225176008, 225175518, 225174500, 225175518, 225176008,
+                    225175523, 225176004, 0, 225176004, 225175523, 225174503, 225175523, 225176004,
+                ],
+            ),
+            (
+                CollEngine::Dbt(RingConfig::default()),
+                225175783,
+                [
+                    225165688, 225170554, 225165687, 225172301, 0, 225172871, 225165687, 225172871,
+                    225166011, 225170231, 225166010, 225171978, 0, 225172547, 225166010, 225172548,
+                ],
+            ),
+        ];
+        for (engine, end_ns, free_at) in cells {
+            let inited = Arc::new(Mutex::new([0u64; NRANKS]));
+            let inited2 = inited.clone();
+            let (handle, comms, rep) = run(
+                engine,
+                |w| {
+                    FaultPlan::new().straggle("rank5", 2500).degrade_link(
+                        w.devs.dev(1).nic,
+                        ms(100),
+                        ms(150),
+                        0,
+                    )
+                },
+                move |ctx, comm, r| {
+                    inited2.lock()[r] = ctx.now().nanos();
+                    let off = comm.world.primary_dev(r).malloc(1 << 20, 256).unwrap();
+                    let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
+                    comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, 1 << 20);
+                },
+            );
+            let mut want_inited = [ms(90).nanos(); NRANKS];
+            want_inited[5] = ms(225).nanos();
+            assert_eq!(*inited.lock(), want_inited, "{engine:?}: the window straddles init");
+            assert!(comms.iter().all(|c| c.ring.nrings == 3), "{engine:?}: one rail blacklisted");
+            assert_eq!((rep.end_time.nanos(), rep.entries_processed), (end_ns, 29), "{engine:?}");
+            let devs = &comms[0].world.devs;
+            let got: Vec<u64> = (0..NRANKS)
+                .flat_map(|f| [devs.dev(f).nic, devs.dev(f).port])
+                .map(|res| handle.resource_free_at(res).nanos())
+                .collect();
+            assert_eq!(got, free_at, "{engine:?}: link watermarks");
+        }
     }
 }

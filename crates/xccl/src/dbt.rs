@@ -42,9 +42,9 @@
 //! [`crate::ll::crossover_bytes`], the LL/tree cut).
 
 use diomp_fabric::FabricWorld;
-use diomp_sim::{Ctx, Dur, FlowId, PlatformSpec, ResourceId, SimTime};
+use diomp_sim::{Ctx, Dur, FlowId, PlatformSpec, SimTime};
 
-use crate::drive;
+use crate::drive::{self, ChunkSend, Schedule};
 use crate::ll::{AutoConfig, SAFETY};
 use crate::ops::XcclOp;
 use crate::ring::{self, Rail, RingConfig};
@@ -215,19 +215,6 @@ pub fn crossover_bytes(
     best
 }
 
-/// One chunk transfer over one tree edge.
-struct Send {
-    res: ResourceId,
-    lane: u32,
-    bytes: u64,
-    /// Link efficiency at this edge (intra-node fabric or NIC share).
-    eff: f64,
-    /// Sends whose *arrival* enables this one: the same chunk from the
-    /// block's own chain plus both child leaders (climbing), or from
-    /// the parent leader / the previous chain hop (descending).
-    deps: [Option<u32>; 3],
-}
-
 /// Execute the double-binary-tree schedule in the calling task's
 /// context, advancing virtual time to the emergent completion instant.
 /// Mirrors `ring::execute`: per-rail payload slices, per-edge FIFO
@@ -273,8 +260,15 @@ pub(crate) fn execute(
     const CHAIN_DOWN: usize = 1;
     const TREE_UP: usize = 2;
     const TREE_DOWN: usize = 3;
-    let nlanes = rails.len() * 2 * 4 * n;
-    let mut sends: Vec<Send> = Vec::new();
+    // Emission order is every lane's FIFO order, and every dependency —
+    // the same chunk from the block's own chain plus both child leaders
+    // (climbing), or from the parent leader / the previous chain hop
+    // (descending) — is emitted before the send it enables.
+    let mut sched = Schedule::new(rails.len() * 2 * 4 * n);
+    let mut emit = |res, eff, lane, bytes, deps: [Option<u32>; 3]| {
+        let send = ChunkSend { res, lane, wire: drive::wire_bytes(bytes, eff), flow };
+        sched.push(send, deps.into_iter().flatten())
+    };
     for (ri, rail) in rails.iter().enumerate() {
         let (_, slen) = slices[ri];
         if slen == 0 {
@@ -336,28 +330,24 @@ pub(crate) fn execute(
             let lane_of = |pos: usize, kind: usize| (((ri * 2 + ti) * n + pos) * 4 + kind) as u32;
             let top_down = tree.top_down();
             let nchunks = hlen.div_ceil(chunk_bytes);
+            let mut chain_done: Vec<Option<u32>> = vec![None; nb];
+            let mut up_idx: Vec<Option<u32>> = vec![None; nb];
+            let mut down_recv: Vec<Option<u32>> = vec![None; nb];
             for c in 0..nchunks {
                 let cb = chunk_bytes.min(hlen - c * chunk_bytes);
                 // Reduce: each block chains its members' contributions
                 // into the leader, then leaders climb the tree once both
                 // child leaders' copies of this chunk have arrived.
-                let mut chain_done: Vec<Option<u32>> = vec![None; nb];
-                let mut up_idx: Vec<Option<u32>> = vec![None; nb];
+                chain_done.fill(None);
+                up_idx.fill(None);
                 if do_reduce {
                     for (b, done) in chain_done.iter_mut().enumerate() {
                         let m = blk(b);
                         let mut prev = None;
                         for k in (1..m.len()).rev() {
                             let (res, eff) = edge(m[k], m[k - 1]);
-                            let idx = sends.len() as u32;
-                            sends.push(Send {
-                                res,
-                                lane: lane_of(m[k], CHAIN_UP),
-                                bytes: cb,
-                                eff,
-                                deps: [prev, None, None],
-                            });
-                            prev = Some(idx);
+                            let lane = lane_of(m[k], CHAIN_UP);
+                            prev = Some(emit(res, eff, lane, cb, [prev, None, None]));
                         }
                         *done = prev;
                     }
@@ -371,14 +361,7 @@ pub(crate) fn execute(
                         }
                         let p = tree.parent[b].unwrap();
                         let (res, eff) = edge(blk(b)[0], blk(p)[0]);
-                        up_idx[b] = Some(sends.len() as u32);
-                        sends.push(Send {
-                            res,
-                            lane: lane_of(blk(b)[0], TREE_UP),
-                            bytes: cb,
-                            eff,
-                            deps,
-                        });
+                        up_idx[b] = Some(emit(res, eff, lane_of(blk(b)[0], TREE_UP), cb, deps));
                     }
                 }
                 // Broadcast: the root leader's sends wait for this
@@ -393,20 +376,14 @@ pub(crate) fn execute(
                         }
                         d
                     };
-                    let mut down_recv: Vec<Option<u32>> = vec![None; nb];
+                    down_recv.fill(None);
                     for &b in &top_down {
                         for &cb_ in &tree.children[b] {
                             let deps =
                                 if b == tree.root { root_deps } else { [down_recv[b], None, None] };
                             let (res, eff) = edge(blk(b)[0], blk(cb_)[0]);
-                            down_recv[cb_] = Some(sends.len() as u32);
-                            sends.push(Send {
-                                res,
-                                lane: lane_of(blk(cb_)[0], TREE_DOWN),
-                                bytes: cb,
-                                eff,
-                                deps,
-                            });
+                            let lane = lane_of(blk(cb_)[0], TREE_DOWN);
+                            down_recv[cb_] = Some(emit(res, eff, lane, cb, deps));
                         }
                         let m = blk(b);
                         let mut prev = down_recv[b];
@@ -417,51 +394,19 @@ pub(crate) fn execute(
                                 [prev, None, None]
                             };
                             let (res, eff) = edge(m[k - 1], m[k]);
-                            let idx = sends.len() as u32;
-                            sends.push(Send {
-                                res,
-                                lane: lane_of(m[k - 1], CHAIN_DOWN),
-                                bytes: cb,
-                                eff,
-                                deps,
-                            });
-                            prev = Some(idx);
+                            prev = Some(emit(res, eff, lane_of(m[k - 1], CHAIN_DOWN), cb, deps));
                         }
                     }
                 }
             }
         }
     }
-    if sends.is_empty() {
+    if sched.len() == 0 {
         return ctx.now();
     }
 
-    // ---- per-edge FIFO lanes (generation order is already FIFO) ----
-    let mut lanes: Vec<Vec<u32>> = vec![Vec::new(); nlanes];
-    for (i, s) in sends.iter().enumerate() {
-        lanes[s.lane as usize].push(i as u32);
-    }
-
     // ---- progress loop (shared with the ring engine) ----
-    let issues: Vec<drive::ChunkSend> = sends
-        .iter()
-        .map(|s| drive::ChunkSend {
-            res: s.res,
-            lane: s.lane,
-            wire: ((s.bytes as f64 / s.eff).ceil() as u64).max(1),
-            flow,
-        })
-        .collect();
-    let mut deps = drive::DepTable::with_capacity(sends.len(), 2 * sends.len());
-    for s in &sends {
-        deps.push_row(s.deps.iter().flatten().copied());
-    }
-    let step = Dur::micros(t.step_us);
-    if drive::fast_path_ok(ctx) {
-        drive::drive_schedule_fast(ctx, &issues, &lanes, cfg.max_inflight, step, &deps);
-    } else {
-        drive::drive_schedule(ctx, &issues, &lanes, cfg.max_inflight, step, &deps);
-    }
+    sched.drive(ctx, cfg.max_inflight, Dur::micros(t.step_us));
     // Receive-side processing of the final chunk.
     ctx.delay(Dur::micros(t.step_us));
     ctx.now()

@@ -32,13 +32,11 @@ pub struct DeviceBuf {
     pub off: u64,
 }
 
-pub(crate) struct Arrival {
-    pub bufs: Vec<DeviceBuf>,
-}
-
 struct Episode {
     ev: EventId,
-    arrivals: Vec<Option<Arrival>>,
+    /// Each rank's device buffers, by rank index (taken by the arrival
+    /// that fills the episode).
+    arrivals: Vec<Option<Vec<DeviceBuf>>>,
     arrived: usize,
     inside: usize,
     done_at: Option<SimTime>,
@@ -61,9 +59,9 @@ impl CollGate {
 
     /// Arrive with this rank's buffers under a wait discipline. When the
     /// gate fills, `finish` is called once (by the last arrival, in task
-    /// context) with all arrivals in rank order; it returns the
-    /// collective completion time, and every participant blocks until
-    /// then.
+    /// context) with all arrivals in rank order (every slot `Some`: the
+    /// gate is full); it returns the collective completion time, and
+    /// every participant blocks until then.
     ///
     /// With [`Wait::Block`] a call cannot fail — one event, one park per
     /// rank, the historical rendezvous. With [`Wait::Until`]
@@ -84,13 +82,14 @@ impl CollGate {
         bufs: Vec<DeviceBuf>,
         wait: Wait,
         mut dead: impl FnMut(&mut Ctx) -> bool,
-        finish: impl FnOnce(&mut Ctx, &[Arrival]) -> SimTime,
+        finish: impl FnOnce(&mut Ctx, &[Option<Vec<DeviceBuf>>]) -> SimTime,
     ) -> Result<SimTime, CollAbort> {
         assert!(idx < self.n);
-        let ev = {
+        // One lock scope per arrival: join (or open) the episode, and if
+        // this arrival fills it, take every rank's buffers out with it.
+        let (ev, filled) = {
             let mut eps = self.episodes.lock();
-            let needs_new = eps.back().map(|e| e.arrived == self.n || e.aborted).unwrap_or(true);
-            if needs_new {
+            if eps.back().is_none_or(|e| e.arrived == self.n || e.aborted) {
                 eps.push_back(Episode {
                     ev: ctx.new_event(),
                     arrivals: (0..self.n).map(|_| None).collect(),
@@ -100,38 +99,22 @@ impl CollGate {
                     aborted: false,
                 });
             }
-            let ep = eps.back_mut().unwrap();
+            let ep = eps.back_mut().expect("an open episode");
             assert!(ep.arrivals[idx].is_none(), "rank {idx} arrived twice at a collective");
-            ep.arrivals[idx] = Some(Arrival { bufs });
+            ep.arrivals[idx] = Some(bufs);
             ep.arrived += 1;
             ep.inside += 1;
-            ep.ev
+            let filled = (ep.arrived == self.n).then(|| std::mem::take(&mut ep.arrivals));
+            (ep.ev, filled)
         };
         // The last arrival computes the outcome outside the lock (it may
         // charge delays on its own task).
-        let is_last = {
-            let eps = self.episodes.lock();
-            let ep = eps.iter().find(|e| e.ev == ev).unwrap();
-            ep.arrived == self.n && ep.done_at.is_none()
-        };
-        if is_last {
-            let arrivals: Vec<Arrival> = {
-                let eps = self.episodes.lock();
-                let ep = eps.iter().find(|e| e.ev == ev).unwrap();
-                ep.arrivals
-                    .iter()
-                    .map(|a| {
-                        let a = a.as_ref().expect("missing arrival");
-                        Arrival { bufs: a.bufs.clone() }
-                    })
-                    .collect()
-            };
+        if let Some(arrivals) = filled {
             let done = finish(ctx, &arrivals);
-            {
-                let mut eps = self.episodes.lock();
-                let ep = eps.iter_mut().find(|e| e.ev == ev).unwrap();
-                ep.done_at = Some(done);
-            }
+            let mut eps = self.episodes.lock();
+            let ep = eps.iter_mut().find(|e| e.ev == ev).expect("episode vanished");
+            ep.done_at = Some(done);
+            drop(eps);
             ctx.complete_at(ev, done);
         }
         loop {

@@ -32,7 +32,7 @@ use diomp_device::{DataMode, DeviceTable};
 use diomp_fabric::FabricWorld;
 use diomp_sim::{BwCurve, Ctx, Dur, FlowId, PlatformSpec, ResourceId, SimTime};
 
-use crate::drive::{self, ChunkSend, DepTable};
+use crate::drive::{self, ChunkSend, Schedule};
 use crate::gate::DeviceBuf;
 use crate::ops::XcclOp;
 
@@ -350,23 +350,6 @@ pub(crate) fn split_aligned(total: u64, parts: usize, align: u64) -> Vec<(u64, u
     out
 }
 
-/// One chunk transfer over one ring edge.
-struct Send {
-    res: ResourceId,
-    lane: u32,
-    /// Ring step (= hop index of the owning chunk's path).
-    step: u32,
-    /// Token ordinal within the rail (segment / contribution index).
-    tok: u32,
-    /// Chunk ordinal within the token.
-    chunk: u32,
-    bytes: u64,
-    /// Index of the send whose arrival enables this one (same chunk, one
-    /// step earlier on the upstream edge).
-    dep: Option<u32>,
-    inter: bool,
-}
-
 /// Execute the ring schedule in the calling task's context, advancing
 /// virtual time to the collective's emergent completion instant.
 ///
@@ -390,7 +373,6 @@ pub(crate) fn execute(
         return ctx.now();
     }
 
-    // ---- build the send table: every (rail, token, chunk, hop) ----
     let elem = op.elem_align();
     let slices = split_aligned(len, rails.len(), elem);
     let chunk_bytes = cfg.chunk_bytes.max(1);
@@ -416,14 +398,21 @@ pub(crate) fn execute(
         ctx.delay(Dur::micros(t.step_us));
         return ctx.now();
     }
-    let mut sends: Vec<Send> = Vec::new();
+
+    // ---- emit the schedule: every (rail, hop, token, chunk) ----
+    // One lane per ring edge per rail. A lane serves its sends in
+    // (step, token, chunk) order, so each rail is emitted hop-major:
+    // emission order *is* every lane's FIFO order, and the send one hop
+    // upstream of a chunk — its only dependency — sits exactly one
+    // `row` (the rail's chunks per hop) earlier in the table.
+    let mut sched = Schedule::new(rails.len() * n);
     for (ri, rail) in rails.iter().enumerate() {
         let (_, slen) = slices[ri];
         // Tokens: `(bytes, first edge)` flows, each traversing `hops`
         // consecutive edges. Ring allreduce = reduce-scatter + allgather:
         // segment j starts on edge j and travels 2(n−1) hops; the chain
         // ops travel n−1 hops from their root.
-        let (tokens, hops): (Vec<(u64, usize)>, usize) = match op {
+        let (mut tokens, hops): (Vec<(u64, usize)>, usize) = match op {
             XcclOp::AllReduce { .. } => (
                 split_aligned(slen, n, elem).into_iter().map(|(_, l)| l).zip(0..n).collect(),
                 2 * (n - 1),
@@ -438,88 +427,43 @@ pub(crate) fn execute(
                 (vec![(slen, (root + 1) % n)], n - 1)
             }
         };
-        for (tok, &(bytes, start)) in tokens.iter().enumerate() {
-            if bytes == 0 {
-                // Empty segment/rail share: nothing flows. Tokens are
-                // independent, so skipping one leaves no dangling deps —
-                // and a sub-segment payload (len < n elements) would
-                // otherwise pay the full O(rails·n²) schedule in phantom
-                // 1-byte sends.
-                continue;
-            }
-            // Allreduce tokens (the n ring segments) already pipeline
-            // against each other, so splitting each one beyond a few
-            // chunks buys no extra overlap — measured flat on every
-            // platform — while multiplying scheduler entries, the gated
-            // wall-clock cost. Floor the per-token grain accordingly;
-            // the chain ops keep the configured grain (their single
-            // token *is* the pipeline).
-            let tok_chunk = match op {
-                XcclOp::AllReduce { .. } => chunk_bytes.max(bytes.div_ceil(ALLRED_TOKEN_CHUNKS)),
-                _ => chunk_bytes,
-            };
-            let nchunks = bytes.div_ceil(tok_chunk);
-            for c in 0..nchunks {
-                let cb = tok_chunk.min(bytes - c * tok_chunk);
-                let mut dep: Option<u32> = None;
-                for h in 0..hops {
-                    let e = (start + h) % n;
-                    let idx = sends.len() as u32;
-                    sends.push(Send {
-                        res: rail.edges[e].res,
-                        lane: (ri * n + e) as u32,
-                        step: h as u32,
-                        tok: tok as u32,
-                        chunk: c as u32,
-                        bytes: cb,
-                        dep,
-                        inter: rail.edges[e].inter,
-                    });
-                    dep = Some(idx);
+        // Empty segment/rail share: nothing flows. Tokens are
+        // independent, so skipping one leaves no dangling deps — and a
+        // sub-segment payload (len < n elements) would otherwise pay the
+        // full O(rails·n²) schedule in phantom 1-byte sends.
+        tokens.retain(|&(bytes, _)| bytes > 0);
+        // Allreduce tokens (the n ring segments) already pipeline
+        // against each other, so splitting each one beyond a few chunks
+        // buys no extra overlap — measured flat on every platform —
+        // while multiplying scheduler entries, the gated wall-clock
+        // cost. Floor the per-token grain accordingly; the chain ops
+        // keep the configured grain (their single token *is* the
+        // pipeline).
+        let tok_chunk = |bytes: u64| match op {
+            XcclOp::AllReduce { .. } => chunk_bytes.max(bytes.div_ceil(ALLRED_TOKEN_CHUNKS)),
+            _ => chunk_bytes,
+        };
+        let row: u64 = tokens.iter().map(|&(bytes, _)| bytes.div_ceil(tok_chunk(bytes))).sum();
+        for h in 0..hops {
+            for &(bytes, start) in &tokens {
+                let e = (start + h) % n;
+                let (edge, lane) = (rail.edges[e], (ri * n + e) as u32);
+                let eff = if edge.inter { t.inter_eff } else { t.intra_eff };
+                let tc = tok_chunk(bytes);
+                for c in 0..bytes.div_ceil(tc) {
+                    let wire = drive::wire_bytes(tc.min(bytes - c * tc), eff);
+                    let dep = (h > 0).then(|| (sched.len() as u64 - row) as u32);
+                    sched.push(ChunkSend { res: edge.res, lane, wire, flow }, dep);
                 }
             }
         }
     }
-    if sends.is_empty() {
+    if sched.len() == 0 {
         return ctx.now();
     }
 
-    // ---- per-edge FIFO lanes, processed in (step, token, chunk) order --
-    let nlanes = rails.len() * n;
-    let mut lanes: Vec<Vec<u32>> = vec![Vec::new(); nlanes];
-    for (i, s) in sends.iter().enumerate() {
-        lanes[s.lane as usize].push(i as u32);
-    }
-    for lane in &mut lanes {
-        lane.sort_by_key(|&i| {
-            let s = &sends[i as usize];
-            (s.step, s.tok, s.chunk)
-        });
-    }
-
-    // ---- progress loop (shared with the DBT engine) ----
-    let issues: Vec<ChunkSend> = sends
-        .iter()
-        .map(|s| {
-            let eff = if s.inter { t.inter_eff } else { t.intra_eff };
-            ChunkSend {
-                res: s.res,
-                lane: s.lane,
-                wire: ((s.bytes as f64 / eff).ceil() as u64).max(1),
-                flow,
-            }
-        })
-        .collect();
-    let mut deps = DepTable::with_capacity(sends.len(), sends.len());
-    for s in &sends {
-        deps.push_row(s.dep);
-    }
-    let step = Dur::micros(t.step_us);
-    if drive::fast_path_ok(ctx) {
-        drive::drive_schedule_fast(ctx, &issues, &lanes, cfg.max_inflight, step, &deps);
-    } else {
-        drive::drive_schedule(ctx, &issues, &lanes, cfg.max_inflight, step, &deps);
-    }
+    // ---- progress loop (shared with the DBT and server engines) ----
+    sched.drive(ctx, cfg.max_inflight, Dur::micros(t.step_us));
     // Receive-side processing of the final chunk.
     ctx.delay(Dur::micros(t.step_us));
     ctx.now()
@@ -629,7 +573,7 @@ fn march_allreduce(
             #[allow(clippy::needless_range_loop)]
             for c in 0..nc {
                 let cb = tc.min(bytes - c as u64 * tc);
-                let wire = ((cb as f64 / eff).ceil() as u64).max(1);
+                let wire = drive::wire_bytes(cb, eff);
                 let dep = if h == 0 { SimTime::ZERO } else { arr_prev[up][c] };
                 let w = if win[e].len() >= window {
                     win[e].pop().expect("window heap underflow").0
@@ -733,7 +677,7 @@ fn jump_rows(
         let mut row_wire = 0u64;
         for c in 0..nc {
             let cb = tc.min(bytes - c as u64 * tc);
-            row_wire += ((cb as f64 / eff).ceil() as u64).max(1);
+            row_wire += drive::wire_bytes(cb, eff);
         }
         ctx.handle().bulk_advance_resource(edge.res, d, m, row_wire);
         row_wire_total += row_wire;

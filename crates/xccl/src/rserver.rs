@@ -37,9 +37,9 @@
 //!    its block.
 //!
 //! Everything is chunk-pipelined through the shared
-//! [`ring::drive_schedule`] progress loop (per-edge FIFO lanes, bounded
-//! in-flight windows, completions drained with the batched wait-any):
-//! stripe `k` folds while stripe `k+1` is on the wire.
+//! [`crate::drive::Schedule`] progress loop (per-edge FIFO lanes,
+//! bounded in-flight windows): stripe `k` folds while stripe `k+1` is
+//! on the wire.
 //!
 //! **Membership semantics.** Server ranks are communicator members — they
 //! arrive at the collective gate like everyone else — but they are
@@ -65,7 +65,7 @@
 use diomp_fabric::FabricWorld;
 use diomp_sim::{Ctx, Dur, FlowId, PlatformSpec, ResourceId, SimTime};
 
-use crate::drive;
+use crate::drive::{self, ChunkSend, Schedule};
 use crate::ll::{AutoConfig, SAFETY};
 use crate::ops::XcclOp;
 use crate::ring::{self, Rail, RingConfig};
@@ -137,9 +137,8 @@ impl ServerSpec {
 }
 
 /// The resolved server set a communicator carries (None when
-/// [`ServerSpec::nodes`] is 0): which nodes are infrastructure, which
-/// devices are live stripe owners, and the dedicated QoS flow their
-/// fan-back traffic is charged to.
+/// [`ServerSpec::nodes`] is 0): which nodes are infrastructure and which
+/// devices are live stripe owners.
 pub(crate) struct ServerSet {
     /// Node ids carved out as reduction servers — the *membership*
     /// boundary: these nodes' ranks are excluded from allreduce data
@@ -151,10 +150,6 @@ pub(crate) struct ServerSet {
     /// means every server is dead and the schedule falls back to the
     /// ring.
     pub(crate) devs: Vec<usize>,
-    /// Dedicated flow for server fan-back traffic: same QoS weight as
-    /// the owning job (WFQ accounting stays per-job) but separately
-    /// observable in `flow_stats`.
-    pub(crate) flow: FlowId,
 }
 
 /// The NIC-level shape of a server-equipped communicator — the inputs
@@ -281,24 +276,6 @@ pub fn crossover_bytes(
     cut
 }
 
-/// One chunk transfer of the server schedule.
-struct Send {
-    res: ResourceId,
-    lane: u32,
-    bytes: u64,
-    /// Link efficiency at this edge (intra-node fabric or NIC share).
-    eff: f64,
-    /// Flow the transfer is charged to: the communicator flow for client
-    /// traffic, the dedicated server flow for fan-back.
-    flow: FlowId,
-    /// Chain predecessor / fan-back arrival enabling this send.
-    dep: Option<u32>,
-    /// Fan-in group (index into the group table): a fan-back send is
-    /// enabled only once *every* client upload of its (stripe, chunk)
-    /// has arrived — the fold's inputs.
-    fanin: Option<u32>,
-}
-
 /// Execute the reduction-server allreduce schedule in the calling task's
 /// context, advancing virtual time to the emergent completion instant.
 /// Mirrors `ring::execute`/`dbt::execute`: per-rail payload slices,
@@ -311,6 +288,7 @@ pub(crate) fn execute(
     rails: &[Rail],
     flow: FlowId,
     srv: &ServerSet,
+    srv_flow: FlowId,
     op: XcclOp,
     len: u64,
     cfg: RingConfig,
@@ -335,9 +313,16 @@ pub(crate) fn execute(
     const UP: usize = 1;
     const DOWN: usize = 2;
     const CHAIN_DOWN: usize = 3;
-    let nlanes = rails.len() * n * 4;
-    let mut sends: Vec<Send> = Vec::new();
-    let mut fanins: Vec<Vec<u32>> = Vec::new();
+    // Emission order is every lane's FIFO order, and every dependency
+    // is emitted before the send it enables.
+    let mut sched = Schedule::new(rails.len() * n * 4);
+    let mut emit = |(res, eff): (ResourceId, f64), lane, bytes, flow, deps: &[u32]| {
+        let send = ChunkSend { res, lane, wire: drive::wire_bytes(bytes, eff), flow };
+        sched.push(send, deps.iter().copied())
+    };
+    // The fold's inputs: every client upload of the current chunk. A
+    // fan-back send is enabled only once all of them have arrived.
+    let mut uploads: Vec<u32> = Vec::new();
     for (ri, rail) in rails.iter().enumerate() {
         let (_, slen) = slices[ri];
         if slen == 0 {
@@ -407,113 +392,38 @@ pub(crate) fn execute(
                 continue;
             }
             let sp = pos[srv.devs[c % ndevs]] as usize;
-            {
-                let group = fanins.len() as u32;
-                fanins.push(Vec::with_capacity(blocks.len()));
-                // Chain up + upload: every client block reduces this
-                // chunk to its leader, which injects it toward the
-                // stripe's owner on its NIC.
-                for m in &blocks {
-                    let mut prev: Option<u32> = None;
-                    for k in (1..m.len()).rev() {
-                        let (res, eff) = edge(m[k], m[k - 1]);
-                        let idx = sends.len() as u32;
-                        sends.push(Send {
-                            res,
-                            lane: lane_of(m[k], CHAIN_UP),
-                            bytes: cb,
-                            eff,
-                            flow,
-                            dep: prev,
-                            fanin: None,
-                        });
-                        prev = Some(idx);
-                    }
-                    let (res, eff) = edge(m[0], sp);
-                    let idx = sends.len() as u32;
-                    sends.push(Send {
-                        res,
-                        lane: lane_of(m[0], UP),
-                        bytes: cb,
-                        eff,
-                        flow,
-                        dep: prev,
-                        fanin: None,
-                    });
-                    fanins[group as usize].push(idx);
+            // Chain up + upload: every client block reduces this chunk
+            // to its leader, which injects it toward the stripe's owner
+            // on its NIC.
+            uploads.clear();
+            for m in &blocks {
+                let mut prev: Option<u32> = None;
+                for k in (1..m.len()).rev() {
+                    let lane = lane_of(m[k], CHAIN_UP);
+                    prev = Some(emit(edge(m[k], m[k - 1]), lane, cb, flow, prev.as_slice()));
                 }
-                // Fold + fan back + chain down: once every block's copy
-                // of this chunk has arrived, the owner issues the
-                // reduced chunk to each leader (paying the fold's step
-                // cost at issue), and leaders chain it through their
-                // blocks.
-                for m in &blocks {
-                    let (res, eff) = edge(sp, m[0]);
-                    let idx = sends.len() as u32;
-                    sends.push(Send {
-                        res,
-                        lane: lane_of(sp, DOWN),
-                        bytes: cb,
-                        eff,
-                        flow: srv.flow,
-                        dep: None,
-                        fanin: Some(group),
-                    });
-                    let mut prev = Some(idx);
-                    for k in 1..m.len() {
-                        let (res, eff) = edge(m[k - 1], m[k]);
-                        let i2 = sends.len() as u32;
-                        sends.push(Send {
-                            res,
-                            lane: lane_of(m[k - 1], CHAIN_DOWN),
-                            bytes: cb,
-                            eff,
-                            flow,
-                            dep: prev,
-                            fanin: None,
-                        });
-                        prev = Some(i2);
-                    }
+                uploads.push(emit(edge(m[0], sp), lane_of(m[0], UP), cb, flow, prev.as_slice()));
+            }
+            // Fold + fan back + chain down: once every block's copy of
+            // this chunk has arrived, the owner issues the reduced chunk
+            // to each leader (paying the fold's step cost at issue) on
+            // the dedicated server flow, and leaders chain it through
+            // their blocks.
+            for m in &blocks {
+                let mut prev = emit(edge(sp, m[0]), lane_of(sp, DOWN), cb, srv_flow, &uploads);
+                for k in 1..m.len() {
+                    let lane = lane_of(m[k - 1], CHAIN_DOWN);
+                    prev = emit(edge(m[k - 1], m[k]), lane, cb, flow, &[prev]);
                 }
             }
         }
     }
-    if sends.is_empty() {
+    if sched.len() == 0 {
         return ctx.now();
     }
 
-    // ---- per-edge FIFO lanes (generation order is already FIFO) ----
-    let mut lanes: Vec<Vec<u32>> = vec![Vec::new(); nlanes];
-    for (i, s) in sends.iter().enumerate() {
-        lanes[s.lane as usize].push(i as u32);
-    }
-
     // ---- progress loop (shared with the ring and DBT engines) ----
-    let issues: Vec<drive::ChunkSend> = sends
-        .iter()
-        .map(|s| drive::ChunkSend {
-            res: s.res,
-            lane: s.lane,
-            wire: ((s.bytes as f64 / s.eff).ceil() as u64).max(1),
-            flow: s.flow,
-        })
-        .collect();
-    // Fan-in groups inline into the CSR rows: a fan-back send's
-    // dependencies are every upload of its stripe group.
-    let mut deps = drive::DepTable::with_capacity(sends.len(), 2 * sends.len());
-    for s in &sends {
-        deps.push_row(
-            s.dep
-                .into_iter()
-                .chain(s.fanin.into_iter().flat_map(|g| fanins[g as usize].iter().copied())),
-        );
-    }
-    let step = Dur::micros(t.step_us);
-    if drive::fast_path_ok(ctx) {
-        drive::drive_schedule_fast(ctx, &issues, &lanes, cfg.max_inflight, step, &deps);
-    } else {
-        drive::drive_schedule(ctx, &issues, &lanes, cfg.max_inflight, step, &deps);
-    }
+    sched.drive(ctx, cfg.max_inflight, Dur::micros(t.step_us));
     // Receive-side processing of the final chunk.
     ctx.delay(Dur::micros(t.step_us));
     ctx.now()

@@ -592,7 +592,12 @@ fn faults_armed_after_build_still_reprice_auto_regimes() {
 /// cycles must hold the kernel's flow table at a constant size instead
 /// of leaking a slot pair per retry (the pre-slab behaviour). Wait
 /// boards recycle through their own free list, so quiescence must
-/// leave zero boards in use no matter how many collectives ran.
+/// leave zero boards in use no matter how many collectives ran. The
+/// process-global communicator registry must let go too: once every
+/// survivor has shrunk away from a communicator its plan and gate are
+/// dead, and after the run none of the three is left. (Checked by id,
+/// not by registry size: the tests of this binary share the registry
+/// and run concurrently.)
 #[test]
 fn repeated_shrink_cycles_recycle_flow_and_board_slots() {
     const KILLS: [usize; 2] = [7, 6]; // one node-1 casualty per cycle
@@ -604,9 +609,12 @@ fn repeated_shrink_cycles_recycle_flow_and_board_slots() {
     // collective and after each shrink cycle's collective (collectives
     // synchronise, so every survivor has re-inited by then).
     let marks: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+    // Every communicator id rank 0 held, in order.
+    let ids: Arc<Mutex<Vec<UniqueId>>> = Arc::new(Mutex::new(Vec::new()));
     for r in 0..NRANKS {
         let world = world.clone();
         let marks = marks.clone();
+        let ids = ids.clone();
         let handle = handle.clone();
         sim.spawn(format!("rank{r}"), move |ctx| {
             let bits = world.bootstrap.exchange(ctx, r, if r == 0 { id.bits() } else { 0 })[0];
@@ -631,6 +639,7 @@ fn repeated_shrink_cycles_recycle_flow_and_board_slots() {
             comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, 4096);
             if r == 0 {
                 marks.lock().push(handle.flows_in_use());
+                ids.lock().push(comm.id);
             }
             let mut health = diomp_fabric::HealthVec::healthy(NRANKS);
             for &k in &KILLS {
@@ -645,6 +654,13 @@ fn repeated_shrink_cycles_recycle_flow_and_board_slots() {
                 comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, 4096);
                 if r == 0 {
                     marks.lock().push(handle.flows_in_use());
+                    // The collective synchronised the survivors, so all
+                    // of them have left the previous communicator.
+                    let mut ids = ids.lock();
+                    let old = *ids.last().unwrap();
+                    assert!(!XcclComm::is_live(old), "shrink leaked the communicator it replaced");
+                    assert!(XcclComm::is_live(comm.id));
+                    ids.push(comm.id);
                 }
             }
         });
@@ -661,4 +677,9 @@ fn repeated_shrink_cycles_recycle_flow_and_board_slots() {
         );
     }
     assert_eq!(handle.boards_in_use(), 0, "quiescence must recycle every wait board");
+    let ids = ids.lock();
+    assert_eq!(ids.len(), KILLS.len() + 1);
+    for id in ids.iter() {
+        assert!(!XcclComm::is_live(*id), "communicator {id:?} outlived every member");
+    }
 }

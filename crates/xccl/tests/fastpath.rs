@@ -6,9 +6,11 @@
 //! coalesced march / closed-form phase jump (the scale-out fast paths).
 //! These tests pin the optimisation contract:
 //!
-//! * **Bit-identical virtual time** — end time and every per-link
-//!   `free_at` watermark match the forced-explicit driver across
-//!   engines, ops, payload sizes and cluster shapes.
+//! * **Bit-identical virtual time** — end time, every per-link
+//!   `free_at` watermark and every communicator flow's statistics match
+//!   the forced-explicit driver across engines, ops, payload sizes and
+//!   cluster shapes — the small ones here and the 64-GPU cells the
+//!   layered benchmark runs.
 //! * **Per-edge fault disarm** — an armed fault plan perturbs the march
 //!   through the same kernel arithmetic as explicit events; the fast
 //!   path stays engaged (chunks still coalesce) and stays exact.
@@ -23,10 +25,12 @@ use std::sync::Arc;
 
 use diomp_device::{DataMode, DeviceTable};
 use diomp_fabric::{FabricWorld, ReduceOp};
-use diomp_sim::{ClusterSpec, Dur, FaultPlan, PlatformSpec, ResourceId, Sim, Topology};
+use diomp_sim::{ClusterSpec, Dur, FaultPlan, FlowId, PlatformSpec, ResourceId, Sim, Topology};
 use diomp_xccl::{
-    CollEngine, CommOpts, DeviceBuf, RingConfig, ServerSpec, UniqueId, XcclComm, XcclOp,
+    default_nrings, CollEngine, CommOpts, DeviceBuf, RingConfig, ServerSpec, UniqueId, XcclComm,
+    XcclOp,
 };
+use parking_lot::Mutex;
 
 /// Scheduler-visible outcome of one run, compared field by field
 /// between the coalesced and explicit arms.
@@ -36,7 +40,14 @@ struct RunOut {
     /// Post-run `free_at` watermark of every NIC and fabric port — the
     /// reservation state the collectives actually mutated.
     free_at: Vec<u64>,
+    /// `(bytes, first_start, last_depart)` of every rank's client flow
+    /// and then of every rank's server flow, in rank order (only the
+    /// launching rank's are ever charged).
+    flows: Vec<(u64, Option<u64>, u64)>,
 }
+
+/// One rank's client flow and server flow.
+type RankFlows = (Option<FlowId>, Option<FlowId>);
 
 /// Scheduler cost of the same run (not part of the identity — the fast
 /// path exists to change exactly these).
@@ -73,8 +84,9 @@ fn run_cell(
     world.attach_sim(&sim.handle());
     world.refresh_health_from_plan(plan);
     let id = UniqueId::generate();
+    let flow_ids: Arc<Mutex<Vec<RankFlows>>> = Arc::new(Mutex::new(vec![(None, None); nranks]));
     for r in 0..nranks {
-        let world = world.clone();
+        let (world, flow_ids) = (world.clone(), flow_ids.clone());
         sim.spawn(format!("rank{r}"), move |ctx| {
             let comm = XcclComm::init(
                 ctx,
@@ -84,9 +96,11 @@ fn run_cell(
                 id,
                 CommOpts { engine, servers, ..CommOpts::default() },
             );
+            flow_ids.lock()[r] = (Some(comm.flow()), comm.server_flow());
             let dev = world.primary_dev(r);
-            // All-gather needs n·len per buffer; size generously.
-            let off = dev.malloc((size * nranks as u64).max(256), 256).unwrap();
+            // All-gather needs n·len per buffer.
+            let per = if matches!(op, XcclOp::AllGather) { nranks as u64 } else { 1 };
+            let off = dev.malloc((size * per).max(256), 256).unwrap();
             // Two back-to-back collectives: the second starts against
             // warm (already reserved) links, so steady-state jumps and
             // busy-resource serialisation both get exercised.
@@ -103,8 +117,19 @@ fn run_cell(
         })
         .map(|res: ResourceId| handle.resource_free_at(res).nanos())
         .collect();
+    let flow_ids = flow_ids.lock();
+    let flows = flow_ids
+        .iter()
+        .map(|f| f.0)
+        .chain(flow_ids.iter().map(|f| f.1))
+        .flatten()
+        .map(|f| {
+            let s = handle.flow_stats(f);
+            (s.bytes, s.first_start.map(|t| t.nanos()), s.last_depart.nanos())
+        })
+        .collect();
     (
-        RunOut { end_ns: rep.end_time.nanos(), free_at },
+        RunOut { end_ns: rep.end_time.nanos(), free_at, flows },
         RunCost { entries: rep.entries_processed, coalesced: rep.coalesced_chunks },
     )
 }
@@ -131,7 +156,7 @@ fn assert_equiv(
     assert_eq!(
         fast, expl,
         "{label}: coalesced arm diverged from the forced-explicit driver \
-         (end time or link watermarks)"
+         (end time, link watermarks or flow stats)"
     );
     assert_eq!(expl_cost.coalesced, 0, "{label}: forced-explicit arm must not coalesce");
     assert!(
@@ -236,6 +261,43 @@ fn rserver_offload_matches_explicit() {
             &plan,
             false,
         );
+        assert!(fast.coalesced > 0, "{label}: fast path must engage");
+    }
+}
+
+/// The cells the layered benchmark's `coll_sweep` spends its host time
+/// in: platform A, 16 nodes × 4 GPUs, on the chunking the `Tuner`
+/// derives — 257 k chunk sends per 16 MiB broadcast there, the table
+/// the event-driven issue pass exists for.
+#[test]
+fn benchmark_shapes_match_explicit() {
+    let plan = FaultPlan::new();
+    let p = PlatformSpec::platform_a();
+    let allred = XcclOp::AllReduce { op: ReduceOp::SumF32 };
+    let tuned = |op: &XcclOp| RingConfig::auto(&p, op, default_nrings(&p));
+    let bcast = XcclOp::Broadcast { root: 37 };
+    let none = ServerSpec::tail(0);
+    let cells: [(&str, CollEngine, ServerSpec, XcclOp, u64); 4] = [
+        ("ring/bcast_4m_root37", CollEngine::Ring(tuned(&bcast)), none, bcast, 4 << 20),
+        (
+            "ring/allgather_128k",
+            CollEngine::Ring(tuned(&XcclOp::AllGather)),
+            none,
+            XcclOp::AllGather,
+            128 << 10,
+        ),
+        ("dbt/allred_4m", CollEngine::Dbt(tuned(&allred)), none, allred, 4 << 20),
+        (
+            "rserver/allred_4m_8srv",
+            CollEngine::ReductionServer(tuned(&allred)),
+            ServerSpec::tail(8),
+            allred,
+            4 << 20,
+        ),
+    ];
+    for (label, engine, servers, op, size) in cells {
+        let label = format!("{label}@16x4");
+        let (fast, _) = assert_equiv(&label, 16, 4, engine, servers, op, size, &plan, false);
         assert!(fast.coalesced > 0, "{label}: fast path must engage");
     }
 }
