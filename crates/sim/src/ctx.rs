@@ -2,15 +2,18 @@
 //!
 //! A [`Ctx`] is handed to every task closure. It dereferences to
 //! [`SimHandle`] for the non-blocking kernel API and adds the blocking
-//! primitives (`wait`, `delay`, …) that park the calling task and hand the
-//! baton back to the scheduler.
+//! primitives (`wait`, `delay`, …) that park the calling task: having
+//! registered its wake-up, the task dispatches the queue on its own thread
+//! until the baton goes to another task or its own wake pops.
 
-use crossbeam::channel::Receiver;
+use std::sync::Arc;
+
+use parking_lot::MutexGuard;
 
 use crate::board::{BoardId, RangeWaiter};
 use crate::event::{EventId, Waiter};
-use crate::kernel::SimHandle;
-use crate::task::{TaskId, TaskStatus, YieldMsg};
+use crate::kernel::{KState, SimHandle};
+use crate::task::{Baton, ParkedOn, TaskId, TaskStatus};
 use crate::time::{Dur, SimTime};
 
 /// How long a blocking primitive may block: GASPI's timeout parameter as
@@ -58,12 +61,12 @@ impl std::fmt::Display for WaitTimeout {
 }
 impl std::error::Error for WaitTimeout {}
 
-/// Per-task execution context. Not `Send`: it belongs to one task thread.
+/// Per-task execution context; it belongs to one task thread.
 pub struct Ctx {
     handle: SimHandle,
     id: TaskId,
     name: String,
-    wake_rx: Receiver<()>,
+    pub(crate) baton: Arc<Baton>,
 }
 
 impl std::ops::Deref for Ctx {
@@ -74,8 +77,8 @@ impl std::ops::Deref for Ctx {
 }
 
 impl Ctx {
-    pub(crate) fn new(handle: SimHandle, id: TaskId, name: String, wake_rx: Receiver<()>) -> Self {
-        Ctx { handle, id, name, wake_rx }
+    pub(crate) fn new(handle: SimHandle, id: TaskId, name: String, baton: Arc<Baton>) -> Self {
+        Ctx { handle, id, name, baton }
     }
 
     /// This task's id.
@@ -93,34 +96,28 @@ impl Ctx {
         &self.handle
     }
 
-    /// The park performed by a freshly spawned thread before its closure
-    /// runs; resumed by the wake entry pushed by `spawn`.
-    pub(crate) fn initial_park(&self) -> Result<(), ()> {
-        self.wake_rx.recv().map_err(|_| ())
-    }
-
-    /// Park this task. The caller must already have (under the kernel
-    /// lock) registered a wake-up, bumped `park_seq` and set the status to
-    /// `Blocked`; see the blocking ops below for the pattern.
-    fn park(&self) {
-        self.handle.kernel.yield_tx.send(YieldMsg::Parked).expect("scheduler vanished");
-        self.wake_rx.recv().expect("scheduler vanished while parked");
+    /// Park this task on `why`. The caller must already have (under the
+    /// kernel lock it hands over) registered a wake-up and bumped
+    /// `park_seq`; see the blocking ops below for the pattern. Returns
+    /// once that wake-up has popped, with the baton back on this thread.
+    fn park(&self, mut st: MutexGuard<'_, KState>, why: ParkedOn) {
+        let slot = &mut st.tasks[self.id.index()];
+        slot.status = TaskStatus::Blocked;
+        slot.parked_on = why;
+        self.handle.dispatch(st, Some((self.id, &self.baton)));
     }
 
     /// Block until `ev` completes. Returns immediately if it already has.
     pub fn wait(&mut self, ev: EventId) {
         loop {
-            {
-                let mut st = self.handle.kernel.state.lock();
-                if st.events.get(ev).completed {
-                    return;
-                }
-                let park_seq = st.park_seqs[self.id.index()] + 1;
-                st.park_seqs[self.id.index()] = park_seq;
-                st.events.get_mut(ev).waiters.push(Waiter { task: self.id, park_seq });
-                st.tasks[self.id.index()].status = TaskStatus::Blocked;
+            let mut st = self.handle.kernel.state.lock();
+            if st.events.get(ev).completed {
+                return;
             }
-            self.park();
+            let park_seq = st.park_seqs[self.id.index()] + 1;
+            st.park_seqs[self.id.index()] = park_seq;
+            st.events.get_mut(ev).waiters.push(Waiter { task: self.id, park_seq });
+            self.park(st, ParkedOn::Event(ev));
         }
     }
 
@@ -139,23 +136,20 @@ impl Ctx {
     /// entry. For a fence draining N completions this turns ~N scheduler
     /// park/wake round-trips into one.
     pub fn wait_all(&mut self, evs: &[EventId]) {
-        {
-            let mut st = self.handle.kernel.state.lock();
-            let pending = evs.iter().filter(|&&ev| !st.events.get(ev).completed).count();
-            if pending == 0 {
-                return;
-            }
-            let park_seq = st.park_seqs[self.id.index()] + 1;
-            st.park_seqs[self.id.index()] = park_seq;
-            let gref = st.alloc_wait_group(pending, self.id, park_seq);
-            for &ev in evs {
-                if !st.events.get(ev).completed {
-                    st.events.get_mut(ev).group_waiters.push(gref);
-                }
-            }
-            st.tasks[self.id.index()].status = TaskStatus::Blocked;
+        let mut st = self.handle.kernel.state.lock();
+        let pending = evs.iter().filter(|&&ev| !st.events.get(ev).completed).count();
+        if pending == 0 {
+            return;
         }
-        self.park();
+        let park_seq = st.park_seqs[self.id.index()] + 1;
+        st.park_seqs[self.id.index()] = park_seq;
+        let gref = st.alloc_wait_group(pending, self.id, park_seq);
+        for &ev in evs {
+            if !st.events.get(ev).completed {
+                st.events.get_mut(ev).group_waiters.push(gref);
+            }
+        }
+        self.park(st, ParkedOn::WaitAll { pending, deadline: None });
         debug_assert!(
             {
                 let st = self.handle.kernel.state.lock();
@@ -204,26 +198,22 @@ impl Ctx {
             }
             Wait::Until(d) => d,
         };
-        let gref = {
-            let mut st = self.handle.kernel.state.lock();
-            let pending = evs.iter().filter(|&&ev| !st.events.get(ev).completed).count();
-            if pending == 0 {
-                return Ok(());
+        let mut st = self.handle.kernel.state.lock();
+        let pending = evs.iter().filter(|&&ev| !st.events.get(ev).completed).count();
+        if pending == 0 {
+            return Ok(());
+        }
+        let deadline = st.now() + timeout;
+        let park_seq = st.park_seqs[self.id.index()] + 1;
+        st.park_seqs[self.id.index()] = park_seq;
+        let gref = st.alloc_wait_group(pending, self.id, park_seq);
+        for &ev in evs {
+            if !st.events.get(ev).completed {
+                st.events.get_mut(ev).group_waiters.push(gref);
             }
-            let deadline = st.now() + timeout;
-            let park_seq = st.park_seqs[self.id.index()] + 1;
-            st.park_seqs[self.id.index()] = park_seq;
-            let gref = st.alloc_wait_group(pending, self.id, park_seq);
-            for &ev in evs {
-                if !st.events.get(ev).completed {
-                    st.events.get_mut(ev).group_waiters.push(gref);
-                }
-            }
-            st.tasks[self.id.index()].status = TaskStatus::Blocked;
-            self.handle.push_wake(&mut st, deadline, self.id, park_seq);
-            gref
-        };
-        self.park();
+        }
+        self.handle.push_wake(&mut st, deadline, self.id, park_seq);
+        self.park(st, ParkedOn::WaitAll { pending, deadline: Some(deadline) });
         let mut st = self.handle.kernel.state.lock();
         if evs.iter().all(|&ev| st.events.get(ev).completed) {
             Ok(())
@@ -238,19 +228,16 @@ impl Ctx {
     pub fn wait_any(&mut self, evs: &[EventId]) -> usize {
         assert!(!evs.is_empty(), "wait_any on empty set");
         loop {
-            {
-                let mut st = self.handle.kernel.state.lock();
-                if let Some(i) = evs.iter().position(|&e| st.events.get(e).completed) {
-                    return i;
-                }
-                let park_seq = st.park_seqs[self.id.index()] + 1;
-                st.park_seqs[self.id.index()] = park_seq;
-                for &ev in evs {
-                    st.events.get_mut(ev).waiters.push(Waiter { task: self.id, park_seq });
-                }
-                st.tasks[self.id.index()].status = TaskStatus::Blocked;
+            let mut st = self.handle.kernel.state.lock();
+            if let Some(i) = evs.iter().position(|&e| st.events.get(e).completed) {
+                return i;
             }
-            self.park();
+            let park_seq = st.park_seqs[self.id.index()] + 1;
+            st.park_seqs[self.id.index()] = park_seq;
+            for &ev in evs {
+                st.events.get_mut(ev).waiters.push(Waiter { task: self.id, park_seq });
+            }
+            self.park(st, ParkedOn::WaitAny { n: evs.len() });
         }
     }
 
@@ -268,20 +255,17 @@ impl Ctx {
     /// turns O(N) scheduler entries per park into O(1).
     pub fn wait_any_batched(&mut self, evs: &[EventId]) -> usize {
         assert!(!evs.is_empty(), "wait_any_batched on empty set");
-        {
-            let mut st = self.handle.kernel.state.lock();
-            if let Some(i) = evs.iter().position(|&e| st.events.get(e).completed) {
-                return i;
-            }
-            let park_seq = st.park_seqs[self.id.index()] + 1;
-            st.park_seqs[self.id.index()] = park_seq;
-            let gref = st.alloc_wait_group(1, self.id, park_seq);
-            for &ev in evs {
-                st.events.get_mut(ev).group_waiters.push(gref);
-            }
-            st.tasks[self.id.index()].status = TaskStatus::Blocked;
+        let mut st = self.handle.kernel.state.lock();
+        if let Some(i) = evs.iter().position(|&e| st.events.get(e).completed) {
+            return i;
         }
-        self.park();
+        let park_seq = st.park_seqs[self.id.index()] + 1;
+        st.park_seqs[self.id.index()] = park_seq;
+        let gref = st.alloc_wait_group(1, self.id, park_seq);
+        for &ev in evs {
+            st.events.get_mut(ev).group_waiters.push(gref);
+        }
+        self.park(st, ParkedOn::WaitAny { n: evs.len() });
         let st = self.handle.kernel.state.lock();
         evs.iter()
             .position(|&e| st.events.get(e).completed)
@@ -304,19 +288,16 @@ impl Ctx {
     pub fn board_waitsome(&mut self, board: BoardId, first: u32, num: u32) -> (u32, u64) {
         assert!(num > 0, "board_waitsome on an empty range");
         loop {
-            {
-                let mut st = self.handle.kernel.state.lock();
-                if let Some((id, _)) = st.boards[board.index()].lowest_in_range(first, num) {
-                    let v = st.boards[board.index()].values.remove(&id).expect("value vanished");
-                    return (id, v);
-                }
-                let park_seq = st.park_seqs[self.id.index()] + 1;
-                st.park_seqs[self.id.index()] = park_seq;
-                let gref = st.alloc_wait_group(1, self.id, park_seq);
-                st.boards[board.index()].waiters.push(RangeWaiter { first, num, group: gref });
-                st.tasks[self.id.index()].status = TaskStatus::Blocked;
+            let mut st = self.handle.kernel.state.lock();
+            if let Some((id, _)) = st.boards[board.index()].lowest_in_range(first, num) {
+                let v = st.boards[board.index()].values.remove(&id).expect("value vanished");
+                return (id, v);
             }
-            self.park();
+            let park_seq = st.park_seqs[self.id.index()] + 1;
+            st.park_seqs[self.id.index()] = park_seq;
+            let gref = st.alloc_wait_group(1, self.id, park_seq);
+            st.boards[board.index()].waiters.push(RangeWaiter { first, num, group: gref });
+            self.park(st, ParkedOn::Board { id: board, first, num, deadline: None });
         }
     }
 
@@ -341,24 +322,20 @@ impl Ctx {
         };
         let deadline = self.handle.now() + timeout;
         loop {
-            let gref = {
-                let mut st = self.handle.kernel.state.lock();
-                if let Some((id, _)) = st.boards[board.index()].lowest_in_range(first, num) {
-                    let v = st.boards[board.index()].values.remove(&id).expect("value vanished");
-                    return Ok((id, v));
-                }
-                if st.now() >= deadline {
-                    return Err(WaitTimeout { at: st.now() });
-                }
-                let park_seq = st.park_seqs[self.id.index()] + 1;
-                st.park_seqs[self.id.index()] = park_seq;
-                let gref = st.alloc_wait_group(1, self.id, park_seq);
-                st.boards[board.index()].waiters.push(RangeWaiter { first, num, group: gref });
-                st.tasks[self.id.index()].status = TaskStatus::Blocked;
-                self.handle.push_wake(&mut st, deadline, self.id, park_seq);
-                gref
-            };
-            self.park();
+            let mut st = self.handle.kernel.state.lock();
+            if let Some((id, _)) = st.boards[board.index()].lowest_in_range(first, num) {
+                let v = st.boards[board.index()].values.remove(&id).expect("value vanished");
+                return Ok((id, v));
+            }
+            if st.now() >= deadline {
+                return Err(WaitTimeout { at: st.now() });
+            }
+            let park_seq = st.park_seqs[self.id.index()] + 1;
+            st.park_seqs[self.id.index()] = park_seq;
+            let gref = st.alloc_wait_group(1, self.id, park_seq);
+            st.boards[board.index()].waiters.push(RangeWaiter { first, num, group: gref });
+            self.handle.push_wake(&mut st, deadline, self.id, park_seq);
+            self.park(st, ParkedOn::Board { id: board, first, num, deadline: Some(deadline) });
             // Woken by a matching post (board_post already removed the
             // waiter and killed the group) or by the deadline (both still
             // registered). Clean up unconditionally, then loop: consume,
@@ -384,20 +361,17 @@ impl Ctx {
 
     /// Block until the virtual clock reaches `t` (no-op if already past).
     pub fn sleep_until(&mut self, t: SimTime) {
-        {
-            let mut st = self.handle.kernel.state.lock();
-            if t <= st_now(&st) {
-                // Still yield once so same-time entries queued earlier run
-                // in deterministic order? No: sleeping to "now" is a no-op;
-                // use `yield_now` for explicit rescheduling.
-                return;
-            }
-            let park_seq = st.park_seqs[self.id.index()] + 1;
-            st.park_seqs[self.id.index()] = park_seq;
-            st.tasks[self.id.index()].status = TaskStatus::Blocked;
-            self.handle.push_wake(&mut st, t, self.id, park_seq);
+        let mut st = self.handle.kernel.state.lock();
+        if t <= st_now(&st) {
+            // Still yield once so same-time entries queued earlier run
+            // in deterministic order? No: sleeping to "now" is a no-op;
+            // use `yield_now` for explicit rescheduling.
+            return;
         }
-        self.park();
+        let park_seq = st.park_seqs[self.id.index()] + 1;
+        st.park_seqs[self.id.index()] = park_seq;
+        self.handle.push_wake(&mut st, t, self.id, park_seq);
+        self.park(st, ParkedOn::Sleep { until: t });
     }
 
     /// Block until the virtual clock reaches `t`, charging the single
@@ -410,33 +384,27 @@ impl Ctx {
     /// aggregates for entry accounting. If `t` is already past, the count
     /// is still credited (the chunks were still priced without events).
     pub fn sleep_until_coalesced(&mut self, t: SimTime, coalesced: u64) {
-        {
-            let mut st = self.handle.kernel.state.lock();
-            if t <= st_now(&st) {
-                st.coalesced_chunks += coalesced;
-                return;
-            }
-            let park_seq = st.park_seqs[self.id.index()] + 1;
-            st.park_seqs[self.id.index()] = park_seq;
-            st.tasks[self.id.index()].status = TaskStatus::Blocked;
-            self.handle.push_wake_coalesced(&mut st, t, self.id, park_seq, coalesced);
+        let mut st = self.handle.kernel.state.lock();
+        if t <= st_now(&st) {
+            st.coalesced_chunks += coalesced;
+            return;
         }
-        self.park();
+        let park_seq = st.park_seqs[self.id.index()] + 1;
+        st.park_seqs[self.id.index()] = park_seq;
+        self.handle.push_wake_coalesced(&mut st, t, self.id, park_seq, coalesced);
+        self.park(st, ParkedOn::Sleep { until: t });
     }
 
     /// Re-queue this task at the current virtual time, letting every
     /// already-queued same-time entry run first. Deterministic fairness
     /// point for polling loops.
     pub fn yield_now(&mut self) {
-        {
-            let mut st = self.handle.kernel.state.lock();
-            let now = st_now(&st);
-            let park_seq = st.park_seqs[self.id.index()] + 1;
-            st.park_seqs[self.id.index()] = park_seq;
-            st.tasks[self.id.index()].status = TaskStatus::Blocked;
-            self.handle.push_wake(&mut st, now, self.id, park_seq);
-        }
-        self.park();
+        let mut st = self.handle.kernel.state.lock();
+        let now = st_now(&st);
+        let park_seq = st.park_seqs[self.id.index()] + 1;
+        st.park_seqs[self.id.index()] = park_seq;
+        self.handle.push_wake(&mut st, now, self.id, park_seq);
+        self.park(st, ParkedOn::Sleep { until: now });
     }
 }
 

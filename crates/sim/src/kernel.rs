@@ -2,18 +2,23 @@
 //!
 //! Design (DESIGN.md D1): a *sequential* deterministic discrete-event
 //! simulation. Simulated ranks run as ordinary OS threads writing ordinary
-//! blocking code, but a single scheduler hands a baton between them so at
-//! most one task executes at any moment. The scheduler owns a priority
-//! queue of `(virtual time, sequence number)`-ordered entries; ties are
-//! broken by insertion order, so a given program produces a bit-identical
-//! event trace on every run.
+//! blocking code, but a single baton passes between them so at most one
+//! task executes at any moment. There is no scheduler thread: whichever
+//! thread holds the baton and has nothing left to run — a task that
+//! parks, a task that finishes, `Sim::run` at the start — pops the
+//! priority queue itself ([`SimHandle::dispatch`]) and hands the baton
+//! straight to the task the queue resumes next (DESIGN.md D19). The queue
+//! orders entries by `(virtual time, sequence number)`; ties are broken
+//! by insertion order, so a given program produces a bit-identical event
+//! trace on every run, whichever threads did the popping.
 //!
 //! Two kinds of queue entries exist:
 //!
 //! * **Wake** — resume a parked task (used by `delay`, event completion,
 //!   barriers, channel receives).
-//! * **Action** — run a closure on the scheduler thread at a given virtual
-//!   time. Actions are how *one-sided* operations complete without any
+//! * **Action** — run a closure at a given virtual time, on the thread
+//!   of whoever holds the baton when it pops (never concurrently with a
+//!   task). Actions are how *one-sided* operations complete without any
 //!   participation from the target rank (DESIGN.md D2): an RMA put
 //!   schedules an action at the modelled arrival time which copies the
 //!   bytes into the target segment and completes the initiator's event.
@@ -22,13 +27,13 @@
 //! the task's `park_seq`, and every wake entry carries the sequence number
 //! of the park it is meant to resume; mismatched entries are skipped.
 
+use std::any::Any;
 use std::collections::BinaryHeap;
-use std::panic::AssertUnwindSafe;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::board::{BoardId, BoardSlot};
 use crate::ctx::Ctx;
@@ -36,11 +41,11 @@ use crate::event::{EventArena, EventId, GroupRef};
 use crate::fault::{CtrlFault, FaultPlan, FaultState};
 use crate::qos::{ContentionState, FlowId, FlowSlot};
 use crate::resource::{ResSlot, ResourceId, Transfer};
-use crate::task::{TaskId, TaskSlot, TaskStatus, YieldMsg};
+use crate::task::{Baton, ParkedOn, TaskId, TaskSlot, TaskStatus};
 use crate::time::{Dur, SimTime};
 use crate::trace::TraceRec;
 
-/// Closure run on the scheduler thread at a scheduled virtual time.
+/// Closure run at a scheduled virtual time, on the baton holder's thread.
 pub type Action = Box<dyn FnOnce(&SimHandle) + Send + 'static>;
 
 enum Item {
@@ -132,6 +137,10 @@ pub(crate) struct KState {
     pub(crate) contention: Option<Box<ContentionState>>,
     n_done: usize,
     entries_processed: u64,
+    /// Batons passed to a different thread / wakes consumed by the task
+    /// that was dispatching (see [`SimReport`]).
+    handoffs: u64,
+    inline_wakes: u64,
     /// Total per-chunk completions that were folded into coalesced wake
     /// entries instead of costing one heap entry each.
     pub(crate) coalesced_chunks: u64,
@@ -142,6 +151,18 @@ pub(crate) struct KState {
     trace: Option<Vec<TraceRec>>,
     limit_entries: Option<u64>,
     limit_time: Option<SimTime>,
+    /// Why dispatching stopped, posted for `Sim::run` by whichever thread
+    /// was dispatching at the time.
+    outcome: Option<Outcome>,
+}
+
+/// How a run ended, as seen by the last dispatcher.
+enum Outcome {
+    /// The queue drained (all tasks done, or a deadlock).
+    Drained,
+    Limit(SimError),
+    /// A task or a scheduled action panicked; `Sim::run` re-raises it.
+    Panicked(Box<dyn Any + Send>),
 }
 
 impl KState {
@@ -190,7 +211,8 @@ impl KState {
 
 pub(crate) struct Kernel {
     pub(crate) state: Mutex<KState>,
-    pub(crate) yield_tx: Sender<YieldMsg>,
+    /// Wakes the thread blocked in `Sim::run` once an [`Outcome`] is posted.
+    runner: Baton,
 }
 
 /// Cloneable, `Send` handle to the simulation kernel.
@@ -216,6 +238,12 @@ pub struct SimReport {
     /// Wall-clock milliseconds the scheduler loop itself took — the cost
     /// of the *simulator*, as opposed to the simulated virtual time.
     pub sim_wall_ms: f64,
+    /// Batons passed from the dispatching thread to a *different* thread
+    /// (one OS context switch each). Exact and repeatable per seed.
+    pub handoffs: u64,
+    /// Wakes consumed by the very task that was dispatching: it parked,
+    /// popped its own wake and returned without leaving its thread.
+    pub inline_wakes: u64,
     /// Number of tasks that ran to completion.
     pub tasks_completed: usize,
     /// Event trace, if tracing was enabled.
@@ -230,6 +258,8 @@ pub enum SimError {
     Deadlock {
         /// Names of the blocked tasks.
         blocked: Vec<String>,
+        /// What each blocked task was parked on, parallel to `blocked`.
+        parked_on: Vec<String>,
         /// Virtual time of the deadlock.
         at: SimTime,
     },
@@ -245,8 +275,12 @@ pub enum SimError {
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimError::Deadlock { blocked, at } => {
-                write!(f, "simulation deadlock at {at}: blocked tasks {blocked:?}")
+            SimError::Deadlock { blocked, parked_on, at } => {
+                write!(f, "simulation deadlock at {at}: blocked tasks [")?;
+                for (i, (name, why)) in blocked.iter().zip(parked_on).enumerate() {
+                    write!(f, "{}{name}: {why}", if i == 0 { "" } else { ", " })?;
+                }
+                write!(f, "]")
             }
             SimError::LimitExceeded { what, at } => {
                 write!(f, "simulation limit exceeded at {at}: {what}")
@@ -256,10 +290,9 @@ impl std::fmt::Display for SimError {
 }
 impl std::error::Error for SimError {}
 
-/// A complete simulation: scheduler plus the set of spawned task threads.
+/// A complete simulation: kernel plus the set of spawned task threads.
 pub struct Sim {
     handle: SimHandle,
-    yield_rx: Receiver<YieldMsg>,
     join: Vec<JoinHandle<()>>,
 }
 
@@ -272,7 +305,6 @@ impl Default for Sim {
 impl Sim {
     /// Create an empty simulation at virtual time zero.
     pub fn new() -> Self {
-        let (yield_tx, yield_rx) = unbounded();
         let kernel = Arc::new(Kernel {
             state: Mutex::new(KState {
                 now: SimTime::ZERO,
@@ -293,15 +325,18 @@ impl Sim {
                 contention: None,
                 n_done: 0,
                 entries_processed: 0,
+                handoffs: 0,
+                inline_wakes: 0,
                 coalesced_chunks: 0,
                 force_explicit: false,
                 trace: None,
                 limit_entries: None,
                 limit_time: None,
+                outcome: None,
             }),
-            yield_tx,
+            runner: Baton::default(),
         });
-        Sim { handle: SimHandle { kernel }, yield_rx, join: Vec::new() }
+        Sim { handle: SimHandle { kernel }, join: Vec::new() }
     }
 
     /// Handle usable to spawn tasks and schedule actions before `run()`.
@@ -366,110 +401,48 @@ impl Sim {
     ///
     /// Returns `Ok` when every task has finished, [`SimError::Deadlock`]
     /// when the queue drains with tasks still blocked, or re-raises the
-    /// panic of any task that panicked.
+    /// panic of any task or scheduled action that panicked. The calling
+    /// thread dispatches only until the first task is resumed; from then
+    /// on the baton holder does, and this thread sleeps until the last
+    /// dispatcher posts how the run ended.
     pub fn run(mut self) -> Result<SimReport, SimError> {
         let wall_start = std::time::Instant::now();
-        loop {
-            let action_or_wake = {
-                let mut st = self.handle.kernel.state.lock();
-                if let Some(limit) = st.limit_entries {
-                    if st.entries_processed > limit {
-                        let at = st.now;
-                        return Err(SimError::LimitExceeded {
-                            what: format!("more than {limit} queue entries"),
-                            at,
-                        });
-                    }
-                }
-                match st.queue.pop() {
-                    None => break,
-                    Some(entry) => {
-                        debug_assert!(entry.t >= st.now, "time went backwards");
-                        st.now = entry.t;
-                        st.entries_processed += 1;
-                        if let Some(limit) = st.limit_time {
-                            if st.now > limit {
-                                return Err(SimError::LimitExceeded {
-                                    what: format!("virtual time past {limit}"),
-                                    at: st.now,
-                                });
-                            }
-                        }
-                        match entry.item {
-                            Item::Wake { task, park_seq, coalesced } => {
-                                let fresh = st.tasks[task.index()].status == TaskStatus::Blocked
-                                    && st.park_seqs[task.index()] == park_seq;
-                                if fresh {
-                                    st.coalesced_chunks += coalesced;
-                                    st.tasks[task.index()].status = TaskStatus::Running;
-                                    if st.trace.is_some() {
-                                        let name = st.tasks[task.index()].name.clone();
-                                        let t = st.now;
-                                        st.trace
-                                            .as_mut()
-                                            .unwrap()
-                                            .push(TraceRec::new(t, name, "wake"));
-                                    }
-                                    let tx = st.tasks[task.index()].wake_tx.clone();
-                                    drop(st);
-                                    tx.send(()).expect("task thread vanished");
-                                    Some(None) // must wait for a yield
-                                } else {
-                                    None // stale wake: skip
-                                }
-                            }
-                            Item::Action(f) => {
-                                drop(st);
-                                Some(Some(f))
-                            }
-                        }
-                    }
-                }
-            };
-            match action_or_wake {
-                None => continue, // stale entry
-                Some(Some(f)) => f(&self.handle),
-                Some(None) => {
-                    // A task holds the baton; wait for it to give it back.
-                    match self.yield_rx.recv().expect("all tasks vanished") {
-                        YieldMsg::Parked => {}
-                        YieldMsg::Done => {}
-                        YieldMsg::Panicked(id, msg) => {
-                            let name =
-                                self.handle.kernel.state.lock().tasks[id.index()].name.clone();
-                            // Re-raise so test assertions inside ranks propagate.
-                            panic!("simulated task '{name}' panicked: {msg}");
-                        }
-                    }
-                }
+        let kernel = self.handle.kernel.clone();
+        kernel.runner.bind(std::thread::current());
+        self.handle.dispatch(kernel.state.lock(), None);
+        kernel.runner.take();
+
+        let mut st = kernel.state.lock();
+        match st.outcome.take().expect("runner woken without an outcome") {
+            Outcome::Drained => {}
+            Outcome::Limit(err) => return Err(err),
+            Outcome::Panicked(payload) => {
+                drop(st);
+                // Re-raise so test assertions inside ranks propagate.
+                resume_unwind(payload)
             }
         }
-
-        let mut st = self.handle.kernel.state.lock();
         let report = SimReport {
             end_time: st.now,
             entries_processed: st.entries_processed,
             coalesced_chunks: st.coalesced_chunks,
             sim_wall_ms: wall_start.elapsed().as_secs_f64() * 1e3,
+            handoffs: st.handoffs,
+            inline_wakes: st.inline_wakes,
             tasks_completed: st.n_done,
             trace: st.trace.take().unwrap_or_default(),
         };
         if st.n_done != st.tasks.len() {
-            let blocked = st
+            let (blocked, parked_on) = st
                 .tasks
                 .iter()
                 .filter(|t| t.status != TaskStatus::Done)
-                .map(|t| t.name.clone())
-                .collect();
-            let at = st.now;
-            drop(st);
-            // Blocked task threads are abandoned (they sit in recv()); this
-            // is an error path and the process is normally about to exit or
-            // the test to assert. Documented leak.
-            for jh in self.join.drain(..) {
-                drop(jh);
-            }
-            return Err(SimError::Deadlock { blocked, at });
+                .map(|t| (t.name.clone(), t.parked_on.to_string()))
+                .unzip();
+            // Blocked task threads are abandoned (they sit in `Baton::take`);
+            // this is an error path and the process is normally about to exit
+            // or the test to assert. Documented leak.
+            return Err(SimError::Deadlock { blocked, parked_on, at: st.now });
         }
         drop(st);
         for jh in self.join.drain(..) {
@@ -489,6 +462,102 @@ impl SimHandle {
         let seq = st.seq;
         st.seq += 1;
         st.queue.push(Entry { t, seq, item });
+    }
+
+    /// Run the scheduler on the calling thread, which holds the baton and
+    /// has nothing to run: pop entries in `(t, seq)` order, executing
+    /// actions inline, until a fresh wake pops. `me` is the caller's own
+    /// task, if it is a task that parked (its wake-up must already be
+    /// registered); a finished task and `Sim::run` pass `None`.
+    ///
+    /// A wake for `me` returns at once — no other thread was involved. A
+    /// wake for another task passes the baton to that task's thread and
+    /// then blocks until the baton comes back (`me`) or returns (`None`).
+    /// Whatever ends the run — a drained queue, a limit, a panic in an
+    /// action — is posted for `Sim::run`, and `me` never resumes.
+    pub(crate) fn dispatch<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, KState>,
+        me: Option<(TaskId, &Baton)>,
+    ) {
+        loop {
+            if let Some(limit) = st.limit_entries {
+                if st.entries_processed > limit {
+                    let err = SimError::LimitExceeded {
+                        what: format!("more than {limit} queue entries"),
+                        at: st.now,
+                    };
+                    return self.stop(st, me, Outcome::Limit(err));
+                }
+            }
+            let Some(entry) = st.queue.pop() else {
+                return self.stop(st, me, Outcome::Drained);
+            };
+            debug_assert!(entry.t >= st.now, "time went backwards");
+            st.now = entry.t;
+            st.entries_processed += 1;
+            if let Some(limit) = st.limit_time {
+                if st.now > limit {
+                    let err = SimError::LimitExceeded {
+                        what: format!("virtual time past {limit}"),
+                        at: st.now,
+                    };
+                    return self.stop(st, me, Outcome::Limit(err));
+                }
+            }
+            match entry.item {
+                Item::Wake { task, park_seq, coalesced } => {
+                    let fresh = st.tasks[task.index()].status == TaskStatus::Blocked
+                        && st.park_seqs[task.index()] == park_seq;
+                    if !fresh {
+                        continue; // stale wake: skip
+                    }
+                    st.coalesced_chunks += coalesced;
+                    st.tasks[task.index()].status = TaskStatus::Running;
+                    if st.trace.is_some() {
+                        let name = st.tasks[task.index()].name.clone();
+                        let t = st.now;
+                        st.trace.as_mut().unwrap().push(TraceRec::new(t, name, "wake"));
+                    }
+                    if me.is_some_and(|(id, _)| id == task) {
+                        st.inline_wakes += 1;
+                        return;
+                    }
+                    st.handoffs += 1;
+                    let next = st.tasks[task.index()].baton.clone();
+                    drop(st);
+                    next.pass();
+                    if let Some((_, mine)) = me {
+                        mine.take();
+                    }
+                    return;
+                }
+                Item::Action(f) => {
+                    drop(st);
+                    // Caught here so the panic is neither blamed on the task
+                    // whose thread happens to be dispatching nor lost with an
+                    // exiting task's thread.
+                    let result = catch_unwind(AssertUnwindSafe(|| f(self)));
+                    st = self.kernel.state.lock();
+                    if let Err(payload) = result {
+                        return self.stop(st, me, Outcome::Panicked(payload));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Post how the run ended and wake `Sim::run`. A dispatching task
+    /// never gets the baton back: its thread is abandoned here, exactly
+    /// like every other blocked task's.
+    fn stop(&self, mut st: MutexGuard<'_, KState>, me: Option<(TaskId, &Baton)>, outcome: Outcome) {
+        st.outcome = Some(outcome);
+        drop(st);
+        self.kernel.runner.pass();
+        if let Some((_, mine)) = me {
+            mine.take();
+            unreachable!("baton passed after the simulation stopped");
+        }
     }
 
     /// Push a scheduled action (clamped to now) while already holding the
@@ -515,53 +584,48 @@ impl SimHandle {
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        let (wake_tx, wake_rx) = unbounded();
-        let id = {
-            let mut st = self.kernel.state.lock();
-            let id = TaskId(st.tasks.len() as u32);
-            st.tasks.push(TaskSlot { name: name.clone(), status: TaskStatus::Blocked, wake_tx });
-            st.park_seqs.push(0);
-            if let Some(f) = st.fault.as_mut() {
-                f.resolve_task(id, &name);
-            }
-            // Initial wake resumes park_seq 0 (the task's startup park).
-            let t = st.now;
-            self.push(&mut st, t, Item::Wake { task: id, park_seq: 0, coalesced: 0 });
-            id
-        };
-        let handle = self.clone();
-        let thread_name = format!("sim-{name}");
+        let baton = Arc::new(Baton::default());
+        // The lock is held across the thread spawn so the baton is bound
+        // to its thread before the task's first wake can pop.
+        let mut st = self.kernel.state.lock();
+        let id = TaskId(st.tasks.len() as u32);
+        let mut ctx = Ctx::new(self.clone(), id, name.clone(), baton.clone());
         let jh = std::thread::Builder::new()
-            .name(thread_name)
+            .name(format!("sim-{name}"))
             .spawn(move || {
-                let mut ctx = Ctx::new(handle, id, name, wake_rx);
-                // Startup park: wait for the scheduler to hand us the baton.
-                if ctx.initial_park().is_err() {
-                    return; // simulation torn down before we started
-                }
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-                let kernel = ctx.handle().kernel.clone();
+                // Startup park: resumed by the wake pushed below.
+                ctx.baton.take();
+                let result = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
+                // Done either way; a finished task dispatches on its way
+                // out, a panicked one ends the run.
+                let h = ctx.handle();
+                let mut st = h.kernel.state.lock();
+                st.tasks[id.index()].status = TaskStatus::Done;
+                st.n_done += 1;
                 match result {
-                    Ok(()) => {
-                        {
-                            let mut st = kernel.state.lock();
-                            st.tasks[id.index()].status = TaskStatus::Done;
-                            st.n_done += 1;
-                        }
-                        let _ = kernel.yield_tx.send(YieldMsg::Done);
-                    }
+                    Ok(()) => h.dispatch(st, None),
                     Err(payload) => {
                         let msg = panic_message(payload.as_ref());
-                        {
-                            let mut st = kernel.state.lock();
-                            st.tasks[id.index()].status = TaskStatus::Done;
-                            st.n_done += 1;
-                        }
-                        let _ = kernel.yield_tx.send(YieldMsg::Panicked(id, msg));
+                        let msg = format!("simulated task '{}' panicked: {msg}", ctx.name());
+                        h.stop(st, None, Outcome::Panicked(Box::new(msg)));
                     }
                 }
             })
             .expect("failed to spawn task thread");
+        baton.bind(jh.thread().clone());
+        if let Some(f) = st.fault.as_mut() {
+            f.resolve_task(id, &name);
+        }
+        st.tasks.push(TaskSlot {
+            name,
+            status: TaskStatus::Blocked,
+            baton,
+            parked_on: ParkedOn::Start,
+        });
+        st.park_seqs.push(0);
+        // Initial wake resumes park_seq 0 (the task's startup park).
+        let t = st.now;
+        self.push(&mut st, t, Item::Wake { task: id, park_seq: 0, coalesced: 0 });
         (id, jh)
     }
 
@@ -755,8 +819,9 @@ impl SimHandle {
         st.events.free(ev);
     }
 
-    /// Run a closure on the scheduler thread at absolute virtual time `t`
-    /// (clamped to now). This is the primitive behind one-sided completion.
+    /// Run a closure at absolute virtual time `t` (clamped to now), on the
+    /// thread of whoever holds the baton when it pops — never concurrently
+    /// with a task. This is the primitive behind one-sided completion.
     pub fn schedule_at<F>(&self, t: SimTime, f: F)
     where
         F: FnOnce(&SimHandle) + Send + 'static,
@@ -766,7 +831,7 @@ impl SimHandle {
         self.push(&mut st, t, Item::Action(Box::new(f)));
     }
 
-    /// Run a closure on the scheduler thread after a virtual delay.
+    /// Run a closure after a virtual delay; see [`SimHandle::schedule_at`].
     pub fn schedule_in<F>(&self, d: Dur, f: F)
     where
         F: FnOnce(&SimHandle) + Send + 'static,

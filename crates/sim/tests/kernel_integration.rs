@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use diomp_sim::{Dur, Sim, SimChannel, SimError, SimTime, Wait};
+use diomp_sim::{Dur, Sim, SimChannel, SimError, SimReport, SimTime, Wait};
 
 #[test]
 fn delays_accumulate_virtual_time() {
@@ -195,26 +195,84 @@ fn deadlock_is_reported_with_task_names() {
     let mut sim = Sim::new();
     let h = sim.handle();
     let never = h.new_event();
+    let other = h.new_event();
+    let board = h.new_board();
     sim.spawn("stuck-rank", move |ctx| {
         ctx.wait(never);
     });
+    sim.spawn("fence", move |ctx| ctx.wait_all(&[never, other]));
+    sim.spawn("poller", move |ctx| {
+        ctx.wait_any_batched(&[never, other]);
+    });
+    sim.spawn("halo", move |ctx| {
+        // The first wait times out (its reason carried a deadline, its
+        // wake was queued — never part of a deadlock); the second blocks.
+        assert!(ctx.board_waitsome_with(board, 4, 2, Wait::Until(Dur::micros(1.0))).is_err());
+        ctx.board_waitsome(board, 4, 2);
+    });
+    let err = sim.run().unwrap_err();
+    match &err {
+        SimError::Deadlock { blocked, parked_on, at } => {
+            assert_eq!(blocked, &["stuck-rank", "fence", "poller", "halo"]);
+            assert_eq!(
+                parked_on,
+                &["event 0", "all of 2 pending events", "any of 2 events", "board 0 ids [4, 6)"]
+            );
+            assert_eq!(*at, SimTime(1_000));
+        }
+        other => panic!("expected deadlock, got {other:?}"),
+    }
+    assert_eq!(
+        err.to_string(),
+        "simulation deadlock at 1.000us: blocked tasks [stuck-rank: event 0, \
+         fence: all of 2 pending events, poller: any of 2 events, halo: board 0 ids [4, 6)]"
+    );
+}
+
+#[test]
+fn deadlock_is_detected_when_the_last_dispatcher_is_a_parked_task() {
+    // `early-exit` is long gone when `late-stuck` parks for good, so the
+    // queue drains on `late-stuck`'s own thread, inside its park.
+    let mut sim = Sim::new();
+    let never = sim.handle().new_event();
+    sim.spawn("early-exit", |_ctx| {});
+    sim.spawn("late-stuck", move |ctx| {
+        ctx.delay(Dur::micros(1.0));
+        ctx.wait(never);
+    });
     match sim.run() {
-        Err(SimError::Deadlock { blocked, .. }) => {
-            assert_eq!(blocked, vec!["stuck-rank".to_string()]);
+        Err(SimError::Deadlock { blocked, at, .. }) => {
+            assert_eq!(blocked, vec!["late-stuck".to_string()]);
+            assert_eq!(at, SimTime(1_000));
         }
         other => panic!("expected deadlock, got {other:?}"),
     }
 }
 
 #[test]
-fn entry_limit_stops_runaway_sims() {
+fn limits_trip_while_a_task_thread_is_dispatching() {
+    // Both spinners pop their own wakes, so the limit trips inside a
+    // task's park, not in `run()`; values recorded at the parent commit.
     let mut sim = Sim::new();
     sim.limit_entries(100);
     sim.spawn("spinner", |ctx| loop {
         ctx.delay(Dur::nanos(1));
     });
     match sim.run() {
-        Err(SimError::LimitExceeded { .. }) => {}
+        Err(SimError::LimitExceeded { what, at }) => {
+            assert_eq!((what.as_str(), at), ("more than 100 queue entries", SimTime(100)));
+        }
+        other => panic!("expected limit, got {other:?}"),
+    }
+    let mut sim = Sim::new();
+    sim.limit_time(SimTime(5_000));
+    sim.spawn("sleeper", |ctx| loop {
+        ctx.delay(Dur::nanos(1_500));
+    });
+    match sim.run() {
+        Err(SimError::LimitExceeded { what, at }) => {
+            assert_eq!((what.as_str(), at), ("virtual time past 5.000us", SimTime(6_000)));
+        }
         other => panic!("expected limit, got {other:?}"),
     }
 }
@@ -227,6 +285,28 @@ fn task_panics_propagate_to_run() {
         panic!("boom");
     });
     let _ = sim.run();
+}
+
+#[test]
+fn action_panics_are_reraised_by_run_with_their_own_message() {
+    // The action pops on a task's thread either way: `bystander`'s while
+    // it is parked, or `leaver`'s after its closure returned. It must
+    // reach `run()` as itself — not as "simulated task 'bystander'
+    // panicked", and not lost with the exiting thread (a hang).
+    for bystander_parks in [true, false] {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let never = h.new_event();
+        h.schedule_at(SimTime(1_000), |_| panic!("action boom"));
+        if bystander_parks {
+            sim.spawn("bystander", move |ctx| ctx.wait(never));
+        } else {
+            sim.spawn("leaver", |_ctx| {});
+        }
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+            .expect_err("run() must re-raise the action's panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"action boom"));
+    }
 }
 
 #[test]
@@ -801,4 +881,240 @@ fn disabled_injection_is_bit_identical_to_no_injection() {
         (rep.end_time, rep.entries_processed, format!("{:?}", rep.trace))
     };
     assert_eq!(run(false), run(true));
+}
+
+// ---------------------------------------------------------------------------
+// The baton holder is the scheduler: identity with the scheduler-thread
+// kernel it replaced, handoff accounting, and handoff safety.
+// ---------------------------------------------------------------------------
+
+/// Every primitive the dispatcher treats differently, in one run: tasks,
+/// actions, bounded waits that time out and that succeed, board waits,
+/// a wait-any group, a coalesced sleep, a straggler and a degraded link,
+/// and mid-run spawns from both a task and an action.
+fn golden_scenario() -> SimReport {
+    let mut sim = Sim::new();
+    sim.enable_trace();
+    let h = sim.handle();
+    let link = h.new_resource(1.0, Dur::nanos(100));
+    sim.set_fault_plan(
+        FaultPlan::new().degrade_link(link, SimTime(0), SimTime(4_000), 500).straggle("slow", 1500),
+    );
+    let board = h.new_board();
+    let e: [diomp_sim::EventId; 4] = std::array::from_fn(|_| h.new_event());
+    h.complete_at(e[0], SimTime(1_500));
+    h.complete_at(e[1], SimTime(5_000));
+    h.complete_at(e[2], SimTime(5_000));
+    h.complete_at(e[3], SimTime(9_000));
+    h.schedule_at(SimTime(3_000), move |h| {
+        h.trace("action", "spawning");
+        h.spawn("from-action", move |ctx| {
+            ctx.yield_now();
+            ctx.delay(Dur::nanos(250));
+            ctx.board_post(board, 3, 30);
+            ctx.trace("from-action", format!("posted at {}", ctx.now().nanos()));
+        });
+    });
+    sim.spawn("waiter", move |ctx| {
+        let r = ctx.wait_all_with(&e[..2], Wait::Until(Dur::micros(2.0)));
+        ctx.trace("waiter", format!("first {:?}", r.map_err(|t| t.at.nanos())));
+        let r = ctx.wait_all_with(&e[..3], Wait::Until(Dur::micros(10.0)));
+        ctx.trace("waiter", format!("second {:?}", r.map_err(|t| t.at.nanos())));
+        let i = ctx.wait_any_batched(&e[2..]);
+        ctx.trace("waiter", format!("any {i}"));
+        ctx.wait_all(&e);
+    });
+    sim.spawn("boarder", move |ctx| {
+        for _ in 0..3 {
+            let (id, v) = ctx.board_waitsome(board, 0, 4);
+            ctx.trace("boarder", format!("got {id}={v}"));
+        }
+        let r = ctx.board_waitsome_with(board, 0, 4, Wait::Until(Dur::micros(1.0)));
+        ctx.trace("boarder", format!("last {:?}", r.map_err(|t| t.at.nanos())));
+    });
+    sim.spawn("slow-poster", move |ctx| {
+        ctx.delay(Dur::micros(1.0)); // straggled to 1.5 us
+        let tr = ctx.transfer(link, 1_000); // inside the degraded window
+        ctx.trace("slow-poster", format!("arrive {}", tr.arrive.nanos()));
+        ctx.sleep_until(tr.arrive);
+        ctx.board_post(board, 2, 20);
+        ctx.handle().spawn("kid", move |ctx| {
+            ctx.delay(Dur::nanos(700));
+            ctx.board_post(board, 1, 10);
+            ctx.sleep_until_coalesced(SimTime(12_000), 7);
+        });
+        ctx.wait(e[3]);
+    });
+    sim.run().unwrap()
+}
+
+/// `golden_scenario`'s trace (`nanos who what`) under the scheduler-thread
+/// kernel of the parent commit (8f23af6), where it also read end 12000,
+/// 25 entries, 7 coalesced chunks.
+const GOLDEN_TRACE: [&str; 29] = [
+    "0 waiter wake",
+    "0 boarder wake",
+    "0 slow-poster wake",
+    "1500 slow-poster wake",
+    "1500 slow-poster arrive 3600",
+    "2000 waiter wake",
+    "2000 waiter first Err(2000)",
+    "3000 action spawning",
+    "3000 from-action wake",
+    "3000 from-action wake",
+    "3250 from-action wake",
+    "3250 from-action posted at 3250",
+    "3250 boarder wake",
+    "3250 boarder got 3=30",
+    "3600 slow-poster wake",
+    "3600 boarder wake",
+    "3600 boarder got 2=20",
+    "3600 kid wake",
+    "4300 kid wake",
+    "4300 boarder wake",
+    "4300 boarder got 1=10",
+    "5000 waiter wake",
+    "5000 waiter second Ok(())",
+    "5000 waiter any 0",
+    "5300 boarder wake",
+    "5300 boarder last Err(5300)",
+    "9000 slow-poster wake",
+    "9000 waiter wake",
+    "12000 kid wake",
+];
+
+#[test]
+fn golden_trace_matches_the_scheduler_thread_kernel() {
+    let rep = golden_scenario();
+    let trace: Vec<String> =
+        rep.trace.iter().map(|r| format!("{} {} {}", r.t.nanos(), r.who, r.what)).collect();
+    assert_eq!(trace, GOLDEN_TRACE);
+    assert_eq!(rep.end_time, SimTime(12_000));
+    assert_eq!(rep.entries_processed, 25);
+    assert_eq!(rep.coalesced_chunks, 7);
+    assert_eq!(rep.tasks_completed, 5);
+    // Every fresh wake is either handed to another thread or consumed in
+    // place by the task that was dispatching.
+    let wakes = rep.trace.iter().filter(|r| r.what == "wake").count() as u64;
+    assert_eq!(rep.handoffs + rep.inline_wakes, wakes);
+    // In place: slow-poster at 1500, from-action at 3000 and 3250, kid at 4300.
+    assert_eq!((rep.handoffs, rep.inline_wakes), (15, 4));
+}
+
+#[test]
+fn a_lone_task_wakes_itself_without_leaving_its_thread() {
+    let mut sim = Sim::new();
+    sim.spawn("lone", |ctx| {
+        for _ in 0..10_000 {
+            ctx.delay(Dur::nanos(3));
+        }
+    });
+    let rep = sim.run().unwrap();
+    // Parent commit: end 30000, 10001 entries.
+    assert_eq!((rep.end_time, rep.entries_processed), (SimTime(30_000), 10_001));
+    // `run()` hands the baton over once; every other wake is the task's own.
+    assert_eq!((rep.handoffs, rep.inline_wakes), (1, 10_000));
+}
+
+/// 64 tasks each yielding 2000 times: every wake resumes another task.
+fn yield_ring() -> SimReport {
+    let mut sim = Sim::new();
+    for i in 0..64 {
+        sim.spawn(format!("r{i}"), |ctx| {
+            for _ in 0..2_000 {
+                ctx.yield_now();
+            }
+        });
+    }
+    sim.run().unwrap()
+}
+
+#[test]
+fn a_yield_ring_hands_the_baton_on_at_every_wake() {
+    let rep = yield_ring();
+    // Parent commit: end 0, 128064 entries.
+    assert_eq!((rep.end_time, rep.entries_processed), (SimTime::ZERO, 128_064));
+    assert_eq!((rep.handoffs, rep.inline_wakes), (128_064, 0));
+    let again = yield_ring();
+    assert_eq!((again.handoffs, again.inline_wakes), (rep.handoffs, rep.inline_wakes));
+}
+
+#[test]
+fn a_sim_runs_to_completion_inside_another_sims_task() {
+    // The inner `run()` sleeps on the same OS thread's park token the
+    // outer kernel uses to resume `host`; a token left over from either
+    // must cost a trip round the flag loop and nothing else.
+    let mut outer = Sim::new();
+    let ev = outer.handle().new_event();
+    outer.spawn("host", move |ctx| {
+        for round in 0..50u64 {
+            ctx.delay(Dur::nanos(10));
+            let mut inner = Sim::new();
+            let ping = inner.handle().new_event();
+            inner.spawn("a", move |ctx| {
+                ctx.delay(Dur::nanos(round + 1));
+                ctx.complete(ping);
+            });
+            inner.spawn("b", move |ctx| {
+                ctx.wait(ping);
+                ctx.yield_now();
+            });
+            let rep = inner.run().unwrap();
+            assert_eq!((rep.end_time, rep.tasks_completed), (SimTime(round + 1), 2));
+        }
+        ctx.complete(ev);
+    });
+    outer.spawn("peer", move |ctx| {
+        for _ in 0..100 {
+            ctx.delay(Dur::nanos(5));
+        }
+        ctx.wait(ev);
+    });
+    let rep = outer.run().unwrap();
+    assert_eq!((rep.end_time, rep.tasks_completed), (SimTime(500), 2));
+}
+
+#[test]
+fn handoff_stress_loses_no_wake_up() {
+    // Unpinned, so passer and taker really race on two CPUs where there
+    // are two: a lost wake-up hangs the run (CI bounds it with `timeout`).
+    // Mixes cross-task handoffs (ring of event completions), self-wakes
+    // (delays) and action-driven wakes.
+    let run = || {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let n = 8usize;
+        let rounds = 1_000usize;
+        let evs: Arc<Vec<Vec<diomp_sim::EventId>>> =
+            Arc::new((0..n).map(|_| (0..rounds).map(|_| h.new_event()).collect()).collect());
+        for r in 0..n {
+            let evs = evs.clone();
+            sim.spawn(format!("r{r}"), move |ctx| {
+                for k in 0..rounds {
+                    if r != 0 || k != 0 {
+                        // Wait for the left neighbour's token of this round.
+                        ctx.wait(evs[r][k]);
+                    }
+                    if k % 3 == 0 {
+                        ctx.delay(Dur::nanos(1));
+                    }
+                    let (next, round) = if r + 1 < n { (r + 1, k) } else { (0, k + 1) };
+                    if round < rounds {
+                        if k % 5 == 0 {
+                            ctx.complete_in(evs[next][round], Dur::nanos(2));
+                        } else {
+                            ctx.complete(evs[next][round]);
+                        }
+                    }
+                }
+            });
+        }
+        let rep = sim.run().unwrap();
+        (rep.end_time, rep.entries_processed, rep.handoffs, rep.inline_wakes)
+    };
+    let first = run();
+    assert!(first.2 >= 8_000, "the ring must actually hand off: {first:?}");
+    for _ in 1..20 {
+        assert_eq!(run(), first);
+    }
 }
