@@ -133,11 +133,18 @@ mod tests {
     #[test]
     fn gemm_efficiency_rises_as_working_set_shrinks() {
         let spec = a100();
-        // Per-rank Cannon stripes for N=30240 at P=4 vs P=40.
-        let e4 = gemm_efficiency(&spec, 7560, 7560, 30240, 8);
-        let e40 = gemm_efficiency(&spec, 756, 756, 30240, 8);
+        // Per-rank Cannon stripes for N=30240 at P=4 vs P=40, in the
+        // argument order `CannonConfig::gemm_cost` prices: (N/p, N, N/p).
+        let e4 = gemm_efficiency(&spec, 7560, 30240, 7560, 8);
+        let e40 = gemm_efficiency(&spec, 756, 30240, 756, 8);
         assert!(e40 > 1.35 * e4, "paper Fig. 7 superlinearity needs ≥1.35×, got {}", e40 / e4);
         assert!(e4 >= GEMM_EFF_MIN && e40 <= GEMM_EFF_MAX);
+        // The working-set term is symmetric in which operand is the long
+        // one, so (N/p, N/p, N) — the shape this test used to pin — is
+        // the same efficiency. An asymmetric term must not split them
+        // silently.
+        assert_eq!(e4, gemm_efficiency(&spec, 7560, 7560, 30240, 8));
+        assert_eq!(e40, gemm_efficiency(&spec, 756, 756, 30240, 8));
     }
 
     #[test]

@@ -148,6 +148,10 @@ pub(crate) struct KState {
     /// runs through the explicit per-chunk event driver (equivalence
     /// testing and the uncoalesced bench arms).
     pub(crate) force_explicit: bool,
+    /// When set, every periodic schedule is unrolled into one
+    /// single-repeat segment before it is driven (the differential
+    /// reference of `crates/xccl/tests/fastpath.rs`).
+    pub(crate) force_unrolled: bool,
     trace: Option<Vec<TraceRec>>,
     limit_entries: Option<u64>,
     limit_time: Option<SimTime>,
@@ -222,6 +226,47 @@ pub(crate) struct Kernel {
 #[derive(Clone)]
 pub struct SimHandle {
     pub(crate) kernel: Arc<Kernel>,
+}
+
+/// The kernel state lock, held across a whole run of event-free
+/// reservations: the collective march prices every chunk of a schedule
+/// against the live link resources under **one** lock acquisition
+/// instead of one per chunk. The task that holds it is the running task
+/// (it holds the baton), so nothing else wants the lock meanwhile; the
+/// virtual clock stays frozen for the guard's lifetime.
+pub struct Reservations<'a> {
+    handle: &'a SimHandle,
+    st: MutexGuard<'a, KState>,
+}
+
+impl Reservations<'_> {
+    /// Reserve a flow-tagged transfer *without* allocating a completion
+    /// event: exactly the resource arithmetic and flow-stat update of the
+    /// disarmed [`SimHandle::transfer_qos`] path, minus the event and the
+    /// completion action. The collective fast paths use this to price a
+    /// whole chunk schedule arithmetically — fault-plan perturbation
+    /// included, per edge, via the shared `transfer_locked` path — and
+    /// then park once on the final arrival instant.
+    ///
+    /// Contention must be disarmed ([`SimHandle::contention_armed`]):
+    /// under WFQ, completion order is event-driven and cannot be priced
+    /// call-by-call.
+    pub fn transfer_flow(
+        &mut self,
+        res: ResourceId,
+        flow: FlowId,
+        at: SimTime,
+        bytes: u64,
+    ) -> Transfer {
+        let st = &mut *self.st;
+        let at = at.max(st.now);
+        let tr = self.handle.transfer_locked(st, res, at, bytes);
+        let fs = &mut st.flows[flow.index()];
+        fs.stats.bytes += bytes;
+        fs.stats.first_start = Some(fs.stats.first_start.unwrap_or(tr.start).min(tr.start));
+        fs.stats.last_depart = fs.stats.last_depart.max(tr.depart);
+        tr
+    }
 }
 
 /// Statistics for a completed simulation.
@@ -329,6 +374,7 @@ impl Sim {
                 inline_wakes: 0,
                 coalesced_chunks: 0,
                 force_explicit: false,
+                force_unrolled: false,
                 trace: None,
                 limit_entries: None,
                 limit_time: None,
@@ -385,6 +431,15 @@ impl Sim {
     /// run with this on; virtual time must be bit-identical either way.
     pub fn force_explicit_schedules(&self, on: bool) {
         self.handle.kernel.state.lock().force_explicit = on;
+    }
+
+    /// Test pin beside [`Sim::force_explicit_schedules`]: drive every
+    /// collective schedule from its unrolled form — each periodic segment
+    /// expanded into the same sends as one single-repeat segment — so the
+    /// equivalence tests can hold the periodic index arithmetic against
+    /// the table it replaced, under either driver.
+    pub fn force_unrolled_schedules(&self, on: bool) {
+        self.handle.kernel.state.lock().force_unrolled = on;
     }
 
     /// Spawn a task before the simulation starts. See [`SimHandle::spawn`].
@@ -866,16 +921,7 @@ impl SimHandle {
     }
 
     /// Reserve a flow-tagged transfer *without* allocating a completion
-    /// event: exactly the resource arithmetic and flow-stat update of the
-    /// disarmed [`SimHandle::transfer_qos`] path, minus the event and the
-    /// completion action. The collective fast paths use this to price a
-    /// whole chunk schedule arithmetically — fault-plan perturbation
-    /// included, per edge, via the shared `transfer_locked` path — and
-    /// then park once on the final arrival instant.
-    ///
-    /// Callers must ensure contention is disarmed
-    /// ([`SimHandle::contention_armed`]): under WFQ, completion order is
-    /// event-driven and cannot be priced call-by-call.
+    /// event — one [`Reservations::transfer_flow`] under its own lock.
     pub fn transfer_flow(
         &self,
         res: ResourceId,
@@ -883,15 +929,16 @@ impl SimHandle {
         at: SimTime,
         bytes: u64,
     ) -> Transfer {
-        let mut st = self.kernel.state.lock();
-        debug_assert!(st.contention.is_none(), "transfer_flow requires disarmed contention");
-        let at = at.max(st.now);
-        let tr = self.transfer_locked(&mut st, res, at, bytes);
-        let fs = &mut st.flows[flow.index()];
-        fs.stats.bytes += bytes;
-        fs.stats.first_start = Some(fs.stats.first_start.unwrap_or(tr.start).min(tr.start));
-        fs.stats.last_depart = fs.stats.last_depart.max(tr.depart);
-        tr
+        self.reserve().transfer_flow(res, flow, at, bytes)
+    }
+
+    /// Take the kernel state lock for a run of event-free reservations
+    /// (see [`Reservations`]). The caller must not touch the handle — or
+    /// park — until the guard is dropped.
+    pub fn reserve(&self) -> Reservations<'_> {
+        let st = self.kernel.state.lock();
+        debug_assert!(st.contention.is_none(), "event-free reservations need disarmed contention");
+        Reservations { handle: self, st }
     }
 
     /// Bulk-advance a resource by `steps` identical reservations of
@@ -931,6 +978,12 @@ impl SimHandle {
     /// ([`Sim::force_explicit_schedules`])?
     pub fn explicit_schedules_forced(&self) -> bool {
         self.kernel.state.lock().force_explicit
+    }
+
+    /// Are schedules driven from their unrolled form
+    /// ([`Sim::force_unrolled_schedules`])?
+    pub fn unrolled_schedules_forced(&self) -> bool {
+        self.kernel.state.lock().force_unrolled
     }
 
     /// Per-chunk completions folded into coalesced wake entries so far

@@ -52,7 +52,7 @@ pub use channel::SimChannel;
 pub use ctx::{Ctx, Wait, WaitTimeout};
 pub use event::EventId;
 pub use fault::{fault_key, CtrlFault, FaultPlan};
-pub use kernel::{Action, Sim, SimError, SimHandle, SimReport};
+pub use kernel::{Action, Reservations, Sim, SimError, SimHandle, SimReport};
 pub use platform::{
     BwCurve, CollModels, CollProfile, GasnetModel, GpiModel, GpuSpec, IntraSpec, MpiP2pModel,
     MpiRmaModel, NetSpec, PlatformId, PlatformSpec,

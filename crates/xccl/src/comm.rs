@@ -41,8 +41,12 @@ struct CommPlan {
     /// Ring position of every flat device of the world (`u32::MAX` for
     /// devices outside the communicator).
     pos: Vec<u32>,
-    /// One rail per NIC, before any dead-link blacklisting.
+    /// One rail per NIC, before any dead-link blacklisting. Each carries
+    /// its node blocks, which the DBT and server schedules span.
     rails: Arc<Vec<Rail>>,
+    /// The double binary tree over the node blocks (every rail has the
+    /// same block count; rooted ops rotate it per call).
+    trees: [dbt::Tree; 2],
     /// Reduction-server carving with every server device listed, before
     /// any dead-NIC blacklisting (None when servers are disabled).
     servers: Option<Arc<ServerSet>>,
@@ -87,6 +91,7 @@ impl CommPlan {
             ring: Arc::new(RingInfo { order, nodes, nrings: rails.len() }),
             pos,
             rails: Arc::new(rails),
+            trees: dbt::double_tree(nodes),
             servers,
         }
     }
@@ -570,6 +575,7 @@ impl XcclComm {
         let world = &*self.world;
         let order = &self.ring.order;
         let rails = &self.rails;
+        let trees = &self.plan.trees;
         let flow = self.flow;
 
         // Assemble buffers in ring order.
@@ -629,7 +635,7 @@ impl XcclComm {
                 if len <= ll_cut {
                     ll::execute(ctx, world, order, op, root_pos, len, ac)
                 } else if len <= dbt_cut {
-                    dbt::execute(ctx, world, rails, flow, op, root_flat, len, rc)
+                    dbt::execute(ctx, world, rails, trees, flow, op, root_flat, len, rc)
                 } else if let Some((srv, srv_flow)) =
                     live_srv.filter(|_| rsv_cut > 0 && len >= rsv_cut)
                 {
@@ -653,7 +659,9 @@ impl XcclComm {
             // All-gather has no tree schedule: fall back to the ring
             // with the same chunking so the engine stays total over ops.
             CollEngine::Dbt(rc) if matches!(op, XcclOp::AllGather) => run_ring(ctx, rc),
-            CollEngine::Dbt(rc) => dbt::execute(ctx, world, rails, flow, op, root_flat, len, rc),
+            CollEngine::Dbt(rc) => {
+                dbt::execute(ctx, world, rails, trees, flow, op, root_flat, len, rc)
+            }
             CollEngine::Profile => {
                 // Modelled completion: launch + ring-fill hop latency +
                 // wire bytes over the library's achieved-bandwidth

@@ -24,13 +24,14 @@
 //! blocks, so the leader NIC load spreads across the node's NICs
 //! exactly like the ring's boundary crossings (NCCL's tree *channels*).
 //!
-//! Execution mirrors [`crate::ring`]: the schedule is a table of chunk
-//! sends with explicit dependencies (a chunk climbs to a parent only
-//! once the same chunk has arrived from *both* children; it descends to
-//! a child only once it has arrived from the parent), per-edge FIFO
-//! lanes bound in-flight chunks to the configured window, and the
-//! progress loop drains completions with
-//! [`diomp_sim::Ctx::wait_any_batched`] — one wake per park. Chunk size
+//! Execution mirrors [`crate::ring`]: the schedule is chunk sends with
+//! explicit dependencies (a chunk climbs to a parent only once the same
+//! chunk has arrived from *both* children; it descends to a child only
+//! once it has arrived from the parent) — one chunk's trip over a tree
+//! is the period of a [`crate::drive::Segment`], repeated per chunk —
+//! per-edge FIFO lanes bound in-flight chunks to the configured window,
+//! and the shared progress loop ([`crate::drive::Schedule::drive`])
+//! marches it. Chunk size
 //! and window are table-derived ([`RingConfig::auto`], the knee
 //! machinery at the latency–bandwidth balance point), so the whole mid
 //! band is tuned from the platform tables, not constants.
@@ -42,19 +43,21 @@
 //! [`crate::ll::crossover_bytes`], the LL/tree cut).
 
 use diomp_fabric::FabricWorld;
-use diomp_sim::{Ctx, Dur, FlowId, PlatformSpec, SimTime};
+use diomp_sim::{Ctx, Dur, FlowId, PlatformSpec, ResourceId, SimTime};
 
-use crate::drive::{self, ChunkSend, Schedule};
+use crate::drive::{self, ChunkSend, Schedule, Segment};
 use crate::ll::{AutoConfig, SAFETY};
 use crate::ops::XcclOp;
 use crate::ring::{self, Rail, RingConfig};
 
-/// One of the two trees: parent/children per ring position.
+/// One of the two trees: parent/children per node-block position.
 #[derive(Clone, Debug)]
 pub(crate) struct Tree {
     root: usize,
     parent: Vec<Option<usize>>,
     children: Vec<Vec<usize>>,
+    /// Positions ordered root-first (every parent before its children).
+    top_down: Vec<usize>,
 }
 
 impl Tree {
@@ -65,7 +68,13 @@ impl Tree {
                 children[*p].push(v);
             }
         }
-        Tree { root, parent, children }
+        let mut top_down = vec![root];
+        let mut i = 0;
+        while i < top_down.len() {
+            top_down.extend(children[top_down[i]].iter().copied());
+            i += 1;
+        }
+        Tree { root, parent, children, top_down }
     }
 
     /// Longest root-to-leaf path in hops.
@@ -79,17 +88,6 @@ impl Tree {
             todo.extend(self.children[v].iter().copied());
         }
         max
-    }
-
-    /// Positions ordered root-first (every parent before its children).
-    fn top_down(&self) -> Vec<usize> {
-        let mut out = vec![self.root];
-        let mut i = 0;
-        while i < out.len() {
-            out.extend(self.children[out[i]].iter().copied());
-            i += 1;
-        }
-        out
     }
 }
 
@@ -221,6 +219,7 @@ pub fn crossover_bytes(
 /// lanes, `cfg.max_inflight` chunks outstanding per lane, completions
 /// drained with the batched wait-any.
 ///
+/// `trees` is the communicator's [`double_tree`] over its node blocks.
 /// `root_flat` roots both trees of every rail for broadcast/reduce
 /// (each tree is rotated so its natural root lands on the requested
 /// device); the symmetric allreduce keeps the natural roots so the
@@ -230,18 +229,47 @@ pub(crate) fn execute(
     ctx: &mut Ctx,
     world: &FabricWorld,
     rails: &[Rail],
+    trees: &[Tree; 2],
     flow: FlowId,
     op: XcclOp,
     root_flat: Option<usize>,
     len: u64,
     cfg: RingConfig,
 ) -> SimTime {
-    let platform = &world.platform;
-    let t = ring::tuning_for(platform, &op, rails.len());
+    let t = ring::tuning_for(&world.platform, &op, rails.len());
     ctx.delay(Dur::micros(t.launch_us));
-    let n = rails.first().map_or(0, |r| r.order.len());
-    if n <= 1 || len == 0 {
+    let sched = schedule(world, rails, trees, flow, op, root_flat, len, cfg.chunk_bytes, &t);
+    if sched.len() == 0 {
         return ctx.now();
+    }
+
+    // ---- progress loop (shared with the ring engine) ----
+    sched.drive(ctx, cfg.max_inflight, Dur::micros(t.step_us));
+    // Receive-side processing of the final chunk.
+    ctx.delay(Dur::micros(t.step_us));
+    ctx.now()
+}
+
+/// Emit the schedule: one [`Segment`] per (rail, tree), whose period is
+/// one chunk's trip over the tree — up the block chains and the tree
+/// (reduce), then down the tree and the chains (broadcast) — repeated
+/// once per chunk of the tree's half of the rail slice.
+#[allow(clippy::too_many_arguments)]
+fn schedule(
+    world: &FabricWorld,
+    rails: &[Rail],
+    trees: &[Tree; 2],
+    flow: FlowId,
+    op: XcclOp,
+    root_flat: Option<usize>,
+    len: u64,
+    chunk_bytes: u64,
+    t: &ring::Tuning,
+) -> Schedule {
+    let n = rails.first().map_or(0, |r| r.order.len());
+    let mut sched = Schedule::new(rails.len() * 2 * 4 * n);
+    if n <= 1 || len == 0 {
+        return sched;
     }
     let (do_reduce, do_bcast) = match op {
         XcclOp::AllReduce { .. } => (true, true),
@@ -250,7 +278,7 @@ pub(crate) fn execute(
         XcclOp::AllGather => unreachable!("all-gather never takes the DBT path"),
     };
     let slices = ring::split_aligned(len, rails.len(), op.elem_align());
-    let chunk_bytes = cfg.chunk_bytes.max(1);
+    let chunk_bytes = chunk_bytes.max(1);
 
     // Per-edge FIFO lane kinds, keyed so every directed edge owns
     // exactly one lane: intra-node chain hops by their *sender*
@@ -260,53 +288,36 @@ pub(crate) fn execute(
     const CHAIN_DOWN: usize = 1;
     const TREE_UP: usize = 2;
     const TREE_DOWN: usize = 3;
-    // Emission order is every lane's FIFO order, and every dependency —
-    // the same chunk from the block's own chain plus both child leaders
-    // (climbing), or from the parent leader / the previous chain hop
-    // (descending) — is emitted before the send it enables.
-    let mut sched = Schedule::new(rails.len() * 2 * 4 * n);
-    let mut emit = |res, eff, lane, bytes, deps: [Option<u32>; 3]| {
-        let send = ChunkSend { res, lane, wire: drive::wire_bytes(bytes, eff), flow };
-        sched.push(send, deps.into_iter().flatten())
-    };
     for (ri, rail) in rails.iter().enumerate() {
         let (_, slen) = slices[ri];
         if slen == 0 {
             continue;
         }
-        // The trees span *node blocks*, not devices: within a node the
-        // payload moves as a chain over the GPU fabric toward the
-        // block's leader; only leaders talk across nodes, so each node
-        // pays exactly one up and at most two down NIC transfers per
-        // tree — the layout that keeps the per-NIC load at the ring's
-        // `2·slice` bound (a device-level tree would cross node
-        // boundaries at every subtree seam and lose the bandwidth race
-        // ~1.5× before latency even counts). The rail's intra-block
+        // The trees span *node blocks* (`Rail::blocks`), not devices:
+        // within a node the payload moves as a chain over the GPU fabric
+        // toward the block's leader; only leaders talk across nodes, so
+        // each node pays exactly one up and at most two down NIC
+        // transfers per tree — the layout that keeps the per-NIC load at
+        // the ring's `2·slice` bound (a device-level tree would cross
+        // node boundaries at every subtree seam and lose the bandwidth
+        // race ~1.5× before latency even counts). The rail's intra-block
         // rotation makes a different device lead each rail's blocks, so
         // the leader NIC load spreads across the node's NICs exactly
         // like the ring's boundary crossings.
-        let mut blocks: Vec<Vec<usize>> = Vec::new();
-        for i in 0..n {
-            let node = world.devs.dev(rail.order[i]).loc.node;
-            match blocks.last_mut() {
-                Some(b) if world.devs.dev(rail.order[*b.last().unwrap()]).loc.node == node => {
-                    b.push(i)
-                }
-                _ => blocks.push(vec![i]),
-            }
-        }
-        let nb = blocks.len();
+        let nb = rail.blocks.len();
+        debug_assert_eq!(nb, trees[0].parent.len(), "trees span the rail's node blocks");
         // Rooted ops: the root device must lead its block (chains
         // reduce toward / broadcast from the leader).
         let rooted = matches!(op, XcclOp::Broadcast { .. } | XcclOp::Reduce { .. });
         let mut root_block = 0usize;
+        let mut root_members: Vec<usize> = Vec::new();
         if rooted {
             let rp = ring::rail_pos(rail, root_flat);
-            root_block = blocks.iter().position(|b| b.contains(&rp)).unwrap();
-            let at = blocks[root_block].iter().position(|&p| p == rp).unwrap();
-            blocks[root_block].rotate_left(at);
+            root_block = rail.blocks.iter().position(|(_, m)| m.contains(&rp)).unwrap();
+            root_members.clone_from(&rail.blocks[root_block].1);
+            let at = root_members.iter().position(|&p| p == rp).unwrap();
+            root_members.rotate_left(at);
         }
-        let trees = double_tree(nb);
         let halves = ring::split_aligned(slen, 2, op.elem_align());
         for (ti, tree) in trees.iter().enumerate() {
             let (_, hlen) = halves[ti];
@@ -317,7 +328,14 @@ pub(crate) fn execute(
             // root lands on the root device's block; allreduce keeps
             // the natural roots (exact leaf/interior complementarity).
             let rot = if rooted { (root_block + nb - tree.root) % nb } else { 0 };
-            let blk = |b: usize| &blocks[(b + rot) % nb];
+            let blk = |b: usize| -> &[usize] {
+                let b = (b + rot) % nb;
+                if rooted && b == root_block {
+                    &root_members
+                } else {
+                    &rail.blocks[b].1
+                }
+            };
             let edge = |src: usize, dst: usize| {
                 let sd = world.devs.dev(rail.order[src]);
                 let dd = world.devs.dev(rail.order[dst]);
@@ -328,88 +346,84 @@ pub(crate) fn execute(
                 }
             };
             let lane_of = |pos: usize, kind: usize| (((ri * 2 + ti) * n + pos) * 4 + kind) as u32;
-            let top_down = tree.top_down();
+            // The period: one full chunk. Only the last repeat's chunk
+            // can be shorter.
             let nchunks = hlen.div_ceil(chunk_bytes);
+            let full = chunk_bytes.min(hlen);
+            let last = hlen - (nchunks - 1) * chunk_bytes;
+            let mut seg = Segment::new(nchunks);
+            // Emission order is every lane's FIFO order, and every
+            // dependency — the same chunk from the block's own chain plus
+            // both child leaders (climbing), or from the parent leader /
+            // the previous chain hop (descending) — is emitted before the
+            // send it enables.
+            let mut emit = |(res, eff): (ResourceId, f64), lane, deps: [Option<u32>; 3]| {
+                let send = ChunkSend { res, lane, wire: drive::wire_bytes(full, eff), flow };
+                let short = (last != full).then(|| drive::wire_bytes(last, eff));
+                seg.push(send, short, deps.into_iter().flatten())
+            };
             let mut chain_done: Vec<Option<u32>> = vec![None; nb];
             let mut up_idx: Vec<Option<u32>> = vec![None; nb];
             let mut down_recv: Vec<Option<u32>> = vec![None; nb];
-            for c in 0..nchunks {
-                let cb = chunk_bytes.min(hlen - c * chunk_bytes);
-                // Reduce: each block chains its members' contributions
-                // into the leader, then leaders climb the tree once both
-                // child leaders' copies of this chunk have arrived.
-                chain_done.fill(None);
-                up_idx.fill(None);
-                if do_reduce {
-                    for (b, done) in chain_done.iter_mut().enumerate() {
-                        let m = blk(b);
-                        let mut prev = None;
-                        for k in (1..m.len()).rev() {
-                            let (res, eff) = edge(m[k], m[k - 1]);
-                            let lane = lane_of(m[k], CHAIN_UP);
-                            prev = Some(emit(res, eff, lane, cb, [prev, None, None]));
-                        }
-                        *done = prev;
+            // Reduce: each block chains its members' contributions into
+            // the leader, then leaders climb the tree once both child
+            // leaders' copies of this chunk have arrived.
+            if do_reduce {
+                for (b, done) in chain_done.iter_mut().enumerate() {
+                    let m = blk(b);
+                    let mut prev = None;
+                    for k in (1..m.len()).rev() {
+                        let lane = lane_of(m[k], CHAIN_UP);
+                        prev = Some(emit(edge(m[k], m[k - 1]), lane, [prev, None, None]));
                     }
-                    for &b in top_down.iter().rev() {
-                        if b == tree.root {
-                            continue;
-                        }
-                        let mut deps = [chain_done[b], None, None];
-                        for (i, &cb_) in tree.children[b].iter().enumerate() {
-                            deps[i + 1] = up_idx[cb_];
-                        }
-                        let p = tree.parent[b].unwrap();
-                        let (res, eff) = edge(blk(b)[0], blk(p)[0]);
-                        up_idx[b] = Some(emit(res, eff, lane_of(blk(b)[0], TREE_UP), cb, deps));
-                    }
+                    *done = prev;
                 }
-                // Broadcast: the root leader's sends wait for this
-                // chunk's reduction to close (allreduce; no deps for a
-                // pure broadcast), then the chunk descends the tree and
-                // chains through each block.
-                if do_bcast {
-                    let root_deps = {
-                        let mut d = [chain_done[tree.root], None, None];
-                        for (i, &cb_) in tree.children[tree.root].iter().enumerate() {
-                            d[i + 1] = up_idx[cb_];
-                        }
-                        d
-                    };
-                    down_recv.fill(None);
-                    for &b in &top_down {
-                        for &cb_ in &tree.children[b] {
-                            let deps =
-                                if b == tree.root { root_deps } else { [down_recv[b], None, None] };
-                            let (res, eff) = edge(blk(b)[0], blk(cb_)[0]);
-                            let lane = lane_of(blk(cb_)[0], TREE_DOWN);
-                            down_recv[cb_] = Some(emit(res, eff, lane, cb, deps));
-                        }
-                        let m = blk(b);
-                        let mut prev = down_recv[b];
-                        for k in 1..m.len() {
-                            let deps = if k == 1 && b == tree.root {
-                                root_deps
-                            } else {
-                                [prev, None, None]
-                            };
-                            let (res, eff) = edge(m[k - 1], m[k]);
-                            prev = Some(emit(res, eff, lane_of(m[k - 1], CHAIN_DOWN), cb, deps));
-                        }
+                for &b in tree.top_down.iter().rev() {
+                    if b == tree.root {
+                        continue;
+                    }
+                    let mut deps = [chain_done[b], None, None];
+                    for (i, &cb) in tree.children[b].iter().enumerate() {
+                        deps[i + 1] = up_idx[cb];
+                    }
+                    let p = tree.parent[b].unwrap();
+                    let lane = lane_of(blk(b)[0], TREE_UP);
+                    up_idx[b] = Some(emit(edge(blk(b)[0], blk(p)[0]), lane, deps));
+                }
+            }
+            // Broadcast: the root leader's sends wait for this chunk's
+            // reduction to close (allreduce; no deps for a pure
+            // broadcast), then the chunk descends the tree and chains
+            // through each block.
+            if do_bcast {
+                let root_deps = {
+                    let mut d = [chain_done[tree.root], None, None];
+                    for (i, &cb) in tree.children[tree.root].iter().enumerate() {
+                        d[i + 1] = up_idx[cb];
+                    }
+                    d
+                };
+                for &b in &tree.top_down {
+                    for &cb in &tree.children[b] {
+                        let deps =
+                            if b == tree.root { root_deps } else { [down_recv[b], None, None] };
+                        let lane = lane_of(blk(cb)[0], TREE_DOWN);
+                        down_recv[cb] = Some(emit(edge(blk(b)[0], blk(cb)[0]), lane, deps));
+                    }
+                    let m = blk(b);
+                    let mut prev = down_recv[b];
+                    for k in 1..m.len() {
+                        let deps =
+                            if k == 1 && b == tree.root { root_deps } else { [prev, None, None] };
+                        let lane = lane_of(m[k - 1], CHAIN_DOWN);
+                        prev = Some(emit(edge(m[k - 1], m[k]), lane, deps));
                     }
                 }
             }
+            sched.add(seg);
         }
     }
-    if sched.len() == 0 {
-        return ctx.now();
-    }
-
-    // ---- progress loop (shared with the ring engine) ----
-    sched.drive(ctx, cfg.max_inflight, Dur::micros(t.step_us));
-    // Receive-side processing of the final chunk.
-    ctx.delay(Dur::micros(t.step_us));
-    ctx.now()
+    sched
 }
 
 #[cfg(test)]
@@ -444,7 +458,7 @@ mod tests {
                 assert!(max <= bound, "n={n}: depth {max} exceeds ⌈log2 n⌉+1={bound}");
                 assert_eq!(t.depth(), max, "n={n}: Tree::depth agrees with the walk");
                 assert!(t.children.iter().all(|c| c.len() <= 2), "binary tree");
-                assert_eq!(t.top_down().len(), n, "top_down covers every position");
+                assert_eq!(t.top_down.len(), n, "top_down covers every position");
             }
         }
     }
@@ -467,6 +481,38 @@ mod tests {
                 n % 2
             );
         }
+    }
+
+    /// The `scale_ranks` / `fig_scale` cell: 2048 single-GPU nodes of
+    /// platform C, a 16 MiB allreduce on the tuned chunking. Each tree's
+    /// period is one chunk over its 2047 edges, up and down; the schedule
+    /// holds exactly those two periods however many chunks repeat them —
+    /// the 1.87 M-send table must not come back.
+    #[test]
+    fn a_2048_block_allreduce_stores_two_periods() {
+        use diomp_device::{DataMode, DeviceTable};
+        use diomp_sim::{ClusterSpec, Sim, Topology};
+        use std::sync::Arc;
+
+        let sim = Sim::new();
+        let platform = PlatformSpec::platform_c();
+        let spec = ClusterSpec { platform: platform.clone(), nodes: 2048, gpus_per_node: 1 };
+        let topo = Arc::new(Topology::build(&sim.handle(), spec));
+        let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, None);
+        let world = FabricWorld::new(topo, devs, 2048);
+        let order: Vec<usize> = (0..2048).collect();
+        let rails = ring::build_rails(&world, &order, 1);
+        let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
+        let cfg = RingConfig::auto(&platform, &op, 1);
+        let t = ring::tuning_for(&platform, &op, 1);
+        let flow = sim.handle().new_flow(1000);
+        let trees = double_tree(2048);
+        let len = 16 << 20;
+        let sched = schedule(&world, &rails, &trees, flow, op, None, len, cfg.chunk_bytes, &t);
+        let nchunks = (len / 2).div_ceil(cfg.chunk_bytes) as usize;
+        assert!(nchunks >= 100, "the cell must be deep in the periodic regime");
+        assert_eq!(sched.stored(), 2 * 2 * 2047);
+        assert_eq!(sched.len(), sched.stored() * nchunks);
     }
 
     #[test]

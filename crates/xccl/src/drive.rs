@@ -1,11 +1,21 @@
-//! The chunk-schedule normal form and its drivers.
+//! Periodic chunk schedules and their drivers.
 //!
 //! The ring, DBT and reduction-server engines all compile their
-//! collective into one [`Schedule`]: a table of chunk sends, each pinned
-//! to a per-edge FIFO *lane*, enabled by the *arrival* of zero or more
-//! upstream sends, and bounded by a per-lane in-flight window. Engines
-//! emit it in a single pass — [`Schedule::push`] appends the send, links
-//! it to its lane's tail and records its dependency row — and
+//! collective into one [`Schedule`]: chunk sends, each pinned to a
+//! per-edge FIFO *lane*, enabled by the *arrival* of zero or more
+//! upstream sends, and bounded by a per-lane in-flight window. The
+//! schedule is a **generator, not a table**: an engine emits
+//! [`Segment`]s — *one period* of sends with the dependencies that point
+//! into the same or the previous period, a repeat count, and (when the
+//! payload's last chunk is short) the wire bytes of the final repeat —
+//! and send `(segment, repeat, j)` is addressed by index arithmetic. A
+//! pipelined collective repeats one chunk's traversal per chunk (DBT,
+//! broadcast, reduce) or one hop row per hop (allgather, uniform
+//! allreduce), so it stores one period however many chunks flow; a
+//! schedule with no such structure is a segment with one repeat, through
+//! the same code. A lane belongs to exactly one segment and serves its
+//! sends repeat-major, in emission order within a repeat.
+//!
 //! [`Schedule::drive`] runs it under one of two drivers:
 //!
 //! * the **explicit** driver: every chunk is a kernel event plus a
@@ -15,12 +25,16 @@
 //!   weighted-fair queues reorder completions at runtime).
 //! * the **coalesced** driver: the identical schedule is priced
 //!   arithmetically against the live link resources (same reservation
-//!   calls, same rounding, same fault perturbation) without allocating a
-//!   single kernel event; the whole collective collapses to one
-//!   coalesced wake entry carrying the chunk count. Virtual time,
-//!   per-resource watermarks and flow statistics are bit-identical to
-//!   the explicit driver — `tests/fastpath.rs` pins this across engines,
-//!   sizes and fault plans.
+//!   arithmetic, same rounding, same fault perturbation) without
+//!   allocating a single kernel event. It holds the kernel state lock
+//!   once for the whole march ([`diomp_sim::Reservations`]), keeps its
+//!   pending arrivals in a queue keyed by *instant* ([`Arrivals`]: one
+//!   ordered entry per distinct arrival time, the sends landing then
+//!   chained behind it), and collapses the collective to one coalesced
+//!   wake entry carrying the chunk count. Virtual time, per-resource
+//!   watermarks and flow statistics are bit-identical to the explicit
+//!   driver — `tests/fastpath.rs` pins this, and the periodic form
+//!   against its own unrolling, across engines, sizes and fault plans.
 //!
 //! (The third tier, the ring engine's closed-form h-major march with its
 //! rigid-shift jump, never builds a schedule at all; DESIGN.md D18 has
@@ -34,22 +48,26 @@
 //! a send never sets an arrival bit, so within one pass a lane outside
 //! that set cannot have become issuable: the candidate set is complete,
 //! and visiting it in lane order reproduces the reservation order on
-//! shared links and the issue-sequence tie-breaks of a full lane scan
-//! exactly, at O(sends · log inflight) total instead of O(lanes ×
-//! instants).
+//! shared links of a full lane scan exactly. The order in which one
+//! instant's arrivals retire is immaterial for the same reason — the
+//! candidates are a set of lanes (one bit each), walked in lane order
+//! once the whole instant has retired.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 use diomp_sim::{Ctx, Dur, EventId, FlowId, ResourceId, SimTime};
 
 /// "No send" / "no lane" in the intrusive `u32` lists below.
 const NONE: u32 = u32::MAX;
 
+/// Flag on a dependency index: the send sits in the *previous* period.
+const PREV: u32 = 1 << 31;
+
 /// One chunk transfer as the drivers see it: the link resource it
 /// occupies, its FIFO lane, its wire bytes (payload already scaled by
 /// the edge's link efficiency), and the QoS flow the transfer is
 /// charged to.
+#[derive(Clone, Copy)]
 pub(crate) struct ChunkSend {
     pub(crate) res: ResourceId,
     pub(crate) lane: u32,
@@ -63,63 +81,168 @@ pub(crate) fn wire_bytes(bytes: u64, eff: f64) -> u64 {
     ((bytes as f64 / eff).ceil() as u64).max(1)
 }
 
-/// A compiled collective: chunk sends in emission order, each lane's
-/// FIFO threaded through them as an intrusive list, and the dependency
-/// rows in compressed-sparse-row form (row `i` lists the sends whose
-/// *arrival* enables send `i`).
-pub(crate) struct Schedule {
+/// A dependency on send `j` of the previous period (ignored by the
+/// first repeat, which has none).
+pub(crate) fn prev_period(j: u32) -> u32 {
+    j | PREV
+}
+
+/// One period of a schedule and how often it repeats. Sends are indexed
+/// by emission order within the period; dependency rows are in
+/// compressed-sparse-row form (row `j` lists the sends, of this or the
+/// previous period, whose *arrival* enables send `j`).
+pub(crate) struct Segment {
     sends: Vec<ChunkSend>,
-    /// Per send: the next send on the same lane (`NONE` at the tail).
-    lane_next: Vec<u32>,
-    /// Per lane: its first and last send (`NONE` while empty).
-    lane_head: Vec<u32>,
-    lane_tail: Vec<u32>,
     dep_off: Vec<u32>,
     dep_idx: Vec<u32>,
+    reps: u32,
+    /// Wire bytes of the final repeat when its chunk is shorter than the
+    /// others'; empty when every repeat moves `sends[j].wire`.
+    last_wire: Vec<u64>,
+    /// Per send: the next send of the period on the same lane (`NONE` at
+    /// the lane's last). Threaded by [`Schedule::add`].
+    lane_next: Vec<u32>,
+    /// Global index of send `(0, 0)`; `(rep, j)` is `base + rep·P + j`.
+    base: u32,
+}
+
+impl Segment {
+    /// An empty period that will run `reps` times.
+    pub(crate) fn new(reps: u64) -> Self {
+        Segment {
+            sends: Vec::new(),
+            dep_off: vec![0],
+            dep_idx: Vec::new(),
+            reps: u32::try_from(reps).expect("repeat count fits u32"),
+            last_wire: Vec::new(),
+            lane_next: Vec::new(),
+            base: 0,
+        }
+    }
+
+    /// Append a send to the period, enabled by the arrival of every send
+    /// in `deps`: period-local indices of sends emitted earlier, or
+    /// [`prev_period`] of any index. `last_wire` is the send's wire bytes
+    /// in the final repeat when that repeat's chunk is short — given for
+    /// every send of the segment or for none. Returns the local index.
+    pub(crate) fn push(
+        &mut self,
+        send: ChunkSend,
+        last_wire: Option<u64>,
+        deps: impl IntoIterator<Item = u32>,
+    ) -> u32 {
+        let j = self.sends.len() as u32;
+        self.sends.push(send);
+        self.last_wire.extend(last_wire);
+        self.dep_idx.extend(deps);
+        self.dep_off.push(self.dep_idx.len() as u32);
+        j
+    }
+
+    /// Sends per period.
+    pub(crate) fn period(&self) -> usize {
+        self.sends.len()
+    }
+
+    #[inline]
+    fn deps(&self, j: u32) -> &[u32] {
+        &self.dep_idx[self.dep_off[j as usize] as usize..self.dep_off[j as usize + 1] as usize]
+    }
+
+    /// Wire bytes of send `j` in repeat `rep`.
+    #[inline]
+    fn wire(&self, rep: u32, j: u32) -> u64 {
+        if rep + 1 == self.reps && !self.last_wire.is_empty() {
+            self.last_wire[j as usize]
+        } else {
+            self.sends[j as usize].wire
+        }
+    }
+}
+
+/// A compiled collective: periodic segments over a fixed set of FIFO
+/// lanes.
+pub(crate) struct Schedule {
+    segs: Vec<Segment>,
+    /// Per lane: the segment that owns it (`NONE` while it has no send)
+    /// and its first send within the period.
+    lane_seg: Vec<u32>,
+    lane_first: Vec<u32>,
+    /// Total sends, every repeat counted.
+    total: u32,
 }
 
 impl Schedule {
     /// An empty schedule over `nlanes` FIFO lanes.
     pub(crate) fn new(nlanes: usize) -> Self {
         Schedule {
-            sends: Vec::new(),
-            lane_next: Vec::new(),
-            lane_head: vec![NONE; nlanes],
-            lane_tail: vec![NONE; nlanes],
-            dep_off: vec![0],
-            dep_idx: Vec::new(),
+            segs: Vec::new(),
+            lane_seg: vec![NONE; nlanes],
+            lane_first: vec![NONE; nlanes],
+            total: 0,
         }
     }
 
-    /// Append a send at the tail of its lane, enabled by the arrival of
-    /// every send in `deps` (all emitted earlier). Returns its index.
-    pub(crate) fn push(&mut self, send: ChunkSend, deps: impl IntoIterator<Item = u32>) -> u32 {
-        let si = self.sends.len() as u32;
-        let lane = send.lane as usize;
-        match self.lane_tail[lane] {
-            NONE => self.lane_head[lane] = si,
-            tail => self.lane_next[tail as usize] = si,
+    /// Append a segment (an empty one is dropped). Its lanes must not
+    /// appear in any other segment.
+    pub(crate) fn add(&mut self, mut seg: Segment) {
+        let p = seg.sends.len();
+        if p == 0 || seg.reps == 0 {
+            return;
         }
-        self.lane_tail[lane] = si;
-        self.sends.push(send);
-        self.lane_next.push(NONE);
-        self.dep_idx.extend(deps);
-        self.dep_off.push(self.dep_idx.len() as u32);
-        si
+        assert!(seg.last_wire.is_empty() || seg.last_wire.len() == p, "partial last-wire row");
+        let sends = p as u64 * u64::from(seg.reps);
+        let total = u64::from(self.total) + sends;
+        assert!(p < PREV as usize && total < u64::from(NONE), "schedule exceeds u32 send indices");
+        let si = self.segs.len() as u32;
+        // Thread each lane's sends back to front, so no tail is needed.
+        seg.lane_next = vec![NONE; p];
+        for (j, s) in seg.sends.iter().enumerate().rev() {
+            let lane = s.lane as usize;
+            match self.lane_seg[lane] {
+                NONE => self.lane_seg[lane] = si,
+                owner => assert_eq!(owner, si, "lane {lane} spans two segments"),
+            }
+            seg.lane_next[j] = std::mem::replace(&mut self.lane_first[lane], j as u32);
+        }
+        seg.base = self.total;
+        self.total = total as u32;
+        self.segs.push(seg);
     }
 
-    /// Number of sends emitted so far.
+    /// Number of sends the schedule runs, every repeat counted.
     pub(crate) fn len(&self) -> usize {
-        self.sends.len()
+        self.total as usize
     }
 
-    /// The first dependency of send `si` that has not arrived yet.
-    #[inline]
-    fn first_unmet(&self, si: u32, arrived: &BitSet) -> Option<u32> {
-        self.dep_idx[self.dep_off[si as usize] as usize..self.dep_off[si as usize + 1] as usize]
-            .iter()
-            .copied()
-            .find(|&d| !arrived.get(d as usize))
+    /// Sends held in memory: one period per segment.
+    #[cfg(test)]
+    pub(crate) fn stored(&self) -> usize {
+        self.segs.iter().map(Segment::period).sum()
+    }
+
+    /// The same sends as single-repeat segments: every period written
+    /// out, every dependency an explicit index. This is the table the
+    /// periodic form replaces, kept as its differential reference
+    /// ([`diomp_sim::Sim::force_unrolled_schedules`]).
+    fn unrolled(&self) -> Schedule {
+        let mut out = Schedule::new(self.lane_seg.len());
+        for seg in &self.segs {
+            let p = seg.sends.len() as u32;
+            let mut flat = Segment::new(1);
+            for rep in 0..seg.reps {
+                for (j, s) in seg.sends.iter().enumerate() {
+                    let j = j as u32;
+                    let deps = seg.deps(j).iter().filter_map(|&d| match d & PREV {
+                        0 => Some(rep * p + d),
+                        _ => rep.checked_sub(1).map(|r| r * p + (d & !PREV)),
+                    });
+                    flat.push(ChunkSend { wire: seg.wire(rep, j), ..*s }, None, deps);
+                }
+            }
+            out.add(flat);
+        }
+        out
     }
 
     /// Drive the schedule to completion in the calling task's context:
@@ -138,10 +261,17 @@ impl Schedule {
     /// explicit driver for the equivalence tests and the uncoalesced
     /// reference arms of the bench gate.
     pub(crate) fn drive(&self, ctx: &mut Ctx, window: usize, step_d: Dur) {
-        if fast_path_ok(ctx) {
-            self.drive_fast(ctx, window, step_d);
+        let unrolled;
+        let sched = if ctx.unrolled_schedules_forced() {
+            unrolled = self.unrolled();
+            &unrolled
         } else {
-            self.drive_explicit(ctx, window, step_d);
+            self
+        };
+        if fast_path_ok(ctx) {
+            sched.drive_fast(ctx, window, step_d);
+        } else {
+            sched.drive_explicit(ctx, window, step_d);
         }
     }
 
@@ -157,25 +287,27 @@ impl Schedule {
     /// `transfer_from`.
     fn drive_explicit(&self, ctx: &mut Ctx, window: usize, step_d: Dur) {
         let mut march = March::new(self, window);
-        let mut inflight: Vec<(EventId, u32)> = Vec::new();
+        // In flight: `(event, send, lane)`.
+        let mut inflight: Vec<(EventId, u32, u32)> = Vec::new();
         let mut evs: Vec<EventId> = Vec::new();
         loop {
             let ready = ctx.now() + step_d;
-            march.issue_pass(|si, s| {
-                inflight.push((ctx.handle().transfer_qos(s.res, s.flow, ready, s.wire), si));
+            march.issue_pass(|si, s, wire| {
+                let ev = ctx.handle().transfer_qos(s.res, s.flow, ready, wire);
+                inflight.push((ev, si, s.lane));
             });
             if inflight.is_empty() {
                 break;
             }
             evs.clear();
-            evs.extend(inflight.iter().map(|&(ev, _)| ev));
+            evs.extend(inflight.iter().map(|&(ev, ..)| ev));
             let _ = ctx.wait_any_batched(&evs);
             // Retire everything that completed at this instant.
-            inflight.retain(|&(ev, si)| {
+            inflight.retain(|&(ev, si, lane)| {
                 let done = ctx.event_done(ev);
                 if done {
                     ctx.free_event(ev);
-                    march.retire(si);
+                    march.retire(si, lane);
                 }
                 !done
             });
@@ -186,48 +318,40 @@ impl Schedule {
     /// The coalesced driver: an arithmetic march that replays the
     /// explicit driver's decisions exactly.
     ///
-    /// A local min-heap of `(arrive, issue_seq)` stands in for the
-    /// kernel's event queue, and each issue reserves the real link
-    /// resource through [`diomp_sim::SimHandle::transfer_flow`]: the
-    /// same serialisation (`free_at`), the same integer rounding, the
-    /// same fault-window perturbation and the same flow accounting as
-    /// the event path, minus the event. The kernel clock stays frozen at
-    /// the issue instant for the whole march (reservations land in the
-    /// virtual future, exactly as the FIFO resource model already
-    /// allows), and the march ends in a single
-    /// [`Ctx::sleep_until_coalesced`] wake carrying the chunk count —
-    /// one heap entry standing in for every per-chunk completion.
+    /// The [`Arrivals`] queue stands in for the kernel's event queue, and
+    /// each issue reserves the real link resource through
+    /// [`diomp_sim::Reservations::transfer_flow`]: the same serialisation
+    /// (`free_at`), the same integer rounding, the same fault-window
+    /// perturbation and the same flow accounting as the event path,
+    /// minus the event — all under one acquisition of the kernel lock.
+    /// The kernel clock stays frozen at the issue instant for the whole
+    /// march (reservations land in the virtual future, exactly as the
+    /// FIFO resource model already allows), and the march ends in a
+    /// single [`Ctx::sleep_until_coalesced`] wake carrying the chunk
+    /// count — one heap entry standing in for every per-chunk completion.
     fn drive_fast(&self, ctx: &mut Ctx, window: usize, step_d: Dur) {
         let mut march = March::new(self, window);
-        // Pending in-flight arrivals, earliest first; `seq` breaks
-        // arrival ties by issue order, mirroring the kernel queue's FIFO
-        // tiebreak.
-        let mut heap: BinaryHeap<Reverse<(SimTime, u32, u32)>> = BinaryHeap::new();
-        let mut seq = 0u32;
+        let mut arrivals = Arrivals::new();
         let mut t = ctx.now();
+        let mut rsv = ctx.handle().reserve();
         loop {
             let ready = t + step_d;
-            march.issue_pass(|si, s| {
-                let tr = ctx.handle().transfer_flow(s.res, s.flow, ready, s.wire);
-                heap.push(Reverse((tr.arrive, seq, si)));
-                seq += 1;
+            march.issue_pass(|si, s, wire| {
+                let tr = rsv.transfer_flow(s.res, s.flow, ready, wire);
+                arrivals.push(tr.arrive, si, s.lane);
             });
-            let Some(&Reverse((at, _, _))) = heap.peek() else { break };
-            // Retire every arrival at this instant, exactly as the
+            // Retire every arrival of the next instant, exactly as the
             // explicit loop retires every event completed at its wake
             // instant.
-            t = at;
-            while let Some(&Reverse((a, _, si))) = heap.peek() {
-                if a != t {
-                    break;
-                }
-                heap.pop();
-                march.retire(si);
+            match arrivals.pop_instant(|si, lane| march.retire(si, lane)) {
+                Some(at) => t = at,
+                None => break,
             }
         }
+        drop(rsv);
         march.assert_drained();
         // One coalesced wake standing in for every per-chunk completion.
-        ctx.sleep_until_coalesced(t, self.sends.len() as u64);
+        ctx.sleep_until_coalesced(t, self.len() as u64);
     }
 }
 
@@ -235,6 +359,60 @@ impl Schedule {
 /// [`Schedule::drive`] for the rule.
 pub(crate) fn fast_path_ok(ctx: &Ctx) -> bool {
     !ctx.contention_armed() && !ctx.explicit_schedules_forced()
+}
+
+/// The coalesced driver's pending arrivals, keyed by *instant*: one
+/// ordered entry per distinct arrival time, heading an intrusive chain
+/// (through a recycled node slab) of the sends that land then. A
+/// pipelined collective on uniform links lands hundreds of sends on each
+/// instant, so the ordered structure stays tiny and a send costs one
+/// lookup and one slab slot; with one send per instant it costs what a
+/// per-send heap costs.
+struct Arrivals {
+    instants: BTreeMap<SimTime, u32>,
+    nodes: Vec<Landing>,
+    /// Head of the free-node chain.
+    free: u32,
+}
+
+/// One in-flight send: what [`March::retire`] needs, plus the chain link.
+struct Landing {
+    send: u32,
+    lane: u32,
+    next: u32,
+}
+
+impl Arrivals {
+    fn new() -> Self {
+        Arrivals { instants: BTreeMap::new(), nodes: Vec::new(), free: NONE }
+    }
+
+    fn push(&mut self, at: SimTime, send: u32, lane: u32) {
+        let head = self.instants.entry(at).or_insert(NONE);
+        let node = Landing { send, lane, next: *head };
+        *head = match self.free {
+            NONE => {
+                self.nodes.push(node);
+                self.nodes.len() as u32 - 1
+            }
+            i => {
+                self.free = std::mem::replace(&mut self.nodes[i as usize], node).next;
+                i
+            }
+        };
+    }
+
+    /// Remove the earliest instant, handing each send that lands then to
+    /// `retire(send, lane)`; `None` once nothing is in flight.
+    fn pop_instant(&mut self, mut retire: impl FnMut(u32, u32)) -> Option<SimTime> {
+        let (at, mut i) = self.instants.pop_first()?;
+        while i != NONE {
+            let node = &mut self.nodes[i as usize];
+            retire(node.send, node.lane);
+            i = std::mem::replace(&mut node.next, std::mem::replace(&mut self.free, i));
+        }
+        Some(at)
+    }
 }
 
 /// Packed arrival flags, one bit per send.
@@ -258,9 +436,25 @@ impl BitSet {
     }
 }
 
+/// One lane's progress: the next send to issue — `(rep, j)` in the
+/// lane's segment, `j == NONE` once exhausted — its in-flight count, and
+/// its place in the dynamic reverse dependency index.
+struct LaneState {
+    seg: u32,
+    rep: u32,
+    j: u32,
+    inflight: u32,
+    /// The unarrived dependency this lane's head is parked on.
+    parked_on: u32,
+    /// The next lane parked on the same send.
+    park_next: u32,
+}
+
 /// Progress state of one schedule run, shared by both drivers: per-lane
-/// FIFO cursors and in-flight counts, the arrival bits, and the
-/// event-driven candidate set of the next issue pass.
+/// cursors and in-flight counts, the arrival bits, and the event-driven
+/// candidate set of the next issue pass. Sends are named by their global
+/// index `base + rep·P + j`; only the arrival bit and the waiter head
+/// are kept per send.
 ///
 /// The reverse dependency index is *dynamic* and intrusive: a lane whose
 /// head is blocked parks on the first dependency that has not arrived
@@ -272,82 +466,104 @@ impl BitSet {
 struct March<'a> {
     sched: &'a Schedule,
     window: u32,
-    /// Per lane: the next send to issue (`NONE` once exhausted).
-    head: Vec<u32>,
-    inflight: Vec<u32>,
+    lanes: Vec<LaneState>,
     arrived: BitSet,
-    /// Per lane: the unarrived dependency its head is parked on.
-    parked_on: Vec<u32>,
-    /// Per send: the first lane parked on it; per lane: the next one.
+    /// Per send: the first lane parked on it.
     waiters: Vec<u32>,
-    park_next: Vec<u32>,
-    /// Lanes to re-examine in the next issue pass.
-    cand: Vec<u32>,
+    /// Lanes to re-examine in the next issue pass, one bit per lane.
+    cand: BitSet,
     issued: usize,
 }
 
 impl<'a> March<'a> {
     fn new(sched: &'a Schedule, window: usize) -> Self {
-        let nlanes = sched.lane_head.len();
+        let lanes = sched.lane_seg.iter().zip(&sched.lane_first).map(|(&seg, &j)| LaneState {
+            seg,
+            rep: 0,
+            j,
+            inflight: 0,
+            parked_on: NONE,
+            park_next: NONE,
+        });
+        // The first pass examines every lane that has a send at all.
+        let mut cand = BitSet::new(sched.lane_seg.len());
+        for (l, _) in sched.lane_seg.iter().enumerate().filter(|&(_, &seg)| seg != NONE) {
+            cand.set(l);
+        }
         March {
             sched,
             window: window.max(1) as u32,
-            head: sched.lane_head.clone(),
-            inflight: vec![0; nlanes],
+            lanes: lanes.collect(),
             arrived: BitSet::new(sched.len()),
-            parked_on: vec![NONE; nlanes],
             waiters: vec![NONE; sched.len()],
-            park_next: vec![NONE; nlanes],
-            // The first pass examines every lane that has a send at all.
-            cand: (0..nlanes as u32).filter(|&l| sched.lane_head[l as usize] != NONE).collect(),
+            cand,
             issued: 0,
         }
     }
 
-    /// Send `si` arrived: free its lane's window slot and wake the lanes
-    /// parked on it.
-    fn retire(&mut self, si: u32) {
+    /// Send `si` of `lane` arrived: free the lane's window slot and wake
+    /// the lanes parked on the send.
+    fn retire(&mut self, si: u32, lane: u32) {
         self.arrived.set(si as usize);
-        let lane = self.sched.sends[si as usize].lane;
-        self.inflight[lane as usize] -= 1;
-        self.cand.push(lane);
+        self.lanes[lane as usize].inflight -= 1;
+        self.cand.set(lane as usize);
         let mut l = std::mem::replace(&mut self.waiters[si as usize], NONE);
         while l != NONE {
-            self.parked_on[l as usize] = NONE;
-            self.cand.push(l);
-            l = std::mem::replace(&mut self.park_next[l as usize], NONE);
+            let waiter = &mut self.lanes[l as usize];
+            waiter.parked_on = NONE;
+            self.cand.set(l as usize);
+            l = std::mem::replace(&mut waiter.park_next, NONE);
         }
     }
 
     /// One issue pass: visit the candidate lanes in ascending order and
-    /// issue each lane's heads while its window has a slot and the
-    /// head's dependencies have arrived.
-    fn issue_pass(&mut self, mut issue: impl FnMut(u32, &ChunkSend)) {
-        let mut cand = std::mem::take(&mut self.cand);
-        cand.sort_unstable();
-        cand.dedup();
-        for &lane in &cand {
-            let l = lane as usize;
-            // Woken by a retirement on its own lane while the dependency
-            // it is parked on is still in flight: nothing to do.
-            if self.parked_on[l] != NONE {
-                continue;
-            }
-            while self.head[l] != NONE && self.inflight[l] < self.window {
-                let si = self.head[l];
-                if let Some(d) = self.sched.first_unmet(si, &self.arrived) {
-                    self.parked_on[l] = d;
-                    self.park_next[l] = std::mem::replace(&mut self.waiters[d as usize], lane);
-                    break;
-                }
-                issue(si, &self.sched.sends[si as usize]);
-                self.head[l] = self.sched.lane_next[si as usize];
-                self.inflight[l] += 1;
-                self.issued += 1;
+    /// issue each lane's heads — `issue(send, &period_send, wire)` — while
+    /// its window has a slot and the head's dependencies have arrived.
+    fn issue_pass(&mut self, mut issue: impl FnMut(u32, &ChunkSend, u64)) {
+        for w in 0..self.cand.words.len() {
+            let mut bits = std::mem::take(&mut self.cand.words[w]);
+            while bits != 0 {
+                let lane = w as u32 * 64 + bits.trailing_zeros();
+                bits &= bits - 1;
+                self.issue_lane(lane, &mut issue);
             }
         }
-        cand.clear();
-        self.cand = cand;
+    }
+
+    fn issue_lane(&mut self, lane: u32, issue: &mut impl FnMut(u32, &ChunkSend, u64)) {
+        let st = &mut self.lanes[lane as usize];
+        // Woken by a retirement on its own lane while the dependency it
+        // is parked on is still in flight: nothing to do.
+        if st.parked_on != NONE {
+            return;
+        }
+        let seg = &self.sched.segs[st.seg as usize];
+        let p = seg.sends.len() as u32;
+        while st.j != NONE && st.inflight < self.window {
+            // Global index of this period's send 0.
+            let row = seg.base + st.rep * p;
+            let unmet = seg.deps(st.j).iter().find_map(|&d| {
+                let dep = match d & PREV {
+                    0 => row + d,
+                    _ if st.rep == 0 => return None,
+                    _ => row - p + (d & !PREV),
+                };
+                (!self.arrived.get(dep as usize)).then_some(dep)
+            });
+            if let Some(dep) = unmet {
+                st.parked_on = dep;
+                st.park_next = std::mem::replace(&mut self.waiters[dep as usize], lane);
+                return;
+            }
+            issue(row + st.j, &seg.sends[st.j as usize], seg.wire(st.rep, st.j));
+            st.inflight += 1;
+            self.issued += 1;
+            st.j = seg.lane_next[st.j as usize];
+            if st.j == NONE && st.rep + 1 < seg.reps {
+                st.rep += 1;
+                st.j = self.sched.lane_first[lane as usize];
+            }
+        }
     }
 
     /// Nothing in flight and nothing issuable: every send must have run.
@@ -364,6 +580,41 @@ mod tests {
 
     use super::*;
 
+    /// Drive the single-repeat schedule `sends` — `(resource index, lane,
+    /// wire, deps)` over `nres` unit-bandwidth, 100 ns-latency links —
+    /// under one driver; returns the end time and every `free_at`.
+    fn run(
+        explicit: bool,
+        nres: usize,
+        nlanes: usize,
+        sends: &'static [(usize, u32, u64, &'static [u32])],
+    ) -> (u64, Vec<u64>) {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let res: Vec<ResourceId> =
+            (0..nres).map(|_| h.new_resource(1.0, Dur::nanos(100))).collect();
+        let end = Arc::new(Mutex::new(0u64));
+        let (res2, end2) = (res.clone(), end.clone());
+        sim.spawn("driver", move |ctx| {
+            let flow = ctx.new_flow(1000);
+            let mut seg = Segment::new(1);
+            for &(r, lane, wire, deps) in sends {
+                seg.push(ChunkSend { res: res2[r], lane, wire, flow }, None, deps.iter().copied());
+            }
+            let mut s = Schedule::new(nlanes);
+            s.add(seg);
+            if explicit {
+                s.drive_explicit(ctx, 1, Dur::nanos(50));
+            } else {
+                s.drive_fast(ctx, 1, Dur::nanos(50));
+            }
+            *end2.lock().unwrap() = ctx.now().nanos();
+        });
+        sim.run().unwrap();
+        let end = *end.lock().unwrap();
+        (end, res.iter().map(|&r| h.resource_free_at(r).nanos()).collect())
+    }
+
     /// Sends 0 and 1 land at the same instant and wake two different
     /// lanes through two different dependencies — send 3 (lane 2) and
     /// send 2 (lane 3) — that share one link. The issue pass must take
@@ -371,39 +622,93 @@ mod tests {
     /// reservations on the shared link decides when everything
     /// downstream runs. A second wave on both lanes (window 1) exercises
     /// the other wake reason, a freed window slot. End time and
-    /// watermarks are the full-lane-scan drivers' at the parent commit.
+    /// watermarks are the full-lane-scan drivers' at `8f23af6`.
     #[test]
     fn same_instant_wakeups_issue_in_lane_order() {
         for explicit in [false, true] {
-            let mut sim = Sim::new();
-            let h = sim.handle();
-            let res: Vec<ResourceId> =
-                (0..5).map(|_| h.new_resource(1.0, Dur::nanos(100))).collect();
-            let end = Arc::new(Mutex::new(0u64));
-            let (res2, end2) = (res.clone(), end.clone());
-            sim.spawn("driver", move |ctx| {
-                let flow = ctx.new_flow(1000);
-                let send = |r: usize, lane, wire| ChunkSend { res: res2[r], lane, wire, flow };
-                let mut s = Schedule::new(6);
-                let a = s.push(send(0, 0, 1000), None);
-                let b = s.push(send(1, 1, 1000), None);
-                let c = s.push(send(2, 3, 700), Some(a));
-                let d = s.push(send(2, 2, 300), Some(b));
-                s.push(send(3, 4, 500), Some(c));
-                s.push(send(4, 5, 500), Some(d));
-                s.push(send(2, 3, 200), Some(a));
-                s.push(send(2, 2, 900), Some(b));
-                if explicit {
-                    s.drive_explicit(ctx, 1, Dur::nanos(50));
-                } else {
-                    s.drive_fast(ctx, 1, Dur::nanos(50));
-                }
-                *end2.lock().unwrap() = ctx.now().nanos();
-            });
-            sim.run().unwrap();
-            let free_at: Vec<u64> = res.iter().map(|&r| h.resource_free_at(r).nanos()).collect();
-            assert_eq!(*end.lock().unwrap(), 3400, "explicit={explicit}: end time");
+            let (end, free_at) = run(
+                explicit,
+                5,
+                6,
+                &[
+                    (0, 0, 1000, &[]),
+                    (1, 1, 1000, &[]),
+                    (2, 3, 700, &[0]),
+                    (2, 2, 300, &[1]),
+                    (3, 4, 500, &[2]),
+                    (4, 5, 500, &[3]),
+                    (2, 3, 200, &[0]),
+                    (2, 2, 900, &[1]),
+                ],
+            );
+            assert_eq!(end, 3400, "explicit={explicit}: end time");
             assert_eq!(free_at, [1050, 1050, 3300, 2850, 2150], "explicit={explicit}: watermarks");
         }
+    }
+
+    /// Send 0 is issued in the first pass and lands at 1150 ns; send 2
+    /// is issued one pass later (it waits for send 1, which lands at
+    /// 450 ns) and lands at 1150 ns too. The two must retire as *one*
+    /// instant: their dependents share link 3, and lane 3 (woken by the
+    /// later-issued send) reserves it before lane 4. Retiring them as
+    /// two instants would issue lane 4 first and end at 2150 ns.
+    #[test]
+    fn one_instant_collects_arrivals_from_two_issue_passes() {
+        for explicit in [false, true] {
+            let (end, free_at) = run(
+                explicit,
+                5,
+                6,
+                &[
+                    (0, 0, 1000, &[]),
+                    (1, 1, 300, &[]),
+                    (2, 2, 550, &[1]),
+                    (3, 4, 400, &[0]),
+                    (3, 3, 200, &[2]),
+                    (4, 5, 100, &[4]),
+                ],
+            );
+            assert_eq!(end, 1900, "explicit={explicit}: end time");
+            assert_eq!(free_at, [1050, 350, 1050, 1800, 1650], "explicit={explicit}: watermarks");
+        }
+
+        // The queue itself: the second push to 1150 ns joins the pending
+        // entry, and the freed node is reused.
+        let at = |ns| SimTime::ZERO + Dur::nanos(ns);
+        let mut q = Arrivals::new();
+        q.push(at(1150), 0, 0);
+        q.push(at(450), 1, 1);
+        let mut landed = Vec::new();
+        assert_eq!(q.pop_instant(|s, l| landed.push((s, l))), Some(at(450)));
+        q.push(at(1150), 2, 2);
+        assert_eq!((q.instants.len(), q.nodes.len()), (1, 2));
+        assert_eq!(q.pop_instant(|s, l| landed.push((s, l))), Some(at(1150)));
+        landed[1..].sort_unstable();
+        assert_eq!(landed, [(1, 1), (0, 0), (2, 2)]);
+        assert_eq!(q.pop_instant(|_, _| unreachable!()), None);
+    }
+
+    /// A period of two lanes repeated four times, a dependency on the
+    /// previous period and a short last repeat: the index arithmetic
+    /// must name exactly the sends of the written-out table.
+    #[test]
+    fn unrolling_writes_out_every_period() {
+        let h = Sim::new().handle();
+        let res = h.new_resource(1.0, Dur::nanos(100));
+        let flow = h.new_flow(1000);
+        let mut seg = Segment::new(4);
+        let a = seg.push(ChunkSend { res, lane: 0, wire: 64, flow }, Some(16), None);
+        seg.push(ChunkSend { res, lane: 1, wire: 80, flow }, Some(20), [a, prev_period(1)]);
+        let mut s = Schedule::new(2);
+        s.add(seg);
+        assert_eq!(s.len(), 8);
+        let flat = s.unrolled();
+        let (seg, flat) = (&s.segs[0], &flat.segs[0]);
+        assert_eq!((flat.reps, flat.period(), seg.period()), (1, 8, 2));
+        let wires: Vec<u64> = flat.sends.iter().map(|s| s.wire).collect();
+        assert_eq!(wires, [64, 80, 64, 80, 64, 80, 16, 20]);
+        let deps: Vec<&[u32]> = (0..8).map(|j| flat.deps(j)).collect();
+        assert_eq!(deps, [&[][..], &[0], &[], &[2, 1], &[], &[4, 3], &[], &[6, 5]]);
+        assert_eq!(flat.lane_next, [2, 3, 4, 5, 6, 7, NONE, NONE]);
     }
 }

@@ -53,45 +53,51 @@ impl XcclOp {
         if devs.mode == diomp_device::DataMode::CostOnly {
             return;
         }
-        let read = |b: &DeviceBuf, off: u64, n: u64| -> Vec<u8> {
-            let mut v = vec![0u8; n as usize];
-            devs.dev(b.flat).mem.read(b.off + off, &mut v).expect("xccl read in bounds");
-            v
+        let read = |b: &DeviceBuf, out: &mut [u8]| {
+            devs.dev(b.flat).mem.read(b.off, out).expect("xccl read in bounds");
         };
-        let write = |b: &DeviceBuf, off: u64, bytes: &[u8]| {
-            devs.dev(b.flat).mem.write(b.off + off, bytes).expect("xccl write in bounds");
+        let write = |b: &DeviceBuf, bytes: &[u8]| {
+            devs.dev(b.flat).mem.write(b.off, bytes).expect("xccl write in bounds");
+        };
+        // The sequential fold over `bufs`, operands read into one scratch.
+        let fold = |op: &ReduceOp| {
+            let mut acc = vec![0u8; len as usize];
+            let mut operand = vec![0u8; len as usize];
+            read(&bufs[0], &mut acc);
+            for b in &bufs[1..] {
+                read(b, &mut operand);
+                op.combine(&mut acc, &operand);
+            }
+            acc
         };
         match self {
             XcclOp::Broadcast { root } => {
-                let payload = read(&bufs[*root], 0, len);
+                let mut payload = vec![0u8; len as usize];
+                read(&bufs[*root], &mut payload);
                 for (i, b) in bufs.iter().enumerate() {
                     if i != *root {
-                        write(b, 0, &payload);
+                        write(b, &payload);
                     }
                 }
             }
             XcclOp::AllReduce { op } => {
-                let mut acc = read(&bufs[0], 0, len);
-                for b in &bufs[1..] {
-                    op.combine(&mut acc, &read(b, 0, len));
-                }
+                let acc = fold(op);
                 for b in bufs {
-                    write(b, 0, &acc);
+                    write(b, &acc);
                 }
             }
-            XcclOp::Reduce { root, op } => {
-                let mut acc = read(&bufs[0], 0, len);
-                for b in &bufs[1..] {
-                    op.combine(&mut acc, &read(b, 0, len));
-                }
-                write(&bufs[*root], 0, &acc);
-            }
+            XcclOp::Reduce { root, op } => write(&bufs[*root], &fold(op)),
             XcclOp::AllGather => {
-                let parts: Vec<Vec<u8>> = bufs.iter().map(|b| read(b, 0, len)).collect();
-                for b in bufs {
-                    for (i, part) in parts.iter().enumerate() {
-                        write(b, i as u64 * len, part);
+                // Assemble the gathered payload once, then one write per
+                // device (which also sizes its backing once).
+                let mut gathered = vec![0u8; bufs.len() * len as usize];
+                if len > 0 {
+                    for (b, part) in bufs.iter().zip(gathered.chunks_exact_mut(len as usize)) {
+                        read(b, part);
                     }
+                }
+                for b in bufs {
+                    write(b, &gathered);
                 }
             }
         }

@@ -32,7 +32,7 @@ use diomp_device::{DataMode, DeviceTable};
 use diomp_fabric::FabricWorld;
 use diomp_sim::{BwCurve, Ctx, Dur, FlowId, PlatformSpec, ResourceId, SimTime};
 
-use crate::drive::{self, ChunkSend, Schedule};
+use crate::drive::{self, ChunkSend, Schedule, Segment};
 use crate::gate::DeviceBuf;
 use crate::ops::XcclOp;
 
@@ -179,6 +179,10 @@ pub(crate) struct Rail {
     /// Devices in this rail's ring order.
     pub(crate) order: Vec<usize>,
     edges: Vec<Edge>,
+    /// The rail's node blocks in ring order: `(node id, rail positions
+    /// of the node's devices)`, the first position being the block's
+    /// natural leader. The DBT and reduction-server engines span these.
+    pub(crate) blocks: Vec<(usize, Vec<usize>)>,
 }
 
 impl Rail {
@@ -206,8 +210,11 @@ pub(crate) fn build_rails(world: &FabricWorld, order: &[usize], nrings: usize) -
     (0..nrings.max(1))
         .map(|r| {
             let mut ord = Vec::with_capacity(order.len());
+            let mut rail_blocks = Vec::with_capacity(blocks.len());
             for b in &blocks {
                 let k = r % b.len();
+                let node = world.devs.dev(b[0]).loc.node;
+                rail_blocks.push((node, (ord.len()..ord.len() + b.len()).collect()));
                 ord.extend(b[k..].iter().copied().chain(b[..k].iter().copied()));
             }
             let n = ord.len();
@@ -222,7 +229,7 @@ pub(crate) fn build_rails(world: &FabricWorld, order: &[usize], nrings: usize) -
                     }
                 })
                 .collect();
-            Rail { order: ord, edges }
+            Rail { order: ord, edges, blocks: rail_blocks }
         })
         .collect()
 }
@@ -399,12 +406,10 @@ pub(crate) fn execute(
         return ctx.now();
     }
 
-    // ---- emit the schedule: every (rail, hop, token, chunk) ----
-    // One lane per ring edge per rail. A lane serves its sends in
-    // (step, token, chunk) order, so each rail is emitted hop-major:
-    // emission order *is* every lane's FIFO order, and the send one hop
-    // upstream of a chunk — its only dependency — sits exactly one
-    // `row` (the rail's chunks per hop) earlier in the table.
+    // ---- emit the schedule: one segment per rail ----
+    // One lane per ring edge per rail, serving its sends in (step,
+    // token, chunk) order. A send's only dependency is the same chunk
+    // one hop upstream.
     let mut sched = Schedule::new(rails.len() * n);
     for (ri, rail) in rails.iter().enumerate() {
         let (_, slen) = slices[ri];
@@ -432,6 +437,7 @@ pub(crate) fn execute(
         // sub-segment payload (len < n elements) would otherwise pay the
         // full O(rails·n²) schedule in phantom 1-byte sends.
         tokens.retain(|&(bytes, _)| bytes > 0);
+        let Some(&(bytes0, start0)) = tokens.first() else { continue };
         // Allreduce tokens (the n ring segments) already pipeline
         // against each other, so splitting each one beyond a few chunks
         // buys no extra overlap — measured flat on every platform —
@@ -443,20 +449,61 @@ pub(crate) fn execute(
             XcclOp::AllReduce { .. } => chunk_bytes.max(bytes.div_ceil(ALLRED_TOKEN_CHUNKS)),
             _ => chunk_bytes,
         };
-        let row: u64 = tokens.iter().map(|&(bytes, _)| bytes.div_ceil(tok_chunk(bytes))).sum();
-        for h in 0..hops {
-            for &(bytes, start) in &tokens {
-                let e = (start + h) % n;
-                let (edge, lane) = (rail.edges[e], (ri * n + e) as u32);
-                let eff = if edge.inter { t.inter_eff } else { t.intra_eff };
-                let tc = tok_chunk(bytes);
-                for c in 0..bytes.div_ceil(tc) {
-                    let wire = drive::wire_bytes(tc.min(bytes - c * tc), eff);
-                    let dep = (h > 0).then(|| (sched.len() as u64 - row) as u32);
-                    sched.push(ChunkSend { res: edge.res, lane, wire, flow }, dep);
+        let send = |e: usize, bytes: u64| {
+            let edge = rail.edges[e];
+            let eff = if edge.inter { t.inter_eff } else { t.intra_eff };
+            let lane = (ri * n + e) as u32;
+            ChunkSend { res: edge.res, lane, wire: drive::wire_bytes(bytes, eff), flow }
+        };
+        let tc = tok_chunk(bytes0);
+        let nc = bytes0.div_ceil(tc);
+        let mut seg;
+        if tokens.len() == 1 && hops < n {
+            // Chain op: the token crosses each edge at most once, so the
+            // period is one chunk's traversal of the chain (every lane
+            // still sees its chunks in order), repeated per chunk with
+            // the last one possibly short.
+            seg = Segment::new(nc);
+            let last = bytes0 - (nc - 1) * tc;
+            let full = tc.min(bytes0);
+            for h in 0..hops {
+                let e = (start0 + h) % n;
+                let short = (last != full).then(|| send(e, last).wire);
+                seg.push(send(e, full), short, (h > 0).then(|| h as u32 - 1));
+            }
+        } else if tokens.len() == n && tokens.iter().all(|&(bytes, _)| bytes == bytes0) {
+            // Uniform tokens (allgather always; allreduce when the
+            // payload divides evenly): every hop row puts the same
+            // chunks on the same edges — only the token riding each edge
+            // rotates — so the period is one row, edge-major, repeated
+            // per hop, and chunk `c` on edge `e` waits for chunk `c` on
+            // edge `e − 1` one row earlier.
+            seg = Segment::new(hops as u64);
+            for e in 0..n {
+                let up = ((e + n - 1) % n) as u64 * nc;
+                for c in 0..nc {
+                    let dep = drive::prev_period((up + c) as u32);
+                    seg.push(send(e, tc.min(bytes0 - c * tc)), None, Some(dep));
+                }
+            }
+        } else {
+            // Ragged allreduce: the rows differ as the uneven tokens
+            // rotate, so the whole rail is one repeat, hop-major. The
+            // send one hop upstream sits exactly one `row` (the rail's
+            // chunks per hop) earlier.
+            seg = Segment::new(1);
+            let row: u64 = tokens.iter().map(|&(bytes, _)| bytes.div_ceil(tok_chunk(bytes))).sum();
+            for h in 0..hops {
+                for &(bytes, start) in &tokens {
+                    let tc = tok_chunk(bytes);
+                    for c in 0..bytes.div_ceil(tc) {
+                        let dep = (h > 0).then(|| (seg.period() as u64 - row) as u32);
+                        seg.push(send((start + h) % n, tc.min(bytes - c * tc)), None, dep);
+                    }
                 }
             }
         }
+        sched.add(seg);
     }
     if sched.len() == 0 {
         return ctx.now();
@@ -718,10 +765,10 @@ pub(crate) fn apply(devs: &DeviceTable, rails: &[Rail], op: XcclOp, bufs: &[Devi
         by_flat[b.flat] = Some(*b);
     }
     let buf_of = |flat: usize| by_flat[flat].expect("no buffer for ring device");
-    let read = |b: DeviceBuf, off: u64, n: u64| -> Vec<u8> {
-        let mut v = vec![0u8; n as usize];
-        devs.dev(b.flat).mem.read(b.off + off, &mut v).expect("ring read in bounds");
-        v
+    // Read `n` bytes at `off` of `b` into `out` (resized to fit).
+    let read = |b: DeviceBuf, off: u64, n: u64, out: &mut Vec<u8>| {
+        out.resize(n as usize, 0);
+        devs.dev(b.flat).mem.read(b.off + off, out).expect("ring read in bounds");
     };
     let write = |b: DeviceBuf, off: u64, bytes: &[u8]| {
         devs.dev(b.flat).mem.write(b.off + off, bytes).expect("ring write in bounds");
@@ -734,6 +781,8 @@ pub(crate) fn apply(devs: &DeviceTable, rails: &[Rail], op: XcclOp, bufs: &[Devi
         _ => None,
     };
     let slices = split_aligned(aligned, rails.len(), elem);
+    // Accumulator and operand scratch, reused across every segment.
+    let (mut acc, mut other) = (Vec::new(), Vec::new());
     for (rail, &(soff, slen)) in rails.iter().zip(&slices) {
         let n = rail.order.len();
         for (j, &(rel, seg_len)) in split_aligned(slen, n, elem).iter().enumerate() {
@@ -741,9 +790,9 @@ pub(crate) fn apply(devs: &DeviceTable, rails: &[Rail], op: XcclOp, bufs: &[Devi
                 continue;
             }
             let off = soff + rel;
-            let mut acc = read(buf_of(rail.order[j]), off, seg_len);
+            read(buf_of(rail.order[j]), off, seg_len, &mut acc);
             for k in 1..n {
-                let other = read(buf_of(rail.order[(j + k) % n]), off, seg_len);
+                read(buf_of(rail.order[(j + k) % n]), off, seg_len, &mut other);
                 rop.combine(&mut acc, &other);
             }
             match root_buf {
@@ -759,12 +808,12 @@ pub(crate) fn apply(devs: &DeviceTable, rails: &[Rail], op: XcclOp, bufs: &[Devi
     if aligned < len {
         // Ragged tail: element-wise reduction never touches it; it keeps
         // ring position 0's bytes, matching the profile path.
-        let tail = read(bufs[0], aligned, len - aligned);
+        read(bufs[0], aligned, len - aligned, &mut acc);
         match root_buf {
-            Some(rb) => write(rb, aligned, &tail),
+            Some(rb) => write(rb, aligned, &acc),
             None => {
                 for b in bufs {
-                    write(*b, aligned, &tail);
+                    write(*b, aligned, &acc);
                 }
             }
         }

@@ -62,10 +62,12 @@
 //!
 //! [`CollEngine::ReductionServer`]: crate::CollEngine::ReductionServer
 
+use std::borrow::Cow;
+
 use diomp_fabric::FabricWorld;
 use diomp_sim::{Ctx, Dur, FlowId, PlatformSpec, ResourceId, SimTime};
 
-use crate::drive::{self, ChunkSend, Schedule};
+use crate::drive::{self, ChunkSend, Schedule, Segment};
 use crate::ll::{AutoConfig, SAFETY};
 use crate::ops::XcclOp;
 use crate::ring::{self, Rail, RingConfig};
@@ -314,15 +316,19 @@ pub(crate) fn execute(
     const DOWN: usize = 2;
     const CHAIN_DOWN: usize = 3;
     // Emission order is every lane's FIFO order, and every dependency
-    // is emitted before the send it enables.
+    // is emitted before the send it enables. The dealt stripes give the
+    // schedule no period worth naming (chunk `c`'s owner rotates and the
+    // split is element-aligned, not uniform), so it is one repeat.
     let mut sched = Schedule::new(rails.len() * n * 4);
+    let mut seg = Segment::new(1);
     let mut emit = |(res, eff): (ResourceId, f64), lane, bytes, flow, deps: &[u32]| {
         let send = ChunkSend { res, lane, wire: drive::wire_bytes(bytes, eff), flow };
-        sched.push(send, deps.iter().copied())
+        seg.push(send, None, deps.iter().copied())
     };
     // The fold's inputs: every client upload of the current chunk. A
     // fan-back send is enabled only once all of them have arrived.
     let mut uploads: Vec<u32> = Vec::new();
+    let any_dead = health.any_dead_link();
     for (ri, rail) in rails.iter().enumerate() {
         let (_, slen) = slices[ri];
         if slen == 0 {
@@ -334,32 +340,26 @@ pub(crate) fn execute(
         for (i, &f) in rail.order.iter().enumerate() {
             pos[f] = i as u32;
         }
-        // Client node blocks in this rail's rotated order; server nodes
-        // are infrastructure and contribute no data, so they form no
-        // blocks. Each block is rotated so a live-NIC member leads
-        // (the rail rotation already varies the natural leader per
-        // rail — that is what spreads the upload across the node's
-        // NICs; the health rotation only steps in when a leader's NIC
-        // is dead).
-        let mut blocks: Vec<Vec<usize>> = Vec::new();
-        for i in 0..n {
-            let node = world.devs.dev(rail.order[i]).loc.node;
-            if srv.nodes.contains(&node) {
-                continue;
-            }
-            match blocks.last_mut() {
-                Some(b) if world.devs.dev(rail.order[*b.last().unwrap()]).loc.node == node => {
-                    b.push(i)
+        // Client node blocks in this rail's rotated order
+        // (`Rail::blocks`); server nodes are infrastructure and
+        // contribute no data, so they form no blocks. Each block is
+        // rotated so a live-NIC member leads (the rail rotation already
+        // varies the natural leader per rail — that is what spreads the
+        // upload across the node's NICs; the health rotation only steps
+        // in when a leader's NIC is dead).
+        let mut blocks: Vec<Cow<'_, [usize]>> = rail
+            .blocks
+            .iter()
+            .filter(|(node, _)| !srv.nodes.contains(node))
+            .map(|(_, m)| m.as_slice().into())
+            .collect();
+        if any_dead {
+            for b in &mut blocks {
+                let alive =
+                    |&p: &usize| health.link_factor_milli(world.devs.dev(rail.order[p]).nic) != 0;
+                if let Some(k) = b.iter().position(alive).filter(|&k| k > 0) {
+                    b.to_mut().rotate_left(k);
                 }
-                _ => blocks.push(vec![i]),
-            }
-        }
-        for b in &mut blocks {
-            if let Some(k) = b
-                .iter()
-                .position(|&p| health.link_factor_milli(world.devs.dev(rail.order[p]).nic) != 0)
-            {
-                b.rotate_left(k);
             }
         }
         if blocks.is_empty() {
@@ -418,6 +418,7 @@ pub(crate) fn execute(
             }
         }
     }
+    sched.add(seg);
     if sched.len() == 0 {
         return ctx.now();
     }

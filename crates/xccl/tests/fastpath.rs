@@ -20,6 +20,11 @@
 //! * **Trace determinism** — the coalesced run replays itself exactly:
 //!   same end time, same entry count, same coalesced-chunk credit, same
 //!   watermarks.
+//! * **Periodic ≡ unrolled** — a schedule held as periodic segments and
+//!   the same sends written out as one single-repeat segment
+//!   (`Sim::force_unrolled_schedules`) agree under both drivers, with
+//!   and without faults, at one chunk, a short last chunk and three or
+//!   more periods.
 
 use std::sync::Arc;
 
@@ -56,33 +61,56 @@ struct RunCost {
     coalesced: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_cell(
+/// One cell of the property wall: a cluster, a communicator and the
+/// collective it runs twice.
+#[derive(Clone)]
+struct Cell {
+    platform: PlatformSpec,
     nodes: usize,
     per_node: usize,
     engine: CollEngine,
     servers: ServerSpec,
     op: XcclOp,
     size: u64,
-    plan: &FaultPlan,
+    plan: FaultPlan,
     contention: bool,
-    forced_explicit: bool,
-) -> (RunOut, RunCost) {
+}
+
+impl Cell {
+    /// A fault-free, uncontended platform-A cell with no servers.
+    fn on_a(nodes: usize, per_node: usize, engine: CollEngine, op: XcclOp, size: u64) -> Cell {
+        Cell {
+            platform: PlatformSpec::platform_a(),
+            nodes,
+            per_node,
+            engine,
+            servers: ServerSpec::tail(0),
+            op,
+            size,
+            plan: FaultPlan::new(),
+            contention: false,
+        }
+    }
+}
+
+/// Run `cell` with the explicit driver pinned or not, from the periodic
+/// schedule or from its unrolling.
+fn run_cell(cell: &Cell, forced_explicit: bool, unrolled: bool) -> (RunOut, RunCost) {
+    let Cell { nodes, per_node, engine, servers, op, size, .. } = *cell;
     let nranks = nodes * per_node;
     let mut sim = Sim::new();
-    if contention {
+    if cell.contention {
         sim.enable_contention();
     }
-    if forced_explicit {
-        sim.force_explicit_schedules(true);
-    }
-    sim.set_fault_plan(plan.clone());
-    let spec = ClusterSpec { platform: PlatformSpec::platform_a(), nodes, gpus_per_node: per_node };
+    sim.force_explicit_schedules(forced_explicit);
+    sim.force_unrolled_schedules(unrolled);
+    sim.set_fault_plan(cell.plan.clone());
+    let spec = ClusterSpec { platform: cell.platform.clone(), nodes, gpus_per_node: per_node };
     let topo = Arc::new(Topology::build(&sim.handle(), spec));
     let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, Some(64 << 20));
     let world = FabricWorld::new(topo, devs, nranks);
     world.attach_sim(&sim.handle());
-    world.refresh_health_from_plan(plan);
+    world.refresh_health_from_plan(&cell.plan);
     let id = UniqueId::generate();
     let flow_ids: Arc<Mutex<Vec<RankFlows>>> = Arc::new(Mutex::new(vec![(None, None); nranks]));
     for r in 0..nranks {
@@ -137,22 +165,9 @@ fn run_cell(
 /// Run the cell coalesced, forced-explicit, and coalesced again;
 /// assert virtual-time identity and replay determinism. Returns the
 /// two arms' costs for property-specific assertions.
-#[allow(clippy::too_many_arguments)]
-fn assert_equiv(
-    label: &str,
-    nodes: usize,
-    per_node: usize,
-    engine: CollEngine,
-    servers: ServerSpec,
-    op: XcclOp,
-    size: u64,
-    plan: &FaultPlan,
-    contention: bool,
-) -> (RunCost, RunCost) {
-    let (fast, fast_cost) =
-        run_cell(nodes, per_node, engine, servers, op, size, plan, contention, false);
-    let (expl, expl_cost) =
-        run_cell(nodes, per_node, engine, servers, op, size, plan, contention, true);
+fn assert_equiv(label: &str, cell: &Cell) -> (RunCost, RunCost) {
+    let (fast, fast_cost) = run_cell(cell, false, false);
+    let (expl, expl_cost) = run_cell(cell, true, false);
     assert_eq!(
         fast, expl,
         "{label}: coalesced arm diverged from the forced-explicit driver \
@@ -165,8 +180,7 @@ fn assert_equiv(
         fast_cost.entries,
         expl_cost.entries
     );
-    let (again, again_cost) =
-        run_cell(nodes, per_node, engine, servers, op, size, plan, contention, false);
+    let (again, again_cost) = run_cell(cell, false, false);
     assert_eq!(fast, again, "{label}: coalesced run must replay bit-identically");
     assert_eq!(
         (fast_cost.entries, fast_cost.coalesced),
@@ -202,12 +216,12 @@ fn engines() -> Vec<(CollEngine, &'static str)> {
 }
 
 /// Every link resource a fault plan can plausibly touch.
-fn all_links(world_shape: (usize, usize)) -> Vec<ResourceId> {
+fn all_links(platform: &PlatformSpec, world_shape: (usize, usize)) -> Vec<ResourceId> {
     // Build a throwaway world with the same shape just to enumerate its
     // resource ids (deterministic across runs).
     let (nodes, per_node) = world_shape;
     let sim = Sim::new();
-    let spec = ClusterSpec { platform: PlatformSpec::platform_a(), nodes, gpus_per_node: per_node };
+    let spec = ClusterSpec { platform: platform.clone(), nodes, gpus_per_node: per_node };
     let topo = Arc::new(Topology::build(&sim.handle(), spec));
     let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, Some(1 << 20));
     (0..devs.len())
@@ -218,24 +232,26 @@ fn all_links(world_shape: (usize, usize)) -> Vec<ResourceId> {
         .collect()
 }
 
+/// A seeded degradation / flap / stall / straggler plan over every link
+/// of the shape, its windows spread over `horizon`.
+fn random_plan(
+    seed: u64,
+    platform: &PlatformSpec,
+    shape: (usize, usize),
+    horizon: Dur,
+) -> FaultPlan {
+    let prefixes: Vec<String> = (0..shape.0 * shape.1).map(|r| format!("rank{r}")).collect();
+    FaultPlan::randomized(seed, &all_links(platform, shape), &prefixes, horizon)
+}
+
 #[test]
 fn coalesced_drivers_match_explicit_across_engines_ops_and_shapes() {
-    let plan = FaultPlan::new();
     for &(nodes, per_node) in &SHAPES {
         for (engine, etag) in engines() {
             for (op, size, otag) in ops_and_sizes() {
                 let label = format!("{etag}/{otag}@{nodes}x{per_node}");
-                let (fast, _) = assert_equiv(
-                    &label,
-                    nodes,
-                    per_node,
-                    engine,
-                    ServerSpec::tail(0),
-                    op,
-                    size,
-                    &plan,
-                    false,
-                );
+                let (fast, _) =
+                    assert_equiv(&label, &Cell::on_a(nodes, per_node, engine, op, size));
                 assert!(fast.coalesced > 0, "{label}: fast path must engage on a clean run");
             }
         }
@@ -244,23 +260,14 @@ fn coalesced_drivers_match_explicit_across_engines_ops_and_shapes() {
 
 #[test]
 fn rserver_offload_matches_explicit() {
-    let plan = FaultPlan::new();
     for (op, size, otag) in [
         (XcclOp::AllReduce { op: ReduceOp::SumF32 }, 1 << 20, "allred_1m"),
         (XcclOp::AllReduce { op: ReduceOp::SumF64 }, 100_008, "allred_100k8"),
     ] {
         let label = format!("rserver/{otag}@3x2");
-        let (fast, _) = assert_equiv(
-            &label,
-            3,
-            2,
-            CollEngine::ReductionServer(RingConfig::default()),
-            ServerSpec::tail(1),
-            op,
-            size,
-            &plan,
-            false,
-        );
+        let engine = CollEngine::ReductionServer(RingConfig::default());
+        let cell = Cell { servers: ServerSpec::tail(1), ..Cell::on_a(3, 2, engine, op, size) };
+        let (fast, _) = assert_equiv(&label, &cell);
         assert!(fast.coalesced > 0, "{label}: fast path must engage");
     }
 }
@@ -271,7 +278,6 @@ fn rserver_offload_matches_explicit() {
 /// the event-driven issue pass exists for.
 #[test]
 fn benchmark_shapes_match_explicit() {
-    let plan = FaultPlan::new();
     let p = PlatformSpec::platform_a();
     let allred = XcclOp::AllReduce { op: ReduceOp::SumF32 };
     let tuned = |op: &XcclOp| RingConfig::auto(&p, op, default_nrings(&p));
@@ -297,8 +303,94 @@ fn benchmark_shapes_match_explicit() {
     ];
     for (label, engine, servers, op, size) in cells {
         let label = format!("{label}@16x4");
-        let (fast, _) = assert_equiv(&label, 16, 4, engine, servers, op, size, &plan, false);
+        let cell = Cell { servers, ..Cell::on_a(16, 4, engine, op, size) };
+        let (fast, _) = assert_equiv(&label, &cell);
         assert!(fast.coalesced > 0, "{label}: fast path must engage");
+    }
+}
+
+/// The periodic-segment schedule against the table it replaced: every
+/// engine's schedule, driven as emitted and driven from its unrolling
+/// (the same sends, one single-repeat segment each), must agree on end
+/// time, every link watermark and every flow's statistics under both
+/// drivers, and on entries and coalesced count within each driver.
+///
+/// Chunks are 16 KiB so the sizes below reach, per rail, a single chunk,
+/// a short last chunk and three or more periods on both platforms: A as
+/// 2 nodes × 4 GPUs (four rails, chains inside the node blocks), C as 6
+/// single-GPU nodes (one rail; its clean ring allreduce takes the
+/// closed-form march, so there the schedule runs on the explicit arms
+/// only). The armed plans spread their windows over 400 ms — across the
+/// 80–90 ms communicator init, so they are live while the collectives
+/// run.
+#[test]
+fn periodic_segments_match_their_unrolling_under_both_drivers() {
+    let rc = RingConfig { chunk_bytes: 16 << 10, max_inflight: 3 };
+    let sum32 = XcclOp::AllReduce { op: ReduceOp::SumF32 };
+    let sum64 = XcclOp::AllReduce { op: ReduceOp::SumF64 };
+    let bcast = XcclOp::Broadcast { root: 1 };
+    let none = ServerSpec::tail(0);
+    let (ring, dbt) = (CollEngine::Ring(rc), CollEngine::Dbt(rc));
+    let rsv = CollEngine::ReductionServer(rc);
+    let ops: [(&str, CollEngine, XcclOp, &[u64]); 8] = [
+        // Chain op: chunk-major periods, last one short.
+        ("ring/bcast", ring, bcast, &[8_192, 100_000, 400_008]),
+        // Hop-row periods (n − 1 of them), edge-major.
+        ("ring/allgather", ring, XcclOp::AllGather, &[8_192, 40_000]),
+        // Uniform tokens: 2(n − 1) hop rows.
+        ("ring/allred_uniform", ring, sum32, &[3_072, 768 << 10]),
+        // Ragged tokens: one repeat.
+        ("ring/allred_ragged", ring, sum64, &[100_008]),
+        // One segment per (rail, tree).
+        ("dbt/allred", dbt, sum32, &[65_536, 300_000]),
+        ("dbt/bcast", dbt, bcast, &[300_000]),
+        ("dbt/reduce", dbt, XcclOp::Reduce { root: 0, op: ReduceOp::SumF64 }, &[100_008]),
+        ("rserver/allred", rsv, sum32, &[1 << 20]),
+    ];
+    let platforms = [
+        (PlatformSpec::platform_a(), (2, 4), (3, 2, ServerSpec::tail(1))),
+        (PlatformSpec::platform_c(), (6, 1), (6, 1, ServerSpec::tail(2))),
+    ];
+    for (platform, shape, (snodes, sper, sspec)) in platforms {
+        for (tag, engine, op, sizes) in ops {
+            let served = matches!(engine, CollEngine::ReductionServer(_));
+            let (nodes, per_node) = if served { (snodes, sper) } else { shape };
+            let plans = [
+                FaultPlan::new(),
+                random_plan(11, &platform, (nodes, per_node), Dur::millis(400.0)),
+            ];
+            for (&size, (pi, plan)) in
+                sizes.iter().flat_map(|s| plans.iter().enumerate().map(move |p| (s, p)))
+            {
+                let label = format!("{}/{tag}/{size}/plan{pi}", platform.name);
+                let cell = Cell {
+                    platform: platform.clone(),
+                    nodes,
+                    per_node,
+                    engine,
+                    servers: if served { sspec } else { none },
+                    op,
+                    size,
+                    plan: plan.clone(),
+                    contention: false,
+                };
+                let (fast, fast_cost) = run_cell(&cell, false, false);
+                let (expl, expl_cost) = run_cell(&cell, true, false);
+                assert_eq!(fast, expl, "{label}: periodic schedule, fast vs explicit");
+                assert!(fast_cost.coalesced > 0, "{label}: fast path must engage");
+                for (explicit, base, base_cost) in
+                    [(false, &fast, &fast_cost), (true, &expl, &expl_cost)]
+                {
+                    let (out, cost) = run_cell(&cell, explicit, true);
+                    assert_eq!(&out, base, "{label}: unrolled diverged (explicit={explicit})");
+                    assert_eq!(
+                        (cost.entries, cost.coalesced),
+                        (base_cost.entries, base_cost.coalesced),
+                        "{label}: unrolled scheduler cost (explicit={explicit})"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -310,26 +402,16 @@ fn armed_fault_plans_disarm_per_edge_not_per_run() {
     // wholesale (chunks still coalesce under an armed plan).
     for seed in [3u64, 11, 42] {
         let shape = (2, 4);
-        let links = all_links(shape);
-        let prefixes: Vec<String> = (0..shape.0 * shape.1).map(|r| format!("rank{r}")).collect();
-        let plan = FaultPlan::randomized(seed, &links, &prefixes, Dur::millis(5.0));
+        let plan = random_plan(seed, &PlatformSpec::platform_a(), shape, Dur::millis(5.0));
         for (engine, etag) in engines() {
             for (op, size, otag) in [
                 (XcclOp::AllReduce { op: ReduceOp::SumF32 }, 768 << 10, "allred_768k"),
                 (XcclOp::AllGather, 24 << 10, "allgather_24k"),
             ] {
                 let label = format!("fault{seed}/{etag}/{otag}");
-                let (fast, _) = assert_equiv(
-                    &label,
-                    shape.0,
-                    shape.1,
-                    engine,
-                    ServerSpec::tail(0),
-                    op,
-                    size,
-                    &plan,
-                    false,
-                );
+                let cell =
+                    Cell { plan: plan.clone(), ..Cell::on_a(shape.0, shape.1, engine, op, size) };
+                let (fast, _) = assert_equiv(&label, &cell);
                 assert!(
                     fast.coalesced > 0,
                     "{label}: an armed fault plan must disarm the fast path per edge, \
@@ -342,20 +424,11 @@ fn armed_fault_plans_disarm_per_edge_not_per_run() {
 
 #[test]
 fn armed_contention_forces_the_explicit_driver_identically() {
-    let plan = FaultPlan::new();
     for (engine, etag) in engines() {
         let label = format!("contended/{etag}/allred_768k");
-        let (fast, expl) = assert_equiv(
-            &label,
-            2,
-            4,
-            engine,
-            ServerSpec::tail(0),
-            XcclOp::AllReduce { op: ReduceOp::SumF32 },
-            768 << 10,
-            &plan,
-            true,
-        );
+        let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
+        let cell = Cell { contention: true, ..Cell::on_a(2, 4, engine, op, 768 << 10) };
+        let (fast, expl) = assert_equiv(&label, &cell);
         // With the fair queue armed, both arms run the reference
         // explicit loop: no coalescing on either side.
         assert_eq!(fast.coalesced, 0, "{label}: contention must force the explicit driver");
