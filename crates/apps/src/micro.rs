@@ -1,18 +1,22 @@
 //! Micro-benchmark drivers: point-to-point (Figs. 3–5) and collective
 //! (Fig. 6) measurements.
 //!
-//! Each driver boots a fresh deterministic simulation per data point and
-//! returns `(message size, metric)` series. The paper averages 100
+//! One DiOMP probe per kind ([`diomp_p2p`], [`diomp_collective`]), each
+//! taking a plain config the caller builds at the call site, beside the
+//! MPI reference probes. Each boots a fresh deterministic simulation per
+//! data point and returns one row per message size. The paper averages 100
 //! repetitions after warm-ups; the simulator is deterministic, so one
 //! warm-up (to populate caches, streams and communicators) plus a small
 //! number of measured repetitions is exact.
 
 use std::sync::Arc;
 
-use diomp_core::{CollEngine, Conduit, DiompConfig, DiompRuntime, PipelineConfig, ServerSpec};
+use diomp_core::{
+    CollEngine, Conduit, DiompConfig, DiompRank, DiompRuntime, PipelineConfig, ServerSpec,
+};
 use diomp_device::{DataMode, DeviceTable};
-use diomp_fabric::{gasnet, gpi, FabricWorld, Loc, MpiRank, ReduceOp};
-use diomp_sim::{bandwidth_gbps, ClusterSpec, PlatformSpec, Sim, SimTime, Topology, Wait};
+use diomp_fabric::{FabricWorld, Loc, MpiRank, ReduceOp};
+use diomp_sim::{bandwidth_gbps, ClusterSpec, Ctx, PlatformSpec, Sim, SimTime, Topology};
 use parking_lot::Mutex;
 
 /// Which RMA direction a P2P micro-benchmark measures.
@@ -36,84 +40,49 @@ pub enum CollKind {
 const WARMUP: usize = 2;
 const REPS: usize = 3;
 
-/// DiOMP P2P latency in µs for each size (inter-node, device buffers) —
-/// the "DiOMP Put/Get" curves of Fig. 3. Runs through the default
-/// (tuned) path; Fig. 3's sizes sit far below every tuned chunk size, so
-/// the published latency curves are untouched by the pipeline.
-pub fn diomp_p2p_latency(platform: &PlatformSpec, op: RmaOp, sizes: &[u64]) -> Vec<(u64, f64)> {
-    diomp_p2p(platform, Conduit::GasnetEx, op, sizes, false)
+/// What a P2P probe reports per size.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Metric {
+    /// Mean per-operation latency in µs (Fig. 3).
+    LatencyUs,
+    /// Achieved bandwidth in GB/s (Figs. 4–5).
+    BandwidthGbps,
 }
 
-/// DiOMP P2P bandwidth in GB/s for each size — the Fig. 4 curves.
-/// Explicitly opts the pipeline *out*: the paper's published bandwidth
-/// curves (including the Fig. 4a put anomaly) are unpipelined.
-pub fn diomp_p2p_bandwidth(platform: &PlatformSpec, op: RmaOp, sizes: &[u64]) -> Vec<(u64, f64)> {
-    diomp_p2p_raw(platform, Conduit::GasnetEx, op, sizes, true)
+impl Metric {
+    fn of(self, size: u64, us: f64) -> f64 {
+        match self {
+            Metric::LatencyUs => us,
+            Metric::BandwidthGbps => bandwidth_gbps(size, diomp_sim::Dur::micros(us)),
+        }
+    }
 }
 
-/// DiOMP P2P bandwidth with the chunked large-message pipeline under an
-/// *explicit* legacy configuration ([`PipelineConfig::enabled`], the PR 1
-/// constants) — the "corrected"/pipelined counterpart of the Fig. 4 put
-/// curves, kept as the explicit-config example of the precedence chain.
-pub fn diomp_p2p_bandwidth_pipelined(
-    platform: &PlatformSpec,
-    op: RmaOp,
-    sizes: &[u64],
-) -> Vec<(u64, f64)> {
-    diomp_p2p_full(platform, Conduit::GasnetEx, op, sizes, true, PipelineConfig::enabled())
-        .into_iter()
-        .map(|(s, m, _)| (s, m))
-        .collect()
+/// One DiOMP point-to-point probe (inter-node, device buffers): every
+/// Fig. 3–5 curve is this with a different field. The pipeline is
+/// always explicit — [`PipelineConfig::auto`] for the tuned default
+/// path, [`PipelineConfig::disabled`] for the paper's published
+/// (unpipelined) curves including the Fig. 4a put anomaly,
+/// [`PipelineConfig::enabled`] for the legacy hand-tuned constants.
+#[derive(Clone, Copy)]
+pub struct P2pProbe<'a> {
+    /// Platform the two nodes are built from.
+    pub platform: &'a PlatformSpec,
+    /// Conduit under the runtime.
+    pub conduit: Conduit,
+    /// RMA direction.
+    pub op: RmaOp,
+    /// Large-message pipeline configuration.
+    pub pipeline: PipelineConfig,
+    /// Reported metric.
+    pub metric: Metric,
 }
 
-/// DiOMP P2P over a chosen conduit (Fig. 5: GASNet-EX vs GPI-2).
-///
-/// Every conduit takes the tuned pipeline by default
-/// ([`PipelineConfig::auto`] — previously only the GASNet path had a
-/// pipelined driver); the precedence is **explicit config > tuned >
-/// disabled**, with [`diomp_p2p_raw`] as the explicit opt-out for the
-/// paper's published unpipelined curves and [`diomp_p2p_full`] for any
-/// explicit configuration (the benches use it directly when they need
-/// the scheduler-entry counts alongside the metric).
-pub fn diomp_p2p(
-    platform: &PlatformSpec,
-    conduit: Conduit,
-    op: RmaOp,
-    sizes: &[u64],
-    bandwidth: bool,
-) -> Vec<(u64, f64)> {
-    diomp_p2p_full(platform, conduit, op, sizes, bandwidth, PipelineConfig::auto(platform, conduit))
-        .into_iter()
-        .map(|(s, m, _)| (s, m))
-        .collect()
-}
-
-/// DiOMP P2P with the pipeline explicitly disabled — the opt-out used to
-/// reproduce the paper's published (unpipelined) curves.
-pub fn diomp_p2p_raw(
-    platform: &PlatformSpec,
-    conduit: Conduit,
-    op: RmaOp,
-    sizes: &[u64],
-    bandwidth: bool,
-) -> Vec<(u64, f64)> {
-    diomp_p2p_full(platform, conduit, op, sizes, bandwidth, PipelineConfig::disabled())
-        .into_iter()
-        .map(|(s, m, _)| (s, m))
-        .collect()
-}
-
-/// Full-fidelity P2P driver: `(size, metric, scheduler entries)` rows.
-/// The entry count is the whole run's `SimReport::entries_processed` —
-/// the wall-clock scheduler cost tracked in `BENCH_*.json`.
-pub fn diomp_p2p_full(
-    platform: &PlatformSpec,
-    conduit: Conduit,
-    op: RmaOp,
-    sizes: &[u64],
-    bandwidth: bool,
-    pipeline: PipelineConfig,
-) -> Vec<(u64, f64, u64)> {
+/// Run a [`P2pProbe`]: `(size, metric, scheduler entries)` rows. The
+/// entry count is the whole run's `SimReport::entries_processed` — the
+/// wall-clock scheduler cost tracked in `BENCH_*.json`.
+pub fn diomp_p2p(probe: &P2pProbe, sizes: &[u64]) -> Vec<(u64, f64, u64)> {
+    let &P2pProbe { platform, conduit, op, pipeline, metric } = probe;
     sizes
         .iter()
         .map(|&size| {
@@ -149,20 +118,28 @@ pub fn diomp_p2p_full(
             })
             .unwrap();
             let us = *out.lock();
-            let metric =
-                if bandwidth { bandwidth_gbps(size, diomp_sim::Dur::micros(us)) } else { us };
-            (size, metric, rep.entries_processed)
+            (size, metric.of(size, us), rep.entries_processed)
         })
         .collect()
 }
 
-/// MPI RMA latency (µs) or bandwidth (GB/s) per size — the "MPI Put/Get"
-/// curves of Figs. 3–4 (window put/get + flush).
+/// A bare cost-only fabric world over `spec` (no DiOMP runtime on top):
+/// what the MPI reference probes and the scale sweep run on, one rank
+/// per device.
+fn bare_world(sim: &Sim, spec: ClusterSpec, heap: u64) -> Arc<FabricWorld> {
+    let nranks = spec.total_gpus();
+    let topo = Arc::new(Topology::build(&sim.handle(), spec));
+    let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, Some(heap));
+    FabricWorld::new(topo, devs, nranks)
+}
+
+/// MPI RMA latency or bandwidth per size — the "MPI Put/Get" curves of
+/// Figs. 3–4 (window put/get + flush).
 pub fn mpi_p2p(
     platform: &PlatformSpec,
     op: RmaOp,
     sizes: &[u64],
-    bandwidth: bool,
+    metric: Metric,
 ) -> Vec<(u64, f64)> {
     sizes
         .iter()
@@ -170,17 +147,10 @@ pub fn mpi_p2p(
             let mut sim = Sim::new();
             let spec = ClusterSpec::full_nodes(platform.clone(), 2);
             let per_node = spec.gpus_per_node;
-            let nranks = spec.total_gpus();
-            let topo = Arc::new(Topology::build(&sim.handle(), spec));
-            let devs = DeviceTable::build(
-                &sim.handle(),
-                topo.clone(),
-                DataMode::CostOnly,
-                Some((4 * size + (1 << 20)).next_power_of_two()),
-            );
-            let world = FabricWorld::new(topo, devs, nranks);
+            let heap = (4 * size + (1 << 20)).next_power_of_two();
+            let world = bare_world(&sim, spec, heap);
             let out = Arc::new(Mutex::new(0.0f64));
-            for r in 0..nranks {
+            for r in 0..world.nranks {
                 let world = world.clone();
                 let out = out.clone();
                 sim.spawn(format!("rank{r}"), move |ctx| {
@@ -191,16 +161,12 @@ pub fn mpi_p2p(
                         let mut acc = 0.0;
                         for i in 0..WARMUP + REPS {
                             let t0 = ctx.now();
+                            let local = Loc::dev(0, base);
                             match op {
-                                RmaOp::Put => {
-                                    mpi.win_put(ctx, win, per_node, 0, Loc::dev(0, base), size)
-                                        .unwrap();
-                                }
-                                RmaOp::Get => {
-                                    mpi.win_get(ctx, win, per_node, 0, Loc::dev(0, base), size)
-                                        .unwrap();
-                                }
+                                RmaOp::Put => mpi.win_put(ctx, win, per_node, 0, local, size),
+                                RmaOp::Get => mpi.win_get(ctx, win, per_node, 0, local, size),
                             }
+                            .unwrap();
                             mpi.win_flush(ctx, win);
                             if i >= WARMUP {
                                 acc += ctx.now().since(t0).as_us();
@@ -213,132 +179,39 @@ pub fn mpi_p2p(
             }
             sim.run().unwrap();
             let us = *out.lock();
-            let metric =
-                if bandwidth { bandwidth_gbps(size, diomp_sim::Dur::micros(us)) } else { us };
-            (size, metric)
+            (size, metric.of(size, us))
         })
         .collect()
 }
 
-/// DiOMP collective latency (µs) per size over `nodes` full nodes —
-/// the OMPCCL side of Fig. 6, through the default engine (the emergent
-/// ring protocol). The communicator is initialised during warm-up, as in
-/// the paper's methodology.
-pub fn diomp_collective(
-    platform: &PlatformSpec,
-    nodes: usize,
-    kind: CollKind,
-    sizes: &[u64],
-) -> Vec<(u64, f64)> {
-    diomp_collective_full(platform, nodes, kind, sizes, CollEngine::default())
-        .into_iter()
-        .map(|(s, us, _)| (s, us))
-        .collect()
+/// One DiOMP collective probe — the OMPCCL side of Fig. 6 and every
+/// engine comparison built on it. Timing ring, DBT and the server
+/// schedule through the *same* probe is what makes those comparisons
+/// fair: same hardware, same communicator membership, differing only in
+/// which protocol moves the bytes.
+#[derive(Clone, Copy)]
+pub struct CollProbe<'a> {
+    /// Platform the cluster is built from.
+    pub platform: &'a PlatformSpec,
+    /// Full nodes in the cluster.
+    pub nodes: usize,
+    /// Trailing nodes carved out as data-passive in-network reduction
+    /// servers (0 for none). Only allreduce has a server schedule; other
+    /// ops fall back to the ring over the full communicator.
+    pub server_nodes: usize,
+    /// Which collective.
+    pub kind: CollKind,
+    /// Completion-time engine.
+    pub engine: CollEngine,
 }
 
-/// Like [`diomp_collective`] but through the transport autotuner's
-/// protocol-selecting engine (`CollEngine::Auto`): LL-style fused eager
-/// sends over binomial trees below the table-derived crossover, the
-/// chunk-pipelined ring above it. Returns the full-fidelity
-/// `(size, µs, entries)` rows.
-pub fn diomp_collective_auto(
-    platform: &PlatformSpec,
-    nodes: usize,
-    kind: CollKind,
-    sizes: &[u64],
-) -> Vec<(u64, f64, u64)> {
-    let engine = diomp_core::Tuner::new(platform, Conduit::GasnetEx).coll_engine();
-    diomp_collective_full(platform, nodes, kind, sizes, engine)
-}
-
-/// Like [`diomp_collective`] but pinned to the double-binary-tree
-/// engine (`CollEngine::Dbt`) with its table-derived chunking — the
-/// mid-band protocol `CollEngine::Auto` selects between the LL/tree
-/// and ring regimes. Returns the full-fidelity `(size, µs, entries)`
-/// rows; used by `bench_gate` to lock the DBT-vs-ring win relation.
-pub fn diomp_collective_dbt(
-    platform: &PlatformSpec,
-    nodes: usize,
-    kind: CollKind,
-    sizes: &[u64],
-) -> Vec<(u64, f64, u64)> {
-    let op = match kind {
-        CollKind::Broadcast => diomp_core::XcclOp::Broadcast { root: 0 },
-        CollKind::AllReduce => diomp_core::XcclOp::AllReduce { op: ReduceOp::SumF32 },
-    };
-    let nrings = diomp_core::default_nrings(platform);
-    let engine = CollEngine::Dbt(diomp_core::RingConfig::auto(platform, &op, nrings));
-    diomp_collective_full(platform, nodes, kind, sizes, engine)
-}
-
-/// Like [`diomp_collective`] but on a cluster whose trailing
-/// `server_nodes` nodes are carved out as data-passive in-network
-/// reduction servers, pinned to the reduction-server engine
-/// (`CollEngine::ReductionServer`) with its table-derived chunking.
-/// Only allreduce has a server schedule; other ops fall back to the
-/// ring over the full communicator. Returns the full-fidelity
-/// `(size, µs, entries)` rows; used by `bench_gate` to lock the
-/// server-offload win region.
-pub fn diomp_collective_rserver(
-    platform: &PlatformSpec,
-    nodes: usize,
-    server_nodes: usize,
-    kind: CollKind,
-    sizes: &[u64],
-) -> Vec<(u64, f64, u64)> {
-    let op = match kind {
-        CollKind::Broadcast => diomp_core::XcclOp::Broadcast { root: 0 },
-        CollKind::AllReduce => diomp_core::XcclOp::AllReduce { op: ReduceOp::SumF32 },
-    };
-    let nrings = diomp_core::default_nrings(platform);
-    let engine = CollEngine::ReductionServer(diomp_core::RingConfig::auto(platform, &op, nrings));
-    diomp_collective_served(platform, nodes, server_nodes, kind, sizes, engine)
-}
-
-/// Like [`diomp_collective`] but through the calibrated whole-collective
-/// profiles — the curve-fit ablation baseline the emergent ring curves
-/// are asserted against.
-pub fn diomp_collective_profiled(
-    platform: &PlatformSpec,
-    nodes: usize,
-    kind: CollKind,
-    sizes: &[u64],
-) -> Vec<(u64, f64)> {
-    diomp_collective_full(platform, nodes, kind, sizes, CollEngine::Profile)
-        .into_iter()
-        .map(|(s, us, _)| (s, us))
-        .collect()
-}
-
-/// Full-fidelity collective driver: `(size, µs, scheduler entries)` rows
-/// through a chosen [`CollEngine`]. The entry count is the whole run's
+/// Run a [`CollProbe`]: `(size, µs, scheduler entries)` rows. The
+/// communicator is initialised during warm-up, as in the paper's
+/// methodology; the entry count is the whole run's
 /// `SimReport::entries_processed` — the wall-clock scheduler cost the
 /// batched `wait_any` wait-groups keep bounded for the ring engine.
-pub fn diomp_collective_full(
-    platform: &PlatformSpec,
-    nodes: usize,
-    kind: CollKind,
-    sizes: &[u64],
-    engine: CollEngine,
-) -> Vec<(u64, f64, u64)> {
-    diomp_collective_served(platform, nodes, 0, kind, sizes, engine)
-}
-
-/// Like [`diomp_collective_rserver`] but with the engine chosen by the
-/// caller: the same `nodes`-node cluster with its trailing
-/// `server_nodes` carved out as reduction servers, run under any
-/// [`CollEngine`]. This is what makes the bench gate's win-region
-/// comparison fair — ring, DBT and the server schedule are timed on the
-/// *same* hardware with the *same* communicator membership, differing
-/// only in which protocol moves the bytes.
-pub fn diomp_collective_served(
-    platform: &PlatformSpec,
-    nodes: usize,
-    server_nodes: usize,
-    kind: CollKind,
-    sizes: &[u64],
-    engine: CollEngine,
-) -> Vec<(u64, f64, u64)> {
+pub fn diomp_collective(probe: &CollProbe, sizes: &[u64]) -> Vec<(u64, f64, u64)> {
+    let &CollProbe { platform, nodes, server_nodes, kind, engine } = probe;
     sizes
         .iter()
         .map(|&size| {
@@ -354,25 +227,19 @@ pub fn diomp_collective_served(
             let rep = DiompRuntime::run(cfg, move |ctx, rank| {
                 let world = rank.shared.world_group();
                 let ptr = rank.alloc_sym(ctx, size.max(64)).unwrap();
+                let run = |ctx: &mut Ctx, rank: &mut DiompRank| match kind {
+                    CollKind::Broadcast => rank.bcast(ctx, &world, 0, ptr, size),
+                    CollKind::AllReduce => rank.allreduce(ctx, &world, ptr, size, ReduceOp::SumF32),
+                };
                 // Warm-up round initialises the communicator and rings.
                 for _ in 0..WARMUP {
-                    match kind {
-                        CollKind::Broadcast => rank.bcast(ctx, &world, 0, ptr, size),
-                        CollKind::AllReduce => {
-                            rank.allreduce(ctx, &world, ptr, size, ReduceOp::SumF32)
-                        }
-                    }
+                    run(ctx, rank);
                 }
                 rank.barrier(ctx);
                 let t0 = ctx.now();
                 let mut t1 = t0;
                 for _ in 0..REPS {
-                    match kind {
-                        CollKind::Broadcast => rank.bcast(ctx, &world, 0, ptr, size),
-                        CollKind::AllReduce => {
-                            rank.allreduce(ctx, &world, ptr, size, ReduceOp::SumF32)
-                        }
-                    }
+                    run(ctx, rank);
                     t1 = ctx.now();
                 }
                 if rank.rank == 0 {
@@ -401,41 +268,33 @@ pub fn mpi_collective(
         .map(|&size| {
             let mut sim = Sim::new();
             let spec = ClusterSpec::full_nodes(platform.clone(), nodes);
-            let nranks = spec.total_gpus();
-            let topo = Arc::new(Topology::build(&sim.handle(), spec));
-            let devs = DeviceTable::build(
-                &sim.handle(),
-                topo.clone(),
-                DataMode::CostOnly,
-                Some((4 * size + (1 << 20)).next_power_of_two()),
-            );
-            let world = FabricWorld::new(topo, devs, nranks);
+            let heap = (4 * size + (1 << 20)).next_power_of_two();
+            let world = bare_world(&sim, spec, heap);
             // (start, latest finish) across ranks, per measured rep.
             let marks = Arc::new(Mutex::new((SimTime::ZERO, SimTime::ZERO)));
-            for r in 0..nranks {
+            for r in 0..world.nranks {
                 let world = world.clone();
                 let marks = marks.clone();
                 sim.spawn(format!("rank{r}"), move |ctx| {
                     let mut mpi = MpiRank::new(world.clone(), r);
                     let base = world.primary_dev(r).malloc(size.max(64), 256).unwrap();
                     let buf = Loc::dev(r, base);
-                    for _ in 0..WARMUP {
+                    let run = |ctx: &mut Ctx, mpi: &mut MpiRank| {
                         match kind {
-                            CollKind::Broadcast => mpi.bcast(ctx, 0, buf.clone(), size).unwrap(),
+                            CollKind::Broadcast => mpi.bcast(ctx, 0, buf.clone(), size),
                             CollKind::AllReduce => {
-                                mpi.allreduce(ctx, buf.clone(), size, ReduceOp::SumF32).unwrap()
+                                mpi.allreduce(ctx, buf.clone(), size, ReduceOp::SumF32)
                             }
                         }
+                        .unwrap()
+                    };
+                    for _ in 0..WARMUP {
+                        run(ctx, &mut mpi);
                     }
                     mpi.barrier(ctx);
                     let t0 = ctx.now();
                     for _ in 0..REPS {
-                        match kind {
-                            CollKind::Broadcast => mpi.bcast(ctx, 0, buf.clone(), size).unwrap(),
-                            CollKind::AllReduce => {
-                                mpi.allreduce(ctx, buf.clone(), size, ReduceOp::SumF32).unwrap()
-                            }
-                        }
+                        run(ctx, &mut mpi);
                     }
                     let t1 = ctx.now();
                     let mut m = marks.lock();
@@ -473,70 +332,6 @@ pub fn fig6_nodes(platform: &PlatformSpec) -> usize {
     }
 }
 
-/// A `(message size, metric)` series, as returned by every driver here.
-pub type Series = Vec<(u64, f64)>;
-
-/// GPI-2 vs GASNet-EX bandwidth on the InfiniBand platform (Fig. 5).
-pub fn conduit_bandwidth(op: RmaOp, sizes: &[u64]) -> (Series, Series) {
-    let c = PlatformSpec::platform_c();
-    let gasnet = diomp_p2p(&c, Conduit::GasnetEx, op, sizes, true);
-    let gpi = diomp_p2p(&c, Conduit::Gpi2, op, sizes, true);
-    (gasnet, gpi)
-}
-
-/// Raw-conduit single-op latency check used by tests: GASNet put vs GPI
-/// write on platform C at one size.
-pub fn conduit_single_put_us(conduit: Conduit, size: u64) -> f64 {
-    let c = PlatformSpec::platform_c();
-    let series = diomp_p2p(&c, conduit, RmaOp::Put, &[size], false);
-    series[0].1
-}
-
-/// Convenience: make sure raw gasnet/gpi modules stay exercised from the
-/// apps layer (compile-time link of the public conduit APIs).
-#[allow(dead_code)]
-fn _conduit_api_surface(
-    ctx: &mut diomp_sim::Ctx,
-    world: &Arc<FabricWorld>,
-    seg: diomp_fabric::SegmentId,
-) {
-    let _ = gasnet::put_blocking(ctx, world, 0, Loc::dev(0, 0), seg, 0, 8);
-    gpi::wait_queue(ctx, world, 0, gpi::QueueId(0), Wait::Block).unwrap();
-    gpi::wait_all_queues(ctx, world, 0, Wait::Block).unwrap();
-}
-
-/// Which engine a scale-sweep cell runs (`fig_scale`, the O(10k)-rank
-/// allreduce sweep).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ScaleEngine {
-    /// Chunk-pipelined ring, table-tuned chunking.
-    Ring,
-    /// Double binary tree, table-tuned chunking.
-    Dbt,
-    /// The four-regime Auto dispatcher.
-    Auto,
-}
-
-impl ScaleEngine {
-    /// Stable row tag used in `BENCH_scale.json` record names.
-    pub fn tag(self) -> &'static str {
-        match self {
-            ScaleEngine::Ring => "ring",
-            ScaleEngine::Dbt => "dbt",
-            ScaleEngine::Auto => "auto",
-        }
-    }
-
-    fn engine(self, platform: &PlatformSpec) -> CollEngine {
-        let op = diomp_core::XcclOp::AllReduce { op: ReduceOp::SumF32 };
-        match self {
-            ScaleEngine::Ring => CollEngine::Ring(diomp_core::RingConfig::auto(platform, &op, 1)),
-            ScaleEngine::Dbt => CollEngine::Dbt(diomp_core::RingConfig::auto(platform, &op, 1)),
-            ScaleEngine::Auto => CollEngine::Auto(diomp_core::AutoConfig::for_platform(platform)),
-        }
-    }
-}
-
 /// One scale-sweep measurement: the virtual end time plus the
 /// simulator's *own* scheduler cost for the run.
 pub struct ScaleRun {
@@ -562,22 +357,18 @@ pub struct ScaleRun {
 /// `fig_scale` and the bench gate assert wherever both arms run.
 pub fn scale_allreduce(
     nranks: usize,
-    sel: ScaleEngine,
+    engine: CollEngine,
     bytes: u64,
     forced_explicit: bool,
 ) -> ScaleRun {
     use diomp_core::{CommOpts, DeviceBuf, UniqueId, XcclComm, XcclOp};
-    let platform = PlatformSpec::platform_c();
     let mut sim = Sim::new();
     if forced_explicit {
         sim.force_explicit_schedules(true);
     }
-    let spec = ClusterSpec { platform: platform.clone(), nodes: nranks, gpus_per_node: 1 };
-    let topo = Arc::new(Topology::build(&sim.handle(), spec));
-    let heap = (2 * bytes + (1 << 20)).next_power_of_two();
-    let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, Some(heap));
-    let world = FabricWorld::new(topo, devs, nranks);
-    let engine = sel.engine(&platform);
+    let spec =
+        ClusterSpec { platform: PlatformSpec::platform_c(), nodes: nranks, gpus_per_node: 1 };
+    let world = bare_world(&sim, spec, (2 * bytes + (1 << 20)).next_power_of_two());
     let id = UniqueId::generate();
     let ranks: Arc<Vec<usize>> = Arc::new((0..nranks).collect());
     for r in 0..nranks {

@@ -187,12 +187,21 @@ fn app_runs_are_deterministic() {
 
 #[test]
 fn micro_latency_orders_diomp_below_mpi() {
-    // Fig. 3 sign: DiOMP small-message RMA latency under MPI's.
-    use diomp_apps::micro::{diomp_p2p_latency, mpi_p2p, RmaOp};
+    // Fig. 3 sign: DiOMP small-message RMA latency (through the tuned
+    // default path) under MPI's.
+    use diomp_apps::micro::{diomp_p2p, mpi_p2p, Metric, P2pProbe, RmaOp};
+    use diomp_core::{Conduit, PipelineConfig};
     let p = PlatformSpec::platform_a();
     let sizes = [8u64, 1024];
-    let d = diomp_p2p_latency(&p, RmaOp::Put, &sizes);
-    let m = mpi_p2p(&p, RmaOp::Put, &sizes, false);
+    let probe = P2pProbe {
+        platform: &p,
+        conduit: Conduit::GasnetEx,
+        op: RmaOp::Put,
+        pipeline: PipelineConfig::auto(&p, Conduit::GasnetEx),
+        metric: Metric::LatencyUs,
+    };
+    let d = diomp_p2p(&probe, &sizes);
+    let m = mpi_p2p(&p, RmaOp::Put, &sizes, Metric::LatencyUs);
     for (dd, mm) in d.iter().zip(&m) {
         assert!(dd.1 < mm.1, "size {}: DiOMP {:.2} µs vs MPI {:.2} µs", dd.0, dd.1, mm.1);
     }
@@ -200,20 +209,61 @@ fn micro_latency_orders_diomp_below_mpi() {
 
 #[test]
 fn micro_bandwidth_shows_put_anomaly_on_platform_a() {
-    use diomp_apps::micro::{diomp_p2p_bandwidth, RmaOp};
+    use diomp_apps::micro::{diomp_p2p, mpi_p2p, Metric, P2pProbe, RmaOp};
+    use diomp_core::{Conduit, PipelineConfig};
     let p = PlatformSpec::platform_a();
-    let put = diomp_p2p_bandwidth(&p, RmaOp::Put, &[64 << 20]);
-    let get = diomp_p2p_bandwidth(&p, RmaOp::Get, &[64 << 20]);
-    assert!(put[0].1 < 4.0, "Fig. 4a anomaly: put capped, got {:.1} GB/s", put[0].1);
-    assert!(get[0].1 > 15.0, "get unaffected, got {:.1} GB/s", get[0].1);
+    let bw = |op| {
+        let probe = P2pProbe {
+            platform: &p,
+            conduit: Conduit::GasnetEx,
+            op,
+            // The paper's published curves are unpipelined.
+            pipeline: PipelineConfig::disabled(),
+            metric: Metric::BandwidthGbps,
+        };
+        diomp_p2p(&probe, &[64 << 20])[0].1
+    };
+    let (put, get) = (bw(RmaOp::Put), bw(RmaOp::Get));
+    assert!(put < 4.0, "Fig. 4a anomaly: put capped, got {put:.1} GB/s");
+    assert!(get > 15.0, "get unaffected, got {get:.1} GB/s");
+    let mpi_get = mpi_p2p(&p, RmaOp::Get, &[64 << 20], Metric::BandwidthGbps)[0].1;
+    assert!(5.0 < mpi_get && mpi_get < get, "MPI get {mpi_get:.1} GB/s under DiOMP's");
 }
 
 #[test]
 fn gpi_beats_gasnet_for_small_puts_on_infiniband() {
-    // Fig. 5's qualitative claim.
-    use diomp_apps::micro::conduit_single_put_us;
-    use diomp_core::Conduit;
-    let gas = conduit_single_put_us(Conduit::GasnetEx, 2048);
-    let gpi = conduit_single_put_us(Conduit::Gpi2, 2048);
+    // Fig. 5's qualitative claim, each conduit under its tuned pipeline.
+    use diomp_apps::micro::{diomp_p2p, Metric, P2pProbe, RmaOp};
+    use diomp_core::{Conduit, PipelineConfig};
+    let c = PlatformSpec::platform_c();
+    let put_us = |conduit| {
+        let probe = P2pProbe {
+            platform: &c,
+            conduit,
+            op: RmaOp::Put,
+            pipeline: PipelineConfig::auto(&c, conduit),
+            metric: Metric::LatencyUs,
+        };
+        diomp_p2p(&probe, &[2048])[0].1
+    };
+    let (gas, gpi) = (put_us(Conduit::GasnetEx), put_us(Conduit::Gpi2));
     assert!(gpi < gas, "GPI-2 {gpi:.2} µs should beat GASNet-EX {gas:.2} µs at 2 KiB");
+}
+
+#[test]
+fn micro_collective_orders_ompccl_below_mpi_at_large_sizes() {
+    // Fig. 6b sign at the bandwidth-bound end: OMPCCL's ring allreduce
+    // beats MPI's on 64 A100s (paper: log10 ratio 0.43 at 4 MB).
+    use diomp_apps::micro::{
+        diomp_collective, fig6_nodes, log_ratio, mpi_collective, CollKind, CollProbe,
+    };
+    let platform = PlatformSpec::platform_a();
+    let (nodes, kind) = (fig6_nodes(&platform), CollKind::AllReduce);
+    let engine = diomp_core::CollEngine::default();
+    let probe = CollProbe { platform: &platform, nodes, server_nodes: 0, kind, engine };
+    let diomp: Vec<(u64, f64)> =
+        diomp_collective(&probe, &[4 << 20]).into_iter().map(|(s, us, _)| (s, us)).collect();
+    let mpi = mpi_collective(&platform, nodes, kind, &[4 << 20]);
+    let ratio = log_ratio(&mpi, &diomp)[0].1;
+    assert!(ratio > 0.0, "DiOMP {:.1} µs vs MPI {:.1} µs", diomp[0].1, mpi[0].1);
 }

@@ -8,10 +8,9 @@
 //! `ring_us` column is printed alongside for cross-checking the emergent
 //! protocol, never for fitting.
 
-use diomp_apps::micro::{
-    diomp_collective, diomp_collective_profiled, fig6_nodes, mpi_collective, CollKind,
-};
+use diomp_apps::micro::{diomp_collective, fig6_nodes, mpi_collective, CollKind, CollProbe};
 use diomp_bench::paper;
+use diomp_core::CollEngine;
 use diomp_sim::PlatformSpec;
 
 fn main() {
@@ -26,9 +25,14 @@ fn main() {
             (CollKind::AllReduce, "allred", &paper::FIG6_ALLRED_SIZES[..]),
         ] {
             let mpi = mpi_collective(&platform, nodes, op, sizes);
-            let diomp = diomp_collective_profiled(&platform, nodes, op, sizes);
-            let ring = diomp_collective(&platform, nodes, op, sizes);
-            for ((&(s, m), &(_, d)), &(_, r)) in mpi.iter().zip(&diomp).zip(&ring) {
+            let run = |engine| {
+                let probe =
+                    CollProbe { platform: &platform, nodes, server_nodes: 0, kind: op, engine };
+                diomp_collective(&probe, sizes)
+            };
+            let diomp = run(CollEngine::Profile);
+            let ring = run(CollEngine::default());
+            for ((&(s, m), &(_, d, _)), &(_, r, _)) in mpi.iter().zip(&diomp).zip(&ring) {
                 println!("{pname} {opname} {s} mpi_us={m:.2} diomp_us={d:.2} ring_us={r:.2}");
             }
         }

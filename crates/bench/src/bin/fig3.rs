@@ -2,15 +2,16 @@
 //! Put/Get on the three platforms. Lower is better; the paper's headline
 //! is DiOMP's flat ~5 µs curve against MPI's climbing one. The DiOMP
 //! side runs through the transport autotuner's default path
-//! (`PipelineConfig::auto` via `diomp_p2p_latency`); every Fig. 3 size
+//! (`PipelineConfig::auto`); every Fig. 3 size
 //! sits below the tuned chunk knee, so the published flat curves are
 //! what the tuned configuration itself produces — `bench_gate` locks
 //! the 8 KB put latency per platform. `--json PATH` emits every cell as
 //! a `BENCH_*.json` record.
 
-use diomp_apps::micro::{diomp_p2p_latency, mpi_p2p, RmaOp};
+use diomp_apps::micro::{diomp_p2p, mpi_p2p, Metric, P2pProbe, RmaOp};
 use diomp_bench::report::{json_path_from_args, BenchRecord};
 use diomp_bench::{paper, size_label};
+use diomp_core::{Conduit, PipelineConfig};
 use diomp_sim::PlatformSpec;
 
 fn main() {
@@ -24,10 +25,20 @@ fn main() {
         ("c", "(c) NDR InfiniBand + Grace Hopper", PlatformSpec::platform_c()),
     ] {
         println!("\n== Fig. 3{name}: latency (µs) ==");
-        let dg = diomp_p2p_latency(&platform, RmaOp::Get, sizes);
-        let dp = diomp_p2p_latency(&platform, RmaOp::Put, sizes);
-        let mg = mpi_p2p(&platform, RmaOp::Get, sizes, false);
-        let mp = mpi_p2p(&platform, RmaOp::Put, sizes, false);
+        let diomp = |op| -> Vec<(u64, f64)> {
+            let probe = P2pProbe {
+                platform: &platform,
+                conduit: Conduit::GasnetEx,
+                op,
+                pipeline: PipelineConfig::auto(&platform, Conduit::GasnetEx),
+                metric: Metric::LatencyUs,
+            };
+            diomp_p2p(&probe, sizes).into_iter().map(|(s, us, _)| (s, us)).collect()
+        };
+        let dg = diomp(RmaOp::Get);
+        let dp = diomp(RmaOp::Put);
+        let mg = mpi_p2p(&platform, RmaOp::Get, sizes, Metric::LatencyUs);
+        let mp = mpi_p2p(&platform, RmaOp::Put, sizes, Metric::LatencyUs);
         println!(
             "{:>8} {:>11} {:>11} {:>11} {:>11}",
             "size", "DiOMP Get", "DiOMP Put", "MPI Get", "MPI Put"
@@ -45,13 +56,7 @@ fn main() {
             for (series, row) in
                 [("diomp_get", &dg), ("diomp_put", &dp), ("mpi_get", &mg), ("mpi_put", &mp)]
             {
-                records.push(BenchRecord {
-                    name: format!("fig3{tag}/{series}_{sz}"),
-                    value: row[i].1,
-                    unit: "us".into(),
-                    entries_processed: None,
-                    sim_wall_ms: None,
-                });
+                records.push(BenchRecord::new(format!("fig3{tag}/{series}_{sz}"), row[i].1, "us"));
             }
         }
     }

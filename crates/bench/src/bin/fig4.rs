@@ -7,7 +7,7 @@
 //! additionally emits `BENCH_*.json` rows carrying each run's
 //! scheduler-entry count.
 
-use diomp_apps::micro::{diomp_p2p_bandwidth, diomp_p2p_full, mpi_p2p, RmaOp};
+use diomp_apps::micro::{diomp_p2p, mpi_p2p, Metric, P2pProbe, RmaOp};
 use diomp_bench::report::{json_path_from_args, BenchRecord};
 use diomp_bench::{paper, size_label};
 use diomp_core::{Conduit, PipelineConfig};
@@ -29,33 +29,22 @@ fn main() {
         }
         let sizes: Vec<u64> = sizes.iter().copied().filter(|&s| s <= max).collect();
         println!("\n== Fig. 4{name}: bandwidth (GB/s) ==");
-        let dg = diomp_p2p_bandwidth(&platform, RmaOp::Get, &sizes);
-        let dp = diomp_p2p_full(
-            &platform,
-            Conduit::GasnetEx,
-            RmaOp::Put,
-            &sizes,
-            true,
-            PipelineConfig::disabled(),
-        );
-        let dpp = diomp_p2p_full(
-            &platform,
-            Conduit::GasnetEx,
-            RmaOp::Put,
-            &sizes,
-            true,
-            PipelineConfig::enabled(),
-        );
-        let dpt = diomp_p2p_full(
-            &platform,
-            Conduit::GasnetEx,
-            RmaOp::Put,
-            &sizes,
-            true,
-            PipelineConfig::auto(&platform, Conduit::GasnetEx),
-        );
-        let mg = mpi_p2p(&platform, RmaOp::Get, &sizes, true);
-        let mp = mpi_p2p(&platform, RmaOp::Put, &sizes, true);
+        let diomp = |op, pipeline| {
+            let probe = P2pProbe {
+                platform: &platform,
+                conduit: Conduit::GasnetEx,
+                op,
+                pipeline,
+                metric: Metric::BandwidthGbps,
+            };
+            diomp_p2p(&probe, &sizes)
+        };
+        let dg = diomp(RmaOp::Get, PipelineConfig::disabled());
+        let dp = diomp(RmaOp::Put, PipelineConfig::disabled());
+        let dpp = diomp(RmaOp::Put, PipelineConfig::enabled());
+        let dpt = diomp(RmaOp::Put, PipelineConfig::auto(&platform, Conduit::GasnetEx));
+        let mg = mpi_p2p(&platform, RmaOp::Get, &sizes, Metric::BandwidthGbps);
+        let mp = mpi_p2p(&platform, RmaOp::Put, &sizes, Metric::BandwidthGbps);
         println!(
             "{:>8} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11}",
             "size", "DiOMP Get", "DiOMP Put", "DiOMP Put*", "DiOMP Put+", "MPI Get", "MPI Put"
@@ -71,24 +60,11 @@ fn main() {
                 mg[i].1,
                 mp[i].1
             );
-            records.push(BenchRecord::with_entries(
-                format!("fig4{tag}/diomp_put_{}", size_label(sizes[i])),
-                dp[i].1,
-                "GB/s",
-                dp[i].2,
-            ));
-            records.push(BenchRecord::with_entries(
-                format!("fig4{tag}/diomp_put_pipelined_{}", size_label(sizes[i])),
-                dpp[i].1,
-                "GB/s",
-                dpp[i].2,
-            ));
-            records.push(BenchRecord::with_entries(
-                format!("fig4{tag}/diomp_put_tuned_{}", size_label(sizes[i])),
-                dpt[i].1,
-                "GB/s",
-                dpt[i].2,
-            ));
+            let sz = size_label(sizes[i]);
+            for (series, row) in [("", &dp), ("_pipelined", &dpp), ("_tuned", &dpt)] {
+                let name = format!("fig4{tag}/diomp_put{series}_{sz}");
+                records.push(BenchRecord::with_entries(name, row[i].1, "GB/s", row[i].2));
+            }
         }
     }
     println!("\n(*) chunked large-message pipeline enabled (PipelineConfig::enabled()).");

@@ -2,10 +2,10 @@
 //! bandwidth over NDR InfiniBand, 32 B – 128 KB. `--json PATH` emits
 //! every cell as a `BENCH_*.json` record.
 
-use diomp_apps::micro::{diomp_p2p, RmaOp};
+use diomp_apps::micro::{diomp_p2p, Metric, P2pProbe, RmaOp};
 use diomp_bench::report::{json_path_from_args, BenchRecord};
 use diomp_bench::{paper, size_label};
-use diomp_core::Conduit;
+use diomp_core::{Conduit, PipelineConfig};
 use diomp_sim::PlatformSpec;
 
 fn main() {
@@ -14,10 +14,21 @@ fn main() {
     let mut records: Vec<BenchRecord> = Vec::new();
     let sizes = &paper::FIG5_SIZES;
     let c = PlatformSpec::platform_c();
-    let gas_get = diomp_p2p(&c, Conduit::GasnetEx, RmaOp::Get, sizes, true);
-    let gas_put = diomp_p2p(&c, Conduit::GasnetEx, RmaOp::Put, sizes, true);
-    let gpi_get = diomp_p2p(&c, Conduit::Gpi2, RmaOp::Get, sizes, true);
-    let gpi_put = diomp_p2p(&c, Conduit::Gpi2, RmaOp::Put, sizes, true);
+    // Every conduit takes its tuned pipeline, the runtime's default path.
+    let run = |conduit, op| {
+        let probe = P2pProbe {
+            platform: &c,
+            conduit,
+            op,
+            pipeline: PipelineConfig::auto(&c, conduit),
+            metric: Metric::BandwidthGbps,
+        };
+        diomp_p2p(&probe, sizes)
+    };
+    let gas_get = run(Conduit::GasnetEx, RmaOp::Get);
+    let gas_put = run(Conduit::GasnetEx, RmaOp::Put);
+    let gpi_get = run(Conduit::Gpi2, RmaOp::Get);
+    let gpi_put = run(Conduit::Gpi2, RmaOp::Put);
     println!("== Fig. 5: conduit bandwidth over NDR InfiniBand (GB/s) ==");
     println!(
         "{:>8} {:>12} {:>12} {:>12} {:>12}",
@@ -39,13 +50,7 @@ fn main() {
             ("gpi_get", &gpi_get),
             ("gpi_put", &gpi_put),
         ] {
-            records.push(BenchRecord {
-                name: format!("fig5/{series}_{sz}"),
-                value: row[i].1,
-                unit: "GB/s".into(),
-                entries_processed: None,
-                sim_wall_ms: None,
-            });
+            records.push(BenchRecord::new(format!("fig5/{series}_{sz}"), row[i].1, "GB/s"));
         }
     }
     println!("\npaper shape: GPI-2 Put outperforms GASNet-EX Put in the small/medium");

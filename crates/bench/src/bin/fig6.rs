@@ -10,7 +10,9 @@
 //! scheduler-entry count, MPI µs, and the log-ratio — as `BENCH_*.json`
 //! records.
 
-use diomp_apps::micro::{diomp_collective_full, fig6_nodes, log_ratio, mpi_collective, CollKind};
+use diomp_apps::micro::{
+    diomp_collective, fig6_nodes, log_ratio, mpi_collective, CollKind, CollProbe,
+};
 use diomp_bench::report::{json_path_from_args, BenchRecord};
 use diomp_bench::{mae, paper, print_ratio_row, sign_agreement, size_label};
 use diomp_core::{
@@ -19,35 +21,21 @@ use diomp_core::{
 };
 use diomp_sim::PlatformSpec;
 
-/// Which DiOMP engine the run measures; `Auto` is derived per platform.
-#[derive(Clone, Copy)]
-enum EngineSel {
-    Ring,
-    Profile,
-    Auto,
-}
-
-impl EngineSel {
-    fn for_platform(self, platform: &PlatformSpec) -> CollEngine {
-        match self {
-            EngineSel::Ring => CollEngine::default(),
-            EngineSel::Profile => CollEngine::Profile,
-            EngineSel::Auto => Tuner::new(platform, Conduit::GasnetEx).coll_engine(),
-        }
-    }
-}
+/// Which DiOMP engine the run measures on a platform (`Auto` is derived
+/// from its tables).
+type EngineFor = fn(&PlatformSpec) -> CollEngine;
 
 #[allow(clippy::too_many_arguments)]
 fn run_op(
     kind: CollKind,
     op_tag: &str,
     sizes: &[u64],
-    sel: EngineSel,
+    engine_for: EngineFor,
     records: &mut Vec<BenchRecord>,
     refs: [(&str, &str, PlatformSpec, &[f64]); 3],
 ) {
     for (tag, name, platform, paper_row) in refs {
-        let engine = sel.for_platform(&platform);
+        let engine = engine_for(&platform);
         let nodes = fig6_nodes(&platform);
         // Under --auto, show where the three-regime dispatcher switches
         // protocol for this op at this scale (LL/tree below the first
@@ -72,7 +60,8 @@ fn run_op(
             }
         }
         let mpi = mpi_collective(&platform, nodes, kind, sizes);
-        let full = diomp_collective_full(&platform, nodes, kind, sizes, engine);
+        let probe = CollProbe { platform: &platform, nodes, server_nodes: 0, kind, engine };
+        let full = diomp_collective(&probe, sizes);
         let diomp: Vec<(u64, f64)> = full.iter().map(|&(s, us, _)| (s, us)).collect();
         let ratio = log_ratio(&mpi, &diomp);
         print_ratio_row(name, sizes, &ratio, paper_row);
@@ -98,20 +87,12 @@ fn run_op(
                 "us",
                 entries,
             ));
-            records.push(BenchRecord {
-                name: format!("fig6/{op_tag}_{tag}_{sz}/mpi"),
-                value: mpi[i].1,
-                unit: "us".into(),
-                entries_processed: None,
-                sim_wall_ms: None,
-            });
-            records.push(BenchRecord {
-                name: format!("fig6/{op_tag}_{tag}_{sz}/log_ratio"),
-                value: ratio[i].1,
-                unit: "log10".into(),
-                entries_processed: None,
-                sim_wall_ms: None,
-            });
+            records.push(BenchRecord::new(format!("fig6/{op_tag}_{tag}_{sz}/mpi"), mpi[i].1, "us"));
+            records.push(BenchRecord::new(
+                format!("fig6/{op_tag}_{tag}_{sz}/log_ratio"),
+                ratio[i].1,
+                "log10",
+            ));
         }
     }
 }
@@ -119,12 +100,12 @@ fn run_op(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let json_path = json_path_from_args(&args);
-    let engine = if args.iter().any(|a| a == "--profile") {
-        EngineSel::Profile
+    let engine: EngineFor = if args.iter().any(|a| a == "--profile") {
+        |_| CollEngine::Profile
     } else if args.iter().any(|a| a == "--auto") {
-        EngineSel::Auto
+        |p| Tuner::new(p, Conduit::GasnetEx).coll_engine()
     } else {
-        EngineSel::Ring
+        |_| CollEngine::default()
     };
     let mut records = Vec::new();
     println!("Fig. 6(a) Broadcast — log10(MPI/DiOMP), positive = DiOMP faster");

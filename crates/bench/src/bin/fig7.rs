@@ -49,13 +49,11 @@ fn main() {
         for (dd, mm) in d.iter().zip(&m) {
             println!("{:>6} {:>10.2} {:>10.2}", dd.0, dd.1, mm.1);
             for (series_tag, v) in [("diomp", dd.1), ("mpi", mm.1)] {
-                records.push(BenchRecord {
-                    name: format!("fig7{tag}/{series_tag}_speedup_{}gpus", dd.0),
-                    value: v,
-                    unit: "x".into(),
-                    entries_processed: None,
-                    sim_wall_ms: None,
-                });
+                records.push(BenchRecord::new(
+                    format!("fig7{tag}/{series_tag}_speedup_{}gpus", dd.0),
+                    v,
+                    "x",
+                ));
             }
         }
         println!(

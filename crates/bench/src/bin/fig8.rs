@@ -57,13 +57,11 @@ fn main() {
             let m = base / minimod::mpi::run(&cfg(g)).elapsed.as_nanos() as f64;
             println!("{g:>6} {d:>10.2} {m:>10.2}");
             for (series_tag, v) in [("diomp", d), ("mpi", m)] {
-                records.push(BenchRecord {
-                    name: format!("fig8{tag}/{series_tag}_speedup_{g}gpus"),
-                    value: v,
-                    unit: "x".into(),
-                    entries_processed: None,
-                    sim_wall_ms: None,
-                });
+                records.push(BenchRecord::new(
+                    format!("fig8{tag}/{series_tag}_speedup_{g}gpus"),
+                    v,
+                    "x",
+                ));
             }
             last = (d, m);
         }

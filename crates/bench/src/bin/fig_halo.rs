@@ -103,13 +103,11 @@ fn main() {
             ws < ord,
             "{gpus} GPUs: waitsome ({ws} entries) must beat ordered per-id waits ({ord})"
         );
-        records.push(BenchRecord {
-            name: format!("fig_halo/waitsome_entry_saving_{gpus}gpus"),
-            value: (ord - ws) as f64,
-            unit: "entries".into(),
-            entries_processed: None,
-            sim_wall_ms: None,
-        });
+        records.push(BenchRecord::new(
+            format!("fig_halo/waitsome_entry_saving_{gpus}gpus"),
+            (ord - ws) as f64,
+            "entries",
+        ));
     }
     println!("\nwaitsome < ordered scheduler entries at every rank count ≥ 4: OK");
 

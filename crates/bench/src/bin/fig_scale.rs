@@ -20,28 +20,15 @@
 //! `--json PATH` emits every cell as `BENCH_*.json` records with the
 //! run's entry count and simulator wall-clock.
 
-use diomp_apps::micro::{scale_allreduce, ScaleEngine, ScaleRun};
+use diomp_apps::micro::{scale_allreduce, ScaleRun};
 use diomp_bench::report::{json_path_from_args, BenchRecord};
+use diomp_bench::scale_engines;
 
 /// Swept rank counts (= node counts: one GPU per node).
 pub const SCALES: [usize; 3] = [256, 1024, 4096];
-/// Swept engines.
-pub const ENGINES: [ScaleEngine; 3] = [ScaleEngine::Ring, ScaleEngine::Dbt, ScaleEngine::Auto];
 /// Fixed payload: 16 MB splits into uniform per-rank tokens at every
 /// swept scale (2^24 / 4-byte elements divides by 256, 1024 and 4096).
 pub const PAYLOAD: u64 = 16 << 20;
-
-/// Is the uncoalesced reference arm tractable for this cell? Ring-shaped
-/// schedules (ring itself, and Auto at this payload) materialise
-/// 2(n−1)·n sends — ~33.5 M at 4096 ranks, beyond a smoke budget — so
-/// their explicit arms stop at 1024. DBT is O(n·chunks) and runs
-/// everywhere.
-pub fn explicit_feasible(nranks: usize, eng: ScaleEngine) -> bool {
-    match eng {
-        ScaleEngine::Dbt => true,
-        ScaleEngine::Ring | ScaleEngine::Auto => nranks <= 1024,
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -53,9 +40,9 @@ fn main() {
         "ranks", "eng", "virt_ms", "entries", "entries_ex", "ratio", "wall_ms", "wall_ex_ms"
     );
     for &n in &SCALES {
-        for &eng in &ENGINES {
-            let fast = scale_allreduce(n, eng, PAYLOAD, false);
-            let tag = format!("fig_scale/allred16MB_{n}_{}", eng.tag());
+        for (eng, engine) in scale_engines() {
+            let fast = scale_allreduce(n, engine, PAYLOAD, false);
+            let tag = format!("fig_scale/allred16MB_{n}_{eng}");
             records.push(BenchRecord::with_sim_cost(
                 format!("{tag}/coalesced"),
                 fast.end_ns as f64 / 1000.0,
@@ -63,15 +50,18 @@ fn main() {
                 fast.entries,
                 fast.sim_wall_ms,
             ));
-            records.push(BenchRecord {
-                name: format!("{tag}/coalesced_chunks"),
-                value: fast.coalesced as f64,
-                unit: "chunks".into(),
-                entries_processed: None,
-                sim_wall_ms: None,
-            });
-            let explicit: Option<ScaleRun> = explicit_feasible(n, eng).then(|| {
-                let ex = scale_allreduce(n, eng, PAYLOAD, true);
+            records.push(BenchRecord::new(
+                format!("{tag}/coalesced_chunks"),
+                fast.coalesced as f64,
+                "chunks",
+            ));
+            // The uncoalesced reference arm, where tractable: ring-shaped
+            // schedules (ring itself, and Auto at this payload)
+            // materialise 2(n−1)·n sends — ~33.5 M at 4096 ranks, beyond
+            // a smoke budget — so their explicit arms stop at 1024. DBT
+            // is O(n·chunks) and runs everywhere.
+            let explicit: Option<ScaleRun> = (eng == "dbt" || n <= 1024).then(|| {
+                let ex = scale_allreduce(n, engine, PAYLOAD, true);
                 assert_eq!(
                     ex.end_ns, fast.end_ns,
                     "{tag}: coalesced virtual time diverged from the explicit driver \
@@ -85,13 +75,11 @@ fn main() {
                     ex.entries,
                     ex.sim_wall_ms,
                 ));
-                records.push(BenchRecord {
-                    name: format!("{tag}/entry_ratio"),
-                    value: ex.entries as f64 / fast.entries as f64,
-                    unit: "x".into(),
-                    entries_processed: None,
-                    sim_wall_ms: None,
-                });
+                records.push(BenchRecord::new(
+                    format!("{tag}/entry_ratio"),
+                    ex.entries as f64 / fast.entries as f64,
+                    "x",
+                ));
                 ex
             });
             let (ex_e, ratio, ex_w) = match &explicit {
@@ -103,8 +91,7 @@ fn main() {
                 None => ("-".into(), "-".into(), "-".into()),
             };
             println!(
-                "{n:>6} {:>5} {:>12.3} {:>12} {ex_e:>12} {ratio:>8} {:>10.1} {ex_w:>10}",
-                eng.tag(),
+                "{n:>6} {eng:>5} {:>12.3} {:>12} {ex_e:>12} {ratio:>8} {:>10.1} {ex_w:>10}",
                 fast.end_ns as f64 / 1e6,
                 fast.entries,
                 fast.sim_wall_ms,

@@ -35,27 +35,21 @@ fn main() {
                 j.achieved_gbps,
                 100.0 * j.achieved_gbps / j.table_gbps,
             );
-            records.push(BenchRecord {
-                name: format!("workload/{scenario}/{}_p50", j.name),
-                value: j.p50_us,
-                unit: "us".into(),
-                entries_processed: None,
-                sim_wall_ms: None,
-            });
-            records.push(BenchRecord {
-                name: format!("workload/{scenario}/{}_p99", j.name),
-                value: j.p99_us,
-                unit: "us".into(),
-                entries_processed: None,
-                sim_wall_ms: None,
-            });
-            records.push(BenchRecord {
-                name: format!("workload/{scenario}/{}_achieved_gbps", j.name),
-                value: j.achieved_gbps,
-                unit: "GB/s".into(),
-                entries_processed: None,
-                sim_wall_ms: None,
-            });
+            records.push(BenchRecord::new(
+                format!("workload/{scenario}/{}_p50", j.name),
+                j.p50_us,
+                "us",
+            ));
+            records.push(BenchRecord::new(
+                format!("workload/{scenario}/{}_p99", j.name),
+                j.p99_us,
+                "us",
+            ));
+            records.push(BenchRecord::new(
+                format!("workload/{scenario}/{}_achieved_gbps", j.name),
+                j.achieved_gbps,
+                "GB/s",
+            ));
         }
         println!(
             "{:>10} makespan {:.1}us, {} scheduler entries",

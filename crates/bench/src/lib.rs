@@ -1,8 +1,9 @@
 //! # diomp-bench — the figure-regeneration harness
 //!
 //! One binary per table/figure of the paper's evaluation (run with
-//! `cargo run -p diomp-bench --release --bin figN`), plus Criterion
-//! micro-benchmarks and the DESIGN.md ablations under `benches/`.
+//! `cargo run -p diomp-bench --release --bin figN`), plus `bench_gate`,
+//! the CI regression gate that also holds the DESIGN.md ablation
+//! relations.
 //!
 //! The [`paper`] module embeds the published reference values so every
 //! binary prints *paper vs. measured* side by side; `EXPERIMENTS.md`
@@ -135,6 +136,17 @@ pub mod report {
     }
 
     impl BenchRecord {
+        /// Row carrying only the metric (no backing scheduler cost).
+        pub fn new(name: impl Into<String>, value: f64, unit: impl Into<String>) -> Self {
+            BenchRecord {
+                name: name.into(),
+                value,
+                unit: unit.into(),
+                entries_processed: None,
+                sim_wall_ms: None,
+            }
+        }
+
         /// Row with a known scheduler-entry count.
         pub fn with_entries(
             name: impl Into<String>,
@@ -142,13 +154,7 @@ pub mod report {
             unit: impl Into<String>,
             entries: u64,
         ) -> Self {
-            BenchRecord {
-                name: name.into(),
-                value,
-                unit: unit.into(),
-                entries_processed: Some(entries),
-                sim_wall_ms: None,
-            }
+            BenchRecord { entries_processed: Some(entries), ..Self::new(name, value, unit) }
         }
 
         /// Row carrying the backing run's full scheduler cost: entry
@@ -161,11 +167,8 @@ pub mod report {
             sim_wall_ms: f64,
         ) -> Self {
             BenchRecord {
-                name: name.into(),
-                value,
-                unit: unit.into(),
-                entries_processed: Some(entries),
                 sim_wall_ms: Some(sim_wall_ms),
+                ..Self::with_entries(name, value, unit, entries)
             }
         }
 
@@ -391,6 +394,22 @@ pub mod report {
     }
 }
 
+/// The engines a scale-sweep cell runs (`fig_scale` and the gate's
+/// `scale/*` rows), with their stable row tags: single-rail ring and
+/// double binary tree under table-tuned chunking, and the four-regime
+/// Auto dispatcher — all for platform C, which
+/// [`diomp_apps::micro::scale_allreduce`] builds its cluster from.
+pub fn scale_engines() -> [(&'static str, diomp_core::CollEngine); 3] {
+    use diomp_core::{AutoConfig, CollEngine, ReduceOp, RingConfig, XcclOp};
+    let c = diomp_sim::PlatformSpec::platform_c();
+    let rc = RingConfig::auto(&c, &XcclOp::AllReduce { op: ReduceOp::SumF32 }, 1);
+    [
+        ("ring", CollEngine::Ring(rc)),
+        ("dbt", CollEngine::Dbt(rc)),
+        ("auto", CollEngine::Auto(AutoConfig::for_platform(&c))),
+    ]
+}
+
 /// Format a byte size the way the paper labels its axes.
 pub fn size_label(bytes: u64) -> String {
     if bytes >= 1 << 20 {
@@ -399,22 +418,6 @@ pub fn size_label(bytes: u64) -> String {
         format!("{}KB", bytes >> 10)
     } else {
         format!("{bytes}B")
-    }
-}
-
-/// Print a two-series table: `size | a | b`.
-pub fn print_two_series(
-    title: &str,
-    ah: &str,
-    bh: &str,
-    a: &[(u64, f64)],
-    b: &[(u64, f64)],
-    unit: &str,
-) {
-    println!("\n== {title} ==");
-    println!("{:>10} {:>14} {:>14}", "size", ah, bh);
-    for (&(s, av), &(_, bv)) in a.iter().zip(b) {
-        println!("{:>10} {av:>13.2}{unit} {bv:>13.2}{unit}", size_label(s));
     }
 }
 
@@ -485,13 +488,7 @@ mod tests {
         use crate::report::{to_json, BenchRecord};
         let rows = vec![
             BenchRecord::with_sim_cost("fig4a/put_16mb", 3.15, "GB/s", 1234, 0.5),
-            BenchRecord {
-                name: "x\"y".into(),
-                value: 2.0,
-                unit: "us".into(),
-                entries_processed: None,
-                sim_wall_ms: None,
-            },
+            BenchRecord::new("x\"y", 2.0, "us"),
         ];
         let json = to_json(&rows);
         assert_eq!(
@@ -507,13 +504,7 @@ mod tests {
         use crate::report::{parse_json, to_json, BenchRecord};
         let rows = vec![
             BenchRecord::with_entries("fig4a/put_16MB", 3.15, "GB/s", 1234),
-            BenchRecord {
-                name: "odd\"name\\x".into(),
-                value: -2.5,
-                unit: "us".into(),
-                entries_processed: None,
-                sim_wall_ms: None,
-            },
+            BenchRecord::new("odd\"name\\x", -2.5, "us"),
         ];
         let back = parse_json(&to_json(&rows)).unwrap();
         assert_eq!(back, rows);
@@ -521,13 +512,7 @@ mod tests {
         assert!(parse_json("{").is_err());
         // Non-finite values are emitted as `null` and read back as NaN
         // instead of failing the whole parse.
-        let nan_row = vec![BenchRecord {
-            name: "bad".into(),
-            value: f64::NAN,
-            unit: "us".into(),
-            entries_processed: None,
-            sim_wall_ms: None,
-        }];
+        let nan_row = vec![BenchRecord::new("bad", f64::NAN, "us")];
         let parsed = parse_json(&to_json(&nan_row)).unwrap();
         assert_eq!(parsed.len(), 1);
         assert!(parsed[0].value.is_nan());

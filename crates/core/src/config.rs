@@ -41,7 +41,7 @@ pub enum Conduit {
 ///   tables per conduit (the transport autotuner, [`crate::tune`]),
 /// * the base default is [`PipelineConfig::disabled`] so the paper's
 ///   published curves — including the Fig. 4a Platform A put anomaly —
-///   reproduce unchanged; the ablation benches flip it on.
+///   reproduce unchanged; the gate's `_pipelined` rows flip it on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PipelineConfig {
     /// Chunk size in bytes; inter-node messages strictly larger than this
@@ -116,24 +116,16 @@ pub struct DiompConfig {
     pub conduit: Conduit,
     /// Symmetric+asymmetric global heap size per device, bytes.
     pub heap_bytes: u64,
-    /// Fraction of the heap reserved for the asymmetric region.
-    pub asym_frac: f64,
     /// Symmetric allocator strategy.
     pub allocator: AllocKind,
     /// Functional (real bytes) or CostOnly (paper-scale sweeps).
     pub mode: DataMode,
-    /// Override the modelled device memory capacity (tests).
-    pub mem_capacity: Option<u64>,
     /// Use GPUDirect P2P for intra-node transfers when available
     /// (disable to force the IPC staging path).
     pub use_p2p: bool,
     /// Large-message chunked pipelining (off by default; the paper's
     /// published curves are unpipelined).
     pub pipeline: PipelineConfig,
-    /// Drain `ompx_fence` completions with one batched `wait_all` park
-    /// instead of one park per pending event. Identical virtual-time
-    /// results; far fewer scheduler entries.
-    pub batched_fence: bool,
     /// GASPI recovery budget: how many times a GPI-2 post that hits an
     /// errored queue is retried (purge → back off → repost) before the
     /// [`crate::DiompError::Fabric`] error propagates to the caller.
@@ -174,13 +166,10 @@ impl DiompConfig {
             binding: Binding::DevicePerRank,
             conduit: Conduit::GasnetEx,
             heap_bytes: 16 << 20,
-            asym_frac: 0.25,
             allocator: AllocKind::Buddy,
             mode: DataMode::Functional,
-            mem_capacity: None,
             use_p2p: true,
             pipeline: PipelineConfig::disabled(),
-            batched_fence: true,
             max_rma_retries: 3,
             retry_backoff_us: 50.0,
             coll_engine: CollEngine::default(),
@@ -248,13 +237,10 @@ pub struct DiompConfigBuilder {
     binding: Option<Binding>,
     conduit: Option<Conduit>,
     heap_bytes: Option<u64>,
-    asym_frac: Option<f64>,
     allocator: Option<AllocKind>,
     mode: Option<DataMode>,
-    mem_capacity: Option<u64>,
     use_p2p: Option<bool>,
     pipeline: Option<PipelineConfig>,
-    batched_fence: Option<bool>,
     rma_retry: Option<(u32, f64)>,
     coll_engine: Option<CollEngine>,
     coll_servers: Option<ServerSpec>,
@@ -270,13 +256,10 @@ impl DiompConfigBuilder {
             binding: None,
             conduit: None,
             heap_bytes: None,
-            asym_frac: None,
             allocator: None,
             mode: None,
-            mem_capacity: None,
             use_p2p: None,
             pipeline: None,
-            batched_fence: None,
             rma_retry: None,
             coll_engine: None,
             coll_servers: None,
@@ -317,12 +300,6 @@ impl DiompConfigBuilder {
         self
     }
 
-    /// Set the fraction of the heap reserved for the asymmetric region.
-    pub fn with_asym_frac(mut self, frac: f64) -> Self {
-        self.asym_frac = Some(frac);
-        self
-    }
-
     /// Set the symmetric allocator strategy.
     pub fn with_allocator(mut self, k: AllocKind) -> Self {
         self.allocator = Some(k);
@@ -332,12 +309,6 @@ impl DiompConfigBuilder {
     /// Set the data mode.
     pub fn with_mode(mut self, m: DataMode) -> Self {
         self.mode = Some(m);
-        self
-    }
-
-    /// Cap the modelled device memory (test OOM paths).
-    pub fn with_mem_capacity(mut self, cap: u64) -> Self {
-        self.mem_capacity = Some(cap);
         self
     }
 
@@ -356,13 +327,6 @@ impl DiompConfigBuilder {
         self
     }
 
-    /// Drain fences event-by-event (the pre-`wait_all` behaviour); used
-    /// by the scheduler-cost ablation.
-    pub fn without_batched_fence(mut self) -> Self {
-        self.batched_fence = Some(false);
-        self
-    }
-
     /// Configure the GASPI recovery loop for GPI-2 posts: retry budget
     /// and initial (doubling) backoff. `max_retries = 0` disables
     /// recovery — the first queue error propagates.
@@ -378,12 +342,6 @@ impl DiompConfigBuilder {
     pub fn with_coll_engine(mut self, e: CollEngine) -> Self {
         self.coll_engine = Some(e);
         self
-    }
-
-    /// Price collectives with the calibrated whole-collective profiles
-    /// instead of the emergent ring protocol (the ablation baseline).
-    pub fn with_profile_collectives(self) -> Self {
-        self.with_coll_engine(CollEngine::Profile)
     }
 
     /// Provision dedicated in-network reduction servers (see
@@ -422,26 +380,17 @@ impl DiompConfigBuilder {
         if let Some(h) = self.heap_bytes {
             cfg.heap_bytes = h;
         }
-        if let Some(f) = self.asym_frac {
-            cfg.asym_frac = f;
-        }
         if let Some(k) = self.allocator {
             cfg.allocator = k;
         }
         if let Some(m) = self.mode {
             cfg.mode = m;
         }
-        if let Some(cap) = self.mem_capacity {
-            cfg.mem_capacity = Some(cap);
-        }
         if let Some(p2p) = self.use_p2p {
             cfg.use_p2p = p2p;
         }
         if let Some(p) = self.pipeline {
             cfg.pipeline = p;
-        }
-        if let Some(bf) = self.batched_fence {
-            cfg.batched_fence = bf;
         }
         if let Some((r, b)) = self.rma_retry {
             cfg.max_rma_retries = r;
@@ -505,11 +454,11 @@ mod tests {
 
     #[test]
     fn precedence_explicit_engine_beats_tuned() {
-        let prof = base().with_profile_collectives().tuned().build();
+        let prof = base().with_coll_engine(CollEngine::Profile).tuned().build();
         assert_eq!(prof.coll_engine, CollEngine::Profile);
         // The non-explicit knob is still tuned.
         assert!(prof.pipeline != PipelineConfig::disabled());
-        let prof2 = base().tuned().with_profile_collectives().build();
+        let prof2 = base().tuned().with_coll_engine(CollEngine::Profile).build();
         assert_eq!(prof2.coll_engine, CollEngine::Profile);
     }
 

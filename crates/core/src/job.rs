@@ -74,15 +74,9 @@ impl JobSpec {
     }
 
     /// Communicator options for this job: its QoS class, engine and
-    /// server provisioning, everything else default. Pass to
-    /// `XcclComm::init` so the job's collectives are charged to a flow
-    /// of the right weight.
+    /// server provisioning. Pass to `XcclComm::init` so the job's
+    /// collectives are charged to a flow of the right weight.
     pub fn comm_opts(&self) -> CommOpts {
-        CommOpts {
-            qos: self.qos,
-            engine: self.engine,
-            servers: self.servers,
-            ..CommOpts::default()
-        }
+        CommOpts { qos: self.qos, engine: self.engine, servers: self.servers }
     }
 }

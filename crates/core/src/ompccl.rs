@@ -50,7 +50,6 @@ impl DiompRank {
                 engine: self.shared.cfg.coll_engine,
                 servers: self.shared.cfg.coll_servers,
                 qos: self.shared.cfg.qos,
-                ..CommOpts::default()
             },
         );
         *group.comms[idx].lock() = Some(comm.clone());

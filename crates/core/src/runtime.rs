@@ -20,6 +20,10 @@ use crate::galloc::{AsymRegion, AsymRegistry, PtrCache, SymHeap, WRAPPER_BYTES};
 use crate::gptr::{AsymPtr, GPtr};
 use crate::group::{DiompGroup, GroupRegistry};
 
+/// Fraction of each device's global heap reserved for the asymmetric
+/// region; the rest is the symmetric heap.
+const ASYM_FRAC: f64 = 0.25;
+
 /// Job-wide shared runtime state.
 pub struct DiompShared {
     /// Configuration the job was booted with.
@@ -76,7 +80,7 @@ impl DiompRuntime {
     pub fn build(sim: &Sim, cfg: DiompConfig) -> Arc<DiompShared> {
         let h = sim.handle();
         let topo = Arc::new(Topology::build(&h, cfg.cluster.clone()));
-        let devs = DeviceTable::build(&h, topo.clone(), cfg.mode, cfg.mem_capacity);
+        let devs = DeviceTable::build(&h, topo.clone(), cfg.mode, None);
         let nranks = cfg.nranks();
         let world = FabricWorld::new(topo, devs, nranks);
         // Attach the simulator: the health vector (gaspi_state_vec) then
@@ -99,10 +103,7 @@ impl DiompRuntime {
                 let id = world
                     .attach_device_segment(r, d, cfg.heap_bytes)
                     .expect("device too small for the configured global heap");
-                let base = match &world.segment(id).mem {
-                    SegmentMem::Device { base, .. } => *base,
-                    SegmentMem::Host { .. } => unreachable!(),
-                };
+                let SegmentMem::Device { base, .. } = world.segment(id).mem;
                 seg.push(id);
                 seg_base.push(base);
             }
@@ -117,7 +118,7 @@ impl DiompRuntime {
             }
         }
 
-        let asym_len = (cfg.heap_bytes as f64 * cfg.asym_frac) as u64;
+        let asym_len = (cfg.heap_bytes as f64 * ASYM_FRAC) as u64;
         let sym_len = cfg.heap_bytes - asym_len;
         let hop = Dur::micros(world.platform.net.latency_us);
         Arc::new(DiompShared {

@@ -55,17 +55,9 @@ impl DiompRank {
         if self.shared.cfg.conduit == Conduit::Gpi2 {
             pending.extend(diomp_fabric::gpi::take_pending_all(&self.shared.world, self.rank));
         }
-        if self.shared.cfg.batched_fence {
-            // One wait group over the whole pending set: the task parks
-            // once and the completion that empties the set wakes it.
-            ctx.wait_all_free(&pending);
-        } else {
-            // Per-event draining (the scheduler-cost ablation baseline):
-            // one park/wake round-trip per still-pending event.
-            for ev in pending {
-                ctx.wait_free(ev);
-            }
-        }
+        // One wait group over the whole pending set: the task parks
+        // once and the completion that empties the set wakes it.
+        ctx.wait_all_free(&pending);
         // Device horizon: all streams the RMA path touched.
         for d in self.my_devices() {
             let tail = self.shared.world.devs.dev(d).pool.lock().max_tail();

@@ -1,6 +1,6 @@
 //! Integration tests for the chunked multi-queue RMA pipeline and the
 //! batched `wait_all` fence (ISSUE 1 acceptance: byte identity, no-later
-//! completion, trace determinism, scheduler-entry reduction).
+//! completion, trace determinism, pinned scheduler-entry cost).
 
 use std::sync::Arc;
 
@@ -385,22 +385,15 @@ fn many_put_fence(cfg: DiompConfig, n: usize) -> SimReport {
     .unwrap()
 }
 
+/// The fence drains every pending completion with one `wait_all` park;
+/// one park per pending event reaches the same virtual instant in 1,504
+/// entries (measured before that loop was deleted). Both numbers of the
+/// batched run are pinned so neither the saving nor the result can
+/// drift — the 1000-put twin is the gate row
+/// `ablation/fence1000_batched` (81,932.003 µs, 3,015 entries).
 #[test]
-fn batched_fence_processes_fewer_entries_at_identical_virtual_time() {
-    let n = 300;
-    let cfg = || two_nodes(PlatformSpec::platform_a()).with_mode(DataMode::CostOnly);
-    let batched = many_put_fence(cfg().build(), n);
-    let unbatched = many_put_fence(cfg().without_batched_fence().build(), n);
-    assert_eq!(
-        batched.end_time, unbatched.end_time,
-        "fence batching must not change virtual-time results"
-    );
-    // Each put tracks two events (local + remote): the per-event fence
-    // pays roughly one wake per event, the batched fence one wake total.
-    assert!(
-        batched.entries_processed + n as u64 <= unbatched.entries_processed,
-        "expected ≥{n} fewer scheduler entries: batched {} vs unbatched {}",
-        batched.entries_processed,
-        unbatched.entries_processed
-    );
+fn fence_over_300_puts_is_pinned_in_virtual_time_and_entries() {
+    let cfg = two_nodes(PlatformSpec::platform_a()).with_mode(DataMode::CostOnly).build();
+    let rep = many_put_fence(cfg, 300);
+    assert_eq!((rep.end_time.nanos(), rep.entries_processed), (24_588_003, 915));
 }

@@ -159,10 +159,4 @@ impl MpiRank {
             ctx.wait_free(ev);
         }
     }
-
-    /// Collective fence (`MPI_Win_fence`): flush own ops, then barrier.
-    pub fn win_fence(&self, ctx: &mut Ctx, win: WinId) {
-        self.win_flush(ctx, win);
-        self.world.barrier.arrive_and_wait(ctx);
-    }
 }

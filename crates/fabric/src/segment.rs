@@ -1,13 +1,11 @@
 //! Registered memory segments (the PGAS attach step).
 //!
-//! A segment is a contiguous region of device (or host) memory registered
-//! with the conduit so one-sided operations can target it without further
+//! A segment is a contiguous region of device memory registered with the
+//! conduit so one-sided operations can target it without further
 //! handshakes — GASNet-EX's `gex_Segment_Attach` / GPI-2's
 //! `gaspi_segment_create`. The DiOMP runtime attaches one device segment
 //! per device at startup and carves its global heap out of it (paper
 //! §3.1–3.2).
-
-use diomp_device::HostBuf;
 
 /// Identifies a registered segment: `(owning rank, index)`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -28,11 +26,6 @@ pub enum SegmentMem {
         /// Base offset of the segment inside the device address space.
         base: u64,
     },
-    /// Host memory.
-    Host {
-        /// Backing host buffer.
-        buf: HostBuf,
-    },
 }
 
 /// One registered segment.
@@ -50,17 +43,7 @@ impl Segment {
     /// Resolve an offset within this segment to a transfer location.
     pub fn loc(&self, off: u64) -> crate::loc::Loc {
         assert!(off <= self.len, "segment offset {off} beyond length {}", self.len);
-        match &self.mem {
-            SegmentMem::Device { flat, base } => crate::loc::Loc::dev(*flat, base + off),
-            SegmentMem::Host { buf } => crate::loc::Loc::host(buf.clone(), off),
-        }
-    }
-
-    /// The endpoint for path selection.
-    pub fn end(&self, node_of_rank: usize) -> crate::path::End {
-        match &self.mem {
-            SegmentMem::Device { flat, .. } => crate::path::End::Dev(*flat),
-            SegmentMem::Host { .. } => crate::path::End::Node(node_of_rank),
-        }
+        let SegmentMem::Device { flat, base } = self.mem;
+        crate::loc::Loc::dev(flat, base + off)
     }
 }

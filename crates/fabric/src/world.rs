@@ -187,12 +187,6 @@ impl FabricWorld {
         Some(v)
     }
 
-    /// Replace the health vector wholesale (tests, external monitors).
-    pub fn set_health(&self, v: HealthVec) {
-        assert_eq!(v.nranks(), self.nranks, "health vector covers wrong rank count");
-        *self.health.lock() = v;
-    }
-
     /// The ranks owning a device endpoint on each link resource (NICs are
     /// commonly shared by all ranks of a node; PCIe lanes, fabric ports
     /// and copy engines are per-device).
@@ -264,15 +258,6 @@ impl FabricWorld {
         let index = segs[rank].len();
         segs[rank].push(Segment { rank, mem: SegmentMem::Device { flat, base }, len });
         Ok(SegmentId { rank, index })
-    }
-
-    /// Register a host segment for `rank`.
-    pub fn attach_host_segment(&self, rank: usize, buf: diomp_device::HostBuf) -> SegmentId {
-        let mut segs = self.segments.lock();
-        let index = segs[rank].len();
-        let len = buf.len();
-        segs[rank].push(Segment { rank, mem: SegmentMem::Host { buf }, len });
-        SegmentId { rank, index }
     }
 
     /// Look up a segment.

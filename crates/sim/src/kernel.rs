@@ -267,6 +267,42 @@ impl Reservations<'_> {
         fs.stats.last_depart = fs.stats.last_depart.max(tr.depart);
         tr
     }
+
+    /// Bulk-advance a resource by `steps` identical reservations of
+    /// `bytes_per_step` whose departures are spaced exactly `shift`
+    /// apart: `free_at += steps·shift`, `total_bytes += steps·bytes`.
+    ///
+    /// This is the steady-state jump primitive: when a schedule's whole
+    /// per-edge state has advanced by one uniform scalar `shift` across
+    /// consecutive steps, max-plus shift-invariance makes replaying the
+    /// remaining steps equivalent to adding `steps·shift` everywhere —
+    /// so the fast path charges them in one call instead of `steps`
+    /// reservations. Exactness requires the caller to have verified the
+    /// uniform shift (the ring fast path's jump detector does).
+    pub fn bulk_advance_resource(
+        &mut self,
+        res: ResourceId,
+        shift: Dur,
+        steps: u64,
+        bytes_per_step: u64,
+    ) {
+        self.st.resources[res.index()].bulk_advance(shift, steps, bytes_per_step);
+    }
+
+    /// Credit a flow with `bytes` delivered and a final departure instant
+    /// in one call — the flow-stat half of a steady-state jump
+    /// ([`Reservations::bulk_advance_resource`]). Sum/max arithmetic
+    /// only, so bulk application equals per-transfer application exactly.
+    pub fn bulk_charge_flow(&mut self, flow: FlowId, bytes: u64, last_depart: SimTime) {
+        let fs = &mut self.st.flows[flow.index()];
+        fs.stats.bytes += bytes;
+        fs.stats.last_depart = fs.stats.last_depart.max(last_depart);
+    }
+
+    /// Next time the resource is free, read under the held lock.
+    pub fn resource_free_at(&self, res: ResourceId) -> SimTime {
+        self.st.resources[res.index()].free_at()
+    }
 }
 
 /// Statistics for a completed simulation.
@@ -920,18 +956,6 @@ impl SimHandle {
         self.transfer_locked(&mut st, res, at, bytes)
     }
 
-    /// Reserve a flow-tagged transfer *without* allocating a completion
-    /// event — one [`Reservations::transfer_flow`] under its own lock.
-    pub fn transfer_flow(
-        &self,
-        res: ResourceId,
-        flow: FlowId,
-        at: SimTime,
-        bytes: u64,
-    ) -> Transfer {
-        self.reserve().transfer_flow(res, flow, at, bytes)
-    }
-
     /// Take the kernel state lock for a run of event-free reservations
     /// (see [`Reservations`]). The caller must not touch the handle — or
     /// park — until the guard is dropped.
@@ -939,39 +963,6 @@ impl SimHandle {
         let st = self.kernel.state.lock();
         debug_assert!(st.contention.is_none(), "event-free reservations need disarmed contention");
         Reservations { handle: self, st }
-    }
-
-    /// Bulk-advance a resource by `steps` identical reservations of
-    /// `bytes_per_step` whose departures are spaced exactly `shift`
-    /// apart: `free_at += steps·shift`, `total_bytes += steps·bytes`.
-    ///
-    /// This is the steady-state jump primitive: when a schedule's whole
-    /// per-edge state has advanced by one uniform scalar `shift` across
-    /// consecutive steps, max-plus shift-invariance makes replaying the
-    /// remaining steps equivalent to adding `steps·shift` everywhere —
-    /// so the fast path charges them in one call instead of `steps`
-    /// reservations. Exactness requires the caller to have verified the
-    /// uniform shift (the ring fast path's jump detector does).
-    pub fn bulk_advance_resource(
-        &self,
-        res: ResourceId,
-        shift: Dur,
-        steps: u64,
-        bytes_per_step: u64,
-    ) {
-        let mut st = self.kernel.state.lock();
-        st.resources[res.index()].bulk_advance(shift, steps, bytes_per_step);
-    }
-
-    /// Credit a flow with `bytes` delivered and a final departure instant
-    /// in one call — the flow-stat half of a steady-state jump
-    /// ([`SimHandle::bulk_advance_resource`]). Sum/max arithmetic only,
-    /// so bulk application equals per-transfer application exactly.
-    pub fn bulk_charge_flow(&self, flow: FlowId, bytes: u64, last_depart: SimTime) {
-        let mut st = self.kernel.state.lock();
-        let fs = &mut st.flows[flow.index()];
-        fs.stats.bytes += bytes;
-        fs.stats.last_depart = fs.stats.last_depart.max(last_depart);
     }
 
     /// Are the collective fast paths forced off

@@ -29,7 +29,7 @@ use crate::gate::{CollAbort, CollGate, DeviceBuf};
 use crate::ll;
 use crate::ops::XcclOp;
 use crate::ring::{self, CollEngine, Rail};
-use crate::rserver::{self, ServerLayout, ServerPlacement, ServerSet, ServerSpec};
+use crate::rserver::{self, ServerLayout, ServerSet, ServerSpec};
 use crate::unique_id::UniqueId;
 
 /// The shared half of a communicator: what every member derives
@@ -68,15 +68,12 @@ impl CommPlan {
         let nrings = world.topo.nics_per_node().min(devs_per_node).max(1);
         let rails = ring::build_rails(world, &order, nrings);
 
-        // Reduction-server carving: whole node blocks from the requested
-        // end of the node-major order become infrastructure (at least
-        // one client node always remains).
+        // Reduction-server carving: whole node blocks from the tail of
+        // the node-major order become infrastructure (at least one
+        // client node always remains).
         let servers = (servers.enabled() && nodes > 1).then(|| {
             let nsrv = servers.nodes.min(nodes - 1);
-            let srv_nodes: Vec<usize> = match servers.placement {
-                ServerPlacement::Tail => node_ids[nodes - nsrv..].to_vec(),
-                ServerPlacement::Head => node_ids[..nsrv].to_vec(),
-            };
+            let srv_nodes = node_ids[nodes - nsrv..].to_vec();
             let devs = order.iter().copied().filter(|&f| srv_nodes.contains(&node_of(f))).collect();
             Arc::new(ServerSet { nodes: srv_nodes, devs })
         });
@@ -120,25 +117,9 @@ fn registry() -> &'static Mutex<HashMap<u64, Weak<CommPlan>>> {
     PLANS.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// How communicator construction treats rails whose edges the health
-/// vector (`gaspi_state_vec`) marks dead.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RailPolicy {
-    /// Blacklist dead rails and re-split the payload over the survivors,
-    /// trading aggregate bandwidth for avoiding a 1000×-slow dead edge.
-    /// At least one rail always survives: with every rail condemned
-    /// there is no better topology to retreat to, so the layout stays
-    /// unchanged and the injector's replay makes the damage visible.
-    #[default]
-    AvoidDead,
-    /// Keep every rail regardless of health (measurement / debugging —
-    /// e.g. quantifying what the blacklist buys).
-    KeepAll,
-}
-
 /// Construction options for [`XcclComm::init`] — the one communicator
 /// constructor. `CommOpts::default()` reproduces the historical
-/// `init` behaviour (ring engine, normal QoS, dead rails avoided);
+/// `init` behaviour (ring engine, normal QoS, no servers);
 /// override fields with struct-update syntax:
 ///
 /// ```ignore
@@ -156,8 +137,6 @@ pub struct CommOpts {
     /// chunk traffic carries in the per-link weighted fair queue when
     /// contention is armed ([`diomp_sim::Sim::enable_contention`]).
     pub qos: QosClass,
-    /// Degraded-rail handling at ring construction.
-    pub rail_policy: RailPolicy,
     /// Reduction-server designation: how many whole nodes of the
     /// communicator are dedicated in-network reduction servers (see
     /// [`ServerSpec`]; the default disables the server path). Server
@@ -228,7 +207,7 @@ impl XcclComm {
     /// library's initialisation cost (topology discovery, ring
     /// construction, transport setup) and synchronises all participants.
     ///
-    /// Engine, QoS weight and rail policy all ride in [`CommOpts`];
+    /// Engine, QoS weight and server designation all ride in [`CommOpts`];
     /// `CommOpts::default()` reproduces the historical default
     /// constructor.
     pub fn init(
@@ -255,11 +234,15 @@ impl XcclComm {
         let health = world.health();
         let any_dead = health.any_dead_link();
 
-        // Rails whose edges ride a dead link are blacklisted under
-        // `RailPolicy::AvoidDead` (the default) — see [`RailPolicy`].
+        // Rails whose edges ride a dead link are blacklisted and the
+        // payload re-split over the survivors, trading aggregate
+        // bandwidth for avoiding a 1000×-slow dead edge. At least one
+        // rail always survives: with every rail condemned there is no
+        // better topology to retreat to, so the layout stays unchanged
+        // and the injector's replay makes the damage visible.
         let mut rails = plan.rails.clone();
         let mut ring = plan.ring.clone();
-        if any_dead && opts.rail_policy == RailPolicy::AvoidDead {
+        if any_dead {
             let alive: Vec<Rail> =
                 rails.iter().filter(|r| !r.uses_dead_link(&health)).cloned().collect();
             if !alive.is_empty() && alive.len() < rails.len() {
@@ -380,13 +363,6 @@ impl XcclComm {
         self.servers.as_ref().map_or(&[], |(s, _)| &s.nodes)
     }
 
-    /// Live reduction-server devices (flat indices): the stripe owners
-    /// after dead-NIC blacklisting. Empty when no servers are
-    /// configured *or* every server NIC is dead (ring fallback).
-    pub fn live_server_devices(&self) -> &[usize] {
-        self.servers.as_ref().map_or(&[], |(s, _)| &s.devs)
-    }
-
     /// The dedicated QoS flow server fan-back traffic is charged to
     /// (None when no servers are configured). Pass it to
     /// [`diomp_sim::SimHandle::flow_stats`] to observe server traffic
@@ -489,15 +465,6 @@ impl XcclComm {
             }
             _ => None,
         }
-    }
-
-    /// The size (bytes) up to which this communicator's engine takes the
-    /// LL/tree small-message fast path for `op`: `Some(cut)` under
-    /// [`CollEngine::Auto`] (0 when the tree never wins, e.g. for
-    /// all-gather), `None` for the single-protocol engines — the lower
-    /// boundary of [`XcclComm::auto_regimes`].
-    pub fn auto_crossover(&self, op: &XcclOp) -> Option<u64> {
-        self.auto_regimes(op).map(|(ll_cut, _, _)| ll_cut)
     }
 
     /// Launch a collective. Every participating rank calls this with the

@@ -142,7 +142,7 @@ mod rserver;
 mod tree;
 mod unique_id;
 
-pub use comm::{CommOpts, RailPolicy, RingInfo, XcclComm};
+pub use comm::{CommOpts, RingInfo, XcclComm};
 pub use dbt::crossover_bytes as dbt_crossover_bytes;
 pub use gate::CollAbort;
 pub use gate::DeviceBuf;
@@ -151,7 +151,7 @@ pub use ops::XcclOp;
 pub use ring::{default_nrings, CollEngine, RingConfig};
 pub use rserver::{
     crossover_bytes as rserver_crossover_bytes, model_time_us as rserver_model_time_us,
-    ServerLayout, ServerPlacement, ServerSpec,
+    ServerLayout, ServerSpec,
 };
 pub use unique_id::UniqueId;
 

@@ -30,7 +30,7 @@ use std::collections::BinaryHeap;
 
 use diomp_device::{DataMode, DeviceTable};
 use diomp_fabric::FabricWorld;
-use diomp_sim::{BwCurve, Ctx, Dur, FlowId, PlatformSpec, ResourceId, SimTime};
+use diomp_sim::{BwCurve, Ctx, Dur, FlowId, PlatformSpec, Reservations, ResourceId, SimTime};
 
 use crate::drive::{self, ChunkSend, Schedule, Segment};
 use crate::gate::DeviceBuf;
@@ -531,7 +531,8 @@ fn distinct_edge_resources(rail: &Rail) -> bool {
 
 /// March the single-rail ring-allreduce schedule h-major — hop by hop,
 /// one row of `n` tokens per hop — pricing every chunk with
-/// [`diomp_sim::SimHandle::transfer_flow`] instead of events.
+/// [`diomp_sim::Reservations::transfer_flow`] instead of events, under
+/// one acquisition of the kernel lock for the whole march.
 ///
 /// Exactness: the explicit driver issues a send at the first wake
 /// instant where (a) the same chunk's upstream arrival has landed,
@@ -549,7 +550,7 @@ fn distinct_edge_resources(rail: &Rail) -> bool {
 /// as two consecutive rows differ by one rigid time shift `δ`, every
 /// later row is the previous plus `δ` (shift covariance of max-plus
 /// maps). The remaining rows are then applied in one charge: per-edge
-/// `free_at` watermarks advance `m·δ` ([`diomp_sim::SimHandle::bulk_advance_resource`]),
+/// `free_at` watermarks advance `m·δ` ([`diomp_sim::Reservations::bulk_advance_resource`]),
 /// the flow absorbs `m` rows of wire bytes, and the final-row arrivals
 /// are the detected row's plus `m·δ`. An armed fault plan disables only
 /// the jump — the per-row march still prices faulted edges exactly
@@ -600,6 +601,9 @@ fn march_allreduce(
     let mut prev_shape: Vec<u32> = Vec::new();
     let mut cur_state: Vec<u64> = Vec::new();
     let mut cur_shape: Vec<u32> = Vec::new();
+    // `fault_armed` is read above: the handle must not be touched while
+    // the guard holds the kernel lock.
+    let mut rsv = ctx.handle().reserve();
 
     let mut h = 0usize;
     while h < hops {
@@ -631,7 +635,7 @@ fn march_allreduce(
                 if ti == t0 {
                     t0_bound = true;
                 }
-                let tr = ctx.handle().transfer_flow(rail.edges[e].res, flow, ti + step_d, wire);
+                let tr = rsv.transfer_flow(rail.edges[e].res, flow, ti + step_d, wire);
                 arr_cur[e].push(tr.arrive);
                 win[e].push(Reverse(tr.arrive));
                 free_m[e] = tr.depart;
@@ -666,7 +670,9 @@ fn march_allreduce(
                     delta > 0 && prev_state.iter().zip(&cur_state).all(|(&p, &c)| c == p + delta);
                 if rigid {
                     let m = (hops - 1 - h) as u64;
-                    jump_rows(ctx, rail, flow, t, &token_bytes, &tok_chunk, &nchunks, delta, m);
+                    // Uniform tokens: any token's chunk split prices a row.
+                    let token = (token_bytes[0], tok_chunk[0], nchunks[0]);
+                    jump_rows(&mut rsv, rail, flow, t, token, delta, m);
                     for e in 0..n {
                         for a in &arr_cur[e] {
                             t_last = t_last.max(*a + Dur::nanos(delta * m));
@@ -687,6 +693,7 @@ fn march_allreduce(
         std::mem::swap(&mut arr_prev, &mut arr_cur);
         h += 1;
     }
+    drop(rsv);
     // One coalesced wake standing in for every per-chunk completion.
     ctx.sleep_until_coalesced(t_last, total_sends);
 }
@@ -696,41 +703,33 @@ fn march_allreduce(
 /// and credit the flow with `m` rows of wire bytes and the final
 /// departure watermark. Called only under a rigid-shift detection, so
 /// the updates land the exact state the per-row march would have.
-#[allow(clippy::too_many_arguments)] // one arg per jump dimension; a struct would be ceremony
 fn jump_rows(
-    ctx: &Ctx,
+    rsv: &mut Reservations<'_>,
     rail: &Rail,
     flow: FlowId,
     t: &Tuning,
-    token_bytes: &[u64],
-    tok_chunk: &[u64],
-    nchunks: &[usize],
+    (bytes, tc, nc): (u64, u64, usize),
     delta: u64,
     m: u64,
 ) {
     if m == 0 {
         return;
     }
-    let n = rail.order.len();
     let d = Dur::nanos(delta);
     let mut row_wire_total = 0u64;
     let mut depart_final = SimTime::ZERO;
-    for (e, edge) in rail.edges.iter().enumerate() {
-        // Uniform tokens: any token's chunk split prices a row on this
-        // edge (index by lane for clarity, the values coincide).
-        let j = e % n;
-        let (bytes, tc, nc) = (token_bytes[j], tok_chunk[j], nchunks[j]);
+    for edge in &rail.edges {
         let eff = if edge.inter { t.inter_eff } else { t.intra_eff };
         let mut row_wire = 0u64;
         for c in 0..nc {
             let cb = tc.min(bytes - c as u64 * tc);
             row_wire += drive::wire_bytes(cb, eff);
         }
-        ctx.handle().bulk_advance_resource(edge.res, d, m, row_wire);
+        rsv.bulk_advance_resource(edge.res, d, m, row_wire);
         row_wire_total += row_wire;
-        depart_final = depart_final.max(ctx.handle().resource_free_at(edge.res));
+        depart_final = depart_final.max(rsv.resource_free_at(edge.res));
     }
-    ctx.handle().bulk_charge_flow(flow, m * row_wire_total, depart_final);
+    rsv.bulk_charge_flow(flow, m * row_wire_total, depart_final);
 }
 
 pub(crate) fn rail_pos(rail: &Rail, root_flat: Option<usize>) -> usize {

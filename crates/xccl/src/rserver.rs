@@ -95,24 +95,14 @@ const MIN_GRAIN: u64 = 4 << 10;
 /// legs. The shared `SAFETY` margin absorbs the spread.
 const FILL_PENALTY: f64 = 1.5;
 
-/// Where the dedicated server nodes are carved from the communicator's
-/// node-major ring order.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServerPlacement {
-    /// The last nodes of the ring order (default — keeps client ranks'
-    /// ring positions, and therefore existing rooted-op root indices,
-    /// stable when servers are added).
-    #[default]
-    Tail,
-    /// The first nodes of the ring order.
-    Head,
-}
-
 /// Reduction-server designation for a communicator
 /// ([`CommOpts::servers`](crate::CommOpts)): how many whole nodes of the
-/// communicator are dedicated server nodes, and where they are carved
-/// from. `nodes == 0` (the default) disables the server path entirely —
-/// the communicator behaves exactly as before this engine existed.
+/// communicator are dedicated server nodes. They are carved from the
+/// tail of the node-major ring order, which keeps client ranks' ring
+/// positions — and therefore existing rooted-op root indices — stable
+/// when servers are added. `nodes == 0` (the default) disables the
+/// server path entirely — the communicator behaves exactly as before
+/// this engine existed.
 ///
 /// Servers are designated in node granularity because the win condition
 /// is about NICs: every device of a server node serves (owns stripes on
@@ -122,14 +112,12 @@ pub struct ServerSpec {
     /// Number of whole nodes dedicated as reduction servers (capped at
     /// `nodes − 1` so at least one client node remains; 0 disables).
     pub nodes: usize,
-    /// Which end of the node-major order the server nodes come from.
-    pub placement: ServerPlacement,
 }
 
 impl ServerSpec {
     /// Designate `nodes` tail nodes as reduction servers.
     pub fn tail(nodes: usize) -> Self {
-        ServerSpec { nodes, placement: ServerPlacement::Tail }
+        ServerSpec { nodes }
     }
 
     /// Is the server path enabled at all?
@@ -527,7 +515,6 @@ mod tests {
     fn server_spec_defaults_disabled_and_caps_nothing() {
         let d = ServerSpec::default();
         assert!(!d.enabled());
-        assert_eq!(d.placement, ServerPlacement::Tail);
         assert!(ServerSpec::tail(2).enabled());
     }
 }

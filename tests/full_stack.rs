@@ -136,12 +136,20 @@ fn whole_application_runs_are_reproducible() {
 #[test]
 fn paper_ordering_holds_end_to_end() {
     // The paper's three headline orderings, checked in one place:
-    use diomp::apps::micro::{diomp_p2p_latency, mpi_p2p, RmaOp};
+    use diomp::apps::micro::{diomp_p2p, mpi_p2p, Metric, P2pProbe, RmaOp};
+    use diomp::core::{Conduit, PipelineConfig};
     let a = PlatformSpec::platform_a();
 
     // 1. DiOMP RMA latency < MPI RMA latency (Fig. 3).
-    let d = diomp_p2p_latency(&a, RmaOp::Get, &[512]);
-    let m = mpi_p2p(&a, RmaOp::Get, &[512], false);
+    let probe = P2pProbe {
+        platform: &a,
+        conduit: Conduit::GasnetEx,
+        op: RmaOp::Get,
+        pipeline: PipelineConfig::auto(&a, Conduit::GasnetEx),
+        metric: Metric::LatencyUs,
+    };
+    let d = diomp_p2p(&probe, &[512]);
+    let m = mpi_p2p(&a, RmaOp::Get, &[512], Metric::LatencyUs);
     assert!(d[0].1 < m[0].1);
 
     // 2. DiOMP app ≥ MPI app at scale (Figs. 7–8).

@@ -655,7 +655,7 @@ fn tuned_minimod_wavefield_is_byte_identical_and_deterministic() {
 /// platforms at Fig. 6 scale.
 #[test]
 fn auto_dispatch_has_no_cliff_at_regime_boundaries() {
-    use diomp::apps::micro::{diomp_collective_auto, diomp_collective_full, fig6_nodes, CollKind};
+    use diomp::apps::micro::{diomp_collective, fig6_nodes, CollKind, CollProbe};
     use diomp::core::{
         crossover_bytes, dbt_crossover_bytes, default_nrings, CollEngine, Conduit, Tuner, XcclOp,
     };
@@ -680,14 +680,13 @@ fn auto_dispatch_has_no_cliff_at_regime_boundaries() {
             // `cut` is the last size of the lower regime; twice it is
             // the first power-of-two size of the upper regime.
             let sizes = [cut, 2 * cut];
-            let auto = diomp_collective_auto(&platform, nodes, CollKind::AllReduce, &sizes);
-            let ring = diomp_collective_full(
-                &platform,
-                nodes,
-                CollKind::AllReduce,
-                &sizes,
-                CollEngine::default(),
-            );
+            let run = |engine| {
+                let kind = CollKind::AllReduce;
+                let probe = CollProbe { platform: &platform, nodes, server_nodes: 0, kind, engine };
+                diomp_collective(&probe, &sizes)
+            };
+            let auto = run(Tuner::new(&platform, Conduit::GasnetEx).coll_engine());
+            let ring = run(CollEngine::default());
             let (below, above) = (auto[0].1, auto[1].1);
             assert!(
                 above <= 4.0 * below,
@@ -899,7 +898,7 @@ proptest! {
 /// pure ring engine on either side — on all three paper platforms.
 #[test]
 fn auto_dispatch_has_no_cliff_at_the_server_boundary() {
-    use diomp::apps::micro::{diomp_collective_served, CollKind};
+    use diomp::apps::micro::{diomp_collective, CollKind, CollProbe};
     use diomp::core::{CollEngine, Conduit, Tuner};
     use diomp::sim::{FaultPlan, PlatformSpec};
 
@@ -918,23 +917,14 @@ fn auto_dispatch_has_no_cliff_at_the_server_boundary() {
         let above = rsv_cut.next_power_of_two();
         let sizes = [above / 2, above];
         let nodes = clients + servers;
-        let tuner = Tuner::new(&platform, Conduit::GasnetEx);
-        let auto = diomp_collective_served(
-            &platform,
-            nodes,
-            servers,
-            CollKind::AllReduce,
-            &sizes,
-            tuner.coll_engine(),
-        );
-        let ring = diomp_collective_served(
-            &platform,
-            nodes,
-            servers,
-            CollKind::AllReduce,
-            &sizes,
-            CollEngine::default(),
-        );
+        let run = |engine| {
+            let kind = CollKind::AllReduce;
+            let probe =
+                CollProbe { platform: &platform, nodes, server_nodes: servers, kind, engine };
+            diomp_collective(&probe, &sizes)
+        };
+        let auto = run(Tuner::new(&platform, Conduit::GasnetEx).coll_engine());
+        let ring = run(CollEngine::default());
         let (below_us, above_us) = (auto[0].1, auto[1].1);
         assert!(
             above_us <= 4.0 * below_us,
