@@ -162,8 +162,9 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadReport {
         // Every rank's comm registers its own server flow; the schedule
         // is driven by whichever rank arrives at the gate last, so the
         // job's fan-back bytes are the sum over all of them. A shrink
-        // releases the old comm's flow slots (stats reset on reuse), so
-        // the recovery path banks a flow's bytes here before retiring it.
+        // releases the old comm's flows — their handles go stale, and
+        // `flow_stats` on a stale handle panics — so the recovery path
+        // banks a flow's bytes here and drops its id before shrinking.
         server_flows: Vec<diomp_sim::FlowId>,
         server_flow_retired: u64,
         retries: u32,
@@ -289,10 +290,9 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadReport {
                             let health = world.converged_health();
                             ck.restore(ctx, &world);
                             ctx.delay(rc.backoff_for(attempt));
-                            // Shrink releases this rank's server flow
-                            // slot for reuse: bank its bytes and drop
-                            // the soon-stale id first, then track the
-                            // replacement comm's flow.
+                            // Shrink releases this rank's server flow:
+                            // bank its bytes and drop the soon-stale id
+                            // first, then track the replacement comm's.
                             if let Some(f) = comm.server_flow() {
                                 let mut a = acc.lock();
                                 if let Some(pos) = a.server_flows.iter().position(|&x| x == f) {

@@ -267,3 +267,27 @@ fn micro_collective_orders_ompccl_below_mpi_at_large_sizes() {
     let ratio = log_ratio(&mpi, &diomp)[0].1;
     assert!(ratio > 0.0, "DiOMP {:.1} µs vs MPI {:.1} µs", diomp[0].1, mpi[0].1);
 }
+
+#[test]
+fn ll_broadcast_at_fig6_scale_lands_on_its_recorded_instants() {
+    // The LL regime is marched by the shared schedule drivers and pays
+    // one step per send. A broadcast has no fold, and on A and C no two
+    // devices share a NIC, so none of that may move its completion: these
+    // are the closed-form LL engine's values at `3cf65d5` (µs, 32 and
+    // 64 KiB on 64 A100s / 16 platform-C nodes).
+    use diomp_apps::micro::{diomp_collective, fig6_nodes, CollKind, CollProbe};
+    use diomp_core::{Conduit, Tuner};
+    for (platform, want) in [
+        (PlatformSpec::platform_a(), [40.174, 46.116]),
+        (PlatformSpec::platform_c(), [40.238, 45.642]),
+    ] {
+        let engine = Tuner::new(&platform, Conduit::GasnetEx).coll_engine();
+        let (nodes, kind) = (fig6_nodes(&platform), CollKind::Broadcast);
+        let probe = CollProbe { platform: &platform, nodes, server_nodes: 0, kind, engine };
+        for ((size, us, _), want) in
+            diomp_collective(&probe, &[32 << 10, 64 << 10]).iter().zip(want)
+        {
+            assert!((us - want).abs() < 1e-6, "{}: {size} B took {us} µs", platform.name);
+        }
+    }
+}

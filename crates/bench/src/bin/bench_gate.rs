@@ -227,8 +227,12 @@ fn collectives(g: &mut Gate) {
         // sizes; in the mid band Auto runs the DBT where it is priced to
         // win and the (tuned) ring otherwise — either way it must not
         // lose to the untuned ring; the large sizes stay within 5 %.
-        let auto_engine = Tuner::new(&platform, Conduit::GasnetEx).coll_engine();
-        for (op_tag, kind) in [("bcast", CollKind::Broadcast), ("allred", allred)] {
+        let ac = Tuner::new(&platform, Conduit::GasnetEx).auto_config();
+        let auto_engine = CollEngine::Auto(ac);
+        for (op_tag, kind, op) in [
+            ("bcast", CollKind::Broadcast, XcclOp::Broadcast { root: 0 }),
+            ("allred", allred, XcclOp::AllReduce { op: ReduceOp::SumF32 }),
+        ] {
             let sizes = [32u64 << 10, 64 << 10, 1 << 20, 16 << 20];
             let auto = run(kind, auto_engine, &sizes);
             let ring = run(kind, ring_engine, &sizes);
@@ -257,6 +261,21 @@ fn collectives(g: &mut Gate) {
                     let name = format!("fig6/{op_tag}_{tag}_{sz}/ring");
                     g.row(name, ring_us, "us", Lower, Some(ring_entries));
                 }
+            }
+
+            // Auto's regret (ROADMAP B): how much slower Auto is than the
+            // best engine it owns, pinned on Auto's own live chunking —
+            // 1.00 where the closed-form crossovers pick right. No
+            // relation: the rows record the mis-selection inside and just
+            // above the LL band so that it can only shrink.
+            let rc = ac.ring_for(&op);
+            let cells = [32u64 << 10, 256 << 10];
+            let arms = [auto_engine, CollEngine::Ring(rc), CollEngine::Dbt(rc)]
+                .map(|engine| run(kind, engine, &cells));
+            for (i, &s) in cells.iter().enumerate() {
+                let best = arms.iter().map(|arm| arm[i].1).fold(f64::INFINITY, f64::min);
+                let name = format!("fig6/{op_tag}_{tag}_{}/auto_regret", size_label(s));
+                g.row(name, arms[0][i].1 / best, "x", Lower, None);
             }
         }
 

@@ -32,10 +32,7 @@
 
 use diomp_fabric::ReduceOp;
 use diomp_sim::{BwCurve, PlatformId, PlatformSpec};
-use diomp_xccl::{
-    default_nrings, rserver_crossover_bytes, AutoConfig, CollEngine, RingConfig, ServerLayout,
-    XcclOp,
-};
+use diomp_xccl::{default_nrings, AutoConfig, CollEngine, RingConfig, XcclOp};
 
 use crate::config::{Conduit, PipelineConfig};
 
@@ -164,27 +161,6 @@ impl<'a> Tuner<'a> {
     /// The tuned collective engine.
     pub fn coll_engine(&self) -> CollEngine {
         CollEngine::Auto(self.auto_config())
-    }
-
-    /// Model-level reduction-server crossover for a full-node layout of
-    /// `client_nodes` + `server_nodes`: the smallest allreduce size from
-    /// which offloading onto the servers beats the table-tuned ring at
-    /// every larger size (0 when the band never opens — no servers, or a
-    /// server NIC pool too starved to absorb the fan-back). Priced from
-    /// the same live ring configuration the engine would fall back to.
-    /// Capacity planning only — the engine re-derives its own boundary
-    /// per communicator from the *live* (health-filtered) server set.
-    pub fn rserver_crossover(&self, client_nodes: usize, server_nodes: usize) -> u64 {
-        let layout = ServerLayout::full_nodes(self.platform, client_nodes, server_nodes);
-        let n = client_nodes * self.platform.gpus_per_node.max(1);
-        rserver_crossover_bytes(
-            self.platform,
-            &XcclOp::AllReduce { op: ReduceOp::SumF32 },
-            n,
-            default_nrings(self.platform),
-            &layout,
-            &self.auto_config(),
-        )
     }
 
     /// The full derived parameter set.
@@ -338,35 +314,6 @@ mod tests {
         assert_eq!(a.ring_bcast(), tuner.ring_config(&XcclOp::Broadcast { root: 0 }));
         assert_eq!(a.ring_allred(), tuner.ring_config(&XcclOp::AllReduce { op: ReduceOp::SumF32 }));
         assert_ne!(a.ring_bcast(), a.ring_allred(), "op classes must tune differently on A");
-    }
-
-    #[test]
-    fn rserver_crossover_opens_on_provisioned_layouts_only() {
-        // Capacity planning via the tuner: matched client/server node
-        // counts open the offload band on every platform; a single
-        // server node against 15 client nodes is injection-starved on
-        // the fan-back and the band stays shut. Zero server nodes is
-        // trivially shut.
-        for (p, c, s) in [
-            (PlatformSpec::platform_a(), 8usize, 8usize),
-            (PlatformSpec::platform_b(), 4, 4),
-            (PlatformSpec::platform_c(), 8, 8),
-        ] {
-            let t = Tuner::new(&p, Conduit::GasnetEx);
-            let cut = t.rserver_crossover(c, s);
-            assert!(
-                cut > 0 && cut <= 16 << 20,
-                "{}: matched layout must open at or below 16 MiB, got {cut}",
-                p.name
-            );
-            assert_eq!(t.rserver_crossover(c + s, 0), 0, "{}: no servers, no band", p.name);
-        }
-        let a = PlatformSpec::platform_a();
-        assert_eq!(
-            Tuner::new(&a, Conduit::GasnetEx).rserver_crossover(15, 1),
-            0,
-            "a starved server pool must never be priced open"
-        );
     }
 
     #[test]

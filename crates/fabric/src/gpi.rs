@@ -214,14 +214,19 @@ pub fn read(
     let h = ctx.handle().clone();
     let req = control_msg(&h, &world.devs, local_end, remote_end, ctx.now());
     let times = raw_path(&h, &world.devs, remote_end, local_end, req, len, m.eff);
-    let devs = world.devs.clone();
-    let h2 = h.clone();
-    h.schedule_at(times.depart, move |_| {
-        if let Some(bytes) = src_loc.snapshot(&devs, len).expect("bounds pre-checked") {
-            let devs2 = devs.clone();
-            h2.schedule_at(times.arrive, move |_| dst.deposit(&devs2, &bytes));
-        }
-    });
+    // CostOnly runs carry no bytes: no snapshot action is scheduled,
+    // keeping scheduler entries free of pure bookkeeping (the same rule
+    // as `gasnet::get_nb_timed`).
+    if world.devs.mode == diomp_device::DataMode::Functional {
+        let devs = world.devs.clone();
+        let h2 = h.clone();
+        h.schedule_at(times.depart, move |_| {
+            if let Some(bytes) = src_loc.snapshot(&devs, len).expect("bounds pre-checked") {
+                let devs2 = devs.clone();
+                h2.schedule_at(times.arrive, move |_| dst.deposit(&devs2, &bytes));
+            }
+        });
+    }
     let ev = h.new_event();
     h.complete_at(ev, times.arrive);
     world.gpi.queues.lock()[rank].entry(queue).or_default().push(ev);

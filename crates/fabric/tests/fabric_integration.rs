@@ -628,6 +628,30 @@ use diomp_fabric::{FabricError, RankHealth};
 use diomp_sim::{fault_key, CtrlFault, FaultPlan, SimTime};
 
 #[test]
+fn gpi_read_schedules_its_data_actions_only_when_there_are_bytes_to_carry() {
+    // One rule for both conduits (`gasnet::get_nb_timed` has it too): the
+    // depart-time snapshot and arrival-time deposit are Functional-mode
+    // work. A CostOnly read must reach the same instant without them.
+    let run = |mode: DataMode| {
+        let mut sim = Sim::new();
+        let spec = ClusterSpec { platform: PlatformSpec::platform_c(), nodes: 2, gpus_per_node: 1 };
+        let topo = Arc::new(Topology::build(&sim.handle(), spec));
+        let devs = DeviceTable::build(&sim.handle(), topo.clone(), mode, Some(4 << 20));
+        let world = FabricWorld::new(topo, devs, 2);
+        let seg = world.attach_device_segment(1, 1, 1 << 16).unwrap();
+        sim.spawn("rank0", move |ctx| {
+            gpi::read(ctx, &world, 0, gpi::QueueId(0), Loc::dev(0, 0), seg, 0, 1 << 14).unwrap();
+            gpi::wait_queue(ctx, &world, 0, gpi::QueueId(0), Wait::Block).unwrap();
+        });
+        let rep = sim.run().unwrap();
+        (rep.end_time, rep.entries_processed)
+    };
+    let (functional, cost_only) = (run(DataMode::Functional), run(DataMode::CostOnly));
+    assert_eq!(functional.0, cost_only.0, "the data actions carry no virtual time");
+    assert_eq!(functional.1, cost_only.1 + 2, "snapshot + deposit are the only difference");
+}
+
+#[test]
 fn gpi_wait_queue_timeout_then_blocking_wait_drains() {
     // A cross-node write cannot complete within 1 ns of virtual time:
     // the timed wait must return GASPI_TIMEOUT-style, leave the

@@ -261,7 +261,7 @@ impl Reservations<'_> {
         let st = &mut *self.st;
         let at = at.max(st.now);
         let tr = self.handle.transfer_locked(st, res, at, bytes);
-        let fs = &mut st.flows[flow.index()];
+        let fs = st.flow_mut(flow);
         fs.stats.bytes += bytes;
         fs.stats.first_start = Some(fs.stats.first_start.unwrap_or(tr.start).min(tr.start));
         fs.stats.last_depart = fs.stats.last_depart.max(tr.depart);
@@ -294,7 +294,7 @@ impl Reservations<'_> {
     /// ([`Reservations::bulk_advance_resource`]). Sum/max arithmetic
     /// only, so bulk application equals per-transfer application exactly.
     pub fn bulk_charge_flow(&mut self, flow: FlowId, bytes: u64, last_depart: SimTime) {
-        let fs = &mut self.st.flows[flow.index()];
+        let fs = self.st.flow_mut(flow);
         fs.stats.bytes += bytes;
         fs.stats.last_depart = fs.stats.last_depart.max(last_depart);
     }

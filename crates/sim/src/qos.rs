@@ -32,8 +32,8 @@
 //! completion time (the property tests assert this exactly).
 //!
 //! Only flow-tagged transfers take part in fair sharing. Untagged traffic
-//! (RMA protocol messages, LL collective hops, handler occupancy) keeps the
-//! serial closed form; see DESIGN.md D15 for the scope rationale.
+//! (RMA protocol messages, handler occupancy) keeps the serial closed
+//! form; see DESIGN.md D15 for the scope rationale.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -77,13 +77,19 @@ impl QosClass {
 }
 
 /// Handle to a registered traffic flow (see [`crate::SimHandle::new_flow`]).
+/// Generation-tagged like a wait-group reference: releasing the flow
+/// invalidates every copy of the handle, and a stale copy is rejected —
+/// it can never read or charge the slot's next owner.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct FlowId(pub(crate) u32);
+pub struct FlowId {
+    idx: u32,
+    gen: u32,
+}
 
 impl FlowId {
-    /// Dense index of this flow, stable for the life of the sim.
+    /// Dense slot index of this flow (recycled after release).
     pub fn index(self) -> usize {
-        self.0 as usize
+        self.idx as usize
     }
 }
 
@@ -107,6 +113,18 @@ pub struct FlowStats {
 pub(crate) struct FlowSlot {
     pub(crate) weight_milli: u32,
     pub(crate) stats: FlowStats,
+    /// Bumped on release, so handles to an earlier tenancy stop matching.
+    gen: u32,
+}
+
+impl KState {
+    /// The slot `flow` names. Panics on a released handle — every path
+    /// that reads or charges a flow comes through here.
+    pub(crate) fn flow_mut(&mut self, flow: FlowId) -> &mut FlowSlot {
+        let slot = &mut self.flows[flow.index()];
+        assert_eq!(slot.gen, flow.gen, "stale FlowId: flow {} was released", flow.idx);
+        slot
+    }
 }
 
 /// One queued (head = in-service) transfer on a link.
@@ -216,29 +234,31 @@ impl SimHandle {
             let slot = &mut st.flows[idx as usize];
             slot.weight_milli = weight_milli;
             slot.stats = FlowStats::default();
-            return FlowId(idx);
+            return FlowId { idx, gen: slot.gen };
         }
-        let id = FlowId(st.flows.len() as u32);
-        st.flows.push(FlowSlot { weight_milli, stats: FlowStats::default() });
-        id
+        let idx = st.flows.len() as u32;
+        st.flows.push(FlowSlot { weight_milli, stats: FlowStats::default(), gen: 0 });
+        FlowId { idx, gen: 0 }
     }
 
     /// Return a flow's slot to the free list for reuse by a later
     /// [`SimHandle::new_flow`]. The flow's accumulated statistics are
     /// discarded, so callers that report per-flow bandwidth must read
-    /// [`SimHandle::flow_stats`] *before* releasing. `FlowId` carries no
-    /// generation tag: the caller must not use the handle after release.
+    /// [`SimHandle::flow_stats`] *before* releasing: afterwards every
+    /// copy of the handle is stale, and using one (a second release
+    /// included) panics.
     pub fn release_flow(&self, flow: FlowId) {
         let mut st = self.kernel.state.lock();
-        debug_assert!(!st.free_flows.contains(&flow.0), "double release of flow {}", flow.0);
+        let slot = st.flow_mut(flow);
+        slot.gen = slot.gen.wrapping_add(1);
         if let Some(c) = st.contention.as_ref() {
             debug_assert!(
-                c.links.values().all(|ls| ls.queues.get(&flow.0).is_none_or(|q| q.is_empty())),
+                c.links.values().all(|ls| ls.queues.get(&flow.idx).is_none_or(|q| q.is_empty())),
                 "released flow {} still backlogged on an armed link",
-                flow.0
+                flow.idx
             );
         }
-        st.free_flows.push(flow.0);
+        st.free_flows.push(flow.idx);
     }
 
     /// Number of live (allocated, not yet released) flow slots.
@@ -249,7 +269,7 @@ impl SimHandle {
 
     /// Delivery statistics accumulated by a flow so far.
     pub fn flow_stats(&self, flow: FlowId) -> FlowStats {
-        self.kernel.state.lock().flows[flow.index()].stats
+        self.kernel.state.lock().flow_mut(flow).stats
     }
 
     /// Is weighted-fair-queuing contention armed on this sim?
@@ -279,7 +299,7 @@ impl SimHandle {
             let h = self.clone();
             let t = tr.arrive.max(st.now());
             self.push_action(&mut st, t, Box::new(move |_| h.complete(ev)));
-            let fs = &mut st.flows[flow.index()];
+            let fs = st.flow_mut(flow);
             fs.stats.bytes += bytes;
             fs.stats.first_start = Some(fs.stats.first_start.unwrap_or(tr.start).min(tr.start));
             fs.stats.last_depart = fs.stats.last_depart.max(tr.depart);
@@ -289,6 +309,7 @@ impl SimHandle {
         // policy as the closed form — the window matching the projected
         // service start applies to the whole transfer), then hand the
         // wire bytes to the link's fair queue at the ready instant.
+        st.flow_mut(flow); // reject a stale handle at issue, as the disarmed path does
         let now = st.now();
         let at = at.max(now);
         let ev = st.events.alloc();
@@ -339,17 +360,17 @@ impl SimHandle {
             // transfers keep the closed form's single-`ceil` arithmetic
             // (re-pricing mid-service would split one service interval
             // into separately-rounded segments and drift off it).
-            let was_backlogged = ls.queues.get(&flow.0).is_some_and(|q| !q.is_empty());
+            let was_backlogged = ls.queues.get(&flow.idx).is_some_and(|q| !q.is_empty());
             if was_backlogged {
                 ls.queues
-                    .get_mut(&flow.0)
+                    .get_mut(&flow.idx)
                     .expect("backlogged queue vanished")
                     .push_back(QTransfer { remaining: wire, logical, ev, extra });
                 return; // shares unchanged; no re-pricing
             }
             let bpns = s.resources[res.index()].bytes_per_ns();
             ls.advance(now, bpns, &s.flows);
-            ls.queues.entry(flow.0).or_default().push_back(QTransfer {
+            ls.queues.entry(flow.idx).or_default().push_back(QTransfer {
                 remaining: wire,
                 logical,
                 ev,
@@ -529,6 +550,23 @@ mod tests {
             (rep.end_time, rep.entries_processed)
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// ROADMAP C(2): a released handle must not alias the slot's next
+    /// owner — the recycled slot's counters belong to the new flow alone.
+    #[test]
+    #[should_panic(expected = "stale FlowId")]
+    fn a_released_handle_is_rejected_after_its_slot_is_recycled() {
+        let h = Sim::new().handle();
+        let res = h.new_resource(1.0, Dur::ZERO);
+        let old = h.new_flow(1000);
+        h.release_flow(old);
+        let new = h.new_flow(250);
+        assert_eq!(new.index(), old.index(), "the slot is recycled");
+        assert_ne!(new, old);
+        h.reserve().transfer_flow(res, new, SimTime::ZERO, 4096);
+        assert_eq!(h.flow_stats(new).bytes, 4096);
+        h.flow_stats(old);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::dbt;
 use crate::gate::{CollAbort, CollGate, DeviceBuf};
 use crate::ll;
 use crate::ops::XcclOp;
-use crate::ring::{self, CollEngine, Rail};
+use crate::ring::{self, CollEngine, Rail, RingConfig};
 use crate::rserver::{self, ServerLayout, ServerSet, ServerSpec};
 use crate::unique_id::UniqueId;
 
@@ -317,9 +317,9 @@ impl XcclComm {
         // repeated shrink cycles hold the kernel's flow table at a
         // constant size instead of leaking a slot pair per retry.
         // Accumulated [`diomp_sim::FlowStats`] are discarded with the
-        // slot; callers attributing bytes across a shrink must read
-        // [`diomp_sim::SimHandle::flow_stats`] first (the workload
-        // harness does).
+        // slot and the old handles go stale; callers attributing bytes
+        // across a shrink must read [`diomp_sim::SimHandle::flow_stats`]
+        // first (the workload harness does).
         ctx.release_flow(self.flow);
         if let Some((_, srv_flow)) = self.servers {
             ctx.release_flow(srv_flow);
@@ -376,7 +376,7 @@ impl XcclComm {
     /// server set (dead-NIC blacklisting shrinks `server_devs` /
     /// `server_nics` and the crossover retreats accordingly). None when
     /// no servers are configured.
-    pub fn server_layout(&self) -> Option<ServerLayout> {
+    fn server_layout(&self) -> Option<ServerLayout> {
         let (srv, _) = self.servers.as_ref()?;
         let mut nics: Vec<usize> =
             srv.devs.iter().map(|&f| self.world.devs.dev(f).nic.index()).collect();
@@ -529,9 +529,110 @@ impl XcclComm {
         })
     }
 
-    /// Run one collective whose gate just filled: pick the regime, drive
-    /// the schedule in this (the last arriving) task's context, and
-    /// schedule the data semantics at the completion instant.
+    /// What one call of `op` on `len` bytes runs: the engine selector
+    /// resolved against the op, the size and the live server set. Under
+    /// [`CollEngine::Auto`] the boundaries are [`XcclComm::auto_regimes`]'
+    /// and every chunked regime runs on the same live per-op chunking —
+    /// one tuned config either side of a boundary. The single-protocol
+    /// engines stay total over ops by falling back to the ring with the
+    /// same chunking: all-gather has no tree schedule, and only an
+    /// allreduce with a live server (configured, and not every server
+    /// NIC dead) has a server schedule — degrade, never hang. `None` is
+    /// [`CollEngine::Profile`], which runs no schedule at all.
+    fn regime(&self, op: &XcclOp, len: u64) -> Option<Regime> {
+        let served = matches!(op, XcclOp::AllReduce { .. })
+            && self.servers.as_ref().is_some_and(|(s, _)| !s.devs.is_empty());
+        Some(match self.engine {
+            CollEngine::Profile => return None,
+            CollEngine::Ring(rc) => Regime::Ring(rc),
+            CollEngine::Dbt(rc) if matches!(op, XcclOp::AllGather) => Regime::Ring(rc),
+            CollEngine::Dbt(rc) => Regime::Dbt(rc),
+            CollEngine::ReductionServer(rc) if served => Regime::Rserver(rc),
+            CollEngine::ReductionServer(rc) => Regime::Ring(rc),
+            CollEngine::Auto(ac) => {
+                let (ll_cut, dbt_cut, rsv_cut) =
+                    self.auto_regimes(op).expect("Auto engine always has regime boundaries");
+                let rc = ac.ring_for(op);
+                if len <= ll_cut {
+                    Regime::Ll(ac)
+                } else if len <= dbt_cut {
+                    Regime::Dbt(rc)
+                } else if served && rsv_cut > 0 && len >= rsv_cut {
+                    // Clients are injection-bound at these sizes, so hand
+                    // the fold to the server ranks.
+                    Regime::Rserver(rc)
+                } else {
+                    Regime::Ring(rc)
+                }
+            }
+        })
+    }
+
+    /// Run `regime`'s schedule in the calling (the last arriving) task's
+    /// context, advancing virtual time to the emergent completion
+    /// instant: launch delay, the march, one receive-side step. Every
+    /// send pays one step before it touches the wire — a ring or tree
+    /// chunk's processing, a fused LL line's initiation, a fold at the
+    /// hop that forwards its result — so what the crossovers price per
+    /// send is what runs.
+    fn run(
+        &self,
+        ctx: &mut Ctx,
+        regime: Regime,
+        op: XcclOp,
+        root_pos: Option<usize>,
+        len: u64,
+    ) -> SimTime {
+        let world = &*self.world;
+        let (rails, flow, order) = (&*self.rails, self.flow, &self.ring.order);
+        let root_flat = root_pos.map(|r| order[r]);
+        let ring_t = ring::tuning_for(&world.platform, &op, rails.len());
+        let (t, window) = match regime {
+            // One fused message per tree edge: a lane never holds two.
+            Regime::Ll(ac) => (ac.ll_tuning(ring_t), 1),
+            Regime::Dbt(rc) | Regime::Rserver(rc) | Regime::Ring(rc) => (ring_t, rc.max_inflight),
+        };
+        let step = Dur::micros(t.step_us);
+        ctx.delay(Dur::micros(t.launch_us));
+        if order.len() <= 1 || len == 0 {
+            return ctx.now();
+        }
+        let sched = match regime {
+            // The one regime that is not a `Schedule`: the ring's
+            // closed-form tier, bit-identical to marching `ring::schedule`.
+            Regime::Ring(rc) if ring::closed_form_ok(ctx, rails, &op) => {
+                ring::march_allreduce(ctx, &rails[0], flow, op.elem_align(), len, rc, &t);
+                None
+            }
+            Regime::Ring(rc) => {
+                Some(ring::schedule(rails, flow, op, root_flat, len, rc.chunk_bytes, &t))
+            }
+            Regime::Ll(_) => Some(ll::schedule(&world.devs, order, flow, op, root_pos, len, &t)),
+            Regime::Dbt(rc) => {
+                let (trees, chunk) = (&self.plan.trees, rc.chunk_bytes);
+                Some(dbt::schedule(world, rails, trees, flow, op, root_flat, len, chunk, &t))
+            }
+            Regime::Rserver(rc) => {
+                let (srv, srv_flow) = self.servers.as_ref().expect("regime implies servers");
+                let chunk = rc.chunk_bytes;
+                Some(rserver::schedule(world, rails, flow, srv, *srv_flow, op, len, chunk, &t))
+            }
+        };
+        if let Some(sched) = sched {
+            if sched.len() == 0 {
+                return ctx.now();
+            }
+            sched.drive(ctx, window, step);
+        }
+        // Receive-side processing of the final chunk (LL: the flag poll
+        // of the final fused line).
+        ctx.delay(step);
+        ctx.now()
+    }
+
+    /// Run one collective whose gate just filled: resolve the regime,
+    /// drive it in this (the last arriving) task's context, and schedule
+    /// the data semantics at the completion instant.
     fn launch(
         &self,
         ctx: &mut Ctx,
@@ -541,134 +642,74 @@ impl XcclComm {
     ) -> SimTime {
         let world = &*self.world;
         let order = &self.ring.order;
-        let rails = &self.rails;
-        let trees = &self.plan.trees;
-        let flow = self.flow;
 
         // Assemble buffers in ring order.
         let mut by_flat: Vec<Option<DeviceBuf>> = vec![None; world.devs.len()];
         for b in arrivals.iter().flatten().flatten() {
             by_flat[b.flat] = Some(*b);
         }
+        // Membership semantics of a server-equipped communicator:
+        // allreduce reduces over the *client* ranks only, delivered to
+        // every client; server buffers pass through untouched. This is a
+        // property of the communicator, not of the regime that happens
+        // to run, so every engine on such a communicator stays
+        // byte-comparable — and the ring fallback for a dead server set
+        // produces the same bytes the server schedule would have.
+        let clients_only = self.servers.as_ref().filter(|_| matches!(op, XcclOp::AllReduce { .. }));
+        let is_server = |f: usize| {
+            clients_only.is_some_and(|(srv, _)| srv.nodes.contains(&world.devs.dev(f).loc.node))
+        };
         let bufs: Vec<DeviceBuf> = order
             .iter()
-            .map(|&f| by_flat[f].unwrap_or_else(|| panic!("no buffer for device {f}")))
+            .map(|&f| (f, by_flat[f].unwrap_or_else(|| panic!("no buffer for device {f}"))))
+            .filter(|&(f, _)| !is_server(f))
+            .map(|(_, b)| b)
             .collect();
 
         let root_pos = match op {
             XcclOp::Broadcast { root } | XcclOp::Reduce { root, .. } => Some(root),
             _ => None,
         };
-        let root_flat = root_pos.map(|r| order[r]);
-        let allreduce = matches!(op, XcclOp::AllReduce { .. });
-        // Membership semantics of a server-equipped communicator:
-        // allreduce reduces over the *client* ranks only (in ring order —
-        // the sequential reference association), delivered to every
-        // client; server buffers pass through untouched. This is a
-        // property of the communicator, not of the engine that happens
-        // to run, so every engine on such a communicator stays
-        // byte-comparable — and the ring fallback for a dead server set
-        // produces the same bytes the server schedule would have.
-        let client_bufs: Option<Vec<DeviceBuf>> =
-            self.servers.as_ref().filter(|_| allreduce).map(|(srv, _)| {
-                order
-                    .iter()
-                    .zip(&bufs)
-                    .filter(|&(&f, _)| !srv.nodes.contains(&world.devs.dev(f).loc.node))
-                    .map(|(_, b)| *b)
-                    .collect()
-            });
-        // Live server set, when the schedule can actually run.
-        let live_srv = self.servers.as_ref().filter(|(s, _)| !s.devs.is_empty() && allreduce);
-        // Which semantics the completion action must apply: the ring
-        // engine combines in ring chain order; the profile, LL/tree, DBT
-        // and reduction-server paths keep the sequential reference order
-        // (`client_bufs`, when present, overrides both with the
-        // client-only fold).
-        let mut ring_semantics = false;
-        let mut run_ring = |ctx: &mut Ctx, rc| {
-            ring_semantics = true;
-            ring::execute(ctx, &world.platform, rails, flow, op, root_flat, len, rc)
-        };
-        let done = match self.engine {
-            CollEngine::Auto(ac) => {
-                // Protocol selection, through the same query the public
-                // API exposes.
-                let (ll_cut, dbt_cut, rsv_cut) =
-                    self.auto_regimes(&op).expect("Auto engine always has regime boundaries");
-                // Every chunked regime runs on the same live per-op
-                // chunking — one tuned config either side of a boundary.
-                let rc = ac.ring_for(&op);
-                if len <= ll_cut {
-                    ll::execute(ctx, world, order, op, root_pos, len, ac)
-                } else if len <= dbt_cut {
-                    dbt::execute(ctx, world, rails, trees, flow, op, root_flat, len, rc)
-                } else if let Some((srv, srv_flow)) =
-                    live_srv.filter(|_| rsv_cut > 0 && len >= rsv_cut)
-                {
-                    // The fourth regime: clients are injection-bound at
-                    // these sizes, so hand the fold to the server ranks.
-                    rserver::execute(ctx, world, rails, flow, srv, *srv_flow, op, len, rc)
-                } else {
-                    run_ring(ctx, rc)
-                }
-            }
-            CollEngine::ReductionServer(rc) => match live_srv {
-                Some((srv, srv_flow)) => {
-                    rserver::execute(ctx, world, rails, flow, srv, *srv_flow, op, len, rc)
-                }
-                // No live servers (never configured, or every server NIC
-                // dead) or no server schedule for this op: the ring runs
-                // with the same chunking, so the engine stays total —
-                // degrade, never hang.
-                None => run_ring(ctx, rc),
-            },
-            // All-gather has no tree schedule: fall back to the ring
-            // with the same chunking so the engine stays total over ops.
-            CollEngine::Dbt(rc) if matches!(op, XcclOp::AllGather) => run_ring(ctx, rc),
-            CollEngine::Dbt(rc) => {
-                dbt::execute(ctx, world, rails, trees, flow, op, root_flat, len, rc)
-            }
-            CollEngine::Profile => {
+        let done = match self.regime(&op, len) {
+            None => {
                 // Modelled completion: launch + ring-fill hop latency +
                 // wire bytes over the library's achieved-bandwidth
                 // curve. The curve is calibrated per platform against
                 // the vendor library's measured behaviour (Fig. 6) and
                 // already includes multi-rail aggregation and protocol
                 // switches (LL/LL128/Simple), which is why it need not
-                // be monotonic.
+                // be monotonic. No link is touched: this is the oracle
+                // the emergent regimes are calibrated against.
                 let n = order.len();
                 let profile = op.profile(&world.platform.coll);
                 let hops = (n.max(2) - 1) as u32;
                 let wire = (len as f64 * op.wire_factor(n)).ceil() as u64;
                 ctx.now() + Dur::micros(profile.time_us(wire.max(1), hops))
             }
-            // Emergent completion: run the chunk-pipelined ring schedule
-            // over the simulated links.
-            CollEngine::Ring(rc) => run_ring(ctx, rc),
+            Some(regime) => self.run(ctx, regime, op, root_pos, len),
         };
 
-        // Real data semantics at completion. The ring engine combines
-        // reduction segments in ring chain order; the profile engine,
-        // the LL/tree fast path and the DBT engine keep the sequential
-        // reference order (tree reductions fold whole payloads with the
-        // root's contribution first — the reference association,
-        // property-tested byte-identical to the sequential fold). On a
-        // server-equipped communicator the client-only fold overrides
-        // both (membership semantics — uniform across engines).
+        // Real data semantics at completion: one fold for every regime,
+        // in the sequential reference order over the ring-ordered
+        // buffers, so every engine deposits the same bytes on any data.
         let devs = world.devs.clone();
-        let rails = rails.clone();
-        ctx.handle().schedule_at(done, move |_| {
-            if let Some(cb) = &client_bufs {
-                op.apply(&devs, cb, len)
-            } else if ring_semantics {
-                ring::apply(&devs, &rails, op, &bufs, len)
-            } else {
-                op.apply(&devs, &bufs, len)
-            }
-        });
+        ctx.handle().schedule_at(done, move |_| op.apply(&devs, &bufs, len));
         done
     }
+}
+
+/// The resolved form of a [`CollEngine`] for one call (see
+/// [`XcclComm::regime`]): which generator emits the schedule.
+#[derive(Clone, Copy)]
+enum Regime {
+    /// Fused eager sends over binomial trees (`ll`).
+    Ll(ll::AutoConfig),
+    /// Chunk-pipelined double binary tree (`dbt`).
+    Dbt(RingConfig),
+    /// Reduction-server offload over the live server set (`rserver`).
+    Rserver(RingConfig),
+    /// Chunk-pipelined ring (`ring`).
+    Ring(RingConfig),
 }
 
 #[cfg(test)]

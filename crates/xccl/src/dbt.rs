@@ -32,7 +32,7 @@
 //! per-edge FIFO lanes bound in-flight chunks to the configured window,
 //! and the shared progress loop ([`crate::drive::Schedule::drive`])
 //! marches it. Chunk size
-//! and window are table-derived ([`RingConfig::auto`], the knee
+//! and window are table-derived ([`crate::RingConfig::auto`], the knee
 //! machinery at the latency–bandwidth balance point), so the whole mid
 //! band is tuned from the platform tables, not constants.
 //!
@@ -43,12 +43,12 @@
 //! [`crate::ll::crossover_bytes`], the LL/tree cut).
 
 use diomp_fabric::FabricWorld;
-use diomp_sim::{Ctx, Dur, FlowId, PlatformSpec, ResourceId, SimTime};
+use diomp_sim::{FlowId, PlatformSpec};
 
-use crate::drive::{self, ChunkSend, Schedule, Segment};
+use crate::drive::{ChunkSend, Schedule, Segment};
 use crate::ll::{AutoConfig, SAFETY};
 use crate::ops::XcclOp;
-use crate::ring::{self, Rail, RingConfig};
+use crate::ring::{self, Rail};
 
 /// One of the two trees: parent/children per node-block position.
 #[derive(Clone, Debug)]
@@ -213,11 +213,10 @@ pub fn crossover_bytes(
     best
 }
 
-/// Execute the double-binary-tree schedule in the calling task's
-/// context, advancing virtual time to the emergent completion instant.
-/// Mirrors `ring::execute`: per-rail payload slices, per-edge FIFO
-/// lanes, `cfg.max_inflight` chunks outstanding per lane, completions
-/// drained with the batched wait-any.
+/// Emit the schedule: one [`Segment`] per (rail, tree), whose period is
+/// one chunk's trip over the tree — up the block chains and the tree
+/// (reduce), then down the tree and the chains (broadcast) — repeated
+/// once per chunk of the tree's half of the rail slice.
 ///
 /// `trees` is the communicator's [`double_tree`] over its node blocks.
 /// `root_flat` roots both trees of every rail for broadcast/reduce
@@ -225,37 +224,7 @@ pub fn crossover_bytes(
 /// device); the symmetric allreduce keeps the natural roots so the
 /// leaf/interior complementarity is exact.
 #[allow(clippy::too_many_arguments)] // one arg per schedule dimension; a struct would be ceremony
-pub(crate) fn execute(
-    ctx: &mut Ctx,
-    world: &FabricWorld,
-    rails: &[Rail],
-    trees: &[Tree; 2],
-    flow: FlowId,
-    op: XcclOp,
-    root_flat: Option<usize>,
-    len: u64,
-    cfg: RingConfig,
-) -> SimTime {
-    let t = ring::tuning_for(&world.platform, &op, rails.len());
-    ctx.delay(Dur::micros(t.launch_us));
-    let sched = schedule(world, rails, trees, flow, op, root_flat, len, cfg.chunk_bytes, &t);
-    if sched.len() == 0 {
-        return ctx.now();
-    }
-
-    // ---- progress loop (shared with the ring engine) ----
-    sched.drive(ctx, cfg.max_inflight, Dur::micros(t.step_us));
-    // Receive-side processing of the final chunk.
-    ctx.delay(Dur::micros(t.step_us));
-    ctx.now()
-}
-
-/// Emit the schedule: one [`Segment`] per (rail, tree), whose period is
-/// one chunk's trip over the tree — up the block chains and the tree
-/// (reduce), then down the tree and the chains (broadcast) — repeated
-/// once per chunk of the tree's half of the rail slice.
-#[allow(clippy::too_many_arguments)]
-fn schedule(
+pub(crate) fn schedule(
     world: &FabricWorld,
     rails: &[Rail],
     trees: &[Tree; 2],
@@ -336,15 +305,8 @@ fn schedule(
                     &rail.blocks[b].1
                 }
             };
-            let edge = |src: usize, dst: usize| {
-                let sd = world.devs.dev(rail.order[src]);
-                let dd = world.devs.dev(rail.order[dst]);
-                if sd.loc.node == dd.loc.node {
-                    (sd.port, t.intra_eff)
-                } else {
-                    (sd.nic, t.inter_eff)
-                }
-            };
+            let edge =
+                |src: usize, dst: usize| ring::link(&world.devs, rail.order[src], rail.order[dst]);
             let lane_of = |pos: usize, kind: usize| (((ri * 2 + ti) * n + pos) * 4 + kind) as u32;
             // The period: one full chunk. Only the last repeat's chunk
             // can be shorter.
@@ -357,9 +319,9 @@ fn schedule(
             // both child leaders (climbing), or from the parent leader /
             // the previous chain hop (descending) — is emitted before the
             // send it enables.
-            let mut emit = |(res, eff): (ResourceId, f64), lane, deps: [Option<u32>; 3]| {
-                let send = ChunkSend { res, lane, wire: drive::wire_bytes(full, eff), flow };
-                let short = (last != full).then(|| drive::wire_bytes(last, eff));
+            let mut emit = |edge: ring::Edge, lane, deps: [Option<u32>; 3]| {
+                let send = ChunkSend { res: edge.res, lane, wire: t.wire(edge, full), flow };
+                let short = (last != full).then(|| t.wire(edge, last));
                 seg.push(send, short, deps.into_iter().flatten())
             };
             let mut chain_done: Vec<Option<u32>> = vec![None; nb];
@@ -429,6 +391,7 @@ fn schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::RingConfig;
     use diomp_fabric::ReduceOp;
 
     /// Walk up from `v`; returns the hop count to the root (panics on a

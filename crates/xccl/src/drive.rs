@@ -1,6 +1,6 @@
 //! Periodic chunk schedules and their drivers.
 //!
-//! The ring, DBT and reduction-server engines all compile their
+//! The LL, ring, DBT and reduction-server generators all compile their
 //! collective into one [`Schedule`]: chunk sends, each pinned to a
 //! per-edge FIFO *lane*, enabled by the *arrival* of zero or more
 //! upstream sends, and bounded by a per-lane in-flight window. The
@@ -36,9 +36,9 @@
 //!   driver — `tests/fastpath.rs` pins this, and the periodic form
 //!   against its own unrolling, across engines, sizes and fault plans.
 //!
-//! (The third tier, the ring engine's closed-form h-major march with its
-//! rigid-shift jump, never builds a schedule at all; DESIGN.md D18 has
-//! the whole ladder.)
+//! (The one tier outside this module, the ring's closed-form h-major
+//! march with its rigid-shift jump, never builds a schedule at all;
+//! DESIGN.md D18 has the whole ladder.)
 //!
 //! Both drivers act only at *arrival instants*, and both share one
 //! **event-driven issue pass** ([`March`]): after the arrivals of an

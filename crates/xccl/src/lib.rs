@@ -48,6 +48,17 @@
 //! library) and touches no link resources; it is kept behind the config
 //! flag for ablation against the emergent curves.
 //!
+//! Every engine has the same shape — **gate → regime → generator →
+//! driver → fold**: the rendezvous gate fills, the last arriver resolves
+//! the engine selector into one regime, that regime's generator emits a
+//! chunk-send schedule, one runner marches it (launch delay, the shared
+//! drivers, one receive-side step), and one sequential fold writes the
+//! bytes at the completion instant. LL hops are sends in that schedule
+//! like any chunk, so QoS flow accounting, weighted-fair contention and
+//! fault perturbation cover them too. The two exceptions are named where
+//! they live: the ring's single-rail closed-form march, and
+//! [`CollEngine::Profile`], which runs no schedule.
+//!
 //! # Ring protocol walkthrough
 //!
 //! What happens inside one allreduce under [`CollEngine::Ring`]:
@@ -71,9 +82,10 @@
 //!    with the kernel's batched wait-any (`Ctx::wait_any_batched`), one
 //!    wake per park.
 //! 4. **Data semantics**: at the modelled completion instant the real
-//!    buffer bytes are combined — reduction segments in ring chain
-//!    order, rotations for broadcast/allgather — so Functional-mode
-//!    tests verify against sequential references.
+//!    buffer bytes are combined by [`XcclOp::apply`] — the sequential
+//!    fold over the ring-ordered buffers, the same for every engine —
+//!    so Functional-mode tests verify against sequential references on
+//!    any data, floats included.
 //!
 //! # Example: a 4-device allreduce through the simulator
 //!
@@ -149,10 +161,7 @@ pub use gate::DeviceBuf;
 pub use ll::{crossover_bytes, AutoConfig};
 pub use ops::XcclOp;
 pub use ring::{default_nrings, CollEngine, RingConfig};
-pub use rserver::{
-    crossover_bytes as rserver_crossover_bytes, model_time_us as rserver_model_time_us,
-    ServerLayout, ServerSpec,
-};
+pub use rserver::{crossover_bytes as rserver_crossover_bytes, ServerLayout, ServerSpec};
 pub use unique_id::UniqueId;
 
 pub use diomp_sim::QosClass;

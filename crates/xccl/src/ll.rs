@@ -9,15 +9,17 @@
 //! reproduce: below the bandwidth crossover the ring pays `n−1` (or
 //! `2(n−1)`) serial step latencies where a tree pays `⌈log2 n⌉`.
 //!
-//! This module executes the [`crate::tree`] schedules over the simulated
-//! links with exactly that transport: each hop charges one small
-//! software overhead ([`AutoConfig::ll_hop_ns`], derived by the
-//! transport autotuner from the platform's conduit tables — a fused
-//! write needs only the conduit's initiation cost, not the ring
-//! engine's per-step processing), then injects the whole payload as one
-//! message on the sender's link resource. Link FIFO serialisation and
-//! contention with concurrent traffic still apply — the schedule is
-//! closed-form per hop but the resources are shared.
+//! This module emits the [`crate::tree`] hop lists as a
+//! [`crate::drive::Schedule`] with exactly that transport: each hop is
+//! one send that pays one small software overhead
+//! ([`AutoConfig::ll_hop_ns`], derived by the transport autotuner from
+//! the platform's conduit tables — a fused write needs only the
+//! conduit's initiation cost, not the ring engine's per-step
+//! processing), then occupies the sender's link resource with the whole
+//! payload as one message. The shared drivers march it like every other
+//! regime's schedule, so link FIFO serialisation, QoS flow accounting,
+//! weighted-fair contention and fault perturbation apply to LL traffic
+//! exactly as they do to chunked traffic.
 //!
 //! [`crossover_bytes`] is the dispatch rule of [`CollEngine::Auto`]: it
 //! prices both protocols from the same platform tables the engines use
@@ -27,11 +29,12 @@
 //!
 //! [`CollEngine::Auto`]: crate::CollEngine::Auto
 
-use diomp_fabric::FabricWorld;
-use diomp_sim::{Ctx, Dur, PlatformSpec, SimTime};
+use diomp_device::DeviceTable;
+use diomp_sim::{FlowId, PlatformSpec};
 
+use crate::drive::{ChunkSend, Schedule, Segment};
 use crate::ops::XcclOp;
-use crate::ring::{self, RingConfig};
+use crate::ring::{self, RingConfig, Tuning};
 use crate::tree;
 
 /// Require the modelled fast-path time to beat the modelled ring time
@@ -160,6 +163,15 @@ impl AutoConfig {
     pub(crate) fn wire_eff(&self) -> f64 {
         f64::from(self.wire_eff_milli) / 1000.0
     }
+
+    /// The LL transport in the shape the collective runner takes, from
+    /// the ring's constants for the same op: a fused send pays only the
+    /// conduit's initiation cost per hop — at the sender, and once more
+    /// for the receive-side flag poll of the final line — and crosses
+    /// nodes at the conduit's single-message efficiency.
+    pub(crate) fn ll_tuning(&self, ring: Tuning) -> Tuning {
+        Tuning { step_us: self.ll_hop_ns.max(1) as f64 / 1e3, inter_eff: self.wire_eff(), ..ring }
+    }
 }
 
 /// The size below which [`CollEngine::Auto`](crate::CollEngine::Auto)
@@ -214,85 +226,46 @@ pub fn crossover_bytes(
     best
 }
 
-/// Execute the LL/tree schedule for a small collective and return the
-/// modelled completion instant. Runs in the last-arriving rank's task
-/// like the ring engine, but the schedule is closed-form: each hop
-/// charges the sender's link resource directly (so concurrent traffic
-/// still contends) and no progress loop or chunk windowing is needed —
-/// one fused message per tree edge, which is also why this path costs
-/// almost no scheduler entries.
+/// Emit the LL/tree schedule: one fused message per binomial-tree hop,
+/// each on a lane of its own (no chunking, no windowing), enabled by the
+/// arrival of every message into its sender — the partials of the
+/// sender's subtree (reduce) or the payload from its parent (broadcast).
+/// A single-repeat [`Segment`]: the hop list has no period.
 ///
-/// `root_pos` is the ring position of the root for rooted ops; the
-/// symmetric allreduce reduces to position 0 and broadcasts back.
-pub(crate) fn execute(
-    ctx: &mut Ctx,
-    world: &FabricWorld,
+/// `order` is the communicator's ring order and `root_pos` the root's
+/// position in it for rooted ops; the symmetric allreduce reduces to
+/// position 0 and broadcasts back. `t` is [`AutoConfig::ll_tuning`].
+pub(crate) fn schedule(
+    devs: &DeviceTable,
     order: &[usize],
+    flow: FlowId,
     op: XcclOp,
     root_pos: Option<usize>,
     len: u64,
-    ac: AutoConfig,
-) -> SimTime {
-    let platform = &world.platform;
-    let profile = op.profile(&platform.coll);
-    let hop = Dur::nanos(ac.ll_hop_ns.max(1));
+    t: &Tuning,
+) -> Schedule {
     let n = order.len();
-    let t0 = ctx.now() + Dur::micros(profile.launch_us);
-    if n <= 1 || len == 0 {
-        return t0;
-    }
-    let h = ctx.handle().clone();
-    // One fused message per hop: sender-side software, then the payload
-    // on the sender's outbound link (NIC across nodes, GPU-fabric port
-    // within one). `combine` charges the receiver's fold for reductions.
-    let send = |t: &mut Vec<SimTime>, s: usize, d: usize, combine: bool| {
-        let sd = world.devs.dev(order[s]);
-        let dd = world.devs.dev(order[d]);
-        let (res, eff) = if sd.loc.node == dd.loc.node {
-            (sd.port, ring::INTRA_EFF)
-        } else {
-            (sd.nic, ac.wire_eff())
-        };
-        let wire = ((len as f64 / eff).ceil() as u64).max(1);
-        let tr = h.transfer_from(res, t[s] + hop, wire);
-        let at = if combine { tr.arrive + hop } else { tr.arrive };
-        t[d] = t[d].max(at);
-    };
-    let done = match op {
+    let hops = match op {
         XcclOp::Broadcast { .. } => {
-            let root = root_pos.expect("broadcast without a root");
-            let mut t = vec![SimTime::ZERO; n];
-            t[root] = t0;
-            for (s, d) in tree::bcast_hops(n, root) {
-                send(&mut t, s, d, false);
-            }
-            t.into_iter().max().unwrap()
+            tree::bcast_hops(n, root_pos.expect("broadcast without a root"))
         }
-        XcclOp::Reduce { .. } => {
-            let root = root_pos.expect("reduce without a root");
-            let mut t = vec![t0; n];
-            for (s, d) in tree::reduce_hops(n, root) {
-                send(&mut t, s, d, true);
-            }
-            t[root]
-        }
-        XcclOp::AllReduce { .. } => {
-            // Reduce to position 0, broadcast back: 2·⌈log2 n⌉ rounds.
-            let mut t = vec![t0; n];
-            for (s, d) in tree::reduce_hops(n, 0) {
-                send(&mut t, s, d, true);
-            }
-            let mut t2 = vec![SimTime::ZERO; n];
-            t2[0] = t[0];
-            for (s, d) in tree::bcast_hops(n, 0) {
-                send(&mut t2, s, d, false);
-            }
-            t2.into_iter().max().unwrap()
-        }
+        XcclOp::Reduce { .. } => tree::reduce_hops(n, root_pos.expect("reduce without a root")),
+        XcclOp::AllReduce { .. } => [tree::reduce_hops(n, 0), tree::bcast_hops(n, 0)].concat(),
         XcclOp::AllGather => unreachable!("all-gather never takes the LL path"),
     };
-    // Receive-side flag poll of the final fused line.
-    done + hop
+    let mut sched = Schedule::new(hops.len());
+    let mut seg = Segment::new(1);
+    // Per position: the sends that land on it, emitted so far. Both hop
+    // lists put every hop into a device ahead of the hops out of it.
+    let mut into: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for (lane, (s, d)) in hops.into_iter().enumerate() {
+        let edge = ring::link(devs, order[s], order[d]);
+        let send = ChunkSend { res: edge.res, lane: lane as u32, wire: t.wire(edge, len), flow };
+        let j = seg.push(send, None, into[s].iter().copied());
+        into[d].push(j);
+    }
+    sched.add(seg);
+    sched
 }
 
 #[cfg(test)]

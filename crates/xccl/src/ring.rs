@@ -28,12 +28,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use diomp_device::{DataMode, DeviceTable};
+use diomp_device::DeviceTable;
 use diomp_fabric::FabricWorld;
 use diomp_sim::{BwCurve, Ctx, Dur, FlowId, PlatformSpec, Reservations, ResourceId, SimTime};
 
 use crate::drive::{self, ChunkSend, Schedule, Segment};
-use crate::gate::DeviceBuf;
 use crate::ops::XcclOp;
 
 /// Fraction of the per-edge bottleneck bandwidth one collective chunk
@@ -160,12 +159,21 @@ impl Default for CollEngine {
     }
 }
 
-/// One ring edge: the link resource the source device transmits on.
+/// One directed hop: the link resource the source device transmits on.
 #[derive(Clone, Copy, Debug)]
-struct Edge {
-    res: ResourceId,
+pub(crate) struct Edge {
+    pub(crate) res: ResourceId,
     /// Crosses a node boundary (NIC) rather than the intra-node fabric.
     inter: bool,
+}
+
+/// The hop from flat device `src` to flat device `dst` — the one place a
+/// device pair becomes a link: the sender's NIC across nodes, its
+/// GPU-fabric port within one. [`Tuning::wire`] prices bytes on it.
+pub(crate) fn link(devs: &DeviceTable, src: usize, dst: usize) -> Edge {
+    let (s, d) = (devs.dev(src), devs.dev(dst));
+    let inter = s.loc.node != d.loc.node;
+    Edge { res: if inter { s.nic } else { s.port }, inter }
 }
 
 /// One rail: a rotated device order plus its per-edge link assignment.
@@ -218,17 +226,7 @@ pub(crate) fn build_rails(world: &FabricWorld, order: &[usize], nrings: usize) -
                 ord.extend(b[k..].iter().copied().chain(b[..k].iter().copied()));
             }
             let n = ord.len();
-            let edges = (0..n)
-                .map(|i| {
-                    let a = world.devs.dev(ord[i]);
-                    let b = world.devs.dev(ord[(i + 1) % n]);
-                    if a.loc.node == b.loc.node {
-                        Edge { res: a.port, inter: false }
-                    } else {
-                        Edge { res: a.nic, inter: true }
-                    }
-                })
-                .collect();
+            let edges = (0..n).map(|i| link(&world.devs, ord[i], ord[(i + 1) % n])).collect();
             Rail { order: ord, edges, blocks: rail_blocks }
         })
         .collect()
@@ -254,7 +252,7 @@ pub(crate) struct Tuning {
     pub(crate) intra_eff: f64,
 }
 
-pub(crate) const INTRA_EFF: f64 = 0.90;
+const INTRA_EFF: f64 = 0.90;
 const MIN_EFF: f64 = 0.01;
 const MAX_EFF: f64 = 0.98;
 
@@ -277,6 +275,14 @@ pub(crate) fn tuning_for(platform: &PlatformSpec, op: &XcclOp, nrings: usize) ->
         step_us: profile.hop_us,
         inter_eff: (top_bw / agg).clamp(MIN_EFF, MAX_EFF),
         intra_eff: INTRA_EFF,
+    }
+}
+
+impl Tuning {
+    /// Wire bytes of a `bytes`-byte message on `edge` at the efficiency
+    /// this tuning achieves on that kind of link.
+    pub(crate) fn wire(&self, edge: Edge, bytes: u64) -> u64 {
+        drive::wire_bytes(bytes, if edge.inter { self.inter_eff } else { self.intra_eff })
     }
 }
 
@@ -357,56 +363,37 @@ pub(crate) fn split_aligned(total: u64, parts: usize, align: u64) -> Vec<(u64, u
     out
 }
 
-/// Execute the ring schedule in the calling task's context, advancing
-/// virtual time to the collective's emergent completion instant.
+/// Can this collective take the ring's closed-form tier
+/// ([`march_allreduce`]) instead of a [`Schedule`]? A single-rail
+/// allreduce owns one lane per ring edge, each on a private link
+/// resource, so it can be marched h-major without materialising the
+/// O(n²·chunks) sends at all (33.5M at 4096 ranks) — the one regime the
+/// collective runner does not hand to [`Schedule::drive`].
+pub(crate) fn closed_form_ok(ctx: &Ctx, rails: &[Rail], op: &XcclOp) -> bool {
+    matches!(op, XcclOp::AllReduce { .. })
+        && rails.len() == 1
+        && drive::fast_path_ok(ctx)
+        && distinct_edge_resources(&rails[0])
+}
+
+/// Emit the ring schedule: one segment per rail.
 ///
 /// `root_flat` is the flat device index of the broadcast/reduce root
 /// (ignored for symmetric ops).
-#[allow(clippy::too_many_arguments)] // one arg per schedule dimension; a struct would be ceremony
-pub(crate) fn execute(
-    ctx: &mut Ctx,
-    platform: &PlatformSpec,
+pub(crate) fn schedule(
     rails: &[Rail],
     flow: FlowId,
     op: XcclOp,
     root_flat: Option<usize>,
     len: u64,
-    cfg: RingConfig,
-) -> SimTime {
-    let t = tuning_for(platform, &op, rails.len());
-    ctx.delay(Dur::micros(t.launch_us));
+    chunk_bytes: u64,
+    t: &Tuning,
+) -> Schedule {
     let n = rails.first().map_or(0, |r| r.order.len());
-    if n <= 1 {
-        return ctx.now();
-    }
-
     let elem = op.elem_align();
     let slices = split_aligned(len, rails.len(), elem);
-    let chunk_bytes = cfg.chunk_bytes.max(1);
+    let chunk_bytes = chunk_bytes.max(1);
 
-    // Scale-out fast path: a single-rail allreduce owns one lane per
-    // ring edge, each on a private link resource, so the schedule can
-    // be marched h-major in closed form without materialising the
-    // O(n²·chunks) send table at all (33.5M sends at 4096 ranks). The
-    // march prices every chunk through the same kernel reservation
-    // calls as the explicit driver — bit-identical virtual time — and
-    // jumps the structurally identical steady-state rows in one charge.
-    if matches!(op, XcclOp::AllReduce { .. })
-        && rails.len() == 1
-        && drive::fast_path_ok(ctx)
-        && distinct_edge_resources(&rails[0])
-    {
-        let (_, slen) = slices[0];
-        if slen == 0 {
-            return ctx.now();
-        }
-        march_allreduce(ctx, &rails[0], flow, slen, elem, chunk_bytes, &cfg, &t);
-        // Receive-side processing of the final chunk.
-        ctx.delay(Dur::micros(t.step_us));
-        return ctx.now();
-    }
-
-    // ---- emit the schedule: one segment per rail ----
     // One lane per ring edge per rail, serving its sends in (step,
     // token, chunk) order. A send's only dependency is the same chunk
     // one hop upstream.
@@ -451,9 +438,8 @@ pub(crate) fn execute(
         };
         let send = |e: usize, bytes: u64| {
             let edge = rail.edges[e];
-            let eff = if edge.inter { t.inter_eff } else { t.intra_eff };
             let lane = (ri * n + e) as u32;
-            ChunkSend { res: edge.res, lane, wire: drive::wire_bytes(bytes, eff), flow }
+            ChunkSend { res: edge.res, lane, wire: t.wire(edge, bytes), flow }
         };
         let tc = tok_chunk(bytes0);
         let nc = bytes0.div_ceil(tc);
@@ -505,15 +491,7 @@ pub(crate) fn execute(
         }
         sched.add(seg);
     }
-    if sched.len() == 0 {
-        return ctx.now();
-    }
-
-    // ---- progress loop (shared with the DBT and server engines) ----
-    sched.drive(ctx, cfg.max_inflight, Dur::micros(t.step_us));
-    // Receive-side processing of the final chunk.
-    ctx.delay(Dur::micros(t.step_us));
-    ctx.now()
+    sched
 }
 
 /// Every ring edge of the rail transmits on its own link resource (no
@@ -555,25 +533,24 @@ fn distinct_edge_resources(rail: &Rail) -> bool {
 /// are the detected row's plus `m·δ`. An armed fault plan disables only
 /// the jump — the per-row march still prices faulted edges exactly
 /// (per-edge disarm, not per-run).
-#[allow(clippy::too_many_arguments)]
-fn march_allreduce(
+pub(crate) fn march_allreduce(
     ctx: &mut Ctx,
     rail: &Rail,
     flow: FlowId,
-    slen: u64,
     elem: u64,
-    chunk_bytes: u64,
-    cfg: &RingConfig,
+    slen: u64,
+    cfg: RingConfig,
     t: &Tuning,
 ) {
     let n = rail.order.len();
     let hops = 2 * (n - 1);
+    let chunk_bytes = cfg.chunk_bytes.max(1);
     let window = cfg.max_inflight.max(1);
     let step_d = Dur::micros(t.step_us);
     let t0 = ctx.now();
 
     // Token j (the ring segment starting on edge j): bytes, chunk grain
-    // and chunk count — the same split `execute` materialises.
+    // and chunk count — the same split `schedule` emits.
     let token_bytes: Vec<u64> = split_aligned(slen, n, elem).into_iter().map(|(_, l)| l).collect();
     let tok_chunk: Vec<u64> =
         token_bytes.iter().map(|&b| chunk_bytes.max(b.div_ceil(ALLRED_TOKEN_CHUNKS))).collect();
@@ -617,14 +594,13 @@ fn march_allreduce(
             }
             let bytes = token_bytes[j];
             let tc = tok_chunk[j];
-            let eff = if rail.edges[e].inter { t.inter_eff } else { t.intra_eff };
             let up = (e + n - 1) % n;
             // `c` indexes the upstream lane's previous-row arrivals, not
             // an iterable of this loop — keep the index form.
             #[allow(clippy::needless_range_loop)]
             for c in 0..nc {
                 let cb = tc.min(bytes - c as u64 * tc);
-                let wire = drive::wire_bytes(cb, eff);
+                let wire = t.wire(rail.edges[e], cb);
                 let dep = if h == 0 { SimTime::ZERO } else { arr_prev[up][c] };
                 let w = if win[e].len() >= window {
                     win[e].pop().expect("window heap underflow").0
@@ -719,11 +695,9 @@ fn jump_rows(
     let mut row_wire_total = 0u64;
     let mut depart_final = SimTime::ZERO;
     for edge in &rail.edges {
-        let eff = if edge.inter { t.inter_eff } else { t.intra_eff };
         let mut row_wire = 0u64;
         for c in 0..nc {
-            let cb = tc.min(bytes - c as u64 * tc);
-            row_wire += drive::wire_bytes(cb, eff);
+            row_wire += t.wire(*edge, tc.min(bytes - c as u64 * tc));
         }
         rsv.bulk_advance_resource(edge.res, d, m, row_wire);
         row_wire_total += row_wire;
@@ -735,88 +709,6 @@ fn jump_rows(
 pub(crate) fn rail_pos(rail: &Rail, root_flat: Option<usize>) -> usize {
     let flat = root_flat.expect("rooted collective without a root device");
     rail.order.iter().position(|&f| f == flat).expect("root device not in rail")
-}
-
-/// Apply the collective's data semantics the way the ring protocol
-/// produces them.
-///
-/// Broadcast and all-gather are pure chunk rotations — byte-identical to
-/// the direct copies of [`XcclOp::apply`], which is reused. Reductions
-/// combine each rail segment in *ring chain order*: segment `j` starts at
-/// its owner (ring position `j`) and folds successors in ring order —
-/// the association order a ring reduce-scatter really produces. Ragged
-/// tail bytes (payloads that are not a whole number of elements) keep
-/// the profile path's semantics: they are taken from ring position 0.
-pub(crate) fn apply(devs: &DeviceTable, rails: &[Rail], op: XcclOp, bufs: &[DeviceBuf], len: u64) {
-    if devs.mode == DataMode::CostOnly {
-        return;
-    }
-    let rop = match op {
-        XcclOp::AllReduce { op } => op,
-        XcclOp::Reduce { op, .. } => op,
-        // Pure data movement: the ring rotation lands the same bytes the
-        // direct copy does.
-        XcclOp::Broadcast { .. } | XcclOp::AllGather => return op.apply(devs, bufs, len),
-    };
-    // Map flat device index -> contributed buffer.
-    let mut by_flat: Vec<Option<DeviceBuf>> = vec![None; devs.len()];
-    for b in bufs {
-        by_flat[b.flat] = Some(*b);
-    }
-    let buf_of = |flat: usize| by_flat[flat].expect("no buffer for ring device");
-    // Read `n` bytes at `off` of `b` into `out` (resized to fit).
-    let read = |b: DeviceBuf, off: u64, n: u64, out: &mut Vec<u8>| {
-        out.resize(n as usize, 0);
-        devs.dev(b.flat).mem.read(b.off + off, out).expect("ring read in bounds");
-    };
-    let write = |b: DeviceBuf, off: u64, bytes: &[u8]| {
-        devs.dev(b.flat).mem.write(b.off + off, bytes).expect("ring write in bounds");
-    };
-
-    let elem = rop.elem_bytes();
-    let aligned = (len / elem) * elem;
-    let root_buf = match op {
-        XcclOp::Reduce { root, .. } => Some(bufs[root]),
-        _ => None,
-    };
-    let slices = split_aligned(aligned, rails.len(), elem);
-    // Accumulator and operand scratch, reused across every segment.
-    let (mut acc, mut other) = (Vec::new(), Vec::new());
-    for (rail, &(soff, slen)) in rails.iter().zip(&slices) {
-        let n = rail.order.len();
-        for (j, &(rel, seg_len)) in split_aligned(slen, n, elem).iter().enumerate() {
-            if seg_len == 0 {
-                continue;
-            }
-            let off = soff + rel;
-            read(buf_of(rail.order[j]), off, seg_len, &mut acc);
-            for k in 1..n {
-                read(buf_of(rail.order[(j + k) % n]), off, seg_len, &mut other);
-                rop.combine(&mut acc, &other);
-            }
-            match root_buf {
-                Some(rb) => write(rb, off, &acc),
-                None => {
-                    for b in bufs {
-                        write(*b, off, &acc);
-                    }
-                }
-            }
-        }
-    }
-    if aligned < len {
-        // Ragged tail: element-wise reduction never touches it; it keeps
-        // ring position 0's bytes, matching the profile path.
-        read(bufs[0], aligned, len - aligned, &mut acc);
-        match root_buf {
-            Some(rb) => write(rb, aligned, &acc),
-            None => {
-                for b in bufs {
-                    write(*b, aligned, &acc);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

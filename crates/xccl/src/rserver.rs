@@ -65,12 +65,12 @@
 use std::borrow::Cow;
 
 use diomp_fabric::FabricWorld;
-use diomp_sim::{Ctx, Dur, FlowId, PlatformSpec, ResourceId, SimTime};
+use diomp_sim::{FlowId, PlatformSpec};
 
-use crate::drive::{self, ChunkSend, Schedule, Segment};
+use crate::drive::{ChunkSend, Schedule, Segment};
 use crate::ll::{AutoConfig, SAFETY};
 use crate::ops::XcclOp;
-use crate::ring::{self, Rail, RingConfig};
+use crate::ring::{self, Rail};
 
 /// Finest useful split of one server's share of a rail slice, in
 /// chunks. Chunks are dealt round-robin across the live servers, so
@@ -187,7 +187,7 @@ impl ServerLayout {
 /// overlap rule), plus the pipeline fill: the intra-node chains up and
 /// down, one upload and one fan-back hop carrying a stripe chunk, and
 /// the fold step, inflated by the shared fill penalty.
-pub fn model_time_us(
+fn model_time_us(
     platform: &PlatformSpec,
     op: &XcclOp,
     nrings: usize,
@@ -266,14 +266,12 @@ pub fn crossover_bytes(
     cut
 }
 
-/// Execute the reduction-server allreduce schedule in the calling task's
-/// context, advancing virtual time to the emergent completion instant.
-/// Mirrors `ring::execute`/`dbt::execute`: per-rail payload slices,
-/// per-edge FIFO lanes, `cfg.max_inflight` chunks outstanding per lane,
-/// completions drained with the batched wait-any.
+/// Emit the reduction-server allreduce schedule over the live server
+/// set `srv` (never empty: the communicator falls back to the ring
+/// first): per-rail payload slices, per-edge FIFO lanes, client traffic
+/// on `flow` and the servers' fan-back on `srv_flow`.
 #[allow(clippy::too_many_arguments)] // one arg per schedule dimension; a struct would be ceremony
-pub(crate) fn execute(
-    ctx: &mut Ctx,
+pub(crate) fn schedule(
     world: &FabricWorld,
     rails: &[Rail],
     flow: FlowId,
@@ -281,20 +279,15 @@ pub(crate) fn execute(
     srv_flow: FlowId,
     op: XcclOp,
     len: u64,
-    cfg: RingConfig,
-) -> SimTime {
+    chunk_bytes: u64,
+    t: &ring::Tuning,
+) -> Schedule {
     debug_assert!(matches!(op, XcclOp::AllReduce { .. }), "only allreduce has a server schedule");
-    let platform = &world.platform;
-    let t = ring::tuning_for(platform, &op, rails.len());
-    ctx.delay(Dur::micros(t.launch_us));
     let n = rails.first().map_or(0, |r| r.order.len());
-    if n <= 1 || len == 0 || srv.devs.is_empty() {
-        return ctx.now();
-    }
     let health = world.health();
     let elem = op.elem_align();
     let slices = ring::split_aligned(len, rails.len(), elem);
-    let chunk_bytes = cfg.chunk_bytes.max(1);
+    let chunk_bytes = chunk_bytes.max(1);
 
     // Per-edge FIFO lane kinds, keyed by the *sending* rail position:
     // intra-node chain hops up and down, the leader's stripe uploads,
@@ -309,8 +302,8 @@ pub(crate) fn execute(
     // split is element-aligned, not uniform), so it is one repeat.
     let mut sched = Schedule::new(rails.len() * n * 4);
     let mut seg = Segment::new(1);
-    let mut emit = |(res, eff): (ResourceId, f64), lane, bytes, flow, deps: &[u32]| {
-        let send = ChunkSend { res, lane, wire: drive::wire_bytes(bytes, eff), flow };
+    let mut emit = |edge: ring::Edge, lane, bytes, flow, deps: &[u32]| {
+        let send = ChunkSend { res: edge.res, lane, wire: t.wire(edge, bytes), flow };
         seg.push(send, None, deps.iter().copied())
     };
     // The fold's inputs: every client upload of the current chunk. A
@@ -354,15 +347,8 @@ pub(crate) fn execute(
             continue;
         }
         let lane_of = |p: usize, kind: usize| (((ri * n) + p) * 4 + kind) as u32;
-        let edge = |src: usize, dst: usize| -> (ResourceId, f64) {
-            let sd = world.devs.dev(rail.order[src]);
-            let dd = world.devs.dev(rail.order[dst]);
-            if sd.loc.node == dd.loc.node {
-                (sd.port, t.intra_eff)
-            } else {
-                (sd.nic, t.inter_eff)
-            }
-        };
+        let edge =
+            |src: usize, dst: usize| ring::link(&world.devs, rail.order[src], rail.order[dst]);
         // Round-robin chunk striping (optcast's layout): chunk `c` of
         // the rail slice belongs to server `c mod ndevs`, so every
         // server's inbound chunks — and therefore its fan-back — are
@@ -407,15 +393,7 @@ pub(crate) fn execute(
         }
     }
     sched.add(seg);
-    if sched.len() == 0 {
-        return ctx.now();
-    }
-
-    // ---- progress loop (shared with the ring and DBT engines) ----
-    sched.drive(ctx, cfg.max_inflight, Dur::micros(t.step_us));
-    // Receive-side processing of the final chunk.
-    ctx.delay(Dur::micros(t.step_us));
-    ctx.now()
+    sched
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 //! schedules here finish in `⌈log2 n⌉` rounds instead: in broadcast
 //! round `k`, the `2^k` payload holders each forward to the peer `2^k`
 //! positions away; reduction mirrors the rounds in reverse. The LL
-//! engine (`crate::ll`) executes these hop lists over the simulated
-//! links with single fused payload+flag messages.
+//! generator (`crate::ll`) emits these hop lists as a schedule of single
+//! fused payload+flag messages over the simulated links.
 
 /// Number of binomial rounds needed to span `n` participants.
 pub(crate) fn rounds(n: usize) -> u32 {

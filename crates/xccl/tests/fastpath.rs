@@ -1,7 +1,7 @@
 //! Equivalence properties of the coalesced schedule drivers.
 //!
-//! The ring, DBT and reduction-server engines compile their collectives
-//! into one chunk-send normal form and drive it either with explicit
+//! The LL, ring, DBT and reduction-server generators compile their
+//! collectives into one chunk-send normal form, driven either with explicit
 //! per-chunk kernel events (the reference) or with the event-free
 //! coalesced march / closed-form phase jump (the scale-out fast paths).
 //! These tests pin the optimisation contract:
@@ -32,8 +32,8 @@ use diomp_device::{DataMode, DeviceTable};
 use diomp_fabric::{FabricWorld, ReduceOp};
 use diomp_sim::{ClusterSpec, Dur, FaultPlan, FlowId, PlatformSpec, ResourceId, Sim, Topology};
 use diomp_xccl::{
-    default_nrings, CollEngine, CommOpts, DeviceBuf, RingConfig, ServerSpec, UniqueId, XcclComm,
-    XcclOp,
+    default_nrings, AutoConfig, CollEngine, CommOpts, DeviceBuf, RingConfig, ServerSpec, UniqueId,
+    XcclComm, XcclOp,
 };
 use parking_lot::Mutex;
 
@@ -125,6 +125,11 @@ fn run_cell(cell: &Cell, forced_explicit: bool, unrolled: bool) -> (RunOut, RunC
                 CommOpts { engine, servers, ..CommOpts::default() },
             );
             flow_ids.lock()[r] = (Some(comm.flow()), comm.server_flow());
+            // `Auto` cells in this file are LL-regime cells, also on the
+            // degraded fabric a fault plan makes the boundaries retreat on.
+            if let Some((ll_cut, ..)) = comm.auto_regimes(&op) {
+                assert!(size <= ll_cut, "{size} B must sit below the LL cut ({ll_cut} B)");
+            }
             let dev = world.primary_dev(r);
             // All-gather needs n·len per buffer.
             let per = if matches!(op, XcclOp::AllGather) { nranks as u64 } else { 1 };
@@ -188,6 +193,27 @@ fn assert_equiv(label: &str, cell: &Cell) -> (RunCost, RunCost) {
         "{label}: coalesced run must replay the same scheduler cost"
     );
     (fast_cost, expl_cost)
+}
+
+/// Explicit ≡ coalesced ≡ unrolled: the cell's schedule as emitted under
+/// both drivers, then driven from its unrolling under both, must agree on
+/// the whole [`RunOut`], and on entries and coalesced count within each
+/// driver. Returns the common outcome.
+fn assert_three_way(label: &str, cell: &Cell) -> RunOut {
+    let (fast, fast_cost) = run_cell(cell, false, false);
+    let (expl, expl_cost) = run_cell(cell, true, false);
+    assert_eq!(fast, expl, "{label}: fast vs explicit");
+    assert!(fast_cost.coalesced > 0, "{label}: fast path must engage");
+    for (explicit, base, base_cost) in [(false, &fast, &fast_cost), (true, &expl, &expl_cost)] {
+        let (out, cost) = run_cell(cell, explicit, true);
+        assert_eq!(&out, base, "{label}: unrolled diverged (explicit={explicit})");
+        assert_eq!(
+            (cost.entries, cost.coalesced),
+            (base_cost.entries, base_cost.coalesced),
+            "{label}: unrolled scheduler cost (explicit={explicit})"
+        );
+    }
+    fast
 }
 
 /// Cluster shapes: single-node (all-intra edges), fat multi-node,
@@ -374,20 +400,58 @@ fn periodic_segments_match_their_unrolling_under_both_drivers() {
                     plan: plan.clone(),
                     contention: false,
                 };
-                let (fast, fast_cost) = run_cell(&cell, false, false);
-                let (expl, expl_cost) = run_cell(&cell, true, false);
-                assert_eq!(fast, expl, "{label}: periodic schedule, fast vs explicit");
-                assert!(fast_cost.coalesced > 0, "{label}: fast path must engage");
-                for (explicit, base, base_cost) in
-                    [(false, &fast, &fast_cost), (true, &expl, &expl_cost)]
-                {
-                    let (out, cost) = run_cell(&cell, explicit, true);
-                    assert_eq!(&out, base, "{label}: unrolled diverged (explicit={explicit})");
-                    assert_eq!(
-                        (cost.entries, cost.coalesced),
-                        (base_cost.entries, base_cost.coalesced),
-                        "{label}: unrolled scheduler cost (explicit={explicit})"
-                    );
+                assert_three_way(&label, &cell);
+            }
+        }
+    }
+}
+
+/// LL is a generator like the others: its fused sends run under the
+/// explicit driver, the coalesced march and (trivially — the hop list is
+/// one repeat) the unrolling with the same end time, link watermarks and
+/// flow statistics, with and without a fault plan. Shapes: A with a NIC
+/// per GPU, B with two GCDs behind each NIC (ready-time order on a shared
+/// link is the drivers' to agree on), C with every hop across nodes.
+#[test]
+fn ll_regime_matches_explicit_and_unrolled_on_every_platform() {
+    let shapes = [
+        (PlatformSpec::platform_a(), 2, 4),
+        (PlatformSpec::platform_b(), 2, 8),
+        (PlatformSpec::platform_c(), 6, 1),
+    ];
+    // Small enough to stay below the LL cut of these few-device shapes.
+    let size = 2 << 10;
+    for (platform, nodes, per_node) in shapes {
+        let ac = AutoConfig::for_platform(&platform);
+        let plans =
+            [FaultPlan::new(), random_plan(11, &platform, (nodes, per_node), Dur::millis(400.0))];
+        for (op, otag) in [
+            (XcclOp::Broadcast { root: 1 }, "bcast"),
+            (XcclOp::Reduce { root: 0, op: ReduceOp::SumF64 }, "reduce"),
+            (XcclOp::AllReduce { op: ReduceOp::SumF32 }, "allred"),
+        ] {
+            for (pi, plan) in plans.iter().enumerate() {
+                let label = format!("{}/ll/{otag}/plan{pi}", platform.name);
+                let cell = Cell {
+                    platform: platform.clone(),
+                    nodes,
+                    per_node,
+                    engine: CollEngine::Auto(ac),
+                    servers: ServerSpec::tail(0),
+                    op,
+                    size,
+                    plan: plan.clone(),
+                    contention: false,
+                };
+                let out = assert_three_way(&label, &cell);
+                // LL traffic is the communicator's traffic: on C every
+                // hop of the 5-hop broadcast tree crosses nodes at the
+                // conduit's wire efficiency, and the launching rank's
+                // flow saw all of it, both calls.
+                if per_node == 1 && otag == "bcast" {
+                    let wire = (size as f64 * 1000.0 / f64::from(ac.wire_eff_milli)).ceil() as u64;
+                    let charged: u64 = out.flows.iter().map(|f| f.0).sum();
+                    assert_eq!(charged, 2 * 5 * wire, "{label}: flow bytes = schedule wire bytes");
                 }
             }
         }
