@@ -114,14 +114,12 @@ pub fn group_merge(
     b: &DiompGroup,
     my_rank: usize,
 ) -> DiompGroup {
-    assert!(
-        a.index_of(my_rank).is_some() || b.index_of(my_rank).is_some(),
-        "rank {my_rank} is in neither group"
-    );
     let mut ranks = a.ranks.clone();
     ranks.extend_from_slice(&b.ranks);
     let merged = registry.get_or_create(ranks);
+    let idx =
+        merged.index_of(my_rank).unwrap_or_else(|| panic!("rank {my_rank} is in neither group"));
     // Synchronise the union before first use.
-    merged.barrier.arrive_and_wait(ctx);
+    merged.barrier.arrive_and_wait(ctx, idx);
     merged
 }

@@ -52,10 +52,7 @@ impl DiompRank {
             dst_delta + len <= dst.len && src_delta + len <= src.len,
             "put_notify out of bounds"
         );
-        assert!(
-            self.shared.cfg.conduit == Conduit::Gpi2,
-            "put_notify requires the GPI-2 conduit (DiompConfigBuilder::with_conduit)"
-        );
+        self.require_gpi2("put_notify");
         let s = self.shared.clone();
         let src_flat = self.primary();
         let dst_flat = s.world.devices_of(target).start;

@@ -146,30 +146,39 @@ impl DiompRank {
                 }
             }
             Placement::InterNode => {
-                let dst_rank = w.rank_of_dev(dst_flat);
                 let pipe = s.cfg.pipeline;
                 match s.cfg.conduit {
                     Conduit::GasnetEx => {
-                        if pipe.pipelines(len) {
-                            self.put_gasnet_pipelined(
-                                ctx, src_flat, src_off, dst_flat, dst_off, len,
-                            )?;
+                        if pipe.pipelines(len)
+                            && gasnet::put_capped(w, true, pipe.chunk_bytes.min(len))
+                        {
+                            // The direct device-source path is
+                            // bandwidth-capped (the documented Fig. 4a
+                            // anomaly): bounce the chunks through host
+                            // memory, which the cap does not affect.
+                            self.put_gasnet_staged(ctx, src_flat, src_off, dst_flat, dst_off, len)?;
                         } else {
-                            let hdl = gasnet::put_nb(
-                                ctx,
-                                w,
-                                self.rank,
-                                Loc::dev(src_flat, s.seg_base[src_flat] + src_off),
-                                s.seg[dst_flat],
-                                dst_off,
-                                len,
-                            )?;
-                            // Fence drains both: local completion (source
-                            // buffer reuse) and the remote ack.
-                            self.track(hdl.local);
-                            self.track(hdl.remote);
+                            // Each chunk (the whole message, unpipelined)
+                            // is its own `gex_RMA_PutNB` straight from
+                            // device memory (GPUDirect). The NIC pipelines
+                            // the injections; per-chunk initiator overhead
+                            // hides under the wire time.
+                            for (coff, clen) in pipe.chunks(len) {
+                                let hdl = gasnet::put_nb(
+                                    ctx,
+                                    w,
+                                    self.rank,
+                                    Loc::dev(src_flat, s.seg_base[src_flat] + src_off + coff),
+                                    s.seg[dst_flat],
+                                    dst_off + coff,
+                                    clen,
+                                )?;
+                                // Fence drains both: local completion
+                                // (source buffer reuse) and the remote ack.
+                                self.track(hdl.local);
+                                self.track(hdl.remote);
+                            }
                         }
-                        let _ = dst_rank;
                     }
                     Conduit::Gpi2 => {
                         // Chunk completions round-robin across the
@@ -268,7 +277,7 @@ impl DiompRank {
                             // per chunk; the requests pipeline on the wire
                             // and the fence drains all completions at once.
                             for (coff, clen) in pipe.chunks(len) {
-                                let ev = gasnet::get_nb(
+                                let (ev, _) = gasnet::get_nb(
                                     ctx,
                                     w,
                                     self.rank,
@@ -309,24 +318,29 @@ impl DiompRank {
         Ok(())
     }
 
-    /// Chunked inter-node put over GASNet-EX (paper §3.2: overlapping
-    /// device-side copies with conduit transfers).
-    ///
-    /// Two regimes:
-    ///
-    /// * **Direct** — each chunk is its own `gex_RMA_PutNB` straight from
-    ///   device memory (GPUDirect). The NIC pipelines the injections;
-    ///   per-chunk initiator overhead hides under the wire time.
-    /// * **Host-staged** — when the direct device-source path is
-    ///   bandwidth-capped (the documented Platform A Fig. 4a anomaly,
-    ///   [`gasnet::put_capped`]), chunks bounce D2H into a bounded ring of
-    ///   host staging buffers and inject from host memory, which the cap
-    ///   does not affect. Chunk `k+1`'s D2H copy overlaps chunk `k`'s
-    ///   in-flight network transfer; the D2H copies are threaded through
-    ///   the source device's bounded stream pool, and `max_inflight`
-    ///   staging slots bound the look-ahead (a slot is reused only after
-    ///   its previous put reports local completion, `GEX_EVENT_LC`).
-    fn put_gasnet_pipelined(
+    /// The bounded ring of host staging buffers a staged transfer bounces
+    /// its chunks through: `max_inflight` slots of `chunk_bytes`, backed
+    /// only when the run carries bytes.
+    fn staging_ring(&self) -> Vec<diomp_device::HostBuf> {
+        use diomp_device::{DataMode, HostBuf};
+        let pipe = self.shared.cfg.pipeline;
+        let functional = self.shared.world.devs.mode == DataMode::Functional;
+        let slot = if functional { HostBuf::zeroed } else { HostBuf::phantom };
+        (0..pipe.max_inflight.max(1)).map(|_| slot(pipe.chunk_bytes)).collect()
+    }
+
+    /// Chunked inter-node put over GASNet-EX, staged through host memory
+    /// (paper §3.2: overlapping device-side copies with conduit
+    /// transfers) — the regime for a direct device-source path that is
+    /// bandwidth-capped (the documented Platform A Fig. 4a anomaly,
+    /// [`gasnet::put_capped`]). Chunks bounce D2H into a bounded ring of
+    /// host staging buffers and inject from host memory, which the cap
+    /// does not affect. Chunk `k+1`'s D2H copy overlaps chunk `k`'s
+    /// in-flight network transfer; the D2H copies are threaded through
+    /// the source device's bounded stream pool, and `max_inflight`
+    /// staging slots bound the look-ahead (a slot is reused only after
+    /// its previous put reports local completion, `GEX_EVENT_LC`).
+    fn put_gasnet_staged(
         &mut self,
         ctx: &mut Ctx,
         src_flat: usize,
@@ -339,36 +353,9 @@ impl DiompRank {
         let w = &s.world;
         let pipe = s.cfg.pipeline;
         let src_base = s.seg_base[src_flat] + src_off;
-        let staged = gasnet::put_capped(w, true, pipe.chunk_bytes.min(len));
-        if !staged {
-            for (coff, clen) in pipe.chunks(len) {
-                let hdl = gasnet::put_nb(
-                    ctx,
-                    w,
-                    self.rank,
-                    Loc::dev(src_flat, src_base + coff),
-                    s.seg[dst_flat],
-                    dst_off + coff,
-                    clen,
-                )?;
-                self.track(hdl.local);
-                self.track(hdl.remote);
-            }
-            return Ok(());
-        }
-
         let dev = w.devs.dev(src_flat).clone();
-        let functional = w.devs.mode == diomp_device::DataMode::Functional;
-        let nslots = pipe.max_inflight.max(1);
-        let bufs: Vec<diomp_device::HostBuf> = (0..nslots)
-            .map(|_| {
-                if functional {
-                    diomp_device::HostBuf::zeroed(pipe.chunk_bytes)
-                } else {
-                    diomp_device::HostBuf::phantom(pipe.chunk_bytes)
-                }
-            })
-            .collect();
+        let bufs = self.staging_ring();
+        let nslots = bufs.len();
         let mut slot_local: Vec<Option<diomp_sim::EventId>> = vec![None; nslots];
         for (k, (coff, clen)) in pipe.chunks(len).enumerate() {
             let slot = k % nslots;
@@ -404,15 +391,14 @@ impl DiompRank {
     }
 
     /// Chunked inter-node get staged through host bounce buffers — the
-    /// get-side counterpart of [`Self::put_gasnet_pipelined`]'s staged
-    /// regime, used on host-capped platforms (where the documented
+    /// get-side counterpart of [`Self::put_gasnet_staged`], used on host-capped platforms (where the documented
     /// Fig. 4a driver issue makes the direct device DMA path the fragile
     /// one) under a pipelining config such as the autotuner's.
     ///
     /// Non-blocking like every other get path: each chunk lands in one
     /// of `max_inflight` host bounce buffers via `gex_RMA_GetNB`, and
     /// its H2D upload is *scheduled at the chunk's modelled arrival
-    /// instant* ([`gasnet::get_nb_timed`] guarantees the upload's
+    /// instant* ([`gasnet::get_nb`] guarantees the upload's
     /// snapshot runs after the deposit), so uploads overlap later
     /// chunks' wire time without ever synchronising the issuing task —
     /// it returns immediately and `ompx_fence` drains both the chunk
@@ -439,31 +425,15 @@ impl DiompRank {
         let w = &s.world;
         let pipe = s.cfg.pipeline;
         let dev = w.devs.dev(local_flat).clone();
-        let functional = w.devs.mode == diomp_device::DataMode::Functional;
         let dst_base = s.seg_base[local_flat] + local_off;
         // Pre-check the device destination range once, so the scheduled
         // upload actions can rely on bounds like every other deposit.
-        if dst_base + len > dev.mem.capacity() {
-            return Err(diomp_device::MemError::OutOfBounds {
-                offset: dst_base,
-                len,
-                capacity: dev.mem.capacity(),
-            }
-            .into());
-        }
-        let nslots = pipe.max_inflight.max(1);
-        let bufs: Vec<diomp_device::HostBuf> = (0..nslots)
-            .map(|_| {
-                if functional {
-                    diomp_device::HostBuf::zeroed(pipe.chunk_bytes)
-                } else {
-                    diomp_device::HostBuf::phantom(pipe.chunk_bytes)
-                }
-            })
-            .collect();
+        Loc::dev(local_flat, dst_base).check(&w.devs, len)?;
+        let bufs = self.staging_ring();
+        let nslots = bufs.len();
         for (k, (coff, clen)) in pipe.chunks(len).enumerate() {
             let slot = k % nslots;
-            let (arrival_ev, arrive) = gasnet::get_nb_timed(
+            let (arrival_ev, arrive) = gasnet::get_nb(
                 ctx,
                 w,
                 self.rank,
@@ -543,7 +513,7 @@ impl DiompRank {
         }
         // Stage 1: fetch the wrapper (8 bytes) from the remote segment.
         let staging = diomp_device::HostBuf::zeroed(8);
-        let ev = gasnet::get_nb(
+        let (ev, _) = gasnet::get_nb(
             ctx,
             &s.world,
             self.rank,

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use diomp_device::DeviceTable;
-use diomp_fabric::{ExchangeDomain, FabricWorld, SegmentId, SegmentMem};
+use diomp_fabric::{ExchangeDomain, FabricWorld, SegmentId};
 use diomp_sim::{Ctx, Dur, EventId, Sim, SimError, SimReport, Topology};
 use parking_lot::Mutex;
 
@@ -103,9 +103,8 @@ impl DiompRuntime {
                 let id = world
                     .attach_device_segment(r, d, cfg.heap_bytes)
                     .expect("device too small for the configured global heap");
-                let SegmentMem::Device { base, .. } = world.segment(id).mem;
                 seg.push(id);
-                seg_base.push(base);
+                seg_base.push(world.segment(id).base);
             }
         }
         if cfg.use_p2p {

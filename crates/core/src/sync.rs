@@ -37,17 +37,35 @@ impl std::error::Error for FenceTimeout {}
 
 impl DiompRank {
     /// `ompx_fence`: block until every RMA operation this rank initiated
-    /// is remotely complete.
+    /// is remotely complete — [`DiompRank::fence_with`] under
+    /// [`Wait::Block`], which cannot time out.
+    pub fn fence(&mut self, ctx: &mut Ctx) {
+        self.fence_with(ctx, Wait::Block).expect("a blocking fence cannot time out");
+    }
+
+    /// `ompx_fence` with an explicit wait discipline: [`Wait::Block`]
+    /// blocks until everything is complete; [`Wait::Until`] drains what
+    /// completes before the virtual-time deadline, and on timeout
+    /// reports *which* work is done and which is still in flight
+    /// instead of blocking forever on a degraded fabric.
     ///
     /// This is the paper's *hybrid event polling*: the runtime
     /// simultaneously drains network completions (GASNet-EX events or
     /// GPI-2 queues) and device-side stream events in one unified loop,
     /// so neither source of completion stalls the other. In the
-    /// simulation the unified loop is realised by waiting on the merged
+    /// simulation the unified loop is realised by draining the merged
     /// pending-event list (network events and stream-tail events are the
-    /// same [`diomp_sim::EventId`] currency) and then settling the
+    /// same [`diomp_sim::EventId`] currency) with one [`Ctx::drain`] —
+    /// one wait group over the whole set, so the task parks once and the
+    /// completion that empties the set wakes it — and then settling the
     /// device stream horizon.
-    pub fn fence(&mut self, ctx: &mut Ctx) {
+    ///
+    /// On `Err` the returned [`FenceTimeout`] carries the partial state; the
+    /// in-flight completions stay fence-tracked, so callers can consult
+    /// the health vector, shed load, and fence again — the classic GASPI
+    /// timeout-poll loop. The device stream horizon is only settled on
+    /// success (it cannot be partially waited).
+    pub fn fence_with(&mut self, ctx: &mut Ctx, wait: Wait) -> Result<(), FenceTimeout> {
         // Network + stream events, in arrival order. GPI-2 additionally
         // tracks completions on its queues rather than per-op events;
         // *every* queue is drained, not just queue 0.
@@ -55,75 +73,29 @@ impl DiompRank {
         if self.shared.cfg.conduit == Conduit::Gpi2 {
             pending.extend(diomp_fabric::gpi::take_pending_all(&self.shared.world, self.rank));
         }
-        // One wait group over the whole pending set: the task parks
-        // once and the completion that empties the set wakes it.
-        ctx.wait_all_free(&pending);
+        if let Err((t, in_flight)) = ctx.drain(&pending, wait) {
+            self.shared.pending[self.rank].lock().extend(in_flight.iter().copied());
+            let completed = pending.len() - in_flight.len();
+            return Err(FenceTimeout { at: t.at, completed, in_flight });
+        }
         // Device horizon: all streams the RMA path touched.
         for d in self.my_devices() {
             let tail = self.shared.world.devs.dev(d).pool.lock().max_tail();
             ctx.sleep_until(tail);
         }
-    }
-
-    /// `ompx_fence` with an explicit wait discipline: [`Wait::Block`]
-    /// is exactly [`DiompRank::fence`]; [`Wait::Until`] drains what
-    /// completes before the virtual-time deadline, and on timeout
-    /// reports *which* work is done and which is still in flight
-    /// instead of blocking forever on a degraded fabric.
-    ///
-    /// On `Ok` the fence is complete exactly as [`DiompRank::fence`]. On
-    /// `Err` the returned [`FenceTimeout`] carries the partial state; the
-    /// in-flight completions stay fence-tracked, so callers can consult
-    /// the health vector, shed load, and fence again — the classic GASPI
-    /// timeout-poll loop. The device stream horizon is only settled on
-    /// success (it cannot be partially waited).
-    pub fn fence_with(&mut self, ctx: &mut Ctx, wait: Wait) -> Result<(), FenceTimeout> {
-        if matches!(wait, Wait::Block) {
-            self.fence(ctx);
-            return Ok(());
-        }
-        let mut pending = std::mem::take(&mut *self.shared.pending[self.rank].lock());
-        if self.shared.cfg.conduit == Conduit::Gpi2 {
-            pending.extend(diomp_fabric::gpi::take_pending_all(&self.shared.world, self.rank));
-        }
-        match ctx.wait_all_with(&pending, wait) {
-            Ok(()) => {
-                for ev in pending {
-                    ctx.handle().free_event(ev);
-                }
-                for d in self.my_devices() {
-                    let tail = self.shared.world.devs.dev(d).pool.lock().max_tail();
-                    ctx.sleep_until(tail);
-                }
-                Ok(())
-            }
-            Err(t) => {
-                let mut completed = 0;
-                let mut in_flight = Vec::new();
-                for ev in pending {
-                    if ctx.handle().event_done(ev) {
-                        ctx.handle().free_event(ev);
-                        completed += 1;
-                    } else {
-                        in_flight.push(ev);
-                    }
-                }
-                self.shared.pending[self.rank].lock().extend(in_flight.iter().copied());
-                Err(FenceTimeout { at: t.at, completed, in_flight })
-            }
-        }
+        Ok(())
     }
 
     /// `ompx_barrier()`: world barrier.
     pub fn barrier(&mut self, ctx: &mut Ctx) {
-        self.shared.world.barrier.arrive_and_wait(ctx);
+        self.shared.world.barrier.arrive_and_wait(ctx, self.rank);
     }
 
     /// `ompx_barrier(group)`: barrier scoped to a DiOMP group, avoiding
     /// unnecessary global synchronisation (paper §3.3).
     pub fn barrier_group(&mut self, ctx: &mut Ctx, group: &DiompGroup) {
-        assert!(group.index_of(self.rank).is_some(), "rank not in group");
-        group.barrier.arrive_and_wait(ctx);
+        let idx = group.index_of(self.rank).expect("rank not in group");
+        group.barrier.arrive_and_wait(ctx, idx);
     }
 
     /// `ompx_fence(group)`: local fence plus a group barrier — after it

@@ -6,72 +6,35 @@
 //! same object backs `MPI_Barrier`, GASNet barriers and the group-scoped
 //! `ompx_barrier` of the DiOMP runtime.
 
-use std::collections::VecDeque;
+use diomp_sim::{Ctx, Dur, Wait};
 
-use diomp_sim::{Ctx, Dur, EventId};
-use parking_lot::Mutex;
+use crate::rendezvous::{after_hops, log2_ceil, Rendezvous};
 
-struct Episode {
-    ev: EventId,
-    arrived: usize,
-    /// Participants still inside `arrive_and_wait` (for event recycling).
-    inside: usize,
-}
-
-/// A reusable barrier for `n` participants.
-///
-/// Episodes are queued: a fast participant may re-enter the barrier (the
-/// next episode) while slow participants are still leaving the previous
-/// one — exactly what back-to-back barriers in an application do.
+/// A reusable barrier for `n` participants: a [`Rendezvous`] with no
+/// payload whose completion rule is the hop latency.
 pub struct BarrierDomain {
     n: usize,
     hop: Dur,
-    episodes: Mutex<VecDeque<Episode>>,
+    meet: Rendezvous<(), ()>,
 }
 
 impl BarrierDomain {
     /// Barrier over `n` participants with per-hop latency `hop`.
     pub fn new(n: usize, hop: Dur) -> Self {
-        assert!(n >= 1);
-        BarrierDomain { n, hop, episodes: Mutex::new(VecDeque::new()) }
+        BarrierDomain { n, hop, meet: Rendezvous::new(n) }
     }
 
-    /// Number of participants.
-    pub fn size(&self) -> usize {
-        self.n
-    }
-
-    /// Enter the barrier and block until all `n` participants have
-    /// entered (plus the modelled ⌈log2 n⌉ hop fan-in/fan-out latency).
-    pub fn arrive_and_wait(&self, ctx: &mut Ctx) {
+    /// Enter the barrier as participant `idx` and block until all `n`
+    /// participants have entered (plus the modelled ⌈log2 n⌉ hop
+    /// fan-in/fan-out latency).
+    pub fn arrive_and_wait(&self, ctx: &mut Ctx, idx: usize) {
         if self.n == 1 {
             return;
         }
-        let ev = {
-            let mut eps = self.episodes.lock();
-            let needs_new = eps.back().map(|e| e.arrived == self.n).unwrap_or(true);
-            if needs_new {
-                eps.push_back(Episode { ev: ctx.new_event(), arrived: 0, inside: 0 });
-            }
-            let ep = eps.back_mut().unwrap();
-            ep.arrived += 1;
-            ep.inside += 1;
-            let ev = ep.ev;
-            if ep.arrived == self.n {
-                let hops = usize::BITS - (self.n - 1).leading_zeros(); // ⌈log2 n⌉
-                let done = ctx.now() + Dur::nanos(self.hop.as_nanos() * hops as u64);
-                ctx.complete_at(ev, done);
-            }
-            ev
-        };
-        ctx.wait(ev);
-        let mut eps = self.episodes.lock();
-        let pos = eps.iter().position(|e| e.ev == ev).expect("barrier episode vanished");
-        eps[pos].inside -= 1;
-        if eps[pos].inside == 0 {
-            let done = eps.remove(pos).unwrap();
-            ctx.free_event(done.ev);
-        }
+        let rule = |ctx: &mut Ctx, _| (after_hops(ctx, self.hop, log2_ceil(self.n)), ());
+        self.meet
+            .arrive(ctx, idx, (), Wait::Block, |_| false, rule)
+            .expect("a blocking arrival cannot time out");
     }
 }
 
@@ -89,7 +52,7 @@ mod tests {
             let bar = bar.clone();
             sim.spawn(format!("r{r}"), move |ctx| {
                 ctx.delay(Dur::micros(r as f64 * 10.0));
-                bar.arrive_and_wait(ctx);
+                bar.arrive_and_wait(ctx, r as usize);
                 // Last arrival at 30 µs; ⌈log2 4⌉ = 2 hops of 1 µs.
                 assert_eq!(ctx.now(), SimTime(32_000));
             });
@@ -106,7 +69,7 @@ mod tests {
             sim.spawn(format!("r{r}"), move |ctx| {
                 for round in 0..5u64 {
                     ctx.delay(Dur::micros((r + 1) as f64));
-                    bar.arrive_and_wait(ctx);
+                    bar.arrive_and_wait(ctx, r as usize);
                     let _ = round;
                 }
             });
@@ -119,7 +82,7 @@ mod tests {
         let mut sim = Sim::new();
         let bar = Arc::new(BarrierDomain::new(1, Dur::micros(1.0)));
         sim.spawn("solo", move |ctx| {
-            bar.arrive_and_wait(ctx);
+            bar.arrive_and_wait(ctx, 0);
             assert_eq!(ctx.now(), SimTime::ZERO);
         });
         sim.run().unwrap();
@@ -134,7 +97,7 @@ mod tests {
             let bar = bar.clone();
             sim.spawn(format!("r{r}"), move |ctx| {
                 for _ in 0..100 {
-                    bar.arrive_and_wait(ctx);
+                    bar.arrive_and_wait(ctx, r);
                 }
             });
         }

@@ -6,72 +6,33 @@
 //! the XCCL UniqueId (paper §3.3: "identifiers are broadcast across
 //! processes via a CPU-side communication mechanism").
 
-use std::collections::VecDeque;
+use diomp_sim::{Ctx, Dur, Wait};
 
-use diomp_sim::{Ctx, Dur, EventId};
-use parking_lot::Mutex;
+use crate::rendezvous::{after_hops, log2_ceil, Rendezvous};
 
-struct Episode<T> {
-    ev: EventId,
-    slots: Vec<Option<T>>,
-    arrived: usize,
-    inside: usize,
-}
-
-/// A reusable all-gather over `n` participants.
+/// A reusable all-gather over `n` participants: a [`Rendezvous`] whose
+/// completion rule hands every participant all the contributions.
 pub struct ExchangeDomain<T> {
     n: usize,
     hop: Dur,
-    episodes: Mutex<VecDeque<Episode<T>>>,
+    meet: Rendezvous<T, Vec<T>>,
 }
 
 impl<T: Clone + Send> ExchangeDomain<T> {
     /// Domain over `n` participants with per-hop latency `hop`.
     pub fn new(n: usize, hop: Dur) -> Self {
-        assert!(n >= 1);
-        ExchangeDomain { n, hop, episodes: Mutex::new(VecDeque::new()) }
+        ExchangeDomain { n, hop, meet: Rendezvous::new(n) }
     }
 
     /// Contribute `value` as participant `idx`; blocks until every
     /// participant of this episode contributed, then returns all values in
-    /// participant order.
+    /// participant order. Even a single participant pays one hop.
     pub fn exchange(&self, ctx: &mut Ctx, idx: usize, value: T) -> Vec<T> {
-        assert!(idx < self.n);
-        let ev = {
-            let mut eps = self.episodes.lock();
-            // Join the newest incomplete episode, or open a fresh one.
-            let needs_new = eps.back().map(|e| e.arrived == self.n).unwrap_or(true);
-            if needs_new {
-                eps.push_back(Episode {
-                    ev: ctx.new_event(),
-                    slots: vec![None; self.n],
-                    arrived: 0,
-                    inside: 0,
-                });
-            }
-            let ep = eps.back_mut().unwrap();
-            assert!(ep.slots[idx].is_none(), "participant {idx} contributed twice");
-            ep.slots[idx] = Some(value);
-            ep.arrived += 1;
-            ep.inside += 1;
-            if ep.arrived == self.n {
-                let hops = usize::BITS - (self.n - 1).leading_zeros();
-                let done = ctx.now() + Dur::nanos(self.hop.as_nanos() * hops.max(1) as u64);
-                ctx.complete_at(ep.ev, done);
-            }
-            ep.ev
-        };
-        ctx.wait(ev);
-        let mut eps = self.episodes.lock();
-        let pos = eps.iter().position(|e| e.ev == ev).expect("episode vanished");
-        let result: Vec<T> =
-            eps[pos].slots.iter().map(|s| s.clone().expect("missing contribution")).collect();
-        eps[pos].inside -= 1;
-        if eps[pos].inside == 0 {
-            let done = eps.remove(pos).unwrap();
-            ctx.free_event(done.ev);
-        }
-        result
+        let hops = log2_ceil(self.n).max(1);
+        let rule = |ctx: &mut Ctx, all| (after_hops(ctx, self.hop, hops), all);
+        self.meet
+            .arrive(ctx, idx, value, Wait::Block, |_| false, rule)
+            .expect("a blocking arrival cannot time out")
     }
 }
 

@@ -13,12 +13,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use diomp_device::MemError;
-use diomp_sim::{Ctx, Dur, EventId, SimHandle};
+use diomp_sim::{Ctx, Dur, EventId, SimHandle, SimTime};
 use parking_lot::Mutex;
 
 use crate::loc::Loc;
-use crate::path::{control_msg, raw_path, End};
+use crate::path::{raw_path, End};
 use crate::segment::SegmentId;
+use crate::wire::{self, Price};
 use crate::world::FabricWorld;
 
 /// Completion events of a non-blocking Put.
@@ -29,13 +30,6 @@ pub struct PutHandle {
     /// Data visible at the target and acknowledged (what `ompx_fence`
     /// waits for).
     pub remote: EventId,
-}
-
-fn ends(world: &FabricWorld, rank: usize, loc: &Loc) -> End {
-    match loc.dev_flat() {
-        Some(f) => End::Dev(f),
-        None => End::Node(world.node_of(rank)),
-    }
 }
 
 fn initiator_overhead(world: &FabricWorld, src: &Loc, dst: &Loc, base_us: f64) -> Dur {
@@ -63,12 +57,12 @@ fn anomaly_eff(world: &FabricWorld, inter_node: bool, len: u64) -> Option<f64> {
     }
 }
 
-/// Effective wire efficiency for a device Put, applying the documented
-/// Platform A hardware/driver anomaly (Fig. 4a) for inter-node device
-/// sources.
-fn put_eff(world: &FabricWorld, src_end: End, dst_end: End, inter_node: bool, len: u64) -> f64 {
+/// Effective wire efficiency for a Put, applying the documented
+/// Platform A hardware/driver anomaly (Fig. 4a) for inter-node
+/// device-to-device transfers.
+fn put_eff(world: &FabricWorld, src: &Loc, dst: &Loc, inter_node: bool, len: u64) -> f64 {
     let g = &world.platform.gasnet;
-    let device_src = matches!(src_end, End::Dev(_)) && matches!(dst_end, End::Dev(_));
+    let device_src = src.dev_flat().is_some() && dst.dev_flat().is_some();
     match anomaly_eff(world, inter_node, len) {
         Some(cap_eff) if device_src => g.eff.min(cap_eff),
         _ => g.eff,
@@ -98,40 +92,29 @@ pub fn put_nb(
     dst_off: u64,
     len: u64,
 ) -> Result<PutHandle, MemError> {
-    let seg = world.segment(dst);
-    let dst_loc = seg.loc(dst_off);
-    src.check(&world.devs, len)?;
-    dst_loc.check(&world.devs, len)?;
-
-    // Initiator-side conduit software (serialises on the calling thread,
-    // bounding the achievable message rate).
-    ctx.delay(initiator_overhead(world, &src, &dst_loc, world.platform.gasnet.put_o_us));
-
-    let src_end = ends(world, src_rank, &src);
-    let dst_end = ends(world, dst.rank, &dst_loc);
+    let dst_loc = world.segment(dst).range(dst_off, len)?;
     let inter = world.node_of(src_rank) != world.node_of(dst.rank);
-    let eff = put_eff(world, src_end, dst_end, inter, len);
-
-    let snapshot = src.snapshot(&world.devs, len)?;
+    let price = Price {
+        overhead: initiator_overhead(world, &src, &dst_loc, world.platform.gasnet.put_o_us),
+        eff: put_eff(world, &src, &dst_loc, inter, len),
+    };
+    let wrote = wire::write(ctx, world, (src_rank, src), (dst.rank, dst_loc), len, price)?;
     let h = ctx.handle();
-    let times = raw_path(h, &world.devs, src_end, dst_end, ctx.now(), len, eff);
-
-    if let Some(bytes) = snapshot {
-        let devs = world.devs.clone();
-        h.schedule_at(times.arrive, move |_| dst_loc.deposit(&devs, &bytes));
-    }
-
     let local = h.new_event();
-    h.complete_at(local, times.depart);
+    h.complete_at(local, wrote.depart);
     let remote = h.new_event();
-    let ack = control_msg(h, &world.devs, dst_end, src_end, times.arrive);
-    h.complete_at(remote, ack);
+    h.complete_at(remote, wrote.acked);
     Ok(PutHandle { local, remote })
 }
 
 /// Non-blocking one-sided Get of `len` bytes from a remote segment into a
 /// local buffer (`gex_RMA_GetNB`). The returned event completes when the
-/// data has landed locally.
+/// data has landed locally, at the returned modelled arrival instant —
+/// so staged pipelines can schedule follow-on work (e.g. an H2D upload
+/// out of a bounce buffer) *at* the moment the chunk lands, without
+/// synchronising the issuing task on the arrival. Actions scheduled at
+/// that instant after this call run strictly after the deposit (same
+/// instant, later sequence number).
 pub fn get_nb(
     ctx: &mut Ctx,
     world: &Arc<FabricWorld>,
@@ -140,73 +123,16 @@ pub fn get_nb(
     src: SegmentId,
     src_off: u64,
     len: u64,
-) -> Result<EventId, MemError> {
-    get_nb_timed(ctx, world, rank, dst, src, src_off, len).map(|(ev, _)| ev)
-}
-
-/// Like [`get_nb`] but also returns the modelled arrival instant, so
-/// staged pipelines can schedule follow-on work (e.g. an H2D upload out
-/// of a bounce buffer) *at* the moment the chunk lands — without
-/// synchronising the issuing task on the arrival. Actions scheduled at
-/// the returned time after this call run strictly after the deposit
-/// (same instant, later sequence number).
-pub fn get_nb_timed(
-    ctx: &mut Ctx,
-    world: &Arc<FabricWorld>,
-    rank: usize,
-    dst: Loc,
-    src: SegmentId,
-    src_off: u64,
-    len: u64,
-) -> Result<(EventId, diomp_sim::SimTime), MemError> {
-    let seg = world.segment(src);
-    let src_loc = seg.loc(src_off);
-    dst.check(&world.devs, len)?;
-    src_loc.check(&world.devs, len)?;
-
-    ctx.delay(initiator_overhead(world, &src_loc, &dst, world.platform.gasnet.get_o_us));
-
-    let local_end = ends(world, rank, &dst);
-    let remote_end = ends(world, src.rank, &src_loc);
-    let h = ctx.handle().clone();
-    // Request travels to the data owner's NIC...
-    let req_arrive = control_msg(&h, &world.devs, local_end, remote_end, ctx.now());
-    // ...which streams the payload back without target-CPU involvement.
-    let eff = world.platform.gasnet.eff;
-    let times = raw_path(&h, &world.devs, remote_end, local_end, req_arrive, len, eff);
-
-    // Snapshot at the remote read time for causal correctness: the bytes
-    // leave the owner when the NIC reads them, i.e. at transfer start.
-    // Both stages are scheduled *now*, in order, so the deposit's
-    // sequence number precedes any action a caller schedules at the
-    // arrival instant after this returns — the ordering `get_nb_timed`
-    // documents. CostOnly runs carry no bytes at all: no actions are
-    // scheduled, keeping scheduler entries free of pure bookkeeping.
-    let ev = h.new_event();
-    if world.devs.mode == diomp_device::DataMode::Functional {
-        let devs = world.devs.clone();
-        let in_flight: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
-        let fill = in_flight.clone();
-        let devs2 = devs.clone();
-        h.schedule_at(times.start_or_arrive().0, move |_| {
-            *fill.lock() = src_loc.snapshot(&devs2, len).expect("bounds pre-checked");
-        });
-        h.schedule_at(times.arrive, move |_| {
-            if let Some(bytes) = in_flight.lock().take() {
-                dst.deposit(&devs, &bytes);
-            }
-        });
-    }
-    h.complete_at(ev, times.arrive);
-    Ok((ev, times.arrive))
-}
-
-impl crate::path::PathTimes {
-    /// `(start-of-wire, arrival)` pair — the snapshot and deposit instants
-    /// of a one-sided read.
-    pub fn start_or_arrive(&self) -> (diomp_sim::SimTime, diomp_sim::SimTime) {
-        (self.depart, self.arrive)
-    }
+) -> Result<(EventId, SimTime), MemError> {
+    let src_loc = world.segment(src).range(src_off, len)?;
+    let price = Price {
+        overhead: initiator_overhead(world, &src_loc, &dst, world.platform.gasnet.get_o_us),
+        eff: world.platform.gasnet.eff,
+    };
+    let arrive = wire::read(ctx, world, (rank, dst), (src.rank, src_loc), len, price)?;
+    let ev = ctx.new_event();
+    ctx.complete_at(ev, arrive);
+    Ok((ev, arrive))
 }
 
 /// Blocking Put: initiate and wait for remote completion.
@@ -235,7 +161,7 @@ pub fn get_blocking(
     src_off: u64,
     len: u64,
 ) -> Result<(), MemError> {
-    let ev = get_nb(ctx, world, rank, dst, src, src_off, len)?;
+    let (ev, _) = get_nb(ctx, world, rank, dst, src, src_off, len)?;
     ctx.wait_free(ev);
     Ok(())
 }

@@ -61,13 +61,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use diomp_sim::{fault_key, BoardId, CtrlFault, Ctx, Dur, EventId, SimHandle, Wait};
+use diomp_sim::{fault_key, BoardId, CtrlFault, Ctx, Dur, EventId, SimHandle, SimTime, Wait};
 use parking_lot::Mutex;
 
 use crate::error::FabricError;
 use crate::loc::Loc;
-use crate::path::{control_msg, raw_path, End};
+use crate::path::{control_msg, End};
 use crate::segment::SegmentId;
+use crate::wire::{self, Price};
 use crate::world::FabricWorld;
 
 /// Queue handle (GASPI queues order completions, not data).
@@ -141,13 +142,6 @@ fn check_queue(
     }
 }
 
-fn end_of(world: &FabricWorld, rank: usize, loc: &Loc) -> End {
-    match loc.dev_flat() {
-        Some(f) => End::Dev(f),
-        None => End::Node(world.node_of(rank)),
-    }
-}
-
 /// One-sided write into a remote segment (`gaspi_write`). Completion is
 /// tracked on `queue`; use [`wait_queue`] to drain.
 ///
@@ -166,26 +160,11 @@ pub fn write(
     len: u64,
 ) -> Result<(), FabricError> {
     check_queue(ctx, world, src_rank, queue)?;
-    let m = model(world)?.clone();
-    let seg = world.segment(dst);
-    let dst_loc = seg.loc(dst_off);
-    src.check(&world.devs, len)?;
-    dst_loc.check(&world.devs, len)?;
-
-    ctx.delay(Dur::micros(m.put_o_us));
-    let src_end = end_of(world, src_rank, &src);
-    let dst_end = end_of(world, dst.rank, &dst_loc);
-    let snapshot = src.snapshot(&world.devs, len)?;
-    let h = ctx.handle();
-    let times = raw_path(h, &world.devs, src_end, dst_end, ctx.now(), len, m.eff);
-    if let Some(bytes) = snapshot {
-        let devs = world.devs.clone();
-        h.schedule_at(times.arrive, move |_| dst_loc.deposit(&devs, &bytes));
-    }
-    let ev = h.new_event();
-    let ack = control_msg(h, &world.devs, dst_end, src_end, times.arrive);
-    h.complete_at(ev, ack);
-    world.gpi.queues.lock()[src_rank].entry(queue).or_default().push(ev);
+    let m = model(world)?;
+    let price = Price { overhead: Dur::micros(m.put_o_us), eff: m.eff };
+    let dst_loc = world.segment(dst).range(dst_off, len)?;
+    let wrote = wire::write(ctx, world, (src_rank, src), (dst.rank, dst_loc), len, price)?;
+    track(ctx, world, src_rank, queue, wrote.acked);
     Ok(())
 }
 
@@ -202,35 +181,20 @@ pub fn read(
     len: u64,
 ) -> Result<(), FabricError> {
     check_queue(ctx, world, rank, queue)?;
-    let m = model(world)?.clone();
-    let seg = world.segment(src);
-    let src_loc = seg.loc(src_off);
-    dst.check(&world.devs, len)?;
-    src_loc.check(&world.devs, len)?;
-
-    ctx.delay(Dur::micros(m.get_o_us));
-    let local_end = end_of(world, rank, &dst);
-    let remote_end = end_of(world, src.rank, &src_loc);
-    let h = ctx.handle().clone();
-    let req = control_msg(&h, &world.devs, local_end, remote_end, ctx.now());
-    let times = raw_path(&h, &world.devs, remote_end, local_end, req, len, m.eff);
-    // CostOnly runs carry no bytes: no snapshot action is scheduled,
-    // keeping scheduler entries free of pure bookkeeping (the same rule
-    // as `gasnet::get_nb_timed`).
-    if world.devs.mode == diomp_device::DataMode::Functional {
-        let devs = world.devs.clone();
-        let h2 = h.clone();
-        h.schedule_at(times.depart, move |_| {
-            if let Some(bytes) = src_loc.snapshot(&devs, len).expect("bounds pre-checked") {
-                let devs2 = devs.clone();
-                h2.schedule_at(times.arrive, move |_| dst.deposit(&devs2, &bytes));
-            }
-        });
-    }
-    let ev = h.new_event();
-    h.complete_at(ev, times.arrive);
-    world.gpi.queues.lock()[rank].entry(queue).or_default().push(ev);
+    let m = model(world)?;
+    let price = Price { overhead: Dur::micros(m.get_o_us), eff: m.eff };
+    let src_loc = world.segment(src).range(src_off, len)?;
+    let arrive = wire::read(ctx, world, (rank, dst), (src.rank, src_loc), len, price)?;
+    track(ctx, world, rank, queue, arrive);
     Ok(())
+}
+
+/// Completion bookkeeping of one post: an event completing at `done`,
+/// appended to `queue`'s list.
+fn track(ctx: &Ctx, world: &FabricWorld, rank: usize, queue: QueueId, done: SimTime) {
+    let ev = ctx.new_event();
+    ctx.complete_at(ev, done);
+    world.gpi.queues.lock()[rank].entry(queue).or_default().push(ev);
 }
 
 /// Drain a queue (`gaspi_wait`): wait until every posted operation on
@@ -251,51 +215,59 @@ pub fn wait_queue(
     queue: QueueId,
     wait: Wait,
 ) -> Result<(), FabricError> {
-    let pending: Vec<EventId> = {
-        let mut q = world.gpi.queues.lock();
-        q[rank].get_mut(&queue).map(std::mem::take).unwrap_or_default()
-    };
-    if matches!(wait, Wait::Block) {
-        ctx.wait_all_free(&pending);
-        return Ok(());
-    }
-    match ctx.wait_all_with(&pending, wait) {
-        Ok(()) => {
-            for ev in pending {
-                ctx.handle().free_event(ev);
-            }
-            Ok(())
-        }
-        Err(t) => {
-            let mut left = Vec::new();
-            for ev in pending {
-                if ctx.handle().event_done(ev) {
-                    ctx.handle().free_event(ev);
-                } else {
-                    left.push(ev);
-                }
-            }
-            {
-                let mut q = world.gpi.queues.lock();
-                let slot = q[rank].entry(queue).or_default();
-                // Anything posted while we were parked stays behind the
-                // survivors: queue order is completion-tracking order.
-                left.append(slot);
-                *slot = left;
-            }
-            world.probe_health();
-            Err(t.into())
-        }
+    drain_queues(ctx, world, rank, Some(queue), wait)
+}
+
+/// Remove and return the pending completion lists of `only`, or of
+/// *all* of `rank`'s queues, in queue order.
+fn take_pending(
+    world: &FabricWorld,
+    rank: usize,
+    only: Option<QueueId>,
+) -> Vec<(QueueId, Vec<EventId>)> {
+    let mut q = world.gpi.queues.lock();
+    match only {
+        Some(queue) => q[rank].remove_entry(&queue).into_iter().collect(),
+        None => std::mem::take(&mut q[rank]).into_iter().collect(),
     }
 }
 
 /// Remove and return every pending completion event across *all* of
-/// `rank`'s queues, in queue order. Callers decide how to wait (the
-/// fence uses one batched `wait_all`; the unbatched ablation loops).
+/// `rank`'s queues, in queue order, for a caller that merges them into
+/// a wait of its own (`ompx_fence`).
 pub fn take_pending_all(world: &Arc<FabricWorld>, rank: usize) -> Vec<EventId> {
-    let mut q = world.gpi.queues.lock();
-    let rankq = std::mem::take(&mut q[rank]);
-    rankq.into_values().flatten().collect()
+    take_pending(world, rank, None).into_iter().flat_map(|(_, evs)| evs).collect()
+}
+
+/// The one queue wait: [`Ctx::drain`] over the taken completions, one
+/// park however many queues they span. On timeout every survivor goes
+/// back on its own queue *ahead* of anything posted while the task was
+/// parked — queue order is completion-tracking order — and the expired
+/// deadline probes the state vector.
+fn drain_queues(
+    ctx: &mut Ctx,
+    world: &Arc<FabricWorld>,
+    rank: usize,
+    only: Option<QueueId>,
+    wait: Wait,
+) -> Result<(), FabricError> {
+    let taken = take_pending(world, rank, only);
+    let all: Vec<EventId> = taken.iter().flat_map(|(_, evs)| evs).copied().collect();
+    let Err((t, left)) = ctx.drain(&all, wait) else { return Ok(()) };
+    // `left` keeps `all`'s order, so one pass re-sorts it by queue.
+    let mut left = left.into_iter().peekable();
+    {
+        let mut q = world.gpi.queues.lock();
+        for (queue, evs) in taken {
+            let mut back: Vec<EventId> =
+                evs.into_iter().filter(|ev| left.next_if_eq(ev).is_some()).collect();
+            let slot = q[rank].entry(queue).or_default();
+            back.append(slot);
+            *slot = back;
+        }
+    }
+    world.probe_health();
+    Err(t.into())
 }
 
 /// Drain every queue of `rank` with a single batched wait
@@ -309,41 +281,7 @@ pub fn wait_all_queues(
     rank: usize,
     wait: Wait,
 ) -> Result<(), FabricError> {
-    if matches!(wait, Wait::Block) {
-        let pending = take_pending_all(world, rank);
-        ctx.wait_all_free(&pending);
-        return Ok(());
-    }
-    let rankq: BTreeMap<QueueId, Vec<EventId>> = std::mem::take(&mut world.gpi.queues.lock()[rank]);
-    let all: Vec<EventId> = rankq.values().flatten().copied().collect();
-    match ctx.wait_all_with(&all, wait) {
-        Ok(()) => {
-            for ev in all {
-                ctx.handle().free_event(ev);
-            }
-            Ok(())
-        }
-        Err(t) => {
-            let mut survivors: Vec<(QueueId, EventId)> = Vec::new();
-            for (qu, evs) in rankq {
-                for ev in evs {
-                    if ctx.handle().event_done(ev) {
-                        ctx.handle().free_event(ev);
-                    } else {
-                        survivors.push((qu, ev));
-                    }
-                }
-            }
-            {
-                let mut q = world.gpi.queues.lock();
-                for (qu, ev) in survivors {
-                    q[rank].entry(qu).or_default().push(ev);
-                }
-            }
-            world.probe_health();
-            Err(t.into())
-        }
-    }
+    drain_queues(ctx, world, rank, None, wait)
 }
 
 /// Purge a queue (`gaspi_queue_purge`): abandon every operation posted
@@ -354,11 +292,7 @@ pub fn wait_all_queues(
 /// the wire drains. This is the GASPI recovery sequence after a
 /// [`FabricError::QueueError`].
 pub fn queue_purge(h: &SimHandle, world: &Arc<FabricWorld>, rank: usize, queue: QueueId) {
-    let pending: Vec<EventId> = {
-        let mut q = world.gpi.queues.lock();
-        q[rank].get_mut(&queue).map(std::mem::take).unwrap_or_default()
-    };
-    for ev in pending {
+    for ev in take_pending(world, rank, Some(queue)).into_iter().flat_map(|(_, evs)| evs) {
         h.release_event(ev);
     }
     world.gpi.errors.lock()[rank].remove(&queue);
@@ -386,17 +320,16 @@ pub fn write_notify(
     value: u64,
 ) -> Result<(), FabricError> {
     assert!(value != 0, "GASPI notification values must be non-zero");
-    let m = model(world)?.clone();
-    let dst_loc = world.segment(dst).loc(dst_off);
-    let src_end = end_of(world, src_rank, &src);
+    let notify = Dur::micros(model(world)?.notify_us);
+    let src_end = wire::end_of(world, src_rank, &src);
     write(ctx, world, src_rank, queue, src, dst, dst_off, len)?;
-    ctx.delay(Dur::micros(m.notify_us));
+    ctx.delay(notify);
     // The notification rides behind the data: same source/destination
     // endpoints, hence the same FIFO NIC resources, one control message
     // issued after the write — it queues behind the payload and becomes
     // visible only once the data is deposited.
     let dst_rank = dst.rank;
-    let dst_end = end_of(world, dst_rank, &dst_loc);
+    let dst_end = End::Dev(world.segment(dst).flat);
     let h = ctx.handle();
     let mut when = control_msg(h, &world.devs, src_end, dst_end, ctx.now());
     // Injection point for the notification message itself: a dropped

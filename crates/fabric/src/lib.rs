@@ -17,10 +17,14 @@
 //!
 //! A [`FabricWorld`] holds the job-wide conduit state: every rank
 //! *attaches* segments ([`FabricWorld::attach_device_segment`]) — pinned
-//! regions of device (or host) memory that remote ranks may target with
-//! one-sided operations by `(SegmentId, offset)`, never by raw pointer.
-//! On top of that shared substrate the two PGAS conduits expose
-//! different completion models:
+//! regions of device memory that remote ranks may target with one-sided
+//! operations by `(SegmentId, offset)`, never by raw pointer and never
+//! past the registered extent ([`Segment::range`]). What a one-sided
+//! transfer *is* — bounds, initiator software, path reservation, byte
+//! movement, acknowledgement — is written once, in the private `wire`
+//! module; each middleware adds its addressing, its price list and its
+//! completion bookkeeping. On top of that shared substrate the two PGAS
+//! conduits expose different completion models:
 //!
 //! * **GASNet-EX** tracks each operation with *events*: `put_nb` returns
 //!   local/remote completion [`diomp_sim::EventId`]s the initiator
@@ -60,7 +64,14 @@
 //! [`FabricError::Timeout`] with the partial state preserved (completed
 //! queue entries retired, survivors re-queued; unconsumed notifications
 //! left posted). GASNet-EX events have no native bounded wait; the
-//! equivalent discipline is `Ctx::wait_all_with` over the event set.
+//! equivalent discipline is `Ctx::drain` over the event set — the same
+//! call the queue waits are built on.
+//!
+//! **Rendezvous.** Everything collective on the CPU side — barriers
+//! ([`BarrierDomain`]), bootstrap all-gathers ([`ExchangeDomain`]), MPI
+//! window creation, and the device-collective gate in `diomp-xccl` — is
+//! one episode protocol, [`Rendezvous`], plus a payload and a
+//! completion rule.
 //!
 //! # Example: notified write, driven through the simulator
 //!
@@ -93,7 +104,7 @@
 //! sim.spawn("rank1", move |ctx| {
 //!     let (id, value) = gpi::notify_waitsome(ctx, &w1, 1, 0, 8, Wait::Block).unwrap();
 //!     assert_eq!((id, value), (5, 42));
-//!     let bytes = w1.segment(seg).loc(0).snapshot(&w1.devs, 64).unwrap().unwrap();
+//!     let bytes = w1.segment(seg).range(0, 64).unwrap().snapshot(&w1.devs, 64).unwrap().unwrap();
 //!     assert_eq!(bytes, vec![7u8; 64]); // payload landed before the notification
 //! });
 //! sim.run().unwrap();
@@ -101,16 +112,18 @@
 
 #![warn(missing_docs)]
 
-pub mod barrier;
+mod barrier;
 mod error;
-pub mod exchange;
+mod exchange;
 pub mod gasnet;
 pub mod gpi;
 mod health;
 mod loc;
 pub mod mpi;
 pub mod path;
+mod rendezvous;
 mod segment;
+mod wire;
 mod world;
 
 pub use barrier::BarrierDomain;
@@ -120,5 +133,6 @@ pub use health::{HealthVec, RankHealth};
 pub use loc::Loc;
 pub use mpi::{MpiRank, MpiReq, ReduceOp, WinId};
 pub use path::{End, PathTimes};
-pub use segment::{Segment, SegmentId, SegmentMem};
+pub use rendezvous::Rendezvous;
+pub use segment::{Segment, SegmentId};
 pub use world::FabricWorld;

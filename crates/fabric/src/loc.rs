@@ -36,16 +36,10 @@ impl Loc {
     /// Snapshot `len` bytes for an in-flight message. Returns `None` in
     /// CostOnly mode (nothing to carry).
     pub fn snapshot(&self, devs: &DeviceTable, len: u64) -> Result<Option<Vec<u8>>, MemError> {
+        self.check(devs, len)?;
         match self {
             Loc::Dev { flat, off } => {
                 let dev = devs.dev(*flat);
-                if off + len > dev.mem.capacity() {
-                    return Err(MemError::OutOfBounds {
-                        offset: *off,
-                        len,
-                        capacity: dev.mem.capacity(),
-                    });
-                }
                 if dev.mem.mode() == diomp_device::DataMode::CostOnly {
                     return Ok(None);
                 }
@@ -75,23 +69,15 @@ impl Loc {
         }
     }
 
-    /// Validate that `[off, off+len)` fits this location.
+    /// Validate that `[off, off+len)` fits this location. Overflow-safe,
+    /// like `diomp_device::copy`'s checks: an `off + len` that wraps
+    /// `u64` is out of bounds, in release builds too.
     pub fn check(&self, devs: &DeviceTable, len: u64) -> Result<(), MemError> {
-        match self {
-            Loc::Dev { flat, off } => {
-                let cap = devs.dev(*flat).mem.capacity();
-                if off + len > cap {
-                    return Err(MemError::OutOfBounds { offset: *off, len, capacity: cap });
-                }
-                Ok(())
-            }
-            Loc::Host { buf, off } => {
-                if off + len > buf.len() {
-                    return Err(MemError::OutOfBounds { offset: *off, len, capacity: buf.len() });
-                }
-                Ok(())
-            }
-        }
+        let (off, capacity) = match self {
+            Loc::Dev { flat, off } => (*off, devs.dev(*flat).mem.capacity()),
+            Loc::Host { buf, off } => (*off, buf.len()),
+        };
+        check_range(off, len, capacity)
     }
 
     /// The node this location lives on (`None` for host buffers, which are
@@ -109,5 +95,14 @@ impl Loc {
             Loc::Dev { flat, off } => Loc::Dev { flat: *flat, off: off + delta },
             Loc::Host { buf, off } => Loc::Host { buf: buf.clone(), off: off + delta },
         }
+    }
+}
+
+/// The one bounds rule of the fabric: `[offset, offset + len)` must lie
+/// inside `capacity`, with the sum computed without wrapping.
+pub(crate) fn check_range(offset: u64, len: u64, capacity: u64) -> Result<(), MemError> {
+    match offset.checked_add(len) {
+        Some(end) if end <= capacity => Ok(()),
+        _ => Err(MemError::OutOfBounds { offset, len, capacity }),
     }
 }

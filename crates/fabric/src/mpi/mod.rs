@@ -22,6 +22,7 @@ use diomp_sim::EventId;
 use parking_lot::Mutex;
 
 use crate::loc::Loc;
+use crate::rendezvous::Rendezvous;
 use crate::world::FabricWorld;
 
 /// Wildcard source (`MPI_ANY_SOURCE`) / tag (`MPI_ANY_TAG`) are `None`.
@@ -60,9 +61,6 @@ pub(crate) struct WinPart {
 /// Pending origin-side completions, per origin rank.
 pub(crate) type PendingByOrigin = Vec<Vec<EventId>>;
 
-/// Per-rank window contributions staged during collective creation.
-pub(crate) type WinStage = Option<Vec<Option<(Loc, u64)>>>;
-
 pub(crate) struct Window {
     pub parts: Vec<WinPart>,
     pub pending: PendingByOrigin,
@@ -72,8 +70,9 @@ pub(crate) struct Window {
 pub struct MpiWorld {
     pub(crate) matching: Vec<Mutex<RankMatch>>,
     pub(crate) windows: Mutex<Vec<Window>>,
-    pub(crate) win_stage: Mutex<WinStage>,
-    pub(crate) last_win: Mutex<usize>,
+    /// Collective window creation: every rank contributes its part, the
+    /// last arrival registers the window, everyone leaves with its id.
+    pub(crate) win_meet: Rendezvous<WinPart, WinId>,
 }
 
 impl MpiWorld {
@@ -81,8 +80,7 @@ impl MpiWorld {
         MpiWorld {
             matching: (0..nranks).map(|_| Mutex::new(RankMatch::default())).collect(),
             windows: Mutex::new(Vec::new()),
-            win_stage: Mutex::new(None),
-            last_win: Mutex::new(usize::MAX),
+            win_meet: Rendezvous::new(nranks),
         }
     }
 }
@@ -130,6 +128,6 @@ impl MpiRank {
 
     /// Barrier over all ranks (`MPI_Barrier`).
     pub fn barrier(&self, ctx: &mut diomp_sim::Ctx) {
-        self.world.barrier.arrive_and_wait(ctx);
+        self.world.barrier.arrive_and_wait(ctx, self.rank);
     }
 }

@@ -15,16 +15,10 @@ use diomp_sim::{Ctx, Dur, EventId, SimHandle};
 
 use crate::loc::Loc;
 use crate::path::{control_msg, raw_path, End};
+use crate::wire::{carry, end_of};
 use crate::world::FabricWorld;
 
 use super::{MpiRank, MpiReq, Posted, UnexKind, Unexpected};
-
-fn end_of(world: &FabricWorld, rank: usize, loc: &Loc) -> End {
-    match loc.dev_flat() {
-        Some(f) => End::Dev(f),
-        None => End::Node(world.node_of(rank)),
-    }
-}
 
 fn matches(posted: &Posted, src: usize, tag: u64) -> bool {
     posted.src.map(|s| s == src).unwrap_or(true) && posted.tag.map(|t| t == tag).unwrap_or(true)
@@ -53,14 +47,7 @@ fn start_rndv(
     let data_start = cts + Dur::micros(m.rndv_hs_us);
     // ...then the payload streams over the path.
     let times = raw_path(h, &world.devs, src_end, dst_end, data_start, len, m.eff);
-    let devs = world.devs.clone();
-    let h2 = h.clone();
-    h.schedule_at(times.depart, move |_| {
-        if let Some(bytes) = src_loc.snapshot(&devs, len).expect("bounds pre-checked") {
-            let devs2 = devs.clone();
-            h2.schedule_at(times.arrive, move |_| dst_loc.deposit(&devs2, &bytes));
-        }
-    });
+    carry(h, world, src_loc, dst_loc, len, times);
     h.complete_at(sender_ev, times.depart);
     h.complete_at(recv_ev, times.arrive + Dur::micros(m.recv_o_us));
 }

@@ -7,6 +7,10 @@
 //! per device at startup and carves its global heap out of it (paper
 //! §3.1–3.2).
 
+use diomp_device::MemError;
+
+use crate::loc::{check_range, Loc};
+
 /// Identifies a registered segment: `(owning rank, index)`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct SegmentId {
@@ -16,34 +20,27 @@ pub struct SegmentId {
     pub index: usize,
 }
 
-/// Where a segment's memory lives.
-#[derive(Clone)]
-pub enum SegmentMem {
-    /// Device memory: flat device index + base offset in device space.
-    Device {
-        /// Flat device index.
-        flat: usize,
-        /// Base offset of the segment inside the device address space.
-        base: u64,
-    },
-}
-
-/// One registered segment.
+/// One registered segment: `len` bytes of device `flat`'s memory
+/// starting at `base`.
 #[derive(Clone)]
 pub struct Segment {
     /// Owning rank.
     pub rank: usize,
-    /// Storage location.
-    pub mem: SegmentMem,
+    /// Flat device index.
+    pub flat: usize,
+    /// Base offset of the segment inside the device address space.
+    pub base: u64,
     /// Length in bytes.
     pub len: u64,
 }
 
 impl Segment {
-    /// Resolve an offset within this segment to a transfer location.
-    pub fn loc(&self, off: u64) -> crate::loc::Loc {
-        assert!(off <= self.len, "segment offset {off} beyond length {}", self.len);
-        let SegmentMem::Device { flat, base } = self.mem;
-        crate::loc::Loc::dev(flat, base + off)
+    /// Resolve `[off, off + len)` within this segment to a transfer
+    /// location, refusing anything past the registered extent — the
+    /// conduits' one addressing step, so a one-sided operation can never
+    /// reach the device memory behind the segment.
+    pub fn range(&self, off: u64, len: u64) -> Result<Loc, MemError> {
+        check_range(off, len, self.len)?;
+        Ok(Loc::dev(self.flat, self.base + off))
     }
 }

@@ -1,8 +1,7 @@
 //! The fabric world: ranks, their devices, and shared conduit state.
 
-use std::sync::Arc;
-
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use diomp_device::{Device, DeviceTable, MemError};
 use diomp_sim::{Dur, FaultPlan, PlatformSpec, SimHandle, Topology};
@@ -12,7 +11,7 @@ use crate::barrier::BarrierDomain;
 use crate::exchange::ExchangeDomain;
 use crate::health::HealthVec;
 use crate::mpi::MpiWorld;
-use crate::segment::{Segment, SegmentId, SegmentMem};
+use crate::segment::{Segment, SegmentId};
 
 /// Shared state of a fabric job: `nranks` ranks spread over the cluster,
 /// each bound to `gpus_per_rank` consecutive devices (paper §3.3's
@@ -44,6 +43,12 @@ pub struct FabricWorld {
     /// Per-rank health vector (`gaspi_state_vec`), refreshed from the
     /// installed fault plan via [`FabricWorld::refresh_health_from_plan`].
     health: Mutex<HealthVec>,
+    /// The ranks owning a device endpoint on each link resource, by
+    /// resource index (NICs are commonly shared by all ranks of a node;
+    /// PCIe lanes, fabric ports and copy engines are per-device). The
+    /// device table never changes, so this is built once — by the first
+    /// fault plan that needs it, so a fault-free world never pays for it.
+    link_owners: OnceLock<BTreeMap<usize, Vec<usize>>>,
     /// Simulator handle, when attached ([`FabricWorld::attach_sim`]).
     /// With a handle present, [`FabricWorld::health`] derives from the
     /// *currently installed* fault plan at the *current* virtual time —
@@ -76,6 +81,7 @@ impl FabricWorld {
             am: crate::gasnet::AmRegistry::new(nranks),
             gpi: crate::gpi::GpiState::new(nranks),
             health: Mutex::new(HealthVec::healthy(nranks)),
+            link_owners: OnceLock::new(),
             sim: Mutex::new(None),
         })
     }
@@ -91,7 +97,6 @@ impl FabricWorld {
     /// build, after the plan is installed.
     pub fn attach_sim(&self, h: &SimHandle) {
         if let Some(plan) = h.fault_plan() {
-            let owners = self.link_owners();
             let mut windows = Vec::new();
             for (rank, at) in plan.rank_kills() {
                 let rank = rank as usize;
@@ -101,8 +106,8 @@ impl FabricWorld {
                 for flat in self.devices_of(rank) {
                     let d = self.devs.dev(flat);
                     for res in [d.nic, d.pcie, d.port, d.d2d_engine] {
-                        let exclusive =
-                            owners.get(&res.index()).is_none_or(|rs| rs.iter().all(|&r| r == rank));
+                        let owners = self.link_owners().get(&res.index());
+                        let exclusive = owners.is_none_or(|rs| rs.iter().all(|&r| r == rank));
                         if exclusive && !windows.contains(&(res, at)) {
                             windows.push((res, at));
                         }
@@ -170,15 +175,7 @@ impl FabricWorld {
         let plan = h.fault_plan()?;
         let now = h.now();
         let mut v = self.health.lock().clone();
-        let owners = self.link_owners();
-        for (res, factor) in plan.degraded_links() {
-            v.observe_link(res, factor);
-            if let Some(ranks) = owners.get(&res.index()) {
-                for &r in ranks {
-                    v.observe(r, factor);
-                }
-            }
-        }
+        self.observe_degraded_links(&mut v, &plan);
         for (rank, at) in plan.rank_kills() {
             if now >= at && (rank as usize) < self.nranks {
                 v.observe(rank as usize, 0);
@@ -187,39 +184,40 @@ impl FabricWorld {
         Some(v)
     }
 
-    /// The ranks owning a device endpoint on each link resource (NICs are
-    /// commonly shared by all ranks of a node; PCIe lanes, fabric ports
-    /// and copy engines are per-device).
-    fn link_owners(&self) -> BTreeMap<usize, Vec<usize>> {
-        let mut owners: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for flat in 0..self.devs.len() {
-            let d = self.devs.dev(flat);
-            let rank = self.rank_of_dev(flat);
-            for res in [d.nic, d.pcie, d.port, d.d2d_engine] {
-                let ranks = owners.entry(res.index()).or_default();
-                if !ranks.contains(&rank) {
-                    ranks.push(rank);
+    fn link_owners(&self) -> &BTreeMap<usize, Vec<usize>> {
+        self.link_owners.get_or_init(|| {
+            let mut owners: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for d in self.devs.iter() {
+                let rank = self.rank_of_dev(d.flat);
+                for res in [d.nic, d.pcie, d.port, d.d2d_engine] {
+                    let ranks = owners.entry(res.index()).or_default();
+                    if !ranks.contains(&rank) {
+                        ranks.push(rank);
+                    }
                 }
             }
-        }
-        owners
+            owners
+        })
     }
 
-    /// Rebuild the health vector from a fault plan: each degraded link is
-    /// attributed to every rank owning a device endpoint on it (NIC,
-    /// PCIe, fabric port, copy engine — NICs are commonly shared by all
-    /// ranks of a node, so one dead NIC degrades several ranks).
-    pub fn refresh_health_from_plan(&self, plan: &FaultPlan) {
-        let owners = self.link_owners();
-        let mut v = HealthVec::healthy(self.nranks);
+    /// Attribute each of `plan`'s degraded links to every rank owning a
+    /// device endpoint on it (NIC, PCIe, fabric port, copy engine — NICs
+    /// are commonly shared by all ranks of a node, so one dead NIC
+    /// degrades several ranks).
+    fn observe_degraded_links(&self, v: &mut HealthVec, plan: &FaultPlan) {
         for (res, factor) in plan.degraded_links() {
             v.observe_link(res, factor);
-            if let Some(ranks) = owners.get(&res.index()) {
-                for &r in ranks {
-                    v.observe(r, factor);
-                }
+            for &r in self.link_owners().get(&res.index()).into_iter().flatten() {
+                v.observe(r, factor);
             }
         }
+    }
+
+    /// Rebuild the health vector from a fault plan
+    /// (see `observe_degraded_links` for the attribution rule).
+    pub fn refresh_health_from_plan(&self, plan: &FaultPlan) {
+        let mut v = HealthVec::healthy(self.nranks);
+        self.observe_degraded_links(&mut v, plan);
         *self.health.lock() = v;
     }
 
@@ -256,7 +254,7 @@ impl FabricWorld {
         let base = self.devs.dev(flat).malloc(len, 4096)?;
         let mut segs = self.segments.lock();
         let index = segs[rank].len();
-        segs[rank].push(Segment { rank, mem: SegmentMem::Device { flat, base }, len });
+        segs[rank].push(Segment { rank, flat, base, len });
         Ok(SegmentId { rank, index })
     }
 

@@ -40,7 +40,7 @@ fn gasnet_put_moves_bytes_across_nodes() {
         gasnet::put_blocking(ctx, &w0, 0, Loc::dev(0, 0), seg, 512, 256).unwrap();
         // After remote completion the bytes are visible at the target.
         let seg_obj = w0.segment(seg);
-        let target = seg_obj.loc(512);
+        let target = seg_obj.range(512, 256).unwrap();
         let bytes = target.snapshot(&w0.devs, 256).unwrap().unwrap();
         assert_eq!(bytes, vec![42u8; 256]);
     });
@@ -174,7 +174,7 @@ fn gpi_write_notify_roundtrip_on_platform_c() {
         assert_eq!(v, 7);
         // Data arrived before/with the notification.
         let seg_obj = w2.segment(seg);
-        let bytes = seg_obj.loc(256).snapshot(&w2.devs, 128).unwrap().unwrap();
+        let bytes = seg_obj.range(256, 128).unwrap().snapshot(&w2.devs, 128).unwrap().unwrap();
         assert_eq!(bytes, vec![9u8; 128]);
     });
     sim.run().unwrap();
@@ -207,7 +207,7 @@ fn gpi_wait_all_queues_drains_every_queue() {
         gpi::wait_all_queues(ctx, &w0, 0, Wait::Block).unwrap();
         // After the drain every queue's data is visible at the target.
         let seg_obj = w0.segment(seg);
-        let bytes = seg_obj.loc(0).snapshot(&w0.devs, 256).unwrap().unwrap();
+        let bytes = seg_obj.range(0, 256).unwrap().snapshot(&w0.devs, 256).unwrap().unwrap();
         assert_eq!(bytes, vec![5u8; 256]);
         // And a second drain finds nothing pending (no deadlock, no-op).
         gpi::wait_all_queues(ctx, &w0, 0, Wait::Block).unwrap();
@@ -321,7 +321,8 @@ fn gpi_notification_never_overtakes_its_payload() {
     sim.spawn("rank1", move |ctx| {
         let v = gpi::notify_wait(ctx, &w1, 1, 3);
         assert_eq!(v, 1);
-        let bytes = w1.segment(seg).loc(0).snapshot(&w1.devs, len).unwrap().unwrap();
+        let bytes =
+            w1.segment(seg).range(0, len).unwrap().snapshot(&w1.devs, len).unwrap().unwrap();
         let expect: Vec<u8> = (0..len).map(|i| (i % 249) as u8).collect();
         assert_eq!(bytes, expect, "payload fully deposited before the notification");
     });
@@ -458,6 +459,28 @@ fn mpi_rma_put_latency_exceeds_gasnet_put_latency() {
                 );
             }
             mpi.barrier(ctx);
+        });
+    }
+    sim.run().unwrap();
+}
+
+#[test]
+fn mpi_win_create_completes_two_hop_rounds_after_the_last_arrival() {
+    // Registration, then one rendezvous: the ids are gathered and
+    // broadcast, 2·⌈log2 4⌉ network latencies after the slowest rank.
+    let mut sim = Sim::new();
+    let world = world_a(&sim, 4);
+    for r in 0..4usize {
+        let w = world.clone();
+        sim.spawn(format!("rank{r}"), move |ctx| {
+            let mpi = diomp_fabric::MpiRank::new(w.clone(), r);
+            ctx.delay(Dur::micros(r as f64 * 10.0));
+            let first = mpi.win_create(ctx, Loc::dev(r, 0), 4096);
+            let hop = Dur::micros(w.platform.net.latency_us).as_nanos();
+            let registered = Dur::micros(30.0 + w.platform.mpi_rma.win_create_us).as_nanos();
+            assert_eq!(ctx.now().nanos(), registered + 4 * hop);
+            let second = mpi.win_create(ctx, Loc::dev(r, 4096), 4096);
+            assert_eq!((first.0, second.0), (0, 1), "every rank learns the same ids");
         });
     }
     sim.run().unwrap();
@@ -627,28 +650,234 @@ fn fabric_runs_are_deterministic() {
 use diomp_fabric::{FabricError, RankHealth};
 use diomp_sim::{fault_key, CtrlFault, FaultPlan, SimTime};
 
+/// One row of the wire table: an operation moving `WIRE_LEN` bytes
+/// between rank 0 (node 0) and rank 1 (node 1) of a two-node platform C
+/// world, run SPMD on both ranks.
+struct WireCase {
+    name: &'static str,
+    /// Scheduler entries that exist only to move bytes: 1 per write
+    /// (deposit), 2 per read or rendezvous (snapshot + deposit).
+    data_actions: u64,
+    /// `(flat device, offset)` the payload is read from / lands at.
+    src: (usize, u64),
+    dst: (usize, u64),
+    op: fn(&mut diomp_sim::Ctx, &Arc<FabricWorld>, diomp_fabric::SegmentId, usize),
+}
+
+const WIRE_LEN: u64 = 1 << 14;
+/// Raw device offsets clear of rank 1's segment (`[0, 64 KiB)` of device 1).
+const LOCAL: u64 = 1 << 16;
+const WINDOW: u64 = 1 << 17;
+
+fn wire_cases() -> Vec<WireCase> {
+    use diomp_fabric::MpiRank;
+    const Q: gpi::QueueId = gpi::QueueId(0);
+    vec![
+        WireCase {
+            name: "gasnet put",
+            data_actions: 1,
+            src: (0, 0),
+            dst: (1, 0),
+            op: |ctx, w, seg, r| {
+                if r == 0 {
+                    gasnet::put_blocking(ctx, w, 0, Loc::dev(0, 0), seg, 0, WIRE_LEN).unwrap();
+                }
+            },
+        },
+        WireCase {
+            name: "gasnet get",
+            data_actions: 2,
+            src: (1, 0),
+            dst: (0, LOCAL),
+            op: |ctx, w, seg, r| {
+                if r == 0 {
+                    gasnet::get_blocking(ctx, w, 0, Loc::dev(0, LOCAL), seg, 0, WIRE_LEN).unwrap();
+                }
+            },
+        },
+        WireCase {
+            name: "gpi write",
+            data_actions: 1,
+            src: (0, 0),
+            dst: (1, 0),
+            op: |ctx, w, seg, r| {
+                if r == 0 {
+                    gpi::write(ctx, w, 0, Q, Loc::dev(0, 0), seg, 0, WIRE_LEN).unwrap();
+                    gpi::wait_queue(ctx, w, 0, Q, Wait::Block).unwrap();
+                }
+            },
+        },
+        WireCase {
+            name: "gpi read",
+            data_actions: 2,
+            src: (1, 0),
+            dst: (0, LOCAL),
+            op: |ctx, w, seg, r| {
+                if r == 0 {
+                    gpi::read(ctx, w, 0, Q, Loc::dev(0, LOCAL), seg, 0, WIRE_LEN).unwrap();
+                    gpi::wait_queue(ctx, w, 0, Q, Wait::Block).unwrap();
+                }
+            },
+        },
+        WireCase {
+            name: "win_put",
+            data_actions: 1,
+            src: (0, 0),
+            dst: (1, WINDOW),
+            op: |ctx, w, _, r| {
+                let mpi = MpiRank::new(w.clone(), r);
+                let win = mpi.win_create(ctx, Loc::dev(r, WINDOW), WIRE_LEN);
+                if r == 0 {
+                    mpi.win_put(ctx, win, 1, 0, Loc::dev(0, 0), WIRE_LEN).unwrap();
+                    mpi.win_flush(ctx, win);
+                }
+            },
+        },
+        WireCase {
+            name: "win_get",
+            data_actions: 2,
+            src: (1, WINDOW),
+            dst: (0, LOCAL),
+            op: |ctx, w, _, r| {
+                let mpi = MpiRank::new(w.clone(), r);
+                let win = mpi.win_create(ctx, Loc::dev(r, WINDOW), WIRE_LEN);
+                if r == 0 {
+                    mpi.win_get(ctx, win, 1, 0, Loc::dev(0, LOCAL), WIRE_LEN).unwrap();
+                    mpi.win_flush(ctx, win);
+                }
+            },
+        },
+        WireCase {
+            name: "mpi rendezvous send",
+            data_actions: 2,
+            src: (0, 0),
+            dst: (1, WINDOW),
+            op: |ctx, w, _, r| {
+                let mpi = MpiRank::new(w.clone(), r);
+                assert!(WIRE_LEN > w.platform.mpi_p2p.eager_max, "must take the rendezvous path");
+                if r == 0 {
+                    mpi.send(ctx, 1, 7, Loc::dev(0, 0), WIRE_LEN).unwrap();
+                } else {
+                    mpi.recv(ctx, Some(0), Some(7), Loc::dev(1, WINDOW), WIRE_LEN).unwrap();
+                }
+            },
+        },
+    ]
+}
+
 #[test]
-fn gpi_read_schedules_its_data_actions_only_when_there_are_bytes_to_carry() {
-    // One rule for both conduits (`gasnet::get_nb_timed` has it too): the
-    // depart-time snapshot and arrival-time deposit are Functional-mode
-    // work. A CostOnly read must reach the same instant without them.
-    let run = |mode: DataMode| {
-        let mut sim = Sim::new();
-        let spec = ClusterSpec { platform: PlatformSpec::platform_c(), nodes: 2, gpus_per_node: 1 };
-        let topo = Arc::new(Topology::build(&sim.handle(), spec));
-        let devs = DeviceTable::build(&sim.handle(), topo.clone(), mode, Some(4 << 20));
-        let world = FabricWorld::new(topo, devs, 2);
-        let seg = world.attach_device_segment(1, 1, 1 << 16).unwrap();
-        sim.spawn("rank0", move |ctx| {
-            gpi::read(ctx, &world, 0, gpi::QueueId(0), Loc::dev(0, 0), seg, 0, 1 << 14).unwrap();
-            gpi::wait_queue(ctx, &world, 0, gpi::QueueId(0), Wait::Block).unwrap();
-        });
-        let rep = sim.run().unwrap();
-        (rep.end_time, rep.entries_processed)
-    };
-    let (functional, cost_only) = (run(DataMode::Functional), run(DataMode::CostOnly));
-    assert_eq!(functional.0, cost_only.0, "the data actions carry no virtual time");
-    assert_eq!(functional.1, cost_only.1 + 2, "snapshot + deposit are the only difference");
+fn every_one_sided_op_rides_the_same_wire_in_both_data_modes() {
+    // One rule under GASNet-EX, GPI-2, MPI windows and the MPI
+    // rendezvous: the snapshot and deposit actions are Functional-mode
+    // work. A CostOnly run must reach the same instant without them, and
+    // a Functional run must deposit at the modelled arrival — not a
+    // nanosecond earlier.
+    let pattern: Vec<u8> = (0..WIRE_LEN).map(|i| (i % 251) as u8 + 1).collect();
+    for case in wire_cases() {
+        // `probe_at`: also watch the destination around that instant.
+        let run = |mode: DataMode, probe_at: Option<SimTime>| {
+            let mut sim = Sim::new();
+            let spec =
+                ClusterSpec { platform: PlatformSpec::platform_c(), nodes: 2, gpus_per_node: 1 };
+            let topo = Arc::new(Topology::build(&sim.handle(), spec));
+            let devs = DeviceTable::build(&sim.handle(), topo.clone(), mode, Some(4 << 20));
+            let world = FabricWorld::new(topo, devs, 2);
+            let seg = world.attach_device_segment(1, 1, 1 << 16).unwrap();
+            assert_eq!(world.segment(seg).base, 0, "the table addresses the segment raw");
+            if mode == DataMode::Functional {
+                world.devs.dev(case.src.0).mem.write(case.src.1, &pattern).unwrap();
+            }
+            for r in 0..2 {
+                let (w, op) = (world.clone(), case.op);
+                sim.spawn(format!("rank{r}"), move |ctx| op(ctx, &w, seg, r));
+            }
+            if let Some(arrive) = probe_at {
+                let (w, dst, want) = (world.clone(), case.dst, pattern.clone());
+                sim.spawn("probe", move |ctx| {
+                    let read = || {
+                        let mut got = vec![0u8; WIRE_LEN as usize];
+                        w.devs.dev(dst.0).mem.read(dst.1, &mut got).unwrap();
+                        got
+                    };
+                    ctx.sleep_until(SimTime(arrive.nanos() - 1));
+                    ctx.yield_now();
+                    assert!(read().iter().all(|&b| b == 0), "{}: bytes before arrival", case.name);
+                    ctx.sleep_until(arrive);
+                    // Let everything already queued at this instant run.
+                    ctx.yield_now();
+                    assert_eq!(read(), want, "{}: bytes absent at arrival", case.name);
+                });
+            }
+            let handle = sim.handle();
+            let rep = sim.run().unwrap();
+            // The payload is the last thing its source NIC sent (requests,
+            // clear-to-sends and acknowledgements leave from the other
+            // side), so the link's watermark is the payload's departure.
+            let nic = world.devs.dev(case.src.0).nic;
+            let arrive = handle.resource_free_at(nic) + Dur::micros(world.platform.net.latency_us);
+            (rep.end_time, rep.entries_processed, arrive)
+        };
+        let (functional, cost_only) =
+            (run(DataMode::Functional, None), run(DataMode::CostOnly, None));
+        assert_eq!(functional.0, cost_only.0, "{}: data actions carry no virtual time", case.name);
+        assert_eq!(functional.2, cost_only.2, "{}: same wire in both modes", case.name);
+        assert_eq!(
+            functional.1,
+            cost_only.1 + case.data_actions,
+            "{}: the data actions are the only difference in entries",
+            case.name
+        );
+        run(DataMode::Functional, Some(functional.2));
+    }
+}
+
+#[test]
+fn conduit_ops_past_the_segment_extent_are_refused_and_touch_nothing() {
+    // A 4 KiB segment at the bottom of device 1; the 4 KiB behind it
+    // belong to somebody else and must stay zero.
+    let mut sim = Sim::new();
+    let world = boot(&sim, PlatformSpec::platform_c(), 2, 1, 2);
+    let seg = world.attach_device_segment(1, 1, 4096).unwrap();
+    let base = world.segment(seg).base;
+    world.primary_dev(0).mem.write(0, &[0xAB; 8192]).unwrap();
+    let w0 = world.clone();
+    sim.spawn("rank0", move |ctx| {
+        let q = gpi::QueueId(0);
+        let oob = |offset, len| diomp_device::MemError::OutOfBounds { offset, len, capacity: 4096 };
+        let err = gasnet::put_nb(ctx, &w0, 0, Loc::dev(0, 0), seg, 0, 8192).unwrap_err();
+        assert_eq!(err, oob(0, 8192));
+        let err = gpi::write(ctx, &w0, 0, q, Loc::dev(0, 0), seg, 4000, 4096).unwrap_err();
+        assert_eq!(err, FabricError::Mem(oob(4000, 4096)));
+        assert_eq!(
+            gasnet::get_nb(ctx, &w0, 0, Loc::dev(0, 0), seg, 1, 4096).unwrap_err(),
+            oob(1, 4096)
+        );
+        let err = gpi::read(ctx, &w0, 0, q, Loc::dev(0, 0), seg, u64::MAX, 2).unwrap_err();
+        assert_eq!(err, FabricError::Mem(oob(u64::MAX, 2)));
+        assert_eq!(ctx.now(), SimTime::ZERO, "a refused operation charges nothing");
+    });
+    sim.run().unwrap();
+    let mut behind = [0xFFu8; 4096];
+    world.primary_dev(1).mem.read(base + 4096, &mut behind).unwrap();
+    assert!(behind.iter().all(|&b| b == 0), "bytes behind the segment were written");
+}
+
+#[test]
+fn wrapping_offset_is_out_of_bounds_in_cost_only_mode_too() {
+    // `off + len` wraps `u64`: nothing to snapshot in CostOnly, so only
+    // the bounds check stands between this put and an `Ok`.
+    let mut sim = Sim::new();
+    let spec = ClusterSpec { platform: PlatformSpec::platform_c(), nodes: 2, gpus_per_node: 1 };
+    let topo = Arc::new(Topology::build(&sim.handle(), spec));
+    let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, Some(4 << 20));
+    let world = FabricWorld::new(topo, devs, 2);
+    let seg = world.attach_device_segment(1, 1, 4096).unwrap();
+    sim.spawn("rank0", move |ctx| {
+        let src = Loc::dev(0, u64::MAX - 3);
+        let err = gasnet::put_nb(ctx, &world, 0, src, seg, 0, 8).unwrap_err();
+        assert!(matches!(err, diomp_device::MemError::OutOfBounds { len: 8, .. }), "{err:?}");
+    });
+    sim.run().unwrap();
 }
 
 #[test]
@@ -682,7 +911,7 @@ fn gpi_wait_timeout_retires_completed_ops_and_requeues_the_rest() {
     let w0 = world.clone();
     sim.spawn("rank0", move |ctx| {
         gpi::write(ctx, &w0, 0, gpi::QueueId(0), Loc::dev(0, 0), seg, 0, 8).unwrap();
-        gpi::write(ctx, &w0, 0, gpi::QueueId(0), Loc::dev(0, 64), seg, 64, 1 << 20).unwrap();
+        gpi::write(ctx, &w0, 0, gpi::QueueId(0), Loc::dev(0, 64), seg, 64, (1 << 20) - 64).unwrap();
         let err = gpi::wait_all_queues(ctx, &w0, 0, Wait::Until(Dur::micros(30.0)))
             .expect_err("the 1 MiB write outlives a 30 µs deadline");
         assert!(matches!(err, FabricError::Timeout { .. }), "{err:?}");
@@ -691,6 +920,43 @@ fn gpi_wait_timeout_retires_completed_ops_and_requeues_the_rest() {
         gpi::wait_all_queues(ctx, &w0, 0, Wait::Block).unwrap();
     });
     sim.run().unwrap();
+}
+
+#[test]
+fn wait_queue_and_wait_all_queues_requeue_survivors_in_the_same_place() {
+    // A 1 MiB write outlives a 3 µs wait; while rank 0 is parked in it a
+    // helper posts an 8-byte write on the same queue, which the FIFO NIC
+    // completes strictly later. Whichever wait timed out, the survivor
+    // goes back *ahead* of the newer post: queue order is
+    // completion-tracking order.
+    for all_queues in [false, true] {
+        let mut sim = Sim::new();
+        let world = boot(&sim, PlatformSpec::platform_c(), 2, 1, 2);
+        let seg = world.attach_device_segment(1, 1, 1 << 20).unwrap();
+        let q = gpi::QueueId(0);
+        let w0 = world.clone();
+        sim.spawn("rank0", move |ctx| {
+            gpi::write(ctx, &w0, 0, q, Loc::dev(0, 0), seg, 0, 1 << 20).unwrap();
+            let budget = Wait::Until(Dur::micros(3.0));
+            let err = if all_queues {
+                gpi::wait_all_queues(ctx, &w0, 0, budget)
+            } else {
+                gpi::wait_queue(ctx, &w0, 0, q, budget)
+            };
+            assert!(matches!(err, Err(FabricError::Timeout { .. })), "{err:?}");
+            let queued = gpi::take_pending_all(&w0, 0);
+            assert_eq!(queued.len(), 2);
+            ctx.wait(queued[0]);
+            assert!(!ctx.event_done(queued[1]), "all_queues = {all_queues}: survivor first");
+            ctx.wait_all_free(&queued);
+        });
+        let w1 = world.clone();
+        sim.spawn("helper", move |ctx| {
+            ctx.delay(Dur::micros(1.0));
+            gpi::write(ctx, &w1, 0, q, Loc::dev(0, 0), seg, 0, 8).unwrap();
+        });
+        sim.run().unwrap();
+    }
 }
 
 #[test]
@@ -775,7 +1041,7 @@ fn gpi_lost_notification_recovered_by_timeout_and_retry() {
         retry.store(true, std::sync::atomic::Ordering::Relaxed);
         let (id, value) = gpi::notify_waitsome(ctx, &w1, 1, 0, 16, Wait::Block).unwrap();
         assert_eq!((id, value), (7, 77));
-        let bytes = w1.segment(seg).loc(0).snapshot(&w1.devs, 64).unwrap().unwrap();
+        let bytes = w1.segment(seg).range(0, 64).unwrap().snapshot(&w1.devs, 64).unwrap().unwrap();
         assert_eq!(bytes, vec![9u8; 64], "payload landed despite the lost notification");
     });
     sim.run().unwrap();

@@ -161,10 +161,7 @@ impl Ctx {
 
     /// Block until *all* events complete, then recycle every one of them.
     pub fn wait_all_free(&mut self, evs: &[EventId]) {
-        self.wait_all(evs);
-        for &ev in evs {
-            self.handle.free_event(ev);
-        }
+        self.drain(evs, Wait::Block).expect("a blocking drain cannot time out");
     }
 
     /// Block until `ev` completes, or until `wait`'s budget elapses.
@@ -221,6 +218,28 @@ impl Ctx {
             st.kill_group(gref);
             Err(WaitTimeout { at: st.now() })
         }
+    }
+
+    /// The one bounded drain: wait for *all* of `evs` under `wait`
+    /// ([`Ctx::wait_all_with`]: one park either way), recycle every event
+    /// that completed, and on timeout hand back the ones still in flight,
+    /// in the order given. GPI-2 queue waits and `ompx_fence` are this
+    /// call plus their own bookkeeping for the survivors.
+    pub fn drain(
+        &mut self,
+        evs: &[EventId],
+        wait: Wait,
+    ) -> Result<(), (WaitTimeout, Vec<EventId>)> {
+        let timed_out = self.wait_all_with(evs, wait).err();
+        let mut left = Vec::new();
+        for &ev in evs {
+            if timed_out.is_none() || self.handle.event_done(ev) {
+                self.handle.free_event(ev);
+            } else {
+                left.push(ev);
+            }
+        }
+        timed_out.map_or(Ok(()), |t| Err((t, left)))
     }
 
     /// Block until *any* of the events completes; returns the index of a

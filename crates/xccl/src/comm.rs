@@ -20,12 +20,12 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, Weak};
 
-use diomp_fabric::{FabricWorld, HealthVec, RankHealth};
+use diomp_fabric::{FabricWorld, HealthVec, RankHealth, Rendezvous};
 use diomp_sim::{derive_seed, Ctx, Dur, FlowId, QosClass, SimTime, Wait};
 use parking_lot::Mutex;
 
 use crate::dbt;
-use crate::gate::{CollAbort, CollGate, DeviceBuf};
+use crate::gate::{CollAbort, DeviceBuf};
 use crate::ll;
 use crate::ops::XcclOp;
 use crate::ring::{self, CollEngine, Rail, RingConfig};
@@ -51,8 +51,9 @@ struct CommPlan {
     /// any dead-NIC blacklisting (None when servers are disabled).
     servers: Option<Arc<ServerSet>>,
     /// The rendezvous gate all members share — that sharing is exactly
-    /// what the UniqueId bootstrap establishes in NCCL.
-    gate: CollGate,
+    /// what the UniqueId bootstrap establishes in NCCL. Each rank brings
+    /// its device buffers; everyone leaves with the completion instant.
+    gate: Rendezvous<Vec<DeviceBuf>, SimTime>,
 }
 
 impl CommPlan {
@@ -83,7 +84,7 @@ impl CommPlan {
             pos[f] = i as u32;
         }
         CommPlan {
-            gate: CollGate::new(ranks.len()),
+            gate: Rendezvous::new(ranks.len()),
             ranks: ranks.into(),
             ring: Arc::new(RingInfo { order, nodes, nrings: rails.len() }),
             pos,
@@ -523,10 +524,18 @@ impl XcclComm {
         };
         // Everything past the arrival — regime selection, schedule
         // build, the march — runs once, on the last arriver, with *its*
-        // rails, flow and server set.
-        self.plan.gate.arrive_with(ctx, self.idx, my_bufs, wait, dead, |ctx, arrivals| {
-            self.launch(ctx, arrivals, op, len)
-        })
+        // rails, flow and server set. An episode every rank reached is
+        // in flight and never aborts (rank kills take effect at
+        // collective boundaries, which is what keeps chaos replay
+        // deterministic).
+        let launch = |ctx: &mut Ctx, arrivals| {
+            let done = self.launch(ctx, arrivals, op, len);
+            (done, done)
+        };
+        self.plan
+            .gate
+            .arrive(ctx, self.idx, my_bufs, wait, dead, launch)
+            .map_err(|t| CollAbort { at: t.at })
     }
 
     /// What one call of `op` on `len` bytes runs: the engine selector
@@ -636,7 +645,7 @@ impl XcclComm {
     fn launch(
         &self,
         ctx: &mut Ctx,
-        arrivals: &[Option<Vec<DeviceBuf>>],
+        arrivals: Vec<Vec<DeviceBuf>>,
         op: XcclOp,
         len: u64,
     ) -> SimTime {
@@ -645,7 +654,7 @@ impl XcclComm {
 
         // Assemble buffers in ring order.
         let mut by_flat: Vec<Option<DeviceBuf>> = vec![None; world.devs.len()];
-        for b in arrivals.iter().flatten().flatten() {
+        for b in arrivals.iter().flatten() {
             by_flat[b.flat] = Some(*b);
         }
         // Membership semantics of a server-equipped communicator:

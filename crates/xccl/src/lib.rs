@@ -49,7 +49,8 @@
 //! flag for ablation against the emergent curves.
 //!
 //! Every engine has the same shape — **gate → regime → generator →
-//! driver → fold**: the rendezvous gate fills, the last arriver resolves
+//! driver → fold**: the gate (a [`diomp_fabric::Rendezvous`] shared
+//! through the communicator plan) fills, the last arriver resolves
 //! the engine selector into one regime, that regime's generator emits a
 //! chunk-send schedule, one runner marches it (launch delay, the shared
 //! drivers, one receive-side step), and one sequential fold writes the
@@ -69,9 +70,10 @@
 //!    different NIC. `nrings = min(nics_per_node, devs_per_node)` rails
 //!    split the payload and aggregate NIC bandwidth, as NCCL does.
 //! 2. **Gate**: every participating rank calls
-//!    [`XcclComm::collective`]; a rendezvous gate collects each rank's
-//!    [`DeviceBuf`]s and the *last* arriving rank's task drives the
-//!    whole schedule (collectives are synchronising, so this costs no
+//!    [`XcclComm::collective`], which is one arrival at the plan's
+//!    rendezvous with the rank's [`DeviceBuf`]s; the *last* arriving
+//!    rank's task drives the whole schedule as the rendezvous'
+//!    completion rule (collectives are synchronising, so this costs no
 //!    extra parallelism).
 //! 3. **Schedule**: allreduce = reduce-scatter then allgather, `2(n−1)`
 //!    steps; broadcast/reduce/allgather run `n−1` chain steps. Each
@@ -156,8 +158,7 @@ mod unique_id;
 
 pub use comm::{CommOpts, RingInfo, XcclComm};
 pub use dbt::crossover_bytes as dbt_crossover_bytes;
-pub use gate::CollAbort;
-pub use gate::DeviceBuf;
+pub use gate::{CollAbort, DeviceBuf};
 pub use ll::{crossover_bytes, AutoConfig};
 pub use ops::XcclOp;
 pub use ring::{default_nrings, CollEngine, RingConfig};

@@ -212,3 +212,27 @@ fn back_to_back_collectives_reuse_the_gate() {
         }
     });
 }
+
+#[test]
+#[should_panic(expected = "arrived twice")]
+fn a_rank_arriving_twice_at_one_collective_panics() {
+    // Rank 1 gets hold of rank 0's communicator handle and arrives on
+    // its behalf while rank 0 is still waiting at the gate (ranks 2 and 3
+    // never show up, so the episode cannot have filled).
+    let lent: Arc<parking_lot::Mutex<Option<Arc<XcclComm>>>> = Arc::default();
+    with_comm(4, 1, move |ctx, _, comm, r| {
+        let op = XcclOp::AllReduce { op: ReduceOp::SumF64 };
+        match r {
+            0 => {
+                *lent.lock() = Some(comm.clone());
+                comm.collective(ctx, 0, vec![DeviceBuf { flat: 0, off: 0 }], op, 64);
+            }
+            1 => {
+                ctx.delay(diomp_sim::Dur::micros(1.0));
+                let comm0 = lent.lock().clone().expect("rank 0 lends its handle first");
+                comm0.collective(ctx, 0, vec![DeviceBuf { flat: 0, off: 0 }], op, 64);
+            }
+            _ => {}
+        }
+    });
+}
