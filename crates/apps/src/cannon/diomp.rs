@@ -1,9 +1,10 @@
 //! DiOMP implementation of the ring matmul.
 //!
-//! Stripes live in the symmetric global heap, so the ring shift is a
-//! single `ompx_put` per iteration — no receive posting, no request
-//! arrays (cf. Listing 1 vs 2 of the paper) — and intra-node hops ride
-//! GPUDirect P2P automatically.
+//! Stripes live in the symmetric global heap, so each step's shift is
+//! two `ompx_get`s — the next top half out of the right neighbour's
+//! buffer, the next bottom half out of the left's — with no receive
+//! posting and no request arrays (cf. Listing 1 vs 2 of the paper), and
+//! intra-node hops ride GPUDirect P2P automatically.
 
 use std::sync::Arc;
 
@@ -24,9 +25,9 @@ pub fn run(cfg: &CannonConfig) -> CannonResult {
         .with_allocator(diomp_core::AllocKind::Linear)
         .with_heap(cfg.heap_bytes())
         .build();
-    let out: Arc<Mutex<(Dur, bool)>> = Arc::new(Mutex::new((Dur::ZERO, true)));
+    let verified = cfg.verify && cfg.mode == DataMode::Functional;
+    let out = Arc::new(Mutex::new(CannonResult { elapsed: Dur::ZERO, verified, nic_bytes_max: 0 }));
     let out2 = out.clone();
-    let want_verify = cfg.verify && cfg.mode == DataMode::Functional;
     let cfg = cfg.clone();
 
     DiompRuntime::run(dcfg, move |ctx, rank| {
@@ -50,8 +51,13 @@ pub fn run(cfg: &CannonConfig) -> CannonResult {
 
         let t0 = ctx.now();
         let bufs = [b0, b1];
+        // The top `h` rows of each stripe travel the ring forward, the
+        // `ns − h` below backward: at step `s` the held buffer is the top
+        // of stripe `r+s` over the bottom of stripe `r−s`.
+        let h = ns / 2;
+        let top = (h * n * 8) as u64;
         for s in 0..p {
-            let j = (r + s) % p; // stripe currently held
+            let parts = [((r + s) % p, 0..h), ((r + p - s) % p, h..ns)];
             let cur = bufs[s % 2];
             let nxt = bufs[(s + 1) % 2];
 
@@ -62,24 +68,27 @@ pub fn run(cfg: &CannonConfig) -> CannonResult {
                     rank.dev_addr(dev, cur.off),
                     rank.dev_addr(dev, c.off),
                 );
-                Some(Box::new(move |mem| gemm_body(mem, aa, ba, ca, ns, n, j)))
+                Some(Box::new(move |mem| gemm_body(mem, aa, ba, ca, ns, n, &parts)))
             } else {
                 None
             };
             let kernel_done = rank.target_launch_nowait(ctx, dev, &cfg.gemm_cost(), body);
 
-            // Overlap: pull the next stripe from the right neighbour's
-            // current buffer while the GEMM runs. The exchange is
-            // pull-based (ompx_get): one-sided like the paper's ring, but
-            // immune to the documented Platform A put-path driver issue
-            // (Fig. 4a), which production runs on that system avoid.
+            // Overlap: while the GEMM runs, pull the next top half from
+            // the right neighbour's current buffer and the next bottom
+            // half from the left neighbour's, so an inter-node crossing
+            // carries half a stripe each way on two NICs at once. The
+            // exchange is pull-based (ompx_get): one-sided like the
+            // paper's ring, but immune to the documented Platform A
+            // put-path driver issue (Fig. 4a), which production runs on
+            // that system avoid.
             if s + 1 < p {
-                let right = (r + 1) % p;
-                rank.get(ctx, right, cur, 0, nxt, 0, stripe).unwrap();
+                rank.get(ctx, (r + 1) % p, cur, 0, nxt, 0, top).unwrap();
+                rank.get(ctx, (r + p - 1) % p, cur, top, nxt, top, stripe - top).unwrap();
             }
-            rank.fence(ctx); // puts remotely complete + streams settled
+            rank.fence(ctx); // gets complete + streams settled
             ctx.sleep_until(kernel_done);
-            rank.barrier(ctx); // everyone's next stripe has landed
+            rank.barrier(ctx); // everyone's next halves have landed
         }
         let elapsed = ctx.now().since(t0);
 
@@ -90,12 +99,14 @@ pub fn run(cfg: &CannonConfig) -> CannonResult {
             ok = verify_stripe(&matgen::from_bytes_f64(&bytes), n, r, ns);
             assert!(ok, "rank {r}: C stripe mismatch");
         }
+        let nic = rank.shared.world.devs.dev(dev).nic;
         let mut o = out2.lock();
-        o.0 = o.0.max(elapsed);
-        o.1 &= ok;
+        o.elapsed = o.elapsed.max(elapsed);
+        o.verified &= ok;
+        o.nic_bytes_max = o.nic_bytes_max.max(ctx.handle().resource_bytes(nic));
     })
     .unwrap();
 
-    let (elapsed, verified) = *out.lock();
-    CannonResult { elapsed, verified: verified && want_verify }
+    let result = *out.lock();
+    result
 }

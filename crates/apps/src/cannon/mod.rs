@@ -2,15 +2,20 @@
 //!
 //! `C = A × B` on P devices with the paper's 1-D ring decomposition:
 //! rank *r* owns row-stripes `A_r`, `B_r`, `C_r` of height `Ns = N/P` and
-//! an extra B stripe for communication/computation overlap. Each of the
-//! P iterations multiplies the `Ns×Ns` block `A_r[:, j·Ns..]` with the
-//! currently-held B stripe `B_j` (workload `N·Ns·Ns`, as in the paper)
-//! while the stripe simultaneously ring-shifts to the left neighbour.
+//! an extra B stripe for communication/computation overlap. B stripes
+//! counter-rotate in halves: the top `Ns/2` rows of each travel the ring
+//! forward, the rows below travel it backward, so at step *s* rank *r*
+//! holds the top of `B_{r+s}` over the bottom of `B_{r−s}` and one GEMM
+//! multiplies each half with its `Ns`-wide column block of `A_r`
+//! (workload `N·Ns·Ns` per step, as in the paper). Meanwhile it pulls
+//! the next top half from its right neighbour and the next bottom half
+//! from its left, so every inter-node crossing carries half a stripe in
+//! each direction, on two NICs at once (DESIGN D21).
 //!
 //! Two implementations share this module's setup and verification:
-//! [`diomp::run`] (one-sided `ompx_put` + `ompx_fence`, GPUDirect paths
-//! intra-node) and [`mpi::run`] (`MPI_Isend`/`Irecv`/`Waitall` over
-//! CUDA-aware staging) — the Fig. 7 comparison.
+//! [`diomp::run`] (one-sided `ompx_get` ×2 + `ompx_fence`, GPUDirect
+//! paths intra-node) and [`mpi::run`] (`MPI_Isend`/`Irecv` ×2 +
+//! `Waitall` over CUDA-aware staging) — the Fig. 7 comparison.
 
 pub mod diomp;
 pub mod mpi;
@@ -75,11 +80,14 @@ pub struct CannonResult {
     pub elapsed: Dur,
     /// Whether verification ran and passed.
     pub verified: bool,
+    /// Wire bytes the busiest NIC carried, setup included.
+    pub nic_bytes_max: u64,
 }
 
-/// The GEMM body executed on real data in Functional mode:
-/// `C += A[:, j*ns..(j+1)*ns] × Bcur`, all stripes row-major `ns×n`
-/// resident in device memory at the given addresses.
+/// The GEMM body executed on real data in Functional mode: for each
+/// `(j, ks)` of `parts`, `C += A[:, j*ns + ks] × Bcur[ks, :]` — rows `ks`
+/// of the held buffer being rows `ks` of stripe `B_j` — all stripes
+/// row-major `ns×n` resident in device memory at the given addresses.
 pub(crate) fn gemm_body(
     mem: &DeviceMem,
     a_addr: u64,
@@ -87,7 +95,7 @@ pub(crate) fn gemm_body(
     c_addr: u64,
     ns: usize,
     n: usize,
-    j: usize,
+    parts: &[(usize, std::ops::Range<usize>)],
 ) {
     let stripe = (ns * n * 8) as u64;
     let mut a = vec![0u8; stripe as usize];
@@ -100,13 +108,15 @@ pub(crate) fn gemm_body(
     let b = matgen::from_bytes_f64(&b);
     let mut c = matgen::from_bytes_f64(&c);
     for i in 0..ns {
-        for k in 0..ns {
-            let av = a[i * n + j * ns + k];
-            if av == 0.0 {
-                continue;
-            }
-            for col in 0..n {
-                c[i * n + col] += av * b[k * n + col];
+        for (j, ks) in parts {
+            for k in ks.clone() {
+                let av = a[i * n + j * ns + k];
+                if av == 0.0 {
+                    continue;
+                }
+                for col in 0..n {
+                    c[i * n + col] += av * b[k * n + col];
+                }
             }
         }
     }

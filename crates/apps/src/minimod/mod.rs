@@ -86,6 +86,20 @@ pub struct MinimodConfig {
 }
 
 impl MinimodConfig {
+    /// An untuned run on a `grid³` cube, verified exactly when it moves
+    /// real bytes — what every figure bin and the gate configure.
+    pub fn cube(
+        platform: PlatformSpec,
+        gpus: usize,
+        grid: usize,
+        steps: usize,
+        mode: DataMode,
+        halo: HaloStyle,
+    ) -> Self {
+        let (nx, ny, nz, verify) = (grid, grid, grid, mode == DataMode::Functional);
+        MinimodConfig { platform, gpus, nx, ny, nz, steps, mode, verify, halo, tuned: false }
+    }
+
     /// Planes per rank.
     pub fn nz_local(&self) -> usize {
         if !self.nz.is_multiple_of(self.gpus) {

@@ -38,13 +38,49 @@ fn matmul_is_correct_across_nodes() {
 }
 
 #[test]
+fn counter_rotation_verifies_on_every_ring_shape() {
+    // Half-stripes travel the ring both ways: 1–4 nodes, the two-rank
+    // ring whose left neighbour is its right one, and odd stripe
+    // heights (ns = 3: one row forward, two backward).
+    for (gpus, n) in [(2, 8), (4, 12), (8, 48), (12, 48), (16, 48)] {
+        let cfg = matmul_cfg(gpus, n, DataMode::Functional);
+        assert!(cannon::diomp::run(&cfg).verified, "DiOMP, {gpus} GPUs, N = {n}");
+        assert!(cannon::mpi::run(&cfg).verified, "MPI, {gpus} GPUs, N = {n}");
+    }
+}
+
+#[test]
+fn inter_node_crossings_carry_half_a_stripe_each_way() {
+    // 12 GPUs = 3 platform-A nodes, three crossings. Each is served by
+    // two NICs — the forward half leaves one node, the backward half
+    // the other — so no NIC carries more than (p−1) half-stripes (plus
+    // 64-byte requests and wire framing, at most 1/0.8 for MPI's
+    // rendezvous), where a one-way ring puts (p−1) whole stripes on one
+    // NIC per node.
+    let cfg = matmul_cfg(12, 30240, DataMode::CostOnly);
+    let half = 11 * cfg.stripe_bytes() / 2;
+    for (arm, r) in [("DiOMP", cannon::diomp::run(&cfg)), ("MPI", cannon::mpi::run(&cfg))] {
+        let b = r.nic_bytes_max;
+        assert!(b >= half && b < half * 13 / 10, "{arm}: busiest NIC {b} B vs {half} B");
+    }
+}
+
+#[test]
 fn diomp_matmul_beats_mpi_at_scale() {
-    // Fig. 7's qualitative claim at paper scale (CostOnly). At moderate
-    // GPU counts both are kernel-bound and tie; once the ring becomes
-    // communication-sensitive (32 GPUs), DiOMP's one-sided pull wins.
-    let d = cannon::diomp::run(&matmul_cfg(32, 30240, DataMode::CostOnly));
-    let m = cannon::mpi::run(&matmul_cfg(32, 30240, DataMode::CostOnly));
-    assert!(d.elapsed < m.elapsed, "DiOMP {} must beat MPI {}", d.elapsed, m.elapsed);
+    // Fig. 7's qualitative claim at paper scale (CostOnly). With both
+    // directions of every link in use, platform A at 32 GPUs is
+    // GEMM-bound in both arms and they tie; where the ring is still
+    // wire-bound (platform B, 64 GCDs), DiOMP's one-sided pull wins.
+    let d = cannon::diomp::run(&matmul_cfg(32, 30240, DataMode::CostOnly)).elapsed;
+    let m = cannon::mpi::run(&matmul_cfg(32, 30240, DataMode::CostOnly)).elapsed;
+    let ratio = d.as_nanos() as f64 / m.as_nanos() as f64;
+    assert!((ratio - 1.0).abs() < 0.01, "A/32 is a GEMM-bound tie: DiOMP {d}, MPI {m}");
+    let b64 = CannonConfig {
+        platform: PlatformSpec::platform_b(),
+        ..matmul_cfg(64, 30240, DataMode::CostOnly)
+    };
+    let (d, m) = (cannon::diomp::run(&b64).elapsed, cannon::mpi::run(&b64).elapsed);
+    assert!(d < m, "B/64: DiOMP {d} must beat MPI {m}");
 }
 
 #[test]

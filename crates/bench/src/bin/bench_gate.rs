@@ -25,6 +25,7 @@
 //! (run after an intentional performance change and commit the result)
 //! and prints a before/after diff of every row it refreshed.
 
+use diomp_apps::cannon;
 use diomp_apps::micro::{
     diomp_collective, diomp_p2p, fig6_nodes, scale_allreduce, CollKind, CollProbe, Metric,
     P2pProbe, RmaOp,
@@ -34,7 +35,7 @@ use diomp_apps::workload::{self, run_workload};
 use diomp_bench::report::{
     json_path_from_args, parse_json, write_if_requested, write_json, BenchRecord,
 };
-use diomp_bench::{scale_engines, size_label};
+use diomp_bench::{fig7_cfg, fig8_cfg, paper, scale_engines, size_label};
 use diomp_core::{
     default_nrings, CollEngine, Conduit, DiompConfig, DiompRuntime, PipelineConfig, ReduceOp,
     RingConfig, Tuner, XcclOp,
@@ -113,6 +114,7 @@ fn measure() -> Gate {
     p2p(&mut g);
     fence(&mut g);
     halo(&mut g);
+    apps(&mut g);
     collectives(&mut g);
     ring_tracks_profile(&mut g);
     fault_hooks(&mut g);
@@ -180,24 +182,41 @@ fn halo(g: &mut Gate) {
     for (name, halo) in
         [("ordered", HaloStyle::NotifyOrdered), ("waitsome", HaloStyle::NotifyWaitsome)]
     {
-        let cfg = MinimodConfig {
-            platform: PlatformSpec::platform_c(),
-            gpus: 8,
-            nx: 240,
-            ny: 240,
-            nz: 240,
-            steps: 10,
-            mode: DataMode::CostOnly,
-            verify: false,
-            halo,
-            tuned: false,
-        };
+        let (platform, mode) = (PlatformSpec::platform_c(), DataMode::CostOnly);
+        let cfg = MinimodConfig::cube(platform, 8, 240, 10, mode, halo);
         let r = minimod::diomp::run(&cfg);
         let us_per_step = r.elapsed.as_us() / cfg.steps as f64;
         let name = format!("fig_halo/{name}_us_per_step_8gpus");
         g.row(name, us_per_step, "us", Lower, Some(r.entries));
     }
 }
+
+/// Figs. 7–8 at the top of each ladder: the ring matmul's speedup over
+/// its own first rung, Minimod's over MPI's first rung (the paper's
+/// baselines), and Minimod's step time — the rows ROADMAP F moves.
+fn apps(g: &mut Gate) {
+    for (tag, platform, fig7, fig8) in [
+        ("A", PlatformSpec::platform_a(), &paper::FIG7_GPUS_A[..], &paper::FIG8_GPUS_A[..]),
+        ("B", PlatformSpec::platform_b(), &paper::FIG7_GPUS_B[..], &paper::FIG8_GPUS_B[..]),
+    ] {
+        let ends = [fig7[0], fig7[fig7.len() - 1]];
+        for (arm, run) in [("diomp", cannon::diomp::run as CannonArm), ("mpi", cannon::mpi::run)] {
+            let top = cannon::speedup_series(|g| run(&fig7_cfg(&platform, g)), &ends, None)[1];
+            g.row(format!("fig7/{arm}_speedup_{tag}_{}", top.0), top.1, "x", Higher, None);
+        }
+        let (lo, hi) = (fig8[0], fig8[fig8.len() - 1]);
+        let base = minimod::mpi::run(&fig8_cfg(&platform, lo)).elapsed.as_us();
+        let d = minimod::diomp::run(&fig8_cfg(&platform, hi));
+        let m = minimod::mpi::run(&fig8_cfg(&platform, hi));
+        for (arm, r) in [("diomp", &d), ("mpi", &m)] {
+            let name = format!("fig8/{arm}_speedup_{tag}_{hi}");
+            g.row(name, base / r.elapsed.as_us(), "x", Higher, Some(r.entries));
+        }
+        let step_us = d.elapsed.as_us() / paper::FIG8_SIM_STEPS as f64;
+        g.row(format!("fig8/diomp_us_per_step_{tag}_{hi}"), step_us, "us", Lower, None);
+    }
+}
+type CannonArm = fn(&cannon::CannonConfig) -> cannon::CannonResult;
 
 /// Collective engines at the Fig. 6 device counts.
 fn collectives(g: &mut Gate) {

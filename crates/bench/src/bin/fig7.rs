@@ -2,24 +2,16 @@
 //! speedup over the single-node baseline on platforms A and B. The paper
 //! observes superlinear scaling (shrinking per-rank working sets).
 
-use diomp_apps::cannon::{self, CannonConfig};
-use diomp_bench::paper;
+use diomp_apps::cannon;
 use diomp_bench::report::{json_path_from_args, BenchRecord};
-use diomp_device::DataMode;
+use diomp_bench::{fig7_cfg, paper};
 use diomp_sim::PlatformSpec;
 
 type Speedups = Vec<(usize, f64)>;
 
 fn series(platform: &PlatformSpec, gpus: &[usize]) -> (Speedups, Speedups) {
-    let cfg = |g: usize| CannonConfig {
-        platform: platform.clone(),
-        gpus: g,
-        n: paper::FIG7_N,
-        mode: DataMode::CostOnly,
-        verify: false,
-    };
-    let d = cannon::speedup_series(|g| cannon::diomp::run(&cfg(g)), gpus, None);
-    let m = cannon::speedup_series(|g| cannon::mpi::run(&cfg(g)), gpus, None);
+    let d = cannon::speedup_series(|g| cannon::diomp::run(&fig7_cfg(platform, g)), gpus, None);
+    let m = cannon::speedup_series(|g| cannon::mpi::run(&fig7_cfg(platform, g)), gpus, None);
     (d, m)
 }
 

@@ -3,13 +3,10 @@
 //! baseline). Steady-state per-step times make speedups step-count
 //! invariant, so the harness simulates 40 steps instead of 1000.
 
-use diomp_apps::minimod::{self, HaloStyle, MinimodConfig};
-use diomp_bench::paper;
+use diomp_apps::minimod;
 use diomp_bench::report::{json_path_from_args, BenchRecord};
-use diomp_device::DataMode;
+use diomp_bench::{fig8_cfg, paper};
 use diomp_sim::PlatformSpec;
-
-const SIM_STEPS: usize = 40;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -31,22 +28,11 @@ fn main() {
             paper::FIG8_PEAK_B,
         ),
     ] {
-        let cfg = |g: usize| MinimodConfig {
-            platform: platform.clone(),
-            gpus: g,
-            nx: paper::FIG8_GRID,
-            ny: paper::FIG8_GRID,
-            nz: paper::FIG8_GRID,
-            steps: SIM_STEPS,
-            mode: DataMode::CostOnly,
-            verify: false,
-            halo: HaloStyle::Get,
-            tuned: false,
-        };
+        let cfg = |g: usize| fig8_cfg(&platform, g);
         println!(
             "\n== Fig. 8{name}: Minimod speedup vs MPI {}-GPU baseline ({} of {} steps simulated) ==",
             gpus[0],
-            SIM_STEPS,
+            paper::FIG8_SIM_STEPS,
             paper::FIG8_STEPS
         );
         let base = minimod::mpi::run(&cfg(gpus[0])).elapsed.as_nanos() as f64;

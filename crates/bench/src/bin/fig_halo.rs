@@ -30,18 +30,7 @@ const STYLES: [(&str, HaloStyle); 3] = [
 ];
 
 fn cfg(gpus: usize, grid: usize, steps: usize, mode: DataMode, halo: HaloStyle) -> MinimodConfig {
-    MinimodConfig {
-        platform: PlatformSpec::platform_c(),
-        gpus,
-        nx: grid,
-        ny: grid,
-        nz: grid,
-        steps,
-        mode,
-        verify: mode == DataMode::Functional,
-        halo,
-        tuned: false,
-    }
+    MinimodConfig::cube(PlatformSpec::platform_c(), gpus, grid, steps, mode, halo)
 }
 
 fn main() {

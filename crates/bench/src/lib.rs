@@ -11,6 +11,11 @@
 
 #![warn(missing_docs)]
 
+use diomp_apps::cannon::CannonConfig;
+use diomp_apps::minimod::{HaloStyle, MinimodConfig};
+use diomp_device::DataMode;
+use diomp_sim::PlatformSpec;
+
 /// Reference values transcribed from the paper's figures.
 pub mod paper {
     /// Fig. 6 message sizes for Broadcast (bytes): 32 KB … 64 MB.
@@ -102,10 +107,24 @@ pub mod paper {
     /// Paper step count (the harness simulates fewer steps and reports
     /// speedups, which are step-count invariant in steady state).
     pub const FIG8_STEPS: usize = 1000;
+    /// Steps the Fig. 8 harness and its gate rows actually simulate.
+    pub const FIG8_SIM_STEPS: usize = 40;
     /// Fig. 8 approximate peak speedups read off the plots (DiOMP, MPI).
     pub const FIG8_PEAK_A: (f64, f64) = (4.8, 4.2);
     /// Fig. 8 peak speedups on platform B.
     pub const FIG8_PEAK_B: (f64, f64) = (4.6, 4.0);
+}
+
+/// The Fig. 7 run at `gpus` devices: N = 30240, cost-only.
+pub fn fig7_cfg(platform: &PlatformSpec, gpus: usize) -> CannonConfig {
+    let (n, mode) = (paper::FIG7_N, DataMode::CostOnly);
+    CannonConfig { platform: platform.clone(), gpus, n, mode, verify: false }
+}
+
+/// The Fig. 8 run at `gpus` devices: the 1200³ grid, cost-only, pull halo.
+pub fn fig8_cfg(platform: &PlatformSpec, gpus: usize) -> MinimodConfig {
+    let (grid, steps) = (paper::FIG8_GRID, paper::FIG8_SIM_STEPS);
+    MinimodConfig::cube(platform.clone(), gpus, grid, steps, DataMode::CostOnly, HaloStyle::Get)
 }
 
 /// Machine-readable benchmark emission (`BENCH_*.json`).

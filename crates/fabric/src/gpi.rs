@@ -66,7 +66,7 @@ use parking_lot::Mutex;
 
 use crate::error::FabricError;
 use crate::loc::Loc;
-use crate::path::{control_msg, End};
+use crate::path::{raw_path, End};
 use crate::segment::SegmentId;
 use crate::wire::{self, Price};
 use crate::world::FabricWorld;
@@ -302,10 +302,12 @@ pub fn queue_purge(h: &SimHandle, world: &Arc<FabricWorld>, rank: usize, queue: 
 /// lands, notification `id` with `value` becomes visible at the target.
 ///
 /// `value` must be non-zero (GASPI reserves 0 for the reset state). The
-/// notification control message is charged on the *same* endpoints as
-/// the payload, so the FIFO link model guarantees it arrives strictly
-/// after the last data byte — a waitsome wake-up implies the halo bytes
-/// are already deposited.
+/// notification is *data*, not a control packet: GASPI orders it on the
+/// queue behind its write, so it is a 64-byte bulk reservation on the
+/// payload's own link resource (never the control lane, which would
+/// overtake a large write) and the FIFO link model guarantees it arrives
+/// strictly after the last data byte — a waitsome wake-up implies the
+/// halo bytes are already deposited.
 #[allow(clippy::too_many_arguments)]
 pub fn write_notify(
     ctx: &mut Ctx,
@@ -325,13 +327,13 @@ pub fn write_notify(
     write(ctx, world, src_rank, queue, src, dst, dst_off, len)?;
     ctx.delay(notify);
     // The notification rides behind the data: same source/destination
-    // endpoints, hence the same FIFO NIC resources, one control message
-    // issued after the write — it queues behind the payload and becomes
-    // visible only once the data is deposited.
+    // endpoints, hence the same FIFO NIC resource, 64 bytes issued after
+    // the write — it queues behind the payload and becomes visible only
+    // once the data is deposited.
     let dst_rank = dst.rank;
     let dst_end = End::Dev(world.segment(dst).flat);
     let h = ctx.handle();
-    let mut when = control_msg(h, &world.devs, src_end, dst_end, ctx.now());
+    let mut when = raw_path(h, &world.devs, src_end, dst_end, ctx.now(), 64, 1.0).arrive;
     // Injection point for the notification message itself: a dropped
     // flag models the payload landing while its completion signal is
     // lost — the caller's timeout-and-retry path must cover this.

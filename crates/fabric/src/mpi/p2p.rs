@@ -104,10 +104,7 @@ impl MpiRank {
             // Rendezvous: RTS first, data once matched.
             let src_end = End::Node(world.node_of(from));
             let dst_end = End::Node(world.node_of(to));
-            let rts_arrive = {
-                let t = raw_path(&h, &world.devs, src_end, dst_end, ctx.now(), 64, 1.0);
-                t.arrive
-            };
+            let rts_arrive = control_msg(&h, &world.devs, src_end, dst_end, ctx.now());
             let world2 = world.clone();
             let src2 = src.clone();
             h.schedule_at(rts_arrive, move |h| {

@@ -5,7 +5,7 @@
 //! layers (GASNet, GPI, MPI) add their software overheads around these.
 
 use diomp_device::DeviceTable;
-use diomp_sim::{SimHandle, SimTime};
+use diomp_sim::{DevLoc, ResourceId, SimHandle, SimTime};
 
 /// Modelled times of a raw path traversal.
 #[derive(Clone, Copy, Debug)]
@@ -34,17 +34,35 @@ impl End {
     }
 }
 
+/// The link resource a `src → dst` traversal serialises on: the
+/// hierarchy documented at [`raw_path`].
+fn first_hop(devs: &DeviceTable, src: End, dst: End) -> ResourceId {
+    let (sn, dn) = (src.node(devs), dst.node(devs));
+    match (src, dst) {
+        (End::Dev(a), _) if sn != dn => devs.dev(a).nic,
+        (End::Node(n), _) if sn != dn => devs.topo.nic_for(DevLoc { node: n, gpu: 0 }),
+        (End::Dev(a), End::Dev(b)) if a == b => devs.dev(a).d2d_engine,
+        (End::Dev(a), End::Dev(_)) => devs.dev(a).port,
+        (End::Dev(d), End::Node(_)) | (End::Node(_), End::Dev(d)) => devs.dev(d).pcie,
+        (End::Node(n), End::Node(_)) => devs.topo.shm(n),
+    }
+}
+
 /// Charge the raw path from `src` to `dst` for `bytes / eff` wire bytes,
-/// with the payload ready at `ready`.
+/// with the payload ready at `ready`, FIFO on the path's first hop.
 ///
 /// Path selection mirrors the hierarchy of paper §3.2 as seen by a
 /// *conduit* (no GPUDirect P2P here — direct peer transfers are a DiOMP
 /// runtime optimisation layered above, see `diomp-core::rma`):
 ///
 /// * inter-node  → source NIC (GPU-direct RDMA),
-/// * intra-node device↔device (different processes) → IPC staging
-///   (PCIe → host shm → PCIe, pipelined),
+/// * intra-node device↔device (different processes) → IPC handles over
+///   the GPU fabric (NVLink/xGMI): what CUDA-aware MPI and GASNet's PSHM
+///   path both do on P2P-capable nodes. The host-shm bounce only exists
+///   for P2P-incapable pairs (see `diomp_device::copy::d2d_ipc`, used by
+///   the DiOMP runtime's explicit no-P2P fallback),
 /// * same device → local copy engine,
+/// * device↔host intra-node → the device's PCIe link,
 /// * host↔host intra-node → shared-memory copy.
 pub fn raw_path(
     h: &SimHandle,
@@ -57,48 +75,16 @@ pub fn raw_path(
 ) -> PathTimes {
     assert!(eff > 0.0 && eff <= 1.0, "efficiency must be in (0, 1]");
     let wire = ((bytes as f64 / eff).ceil() as u64).max(1);
-    let (sn, dn) = (src.node(devs), dst.node(devs));
-    if sn != dn {
-        // Inter-node: serialise on the source's NIC.
-        let nic = match src {
-            End::Dev(f) => devs.dev(f).nic,
-            End::Node(n) => devs.topo.nic_for(diomp_sim::DevLoc { node: n, gpu: 0 }),
-        };
-        let tr = h.transfer_from(nic, ready, wire);
-        return PathTimes { depart: tr.depart, arrive: tr.arrive };
-    }
-    match (src, dst) {
-        (End::Dev(a), End::Dev(b)) if a == b => {
-            let tr = h.transfer_from(devs.dev(a).d2d_engine, ready, wire);
-            PathTimes { depart: tr.depart, arrive: tr.arrive }
-        }
-        (End::Dev(a), End::Dev(_)) => {
-            // Intra-node device-to-device via IPC handles over the GPU
-            // fabric (NVLink/xGMI): what CUDA-aware MPI and GASNet's PSHM
-            // path both do on P2P-capable nodes. The host-shm bounce only
-            // exists for P2P-incapable pairs (see
-            // `diomp_device::copy::d2d_ipc`, used by the DiOMP runtime's
-            // explicit no-P2P fallback).
-            let tr = h.transfer_from(devs.dev(a).port, ready, wire);
-            PathTimes { depart: tr.depart, arrive: tr.arrive }
-        }
-        (End::Dev(a), End::Node(_)) => {
-            let tr = h.transfer_from(devs.dev(a).pcie, ready, wire);
-            PathTimes { depart: tr.depart, arrive: tr.arrive }
-        }
-        (End::Node(_), End::Dev(b)) => {
-            let tr = h.transfer_from(devs.dev(b).pcie, ready, wire);
-            PathTimes { depart: tr.depart, arrive: tr.arrive }
-        }
-        (End::Node(n), End::Node(_)) => {
-            let tr = h.transfer_from(devs.topo.shm(n), ready, wire);
-            PathTimes { depart: tr.depart, arrive: tr.arrive }
-        }
-    }
+    let tr = h.transfer_from(first_hop(devs, src, dst), ready, wire);
+    PathTimes { depart: tr.depart, arrive: tr.arrive }
 }
 
-/// Charge a minimal control message (RTS/CTS/ack) along the path: pure
-/// latency plus a tiny wire cost, no meaningful bandwidth.
+/// Charge a minimal control message (get request, put acknowledgement,
+/// RTS/CTS) along the path: the first hop's latency plus 64 bytes of
+/// serialisation on its control lane. It neither queues behind nor
+/// delays bulk payload on the same link — a NIC interleaves a 64-byte
+/// packet within one MTU — so a `get` request is never held up by the
+/// megabytes the requester's own NIC is streaming (DESIGN D3).
 pub fn control_msg(
     h: &SimHandle,
     devs: &DeviceTable,
@@ -106,5 +92,5 @@ pub fn control_msg(
     dst: End,
     ready: SimTime,
 ) -> SimTime {
-    raw_path(h, devs, src, dst, ready, 64, 1.0).arrive
+    h.control_from(first_hop(devs, src, dst), ready, 64)
 }

@@ -302,31 +302,43 @@ fn gpi_concurrent_waiters_on_one_id_both_complete() {
 
 #[test]
 fn gpi_notification_never_overtakes_its_payload() {
-    // A large write_notify: the notification control message must queue
-    // behind the payload on the same NIC, so when the waiter wakes the
-    // full deposit is already visible.
-    let mut sim = Sim::new();
-    let world = boot(&sim, PlatformSpec::platform_c(), 2, 1, 2);
-    let len: u64 = 2 << 20;
-    let seg = world.attach_device_segment(1, 1, 4 << 20).unwrap();
-    let w0 = world.clone();
-    sim.spawn("rank0", move |ctx| {
-        let dev = w0.primary_dev(0).clone();
-        let pattern: Vec<u8> = (0..len).map(|i| (i % 249) as u8).collect();
-        dev.mem.write(0, &pattern).unwrap();
-        gpi::write_notify(ctx, &w0, 0, gpi::QueueId(0), Loc::dev(0, 0), seg, 0, len, 3, 1).unwrap();
-        gpi::wait_queue(ctx, &w0, 0, gpi::QueueId(0), Wait::Block).unwrap();
-    });
-    let w1 = world.clone();
-    sim.spawn("rank1", move |ctx| {
-        let v = gpi::notify_wait(ctx, &w1, 1, 3);
-        assert_eq!(v, 1);
-        let bytes =
-            w1.segment(seg).range(0, len).unwrap().snapshot(&w1.devs, len).unwrap().unwrap();
-        let expect: Vec<u8> = (0..len).map(|i| (i % 249) as u8).collect();
-        assert_eq!(bytes, expect, "payload fully deposited before the notification");
-    });
-    sim.run().unwrap();
+    // A 16 MiB write_notify: the notification is 64 bytes of data queued
+    // behind the payload on the same NIC FIFO — not a control-lane packet,
+    // which would arrive a latency after issue — so when the waiter wakes
+    // the last byte is already deposited. Alone, and behind another bulk
+    // write that keeps the NIC busy first.
+    let len: u64 = 16 << 20;
+    for concurrent in [false, true] {
+        let mut sim = Sim::new();
+        let spec = ClusterSpec { platform: PlatformSpec::platform_c(), nodes: 2, gpus_per_node: 1 };
+        let topo = Arc::new(Topology::build(&sim.handle(), spec));
+        let devs =
+            DeviceTable::build(&sim.handle(), topo.clone(), DataMode::Functional, Some(2 * len));
+        let world = FabricWorld::new(topo, devs, 2);
+        let seg = world.attach_device_segment(1, 1, 2 * len).unwrap();
+        let w0 = world.clone();
+        sim.spawn("rank0", move |ctx| {
+            let dev = w0.primary_dev(0).clone();
+            let pattern: Vec<u8> = (0..len).map(|i| (i % 249) as u8).collect();
+            dev.mem.write(0, &pattern).unwrap();
+            let q = gpi::QueueId(0);
+            if concurrent {
+                gpi::write(ctx, &w0, 0, q, Loc::dev(0, 0), seg, len, len).unwrap();
+            }
+            gpi::write_notify(ctx, &w0, 0, q, Loc::dev(0, 0), seg, 0, len, 3, 1).unwrap();
+            gpi::wait_queue(ctx, &w0, 0, q, Wait::Block).unwrap();
+        });
+        let w1 = world.clone();
+        sim.spawn("rank1", move |ctx| {
+            let v = gpi::notify_wait(ctx, &w1, 1, 3);
+            assert_eq!(v, 1);
+            let bytes =
+                w1.segment(seg).range(0, len).unwrap().snapshot(&w1.devs, len).unwrap().unwrap();
+            let intact = bytes.iter().enumerate().all(|(i, &b)| b == (i % 249) as u8);
+            assert!(intact, "payload fully deposited before the notification ({concurrent})");
+        });
+        sim.run().unwrap();
+    }
 }
 
 #[test]

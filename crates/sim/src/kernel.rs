@@ -956,6 +956,20 @@ impl SimHandle {
         self.transfer_locked(&mut st, res, at, bytes)
     }
 
+    /// Reserve a control packet (request, acknowledgement, RTS/CTS) on
+    /// `res`'s control lane: delivered `latency + bytes/bandwidth` after
+    /// `at` whatever bulk payload the link is streaming, and perturbed by
+    /// an armed fault window exactly as a payload starting at `at` is.
+    pub fn control_from(&self, res: ResourceId, at: SimTime, bytes: u64) -> SimTime {
+        let mut st = self.kernel.state.lock();
+        let at = at.max(st.now);
+        let (at, milli, extra) = match st.fault.as_mut().and_then(|f| f.perturb(res, at)) {
+            Some(p) => (at.max(p.not_before), p.factor_milli, p.extra),
+            None => (at, 1000, Dur::ZERO),
+        };
+        st.resources[res.index()].control(at, bytes, milli, extra)
+    }
+
     /// Take the kernel state lock for a run of event-free reservations
     /// (see [`Reservations`]). The caller must not touch the handle — or
     /// park — until the guard is dropped.
@@ -1076,6 +1090,12 @@ impl SimHandle {
     /// Next time the resource is free (for diagnostics / tests).
     pub fn resource_free_at(&self, res: ResourceId) -> SimTime {
         self.kernel.state.lock().resources[res.index()].free_at()
+    }
+
+    /// Cumulative bytes reserved on the resource so far, bulk and control
+    /// lane together (utilisation reporting / tests).
+    pub fn resource_bytes(&self, res: ResourceId) -> u64 {
+        self.kernel.state.lock().resources[res.index()].total_bytes()
     }
 
     /// Append a record to the trace, if tracing is enabled.

@@ -85,6 +85,18 @@ impl ResSlot {
         Transfer { start, depart, arrive: start + self.latency + busy + extra }
     }
 
+    /// Control-lane reservation: a packet of `bytes` (a request, an
+    /// acknowledgement, RTS/CTS) ready at `at` is priced as a payload on
+    /// an idle link, fault window included, and neither waits for nor
+    /// advances `free_at` — a NIC interleaves a 64-byte packet within
+    /// one MTU of whatever bulk payload it is streaming.
+    pub(crate) fn control(&mut self, at: SimTime, bytes: u64, milli: u32, extra: Dur) -> SimTime {
+        let bulk = std::mem::replace(&mut self.free_at, SimTime::ZERO);
+        let arrive = self.transfer_faulted(at, at, bytes, milli, extra).arrive;
+        self.free_at = bulk;
+        arrive
+    }
+
     pub(crate) fn occupy(&mut self, now: SimTime, d: Dur) -> (SimTime, SimTime) {
         let start = now.max(self.free_at);
         let end = start + d;
@@ -94,6 +106,10 @@ impl ResSlot {
 
     pub(crate) fn free_at(&self) -> SimTime {
         self.free_at
+    }
+
+    pub(crate) fn total_bytes(&self) -> u64 {
+        self.total_bytes
     }
 
     pub(crate) fn bytes_per_ns(&self) -> f64 {
