@@ -112,6 +112,7 @@ fn two_a100_nodes(heap: u64) -> DiompConfig {
 fn measure() -> Gate {
     let mut g = Gate::default();
     p2p(&mut g);
+    staged_put(&mut g);
     fence(&mut g);
     halo(&mut g);
     apps(&mut g);
@@ -153,6 +154,45 @@ fn p2p(g: &mut Gate) {
         let lat = put(tuned, Metric::LatencyUs, &[8 << 10]);
         g.row(format!("fig3{tag}/diomp_put_8KB"), lat[0].1, "us", Lower, None);
     }
+}
+
+/// The staged put as a reservation chain (DESIGN D8), 16 MiB on the tuned
+/// platform-A path: what the call holds the caller for, and bytes over
+/// fenced time of one put and of a put opposed by a get — which use the
+/// other direction of every link, so together they must move at least
+/// 1.7× what the put moves alone.
+fn staged_put(g: &mut Gate) {
+    let len = 16u64 << 20;
+    let pipeline = PipelineConfig::auto(&PlatformSpec::platform_a(), Conduit::GasnetEx);
+    let cfg = DiompConfig { pipeline, ..two_a100_nodes(64 << 20) };
+    let us = std::sync::Arc::new(std::sync::Mutex::new([0.0; 3]));
+    let out = us.clone();
+    let rep = DiompRuntime::run(cfg, move |ctx, rank| {
+        let (a, b) = (rank.alloc_sym(ctx, len).unwrap(), rank.alloc_sym(ctx, len).unwrap());
+        rank.barrier(ctx);
+        if rank.rank == 0 {
+            let t0 = ctx.now();
+            rank.put(ctx, 1, a, 0, a, 0, len).unwrap();
+            let t1 = ctx.now();
+            rank.fence(ctx);
+            let t2 = ctx.now();
+            rank.put(ctx, 1, a, 0, a, 0, len).unwrap();
+            rank.get(ctx, 1, b, 0, b, 0, len).unwrap();
+            rank.fence(ctx);
+            let spans = [t1.since(t0), t2.since(t0), ctx.now().since(t2)];
+            *out.lock().unwrap() = spans.map(|d| d.as_us());
+        }
+        rank.barrier(ctx);
+    })
+    .unwrap();
+    let [call_us, put_us, both_us] = *us.lock().unwrap();
+    let (put, both) = (len as f64 / put_us / 1e3, 2.0 * len as f64 / both_us / 1e3);
+    g.check(both >= 1.7 * put, || {
+        format!("staged put: put + get move {both:.2} GB/s, under 1.7x the put's {put:.2}")
+    });
+    g.row("fig4a/diomp_put_tuned_16MB", put, "GB/s", Higher, Some(rep.entries_processed));
+    g.row("fig4a/diomp_putget_tuned_16MB", both, "GB/s", Higher, None);
+    g.row("ablation/staged_put_call_us_16MB", call_us, "us", Lower, None);
 }
 
 /// Batched fence (DESIGN D9): virtual time and entry count of a fence

@@ -13,9 +13,15 @@ pub struct GPtr {
 }
 
 impl GPtr {
+    /// Does `[delta, delta+len)` lie inside this allocation? A sum that
+    /// wraps `u64` does not, in release builds too.
+    pub(crate) fn covers(self, delta: u64, len: u64) -> bool {
+        delta.checked_add(len).is_some_and(|end| end <= self.len)
+    }
+
     /// A sub-range `[delta, delta+len)` of this allocation.
     pub fn slice(self, delta: u64, len: u64) -> GPtr {
-        assert!(delta + len <= self.len, "GPtr slice out of bounds");
+        assert!(self.covers(delta, len), "GPtr slice out of bounds");
         GPtr { off: self.off + delta, len }
     }
 }

@@ -49,7 +49,7 @@ impl DiompRank {
         value: u64,
     ) -> Result<(), DiompError> {
         assert!(
-            dst_delta + len <= dst.len && src_delta + len <= src.len,
+            dst.covers(dst_delta, len) && src.covers(src_delta, len),
             "put_notify out of bounds"
         );
         self.require_gpi2("put_notify");

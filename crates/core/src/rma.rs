@@ -13,9 +13,11 @@
 //! Every operation is *fence-tracked*: its remote-completion event is
 //! appended to the rank's pending list and drained by `ompx_fence`
 //! (Listing 1 of the paper: a loop of `ompx_put` calls followed by one
-//! `ompx_fence`). Device-side copies are additionally threaded through
-//! the source device's bounded stream pool, coupling communication with
-//! stream lifecycle exactly as §3.2 describes.
+//! `ompx_fence`). No path parks the caller on a payload: a transfer is
+//! a reservation, or a chain of them, made in the call, which costs the
+//! initiator's software. Device-side copies are additionally threaded
+//! through the source device's bounded stream pool, coupling
+//! communication with stream lifecycle exactly as §3.2 describes.
 
 use std::sync::Arc;
 
@@ -32,6 +34,13 @@ impl DiompRank {
     /// Record a completion for the fence to drain.
     fn track(&self, ev: diomp_sim::EventId) {
         self.shared.pending[self.rank].lock().push(ev);
+    }
+
+    /// Record a completion at instant `t` for the fence to drain.
+    fn track_at(&self, h: &diomp_sim::SimHandle, t: SimTime) {
+        let ev = h.new_event();
+        h.complete_at(ev, t);
+        self.track(ev);
     }
 
     /// Post one GPI-2 operation with the GASPI recovery loop: a post
@@ -330,16 +339,20 @@ impl DiompRank {
     }
 
     /// Chunked inter-node put over GASNet-EX, staged through host memory
-    /// (paper §3.2: overlapping device-side copies with conduit
-    /// transfers) — the regime for a direct device-source path that is
-    /// bandwidth-capped (the documented Platform A Fig. 4a anomaly,
-    /// [`gasnet::put_capped`]). Chunks bounce D2H into a bounded ring of
-    /// host staging buffers and inject from host memory, which the cap
-    /// does not affect. Chunk `k+1`'s D2H copy overlaps chunk `k`'s
-    /// in-flight network transfer; the D2H copies are threaded through
-    /// the source device's bounded stream pool, and `max_inflight`
-    /// staging slots bound the look-ahead (a slot is reused only after
-    /// its previous put reports local completion, `GEX_EVENT_LC`).
+    /// (paper §3.2: device-side copies overlapping conduit transfers) —
+    /// the regime for a bandwidth-capped direct device-source path (the
+    /// Platform A Fig. 4a anomaly, [`gasnet::put_capped`]), which a
+    /// host-source put is not subject to.
+    ///
+    /// Non-blocking: a chain of reservations made in the call (DESIGN
+    /// D8). Chunk `k`'s D2H is ready when the put that last read its
+    /// staging slot completed locally (`GEX_EVENT_LC`; `max_inflight`
+    /// slots bound the look-ahead), its injection when that D2H is done
+    /// and the previous injection's software has run: the per-chunk
+    /// initiator overhead is charged serially on a progress lane, and the
+    /// caller pays one, beside chunk 0's D2H. The NIC reads a slot as it
+    /// releases it — the earliest the slot's next D2H starts, whose bytes
+    /// land a link latency later, so never on an unread slot.
     fn put_gasnet_staged(
         &mut self,
         ctx: &mut Ctx,
@@ -351,49 +364,36 @@ impl DiompRank {
     ) -> Result<(), DiompError> {
         let s = self.shared.clone();
         let w = &s.world;
-        let pipe = s.cfg.pipeline;
         let src_base = s.seg_base[src_flat] + src_off;
         let dev = w.devs.dev(src_flat).clone();
         let bufs = self.staging_ring();
-        let nslots = bufs.len();
-        let mut slot_local: Vec<Option<diomp_sim::EventId>> = vec![None; nslots];
-        for (k, (coff, clen)) in pipe.chunks(len).enumerate() {
-            let slot = k % nslots;
-            // Staging-slot ring bound: reuse only after the previous put
-            // from this buffer is locally complete.
-            if let Some(local) = slot_local[slot].take() {
-                ctx.wait_free(local);
-            }
-            // Stage the chunk D2H through the bounded stream pool.
-            let stream = dev.acquire_stream(ctx);
-            let done = copy::d2h(ctx.handle(), &dev, src_base + coff, &bufs[slot], 0, clen)?;
-            dev.pool.lock().advance_tail(stream, done);
-            dev.release_stream(stream);
-            // Inject once the chunk is host-resident; the NIC transfer of
-            // this chunk overlaps the next chunk's D2H copy.
-            ctx.sleep_until(done);
-            let hdl = gasnet::put_nb(
-                ctx,
-                w,
-                self.rank,
-                Loc::host(bufs[slot].clone(), 0),
-                s.seg[dst_flat],
-                dst_off + coff,
-                clen,
-            )?;
-            slot_local[slot] = Some(hdl.local);
-            self.track(hdl.remote);
+        let (h, now, overhead) = (ctx.handle(), ctx.now(), gasnet::put_overhead(w));
+        let mut slot_free = vec![now; bufs.len()];
+        let (mut staged, mut injected) = (now, now);
+        for (k, (coff, clen)) in s.cfg.pipeline.chunks(len).enumerate() {
+            let slot = k % bufs.len();
+            staged = copy::d2h(h, &dev, src_base + coff, &bufs[slot], 0, clen, slot_free[slot])?;
+            injected = staged.max(injected) + overhead;
+            let (src, seg) = (Loc::host(bufs[slot].clone(), 0), s.seg[dst_flat]);
+            let (local, remote) =
+                gasnet::put_nb_from(h, w, self.rank, src, seg, dst_off + coff, clen, injected)?;
+            slot_free[slot] = local;
+            self.track_at(h, remote);
         }
-        for local in slot_local.into_iter().flatten() {
-            self.track(local);
-        }
+        // Local completions are FIFO on the NIC: the latest covers them all.
+        self.track_at(h, slot_free.into_iter().max().expect("a staging ring has a slot"));
+        let stream = dev.acquire_stream(ctx);
+        dev.pool.lock().advance_tail(stream, staged);
+        dev.release_stream(stream);
+        ctx.delay(overhead);
         Ok(())
     }
 
     /// Chunked inter-node get staged through host bounce buffers — the
-    /// get-side counterpart of [`Self::put_gasnet_staged`], used on host-capped platforms (where the documented
-    /// Fig. 4a driver issue makes the direct device DMA path the fragile
-    /// one) under a pipelining config such as the autotuner's.
+    /// get-side counterpart of [`Self::put_gasnet_staged`], used on
+    /// host-capped platforms (where the documented Fig. 4a driver issue
+    /// makes the direct device DMA path the fragile one) under a
+    /// pipelining config such as the autotuner's.
     ///
     /// Non-blocking like every other get path: each chunk lands in one
     /// of `max_inflight` host bounce buffers via `gex_RMA_GetNB`, and
@@ -403,9 +403,10 @@ impl DiompRank {
     /// chunks' wire time without ever synchronising the issuing task —
     /// it returns immediately and `ompx_fence` drains both the chunk
     /// arrivals and the upload completions. The uploads charge the
-    /// destination device's host link (PCIe) directly and bypass the
-    /// bounded stream pool (a scheduled completion action cannot park on
-    /// stream acquisition); stream-pool coupling remains a put-side
+    /// host-to-device lane of the destination's host link directly — a
+    /// staged put's D2H copies, on the other lane, never delay them —
+    /// and bypass the bounded stream pool (a scheduled completion action
+    /// cannot acquire a stream); stream-pool coupling remains a put-side
     /// property.
     ///
     /// Slot reuse is race-free without any waiting: arrivals on one NIC
@@ -473,7 +474,7 @@ impl DiompRank {
         src_delta: u64,
         len: u64,
     ) -> Result<(), DiompError> {
-        assert!(dst_delta + len <= dst.len && src_delta + len <= src.len, "put out of bounds");
+        assert!(dst.covers(dst_delta, len) && src.covers(src_delta, len), "put out of bounds");
         let src_flat = self.primary();
         let dst_flat = self.shared.world.devices_of(target).start;
         self.put_dev(ctx, src_flat, src.off + src_delta, dst_flat, dst.off + dst_delta, len)
@@ -492,7 +493,7 @@ impl DiompRank {
         dst_delta: u64,
         len: u64,
     ) -> Result<(), DiompError> {
-        assert!(src_delta + len <= src.len && dst_delta + len <= dst.len, "get out of bounds");
+        assert!(src.covers(src_delta, len) && dst.covers(dst_delta, len), "get out of bounds");
         let local_flat = self.primary();
         let remote_flat = self.shared.world.devices_of(target).start;
         self.get_dev(ctx, local_flat, dst.off + dst_delta, remote_flat, src.off + src_delta, len)

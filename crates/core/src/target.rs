@@ -123,6 +123,7 @@ impl DiompRank {
                         buf,
                         0,
                         entry.size,
+                        ctx.now(),
                     )?;
                     done = done.max(t);
                 }

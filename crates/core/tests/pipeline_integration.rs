@@ -8,7 +8,9 @@ use diomp_core::{
     Conduit, DiompConfig, DiompConfigBuilder, DiompRank, DiompRuntime, PipelineConfig, PtrCache,
 };
 use diomp_device::DataMode;
-use diomp_sim::{ClusterSpec, PlatformSpec, Sim, SimReport};
+use diomp_sim::{
+    ClusterSpec, DevLoc, Dur, FaultPlan, PlatformSpec, Sim, SimReport, SimTime, Topology,
+};
 use parking_lot::Mutex;
 
 /// Two single-GPU nodes: rank 0 and rank 1 are inter-node neighbours.
@@ -396,4 +398,210 @@ fn fence_over_300_puts_is_pinned_in_virtual_time_and_entries() {
     let cfg = two_nodes(PlatformSpec::platform_a()).with_mode(DataMode::CostOnly).build();
     let rep = many_put_fence(cfg, 300);
     assert_eq!((rep.end_time.nanos(), rep.entries_processed), (24_588_003, 915));
+}
+
+/// Platform A, tuned, CostOnly: the rig of the staged-put timing tests.
+fn tuned_a() -> DiompConfig {
+    two_nodes(PlatformSpec::platform_a())
+        .with_mode(DataMode::CostOnly)
+        .with_heap(256 << 20)
+        .tuned()
+        .build()
+}
+
+/// Rank 0 puts `len` bytes (and, if `opposed`, gets as many into another
+/// buffer), then fences. Returns (µs the put call held the caller, µs
+/// from the put to the end of the fence, the run's scheduler entries);
+/// with `put == false` the same run without the put, for its entries.
+fn staged_put_times(len: u64, put: bool, opposed: bool) -> (f64, f64, u64) {
+    let times = Arc::new(Mutex::new((0.0f64, 0.0f64)));
+    let times2 = times.clone();
+    let rep = DiompRuntime::run(tuned_a(), move |ctx, rank| {
+        let out = rank.alloc_sym(ctx, len).unwrap();
+        let back = rank.alloc_sym(ctx, len).unwrap();
+        rank.barrier(ctx);
+        if rank.rank == 0 {
+            let t0 = ctx.now();
+            if put {
+                rank.put(ctx, 1, out, 0, out, 0, len).unwrap();
+            }
+            let call_us = ctx.now().since(t0).as_us();
+            if opposed {
+                rank.get(ctx, 1, back, 0, back, 0, len).unwrap();
+            }
+            rank.fence(ctx);
+            *times2.lock() = (call_us, ctx.now().since(t0).as_us());
+        }
+        rank.barrier(ctx);
+    })
+    .unwrap();
+    let (call_us, fenced_us) = *times.lock();
+    (call_us, fenced_us, rep.entries_processed)
+}
+
+#[test]
+fn staged_put_never_parks_on_a_chunk_and_its_fence_is_no_later() {
+    // `ompx_put` is non-blocking on the staged path too: the call makes
+    // every chunk's reservations and returns having paid one initiator
+    // overhead. At 5b37946 it parked on every chunk's D2H and held the
+    // caller 830.5 µs.
+    let len = 16u64 << 20;
+    let g = PlatformSpec::platform_a().gasnet;
+    let overhead_us = g.put_o_us + g.gpu_reg_us;
+    let (call_us, fenced_us, entries) = staged_put_times(len, true, false);
+    assert!(
+        call_us <= 2.0 * overhead_us,
+        "a staged put must return within 2x the {overhead_us} µs overhead, held {call_us:.1} µs"
+    );
+    // Every park is at least one wake entry. What the put may add to the
+    // run: one completion per chunk, the last local completion, the wake
+    // of the caller's own overhead and the fence's one park — for the
+    // task, nothing per chunk.
+    let chunks = tuned_a().pipeline.chunks(len).count() as u64;
+    let (_, _, idle_entries) = staged_put_times(len, false, false);
+    assert!(
+        entries <= idle_entries + chunks + 3,
+        "{chunks} chunks may cost {chunks} + 3 entries, cost {}",
+        entries - idle_entries
+    );
+    // The parking pipeline's fenced time in this rig, measured at 5b37946.
+    assert!(fenced_us <= 770.4, "the chain must not finish later: {fenced_us:.1} µs");
+}
+
+#[test]
+fn opposed_staged_put_and_get_share_no_link() {
+    // A put's payload leaves on rank 0's D2H lane and NIC; a get's
+    // arrives over the target's NIC and rank 0's H2D lane. Issued
+    // together they overlap: at 5b37946 the get could not be issued
+    // until the put had returned, and its uploads queued behind the
+    // put's downloads on one PCIe FIFO (≈ 2x).
+    let len = 16u64 << 20;
+    let (_, put_us, _) = staged_put_times(len, true, false);
+    let (_, both_us, _) = staged_put_times(len, true, true);
+    assert!(
+        both_us <= 1.15 * put_us,
+        "put + get must finish within 1.15x of the put alone: {both_us:.1} vs {put_us:.1} µs"
+    );
+}
+
+/// The staged put's Functional run: chunks of 64 KiB through two staging
+/// slots. Rank 0 puts `len` bytes, overwrites the source the moment the
+/// call returns, and pulls a second buffer back through the staged get
+/// while the put's chunks are still in flight. Returns (what landed at
+/// rank 1, what the get fetched, the trace).
+fn staged_put_bytes(len: u64, plan: Option<FaultPlan>) -> (Vec<u8>, Vec<u8>, Vec<String>) {
+    let mut sim = Sim::new();
+    sim.enable_trace();
+    if let Some(plan) = plan {
+        sim.set_fault_plan(plan);
+    }
+    let cfg = two_nodes(PlatformSpec::platform_a())
+        .with_pipeline(PipelineConfig { chunk_bytes: STAGED_CHUNK, max_inflight: 2, n_queues: 1 })
+        .build();
+    let shared = DiompRuntime::build(&sim, cfg);
+    let landed = Arc::new(Mutex::new((Vec::new(), Vec::new())));
+    for r in 0..shared.world.nranks {
+        let (shared, landed) = (shared.clone(), landed.clone());
+        sim.spawn(format!("diomp-rank{r}"), move |ctx| {
+            let mut rank = DiompRank { shared, rank: r, cache: PtrCache::new(), rma_retries: 0 };
+            let (out, back) =
+                (rank.alloc_sym(ctx, len).unwrap(), rank.alloc_sym(ctx, len).unwrap());
+            let fetched: Vec<u8> = pattern(len as usize).iter().map(|b| !b).collect();
+            if r == 0 {
+                rank.write_local(rank.primary(), out, 0, &pattern(len as usize));
+            } else {
+                rank.write_local(rank.primary(), back, 0, &fetched);
+            }
+            rank.barrier(ctx);
+            if r == 0 {
+                rank.put(ctx, 1, out, 0, out, 0, len).unwrap();
+                rank.write_local(rank.primary(), out, 0, &vec![0xEE; len as usize]);
+                rank.get(ctx, 1, back, 0, back, 0, len).unwrap();
+                rank.fence(ctx);
+                landed.lock().1 = vec![0; len as usize];
+                rank.read_local(rank.primary(), back, 0, &mut landed.lock().1);
+            }
+            rank.barrier(ctx);
+            if r == 1 {
+                landed.lock().0 = vec![0; len as usize];
+                rank.read_local(rank.primary(), out, 0, &mut landed.lock().0);
+            }
+        });
+    }
+    let rep = sim.run().unwrap();
+    let (put, got) = landed.lock().clone();
+    (put, got, rep.trace.iter().map(|t| t.to_string()).collect())
+}
+const STAGED_CHUNK: u64 = 64 << 10;
+
+#[test]
+fn staged_put_is_byte_identical_with_the_source_overwritten_at_return() {
+    // The device bytes are read in the call, so overwriting the source
+    // before the fence changes nothing; slot reuse (two slots, up to four
+    // chunks) never hands the NIC a slot the next D2H has already
+    // refilled. Again with the source NIC stalled for the whole run and
+    // the D2H lane flapping across the put — replayed, same trace.
+    let ids = Sim::new();
+    let spec = ClusterSpec { platform: PlatformSpec::platform_a(), nodes: 2, gpus_per_node: 1 };
+    let topo = Topology::build(&ids.handle(), spec);
+    let src = DevLoc { node: 0, gpu: 0 };
+    let (t0, late) = (SimTime::ZERO, SimTime::ZERO + Dur::millis(10.0));
+    let faults = || {
+        FaultPlan::new().stall_nic(topo.nic_for(src), t0, late, Dur::micros(5.0)).flap_link(
+            topo.d2h(src),
+            t0,
+            t0 + Dur::micros(150.0),
+        )
+    };
+    let c = STAGED_CHUNK;
+    for len in [c - 1, c, c + 1, 3 * c + 7, 4 * c] {
+        let (mono, _) = put_roundtrip(two_nodes(PlatformSpec::platform_a()).build(), len);
+        let fetched: Vec<u8> = mono.iter().map(|b| !b).collect();
+        let (put, got, trace) = staged_put_bytes(len, None);
+        assert_eq!(put, mono, "staged put of {len} bytes");
+        assert_eq!(got, fetched, "staged get beside a put of {len} bytes");
+        let (put, got, faulted) = staged_put_bytes(len, Some(faults()));
+        assert_eq!(put, mono, "staged put of {len} bytes under faults");
+        assert_eq!(got, fetched, "staged get beside a put of {len} bytes under faults");
+        assert_ne!(trace, faulted, "the fault windows must have hit the transfer");
+        assert_eq!(staged_put_bytes(len, Some(faults())).2, faulted, "replay of {len} bytes");
+    }
+}
+
+/// An offset that wraps `u64` when the length is added is out of bounds,
+/// in release builds too — at each of the four sites that check a `GPtr`.
+fn with_wrapping_delta(site: fn(&mut diomp_sim::Ctx, &mut DiompRank, diomp_core::GPtr, u64)) {
+    let cfg = two_nodes(PlatformSpec::platform_c()).with_conduit(Conduit::Gpi2).build();
+    let _ = DiompRuntime::run(cfg, move |ctx, rank| {
+        let ptr = rank.alloc_sym(ctx, 64).unwrap();
+        site(ctx, rank, ptr, u64::MAX - 3);
+    });
+}
+
+#[test]
+#[should_panic(expected = "put out of bounds")]
+fn put_refuses_an_offset_that_wraps() {
+    with_wrapping_delta(|ctx, rank, p, delta| rank.put(ctx, 1, p, delta, p, 0, 8).unwrap());
+}
+
+#[test]
+#[should_panic(expected = "get out of bounds")]
+fn get_refuses_an_offset_that_wraps() {
+    with_wrapping_delta(|ctx, rank, p, delta| rank.get(ctx, 1, p, 0, p, delta, 8).unwrap());
+}
+
+#[test]
+#[should_panic(expected = "put_notify out of bounds")]
+fn put_notify_refuses_an_offset_that_wraps() {
+    with_wrapping_delta(|ctx, rank, p, delta| {
+        rank.put_notify(ctx, 1, p, 0, p, delta, 8, 0, 1).unwrap()
+    });
+}
+
+#[test]
+#[should_panic(expected = "GPtr slice out of bounds")]
+fn slice_refuses_an_offset_that_wraps() {
+    with_wrapping_delta(|_, _, p, delta| {
+        let _ = p.slice(delta, 8);
+    });
 }

@@ -33,8 +33,11 @@ pub struct Device {
     compute_free: Mutex<SimTime>,
     /// Local D2D copy engine.
     pub d2d_engine: ResourceId,
-    /// Host link (PCIe / C2C) — from the shared topology.
-    pub pcie: ResourceId,
+    /// Device-to-host lane of the host link (PCIe / Infinity Fabric /
+    /// C2C) — from the shared topology.
+    pub d2h: ResourceId,
+    /// Host-to-device lane of the host link — from the shared topology.
+    pub h2d: ResourceId,
     /// Intra-node GPU fabric port — from the shared topology.
     pub port: ResourceId,
     /// NIC used for inter-node traffic — from the shared topology.
@@ -166,7 +169,8 @@ impl DeviceTable {
                 alloc: Mutex::new(FreeListAlloc::new(cap)),
                 compute_free: Mutex::new(SimTime::ZERO),
                 d2d_engine,
-                pcie: topo.pcie(loc),
+                d2h: topo.d2h(loc),
+                h2d: topo.h2d(loc),
                 port: topo.gpu_port(loc),
                 nic: topo.nic_for(loc),
                 peers: Mutex::new(HashSet::new()),

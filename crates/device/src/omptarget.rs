@@ -82,7 +82,8 @@ impl TargetDevice {
             let released = self.table.lock().exit(m.host);
             if let Some(entry) = released {
                 if m.kind.copies_out() {
-                    let t = d2h(ctx.handle(), &self.dev, entry.d_off, &m.buf, 0, entry.size)?;
+                    let (h, now) = (ctx.handle(), ctx.now());
+                    let t = d2h(h, &self.dev, entry.d_off, &m.buf, 0, entry.size, now)?;
                     done = done.max(t);
                 }
                 self.dev.mfree(entry.d_off)?;

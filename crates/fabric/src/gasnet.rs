@@ -32,10 +32,11 @@ pub struct PutHandle {
     pub remote: EventId,
 }
 
-fn initiator_overhead(world: &FabricWorld, src: &Loc, dst: &Loc, base_us: f64) -> Dur {
-    let g = &world.platform.gasnet;
-    let touches_device = src.dev_flat().is_some() || dst.dev_flat().is_some();
-    Dur::micros(base_us + if touches_device { g.gpu_reg_us } else { 0.0 })
+/// Initiator software of one RMA operation: `base_us` plus the
+/// registration lookup — one end is always a segment, and segments are
+/// device memory.
+fn initiator_overhead(world: &FabricWorld, base_us: f64) -> Dur {
+    Dur::micros(base_us + world.platform.gasnet.gpu_reg_us)
 }
 
 /// Transfers below this size are unaffected by the Platform A put
@@ -81,6 +82,35 @@ pub fn put_capped(world: &FabricWorld, inter_node: bool, len: u64) -> bool {
     anomaly_eff(world, inter_node, len).is_some_and(|cap_eff| cap_eff < world.platform.gasnet.eff)
 }
 
+/// Initiator software of one Put.
+pub fn put_overhead(world: &FabricWorld) -> Dur {
+    initiator_overhead(world, world.platform.gasnet.put_o_us)
+}
+
+/// [`put_nb`] injected at `ready`, the instant [`put_overhead`] has been
+/// paid — by the calling task, or on a progress lane whose times the
+/// caller chains (the staged pipeline). Returns the instants of local
+/// and remote completion. A `ready` still ahead lets a reserved copy
+/// fill `src`: it is read when the NIC releases it, not in the call.
+#[allow(clippy::too_many_arguments)]
+pub fn put_nb_from(
+    h: &SimHandle,
+    world: &Arc<FabricWorld>,
+    src_rank: usize,
+    src: Loc,
+    dst: SegmentId,
+    dst_off: u64,
+    len: u64,
+    ready: SimTime,
+) -> Result<(SimTime, SimTime), MemError> {
+    let dst_loc = world.segment(dst).range(dst_off, len)?;
+    let inter = world.node_of(src_rank) != world.node_of(dst.rank);
+    let eff = put_eff(world, &src, &dst_loc, inter, len);
+    let dst = (dst.rank, dst_loc);
+    let wrote = wire::write_from(h, world, (src_rank, src), dst, len, eff, ready)?;
+    Ok((wrote.depart, wrote.acked))
+}
+
 /// Non-blocking one-sided Put of `len` bytes from a local buffer into a
 /// remote segment (`gex_RMA_PutNB`).
 pub fn put_nb(
@@ -92,18 +122,16 @@ pub fn put_nb(
     dst_off: u64,
     len: u64,
 ) -> Result<PutHandle, MemError> {
-    let dst_loc = world.segment(dst).range(dst_off, len)?;
-    let inter = world.node_of(src_rank) != world.node_of(dst.rank);
-    let price = Price {
-        overhead: initiator_overhead(world, &src, &dst_loc, world.platform.gasnet.put_o_us),
-        eff: put_eff(world, &src, &dst_loc, inter, len),
-    };
-    let wrote = wire::write(ctx, world, (src_rank, src), (dst.rank, dst_loc), len, price)?;
+    // A refused operation charges nothing.
+    world.segment(dst).range(dst_off, len)?;
+    src.check(&world.devs, len)?;
+    ctx.delay(put_overhead(world));
     let h = ctx.handle();
+    let (local_at, remote_at) = put_nb_from(h, world, src_rank, src, dst, dst_off, len, h.now())?;
     let local = h.new_event();
-    h.complete_at(local, wrote.depart);
+    h.complete_at(local, local_at);
     let remote = h.new_event();
-    h.complete_at(remote, wrote.acked);
+    h.complete_at(remote, remote_at);
     Ok(PutHandle { local, remote })
 }
 
@@ -126,7 +154,7 @@ pub fn get_nb(
 ) -> Result<(EventId, SimTime), MemError> {
     let src_loc = world.segment(src).range(src_off, len)?;
     let price = Price {
-        overhead: initiator_overhead(world, &src_loc, &dst, world.platform.gasnet.get_o_us),
+        overhead: initiator_overhead(world, world.platform.gasnet.get_o_us),
         eff: world.platform.gasnet.eff,
     };
     let arrive = wire::read(ctx, world, (rank, dst), (src.rank, src_loc), len, price)?;

@@ -43,7 +43,8 @@ fn first_hop(devs: &DeviceTable, src: End, dst: End) -> ResourceId {
         (End::Node(n), _) if sn != dn => devs.topo.nic_for(DevLoc { node: n, gpu: 0 }),
         (End::Dev(a), End::Dev(b)) if a == b => devs.dev(a).d2d_engine,
         (End::Dev(a), End::Dev(_)) => devs.dev(a).port,
-        (End::Dev(d), End::Node(_)) | (End::Node(_), End::Dev(d)) => devs.dev(d).pcie,
+        (End::Dev(d), End::Node(_)) => devs.dev(d).d2h,
+        (End::Node(_), End::Dev(d)) => devs.dev(d).h2d,
         (End::Node(n), End::Node(_)) => devs.topo.shm(n),
     }
 }
@@ -62,7 +63,9 @@ fn first_hop(devs: &DeviceTable, src: End, dst: End) -> ResourceId {
 ///   for P2P-incapable pairs (see `diomp_device::copy::d2d_ipc`, used by
 ///   the DiOMP runtime's explicit no-P2P fallback),
 /// * same device → local copy engine,
-/// * device↔host intra-node → the device's PCIe link,
+/// * device↔host intra-node → the lane of the device's host link that
+///   runs the transfer's way (`d2h` or `h2d`; the two never queue on
+///   each other),
 /// * host↔host intra-node → shared-memory copy.
 pub fn raw_path(
     h: &SimHandle,

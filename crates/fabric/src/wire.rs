@@ -54,30 +54,48 @@ pub(crate) fn end_of(world: &FabricWorld, rank: usize, loc: &Loc) -> End {
 }
 
 /// One-sided write of `len` bytes, `src → dst`, with no target-side
-/// software: the payload is snapshotted when the initiator's software
-/// has run and deposited by the (modelled) NIC at arrival; the
-/// acknowledgement then travels back.
-pub(crate) fn write(
-    ctx: &mut Ctx,
+/// software, injected at `ready` — the instant the initiator's software
+/// has run. The payload is snapshotted then: in the call when `ready` is
+/// now, else when the source's NIC reads it ([`carry`]: a staging buffer
+/// a copy reserved earlier is still filling). It is deposited by the
+/// (modelled) NIC at arrival; the acknowledgement then travels back.
+pub(crate) fn write_from(
+    h: &SimHandle,
     world: &FabricWorld,
     (src_rank, src): Side,
     (dst_rank, dst): Side,
     len: u64,
-    price: Price,
+    eff: f64,
+    ready: SimTime,
 ) -> Result<Wrote, MemError> {
     src.check(&world.devs, len)?;
     dst.check(&world.devs, len)?;
-    ctx.delay(price.overhead);
     let (src_end, dst_end) = (end_of(world, src_rank, &src), end_of(world, dst_rank, &dst));
-    let snapshot = src.snapshot(&world.devs, len)?;
-    let h = ctx.handle();
-    let times = raw_path(h, &world.devs, src_end, dst_end, ctx.now(), len, price.eff);
-    if let Some(bytes) = snapshot {
+    let times = raw_path(h, &world.devs, src_end, dst_end, ready, len, eff);
+    if ready > h.now() {
+        carry(h, world, src, dst, len, times);
+    } else if let Some(bytes) = src.snapshot(&world.devs, len)? {
         let devs = world.devs.clone();
         h.schedule_at(times.arrive, move |_| dst.deposit(&devs, &bytes));
     }
     let acked = control_msg(h, &world.devs, dst_end, src_end, times.arrive);
     Ok(Wrote { depart: times.depart, acked })
+}
+
+/// [`write_from`] on the calling task: pay the initiator's software,
+/// then inject. A refused operation charges nothing.
+pub(crate) fn write(
+    ctx: &mut Ctx,
+    world: &FabricWorld,
+    src: Side,
+    dst: Side,
+    len: u64,
+    price: Price,
+) -> Result<Wrote, MemError> {
+    src.1.check(&world.devs, len)?;
+    dst.1.check(&world.devs, len)?;
+    ctx.delay(price.overhead);
+    write_from(ctx.handle(), world, src, dst, len, price.eff, ctx.now())
 }
 
 /// One-sided read of `len` bytes, `remote → local`: the request travels
@@ -106,9 +124,11 @@ pub(crate) fn read(
 }
 
 /// Move `len` bytes `src → dst` along an already reserved path whose
-/// source is *not* the caller (a read, a rendezvous payload): snapshot
-/// at `times.depart` for causal correctness — the bytes leave the owner
-/// when its NIC reads them, i.e. at transfer start — and deposit at
+/// source is not read in the call (a read, a rendezvous payload, a
+/// staging buffer still filling): snapshot at `times.depart` — the
+/// link's *release*, `start + bytes/bw`, when the owner's NIC has read
+/// the last byte; a source overwritten before that instant is what the
+/// reader receives, one overwritten after it is not — and deposit at
 /// `times.arrive`. Both stages are scheduled *now*, in order, so the
 /// deposit's sequence number precedes any action scheduled at the
 /// arrival instant after this returns. Both ranges must have been

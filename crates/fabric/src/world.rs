@@ -105,7 +105,7 @@ impl FabricWorld {
                 }
                 for flat in self.devices_of(rank) {
                     let d = self.devs.dev(flat);
-                    for res in [d.nic, d.pcie, d.port, d.d2d_engine] {
+                    for res in [d.nic, d.d2h, d.port, d.d2d_engine, d.h2d] {
                         let owners = self.link_owners().get(&res.index());
                         let exclusive = owners.is_none_or(|rs| rs.iter().all(|&r| r == rank));
                         if exclusive && !windows.contains(&(res, at)) {
@@ -189,7 +189,7 @@ impl FabricWorld {
             let mut owners: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
             for d in self.devs.iter() {
                 let rank = self.rank_of_dev(d.flat);
-                for res in [d.nic, d.pcie, d.port, d.d2d_engine] {
+                for res in [d.nic, d.d2h, d.port, d.d2d_engine, d.h2d] {
                     let ranks = owners.entry(res.index()).or_default();
                     if !ranks.contains(&rank) {
                         ranks.push(rank);

@@ -58,7 +58,9 @@ pub struct IntraSpec {
     pub gpu_link_gbps: f64,
     /// GPU↔GPU fabric latency, µs.
     pub gpu_link_lat_us: f64,
-    /// Host link bandwidth per device (PCIe gen4 / NVLink-C2C), GB/s.
+    /// Host link bandwidth per device *per direction* (PCIe gen4 ×16,
+    /// Infinity Fabric 36 + 36, NVLink-C2C 450 + 450), GB/s: each of
+    /// the link's two lanes ([`crate::Topology::d2h`], `h2d`) runs at it.
     pub pcie_gbps: f64,
     /// Host link latency, µs.
     pub pcie_lat_us: f64,

@@ -1,8 +1,9 @@
 //! Cluster topology: nodes, devices, links, and path classification.
 //!
 //! A [`Topology`] instantiates the *shared* fabric resources of a cluster
-//! (NIC ports, intra-node GPU fabric ports, PCIe host links, host shared
-//! memory) as FIFO bandwidth resources in the simulation kernel.
+//! (NIC ports, intra-node GPU fabric ports, host links — one FIFO per
+//! direction — and host shared memory) as FIFO bandwidth resources in
+//! the simulation kernel.
 //! Device-private resources (HBM, copy engines) are created by
 //! `diomp-device` per device.
 
@@ -73,10 +74,13 @@ pub struct Topology {
     nic_tx: Vec<Vec<ResourceId>>,
     /// `[node][gpu]` — intra-node GPU fabric port (NVLink / xGMI).
     gpu_port: Vec<Vec<ResourceId>>,
-    /// `[node][gpu]` — PCIe (or C2C) host link per device.
-    pcie: Vec<Vec<ResourceId>>,
+    /// `[node][gpu]` — device-to-host lane of each device's host link
+    /// (PCIe, Infinity Fabric or C2C).
+    d2h: Vec<Vec<ResourceId>>,
     /// `[node]` — host shared-memory bandwidth (for IPC staging).
     shm: Vec<ResourceId>,
+    /// `[node][gpu]` — host-to-device lane of each device's host link.
+    h2d: Vec<Vec<ResourceId>>,
 }
 
 impl Topology {
@@ -87,27 +91,24 @@ impl Topology {
         let link_lat = Dur::micros(p.intra.gpu_link_lat_us);
         let pcie_lat = Dur::micros(p.intra.pcie_lat_us);
 
+        let links = |n: usize, gbps: f64, lat: Dur| -> Vec<ResourceId> {
+            (0..n).map(|_| h.new_resource(gbps, lat)).collect()
+        };
+        let gpus = spec.gpus_per_node;
         let mut nic_tx = Vec::with_capacity(spec.nodes);
         let mut gpu_port = Vec::with_capacity(spec.nodes);
-        let mut pcie = Vec::with_capacity(spec.nodes);
+        let mut d2h = Vec::with_capacity(spec.nodes);
         let mut shm = Vec::with_capacity(spec.nodes);
         for _ in 0..spec.nodes {
-            nic_tx.push(
-                (0..p.net.nics_per_node).map(|_| h.new_resource(p.net.nic_gbps, net_lat)).collect(),
-            );
-            gpu_port.push(
-                (0..spec.gpus_per_node)
-                    .map(|_| h.new_resource(p.intra.gpu_link_gbps, link_lat))
-                    .collect(),
-            );
-            pcie.push(
-                (0..spec.gpus_per_node)
-                    .map(|_| h.new_resource(p.intra.pcie_gbps, pcie_lat))
-                    .collect(),
-            );
+            nic_tx.push(links(p.net.nics_per_node, p.net.nic_gbps, net_lat));
+            gpu_port.push(links(gpus, p.intra.gpu_link_gbps, link_lat));
+            d2h.push(links(gpus, p.intra.pcie_gbps, pcie_lat));
             shm.push(h.new_resource(p.intra.shm_gbps, Dur::micros(p.intra.shm_lat_us)));
         }
-        Topology { spec, nic_tx, gpu_port, pcie, shm }
+        // After the per-node loop, so the lane shifts no other link's
+        // id: seeded fault plans name links by id.
+        let h2d = (0..spec.nodes).map(|_| links(gpus, p.intra.pcie_gbps, pcie_lat)).collect();
+        Topology { spec, nic_tx, gpu_port, d2h, shm, h2d }
     }
 
     /// Classify the path between two devices.
@@ -134,9 +135,14 @@ impl Topology {
         self.gpu_port[dev.node][dev.gpu]
     }
 
-    /// The PCIe / C2C host link of a device.
-    pub fn pcie(&self, dev: DevLoc) -> ResourceId {
-        self.pcie[dev.node][dev.gpu]
+    /// The device-to-host lane of a device's host link.
+    pub fn d2h(&self, dev: DevLoc) -> ResourceId {
+        self.d2h[dev.node][dev.gpu]
+    }
+
+    /// The host-to-device lane of a device's host link.
+    pub fn h2d(&self, dev: DevLoc) -> ResourceId {
+        self.h2d[dev.node][dev.gpu]
     }
 
     /// Host shared-memory bandwidth resource of a node.

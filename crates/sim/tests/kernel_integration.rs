@@ -1118,3 +1118,22 @@ fn handoff_stress_loses_no_wake_up() {
         assert_eq!(run(), first);
     }
 }
+
+#[test]
+fn topology_ids_are_stable_and_the_upload_lanes_come_last() {
+    // Fault plans name links by id (a probe topology stands in for the
+    // run's own), so NIC, port, D2H and shm ids are pinned to what they
+    // were while a host link had one lane; the H2D lanes follow them all.
+    use diomp_sim::{ClusterSpec, DevLoc, PlatformSpec, Topology};
+    let sim = Sim::new();
+    let spec = ClusterSpec { platform: PlatformSpec::platform_a(), nodes: 2, gpus_per_node: 4 };
+    let topo = Topology::build(&sim.handle(), spec);
+    for node in 0..2 {
+        for gpu in 0..4 {
+            let (loc, base) = (DevLoc { node, gpu }, 13 * node + gpu);
+            let ids = [topo.nic_for(loc), topo.gpu_port(loc), topo.d2h(loc), topo.h2d(loc)];
+            assert_eq!(ids.map(|r| r.index()), [base, base + 4, base + 8, 26 + 4 * node + gpu]);
+        }
+        assert_eq!(topo.shm(node).index(), 13 * node + 12);
+    }
+}
