@@ -614,8 +614,8 @@ fn reduction_servers(g: &mut Gate) {
             });
             // No-harm across the whole range: below its server band the
             // dispatcher prices among the client-side protocols (the
-            // fourth regime only opens above the DBT boundary, by
-            // design), so the reference there is the ring fallback — the
+            // fourth regime opens above the LL band and ends the DBT band
+            // beneath it), so the reference there is the ring fallback — the
             // same engine `collectives` gates Auto against on
             // server-free communicators; inside the win region it must
             // track the best of all three — i.e. actually take the
@@ -717,15 +717,18 @@ fn recovery(g: &mut Gate) {
 /// 4096-rank ring/auto cells (whose explicit schedule is ~33.5M sends,
 /// beyond any smoke budget) are bounded analytically against that send
 /// count; and under optimized builds every 4096-rank coalesced cell
-/// finishes inside an absolute simulator wall-clock budget.
-/// `sim_wall_ms` rides along in the JSON for CI history but is never
-/// baseline-compared.
+/// finishes inside an absolute simulator wall-clock budget. Auto's
+/// regret — its time over the faster of the ring and the tree — is a row
+/// per scale. `sim_wall_ms` rides along in the JSON for CI history but is
+/// never baseline-compared.
 fn scale(g: &mut Gate) {
     const PAYLOAD: u64 = 16 << 20;
     for (n, explicit_arms) in [(256usize, ["ring", "dbt", "auto"].as_slice()), (4096, &["dbt"])] {
+        let mut ends = Vec::new();
         for (eng, engine) in scale_engines() {
             let tag = format!("scale/allred16MB_{n}_{eng}");
             let fast = scale_allreduce(n, engine, PAYLOAD, false);
+            ends.push(fast.end_ns as f64);
             g.check(fast.coalesced > 0, || format!("{tag}: 0 chunks coalesced"));
             let rec = BenchRecord::with_sim_cost(
                 format!("{tag}/coalesced"),
@@ -774,6 +777,9 @@ fn scale(g: &mut Gate) {
                 });
             }
         }
+        // `scale_engines()` is ring, dbt, auto.
+        let regret = ends[2] / ends[0].min(ends[1]);
+        g.row(format!("scale/allred16MB_{n}/auto_regret"), regret, "x", Lower, None);
     }
 }
 

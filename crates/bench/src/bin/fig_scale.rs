@@ -17,6 +17,11 @@
 //! O(n·chunks), so its explicit arm runs at every scale and carries the
 //! measured ≥50× entry-reduction gate at 4096.
 //!
+//! Auto must run the tree at every scale (its mid band has no ceiling,
+//! so the 16 MB cell sits inside it from 256 ranks up); the sweep
+//! asserts that and ends by printing Auto's regret per scale — its time
+//! over the faster of ring and tree.
+//!
 //! `--json PATH` emits every cell as `BENCH_*.json` records with the
 //! run's entry count and simulator wall-clock.
 
@@ -39,9 +44,12 @@ fn main() {
         "{:>6} {:>5} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10}",
         "ranks", "eng", "virt_ms", "entries", "entries_ex", "ratio", "wall_ms", "wall_ex_ms"
     );
+    let mut regrets = Vec::new();
     for &n in &SCALES {
+        let mut ends = Vec::new();
         for (eng, engine) in scale_engines() {
             let fast = scale_allreduce(n, engine, PAYLOAD, false);
+            ends.push(fast.end_ns);
             let tag = format!("fig_scale/allred16MB_{n}_{eng}");
             records.push(BenchRecord::with_sim_cost(
                 format!("{tag}/coalesced"),
@@ -55,11 +63,11 @@ fn main() {
                 fast.coalesced as f64,
                 "chunks",
             ));
-            // The uncoalesced reference arm, where tractable: ring-shaped
-            // schedules (ring itself, and Auto at this payload)
-            // materialise 2(n−1)·n sends — ~33.5 M at 4096 ranks, beyond
-            // a smoke budget — so their explicit arms stop at 1024. DBT
-            // is O(n·chunks) and runs everywhere.
+            // The uncoalesced reference arm, where tractable: the ring
+            // materialises 2(n−1)·n sends — ~33.5 M at 4096 ranks, beyond
+            // a smoke budget — so its explicit arm (and Auto's, which
+            // runs the tree here) stops at 1024. DBT is O(n·chunks) and
+            // runs everywhere.
             let explicit: Option<ScaleRun> = (eng == "dbt" || n <= 1024).then(|| {
                 let ex = scale_allreduce(n, engine, PAYLOAD, true);
                 assert_eq!(
@@ -97,6 +105,20 @@ fn main() {
                 fast.sim_wall_ms,
             );
         }
+        // `scale_engines()` is ring, dbt, auto. Auto's mid band has no
+        // ceiling, so at every swept scale it runs the tree here.
+        let (ring, dbt, auto) = (ends[0], ends[1], ends[2]);
+        assert_eq!(auto, dbt, "{n} ranks: Auto must run the tree");
+        let regret = auto as f64 / ring.min(dbt) as f64;
+        regrets.push((n, regret));
+        records.push(BenchRecord::new(
+            format!("fig_scale/allred16MB_{n}/auto_regret"),
+            regret,
+            "x",
+        ));
+    }
+    for (n, regret) in regrets {
+        println!("fig_scale/allred16MB_{n}/auto_regret {regret:.3}x");
     }
     diomp_bench::report::write_if_requested(json_path.as_deref(), &records);
 }

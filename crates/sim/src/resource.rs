@@ -42,17 +42,32 @@ pub(crate) struct ResSlot {
     latency: Dur,
     /// Cumulative bytes pushed through (for utilisation reporting).
     total_bytes: u64,
+    /// The last nominal transfer's `(bytes, busy time)`. A link carries
+    /// one chunk size over and over, and the division (plus the `ceil`,
+    /// a library call on baseline x86-64) costs more than the rest of a
+    /// reservation.
+    last_busy: (u64, Dur),
 }
 
 impl ResSlot {
     pub(crate) fn new(bytes_per_ns: f64, latency: Dur) -> Self {
         assert!(bytes_per_ns > 0.0, "resource bandwidth must be positive");
-        ResSlot { free_at: SimTime::ZERO, bytes_per_ns, latency, total_bytes: 0 }
+        ResSlot {
+            free_at: SimTime::ZERO,
+            bytes_per_ns,
+            latency,
+            total_bytes: 0,
+            last_busy: (0, Dur::ZERO),
+        }
     }
 
     pub(crate) fn transfer(&mut self, now: SimTime, bytes: u64) -> Transfer {
         let start = now.max(self.free_at);
-        let busy = Dur::nanos((bytes as f64 / self.bytes_per_ns).ceil() as u64);
+        if bytes != self.last_busy.0 {
+            let busy = Dur::nanos((bytes as f64 / self.bytes_per_ns).ceil() as u64);
+            self.last_busy = (bytes, busy);
+        }
+        let busy = self.last_busy.1;
         let depart = start + busy;
         self.free_at = depart;
         self.total_bytes += bytes;
@@ -178,6 +193,20 @@ mod tests {
         assert_eq!(a.depart, SimTime(50));
         assert_eq!(b.start, SimTime(50));
         assert_eq!(b.arrive, SimTime(50 + 10 + 50));
+    }
+
+    #[test]
+    fn remembered_busy_time_is_the_computed_one() {
+        // 3 B/ns: 0 and 9 bytes divide evenly, 10 and 7 round up. Repeats,
+        // switches and a return to an earlier size all price like a
+        // fresh link does.
+        let mut r = ResSlot::new(3.0, Dur::ZERO);
+        for bytes in [0, 10, 10, 7, 10, 9, 9, 0, 7] {
+            let t = r.transfer(SimTime(0), bytes);
+            let mut fresh = ResSlot::new(3.0, Dur::ZERO);
+            let want = fresh.transfer(SimTime(0), bytes).depart.nanos();
+            assert_eq!((t.depart - t.start).as_nanos(), want, "{bytes} B");
+        }
     }
 
     #[test]

@@ -220,12 +220,14 @@ impl XcclComm {
         opts: CommOpts,
     ) -> Arc<XcclComm> {
         let idx = ranks.iter().position(|&r| r == my_rank).expect("rank not in communicator");
-        // Topology discovery + transport setup (ncclCommInitRank).
-        ctx.delay(Dur::micros(world.platform.coll.xccl_init_us));
-
-        // The first member to get here derives the plan; the rest share it.
+        // The first member to get here derives the plan; the rest share
+        // it. The plan reads no health, so it is joined *before* the init
+        // delay: no member holds its rank list across the park.
         let plan = plan_for(id, || CommPlan::build(world, ranks, opts.servers));
         debug_assert_eq!(plan.ranks[idx], my_rank, "members disagree on the rank list");
+
+        // Topology discovery + transport setup (ncclCommInitRank).
+        ctx.delay(Dur::micros(world.platform.coll.xccl_init_us));
 
         // Degradation awareness, keyed on the health vector
         // (`gaspi_state_vec`) *this* rank observes now. With no dead
@@ -408,8 +410,9 @@ impl XcclComm {
     /// regime is closed — no servers, or they never win), and
     /// everything in between falls back to the configured ring;
     /// `dbt_cut >= ll_cut` always, and an open `rsv_cut` always sits
-    /// strictly above `dbt_cut` (an empty mid band collapses onto the
-    /// lower boundary). All boundaries are derived from the platform
+    /// strictly above both (the mid band ends at `rsv_cut − 1` where the
+    /// servers open beneath its priced top; an empty mid band collapses
+    /// onto the lower boundary). All boundaries are derived from the platform
     /// tables at query time — see [`ll::crossover_bytes`],
     /// [`dbt::crossover_bytes`] and [`rserver::crossover_bytes`].
     pub fn auto_regimes(&self, op: &XcclOp) -> Option<(u64, u64, u64)> {
@@ -441,9 +444,10 @@ impl XcclComm {
                 // The fourth regime: priced from the *live* server set
                 // (dead-NIC blacklisting shrinks the layout and the
                 // crossover retreats) on the same degradation-scaled
-                // platform as the other boundaries. An open cut always
-                // sits strictly above the mid band so the regimes stay
-                // totally ordered.
+                // platform as the other boundaries. An open cut sits
+                // above the LL band and ends the mid band beneath it, so
+                // the regimes stay totally ordered: where the servers
+                // already win, the tree's band yields to them.
                 let rsv_cut = match self.server_layout() {
                     Some(layout) if layout.server_devs > 0 => {
                         let c = rserver::crossover_bytes(
@@ -457,11 +461,12 @@ impl XcclComm {
                         if c == 0 {
                             0
                         } else {
-                            c.max(dbt_cut.max(ll_cut) + 1)
+                            c.max(ll_cut + 1)
                         }
                     }
                     _ => 0,
                 };
+                let dbt_cut = if rsv_cut > 0 { dbt_cut.min(rsv_cut - 1) } else { dbt_cut };
                 Some((ll_cut, dbt_cut, rsv_cut))
             }
             _ => None,
@@ -790,6 +795,38 @@ mod tests {
             assert_eq!((c.rails.len(), c.ring.nrings), (3, 3));
             assert_eq!(c.ring.order, c.plan.ring.order);
         }
+    }
+
+    /// Init joins the plan before it parks in the init delay, so no
+    /// member holds its rank list across the park: one virtual µs in,
+    /// while every member is still parked, the plan is registered — and
+    /// every member still leaves init at exactly the delay.
+    #[test]
+    fn plan_is_registered_before_the_init_delay_ends() {
+        let mut sim = Sim::new();
+        let spec = ClusterSpec { platform: PlatformSpec::platform_a(), nodes: 2, gpus_per_node: 4 };
+        let init_us = spec.platform.coll.xccl_init_us;
+        let topo = Arc::new(Topology::build(&sim.handle(), spec));
+        let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, None);
+        let world = FabricWorld::new(topo, devs, NRANKS);
+        let id = UniqueId::generate();
+        let left = Arc::new(Mutex::new(Vec::new()));
+        for r in 0..NRANKS {
+            let (world, left) = (world.clone(), left.clone());
+            sim.spawn(format!("rank{r}"), move |ctx| {
+                XcclComm::init(ctx, &world, (0..NRANKS).collect(), r, id, CommOpts::default());
+                left.lock().push(ctx.now());
+            });
+        }
+        let live = Arc::new(Mutex::new(None));
+        let seen = live.clone();
+        sim.spawn("observer", move |ctx| {
+            ctx.delay(Dur::micros(1.0));
+            *seen.lock() = Some(XcclComm::is_live(id));
+        });
+        sim.run().unwrap();
+        assert_eq!(*live.lock(), Some(true), "the plan must exist while members are parked");
+        assert_eq!(*left.lock(), vec![SimTime::ZERO + Dur::micros(init_us); NRANKS]);
     }
 
     #[test]

@@ -127,25 +127,101 @@ pub(crate) fn double_tree(n: usize) -> [Tree; 2] {
     [t0, t1]
 }
 
+/// The closed-form price of the allreduce double-binary-tree schedule on
+/// one communicator shape, from the platform tables — what both lower
+/// boundaries of [`CollEngine::Auto`](crate::CollEngine::Auto) weigh:
+/// the mid band's top against the ring ([`crossover_bytes`]) and the LL
+/// band's top against the tree ([`crate::ll::crossover_bytes`]).
+///
+/// The tree pays its actual depth (computed from the `double_tree`
+/// construction, not an idealised `log2 n`) in chunk-pipelined rounds,
+/// doubled for the reduce + broadcast phases, plus the busiest NIC's
+/// serialised share of the rail payload (`2·s/nrings`: half up + two
+/// halves down on the forwarding tree, half up on the leaf tree).
+pub(crate) struct Price {
+    /// One hop's step cost + wire latency, µs.
+    hop_us: f64,
+    tree_depth: f64,
+    /// Intra-node chain hops per block.
+    chain: f64,
+    chunk: f64,
+    nrings: f64,
+    /// Achieved inter-node bandwidth per edge, B/µs.
+    bw: f64,
+}
+
+/// The emergent schedule's overhead over the pure bandwidth bound runs
+/// ~1.3–2× the naive fill estimate (two trees interleave their lanes on
+/// shared NICs, and the allreduce's turn-around couples the phases);
+/// priced at 1.5× — the SAFETY margin absorbs the spread.
+const FILL_PENALTY: f64 = 1.5;
+
+impl Price {
+    /// `None` where Auto has no mid band. It is allreduce-only:
+    /// all-gather has no tree schedule; the rooted ops (broadcast,
+    /// reduce) pin both tree roots — and the ring's injection point — to
+    /// one device, so beyond the LL regime their cost is bound by the
+    /// root's single NIC either way and the measured tree runs 1.1–2.5×
+    /// *slower* than the pipelined ring at multi-MiB sizes. The
+    /// symmetric allreduce is where the tree's depth reduction genuinely
+    /// wins (the Fig. 6 mid-band gap). `CollEngine::Dbt` still executes
+    /// the rooted schedules when pinned explicitly. Communicators too
+    /// small for two useful trees have no band either.
+    pub(crate) fn of(
+        platform: &PlatformSpec,
+        op: &XcclOp,
+        n: usize,
+        nrings: usize,
+        chunk_bytes: u64,
+    ) -> Option<Price> {
+        let gpn = platform.gpus_per_node.max(1);
+        let nb = n.div_ceil(gpn);
+        if n < 4 || nb < 2 || !matches!(op, XcclOp::AllReduce { .. }) {
+            return None;
+        }
+        let t = ring::tuning_for(platform, op, nrings);
+        Some(Price {
+            hop_us: t.step_us + platform.net.latency_us,
+            tree_depth: double_tree(nb).iter().map(Tree::depth).max().unwrap() as f64,
+            chain: (n.min(gpn) - 1) as f64,
+            chunk: chunk_bytes.max(1) as f64,
+            nrings: nrings.max(1) as f64,
+            bw: platform.net.nic_gbps * t.inter_eff * 1e3,
+        })
+    }
+
+    /// Estimated completion of an `s`-byte allreduce, µs.
+    pub(crate) fn time_us(&self, s: f64) -> f64 {
+        // Per-rail tree payload; each tree carries half of it.
+        let cw = (s / (2.0 * self.nrings)).min(self.chunk);
+        // Per-phase critical path, reduce + broadcast: the node tree's
+        // depth (inter-node hops, each carrying a chunk on the wire) plus
+        // the intra-node chain (fast fabric — its chunk wire time is
+        // negligible, its per-hop step cost is not).
+        let fill =
+            2.0 * (self.tree_depth * (self.hop_us + cw / self.bw) + self.chain * self.hop_us);
+        // The busiest NIC (an interior-tree leader, which also carries
+        // its leaf-tree half) serialises two rail slices.
+        let bandwidth = 2.0 * s / (self.nrings * self.bw);
+        bandwidth + FILL_PENALTY * fill
+    }
+}
+
 /// The size up to which [`CollEngine::Auto`](crate::CollEngine::Auto)
 /// runs `op` on the double-binary-tree engine — the upper boundary of
 /// the mid band, in bytes. `0` means the band is empty (all-gather,
 /// which has no tree schedule; communicators too small for two useful
 /// trees; or platforms whose ring is never beaten).
 ///
-/// Both sides are priced from the platform tables, mirroring the LL
-/// crossover. The DBT side pays its actual tree depth (computed from
-/// the `double_tree` construction, not an idealised `log2 n`) in
-/// chunk-pipelined rounds — doubled for allreduce — plus the busiest
-/// NIC's serialised share of the rail payload (`2·s/nrings` for
-/// allreduce: half up + two halves down on the forwarding tree, half
-/// up on the leaf tree; `1·s/nrings` for the rooted chains). Both
-/// sides run on the live [`AutoConfig::ring_for`] chunking — the
-/// switch point is priced against exactly the ring (and exactly the
-/// chunk grain) that runs either side of it. The crossover is the
-/// largest power-of-two size where the DBT estimate, inflated by the
-/// shared 25 % safety margin, still undercuts the ring estimate, capped
-/// by [`AutoConfig::mid_max_bytes`].
+/// Both sides are priced from the platform tables (the tree's closed form
+/// against the ring's), mirroring the LL crossover, on the live
+/// [`AutoConfig::ring_for`] chunking — the switch point is priced
+/// against exactly the ring (and exactly the chunk grain) that runs
+/// either side of it. The crossover is the largest power-of-two size
+/// where the DBT estimate, inflated by the shared 25 % safety margin,
+/// still undercuts the ring estimate. There is no ceiling: at a few
+/// hundred node blocks the ring's `2(n−1)` steps cost more than the
+/// tree's bandwidth deficit far into the MiB range.
 pub fn crossover_bytes(
     platform: &PlatformSpec,
     op: &XcclOp,
@@ -153,58 +229,15 @@ pub fn crossover_bytes(
     nrings: usize,
     ac: &AutoConfig,
 ) -> u64 {
-    // The mid band is allreduce-only. All-gather has no tree schedule;
-    // the rooted ops (broadcast, reduce) pin both tree roots — and the
-    // ring's injection point — to one device, so beyond the LL regime
-    // their cost is bound by the root's single NIC either way and the
-    // measured tree runs 1.1–2.5× *slower* than the pipelined ring at
-    // multi-MiB sizes. The symmetric allreduce is where the tree's
-    // depth reduction genuinely wins (the Fig. 6 mid-band gap).
-    // `CollEngine::Dbt` still executes the rooted schedules when pinned
-    // explicitly.
-    let gpn = platform.gpus_per_node.max(1);
-    let nb = n.div_ceil(gpn);
-    if n < 4 || nb < 2 || !matches!(op, XcclOp::AllReduce { .. }) {
-        return 0;
-    }
     let ring_chunk = ac.ring_for(op).chunk_bytes;
-    let dbt_chunk = ring_chunk.max(1) as f64;
-    let t = ring::tuning_for(platform, op, nrings);
-    // Per-phase critical path: the node tree's depth (inter-node hops,
-    // each carrying a chunk on the wire) plus the intra-node chain
-    // (fast fabric — its chunk wire time is negligible, its per-hop
-    // step cost is not).
-    let tree_depth = double_tree(nb).iter().map(Tree::depth).max().unwrap() as f64;
-    let chain = (n.min(gpn) - 1) as f64;
-    let (phases, wire_mult) = match op {
-        XcclOp::AllReduce { .. } => (2.0, 2.0),
-        _ => (1.0, 1.0),
+    let Some(price) = Price::of(platform, op, n, nrings, ring_chunk) else {
+        return 0;
     };
-    let lat = platform.net.latency_us;
-    let bw = platform.net.nic_gbps * t.inter_eff * 1e3; // B/µs per edge
-    let nrings = nrings.max(1);
-    let nrings_f = nrings as f64;
-    // The emergent schedule's overhead over the pure bandwidth bound
-    // runs ~1.3–2× the naive fill estimate (two trees interleave their
-    // lanes on shared NICs, and the allreduce's turn-around couples the
-    // phases); priced at 1.5× — the SAFETY margin absorbs the spread.
-    const FILL_PENALTY: f64 = 1.5;
     let mut best = 0u64;
     for shift in 10..=40u32 {
         let s = 1u64 << shift;
-        if s > ac.mid_max_bytes {
-            break;
-        }
-        // Per-rail tree payload; each tree carries half of it.
-        let half = s as f64 / (2.0 * nrings_f);
-        let cw = half.min(dbt_chunk);
-        let fill = phases * (tree_depth * (t.step_us + lat + cw / bw) + chain * (t.step_us + lat));
-        // The busiest NIC (an interior-tree leader, which also carries
-        // its leaf-tree half) serialises `wire_mult` rail slices.
-        let bandwidth = wire_mult * s as f64 / (nrings_f * bw);
-        let t_dbt = bandwidth + FILL_PENALTY * fill;
         let t_ring = ring::model_time_us(platform, op, n, nrings, ring_chunk, s as f64);
-        if t_dbt * SAFETY <= t_ring {
+        if price.time_us(s as f64) * SAFETY <= t_ring {
             best = s;
         } else {
             break;
@@ -514,6 +547,29 @@ mod tests {
                 assert!(dbt >= 1 << 20, "A's mid band should reach 1 MiB, got {dbt}");
             }
         }
+    }
+
+    #[test]
+    fn mid_band_has_no_ceiling_only_a_price() {
+        // The cuts of every communicator Fig. 6, `coll_sweep` and the gate
+        // build are the priced ones they were under the retired 8 MiB
+        // ceiling; from 256 node blocks the ring's 2(n−1) steps keep the
+        // tree ahead far past it — C/2048 prices the cut at 128 MiB.
+        let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
+        for (p, n, nrings, want) in [
+            (PlatformSpec::platform_a(), 64usize, 4usize, 8u64 << 20),
+            (PlatformSpec::platform_a(), 16, 4, 512 << 10),
+            (PlatformSpec::platform_b(), 64, 4, 512 << 10),
+            (PlatformSpec::platform_c(), 16, 1, 512 << 10),
+        ] {
+            let ac = AutoConfig::for_platform(&p);
+            assert_eq!(crossover_bytes(&p, &op, n, nrings, &ac), want, "{}/{n}", p.name);
+        }
+        let c = PlatformSpec::platform_c();
+        let ac = AutoConfig::for_platform(&c);
+        let cut = crossover_bytes(&c, &op, 2048, 1, &ac);
+        assert!(cut >= 64 << 20, "C/2048 must run the tree past 64 MiB, cut at {cut}");
+        assert!(crossover_bytes(&c, &op, 256, 1, &ac) >= 16 << 20, "C/256 covers 16 MiB");
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //!   allocating a single kernel event. It holds the kernel state lock
 //!   once for the whole march ([`diomp_sim::Reservations`]), keeps its
 //!   pending arrivals in a queue keyed by *instant* ([`Arrivals`]: one
-//!   ordered entry per distinct arrival time, the sends landing then
-//!   chained behind it), and collapses the collective to one coalesced
-//!   wake entry carrying the chunk count. Virtual time, per-resource
+//!   hashed entry and one heap slot per distinct arrival time, the sends
+//!   landing then gathered in a recycled bucket), and collapses the
+//!   collective to one coalesced wake entry carrying the chunk count. Virtual time, per-resource
 //!   watermarks and flow statistics are bit-identical to the explicit
 //!   driver — `tests/fastpath.rs` pins this, and the periodic form
 //!   against its own unrolling, across engines, sizes and fault plans.
@@ -53,7 +53,9 @@
 //! candidates are a set of lanes (one bit each), walked in lane order
 //! once the whole instant has retired.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use diomp_sim::{Ctx, Dur, EventId, FlowId, ResourceId, SimTime};
 
@@ -104,6 +106,9 @@ pub(crate) struct Segment {
     lane_next: Vec<u32>,
     /// Global index of send `(0, 0)`; `(rep, j)` is `base + rep·P + j`.
     base: u32,
+    /// Key of send `j` of every repeat: `pbase + j`, an index into
+    /// [`Schedule::key_lane`].
+    pbase: u32,
 }
 
 impl Segment {
@@ -117,6 +122,7 @@ impl Segment {
             last_wire: Vec::new(),
             lane_next: Vec::new(),
             base: 0,
+            pbase: 0,
         }
     }
 
@@ -168,6 +174,9 @@ pub(crate) struct Schedule {
     /// and its first send within the period.
     lane_seg: Vec<u32>,
     lane_first: Vec<u32>,
+    /// Per stored send — its *key*, shared by all its repeats — the lane
+    /// it runs on.
+    key_lane: Vec<u32>,
     /// Total sends, every repeat counted.
     total: u32,
 }
@@ -179,6 +188,7 @@ impl Schedule {
             segs: Vec::new(),
             lane_seg: vec![NONE; nlanes],
             lane_first: vec![NONE; nlanes],
+            key_lane: Vec::new(),
             total: 0,
         }
     }
@@ -206,6 +216,8 @@ impl Schedule {
             seg.lane_next[j] = std::mem::replace(&mut self.lane_first[lane], j as u32);
         }
         seg.base = self.total;
+        seg.pbase = self.key_lane.len() as u32;
+        self.key_lane.extend(seg.sends.iter().map(|s| s.lane));
         self.total = total as u32;
         self.segs.push(seg);
     }
@@ -287,14 +299,14 @@ impl Schedule {
     /// `transfer_from`.
     fn drive_explicit(&self, ctx: &mut Ctx, window: usize, step_d: Dur) {
         let mut march = March::new(self, window);
-        // In flight: `(event, send, lane)`.
+        // In flight: `(event, send, key)`.
         let mut inflight: Vec<(EventId, u32, u32)> = Vec::new();
         let mut evs: Vec<EventId> = Vec::new();
         loop {
             let ready = ctx.now() + step_d;
-            march.issue_pass(|si, s, wire| {
+            march.issue_pass(|si, key, s, wire| {
                 let ev = ctx.handle().transfer_qos(s.res, s.flow, ready, wire);
-                inflight.push((ev, si, s.lane));
+                inflight.push((ev, si, key));
             });
             if inflight.is_empty() {
                 break;
@@ -303,11 +315,11 @@ impl Schedule {
             evs.extend(inflight.iter().map(|&(ev, ..)| ev));
             let _ = ctx.wait_any_batched(&evs);
             // Retire everything that completed at this instant.
-            inflight.retain(|&(ev, si, lane)| {
+            inflight.retain(|&(ev, si, key)| {
                 let done = ctx.event_done(ev);
                 if done {
                     ctx.free_event(ev);
-                    march.retire(si, lane);
+                    march.retire(si, key);
                 }
                 !done
             });
@@ -336,14 +348,14 @@ impl Schedule {
         let mut rsv = ctx.handle().reserve();
         loop {
             let ready = t + step_d;
-            march.issue_pass(|si, s, wire| {
+            march.issue_pass(|si, key, s, wire| {
                 let tr = rsv.transfer_flow(s.res, s.flow, ready, wire);
-                arrivals.push(tr.arrive, si, s.lane);
+                arrivals.push(tr.arrive, si, key);
             });
             // Retire every arrival of the next instant, exactly as the
             // explicit loop retires every event completed at its wake
             // instant.
-            match arrivals.pop_instant(|si, lane| march.retire(si, lane)) {
+            match arrivals.pop_instant(|si, key| march.retire(si, key)) {
                 Some(at) => t = at,
                 None => break,
             }
@@ -362,55 +374,82 @@ pub(crate) fn fast_path_ok(ctx: &Ctx) -> bool {
 }
 
 /// The coalesced driver's pending arrivals, keyed by *instant*: one
-/// ordered entry per distinct arrival time, heading an intrusive chain
-/// (through a recycled node slab) of the sends that land then. A
-/// pipelined collective on uniform links lands hundreds of sends on each
-/// instant, so the ordered structure stays tiny and a send costs one
-/// lookup and one slab slot; with one send per instant it costs what a
-/// per-send heap costs.
+/// entry per distinct arrival time, naming the bucket that gathers the
+/// `(send, key)` of every send landing then. A pipelined collective on
+/// uniform links lands hundreds of sends on each instant (the 2048-rank
+/// tree: 1.87 M sends over ~3,300 instants, at most ~60 pending at
+/// once), so a send costs one hash probe and one append; only a *new*
+/// instant enters the min-heap that orders them. A popped bucket is read
+/// front to back and recycled with its capacity, so the march allocates
+/// no more buckets than instants are ever pending at once. With one send
+/// per instant it costs what a per-send heap costs.
 struct Arrivals {
-    instants: BTreeMap<SimTime, u32>,
-    nodes: Vec<Landing>,
-    /// Head of the free-node chain.
-    free: u32,
+    /// Bucket of every pending instant.
+    index: HashMap<SimTime, u32, BuildHasherDefault<InstantHasher>>,
+    /// The pending instants, each once, earliest on top.
+    order: BinaryHeap<Reverse<SimTime>>,
+    buckets: Vec<Vec<(u32, u32)>>,
+    /// Buckets emptied by a pop, ready for the next new instant.
+    free: Vec<u32>,
 }
 
-/// One in-flight send: what [`March::retire`] needs, plus the chain link.
-struct Landing {
-    send: u32,
-    lane: u32,
-    next: u32,
+/// Hashes a [`SimTime`] in one folded multiply: instants are arbitrary
+/// nanosecond counts, so a fixed mix is as good as SipHash's keyed one
+/// here, at a fraction of its cost.
+#[derive(Default)]
+struct InstantHasher(u64);
+
+impl Hasher for InstantHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let p = u128::from(self.0 ^ x) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ (p >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl Arrivals {
     fn new() -> Self {
-        Arrivals { instants: BTreeMap::new(), nodes: Vec::new(), free: NONE }
+        Arrivals {
+            index: HashMap::default(),
+            order: BinaryHeap::new(),
+            buckets: Vec::new(),
+            free: Vec::new(),
+        }
     }
 
-    fn push(&mut self, at: SimTime, send: u32, lane: u32) {
-        let head = self.instants.entry(at).or_insert(NONE);
-        let node = Landing { send, lane, next: *head };
-        *head = match self.free {
-            NONE => {
-                self.nodes.push(node);
-                self.nodes.len() as u32 - 1
-            }
-            i => {
-                self.free = std::mem::replace(&mut self.nodes[i as usize], node).next;
-                i
-            }
-        };
+    fn push(&mut self, at: SimTime, send: u32, key: u32) {
+        let (order, buckets, free) = (&mut self.order, &mut self.buckets, &mut self.free);
+        let b = *self.index.entry(at).or_insert_with(|| {
+            order.push(Reverse(at));
+            free.pop().unwrap_or_else(|| {
+                buckets.push(Vec::new());
+                buckets.len() as u32 - 1
+            })
+        });
+        self.buckets[b as usize].push((send, key));
     }
 
     /// Remove the earliest instant, handing each send that lands then to
-    /// `retire(send, lane)`; `None` once nothing is in flight.
+    /// `retire(send, key)` in push order; `None` once nothing is in flight.
     fn pop_instant(&mut self, mut retire: impl FnMut(u32, u32)) -> Option<SimTime> {
-        let (at, mut i) = self.instants.pop_first()?;
-        while i != NONE {
-            let node = &mut self.nodes[i as usize];
-            retire(node.send, node.lane);
-            i = std::mem::replace(&mut node.next, std::mem::replace(&mut self.free, i));
+        let Reverse(at) = self.order.pop()?;
+        let b = self.index.remove(&at).expect("every queued instant has a bucket");
+        let mut landing = std::mem::take(&mut self.buckets[b as usize]);
+        for &(send, key) in &landing {
+            retire(send, key);
         }
+        landing.clear();
+        self.buckets[b as usize] = landing;
+        self.free.push(b);
         Some(at)
     }
 }
@@ -446,29 +485,30 @@ struct LaneState {
     inflight: u32,
     /// The unarrived dependency this lane's head is parked on.
     parked_on: u32,
-    /// The next lane parked on the same send.
+    /// The next lane parked on a send of the same key.
     park_next: u32,
 }
 
 /// Progress state of one schedule run, shared by both drivers: per-lane
 /// cursors and in-flight counts, the arrival bits, and the event-driven
 /// candidate set of the next issue pass. Sends are named by their global
-/// index `base + rep·P + j`; only the arrival bit and the waiter head
-/// are kept per send.
+/// index `base + rep·P + j`; only the arrival bit is kept per send.
 ///
 /// The reverse dependency index is *dynamic* and intrusive: a lane whose
 /// head is blocked parks on the first dependency that has not arrived
-/// (`parked_on`), chained into that send's waiter list (`waiters` →
-/// `park_next`), and is re-examined when it lands. A lane parks on at
-/// most one send at a time, so the index costs 4 bytes per send and per
-/// lane — no per-edge reverse table — and a dependency's arrival wakes
-/// only the lanes actually blocked on it.
+/// (`parked_on`), chained into the waiter list of that send's *key*
+/// `pbase + j` (`waiters` → `park_next`), and is re-examined when it
+/// lands. A lane parks on at most one send at a time and a key's list
+/// holds only the lanes of sends that depend on it, so the index costs 4
+/// bytes per key and per lane — no per-send or per-edge table, however
+/// many repeats run — and a dependency's arrival wakes only the lanes
+/// parked on that very repeat.
 struct March<'a> {
     sched: &'a Schedule,
     window: u32,
     lanes: Vec<LaneState>,
     arrived: BitSet,
-    /// Per send: the first lane parked on it.
+    /// Per key: the first lane parked on one of its repeats.
     waiters: Vec<u32>,
     /// Lanes to re-examine in the next issue pass, one bit per lane.
     cand: BitSet,
@@ -495,31 +535,43 @@ impl<'a> March<'a> {
             window: window.max(1) as u32,
             lanes: lanes.collect(),
             arrived: BitSet::new(sched.len()),
-            waiters: vec![NONE; sched.len()],
+            waiters: vec![NONE; sched.key_lane.len()],
             cand,
             issued: 0,
         }
     }
 
-    /// Send `si` of `lane` arrived: free the lane's window slot and wake
-    /// the lanes parked on the send.
-    fn retire(&mut self, si: u32, lane: u32) {
+    /// Send `si` (of `key`) arrived: free its lane's window slot and wake
+    /// the lanes parked on it, unlinking them from the key's list; lanes
+    /// parked on another repeat of the key stay.
+    fn retire(&mut self, si: u32, key: u32) {
         self.arrived.set(si as usize);
+        let lane = self.sched.key_lane[key as usize];
         self.lanes[lane as usize].inflight -= 1;
         self.cand.set(lane as usize);
-        let mut l = std::mem::replace(&mut self.waiters[si as usize], NONE);
+        let (mut prev, mut l) = (NONE, self.waiters[key as usize]);
         while l != NONE {
             let waiter = &mut self.lanes[l as usize];
-            waiter.parked_on = NONE;
-            self.cand.set(l as usize);
-            l = std::mem::replace(&mut waiter.park_next, NONE);
+            let next = waiter.park_next;
+            if waiter.parked_on == si {
+                waiter.parked_on = NONE;
+                waiter.park_next = NONE;
+                self.cand.set(l as usize);
+                match prev {
+                    NONE => self.waiters[key as usize] = next,
+                    p => self.lanes[p as usize].park_next = next,
+                }
+            } else {
+                prev = l;
+            }
+            l = next;
         }
     }
 
     /// One issue pass: visit the candidate lanes in ascending order and
-    /// issue each lane's heads — `issue(send, &period_send, wire)` — while
-    /// its window has a slot and the head's dependencies have arrived.
-    fn issue_pass(&mut self, mut issue: impl FnMut(u32, &ChunkSend, u64)) {
+    /// issue each lane's heads — `issue(send, key, &period_send, wire)` —
+    /// while its window has a slot and the head's dependencies have arrived.
+    fn issue_pass(&mut self, mut issue: impl FnMut(u32, u32, &ChunkSend, u64)) {
         for w in 0..self.cand.words.len() {
             let mut bits = std::mem::take(&mut self.cand.words[w]);
             while bits != 0 {
@@ -530,7 +582,7 @@ impl<'a> March<'a> {
         }
     }
 
-    fn issue_lane(&mut self, lane: u32, issue: &mut impl FnMut(u32, &ChunkSend, u64)) {
+    fn issue_lane(&mut self, lane: u32, issue: &mut impl FnMut(u32, u32, &ChunkSend, u64)) {
         let st = &mut self.lanes[lane as usize];
         // Woken by a retirement on its own lane while the dependency it
         // is parked on is still in flight: nothing to do.
@@ -548,14 +600,14 @@ impl<'a> March<'a> {
                     _ if st.rep == 0 => return None,
                     _ => row - p + (d & !PREV),
                 };
-                (!self.arrived.get(dep as usize)).then_some(dep)
+                (!self.arrived.get(dep as usize)).then_some((dep, seg.pbase + (d & !PREV)))
             });
-            if let Some(dep) = unmet {
+            if let Some((dep, key)) = unmet {
                 st.parked_on = dep;
-                st.park_next = std::mem::replace(&mut self.waiters[dep as usize], lane);
+                st.park_next = std::mem::replace(&mut self.waiters[key as usize], lane);
                 return;
             }
-            issue(row + st.j, &seg.sends[st.j as usize], seg.wire(st.rep, st.j));
+            issue(row + st.j, seg.pbase + st.j, &seg.sends[st.j as usize], seg.wire(st.rep, st.j));
             st.inflight += 1;
             self.issued += 1;
             st.j = seg.lane_next[st.j as usize];
@@ -673,19 +725,66 @@ mod tests {
         }
 
         // The queue itself: the second push to 1150 ns joins the pending
-        // entry, and the freed node is reused.
+        // instant's bucket, and the popped bucket is reused.
         let at = |ns| SimTime::ZERO + Dur::nanos(ns);
         let mut q = Arrivals::new();
         q.push(at(1150), 0, 0);
         q.push(at(450), 1, 1);
         let mut landed = Vec::new();
-        assert_eq!(q.pop_instant(|s, l| landed.push((s, l))), Some(at(450)));
+        assert_eq!(q.pop_instant(|s, k| landed.push((s, k))), Some(at(450)));
         q.push(at(1150), 2, 2);
-        assert_eq!((q.instants.len(), q.nodes.len()), (1, 2));
-        assert_eq!(q.pop_instant(|s, l| landed.push((s, l))), Some(at(1150)));
-        landed[1..].sort_unstable();
-        assert_eq!(landed, [(1, 1), (0, 0), (2, 2)]);
+        assert_eq!((q.index.len(), q.order.len(), q.buckets.len()), (1, 1, 2));
+        q.push(at(1300), 3, 3);
+        assert_eq!(q.buckets.len(), 2, "the popped bucket serves the new instant");
+        assert_eq!(q.pop_instant(|s, k| landed.push((s, k))), Some(at(1150)));
+        assert_eq!(q.pop_instant(|s, k| landed.push((s, k))), Some(at(1300)));
+        assert_eq!(landed, [(1, 1), (0, 0), (2, 2), (3, 3)]);
         assert_eq!(q.pop_instant(|_, _| unreachable!()), None);
+    }
+
+    /// The queue against the ordered map it replaced: seeded pushes over
+    /// few distinct instants (so most are ties, some joining an instant
+    /// after it was first pushed), interleaved with pops, with every
+    /// instant at or after the last one popped — the drivers' contract.
+    /// Instants must pop in the same order with the same sends, each
+    /// instant's in push order.
+    #[test]
+    fn arrival_queue_pops_like_an_ordered_map() {
+        use std::collections::BTreeMap;
+        for seed in 1..=8u64 {
+            let mut x = seed.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            let mut rand = move |m: u64| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % m
+            };
+            let pop = |q: &mut Arrivals| {
+                let mut landed = Vec::new();
+                q.pop_instant(|s, l| landed.push((s, l))).map(|at| (at, landed))
+            };
+            let pop_reference = |r: &mut BTreeMap<SimTime, Vec<(u32, u32)>>| r.pop_first();
+            let mut q = Arrivals::new();
+            let mut reference = BTreeMap::new();
+            let mut now = 0u64;
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for send in 0..4000u32 {
+                let at = SimTime(now + 5 * rand(24));
+                let lane = rand(64) as u32;
+                q.push(at, send, lane);
+                reference.entry(at).or_insert_with(Vec::new).push((send, lane));
+                if rand(3) == 0 {
+                    let popped = pop(&mut q).unwrap();
+                    now = popped.0.nanos();
+                    got.push(popped);
+                    want.extend(pop_reference(&mut reference));
+                }
+            }
+            got.extend(std::iter::from_fn(|| pop(&mut q)));
+            want.extend(std::iter::from_fn(|| pop_reference(&mut reference)));
+            assert_eq!(got, want, "seed {seed}");
+            assert!(q.index.is_empty() && q.order.is_empty(), "seed {seed}: queue drained");
+        }
     }
 
     /// A period of two lanes repeated four times, a dependency on the

@@ -24,14 +24,15 @@
 //! [`crossover_bytes`] is the dispatch rule of [`CollEngine::Auto`]: it
 //! prices both protocols from the same platform tables the engines use
 //! and returns the largest size at which the LL/tree path still wins
-//! with a safety margin; above it, `Auto` falls back to the ring
-//! unchanged.
+//! with a safety margin, against the ring and the double binary tree;
+//! above it, `Auto` runs whichever of those its other cuts pick.
 //!
 //! [`CollEngine::Auto`]: crate::CollEngine::Auto
 
 use diomp_device::DeviceTable;
 use diomp_sim::{FlowId, PlatformSpec};
 
+use crate::dbt;
 use crate::drive::{ChunkSend, Schedule, Segment};
 use crate::ops::XcclOp;
 use crate::ring::{self, RingConfig, Tuning};
@@ -81,11 +82,6 @@ pub struct AutoConfig {
     /// model says — a guardrail keeping `Auto` conservative where the
     /// closed forms are least trustworthy.
     pub small_max_bytes: u64,
-    /// Hard ceiling on the double-binary-tree mid band (the upper
-    /// regime boundary can never exceed it). `0` disables the mid band
-    /// entirely — `Auto` then degenerates to the two-regime LL/ring
-    /// dispatcher.
-    pub mid_max_bytes: u64,
 }
 
 impl AutoConfig {
@@ -142,7 +138,6 @@ impl AutoConfig {
             // ring; with the DBT covering the mid band, the LL guardrail
             // retreats to a faithful small-message bound.
             small_max_bytes: 256 << 10,
-            mid_max_bytes: 8 << 20,
         }
     }
 
@@ -186,7 +181,12 @@ impl AutoConfig {
 /// step count at the ring engine's calibrated per-step cost plus
 /// chunk-pipelined wire time on the rail bandwidth. The crossover is
 /// the largest power-of-two size where the tree estimate, inflated by a
-/// 25 % safety margin, still undercuts the ring estimate.
+/// 25 % safety margin, still undercuts the ring estimate — and, where
+/// the double binary tree is priced to beat the ring (the mid band of
+/// [`crate::dbt_crossover_bytes`]), undercuts the DBT estimate too: the
+/// LL band ends where the best alternative Auto owns gets cheaper, not
+/// only the ring. The two tree protocols are weighed without the margin,
+/// which guards leaving the ring.
 pub fn crossover_bytes(
     platform: &PlatformSpec,
     op: &XcclOp,
@@ -207,6 +207,7 @@ pub fn crossover_bytes(
     // One fused message per hop at the tuned conduit's achieved rate.
     let ll_bw = platform.net.nic_gbps * ac.wire_eff() * 1e3; // B/µs
     let ring_chunk = ac.ring_for(op).chunk_bytes;
+    let dbt = dbt::Price::of(platform, op, n, nrings, ring_chunk);
     let mut best = 0u64;
     for shift in 10..=40u32 {
         let s = 1u64 << shift;
@@ -217,7 +218,8 @@ pub fn crossover_bytes(
         // Ring side: the shared closed form both crossovers price
         // against, on the live ring chunking.
         let t_ring = ring::model_time_us(platform, op, n, nrings, ring_chunk, s as f64);
-        if t_small * SAFETY <= t_ring {
+        let t_dbt = dbt.as_ref().map(|p| p.time_us(s as f64)).filter(|t| t * SAFETY <= t_ring);
+        if t_small * SAFETY <= t_ring && t_dbt.is_none_or(|t_dbt| t_small <= t_dbt) {
             best = s;
         } else {
             break;
@@ -284,7 +286,10 @@ mod tests {
     #[test]
     fn crossovers_are_positive_and_bounded_at_paper_scale() {
         // At the Fig. 6 device counts the tree must win somewhere below
-        // the guardrail on every platform, for both measured ops.
+        // the guardrail on every platform, for both measured ops. A's
+        // allreduce band is the one that yields early: from 64 KiB its
+        // double binary tree prices cheaper (64.6 vs 73.2 µs), so the
+        // band ends at 32 KiB; B and C keep LL to the ring's cut.
         for (p, n, nrings) in [
             (PlatformSpec::platform_a(), 64usize, 4usize),
             (PlatformSpec::platform_b(), 64, 4),
@@ -293,11 +298,17 @@ mod tests {
             let ac = AutoConfig::for_platform(&p);
             for op in [XcclOp::Broadcast { root: 0 }, XcclOp::AllReduce { op: ReduceOp::SumF32 }] {
                 let cut = crossover_bytes(&p, &op, n, nrings, &ac);
+                let yields =
+                    p.id == diomp_sim::PlatformId::A && matches!(op, XcclOp::AllReduce { .. });
+                let floor = if yields { 32 << 10 } else { 64 << 10 };
                 assert!(
-                    (64 << 10..=ac.small_max_bytes).contains(&cut),
+                    (floor..=ac.small_max_bytes).contains(&cut),
                     "{}: {op:?} crossover {cut} must cover the small regime",
                     p.name
                 );
+                if yields {
+                    assert_eq!(cut, 32 << 10, "A/64 allreduce: LL yields to the tree at 64 KiB");
+                }
             }
         }
     }

@@ -57,8 +57,8 @@
 //! configuration from the same calibrated tables (the PR 5 rule: the
 //! switch point and the fallback may never diverge);
 //! [`CollEngine::Auto`](crate::CollEngine::Auto) uses it as the *fourth*
-//! regime above the double-binary-tree band when the communicator has
-//! live servers.
+//! regime when the communicator has live servers: above the LL band,
+//! ending the double-binary-tree band beneath it.
 //!
 //! [`CollEngine::ReductionServer`]: crate::CollEngine::ReductionServer
 
@@ -230,8 +230,8 @@ fn model_time_us(
 /// the band. Because the layout is an argument, the boundary moves
 /// with the live server set: fewer live server NICs → slower fan-back
 /// → a vanished crossover; and the dispatcher clamps an open cut above
-/// the live DBT/ring boundaries, so the comm-level band also moves
-/// with the live ring configuration.
+/// the live LL boundary, so the comm-level band also moves with the
+/// live ring configuration.
 pub fn crossover_bytes(
     platform: &PlatformSpec,
     op: &XcclOp,

@@ -422,11 +422,10 @@ fn auto_beats_ring_at_small_sizes_and_equals_it_at_large() {
     // the LL/tree fast path must finish earlier than the pure ring;
     // above it, Auto runs the identical (tuned) ring schedule, so the
     // times exactly equal the ring engine pinned to the same live
-    // config (not merely within tolerance). The mid band is disabled
-    // here (`mid_max_bytes = 0`) to pin the two-regime shape; the
-    // three-regime dispatch has its own tests.
-    let mut ac = AutoConfig::for_platform(&PlatformSpec::platform_a());
-    ac.mid_max_bytes = 0;
+    // config (not merely within tolerance). At 16 ranks every band ends
+    // by 512 KiB, so 4 MiB sits above the mid band too; the three-regime
+    // dispatch has its own tests.
+    let ac = AutoConfig::for_platform(&PlatformSpec::platform_a());
     for op in [XcclOp::Broadcast { root: 0 }, XcclOp::AllReduce { op: ReduceOp::SumF32 }] {
         let small = 32u64 << 10;
         let auto = timed_collective(CollEngine::Auto(ac), op, small);
@@ -434,6 +433,8 @@ fn auto_beats_ring_at_small_sizes_and_equals_it_at_large() {
         assert!(auto < ring, "{op:?}@32KiB: auto {auto:?} must beat ring {ring:?}");
 
         let large = 4u64 << 20; // far above every crossover at 16 ranks
+        let dbt_cut = diomp_xccl::dbt_crossover_bytes(&PlatformSpec::platform_a(), &op, 16, 4, &ac);
+        assert!(dbt_cut < large, "{op:?}: the mid band must end below {large}, got {dbt_cut}");
         let auto = timed_collective(CollEngine::Auto(ac), op, large);
         let live = timed_collective(CollEngine::Ring(ac.ring_for(&op)), op, large);
         assert_eq!(auto, live, "{op:?}@4MiB: auto must fall back to the identical live ring");
@@ -470,15 +471,15 @@ fn auto_dispatches_three_regimes_in_order() {
     // the DBT engine's schedule exactly, and above the upper cut it
     // matches the live ring exactly.
     let platform = PlatformSpec::platform_a();
-    let mut ac = AutoConfig::for_platform(&platform);
-    // Pull the upper guardrail in so the regime sizes stay inside the
-    // test world's 8 MiB device heaps.
-    ac.mid_max_bytes = 1 << 20;
+    let ac = AutoConfig::for_platform(&platform);
     let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
     // 16 ranks over 4 nodes like timed_collective's world.
     let ll_cut = diomp_xccl::crossover_bytes(&platform, &op, 16, 4, &ac);
     let dbt_cut = diomp_xccl::dbt_crossover_bytes(&platform, &op, 16, 4, &ac);
     assert!(0 < ll_cut && ll_cut < dbt_cut, "boundaries must be ordered: {ll_cut} vs {dbt_cut}");
+    // The priced band, with no ceiling, keeps the regime sizes inside
+    // the test world's 8 MiB device heaps.
+    assert!(dbt_cut <= 1 << 20, "A/16's mid band must end by 1 MiB, got {dbt_cut}");
 
     let mid = (dbt_cut / 2).max(ll_cut + 1).next_power_of_two();
     assert!(mid <= dbt_cut, "test size {mid} must sit inside the mid band");
@@ -490,6 +491,44 @@ fn auto_dispatches_three_regimes_in_order() {
     let auto = timed_collective(CollEngine::Auto(ac), op, above);
     let ring = timed_collective(CollEngine::Ring(ac.ring_for(&op)), op, above);
     assert_eq!(auto, ring, "above the mid band Auto must run the live ring");
+}
+
+/// One `len`-byte allreduce under `engine` over `nodes` single-GPU
+/// platform-C nodes, cost-only (the `fig_scale` shape); returns the end.
+fn c_allreduce(nodes: usize, engine: CollEngine, len: u64) -> SimTime {
+    let mut sim = Sim::new();
+    let spec = ClusterSpec { platform: PlatformSpec::platform_c(), nodes, gpus_per_node: 1 };
+    let topo = Arc::new(Topology::build(&sim.handle(), spec));
+    let heap = (2 * len).next_power_of_two();
+    let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, Some(heap));
+    let world = FabricWorld::new(topo, devs, nodes);
+    let id = UniqueId::generate();
+    for r in 0..nodes {
+        let world = world.clone();
+        sim.spawn(format!("rank{r}"), move |ctx| {
+            let opts = CommOpts { engine, ..CommOpts::default() };
+            let comm = XcclComm::init(ctx, &world, (0..nodes).collect(), r, id, opts);
+            let off = world.primary_dev(r).malloc(len, 256).unwrap();
+            let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
+            comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, len);
+        });
+    }
+    sim.run().unwrap().end_time
+}
+
+#[test]
+fn auto_runs_the_tree_at_256_nodes_where_the_ring_pays_510_steps() {
+    // The mid band has no ceiling: on C/256 the priced cut reaches
+    // 16 MiB, so Auto's 16 MiB allreduce is the DBT engine's, to the
+    // nanosecond — and well ahead of the ring it ran under the 8 MiB cap.
+    let c = PlatformSpec::platform_c();
+    let ac = AutoConfig::for_platform(&c);
+    let rc = ac.ring_for(&XcclOp::AllReduce { op: ReduceOp::SumF32 });
+    let len = 16 << 20;
+    let auto = c_allreduce(256, CollEngine::Auto(ac), len);
+    assert_eq!(auto, c_allreduce(256, CollEngine::Dbt(rc), len), "Auto must run the tree");
+    let ring = c_allreduce(256, CollEngine::Ring(rc), len);
+    assert!(auto < ring, "the tree ({auto:?}) must beat the ring ({ring:?}) at 256 nodes");
 }
 
 #[test]
