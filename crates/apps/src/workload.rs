@@ -53,7 +53,8 @@ pub struct WorkloadSpec {
     pub faults: Option<FaultPlan>,
     /// Arm elastic rank-failure recovery. `None` (the default scenarios)
     /// runs the historical blocking path — bit for bit, even with a
-    /// fault plan installed. `Some` bounds every rendezvous park by
+    /// fault plan installed. `Some` bounds every collective park — at the
+    /// rendezvous gate and in flight — by
     /// [`RecoveryConfig::collective_timeout`], snapshots buffers every
     /// [`RecoveryConfig::checkpoint_every`] iterations, and on a
     /// confirmed member death shrinks the job's communicator to the
@@ -95,6 +96,9 @@ pub struct JobResult {
     /// completed collective on the shrunk communicator, µs — the job's
     /// end-to-end recovery latency. 0 when nothing aborted.
     pub recovery_us: f64,
+    /// Virtual instant of rank 0's first `CollAbort`, µs —
+    /// when the job detected a death. `None` when nothing aborted.
+    pub first_abort_us: Option<f64>,
 }
 
 /// Whole-workload outcome.
@@ -169,6 +173,7 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadReport {
         server_flow_retired: u64,
         retries: u32,
         recovery: Dur,
+        first_abort: Option<SimTime>,
     }
     let accs: Vec<Arc<Mutex<JobAcc>>> = spec
         .jobs
@@ -182,6 +187,7 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadReport {
                 server_flow_retired: 0,
                 retries: 0,
                 recovery: Dur::ZERO,
+                first_abort: None,
             }))
         })
         .collect();
@@ -305,7 +311,9 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadReport {
                                 acc.lock().server_flows.push(f);
                             }
                             if r == 0 {
-                                acc.lock().retries += 1;
+                                let mut a = acc.lock();
+                                a.retries += 1;
+                                a.first_abort.get_or_insert(abort.at);
                                 if abort_at.is_none() {
                                     abort_at = Some(abort.at);
                                 }
@@ -339,6 +347,7 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadReport {
                     + a.server_flows.iter().map(|&f| handle.flow_stats(f).bytes).sum::<u64>(),
                 retries: a.retries,
                 recovery_us: a.recovery.as_nanos() as f64 / 1000.0,
+                first_abort_us: a.first_abort.map(SimTime::as_us),
             }
         })
         .collect();
@@ -433,9 +442,10 @@ pub fn server_idle_workload(contended: bool) -> WorkloadSpec {
 /// The elastic-recovery scenario `bench_gate` gates: the canonical
 /// 8-job contention mix with recovery armed and rank 3 killed at
 /// roughly 50% of the fault-free makespan. Every job detects the death
-/// at its next collective boundary (bounded park → `gaspi_state_vec`
-/// probe), shrinks its communicator to the agreed survivors, rolls back
-/// one checkpoint epoch, and completes over the shrunk world.
+/// in the collective it has in flight, or else at its next collective
+/// boundary (bounded park → `gaspi_state_vec` probe), shrinks its
+/// communicator to the agreed survivors, rolls back one checkpoint
+/// epoch, and completes over the shrunk world.
 pub fn recovery_workload() -> WorkloadSpec {
     let mut spec = canonical_workload(true);
     for job in &mut spec.jobs {
@@ -536,7 +546,9 @@ mod tests {
 
     #[test]
     fn recovery_scenario_completes_every_job_over_the_survivors() {
-        let rep = run_workload(&recovery_workload());
+        let spec = recovery_workload();
+        let kill_us = spec.faults.as_ref().unwrap().rank_kills()[0].1.as_us();
+        let rep = run_workload(&spec);
         assert_eq!(rep.jobs.len(), 8);
         let mut shrunk = 0;
         for j in &rep.jobs {
@@ -548,10 +560,19 @@ mod tests {
                     "{}: a job that shrank must report its recovery latency",
                     j.name
                 );
+                // A collective in flight across the kill aborts within a
+                // few budgets of it instead of crawling the dead links.
+                let detect = j.first_abort_us.expect("a shrink follows an abort") - kill_us;
+                assert!(
+                    (0.0..=10_000.0).contains(&detect),
+                    "{}: detected after {detect}µs",
+                    j.name
+                );
             } else {
                 // A job whose collective stream finished before the
                 // death was detectable never pays for recovery.
                 assert_eq!(j.recovery_us, 0.0, "{}: no shrink, no recovery time", j.name);
+                assert_eq!(j.first_abort_us, None, "{}: no shrink, no abort", j.name);
             }
         }
         assert!(shrunk >= 4, "most tenants must ride out the mid-run kill (got {shrunk})");

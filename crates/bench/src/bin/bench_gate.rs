@@ -673,6 +673,8 @@ fn server_tenant(g: &mut Gate) {
 /// no-harm bound — checkpoints charge real modelled copy time at HBM
 /// rate) and never shrinks or retries; under the kill every surviving
 /// job still completes all its iterations, the affected tenants shrink,
+/// every one of them detects the death within 10 ms of the kill (the
+/// collectives in flight across it abort from a bounded runner park),
 /// and the worst per-job recovery latency stays inside the honest
 /// rebuild cost (detection timeout + rollback + backoff + a full
 /// communicator re-init, which `xccl_init_us` dominates at ~90 ms).
@@ -690,10 +692,20 @@ fn recovery(g: &mut Gate) {
     });
     g.row("recovery/checkpoint_overhead", overhead, "x", Lower, None);
 
-    let rec = run_workload(&workload::recovery_workload());
+    let spec = workload::recovery_workload();
+    let kill_us =
+        spec.faults.as_ref().expect("the scenario kills a rank").rank_kills()[0].1.as_us();
+    let rec = run_workload(&spec);
     let shrunk = rec.jobs.iter().filter(|j| j.retries > 0).count();
     g.check(shrunk >= 4, || {
         format!("recovery: the mid-stream kill must force most tenants to shrink (saw {shrunk}/8)")
+    });
+    // Detection latency: a collective in flight across the kill aborts
+    // from a bounded runner park, not after crawling the dead links.
+    let detect = rec.jobs.iter().filter_map(|j| j.first_abort_us).map(|t| t - kill_us);
+    let detect = detect.fold(0.0, f64::max);
+    g.check(detect <= 10_000.0, || {
+        format!("recovery: a shrunk job first aborted {detect:.0}µs after the kill (> 10 ms)")
     });
     let worst = rec.jobs.iter().map(|j| j.recovery_us).fold(0.0, f64::max);
     g.check(worst > 0.0 && worst <= 120_000.0, || {
@@ -707,6 +719,7 @@ fn recovery(g: &mut Gate) {
     let entries = Some(rec.entries_processed);
     g.row("recovery/8job_makespan", rec.makespan_us, "us", Lower, entries);
     g.row("recovery/worst_recovery_us", worst, "us", Lower, None);
+    g.row("recovery/detect_us_max", detect, "us", Lower, None);
 }
 
 /// Simulator scale-out: the coalesced schedule drivers at O(10k) ranks.

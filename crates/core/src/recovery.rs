@@ -9,10 +9,9 @@
 //! * **Checkpoint epochs** — application buffers are snapshotted at
 //!   collective boundaries every [`RecoveryConfig::checkpoint_every`]
 //!   iterations ([`Checkpoint::take`]). Collective boundaries are the
-//!   one place a snapshot is guaranteed consistent: the rendezvous gate
-//!   applies data semantics only when *every* member arrived, so an
-//!   aborted collective has touched no byte and the last checkpoint is
-//!   exact.
+//!   one place a snapshot is guaranteed consistent: data semantics run
+//!   only when a collective completes, so one aborted at its gate or in
+//!   flight has touched no byte and the last checkpoint is exact.
 //! * **Rollback** — on a detected death, survivors restore their buffers
 //!   from the checkpoint ([`Checkpoint::restore`]) and re-run the
 //!   iterations since, now over the shrunk communicator.
@@ -46,8 +45,9 @@ pub struct RecoveryConfig {
     /// iterations (1 = every collective boundary). Longer epochs cost
     /// less checkpoint time but re-run more work after a death.
     pub checkpoint_every: u32,
-    /// Per-park wait budget at the collective rendezvous gate. A gate
-    /// that does not fill within this virtual-time budget triggers the
+    /// Per-park wait budget of a collective: at the rendezvous gate, and
+    /// in flight, where the runner waits for its chunk arrivals. A park
+    /// that sees nothing within this virtual-time budget triggers the
     /// `gaspi_state_vec` probe; a confirmed member death aborts the
     /// collective, anything else re-parks (stragglers are not corpses).
     pub collective_timeout: Dur,

@@ -79,6 +79,9 @@ struct RunStats {
     /// First iteration whose collective aborted (`None`: no abort).
     abort_iter: Option<usize>,
     shrinks: u32,
+    /// A rank the plan kills left with `CollAbort`: it had arrived, so
+    /// (with one kill) the episode aborted in flight, not at its gate.
+    doomed_saw_abort: bool,
 }
 
 /// Drive `ITERS` allreduce iterations under the armed recovery
@@ -91,13 +94,14 @@ fn run_recovery(
     plan: &FaultPlan,
     servers: ServerSpec,
     compute: Dur,
+    len: u64,
     tag: &str,
 ) -> (RunStats, Vec<Vec<f64>>) {
     let mut sim = Sim::new();
     let world = boot(&sim, plan);
     let id = UniqueId::generate();
     let results: Arc<Mutex<Vec<Vec<f64>>>> = Arc::new(Mutex::new(vec![Vec::new(); NRANKS]));
-    let stats: Arc<Mutex<(Option<usize>, u32)>> = Arc::new(Mutex::new((None, 0)));
+    let stats: Arc<Mutex<(Option<usize>, u32, bool)>> = Arc::new(Mutex::new((None, 0, false)));
     for r in 0..NRANKS {
         let world = world.clone();
         let results = results.clone();
@@ -114,13 +118,13 @@ fn run_recovery(
                 CommOpts { engine, servers, ..CommOpts::default() },
             );
             let dev = world.primary_dev(r);
-            let off = dev.malloc(LEN, 256).unwrap();
-            let vals: Vec<u8> = (0..LEN / 8)
+            let off = dev.malloc(len, 256).unwrap();
+            let vals: Vec<u8> = (0..len / 8)
                 .flat_map(|i| (((r as u64 + 1) * (i % 13 + 1)) as f64).to_le_bytes())
                 .collect();
             dev.mem.write(off, &vals).unwrap();
             let my_kill = ctx.handle().fault_plan().and_then(|p| p.kill_time(r as u32));
-            let bufs = [(r, off, LEN)];
+            let bufs = [(r, off, len)];
             let mut ck = Checkpoint::take(ctx, &world, &bufs, 0);
             let mut attempt = 0u32;
             let mut i = 0usize;
@@ -136,7 +140,7 @@ fn run_recovery(
                     r,
                     vec![DeviceBuf { flat: r, off }],
                     XcclOp::AllReduce { op: ReduceOp::SumF64 },
-                    LEN,
+                    len,
                     Wait::Until(rc.collective_timeout),
                 ) {
                     Ok(_) => {
@@ -150,6 +154,7 @@ fn run_recovery(
                         // whose time has not yet come; it exits rather
                         // than shrinking a comm it has no place in.
                         if my_kill.is_some() {
+                            stats.lock().2 = true;
                             return;
                         }
                         assert!(attempt < 4, "recovery did not converge");
@@ -169,36 +174,37 @@ fn run_recovery(
                     }
                 }
             }
-            let mut out = vec![0u8; LEN as usize];
+            let mut out = vec![0u8; len as usize];
             dev.mem.read(off, &mut out).unwrap();
             results.lock()[r] =
                 out.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect();
         });
     }
     let end = sim.run().unwrap_or_else(|e| panic!("{tag}: {e:?}")).end_time;
-    let (abort_iter, shrinks) = *stats.lock();
+    let (abort_iter, shrinks, doomed_saw_abort) = *stats.lock();
     assert!(shrinks <= 1, "{tag}: survivor agreement must converge in one shrink, saw {shrinks}");
     let bytes = results.lock().clone();
-    (RunStats { end, abort_iter, shrinks }, bytes)
+    (RunStats { end, abort_iter, shrinks, doomed_saw_abort }, bytes)
 }
 
-/// The sequential reference: iterations before the abort epoch fold
-/// over `clients_full`, iterations from it on over `clients_shrunk`
-/// (non-participants keep their bytes — the server pass-through and the
-/// excluded-rank cases fall out of the same rule).
+/// The sequential reference over `n` elements per rank: iterations
+/// before the abort epoch fold over `clients_full`, iterations from it
+/// on over `clients_shrunk` (non-participants keep their bytes — the
+/// server pass-through and the excluded-rank cases fall out of the same
+/// rule).
 fn reference(
     abort_iter: Option<usize>,
     clients_full: &[usize],
     clients_shrunk: &[usize],
+    n: usize,
 ) -> Vec<Vec<f64>> {
     let d = abort_iter.unwrap_or(ITERS);
     let mut vals: Vec<Vec<f64>> = (0..NRANKS)
-        .map(|r| (0..LEN / 8).map(|i| ((r as u64 + 1) * (i % 13 + 1)) as f64).collect())
+        .map(|r| (0..n as u64).map(|i| ((r as u64 + 1) * (i % 13 + 1)) as f64).collect())
         .collect();
     for it in 0..ITERS {
         let parts = if it < d { clients_full } else { clients_shrunk };
-        let sums: Vec<f64> =
-            (0..LEN as usize / 8).map(|i| parts.iter().map(|&p| vals[p][i]).sum()).collect();
+        let sums: Vec<f64> = (0..n).map(|i| parts.iter().map(|&p| vals[p][i]).sum()).collect();
         for &p in parts {
             vals[p] = sums.clone();
         }
@@ -206,7 +212,8 @@ fn reference(
     vals
 }
 
-/// Check every rank the plan does not kill against the reference.
+/// Check every rank the plan does not kill against the reference (rank
+/// 0, which no plan here kills, gives the element count).
 fn assert_survivors_match(
     plan: &FaultPlan,
     stats: RunStats,
@@ -215,7 +222,7 @@ fn assert_survivors_match(
     clients_shrunk: &[usize],
     tag: &str,
 ) {
-    let expect = reference(stats.abort_iter, clients_full, clients_shrunk);
+    let expect = reference(stats.abort_iter, clients_full, clients_shrunk, got[0].len());
     let killed: Vec<u32> = plan.rank_kills().iter().map(|&(r, _)| r).collect();
     for r in 0..NRANKS {
         if killed.contains(&(r as u32)) {
@@ -242,7 +249,7 @@ fn mid_run_rank_kill_recovers_byte_identical_on_every_engine() {
     for engine in engines() {
         let tag = format!("kill-rank3 {engine:?}");
         let (stats, got) =
-            run_recovery(engine, &plan, ServerSpec::default(), Dur::millis(2.0), &tag);
+            run_recovery(engine, &plan, ServerSpec::default(), Dur::millis(2.0), LEN, &tag);
         assert_eq!(stats.shrinks, 1, "{tag}: the mid-stream kill must force exactly one shrink");
         let d = stats.abort_iter.expect("a shrink records its epoch");
         assert!((1..ITERS).contains(&d), "{tag}: the kill must land mid-stream, aborted at {d}");
@@ -266,7 +273,7 @@ fn double_kill_straddling_detection_converges_in_one_shrink() {
     ] {
         let tag = format!("double-kill {engine:?}");
         let (stats, got) =
-            run_recovery(engine, &plan, ServerSpec::default(), Dur::millis(2.0), &tag);
+            run_recovery(engine, &plan, ServerSpec::default(), Dur::millis(2.0), LEN, &tag);
         assert_eq!(stats.shrinks, 1, "{tag}: straddling kills must converge in one shrink");
         assert_survivors_match(&plan, stats, &got, &full, &shrunk, &tag);
     }
@@ -284,11 +291,12 @@ fn killed_server_rank_shrinks_the_offload_comm_and_the_client_fold_survives() {
     let clients: Vec<usize> = (0..PER_NODE).collect();
     let engine = CollEngine::ReductionServer(RingConfig::default());
     let tag = "killed-server";
-    let (stats, got) = run_recovery(engine, &plan, ServerSpec::tail(1), Dur::millis(2.0), tag);
+    let (stats, got) = run_recovery(engine, &plan, ServerSpec::tail(1), Dur::millis(2.0), LEN, tag);
     assert_eq!(stats.shrinks, 1, "{tag}: the dead server must force exactly one shrink");
     assert_survivors_match(&plan, stats, &got, &clients, &clients, tag);
     // Replay determinism for the offload recovery path.
-    let (again, got2) = run_recovery(engine, &plan, ServerSpec::tail(1), Dur::millis(2.0), tag);
+    let (again, got2) =
+        run_recovery(engine, &plan, ServerSpec::tail(1), Dur::millis(2.0), LEN, tag);
     assert_eq!(stats, again, "{tag}: the recovery trace must replay bit-identically");
     assert_eq!(got, got2, "{tag}: the recovered bytes must replay bit-identically");
 }
@@ -303,7 +311,7 @@ fn killed_client_rank_reshapes_the_server_fold() {
     let clients_shrunk: Vec<usize> = (0..PER_NODE).filter(|&r| r != 2).collect();
     let engine = CollEngine::ReductionServer(RingConfig::default());
     let tag = "killed-client-of-server-comm";
-    let (stats, got) = run_recovery(engine, &plan, ServerSpec::tail(1), Dur::millis(2.0), tag);
+    let (stats, got) = run_recovery(engine, &plan, ServerSpec::tail(1), Dur::millis(2.0), LEN, tag);
     assert_eq!(stats.shrinks, 1, "{tag}: the dead client must force exactly one shrink");
     assert_survivors_match(&plan, stats, &got, &clients_full, &clients_shrunk, tag);
 }
@@ -334,8 +342,10 @@ fn randomized_kill_plans_replay_bit_identically_on_every_engine() {
         let shrunk: Vec<usize> = (0..NRANKS).filter(|&r| !killed.contains(&(r as u32))).collect();
         for engine in engines() {
             let tag = format!("seed {seed} {engine:?} kills {killed:?}");
-            let (a, bytes_a) = run_recovery(engine, &plan, ServerSpec::default(), compute, &tag);
-            let (b, bytes_b) = run_recovery(engine, &plan, ServerSpec::default(), compute, &tag);
+            let (a, bytes_a) =
+                run_recovery(engine, &plan, ServerSpec::default(), compute, LEN, &tag);
+            let (b, bytes_b) =
+                run_recovery(engine, &plan, ServerSpec::default(), compute, LEN, &tag);
             assert_eq!(a, b, "{tag}: the recovery trace must replay bit-identically");
             assert_eq!(bytes_a, bytes_b, "{tag}: recovered bytes must replay bit-identically");
             assert_survivors_match(&plan, a, &bytes_a, &full, &shrunk, &tag);
@@ -343,4 +353,26 @@ fn randomized_kill_plans_replay_bit_identically_on_every_engine() {
         }
     }
     assert!(total_shrinks > 0, "the sampled matrix never exercised a shrink");
+}
+
+#[test]
+fn a_kill_mid_collective_aborts_in_flight_and_the_fold_still_holds() {
+    // Back-to-back 1 MiB allreduces; rank 3 dies inside the second. The
+    // schedule-driven engines abort that collective in flight — the
+    // doomed rank had arrived, so it sees the abort too — while Profile,
+    // which runs no schedule, keeps the boundary rule and detects at the
+    // next gate. Either way the survivors match the participation-aware
+    // fold, in one shrink.
+    let plan = FaultPlan::new().kill_rank(3, SimTime(90_150_000));
+    let full: Vec<usize> = (0..NRANKS).collect();
+    let shrunk: Vec<usize> = (0..NRANKS).filter(|&r| r != 3).collect();
+    for engine in engines() {
+        let tag = format!("kill in flight {engine:?}");
+        let (stats, got) =
+            run_recovery(engine, &plan, ServerSpec::default(), Dur::ZERO, 1 << 20, &tag);
+        assert_eq!((stats.abort_iter, stats.shrinks), (Some(1), 1), "{tag}");
+        let in_flight = !matches!(engine, CollEngine::Profile);
+        assert_eq!(stats.doomed_saw_abort, in_flight, "{tag}: where the death was detected");
+        assert_survivors_match(&plan, stats, &got, &full, &shrunk, &tag);
+    }
 }

@@ -256,7 +256,7 @@ impl Ctx {
             for &ev in evs {
                 st.events.get_mut(ev).waiters.push(Waiter { task: self.id, park_seq });
             }
-            self.park(st, ParkedOn::WaitAny { n: evs.len() });
+            self.park(st, ParkedOn::WaitAny { n: evs.len(), deadline: None });
         }
     }
 
@@ -273,10 +273,25 @@ impl Ctx {
     /// per retirement — the ring-collective engine's inner loop — this
     /// turns O(N) scheduler entries per park into O(1).
     pub fn wait_any_batched(&mut self, evs: &[EventId]) -> usize {
+        self.wait_any_batched_with(evs, Wait::Block)
+            .expect("wait_any_batched woke with no completed event")
+    }
+
+    /// [`Ctx::wait_any_batched`] bounded by `wait`'s budget: with
+    /// [`Wait::Until`] a timer wake at the deadline rides beside the
+    /// wait-any group, exactly as in [`Ctx::wait_all_with`], and if it
+    /// pops first the group is killed and the timeout returned with
+    /// every event untouched. [`Wait::Block`] is `wait_any_batched`, and
+    /// cannot fail.
+    pub fn wait_any_batched_with(
+        &mut self,
+        evs: &[EventId],
+        wait: Wait,
+    ) -> Result<usize, WaitTimeout> {
         assert!(!evs.is_empty(), "wait_any_batched on empty set");
         let mut st = self.handle.kernel.state.lock();
         if let Some(i) = evs.iter().position(|&e| st.events.get(e).completed) {
-            return i;
+            return Ok(i);
         }
         let park_seq = st.park_seqs[self.id.index()] + 1;
         st.park_seqs[self.id.index()] = park_seq;
@@ -284,11 +299,19 @@ impl Ctx {
         for &ev in evs {
             st.events.get_mut(ev).group_waiters.push(gref);
         }
-        self.park(st, ParkedOn::WaitAny { n: evs.len() });
-        let st = self.handle.kernel.state.lock();
-        evs.iter()
-            .position(|&e| st.events.get(e).completed)
-            .expect("wait_any_batched woke with no completed event")
+        let deadline = wait.budget().map(|d| st.now() + d);
+        if let Some(t) = deadline {
+            self.handle.push_wake(&mut st, t, self.id, park_seq);
+        }
+        self.park(st, ParkedOn::WaitAny { n: evs.len(), deadline });
+        let mut st = self.handle.kernel.state.lock();
+        match evs.iter().position(|&e| st.events.get(e).completed) {
+            Some(i) => Ok(i),
+            None => {
+                st.kill_group(gref);
+                Err(WaitTimeout { at: st.now() })
+            }
+        }
     }
 
     /// Block until some notification id in `[first, first + num)` holds a

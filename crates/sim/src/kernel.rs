@@ -203,6 +203,25 @@ impl KState {
         }
     }
 
+    /// Recycle a released event whose completion will never fire: its
+    /// transfer was purged from, or dropped before, a fair queue. Only
+    /// dead wait-group references and stale waiters can still be on it —
+    /// a released event has no one waiting.
+    pub(crate) fn free_unfired(&mut self, ev: EventId) {
+        let slot = self.events.get_mut(ev);
+        assert!(slot.auto_free && !slot.completed, "only a released, pending event goes unfired");
+        slot.waiters.clear();
+        let groups = std::mem::take(&mut slot.group_waiters);
+        assert!(
+            groups.iter().all(|r| {
+                let g = &self.wait_groups[r.gid as usize];
+                !g.live || g.gen != r.gen
+            }),
+            "a released event still has a live waiter"
+        );
+        self.events.free(ev);
+    }
+
     /// Scale a task-local compute delay by its straggle factor, if a
     /// fault plan is armed and matched this task at spawn.
     pub(crate) fn scale_delay(&self, task: TaskId, d: Dur) -> Dur {

@@ -134,6 +134,9 @@ struct QTransfer {
     remaining: f64,
     /// Logical payload bytes, credited to the flow's stats on delivery.
     logical: u64,
+    /// The flow credited — through [`KState::flow_mut`], so a transfer
+    /// can never be served into a released slot's next tenant.
+    flow: FlowId,
     /// Completed at `depart + latency + extra`.
     ev: EventId,
     /// Fault-injected extra delivery latency.
@@ -183,11 +186,11 @@ impl LinkState {
 
     /// Pop every head that has been fully served. Empty queues are removed
     /// so a drained flow stops counting toward the backlogged weight.
-    fn take_finished(&mut self) -> Vec<(u32, QTransfer)> {
+    fn take_finished(&mut self) -> Vec<QTransfer> {
         let mut done = Vec::new();
-        self.queues.retain(|f, q| {
+        self.queues.retain(|_, q| {
             while q.front().is_some_and(|h| h.remaining <= SERVICE_EPS) {
-                done.push((*f, q.pop_front().expect("front vanished")));
+                done.push(q.pop_front().expect("front vanished"));
             }
             !q.is_empty()
         });
@@ -246,19 +249,62 @@ impl SimHandle {
     /// discarded, so callers that report per-flow bandwidth must read
     /// [`SimHandle::flow_stats`] *before* releasing: afterwards every
     /// copy of the handle is stale, and using one (a second release
-    /// included) panics.
+    /// included) panics. So does releasing a flow with transfers still
+    /// queued on an armed link — [`SimHandle::purge_flow`] them first.
     pub fn release_flow(&self, flow: FlowId) {
         let mut st = self.kernel.state.lock();
         let slot = st.flow_mut(flow);
         slot.gen = slot.gen.wrapping_add(1);
         if let Some(c) = st.contention.as_ref() {
-            debug_assert!(
+            assert!(
                 c.links.values().all(|ls| ls.queues.get(&flow.idx).is_none_or(|q| q.is_empty())),
                 "released flow {} still backlogged on an armed link",
                 flow.idx
             );
         }
         st.free_flows.push(flow.idx);
+    }
+
+    /// `gaspi_queue_purge` on the armed fair queues: every transfer of
+    /// `flow` still queued on a link is dropped unserved — its bytes are
+    /// never delivered, its event (which the caller must already have
+    /// [released](SimHandle::release_event)) is recycled — and each link
+    /// it leaves is re-priced for the flows that remain. Transfers of the
+    /// flow not yet enqueued are dropped when their enqueue fires, by the
+    /// same released-event rule. Disarmed this is a no-op: a FIFO
+    /// reservation is made at issue and completes on its own.
+    pub fn purge_flow(&self, flow: FlowId) {
+        let mut st = self.kernel.state.lock();
+        st.flow_mut(flow);
+        let now = st.now();
+        let s = &mut *st;
+        let Some(c) = s.contention.as_mut() else { return };
+        let mut touched = Vec::new();
+        let mut dropped = Vec::new();
+        for (&link, ls) in c.links.iter_mut() {
+            if !ls.queues.contains_key(&flow.idx) {
+                continue;
+            }
+            ls.advance(now, s.resources[link].bytes_per_ns(), &s.flows);
+            let q = ls.queues.remove(&flow.idx).expect("checked");
+            dropped.extend(q.into_iter().map(|qt| qt.ev));
+            ls.gen += 1;
+            touched.push(ResourceId(link as u32));
+        }
+        for ev in dropped {
+            st.free_unfired(ev);
+        }
+        for res in touched {
+            self.qos_reschedule(&mut st, res);
+        }
+    }
+
+    /// Flow-tagged transfers queued on `res`'s fair queue, in service or
+    /// waiting (0 when contention is disarmed or the link is idle).
+    pub fn link_backlog(&self, res: ResourceId) -> usize {
+        let st = self.kernel.state.lock();
+        let link = st.contention.as_ref().and_then(|c| c.links.get(&res.index()));
+        link.map_or(0, |ls| ls.queues.values().map(VecDeque::len).sum())
     }
 
     /// Number of live (allocated, not yet released) flow slots.
@@ -336,7 +382,9 @@ impl SimHandle {
 
     /// Armed-path enqueue, run as a scheduled action at the transfer's
     /// ready instant: accrue service to date, join the flow's FIFO, and
-    /// re-price the link.
+    /// re-price the link. A transfer whose event was released in the
+    /// meantime (its issuer gave up on it) is dropped here instead, before
+    /// its flow — possibly released and recycled since — is touched.
     fn qos_enqueue(
         &self,
         res: ResourceId,
@@ -347,35 +395,32 @@ impl SimHandle {
         ev: EventId,
     ) {
         let mut st = self.kernel.state.lock();
+        if st.events.get(ev).auto_free {
+            st.free_unfired(ev);
+            return;
+        }
         let now = st.now();
+        let fs = st.flow_mut(flow);
+        fs.stats.first_start = Some(fs.stats.first_start.unwrap_or(now).min(now));
         {
             let s = &mut *st;
             let c = s.contention.as_mut().expect("qos_enqueue with contention disarmed");
             let ls = c.links.entry(res.index()).or_default();
-            let fs = &mut s.flows[flow.index()];
-            fs.stats.first_start = Some(fs.stats.first_start.unwrap_or(now).min(now));
             // Re-pricing happens only when the backlogged *flow set*
             // changes. Queuing behind an already-backlogged flow alters
             // no share: the live head pricing stands, and a lone flow's
             // transfers keep the closed form's single-`ceil` arithmetic
             // (re-pricing mid-service would split one service interval
             // into separately-rounded segments and drift off it).
+            let qt = QTransfer { remaining: wire, logical, flow, ev, extra };
             let was_backlogged = ls.queues.get(&flow.idx).is_some_and(|q| !q.is_empty());
             if was_backlogged {
-                ls.queues
-                    .get_mut(&flow.idx)
-                    .expect("backlogged queue vanished")
-                    .push_back(QTransfer { remaining: wire, logical, ev, extra });
+                ls.queues.get_mut(&flow.idx).expect("backlogged queue vanished").push_back(qt);
                 return; // shares unchanged; no re-pricing
             }
             let bpns = s.resources[res.index()].bytes_per_ns();
             ls.advance(now, bpns, &s.flows);
-            ls.queues.entry(flow.idx).or_default().push_back(QTransfer {
-                remaining: wire,
-                logical,
-                ev,
-                extra,
-            });
+            ls.queues.entry(flow.idx).or_default().push_back(qt);
             ls.gen += 1;
         }
         self.qos_reschedule(&mut st, res);
@@ -400,8 +445,8 @@ impl SimHandle {
             ls.advance(now, bpns, &s.flows);
             let done = ls.take_finished();
             ls.gen += 1;
-            for (f, qt) in done {
-                let fs = &mut s.flows[f as usize];
+            for qt in done {
+                let fs = s.flow_mut(qt.flow);
                 fs.stats.bytes += qt.logical;
                 fs.stats.last_depart = fs.stats.last_depart.max(now);
                 s.resources[res.index()].bump_free_at(now);
@@ -567,6 +612,83 @@ mod tests {
         h.reserve().transfer_flow(res, new, SimTime::ZERO, 4096);
         assert_eq!(h.flow_stats(new).bytes, 4096);
         h.flow_stats(old);
+    }
+
+    /// Releasing a flow that still has a transfer queued on an armed link
+    /// would let the slot's next tenant be credited with its bytes: it is
+    /// refused in every build, not only where debug assertions run.
+    #[test]
+    #[should_panic(expected = "still backlogged on an armed link")]
+    fn releasing_a_backlogged_flow_is_refused() {
+        let mut sim = Sim::new();
+        sim.enable_contention();
+        let res = sim.handle().new_resource(1.0, Dur::ZERO);
+        sim.spawn("job", move |ctx| {
+            let flow = ctx.new_flow(1000);
+            let ev = ctx.transfer_qos(res, flow, SimTime::ZERO, 10_000);
+            ctx.delay(Dur::nanos(100));
+            ctx.release_event(ev);
+            ctx.release_flow(flow);
+        });
+        sim.run().unwrap();
+    }
+
+    /// A transfer whose event is released before its ready instant is
+    /// dropped when its enqueue fires: it never joins the fair queue, so
+    /// the other flow keeps the whole link, its own flow is credited
+    /// nothing, and the event slot is recycled.
+    #[test]
+    fn a_released_transfer_is_dropped_at_enqueue() {
+        let mut sim = Sim::new();
+        sim.enable_contention();
+        let h = sim.handle();
+        let res = h.new_resource(1.0, Dur::ZERO);
+        let (fa, fb) = (h.new_flow(1000), h.new_flow(1000));
+        sim.spawn("a", move |ctx| {
+            let ev = ctx.transfer_qos(res, fa, SimTime(1_000), 10_000);
+            ctx.release_event(ev);
+            ctx.release_flow(fa);
+        });
+        sim.spawn("b", move |ctx| {
+            let ev = ctx.transfer_qos(res, fb, SimTime::ZERO, 10_000);
+            ctx.wait_free(ev);
+            assert_eq!(ctx.now(), SimTime(10_000), "the dropped transfer took no share");
+        });
+        sim.run().unwrap();
+        assert_eq!(h.flow_stats(fb).bytes, 10_000);
+        assert_eq!((h.live_events(), h.link_backlog(res), h.flows_in_use()), (0, 0, 1));
+    }
+
+    /// `purge_flow` drops a flow's queued transfers mid-service and
+    /// re-prices the link: the surviving flow has served 2000 of its
+    /// 10 000 B at half rate by the purge and finishes the rest alone.
+    #[test]
+    fn purging_a_flow_drops_its_queue_and_reprices_the_link() {
+        let mut sim = Sim::new();
+        sim.enable_contention();
+        let h = sim.handle();
+        let res = h.new_resource(1.0, Dur::ZERO);
+        let (fa, fb) = (h.new_flow(1000), h.new_flow(1000));
+        sim.spawn("a", move |ctx| {
+            let evs: Vec<_> =
+                (0..3).map(|_| ctx.transfer_qos(res, fa, SimTime::ZERO, 10_000)).collect();
+            ctx.delay(Dur::nanos(4_000));
+            assert_eq!(ctx.link_backlog(res), 4);
+            for ev in evs {
+                ctx.release_event(ev);
+            }
+            ctx.purge_flow(fa);
+            assert_eq!(ctx.link_backlog(res), 1);
+            ctx.release_flow(fa);
+        });
+        sim.spawn("b", move |ctx| {
+            let ev = ctx.transfer_qos(res, fb, SimTime::ZERO, 10_000);
+            ctx.wait_free(ev);
+            assert_eq!(ctx.now(), SimTime(12_000));
+        });
+        sim.run().unwrap();
+        assert_eq!(h.flow_stats(fb).bytes, 10_000);
+        assert_eq!((h.live_events(), h.link_backlog(res)), (0, 0));
     }
 
     #[test]

@@ -85,6 +85,7 @@ pub(crate) enum ParkedOn {
     },
     WaitAny {
         n: usize,
+        deadline: Option<SimTime>,
     },
     Board {
         id: BoardId,
@@ -102,8 +103,11 @@ impl std::fmt::Display for ParkedOn {
         let deadline = match *self {
             ParkedOn::Start => return write!(f, "its first wake"),
             ParkedOn::Event(ev) => return write!(f, "event {}", ev.index),
-            ParkedOn::WaitAny { n } => return write!(f, "any of {n} events"),
             ParkedOn::Sleep { until } => return write!(f, "sleep until {until}"),
+            ParkedOn::WaitAny { n, deadline } => {
+                write!(f, "any of {n} events")?;
+                deadline
+            }
             ParkedOn::WaitAll { pending, deadline } => {
                 write!(f, "all of {pending} pending events")?;
                 deadline
@@ -139,6 +143,8 @@ mod tests {
         assert_eq!(all.to_string(), "all of 3 pending events (deadline 2.000us)");
         let board = ParkedOn::Board { id: BoardId(1), first: 8, num: 4, deadline };
         assert_eq!(board.to_string(), "board 1 ids [8, 12) (deadline 2.000us)");
+        let any = ParkedOn::WaitAny { n: 2, deadline };
+        assert_eq!(any.to_string(), "any of 2 events (deadline 2.000us)");
         assert_eq!(ParkedOn::Sleep { until: SimTime(5) }.to_string(), "sleep until 5ns");
         assert_eq!(ParkedOn::Start.to_string(), "its first wake");
     }

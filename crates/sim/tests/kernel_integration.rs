@@ -668,6 +668,30 @@ fn wait_all_timeout_reports_partial_completion() {
 }
 
 #[test]
+fn wait_any_timeout_fires_at_the_deadline_then_takes_the_first_completion() {
+    let mut sim = Sim::new();
+    let h = sim.handle();
+    let (slow, slower) = (h.new_event(), h.new_event());
+    h.complete_in(slow, Dur::micros(12.0));
+    h.complete_in(slower, Dur::micros(20.0));
+    sim.spawn("waiter", move |ctx| {
+        let evs = [slower, slow];
+        let budget = Wait::Until(Dur::micros(5.0));
+        assert_eq!(ctx.wait_any_batched_with(&evs, budget).unwrap_err().at, SimTime(5_000));
+        assert_eq!(ctx.wait_any_batched_with(&evs, budget).unwrap_err().at, SimTime(10_000));
+        // The killed groups stay inert; the third park takes the completion.
+        assert_eq!(ctx.wait_any_batched_with(&evs, budget), Ok(1));
+        assert_eq!(ctx.now(), SimTime(12_000));
+        assert_eq!(ctx.wait_any_batched_with(&evs, Wait::Block), Ok(1), "already complete");
+        ctx.wait_all_free(&evs);
+    });
+    let rep = sim.run().unwrap();
+    // The start wake, two completions, three deadline wakes (the last
+    // one stale), and the wake of each park a completion ended.
+    assert_eq!(rep.entries_processed, 8);
+}
+
+#[test]
 fn timed_out_groups_do_not_leak_or_misfire_under_reuse() {
     // Stress slot recycling: many timeouts then many successful waits on
     // recycled group slots; generation tags must keep stale references

@@ -21,10 +21,11 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, Weak};
 
 use diomp_fabric::{FabricWorld, HealthVec, RankHealth, Rendezvous};
-use diomp_sim::{derive_seed, Ctx, Dur, FlowId, QosClass, SimTime, Wait};
+use diomp_sim::{derive_seed, Ctx, Dur, FlowId, QosClass, SimTime, Wait, WaitTimeout};
 use parking_lot::Mutex;
 
 use crate::dbt;
+use crate::drive::Watch;
 use crate::gate::{CollAbort, DeviceBuf};
 use crate::ll;
 use crate::ops::XcclOp;
@@ -52,8 +53,9 @@ struct CommPlan {
     servers: Option<Arc<ServerSet>>,
     /// The rendezvous gate all members share — that sharing is exactly
     /// what the UniqueId bootstrap establishes in NCCL. Each rank brings
-    /// its device buffers; everyone leaves with the completion instant.
-    gate: Rendezvous<Vec<DeviceBuf>, SimTime>,
+    /// its device buffers; everyone leaves with the runner's outcome: the
+    /// completion instant, or the instant it aborted.
+    gate: Rendezvous<Vec<DeviceBuf>, Result<SimTime, SimTime>>,
 }
 
 impl CommPlan {
@@ -496,15 +498,19 @@ impl XcclComm {
     /// [`XcclComm::collective`] under a wait discipline — the elastic
     /// entry point. [`Wait::Block`] is exactly `collective` (bit-
     /// identical park and completion). With [`Wait::Until`] every park
-    /// at the rendezvous gate is bounded; when a deadline expires before
-    /// the gate fills, the `gaspi_state_vec` probe runs
-    /// ([`FabricWorld::probe_health`]) and the fault plan is consulted:
-    /// a member rank whose kill time has passed means the gate can never
-    /// fill, so the arrival is withdrawn — buffers untouched, since data
-    /// semantics only ever run when a gate fills — and [`CollAbort`] is
-    /// returned for the caller to [`XcclComm::shrink`] and re-run.
-    /// A timeout *without* a confirmed death re-parks: slowness is
-    /// straggling, not failure.
+    /// is bounded: at the rendezvous gate, and — once the gate fills —
+    /// every park of the schedule's runner waiting for a chunk arrival.
+    /// When a deadline expires the `gaspi_state_vec` probe runs
+    /// ([`FabricWorld::probe_health`]) and the fault plan is consulted
+    /// for a member whose kill time has passed. At the gate that means
+    /// it can never fill, so the arrival is withdrawn; in flight the
+    /// runner stops issuing, releases and purges its chunks, and ends
+    /// the episode for every member. Either way the buffers are
+    /// untouched — the fold only runs when a schedule completes — and
+    /// [`CollAbort`] is returned for the caller to [`XcclComm::shrink`]
+    /// and re-run. A timeout *without* a confirmed death re-parks:
+    /// slowness is straggling, not failure. [`CollEngine::Profile`] runs
+    /// no schedule, so only its gate can abort.
     pub fn try_collective(
         &self,
         ctx: &mut Ctx,
@@ -516,31 +522,38 @@ impl XcclComm {
     ) -> Result<SimTime, CollAbort> {
         assert_eq!(self.ranks[self.idx], my_rank, "collective called by a rank other than init's");
         let dead = |ctx: &mut Ctx| {
-            // GASPI discipline: the expired deadline is the failure
-            // signal; probe the state vector (committing any death
-            // transition), then ask the plan whether a member's kill
-            // time has passed. Degraded-but-alive members are
-            // stragglers and never abort.
             self.world.probe_health();
-            let now = ctx.now();
-            ctx.handle().fault_plan().is_some_and(|p| {
-                self.ranks.iter().any(|&r| p.kill_time(r as u32).is_some_and(|t| t <= now))
-            })
+            self.watch(ctx, wait).confirms(ctx.now())
         };
         // Everything past the arrival — regime selection, schedule
         // build, the march — runs once, on the last arriver, with *its*
-        // rails, flow and server set. An episode every rank reached is
-        // in flight and never aborts (rank kills take effect at
-        // collective boundaries, which is what keeps chaos replay
-        // deterministic).
+        // rails, flow and server set; the outcome it reaches, completion
+        // or abort, is what every member leaves with at that instant.
         let launch = |ctx: &mut Ctx, arrivals| {
-            let done = self.launch(ctx, arrivals, op, len);
-            (done, done)
+            let watch = self.watch(ctx, wait);
+            let out = self.launch(ctx, arrivals, op, len, watch);
+            let (Ok(at) | Err(at)) = out;
+            (at, out)
         };
-        self.plan
-            .gate
-            .arrive(ctx, self.idx, my_bufs, wait, dead, launch)
-            .map_err(|t| CollAbort { at: t.at })
+        match self.plan.gate.arrive(ctx, self.idx, my_bufs, wait, dead, launch) {
+            Ok(Ok(done)) => Ok(done),
+            Ok(Err(at)) | Err(WaitTimeout { at }) => Err(CollAbort { at }),
+        }
+    }
+
+    /// The probe behind every bounded park of a collective, the gate's
+    /// and the runner's alike (DESIGN.md D17). GASPI discipline: an
+    /// expired deadline is the failure signal, and the probe confirms a
+    /// death once some member's kill time has passed — degraded-but-alive
+    /// members are stragglers and never abort. The plan is read as the
+    /// earliest member kill time, so the coalesced march can replay every
+    /// probe by arithmetic; [`Wait::Block`] never probes.
+    fn watch(&self, ctx: &Ctx, wait: Wait) -> Watch {
+        let doom = wait.budget().and_then(|_| {
+            let plan = ctx.handle().fault_plan()?;
+            self.ranks.iter().filter_map(|&r| plan.kill_time(r as u32)).min()
+        });
+        Watch { wait, doom }
     }
 
     /// What one call of `op` on `len` bytes runs: the engine selector
@@ -588,7 +601,8 @@ impl XcclComm {
     /// send pays one step before it touches the wire — a ring or tree
     /// chunk's processing, a fused LL line's initiation, a fold at the
     /// hop that forwards its result — so what the crossovers price per
-    /// send is what runs.
+    /// send is what runs. `Err` is the instant a bounded park of the
+    /// march confirmed a member death ([`Schedule::drive`]).
     fn run(
         &self,
         ctx: &mut Ctx,
@@ -596,7 +610,8 @@ impl XcclComm {
         op: XcclOp,
         root_pos: Option<usize>,
         len: u64,
-    ) -> SimTime {
+        watch: Watch,
+    ) -> Result<SimTime, SimTime> {
         let world = &*self.world;
         let (rails, flow, order) = (&*self.rails, self.flow, &self.ring.order);
         let root_flat = root_pos.map(|r| order[r]);
@@ -609,12 +624,16 @@ impl XcclComm {
         let step = Dur::micros(t.step_us);
         ctx.delay(Dur::micros(t.launch_us));
         if order.len() <= 1 || len == 0 {
-            return ctx.now();
+            return Ok(ctx.now());
         }
         let sched = match regime {
             // The one regime that is not a `Schedule`: the ring's
             // closed-form tier, bit-identical to marching `ring::schedule`.
-            Regime::Ring(rc) if ring::closed_form_ok(ctx, rails, &op) => {
+            // It has no parks to bound, so a bounded call marches the
+            // schedule instead.
+            Regime::Ring(rc)
+                if watch.wait == Wait::Block && ring::closed_form_ok(ctx, rails, &op) =>
+            {
                 ring::march_allreduce(ctx, &rails[0], flow, op.elem_align(), len, rc, &t);
                 None
             }
@@ -634,26 +653,31 @@ impl XcclComm {
         };
         if let Some(sched) = sched {
             if sched.len() == 0 {
-                return ctx.now();
+                return Ok(ctx.now());
             }
-            sched.drive(ctx, window, step);
+            if let Err(at) = sched.drive(ctx, window, step, watch) {
+                self.world.probe_health();
+                return Err(at);
+            }
         }
         // Receive-side processing of the final chunk (LL: the flag poll
         // of the final fused line).
         ctx.delay(step);
-        ctx.now()
+        Ok(ctx.now())
     }
 
     /// Run one collective whose gate just filled: resolve the regime,
     /// drive it in this (the last arriving) task's context, and schedule
-    /// the data semantics at the completion instant.
+    /// the data semantics at the completion instant — unless the march
+    /// aborted, which leaves every buffer as it was.
     fn launch(
         &self,
         ctx: &mut Ctx,
         arrivals: Vec<Vec<DeviceBuf>>,
         op: XcclOp,
         len: u64,
-    ) -> SimTime {
+        watch: Watch,
+    ) -> Result<SimTime, SimTime> {
         let world = &*self.world;
         let order = &self.ring.order;
 
@@ -698,16 +722,18 @@ impl XcclComm {
                 let profile = op.profile(&world.platform.coll);
                 let hops = (n.max(2) - 1) as u32;
                 let wire = (len as f64 * op.wire_factor(n)).ceil() as u64;
-                ctx.now() + Dur::micros(profile.time_us(wire.max(1), hops))
+                Ok(ctx.now() + Dur::micros(profile.time_us(wire.max(1), hops)))
             }
-            Some(regime) => self.run(ctx, regime, op, root_pos, len),
+            Some(regime) => self.run(ctx, regime, op, root_pos, len, watch),
         };
 
         // Real data semantics at completion: one fold for every regime,
         // in the sequential reference order over the ring-ordered
         // buffers, so every engine deposits the same bytes on any data.
-        let devs = world.devs.clone();
-        ctx.handle().schedule_at(done, move |_| op.apply(&devs, &bufs, len));
+        if let Ok(done) = done {
+            let devs = world.devs.clone();
+            ctx.handle().schedule_at(done, move |_| op.apply(&devs, &bufs, len));
+        }
         done
     }
 }

@@ -20,8 +20,8 @@
 //!
 //! * the **explicit** driver: every chunk is a kernel event plus a
 //!   scheduled completion, and the progress loop parks on
-//!   [`Ctx::wait_any_batched`]. This is the reference semantics (and the
-//!   only driver that supports an armed contention model, whose
+//!   [`Ctx::wait_any_batched_with`]. This is the reference semantics
+//!   (and the only driver that supports an armed contention model, whose
 //!   weighted-fair queues reorder completions at runtime).
 //! * the **coalesced** driver: the identical schedule is priced
 //!   arithmetically against the live link resources (same reservation
@@ -52,12 +52,17 @@
 //! instant's arrivals retire is immaterial for the same reason — the
 //! candidates are a set of lanes (one bit each), walked in lane order
 //! once the whole instant has retired.
+//!
+//! Under a bounded [`Watch`] the explicit driver also wakes at the
+//! deadline of every park that sees no arrival; the coalesced driver
+//! reads those wakes off the gap before each instant, so both abandon
+//! the march at the same deadline once the probe confirms a death.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use diomp_sim::{Ctx, Dur, EventId, FlowId, ResourceId, SimTime};
+use diomp_sim::{Ctx, Dur, EventId, FlowId, ResourceId, SimTime, Wait};
 
 /// "No send" / "no lane" in the intrusive `u32` lists below.
 const NONE: u32 = u32::MAX;
@@ -75,6 +80,39 @@ pub(crate) struct ChunkSend {
     pub(crate) lane: u32,
     pub(crate) wire: u64,
     pub(crate) flow: FlowId,
+}
+
+/// How the runner's parks end (DESIGN.md D17): the caller's wait
+/// discipline and the instant a member death becomes confirmable.
+/// [`Wait::Block`] parks never expire. Under [`Wait::Until`] every park
+/// that waits for an arrival is bounded by the budget; one that expires
+/// runs the `gaspi_state_vec` probe, which confirms a death once `doom` —
+/// the earliest kill time of any member — has passed, and otherwise
+/// re-parks for another budget.
+#[derive(Clone, Copy)]
+pub(crate) struct Watch {
+    pub(crate) wait: Wait,
+    pub(crate) doom: Option<SimTime>,
+}
+
+impl Watch {
+    /// Does a probe at `t` confirm a member death?
+    pub(crate) fn confirms(&self, t: SimTime) -> bool {
+        self.doom.is_some_and(|k| k <= t)
+    }
+
+    /// The deadline wake that aborts a park begun at `from` when nothing
+    /// arrives before `until`: the first of `from + m·budget`, `m ≥ 1`,
+    /// strictly before `until` at which the probe confirms a death. (An
+    /// arrival at the deadline instant itself wins: its completion was
+    /// queued before the park's timer.)
+    fn abort_in(&self, from: SimTime, until: SimTime) -> Option<SimTime> {
+        let budget = self.wait.budget()?.as_nanos().max(1);
+        let doom = self.doom?;
+        let m = doom.nanos().saturating_sub(from.nanos()).div_ceil(budget).max(1);
+        let at = SimTime(from.nanos() + m * budget);
+        (at < until).then_some(at)
+    }
 }
 
 /// Wire bytes of a `bytes`-byte chunk on an edge that achieves `eff` of
@@ -272,7 +310,18 @@ impl Schedule {
     /// events. [`diomp_sim::Sim::force_explicit_schedules`] pins the
     /// explicit driver for the equivalence tests and the uncoalesced
     /// reference arms of the bench gate.
-    pub(crate) fn drive(&self, ctx: &mut Ctx, window: usize, step_d: Dur) {
+    ///
+    /// Under a bounded `watch` both drivers take the same deadline wakes,
+    /// and the first that confirms a death abandons the march there:
+    /// `Err` carries that instant, and whatever is still in flight is
+    /// left to drain (explicit: released and purged) without the caller.
+    pub(crate) fn drive(
+        &self,
+        ctx: &mut Ctx,
+        window: usize,
+        step_d: Dur,
+        watch: Watch,
+    ) -> Result<(), SimTime> {
         let unrolled;
         let sched = if ctx.unrolled_schedules_forced() {
             unrolled = self.unrolled();
@@ -281,14 +330,14 @@ impl Schedule {
             self
         };
         if fast_path_ok(ctx) {
-            sched.drive_fast(ctx, window, step_d);
+            sched.drive_fast(ctx, window, step_d, watch)
         } else {
-            sched.drive_explicit(ctx, window, step_d);
+            sched.drive_explicit(ctx, window, step_d, watch)
         }
     }
 
     /// The explicit driver: one kernel event per chunk, completions
-    /// drained with [`Ctx::wait_any_batched`] — one wake per park.
+    /// drained with [`Ctx::wait_any_batched_with`] — one wake per park.
     ///
     /// Each chunk is charged to its own [`ChunkSend::flow`] — normally
     /// the issuing communicator's QoS flow, but the reduction-server
@@ -297,7 +346,18 @@ impl Schedule {
     /// collectives fair-share each link by QoS weight. Disarmed (the
     /// default), the charge is bit-identical to a plain FIFO
     /// `transfer_from`.
-    fn drive_explicit(&self, ctx: &mut Ctx, window: usize, step_d: Dur) {
+    ///
+    /// An abort issues nothing more, releases every in-flight chunk event
+    /// and purges the schedule's flows from the armed fair queues
+    /// (`gaspi_queue_purge`), so no abandoned chunk keeps a share of a
+    /// live link.
+    fn drive_explicit(
+        &self,
+        ctx: &mut Ctx,
+        window: usize,
+        step_d: Dur,
+        watch: Watch,
+    ) -> Result<(), SimTime> {
         let mut march = March::new(self, window);
         // In flight: `(event, send, key)`.
         let mut inflight: Vec<(EventId, u32, u32)> = Vec::new();
@@ -313,7 +373,17 @@ impl Schedule {
             }
             evs.clear();
             evs.extend(inflight.iter().map(|&(ev, ..)| ev));
-            let _ = ctx.wait_any_batched(&evs);
+            while ctx.wait_any_batched_with(&evs, watch.wait).is_err() {
+                if watch.confirms(ctx.now()) {
+                    for &ev in &evs {
+                        ctx.release_event(ev);
+                    }
+                    for flow in self.flows() {
+                        ctx.purge_flow(flow);
+                    }
+                    return Err(ctx.now());
+                }
+            }
             // Retire everything that completed at this instant.
             inflight.retain(|&(ev, si, key)| {
                 let done = ctx.event_done(ev);
@@ -325,6 +395,18 @@ impl Schedule {
             });
         }
         march.assert_drained();
+        Ok(())
+    }
+
+    /// Every flow the schedule charges, each once.
+    fn flows(&self) -> Vec<FlowId> {
+        let mut flows: Vec<FlowId> = Vec::new();
+        for s in self.segs.iter().flat_map(|seg| &seg.sends) {
+            if !flows.contains(&s.flow) {
+                flows.push(s.flow);
+            }
+        }
+        flows
     }
 
     /// The coalesced driver: an arithmetic march that replays the
@@ -341,29 +423,48 @@ impl Schedule {
     /// FIFO resource model already allows), and the march ends in a
     /// single [`Ctx::sleep_until_coalesced`] wake carrying the chunk
     /// count — one heap entry standing in for every per-chunk completion.
-    fn drive_fast(&self, ctx: &mut Ctx, window: usize, step_d: Dur) {
+    ///
+    /// A bounded `watch` is replayed from the gap before each instant:
+    /// where the explicit driver's park would expire and its probe
+    /// confirm a death ([`Watch::abort_in`]), the march stops with the
+    /// reservations it has made, exactly the ones the explicit driver
+    /// had issued by then.
+    fn drive_fast(
+        &self,
+        ctx: &mut Ctx,
+        window: usize,
+        step_d: Dur,
+        watch: Watch,
+    ) -> Result<(), SimTime> {
         let mut march = March::new(self, window);
         let mut arrivals = Arrivals::new();
         let mut t = ctx.now();
         let mut rsv = ctx.handle().reserve();
-        loop {
+        let aborted = loop {
             let ready = t + step_d;
             march.issue_pass(|si, key, s, wire| {
                 let tr = rsv.transfer_flow(s.res, s.flow, ready, wire);
                 arrivals.push(tr.arrive, si, key);
             });
+            let Some(next) = arrivals.next_instant() else { break None };
+            if let Some(at) = watch.abort_in(t, next) {
+                break Some(at);
+            }
             // Retire every arrival of the next instant, exactly as the
             // explicit loop retires every event completed at its wake
             // instant.
-            match arrivals.pop_instant(|si, key| march.retire(si, key)) {
-                Some(at) => t = at,
-                None => break,
-            }
-        }
+            arrivals.pop_instant(|si, key| march.retire(si, key));
+            t = next;
+        };
         drop(rsv);
+        if let Some(at) = aborted {
+            ctx.sleep_until_coalesced(at, march.issued as u64);
+            return Err(at);
+        }
         march.assert_drained();
         // One coalesced wake standing in for every per-chunk completion.
         ctx.sleep_until_coalesced(t, self.len() as u64);
+        Ok(())
     }
 }
 
@@ -436,6 +537,11 @@ impl Arrivals {
             })
         });
         self.buckets[b as usize].push((send, key));
+    }
+
+    /// The earliest pending instant; `None` once nothing is in flight.
+    fn next_instant(&self) -> Option<SimTime> {
+        self.order.peek().map(|&Reverse(at)| at)
     }
 
     /// Remove the earliest instant, handing each send that lands then to
@@ -655,11 +761,13 @@ mod tests {
             }
             let mut s = Schedule::new(nlanes);
             s.add(seg);
-            if explicit {
-                s.drive_explicit(ctx, 1, Dur::nanos(50));
+            let block = Watch { wait: Wait::Block, doom: None };
+            let driven = if explicit {
+                s.drive_explicit(ctx, 1, Dur::nanos(50), block)
             } else {
-                s.drive_fast(ctx, 1, Dur::nanos(50));
-            }
+                s.drive_fast(ctx, 1, Dur::nanos(50), block)
+            };
+            assert_eq!(driven, Ok(()));
             *end2.lock().unwrap() = ctx.now().nanos();
         });
         sim.run().unwrap();
@@ -785,6 +893,21 @@ mod tests {
             assert_eq!(got, want, "seed {seed}");
             assert!(q.index.is_empty() && q.order.is_empty(), "seed {seed}: queue drained");
         }
+    }
+
+    /// The coalesced march's reading of the explicit driver's deadline
+    /// wakes: a park begun at `from` wakes every 100 ns until an arrival,
+    /// and aborts at the first wake at or past the doom.
+    #[test]
+    fn deadline_wakes_abort_once_the_doom_has_passed() {
+        let w = Watch { wait: Wait::Until(Dur::nanos(100)), doom: Some(SimTime(1_250)) };
+        let abort = |w: Watch, from, until| w.abort_in(SimTime(from), SimTime(until));
+        assert_eq!(abort(w, 1_000, 1_400), Some(SimTime(1_300)), "first wake past the doom");
+        assert_eq!(abort(w, 1_000, 1_300), None, "an arrival at the deadline wins");
+        assert_eq!(abort(w, 2_000, 5_000), Some(SimTime(2_100)), "a passed doom: first wake");
+        assert_eq!(abort(w, 2_000, 2_090), None, "no wake before the arrival");
+        assert_eq!(abort(Watch { doom: None, ..w }, 0, u64::MAX), None, "nobody dies");
+        assert_eq!(abort(Watch { wait: Wait::Block, ..w }, 0, u64::MAX), None, "never wakes");
     }
 
     /// A period of two lanes repeated four times, a dependency on the

@@ -6,20 +6,21 @@
 //! communicator plan: each rank contributes its [`DeviceBuf`]s, and the
 //! last arrival's completion rule (`XcclComm::launch`) computes the
 //! modelled completion time, schedules the real data movement, and
-//! releases everyone at the completion instant — or, when a member died
-//! before arriving, bounded arrivals withdraw with a [`CollAbort`].
+//! releases everyone at the completion instant — or, when a member died,
+//! bounded arrivals withdraw with a [`CollAbort`], before the gate fills
+//! or from the runner's bounded park in flight.
 
 use diomp_sim::SimTime;
 
-/// A collective abandoned at the rendezvous gate: a member rank died
-/// before arriving, so the gate can never fill. Surviving callers get
-/// this instead of a completion time; no buffer byte has been touched —
-/// data semantics only ever run when the gate fills — so the caller can
-/// shrink the communicator and re-run the collective from its last
-/// checkpoint.
+/// A collective abandoned because a member rank died: before arriving,
+/// so the gate can never fill, or while the schedule was in flight.
+/// Surviving callers get this instead of a completion time; no buffer
+/// byte has been touched — data semantics only ever run when a schedule
+/// completes — so the caller can shrink the communicator and re-run the
+/// collective from its last checkpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CollAbort {
-    /// Virtual time at which the survivor gave up waiting.
+    /// Virtual time at which the probe confirmed the death.
     pub at: SimTime,
 }
 
