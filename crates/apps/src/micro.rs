@@ -254,6 +254,42 @@ pub fn diomp_collective(probe: &CollProbe, sizes: &[u64]) -> Vec<(u64, f64, u64)
         .collect()
 }
 
+/// What a [`CollProbe`]'s communicator prices, read off one member's
+/// communicator over the probe's cluster, running nothing.
+#[derive(Default)]
+pub struct CollPrice {
+    /// Auto's regime boundaries (`None` for the other engines).
+    pub cuts: Option<(u64, u64, u64)>,
+    /// One call of each size, µs
+    /// ([`XcclComm::price`](diomp_core::XcclComm::price)).
+    pub us: Vec<(u64, f64)>,
+}
+
+/// [`CollPrice`] of `probe` at `sizes`.
+pub fn collective_price(probe: &CollProbe, sizes: &[u64]) -> CollPrice {
+    use diomp_core::{CommOpts, UniqueId, XcclComm, XcclOp};
+    let &CollProbe { platform, nodes, server_nodes, kind, engine } = probe;
+    let mut sim = Sim::new();
+    let world = bare_world(&sim, ClusterSpec::full_nodes(platform.clone(), nodes), 1 << 20);
+    let op = match kind {
+        CollKind::Broadcast => XcclOp::Broadcast { root: 0 },
+        CollKind::AllReduce => XcclOp::AllReduce { op: ReduceOp::SumF32 },
+    };
+    let out = Arc::new(Mutex::new(CollPrice::default()));
+    let (out2, sizes) = (out.clone(), sizes.to_vec());
+    sim.spawn("rank0", move |ctx| {
+        let servers = ServerSpec::tail(server_nodes);
+        let ranks = (0..world.nranks).collect();
+        let opts = CommOpts { engine, servers, ..CommOpts::default() };
+        let comm = XcclComm::init(ctx, &world, ranks, 0, UniqueId::generate(), opts);
+        let priced = sizes.iter().map(|&s| (s, comm.price(&op, s).map_or(0.0, |d| d.as_us())));
+        *out2.lock() = CollPrice { cuts: comm.auto_regimes(&op), us: priced.collect() };
+    });
+    sim.run().expect("pricing a collective never blocks");
+    let mut out = out.lock();
+    std::mem::take(&mut *out)
+}
+
 /// MPI collective latency (µs) per size — the MPI side of Fig. 6.
 /// Completion is the latest rank's finish time, like the vendor-library
 /// measurement.
@@ -338,6 +374,8 @@ pub struct ScaleRun {
     /// Virtual end-of-run time in nanoseconds — bit-comparable between
     /// the coalesced and forced-explicit arms.
     pub end_ns: u64,
+    /// Virtual time of the allreduce itself, gate to completion, ns.
+    pub op_ns: u64,
     /// Scheduler heap entries popped over the whole run.
     pub entries: u64,
     /// Chunk completions credited to coalesced wake entries (0 on the
@@ -371,9 +409,9 @@ pub fn scale_allreduce(
     let world = bare_world(&sim, spec, (2 * bytes + (1 << 20)).next_power_of_two());
     let id = UniqueId::generate();
     let ranks: Arc<Vec<usize>> = Arc::new((0..nranks).collect());
+    let op_ns = Arc::new(Mutex::new(0));
     for r in 0..nranks {
-        let world = world.clone();
-        let ranks = ranks.clone();
+        let (world, ranks, op_ns) = (world.clone(), ranks.clone(), op_ns.clone());
         sim.spawn(format!("rank{r}"), move |ctx| {
             let comm = XcclComm::init(
                 ctx,
@@ -385,6 +423,7 @@ pub fn scale_allreduce(
             );
             let dev = world.primary_dev(r);
             let off = dev.malloc(bytes.max(64), 256).unwrap();
+            let t0 = ctx.now();
             comm.collective(
                 ctx,
                 r,
@@ -392,11 +431,16 @@ pub fn scale_allreduce(
                 XcclOp::AllReduce { op: ReduceOp::SumF32 },
                 bytes,
             );
+            if r == 0 {
+                *op_ns.lock() = ctx.now().since(t0).as_nanos();
+            }
         });
     }
     let rep = sim.run().expect("scale sweep deadlocked");
+    let op_ns = *op_ns.lock();
     ScaleRun {
         end_ns: rep.end_time.nanos(),
+        op_ns,
         entries: rep.entries_processed,
         coalesced: rep.coalesced_chunks,
         sim_wall_ms: rep.sim_wall_ms,

@@ -310,14 +310,18 @@ fn ll_broadcast_at_fig6_scale_lands_on_its_recorded_instants() {
     // one step per send. A broadcast has no fold, and on A and C no two
     // devices share a NIC, so none of that may move its completion: these
     // are the closed-form LL engine's values at `3cf65d5` (µs, 32 and
-    // 64 KiB on 64 A100s / 16 platform-C nodes).
+    // 64 KiB on 64 A100s / 16 platform-C nodes). The tuned engine runs
+    // the tree there, so Auto runs on 256-byte rings, whose chunked
+    // regimes price above LL.
     use diomp_apps::micro::{diomp_collective, fig6_nodes, CollKind, CollProbe};
-    use diomp_core::{Conduit, Tuner};
+    use diomp_core::{AutoConfig, CollEngine, Conduit, RingConfig, Tuner};
+    let tiny = RingConfig { chunk_bytes: 256, max_inflight: 2 };
     for (platform, want) in [
         (PlatformSpec::platform_a(), [40.174, 46.116]),
         (PlatformSpec::platform_c(), [40.238, 45.642]),
     ] {
-        let engine = Tuner::new(&platform, Conduit::GasnetEx).coll_engine();
+        let tuned = Tuner::new(&platform, Conduit::GasnetEx).auto_config();
+        let engine = CollEngine::Auto(AutoConfig { ring_bcast: tiny, ring_allred: tiny, ..tuned });
         let (nodes, kind) = (fig6_nodes(&platform), CollKind::Broadcast);
         let probe = CollProbe { platform: &platform, nodes, server_nodes: 0, kind, engine };
         for ((size, us, _), want) in

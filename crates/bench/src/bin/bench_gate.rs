@@ -27,8 +27,8 @@
 
 use diomp_apps::cannon;
 use diomp_apps::micro::{
-    diomp_collective, diomp_p2p, fig6_nodes, scale_allreduce, CollKind, CollProbe, Metric,
-    P2pProbe, RmaOp,
+    collective_price, diomp_collective, diomp_p2p, fig6_nodes, scale_allreduce, CollKind,
+    CollProbe, Metric, P2pProbe, RmaOp,
 };
 use diomp_apps::minimod::{self, HaloStyle, MinimodConfig};
 use diomp_apps::workload::{self, run_workload};
@@ -295,6 +295,20 @@ fn collectives(g: &mut Gate) {
             let sizes = [32u64 << 10, 64 << 10, 1 << 20, 16 << 20];
             let auto = run(kind, auto_engine, &sizes);
             let ring = run(kind, ring_engine, &sizes);
+            // The price Auto's cuts compare, against what Auto ran.
+            let probe = CollProbe {
+                platform: &platform,
+                nodes,
+                server_nodes: 0,
+                kind,
+                engine: auto_engine,
+            };
+            for (&(s, auto_us, _), (_, price_us)) in
+                auto.iter().zip(collective_price(&probe, &sizes).us)
+            {
+                let name = format!("price/{tag}_{op_tag}_{}/err", size_label(s));
+                g.row(name, (price_us / auto_us - 1.0).abs(), "x", Lower, None);
+            }
             for (&(s, auto_us, auto_entries), &(_, ring_us, ring_entries)) in auto.iter().zip(&ring)
             {
                 let sz = size_label(s);
@@ -737,11 +751,12 @@ fn recovery(g: &mut Gate) {
 fn scale(g: &mut Gate) {
     const PAYLOAD: u64 = 16 << 20;
     for (n, explicit_arms) in [(256usize, ["ring", "dbt", "auto"].as_slice()), (4096, &["dbt"])] {
-        let mut ends = Vec::new();
+        let (mut ends, mut auto_op_us) = (Vec::new(), 0.0);
         for (eng, engine) in scale_engines() {
             let tag = format!("scale/allred16MB_{n}_{eng}");
             let fast = scale_allreduce(n, engine, PAYLOAD, false);
             ends.push(fast.end_ns as f64);
+            auto_op_us = fast.op_ns as f64 / 1e3;
             g.check(fast.coalesced > 0, || format!("{tag}: 0 chunks coalesced"));
             let rec = BenchRecord::with_sim_cost(
                 format!("{tag}/coalesced"),
@@ -793,6 +808,13 @@ fn scale(g: &mut Gate) {
         // `scale_engines()` is ring, dbt, auto.
         let regret = ends[2] / ends[0].min(ends[1]);
         g.row(format!("scale/allred16MB_{n}/auto_regret"), regret, "x", Lower, None);
+        // The price of Auto's allreduce against its run.
+        let platform = PlatformSpec::platform_c();
+        let (kind, engine) = (CollKind::AllReduce, scale_engines()[2].1);
+        let probe = CollProbe { platform: &platform, nodes: n, server_nodes: 0, kind, engine };
+        let price_us = collective_price(&probe, &[PAYLOAD]).us[0].1;
+        let err = (price_us / auto_op_us - 1.0).abs();
+        g.row(format!("price/C_allred_16MB_{n}/err"), err, "x", Lower, None);
     }
 }
 

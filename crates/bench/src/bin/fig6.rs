@@ -11,14 +11,11 @@
 //! records.
 
 use diomp_apps::micro::{
-    diomp_collective, fig6_nodes, log_ratio, mpi_collective, CollKind, CollProbe,
+    collective_price, diomp_collective, fig6_nodes, log_ratio, mpi_collective, CollKind, CollProbe,
 };
 use diomp_bench::report::{json_path_from_args, BenchRecord};
 use diomp_bench::{mae, paper, print_ratio_row, sign_agreement, size_label};
-use diomp_core::{
-    crossover_bytes, dbt_crossover_bytes, default_nrings, CollEngine, Conduit, ReduceOp, Tuner,
-    XcclOp,
-};
+use diomp_core::{CollEngine, Conduit, Tuner};
 use diomp_sim::PlatformSpec;
 
 /// Which DiOMP engine the run measures on a platform (`Auto` is derived
@@ -37,30 +34,20 @@ fn run_op(
     for (tag, name, platform, paper_row) in refs {
         let engine = engine_for(&platform);
         let nodes = fig6_nodes(&platform);
-        // Under --auto, show where the three-regime dispatcher switches
-        // protocol for this op at this scale (LL/tree below the first
-        // boundary, double binary tree in the mid band, ring above).
-        if let CollEngine::Auto(ac) = engine {
-            let op = match kind {
-                CollKind::Broadcast => XcclOp::Broadcast { root: 0 },
-                CollKind::AllReduce => XcclOp::AllReduce { op: ReduceOp::SumF32 },
-            };
-            let n = nodes * platform.gpus_per_node;
-            let nrings = default_nrings(&platform);
-            let ll = crossover_bytes(&platform, &op, n, nrings, &ac);
-            let dbt = dbt_crossover_bytes(&platform, &op, n, nrings, &ac).max(ll);
-            if dbt > ll {
-                println!(
-                    "   [{tag}] auto regimes: LL/tree <= {}, DBT <= {}, ring above",
-                    size_label(ll),
-                    size_label(dbt)
-                );
+        let probe = CollProbe { platform: &platform, nodes, server_nodes: 0, kind, engine };
+        // Under --auto, show where the dispatcher switches protocol for
+        // this op at this scale (LL/tree below the first boundary, double
+        // binary tree in the mid band, ring above), as a communicator of
+        // this shape prices its regimes.
+        if let Some((ll, dbt, _)) = collective_price(&probe, &[]).cuts {
+            let tree = if dbt > ll {
+                format!(", DBT <= {}", if dbt == u64::MAX { "any".into() } else { size_label(dbt) })
             } else {
-                println!("   [{tag}] auto regimes: LL/tree <= {}, ring above", size_label(ll));
-            }
+                String::new()
+            };
+            println!("   [{tag}] auto regimes: LL/tree <= {}{tree}, ring above", size_label(ll));
         }
         let mpi = mpi_collective(&platform, nodes, kind, sizes);
-        let probe = CollProbe { platform: &platform, nodes, server_nodes: 0, kind, engine };
         let full = diomp_collective(&probe, sizes);
         let diomp: Vec<(u64, f64)> = full.iter().map(|&(s, us, _)| (s, us)).collect();
         let ratio = log_ratio(&mpi, &diomp);

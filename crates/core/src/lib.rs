@@ -54,8 +54,8 @@ pub mod tune;
 
 pub use config::{Binding, Conduit, DiompConfig, DiompConfigBuilder, PipelineConfig};
 pub use diomp_xccl::{
-    crossover_bytes, dbt_crossover_bytes, default_nrings, AutoConfig, CollEngine, CommOpts,
-    DeviceBuf, QosClass, RingConfig, ServerSpec, UniqueId, XcclComm, XcclOp,
+    default_nrings, AutoConfig, CollEngine, CommOpts, DeviceBuf, QosClass, RingConfig, ServerSpec,
+    UniqueId, XcclComm, XcclOp,
 };
 pub use error::DiompError;
 pub use galloc::{AllocKind, BuddyAlloc, LinearAlloc, PtrCache, WRAPPER_BYTES};

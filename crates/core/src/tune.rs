@@ -20,10 +20,9 @@
 //!   window usually suffices (that is *why* the knee is the right chunk
 //!   size).
 //! * **Which collective protocol?** The [`CollEngine::Auto`] engine with
-//!   an LL hop cost read from the active conduit's tables; the
-//!   per-(op, device count) crossover itself is computed in
-//!   `diomp-xccl` from the same platform spec
-//!   ([`diomp_xccl::crossover_bytes`]).
+//!   an LL hop cost read from the active conduit's tables; each
+//!   communicator prices its regimes' own schedules to place the cuts
+//!   ([`diomp_xccl::XcclComm::auto_regimes`]).
 //!
 //! Precedence everywhere: **explicit config > tuned > disabled** — an
 //! explicit [`PipelineConfig`]/[`CollEngine`] always wins, `.tuned()`
@@ -56,8 +55,8 @@ pub struct TuneTable {
     pub conduit: Conduit,
     /// Knee-derived large-message RMA pipeline parameters.
     pub pipeline: PipelineConfig,
-    /// Collective protocol-selection parameters (LL hop cost, regime
-    /// guardrails, and the live per-op ring fallbacks) for
+    /// Collective protocol-selection parameters (LL hop cost and
+    /// efficiency, and the live per-op ring fallbacks) for
     /// [`CollEngine::Auto`].
     pub auto: AutoConfig,
 }
@@ -145,10 +144,9 @@ impl<'a> Tuner<'a> {
     /// hop cost and wire efficiency are the active conduit's fused-send
     /// initiation cost and asymptotic efficiency (no separate completion
     /// round — the flag rides with the payload), through
-    /// [`AutoConfig::for_conduit`], the single home of the conversions
-    /// and remaining defaults. The *live* tuned ring configurations are
-    /// threaded in, so the crossover pricing and the fallback engine can
-    /// never diverge (the PR 5 headline bugfix).
+    /// [`AutoConfig::for_conduit`], the single home of the conversions.
+    /// The *live* tuned ring configurations are threaded in, so the
+    /// regimes Auto prices are the ones it runs.
     pub fn auto_config(&self) -> AutoConfig {
         AutoConfig::for_conduit(
             self.op_overhead_us(),
@@ -305,7 +303,7 @@ mod tests {
     fn tuned_rings_are_threaded_live_and_differ_per_op() {
         // The PR 5 headline bugfix at the tuner level: the AutoConfig the
         // engine runs must carry exactly the per-op ring derivation
-        // (crossover pricing and fallback can never diverge), and the
+        // (the ring Auto prices is the ring it runs), and the
         // derivation is genuine — the op classes' calibrated step costs
         // differ, so their rings do too.
         let platform = PlatformSpec::platform_a();

@@ -4,7 +4,7 @@
 //! Events start *pending*; any number of tasks may block on one
 //! ([`crate::Ctx::wait`]); completing the event (from a task or from a
 //! scheduled action) wakes every waiter at the current virtual time.
-//! Events are the only blocking primitive — channels, barriers, RMA
+//! Events are the only blocking primitive — barriers, rendezvous, RMA
 //! completion and stream synchronisation are all built on top of them.
 
 use crate::task::TaskId;

@@ -15,7 +15,7 @@
 //! Two kinds of queue entries exist:
 //!
 //! * **Wake** — resume a parked task (used by `delay`, event completion,
-//!   barriers, channel receives).
+//!   barriers, rendezvous).
 //! * **Action** — run a closure at a given virtual time, on the thread
 //!   of whoever holds the baton when it pops (never concurrently with a
 //!   task). Actions are how *one-sided* operations complete without any

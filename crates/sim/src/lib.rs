@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 mod board;
-mod channel;
 mod ctx;
 mod event;
 mod fault;
@@ -48,7 +47,6 @@ mod topology;
 mod trace;
 
 pub use board::BoardId;
-pub use channel::SimChannel;
 pub use ctx::{Ctx, Wait, WaitTimeout};
 pub use event::EventId;
 pub use fault::{fault_key, CtrlFault, FaultPlan};

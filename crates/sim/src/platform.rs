@@ -17,7 +17,7 @@
 //! records the resulting paper-vs-measured comparison.
 
 /// Compute-device hardware model.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, for reports.
     pub name: &'static str,
@@ -39,7 +39,7 @@ pub struct GpuSpec {
 }
 
 /// Inter-node network hardware model.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NetSpec {
     /// Fabric name, for reports.
     pub name: &'static str,
@@ -52,7 +52,7 @@ pub struct NetSpec {
 }
 
 /// Intra-node interconnect model.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IntraSpec {
     /// GPU↔GPU fabric bandwidth per device port (NVLink / xGMI), GB/s.
     pub gpu_link_gbps: f64,
@@ -73,7 +73,7 @@ pub struct IntraSpec {
 }
 
 /// GASNet-EX conduit software model (the DiOMP default conduit).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GasnetModel {
     /// Initiator overhead of a Put, µs.
     pub put_o_us: f64,
@@ -90,7 +90,7 @@ pub struct GasnetModel {
 }
 
 /// GPI-2 conduit software model (InfiniBand only, paper §4.1).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GpiModel {
     /// Initiator overhead of a write, µs.
     pub put_o_us: f64,
@@ -103,7 +103,7 @@ pub struct GpiModel {
 }
 
 /// MPI two-sided point-to-point model.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MpiP2pModel {
     /// Largest message sent eagerly (no rendezvous), bytes.
     pub eager_max: u64,
@@ -119,7 +119,7 @@ pub struct MpiP2pModel {
 }
 
 /// MPI one-sided (RMA window) model — the Fig. 3/4 baseline.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MpiRmaModel {
     /// Origin overhead of `MPI_Put`, µs.
     pub put_o_us: f64,
@@ -144,7 +144,7 @@ pub struct MpiRmaModel {
 /// A piecewise achieved-bandwidth curve: `(message bytes, GB/s)` control
 /// points, geometrically interpolated in log-size space. Below the first
 /// point the first bandwidth applies; above the last, the last.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BwCurve {
     /// Control points, strictly increasing in bytes.
     pub points: Vec<(u64, f64)>,
@@ -252,7 +252,7 @@ fn rma_curve(o_us: f64, wire_gbps: f64) -> BwCurve {
 
 /// Cost profile of one collective operation in one library
 /// (a calibrated model of NCCL/RCCL/MPI achieved performance).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CollProfile {
     /// Fixed per-call cost (kernel launches, stream sync, algorithm
     /// selection), µs.
@@ -274,7 +274,7 @@ impl CollProfile {
 
 /// Collective-communication models for the platform's MPI and its vendor
 /// collective library (NCCL on A/C, RCCL on B).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CollModels {
     /// Vendor library name ("NCCL" / "RCCL").
     pub xccl_name: &'static str,
@@ -305,7 +305,7 @@ pub enum PlatformId {
 }
 
 /// Complete hardware + software model of one evaluation platform.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlatformSpec {
     /// Which paper platform this models.
     pub id: PlatformId,

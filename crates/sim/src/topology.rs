@@ -13,7 +13,7 @@ use crate::resource::ResourceId;
 use crate::time::Dur;
 
 /// How many nodes / devices a simulated cluster has.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClusterSpec {
     /// Hardware + software parameter set (platform A/B/C or custom).
     pub platform: PlatformSpec,

@@ -1,11 +1,11 @@
 //! Integration tests for the discrete-event kernel: scheduling order,
-//! blocking primitives, channels, resources, deadlock detection and
+//! blocking primitives, resources, deadlock detection and
 //! determinism.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use diomp_sim::{Dur, Sim, SimChannel, SimError, SimReport, SimTime, Wait};
+use diomp_sim::{Dur, Sim, SimError, SimReport, SimTime, Wait};
 
 #[test]
 fn delays_accumulate_virtual_time() {
@@ -142,30 +142,6 @@ fn scheduled_actions_run_at_their_time() {
     });
     sim.run().unwrap();
     assert_eq!(stamp.load(Ordering::Relaxed), 5_000);
-}
-
-#[test]
-fn channels_block_and_deliver_in_order() {
-    let mut sim = Sim::new();
-    let chan: SimChannel<u32> = SimChannel::new();
-    let tx = chan.clone();
-    sim.spawn("producer", move |ctx| {
-        for i in 0..5 {
-            ctx.delay(Dur::micros(1.0));
-            tx.send(ctx.handle(), i);
-        }
-        tx.close(ctx.handle());
-    });
-    let rx = chan.clone();
-    sim.spawn("consumer", move |ctx| {
-        let mut got = Vec::new();
-        while let Some(v) = rx.recv(ctx) {
-            got.push(v);
-        }
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-        assert_eq!(ctx.now(), SimTime(5_000));
-    });
-    sim.run().unwrap();
 }
 
 #[test]
@@ -330,22 +306,17 @@ fn dynamic_spawn_joins_the_event_flow() {
 fn trace_of(seed: u64) -> Vec<String> {
     let mut sim = Sim::new();
     sim.enable_trace();
-    let h = sim.handle();
-    let chan: SimChannel<u64> = SimChannel::new();
     for r in 0..6u64 {
-        let chan = chan.clone();
         sim.spawn(format!("rank{r}"), move |ctx| {
             let mut rng = diomp_sim::rng_for(seed, r);
             use rand::Rng;
             for _ in 0..20 {
                 let d: u64 = rng.gen_range(1..500);
                 ctx.delay(Dur::nanos(d));
-                chan.send(ctx.handle(), r);
                 ctx.trace(format!("rank{r}"), format!("sent at {}", ctx.now()));
             }
         });
     }
-    let _ = h;
     let rep = sim.run().unwrap();
     rep.trace.iter().map(|t| t.to_string()).collect()
 }

@@ -21,16 +21,16 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, Weak};
 
 use diomp_fabric::{FabricWorld, HealthVec, RankHealth, Rendezvous};
-use diomp_sim::{derive_seed, Ctx, Dur, FlowId, QosClass, SimTime, Wait, WaitTimeout};
+use diomp_sim::{derive_seed, ClusterSpec, Ctx, Dur, FlowId, QosClass, SimTime, Wait, WaitTimeout};
 use parking_lot::Mutex;
 
 use crate::dbt;
-use crate::drive::Watch;
+use crate::drive::{Links, Schedule, Watch};
 use crate::gate::{CollAbort, DeviceBuf};
-use crate::ll;
+use crate::ll::{self, AutoConfig};
 use crate::ops::XcclOp;
-use crate::ring::{self, CollEngine, Rail, RingConfig};
-use crate::rserver::{self, ServerLayout, ServerSet, ServerSpec};
+use crate::ring::{self, CollEngine, Rail, RingConfig, Tuning};
+use crate::rserver::{self, ServerSet, ServerSpec};
 use crate::unique_id::UniqueId;
 
 /// The shared half of a communicator: what every member derives
@@ -56,10 +56,64 @@ struct CommPlan {
     /// its device buffers; everyone leaves with the runner's outcome: the
     /// completion instant, or the instant it aborted.
     gate: Rendezvous<Vec<DeviceBuf>, Result<SimTime, SimTime>>,
+    /// Auto's cuts, shared by every plan of the same shape.
+    cuts: Arc<CutTable>,
 }
 
+/// Auto's cuts already scanned ([`XcclComm::auto_regimes`]), by key.
+type CutTable = Mutex<Vec<(CutKey, (u64, u64, u64))>>;
+
+/// What a plan's schedules are built from: its cluster, members and
+/// server designation. Plans of one shape price alike, so they share one
+/// [`CutTable`] — a communicator rebuilt over the same cluster and ranks
+/// reads its cuts instead of scanning again.
+#[derive(PartialEq)]
+struct Shape {
+    cluster: ClusterSpec,
+    gpus_per_rank: usize,
+    ranks: Arc<[usize]>,
+    servers: ServerSpec,
+}
+
+/// Every shape's [`CutTable`] the process has built.
+type ShapeTables = Mutex<Vec<(Shape, Arc<CutTable>)>>;
+
+fn cut_table(shape: Shape) -> Arc<CutTable> {
+    static TABLES: OnceLock<ShapeTables> = OnceLock::new();
+    let mut tables = TABLES.get_or_init(Default::default).lock();
+    if let Some((_, table)) = tables.iter().find(|(s, _)| *s == shape) {
+        return table.clone();
+    }
+    let table = Arc::new(CutTable::default());
+    tables.push((shape, table.clone()));
+    table
+}
+
+/// What Auto's cuts depend on beyond the plan's shape: the op (its root
+/// set to position 0), the engine's config, the health factor the links
+/// are rated at, and the communicator's live state — the leading device
+/// of each live rail, the live server devices, and the member links the
+/// health vector now marks dead.
+#[derive(PartialEq)]
+struct CutKey {
+    op: XcclOp,
+    ac: AutoConfig,
+    factor: u32,
+    rails: Vec<usize>,
+    servers: Vec<usize>,
+    dead: Vec<usize>,
+}
+
+/// The powers of two Auto's scans price: 1 KiB to 16 MiB, Fig. 6's
+/// largest cell.
+const SCAN_SHIFTS: std::ops::RangeInclusive<u32> = 10..=24;
+
 impl CommPlan {
-    fn build(world: &FabricWorld, ranks: Vec<usize>, servers: ServerSpec) -> CommPlan {
+    /// Out of line: only the first member builds, but inlined into
+    /// [`XcclComm::init`] its frame rides on every member's stack, one
+    /// more page per rank thread.
+    #[inline(never)]
+    fn build(world: &FabricWorld, ranks: Vec<usize>, spec: ServerSpec) -> CommPlan {
         // Node-major device ordering minimises ring node-crossings.
         let node_of = |f: usize| world.devs.dev(f).loc.node;
         let mut order: Vec<usize> = ranks.iter().flat_map(|&r| world.devices_of(r)).collect();
@@ -74,8 +128,8 @@ impl CommPlan {
         // Reduction-server carving: whole node blocks from the tail of
         // the node-major order become infrastructure (at least one
         // client node always remains).
-        let servers = (servers.enabled() && nodes > 1).then(|| {
-            let nsrv = servers.nodes.min(nodes - 1);
+        let servers = (spec.enabled() && nodes > 1).then(|| {
+            let nsrv = spec.nodes.min(nodes - 1);
             let srv_nodes = node_ids[nodes - nsrv..].to_vec();
             let devs = order.iter().copied().filter(|&f| srv_nodes.contains(&node_of(f))).collect();
             Arc::new(ServerSet { nodes: srv_nodes, devs })
@@ -85,14 +139,22 @@ impl CommPlan {
         for (i, &f) in order.iter().enumerate() {
             pos[f] = i as u32;
         }
+        let ranks: Arc<[usize]> = ranks.into();
+        let shape = Shape {
+            cluster: world.topo.spec.clone(),
+            gpus_per_rank: world.gpus_per_rank,
+            ranks: ranks.clone(),
+            servers: spec,
+        };
         CommPlan {
             gate: Rendezvous::new(ranks.len()),
-            ranks: ranks.into(),
+            ranks,
             ring: Arc::new(RingInfo { order, nodes, nrings: rails.len() }),
             pos,
             rails: Arc::new(rails),
             trees: dbt::double_tree(nodes),
             servers,
+            cuts: cut_table(shape),
         }
     }
 }
@@ -376,30 +438,10 @@ impl XcclComm {
         self.servers.as_ref().map(|&(_, flow)| flow)
     }
 
-    /// The NIC-level shape [`rserver::crossover_bytes`] prices this
-    /// communicator's server schedule from, reflecting the *live*
-    /// server set (dead-NIC blacklisting shrinks `server_devs` /
-    /// `server_nics` and the crossover retreats accordingly). None when
-    /// no servers are configured.
-    fn server_layout(&self) -> Option<ServerLayout> {
-        let (srv, _) = self.servers.as_ref()?;
-        let mut nics: Vec<usize> =
-            srv.devs.iter().map(|&f| self.world.devs.dev(f).nic.index()).collect();
-        nics.sort_unstable();
-        nics.dedup();
-        let client_blocks = self.ring.nodes - srv.nodes.len();
-        let client_devs = self
-            .ring
-            .order
-            .iter()
-            .filter(|&&f| !srv.nodes.contains(&self.world.devs.dev(f).loc.node))
-            .count();
-        Some(ServerLayout {
-            client_blocks,
-            server_devs: srv.devs.len(),
-            server_nics: nics.len(),
-            chain: client_devs.div_ceil(client_blocks.max(1)),
-        })
+    /// Live server devices (0 with no servers configured, or every
+    /// server NIC dead).
+    pub(crate) fn live_servers(&self) -> usize {
+        self.servers.as_ref().map_or(0, |(s, _)| s.devs.len())
     }
 
     /// The regime boundaries of this communicator's engine for `op`:
@@ -414,65 +456,141 @@ impl XcclComm {
     /// `dbt_cut >= ll_cut` always, and an open `rsv_cut` always sits
     /// strictly above both (the mid band ends at `rsv_cut − 1` where the
     /// servers open beneath its priced top; an empty mid band collapses
-    /// onto the lower boundary). All boundaries are derived from the platform
-    /// tables at query time — see [`ll::crossover_bytes`],
-    /// [`dbt::crossover_bytes`] and [`rserver::crossover_bytes`].
+    /// onto the lower boundary).
+    ///
+    /// Each boundary comes from a power-of-two scan, 1 KiB to 16 MiB, in
+    /// which every size is priced by the candidate regimes' own schedules
+    /// ([`XcclComm::price`]), on links rated at the health vector's worst
+    /// live factor, so a degraded fabric moves them. The LL band ends at
+    /// the largest size, at most 256 KiB, where LL undercuts both the
+    /// ring and the tree; the tree band ends at the largest size above it
+    /// where the tree undercuts the ring; the server band opens at the
+    /// smallest size from which the servers undercut the ring at every
+    /// larger one. A band still winning at 16 MiB runs on above it. A
+    /// scan runs once per key — the op with its root aside, the engine
+    /// config, that factor, and the live rails, servers and dead links —
+    /// in a table every plan over the same cluster, members and server
+    /// designation shares, so no member, call or rebuilt communicator pays
+    /// for it twice.
     pub fn auto_regimes(&self, op: &XcclOp) -> Option<(u64, u64, u64)> {
-        match self.engine {
-            CollEngine::Auto(ac) => {
-                let n = self.ndevices();
-                // Degradation-aware re-pricing: both boundaries are
-                // priced against the bandwidth the fabric actually
-                // delivers, not the nominal tables. The health vector's
-                // worst *live* factor scales the wire rate (dead ranks
-                // are blacklisted by rail filtering, not priced); with a
-                // slower wire the latency advantage of the tree regimes
-                // buys relatively less, so both crossovers retreat
-                // toward the bandwidth-optimal ring. Healthy fabric
-                // (factor 1000) prices on the unmodified tables.
-                let factor = self.world.health().worst_live_factor_milli();
-                let degraded;
-                let platform = if factor < 1000 {
-                    let mut p = self.world.platform.clone();
-                    p.net.nic_gbps *= f64::from(factor) / 1000.0;
-                    degraded = p;
-                    &degraded
-                } else {
-                    &self.world.platform
-                };
-                let ll_cut = ll::crossover_bytes(platform, op, n, self.ring.nrings, &ac);
-                let dbt_cut =
-                    dbt::crossover_bytes(platform, op, n, self.ring.nrings, &ac).max(ll_cut);
-                // The fourth regime: priced from the *live* server set
-                // (dead-NIC blacklisting shrinks the layout and the
-                // crossover retreats) on the same degradation-scaled
-                // platform as the other boundaries. An open cut sits
-                // above the LL band and ends the mid band beneath it, so
-                // the regimes stay totally ordered: where the servers
-                // already win, the tree's band yields to them.
-                let rsv_cut = match self.server_layout() {
-                    Some(layout) if layout.server_devs > 0 => {
-                        let c = rserver::crossover_bytes(
-                            platform,
-                            op,
-                            n,
-                            self.ring.nrings,
-                            &layout,
-                            &ac,
-                        );
-                        if c == 0 {
-                            0
-                        } else {
-                            c.max(ll_cut + 1)
-                        }
-                    }
-                    _ => 0,
-                };
-                let dbt_cut = if rsv_cut > 0 { dbt_cut.min(rsv_cut - 1) } else { dbt_cut };
-                Some((ll_cut, dbt_cut, rsv_cut))
-            }
-            _ => None,
+        let CollEngine::Auto(ac) = self.engine else { return None };
+        // Rooted ops are priced from ring position 0: a cut belongs to
+        // the op, not to one call's root.
+        let op = match *op {
+            XcclOp::Broadcast { .. } => XcclOp::Broadcast { root: 0 },
+            XcclOp::Reduce { op, .. } => XcclOp::Reduce { root: 0, op },
+            op => op,
+        };
+        let health = self.world.health();
+        let devs = &self.world.devs;
+        let dead = match health.any_dead_link() {
+            false => Vec::new(),
+            true => (self.ring.order.iter().flat_map(|&f| [devs.dev(f).nic, devs.dev(f).port]))
+                .enumerate()
+                .filter_map(|(i, res)| (health.link_factor_milli(res) == 0).then_some(i))
+                .collect(),
+        };
+        let key = CutKey {
+            op,
+            ac,
+            factor: health.worst_live_factor_milli(),
+            rails: self.rails.iter().map(|r| r.order[0]).collect(),
+            servers: self.servers.as_ref().map_or(Vec::new(), |(s, _)| s.devs.clone()),
+            dead,
+        };
+        if let Some(&(_, cuts)) = self.plan.cuts.lock().iter().find(|(k, _)| *k == key) {
+            return Some(cuts);
         }
+        let cuts = self.scan(&ac, op, key.factor);
+        self.plan.cuts.lock().push((key, cuts));
+        Some(cuts)
+    }
+
+    /// Auto's three cuts for `op` ([`XcclComm::auto_regimes`]), each band
+    /// scanned down from its far end over [`SCAN_SHIFTS`].
+    fn scan(&self, ac: &AutoConfig, op: XcclOp, factor: u32) -> (u64, u64, u64) {
+        if self.ndevices() < 2 || matches!(op, XcclOp::AllGather) {
+            return (0, 0, 0);
+        }
+        let links = self.links(factor);
+        let rc = ac.ring_for(&op);
+        let top = 1u64 << SCAN_SHIFTS.end();
+        let sizes = || SCAN_SHIFTS.rev().map(|k| 1u64 << k);
+        let mut memo: HashMap<(bool, u64), Dur> = HashMap::new();
+        let mut client = |tree: bool, s: u64| {
+            let regime = if tree { Regime::Dbt(rc) } else { Regime::Ring(rc) };
+            *memo.entry((tree, s)).or_insert_with(|| self.priced(regime, op, s, &links))
+        };
+        let ll_cut = sizes()
+            .skip_while(|&s| s > ll::MAX_BYTES)
+            .find(|&s| {
+                let best = client(false, s).min(client(true, s));
+                self.priced(Regime::Ll(*ac), op, s, &links) <= best
+            })
+            .unwrap_or(0);
+        let dbt_cut = match sizes()
+            .take_while(|&s| s > ll_cut)
+            .find(|&s| client(true, s) <= client(false, s))
+        {
+            Some(s) if s == top => u64::MAX,
+            found => found.unwrap_or(ll_cut),
+        };
+        let served = matches!(op, XcclOp::AllReduce { .. }) && self.live_servers() > 0;
+        let rsv_cut = if served {
+            sizes()
+                .take_while(|&s| {
+                    self.priced(Regime::Rserver(rc), op, s, &links) <= client(false, s)
+                })
+                .last()
+                .map_or(0, |s| s.max(ll_cut + 1))
+        } else {
+            0
+        };
+        let dbt_cut = if rsv_cut > 0 { dbt_cut.min(rsv_cut - 1) } else { dbt_cut };
+        (ll_cut, dbt_cut, rsv_cut)
+    }
+
+    /// What one call of `op` on `len` bytes costs this communicator on
+    /// idle links: the regime its engine runs for the call, priced from
+    /// that regime's own schedule — launch, the schedule's
+    /// `Schedule::price`, one receive-side step, exactly what a call
+    /// charges. Inter-node links are rated at the health vector's worst
+    /// live factor. This is the price [`XcclComm::auto_regimes`]
+    /// compares regimes by; `None` under [`CollEngine::Profile`], which
+    /// runs no schedule.
+    pub fn price(&self, op: &XcclOp, len: u64) -> Option<Dur> {
+        let regime = self.regime(op, len)?;
+        let links = self.links(self.world.health().worst_live_factor_milli());
+        Some(self.priced(regime, *op, len, &links))
+    }
+
+    fn priced(&self, regime: Regime, op: XcclOp, len: u64, links: &Links) -> Dur {
+        let (t, window) = self.tuning(regime, &op);
+        let launch = Dur::micros(t.launch_us);
+        if self.ring.order.len() <= 1 || len == 0 {
+            return launch;
+        }
+        let sched = self.schedule(regime, op, len, &t);
+        if sched.len() == 0 {
+            return launch;
+        }
+        let step = Dur::micros(t.step_us);
+        launch + sched.price(links, window, step) + step
+    }
+
+    /// The link rates the price reads, from the topology the schedules'
+    /// links come from: every member's NIC at the platform's NIC rate
+    /// scaled by `factor`/1000, its fabric port at the GPU-link rate.
+    fn links(&self, factor: u32) -> Links {
+        let p = &self.world.topo.spec.platform;
+        let nic = p.net.nic_gbps * f64::from(factor) / 1000.0;
+        let mut links = Links::new();
+        for &f in &self.ring.order {
+            let d = self.world.devs.dev(f);
+            links.set(d.nic, nic, Dur::micros(p.net.latency_us));
+            links.set(d.port, p.intra.gpu_link_gbps, Dur::micros(p.intra.gpu_link_lat_us));
+        }
+        links
     }
 
     /// Launch a collective. Every participating rank calls this with the
@@ -567,8 +685,7 @@ impl XcclComm {
     /// NIC dead) has a server schedule — degrade, never hang. `None` is
     /// [`CollEngine::Profile`], which runs no schedule at all.
     fn regime(&self, op: &XcclOp, len: u64) -> Option<Regime> {
-        let served = matches!(op, XcclOp::AllReduce { .. })
-            && self.servers.as_ref().is_some_and(|(s, _)| !s.devs.is_empty());
+        let served = matches!(op, XcclOp::AllReduce { .. }) && self.live_servers() > 0;
         Some(match self.engine {
             CollEngine::Profile => return None,
             CollEngine::Ring(rc) => Regime::Ring(rc),
@@ -595,12 +712,47 @@ impl XcclComm {
         })
     }
 
+    /// The tuning and in-flight window `regime` runs `op` with.
+    fn tuning(&self, regime: Regime, op: &XcclOp) -> (Tuning, usize) {
+        let ring_t = ring::tuning_for(&self.world.platform, op, self.rails.len());
+        match regime {
+            // One fused message per tree edge: a lane never holds two.
+            Regime::Ll(ac) => (ac.ll_tuning(ring_t), 1),
+            Regime::Dbt(rc) | Regime::Rserver(rc) | Regime::Ring(rc) => (ring_t, rc.max_inflight),
+        }
+    }
+
+    /// `regime`'s generator output for one call of `op` on `len` bytes,
+    /// on this rank's rails, flow and server set.
+    fn schedule(&self, regime: Regime, op: XcclOp, len: u64, t: &Tuning) -> Schedule {
+        let world = &*self.world;
+        let (rails, flow, order) = (&*self.rails, self.flow, &self.ring.order);
+        let root_pos = match op {
+            XcclOp::Broadcast { root } | XcclOp::Reduce { root, .. } => Some(root),
+            _ => None,
+        };
+        let root_flat = root_pos.map(|r| order[r]);
+        match regime {
+            Regime::Ring(rc) => ring::schedule(rails, flow, op, root_flat, len, rc.chunk_bytes, t),
+            Regime::Ll(_) => ll::schedule(&world.devs, order, flow, op, root_pos, len, t),
+            Regime::Dbt(rc) => {
+                let (trees, chunk) = (&self.plan.trees, rc.chunk_bytes);
+                dbt::schedule(world, rails, trees, flow, op, root_flat, len, chunk, t)
+            }
+            Regime::Rserver(rc) => {
+                let (srv, srv_flow) = self.servers.as_ref().expect("regime implies servers");
+                let chunk = rc.chunk_bytes;
+                rserver::schedule(world, rails, flow, srv, *srv_flow, op, len, chunk, t)
+            }
+        }
+    }
+
     /// Run `regime`'s schedule in the calling (the last arriving) task's
     /// context, advancing virtual time to the emergent completion
     /// instant: launch delay, the march, one receive-side step. Every
     /// send pays one step before it touches the wire — a ring or tree
     /// chunk's processing, a fused LL line's initiation, a fold at the
-    /// hop that forwards its result — so what the crossovers price per
+    /// hop that forwards its result — so what the price charges per
     /// send is what runs. `Err` is the instant a bounded park of the
     /// march confirmed a member death ([`Schedule::drive`]).
     fn run(
@@ -608,56 +760,35 @@ impl XcclComm {
         ctx: &mut Ctx,
         regime: Regime,
         op: XcclOp,
-        root_pos: Option<usize>,
         len: u64,
         watch: Watch,
     ) -> Result<SimTime, SimTime> {
-        let world = &*self.world;
-        let (rails, flow, order) = (&*self.rails, self.flow, &self.ring.order);
-        let root_flat = root_pos.map(|r| order[r]);
-        let ring_t = ring::tuning_for(&world.platform, &op, rails.len());
-        let (t, window) = match regime {
-            // One fused message per tree edge: a lane never holds two.
-            Regime::Ll(ac) => (ac.ll_tuning(ring_t), 1),
-            Regime::Dbt(rc) | Regime::Rserver(rc) | Regime::Ring(rc) => (ring_t, rc.max_inflight),
-        };
+        let (t, window) = self.tuning(regime, &op);
         let step = Dur::micros(t.step_us);
         ctx.delay(Dur::micros(t.launch_us));
-        if order.len() <= 1 || len == 0 {
+        if self.ring.order.len() <= 1 || len == 0 {
             return Ok(ctx.now());
         }
-        let sched = match regime {
+        match regime {
             // The one regime that is not a `Schedule`: the ring's
             // closed-form tier, bit-identical to marching `ring::schedule`.
             // It has no parks to bound, so a bounded call marches the
             // schedule instead.
             Regime::Ring(rc)
-                if watch.wait == Wait::Block && ring::closed_form_ok(ctx, rails, &op) =>
+                if watch.wait == Wait::Block && ring::closed_form_ok(ctx, &self.rails, &op) =>
             {
-                ring::march_allreduce(ctx, &rails[0], flow, op.elem_align(), len, rc, &t);
-                None
+                let (rail, elem) = (&self.rails[0], op.elem_align());
+                ring::march_allreduce(ctx, rail, self.flow, elem, len, rc, &t);
             }
-            Regime::Ring(rc) => {
-                Some(ring::schedule(rails, flow, op, root_flat, len, rc.chunk_bytes, &t))
-            }
-            Regime::Ll(_) => Some(ll::schedule(&world.devs, order, flow, op, root_pos, len, &t)),
-            Regime::Dbt(rc) => {
-                let (trees, chunk) = (&self.plan.trees, rc.chunk_bytes);
-                Some(dbt::schedule(world, rails, trees, flow, op, root_flat, len, chunk, &t))
-            }
-            Regime::Rserver(rc) => {
-                let (srv, srv_flow) = self.servers.as_ref().expect("regime implies servers");
-                let chunk = rc.chunk_bytes;
-                Some(rserver::schedule(world, rails, flow, srv, *srv_flow, op, len, chunk, &t))
-            }
-        };
-        if let Some(sched) = sched {
-            if sched.len() == 0 {
-                return Ok(ctx.now());
-            }
-            if let Err(at) = sched.drive(ctx, window, step, watch) {
-                self.world.probe_health();
-                return Err(at);
+            _ => {
+                let sched = self.schedule(regime, op, len, &t);
+                if sched.len() == 0 {
+                    return Ok(ctx.now());
+                }
+                if let Err(at) = sched.drive(ctx, window, step, watch) {
+                    self.world.probe_health();
+                    return Err(at);
+                }
             }
         }
         // Receive-side processing of the final chunk (LL: the flag poll
@@ -704,10 +835,6 @@ impl XcclComm {
             .map(|(_, b)| b)
             .collect();
 
-        let root_pos = match op {
-            XcclOp::Broadcast { root } | XcclOp::Reduce { root, .. } => Some(root),
-            _ => None,
-        };
         let done = match self.regime(&op, len) {
             None => {
                 // Modelled completion: launch + ring-fill hop latency +
@@ -724,7 +851,7 @@ impl XcclComm {
                 let wire = (len as f64 * op.wire_factor(n)).ceil() as u64;
                 Ok(ctx.now() + Dur::micros(profile.time_us(wire.max(1), hops)))
             }
-            Some(regime) => self.run(ctx, regime, op, root_pos, len, watch),
+            Some(regime) => self.run(ctx, regime, op, len, watch),
         };
 
         // Real data semantics at completion: one fold for every regime,
@@ -928,5 +1055,74 @@ mod tests {
                 .collect();
             assert_eq!(got, free_at, "{engine:?}: link watermarks");
         }
+    }
+}
+
+/// Unit-test probes of a communicator's pricing, shared by the engine
+/// modules' tests.
+#[cfg(test)]
+pub(crate) mod probe {
+    use diomp_device::{DataMode, DeviceTable};
+    use diomp_fabric::ReduceOp;
+    use diomp_sim::{FaultPlan, PlatformSpec, Sim, Topology};
+
+    use super::*;
+
+    /// Run `f` on one member's communicator over every device of `nodes`
+    /// × `per_node` GPUs of `platform`, the last `servers` nodes
+    /// reduction servers, with `plan_of`'s fault plan armed. Nothing
+    /// else runs.
+    pub(crate) fn comm<R: Send + 'static>(
+        platform: PlatformSpec,
+        (nodes, per_node): (usize, usize),
+        servers: usize,
+        engine: CollEngine,
+        plan_of: impl FnOnce(&FabricWorld) -> FaultPlan,
+        f: impl FnOnce(&XcclComm) -> R + Send + 'static,
+    ) -> R {
+        let mut sim = Sim::new();
+        let spec = ClusterSpec { platform, nodes, gpus_per_node: per_node };
+        let n = spec.total_gpus();
+        let topo = Arc::new(Topology::build(&sim.handle(), spec));
+        let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, None);
+        let world = FabricWorld::new(topo, devs, n);
+        let plan = plan_of(&world);
+        sim.set_fault_plan(plan.clone());
+        world.attach_sim(&sim.handle());
+        world.refresh_health_from_plan(&plan);
+        let out = Arc::new(Mutex::new(None));
+        let out2 = out.clone();
+        sim.spawn("rank0", move |ctx| {
+            let opts =
+                CommOpts { engine, servers: ServerSpec::tail(servers), ..CommOpts::default() };
+            let comm = XcclComm::init(ctx, &world, (0..n).collect(), 0, UniqueId::generate(), opts);
+            *out2.lock() = Some(f(&comm));
+        });
+        sim.run().expect("a lone member never blocks");
+        let got = out.lock().take().expect("the member ran");
+        got
+    }
+
+    /// Auto's cuts for `op` on a healthy [`comm`] under `platform`'s
+    /// GASNet-derived [`AutoConfig`].
+    pub(crate) fn cuts(
+        platform: PlatformSpec,
+        shape: (usize, usize),
+        servers: usize,
+        op: XcclOp,
+    ) -> (u64, u64, u64) {
+        let engine = CollEngine::Auto(AutoConfig::for_platform(&platform));
+        comm(
+            platform,
+            shape,
+            servers,
+            engine,
+            |_| FaultPlan::new(),
+            move |c| c.auto_regimes(&op).expect("Auto has regimes"),
+        )
+    }
+
+    pub(crate) fn allred() -> XcclOp {
+        XcclOp::AllReduce { op: ReduceOp::SumF32 }
     }
 }

@@ -36,17 +36,14 @@
 //! machinery at the latency–bandwidth balance point), so the whole mid
 //! band is tuned from the platform tables, not constants.
 //!
-//! [`crossover_bytes`] prices this protocol against the live ring
-//! configuration from the same tables;
-//! [`CollEngine::Auto`](crate::CollEngine::Auto) uses it as the upper
-//! boundary of the mid band (the lower boundary is
-//! [`crate::ll::crossover_bytes`], the LL/tree cut).
+//! [`CollEngine::Auto`](crate::CollEngine::Auto) runs it above the
+//! LL/tree band up to the largest size at which its schedule's price
+//! undercuts the ring's ([`crate::XcclComm::auto_regimes`]).
 
 use diomp_fabric::FabricWorld;
-use diomp_sim::{FlowId, PlatformSpec};
+use diomp_sim::FlowId;
 
 use crate::drive::{ChunkSend, Schedule, Segment};
-use crate::ll::{AutoConfig, SAFETY};
 use crate::ops::XcclOp;
 use crate::ring::{self, Rail};
 
@@ -75,19 +72,6 @@ impl Tree {
             i += 1;
         }
         Tree { root, parent, children, top_down }
-    }
-
-    /// Longest root-to-leaf path in hops.
-    pub(crate) fn depth(&self) -> usize {
-        let mut d = vec![0usize; self.parent.len()];
-        let mut todo = self.children[self.root].clone();
-        let mut max = 0;
-        while let Some(v) = todo.pop() {
-            d[v] = d[self.parent[v].unwrap()] + 1;
-            max = max.max(d[v]);
-            todo.extend(self.children[v].iter().copied());
-        }
-        max
     }
 }
 
@@ -125,125 +109,6 @@ pub(crate) fn double_tree(n: usize) -> [Tree; 2] {
         Tree::from_parents(n - 1, parent)
     };
     [t0, t1]
-}
-
-/// The closed-form price of the allreduce double-binary-tree schedule on
-/// one communicator shape, from the platform tables — what both lower
-/// boundaries of [`CollEngine::Auto`](crate::CollEngine::Auto) weigh:
-/// the mid band's top against the ring ([`crossover_bytes`]) and the LL
-/// band's top against the tree ([`crate::ll::crossover_bytes`]).
-///
-/// The tree pays its actual depth (computed from the `double_tree`
-/// construction, not an idealised `log2 n`) in chunk-pipelined rounds,
-/// doubled for the reduce + broadcast phases, plus the busiest NIC's
-/// serialised share of the rail payload (`2·s/nrings`: half up + two
-/// halves down on the forwarding tree, half up on the leaf tree).
-pub(crate) struct Price {
-    /// One hop's step cost + wire latency, µs.
-    hop_us: f64,
-    tree_depth: f64,
-    /// Intra-node chain hops per block.
-    chain: f64,
-    chunk: f64,
-    nrings: f64,
-    /// Achieved inter-node bandwidth per edge, B/µs.
-    bw: f64,
-}
-
-/// The emergent schedule's overhead over the pure bandwidth bound runs
-/// ~1.3–2× the naive fill estimate (two trees interleave their lanes on
-/// shared NICs, and the allreduce's turn-around couples the phases);
-/// priced at 1.5× — the SAFETY margin absorbs the spread.
-const FILL_PENALTY: f64 = 1.5;
-
-impl Price {
-    /// `None` where Auto has no mid band. It is allreduce-only:
-    /// all-gather has no tree schedule; the rooted ops (broadcast,
-    /// reduce) pin both tree roots — and the ring's injection point — to
-    /// one device, so beyond the LL regime their cost is bound by the
-    /// root's single NIC either way and the measured tree runs 1.1–2.5×
-    /// *slower* than the pipelined ring at multi-MiB sizes. The
-    /// symmetric allreduce is where the tree's depth reduction genuinely
-    /// wins (the Fig. 6 mid-band gap). `CollEngine::Dbt` still executes
-    /// the rooted schedules when pinned explicitly. Communicators too
-    /// small for two useful trees have no band either.
-    pub(crate) fn of(
-        platform: &PlatformSpec,
-        op: &XcclOp,
-        n: usize,
-        nrings: usize,
-        chunk_bytes: u64,
-    ) -> Option<Price> {
-        let gpn = platform.gpus_per_node.max(1);
-        let nb = n.div_ceil(gpn);
-        if n < 4 || nb < 2 || !matches!(op, XcclOp::AllReduce { .. }) {
-            return None;
-        }
-        let t = ring::tuning_for(platform, op, nrings);
-        Some(Price {
-            hop_us: t.step_us + platform.net.latency_us,
-            tree_depth: double_tree(nb).iter().map(Tree::depth).max().unwrap() as f64,
-            chain: (n.min(gpn) - 1) as f64,
-            chunk: chunk_bytes.max(1) as f64,
-            nrings: nrings.max(1) as f64,
-            bw: platform.net.nic_gbps * t.inter_eff * 1e3,
-        })
-    }
-
-    /// Estimated completion of an `s`-byte allreduce, µs.
-    pub(crate) fn time_us(&self, s: f64) -> f64 {
-        // Per-rail tree payload; each tree carries half of it.
-        let cw = (s / (2.0 * self.nrings)).min(self.chunk);
-        // Per-phase critical path, reduce + broadcast: the node tree's
-        // depth (inter-node hops, each carrying a chunk on the wire) plus
-        // the intra-node chain (fast fabric — its chunk wire time is
-        // negligible, its per-hop step cost is not).
-        let fill =
-            2.0 * (self.tree_depth * (self.hop_us + cw / self.bw) + self.chain * self.hop_us);
-        // The busiest NIC (an interior-tree leader, which also carries
-        // its leaf-tree half) serialises two rail slices.
-        let bandwidth = 2.0 * s / (self.nrings * self.bw);
-        bandwidth + FILL_PENALTY * fill
-    }
-}
-
-/// The size up to which [`CollEngine::Auto`](crate::CollEngine::Auto)
-/// runs `op` on the double-binary-tree engine — the upper boundary of
-/// the mid band, in bytes. `0` means the band is empty (all-gather,
-/// which has no tree schedule; communicators too small for two useful
-/// trees; or platforms whose ring is never beaten).
-///
-/// Both sides are priced from the platform tables (the tree's closed form
-/// against the ring's), mirroring the LL crossover, on the live
-/// [`AutoConfig::ring_for`] chunking — the switch point is priced
-/// against exactly the ring (and exactly the chunk grain) that runs
-/// either side of it. The crossover is the largest power-of-two size
-/// where the DBT estimate, inflated by the shared 25 % safety margin,
-/// still undercuts the ring estimate. There is no ceiling: at a few
-/// hundred node blocks the ring's `2(n−1)` steps cost more than the
-/// tree's bandwidth deficit far into the MiB range.
-pub fn crossover_bytes(
-    platform: &PlatformSpec,
-    op: &XcclOp,
-    n: usize,
-    nrings: usize,
-    ac: &AutoConfig,
-) -> u64 {
-    let ring_chunk = ac.ring_for(op).chunk_bytes;
-    let Some(price) = Price::of(platform, op, n, nrings, ring_chunk) else {
-        return 0;
-    };
-    let mut best = 0u64;
-    for shift in 10..=40u32 {
-        let s = 1u64 << shift;
-        let t_ring = ring::model_time_us(platform, op, n, nrings, ring_chunk, s as f64);
-        if price.time_us(s as f64) * SAFETY <= t_ring {
-            best = s;
-        } else {
-            break;
-        }
-    }
-    best
 }
 
 /// Emit the schedule: one [`Segment`] per (rail, tree), whose period is
@@ -424,8 +289,11 @@ pub(crate) fn schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::RingConfig;
+    use crate::comm::probe::{self, allred};
+    use crate::ll::AutoConfig;
+    use crate::ring::{CollEngine, RingConfig};
     use diomp_fabric::ReduceOp;
+    use diomp_sim::{FaultPlan, PlatformId, PlatformSpec};
 
     /// Walk up from `v`; returns the hop count to the root (panics on a
     /// broken parent chain longer than `n`).
@@ -452,7 +320,6 @@ mod tests {
                     max = max.max(hops_to_root(&t, v));
                 }
                 assert!(max <= bound, "n={n}: depth {max} exceeds ⌈log2 n⌉+1={bound}");
-                assert_eq!(t.depth(), max, "n={n}: Tree::depth agrees with the walk");
                 assert!(t.children.iter().all(|c| c.len() <= 2), "binary tree");
                 assert_eq!(t.top_down.len(), n, "top_down covers every position");
             }
@@ -513,76 +380,71 @@ mod tests {
 
     #[test]
     fn crossover_is_zero_for_allgather_and_tiny_comms() {
-        let p = PlatformSpec::platform_a();
-        let ac = AutoConfig::for_platform(&p);
-        assert_eq!(crossover_bytes(&p, &XcclOp::AllGather, 16, 4, &ac), 0);
-        assert_eq!(crossover_bytes(&p, &XcclOp::AllReduce { op: ReduceOp::SumF32 }, 2, 1, &ac), 0);
+        let a = PlatformSpec::platform_a();
+        assert_eq!(probe::cuts(a.clone(), (4, 4), 0, XcclOp::AllGather), (0, 0, 0));
+        assert_eq!(probe::cuts(a, (1, 1), 0, allred()), (0, 0, 0));
     }
 
     #[test]
     fn allreduce_mid_band_is_nonempty_at_paper_scale() {
         // The tentpole's reason to exist: at the Fig. 6 device counts the
-        // DBT band must extend beyond the LL crossover on every platform,
-        // so Auto has a genuine third regime for allreduce.
-        for (p, n, nrings) in [
-            (PlatformSpec::platform_a(), 64usize, 4usize),
-            (PlatformSpec::platform_b(), 64, 4),
-            (PlatformSpec::platform_c(), 16, 1),
+        // DBT band must extend beyond the LL cut on every platform, so
+        // Auto has a genuine third regime for allreduce — through 512 KiB
+        // everywhere (on B its calibrated link efficiency starves ring
+        // and tree alike, so only latency overhead is saveable) and
+        // through 1 MiB on A.
+        for (p, nodes) in [
+            (PlatformSpec::platform_a(), 16),
+            (PlatformSpec::platform_b(), 8),
+            (PlatformSpec::platform_c(), 16),
         ] {
-            let ac = AutoConfig::for_platform(&p);
-            let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
-            let ll = crate::ll::crossover_bytes(&p, &op, n, nrings, &ac);
-            let dbt = crossover_bytes(&p, &op, n, nrings, &ac);
+            let (ll, dbt, _) = probe::cuts(p.clone(), (nodes, p.gpus_per_node), 0, allred());
             assert!(dbt > ll, "{}: DBT cut {dbt} must extend past the LL cut {ll}", p.name);
-            // The predicted band is deliberately conservative (a missed
-            // win is cheaper than a regression): it spans at least
-            // 256 KiB–512 KiB everywhere — on B the real band also ends
-            // there (its calibrated link efficiency starves ring and
-            // tree alike, so only latency overhead is saveable) — and
-            // reaches the Fig. 6 1 MiB cell on A. The engine-level wins
-            // at 1 MiB on A and C are sim-asserted in bench_gate's
-            // DBT-vs-ring rows.
-            assert!(dbt >= 512 << 10, "{}: mid band should reach 512 KiB, got {dbt}", p.name);
-            if p.id == diomp_sim::PlatformId::A {
-                assert!(dbt >= 1 << 20, "A's mid band should reach 1 MiB, got {dbt}");
-            }
+            let floor = if p.id == PlatformId::A { 1 << 20 } else { 512 << 10 };
+            assert!(dbt >= floor, "{}: mid band should reach {floor}, got {dbt}", p.name);
         }
     }
 
     #[test]
     fn mid_band_has_no_ceiling_only_a_price() {
         // The cuts of every communicator Fig. 6, `coll_sweep` and the gate
-        // build are the priced ones they were under the retired 8 MiB
-        // ceiling; from 256 node blocks the ring's 2(n−1) steps keep the
-        // tree ahead far past it — C/2048 prices the cut at 128 MiB.
-        let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
-        for (p, n, nrings, want) in [
-            (PlatformSpec::platform_a(), 64usize, 4usize, 8u64 << 20),
-            (PlatformSpec::platform_a(), 16, 4, 512 << 10),
-            (PlatformSpec::platform_b(), 64, 4, 512 << 10),
-            (PlatformSpec::platform_c(), 16, 1, 512 << 10),
+        // build, as the schedules price them; from 256 node blocks the
+        // ring's 2(n−1) steps keep the tree ahead past the top of the
+        // scan, so its band runs on above 16 MiB.
+        for (p, nodes, gpn, want) in [
+            (PlatformSpec::platform_a(), 16, 4, 4u64 << 20),
+            (PlatformSpec::platform_a(), 4, 4, 1 << 20),
+            (PlatformSpec::platform_b(), 8, 8, 512 << 10),
+            (PlatformSpec::platform_c(), 16, 1, 1 << 20),
+            (PlatformSpec::platform_c(), 256, 1, u64::MAX),
+            (PlatformSpec::platform_c(), 2048, 1, u64::MAX),
         ] {
-            let ac = AutoConfig::for_platform(&p);
-            assert_eq!(crossover_bytes(&p, &op, n, nrings, &ac), want, "{}/{n}", p.name);
+            let name = p.name;
+            assert_eq!(probe::cuts(p, (nodes, gpn), 0, allred()).1, want, "{name}/{nodes}x{gpn}");
         }
-        let c = PlatformSpec::platform_c();
-        let ac = AutoConfig::for_platform(&c);
-        let cut = crossover_bytes(&c, &op, 2048, 1, &ac);
-        assert!(cut >= 64 << 20, "C/2048 must run the tree past 64 MiB, cut at {cut}");
-        assert!(crossover_bytes(&c, &op, 256, 1, &ac) >= 16 << 20, "C/256 covers 16 MiB");
     }
 
     #[test]
     fn dbt_crossover_tracks_the_live_ring_config() {
-        // Mid-band counterpart of the PR 5 headline bugfix regression:
-        // cheapening the live ring (tiny chunks cap its per-step wire
-        // term) must shrink the band the DBT is predicted to win.
+        // Mid-band counterpart of the live-ring pricing rule: the tree band
+        // is priced on the live allreduce chunking, so changing it must
+        // move the cut, and a broadcast-config change must not.
         let p = PlatformSpec::platform_c();
-        let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
-        let mut ac = AutoConfig::for_platform(&p);
-        let tuned = crossover_bytes(&p, &op, 16, 1, &ac);
-        ac.ring_allred = RingConfig { chunk_bytes: 512, max_inflight: 2 };
-        let tiny = crossover_bytes(&p, &op, 16, 1, &ac);
-        assert!(tiny < tuned, "DBT cut must move with the live ring chunk: {tiny} vs {tuned}");
+        let cut = |ac: AutoConfig| {
+            let engine = CollEngine::Auto(ac);
+            probe::comm(
+                p.clone(),
+                (16, 1),
+                0,
+                engine,
+                |_| FaultPlan::new(),
+                |c| c.auto_regimes(&allred()).unwrap().1,
+            )
+        };
+        let tuned = AutoConfig::for_platform(&p);
+        let tiny = RingConfig { chunk_bytes: 512, max_inflight: 2 };
+        let moved = cut(AutoConfig { ring_allred: tiny, ..tuned });
+        assert_ne!(moved, cut(tuned), "the DBT cut must move with the live ring chunk");
+        assert_eq!(cut(AutoConfig { ring_bcast: tiny, ..tuned }), cut(tuned));
     }
 }

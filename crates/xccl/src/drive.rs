@@ -70,6 +70,10 @@ const NONE: u32 = u32::MAX;
 /// Flag on a dependency index: the send sits in the *previous* period.
 const PREV: u32 = 1 << 31;
 
+/// Repeats of a chunk pipeline [`Schedule::price`] marches before it
+/// extrapolates: enough for the in-flight windows to fill.
+const HEAD_REPS: u32 = 16;
+
 /// One chunk transfer as the drivers see it: the link resource it
 /// occupies, its FIFO lane, its wire bytes (payload already scaled by
 /// the edge's link efficiency), and the QoS flow the transfer is
@@ -112,6 +116,33 @@ impl Watch {
         let m = doom.nanos().saturating_sub(from.nanos()).div_ceil(budget).max(1);
         let at = SimTime(from.nanos() + m * budget);
         (at < until).then_some(at)
+    }
+}
+
+/// The link figures a [`Schedule::price`] reads, by resource index:
+/// bandwidth in bytes per ns and delivery latency — the numbers the
+/// kernel's FIFO resources were built with.
+pub(crate) struct Links(Vec<(f64, Dur)>);
+
+impl Links {
+    pub(crate) fn new() -> Self {
+        Links(Vec::new())
+    }
+
+    pub(crate) fn set(&mut self, res: ResourceId, bytes_per_ns: f64, latency: Dur) {
+        let i = res.index();
+        if self.0.len() <= i {
+            self.0.resize(i + 1, (1.0, Dur::ZERO));
+        }
+        self.0[i] = (bytes_per_ns, latency);
+    }
+
+    /// Busy time and delivery time (busy + latency) of `wire` bytes on
+    /// `res`, in ns: the kernel's reservation arithmetic on an idle link.
+    fn cost(&self, res: ResourceId, wire: u64) -> (u64, u64) {
+        let (bytes_per_ns, latency) = self.0[res.index()];
+        let busy = (wire as f64 / bytes_per_ns).ceil() as u64;
+        (busy, busy + latency.as_nanos())
     }
 }
 
@@ -191,6 +222,58 @@ impl Segment {
     #[inline]
     fn deps(&self, j: u32) -> &[u32] {
         &self.dep_idx[self.dep_off[j as usize] as usize..self.dep_off[j as usize + 1] as usize]
+    }
+
+    /// The max-plus cycle time of the period's [`prev_period`] edges,
+    /// every send a slot of step + busy + latency: each send points at
+    /// its heaviest previous-period dependency `d`, weighted by the
+    /// longest path from the period's entry to `d`'s arrival, and the
+    /// heaviest mean weight over the cycles of that functional graph is
+    /// the time one period adds (0 without such edges). Exact where each
+    /// send has one dependency, as in the ring's hop rows.
+    fn cycle_time(&self, links: &Links, step: u64) -> u64 {
+        let p = self.period();
+        // `done[j]`: the longest path from the period's entry to send
+        // `j`'s arrival.
+        let mut done: Vec<u64> = Vec::with_capacity(p);
+        let mut next = vec![NONE; p];
+        let mut weight = vec![0u64; p];
+        for (j, s) in self.sends.iter().enumerate() {
+            let deps = self.deps(j as u32).iter().filter(|&&d| d & PREV == 0);
+            let issue = deps.map(|&d| done[d as usize]).max().unwrap_or(0);
+            done.push(issue + step + links.cost(s.res, s.wire).1);
+        }
+        for j in 0..p {
+            for d in self.deps(j as u32).iter().filter(|&&d| d & PREV != 0).map(|&d| d & !PREV) {
+                if next[j] == NONE || done[d as usize] > weight[j] {
+                    (next[j], weight[j]) = (d, done[d as usize]);
+                }
+            }
+        }
+        // Walk from every send, marking it with the walk that reached it
+        // first; a walk that meets its own mark has closed a cycle.
+        let mut walk = vec![NONE; p];
+        let mut t = 0u64;
+        for s in 0..p as u32 {
+            let mut j = s;
+            while j != NONE && walk[j as usize] == NONE {
+                walk[j as usize] = s;
+                j = next[j as usize];
+            }
+            if j != NONE && walk[j as usize] == s {
+                let (mut sum, mut len, mut k) = (0u64, 0u64, j);
+                loop {
+                    sum += weight[k as usize];
+                    len += 1;
+                    k = next[k as usize];
+                    if k == j {
+                        break;
+                    }
+                }
+                t = t.max(sum.div_ceil(len));
+            }
+        }
+        t
     }
 
     /// Wire bytes of send `j` in repeat `rep`.
@@ -291,6 +374,108 @@ impl Schedule {
                 }
             }
             out.add(flat);
+        }
+        out
+    }
+
+    /// What the schedule takes on idle links, from the first send's issue
+    /// to the last arrival, read off a few periods per segment in
+    /// O(sends + deps) — the one price `CollEngine::Auto` compares
+    /// regimes by. It is the largest of four readings:
+    ///
+    /// * **the head**: the schedule cut to its first [`HEAD_REPS`]
+    ///   repeats per segment (the last of them the segment's own short
+    ///   final repeat; a segment of hop rows to its first row), marched
+    ///   by the coalesced driver's own issue pass and reservation
+    ///   arithmetic. A schedule no longer than its head is priced to the
+    ///   nanosecond;
+    /// * **each link**: its busy time over every repeat, from its first
+    ///   use in the head to the head's tail after its last;
+    /// * **each lane**: its sends' slot times (step + busy + latency) over
+    ///   every repeat, shared by the in-flight window, from its first
+    ///   issue in the head to the head's tail after its last arrival;
+    /// * **each segment of hop rows**: its first row plus, per further
+    ///   row, the [`cycle_time`] of its previous-period edges.
+    ///
+    /// A chunk pipeline's steady state runs at its slowest link or lane,
+    /// so past its head the link and lane readings price it.
+    pub(crate) fn price(&self, links: &Links, window: usize, step: Dur) -> Dur {
+        let step = step.as_nanos();
+        let head = self.head();
+        let mut march = March::new(&head, window);
+        let mut arrivals = Arrivals::new();
+        // The head's first and last use of every link and lane, and the
+        // last arrival of every segment.
+        let mut link_first = vec![u64::MAX; links.0.len()];
+        let mut link_free = vec![0u64; links.0.len()];
+        let mut lane_first = vec![u64::MAX; self.lane_seg.len()];
+        let mut lane_last = vec![0u64; self.lane_seg.len()];
+        let mut seg_last = vec![0u64; self.segs.len()];
+        let mut t = 0u64;
+        loop {
+            march.issue_pass(|si, key, s, wire| {
+                let (busy, deliver) = links.cost(s.res, wire);
+                let (r, l) = (s.res.index(), s.lane as usize);
+                let start = (t + step).max(link_free[r]);
+                link_first[r] = link_first[r].min(start);
+                link_free[r] = start + busy;
+                lane_first[l] = lane_first[l].min(t);
+                lane_last[l] = start + deliver;
+                let g = head.lane_seg[l] as usize;
+                seg_last[g] = seg_last[g].max(start + deliver);
+                arrivals.push(SimTime(start + deliver), si, key);
+            });
+            match arrivals.pop_instant(|si, key| march.retire(si, key)) {
+                Some(at) => t = at.nanos(),
+                None => break,
+            }
+        }
+        march.assert_drained();
+        if head.total == self.total {
+            return Dur::nanos(t);
+        }
+        let head_end = t;
+        let mut busy = vec![0u64; links.0.len()];
+        let mut slots = vec![0u64; self.lane_seg.len()];
+        for seg in &self.segs {
+            let full = u64::from(seg.reps - 1);
+            for (j, s) in seg.sends.iter().enumerate() {
+                let (b, d) = links.cost(s.res, s.wire);
+                let (last_b, last_d) = links.cost(s.res, seg.wire(seg.reps - 1, j as u32));
+                busy[s.res.index()] += full * b + last_b;
+                slots[s.lane as usize] += full * (step + d) + step + last_d;
+            }
+        }
+        for (r, &b) in busy.iter().enumerate().filter(|&(_, &b)| b > 0) {
+            t = t.max(link_first[r] + b + (head_end - link_free[r]));
+        }
+        let window = window.max(1) as u64;
+        for (l, &w) in slots.iter().enumerate().filter(|&(_, &w)| w > 0) {
+            t = t.max(lane_first[l] + w.div_ceil(window) + (head_end - lane_last[l]));
+        }
+        for (g, seg) in self.segs.iter().enumerate().filter(|(_, seg)| seg.reps > HEAD_REPS) {
+            let cut = u64::from(seg.reps - HEAD_REPS);
+            t = t.max(seg_last[g] + cut * seg.cycle_time(links, step));
+        }
+        Dur::nanos(t)
+    }
+
+    /// The schedule cut to its head: a segment of hop rows to its first
+    /// (full) row, any other segment to its first [`HEAD_REPS`] repeats,
+    /// the last of which moves the segment's final-repeat wire bytes.
+    fn head(&self) -> Schedule {
+        let mut out = Schedule::new(self.lane_seg.len());
+        for seg in &self.segs {
+            out.add(Segment {
+                sends: seg.sends.clone(),
+                dep_off: seg.dep_off.clone(),
+                dep_idx: seg.dep_idx.clone(),
+                reps: seg.reps.min(HEAD_REPS),
+                last_wire: seg.last_wire.clone(),
+                lane_next: Vec::new(),
+                base: 0,
+                pbase: 0,
+            });
         }
         out
     }

@@ -16,23 +16,22 @@
 //!   per-step / link-efficiency scalars come from the calibrated
 //!   [`diomp_sim::CollProfile`] tables,
 //! * [`CollEngine::Auto`] layers NCCL's protocol selection on top as a
-//!   **four-regime dispatcher**, every boundary priced per
-//!   (platform, op, device count) from the same tables against the
-//!   live ring configuration: small messages run as LL-style fused
+//!   **four-regime dispatcher** whose boundaries each communicator reads
+//!   off its regimes' own schedules ([`XcclComm::price`],
+//!   [`XcclComm::auto_regimes`]): small messages run as LL-style fused
 //!   payload+flag eager sends over binomial trees (`⌈log2 n⌉` rounds —
-//!   the small-size latency dips of Fig. 6; [`crossover_bytes`]); the
-//!   allreduce mid band runs a chunk-pipelined **double binary tree**
-//!   ([`CollEngine::Dbt`], two complementary node-block trees each
-//!   moving half the payload through per-node chain leaders —
-//!   logarithmic depth at the ring's per-NIC wire load;
-//!   [`dbt_crossover_bytes`]); larger payloads — and all-gather, which
-//!   has no latency-bound regime — fall back to the table-tuned ring
+//!   the small-size latency dips of Fig. 6); the mid band runs a
+//!   chunk-pipelined **double binary tree** ([`CollEngine::Dbt`], two
+//!   complementary node-block trees each moving half the payload through
+//!   per-node chain leaders — logarithmic depth at the ring's per-NIC
+//!   wire load); larger payloads — and all-gather, which has no
+//!   latency-bound regime — fall back to the table-tuned ring
 //!   ([`RingConfig::auto`]) unchanged, unless the communicator carries
 //!   dedicated **reduction servers** ([`CommOpts::servers`],
-//!   [`CollEngine::ReductionServer`]): above
-//!   [`rserver_crossover_bytes`] the allreduce offloads onto the server
-//!   ranks — each client NIC moves every byte once instead of
-//!   `2(n−1)/n` times, and the fold leaves the client ranks entirely.
+//!   [`CollEngine::ReductionServer`]): above their cut the allreduce
+//!   offloads onto the server ranks — each client NIC moves every byte
+//!   once instead of `2(n−1)/n` times, and the fold leaves the client
+//!   ranks entirely.
 //!
 //! Collective calls are rank-collective: every participating rank calls
 //! the same operation in the same order; the data results are computed on
@@ -157,12 +156,11 @@ mod tree;
 mod unique_id;
 
 pub use comm::{CommOpts, RingInfo, XcclComm};
-pub use dbt::crossover_bytes as dbt_crossover_bytes;
 pub use gate::{CollAbort, DeviceBuf};
-pub use ll::{crossover_bytes, AutoConfig};
+pub use ll::AutoConfig;
 pub use ops::XcclOp;
 pub use ring::{default_nrings, CollEngine, RingConfig};
-pub use rserver::{crossover_bytes as rserver_crossover_bytes, ServerLayout, ServerSpec};
+pub use rserver::ServerSpec;
 pub use unique_id::UniqueId;
 
 pub use diomp_sim::QosClass;

@@ -21,29 +21,19 @@
 //! weighted-fair contention and fault perturbation apply to LL traffic
 //! exactly as they do to chunked traffic.
 //!
-//! [`crossover_bytes`] is the dispatch rule of [`CollEngine::Auto`]: it
-//! prices both protocols from the same platform tables the engines use
-//! and returns the largest size at which the LL/tree path still wins
-//! with a safety margin, against the ring and the double binary tree;
-//! above it, `Auto` runs whichever of those its other cuts pick.
+//! [`CollEngine::Auto`] runs it up to the largest size at which its
+//! schedule's price undercuts the ring's and the double binary tree's
+//! ([`crate::XcclComm::auto_regimes`]).
 //!
 //! [`CollEngine::Auto`]: crate::CollEngine::Auto
 
 use diomp_device::DeviceTable;
 use diomp_sim::{FlowId, PlatformSpec};
 
-use crate::dbt;
 use crate::drive::{ChunkSend, Schedule, Segment};
 use crate::ops::XcclOp;
 use crate::ring::{self, RingConfig, Tuning};
 use crate::tree;
-
-/// Require the modelled fast-path time to beat the modelled ring time
-/// by this factor before a protocol switch is chosen: the closed forms
-/// are estimates, and a missed win is cheaper than a regression above
-/// the crossover. Shared by the LL and DBT crossovers so both
-/// boundaries are priced with the same conservatism.
-pub(crate) const SAFETY: f64 = 1.25;
 
 /// Configuration of the [`CollEngine::Auto`](crate::CollEngine::Auto)
 /// engine: the small-message fast path, the mid-band double-binary-tree
@@ -78,11 +68,15 @@ pub struct AutoConfig {
     /// conduit tables as the hop cost, so a GPI-2-tuned engine prices
     /// its wire term with GPI-2's efficiency, not GASNet's.
     pub wire_eff_milli: u16,
-    /// Hard ceiling on the LL/tree fast path regardless of what the
-    /// model says — a guardrail keeping `Auto` conservative where the
-    /// closed forms are least trustworthy.
-    pub small_max_bytes: u64,
 }
+
+/// The largest payload `Auto` sends eagerly. A fused send carries its
+/// whole payload at the conduit's single-message efficiency, not the
+/// library's calibrated rate, so on platform B — whose calibrated rate
+/// is under 3 % of the wire — LL's price undercuts both chunked
+/// protocols up to the top of the scan. NCCL's LL is a small-message
+/// protocol; past this size its price is not the library's.
+pub(crate) const MAX_BYTES: u64 = 256 << 10;
 
 impl AutoConfig {
     /// Derive the LL transport cost from the platform's GASNet-EX tables
@@ -132,12 +126,6 @@ impl AutoConfig {
             // time (the pre-PR 5 clamp lived in `wire_eff()` and masked
             // misconfigured conduits).
             wire_eff_milli: (wire_eff * 1000.0).round().clamp(1.0, 1000.0) as u16,
-            // LL fused sends eagerly push the *whole* payload per hop:
-            // a genuinely small-message regime. The pre-PR 5 1 MiB
-            // ceiling was generous because the only alternative was the
-            // ring; with the DBT covering the mid band, the LL guardrail
-            // retreats to a faithful small-message bound.
-            small_max_bytes: 256 << 10,
         }
     }
 
@@ -167,65 +155,6 @@ impl AutoConfig {
     pub(crate) fn ll_tuning(&self, ring: Tuning) -> Tuning {
         Tuning { step_us: self.ll_hop_ns.max(1) as f64 / 1e3, inter_eff: self.wire_eff(), ..ring }
     }
-}
-
-/// The size below which [`CollEngine::Auto`](crate::CollEngine::Auto)
-/// takes the LL/tree fast path for `op` on `n` devices (`nrings` ring
-/// rails on the fallback), in bytes. `0` means the ring always wins
-/// (notably: all-gather, and single-device communicators).
-///
-/// Both sides are priced from the platform tables: the tree side pays
-/// `⌈log2 n⌉` (doubled for allreduce: reduce + broadcast) rounds of
-/// fused-send overhead + wire latency + payload at the conduit's
-/// asymptotic single-message bandwidth; the ring side pays its full
-/// step count at the ring engine's calibrated per-step cost plus
-/// chunk-pipelined wire time on the rail bandwidth. The crossover is
-/// the largest power-of-two size where the tree estimate, inflated by a
-/// 25 % safety margin, still undercuts the ring estimate — and, where
-/// the double binary tree is priced to beat the ring (the mid band of
-/// [`crate::dbt_crossover_bytes`]), undercuts the DBT estimate too: the
-/// LL band ends where the best alternative Auto owns gets cheaper, not
-/// only the ring. The two tree protocols are weighed without the margin,
-/// which guards leaving the ring.
-pub fn crossover_bytes(
-    platform: &PlatformSpec,
-    op: &XcclOp,
-    n: usize,
-    nrings: usize,
-    ac: &AutoConfig,
-) -> u64 {
-    if n < 2 || matches!(op, XcclOp::AllGather) {
-        return 0;
-    }
-    let rounds = tree::rounds(n) as f64;
-    let small_hops = match op {
-        XcclOp::AllReduce { .. } => 2.0 * rounds,
-        _ => rounds,
-    };
-    let ll_hop_us = ac.ll_hop_ns as f64 / 1000.0;
-    let lat = platform.net.latency_us;
-    // One fused message per hop at the tuned conduit's achieved rate.
-    let ll_bw = platform.net.nic_gbps * ac.wire_eff() * 1e3; // B/µs
-    let ring_chunk = ac.ring_for(op).chunk_bytes;
-    let dbt = dbt::Price::of(platform, op, n, nrings, ring_chunk);
-    let mut best = 0u64;
-    for shift in 10..=40u32 {
-        let s = 1u64 << shift;
-        if s > ac.small_max_bytes {
-            break;
-        }
-        let t_small = small_hops * (ll_hop_us + lat + s as f64 / ll_bw);
-        // Ring side: the shared closed form both crossovers price
-        // against, on the live ring chunking.
-        let t_ring = ring::model_time_us(platform, op, n, nrings, ring_chunk, s as f64);
-        let t_dbt = dbt.as_ref().map(|p| p.time_us(s as f64)).filter(|t| t * SAFETY <= t_ring);
-        if t_small * SAFETY <= t_ring && t_dbt.is_none_or(|t_dbt| t_small <= t_dbt) {
-            best = s;
-        } else {
-            break;
-        }
-    }
-    best
 }
 
 /// Emit the LL/tree schedule: one fused message per binomial-tree hop,
@@ -273,69 +202,62 @@ pub(crate) fn schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diomp_fabric::ReduceOp;
+    use crate::comm::probe::{self, allred};
+    use crate::CollEngine;
+    use diomp_sim::FaultPlan;
 
     #[test]
     fn crossover_is_zero_for_allgather_and_tiny_comms() {
-        let p = PlatformSpec::platform_a();
-        let ac = AutoConfig::for_platform(&p);
-        assert_eq!(crossover_bytes(&p, &XcclOp::AllGather, 8, 4, &ac), 0);
-        assert_eq!(crossover_bytes(&p, &XcclOp::Broadcast { root: 0 }, 1, 1, &ac), 0);
+        let a = PlatformSpec::platform_a();
+        assert_eq!(probe::cuts(a.clone(), (2, 4), 0, XcclOp::AllGather), (0, 0, 0));
+        assert_eq!(probe::cuts(a, (1, 1), 0, XcclOp::Broadcast { root: 0 }), (0, 0, 0));
     }
 
     #[test]
     fn crossovers_are_positive_and_bounded_at_paper_scale() {
-        // At the Fig. 6 device counts the tree must win somewhere below
-        // the guardrail on every platform, for both measured ops. A's
-        // allreduce band is the one that yields early: from 64 KiB its
-        // double binary tree prices cheaper (64.6 vs 73.2 µs), so the
-        // band ends at 32 KiB; B and C keep LL to the ring's cut.
-        for (p, n, nrings) in [
-            (PlatformSpec::platform_a(), 64usize, 4usize),
-            (PlatformSpec::platform_b(), 64, 4),
-            (PlatformSpec::platform_c(), 16, 1),
+        // At the Fig. 6 device counts the priced LL band never passes
+        // MAX_BYTES. On B it spans the small regime for both ops, on
+        // C/16 for allreduce. On A — and for C's broadcast — the double
+        // binary tree undercuts LL from 1 KiB up (A/64 32 KiB allreduce:
+        // tree 90.5 µs against LL's 104.0), so the band is empty.
+        let bcast = XcclOp::Broadcast { root: 0 };
+        for (p, nodes, want) in [
+            (PlatformSpec::platform_a(), 16, [0, 0]),
+            (PlatformSpec::platform_b(), 8, [MAX_BYTES, MAX_BYTES]),
+            (PlatformSpec::platform_c(), 16, [0, MAX_BYTES]),
         ] {
-            let ac = AutoConfig::for_platform(&p);
-            for op in [XcclOp::Broadcast { root: 0 }, XcclOp::AllReduce { op: ReduceOp::SumF32 }] {
-                let cut = crossover_bytes(&p, &op, n, nrings, &ac);
-                let yields =
-                    p.id == diomp_sim::PlatformId::A && matches!(op, XcclOp::AllReduce { .. });
-                let floor = if yields { 32 << 10 } else { 64 << 10 };
-                assert!(
-                    (floor..=ac.small_max_bytes).contains(&cut),
-                    "{}: {op:?} crossover {cut} must cover the small regime",
-                    p.name
-                );
-                if yields {
-                    assert_eq!(cut, 32 << 10, "A/64 allreduce: LL yields to the tree at 64 KiB");
-                }
-            }
+            let gpn = p.gpus_per_node;
+            let got = [bcast, allred()].map(|op| probe::cuts(p.clone(), (nodes, gpn), 0, op).0);
+            assert_eq!(got, want, "{}: LL cuts (broadcast, allreduce)", p.name);
         }
     }
 
     #[test]
     fn crossover_tracks_the_live_ring_config() {
-        // The PR 5 headline bugfix: the LL↔ring switch point must be
-        // priced against the ring Auto actually falls back to, so
-        // changing the live ring chunking must move the crossover.
+        // The live-ring pricing rule: the LL switch point must be priced
+        // against the chunked protocols Auto actually falls back to, so a
+        // live broadcast chunking of 512 B — a step per 512 B, on the
+        // ring and the tree alike — must extend the LL band (on C/16 from
+        // nothing to MAX_BYTES), and an allreduce-config change must not
+        // move the broadcast cut.
         let p = PlatformSpec::platform_c();
         let op = XcclOp::Broadcast { root: 0 };
-        let mut ac = AutoConfig::for_platform(&p);
-        let tuned = crossover_bytes(&p, &op, 16, 1, &ac);
-        // A monolithic (unpipelined) ring pays the whole segment's wire
-        // time on every hop, so the modelled ring slows down and the
-        // fast path must extend.
-        ac.ring_bcast = RingConfig { chunk_bytes: u64::MAX, max_inflight: 2 };
-        let mono = crossover_bytes(&p, &op, 16, 1, &ac);
-        assert!(
-            mono > tuned,
-            "crossover must move with the ring chunk: {mono} (monolithic) vs {tuned} (tuned)"
-        );
-        // The per-op threading matters too: an allreduce-config change
-        // must not move the broadcast crossover.
-        let mut ac2 = AutoConfig::for_platform(&p);
-        ac2.ring_allred = RingConfig { chunk_bytes: u64::MAX, max_inflight: 2 };
-        assert_eq!(crossover_bytes(&p, &op, 16, 1, &ac2), tuned);
+        let cut = |ac: AutoConfig| {
+            let engine = CollEngine::Auto(ac);
+            probe::comm(
+                p.clone(),
+                (16, 1),
+                0,
+                engine,
+                |_| FaultPlan::new(),
+                move |c| c.auto_regimes(&op).unwrap().0,
+            )
+        };
+        let tuned = AutoConfig::for_platform(&p);
+        let tiny = RingConfig { chunk_bytes: 512, max_inflight: 2 };
+        assert_eq!(cut(tuned), 0);
+        assert_eq!(cut(AutoConfig { ring_bcast: tiny, ..tuned }), MAX_BYTES);
+        assert_eq!(cut(AutoConfig { ring_allred: tiny, ..tuned }), 0);
     }
 
     #[test]
@@ -366,15 +288,13 @@ mod tests {
 
     #[test]
     fn crossover_derives_from_the_tables_not_constants() {
-        // Same shape, different platforms -> different crossovers.
-        let ac_a = AutoConfig::for_platform(&PlatformSpec::platform_a());
-        let ac_b = AutoConfig::for_platform(&PlatformSpec::platform_b());
-        assert_ne!(ac_a.ll_hop_ns, ac_b.ll_hop_ns);
-        let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
-        let a = crossover_bytes(&PlatformSpec::platform_a(), &op, 64, 4, &ac_a);
-        let b = crossover_bytes(&PlatformSpec::platform_b(), &op, 64, 4, &ac_b);
-        // B's calibrated RCCL allreduce is far from the wire rate, so the
+        // Same shape, different platforms -> different crossovers. B's
+        // calibrated RCCL allreduce is far from the wire rate, so the
         // tree stays ahead much longer there than on A.
-        assert!(b >= a, "platform B should keep the fast path at least as long as A");
+        let (a, b) = (PlatformSpec::platform_a(), PlatformSpec::platform_b());
+        assert_ne!(AutoConfig::for_platform(&a).ll_hop_ns, AutoConfig::for_platform(&b).ll_hop_ns);
+        let cut_a = probe::cuts(a, (16, 4), 0, allred()).0;
+        let cut_b = probe::cuts(b, (8, 8), 0, allred()).0;
+        assert!(cut_b > cut_a, "platform B keeps the fast path longer: {cut_b} vs {cut_a}");
     }
 }

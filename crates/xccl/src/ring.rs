@@ -286,59 +286,6 @@ impl Tuning {
     }
 }
 
-/// Closed-form estimate of the ring engine's completion time for a
-/// payload of `s` bytes under `chunk_bytes` chunking, in µs — the
-/// pricing model both protocol crossovers ([`crate::ll`],
-/// [`crate::dbt`]) compare against, so the switch points track the live
-/// ring configuration.
-///
-/// Structure, calibrated against the emergent engine, per op class:
-///
-/// * **Allreduce** (symmetric, `n` tokens in flight): the serial
-///   latency chain pays every hop's step + wire latency but only the
-///   *node-boundary* hops' chunk wire time (intra-node hops ride the
-///   fast GPU fabric); the bottleneck NIC edge serialises the whole
-///   rail traffic (`hops × seg`). The two overlap almost entirely in
-///   the pipelined schedule, so the estimate is the larger plus a 30 %
-///   residual of the smaller (fill/drain that cannot overlap).
-/// * **Broadcast / reduce** (one token per rail): the token's own
-///   traversal *is* the critical path — every hop pays step + latency
-///   plus one chunk's wire time, the remainder of the segment drains
-///   once behind it, and the fixed root injects every rail's slice on
-///   its single NIC (the root-bound floor).
-pub(crate) fn model_time_us(
-    platform: &PlatformSpec,
-    op: &XcclOp,
-    n: usize,
-    nrings: usize,
-    chunk_bytes: u64,
-    s: f64,
-) -> f64 {
-    let t = tuning_for(platform, op, nrings);
-    let lat = platform.net.latency_us;
-    let bw = platform.net.nic_gbps * t.inter_eff * 1e3; // B/µs per edge
-    let nrings_f = nrings.max(1) as f64;
-    let chunk = chunk_bytes.max(1) as f64;
-    match op {
-        XcclOp::AllReduce { .. } => {
-            let hops = 2 * (n - 1);
-            let seg = s / (n as f64 * nrings_f);
-            let cw = seg.min(chunk);
-            let nodes = n.div_ceil(platform.gpus_per_node.max(1));
-            let lat_chain = hops as f64 * (t.step_us + lat) + hops.min(2 * nodes) as f64 * cw / bw;
-            let wire = hops as f64 * seg / bw;
-            lat_chain.max(wire) + 0.3 * lat_chain.min(wire)
-        }
-        _ => {
-            let hops = (n - 1) as f64;
-            let seg = s / nrings_f;
-            let cw = seg.min(chunk);
-            let path = hops * (t.step_us + lat + cw / bw) + (seg - chunk).max(0.0) / bw;
-            path.max(s / bw)
-        }
-    }
-}
-
 /// Split `total` bytes into `parts` near-equal pieces whose boundaries
 /// fall on `align`-byte element boundaries; any ragged tail rides with
 /// the last non-empty piece. Returns `(offset, len)` per piece.

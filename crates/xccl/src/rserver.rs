@@ -53,22 +53,21 @@
 //! ring schedule over the full rails — the engine degrades, it never
 //! hangs.
 //!
-//! [`crossover_bytes`] prices this schedule against the **live** ring
-//! configuration from the same calibrated tables (the PR 5 rule: the
-//! switch point and the fallback may never diverge);
-//! [`CollEngine::Auto`](crate::CollEngine::Auto) uses it as the *fourth*
-//! regime when the communicator has live servers: above the LL band,
-//! ending the double-binary-tree band beneath it.
+//! [`CollEngine::Auto`](crate::CollEngine::Auto) runs it as the *fourth*
+//! regime when the communicator has live servers: a top band opening
+//! where its schedule's price undercuts the ring's and the tree's at
+//! every larger size, above the LL band and ending the
+//! double-binary-tree band beneath it
+//! ([`crate::XcclComm::auto_regimes`]).
 //!
 //! [`CollEngine::ReductionServer`]: crate::CollEngine::ReductionServer
 
 use std::borrow::Cow;
 
 use diomp_fabric::FabricWorld;
-use diomp_sim::{FlowId, PlatformSpec};
+use diomp_sim::FlowId;
 
 use crate::drive::{ChunkSend, Schedule, Segment};
-use crate::ll::{AutoConfig, SAFETY};
 use crate::ops::XcclOp;
 use crate::ring::{self, Rail};
 
@@ -88,12 +87,6 @@ const STRIPE_CHUNKS: u64 = 4;
 /// Floor on the dealt-chunk grain: below this, per-chunk step cost on
 /// the leaders' upload lanes outweighs the overlap a finer deal buys.
 const MIN_GRAIN: u64 = 4 << 10;
-
-/// The emergent schedule's overhead over the pure bandwidth bound, like
-/// the DBT crossover's fill penalty: uploads from many leaders interleave
-/// on each server NIC and the fold turn-around couples the two wire
-/// legs. The shared `SAFETY` margin absorbs the spread.
-const FILL_PENALTY: f64 = 1.5;
 
 /// Reduction-server designation for a communicator
 /// ([`CommOpts::servers`](crate::CommOpts)): how many whole nodes of the
@@ -140,130 +133,6 @@ pub(crate) struct ServerSet {
     /// means every server is dead and the schedule falls back to the
     /// ring.
     pub(crate) devs: Vec<usize>,
-}
-
-/// The NIC-level shape of a server-equipped communicator — the inputs
-/// [`crossover_bytes`] prices the schedule from. Derived live by the
-/// communicator (so dead-server blacklisting re-prices the crossover),
-/// or built explicitly by tests and the autotuner's documented tables.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServerLayout {
-    /// Client node blocks (each chain-reduces to a rotated leader).
-    pub client_blocks: usize,
-    /// Live server devices — the stripe owners.
-    pub server_devs: usize,
-    /// Distinct NICs among the live server devices: the fan-back
-    /// dimension (`client_blocks · s / server_nics` per server NIC).
-    pub server_nics: usize,
-    /// Devices per client block (the intra-node chain length).
-    pub chain: usize,
-}
-
-impl ServerLayout {
-    /// The layout a full-node communicator on `platform` with
-    /// `client_nodes + server_nodes` nodes resolves to when every server
-    /// NIC is healthy — what the autotuner's documented tables and the
-    /// bench clusters use.
-    pub fn full_nodes(platform: &PlatformSpec, client_nodes: usize, server_nodes: usize) -> Self {
-        let gpn = platform.gpus_per_node.max(1);
-        ServerLayout {
-            client_blocks: client_nodes,
-            server_devs: server_nodes * gpn,
-            server_nics: server_nodes * platform.net.nics_per_node.max(1),
-            chain: gpn,
-        }
-    }
-}
-
-/// Closed-form estimate of the reduction-server schedule's completion
-/// time for an `s`-byte allreduce, in µs — same calibrated scalars
-/// (`ring::tuning_for`) as the ring and DBT models, so the fourth
-/// regime is priced from the same tables as the other three.
-///
-/// Structure: the two wire legs — `s/nrings` upload per client leader
-/// NIC and `client_blocks·s/server_nics` fan-back per server NIC —
-/// overlap almost entirely in the pipelined schedule (the estimate is
-/// the larger plus a 30 % residual of the smaller, the ring model's
-/// overlap rule), plus the pipeline fill: the intra-node chains up and
-/// down, one upload and one fan-back hop carrying a stripe chunk, and
-/// the fold step, inflated by the shared fill penalty.
-fn model_time_us(
-    platform: &PlatformSpec,
-    op: &XcclOp,
-    nrings: usize,
-    layout: &ServerLayout,
-    chunk_bytes: u64,
-    s: f64,
-) -> f64 {
-    let t = ring::tuning_for(platform, op, nrings);
-    let lat = platform.net.latency_us;
-    let bw = platform.net.nic_gbps * t.inter_eff * 1e3; // B/µs per edge
-    let nrings_f = nrings.max(1) as f64;
-    let nb = layout.client_blocks.max(1) as f64;
-    let nics = layout.server_nics.max(1) as f64;
-    let chain = layout.chain.saturating_sub(1) as f64;
-    let up = s / nrings_f / bw;
-    let down = nb * s / nics / bw;
-    let stripe = s / (nrings_f * layout.server_devs.max(1) as f64);
-    let cw = stripe.min(chunk_bytes.max(1) as f64);
-    let fill = 2.0 * chain * (t.step_us + lat) + 2.0 * (t.step_us + lat + cw / bw) + t.step_us;
-    let (hi, lo) = if up > down { (up, down) } else { (down, up) };
-    hi + 0.3 * lo + FILL_PENALTY * fill
-}
-
-/// The size from which
-/// [`CollEngine::Auto`](crate::CollEngine::Auto) hands `op` to the
-/// reduction servers — the *lower* boundary of the fourth regime, in
-/// bytes. `0` means the servers never win (no live servers, too few
-/// NICs for the fan-back to beat the ring's circulation, or a
-/// non-allreduce op — only the symmetric allreduce has a server
-/// schedule).
-///
-/// Both sides are priced from the platform tables on the **live**
-/// ring chunking ([`AutoConfig::ring_for`]) — the PR 5 rule. The
-/// fourth regime is a *top* band, so the crossover is the start of the
-/// winning run that extends to the top of the scan: the smallest
-/// power-of-two size from which the server estimate, inflated by the
-/// shared 25 % safety margin, undercuts the ring estimate at **every**
-/// larger size. A transient small-size latency win that loses the
-/// bandwidth race at scale (the starved-fan-back case) does not open
-/// the band. Because the layout is an argument, the boundary moves
-/// with the live server set: fewer live server NICs → slower fan-back
-/// → a vanished crossover; and the dispatcher clamps an open cut above
-/// the live LL boundary, so the comm-level band also moves with the
-/// live ring configuration.
-pub fn crossover_bytes(
-    platform: &PlatformSpec,
-    op: &XcclOp,
-    n: usize,
-    nrings: usize,
-    layout: &ServerLayout,
-    ac: &AutoConfig,
-) -> u64 {
-    if n < 2
-        || layout.server_devs == 0
-        || layout.client_blocks == 0
-        || !matches!(op, XcclOp::AllReduce { .. })
-    {
-        return 0;
-    }
-    let ring_chunk = ac.ring_for(op).chunk_bytes;
-    let mut cut = 0u64;
-    for shift in 10..=40u32 {
-        let s = 1u64 << shift;
-        let t_rsv = model_time_us(platform, op, nrings, layout, ring_chunk, s as f64);
-        let t_ring = ring::model_time_us(platform, op, n, nrings, ring_chunk, s as f64);
-        if t_rsv * SAFETY <= t_ring {
-            if cut == 0 {
-                cut = s;
-            }
-        } else {
-            // A loss anywhere above resets the band: the top band must
-            // win from its boundary all the way up.
-            cut = 0;
-        }
-    }
-    cut
 }
 
 /// Emit the reduction-server allreduce schedule over the live server
@@ -399,21 +268,18 @@ pub(crate) fn schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diomp_fabric::ReduceOp;
-
-    fn allred() -> XcclOp {
-        XcclOp::AllReduce { op: ReduceOp::SumF32 }
-    }
+    use crate::comm::probe::{self, allred};
+    use crate::ll::AutoConfig;
+    use crate::ring::CollEngine;
+    use diomp_sim::{FaultPlan, PlatformSpec};
 
     #[test]
     fn crossover_is_zero_without_servers_or_for_non_allreduce() {
         let p = PlatformSpec::platform_a();
-        let ac = AutoConfig::for_platform(&p);
-        let none = ServerLayout { client_blocks: 8, server_devs: 0, server_nics: 0, chain: 4 };
-        assert_eq!(crossover_bytes(&p, &allred(), 32, 4, &none, &ac), 0);
-        let live = ServerLayout::full_nodes(&p, 8, 8);
-        assert_eq!(crossover_bytes(&p, &XcclOp::Broadcast { root: 0 }, 64, 4, &live, &ac), 0);
-        assert_eq!(crossover_bytes(&p, &XcclOp::AllGather, 64, 4, &live, &ac), 0);
+        assert_eq!(probe::cuts(p.clone(), (16, 4), 0, allred()).2, 0);
+        for op in [XcclOp::Broadcast { root: 0 }, XcclOp::AllGather] {
+            assert_eq!(probe::cuts(p.clone(), (16, 4), 8, op).2, 0, "{op:?}");
+        }
     }
 
     #[test]
@@ -421,72 +287,71 @@ mod tests {
         // The bench clusters: client nodes matched by server nodes. The
         // fourth regime must open at or below 16 MiB — the size the
         // bench gate hard-asserts the emergent win at.
-        for (p, c, s) in [
-            (PlatformSpec::platform_a(), 8usize, 8usize),
+        for (p, clients, servers) in [
+            (PlatformSpec::platform_a(), 8, 8),
             (PlatformSpec::platform_b(), 4, 4),
             (PlatformSpec::platform_c(), 8, 8),
         ] {
-            let ac = AutoConfig::for_platform(&p);
-            let gpn = p.gpus_per_node;
-            let layout = ServerLayout::full_nodes(&p, c, s);
-            let nrings = crate::ring::default_nrings(&p);
-            let cut = crossover_bytes(&p, &allred(), (c + s) * gpn, nrings, &layout, &ac);
-            assert!(
-                cut > 0 && cut <= 16 << 20,
-                "{}: server crossover {cut} must open by 16 MiB",
-                p.name
-            );
+            let shape = (clients + servers, p.gpus_per_node);
+            let cut = probe::cuts(p.clone(), shape, servers, allred()).2;
+            assert!(cut > 0 && cut <= 16 << 20, "{}: server cut {cut} must open", p.name);
         }
     }
 
     #[test]
     fn starved_server_nics_never_win() {
         // One server node against many clients: the fan-back NIC
-        // serialises every client's result and the model must refuse
-        // the switch at any size.
-        let p = PlatformSpec::platform_a();
-        let ac = AutoConfig::for_platform(&p);
-        let layout = ServerLayout::full_nodes(&p, 15, 1);
-        assert_eq!(crossover_bytes(&p, &allred(), 64, 4, &layout, &ac), 0);
+        // serialises every client's result and the price must refuse the
+        // switch at any size.
+        assert_eq!(probe::cuts(PlatformSpec::platform_a(), (16, 4), 1, allred()).2, 0);
     }
 
     #[test]
     fn open_band_never_loses_above_its_boundary() {
-        // The top-band invariant behind the scan rule: wherever the
-        // crossover opens, the modelled server time keeps undercutting
-        // the modelled ring time (with the safety margin) at every
-        // larger power of two — no re-entrant ring band above it.
+        // The top-band rule behind the scan: wherever the band opens, the
+        // server schedule's price undercuts the ring's at every power of
+        // two above it — also past the top of the scan, where the band
+        // runs on unpriced.
         let p = PlatformSpec::platform_a();
-        let ac = AutoConfig::for_platform(&p);
-        let layout = ServerLayout::full_nodes(&p, 8, 8);
-        let chunk = ac.ring_allred.chunk_bytes;
-        let cut = crossover_bytes(&p, &allred(), 64, 4, &layout, &ac);
-        assert!(cut > 0);
-        let mut s = cut;
-        while s <= 1 << 30 {
-            let t_rsv = model_time_us(&p, &allred(), 4, &layout, chunk, s as f64);
-            let t_ring = ring::model_time_us(&p, &allred(), 64, 4, chunk, s as f64);
-            assert!(t_rsv * SAFETY <= t_ring, "loss inside the open band at {s} bytes");
-            s *= 2;
+        let rc = AutoConfig::for_platform(&p).ring_allred;
+        let cut = probe::cuts(p.clone(), (16, 4), 8, allred()).2;
+        let sizes: Vec<u64> = (10..=26).map(|k| 1u64 << k).filter(|&s| s >= cut).collect();
+        let priced = |engine| {
+            let sizes = sizes.clone();
+            probe::comm(
+                p.clone(),
+                (16, 4),
+                8,
+                engine,
+                |_| FaultPlan::new(),
+                move |c| sizes.iter().map(|&s| c.price(&allred(), s).unwrap()).collect::<Vec<_>>(),
+            )
+        };
+        let rsv = priced(CollEngine::ReductionServer(rc));
+        let ring = priced(CollEngine::Ring(rc));
+        for ((s, rsv), ring) in sizes.iter().zip(rsv).zip(ring) {
+            assert!(rsv <= ring, "loss inside the open band at {s} bytes: {rsv:?} vs {ring:?}");
         }
     }
 
     #[test]
     fn crossover_tracks_the_live_server_set() {
-        // The other live config: blacklisting server NICs slows the
-        // fan-back, so the crossover must retreat (rise or vanish) as
-        // the live server set shrinks — dead-server re-pricing.
+        // The other live config: a dead NIC blacklists its server device.
+        // With only the first server node's four devices left, their NICs
+        // fan every client block's result back and the band closes.
         let p = PlatformSpec::platform_a();
-        let ac = AutoConfig::for_platform(&p);
-        let full = ServerLayout::full_nodes(&p, 8, 8);
-        let cut_full = crossover_bytes(&p, &allred(), 64, 4, &full, &ac);
-        let half = ServerLayout { server_devs: 16, server_nics: 16, ..full };
-        let cut_half = crossover_bytes(&p, &allred(), 64, 4, &half, &ac);
-        assert!(cut_full > 0);
-        assert!(
-            cut_half > cut_full || cut_half == 0,
-            "fewer live server NICs must delay the crossover: {cut_half} vs {cut_full}"
-        );
+        let engine = CollEngine::Auto(AutoConfig::for_platform(&p));
+        let cut = |live: usize| {
+            let plan_of = move |w: &FabricWorld| {
+                let dead = 32 + live..64;
+                dead.fold(FaultPlan::new(), |plan, f| plan.kill_link(w.devs.dev(f).nic))
+            };
+            probe::comm(p.clone(), (16, 4), 8, engine, plan_of, |c| {
+                (c.live_servers(), c.auto_regimes(&allred()).unwrap().2)
+            })
+        };
+        assert_eq!(cut(32), (32, 1 << 10), "every server live: the band opens above LL");
+        assert_eq!(cut(4), (4, 0), "one server node live: the band closes");
     }
 
     #[test]

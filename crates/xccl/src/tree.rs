@@ -8,11 +8,6 @@
 //! generator (`crate::ll`) emits these hop lists as a schedule of single
 //! fused payload+flag messages over the simulated links.
 
-/// Number of binomial rounds needed to span `n` participants.
-pub(crate) fn rounds(n: usize) -> u32 {
-    (n.max(1) as u64).next_power_of_two().trailing_zeros()
-}
-
 /// Binomial broadcast hop list over `n` ring positions rooted at `root`:
 /// `(src, dst)` pairs in round-major order, so every hop's source has
 /// already received the payload by the time the hop is processed.
@@ -95,10 +90,16 @@ mod tests {
 
     #[test]
     fn round_counts_are_logarithmic() {
-        assert_eq!(rounds(1), 0);
-        assert_eq!(rounds(2), 1);
-        assert_eq!(rounds(8), 3);
-        assert_eq!(rounds(9), 4);
-        assert_eq!(rounds(64), 6);
+        // A position forwards one hop per round, starting the round after
+        // it hears: the broadcast's last hop lands in round ⌈log2 n⌉ — the
+        // critical path LL's schedule marches on the senders' links.
+        for (n, rounds) in [(1, 0), (2, 1), (8, 3), (9, 4), (64, 6)] {
+            let mut round = vec![0u32; n];
+            for (s, d) in bcast_hops(n, n / 3) {
+                round[s] += 1;
+                round[d] = round[s];
+            }
+            assert_eq!(round.into_iter().max(), Some(rounds), "n={n}");
+        }
     }
 }

@@ -466,64 +466,49 @@ fn every_rail_dead_keeps_the_full_layout() {
     sim.run().unwrap();
 }
 
-#[test]
-fn degraded_fabric_moves_auto_regimes_toward_the_ring() {
-    // Re-pricing: a fabric degraded to 5 % of nominal bandwidth makes
-    // the wire term dominate both closed forms; the tree regimes' latency
-    // advantage buys relatively less, so both priced boundaries retreat.
-    let cuts = |plan: &FaultPlan| {
-        let mut sim = Sim::new();
-        let world = boot(&sim, plan);
-        let id = UniqueId::generate();
-        let out = Arc::new(Mutex::new((0u64, 0u64, 0u64)));
-        let out2 = out.clone();
-        for r in 0..NRANKS {
-            let world = world.clone();
-            let out2 = out2.clone();
-            sim.spawn(format!("rank{r}"), move |ctx| {
-                let bits = world.bootstrap.exchange(ctx, r, if r == 0 { id.bits() } else { 0 })[0];
-                let comm = XcclComm::init(
-                    ctx,
-                    &world,
-                    (0..NRANKS).collect(),
-                    r,
-                    UniqueId::from_bits(bits),
-                    CommOpts {
-                        engine: CollEngine::Auto(AutoConfig::for_platform(
-                            &PlatformSpec::platform_a(),
-                        )),
-                        ..CommOpts::default()
-                    },
-                );
-                if r == 0 {
-                    *out2.lock() = comm
-                        .auto_regimes(&XcclOp::AllReduce { op: ReduceOp::SumF64 })
-                        .expect("Auto engine has regimes");
-                }
-            });
-        }
-        sim.run().unwrap();
-        let v = *out.lock();
-        v
-    };
-    let healthy = cuts(&FaultPlan::new());
+/// Auto's broadcast cuts on the chaos world, with `plan` armed before
+/// the world is built or, `late`, after it.
+fn broadcast_cuts(plan: FaultPlan, late: bool) -> (u64, u64, u64) {
+    let mut sim = Sim::new();
+    let healthy = FaultPlan::new();
+    let world = boot(&sim, if late { &healthy } else { &plan });
+    if late {
+        sim.set_fault_plan(plan);
+    }
+    let (id, out) = (UniqueId::generate(), Arc::new(Mutex::new(None)));
+    for r in 0..NRANKS {
+        let (world, out) = (world.clone(), out.clone());
+        sim.spawn(format!("rank{r}"), move |ctx| {
+            let engine = CollEngine::Auto(AutoConfig::for_platform(&PlatformSpec::platform_a()));
+            let opts = CommOpts { engine, ..CommOpts::default() };
+            let comm = XcclComm::init(ctx, &world, (0..NRANKS).collect(), r, id, opts);
+            if r == 0 {
+                *out.lock() = comm.auto_regimes(&XcclOp::Broadcast { root: 1 });
+            }
+        });
+    }
+    sim.run().unwrap();
+    let cuts = out.lock().expect("Auto engine has regimes");
+    cuts
+}
+
+/// Every NIC of the chaos world at 5 % of nominal bandwidth, for good.
+fn slow_nics() -> FaultPlan {
     let probe = Sim::new();
     let world = boot(&probe, &FaultPlan::new());
-    let mut plan = FaultPlan::new();
-    for f in 0..world.devs.len() {
-        plan = plan.degrade_link(world.devs.dev(f).nic, SimTime::ZERO, SimTime(u64::MAX), 50);
-    }
-    drop(probe);
-    let degraded = cuts(&plan);
-    assert!(healthy.0 > 0, "healthy LL regime must be non-trivial: {healthy:?}");
-    assert!(
-        degraded.0 <= healthy.0 && degraded.1 <= healthy.1,
-        "degradation must never extend a priced tree regime: {degraded:?} vs {healthy:?}"
-    );
-    assert!(
-        degraded.0 < healthy.0,
-        "a 20× slower wire must retreat the LL boundary: {degraded:?} vs {healthy:?}"
-    );
+    (0..world.devs.len()).fold(FaultPlan::new(), |plan, f| {
+        plan.degrade_link(world.devs.dev(f).nic, SimTime::ZERO, SimTime(u64::MAX), 50)
+    })
+}
+
+#[test]
+fn degraded_fabric_moves_auto_regimes_toward_the_ring() {
+    // Re-pricing: a fabric degraded to 5 % of nominal NIC bandwidth
+    // reprices every schedule. The tree's latency advantage buys
+    // relatively less on the slow wire, so the broadcast's ring band
+    // starts at 16 KiB instead of above 32 KiB.
+    assert_eq!(broadcast_cuts(FaultPlan::new(), false), (0, 32 << 10, 0));
+    assert_eq!(broadcast_cuts(slow_nics(), false), (16 << 10, 16 << 10, 0));
 }
 
 #[test]
@@ -531,59 +516,11 @@ fn faults_armed_after_build_still_reprice_auto_regimes() {
     // The stale-health regression: `gaspi_state_vec` derives *live*
     // from whichever plan is installed when it is read, not from a
     // build-time snapshot — so a degradation armed after the world is
-    // built must move the Auto dispatcher's priced crossovers exactly
-    // like one armed before it.
-    let cuts = |degrade_after_build: bool| {
-        let mut sim = Sim::new();
-        let world = boot(&sim, &FaultPlan::new());
-        if degrade_after_build {
-            let mut plan = FaultPlan::new();
-            for f in 0..world.devs.len() {
-                plan =
-                    plan.degrade_link(world.devs.dev(f).nic, SimTime::ZERO, SimTime(u64::MAX), 50);
-            }
-            sim.set_fault_plan(plan);
-        }
-        let id = UniqueId::generate();
-        let out = Arc::new(Mutex::new((0u64, 0u64, 0u64)));
-        let out2 = out.clone();
-        for r in 0..NRANKS {
-            let world = world.clone();
-            let out2 = out2.clone();
-            sim.spawn(format!("rank{r}"), move |ctx| {
-                let bits = world.bootstrap.exchange(ctx, r, if r == 0 { id.bits() } else { 0 })[0];
-                let comm = XcclComm::init(
-                    ctx,
-                    &world,
-                    (0..NRANKS).collect(),
-                    r,
-                    UniqueId::from_bits(bits),
-                    CommOpts {
-                        engine: CollEngine::Auto(AutoConfig::for_platform(
-                            &PlatformSpec::platform_a(),
-                        )),
-                        ..CommOpts::default()
-                    },
-                );
-                if r == 0 {
-                    *out2.lock() = comm
-                        .auto_regimes(&XcclOp::AllReduce { op: ReduceOp::SumF64 })
-                        .expect("Auto engine has regimes");
-                }
-            });
-        }
-        sim.run().unwrap();
-        let v = *out.lock();
-        v
-    };
-    let healthy = cuts(false);
-    let late_degraded = cuts(true);
-    assert!(healthy.0 > 0, "healthy LL regime must be non-trivial: {healthy:?}");
-    assert!(
-        late_degraded.0 < healthy.0,
-        "a degradation armed after build must retreat the LL boundary: \
-         {late_degraded:?} vs {healthy:?}"
-    );
+    // built must move the Auto dispatcher's priced cuts exactly like
+    // one armed before it.
+    let late = broadcast_cuts(slow_nics(), true);
+    assert_eq!(late, broadcast_cuts(slow_nics(), false));
+    assert_ne!(late, broadcast_cuts(FaultPlan::new(), true));
 }
 
 /// Slot-recycling regression for the elastic path: every

@@ -54,10 +54,13 @@ impl Cell {
 }
 
 /// One cell per schedule-driven engine, on 2 nodes × 4 GPUs (four
-/// rails). The LL cell is Auto at its 32 KiB cut.
+/// rails). The LL cell is Auto on 256-byte rings, whose chunked regimes
+/// price above LL at 32 KiB.
 fn cells() -> [Cell; 4] {
     let rc = RingConfig::default();
-    let auto = AutoConfig::for_platform(&PlatformSpec::platform_a());
+    let tiny = RingConfig { chunk_bytes: 256, max_inflight: 2 };
+    let tuned = AutoConfig::for_platform(&PlatformSpec::platform_a());
+    let auto = AutoConfig { ring_bcast: tiny, ring_allred: tiny, ..tuned };
     let rserver = Cell::new("rserver", CollEngine::ReductionServer(rc), 4 << 20, 90_100_000);
     [
         Cell::new("ring", CollEngine::Ring(rc), 4 << 20, 90_115_000),

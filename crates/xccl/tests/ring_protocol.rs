@@ -184,15 +184,15 @@ proptest! {
     }
 
     /// `CollEngine::Auto` deposits the same bytes as the ring engine on
-    /// arbitrary payloads through *both* of its regimes: with the
-    /// guardrail wide open (every tested size takes the LL/tree path)
-    /// and with it closed (pure ring fallback).
+    /// arbitrary payloads whichever regime its prices pick: on the tuned
+    /// rings, and on 512-byte rings, whose per-chunk steps hand more of
+    /// the small sizes to the LL/tree path.
     #[test]
     fn auto_engine_matches_ring_in_both_regimes(
         nranks in 2usize..9,
         len in 8usize..2048,
         kind in 0u8..4,
-        small_max in prop_oneof![Just(0u64), Just(u64::MAX)],
+        tiny_rings in prop_oneof![Just(false), Just(true)],
     ) {
         let run = |engine: CollEngine| {
             let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -222,7 +222,10 @@ proptest! {
             rows
         };
         let mut ac = AutoConfig::for_platform(&PlatformSpec::platform_a());
-        ac.small_max_bytes = small_max;
+        if tiny_rings {
+            let tiny = RingConfig { chunk_bytes: 512, max_inflight: 2 };
+            (ac.ring_bcast, ac.ring_allred) = (tiny, tiny);
+        }
         let auto = run(CollEngine::Auto(ac));
         let ring = run(CollEngine::default());
         prop_assert_eq!(auto, ring, "auto must agree with the ring engine's bytes");
@@ -406,6 +409,19 @@ fn ring_time_is_emergent_not_fitted() {
     );
 }
 
+/// Auto's regime boundaries for `op` at 16 ranks (4 nodes × 4 A100s).
+fn cuts16(ac: AutoConfig, op: XcclOp) -> (u64, u64, u64) {
+    let cuts = Arc::new(parking_lot::Mutex::new(None));
+    let out = cuts.clone();
+    with_engine(16, CollEngine::Auto(ac), false, move |_, _, comm, r| {
+        if r == 0 {
+            *out.lock() = comm.auto_regimes(&op);
+        }
+    });
+    let got = cuts.lock().expect("Auto has regimes");
+    got
+}
+
 /// Run one collective of `len` bytes under `engine` at 16 ranks
 /// (4 nodes × 4 A100s) and return the end time.
 fn timed_collective(engine: CollEngine, op: XcclOp, len: u64) -> SimTime {
@@ -432,8 +448,8 @@ fn auto_beats_ring_at_small_sizes_and_equals_it_at_large() {
         let ring = timed_collective(CollEngine::default(), op, small);
         assert!(auto < ring, "{op:?}@32KiB: auto {auto:?} must beat ring {ring:?}");
 
-        let large = 4u64 << 20; // far above every crossover at 16 ranks
-        let dbt_cut = diomp_xccl::dbt_crossover_bytes(&PlatformSpec::platform_a(), &op, 16, 4, &ac);
+        let large = 4u64 << 20; // far above every cut at 16 ranks
+        let (_, dbt_cut, _) = cuts16(ac, op);
         assert!(dbt_cut < large, "{op:?}: the mid band must end below {large}, got {dbt_cut}");
         let auto = timed_collective(CollEngine::Auto(ac), op, large);
         let live = timed_collective(CollEngine::Ring(ac.ring_for(&op)), op, large);
@@ -473,10 +489,10 @@ fn auto_dispatches_three_regimes_in_order() {
     let platform = PlatformSpec::platform_a();
     let ac = AutoConfig::for_platform(&platform);
     let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
-    // 16 ranks over 4 nodes like timed_collective's world.
-    let ll_cut = diomp_xccl::crossover_bytes(&platform, &op, 16, 4, &ac);
-    let dbt_cut = diomp_xccl::dbt_crossover_bytes(&platform, &op, 16, 4, &ac);
-    assert!(0 < ll_cut && ll_cut < dbt_cut, "boundaries must be ordered: {ll_cut} vs {dbt_cut}");
+    // 16 ranks over 4 nodes like timed_collective's world; on A the
+    // tree undercuts LL from the smallest size, so the LL band is empty.
+    let (ll_cut, dbt_cut, _) = cuts16(ac, op);
+    assert!(ll_cut < dbt_cut, "boundaries must be ordered: {ll_cut} vs {dbt_cut}");
     // The priced band, with no ceiling, keeps the regime sizes inside
     // the test world's 8 MiB device heaps.
     assert!(dbt_cut <= 1 << 20, "A/16's mid band must end by 1 MiB, got {dbt_cut}");
