@@ -1,9 +1,9 @@
 //! Public-API snapshot gate (ISSUE 7, CI/tooling).
 //!
-//! The exported surface of `core`, `fabric` and `xccl` is the contract
-//! every downstream crate (and the paper-reproduction scripts) builds
-//! against. This test inventories every `pub` item signature in those
-//! crates and diffs it against the committed snapshot in
+//! The exported surface of `core`, `fabric`, `xccl`, `sim` and `device`
+//! is the contract every downstream crate (and the paper-reproduction
+//! scripts) builds against. This test inventories every `pub` item
+//! signature in those crates and diffs it against the committed snapshot in
 //! `tests/api_surface.snapshot` — so an API redesign that adds, removes
 //! or reshapes an exported item fails CI until the snapshot is
 //! deliberately regenerated:
@@ -25,7 +25,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The crates whose exported surface is frozen by the snapshot.
-const CRATES: &[&str] = &["crates/core/src", "crates/fabric/src", "crates/xccl/src"];
+const CRATES: &[&str] = &[
+    "crates/core/src",
+    "crates/fabric/src",
+    "crates/xccl/src",
+    "crates/sim/src",
+    "crates/device/src",
+];
 
 const SNAPSHOT: &str = "tests/api_surface.snapshot";
 
@@ -120,7 +126,8 @@ fn exported_surface_matches_the_committed_snapshot() {
         writeln!(diff, "  + {added}").unwrap();
     }
     panic!(
-        "the exported surface of core/fabric/xccl changed without updating the snapshot:\n\
+        "the exported surface of core/fabric/xccl/sim/device changed without updating the \
+         snapshot:\n\
          {diff}\n\
          If the change is deliberate, regenerate it:\n\
          \n    UPDATE_API_SURFACE=1 cargo test --test api_surface\n\
