@@ -8,12 +8,15 @@
 //! committed baseline. Every row declares which way is [`Better`]; a
 //! move the other way beyond 10 % — in the simulated metric or in the
 //! scheduler-entry count (`entries_processed`, always lower-is-better) —
-//! fails the build, as does a row the baseline does not know, a baseline
-//! row no longer measured, or two rows under one name. The acceptance
-//! relations *between* rows (Auto beats the ring at ≤ 64 KiB, the server
-//! schedule beats the best client protocol at ≥ 16 MiB, fair-share
-//! bounds, …) are hard: each is checked where its operands are measured,
-//! and all broken ones are reported together with the regressions.
+//! fails the build (a price's `*/err` row: any rise past 1e-12, absolute,
+//! since float residue on a zero error is no move), as does a row the
+//! baseline does not know, a baseline row no longer measured, or two rows
+//! under one name. The acceptance relations *between* rows (Auto beats
+//! the ring at ≤ 64 KiB, Auto's broadcast loses to neither the ring nor
+//! the pinned tree across Fig. 6, the server schedule beats the best
+//! client protocol at ≥ 16 MiB, fair-share bounds, …) are hard: each is
+//! checked where its operands are measured, and all broken ones are
+//! reported together with the regressions.
 //! Everything measured is a virtual-time quantity, so the baseline is
 //! machine-independent and an unchanged model matches it *exactly*; the
 //! last line says how many rows do.
@@ -45,6 +48,10 @@ use diomp_sim::{ClusterSpec, PlatformSpec, QosClass};
 
 /// Allowed relative slack before a change counts as a regression.
 const TOLERANCE: f64 = 0.10;
+
+/// Allowed absolute slack of a `*/err` row (a price's relative error,
+/// where a price that equals its run reads 0 up to float residue).
+const ERR_TOLERANCE: f64 = 1e-12;
 
 /// Which way a row's value improves.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -349,6 +356,24 @@ fn collectives(g: &mut Gate) {
                 let best = arms.iter().map(|arm| arm[i].1).fold(f64::INFINITY, f64::min);
                 let name = format!("fig6/{op_tag}_{tag}_{}/auto_regret", size_label(s));
                 g.row(name, arms[0][i].1 / best, "x", Lower, None);
+            }
+
+            // Across the whole Fig. 6 broadcast sweep Auto must run no
+            // slower than the ring or the pinned tree, which is always fed:
+            // Auto keeps the top layout only where it prices faster.
+            if kind == CollKind::Broadcast {
+                let sweep = [auto_engine, CollEngine::Ring(rc), CollEngine::Dbt(rc)]
+                    .map(|engine| run(kind, engine, &paper::FIG6_BCAST_SIZES));
+                for (i, &(s, auto_us, _)) in sweep[0].iter().enumerate() {
+                    let (ring_us, dbt_us) = (sweep[1][i].1, sweep[2][i].1);
+                    g.check(auto_us <= ring_us.min(dbt_us), || {
+                        format!(
+                            "bcast/{tag}@{}: Auto ({auto_us:.1}µs) must not lose to the ring \
+                             ({ring_us:.1}µs) or the pinned DBT ({dbt_us:.1}µs)",
+                            size_label(s)
+                        )
+                    });
+                }
             }
         }
 
@@ -830,6 +855,16 @@ fn pct(old: f64, new: f64) -> f64 {
     }
 }
 
+/// [`pct`] of a row's value, except that an error row within
+/// [`ERR_TOLERANCE`] of its baseline has not moved.
+fn deviation(name: &str, old: f64, new: f64) -> f64 {
+    if name.ends_with("/err") && (new - old).abs() <= ERR_TOLERANCE {
+        0.0
+    } else {
+        pct(old, new)
+    }
+}
+
 /// Print a before/after diff of refreshed baseline rows (`--update`).
 fn print_update_diff(old: &[BenchRecord], new: &[BenchRecord]) {
     let mut changed = 0usize;
@@ -840,7 +875,7 @@ fn print_update_diff(old: &[BenchRecord], new: &[BenchRecord]) {
                 println!("  + {:<46} {:>12.3} {}", n.name, n.value, n.unit);
             }
             Some(o) => {
-                let value_delta = pct(o.value, n.value);
+                let value_delta = deviation(&n.name, o.value, n.value);
                 // A row gaining or losing its gated entries dimension is
                 // itself a change worth surfacing.
                 let entries_note = match (o.entries_processed, n.entries_processed) {
@@ -907,17 +942,20 @@ fn compare(rows: &[(BenchRecord, Better)], baseline: &[BenchRecord]) -> Verdict 
             v.failures.push(format!("{}: measured but absent from the baseline", c.name));
             continue;
         };
-        if regressed(b.value, c.value, *better) {
+        // An error row moves by its absolute difference: relative to a
+        // baseline of 0, float residue would be an unbounded change.
+        let (worse, slack) = if c.name.ends_with("/err") {
+            (c.value > b.value + ERR_TOLERANCE, format!("{ERR_TOLERANCE:e}"))
+        } else {
+            (regressed(b.value, c.value, *better), format!("{:.0}%", TOLERANCE * 100.0))
+        };
+        if worse {
             v.failures.push(format!(
-                "{}: {} {} vs baseline {} (>{:.0}% worse, {better:?} is better)",
-                c.name,
-                c.value,
-                c.unit,
-                b.value,
-                TOLERANCE * 100.0
+                "{}: {} {} vs baseline {} (>{slack} worse, {better:?} is better)",
+                c.name, c.value, c.unit, b.value
             ));
         }
-        let mut dev = pct(b.value, c.value).abs();
+        let mut dev = deviation(&c.name, b.value, c.value).abs();
         if let (Some(be), Some(ce)) = (b.entries_processed, c.entries_processed) {
             if regressed(be as f64, ce as f64, Lower) {
                 v.failures.push(format!(
@@ -1038,6 +1076,18 @@ mod tests {
         let near = verdict(2.1, Lower);
         assert!(near.failures.is_empty() && near.exact == 0, "within tolerance, not exact");
         assert!((near.max_dev_pct - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn an_err_row_tolerates_float_residue_and_nothing_more() {
+        let base = [BenchRecord::new("price/A_bcast_32KB/err", 0.0, "x")];
+        let verdict = |value| {
+            compare(&[(BenchRecord::new("price/A_bcast_32KB/err", value, "x"), Lower)], &base)
+        };
+        let residue = verdict(2.220446049250313e-16);
+        assert!(residue.failures.is_empty(), "{:?}", residue.failures);
+        assert_eq!((residue.exact, residue.max_dev_pct), (1, 0.0), "residue counts as exact");
+        assert_eq!(verdict(1e-9).failures.len(), 1, "a price that drifts from its run");
     }
 
     #[test]

@@ -38,14 +38,32 @@ fn run_op(
         // Under --auto, show where the dispatcher switches protocol for
         // this op at this scale (LL/tree below the first boundary, double
         // binary tree in the mid band, ring above), as a communicator of
-        // this shape prices its regimes.
-        if let Some((ll, dbt, _)) = collective_price(&probe, &[]).cuts {
-            let tree = if dbt > ll {
-                format!(", DBT <= {}", if dbt == u64::MAX { "any".into() } else { size_label(dbt) })
-            } else {
-                String::new()
-            };
-            println!("   [{tag}] auto regimes: LL/tree <= {}{tree}, ring above", size_label(ll));
+        // this shape prices its regimes. A broadcast's tree runs its top
+        // layout, then fed from the first size at which Auto prices like
+        // the pinned tree, which always runs fed.
+        if let (Some((ll, dbt, _)), CollEngine::Auto(ac)) =
+            (collective_price(&probe, &[]).cuts, engine)
+        {
+            let ll_band = if ll == 0 { "none".into() } else { format!("<= {}", size_label(ll)) };
+            let mut bands = vec![format!("LL/tree {ll_band}")];
+            if dbt > ll {
+                let top = if dbt == u64::MAX { "any".into() } else { size_label(dbt) };
+                bands.push(format!("DBT <= {top}"));
+                if kind == CollKind::Broadcast {
+                    let band: Vec<u64> =
+                        (10..=24).map(|k| 1u64 << k).filter(|&s| s > ll && s <= dbt).collect();
+                    let pinned = CollProbe { engine: CollEngine::Dbt(ac.ring_bcast), ..probe };
+                    let fed = collective_price(&pinned, &band).us;
+                    let auto = collective_price(&probe, &band).us;
+                    let from = auto.iter().zip(&fed).find(|(a, f)| a.1 == f.1).map(|(a, _)| a.0);
+                    bands
+                        .push(from.map_or("top".into(), |s| format!("fed from {}", size_label(s))));
+                }
+            }
+            if dbt != u64::MAX {
+                bands.push("ring above".into());
+            }
+            println!("   [{tag}] auto regimes: {}", bands.join(", "));
         }
         let mpi = mpi_collective(&platform, nodes, kind, sizes);
         let full = diomp_collective(&probe, sizes);

@@ -81,11 +81,6 @@ impl Ctx {
         Ctx { handle, id, name, baton }
     }
 
-    /// This task's id.
-    pub fn task_id(&self) -> TaskId {
-        self.id
-    }
-
     /// This task's name (as given to `spawn`).
     pub fn name(&self) -> &str {
         &self.name

@@ -116,8 +116,6 @@ pub(crate) struct KState {
     free_wait_groups: Vec<u32>,
     /// Notification boards (range-waitable id → value slots).
     pub(crate) boards: Vec<BoardSlot>,
-    /// Freed board slots awaiting reuse (see [`SimHandle::free_board`]).
-    free_boards: Vec<u32>,
     /// Scratch buffer for `board_post`'s fired-waiter sweep, reused across
     /// calls so the hot notification path allocates nothing.
     board_fired: Vec<GroupRef>,
@@ -416,7 +414,6 @@ impl Sim {
                 wait_groups: Vec::new(),
                 free_wait_groups: Vec::new(),
                 boards: Vec::new(),
-                free_boards: Vec::new(),
                 board_fired: Vec::new(),
                 resources: Vec::new(),
                 fault: None,
@@ -817,40 +814,13 @@ impl SimHandle {
     }
 
     /// Create a notification board (see [`crate::Ctx::board_waitsome`]).
-    /// Freed slots ([`SimHandle::free_board`]) are reused before the board
-    /// table grows.
+    /// Boards live as long as the simulation and their slots are never
+    /// reused, so a `BoardId` names one board for the whole run.
     pub fn new_board(&self) -> BoardId {
         let mut st = self.kernel.state.lock();
-        if let Some(i) = st.free_boards.pop() {
-            debug_assert!(st.boards[i as usize].values.is_empty());
-            return BoardId(i);
-        }
         let id = BoardId(st.boards.len() as u32);
         st.boards.push(BoardSlot::default());
         id
-    }
-
-    /// Retire a board, recycling its slot for the next
-    /// [`SimHandle::new_board`]. The board must be quiescent — no parked waiters —
-    /// and the handle must not be used again: `BoardId`s carry no
-    /// generation tag, so a stale handle would alias the slot's next
-    /// owner. Unconsumed values are dropped. This is what communicator
-    /// teardown/rebuild cycles call so repeated `shrink`/re-init does not
-    /// leak board slots.
-    pub fn free_board(&self, board: BoardId) {
-        let mut st = self.kernel.state.lock();
-        let slot = &mut st.boards[board.index()];
-        assert!(slot.waiters.is_empty(), "freeing a board with parked waiters");
-        slot.values.clear();
-        debug_assert!(!st.free_boards.contains(&board.0), "double free of board {board:?}");
-        st.free_boards.push(board.0);
-    }
-
-    /// Number of board slots currently in use (allocated minus freed) —
-    /// slot-leak regression tests watch this across rebuild cycles.
-    pub fn boards_in_use(&self) -> usize {
-        let st = self.kernel.state.lock();
-        st.boards.len() - st.free_boards.len()
     }
 
     /// Post notification `id` with `value` on a board, waking every task
@@ -938,16 +908,6 @@ impl SimHandle {
     {
         let mut st = self.kernel.state.lock();
         let t = t.max(st.now);
-        self.push(&mut st, t, Item::Action(Box::new(f)));
-    }
-
-    /// Run a closure after a virtual delay; see [`SimHandle::schedule_at`].
-    pub fn schedule_in<F>(&self, d: Dur, f: F)
-    where
-        F: FnOnce(&SimHandle) + Send + 'static,
-    {
-        let mut st = self.kernel.state.lock();
-        let t = st.now + d;
         self.push(&mut st, t, Item::Action(Box::new(f)));
     }
 

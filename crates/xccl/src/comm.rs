@@ -46,8 +46,10 @@ struct CommPlan {
     /// its node blocks, which the DBT and server schedules span.
     rails: Arc<Vec<Rail>>,
     /// The double binary tree over the node blocks (every rail has the
-    /// same block count; rooted ops rotate it per call).
+    /// same block count; top rooted ops rotate it per call), and the one
+    /// over all blocks but a fed broadcast root's.
     trees: [dbt::Tree; 2],
+    fed_trees: [dbt::Tree; 2],
     /// Reduction-server carving with every server device listed, before
     /// any dead-NIC blacklisting (None when servers are disabled).
     servers: Option<Arc<ServerSet>>,
@@ -61,7 +63,16 @@ struct CommPlan {
 }
 
 /// Auto's cuts already scanned ([`XcclComm::auto_regimes`]), by key.
-type CutTable = Mutex<Vec<(CutKey, (u64, u64, u64))>>;
+type CutTable = Mutex<Vec<(CutKey, Cuts)>>;
+
+/// Auto's cuts for one [`CutKey`]: [`XcclComm::auto_regimes`]' three, and
+/// the size from which the tree band runs the fed layout (`u64::MAX`:
+/// never; only a broadcast is fed).
+#[derive(Clone, Copy)]
+struct Cuts {
+    regimes: (u64, u64, u64),
+    fed: u64,
+}
 
 /// What a plan's schedules are built from: its cluster, members and
 /// server designation. Plans of one shape price alike, so they share one
@@ -153,6 +164,7 @@ impl CommPlan {
             pos,
             rails: Arc::new(rails),
             trees: dbt::double_tree(nodes),
+            fed_trees: dbt::double_tree(nodes.max(2) - 1),
             servers,
             cuts: cut_table(shape),
         }
@@ -467,12 +479,20 @@ impl XcclComm {
     /// where the tree undercuts the ring; the server band opens at the
     /// smallest size from which the servers undercut the ring at every
     /// larger one. A band still winning at 16 MiB runs on above it. A
-    /// scan runs once per key — the op with its root aside, the engine
-    /// config, that factor, and the live rails, servers and dead links —
-    /// in a table every plan over the same cluster, members and server
-    /// designation shares, so no member, call or rebuilt communicator pays
-    /// for it twice.
+    /// broadcast's tree is priced in the layout it runs: top below the
+    /// smallest size from which the fed layout undercuts it at every
+    /// larger one, fed from there (DESIGN.md D13). A scan runs once per
+    /// key — the op with its root aside, the engine config, that factor,
+    /// and the live rails, servers and dead links — in a table every plan
+    /// over the same cluster, members and server designation shares, so
+    /// no member, call or rebuilt communicator pays for it twice.
     pub fn auto_regimes(&self, op: &XcclOp) -> Option<(u64, u64, u64)> {
+        self.cuts(op).map(|c| c.regimes)
+    }
+
+    /// [`XcclComm::auto_regimes`]' cuts with the fed one, scanned once per
+    /// key.
+    fn cuts(&self, op: &XcclOp) -> Option<Cuts> {
         let CollEngine::Auto(ac) = self.engine else { return None };
         // Rooted ops are priced from ring position 0: a cut belongs to
         // the op, not to one call's root.
@@ -506,31 +526,38 @@ impl XcclComm {
         Some(cuts)
     }
 
-    /// Auto's three cuts for `op` ([`XcclComm::auto_regimes`]), each band
-    /// scanned down from its far end over [`SCAN_SHIFTS`].
-    fn scan(&self, ac: &AutoConfig, op: XcclOp, factor: u32) -> (u64, u64, u64) {
+    /// Auto's cuts for `op` ([`XcclComm::cuts`]), each band scanned down
+    /// from its far end over [`SCAN_SHIFTS`].
+    fn scan(&self, ac: &AutoConfig, op: XcclOp, factor: u32) -> Cuts {
         if self.ndevices() < 2 || matches!(op, XcclOp::AllGather) {
-            return (0, 0, 0);
+            return Cuts { regimes: (0, 0, 0), fed: u64::MAX };
         }
         let links = self.links(factor);
         let rc = ac.ring_for(&op);
         let top = 1u64 << SCAN_SHIFTS.end();
         let sizes = || SCAN_SHIFTS.rev().map(|k| 1u64 << k);
-        let mut memo: HashMap<(bool, u64), Dur> = HashMap::new();
-        let mut client = |tree: bool, s: u64| {
-            let regime = if tree { Regime::Dbt(rc) } else { Regime::Ring(rc) };
-            *memo.entry((tree, s)).or_insert_with(|| self.priced(regime, op, s, &links))
+        // One scan runs each regime on one config, so its variant names it.
+        let mut memo = HashMap::new();
+        let mut price = |regime: Regime, s: u64| {
+            let key = (std::mem::discriminant(&regime), s);
+            *memo.entry(key).or_insert_with(|| self.priced(regime, op, s, &links))
         };
+        let (ring, fed_tree) = (Regime::Ring(rc), Regime::Fed(rc));
+        let fed = match op {
+            XcclOp::Broadcast { .. } => sizes()
+                .take_while(|&s| price(fed_tree, s) <= price(Regime::Dbt(rc), s))
+                .last()
+                .unwrap_or(u64::MAX),
+            _ => u64::MAX,
+        };
+        let tree = |s: u64| if s >= fed { fed_tree } else { Regime::Dbt(rc) };
         let ll_cut = sizes()
             .skip_while(|&s| s > ll::MAX_BYTES)
-            .find(|&s| {
-                let best = client(false, s).min(client(true, s));
-                self.priced(Regime::Ll(*ac), op, s, &links) <= best
-            })
+            .find(|&s| price(Regime::Ll(*ac), s) <= price(ring, s).min(price(tree(s), s)))
             .unwrap_or(0);
         let dbt_cut = match sizes()
             .take_while(|&s| s > ll_cut)
-            .find(|&s| client(true, s) <= client(false, s))
+            .find(|&s| price(tree(s), s) <= price(ring, s))
         {
             Some(s) if s == top => u64::MAX,
             found => found.unwrap_or(ll_cut),
@@ -538,16 +565,14 @@ impl XcclComm {
         let served = matches!(op, XcclOp::AllReduce { .. }) && self.live_servers() > 0;
         let rsv_cut = if served {
             sizes()
-                .take_while(|&s| {
-                    self.priced(Regime::Rserver(rc), op, s, &links) <= client(false, s)
-                })
+                .take_while(|&s| price(Regime::Rserver(rc), s) <= price(ring, s))
                 .last()
                 .map_or(0, |s| s.max(ll_cut + 1))
         } else {
             0
         };
         let dbt_cut = if rsv_cut > 0 { dbt_cut.min(rsv_cut - 1) } else { dbt_cut };
-        (ll_cut, dbt_cut, rsv_cut)
+        Cuts { regimes: (ll_cut, dbt_cut, rsv_cut), fed }
     }
 
     /// What one call of `op` on `len` bytes costs this communicator on
@@ -690,15 +715,18 @@ impl XcclComm {
             CollEngine::Profile => return None,
             CollEngine::Ring(rc) => Regime::Ring(rc),
             CollEngine::Dbt(rc) if matches!(op, XcclOp::AllGather) => Regime::Ring(rc),
+            CollEngine::Dbt(rc) if matches!(op, XcclOp::Broadcast { .. }) => Regime::Fed(rc),
             CollEngine::Dbt(rc) => Regime::Dbt(rc),
             CollEngine::ReductionServer(rc) if served => Regime::Rserver(rc),
             CollEngine::ReductionServer(rc) => Regime::Ring(rc),
             CollEngine::Auto(ac) => {
-                let (ll_cut, dbt_cut, rsv_cut) =
-                    self.auto_regimes(op).expect("Auto engine always has regime boundaries");
+                let Cuts { regimes: (ll_cut, dbt_cut, rsv_cut), fed } =
+                    self.cuts(op).expect("Auto engine always has regime boundaries");
                 let rc = ac.ring_for(op);
                 if len <= ll_cut {
                     Regime::Ll(ac)
+                } else if len <= dbt_cut && len >= fed {
+                    Regime::Fed(rc)
                 } else if len <= dbt_cut {
                     Regime::Dbt(rc)
                 } else if served && rsv_cut > 0 && len >= rsv_cut {
@@ -718,7 +746,9 @@ impl XcclComm {
         match regime {
             // One fused message per tree edge: a lane never holds two.
             Regime::Ll(ac) => (ac.ll_tuning(ring_t), 1),
-            Regime::Dbt(rc) | Regime::Rserver(rc) | Regime::Ring(rc) => (ring_t, rc.max_inflight),
+            Regime::Dbt(rc) | Regime::Fed(rc) | Regime::Rserver(rc) | Regime::Ring(rc) => {
+                (ring_t, rc.max_inflight)
+            }
         }
     }
 
@@ -736,8 +766,12 @@ impl XcclComm {
             Regime::Ring(rc) => ring::schedule(rails, flow, op, root_flat, len, rc.chunk_bytes, t),
             Regime::Ll(_) => ll::schedule(&world.devs, order, flow, op, root_pos, len, t),
             Regime::Dbt(rc) => {
-                let (trees, chunk) = (&self.plan.trees, rc.chunk_bytes);
-                dbt::schedule(world, rails, trees, flow, op, root_flat, len, chunk, t)
+                let (top, chunk) = (dbt::Layout::Top(&self.plan.trees), rc.chunk_bytes);
+                dbt::schedule(world, rails, top, flow, op, root_flat, len, chunk, t)
+            }
+            Regime::Fed(rc) => {
+                let (fed, chunk) = (dbt::Layout::Fed(&self.plan.fed_trees), rc.chunk_bytes);
+                dbt::schedule(world, rails, fed, flow, op, root_flat, len, chunk, t)
             }
             Regime::Rserver(rc) => {
                 let (srv, srv_flow) = self.servers.as_ref().expect("regime implies servers");
@@ -871,8 +905,10 @@ impl XcclComm {
 enum Regime {
     /// Fused eager sends over binomial trees (`ll`).
     Ll(ll::AutoConfig),
-    /// Chunk-pipelined double binary tree (`dbt`).
+    /// Chunk-pipelined double binary tree (`dbt`), top layout.
     Dbt(RingConfig),
+    /// The broadcast's double binary tree in the fed layout (`dbt`).
+    Fed(RingConfig),
     /// Reduction-server offload over the live server set (`rserver`).
     Rserver(RingConfig),
     /// Chunk-pipelined ring (`ring`).

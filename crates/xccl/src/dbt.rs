@@ -24,6 +24,15 @@
 //! blocks, so the leader NIC load spreads across the node's NICs
 //! exactly like the ring's boundary crossings (NCCL's tree *channels*).
 //!
+//! A rooted op has two layouts ([`Layout`]). *Top* rotates both trees
+//! onto the root's block and lets the root device lead it on every rail,
+//! so every rail's slice leaves through the root's one NIC. *Fed*
+//! (broadcast only) is Sanders, Speck & Träff's two-tree broadcast: rail
+//! `r`'s slice crosses the GPU fabric to the device `r` places after the
+//! root in its block, which feeds the roots of two unrotated trees over
+//! the *other* blocks, one half each — every NIC carries about
+//! `len / nrings`, the ring's load, at tree depth plus two hops.
+//!
 //! Execution mirrors [`crate::ring`]: the schedule is chunk sends with
 //! explicit dependencies (a chunk climbs to a parent only once the same
 //! chunk has arrived from *both* children; it descends to a child only
@@ -111,21 +120,30 @@ pub(crate) fn double_tree(n: usize) -> [Tree; 2] {
     [t0, t1]
 }
 
+/// Which trees a schedule runs and where a rooted op enters them.
+#[derive(Clone, Copy)]
+pub(crate) enum Layout<'a> {
+    /// The [`double_tree`] over every node block. Rooted ops rotate it
+    /// onto the root's block, whose root device leads it on every rail;
+    /// allreduce keeps the natural roots, where complementarity is exact.
+    Top(&'a [Tree; 2]),
+    /// Broadcast only: the [`double_tree`] over the `nb − 1` other node
+    /// blocks, in ring order from the one after the root's, fed per rail
+    /// by the device `r` places after the root in its block — the root
+    /// itself when `r` is a multiple of the block size.
+    Fed(&'a [Tree; 2]),
+}
+
 /// Emit the schedule: one [`Segment`] per (rail, tree), whose period is
 /// one chunk's trip over the tree — up the block chains and the tree
 /// (reduce), then down the tree and the chains (broadcast) — repeated
-/// once per chunk of the tree's half of the rail slice.
-///
-/// `trees` is the communicator's [`double_tree`] over its node blocks.
-/// `root_flat` roots both trees of every rail for broadcast/reduce
-/// (each tree is rotated so its natural root lands on the requested
-/// device); the symmetric allreduce keeps the natural roots so the
-/// leaf/interior complementarity is exact.
+/// once per chunk of the tree's half of the rail slice. `root_flat` is
+/// the rooted ops' root device.
 #[allow(clippy::too_many_arguments)] // one arg per schedule dimension; a struct would be ceremony
 pub(crate) fn schedule(
     world: &FabricWorld,
     rails: &[Rail],
-    trees: &[Tree; 2],
+    layout: Layout,
     flow: FlowId,
     op: XcclOp,
     root_flat: Option<usize>,
@@ -144,6 +162,11 @@ pub(crate) fn schedule(
         XcclOp::Reduce { .. } => (true, false),
         XcclOp::AllGather => unreachable!("all-gather never takes the DBT path"),
     };
+    let (trees, fed) = match layout {
+        Layout::Top(trees) => (trees, false),
+        Layout::Fed(trees) => (trees, true),
+    };
+    debug_assert!(!fed || !do_reduce, "only a broadcast is fed");
     let slices = ring::split_aligned(len, rails.len(), op.elem_align());
     let chunk_bytes = chunk_bytes.max(1);
 
@@ -172,18 +195,27 @@ pub(crate) fn schedule(
         // the leader NIC load spreads across the node's NICs exactly
         // like the ring's boundary crossings.
         let nb = rail.blocks.len();
-        debug_assert_eq!(nb, trees[0].parent.len(), "trees span the rail's node blocks");
-        // Rooted ops: the root device must lead its block (chains
-        // reduce toward / broadcast from the leader).
+        // Fed trees span the other blocks; with none, only the root's
+        // block is left to chain.
+        let spanned = if fed { nb - 1 } else { nb };
+        debug_assert_eq!(spanned.max(1), trees[0].parent.len(), "trees span the node blocks");
+        // Rooted ops: the root device leads its block (chains reduce
+        // toward / broadcast from the leader) — or, fed, this rail's
+        // feeder leads the chain through the block's other members.
         let rooted = matches!(op, XcclOp::Broadcast { .. } | XcclOp::Reduce { .. });
-        let mut root_block = 0usize;
+        let (mut root_pos, mut root_block) = (0usize, 0usize);
         let mut root_members: Vec<usize> = Vec::new();
         if rooted {
-            let rp = ring::rail_pos(rail, root_flat);
-            root_block = rail.blocks.iter().position(|(_, m)| m.contains(&rp)).unwrap();
+            root_pos = ring::rail_pos(rail, root_flat);
+            root_block = rail.blocks.iter().position(|(_, m)| m.contains(&root_pos)).unwrap();
             root_members.clone_from(&rail.blocks[root_block].1);
-            let at = root_members.iter().position(|&p| p == rp).unwrap();
+            let at = root_members.iter().position(|&p| p == root_pos).unwrap();
             root_members.rotate_left(at);
+            let feeder = ri % root_members.len();
+            if fed && feeder > 0 {
+                root_members.rotate_left(feeder);
+                root_members.retain(|&p| p != root_pos);
+            }
         }
         let halves = ring::split_aligned(slen, 2, op.elem_align());
         for (ti, tree) in trees.iter().enumerate() {
@@ -191,11 +223,15 @@ pub(crate) fn schedule(
             if hlen == 0 {
                 continue;
             }
-            // Rooted ops rotate the tree in block space so its natural
-            // root lands on the root device's block; allreduce keeps
-            // the natural roots (exact leaf/interior complementarity).
-            let rot = if rooted { (root_block + nb - tree.root) % nb } else { 0 };
+            // Top rooted ops rotate the tree in block space so its
+            // natural root lands on the root device's block; allreduce
+            // keeps the natural roots (exact leaf/interior
+            // complementarity), and fed trees start after the root's block.
+            let rot = if rooted && !fed { (root_block + nb - tree.root) % nb } else { 0 };
             let blk = |b: usize| -> &[usize] {
+                if fed {
+                    return &rail.blocks[(root_block + 1 + b) % nb].1;
+                }
                 let b = (b + rot) % nb;
                 if rooted && b == root_block {
                     &root_members
@@ -251,19 +287,38 @@ pub(crate) fn schedule(
                     up_idx[b] = Some(emit(edge(blk(b)[0], blk(p)[0]), lane, deps));
                 }
             }
+            // Fed: the root hands the chunk to this rail's feeder, which
+            // sends it to the tree's root leader and chains it through
+            // the rest of the root's block.
+            if fed {
+                let feeder = root_members[0];
+                let feed = (feeder != root_pos).then(|| {
+                    emit(edge(root_pos, feeder), lane_of(root_pos, CHAIN_DOWN), [None; 3])
+                });
+                if spanned > 0 {
+                    let head = blk(tree.root)[0];
+                    let lane = lane_of(head, TREE_DOWN);
+                    down_recv[tree.root] = Some(emit(edge(feeder, head), lane, [feed, None, None]));
+                }
+                let mut prev = feed;
+                for k in 1..root_members.len() {
+                    let (src, dst) = (root_members[k - 1], root_members[k]);
+                    prev = Some(emit(edge(src, dst), lane_of(src, CHAIN_DOWN), [prev, None, None]));
+                }
+            }
             // Broadcast: the root leader's sends wait for this chunk's
-            // reduction to close (allreduce; no deps for a pure
-            // broadcast), then the chunk descends the tree and chains
-            // through each block.
+            // reduction to close (allreduce), for its arrival from the
+            // feeder (fed), or for nothing (top), then the chunk descends
+            // the tree and chains through each block.
             if do_bcast {
                 let root_deps = {
-                    let mut d = [chain_done[tree.root], None, None];
+                    let mut d = [down_recv[tree.root].or(chain_done[tree.root]), None, None];
                     for (i, &cb) in tree.children[tree.root].iter().enumerate() {
                         d[i + 1] = up_idx[cb];
                     }
                     d
                 };
-                for &b in &tree.top_down {
+                for &b in tree.top_down.iter().take(spanned) {
                     for &cb in &tree.children[b] {
                         let deps =
                             if b == tree.root { root_deps } else { [down_recv[b], None, None] };
@@ -371,7 +426,8 @@ mod tests {
         let flow = sim.handle().new_flow(1000);
         let trees = double_tree(2048);
         let len = 16 << 20;
-        let sched = schedule(&world, &rails, &trees, flow, op, None, len, cfg.chunk_bytes, &t);
+        let top = Layout::Top(&trees);
+        let sched = schedule(&world, &rails, top, flow, op, None, len, cfg.chunk_bytes, &t);
         let nchunks = (len / 2).div_ceil(cfg.chunk_bytes) as usize;
         assert!(nchunks >= 100, "the cell must be deep in the periodic regime");
         assert_eq!(sched.stored(), 2 * 2 * 2047);

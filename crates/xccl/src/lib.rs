@@ -24,7 +24,8 @@
 //!   chunk-pipelined **double binary tree** ([`CollEngine::Dbt`], two
 //!   complementary node-block trees each moving half the payload through
 //!   per-node chain leaders — logarithmic depth at the ring's per-NIC
-//!   wire load); larger payloads — and all-gather, which has no
+//!   wire load; a broadcast's root feeds each rail through a different
+//!   NIC of its node); larger payloads — and all-gather, which has no
 //!   latency-bound regime — fall back to the table-tuned ring
 //!   ([`RingConfig::auto`]) unchanged, unless the communicator carries
 //!   dedicated **reduction servers** ([`CommOpts::servers`],

@@ -216,14 +216,16 @@ mod tests {
     #[test]
     fn crossovers_are_positive_and_bounded_at_paper_scale() {
         // At the Fig. 6 device counts the priced LL band never passes
-        // MAX_BYTES. On B it spans the small regime for both ops, on
-        // C/16 for allreduce. On A — and for C's broadcast — the double
-        // binary tree undercuts LL from 1 KiB up (A/64 32 KiB allreduce:
-        // tree 90.5 µs against LL's 104.0), so the band is empty.
+        // MAX_BYTES. On B it spans the small regime for allreduce, and
+        // for broadcast up to 32 KiB, above which the fed tree's one rail
+        // per NIC undercuts it; on C/16 it spans it for allreduce. On A —
+        // and for C's broadcast — the double binary tree undercuts LL
+        // from 1 KiB up (A/64 32 KiB allreduce: tree 90.5 µs against LL's
+        // 104.0), so the band is empty.
         let bcast = XcclOp::Broadcast { root: 0 };
         for (p, nodes, want) in [
             (PlatformSpec::platform_a(), 16, [0, 0]),
-            (PlatformSpec::platform_b(), 8, [MAX_BYTES, MAX_BYTES]),
+            (PlatformSpec::platform_b(), 8, [32 << 10, MAX_BYTES]),
             (PlatformSpec::platform_c(), 16, [0, MAX_BYTES]),
         ] {
             let gpn = p.gpus_per_node;

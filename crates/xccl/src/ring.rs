@@ -128,8 +128,10 @@ pub enum CollEngine {
     /// reduce+broadcast half the payload in `⌈log2 n⌉` rounds instead of
     /// the ring's `2(n−1)` serial steps. Exposed as a first-class engine
     /// so benches and tests can pin it; [`CollEngine::Auto`] selects it
-    /// per size. All-gather has no tree schedule and falls back to the
-    /// ring with the same chunking under this engine.
+    /// per size. Its broadcast always runs the fed layout, which Auto
+    /// keeps for the sizes where it prices below the top one. All-gather
+    /// has no tree schedule and falls back to the ring with the same
+    /// chunking under this engine.
     Dbt(RingConfig),
     /// Chunk-pipelined reduction-server offload (the `rserver` module):
     /// the communicator's dedicated server ranks

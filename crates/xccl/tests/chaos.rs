@@ -466,9 +466,11 @@ fn every_rail_dead_keeps_the_full_layout() {
     sim.run().unwrap();
 }
 
-/// Auto's broadcast cuts on the chaos world, with `plan` armed before
-/// the world is built or, `late`, after it.
-fn broadcast_cuts(plan: FaultPlan, late: bool) -> (u64, u64, u64) {
+/// Auto's allreduce cuts on the chaos world, with `plan` armed before
+/// the world is built or, `late`, after it. Auto runs on 256-byte rings:
+/// on the table-tuned ones the tree undercuts LL and the ring at every
+/// size on two nodes, healthy or not, so no cut could move.
+fn allreduce_cuts(plan: FaultPlan, late: bool) -> (u64, u64, u64) {
     let mut sim = Sim::new();
     let healthy = FaultPlan::new();
     let world = boot(&sim, if late { &healthy } else { &plan });
@@ -479,11 +481,14 @@ fn broadcast_cuts(plan: FaultPlan, late: bool) -> (u64, u64, u64) {
     for r in 0..NRANKS {
         let (world, out) = (world.clone(), out.clone());
         sim.spawn(format!("rank{r}"), move |ctx| {
-            let engine = CollEngine::Auto(AutoConfig::for_platform(&PlatformSpec::platform_a()));
+            let tuned = AutoConfig::for_platform(&PlatformSpec::platform_a());
+            let tiny = RingConfig { chunk_bytes: 256, max_inflight: 2 };
+            let engine =
+                CollEngine::Auto(AutoConfig { ring_bcast: tiny, ring_allred: tiny, ..tuned });
             let opts = CommOpts { engine, ..CommOpts::default() };
             let comm = XcclComm::init(ctx, &world, (0..NRANKS).collect(), r, id, opts);
             if r == 0 {
-                *out.lock() = comm.auto_regimes(&XcclOp::Broadcast { root: 1 });
+                *out.lock() = comm.auto_regimes(&XcclOp::AllReduce { op: ReduceOp::SumF32 });
             }
         });
     }
@@ -504,11 +509,11 @@ fn slow_nics() -> FaultPlan {
 #[test]
 fn degraded_fabric_moves_auto_regimes_toward_the_ring() {
     // Re-pricing: a fabric degraded to 5 % of nominal NIC bandwidth
-    // reprices every schedule. The tree's latency advantage buys
-    // relatively less on the slow wire, so the broadcast's ring band
-    // starts at 16 KiB instead of above 32 KiB.
-    assert_eq!(broadcast_cuts(FaultPlan::new(), false), (0, 32 << 10, 0));
-    assert_eq!(broadcast_cuts(slow_nics(), false), (16 << 10, 16 << 10, 0));
+    // reprices every schedule. LL's fused hops carry the whole payload,
+    // so on the slow wire its band closes; the tree takes it, and the
+    // allreduce's ring band starts above 128 KiB instead of 256 KiB.
+    assert_eq!(allreduce_cuts(FaultPlan::new(), false), (256 << 10, 256 << 10, 0));
+    assert_eq!(allreduce_cuts(slow_nics(), false), (0, 128 << 10, 0));
 }
 
 #[test]
@@ -518,25 +523,23 @@ fn faults_armed_after_build_still_reprice_auto_regimes() {
     // build-time snapshot — so a degradation armed after the world is
     // built must move the Auto dispatcher's priced cuts exactly like
     // one armed before it.
-    let late = broadcast_cuts(slow_nics(), true);
-    assert_eq!(late, broadcast_cuts(slow_nics(), false));
-    assert_ne!(late, broadcast_cuts(FaultPlan::new(), true));
+    let late = allreduce_cuts(slow_nics(), true);
+    assert_eq!(late, allreduce_cuts(slow_nics(), false));
+    assert_ne!(late, allreduce_cuts(FaultPlan::new(), true));
 }
 
 /// Slot-recycling regression for the elastic path: every
 /// [`XcclComm::shrink`] releases the dying communicator's QoS flow
 /// slots before the survivor re-init, so repeated shrink / re-init
 /// cycles must hold the kernel's flow table at a constant size instead
-/// of leaking a slot pair per retry (the pre-slab behaviour). Wait
-/// boards recycle through their own free list, so quiescence must
-/// leave zero boards in use no matter how many collectives ran. The
+/// of leaking a slot pair per retry (the pre-slab behaviour). The
 /// process-global communicator registry must let go too: once every
 /// survivor has shrunk away from a communicator its plan and gate are
 /// dead, and after the run none of the three is left. (Checked by id,
 /// not by registry size: the tests of this binary share the registry
 /// and run concurrently.)
 #[test]
-fn repeated_shrink_cycles_recycle_flow_and_board_slots() {
+fn repeated_shrink_cycles_recycle_flow_slots() {
     const KILLS: [usize; 2] = [7, 6]; // one node-1 casualty per cycle
     let mut sim = Sim::new();
     let world = boot(&sim, &FaultPlan::new());
@@ -613,7 +616,6 @@ fn repeated_shrink_cycles_recycle_flow_and_board_slots() {
              (survivor re-init must reuse the slots shrink released)"
         );
     }
-    assert_eq!(handle.boards_in_use(), 0, "quiescence must recycle every wait board");
     let ids = ids.lock();
     assert_eq!(ids.len(), KILLS.len() + 1);
     for id in ids.iter() {

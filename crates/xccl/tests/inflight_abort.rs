@@ -7,7 +7,7 @@
 //! * **Abort in flight** — every member, the doomed one included,
 //!   leaves with `CollAbort` at one pinned instant and with its buffer
 //!   untouched, on every schedule-driven engine (ring, DBT, reduction
-//!   server, LL), contended or not.
+//!   server, LL, and the fed broadcast tree), contended or not.
 //! * **Explicit ≡ coalesced** — uncontended, both drivers abort at the
 //!   same instant with the same link watermarks and flow bytes.
 //! * **Nothing left behind** — after abort and shrink, the flow table,
@@ -32,7 +32,7 @@ const DOOMED: usize = 3;
 /// `RecoveryConfig::default()`'s collective timeout.
 const BUDGET: Wait = Wait::Until(Dur::nanos(1_000_000));
 
-/// A communicator on platform A and the allreduce it runs. Every rank
+/// A communicator on platform A and the collective it runs. Every rank
 /// leaves communicator init at 90 ms and arrives at the gate 20 µs later.
 #[derive(Clone, Copy)]
 struct Cell {
@@ -41,22 +41,27 @@ struct Cell {
     per_node: usize,
     engine: CollEngine,
     servers: ServerSpec,
+    op: XcclOp,
     len: u64,
-    /// About half-way through the clean allreduce.
+    /// Inside the clean collective: about half-way, or earlier where the
+    /// doomed rank's last sends would otherwise be behind it.
     kill_ns: u64,
 }
 
 impl Cell {
+    /// An allreduce cell.
     fn new(name: &'static str, engine: CollEngine, len: u64, kill_ns: u64) -> Cell {
-        let servers = ServerSpec::default();
-        Cell { name, nodes: 2, per_node: 4, engine, servers, len, kill_ns }
+        let (servers, op) = (ServerSpec::default(), XcclOp::AllReduce { op: ReduceOp::SumF64 });
+        Cell { name, nodes: 2, per_node: 4, engine, servers, op, len, kill_ns }
     }
 }
 
-/// One cell per schedule-driven engine, on 2 nodes × 4 GPUs (four
-/// rails). The LL cell is Auto on 256-byte rings, whose chunked regimes
-/// price above LL at 32 KiB.
-fn cells() -> [Cell; 4] {
+/// One allreduce cell per schedule-driven engine, on 2 nodes × 4 GPUs
+/// (four rails), and the pinned tree's fed broadcast from GPU 2, whose
+/// rail-1 feeder is the doomed rank, killed while it still has NIC
+/// sends to make. The LL cell is Auto on 256-byte rings, whose chunked
+/// regimes price above LL at 32 KiB.
+fn cells() -> [Cell; 5] {
     let rc = RingConfig::default();
     let tiny = RingConfig { chunk_bytes: 256, max_inflight: 2 };
     let tuned = AutoConfig::for_platform(&PlatformSpec::platform_a());
@@ -67,6 +72,10 @@ fn cells() -> [Cell; 4] {
         Cell::new("dbt", CollEngine::Dbt(rc), 4 << 20, 90_095_000),
         Cell { servers: ServerSpec::tail(1), ..rserver },
         Cell::new("ll", CollEngine::Auto(auto), 32 << 10, 90_057_000),
+        Cell {
+            op: XcclOp::Broadcast { root: 2 },
+            ..Cell::new("fed", CollEngine::Dbt(rc), 4 << 20, 90_040_000)
+        },
     ]
 }
 
@@ -77,7 +86,7 @@ struct Arm {
     wait: Wait,
     contended: bool,
     explicit: bool,
-    /// After an abort the survivors shrink and run the allreduce again.
+    /// After an abort the survivors shrink and run the collective again.
     shrink: bool,
 }
 
@@ -159,8 +168,7 @@ fn run(cell: Cell, arm: Arm) -> Out {
                 marks.lock().push(mark());
             }
             ctx.delay(Dur::micros(10.0));
-            let op = XcclOp::AllReduce { op: ReduceOp::SumF64 };
-            let bufs = vec![DeviceBuf { flat: r, off }];
+            let (op, bufs) = (cell.op, vec![DeviceBuf { flat: r, off }]);
             let got = comm.try_collective(ctx, r, bufs.clone(), op, cell.len, arm.wait);
             let mut now = vec![0u8; cell.len as usize];
             dev.mem.read(off, &mut now).unwrap();
@@ -202,11 +210,12 @@ fn run(cell: Cell, arm: Arm) -> Out {
 /// Each cell's abort instant, uncontended and contended. Before
 /// in-flight abort these collectives completed instead, at the instants
 /// [`blocking_collectives_still_crawl_the_dead_links`] pins.
-const ABORT_NS: [(u64, u64); 4] = [
+const ABORT_NS: [(u64, u64); 5] = [
     (104_224_238, 104_224_238),
     (101_783_222, 102_749_988),
     (100_602_539, 101_061_223),
     (91_213_460, 91_213_460),
+    (99_293_822, 99_293_822),
 ];
 
 #[test]
@@ -255,11 +264,12 @@ fn abort_and_shrink_leave_nothing_behind() {
 /// completion — and runs its fold — as before in-flight abort existed.
 #[test]
 fn blocking_collectives_still_crawl_the_dead_links() {
-    let done_ns: [(u64, u64); 4] = [
+    let done_ns: [(u64, u64); 5] = [
         (173_324_045, 154_853_975),
         (154_816_509, 127_111_404),
         (145_825_024, 131_972_413),
         (91_640_455, 91_640_455),
+        (205_806_530, 205_806_530),
     ];
     for (cell, done) in cells().into_iter().zip(done_ns) {
         for (contended, at) in [(false, done.0), (true, done.1)] {
@@ -281,7 +291,7 @@ fn bounded_collectives_on_a_healthy_fabric_keep_their_virtual_time() {
         per_node: 1,
         ..Cell::new("ring-1rail", CollEngine::Ring(RingConfig::default()), 4 << 20, 0)
     };
-    let done_ns = [90_208_730, 90_171_264, 90_185_479, 90_095_918, 90_364_660];
+    let done_ns = [90_208_730, 90_171_264, 90_185_479, 90_095_918, 90_170_706, 90_364_660];
     let all = cells().into_iter().chain([single_rail]);
     for (cell, at) in all.zip(done_ns) {
         for contended in [false, true] {

@@ -266,9 +266,9 @@ proptest! {
     }
 
     /// The DBT engine deposits the same bytes as the ring engine for
-    /// every collective kind — including the rooted ops (rotated trees,
-    /// chain leaders) and all-gather (which falls back to the ring
-    /// schedule under `CollEngine::Dbt`).
+    /// every collective kind — including the rooted ops (the fed
+    /// broadcast, the rotated reduce trees) and all-gather (which falls
+    /// back to the ring schedule under `CollEngine::Dbt`).
     #[test]
     fn dbt_engine_matches_ring_bytes(
         nranks in 2usize..9,
@@ -435,25 +435,35 @@ fn timed_collective(engine: CollEngine, op: XcclOp, len: u64) -> SimTime {
 #[test]
 fn auto_beats_ring_at_small_sizes_and_equals_it_at_large() {
     // The ISSUE 4 acceptance shape at engine level: below the crossover
-    // the LL/tree fast path must finish earlier than the pure ring;
-    // above it, Auto runs the identical (tuned) ring schedule, so the
-    // times exactly equal the ring engine pinned to the same live
-    // config (not merely within tolerance). At 16 ranks every band ends
-    // by 512 KiB, so 4 MiB sits above the mid band too; the three-regime
-    // dispatch has its own tests.
+    // the LL/tree fast path must finish earlier than the pure ring.
+    // Above the allreduce's mid band, which ends by 512 KiB at 16 ranks,
+    // Auto runs the identical (tuned) ring schedule, so the times exactly
+    // equal the ring engine pinned to the same live config (not merely
+    // within tolerance). The broadcast's fed tree undercuts the ring at
+    // 4 MiB, so there Auto must beat it; the three-regime dispatch has
+    // its own tests.
     let ac = AutoConfig::for_platform(&PlatformSpec::platform_a());
-    for op in [XcclOp::Broadcast { root: 0 }, XcclOp::AllReduce { op: ReduceOp::SumF32 }] {
+    let (bcast, allred) =
+        (XcclOp::Broadcast { root: 0 }, XcclOp::AllReduce { op: ReduceOp::SumF32 });
+    let large = 4u64 << 20;
+    for op in [bcast, allred] {
         let small = 32u64 << 10;
         let auto = timed_collective(CollEngine::Auto(ac), op, small);
         let ring = timed_collective(CollEngine::default(), op, small);
         assert!(auto < ring, "{op:?}@32KiB: auto {auto:?} must beat ring {ring:?}");
 
-        let large = 4u64 << 20; // far above every cut at 16 ranks
-        let (_, dbt_cut, _) = cuts16(ac, op);
-        assert!(dbt_cut < large, "{op:?}: the mid band must end below {large}, got {dbt_cut}");
         let auto = timed_collective(CollEngine::Auto(ac), op, large);
         let live = timed_collective(CollEngine::Ring(ac.ring_for(&op)), op, large);
-        assert_eq!(auto, live, "{op:?}@4MiB: auto must fall back to the identical live ring");
+        if op == allred {
+            let (_, dbt_cut, _) = cuts16(ac, op);
+            assert!(dbt_cut < large, "the allreduce mid band must end below {large}: {dbt_cut}");
+            assert_eq!(
+                auto, live,
+                "allreduce@4MiB: auto must fall back to the identical live ring"
+            );
+        } else {
+            assert!(auto < live, "broadcast@4MiB: auto {auto:?} must beat the ring {live:?}");
+        }
     }
     // All-gather has no latency-bound regime: always the ring schedule.
     let auto = timed_collective(CollEngine::Auto(ac), XcclOp::AllGather, 16 << 10);
@@ -507,6 +517,53 @@ fn auto_dispatches_three_regimes_in_order() {
     let auto = timed_collective(CollEngine::Auto(ac), op, above);
     let ring = timed_collective(CollEngine::Ring(ac.ring_for(&op)), op, above);
     assert_eq!(auto, ring, "above the mid band Auto must run the live ring");
+}
+
+/// One `len`-byte broadcast from `root` under `engine` at 16 ranks, every
+/// rank's buffer seeded with its own bytes: the end time and every rank's
+/// buffer after the call.
+fn broadcast16(engine: CollEngine, root: usize, len: u64) -> (SimTime, Vec<Vec<u8>>) {
+    let bufs = Arc::new(parking_lot::Mutex::new(vec![Vec::new(); 16]));
+    let out = bufs.clone();
+    let (end, ..) = with_engine(16, engine, false, move |ctx, world, comm, r| {
+        let dev = world.primary_dev(r);
+        let off = dev.malloc(len.next_power_of_two(), 256).unwrap();
+        dev.mem.write(off, &payload(r, len as usize, ReduceOp::SumU64)).unwrap();
+        let op = XcclOp::Broadcast { root };
+        comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, len);
+        let mut got = vec![0u8; len as usize];
+        dev.mem.read(off, &mut got).unwrap();
+        out.lock()[r] = got;
+    });
+    let got = bufs.lock().clone();
+    (end, got)
+}
+
+#[test]
+fn auto_broadcast_switches_tree_layout_at_its_cut_with_identical_bytes() {
+    // Auto's broadcast tree runs top below its priced cut and fed from
+    // it, as the pinned tree always does. Rooted on a middle node's
+    // middle GPU, the cut is the first size of the tree band where Auto
+    // runs the pinned tree's schedule to the nanosecond; an element
+    // below it runs top, and at the cut and an element above it, fed.
+    // Either way every rank ends with the root's bytes.
+    let ac = AutoConfig::for_platform(&PlatformSpec::platform_a());
+    let (auto, pinned, root) = (CollEngine::Auto(ac), CollEngine::Dbt(ac.ring_bcast), 6);
+    let (ll, dbt, _) = cuts16(ac, XcclOp::Broadcast { root });
+    let cut = (10..=24)
+        .map(|k| 1u64 << k)
+        .filter(|&s| s > ll && s <= dbt)
+        .find(|&s| broadcast16(auto, root, s).0 == broadcast16(pinned, root, s).0)
+        .expect("A/16's broadcast tree runs fed at its larger sizes");
+    assert!(cut - 8 > ll, "an element below the cut is still in the tree band ({ll} B)");
+    for (len, fed) in [(cut - 8, false), (cut, true), (cut + 8, true)] {
+        let (at, bufs) = broadcast16(auto, root, len);
+        assert_eq!(at == broadcast16(pinned, root, len).0, fed, "{len} B: fed {fed}");
+        let want = payload(root, len as usize, ReduceOp::SumU64);
+        for (r, got) in bufs.iter().enumerate() {
+            assert_eq!(got, &want, "{len} B: rank {r} must hold the root's bytes");
+        }
+    }
 }
 
 /// One `len`-byte allreduce under `engine` over `nodes` single-GPU
