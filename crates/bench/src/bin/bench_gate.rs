@@ -44,7 +44,7 @@ use diomp_core::{
     RingConfig, Tuner, XcclOp,
 };
 use diomp_device::DataMode;
-use diomp_sim::{ClusterSpec, PlatformSpec, QosClass};
+use diomp_sim::{ClusterSpec, PlatformSpec, QosClass, Wait};
 
 /// Allowed relative slack before a change counts as a regression.
 const TOLERANCE: f64 = 0.10;
@@ -278,7 +278,7 @@ fn collectives(g: &mut Gate) {
 
         // Emergent vs profiled allreduce on 64 A100s; the entry count
         // gates the progress loop's scheduler cost (what
-        // wait_any_batched keeps bounded).
+        // wait_any keeps bounded).
         if tag == "A" {
             for (name, engine) in [("ring", ring_engine), ("profile", CollEngine::Profile)] {
                 for (s, us, entries) in run(allred, engine, &[1 << 20, 64 << 20]) {
@@ -598,7 +598,7 @@ fn work_conservation(g: &mut Gate) {
             let evs: Vec<_> =
                 (0..10).map(|_| h.transfer_qos(res, flow, SimTime::ZERO, 4 << 20)).collect();
             for ev in evs {
-                ctx.wait_free(ev);
+                ctx.drain(&[ev], Wait::Block).expect("a blocking drain cannot time out");
             }
         });
     }

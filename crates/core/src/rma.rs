@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use diomp_device::copy;
 use diomp_fabric::{gasnet, gpi, FabricError, FabricWorld, Loc};
-use diomp_sim::{Ctx, Dur, Placement, SimTime};
+use diomp_sim::{Ctx, Dur, Placement, SimTime, Wait};
 
 use crate::config::Conduit;
 use crate::error::DiompError;
@@ -523,7 +523,7 @@ impl DiompRank {
             ptr.wrapper_off,
             8,
         )?;
-        ctx.wait_free(ev);
+        ctx.drain(&[ev], Wait::Block).expect("a blocking drain cannot time out");
         let authoritative =
             s.asym_reg.lookup(target_flat, ptr.wrapper_off).expect("asym ptr freed mid-access");
         if s.world.devs.mode == diomp_device::DataMode::Functional {

@@ -239,7 +239,7 @@ mod tests {
             let s = pool.acquire(ctx);
             pool.enqueue(s, ctx.now(), Dur::micros(7.0));
             let ev = pool.record_event(ctx.handle(), s);
-            ctx.wait_free(ev);
+            ctx.drain(&[ev], diomp_sim::Wait::Block).unwrap();
             assert_eq!(ctx.now(), SimTime(7_000));
         });
         sim.run().unwrap();

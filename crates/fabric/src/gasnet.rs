@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use diomp_device::MemError;
-use diomp_sim::{Ctx, Dur, EventId, SimHandle, SimTime};
+use diomp_sim::{Ctx, Dur, EventId, SimHandle, SimTime, Wait};
 use parking_lot::Mutex;
 
 use crate::loc::Loc;
@@ -174,8 +174,8 @@ pub fn put_blocking(
     len: u64,
 ) -> Result<(), MemError> {
     let hdl = put_nb(ctx, world, src_rank, src, dst, dst_off, len)?;
-    ctx.wait_free(hdl.local);
-    ctx.wait_free(hdl.remote);
+    ctx.drain(&[hdl.local], Wait::Block).expect("a blocking drain cannot time out");
+    ctx.drain(&[hdl.remote], Wait::Block).expect("a blocking drain cannot time out");
     Ok(())
 }
 
@@ -190,7 +190,7 @@ pub fn get_blocking(
     len: u64,
 ) -> Result<(), MemError> {
     let (ev, _) = get_nb(ctx, world, rank, dst, src, src_off, len)?;
-    ctx.wait_free(ev);
+    ctx.drain(&[ev], Wait::Block).expect("a blocking drain cannot time out");
     Ok(())
 }
 

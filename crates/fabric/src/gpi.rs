@@ -373,7 +373,7 @@ pub fn notify_waitsome(
     wait: Wait,
 ) -> Result<(u32, u64), FabricError> {
     let b = board(ctx.handle(), world, rank);
-    match ctx.board_waitsome_with(b, first_id, num_ids, wait) {
+    match ctx.board_waitsome(b, first_id, num_ids, wait) {
         Ok(hit) => Ok(hit),
         Err(t) => {
             // GASPI discipline: an expired deadline is the failure

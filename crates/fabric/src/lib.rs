@@ -45,7 +45,7 @@
 //! | registered memory      | segment (`attach_*`)        | segment (same [`SegmentId`] space)        |
 //! | one-sided write        | `gasnet::put_nb`            | [`gpi::write`]                            |
 //! | one-sided read         | `gasnet::get_nb`            | [`gpi::read`]                             |
-//! | initiator completion   | per-op events (`wait_free`) | per-queue lists ([`gpi::wait_queue`])     |
+//! | initiator completion   | per-op events (`Ctx::drain`) | per-queue lists ([`gpi::wait_queue`])    |
 //! | bulk drain             | `Ctx::wait_all` over events | [`gpi::wait_all_queues`]                  |
 //! | target-side signal     | active message ([`gasnet::am_request`]) | notification ([`gpi::write_notify`]) |
 //! | target-side wait       | AM handler side effects     | [`gpi::notify_waitsome`] / [`gpi::notify_wait`] |

@@ -18,7 +18,7 @@ pub use rma::WinId;
 
 use std::sync::Arc;
 
-use diomp_sim::EventId;
+use diomp_sim::{EventId, Wait};
 use parking_lot::Mutex;
 
 use crate::loc::Loc;
@@ -116,13 +116,13 @@ impl MpiRank {
 
     /// Block until a request completes (`MPI_Wait`).
     pub fn wait(&self, ctx: &mut diomp_sim::Ctx, req: MpiReq) {
-        ctx.wait_free(req.ev);
+        ctx.drain(&[req.ev], Wait::Block).expect("a blocking drain cannot time out");
     }
 
     /// Block until all requests complete (`MPI_Waitall`).
     pub fn waitall(&self, ctx: &mut diomp_sim::Ctx, reqs: &[MpiReq]) {
         for r in reqs {
-            ctx.wait_free(r.ev);
+            ctx.drain(&[r.ev], Wait::Block).expect("a blocking drain cannot time out");
         }
     }
 

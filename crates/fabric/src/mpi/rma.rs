@@ -115,7 +115,7 @@ impl MpiRank {
         ctx.delay(Dur::micros(m.flush_us));
         let pending = std::mem::take(&mut self.world.mpi.windows.lock()[win.0].pending[self.rank]);
         for ev in pending {
-            ctx.wait_free(ev);
+            ctx.drain(&[ev], Wait::Block).expect("a blocking drain cannot time out");
         }
     }
 }

@@ -102,7 +102,7 @@ impl<T, R: Clone> Rendezvous<T, R> {
             self.with_episode(ev, |ep| ep.result = Some(result));
             ctx.complete_at(ev, done);
         }
-        while ctx.wait_with(ev, wait).is_err() {
+        while ctx.wait_all(&[ev], wait).is_err() {
             // Full by arrival count, not by result: the filling arrival
             // may still be inside `finish` (virtual time passes while it
             // prices and schedules), and the deadline then only means

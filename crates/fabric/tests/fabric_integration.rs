@@ -958,9 +958,9 @@ fn wait_queue_and_wait_all_queues_requeue_survivors_in_the_same_place() {
             assert!(matches!(err, Err(FabricError::Timeout { .. })), "{err:?}");
             let queued = gpi::take_pending_all(&w0, 0);
             assert_eq!(queued.len(), 2);
-            ctx.wait(queued[0]);
+            ctx.wait_all(&queued[..1], Wait::Block).unwrap();
             assert!(!ctx.event_done(queued[1]), "all_queues = {all_queues}: survivor first");
-            ctx.wait_all_free(&queued);
+            ctx.drain(&queued, Wait::Block).unwrap();
         });
         let w1 = world.clone();
         sim.spawn("helper", move |ctx| {
@@ -1131,7 +1131,7 @@ fn gpi_timed_wait_against_a_killed_peer_times_out_at_the_deadline() {
     // dead windows replay the corpse's links 1000× slow, so the
     // transfer sourced at its NIC cannot complete inside the bounded
     // wait. The timed wait (GASPI_TIMEOUT discipline via
-    // `wait_all_with(Wait::Until)`) must surface `FabricError::Timeout`
+    // `drain(Wait::Until)`) must surface `FabricError::Timeout`
     // *exactly at the deadline* — the budget bounds detection, not the
     // stretched transfer — and a later blocking wait still drains it
     // (dead links are slow, never wedged).

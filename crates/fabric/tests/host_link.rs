@@ -6,7 +6,7 @@ use std::sync::Arc;
 use diomp_device::{DataMode, DeviceTable, HostBuf};
 use diomp_fabric::path::{raw_path, End};
 use diomp_fabric::{gasnet, FabricWorld, Loc, RankHealth};
-use diomp_sim::{ClusterSpec, Dur, FaultPlan, PlatformSpec, Sim, SimTime, Topology};
+use diomp_sim::{ClusterSpec, Dur, FaultPlan, PlatformSpec, Sim, SimTime, Topology, Wait};
 
 const LEN: u64 = 1 << 20;
 
@@ -93,7 +93,7 @@ fn a_remote_source_is_read_when_its_nic_releases_it() {
             ctx.handle().schedule_at(SimTime(rewrite), move |_| {
                 dev0.mem.write(0, &vec![2; LEN as usize]).unwrap();
             });
-            ctx.wait_free(ev);
+            ctx.drain(&[ev], Wait::Block).unwrap();
             assert_eq!(dst.to_bytes(), vec![expect; LEN as usize], "rewritten late: {late}");
         });
     }
@@ -118,9 +118,9 @@ fn the_timed_put_is_the_put_and_reads_a_later_source_later() {
         let hdl = gasnet::put_nb(ctx, w, 0, Loc::dev(0, 0), seg, LEN, LEN).unwrap();
         let overhead = gasnet::put_overhead(w);
         assert_eq!(ctx.now(), t1 + overhead, "the task form pays the software, then injects");
-        ctx.wait_free(hdl.local);
+        ctx.drain(&[hdl.local], Wait::Block).unwrap();
         assert_eq!(ctx.now().since(t1), local.since(t0) + overhead);
-        ctx.wait_free(hdl.remote);
+        ctx.drain(&[hdl.remote], Wait::Block).unwrap();
         assert_eq!(ctx.now().since(t1), remote.since(t0) + overhead);
     });
     // Injected later, out of a buffer a reserved copy is still filling:

@@ -9,16 +9,16 @@
 //! GASPI-style ranged notifications (`gaspi_notify_waitsome`).
 //!
 //! Design: a range wait reuses the generation-tagged *wait-group*
-//! machinery of [`crate::Ctx::wait_all`] / `wait_any_batched` rather
-//! than polling each id. The waiter registers a single group (remaining
-//! count 1) on the board together with its `[first, first+num)` range
-//! and parks exactly once; the first post landing inside the range fires
-//! the group and produces the only wake entry. Posts outside every
-//! parked range cost nothing beyond the map insert. Multiple waiters
-//! with overlapping ranges are all woken by a matching post; the baton
-//! order decides who consumes, and the losers re-park on a fresh group
-//! (their dead group's generation check makes the stale registration
-//! inert).
+//! machinery of [`crate::Ctx::wait_all`] / [`crate::Ctx::wait_any`]
+//! rather than polling each id. The waiter registers a single group
+//! (remaining count 1) on the board together with its
+//! `[first, first+num)` range and parks exactly once; the first post
+//! landing inside the range fires the group and produces the only wake
+//! entry. Posts outside every parked range cost nothing beyond the map
+//! insert. Multiple waiters with overlapping ranges are all woken by a
+//! matching post; the baton order decides who consumes, and the losers
+//! re-park on a fresh group (their dead group's generation check makes
+//! the stale registration inert).
 //!
 //! Semantics notes (mirroring GASPI):
 //!
@@ -73,8 +73,7 @@ pub(crate) struct BoardSlot {
 
 impl BoardSlot {
     /// Lowest posted, unconsumed id in `[first, first + num)` and its
-    /// value. The single definition of the range semantics shared by
-    /// `board_peek` and `board_waitsome`.
+    /// value: the range semantics of `board_waitsome`.
     pub(crate) fn lowest_in_range(&self, first: u32, num: u32) -> Option<(u32, u64)> {
         let end = (first as u64 + num as u64).min(u32::MAX as u64 + 1);
         self.values
@@ -90,7 +89,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    use crate::{Dur, Sim};
+    use crate::{Dur, Sim, Wait};
 
     #[test]
     fn post_before_wait_returns_without_parking() {
@@ -99,7 +98,7 @@ mod tests {
         let b = h.new_board();
         h.board_post(b, 7, 99);
         sim.spawn("consumer", move |ctx| {
-            let (id, v) = ctx.board_waitsome(b, 0, 16);
+            let (id, v) = ctx.board_waitsome(b, 0, 16, Wait::Block).unwrap();
             assert_eq!((id, v), (7, 99));
             assert_eq!(ctx.now(), crate::SimTime::ZERO, "no park needed");
         });
@@ -118,7 +117,7 @@ mod tests {
             ctx.board_post(b, 10, 2);
         });
         sim.spawn("consumer", move |ctx| {
-            let (id, v) = ctx.board_waitsome(b, 8, 4);
+            let (id, v) = ctx.board_waitsome(b, 8, 4, Wait::Block).unwrap();
             assert_eq!((id, v), (10, 2));
             assert_eq!(ctx.now().as_us(), 5.0);
         });
@@ -134,9 +133,9 @@ mod tests {
         h.board_post(b, 3, 30);
         h.board_post(b, 9, 90);
         sim.spawn("consumer", move |ctx| {
-            assert_eq!(ctx.board_waitsome(b, 0, 16), (3, 30));
-            assert_eq!(ctx.board_waitsome(b, 0, 16), (5, 50));
-            assert_eq!(ctx.board_waitsome(b, 0, 16), (9, 90));
+            assert_eq!(ctx.board_waitsome(b, 0, 16, Wait::Block).unwrap(), (3, 30));
+            assert_eq!(ctx.board_waitsome(b, 0, 16, Wait::Block).unwrap(), (5, 50));
+            assert_eq!(ctx.board_waitsome(b, 0, 16, Wait::Block).unwrap(), (9, 90));
         });
         sim.run().unwrap();
     }
@@ -154,7 +153,7 @@ mod tests {
         for name in ["a", "b"] {
             let sum = sum.clone();
             sim.spawn(name, move |ctx| {
-                let (id, v) = ctx.board_waitsome(b, 4, 1);
+                let (id, v) = ctx.board_waitsome(b, 4, 1, Wait::Block).unwrap();
                 assert_eq!(id, 4);
                 sum.fetch_add(v, Ordering::Relaxed);
             });
@@ -187,7 +186,7 @@ mod tests {
             if wait {
                 sim.spawn("consumer", move |ctx| {
                     for _ in 0..n {
-                        let _ = ctx.board_waitsome(b, 0, n);
+                        let _ = ctx.board_waitsome(b, 0, n, Wait::Block).unwrap();
                     }
                 });
             }
@@ -212,7 +211,6 @@ mod tests {
         h.board_post(b, 2, 7);
         assert_eq!(h.board_reset(b, 2), Some(7));
         assert_eq!(h.board_reset(b, 2), None, "second reset finds nothing");
-        assert_eq!(h.board_peek(b, 0, 16), None);
         sim.spawn("noop", |_| {});
         sim.run().unwrap();
     }
@@ -224,7 +222,6 @@ mod tests {
         let b = h.new_board();
         h.board_post(b, 1, 10);
         h.board_post(b, 1, 20);
-        assert_eq!(h.board_peek(b, 0, 4), Some((1, 20)));
         assert_eq!(h.board_reset(b, 1), Some(20));
         sim.spawn("noop", |_| {});
         sim.run().unwrap();

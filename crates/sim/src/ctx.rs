@@ -2,16 +2,21 @@
 //!
 //! A [`Ctx`] is handed to every task closure. It dereferences to
 //! [`SimHandle`] for the non-blocking kernel API and adds the blocking
-//! primitives (`wait`, `delay`, …) that park the calling task: having
+//! primitives (`wait_all`, `delay`, …) that park the calling task: having
 //! registered its wake-up, the task dispatches the queue on its own thread
 //! until the baton goes to another task or its own wake pops.
+//!
+//! There are four waits on events and boards — [`Ctx::wait_all`],
+//! [`Ctx::wait_any`], [`Ctx::drain`] and [`Ctx::board_waitsome`] — and
+//! each takes a [`Wait`]. Each parks on one generation-tagged wait
+//! group, so tasks parked on the same event wake in registration order.
 
 use std::sync::Arc;
 
 use parking_lot::MutexGuard;
 
 use crate::board::{BoardId, RangeWaiter};
-use crate::event::{EventId, Waiter};
+use crate::event::{EventId, GroupRef};
 use crate::kernel::{KState, SimHandle};
 use crate::task::{Baton, ParkedOn, TaskId, TaskStatus};
 use crate::time::{Dur, SimTime};
@@ -22,10 +27,11 @@ use crate::time::{Dur, SimTime};
 /// Every bounded-wait primitive in the stack — event waits here,
 /// queue/notification waits in the fabric layer, fences in the runtime —
 /// takes one `Wait` instead of growing a `_timeout` twin per method.
-/// [`Wait::Block`] is `GASPI_BLOCK` (wait forever; the call cannot fail),
-/// [`Wait::Until`] is `GASPI_TIMEOUT` with a virtual-time budget: if the
-/// wake condition is not met within the budget the primitive returns a
-/// timeout error and leaves partial completion intact for inspection.
+/// [`Wait::Block`] is `GASPI_BLOCK` (wait forever; the call cannot
+/// fail, so callers `expect` its `Result`), [`Wait::Until`] is
+/// `GASPI_TIMEOUT` with a virtual-time budget: if the wake condition is
+/// not met within the budget the primitive returns a timeout error and
+/// leaves partial completion intact for inspection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wait {
     /// Block until the wake condition is met (`GASPI_BLOCK`).
@@ -41,6 +47,15 @@ impl Wait {
             Wait::Block => None,
             Wait::Until(d) => Some(d),
         }
+    }
+
+    /// The instant a wait begun at `now` gives up: `None` under
+    /// [`Wait::Block`], and also when `now + budget` reaches the end of
+    /// virtual time. Such a wait can never expire, so it blocks instead of
+    /// wrapping round into the past. Every deadline is computed here.
+    pub fn deadline(self, now: SimTime) -> Option<SimTime> {
+        let t = now.nanos().saturating_add(self.budget()?.as_nanos());
+        (t < u64::MAX).then_some(SimTime(t))
     }
 }
 
@@ -92,9 +107,10 @@ impl Ctx {
     }
 
     /// Park this task on `why`. The caller must already have (under the
-    /// kernel lock it hands over) registered a wake-up and bumped
-    /// `park_seq`; see the blocking ops below for the pattern. Returns
-    /// once that wake-up has popped, with the baton back on this thread.
+    /// kernel lock it hands over) registered a wake-up under a fresh
+    /// `next_park` number; see the blocking ops below for the pattern.
+    /// Returns once that wake-up has popped, with the baton back on this
+    /// thread.
     fn park(&self, mut st: MutexGuard<'_, KState>, why: ParkedOn) {
         let slot = &mut st.tasks[self.id.index()];
         slot.status = TaskStatus::Blocked;
@@ -102,121 +118,105 @@ impl Ctx {
         self.handle.dispatch(st, Some((self.id, &self.baton)));
     }
 
-    /// Block until `ev` completes. Returns immediately if it already has.
-    pub fn wait(&mut self, ev: EventId) {
-        loop {
-            let mut st = self.handle.kernel.state.lock();
-            if st.events.get(ev).completed {
-                return;
-            }
-            let park_seq = st.park_seqs[self.id.index()] + 1;
-            st.park_seqs[self.id.index()] = park_seq;
-            st.events.get_mut(ev).waiters.push(Waiter { task: self.id, park_seq });
-            self.park(st, ParkedOn::Event(ev));
-        }
-    }
-
-    /// Block until `ev` completes, then recycle it.
-    pub fn wait_free(&mut self, ev: EventId) {
-        self.wait(ev);
-        self.handle.free_event(ev);
-    }
-
-    /// Block until *all* events complete.
-    ///
-    /// Unlike a loop of [`Ctx::wait`] calls — which parks and re-wakes
-    /// once per still-pending event — this registers a single *wait
-    /// group* covering every pending event and parks exactly once: the
-    /// completion that brings the group to zero produces the only wake
-    /// entry. For a fence draining N completions this turns ~N scheduler
-    /// park/wake round-trips into one.
-    pub fn wait_all(&mut self, evs: &[EventId]) {
-        let mut st = self.handle.kernel.state.lock();
-        let pending = evs.iter().filter(|&&ev| !st.events.get(ev).completed).count();
-        if pending == 0 {
-            return;
-        }
+    /// Number this task's next park; only wakes carrying the number
+    /// resume it, every older one is stale.
+    fn next_park(&self, st: &mut KState) -> u64 {
         let park_seq = st.park_seqs[self.id.index()] + 1;
         st.park_seqs[self.id.index()] = park_seq;
-        let gref = st.alloc_wait_group(pending, self.id, park_seq);
-        for &ev in evs {
-            if !st.events.get(ev).completed {
-                st.events.get_mut(ev).group_waiters.push(gref);
+        park_seq
+    }
+
+    /// Open a park on a wait group that fires after `need` registrations,
+    /// and queue the deadline's timer wake, if any, under the same park
+    /// number: whichever pops first resumes the task and the other is
+    /// stale. Every park on events or a board goes through here, so they
+    /// all wake by one rule — registration order.
+    fn open_group(&self, st: &mut KState, need: usize, deadline: Option<SimTime>) -> GroupRef {
+        let park_seq = self.next_park(st);
+        if let Some(t) = deadline {
+            self.handle.push_wake(st, t, self.id, park_seq, 0);
+        }
+        st.alloc_wait_group(need, self.id, park_seq)
+    }
+
+    /// After a park on `gref`: the wake condition's value if `found`
+    /// reports it holds, else the deadline won — the group is killed, so
+    /// later completions are inert, and the timeout is returned.
+    fn settle<R>(
+        &self,
+        gref: GroupRef,
+        found: impl FnOnce(&KState) -> Option<R>,
+    ) -> Result<R, WaitTimeout> {
+        let mut st = self.handle.kernel.state.lock();
+        match found(&st) {
+            Some(r) => Ok(r),
+            None => {
+                st.kill_group(gref);
+                Err(WaitTimeout { at: st.now() })
             }
         }
-        self.park(st, ParkedOn::WaitAll { pending, deadline: None });
-        debug_assert!(
-            {
-                let st = self.handle.kernel.state.lock();
-                evs.iter().all(|&ev| st.events.get(ev).completed)
-            },
-            "wait_all woke before every event completed"
-        );
-    }
-
-    /// Block until *all* events complete, then recycle every one of them.
-    pub fn wait_all_free(&mut self, evs: &[EventId]) {
-        self.drain(evs, Wait::Block).expect("a blocking drain cannot time out");
-    }
-
-    /// Block until `ev` completes, or until `wait`'s budget elapses.
-    ///
-    /// The bounded-wait form of [`Ctx::wait`]; see [`Ctx::wait_all_with`]
-    /// for the mechanism. `Wait::Block` cannot fail.
-    pub fn wait_with(&mut self, ev: EventId, wait: Wait) -> Result<(), WaitTimeout> {
-        self.wait_all_with(std::slice::from_ref(&ev), wait)
     }
 
     /// Block until *all* events complete, or until `wait`'s budget
-    /// elapses, whichever comes first.
+    /// elapses, whichever comes first. Returns at once if none is
+    /// pending.
     ///
-    /// With [`Wait::Block`] this is exactly [`Ctx::wait_all`] (and cannot
-    /// fail). With [`Wait::Until`] the mechanism is: one wait group over
-    /// the pending set (as in [`Ctx::wait_all`]) *plus* a timer wake at
-    /// the deadline carrying the same park sequence number. Whichever
-    /// wake pops first resumes the task; the loser is discarded by the
-    /// stale-wake check. On timeout the group is killed so later
-    /// completions are inert, and the events themselves are left
-    /// untouched: completed ones stay completed, so the caller can report
-    /// partial completion ([`crate::SimHandle::event_done`]) and wait
-    /// again or recover. A completion racing the deadline at the exact
-    /// same instant resolves deterministically by queue order (earlier
-    /// sequence number wins).
-    pub fn wait_all_with(&mut self, evs: &[EventId], wait: Wait) -> Result<(), WaitTimeout> {
-        let timeout = match wait {
-            Wait::Block => {
-                self.wait_all(evs);
-                return Ok(());
-            }
-            Wait::Until(d) => d,
-        };
+    /// One wait group covers every pending event and the task parks
+    /// exactly once: the completion that brings the group to zero
+    /// produces the only wake entry, so a fence draining N completions
+    /// costs one park/wake round-trip, not N. Under [`Wait::Until`] a
+    /// timer wake at the deadline rides beside the group. On timeout the
+    /// events are left untouched — completed ones stay completed — so the
+    /// caller can report partial completion
+    /// ([`crate::SimHandle::event_done`]) and wait again or recover. A
+    /// completion racing the deadline at the same instant resolves by
+    /// queue order (earlier sequence number wins).
+    pub fn wait_all(&mut self, evs: &[EventId], wait: Wait) -> Result<(), WaitTimeout> {
         let mut st = self.handle.kernel.state.lock();
         let pending = evs.iter().filter(|&&ev| !st.events.get(ev).completed).count();
         if pending == 0 {
             return Ok(());
         }
-        let deadline = st.now() + timeout;
-        let park_seq = st.park_seqs[self.id.index()] + 1;
-        st.park_seqs[self.id.index()] = park_seq;
-        let gref = st.alloc_wait_group(pending, self.id, park_seq);
+        let deadline = wait.deadline(st.now());
+        let gref = self.open_group(&mut st, pending, deadline);
         for &ev in evs {
-            if !st.events.get(ev).completed {
-                st.events.get_mut(ev).group_waiters.push(gref);
+            let slot = st.events.get_mut(ev);
+            if !slot.completed {
+                slot.group_waiters.push(gref);
             }
         }
-        self.handle.push_wake(&mut st, deadline, self.id, park_seq);
-        self.park(st, ParkedOn::WaitAll { pending, deadline: Some(deadline) });
+        self.park(st, ParkedOn::WaitAll { pending, deadline });
+        self.settle(gref, |st| evs.iter().all(|&ev| st.events.get(ev).completed).then_some(()))
+    }
+
+    /// Block until *any* of the events completes, or until `wait`'s
+    /// budget elapses; returns the index of a completed event (the first
+    /// in argument order).
+    ///
+    /// One wait group with a remaining count of one is registered on
+    /// every event: the first completion produces the only wake entry and
+    /// every later one finds the group dead and pushes nothing. For a
+    /// progress engine polling N in-flight completions per retirement —
+    /// the collective runner's inner loop — that is O(1) scheduler
+    /// entries per park, not O(N).
+    pub fn wait_any(&mut self, evs: &[EventId], wait: Wait) -> Result<usize, WaitTimeout> {
+        assert!(!evs.is_empty(), "wait_any on an empty set");
+        let first_done = |st: &KState| evs.iter().position(|&ev| st.events.get(ev).completed);
         let mut st = self.handle.kernel.state.lock();
-        if evs.iter().all(|&ev| st.events.get(ev).completed) {
-            Ok(())
-        } else {
-            st.kill_group(gref);
-            Err(WaitTimeout { at: st.now() })
+        if let Some(i) = first_done(&st) {
+            return Ok(i);
         }
+        let deadline = wait.deadline(st.now());
+        let gref = self.open_group(&mut st, 1, deadline);
+        for &ev in evs {
+            st.events.get_mut(ev).group_waiters.push(gref);
+        }
+        self.park(st, ParkedOn::WaitAny { n: evs.len(), deadline });
+        self.settle(gref, first_done)
     }
 
     /// The one bounded drain: wait for *all* of `evs` under `wait`
-    /// ([`Ctx::wait_all_with`]: one park either way), recycle every event
+    /// ([`Ctx::wait_all`]: one park either way), recycle every event
     /// that completed, and on timeout hand back the ones still in flight,
     /// in the order given. GPI-2 queue waits and `ompx_fence` are this
     /// call plus their own bookkeeping for the survivors.
@@ -225,7 +225,7 @@ impl Ctx {
         evs: &[EventId],
         wait: Wait,
     ) -> Result<(), (WaitTimeout, Vec<EventId>)> {
-        let timed_out = self.wait_all_with(evs, wait).err();
+        let timed_out = self.wait_all(evs, wait).err();
         let mut left = Vec::new();
         for &ev in evs {
             if timed_out.is_none() || self.handle.event_done(ev) {
@@ -237,150 +237,46 @@ impl Ctx {
         timed_out.map_or(Ok(()), |t| Err((t, left)))
     }
 
-    /// Block until *any* of the events completes; returns the index of a
-    /// completed event (the first found in argument order).
-    pub fn wait_any(&mut self, evs: &[EventId]) -> usize {
-        assert!(!evs.is_empty(), "wait_any on empty set");
-        loop {
-            let mut st = self.handle.kernel.state.lock();
-            if let Some(i) = evs.iter().position(|&e| st.events.get(e).completed) {
-                return i;
-            }
-            let park_seq = st.park_seqs[self.id.index()] + 1;
-            st.park_seqs[self.id.index()] = park_seq;
-            for &ev in evs {
-                st.events.get_mut(ev).waiters.push(Waiter { task: self.id, park_seq });
-            }
-            self.park(st, ParkedOn::WaitAny { n: evs.len(), deadline: None });
-        }
-    }
-
-    /// Block until *any* of the events completes; returns the index of a
-    /// completed event (the first found in argument order).
-    ///
-    /// Unlike [`Ctx::wait_any`] — which registers a per-event waiter on
-    /// every pending event, so *every* later completion pushes a (stale)
-    /// wake entry for this task — this registers a single *wait-any
-    /// group* (a [`Ctx::wait_all`]-style wait group with a remaining
-    /// count of one): the first completion produces the only wake entry
-    /// and every later completion finds the group dead and pushes
-    /// nothing. For a progress engine polling N in-flight completions
-    /// per retirement — the ring-collective engine's inner loop — this
-    /// turns O(N) scheduler entries per park into O(1).
-    pub fn wait_any_batched(&mut self, evs: &[EventId]) -> usize {
-        self.wait_any_batched_with(evs, Wait::Block)
-            .expect("wait_any_batched woke with no completed event")
-    }
-
-    /// [`Ctx::wait_any_batched`] bounded by `wait`'s budget: with
-    /// [`Wait::Until`] a timer wake at the deadline rides beside the
-    /// wait-any group, exactly as in [`Ctx::wait_all_with`], and if it
-    /// pops first the group is killed and the timeout returned with
-    /// every event untouched. [`Wait::Block`] is `wait_any_batched`, and
-    /// cannot fail.
-    pub fn wait_any_batched_with(
-        &mut self,
-        evs: &[EventId],
-        wait: Wait,
-    ) -> Result<usize, WaitTimeout> {
-        assert!(!evs.is_empty(), "wait_any_batched on empty set");
-        let mut st = self.handle.kernel.state.lock();
-        if let Some(i) = evs.iter().position(|&e| st.events.get(e).completed) {
-            return Ok(i);
-        }
-        let park_seq = st.park_seqs[self.id.index()] + 1;
-        st.park_seqs[self.id.index()] = park_seq;
-        let gref = st.alloc_wait_group(1, self.id, park_seq);
-        for &ev in evs {
-            st.events.get_mut(ev).group_waiters.push(gref);
-        }
-        let deadline = wait.budget().map(|d| st.now() + d);
-        if let Some(t) = deadline {
-            self.handle.push_wake(&mut st, t, self.id, park_seq);
-        }
-        self.park(st, ParkedOn::WaitAny { n: evs.len(), deadline });
-        let mut st = self.handle.kernel.state.lock();
-        match evs.iter().position(|&e| st.events.get(e).completed) {
-            Some(i) => Ok(i),
-            None => {
-                st.kill_group(gref);
-                Err(WaitTimeout { at: st.now() })
-            }
-        }
-    }
-
     /// Block until some notification id in `[first, first + num)` holds a
-    /// posted value on `board`; atomically consume and return the lowest
-    /// such `(id, value)`.
+    /// posted value on `board`, or until `wait`'s budget elapses;
+    /// atomically consume and return the lowest such `(id, value)`.
     ///
     /// The ranged blocking primitive under GASPI's
     /// `gaspi_notify_waitsome` + `gaspi_notify_reset`. Like
-    /// [`Ctx::wait_any_batched`], the wait registers a single
-    /// generation-tagged wait group (remaining count 1) instead of
-    /// polling each id: the task parks exactly once and the first
-    /// [`crate::SimHandle::board_post`] landing inside the range produces
-    /// the only wake entry. If a concurrent waiter with an overlapping
-    /// range consumes the value first, this task transparently re-parks
-    /// on a fresh group.
-    pub fn board_waitsome(&mut self, board: BoardId, first: u32, num: u32) -> (u32, u64) {
-        assert!(num > 0, "board_waitsome on an empty range");
-        loop {
-            let mut st = self.handle.kernel.state.lock();
-            if let Some((id, _)) = st.boards[board.index()].lowest_in_range(first, num) {
-                let v = st.boards[board.index()].values.remove(&id).expect("value vanished");
-                return (id, v);
-            }
-            let park_seq = st.park_seqs[self.id.index()] + 1;
-            st.park_seqs[self.id.index()] = park_seq;
-            let gref = st.alloc_wait_group(1, self.id, park_seq);
-            st.boards[board.index()].waiters.push(RangeWaiter { first, num, group: gref });
-            self.park(st, ParkedOn::Board { id: board, first, num, deadline: None });
-        }
-    }
-
-    /// Block like [`Ctx::board_waitsome`], bounded by `wait`'s budget:
-    /// with [`Wait::Until`] the call gives up once the budget elapses
-    /// without a consumable post in the range (`gaspi_notify_waitsome`
-    /// with a finite timeout returning `GASPI_TIMEOUT`). The deadline is
-    /// absolute across internal re-parks: losing a post to a concurrent
-    /// overlapping waiter does not extend it. [`Wait::Block`] cannot
-    /// fail.
-    pub fn board_waitsome_with(
+    /// [`Ctx::wait_any`], the wait registers a single wait group
+    /// (remaining count 1) instead of polling each id: the task parks
+    /// once and the first [`crate::SimHandle::board_post`] landing inside
+    /// the range produces the only wake entry. If a concurrent waiter
+    /// with an overlapping range consumes the value first, this task
+    /// re-parks on a fresh group. The deadline is absolute across those
+    /// re-parks: losing a post does not extend it.
+    pub fn board_waitsome(
         &mut self,
         board: BoardId,
         first: u32,
         num: u32,
         wait: Wait,
     ) -> Result<(u32, u64), WaitTimeout> {
-        assert!(num > 0, "board_waitsome_with on an empty range");
-        let timeout = match wait {
-            Wait::Block => return Ok(self.board_waitsome(board, first, num)),
-            Wait::Until(d) => d,
-        };
-        let deadline = self.handle.now() + timeout;
+        assert!(num > 0, "board_waitsome on an empty range");
+        let deadline = wait.deadline(self.handle.now());
         loop {
             let mut st = self.handle.kernel.state.lock();
-            if let Some((id, _)) = st.boards[board.index()].lowest_in_range(first, num) {
-                let v = st.boards[board.index()].values.remove(&id).expect("value vanished");
-                return Ok((id, v));
+            let slot = &mut st.boards[board.index()];
+            if let Some((id, _)) = slot.lowest_in_range(first, num) {
+                return Ok((id, slot.values.remove(&id).expect("value vanished")));
             }
-            if st.now() >= deadline {
+            if deadline.is_some_and(|t| st.now() >= t) {
                 return Err(WaitTimeout { at: st.now() });
             }
-            let park_seq = st.park_seqs[self.id.index()] + 1;
-            st.park_seqs[self.id.index()] = park_seq;
-            let gref = st.alloc_wait_group(1, self.id, park_seq);
+            let gref = self.open_group(&mut st, 1, deadline);
             st.boards[board.index()].waiters.push(RangeWaiter { first, num, group: gref });
-            self.handle.push_wake(&mut st, deadline, self.id, park_seq);
-            self.park(st, ParkedOn::Board { id: board, first, num, deadline: Some(deadline) });
+            self.park(st, ParkedOn::Board { id: board, first, num, deadline });
             // Woken by a matching post (board_post already removed the
-            // waiter and killed the group) or by the deadline (both still
-            // registered). Clean up unconditionally, then loop: consume,
-            // re-park with the remaining time, or report the timeout.
+            // waiter and fired the group) or by the deadline (both still
+            // registered). Clean up either way, then loop: consume,
+            // re-park, or report the timeout.
             let mut st = self.handle.kernel.state.lock();
-            st.boards[board.index()]
-                .waiters
-                .retain(|w| !(w.group.gid == gref.gid && w.group.gen == gref.gen));
+            st.boards[board.index()].waiters.retain(|w| w.group != gref);
             st.kill_group(gref);
         }
     }
@@ -391,24 +287,15 @@ impl Ctx {
     pub fn delay(&mut self, d: Dur) {
         let t = {
             let st = self.handle.kernel.state.lock();
-            st_now(&st) + st.scale_delay(self.id, d)
+            st.now() + st.scale_delay(self.id, d)
         };
         self.sleep_until(t);
     }
 
-    /// Block until the virtual clock reaches `t` (no-op if already past).
+    /// Block until the virtual clock reaches `t` (no-op if already past):
+    /// a coalesced sleep of no chunks.
     pub fn sleep_until(&mut self, t: SimTime) {
-        let mut st = self.handle.kernel.state.lock();
-        if t <= st_now(&st) {
-            // Still yield once so same-time entries queued earlier run
-            // in deterministic order? No: sleeping to "now" is a no-op;
-            // use `yield_now` for explicit rescheduling.
-            return;
-        }
-        let park_seq = st.park_seqs[self.id.index()] + 1;
-        st.park_seqs[self.id.index()] = park_seq;
-        self.handle.push_wake(&mut st, t, self.id, park_seq);
-        self.park(st, ParkedOn::Sleep { until: t });
+        self.sleep_until_coalesced(t, 0);
     }
 
     /// Block until the virtual clock reaches `t`, charging the single
@@ -422,13 +309,12 @@ impl Ctx {
     /// is still credited (the chunks were still priced without events).
     pub fn sleep_until_coalesced(&mut self, t: SimTime, coalesced: u64) {
         let mut st = self.handle.kernel.state.lock();
-        if t <= st_now(&st) {
+        if t <= st.now() {
             st.coalesced_chunks += coalesced;
             return;
         }
-        let park_seq = st.park_seqs[self.id.index()] + 1;
-        st.park_seqs[self.id.index()] = park_seq;
-        self.handle.push_wake_coalesced(&mut st, t, self.id, park_seq, coalesced);
+        let park_seq = self.next_park(&mut st);
+        self.handle.push_wake(&mut st, t, self.id, park_seq, coalesced);
         self.park(st, ParkedOn::Sleep { until: t });
     }
 
@@ -437,14 +323,9 @@ impl Ctx {
     /// point for polling loops.
     pub fn yield_now(&mut self) {
         let mut st = self.handle.kernel.state.lock();
-        let now = st_now(&st);
-        let park_seq = st.park_seqs[self.id.index()] + 1;
-        st.park_seqs[self.id.index()] = park_seq;
-        self.handle.push_wake(&mut st, now, self.id, park_seq);
+        let now = st.now();
+        let park_seq = self.next_park(&mut st);
+        self.handle.push_wake(&mut st, now, self.id, park_seq, 0);
         self.park(st, ParkedOn::Sleep { until: now });
     }
-}
-
-fn st_now(st: &crate::kernel::KState) -> SimTime {
-    st.now()
 }

@@ -1,13 +1,13 @@
 //! One-shot completion events.
 //!
 //! An [`EventId`] names a one-shot event inside the simulation kernel.
-//! Events start *pending*; any number of tasks may block on one
-//! ([`crate::Ctx::wait`]); completing the event (from a task or from a
-//! scheduled action) wakes every waiter at the current virtual time.
-//! Events are the only blocking primitive — barriers, rendezvous, RMA
-//! completion and stream synchronisation are all built on top of them.
-
-use crate::task::TaskId;
+//! Events start *pending*; any number of tasks may block on one, alone
+//! or among others ([`crate::Ctx::wait_all`], [`crate::Ctx::wait_any`]),
+//! each through a wait-group registration on the event. Completing the
+//! event (from a task or from a scheduled action) counts down every
+//! registration, in registration order, at the current virtual time.
+//! Barriers, rendezvous, RMA completion and stream synchronisation are
+//! all built on top of events.
 
 /// Handle to a one-shot completion event. Cheap to copy.
 ///
@@ -19,20 +19,12 @@ pub struct EventId {
     pub(crate) gen: u32,
 }
 
-/// A task parked on an event, together with the park it must be resumed
-/// from (stale wakes for earlier parks are discarded by the scheduler).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Waiter {
-    pub(crate) task: TaskId,
-    pub(crate) park_seq: u64,
-}
-
 /// Reference from an event to a wait-group registration. Generation-tagged
 /// like events themselves: a wait-*any* group dies when its first event
 /// completes, leaving stale references on the events that did not win —
 /// completion (and `free_event`) recognises those by a generation mismatch
 /// and skips them instead of corrupting a recycled group slot.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct GroupRef {
     pub(crate) gid: u32,
     pub(crate) gen: u32,
@@ -43,14 +35,12 @@ pub(crate) struct GroupRef {
 pub(crate) struct EventSlot {
     pub(crate) gen: u32,
     pub(crate) completed: bool,
-    /// Tasks blocked on this event (woken on completion).
-    pub(crate) waiters: Vec<Waiter>,
-    /// Wait-groups with a pending registration on this event (see
-    /// [`crate::Ctx::wait_all`] and [`crate::Ctx::wait_any_batched`]):
-    /// completion decrements each live group's remaining-count instead of
-    /// waking a task directly, so a task blocked on N events costs one
-    /// wake, not N. Stale references (groups that already fired) are
-    /// skipped by generation check.
+    /// Wait-groups with a pending registration on this event, in
+    /// registration order (see [`crate::Ctx::wait_all`] and
+    /// [`crate::Ctx::wait_any`]): completion decrements each live group's
+    /// remaining-count instead of waking a task directly, so a task
+    /// blocked on N events costs one wake, not N. Stale references
+    /// (groups that already fired) are skipped by generation check.
     pub(crate) group_waiters: Vec<GroupRef>,
     /// Slot is live (allocated and not yet freed).
     pub(crate) live: bool,
@@ -61,14 +51,7 @@ pub(crate) struct EventSlot {
 
 impl EventSlot {
     pub(crate) fn fresh(gen: u32) -> Self {
-        EventSlot {
-            gen,
-            completed: false,
-            waiters: Vec::new(),
-            group_waiters: Vec::new(),
-            live: true,
-            auto_free: false,
-        }
+        EventSlot { gen, completed: false, group_waiters: Vec::new(), live: true, auto_free: false }
     }
 }
 
@@ -83,15 +66,14 @@ pub(crate) struct EventArena {
 impl EventArena {
     pub(crate) fn alloc(&mut self) -> EventId {
         if let Some(index) = self.free.pop() {
-            // Reset in place: `free` already verified the waiter vectors
-            // are empty, so clearing fields (rather than overwriting the
-            // slot wholesale) keeps their heap capacity for reuse — event
+            // Reset in place: `free` already verified the waiter vector
+            // is empty, so clearing fields (rather than overwriting the
+            // slot wholesale) keeps its heap capacity for reuse — event
             // churn in the collective engines is allocation-free at
             // steady state.
             let slot = &mut self.slots[index as usize];
             slot.gen = slot.gen.wrapping_add(1);
             slot.completed = false;
-            slot.waiters.clear();
             slot.group_waiters.clear();
             slot.live = true;
             slot.auto_free = false;
@@ -120,7 +102,6 @@ impl EventArena {
     pub(crate) fn free(&mut self, id: EventId) {
         let slot = &mut self.slots[id.index as usize];
         assert!(slot.live && slot.gen == id.gen, "double free of EventId {:?}", id);
-        assert!(slot.waiters.is_empty(), "freeing event with live waiters");
         assert!(slot.group_waiters.is_empty(), "freeing event with live group waiters");
         slot.live = false;
         self.free.push(id.index);

@@ -86,13 +86,13 @@ impl Ord for Entry {
     }
 }
 
-/// One batched multi-event wait: a task parked until `remaining` event
-/// registrations have completed. The whole group costs a single wake
-/// entry, which is what makes `Ctx::wait_all` (and `ompx_fence` built on
-/// it) cheap for large pending sets. With `remaining == 1` over many
-/// events the same slot implements `Ctx::wait_any_batched`: the first
-/// completion fires the group; later completions find it dead (or
-/// recycled under a newer generation) and push nothing.
+/// One park on events or a board: a task parked until `remaining`
+/// registrations have fired. The whole group costs a single wake entry,
+/// which is what makes `Ctx::wait_all` (and `ompx_fence` built on it)
+/// cheap for large pending sets. With `remaining == 1` over many events
+/// the same slot implements `Ctx::wait_any`: the first completion fires
+/// the group; later completions find it dead (or recycled under a newer
+/// generation) and push nothing.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WaitGroup {
     pub(crate) remaining: usize,
@@ -203,12 +203,11 @@ impl KState {
 
     /// Recycle a released event whose completion will never fire: its
     /// transfer was purged from, or dropped before, a fair queue. Only
-    /// dead wait-group references and stale waiters can still be on it —
-    /// a released event has no one waiting.
+    /// dead wait-group references can still be on it — a released event
+    /// has no one waiting.
     pub(crate) fn free_unfired(&mut self, ev: EventId) {
         let slot = self.events.get_mut(ev);
         assert!(slot.auto_free && !slot.completed, "only a released, pending event goes unfired");
-        slot.waiters.clear();
         let groups = std::mem::take(&mut slot.group_waiters);
         assert!(
             groups.iter().all(|r| {
@@ -566,6 +565,7 @@ impl SimHandle {
     }
 
     fn push(&self, st: &mut KState, t: SimTime, item: Item) {
+        debug_assert!(t >= st.now, "an entry queued in the past");
         let seq = st.seq;
         st.seq += 1;
         st.queue.push(Entry { t, seq, item });
@@ -755,21 +755,13 @@ impl SimHandle {
             return;
         }
         slot.completed = true;
-        let waiters = std::mem::take(&mut slot.waiters);
         let groups = std::mem::take(&mut slot.group_waiters);
         let auto_free = slot.auto_free;
         let now = st.now;
-        for w in waiters {
-            self.push(
-                &mut st,
-                now,
-                Item::Wake { task: w.task, park_seq: w.park_seq, coalesced: 0 },
-            );
-        }
-        // Batched waiters: only the registration that brings a group to
-        // zero produces a wake entry. Stale references — wait-any groups
-        // that already fired on another event, possibly recycled since —
-        // are skipped by the generation check.
+        // In registration order, only the registration that brings a
+        // group to zero produces a wake entry. Stale references —
+        // wait-any groups that already fired on another event, possibly
+        // recycled since — are skipped by the generation check.
         for gref in groups {
             self.fire_group_ref(&mut st, gref, now);
         }
@@ -855,13 +847,6 @@ impl SimHandle {
         st.board_fired = fired;
     }
 
-    /// Lowest posted, unconsumed id in `[first, first + num)` and its
-    /// value, without consuming it. Non-blocking.
-    pub fn board_peek(&self, board: BoardId, first: u32, num: u32) -> Option<(u32, u64)> {
-        let st = self.kernel.state.lock();
-        st.boards[board.index()].lowest_in_range(first, num)
-    }
-
     /// Atomically consume notification `id`, returning its value if one
     /// was posted and not yet consumed (`gaspi_notify_reset`).
     pub fn board_reset(&self, board: BoardId, id: u32) -> Option<u64> {
@@ -873,12 +858,6 @@ impl SimHandle {
     pub fn complete_at(&self, ev: EventId, t: SimTime) {
         let h = self.clone();
         self.schedule_at(t, move |_| h.complete(ev));
-    }
-
-    /// Schedule completion of an event after a delay.
-    pub fn complete_in(&self, ev: EventId, d: Dur) {
-        let t = self.now() + d;
-        self.complete_at(ev, t);
     }
 
     /// Recycle a completed event. The handle must not be used again.
@@ -970,12 +949,6 @@ impl SimHandle {
         self.kernel.state.lock().force_unrolled
     }
 
-    /// Per-chunk completions folded into coalesced wake entries so far
-    /// (mirrors [`SimReport::coalesced_chunks`] mid-run).
-    pub fn coalesced_chunks(&self) -> u64 {
-        self.kernel.state.lock().coalesced_chunks
-    }
-
     /// Shared reservation path: consult the fault injector (one `Option`
     /// branch when disarmed — the zero-cost guarantee) and fall through
     /// to the clean closed form when no window matches.
@@ -1000,25 +973,6 @@ impl SimHandle {
             }
         }
         st.resources[res.index()].transfer_from(now, at, bytes)
-    }
-
-    /// Occupy a resource for a fixed duration (e.g. a handler running on a
-    /// progress engine). Returns `(start, end)`. A degradation window
-    /// covering the start stretches the occupancy like it stretches a
-    /// transfer's busy time.
-    pub fn occupy(&self, res: ResourceId, d: Dur) -> (SimTime, SimTime) {
-        let mut st = self.kernel.state.lock();
-        let now = st.now;
-        let mut d = d;
-        if st.fault.is_some() {
-            let est = now.max(st.resources[res.index()].free_at());
-            if let Some(p) = st.fault.as_mut().unwrap().perturb(res, est) {
-                d = Dur::nanos(
-                    (d.as_nanos() as u128 * 1000 / p.factor_milli.max(1) as u128) as u64,
-                ) + p.extra;
-            }
-        }
-        st.resources[res.index()].occupy(now, d)
     }
 
     /// Consume one scheduled control-message fault for `key` (see
@@ -1091,13 +1045,10 @@ impl SimHandle {
         self.kernel.state.lock().events.len()
     }
 
-    pub(crate) fn push_wake(&self, st: &mut KState, t: SimTime, task: TaskId, park_seq: u64) {
-        self.push(st, t, Item::Wake { task, park_seq, coalesced: 0 });
-    }
-
-    /// Push a wake entry that stands for `coalesced` per-chunk completions
-    /// (see [`crate::Ctx::sleep_until_coalesced`]).
-    pub(crate) fn push_wake_coalesced(
+    /// Queue a wake for `task`'s park `park_seq`, standing for
+    /// `coalesced` per-chunk completions (see
+    /// [`crate::Ctx::sleep_until_coalesced`]; 0 for every other wake).
+    pub(crate) fn push_wake(
         &self,
         st: &mut KState,
         t: SimTime,

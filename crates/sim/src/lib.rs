@@ -5,15 +5,15 @@
 //! distributed job run as cooperative OS threads against a virtual clock.
 //!
 //! * [`Sim`] / [`SimHandle`] / [`Ctx`] — the event kernel: spawn tasks,
-//!   wait on [`EventId`]s, advance virtual time, schedule one-sided
-//!   completion actions.
+//!   wait on [`EventId`]s under a [`Wait`], advance virtual time,
+//!   schedule one-sided completion actions.
 //! * [`ResourceId`] — FIFO bandwidth resources modelling NICs and links.
 //! * [`Topology`] / [`ClusterSpec`] — instantiated cluster fabrics.
 //! * [`PlatformSpec`] — calibrated models of the paper's three systems
 //!   (A100+Slingshot, MI250X+Slingshot, GH200+NDR IB).
 //!
 //! ```
-//! use diomp_sim::{Sim, Dur};
+//! use diomp_sim::{Dur, Sim, Wait};
 //!
 //! let mut sim = Sim::new();
 //! let h = sim.handle();
@@ -23,7 +23,7 @@
 //!     ctx.complete(ev);
 //! });
 //! sim.spawn("consumer", move |ctx| {
-//!     ctx.wait(ev);
+//!     ctx.wait_all(&[ev], Wait::Block).expect("a blocking wait cannot time out");
 //!     assert_eq!(ctx.now().as_us(), 5.0);
 //! });
 //! sim.run().unwrap();

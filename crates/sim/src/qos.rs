@@ -483,6 +483,7 @@ impl SimHandle {
 mod tests {
     use super::*;
     use crate::kernel::Sim;
+    use crate::Wait;
 
     /// Two equal-weight flows saturating one link split it evenly and the
     /// sum of achieved bandwidths equals capacity (work conservation).
@@ -497,12 +498,12 @@ mod tests {
         let mut sim = sim;
         sim.spawn("a", move |ctx| {
             let ev = ctx.transfer_qos(res, fa, SimTime::ZERO, 10_000);
-            ctx.wait_free(ev);
+            ctx.drain(&[ev], Wait::Block).unwrap();
             assert_eq!(ctx.now(), SimTime(20_000), "half share doubles the service time");
         });
         sim.spawn("b", move |ctx| {
             let ev = ctx.transfer_qos(res, fb, SimTime::ZERO, 10_000);
-            ctx.wait_free(ev);
+            ctx.drain(&[ev], Wait::Block).unwrap();
         });
         let rep = sim.run().unwrap();
         assert_eq!(rep.end_time, SimTime(20_000));
@@ -527,12 +528,12 @@ mod tests {
         let (dh1, dh2) = (done_heavy.clone(), done_heavy.clone());
         sim.spawn("heavy", move |ctx| {
             let ev = ctx.transfer_qos(res, heavy, SimTime::ZERO, 8_000);
-            ctx.wait_free(ev);
+            ctx.drain(&[ev], Wait::Block).unwrap();
             *dh1.lock().unwrap() = ctx.now();
         });
         sim.spawn("light", move |ctx| {
             let ev = ctx.transfer_qos(res, light, SimTime::ZERO, 8_000);
-            ctx.wait_free(ev);
+            ctx.drain(&[ev], Wait::Block).unwrap();
             // Light flow: 2000 B served at 1/5 rate while heavy drains
             // (10 000 ns), then 6000 B alone at full rate.
             assert_eq!(ctx.now(), SimTime(16_000));
@@ -560,7 +561,7 @@ mod tests {
                     .map(|i| ctx.transfer_qos(res, flow, SimTime(i * 100), 10_000 + i * 7))
                     .collect();
                 for ev in evs {
-                    ctx.wait_free(ev);
+                    ctx.drain(&[ev], Wait::Block).unwrap();
                 }
             });
             sim.run().unwrap().end_time
@@ -588,7 +589,7 @@ mod tests {
                         ctx.complete_at(ev, tr.arrive);
                         ev
                     };
-                    ctx.wait_free(ev);
+                    ctx.drain(&[ev], Wait::Block).unwrap();
                 }
             });
             let rep = sim.run().unwrap();
@@ -651,7 +652,7 @@ mod tests {
         });
         sim.spawn("b", move |ctx| {
             let ev = ctx.transfer_qos(res, fb, SimTime::ZERO, 10_000);
-            ctx.wait_free(ev);
+            ctx.drain(&[ev], Wait::Block).unwrap();
             assert_eq!(ctx.now(), SimTime(10_000), "the dropped transfer took no share");
         });
         sim.run().unwrap();
@@ -683,7 +684,7 @@ mod tests {
         });
         sim.spawn("b", move |ctx| {
             let ev = ctx.transfer_qos(res, fb, SimTime::ZERO, 10_000);
-            ctx.wait_free(ev);
+            ctx.drain(&[ev], Wait::Block).unwrap();
             assert_eq!(ctx.now(), SimTime(12_000));
         });
         sim.run().unwrap();

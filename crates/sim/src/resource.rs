@@ -112,13 +112,6 @@ impl ResSlot {
         arrive
     }
 
-    pub(crate) fn occupy(&mut self, now: SimTime, d: Dur) -> (SimTime, SimTime) {
-        let start = now.max(self.free_at);
-        let end = start + d;
-        self.free_at = end;
-        (start, end)
-    }
-
     pub(crate) fn free_at(&self) -> SimTime {
         self.free_at
     }
@@ -215,15 +208,6 @@ mod tests {
         let _ = r.transfer(SimTime(0), 10);
         let b = r.transfer(SimTime(1000), 10);
         assert_eq!(b.start, SimTime(1000));
-    }
-
-    #[test]
-    fn occupy_serialises_too() {
-        let mut r = ResSlot::new(1.0, Dur::ZERO);
-        let (s1, e1) = r.occupy(SimTime(0), Dur::nanos(30));
-        let (s2, _e2) = r.occupy(SimTime(0), Dur::nanos(30));
-        assert_eq!((s1, e1), (SimTime(0), SimTime(30)));
-        assert_eq!(s2, SimTime(30));
     }
 
     #[test]

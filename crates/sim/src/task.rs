@@ -14,7 +14,6 @@ use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 
 use crate::board::BoardId;
-use crate::event::EventId;
 use crate::time::SimTime;
 
 /// Identifies a task within one simulation. Cheap to copy.
@@ -78,7 +77,6 @@ impl Baton {
 pub(crate) enum ParkedOn {
     /// Spawned, not yet resumed for the first time.
     Start,
-    Event(EventId),
     WaitAll {
         pending: usize,
         deadline: Option<SimTime>,
@@ -102,7 +100,6 @@ impl std::fmt::Display for ParkedOn {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let deadline = match *self {
             ParkedOn::Start => return write!(f, "its first wake"),
-            ParkedOn::Event(ev) => return write!(f, "event {}", ev.index),
             ParkedOn::Sleep { until } => return write!(f, "sleep until {until}"),
             ParkedOn::WaitAny { n, deadline } => {
                 write!(f, "any of {n} events")?;

@@ -59,7 +59,7 @@ fn event_completion_wakes_all_waiters() {
     for i in 0..4 {
         let hits = hits.clone();
         sim.spawn(format!("w{i}"), move |ctx| {
-            ctx.wait(ev);
+            ctx.wait_all(&[ev], Wait::Block).unwrap();
             assert_eq!(ctx.now(), SimTime(2_000));
             hits.fetch_add(1, Ordering::Relaxed);
         });
@@ -79,7 +79,7 @@ fn wait_on_completed_event_returns_immediately() {
     let ev = h.new_event();
     h.complete(ev);
     sim.spawn("w", move |ctx| {
-        ctx.wait(ev);
+        ctx.wait_all(&[ev], Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime::ZERO);
     });
     sim.run().unwrap();
@@ -94,11 +94,12 @@ fn wait_any_returns_first_completed() {
     h.complete_at(slow, SimTime(9_000));
     h.complete_at(fast, SimTime(1_000));
     sim.spawn("w", move |ctx| {
-        let idx = ctx.wait_any(&[slow, fast]);
+        let idx = ctx.wait_any(&[slow, fast], Wait::Block).unwrap();
         assert_eq!(idx, 1);
         assert_eq!(ctx.now(), SimTime(1_000));
-        // A later wait on the slow event still works (no spurious state).
-        ctx.wait(slow);
+        // The abandoned registration on `slow` must not disturb later
+        // waits: the group is dead, so slow's completion pushes nothing.
+        ctx.wait_all(&[slow], Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime(9_000));
     });
     sim.run().unwrap();
@@ -115,7 +116,7 @@ fn spurious_wakes_do_not_break_delay() {
     h.complete_at(a, SimTime(1_000));
     h.complete_at(b, SimTime(2_000)); // fires mid-sleep
     sim.spawn("w", move |ctx| {
-        let idx = ctx.wait_any(&[a, b]);
+        let idx = ctx.wait_any(&[a, b], Wait::Block).unwrap();
         assert_eq!(idx, 0);
         ctx.delay(Dur::micros(10.0)); // b completes at 2µs, must not wake us
         assert_eq!(ctx.now(), SimTime(11_000));
@@ -137,7 +138,7 @@ fn scheduled_actions_run_at_their_time() {
         });
     }
     sim.spawn("w", move |ctx| {
-        ctx.wait(ev);
+        ctx.wait_all(&[ev], Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime(5_000));
     });
     sim.run().unwrap();
@@ -156,7 +157,7 @@ fn resource_contention_serialises_transfers() {
             let tr = ctx.transfer(link, 1_000);
             let ev = ctx.new_event();
             ctx.complete_at(ev, tr.arrive);
-            ctx.wait_free(ev);
+            ctx.drain(&[ev], Wait::Block).unwrap();
             finish.lock().push(ctx.now().nanos());
         });
     }
@@ -174,17 +175,17 @@ fn deadlock_is_reported_with_task_names() {
     let other = h.new_event();
     let board = h.new_board();
     sim.spawn("stuck-rank", move |ctx| {
-        ctx.wait(never);
+        ctx.wait_all(&[never], Wait::Block).unwrap();
     });
-    sim.spawn("fence", move |ctx| ctx.wait_all(&[never, other]));
+    sim.spawn("fence", move |ctx| ctx.wait_all(&[never, other], Wait::Block).unwrap());
     sim.spawn("poller", move |ctx| {
-        ctx.wait_any_batched(&[never, other]);
+        ctx.wait_any(&[never, other], Wait::Block).unwrap();
     });
     sim.spawn("halo", move |ctx| {
         // The first wait times out (its reason carried a deadline, its
         // wake was queued — never part of a deadlock); the second blocks.
-        assert!(ctx.board_waitsome_with(board, 4, 2, Wait::Until(Dur::micros(1.0))).is_err());
-        ctx.board_waitsome(board, 4, 2);
+        assert!(ctx.board_waitsome(board, 4, 2, Wait::Until(Dur::micros(1.0))).is_err());
+        ctx.board_waitsome(board, 4, 2, Wait::Block).unwrap();
     });
     let err = sim.run().unwrap_err();
     match &err {
@@ -192,7 +193,12 @@ fn deadlock_is_reported_with_task_names() {
             assert_eq!(blocked, &["stuck-rank", "fence", "poller", "halo"]);
             assert_eq!(
                 parked_on,
-                &["event 0", "all of 2 pending events", "any of 2 events", "board 0 ids [4, 6)"]
+                &[
+                    "all of 1 pending events",
+                    "all of 2 pending events",
+                    "any of 2 events",
+                    "board 0 ids [4, 6)"
+                ]
             );
             assert_eq!(*at, SimTime(1_000));
         }
@@ -200,7 +206,7 @@ fn deadlock_is_reported_with_task_names() {
     }
     assert_eq!(
         err.to_string(),
-        "simulation deadlock at 1.000us: blocked tasks [stuck-rank: event 0, \
+        "simulation deadlock at 1.000us: blocked tasks [stuck-rank: all of 1 pending events, \
          fence: all of 2 pending events, poller: any of 2 events, halo: board 0 ids [4, 6)]"
     );
 }
@@ -214,7 +220,7 @@ fn deadlock_is_detected_when_the_last_dispatcher_is_a_parked_task() {
     sim.spawn("early-exit", |_ctx| {});
     sim.spawn("late-stuck", move |ctx| {
         ctx.delay(Dur::micros(1.0));
-        ctx.wait(never);
+        ctx.wait_all(&[never], Wait::Block).unwrap();
     });
     match sim.run() {
         Err(SimError::Deadlock { blocked, at, .. }) => {
@@ -275,7 +281,7 @@ fn action_panics_are_reraised_by_run_with_their_own_message() {
         let never = h.new_event();
         h.schedule_at(SimTime(1_000), |_| panic!("action boom"));
         if bystander_parks {
-            sim.spawn("bystander", move |ctx| ctx.wait(never));
+            sim.spawn("bystander", move |ctx| ctx.wait_all(&[never], Wait::Block).unwrap());
         } else {
             sim.spawn("leaver", |_ctx| {});
         }
@@ -344,7 +350,7 @@ fn event_slots_are_recycled() {
         for _ in 0..1_000 {
             let ev = ctx.new_event();
             ctx.complete(ev);
-            ctx.wait_free(ev);
+            ctx.drain(&[ev], Wait::Block).unwrap();
         }
     });
     sim.run().unwrap();
@@ -377,7 +383,7 @@ fn drain_with(
 #[test]
 fn wait_all_wakes_at_last_completion() {
     let (end, _) = drain_with(10, |ctx, evs| {
-        ctx.wait_all(&evs);
+        ctx.wait_all(&evs, Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime(10_000), "woken exactly at the last event");
         for ev in evs {
             ctx.free_event(ev);
@@ -391,11 +397,11 @@ fn wait_all_processes_far_fewer_entries_than_wait_loop() {
     let n = 200;
     let (end_loop, entries_loop) = drain_with(n, |ctx, evs| {
         for &ev in &evs {
-            ctx.wait_free(ev);
+            ctx.drain(&[ev], Wait::Block).unwrap();
         }
     });
     let (end_all, entries_all) = drain_with(n, |ctx, evs| {
-        ctx.wait_all_free(&evs);
+        ctx.drain(&evs, Wait::Block).unwrap();
     });
     assert_eq!(end_loop, end_all, "batching must not change virtual time");
     // The wait loop costs one wake per event; the group wait costs one
@@ -415,7 +421,7 @@ fn wait_all_with_already_completed_events_returns_immediately() {
     h.complete(a);
     h.complete(b);
     sim.spawn("w", move |ctx| {
-        ctx.wait_all_free(&[a, b]);
+        ctx.drain(&[a, b], Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime::ZERO);
     });
     sim.run().unwrap();
@@ -430,7 +436,7 @@ fn wait_all_mixes_pending_and_completed() {
     h.complete(done);
     h.complete_at(late, SimTime(5_000));
     sim.spawn("w", move |ctx| {
-        ctx.wait_all_free(&[done, late]);
+        ctx.drain(&[done, late], Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime(5_000));
     });
     sim.run().unwrap();
@@ -445,48 +451,28 @@ fn wait_all_groups_are_recycled() {
             let evs: Vec<_> = (0..4)
                 .map(|i| {
                     let ev = ctx.new_event();
-                    ctx.complete_in(ev, Dur::nanos(i + 1 + round));
+                    ctx.complete_at(ev, ctx.now() + Dur::nanos(i + 1 + round));
                     ev
                 })
                 .collect();
-            ctx.wait_all_free(&evs);
+            ctx.drain(&evs, Wait::Block).unwrap();
         }
     });
     sim.run().unwrap();
     assert_eq!(h.live_events(), 0);
 }
 
-// ---------- batched wait-any (wait-any groups, ISSUE 2) ----------
+// ---------- wait_any (wait-any groups) ----------
 
 #[test]
-fn wait_any_batched_returns_first_completed() {
-    let mut sim = Sim::new();
-    let h = sim.handle();
-    let slow = h.new_event();
-    let fast = h.new_event();
-    h.complete_at(slow, SimTime(9_000));
-    h.complete_at(fast, SimTime(1_000));
-    sim.spawn("w", move |ctx| {
-        let idx = ctx.wait_any_batched(&[slow, fast]);
-        assert_eq!(idx, 1);
-        assert_eq!(ctx.now(), SimTime(1_000));
-        // The abandoned registration on `slow` must not disturb later
-        // waits: the group is dead, so slow's completion pushes nothing.
-        ctx.wait(slow);
-        assert_eq!(ctx.now(), SimTime(9_000));
-    });
-    sim.run().unwrap();
-}
-
-#[test]
-fn wait_any_batched_on_completed_event_returns_immediately() {
+fn wait_any_on_completed_event_returns_immediately() {
     let mut sim = Sim::new();
     let h = sim.handle();
     let pending = h.new_event();
     let done = h.new_event();
     h.complete(done);
     sim.spawn("w", move |ctx| {
-        assert_eq!(ctx.wait_any_batched(&[pending, done]), 1);
+        assert_eq!(ctx.wait_any(&[pending, done], Wait::Block).unwrap(), 1);
         assert_eq!(ctx.now(), SimTime::ZERO);
         ctx.complete(pending);
     });
@@ -495,10 +481,7 @@ fn wait_any_batched_on_completed_event_returns_immediately() {
 
 /// Progress-engine shape: retire `n` staggered completions one at a time,
 /// re-waiting on the whole remaining set after each retirement.
-fn retire_one_by_one(
-    n: u64,
-    wait: impl Fn(&mut diomp_sim::Ctx, &[diomp_sim::EventId]) -> usize + Send + 'static,
-) -> (SimTime, u64) {
+fn retire_one_by_one(n: u64) -> (SimTime, u64) {
     let mut sim = Sim::new();
     sim.spawn("engine", move |ctx| {
         let mut evs: Vec<_> = (0..n)
@@ -509,7 +492,7 @@ fn retire_one_by_one(
             })
             .collect();
         while !evs.is_empty() {
-            let idx = wait(ctx, &evs);
+            let idx = ctx.wait_any(&evs, Wait::Block).unwrap();
             let ev = evs.remove(idx);
             ctx.handle().free_event(ev);
         }
@@ -519,19 +502,12 @@ fn retire_one_by_one(
 }
 
 #[test]
-fn wait_any_batched_saves_entries_over_per_event_waiters() {
+fn wait_any_costs_one_wake_per_park() {
+    // Every park registers one group on all remaining events; the first
+    // completion is its only wake and the later ones push nothing: the
+    // start wake, n completions and n wakes.
     let n = 100;
-    let (end_plain, entries_plain) = retire_one_by_one(n, |ctx, evs| ctx.wait_any(evs));
-    let (end_batched, entries_batched) = retire_one_by_one(n, |ctx, evs| ctx.wait_any_batched(evs));
-    assert_eq!(end_plain, end_batched, "batching must not change virtual time");
-    // Per-event waiters: every park registers on all remaining events and
-    // every one of those completions later pushes a (stale) wake — O(n²)
-    // queue entries over the retirement loop. Wait-any groups: exactly one
-    // wake per park.
-    assert!(
-        entries_batched + n * (n - 1) / 4 <= entries_plain,
-        "expected a quadratic saving, got {entries_plain} vs {entries_batched}"
-    );
+    assert_eq!(retire_one_by_one(n), (SimTime(1_000 * n), 1 + 2 * n));
 }
 
 #[test]
@@ -545,14 +521,14 @@ fn wait_any_groups_are_recycled_across_rounds() {
             let evs: Vec<_> = (0..4)
                 .map(|i| {
                     let ev = ctx.new_event();
-                    ctx.complete_in(ev, Dur::nanos((i + 1) * (round + 1)));
+                    ctx.complete_at(ev, ctx.now() + Dur::nanos((i + 1) * (round + 1)));
                     ev
                 })
                 .collect();
-            let first = ctx.wait_any_batched(&evs);
+            let first = ctx.wait_any(&evs, Wait::Block).unwrap();
             assert_eq!(first, 0, "earliest completion wins");
             // Drain the rest and recycle everything.
-            ctx.wait_all_free(&evs);
+            ctx.drain(&evs, Wait::Block).unwrap();
         }
     });
     sim.run().unwrap();
@@ -570,14 +546,40 @@ fn two_tasks_can_wait_all_on_overlapping_sets() {
     h.complete_at(mine, SimTime(1_000));
     h.complete_at(yours, SimTime(9_000));
     sim.spawn("a", move |ctx| {
-        ctx.wait_all(&[shared, mine]);
+        ctx.wait_all(&[shared, mine], Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime(3_000));
     });
     sim.spawn("b", move |ctx| {
-        ctx.wait_all(&[shared, yours]);
+        ctx.wait_all(&[shared, yours], Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime(9_000));
     });
     sim.run().unwrap();
+}
+
+#[test]
+fn waiters_on_one_event_wake_in_registration_order() {
+    // One wake rule for every park, whatever the number of events each
+    // waits on: `single` registers on `shared` after `group` does, so it
+    // wakes after it at the same instant.
+    let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let mut sim = Sim::new();
+    let h = sim.handle();
+    let (shared, early) = (h.new_event(), h.new_event());
+    h.complete_at(early, SimTime(1_000));
+    h.complete_at(shared, SimTime(5_000));
+    let o = order.clone();
+    sim.spawn("group", move |ctx| {
+        ctx.wait_all(&[shared, early], Wait::Block).unwrap();
+        o.lock().push(("group", ctx.now()));
+    });
+    let o = order.clone();
+    sim.spawn("single", move |ctx| {
+        ctx.delay(Dur::micros(2.0));
+        ctx.wait_all(&[shared], Wait::Block).unwrap();
+        o.lock().push(("single", ctx.now()));
+    });
+    sim.run().unwrap();
+    assert_eq!(*order.lock(), [("group", SimTime(5_000)), ("single", SimTime(5_000))]);
 }
 
 // ---------------------------------------------------------------------------
@@ -589,9 +591,9 @@ fn wait_timeout_returns_ok_before_the_deadline() {
     let mut sim = Sim::new();
     let h = sim.handle();
     let ev = h.new_event();
-    h.complete_in(ev, Dur::micros(2.0));
+    h.complete_at(ev, h.now() + Dur::micros(2.0));
     sim.spawn("waiter", move |ctx| {
-        assert!(ctx.wait_with(ev, Wait::Until(Dur::micros(10.0))).is_ok());
+        assert!(ctx.wait_all(&[ev], Wait::Until(Dur::micros(10.0))).is_ok());
         assert_eq!(ctx.now(), SimTime(2_000), "woken by completion, not deadline");
     });
     sim.run().unwrap();
@@ -602,14 +604,14 @@ fn wait_timeout_fires_at_the_deadline_and_leaves_the_event_pending() {
     let mut sim = Sim::new();
     let h = sim.handle();
     let ev = h.new_event();
-    h.complete_in(ev, Dur::micros(50.0));
+    h.complete_at(ev, h.now() + Dur::micros(50.0));
     sim.spawn("waiter", move |ctx| {
-        let err = ctx.wait_with(ev, Wait::Until(Dur::micros(5.0))).unwrap_err();
+        let err = ctx.wait_all(&[ev], Wait::Until(Dur::micros(5.0))).unwrap_err();
         assert_eq!(err.at, SimTime(5_000));
         assert_eq!(ctx.now(), SimTime(5_000));
         assert!(!ctx.event_done(ev), "event still in flight after the timeout");
         // The late completion is still delivered; waiting again succeeds.
-        ctx.wait(ev);
+        ctx.wait_all(&[ev], Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime(50_000));
         ctx.free_event(ev);
     });
@@ -622,17 +624,17 @@ fn wait_all_timeout_reports_partial_completion() {
     let h = sim.handle();
     let evs: Vec<_> = (0..4).map(|_| h.new_event()).collect();
     // Two complete before the deadline, two after.
-    h.complete_in(evs[0], Dur::micros(1.0));
-    h.complete_in(evs[2], Dur::micros(2.0));
-    h.complete_in(evs[1], Dur::micros(20.0));
-    h.complete_in(evs[3], Dur::micros(30.0));
+    h.complete_at(evs[0], h.now() + Dur::micros(1.0));
+    h.complete_at(evs[2], h.now() + Dur::micros(2.0));
+    h.complete_at(evs[1], h.now() + Dur::micros(20.0));
+    h.complete_at(evs[3], h.now() + Dur::micros(30.0));
     let evs2 = evs.clone();
     sim.spawn("waiter", move |ctx| {
-        assert!(ctx.wait_all_with(&evs2, Wait::Until(Dur::micros(5.0))).is_err());
+        assert!(ctx.wait_all(&evs2, Wait::Until(Dur::micros(5.0))).is_err());
         let done: Vec<bool> = evs2.iter().map(|&e| ctx.event_done(e)).collect();
         assert_eq!(done, vec![true, false, true, false], "partial state visible");
         // Draining the rest afterwards works: the dead group is inert.
-        ctx.wait_all_free(&evs2);
+        ctx.drain(&evs2, Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime(30_000));
     });
     sim.run().unwrap();
@@ -643,18 +645,18 @@ fn wait_any_timeout_fires_at_the_deadline_then_takes_the_first_completion() {
     let mut sim = Sim::new();
     let h = sim.handle();
     let (slow, slower) = (h.new_event(), h.new_event());
-    h.complete_in(slow, Dur::micros(12.0));
-    h.complete_in(slower, Dur::micros(20.0));
+    h.complete_at(slow, h.now() + Dur::micros(12.0));
+    h.complete_at(slower, h.now() + Dur::micros(20.0));
     sim.spawn("waiter", move |ctx| {
         let evs = [slower, slow];
         let budget = Wait::Until(Dur::micros(5.0));
-        assert_eq!(ctx.wait_any_batched_with(&evs, budget).unwrap_err().at, SimTime(5_000));
-        assert_eq!(ctx.wait_any_batched_with(&evs, budget).unwrap_err().at, SimTime(10_000));
+        assert_eq!(ctx.wait_any(&evs, budget).unwrap_err().at, SimTime(5_000));
+        assert_eq!(ctx.wait_any(&evs, budget).unwrap_err().at, SimTime(10_000));
         // The killed groups stay inert; the third park takes the completion.
-        assert_eq!(ctx.wait_any_batched_with(&evs, budget), Ok(1));
+        assert_eq!(ctx.wait_any(&evs, budget), Ok(1));
         assert_eq!(ctx.now(), SimTime(12_000));
-        assert_eq!(ctx.wait_any_batched_with(&evs, Wait::Block), Ok(1), "already complete");
-        ctx.wait_all_free(&evs);
+        assert_eq!(ctx.wait_any(&evs, Wait::Block), Ok(1), "already complete");
+        ctx.drain(&evs, Wait::Block).unwrap();
     });
     let rep = sim.run().unwrap();
     // The start wake, two completions, three deadline wakes (the last
@@ -671,13 +673,13 @@ fn timed_out_groups_do_not_leak_or_misfire_under_reuse() {
     let h = sim.handle();
     let slow: Vec<_> = (0..8).map(|_| h.new_event()).collect();
     for (i, &e) in slow.iter().enumerate() {
-        h.complete_in(e, Dur::micros(100.0 + i as f64));
+        h.complete_at(e, h.now() + Dur::micros(100.0 + i as f64));
     }
     sim.spawn("waiter", move |ctx| {
         for _ in 0..16 {
-            assert!(ctx.wait_all_with(&slow, Wait::Until(Dur::micros(1.0))).is_err());
+            assert!(ctx.wait_all(&slow, Wait::Until(Dur::micros(1.0))).is_err());
         }
-        ctx.wait_all_free(&slow);
+        ctx.drain(&slow, Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime(107_000));
     });
     sim.run().unwrap();
@@ -694,10 +696,10 @@ fn board_waitsome_timeout_consumes_or_times_out() {
     });
     sim.spawn("consumer", move |ctx| {
         // First wait gives up before the post lands...
-        let err = ctx.board_waitsome_with(b, 0, 8, Wait::Until(Dur::micros(2.0))).unwrap_err();
+        let err = ctx.board_waitsome(b, 0, 8, Wait::Until(Dur::micros(2.0))).unwrap_err();
         assert_eq!(err.at, SimTime(2_000));
         // ...the second sees it arrive inside the window.
-        let (id, v) = ctx.board_waitsome_with(b, 0, 8, Wait::Until(Dur::micros(50.0))).unwrap();
+        let (id, v) = ctx.board_waitsome(b, 0, 8, Wait::Until(Dur::micros(50.0))).unwrap();
         assert_eq!((id, v), (3, 33));
         assert_eq!(ctx.now(), SimTime(8_000));
     });
@@ -713,11 +715,11 @@ fn board_waitsome_timeout_deadline_is_absolute_across_reparks() {
     let b = h.new_board();
     sim.spawn("thief", move |ctx| {
         for _ in 0..4 {
-            let _ = ctx.board_waitsome(b, 0, 8);
+            let _ = ctx.board_waitsome(b, 0, 8, Wait::Block).unwrap();
         }
     });
     sim.spawn("timed", move |ctx| {
-        let err = ctx.board_waitsome_with(b, 0, 8, Wait::Until(Dur::micros(10.0))).unwrap_err();
+        let err = ctx.board_waitsome(b, 0, 8, Wait::Until(Dur::micros(10.0))).unwrap_err();
         assert_eq!(err.at, SimTime(10_000), "deadline must not slide");
     });
     sim.spawn("producer", move |ctx| {
@@ -728,6 +730,35 @@ fn board_waitsome_timeout_deadline_is_absolute_across_reparks() {
         ctx.delay(Dur::micros(20.0));
     });
     sim.run().unwrap();
+}
+
+#[test]
+fn a_budget_past_the_end_of_time_blocks() {
+    // `now + budget` saturates instead of wrapping into the past, and a
+    // deadline at the end of time is no deadline: every wait behaves as
+    // `Wait::Block` and queues no timer that could end the run there.
+    let forever = Wait::Until(Dur::secs(f64::INFINITY));
+    assert_eq!(forever.deadline(SimTime(10)), None);
+    assert_eq!(Wait::Until(Dur::nanos(u64::MAX - 11)).deadline(SimTime(10)), Some(SimTime(!0 - 1)));
+    let mut sim = Sim::new();
+    let h = sim.handle();
+    let (a, b) = (h.new_event(), h.new_event());
+    let board = h.new_board();
+    h.complete_at(a, SimTime(1_000));
+    h.complete_at(b, SimTime(2_000));
+    h.schedule_at(SimTime(3_000), move |h| h.board_post(board, 5, 50));
+    sim.spawn("waiter", move |ctx| {
+        ctx.delay(Dur::nanos(10));
+        assert_eq!(ctx.wait_any(&[b, a], forever), Ok(1));
+        assert_eq!(ctx.now(), SimTime(1_000));
+        assert_eq!(ctx.wait_all(&[a, b], forever), Ok(()));
+        assert_eq!(ctx.now(), SimTime(2_000));
+        assert_eq!(ctx.board_waitsome(board, 0, 8, forever), Ok((5, 50)));
+        assert_eq!(ctx.now(), SimTime(3_000));
+    });
+    let rep = sim.run().unwrap();
+    // Start and delay wakes, then one action and one wake per wait.
+    assert_eq!((rep.end_time, rep.entries_processed), (SimTime(3_000), 8));
 }
 
 // ---------------------------------------------------------------------------
@@ -836,7 +867,7 @@ fn same_fault_plan_replays_bit_identically() {
                     let t = ctx.transfer(links[(r + i) % 4], 4096);
                     let ev = ctx.new_event();
                     ctx.complete_at(ev, t.arrive);
-                    ctx.wait_free(ev);
+                    ctx.drain(&[ev], Wait::Block).unwrap();
                 }
             });
         }
@@ -868,7 +899,7 @@ fn disabled_injection_is_bit_identical_to_no_injection() {
                     let t = ctx.transfer(res, 8192);
                     let ev = ctx.new_event();
                     ctx.complete_at(ev, t.arrive);
-                    ctx.wait_free(ev);
+                    ctx.drain(&[ev], Wait::Block).unwrap();
                 }
             });
         }
@@ -911,20 +942,20 @@ fn golden_scenario() -> SimReport {
         });
     });
     sim.spawn("waiter", move |ctx| {
-        let r = ctx.wait_all_with(&e[..2], Wait::Until(Dur::micros(2.0)));
+        let r = ctx.wait_all(&e[..2], Wait::Until(Dur::micros(2.0)));
         ctx.trace("waiter", format!("first {:?}", r.map_err(|t| t.at.nanos())));
-        let r = ctx.wait_all_with(&e[..3], Wait::Until(Dur::micros(10.0)));
+        let r = ctx.wait_all(&e[..3], Wait::Until(Dur::micros(10.0)));
         ctx.trace("waiter", format!("second {:?}", r.map_err(|t| t.at.nanos())));
-        let i = ctx.wait_any_batched(&e[2..]);
+        let i = ctx.wait_any(&e[2..], Wait::Block).unwrap();
         ctx.trace("waiter", format!("any {i}"));
-        ctx.wait_all(&e);
+        ctx.wait_all(&e, Wait::Block).unwrap();
     });
     sim.spawn("boarder", move |ctx| {
         for _ in 0..3 {
-            let (id, v) = ctx.board_waitsome(board, 0, 4);
+            let (id, v) = ctx.board_waitsome(board, 0, 4, Wait::Block).unwrap();
             ctx.trace("boarder", format!("got {id}={v}"));
         }
-        let r = ctx.board_waitsome_with(board, 0, 4, Wait::Until(Dur::micros(1.0)));
+        let r = ctx.board_waitsome(board, 0, 4, Wait::Until(Dur::micros(1.0)));
         ctx.trace("boarder", format!("last {:?}", r.map_err(|t| t.at.nanos())));
     });
     sim.spawn("slow-poster", move |ctx| {
@@ -938,7 +969,7 @@ fn golden_scenario() -> SimReport {
             ctx.board_post(board, 1, 10);
             ctx.sleep_until_coalesced(SimTime(12_000), 7);
         });
-        ctx.wait(e[3]);
+        ctx.wait_all(&[e[3]], Wait::Block).unwrap();
     });
     sim.run().unwrap()
 }
@@ -1051,7 +1082,7 @@ fn a_sim_runs_to_completion_inside_another_sims_task() {
                 ctx.complete(ping);
             });
             inner.spawn("b", move |ctx| {
-                ctx.wait(ping);
+                ctx.wait_all(&[ping], Wait::Block).unwrap();
                 ctx.yield_now();
             });
             let rep = inner.run().unwrap();
@@ -1063,7 +1094,7 @@ fn a_sim_runs_to_completion_inside_another_sims_task() {
         for _ in 0..100 {
             ctx.delay(Dur::nanos(5));
         }
-        ctx.wait(ev);
+        ctx.wait_all(&[ev], Wait::Block).unwrap();
     });
     let rep = outer.run().unwrap();
     assert_eq!((rep.end_time, rep.tasks_completed), (SimTime(500), 2));
@@ -1088,7 +1119,7 @@ fn handoff_stress_loses_no_wake_up() {
                 for k in 0..rounds {
                     if r != 0 || k != 0 {
                         // Wait for the left neighbour's token of this round.
-                        ctx.wait(evs[r][k]);
+                        ctx.wait_all(&[evs[r][k]], Wait::Block).unwrap();
                     }
                     if k % 3 == 0 {
                         ctx.delay(Dur::nanos(1));
@@ -1096,7 +1127,7 @@ fn handoff_stress_loses_no_wake_up() {
                     let (next, round) = if r + 1 < n { (r + 1, k) } else { (0, k + 1) };
                     if round < rounds {
                         if k % 5 == 0 {
-                            ctx.complete_in(evs[next][round], Dur::nanos(2));
+                            ctx.complete_at(evs[next][round], ctx.now() + Dur::nanos(2));
                         } else {
                             ctx.complete(evs[next][round]);
                         }

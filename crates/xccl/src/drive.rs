@@ -20,7 +20,7 @@
 //!
 //! * the **explicit** driver: every chunk is a kernel event plus a
 //!   scheduled completion, and the progress loop parks on
-//!   [`Ctx::wait_any_batched_with`]. This is the reference semantics
+//!   [`Ctx::wait_any`]. This is the reference semantics
 //!   (and the only driver that supports an armed contention model, whose
 //!   weighted-fair queues reorder completions at runtime).
 //! * the **coalesced** driver: the identical schedule is priced
@@ -109,12 +109,14 @@ impl Watch {
     /// arrives before `until`: the first of `from + m·budget`, `m ≥ 1`,
     /// strictly before `until` at which the probe confirms a death. (An
     /// arrival at the deadline instant itself wins: its completion was
-    /// queued before the park's timer.)
+    /// queued before the park's timer.) The `m`-th deadline follows the
+    /// kernel's own rule ([`Wait::deadline`]): one past the end of time
+    /// never fires, exactly as the explicit driver's park then blocks.
     fn abort_in(&self, from: SimTime, until: SimTime) -> Option<SimTime> {
         let budget = self.wait.budget()?.as_nanos().max(1);
         let doom = self.doom?;
         let m = doom.nanos().saturating_sub(from.nanos()).div_ceil(budget).max(1);
-        let at = SimTime(from.nanos() + m * budget);
+        let at = Wait::Until(Dur::nanos(m.saturating_mul(budget))).deadline(from)?;
         (at < until).then_some(at)
     }
 }
@@ -522,7 +524,7 @@ impl Schedule {
     }
 
     /// The explicit driver: one kernel event per chunk, completions
-    /// drained with [`Ctx::wait_any_batched_with`] — one wake per park.
+    /// drained with [`Ctx::wait_any`] — one wake per park.
     ///
     /// Each chunk is charged to its own [`ChunkSend::flow`] — normally
     /// the issuing communicator's QoS flow, but the reduction-server
@@ -558,7 +560,7 @@ impl Schedule {
             }
             evs.clear();
             evs.extend(inflight.iter().map(|&(ev, ..)| ev));
-            while ctx.wait_any_batched_with(&evs, watch.wait).is_err() {
+            while ctx.wait_any(&evs, watch.wait).is_err() {
                 if watch.confirms(ctx.now()) {
                     for &ev in &evs {
                         ctx.release_event(ev);
@@ -1093,6 +1095,8 @@ mod tests {
         assert_eq!(abort(w, 2_000, 2_090), None, "no wake before the arrival");
         assert_eq!(abort(Watch { doom: None, ..w }, 0, u64::MAX), None, "nobody dies");
         assert_eq!(abort(Watch { wait: Wait::Block, ..w }, 0, u64::MAX), None, "never wakes");
+        let forever = Watch { wait: Wait::Until(Dur::secs(f64::INFINITY)), ..w };
+        assert_eq!(abort(forever, 1_000, u64::MAX), None, "a budget past the end of time");
     }
 
     /// A period of two lanes repeated four times, a dependency on the

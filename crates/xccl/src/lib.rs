@@ -81,8 +81,8 @@
 //!    send on edge *e* is enabled by the same chunk's arrival on edge
 //!    *e−1*, with at most `RingConfig::max_inflight` chunks outstanding
 //!    per edge. The progress loop drains in-flight link completions
-//!    with the kernel's batched wait-any (`Ctx::wait_any_batched`), one
-//!    wake per park.
+//!    with the kernel's wait-any group (`Ctx::wait_any`), one wake per
+//!    park.
 //! 4. **Data semantics**: at the modelled completion instant the real
 //!    buffer bytes are combined by [`XcclOp::apply`] — the sequential
 //!    fold over the ring-ordered buffers, the same for every engine —

@@ -21,7 +21,7 @@
 //! lane of chunk sends; a send is issued once its upstream dependency
 //! (the same chunk's arrival one step earlier) has completed and the
 //! lane has a free buffer slot (`max_inflight`). In-flight completions
-//! are drained with [`diomp_sim::Ctx::wait_any_batched`] — one wake-entry
+//! are drained with [`diomp_sim::Ctx::wait_any`] — one wake-entry
 //! per park instead of one per pending event, which is what makes a
 //! 64-GPU, thousands-of-chunks collective cheap to schedule.
 

@@ -262,6 +262,8 @@ fn abort_and_shrink_leave_nothing_behind() {
 
 /// A blocking collective still crawls the dead rank's links to the same
 /// completion — and runs its fold — as before in-flight abort existed.
+/// So does a bounded one whose budget runs past the end of time: its
+/// deadlines never fire, so no park expires and nothing aborts.
 #[test]
 fn blocking_collectives_still_crawl_the_dead_links() {
     let done_ns: [(u64, u64); 5] = [
@@ -277,6 +279,8 @@ fn blocking_collectives_still_crawl_the_dead_links() {
             let tag = format!("{} contended={contended}", cell.name);
             assert_eq!(out.outcomes, vec![Ok(at); out.outcomes.len()], "{tag}");
             assert!(!out.untouched[0], "{tag}: the fold ran");
+            let forever = Arm::new(true, Wait::Until(Dur::secs(f64::INFINITY)), contended);
+            assert_eq!(run(cell, forever), out, "{tag}: infinite budget");
         }
     }
 }

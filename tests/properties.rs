@@ -4,7 +4,7 @@
 use diomp::core::{BuddyAlloc, LinearAlloc};
 use diomp::device::FreeListAlloc;
 use diomp::fabric::ReduceOp;
-use diomp::sim::{BwCurve, Dur, PlatformSpec, Sim};
+use diomp::sim::{BwCurve, Dur, PlatformSpec, Sim, Wait};
 use proptest::prelude::*;
 
 // ---------- allocator invariants ----------
@@ -168,7 +168,7 @@ proptest! {
                         ctx.delay(Dur::nanos(rng.gen_range(1..400)));
                         ctx.handle().complete(step[r as usize]);
                         if rng.gen_bool(0.3) {
-                            ctx.wait(step[rng.gen_range(0..5)]);
+                            ctx.wait_all(&[step[rng.gen_range(0..5)]], Wait::Block).unwrap();
                         }
                     }
                 });
@@ -213,7 +213,7 @@ proptest! {
             let drained2 = drained.clone();
             sim.spawn("drainer", move |ctx| {
                 for _ in 0..n {
-                    let (id, v) = ctx.board_waitsome(board, 0, n);
+                    let (id, v) = ctx.board_waitsome(board, 0, n, Wait::Block).unwrap();
                     assert_eq!(v, id as u64 + 1, "value must travel with its id");
                     drained2.lock().push(id);
                 }
@@ -283,7 +283,7 @@ proptest! {
             let drained2 = drained.clone();
             sim.spawn("drainer", move |ctx| {
                 for _ in 0..n {
-                    let (id, v) = ctx.board_waitsome(board, 0, n);
+                    let (id, v) = ctx.board_waitsome(board, 0, n, Wait::Block).unwrap();
                     assert_eq!(v, id as u64 + 1, "value must travel with its id");
                     drained2.lock().push(id);
                 }
@@ -1037,7 +1037,7 @@ proptest! {
             sim.spawn(format!("t{i}"), move |ctx| {
                 ctx.delay(Dur::nanos(arrive));
                 let ev = h.transfer_qos(res, flow, ctx.now(), bytes);
-                ctx.wait_free(ev);
+                ctx.drain(&[ev], Wait::Block).unwrap();
             });
         }
         let end = sim.run().unwrap().end_time;
