@@ -97,8 +97,7 @@ fn wait_any_returns_first_completed() {
         let idx = ctx.wait_any(&[slow, fast], Wait::Block).unwrap();
         assert_eq!(idx, 1);
         assert_eq!(ctx.now(), SimTime(1_000));
-        // The abandoned registration on `slow` must not disturb later
-        // waits: the group is dead, so slow's completion pushes nothing.
+        // A later wait on the slow event still works (no spurious state).
         ctx.wait_all(&[slow], Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime(9_000));
     });
@@ -463,6 +462,29 @@ fn wait_all_groups_are_recycled() {
 }
 
 // ---------- wait_any (wait-any groups) ----------
+
+#[test]
+fn wait_any_batched_returns_first_completed() {
+    let mut sim = Sim::new();
+    let h = sim.handle();
+    let slow = h.new_event();
+    let fast = h.new_event();
+    h.complete_at(slow, SimTime(9_000));
+    h.complete_at(fast, SimTime(1_000));
+    sim.spawn("w", move |ctx| {
+        let idx = ctx.wait_any(&[slow, fast], Wait::Block).unwrap();
+        assert_eq!(idx, 1);
+        assert_eq!(ctx.now(), SimTime(1_000));
+        // The abandoned registration on `slow` must not disturb later
+        // waits: the group is dead, so slow's completion pushes nothing.
+        ctx.wait_all(&[slow], Wait::Block).unwrap();
+        assert_eq!(ctx.now(), SimTime(9_000));
+    });
+    let rep = sim.run().unwrap();
+    // Start wake, two completions and one wake per park: no stale wake
+    // from the dead group.
+    assert_eq!(rep.entries_processed, 5);
+}
 
 #[test]
 fn wait_any_on_completed_event_returns_immediately() {
