@@ -12,6 +12,7 @@
 //! * [`matgen`] — deterministic inputs and serial references.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cannon;
 pub mod loc;

@@ -10,6 +10,7 @@
 //! records the comparison.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use diomp_apps::cannon::CannonConfig;
 use diomp_apps::minimod::{HaloStyle, MinimodConfig};

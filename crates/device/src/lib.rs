@@ -17,6 +17,7 @@
 //!   and `#pragma omp target` execution flow.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod copy;
 mod gpu;

@@ -111,6 +111,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod barrier;
 mod error;

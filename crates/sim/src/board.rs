@@ -16,7 +16,7 @@
 //! landing inside the range fires the group and produces the only wake
 //! entry. Posts outside every parked range cost nothing beyond the map
 //! insert. Multiple waiters with overlapping ranges are all woken by a
-//! matching post; the baton order decides who consumes, and the losers
+//! matching post; the dispatch order decides who consumes, and the losers
 //! re-park on a fresh group (their dead group's generation check makes
 //! the stale registration inert).
 //!

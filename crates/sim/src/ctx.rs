@@ -3,22 +3,24 @@
 //! A [`Ctx`] is handed to every task closure. It dereferences to
 //! [`SimHandle`] for the non-blocking kernel API and adds the blocking
 //! primitives (`wait_all`, `delay`, …) that park the calling task: having
-//! registered its wake-up, the task dispatches the queue on its own thread
-//! until the baton goes to another task or its own wake pops.
+//! registered its wake-up, the task dispatches the queue itself until it
+//! switches to another task's fiber or its own wake pops.
 //!
 //! There are four waits on events and boards — [`Ctx::wait_all`],
 //! [`Ctx::wait_any`], [`Ctx::drain`] and [`Ctx::board_waitsome`] — and
 //! each takes a [`Wait`]. Each parks on one generation-tagged wait
 //! group, so tasks parked on the same event wake in registration order.
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use parking_lot::MutexGuard;
 
 use crate::board::{BoardId, RangeWaiter};
 use crate::event::{EventId, GroupRef};
+use crate::fiber::Context;
 use crate::kernel::{KState, SimHandle};
-use crate::task::{Baton, ParkedOn, TaskId, TaskStatus};
+use crate::task::{ParkedOn, TaskId, TaskStatus};
 use crate::time::{Dur, SimTime};
 
 /// How long a blocking primitive may block: GASPI's timeout parameter as
@@ -76,12 +78,15 @@ impl std::fmt::Display for WaitTimeout {
 }
 impl std::error::Error for WaitTimeout {}
 
-/// Per-task execution context; it belongs to one task thread.
+/// Per-task execution context. It belongs to its task's fiber, so it is
+/// not `Send`: a park must run on the thread inside `Sim::run`.
 pub struct Ctx {
     handle: SimHandle,
     id: TaskId,
     name: String,
-    pub(crate) baton: Arc<Baton>,
+    /// Where this task's fiber is saved while it is parked.
+    fiber: Arc<Context>,
+    _not_send: PhantomData<*const ()>,
 }
 
 impl std::ops::Deref for Ctx {
@@ -92,8 +97,8 @@ impl std::ops::Deref for Ctx {
 }
 
 impl Ctx {
-    pub(crate) fn new(handle: SimHandle, id: TaskId, name: String, baton: Arc<Baton>) -> Self {
-        Ctx { handle, id, name, baton }
+    pub(crate) fn new(handle: SimHandle, id: TaskId, name: String, fiber: Arc<Context>) -> Self {
+        Ctx { handle, id, name, fiber, _not_send: PhantomData }
     }
 
     /// This task's name (as given to `spawn`).
@@ -109,13 +114,12 @@ impl Ctx {
     /// Park this task on `why`. The caller must already have (under the
     /// kernel lock it hands over) registered a wake-up under a fresh
     /// `next_park` number; see the blocking ops below for the pattern.
-    /// Returns once that wake-up has popped, with the baton back on this
-    /// thread.
+    /// Returns once that wake-up has popped and this task runs again.
     fn park(&self, mut st: MutexGuard<'_, KState>, why: ParkedOn) {
         let slot = &mut st.tasks[self.id.index()];
         slot.status = TaskStatus::Blocked;
         slot.parked_on = why;
-        self.handle.dispatch(st, Some((self.id, &self.baton)));
+        self.handle.dispatch(st, Some((self.id, &self.fiber)));
     }
 
     /// Number this task's next park; only wakes carrying the number

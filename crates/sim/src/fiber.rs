@@ -1,0 +1,228 @@
+//! Stackful fibers: every task runs on a stack of its own, on the one OS
+//! thread inside `Sim::run`, and control passes from task to task by a
+//! user-level register switch (DESIGN.md D1, D19).
+//!
+//! This is the crate's only `unsafe` code. Its invariant: a [`Context`]
+//! holds `RUNNING` (its owner is executing, or a [`Resume`] for it is in
+//! flight), `FINISHED`, or the stack pointer of a frame that
+//! `switch_stack` saved or [`Fiber::new`] laid out, on a stack that stays
+//! mapped while the pointer is stored. [`Context::take`] empties the slot,
+//! so a saved frame resumes at most once, and a [`Fiber`] unmaps its stack
+//! only when no frame on it can run again.
+
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+compile_error!("diomp-sim switches fiber stacks in x86_64 assembly over Linux mmap: x86_64 Linux is the only supported host");
+
+use std::ffi::{c_int, c_void};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::Arc;
+
+/// Usable stack per task: std's default for a spawned thread. Mapped
+/// `MAP_NORESERVE`, so only the pages a task touches cost memory.
+const STACK_BYTES: usize = 2 << 20;
+/// One `PROT_NONE` page below the stack turns an overflow into a fault.
+const GUARD_BYTES: usize = 4096;
+
+const RUNNING: usize = 0;
+const FINISHED: usize = 1;
+
+const PROT_NONE: c_int = 0;
+const PROT_READ: c_int = 1;
+const PROT_WRITE: c_int = 2;
+const MAP_PRIVATE: c_int = 0x02;
+const MAP_ANONYMOUS: c_int = 0x20;
+const MAP_NORESERVE: c_int = 0x4000;
+/// Also keeps transparent huge pages off the stack.
+const MAP_STACK: c_int = 0x20000;
+
+extern "C" {
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        off: i64,
+    ) -> *mut c_void;
+    fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
+}
+
+/// Where a suspended execution context resumes: its saved stack pointer.
+#[derive(Default)]
+pub(crate) struct Context {
+    sp: AtomicUsize,
+}
+
+impl Context {
+    /// Take the right to resume this context, which must be suspended.
+    pub(crate) fn take(&self) -> Resume {
+        let sp = self.sp.swap(RUNNING, SeqCst);
+        assert!(sp > FINISHED, "resuming a context that is not suspended");
+        Resume { sp, _thread_bound: PhantomData }
+    }
+}
+
+/// The right to resume one suspended context, once. Not `Send`: a context
+/// resumes on the thread it was suspended on.
+pub(crate) struct Resume {
+    sp: usize,
+    _thread_bound: PhantomData<*const ()>,
+}
+
+/// Suspend the caller into `save` and resume `to`; returns once something
+/// resumes `save`.
+pub(crate) fn switch(save: &Context, to: Resume) {
+    assert_eq!(save.sp.load(SeqCst), RUNNING, "saving over a suspended or finished context");
+    // SAFETY: `to.sp` is a frame on a mapped stack (module invariant), and
+    // taking it emptied its slot, so nothing else resumes it. The frame
+    // saved here stays where it is until `save` is taken: a fiber's
+    // stack is not unmapped while its context holds a mid-run frame, and
+    // the runner's thread stack is frozen under the fibers it runs.
+    unsafe { switch_stack(save.sp.as_ptr(), to.sp) }
+}
+
+/// Push the callee-saved registers, MXCSR and the x87 control word (SysV
+/// makes all of them callee-saved), store the stack pointer at `*save`,
+/// then load `to` and pop the same state from there.
+#[unsafe(naked)]
+unsafe extern "C" fn switch_stack(save: *mut usize, to: usize) {
+    std::arch::naked_asm!(
+        "push rbp",
+        "push rbx",
+        "push r12",
+        "push r13",
+        "push r14",
+        "push r15",
+        "sub rsp, 8",
+        "stmxcsr [rsp]",
+        "fnstcw [rsp + 4]",
+        "mov [rdi], rsp",
+        "mov rsp, rsi",
+        "ldmxcsr [rsp]",
+        "fldcw [rsp + 4]",
+        "add rsp, 8",
+        "pop r15",
+        "pop r14",
+        "pop r13",
+        "pop r12",
+        "pop rbx",
+        "pop rbp",
+        "ret",
+    )
+}
+
+/// A fresh fiber's first code, entered by `switch_stack`'s `ret` on a
+/// 16-byte aligned stack: `fiber_main(rbx)`. Its return address is
+/// undefined to the unwinder, so backtraces stop at the fiber's base.
+#[unsafe(naked)]
+unsafe extern "C" fn trampoline() {
+    std::arch::naked_asm!(
+        ".cfi_startproc",
+        ".cfi_undefined rip",
+        "mov rdi, rbx",
+        "call {main}",
+        "ud2",
+        ".cfi_endproc",
+        main = sym fiber_main,
+    )
+}
+
+/// What a fiber runs: `entry`, then a last switch to `exit`.
+struct Start {
+    entry: Box<dyn FnOnce(Arc<Context>) + Send>,
+    me: Arc<Context>,
+    exit: Arc<Context>,
+}
+
+extern "C" fn fiber_main(start: *mut Start) -> ! {
+    // SAFETY: `Fiber::new` leaked this box into the initial frame, which
+    // runs at most once; `Fiber`'s drop reclaims it only if it never ran.
+    let Start { entry, me, exit } = *unsafe { Box::from_raw(start) };
+    // The entry drops what it captured before returning, and `me` and
+    // `exit` go before the last switch: a finished stack owns nothing.
+    entry(me.clone());
+    me.sp.store(FINISHED, SeqCst);
+    drop(me);
+    let to = exit.take();
+    drop(exit);
+    switch(&Context::default(), to);
+    unreachable!("a finished fiber was resumed");
+}
+
+/// A task's stack and, until the task first runs, its entry.
+pub(crate) struct Fiber {
+    /// Lowest address of the mapping, guard page included.
+    base: *mut c_void,
+    ctx: Arc<Context>,
+    /// The frame `new` laid out: still in `ctx` if and only if the fiber
+    /// never ran, since every later frame sits deeper in the stack.
+    initial_sp: usize,
+    start: *mut Start,
+}
+
+// SAFETY: `base` is a private mapping this value owns, and `start` a box
+// of `Send` fields. A fiber that has run is only resumed inside the one
+// `Sim::run` call that started it, on that call's thread, and `Drop`
+// never touches the frames on its stack, so non-`Send` data they hold
+// never leaves that thread.
+unsafe impl Send for Fiber {}
+
+impl Fiber {
+    /// Map a stack with a frame that, once resumed, runs `entry` with the
+    /// fiber's own context and then switches to `exit` for good.
+    pub(crate) fn new(
+        exit: Arc<Context>,
+        entry: impl FnOnce(Arc<Context>) + Send + 'static,
+    ) -> Fiber {
+        let len = GUARD_BYTES + STACK_BYTES;
+        let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK;
+        // SAFETY: a fresh anonymous mapping at an address of the kernel's
+        // choosing aliases nothing.
+        let base = unsafe { mmap(std::ptr::null_mut(), len, PROT_READ | PROT_WRITE, flags, -1, 0) };
+        assert!(base as isize != -1, "mapping a fiber stack: {}", std::io::Error::last_os_error());
+        // SAFETY: the guard is the first page of the mapping just made.
+        let rc = unsafe { mprotect(base, GUARD_BYTES, PROT_NONE) };
+        assert_eq!(rc, 0, "guarding a fiber stack: {}", std::io::Error::last_os_error());
+        let ctx = Arc::new(Context::default());
+        let start = Box::new(Start { entry: Box::new(entry), me: ctx.clone(), exit });
+        let start = Box::into_raw(start);
+        // What `switch_stack` pops: MXCSR and the x87 control word at
+        // their SysV defaults, r15–r12, rbx = `start`, rbp = 0 (the end
+        // of the frame-pointer chain), and the return into `trampoline`,
+        // which then finds the stack 16-byte aligned.
+        let (csr, ret) = ((0x037F << 32) | 0x1F80, trampoline as *const () as usize);
+        let frame: [usize; 8] = [csr, 0, 0, 0, 0, start as usize, 0, ret];
+        let sp = base as usize + len - 16 - std::mem::size_of_val(&frame);
+        // SAFETY: the frame's 64 bytes lie in the writable part of the
+        // mapping, 16 bytes below its 4 KiB-aligned end, so `sp` is aligned.
+        unsafe { (sp as *mut [usize; 8]).write(frame) };
+        ctx.sp.store(sp, SeqCst);
+        Fiber { base, ctx, initial_sp: sp, start }
+    }
+
+    /// Take the right to resume this fiber, which must be suspended.
+    pub(crate) fn take(&self) -> Resume {
+        self.ctx.take()
+    }
+}
+
+impl Drop for Fiber {
+    fn drop(&mut self) {
+        match self.ctx.sp.swap(RUNNING, SeqCst) {
+            sp if sp == self.initial_sp => {
+                // SAFETY: `start` is `new`'s box, and the only frame that
+                // would have reclaimed it can no longer be resumed.
+                drop(unsafe { Box::from_raw(self.start) });
+            }
+            FINISHED => {}
+            // Running, or suspended mid-run: frames on this stack may
+            // still run or be borrowed, so the mapping is leaked.
+            _ => return,
+        }
+        // SAFETY: the fiber never ran or has finished, so no frame on the
+        // stack can run again and nothing points into it.
+        unsafe { munmap(self.base, GUARD_BYTES + STACK_BYTES) };
+    }
+}

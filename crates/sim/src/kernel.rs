@@ -1,23 +1,24 @@
 //! The discrete-event scheduler.
 //!
 //! Design (DESIGN.md D1): a *sequential* deterministic discrete-event
-//! simulation. Simulated ranks run as ordinary OS threads writing ordinary
-//! blocking code, but a single baton passes between them so at most one
-//! task executes at any moment. There is no scheduler thread: whichever
-//! thread holds the baton and has nothing left to run — a task that
-//! parks, a task that finishes, `Sim::run` at the start — pops the
-//! priority queue itself ([`SimHandle::dispatch`]) and hands the baton
-//! straight to the task the queue resumes next (DESIGN.md D19). The queue
-//! orders entries by `(virtual time, sequence number)`; ties are broken
-//! by insertion order, so a given program produces a bit-identical event
-//! trace on every run, whichever threads did the popping.
+//! simulation. Simulated ranks write ordinary blocking code, each on a
+//! fiber of its own (a stack and a saved register set, `fiber.rs`), and
+//! every fiber runs on the one OS thread inside `Sim::run`, so exactly
+//! one task executes at any moment. Whichever context has nothing left to
+//! run — a task that parks, `Sim::run` itself — pops the priority queue
+//! ([`SimHandle::dispatch`]) and switches straight to the task the queue
+//! resumes next (DESIGN.md D19); a task that finishes switches back to
+//! `Sim::run`, which pops on. The queue orders entries by `(virtual time,
+//! sequence number)`; ties are broken by insertion order, so a given
+//! program produces a bit-identical event trace on every run, whichever
+//! context did the popping.
 //!
 //! Two kinds of queue entries exist:
 //!
 //! * **Wake** — resume a parked task (used by `delay`, event completion,
 //!   barriers, rendezvous).
-//! * **Action** — run a closure at a given virtual time, on the thread
-//!   of whoever holds the baton when it pops (never concurrently with a
+//! * **Action** — run a closure at a given virtual time, on the stack
+//!   of whichever context pops it (never concurrently with a
 //!   task). Actions are how *one-sided* operations complete without any
 //!   participation from the target rank (DESIGN.md D2): an RMA put
 //!   schedules an action at the modelled arrival time which copies the
@@ -31,7 +32,6 @@ use std::any::Any;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -39,13 +39,14 @@ use crate::board::{BoardId, BoardSlot};
 use crate::ctx::Ctx;
 use crate::event::{EventArena, EventId, GroupRef};
 use crate::fault::{CtrlFault, FaultPlan, FaultState};
+use crate::fiber::{self, Context, Fiber};
 use crate::qos::{ContentionState, FlowId, FlowSlot};
 use crate::resource::{ResSlot, ResourceId, Transfer};
-use crate::task::{Baton, ParkedOn, TaskId, TaskSlot, TaskStatus};
+use crate::task::{ParkedOn, TaskId, TaskSlot, TaskStatus};
 use crate::time::{Dur, SimTime};
 use crate::trace::TraceRec;
 
-/// Closure run at a scheduled virtual time, on the baton holder's thread.
+/// Closure run at a scheduled virtual time, by whichever context pops it.
 pub type Action = Box<dyn FnOnce(&SimHandle) + Send + 'static>;
 
 enum Item {
@@ -135,8 +136,8 @@ pub(crate) struct KState {
     pub(crate) contention: Option<Box<ContentionState>>,
     n_done: usize,
     entries_processed: u64,
-    /// Batons passed to a different thread / wakes consumed by the task
-    /// that was dispatching (see [`SimReport`]).
+    /// Switches to another task / wakes consumed by the task that was
+    /// dispatching (see [`SimReport`]).
     handoffs: u64,
     inline_wakes: u64,
     /// Total per-chunk completions that were folded into coalesced wake
@@ -153,9 +154,12 @@ pub(crate) struct KState {
     trace: Option<Vec<TraceRec>>,
     limit_entries: Option<u64>,
     limit_time: Option<SimTime>,
-    /// Why dispatching stopped, posted for `Sim::run` by whichever thread
+    /// Why dispatching stopped, posted for `Sim::run` by whichever context
     /// was dispatching at the time.
     outcome: Option<Outcome>,
+    /// The task whose fiber just switched to `Sim::run` for the last
+    /// time; `run` unmaps its stack.
+    finished: Option<TaskId>,
 }
 
 /// How a run ended, as seen by the last dispatcher.
@@ -231,8 +235,9 @@ impl KState {
 
 pub(crate) struct Kernel {
     pub(crate) state: Mutex<KState>,
-    /// Wakes the thread blocked in `Sim::run` once an [`Outcome`] is posted.
-    runner: Baton,
+    /// `Sim::run`'s own context, resumed when a task finishes or an
+    /// [`Outcome`] is posted.
+    runner: Arc<Context>,
 }
 
 /// Cloneable, `Send` handle to the simulation kernel.
@@ -247,9 +252,9 @@ pub struct SimHandle {
 /// The kernel state lock, held across a whole run of event-free
 /// reservations: the collective march prices every chunk of a schedule
 /// against the live link resources under **one** lock acquisition
-/// instead of one per chunk. The task that holds it is the running task
-/// (it holds the baton), so nothing else wants the lock meanwhile; the
-/// virtual clock stays frozen for the guard's lifetime.
+/// instead of one per chunk. The task that holds it is the running task,
+/// so nothing else wants the lock meanwhile; the virtual clock stays
+/// frozen for the guard's lifetime.
 pub struct Reservations<'a> {
     handle: &'a SimHandle,
     st: MutexGuard<'a, KState>,
@@ -335,11 +340,12 @@ pub struct SimReport {
     /// Wall-clock milliseconds the scheduler loop itself took — the cost
     /// of the *simulator*, as opposed to the simulated virtual time.
     pub sim_wall_ms: f64,
-    /// Batons passed from the dispatching thread to a *different* thread
-    /// (one OS context switch each). Exact and repeatable per seed.
+    /// Fresh wakes for a task other than the dispatching one: one fiber
+    /// switch each, from the dispatcher to that task. Exact and
+    /// repeatable per seed.
     pub handoffs: u64,
     /// Wakes consumed by the very task that was dispatching: it parked,
-    /// popped its own wake and returned without leaving its thread.
+    /// popped its own wake and returned without a switch.
     pub inline_wakes: u64,
     /// Number of tasks that ran to completion.
     pub tasks_completed: usize,
@@ -387,10 +393,9 @@ impl std::fmt::Display for SimError {
 }
 impl std::error::Error for SimError {}
 
-/// A complete simulation: kernel plus the set of spawned task threads.
+/// A complete simulation: the kernel and the tasks spawned on it.
 pub struct Sim {
     handle: SimHandle,
-    join: Vec<JoinHandle<()>>,
 }
 
 impl Default for Sim {
@@ -430,10 +435,11 @@ impl Sim {
                 limit_entries: None,
                 limit_time: None,
                 outcome: None,
+                finished: None,
             }),
-            runner: Baton::default(),
+            runner: Arc::default(),
         });
-        Sim { handle: SimHandle { kernel }, join: Vec::new() }
+        Sim { handle: SimHandle { kernel } }
     }
 
     /// Handle usable to spawn tasks and schedule actions before `run()`.
@@ -498,28 +504,31 @@ impl Sim {
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        let (id, jh) = self.handle.spawn_inner(name.into(), f);
-        self.join.push(jh);
-        id
+        self.handle.spawn(name, f)
     }
 
     /// Run the simulation to completion.
     ///
     /// Returns `Ok` when every task has finished, [`SimError::Deadlock`]
     /// when the queue drains with tasks still blocked, or re-raises the
-    /// panic of any task or scheduled action that panicked. The calling
-    /// thread dispatches only until the first task is resumed; from then
-    /// on the baton holder does, and this thread sleeps until the last
-    /// dispatcher posts how the run ended.
-    pub fn run(mut self) -> Result<SimReport, SimError> {
+    /// panic of any task or scheduled action that panicked. Every task
+    /// runs on the calling thread. This context dispatches until it
+    /// switches to a task; parked tasks dispatch among themselves, and
+    /// control returns here when a task finishes or the run ends.
+    pub fn run(self) -> Result<SimReport, SimError> {
         let wall_start = std::time::Instant::now();
-        let kernel = self.handle.kernel.clone();
-        kernel.runner.bind(std::thread::current());
-        self.handle.dispatch(kernel.state.lock(), None);
-        kernel.runner.take();
-
-        let mut st = kernel.state.lock();
-        match st.outcome.take().expect("runner woken without an outcome") {
+        let h = &self.handle;
+        let mut st = h.kernel.state.lock();
+        while st.outcome.is_none() {
+            h.dispatch(st, None);
+            st = h.kernel.state.lock();
+            if let Some(id) = st.finished.take() {
+                // Switched here from its last frame: nothing runs on that
+                // stack again.
+                st.tasks[id.index()].fiber = None;
+            }
+        }
+        match st.outcome.take().expect("the loop ends on an outcome") {
             Outcome::Drained => {}
             Outcome::Limit(err) => return Err(err),
             Outcome::Panicked(payload) => {
@@ -545,14 +554,10 @@ impl Sim {
                 .filter(|t| t.status != TaskStatus::Done)
                 .map(|t| (t.name.clone(), t.parked_on.to_string()))
                 .unzip();
-            // Blocked task threads are abandoned (they sit in `Baton::take`);
-            // this is an error path and the process is normally about to exit
-            // or the test to assert. Documented leak.
+            // Blocked tasks' fibers are abandoned mid-run: their frames
+            // keep the kernel alive, so neither it nor their stacks are
+            // ever freed. This is an error path; documented leak.
             return Err(SimError::Deadlock { blocked, parked_on, at: st.now });
-        }
-        drop(st);
-        for jh in self.join.drain(..) {
-            let _ = jh.join();
         }
         Ok(report)
     }
@@ -571,21 +576,22 @@ impl SimHandle {
         st.queue.push(Entry { t, seq, item });
     }
 
-    /// Run the scheduler on the calling thread, which holds the baton and
-    /// has nothing to run: pop entries in `(t, seq)` order, executing
-    /// actions inline, until a fresh wake pops. `me` is the caller's own
-    /// task, if it is a task that parked (its wake-up must already be
-    /// registered); a finished task and `Sim::run` pass `None`.
+    /// Run the scheduler in the calling context, which has nothing to
+    /// run: pop entries in `(t, seq)` order, executing actions inline,
+    /// until a fresh wake pops. `me` is the caller's own task and fiber
+    /// context, if it is a task that parked (its wake-up must already be
+    /// registered); `Sim::run` passes `None`.
     ///
-    /// A wake for `me` returns at once — no other thread was involved. A
-    /// wake for another task passes the baton to that task's thread and
-    /// then blocks until the baton comes back (`me`) or returns (`None`).
-    /// Whatever ends the run — a drained queue, a limit, a panic in an
-    /// action — is posted for `Sim::run`, and `me` never resumes.
+    /// A wake for `me` returns at once, without a switch. A wake for
+    /// another task switches to that task's fiber, and returns when this
+    /// context is resumed: `me` by its own wake, `Sim::run` by a task
+    /// that finished. Whatever ends the run — a drained queue, a limit, a
+    /// panic in an action — is posted for `Sim::run`, and `me` never
+    /// resumes.
     pub(crate) fn dispatch<'a>(
         &'a self,
         mut st: MutexGuard<'a, KState>,
-        me: Option<(TaskId, &Baton)>,
+        me: Option<(TaskId, &Context)>,
     ) {
         loop {
             if let Some(limit) = st.limit_entries {
@@ -631,19 +637,15 @@ impl SimHandle {
                         return;
                     }
                     st.handoffs += 1;
-                    let next = st.tasks[task.index()].baton.clone();
+                    let next = st.tasks[task.index()].fiber.as_ref().expect("a live task").take();
                     drop(st);
-                    next.pass();
-                    if let Some((_, mine)) = me {
-                        mine.take();
-                    }
+                    fiber::switch(me.map_or(&*self.kernel.runner, |(_, mine)| mine), next);
                     return;
                 }
                 Item::Action(f) => {
                     drop(st);
-                    // Caught here so the panic is neither blamed on the task
-                    // whose thread happens to be dispatching nor lost with an
-                    // exiting task's thread.
+                    // Caught here so the panic is not blamed on the task
+                    // whose fiber happens to be dispatching.
                     let result = catch_unwind(AssertUnwindSafe(|| f(self)));
                     st = self.kernel.state.lock();
                     if let Err(payload) = result {
@@ -654,16 +656,20 @@ impl SimHandle {
         }
     }
 
-    /// Post how the run ended and wake `Sim::run`. A dispatching task
-    /// never gets the baton back: its thread is abandoned here, exactly
-    /// like every other blocked task's.
-    fn stop(&self, mut st: MutexGuard<'_, KState>, me: Option<(TaskId, &Baton)>, outcome: Outcome) {
+    /// Post how the run ended for `Sim::run`, switching back to it from a
+    /// dispatching task. That task's fiber is abandoned here, like every
+    /// other blocked task's.
+    fn stop(
+        &self,
+        mut st: MutexGuard<'_, KState>,
+        me: Option<(TaskId, &Context)>,
+        outcome: Outcome,
+    ) {
         st.outcome = Some(outcome);
         drop(st);
-        self.kernel.runner.pass();
         if let Some((_, mine)) = me {
-            mine.take();
-            unreachable!("baton passed after the simulation stopped");
+            fiber::switch(mine, self.kernel.runner.take());
+            unreachable!("a task resumed after the simulation stopped");
         }
     }
 
@@ -674,66 +680,50 @@ impl SimHandle {
         self.push(st, t, Item::Action(f));
     }
 
-    /// Spawn a task during the simulation (e.g. a per-node progress
-    /// engine). The new task starts at the current virtual time.
-    ///
-    /// Threads spawned mid-run are detached; they exit when their closure
-    /// returns.
+    /// Spawn a task, before or during the simulation (e.g. a per-node
+    /// progress engine). The new task starts at the current virtual time.
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> TaskId
     where
         F: FnOnce(&mut Ctx) + Send + 'static,
     {
-        let (id, _jh) = self.spawn_inner(name.into(), f);
-        id
-    }
-
-    pub(crate) fn spawn_inner<F>(&self, name: String, f: F) -> (TaskId, JoinHandle<()>)
-    where
-        F: FnOnce(&mut Ctx) + Send + 'static,
-    {
-        let baton = Arc::new(Baton::default());
-        // The lock is held across the thread spawn so the baton is bound
-        // to its thread before the task's first wake can pop.
+        let name = name.into();
         let mut st = self.kernel.state.lock();
         let id = TaskId(st.tasks.len() as u32);
-        let mut ctx = Ctx::new(self.clone(), id, name.clone(), baton.clone());
-        let jh = std::thread::Builder::new()
-            .name(format!("sim-{name}"))
-            .spawn(move || {
-                // Startup park: resumed by the wake pushed below.
-                ctx.baton.take();
-                let result = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-                // Done either way; a finished task dispatches on its way
-                // out, a panicked one ends the run.
-                let h = ctx.handle();
-                let mut st = h.kernel.state.lock();
-                st.tasks[id.index()].status = TaskStatus::Done;
-                st.n_done += 1;
-                match result {
-                    Ok(()) => h.dispatch(st, None),
-                    Err(payload) => {
-                        let msg = panic_message(payload.as_ref());
-                        let msg = format!("simulated task '{}' panicked: {msg}", ctx.name());
-                        h.stop(st, None, Outcome::Panicked(Box::new(msg)));
-                    }
-                }
-            })
-            .expect("failed to spawn task thread");
-        baton.bind(jh.thread().clone());
+        // Weak until the task runs, so a `Sim` dropped unrun drops its
+        // tasks' closures and stacks with it.
+        let kernel = Arc::downgrade(&self.kernel);
+        let task_name = name.clone();
+        let fiber = Fiber::new(self.kernel.runner.clone(), move |me| {
+            let kernel = kernel.upgrade().expect("a task runs inside Sim::run");
+            let mut ctx = Ctx::new(SimHandle { kernel }, id, task_name, me);
+            let result = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
+            // Done either way, and a panic ends the run. The fiber then
+            // switches to `Sim::run`, owning nothing: `ctx`, and with it
+            // this handle on the kernel, is dropped first.
+            let mut st = ctx.kernel.state.lock();
+            st.tasks[id.index()].status = TaskStatus::Done;
+            st.n_done += 1;
+            st.finished = Some(id);
+            if let Err(payload) = result {
+                let msg = panic_message(payload.as_ref());
+                let msg = format!("simulated task '{}' panicked: {msg}", ctx.name());
+                st.outcome = Some(Outcome::Panicked(Box::new(msg)));
+            }
+        });
         if let Some(f) = st.fault.as_mut() {
             f.resolve_task(id, &name);
         }
         st.tasks.push(TaskSlot {
             name,
             status: TaskStatus::Blocked,
-            baton,
+            fiber: Some(fiber),
             parked_on: ParkedOn::Start,
         });
         st.park_seqs.push(0);
-        // Initial wake resumes park_seq 0 (the task's startup park).
+        // Initial wake resumes park_seq 0: the fiber's first frame.
         let t = st.now;
         self.push(&mut st, t, Item::Wake { task: id, park_seq: 0, coalesced: 0 });
-        (id, jh)
+        id
     }
 
     /// Create a pending one-shot event.
@@ -878,9 +868,9 @@ impl SimHandle {
         st.events.free(ev);
     }
 
-    /// Run a closure at absolute virtual time `t` (clamped to now), on the
-    /// thread of whoever holds the baton when it pops — never concurrently
-    /// with a task. This is the primitive behind one-sided completion.
+    /// Run a closure at absolute virtual time `t` (clamped to now), in
+    /// whichever context pops it — never concurrently with a task. This is
+    /// the primitive behind one-sided completion.
     pub fn schedule_at<F>(&self, t: SimTime, f: F)
     where
         F: FnOnce(&SimHandle) + Send + 'static,

@@ -2,7 +2,9 @@
 //!
 //! The substrate under the DiOMP-Offloading reproduction: a sequential,
 //! deterministic discrete-event simulator in which the ranks of a
-//! distributed job run as cooperative OS threads against a virtual clock.
+//! distributed job run as cooperative fibers, all on the thread that calls
+//! [`Sim::run`], against a virtual clock. The fibers switch stacks in
+//! x86_64 assembly over Linux `mmap`: x86_64 Linux is the supported host.
 //!
 //! * [`Sim`] / [`SimHandle`] / [`Ctx`] — the event kernel: spawn tasks,
 //!   wait on [`EventId`]s under a [`Wait`], advance virtual time,
@@ -30,11 +32,15 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 mod board;
 mod ctx;
 mod event;
 mod fault;
+#[allow(unsafe_code)]
+mod fiber;
 mod kernel;
 mod platform;
 mod qos;

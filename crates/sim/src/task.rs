@@ -2,18 +2,15 @@
 //!
 //! A *task* is one cooperative unit of execution — usually a simulated
 //! rank, sometimes a helper (progress engine, application thread). Each
-//! task runs on its own OS thread, but a single baton guarantees that **at
-//! most one task executes at any moment**: a task that blocks on virtual
-//! time or an event runs the scheduler itself and passes the baton to
-//! whichever task the queue resumes next (DESIGN.md D1, D19). This gives
-//! a sequential, deterministic discrete-event simulation with the
-//! programming convenience of ordinary blocking code.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::Thread;
+//! task runs on a fiber of its own, and all fibers share the thread inside
+//! `Sim::run`, so **exactly one task executes at any moment**: a task
+//! that blocks on virtual time or an event runs the scheduler itself and
+//! switches to whichever task the queue resumes next (DESIGN.md D1, D19).
+//! This gives a sequential, deterministic discrete-event simulation with
+//! the programming convenience of ordinary blocking code.
 
 use crate::board::BoardId;
+use crate::fiber::Fiber;
 use crate::time::SimTime;
 
 /// Identifies a task within one simulation. Cheap to copy.
@@ -30,45 +27,12 @@ impl TaskId {
 /// Scheduler-visible status of a task.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum TaskStatus {
-    /// Parked, waiting to be handed the baton.
+    /// Parked, waiting to be switched to.
     Blocked,
-    /// Currently holds the baton (at most one task at a time).
+    /// Currently executing (one task at a time).
     Running,
-    /// Task closure returned; thread has exited or is exiting.
+    /// Task closure returned; its fiber has switched away for good.
     Done,
-}
-
-/// The right to run, as one word per thread: `pass` gives it to the
-/// owning thread, `take` blocks the owning thread until it has it.
-///
-/// `pass` is a `Release` store followed by `unpark`; `take` is an
-/// `Acquire` swap looped around `std::thread::park`. Everything the
-/// passer wrote — under the kernel lock or not — therefore happens-before
-/// everything the taker does next, and a stale or foreign unpark token
-/// (another `Sim` on the same OS thread, a `pass` that raced the swap)
-/// only costs one more trip round the loop (DESIGN.md D19).
-#[derive(Default)]
-pub(crate) struct Baton {
-    held: AtomicBool,
-    /// The owning thread; bound before anything can `pass`.
-    thread: OnceLock<Thread>,
-}
-
-impl Baton {
-    pub(crate) fn bind(&self, thread: Thread) {
-        self.thread.set(thread).expect("baton bound twice");
-    }
-
-    pub(crate) fn pass(&self) {
-        self.held.store(true, Ordering::Release);
-        self.thread.get().expect("baton passed before it was bound").unpark();
-    }
-
-    pub(crate) fn take(&self) {
-        while !self.held.swap(false, Ordering::Acquire) {
-            std::thread::park();
-        }
-    }
 }
 
 /// What a blocked task is parked on, recorded at every park site so a
@@ -124,7 +88,8 @@ impl std::fmt::Display for ParkedOn {
 pub(crate) struct TaskSlot {
     pub(crate) name: String,
     pub(crate) status: TaskStatus,
-    pub(crate) baton: Arc<Baton>,
+    /// `None` once the task is done and `Sim::run` has unmapped its stack.
+    pub(crate) fiber: Option<Fiber>,
     /// Meaningful while `status` is `Blocked`.
     pub(crate) parked_on: ParkedOn,
 }

@@ -213,7 +213,7 @@ fn deadlock_is_reported_with_task_names() {
 #[test]
 fn deadlock_is_detected_when_the_last_dispatcher_is_a_parked_task() {
     // `early-exit` is long gone when `late-stuck` parks for good, so the
-    // queue drains on `late-stuck`'s own thread, inside its park.
+    // queue drains on `late-stuck`'s own fiber, inside its park.
     let mut sim = Sim::new();
     let never = sim.handle().new_event();
     sim.spawn("early-exit", |_ctx| {});
@@ -270,10 +270,9 @@ fn task_panics_propagate_to_run() {
 
 #[test]
 fn action_panics_are_reraised_by_run_with_their_own_message() {
-    // The action pops on a task's thread either way: `bystander`'s while
-    // it is parked, or `leaver`'s after its closure returned. It must
-    // reach `run()` as itself — not as "simulated task 'bystander'
-    // panicked", and not lost with the exiting thread (a hang).
+    // The action pops on `bystander`'s fiber while it is parked, or in
+    // `run()`'s own context after `leaver` finished. It must reach
+    // `run()` as itself, not as "simulated task 'bystander' panicked".
     for bystander_parks in [true, false] {
         let mut sim = Sim::new();
         let h = sim.handle();
@@ -932,8 +931,8 @@ fn disabled_injection_is_bit_identical_to_no_injection() {
 }
 
 // ---------------------------------------------------------------------------
-// The baton holder is the scheduler: identity with the scheduler-thread
-// kernel it replaced, handoff accounting, and handoff safety.
+// The dispatching context is the scheduler: identity with the
+// scheduler-thread kernel it replaced, handoff accounting, and fibers.
 // ---------------------------------------------------------------------------
 
 /// Every primitive the dispatcher treats differently, in one run: tasks,
@@ -1041,7 +1040,7 @@ fn golden_trace_matches_the_scheduler_thread_kernel() {
     assert_eq!(rep.entries_processed, 25);
     assert_eq!(rep.coalesced_chunks, 7);
     assert_eq!(rep.tasks_completed, 5);
-    // Every fresh wake is either handed to another thread or consumed in
+    // Every fresh wake is either a switch to another task or consumed in
     // place by the task that was dispatching.
     let wakes = rep.trace.iter().filter(|r| r.what == "wake").count() as u64;
     assert_eq!(rep.handoffs + rep.inline_wakes, wakes);
@@ -1060,7 +1059,7 @@ fn a_lone_task_wakes_itself_without_leaving_its_thread() {
     let rep = sim.run().unwrap();
     // Parent commit: end 30000, 10001 entries.
     assert_eq!((rep.end_time, rep.entries_processed), (SimTime(30_000), 10_001));
-    // `run()` hands the baton over once; every other wake is the task's own.
+    // `run()` switches to the task once; every other wake is its own.
     assert_eq!((rep.handoffs, rep.inline_wakes), (1, 10_000));
 }
 
@@ -1089,9 +1088,9 @@ fn a_yield_ring_hands_the_baton_on_at_every_wake() {
 
 #[test]
 fn a_sim_runs_to_completion_inside_another_sims_task() {
-    // The inner `run()` sleeps on the same OS thread's park token the
-    // outer kernel uses to resume `host`; a token left over from either
-    // must cost a trip round the flag loop and nothing else.
+    // The inner `run()` is itself on `host`'s fiber, so its runner
+    // context is a fiber of the outer kernel: inner tasks must finish back
+    // into it, and the outer kernel must resume `host` there afterwards.
     let mut outer = Sim::new();
     let ev = outer.handle().new_event();
     outer.spawn("host", move |ctx| {
@@ -1124,10 +1123,10 @@ fn a_sim_runs_to_completion_inside_another_sims_task() {
 
 #[test]
 fn handoff_stress_loses_no_wake_up() {
-    // Unpinned, so passer and taker really race on two CPUs where there
-    // are two: a lost wake-up hangs the run (CI bounds it with `timeout`).
-    // Mixes cross-task handoffs (ring of event completions), self-wakes
-    // (delays) and action-driven wakes.
+    // Twenty identical replays of a run that mixes cross-task handoffs
+    // (a ring of event completions), self-wakes (delays) and
+    // action-driven wakes. A lost wake ends as a `Deadlock` or a hang
+    // (CI bounds it with `timeout`).
     let run = || {
         let mut sim = Sim::new();
         let h = sim.handle();
@@ -1165,6 +1164,79 @@ fn handoff_stress_loses_no_wake_up() {
     for _ in 1..20 {
         assert_eq!(run(), first);
     }
+}
+
+struct DropFlag(Arc<std::sync::atomic::AtomicBool>);
+
+impl Drop for DropFlag {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn a_sim_dropped_without_running_drops_its_tasks() {
+    let dropped = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let guard = DropFlag(dropped.clone());
+    let mut sim = Sim::new();
+    sim.spawn("never-runs", move |_ctx| drop(guard));
+    sim.spawn("peer", |ctx| ctx.delay(Dur::nanos(1)));
+    drop(sim);
+    assert!(dropped.load(Ordering::SeqCst), "an unrun task's closure is dropped with its Sim");
+}
+
+/// Recurse with 1 KiB of live frame per level until `budget` bytes of
+/// stack lie below `top`; returns the number of levels.
+fn dig(top: usize, budget: usize) -> u32 {
+    let mut frame = [0u8; 1024];
+    std::hint::black_box(&mut frame);
+    let deeper = if top - frame.as_ptr() as usize >= budget { 0 } else { dig(top, budget) };
+    // Read after the call, so every level's frame stays live under it.
+    deeper + 1 + std::hint::black_box(&frame)[0] as u32
+}
+
+#[test]
+fn a_task_can_recurse_through_a_mebibyte_of_stack() {
+    let mut sim = Sim::new();
+    sim.spawn("deep", |ctx| {
+        ctx.delay(Dur::nanos(1));
+        let top = 0u8;
+        let levels = dig(std::hint::black_box(&top) as *const u8 as usize, 1 << 20);
+        assert!(levels >= 900, "{levels} levels");
+    });
+    sim.run().unwrap();
+}
+
+/// Virtual memory of this process, from `/proc/self/status`.
+fn vm_size_kib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find(|l| l.starts_with("VmSize:")).unwrap();
+    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+#[test]
+fn a_thousand_sims_of_64_tasks_reclaim_every_stack() {
+    // Each task's stack reserves 2 MiB, so one sim's worth leaked per run
+    // would add 125 GiB; other tests running beside this one add far
+    // less than the 1 GiB allowed.
+    let run = || {
+        let mut sim = Sim::new();
+        for i in 0..64 {
+            sim.spawn(format!("r{i}"), |ctx| {
+                ctx.yield_now();
+                ctx.delay(Dur::nanos(1));
+            });
+        }
+        let rep = sim.run().unwrap();
+        assert_eq!((rep.tasks_completed, rep.handoffs), (64, 192));
+    };
+    run();
+    let before = vm_size_kib();
+    for _ in 0..1_000 {
+        run();
+    }
+    let grown = vm_size_kib().saturating_sub(before);
+    assert!(grown < 1 << 20, "virtual memory grew {grown} KiB over 1,000 sims");
 }
 
 #[test]

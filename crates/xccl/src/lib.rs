@@ -144,6 +144,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod comm;
 mod dbt;

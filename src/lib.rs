@@ -13,6 +13,8 @@
 //! assert_eq!(sim.run().unwrap().end_time.as_us(), 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use diomp_apps as apps;
 pub use diomp_core as core;
 pub use diomp_device as device;
