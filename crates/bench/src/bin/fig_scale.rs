@@ -2,9 +2,9 @@
 //! ranks: one 16 MB allreduce over {256, 1024, 4096} single-GPU nodes
 //! × {ring, dbt, auto}, in cost-only mode on the NDR-IB platform.
 //!
-//! Each cell runs the **coalesced** drivers (closed-form phase fast
-//! paths + chunk-event coalescing) and, wherever the uncoalesced path
-//! is still tractable, a **forced-explicit** reference arm
+//! Each cell runs the **coalesced** driver (chunk-event coalescing, and
+//! the jump over a rigid period's repeats) and, wherever the uncoalesced
+//! path is still tractable, a **forced-explicit** reference arm
 //! ([`diomp_sim::Sim::force_explicit_schedules`]). The sweep
 //! hard-asserts that virtual time is bit-identical between the two arms
 //! at every scale both run — the coalesced march is an optimisation of
@@ -16,6 +16,10 @@
 //! regime the coalesced march exists for. The DBT schedule stays
 //! O(n·chunks), so its explicit arm runs at every scale and carries the
 //! measured ≥50× entry-reduction gate at 4096.
+//!
+//! The 4096-rank ring cell jumps all but a few hop rows; marching its
+//! 33.5 M sends would take several times the tree's host time, so the
+//! sweep asserts the ring's is at most the tree's there.
 //!
 //! Auto must run the tree at every scale (its mid band has no ceiling,
 //! so the 16 MB cell sits inside it from 256 ranks up); the sweep
@@ -49,7 +53,7 @@ fn main() {
         let mut ends = Vec::new();
         for (eng, engine) in scale_engines() {
             let fast = scale_allreduce(n, engine, PAYLOAD, false);
-            ends.push(fast.end_ns);
+            ends.push((fast.end_ns, fast.sim_wall_ms));
             let tag = format!("fig_scale/allred16MB_{n}_{eng}");
             records.push(BenchRecord::with_sim_cost(
                 format!("{tag}/coalesced"),
@@ -107,8 +111,9 @@ fn main() {
         }
         // `scale_engines()` is ring, dbt, auto. Auto's mid band has no
         // ceiling, so at every swept scale it runs the tree here.
-        let (ring, dbt, auto) = (ends[0], ends[1], ends[2]);
+        let [(ring, ring_ms), (dbt, dbt_ms), (auto, _)] = ends[..] else { unreachable!() };
         assert_eq!(auto, dbt, "{n} ranks: Auto must run the tree");
+        assert!(n < 4096 || ring_ms <= dbt_ms, "{n}: ring host {ring_ms:.1} > tree {dbt_ms:.1} ms");
         let regret = auto as f64 / ring.min(dbt) as f64;
         regrets.push((n, regret));
         records.push(BenchRecord::new(

@@ -305,7 +305,7 @@ impl Ctx {
     /// Block until the virtual clock reaches `t`, charging the single
     /// heap entry as standing in for `coalesced` per-chunk completions.
     ///
-    /// This is the coalesced-event primitive behind the closed-form
+    /// This is the coalesced-event primitive behind the event-free
     /// collective fast paths: a run of same-edge chunk completions whose
     /// times were priced arithmetically (no per-chunk events) ends in one
     /// wake carrying the count, which [`crate::SimReport::coalesced_chunks`]

@@ -52,7 +52,7 @@ pub type Action = Box<dyn FnOnce(&SimHandle) + Send + 'static>;
 enum Item {
     /// Resume task if it is still parked on the park numbered `park_seq`.
     /// `coalesced` counts how many per-chunk completions this single heap
-    /// entry stands for (0 for ordinary wakes): the closed-form collective
+    /// entry stands for (0 for ordinary wakes): the event-free collective
     /// fast paths retire a whole run of same-edge chunk arrivals with one
     /// entry carrying the run length instead of one entry per chunk.
     Wake {
@@ -299,7 +299,7 @@ impl Reservations<'_> {
     /// remaining steps equivalent to adding `steps·shift` everywhere —
     /// so the fast path charges them in one call instead of `steps`
     /// reservations. Exactness requires the caller to have verified the
-    /// uniform shift (the ring fast path's jump detector does).
+    /// uniform shift (the collective march's jump detector does).
     pub fn bulk_advance_resource(
         &mut self,
         res: ResourceId,

@@ -143,8 +143,8 @@ impl ResSlot {
     /// Apply `steps` structurally identical reservations in one charge:
     /// the `free_at` watermark advances by `shift` per step and the
     /// utilisation counter absorbs `bytes_per_step` per step. Used by the
-    /// steady-state jump in closed-form collective schedules, where the
-    /// per-step busy time is constant and the queue never drains.
+    /// collective march's jump over the repeats of a rigid period, where
+    /// every step reserves the same bytes one shift later.
     pub(crate) fn bulk_advance(&mut self, shift: Dur, steps: u64, bytes_per_step: u64) {
         self.free_at += Dur::nanos(shift.as_nanos() * steps);
         self.total_bytes += bytes_per_step * steps;

@@ -803,27 +803,13 @@ impl XcclComm {
         if self.ring.order.len() <= 1 || len == 0 {
             return Ok(ctx.now());
         }
-        match regime {
-            // The one regime that is not a `Schedule`: the ring's
-            // closed-form tier, bit-identical to marching `ring::schedule`.
-            // It has no parks to bound, so a bounded call marches the
-            // schedule instead.
-            Regime::Ring(rc)
-                if watch.wait == Wait::Block && ring::closed_form_ok(ctx, &self.rails, &op) =>
-            {
-                let (rail, elem) = (&self.rails[0], op.elem_align());
-                ring::march_allreduce(ctx, rail, self.flow, elem, len, rc, &t);
-            }
-            _ => {
-                let sched = self.schedule(regime, op, len, &t);
-                if sched.len() == 0 {
-                    return Ok(ctx.now());
-                }
-                if let Err(at) = sched.drive(ctx, window, step, watch) {
-                    self.world.probe_health();
-                    return Err(at);
-                }
-            }
+        let sched = self.schedule(regime, op, len, &t);
+        if sched.len() == 0 {
+            return Ok(ctx.now());
+        }
+        if let Err(at) = sched.drive(ctx, window, step, watch) {
+            self.world.probe_health();
+            return Err(at);
         }
         // Receive-side processing of the final chunk (LL: the flag poll
         // of the final fused line).

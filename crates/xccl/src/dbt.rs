@@ -256,7 +256,7 @@ pub(crate) fn schedule(
             let mut emit = |edge: ring::Edge, lane, deps: [Option<u32>; 3]| {
                 let send = ChunkSend { res: edge.res, lane, wire: t.wire(edge, full), flow };
                 let short = (last != full).then(|| t.wire(edge, last));
-                seg.push(send, short, deps.into_iter().flatten())
+                seg.push(send, short.as_slice(), deps.into_iter().flatten())
             };
             let mut chain_done: Vec<Option<u32>> = vec![None; nb];
             let mut up_idx: Vec<Option<u32>> = vec![None; nb];

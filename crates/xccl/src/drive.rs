@@ -6,15 +6,16 @@
 //! upstream sends, and bounded by a per-lane in-flight window. The
 //! schedule is a **generator, not a table**: an engine emits
 //! [`Segment`]s — *one period* of sends with the dependencies that point
-//! into the same or the previous period, a repeat count, and (when the
-//! payload's last chunk is short) the wire bytes of the final repeat —
-//! and send `(segment, repeat, j)` is addressed by index arithmetic. A
-//! pipelined collective repeats one chunk's traversal per chunk (DBT,
-//! broadcast, reduce) or one hop row per hop (allgather, uniform
-//! allreduce), so it stores one period however many chunks flow; a
-//! schedule with no such structure is a segment with one repeat, through
-//! the same code. A lane belongs to exactly one segment and serves its
-//! sends repeat-major, in emission order within a repeat.
+//! into the same or the previous period, a repeat count, and the wire
+//! bytes of the repeats that differ (a short last chunk, or ring tokens
+//! of unequal size rotating one edge per repeat) — and send
+//! `(segment, repeat, j)` is addressed by index arithmetic. A pipelined
+//! collective repeats one chunk's traversal per chunk (DBT, broadcast,
+//! reduce) or one hop row per hop (allgather, ring allreduce), so it
+//! stores one period however many chunks flow; a schedule with no such
+//! structure is a segment with one repeat, through the same code. A lane
+//! belongs to exactly one segment and serves its sends repeat-major, in
+//! emission order within a repeat.
 //!
 //! [`Schedule::drive`] runs it under one of two drivers:
 //!
@@ -25,44 +26,25 @@
 //!   weighted-fair queues reorder completions at runtime).
 //! * the **coalesced** driver: the identical schedule is priced
 //!   arithmetically against the live link resources (same reservation
-//!   arithmetic, same rounding, same fault perturbation) without
-//!   allocating a single kernel event. It holds the kernel state lock
-//!   once for the whole march ([`diomp_sim::Reservations`]), keeps its
-//!   pending arrivals in a queue keyed by *instant* ([`Arrivals`]: one
-//!   hashed entry and one heap slot per distinct arrival time, the sends
-//!   landing then gathered in a recycled bucket), and collapses the
-//!   collective to one coalesced wake entry carrying the chunk count. Virtual time, per-resource
-//!   watermarks and flow statistics are bit-identical to the explicit
-//!   driver — `tests/fastpath.rs` pins this, and the periodic form
-//!   against its own unrolling, across engines, sizes and fault plans.
+//!   arithmetic, same rounding, same fault perturbation) under one hold
+//!   of the kernel lock ([`diomp_sim::Reservations`]), its pending
+//!   arrivals queued by instant ([`Arrivals`]), and the collective
+//!   collapses to one coalesced wake entry carrying the chunk count. Once
+//!   the march state recurs shifted by one time ([`Jump`]), it charges
+//!   the repeats up to the last but one at once. Virtual time,
+//!   per-resource watermarks and flow statistics are bit-identical to the
+//!   explicit driver — `tests/fastpath.rs` pins this, and the periodic
+//!   form against its own unrolling, across engines, sizes and faults.
 //!
-//! (The one tier outside this module, the ring's closed-form h-major
-//! march with its rigid-shift jump, never builds a schedule at all;
-//! DESIGN.md D18 has the whole ladder.)
-//!
-//! Both drivers act only at *arrival instants*, and both share one
-//! **event-driven issue pass** ([`March`]): after the arrivals of an
-//! instant retire, only the lanes whose state changed are re-examined —
-//! the lane of each retired send (a window slot freed) and the lanes
-//! parked on it (a dependency landed) — in ascending lane order. Issuing
-//! a send never sets an arrival bit, so within one pass a lane outside
-//! that set cannot have become issuable: the candidate set is complete,
-//! and visiting it in lane order reproduces the reservation order on
-//! shared links of a full lane scan exactly. The order in which one
-//! instant's arrivals retire is immaterial for the same reason — the
-//! candidates are a set of lanes (one bit each), walked in lane order
-//! once the whole instant has retired.
-//!
-//! Under a bounded [`Watch`] the explicit driver also wakes at the
-//! deadline of every park that sees no arrival; the coalesced driver
-//! reads those wakes off the gap before each instant, so both abandon
-//! the march at the same deadline once the probe confirms a death.
+//! Both drivers act only at *arrival instants* — and, under a bounded
+//! [`Watch`], at the deadline wakes between them — and share one
+//! **event-driven issue pass** ([`March`]).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use diomp_sim::{Ctx, Dur, EventId, FlowId, ResourceId, SimTime, Wait};
+use diomp_sim::{Ctx, Dur, EventId, FlowId, Reservations, ResourceId, SimTime, Wait};
 
 /// "No send" / "no lane" in the intrusive `u32` lists below.
 const NONE: u32 = u32::MAX;
@@ -73,6 +55,9 @@ const PREV: u32 = 1 << 31;
 /// Repeats of a chunk pipeline [`Schedule::price`] marches before it
 /// extrapolates: enough for the in-flight windows to fill.
 const HEAD_REPS: u32 = 16;
+
+/// The longest cycle, in repeats, a [`Jump`] looks for.
+const MAX_CYCLE: u32 = 8;
 
 /// One chunk transfer as the drivers see it: the link resource it
 /// occupies, its FIFO lane, its wire bytes (payload already scaled by
@@ -164,14 +149,21 @@ pub(crate) fn prev_period(j: u32) -> u32 {
 /// by emission order within the period; dependency rows are in
 /// compressed-sparse-row form (row `j` lists the sends, of this or the
 /// previous period, whose *arrival* enables send `j`).
+#[derive(Clone)]
 pub(crate) struct Segment {
     sends: Vec<ChunkSend>,
     dep_off: Vec<u32>,
     dep_idx: Vec<u32>,
     reps: u32,
-    /// Wire bytes of the final repeat when its chunk is shorter than the
-    /// others'; empty when every repeat moves `sends[j].wire`.
-    last_wire: Vec<u64>,
+    /// Send `j`'s wire bytes in variant `v ≥ 1` (variant 0 is
+    /// `sends[j].wire`): `alt[j·nalt + v − 1]`. A short final repeat
+    /// moves variant 1; a rotating segment, the variant of its token.
+    alt: Vec<u64>,
+    nalt: u32,
+    /// Rotating ring tokens (`group > 0`): send `j` of repeat `k` carries
+    /// token `(j / group − k) mod class.len()`, of variant `class[token]`.
+    group: u32,
+    class: Vec<u8>,
     /// Per send: the next send of the period on the same lane (`NONE` at
     /// the lane's last). Threaded by [`Schedule::add`].
     lane_next: Vec<u32>,
@@ -190,27 +182,36 @@ impl Segment {
             dep_off: vec![0],
             dep_idx: Vec::new(),
             reps: u32::try_from(reps).expect("repeat count fits u32"),
-            last_wire: Vec::new(),
+            alt: Vec::new(),
+            nalt: 0,
+            group: 0,
+            class: Vec::new(),
             lane_next: Vec::new(),
             base: 0,
             pbase: 0,
         }
     }
 
+    /// An empty period of rotating ring tokens, `group` sends each.
+    pub(crate) fn rotating(reps: u64, group: u32, class: Vec<u8>) -> Self {
+        Segment { group, class, ..Segment::new(reps) }
+    }
+
     /// Append a send to the period, enabled by the arrival of every send
     /// in `deps`: period-local indices of sends emitted earlier, or
-    /// [`prev_period`] of any index. `last_wire` is the send's wire bytes
-    /// in the final repeat when that repeat's chunk is short — given for
-    /// every send of the segment or for none. Returns the local index.
+    /// [`prev_period`] of any index. `alt` is the send's wire bytes in
+    /// variants `1..` — the short final repeat's, or the other token
+    /// sizes of a rotating segment — as many for every send. Returns the
+    /// local index.
     pub(crate) fn push(
         &mut self,
         send: ChunkSend,
-        last_wire: Option<u64>,
+        alt: &[u64],
         deps: impl IntoIterator<Item = u32>,
     ) -> u32 {
         let j = self.sends.len() as u32;
         self.sends.push(send);
-        self.last_wire.extend(last_wire);
+        self.alt.extend_from_slice(alt);
         self.dep_idx.extend(deps);
         self.dep_off.push(self.dep_idx.len() as u32);
         j
@@ -281,10 +282,17 @@ impl Segment {
     /// Wire bytes of send `j` in repeat `rep`.
     #[inline]
     fn wire(&self, rep: u32, j: u32) -> u64 {
-        if rep + 1 == self.reps && !self.last_wire.is_empty() {
-            self.last_wire[j as usize]
-        } else {
-            self.sends[j as usize].wire
+        let v = match self.group {
+            0 => u32::from(rep + 1 == self.reps && self.nalt > 0),
+            group => {
+                let n = self.class.len() as u32;
+                let token = j / group + n - rep % n;
+                u32::from(self.class[(if token >= n { token - n } else { token }) as usize])
+            }
+        };
+        match v {
+            0 => self.sends[j as usize].wire,
+            v => self.alt[j as usize * self.nalt as usize + v as usize - 1],
         }
     }
 }
@@ -323,7 +331,9 @@ impl Schedule {
         if p == 0 || seg.reps == 0 {
             return;
         }
-        assert!(seg.last_wire.is_empty() || seg.last_wire.len() == p, "partial last-wire row");
+        assert_eq!(seg.alt.len() % p, 0, "partial wire variant row");
+        seg.nalt = (seg.alt.len() / p) as u32;
+        assert!(seg.group > 0 || seg.nalt <= 1, "one short repeat at most");
         let sends = p as u64 * u64::from(seg.reps);
         let total = u64::from(self.total) + sends;
         assert!(p < PREV as usize && total < u64::from(NONE), "schedule exceeds u32 send indices");
@@ -372,7 +382,7 @@ impl Schedule {
                         0 => Some(rep * p + d),
                         _ => rep.checked_sub(1).map(|r| r * p + (d & !PREV)),
                     });
-                    flat.push(ChunkSend { wire: seg.wire(rep, j), ..*s }, None, deps);
+                    flat.push(ChunkSend { wire: seg.wire(rep, j), ..*s }, &[], deps);
                 }
             }
             out.add(flat);
@@ -385,19 +395,19 @@ impl Schedule {
     /// O(sends + deps) — the one price `CollEngine::Auto` compares
     /// regimes by. It is the largest of four readings:
     ///
-    /// * **the head**: the schedule cut to its first [`HEAD_REPS`]
-    ///   repeats per segment (the last of them the segment's own short
-    ///   final repeat; a segment of hop rows to its first row), marched
-    ///   by the coalesced driver's own issue pass and reservation
-    ///   arithmetic. A schedule no longer than its head is priced to the
-    ///   nanosecond;
+    /// * **the head** ([`Schedule::head`]): the schedule cut to its first
+    ///   [`HEAD_REPS`] repeats per segment (a rotating segment kept
+    ///   whole), marched by the coalesced driver's own issue pass and
+    ///   reservation arithmetic. A schedule no longer than its head is
+    ///   priced to the nanosecond;
     /// * **each link**: its busy time over every repeat, from its first
     ///   use in the head to the head's tail after its last;
     /// * **each lane**: its sends' slot times (step + busy + latency) over
     ///   every repeat, shared by the in-flight window, from its first
     ///   issue in the head to the head's tail after its last arrival;
-    /// * **each segment of hop rows**: its first row plus, per further
-    ///   row, the [`cycle_time`] of its previous-period edges.
+    /// * **each segment the head cut**: its last arrival in the head
+    ///   plus, per repeat cut, the [`cycle_time`] of its previous-period
+    ///   edges.
     ///
     /// A chunk pipeline's steady state runs at its slowest link or lane,
     /// so past its head the link and lane readings price it.
@@ -440,12 +450,17 @@ impl Schedule {
         let mut busy = vec![0u64; links.0.len()];
         let mut slots = vec![0u64; self.lane_seg.len()];
         for seg in &self.segs {
-            let full = u64::from(seg.reps - 1);
+            // `(count, rep)`: repeats moving `rep`'s wire bytes.
+            let runs: Vec<(u64, u32)> = match seg.group {
+                0 => vec![(u64::from(seg.reps - 1), 0), (1, seg.reps - 1)],
+                _ => (0..seg.reps).map(|rep| (1, rep)).collect(),
+            };
             for (j, s) in seg.sends.iter().enumerate() {
-                let (b, d) = links.cost(s.res, s.wire);
-                let (last_b, last_d) = links.cost(s.res, seg.wire(seg.reps - 1, j as u32));
-                busy[s.res.index()] += full * b + last_b;
-                slots[s.lane as usize] += full * (step + d) + step + last_d;
+                for &(count, rep) in &runs {
+                    let (b, d) = links.cost(s.res, seg.wire(rep, j as u32));
+                    busy[s.res.index()] += count * b;
+                    slots[s.lane as usize] += count * (step + d);
+                }
             }
         }
         for (r, &b) in busy.iter().enumerate().filter(|&(_, &b)| b > 0) {
@@ -455,29 +470,24 @@ impl Schedule {
         for (l, &w) in slots.iter().enumerate().filter(|&(_, &w)| w > 0) {
             t = t.max(lane_first[l] + w.div_ceil(window) + (head_end - lane_last[l]));
         }
-        for (g, seg) in self.segs.iter().enumerate().filter(|(_, seg)| seg.reps > HEAD_REPS) {
-            let cut = u64::from(seg.reps - HEAD_REPS);
-            t = t.max(seg_last[g] + cut * seg.cycle_time(links, step));
+        for (g, (seg, cut)) in self.segs.iter().zip(&head.segs).enumerate() {
+            let cut = u64::from(seg.reps - cut.reps);
+            if cut > 0 {
+                t = t.max(seg_last[g] + cut * seg.cycle_time(links, step));
+            }
         }
         Dur::nanos(t)
     }
 
-    /// The schedule cut to its head: a segment of hop rows to its first
-    /// (full) row, any other segment to its first [`HEAD_REPS`] repeats,
-    /// the last of which moves the segment's final-repeat wire bytes.
+    /// The schedule cut to its head: every segment to its first
+    /// [`HEAD_REPS`] repeats, the last of which moves the segment's
+    /// final-repeat wire bytes — a rotating segment, whose rows differ,
+    /// to all of them.
     fn head(&self) -> Schedule {
         let mut out = Schedule::new(self.lane_seg.len());
         for seg in &self.segs {
-            out.add(Segment {
-                sends: seg.sends.clone(),
-                dep_off: seg.dep_off.clone(),
-                dep_idx: seg.dep_idx.clone(),
-                reps: seg.reps.min(HEAD_REPS),
-                last_wire: seg.last_wire.clone(),
-                lane_next: Vec::new(),
-                base: 0,
-                pbase: 0,
-            });
+            let reps = if seg.group > 0 { seg.reps } else { seg.reps.min(HEAD_REPS) };
+            out.add(Segment { reps, ..seg.clone() });
         }
         out
     }
@@ -490,13 +500,11 @@ impl Schedule {
     /// Takes the coalesced driver unless armed contention forces the
     /// explicit one: the weighted-fair queues re-price in-service
     /// transfers whenever the backlogged flow set changes, which only
-    /// the live event machinery models. An armed *fault plan* does
-    /// **not** force it — the coalesced driver prices every reservation
-    /// through the same kernel path, so per-edge degradation windows
-    /// perturb the arithmetic march exactly as they perturb explicit
-    /// events. [`diomp_sim::Sim::force_explicit_schedules`] pins the
-    /// explicit driver for the equivalence tests and the uncoalesced
-    /// reference arms of the bench gate.
+    /// live events model. An armed *fault plan* does not: its windows
+    /// perturb the march through the same kernel path.
+    /// [`diomp_sim::Sim::force_explicit_schedules`] pins the explicit
+    /// driver for the equivalence tests and the bench gate's reference
+    /// arms.
     ///
     /// Under a bounded `watch` both drivers take the same deadline wakes,
     /// and the first that confirms a death abandons the march there:
@@ -516,23 +524,20 @@ impl Schedule {
         } else {
             self
         };
-        if fast_path_ok(ctx) {
-            sched.drive_fast(ctx, window, step_d, watch)
-        } else {
+        if ctx.contention_armed() || ctx.explicit_schedules_forced() {
             sched.drive_explicit(ctx, window, step_d, watch)
+        } else {
+            sched.drive_fast(ctx, window, step_d, watch)
         }
     }
 
     /// The explicit driver: one kernel event per chunk, completions
     /// drained with [`Ctx::wait_any`] — one wake per park.
     ///
-    /// Each chunk is charged to its own [`ChunkSend::flow`] — normally
-    /// the issuing communicator's QoS flow, but the reduction-server
-    /// engine charges server fan-back to the communicator's dedicated
-    /// server flow — so that on a contention-armed simulator concurrent
-    /// collectives fair-share each link by QoS weight. Disarmed (the
-    /// default), the charge is bit-identical to a plain FIFO
-    /// `transfer_from`.
+    /// Each chunk is charged to its own [`ChunkSend::flow`] (a server's
+    /// fan-back to the communicator's server flow), so that under armed
+    /// contention concurrent collectives fair-share each link by QoS
+    /// weight; disarmed, the charge is a plain FIFO `transfer_from`.
     ///
     /// An abort issues nothing more, releases every in-flight chunk event
     /// and purges the schedule's flows from the armed fair queues
@@ -597,25 +602,20 @@ impl Schedule {
     }
 
     /// The coalesced driver: an arithmetic march that replays the
-    /// explicit driver's decisions exactly.
-    ///
-    /// The [`Arrivals`] queue stands in for the kernel's event queue, and
-    /// each issue reserves the real link resource through
-    /// [`diomp_sim::Reservations::transfer_flow`]: the same serialisation
-    /// (`free_at`), the same integer rounding, the same fault-window
-    /// perturbation and the same flow accounting as the event path,
-    /// minus the event — all under one acquisition of the kernel lock.
-    /// The kernel clock stays frozen at the issue instant for the whole
-    /// march (reservations land in the virtual future, exactly as the
-    /// FIFO resource model already allows), and the march ends in a
-    /// single [`Ctx::sleep_until_coalesced`] wake carrying the chunk
-    /// count — one heap entry standing in for every per-chunk completion.
+    /// explicit driver's decisions exactly. The [`Arrivals`] queue stands
+    /// in for the kernel's event queue; each issue reserves the real link
+    /// through [`diomp_sim::Reservations::transfer_flow`] — the event
+    /// path's serialisation, rounding, fault windows and flow accounting,
+    /// minus the event — under one hold of the kernel lock, whose clock
+    /// stays frozen meanwhile. One [`Ctx::sleep_until_coalesced`] wake
+    /// carrying the chunk count ends the march.
     ///
     /// A bounded `watch` is replayed from the gap before each instant:
     /// where the explicit driver's park would expire and its probe
-    /// confirm a death ([`Watch::abort_in`]), the march stops with the
-    /// reservations it has made, exactly the ones the explicit driver
-    /// had issued by then.
+    /// confirm a death ([`Watch::abort_in`]), the march stops with exactly
+    /// the reservations the explicit driver had issued by then. The
+    /// [`Jump`] skips a rigid period's repeats unless a fault plan is
+    /// armed (a degradation window breaks the shift).
     fn drive_fast(
         &self,
         ctx: &mut Ctx,
@@ -626,6 +626,9 @@ impl Schedule {
         let mut march = March::new(self, window);
         let mut arrivals = Arrivals::new();
         let mut t = ctx.now();
+        let fault_armed = ctx.fault_armed();
+        debug_assert!(watch.doom.is_none() || fault_armed, "a doom comes from an armed plan");
+        let mut jump = (!fault_armed).then(|| Jump::new(self)).flatten();
         let mut rsv = ctx.handle().reserve();
         let aborted = loop {
             let ready = t + step_d;
@@ -633,6 +636,7 @@ impl Schedule {
                 let tr = rsv.transfer_flow(s.res, s.flow, ready, wire);
                 arrivals.push(tr.arrive, si, key);
             });
+            jump.take_if(|j| j.boundary(&mut march, &mut arrivals, &mut rsv, &mut t));
             let Some(next) = arrivals.next_instant() else { break None };
             if let Some(at) = watch.abort_in(t, next) {
                 break Some(at);
@@ -644,6 +648,8 @@ impl Schedule {
             t = next;
         };
         drop(rsv);
+        #[cfg(test)]
+        MARCHED.set(march.issued - march.skip as usize * self.stored());
         if let Some(at) = aborted {
             ctx.sleep_until_coalesced(at, march.issued as u64);
             return Err(at);
@@ -655,22 +661,149 @@ impl Schedule {
     }
 }
 
-/// Should a collective take its event-free fast path? See
-/// [`Schedule::drive`] for the rule.
-pub(crate) fn fast_path_ok(ctx: &Ctx) -> bool {
-    !ctx.contention_armed() && !ctx.explicit_schedules_forced()
+#[cfg(test)]
+thread_local! {
+    /// Sends the last coalesced march on this thread issued one by one.
+    static MARCHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The coalesced driver's jump over a rigid period (DESIGN.md D18). The
+/// march state after an issue pass — the instant; per lane its cursor,
+/// in-flight count and parked-on send; the pending arrivals; its links'
+/// `free_at` — decides all it does next. When it recurs `c` repeats on
+/// with every instant `δ` later, max-plus shift covariance repeats each
+/// further cycle `δ` later until a lane reaches its final repeat, so `m`
+/// cycles are charged at once: link watermarks and pending instants
+/// `+m·δ`, bytes to links and flow; sends keep their numbers and
+/// [`March::skip`] offsets the repeats. Each repeat boundary compares an
+/// O(1) fingerprint with the last [`MAX_CYCLE`]; only a match captures
+/// the state, and a match whose state equals it jumps. Rotating
+/// segments, segments too short to hold a cycle before their final
+/// repeat, and two flows never jump.
+struct Jump {
+    lane: u32,
+    /// Sends per repeat, every segment's period summed.
+    per_rep: usize,
+    seen: VecDeque<Print>,
+    /// Each link the schedule uses and the wire bytes a repeat puts on it.
+    links: Vec<(ResourceId, u64)>,
+}
+
+/// A repeat boundary: its fingerprint — the sends issued, and pending
+/// with their instants' sum less `pending · t` — and state if captured.
+struct Print {
+    t: SimTime,
+    rep: u32,
+    issued: usize,
+    pending: (usize, u64),
+    state: Option<Vec<u64>>,
+}
+
+impl Jump {
+    fn new(sched: &Schedule) -> Option<Jump> {
+        let first = sched.segs.first()?.sends[0];
+        let sends = || sched.segs.iter().flat_map(|seg| &seg.sends);
+        let periodic = sched.segs.iter().all(|seg| seg.group == 0 && seg.reps > 3);
+        if !periodic || sends().any(|s| s.flow != first.flow) {
+            return None;
+        }
+        let mut links = BTreeMap::new();
+        for s in sends() {
+            links.entry(s.res.index()).or_insert((s.res, 0)).1 += s.wire;
+        }
+        let (per_rep, links) =
+            (sched.segs.iter().map(Segment::period).sum(), links.into_values().collect());
+        Some(Jump { lane: first.lane, per_rep, seen: VecDeque::new(), links })
+    }
+
+    /// After an issue pass: at a repeat boundary, look for a rigid cycle
+    /// and skip as many cycles as leave every lane short of its segment's
+    /// final repeat (none, possibly), moving `t`. True once it has.
+    fn boundary(
+        &mut self,
+        march: &mut March,
+        arrivals: &mut Arrivals,
+        rsv: &mut Reservations,
+        t: &mut SimTime,
+    ) -> bool {
+        let (sched, rep, now) = (march.sched, march.lanes[self.lane as usize].rep, *t);
+        if self.seen.back().is_some_and(|p| p.rep == rep) {
+            return false;
+        }
+        let offsets = arrivals.sum.wrapping_sub((arrivals.len as u64).wrapping_mul(now.nanos()));
+        let pending = (arrivals.len, offsets);
+        // The state, repeats and sends counted from send 0 of repeat `rep`
+        // and instants from `now`; `None` while a lane has run out.
+        let capture = || {
+            let rel = |g: u32, si: u32| {
+                let seg = &sched.segs[g as usize];
+                u64::from((si - seg.base).wrapping_sub(rep * seg.period() as u32))
+            };
+            let mut v = Vec::new();
+            for st in march.lanes.iter().filter(|st| st.seg != NONE) {
+                if st.j == NONE {
+                    return None;
+                }
+                let parked =
+                    if st.parked_on == NONE { u64::MAX } else { rel(st.seg, st.parked_on) };
+                let cursor = u64::from(st.rep.wrapping_sub(rep));
+                v.extend([cursor, u64::from(st.j), u64::from(st.inflight), parked]);
+            }
+            let mut pending = Vec::with_capacity(arrivals.len);
+            for (&at, &b) in &arrivals.index {
+                for &(si, key) in &arrivals.buckets[b as usize] {
+                    let g = sched.lane_seg[sched.key_lane[key as usize] as usize];
+                    pending.push([(at - now).as_nanos(), u64::from(key), rel(g, si)]);
+                }
+            }
+            pending.sort_unstable();
+            v.extend(pending.iter().flatten());
+            let free = |res| (rsv.resource_free_at(res).max(now) - now).as_nanos();
+            v.extend(self.links.iter().map(|&(res, _)| free(res)));
+            Some(v)
+        };
+        let mut state = None;
+        let rigid = self.seen.iter().rev().find_map(|h| {
+            let c = rep - h.rep;
+            let issued = c as usize * self.per_rep;
+            let fits = c <= MAX_CYCLE && h.pending == pending && march.issued - h.issued == issued;
+            let s = fits.then(|| state.get_or_insert_with(&capture))?;
+            (s.is_some() && *s == h.state).then_some((c, now - h.t))
+        });
+        let Some((c, delta)) = rigid else {
+            if self.seen.len() == MAX_CYCLE as usize {
+                self.seen.pop_front();
+            }
+            let state = state.flatten();
+            self.seen.push_back(Print { t: now, rep, issued: march.issued, pending, state });
+            return false;
+        };
+        let lanes = march.lanes.iter().filter(|st| st.seg != NONE);
+        let m = lanes.map(|st| sched.segs[st.seg as usize].reps.saturating_sub(st.rep + 2) / c);
+        let m = m.min().unwrap_or(0);
+        let (mut bytes, mut last) = (0, SimTime::ZERO);
+        for &(res, rep_bytes) in &self.links {
+            rsv.bulk_advance_resource(res, delta, m.into(), u64::from(c) * rep_bytes);
+            bytes += u64::from(m * c) * rep_bytes;
+            last = last.max(rsv.resource_free_at(res));
+        }
+        rsv.bulk_charge_flow(sched.segs[0].sends[0].flow, bytes, last);
+        march.skip = m * c;
+        march.issued += (m * c) as usize * self.per_rep;
+        let skipped = Dur::nanos(u64::from(m) * delta.as_nanos());
+        arrivals.shift(skipped);
+        *t += skipped;
+        true
+    }
 }
 
 /// The coalesced driver's pending arrivals, keyed by *instant*: one
 /// entry per distinct arrival time, naming the bucket that gathers the
 /// `(send, key)` of every send landing then. A pipelined collective on
 /// uniform links lands hundreds of sends on each instant (the 2048-rank
-/// tree: 1.87 M sends over ~3,300 instants, at most ~60 pending at
-/// once), so a send costs one hash probe and one append; only a *new*
-/// instant enters the min-heap that orders them. A popped bucket is read
-/// front to back and recycled with its capacity, so the march allocates
-/// no more buckets than instants are ever pending at once. With one send
-/// per instant it costs what a per-send heap costs.
+/// tree: 1.87 M sends over ~3,300), so a send costs one hash probe and
+/// one append; only a *new* instant enters the min-heap that orders
+/// them. Popped buckets are recycled with their capacity.
 struct Arrivals {
     /// Bucket of every pending instant.
     index: HashMap<SimTime, u32, BuildHasherDefault<InstantHasher>>,
@@ -679,6 +812,9 @@ struct Arrivals {
     buckets: Vec<Vec<(u32, u32)>>,
     /// Buckets emptied by a pop, ready for the next new instant.
     free: Vec<u32>,
+    /// Sends pending and their instants' wrapping sum: [`Jump`] reads it.
+    len: usize,
+    sum: u64,
 }
 
 /// Hashes a [`SimTime`] in one folded multiply: instants are arbitrary
@@ -711,10 +847,14 @@ impl Arrivals {
             order: BinaryHeap::new(),
             buckets: Vec::new(),
             free: Vec::new(),
+            len: 0,
+            sum: 0,
         }
     }
 
     fn push(&mut self, at: SimTime, send: u32, key: u32) {
+        self.len += 1;
+        self.sum = self.sum.wrapping_add(at.nanos());
         let (order, buckets, free) = (&mut self.order, &mut self.buckets, &mut self.free);
         let b = *self.index.entry(at).or_insert_with(|| {
             order.push(Reverse(at));
@@ -740,10 +880,19 @@ impl Arrivals {
         for &(send, key) in &landing {
             retire(send, key);
         }
+        self.len -= landing.len();
+        self.sum = self.sum.wrapping_sub(at.nanos().wrapping_mul(landing.len() as u64));
         landing.clear();
         self.buckets[b as usize] = landing;
         self.free.push(b);
         Some(at)
+    }
+
+    /// Move every pending instant `d` later.
+    fn shift(&mut self, d: Dur) {
+        self.index = self.index.drain().map(|(at, b)| (at + d, b)).collect();
+        self.order = self.order.drain().map(|Reverse(at)| Reverse(at + d)).collect();
+        self.sum = self.sum.wrapping_add(d.as_nanos().wrapping_mul(self.len as u64));
     }
 }
 
@@ -783,19 +932,20 @@ struct LaneState {
 }
 
 /// Progress state of one schedule run, shared by both drivers: per-lane
-/// cursors and in-flight counts, the arrival bits, and the event-driven
-/// candidate set of the next issue pass. Sends are named by their global
-/// index `base + rep·P + j`; only the arrival bit is kept per send.
+/// cursors and in-flight counts, the arrival bits (the one datum kept
+/// per send, named `base + rep·P + j`), and the candidate lanes of the
+/// next issue pass: those whose state an instant's arrivals changed —
+/// a retired send's own (a slot freed) and those parked on it (a
+/// dependency landed). Issuing sets no arrival bit, so no other lane can
+/// have become issuable, and visiting them in lane order reproduces a
+/// full scan's reservation order on shared links, whatever order the
+/// instant's arrivals retired in.
 ///
-/// The reverse dependency index is *dynamic* and intrusive: a lane whose
-/// head is blocked parks on the first dependency that has not arrived
+/// A blocked lane parks on its head's first unarrived dependency
 /// (`parked_on`), chained into the waiter list of that send's *key*
-/// `pbase + j` (`waiters` → `park_next`), and is re-examined when it
-/// lands. A lane parks on at most one send at a time and a key's list
-/// holds only the lanes of sends that depend on it, so the index costs 4
-/// bytes per key and per lane — no per-send or per-edge table, however
-/// many repeats run — and a dependency's arrival wakes only the lanes
-/// parked on that very repeat.
+/// `pbase + j` (`waiters` → `park_next`): 4 bytes per key and per lane
+/// however many repeats run, and an arrival wakes only the lanes parked
+/// on that very repeat.
 struct March<'a> {
     sched: &'a Schedule,
     window: u32,
@@ -806,6 +956,9 @@ struct March<'a> {
     /// Lanes to re-examine in the next issue pass, one bit per lane.
     cand: BitSet,
     issued: usize,
+    /// Repeats a [`Jump`] skipped: a lane's cursor `rep` stands for repeat
+    /// `rep + skip` of its segment, and sends keep their numbers.
+    skip: u32,
 }
 
 impl<'a> March<'a> {
@@ -831,6 +984,7 @@ impl<'a> March<'a> {
             waiters: vec![NONE; sched.key_lane.len()],
             cand,
             issued: 0,
+            skip: 0,
         }
     }
 
@@ -900,11 +1054,12 @@ impl<'a> March<'a> {
                 st.park_next = std::mem::replace(&mut self.waiters[key as usize], lane);
                 return;
             }
-            issue(row + st.j, seg.pbase + st.j, &seg.sends[st.j as usize], seg.wire(st.rep, st.j));
+            let rep = st.rep + self.skip;
+            issue(row + st.j, seg.pbase + st.j, &seg.sends[st.j as usize], seg.wire(rep, st.j));
             st.inflight += 1;
             self.issued += 1;
             st.j = seg.lane_next[st.j as usize];
-            if st.j == NONE && st.rep + 1 < seg.reps {
+            if st.j == NONE && rep + 1 < seg.reps {
                 st.rep += 1;
                 st.j = self.sched.lane_first[lane as usize];
             }
@@ -921,45 +1076,65 @@ impl<'a> March<'a> {
 mod tests {
     use std::sync::{Arc, Mutex};
 
-    use diomp_sim::Sim;
+    use diomp_sim::{FaultPlan, Sim};
 
     use super::*;
 
-    /// Drive the single-repeat schedule `sends` — `(resource index, lane,
-    /// wire, deps)` over `nres` unit-bandwidth, 100 ns-latency links —
-    /// under one driver; returns the end time and every `free_at`.
+    /// What a run leaves behind: end time, every link's `free_at` and
+    /// bytes, the flow's `(bytes, first_start, last_depart)`.
+    type Outcome = (u64, Vec<(u64, u64)>, (u64, Option<u64>, u64));
+
+    /// Drive the schedule `build` makes over `nres` unit-bandwidth,
+    /// 100 ns-latency links (window `window`) under the explicit driver
+    /// or not, from its unrolling or not, with a fault plan armed on a
+    /// link it never uses or none; returns the outcome and the sends the
+    /// coalesced march issued one by one.
     fn run(
-        explicit: bool,
-        nres: usize,
-        nlanes: usize,
-        sends: &'static [(usize, u32, u64, &'static [u32])],
-    ) -> (u64, Vec<u64>) {
+        (explicit, unrolled): (bool, bool),
+        armed: bool,
+        (nres, window): (usize, usize),
+        build: impl FnOnce(&[ResourceId], FlowId) -> Schedule,
+    ) -> (Outcome, usize) {
         let mut sim = Sim::new();
+        sim.force_explicit_schedules(explicit);
+        sim.force_unrolled_schedules(unrolled);
         let h = sim.handle();
         let res: Vec<ResourceId> =
             (0..nres).map(|_| h.new_resource(1.0, Dur::nanos(100))).collect();
-        let end = Arc::new(Mutex::new(0u64));
-        let (res2, end2) = (res.clone(), end.clone());
+        if armed {
+            let idle = h.new_resource(1.0, Dur::ZERO);
+            sim.set_fault_plan(FaultPlan::new().degrade_link(idle, SimTime(0), SimTime(1), 500));
+        }
+        let flow = h.new_flow(1000);
+        let (s, marched) = (build(&res, flow), Arc::new(Mutex::new(0)));
+        let marched2 = marched.clone();
         sim.spawn("driver", move |ctx| {
-            let flow = ctx.new_flow(1000);
+            let (step, block) = (Dur::nanos(50), Watch { wait: Wait::Block, doom: None });
+            assert_eq!(s.drive(ctx, window, step, block), Ok(()));
+            *marched2.lock().unwrap() = MARCHED.get();
+        });
+        let end = sim.run().unwrap().end_time.nanos();
+        let links = res.iter().map(|&r| (h.resource_free_at(r).nanos(), h.resource_bytes(r)));
+        let f = h.flow_stats(flow);
+        let flow = (f.bytes, f.first_start.map(SimTime::nanos), f.last_depart.nanos());
+        let marched = *marched.lock().unwrap();
+        ((end, links.collect(), flow), marched)
+    }
+
+    /// The single-repeat schedule of `sends` — `(resource index, lane,
+    /// wire, deps)` — over six lanes, driven by [`run`]: end time and
+    /// every `free_at`.
+    fn table(explicit: bool, sends: &[(usize, u32, u64, &[u32])]) -> (u64, Vec<u64>) {
+        let ((end, links, _), _) = run((explicit, false), false, (5, 1), |res, flow| {
             let mut seg = Segment::new(1);
             for &(r, lane, wire, deps) in sends {
-                seg.push(ChunkSend { res: res2[r], lane, wire, flow }, None, deps.iter().copied());
+                seg.push(ChunkSend { res: res[r], lane, wire, flow }, &[], deps.iter().copied());
             }
-            let mut s = Schedule::new(nlanes);
+            let mut s = Schedule::new(6);
             s.add(seg);
-            let block = Watch { wait: Wait::Block, doom: None };
-            let driven = if explicit {
-                s.drive_explicit(ctx, 1, Dur::nanos(50), block)
-            } else {
-                s.drive_fast(ctx, 1, Dur::nanos(50), block)
-            };
-            assert_eq!(driven, Ok(()));
-            *end2.lock().unwrap() = ctx.now().nanos();
+            s
         });
-        sim.run().unwrap();
-        let end = *end.lock().unwrap();
-        (end, res.iter().map(|&r| h.resource_free_at(r).nanos()).collect())
+        (end, links.iter().map(|l| l.0).collect())
     }
 
     /// Sends 0 and 1 land at the same instant and wake two different
@@ -973,10 +1148,8 @@ mod tests {
     #[test]
     fn same_instant_wakeups_issue_in_lane_order() {
         for explicit in [false, true] {
-            let (end, free_at) = run(
+            let (end, free_at) = table(
                 explicit,
-                5,
-                6,
                 &[
                     (0, 0, 1000, &[]),
                     (1, 1, 1000, &[]),
@@ -1002,10 +1175,8 @@ mod tests {
     #[test]
     fn one_instant_collects_arrivals_from_two_issue_passes() {
         for explicit in [false, true] {
-            let (end, free_at) = run(
+            let (end, free_at) = table(
                 explicit,
-                5,
-                6,
                 &[
                     (0, 0, 1000, &[]),
                     (1, 1, 300, &[]),
@@ -1099,6 +1270,53 @@ mod tests {
         assert_eq!(abort(forever, 1_000, u64::MAX), None, "a budget past the end of time");
     }
 
+    /// A 16-rank single-rail ring allreduce on private links, coalesced,
+    /// window 4: one hop row of one-chunk tokens, edge-major, repeated
+    /// 2(n−1) times, from its periodic form or its unrolling; ragged
+    /// tokens of 1000 and 1200 B rotate one edge per row.
+    fn ring_allreduce(ragged: bool, armed: bool, unrolled: bool) -> (Outcome, usize) {
+        run((false, unrolled), armed, (ROW, 4), |res, flow| {
+            let (n, class) = (ROW, (0..ROW).map(|i| u8::from(i % 3 == 0)).collect());
+            let mut seg = match ragged {
+                true => Segment::rotating(2 * n as u64 - 2, 1, class),
+                false => Segment::new(2 * n as u64 - 2),
+            };
+            let alt: &[u64] = if ragged { &[1200] } else { &[] };
+            for (e, &res) in res.iter().enumerate() {
+                let send = ChunkSend { res, lane: e as u32, wire: 1000, flow };
+                seg.push(send, alt, Some(prev_period(((e + n - 1) % n) as u32)));
+            }
+            let mut s = Schedule::new(n);
+            s.add(seg);
+            s
+        })
+    }
+
+    /// Sends of one hop row of [`ring_allreduce`], and all of them.
+    const ROW: usize = 16;
+    const SENDS: usize = 30 * ROW;
+
+    /// The uniform ring turns rigid within its first rows: it jumps by
+    /// row 4 to its last two rows, and lands exactly where its unrolling,
+    /// which cannot jump, marches every send. An armed fault plan
+    /// disables the jump, not the march.
+    #[test]
+    fn rigid_ring_jumps_by_row_four_and_lands_where_the_unrolling_marches() {
+        let (jumped, marched) = ring_allreduce(false, false, false);
+        assert!(marched <= (4 + 2) * ROW, "marched {marched} of {SENDS} sends");
+        assert_eq!(ring_allreduce(false, false, true), (jumped.clone(), SENDS));
+        assert_eq!(ring_allreduce(false, true, false), (jumped, SENDS), "armed plan");
+    }
+
+    /// Rotating tokens change a row's wire bytes every repeat, so the
+    /// ragged ring never jumps — and matches its unrolling.
+    #[test]
+    fn rotating_segment_never_jumps() {
+        let unrolled = ring_allreduce(true, false, true);
+        assert_eq!(ring_allreduce(true, false, false), unrolled);
+        assert_eq!(unrolled.1, SENDS);
+    }
+
     /// A period of two lanes repeated four times, a dependency on the
     /// previous period and a short last repeat: the index arithmetic
     /// must name exactly the sends of the written-out table.
@@ -1108,8 +1326,8 @@ mod tests {
         let res = h.new_resource(1.0, Dur::nanos(100));
         let flow = h.new_flow(1000);
         let mut seg = Segment::new(4);
-        let a = seg.push(ChunkSend { res, lane: 0, wire: 64, flow }, Some(16), None);
-        seg.push(ChunkSend { res, lane: 1, wire: 80, flow }, Some(20), [a, prev_period(1)]);
+        let a = seg.push(ChunkSend { res, lane: 0, wire: 64, flow }, &[16], None);
+        seg.push(ChunkSend { res, lane: 1, wire: 80, flow }, &[20], [a, prev_period(1)]);
         let mut s = Schedule::new(2);
         s.add(seg);
         assert_eq!(s.len(), 8);

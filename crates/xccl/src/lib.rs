@@ -56,8 +56,7 @@
 //! drivers, one receive-side step), and one sequential fold writes the
 //! bytes at the completion instant. LL hops are sends in that schedule
 //! like any chunk, so QoS flow accounting, weighted-fair contention and
-//! fault perturbation cover them too. The two exceptions are named where
-//! they live: the ring's single-rail closed-form march, and
+//! fault perturbation cover them too. The one exception is
 //! [`CollEngine::Profile`], which runs no schedule.
 //!
 //! # Ring protocol walkthrough
@@ -80,9 +79,8 @@
 //!    payload is cut into `RingConfig::chunk_bytes` chunks; a chunk's
 //!    send on edge *e* is enabled by the same chunk's arrival on edge
 //!    *e−1*, with at most `RingConfig::max_inflight` chunks outstanding
-//!    per edge. The progress loop drains in-flight link completions
-//!    with the kernel's wait-any group (`Ctx::wait_any`), one wake per
-//!    park.
+//!    per edge. The last arriver marches it without a kernel event
+//!    per chunk.
 //! 4. **Data semantics**: at the modelled completion instant the real
 //!    buffer bytes are combined by [`XcclOp::apply`] — the sequential
 //!    fold over the ring-ordered buffers, the same for every engine —

@@ -192,7 +192,7 @@ pub(crate) fn schedule(
     for (lane, (s, d)) in hops.into_iter().enumerate() {
         let edge = ring::link(devs, order[s], order[d]);
         let send = ChunkSend { res: edge.res, lane: lane as u32, wire: t.wire(edge, len), flow };
-        let j = seg.push(send, None, into[s].iter().copied());
+        let j = seg.push(send, &[], into[s].iter().copied());
         into[d].push(j);
     }
     sched.add(seg);

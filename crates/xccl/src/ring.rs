@@ -16,21 +16,14 @@
 //! from the same [`diomp_sim::CollProfile`] tables the profile engine
 //! uses.
 //!
-//! Execution model: the last rank to arrive at the collective gate runs
-//! a *progress loop* in its own task context. Every ring edge is a FIFO
-//! lane of chunk sends; a send is issued once its upstream dependency
-//! (the same chunk's arrival one step earlier) has completed and the
-//! lane has a free buffer slot (`max_inflight`). In-flight completions
-//! are drained with [`diomp_sim::Ctx::wait_any`] — one wake-entry
-//! per park instead of one per pending event, which is what makes a
-//! 64-GPU, thousands-of-chunks collective cheap to schedule.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! Execution model: every ring edge is a FIFO lane of chunk sends; a
+//! send is issued once the same chunk has arrived one edge upstream and
+//! the lane has a free buffer slot (`max_inflight`). The last rank to
+//! arrive at the gate drives the schedule (the `drive` module).
 
 use diomp_device::DeviceTable;
 use diomp_fabric::FabricWorld;
-use diomp_sim::{BwCurve, Ctx, Dur, FlowId, PlatformSpec, Reservations, ResourceId, SimTime};
+use diomp_sim::{BwCurve, FlowId, PlatformSpec, ResourceId};
 
 use crate::drive::{self, ChunkSend, Schedule, Segment};
 use crate::ops::XcclOp;
@@ -312,19 +305,6 @@ pub(crate) fn split_aligned(total: u64, parts: usize, align: u64) -> Vec<(u64, u
     out
 }
 
-/// Can this collective take the ring's closed-form tier
-/// ([`march_allreduce`]) instead of a [`Schedule`]? A single-rail
-/// allreduce owns one lane per ring edge, each on a private link
-/// resource, so it can be marched h-major without materialising the
-/// O(n²·chunks) sends at all (33.5M at 4096 ranks) — the one regime the
-/// collective runner does not hand to [`Schedule::drive`].
-pub(crate) fn closed_form_ok(ctx: &Ctx, rails: &[Rail], op: &XcclOp) -> bool {
-    matches!(op, XcclOp::AllReduce { .. })
-        && rails.len() == 1
-        && drive::fast_path_ok(ctx)
-        && distinct_edge_resources(&rails[0])
-}
-
 /// Emit the ring schedule: one segment per rail.
 ///
 /// `root_flat` is the flat device index of the broadcast/reduce root
@@ -390,8 +370,13 @@ pub(crate) fn schedule(
             let lane = (ri * n + e) as u32;
             ChunkSend { res: edge.res, lane, wire: t.wire(edge, bytes), flow }
         };
-        let tc = tok_chunk(bytes0);
-        let nc = bytes0.div_ceil(tc);
+        let nchunks = |bytes: u64| bytes.div_ceil(tok_chunk(bytes));
+        // Chunk `c` of a `bytes`-byte token.
+        let chunk = |bytes: u64, c: u64| {
+            let tc = tok_chunk(bytes);
+            tc.min(bytes - c * tc)
+        };
+        let nc = nchunks(bytes0);
         let mut seg;
         if tokens.len() == 1 && hops < n {
             // Chain op: the token crosses each edge at most once, so the
@@ -399,41 +384,45 @@ pub(crate) fn schedule(
             // still sees its chunks in order), repeated per chunk with
             // the last one possibly short.
             seg = Segment::new(nc);
-            let last = bytes0 - (nc - 1) * tc;
-            let full = tc.min(bytes0);
+            let (full, last) = (chunk(bytes0, 0), chunk(bytes0, nc - 1));
             for h in 0..hops {
                 let e = (start0 + h) % n;
                 let short = (last != full).then(|| send(e, last).wire);
-                seg.push(send(e, full), short, (h > 0).then(|| h as u32 - 1));
-            }
-        } else if tokens.len() == n && tokens.iter().all(|&(bytes, _)| bytes == bytes0) {
-            // Uniform tokens (allgather always; allreduce when the
-            // payload divides evenly): every hop row puts the same
-            // chunks on the same edges — only the token riding each edge
-            // rotates — so the period is one row, edge-major, repeated
-            // per hop, and chunk `c` on edge `e` waits for chunk `c` on
-            // edge `e − 1` one row earlier.
-            seg = Segment::new(hops as u64);
-            for e in 0..n {
-                let up = ((e + n - 1) % n) as u64 * nc;
-                for c in 0..nc {
-                    let dep = drive::prev_period((up + c) as u32);
-                    seg.push(send(e, tc.min(bytes0 - c * tc)), None, Some(dep));
-                }
+                seg.push(send(e, full), short.as_slice(), (h > 0).then(|| h as u32 - 1));
             }
         } else {
-            // Ragged allreduce: the rows differ as the uneven tokens
-            // rotate, so the whole rail is one repeat, hop-major. The
-            // send one hop upstream sits exactly one `row` (the rail's
-            // chunks per hop) earlier.
-            seg = Segment::new(1);
-            let row: u64 = tokens.iter().map(|&(bytes, _)| bytes.div_ceil(tok_chunk(bytes))).sum();
-            for h in 0..hops {
+            // Ring tokens (allreduce: the n ring segments; allgather: every
+            // rank's slice): each hop row moves every token one edge on, a
+            // chunk waiting for itself one edge upstream one row earlier.
+            // When every edge carries a token of as many chunks, the period
+            // is one row, edge-major, rotating through the token sizes if
+            // they differ. Otherwise (an empty token, or one straddling a
+            // chunk boundary) the rail is one repeat of all its rows.
+            let periodic = tokens.len() == n && tokens.iter().all(|&(b, _)| nchunks(b) == nc);
+            let mut sizes: Vec<u64> = tokens.iter().map(|&(b, _)| b).collect();
+            sizes.sort_unstable();
+            sizes.dedup();
+            let class = tokens.iter().map(|&(b, _)| sizes.partition_point(|&s| s < b) as u8);
+            let row: u64 = tokens.iter().map(|&(bytes, _)| nchunks(bytes)).sum();
+            seg = match (periodic, sizes.len()) {
+                (true, 1) => Segment::new(hops as u64),
+                (true, _) => Segment::rotating(hops as u64, nc as u32, class.collect()),
+                (false, _) => Segment::new(1),
+            };
+            for h in 0..if periodic { 1 } else { hops } {
                 for &(bytes, start) in &tokens {
-                    let tc = tok_chunk(bytes);
-                    for c in 0..bytes.div_ceil(tc) {
-                        let dep = (h > 0).then(|| (seg.period() as u64 - row) as u32);
-                        seg.push(send((start + h) % n, tc.min(bytes - c * tc)), None, dep);
+                    let e = (start + h) % n;
+                    for c in 0..nchunks(bytes) {
+                        if periodic {
+                            let up = ((e + n - 1) % n) as u64 * nc + c;
+                            let alt: Vec<u64> =
+                                sizes[1..].iter().map(|&b| send(e, chunk(b, c)).wire).collect();
+                            let first = send(e, chunk(sizes[0], c));
+                            seg.push(first, &alt, Some(drive::prev_period(up as u32)));
+                        } else {
+                            let dep = (h > 0).then(|| (seg.period() as u64 - row) as u32);
+                            seg.push(send(e, chunk(bytes, c)), &[], dep);
+                        }
                     }
                 }
             }
@@ -441,218 +430,6 @@ pub(crate) fn schedule(
         sched.add(seg);
     }
     sched
-}
-
-/// Every ring edge of the rail transmits on its own link resource (no
-/// port or NIC carries two edges). This is what makes the h-major march
-/// exact with a per-lane free-list of reservations: lanes never contend
-/// for a resource, so pricing them row-major instead of in global issue
-/// order commutes. A single rail satisfies this on every paper platform
-/// (one boundary NIC per node block, one fabric port per device); the
-/// guard keeps the fast path honest on exotic topologies.
-fn distinct_edge_resources(rail: &Rail) -> bool {
-    let mut ids: Vec<usize> = rail.edges.iter().map(|e| e.res.index()).collect();
-    ids.sort_unstable();
-    ids.windows(2).all(|w| w[0] != w[1])
-}
-
-/// March the single-rail ring-allreduce schedule h-major — hop by hop,
-/// one row of `n` tokens per hop — pricing every chunk with
-/// [`diomp_sim::Reservations::transfer_flow`] instead of events, under
-/// one acquisition of the kernel lock for the whole march.
-///
-/// Exactness: the explicit driver issues a send at the first wake
-/// instant where (a) the same chunk's upstream arrival has landed,
-/// (b) the lane's in-flight window has a free slot, and (c) the lane's
-/// FIFO predecessor has issued. All three enabling instants are known
-/// in closed form one row ahead — (a) is the previous row's arrival on
-/// the upstream lane, (b) is the `(p−window+1)`-th earliest arrival on
-/// this lane (a per-lane min-heap of pending arrivals yields them in
-/// time order), (c) is tracked per lane — so the issue instant is their
-/// max and the reservation arithmetic (`free_at` serialisation,
-/// rounding, fault perturbation) is shared with the event path.
-///
-/// Steady state: with a fault-free plan and uniform tokens, every row
-/// applies the same max-plus update with per-edge constants, so as soon
-/// as two consecutive rows differ by one rigid time shift `δ`, every
-/// later row is the previous plus `δ` (shift covariance of max-plus
-/// maps). The remaining rows are then applied in one charge: per-edge
-/// `free_at` watermarks advance `m·δ` ([`diomp_sim::Reservations::bulk_advance_resource`]),
-/// the flow absorbs `m` rows of wire bytes, and the final-row arrivals
-/// are the detected row's plus `m·δ`. An armed fault plan disables only
-/// the jump — the per-row march still prices faulted edges exactly
-/// (per-edge disarm, not per-run).
-pub(crate) fn march_allreduce(
-    ctx: &mut Ctx,
-    rail: &Rail,
-    flow: FlowId,
-    elem: u64,
-    slen: u64,
-    cfg: RingConfig,
-    t: &Tuning,
-) {
-    let n = rail.order.len();
-    let hops = 2 * (n - 1);
-    let chunk_bytes = cfg.chunk_bytes.max(1);
-    let window = cfg.max_inflight.max(1);
-    let step_d = Dur::micros(t.step_us);
-    let t0 = ctx.now();
-
-    // Token j (the ring segment starting on edge j): bytes, chunk grain
-    // and chunk count — the same split `schedule` emits.
-    let token_bytes: Vec<u64> = split_aligned(slen, n, elem).into_iter().map(|(_, l)| l).collect();
-    let tok_chunk: Vec<u64> =
-        token_bytes.iter().map(|&b| chunk_bytes.max(b.div_ceil(ALLRED_TOKEN_CHUNKS))).collect();
-    let nchunks: Vec<usize> = token_bytes
-        .iter()
-        .zip(&tok_chunk)
-        .map(|(&b, &tc)| if b == 0 { 0 } else { b.div_ceil(tc) as usize })
-        .collect();
-
-    // Per-lane march state (lane = ring edge of the single rail).
-    let mut arr_prev: Vec<Vec<SimTime>> = vec![Vec::new(); n];
-    let mut arr_cur: Vec<Vec<SimTime>> = vec![Vec::new(); n];
-    let mut free_m: Vec<SimTime> = vec![SimTime::ZERO; n];
-    let mut last_issue: Vec<SimTime> = vec![SimTime::ZERO; n];
-    let mut win: Vec<BinaryHeap<Reverse<SimTime>>> = (0..n).map(|_| BinaryHeap::new()).collect();
-    let mut total_sends: u64 = 0;
-    let mut t_last = t0;
-
-    // Steady-state jump eligibility: uniform tokens (identical chunk
-    // pattern on every lane every row) and no armed fault plan (a
-    // degradation window firing mid-run would break row rigidity).
-    let uniform = slen > 0 && slen.is_multiple_of(elem) && (slen / elem).is_multiple_of(n as u64);
-    let can_jump = uniform && !ctx.fault_armed();
-    let mut prev_state: Vec<u64> = Vec::new();
-    let mut prev_shape: Vec<u32> = Vec::new();
-    let mut cur_state: Vec<u64> = Vec::new();
-    let mut cur_shape: Vec<u32> = Vec::new();
-    // `fault_armed` is read above: the handle must not be touched while
-    // the guard holds the kernel lock.
-    let mut rsv = ctx.handle().reserve();
-
-    let mut h = 0usize;
-    while h < hops {
-        let mut t0_bound = false;
-        for e in 0..n {
-            arr_cur[e].clear();
-            let j = (e + n - (h % n)) % n;
-            let nc = nchunks[j];
-            if nc == 0 {
-                continue;
-            }
-            let bytes = token_bytes[j];
-            let tc = tok_chunk[j];
-            let up = (e + n - 1) % n;
-            // `c` indexes the upstream lane's previous-row arrivals, not
-            // an iterable of this loop — keep the index form.
-            #[allow(clippy::needless_range_loop)]
-            for c in 0..nc {
-                let cb = tc.min(bytes - c as u64 * tc);
-                let wire = t.wire(rail.edges[e], cb);
-                let dep = if h == 0 { SimTime::ZERO } else { arr_prev[up][c] };
-                let w = if win[e].len() >= window {
-                    win[e].pop().expect("window heap underflow").0
-                } else {
-                    SimTime::ZERO
-                };
-                let ti = dep.max(w).max(last_issue[e]).max(t0);
-                if ti == t0 {
-                    t0_bound = true;
-                }
-                let tr = rsv.transfer_flow(rail.edges[e].res, flow, ti + step_d, wire);
-                arr_cur[e].push(tr.arrive);
-                win[e].push(Reverse(tr.arrive));
-                free_m[e] = tr.depart;
-                last_issue[e] = ti;
-                t_last = t_last.max(tr.arrive);
-                total_sends += 1;
-            }
-        }
-        // Jump detection: capture this row's full timing state and
-        // compare against the previous row's. `t0_bound` rows are
-        // excluded — the `.max(t0)` clamp is the one term of the row
-        // update that is not shift-covariant.
-        if can_jump && h + 1 < hops && !t0_bound {
-            cur_state.clear();
-            cur_shape.clear();
-            for e in 0..n {
-                cur_shape.push(arr_cur[e].len() as u32);
-                cur_shape.push(win[e].len() as u32);
-                cur_state.extend(arr_cur[e].iter().map(|a| a.nanos()));
-                cur_state.push(free_m[e].nanos());
-                cur_state.push(last_issue[e].nanos());
-                let mut wv: Vec<u64> = win[e].iter().map(|r| r.0.nanos()).collect();
-                wv.sort_unstable();
-                cur_state.extend(wv);
-            }
-            if !prev_state.is_empty()
-                && prev_shape == cur_shape
-                && prev_state.len() == cur_state.len()
-            {
-                let delta = cur_state[0] - prev_state[0];
-                let rigid =
-                    delta > 0 && prev_state.iter().zip(&cur_state).all(|(&p, &c)| c == p + delta);
-                if rigid {
-                    let m = (hops - 1 - h) as u64;
-                    // Uniform tokens: any token's chunk split prices a row.
-                    let token = (token_bytes[0], tok_chunk[0], nchunks[0]);
-                    jump_rows(&mut rsv, rail, flow, t, token, delta, m);
-                    for e in 0..n {
-                        for a in &arr_cur[e] {
-                            t_last = t_last.max(*a + Dur::nanos(delta * m));
-                        }
-                        total_sends += m * nchunks[(e + n - (h % n)) % n] as u64;
-                    }
-                    break;
-                }
-            }
-            std::mem::swap(&mut prev_state, &mut cur_state);
-            std::mem::swap(&mut prev_shape, &mut cur_shape);
-        } else {
-            // A non-comparable row (t0-clamped or final) invalidates the
-            // captured baseline; rigidity must be re-established.
-            prev_state.clear();
-            prev_shape.clear();
-        }
-        std::mem::swap(&mut arr_prev, &mut arr_cur);
-        h += 1;
-    }
-    drop(rsv);
-    // One coalesced wake standing in for every per-chunk completion.
-    ctx.sleep_until_coalesced(t_last, total_sends);
-}
-
-/// Apply `m` steady-state rows in one charge: advance every edge's
-/// `free_at` watermark by `m·δ` with the matching utilisation bytes,
-/// and credit the flow with `m` rows of wire bytes and the final
-/// departure watermark. Called only under a rigid-shift detection, so
-/// the updates land the exact state the per-row march would have.
-fn jump_rows(
-    rsv: &mut Reservations<'_>,
-    rail: &Rail,
-    flow: FlowId,
-    t: &Tuning,
-    (bytes, tc, nc): (u64, u64, usize),
-    delta: u64,
-    m: u64,
-) {
-    if m == 0 {
-        return;
-    }
-    let d = Dur::nanos(delta);
-    let mut row_wire_total = 0u64;
-    let mut depart_final = SimTime::ZERO;
-    for edge in &rail.edges {
-        let mut row_wire = 0u64;
-        for c in 0..nc {
-            row_wire += t.wire(*edge, tc.min(bytes - c as u64 * tc));
-        }
-        rsv.bulk_advance_resource(edge.res, d, m, row_wire);
-        row_wire_total += row_wire;
-        depart_final = depart_final.max(rsv.resource_free_at(edge.res));
-    }
-    rsv.bulk_charge_flow(flow, m * row_wire_total, depart_final);
 }
 
 pub(crate) fn rail_pos(rail: &Rail, root_flat: Option<usize>) -> usize {
@@ -683,6 +460,21 @@ mod tests {
         let tiny = split_aligned(8, 4, 8);
         assert_eq!(tiny.iter().map(|&(_, l)| l).sum::<u64>(), 8);
         assert_eq!(tiny[0], (0, 8), "one element lands in the first piece");
+    }
+
+    /// A ragged allreduce (16 MiB − 4 B over 1024 ranks: 1023 tokens of
+    /// 16 384 B and one of 16 380 B, one chunk each) stores one hop row.
+    #[test]
+    fn ragged_allreduce_stores_one_hop_row() {
+        let (n, h) = (1024, diomp_sim::Sim::new().handle());
+        let edges =
+            (0..n).map(|_| Edge { res: h.new_resource(1.0, diomp_sim::Dur::ZERO), inter: true });
+        let rail = Rail { order: (0..n).collect(), edges: edges.collect(), blocks: Vec::new() };
+        let t = Tuning { launch_us: 1.0, step_us: 1.0, inter_eff: 0.9, intra_eff: 0.9 };
+        let op = XcclOp::AllReduce { op: diomp_fabric::ReduceOp::SumF32 };
+        let sched = schedule(&[rail], h.new_flow(1000), op, None, (16 << 20) - 4, 128 << 10, &t);
+        assert_eq!(sched.stored(), n);
+        assert_eq!(sched.len(), 2 * (n - 1) * n);
     }
 
     #[test]

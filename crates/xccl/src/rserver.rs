@@ -173,7 +173,7 @@ pub(crate) fn schedule(
     let mut seg = Segment::new(1);
     let mut emit = |edge: ring::Edge, lane, bytes, flow, deps: &[u32]| {
         let send = ChunkSend { res: edge.res, lane, wire: t.wire(edge, bytes), flow };
-        seg.push(send, None, deps.iter().copied())
+        seg.push(send, &[], deps.iter().copied())
     };
     // The fold's inputs: every client upload of the current chunk. A
     // fan-back send is enabled only once all of them have arrived.

@@ -3,8 +3,8 @@
 //! The LL, ring, DBT and reduction-server generators compile their
 //! collectives into one chunk-send normal form, driven either with explicit
 //! per-chunk kernel events (the reference) or with the event-free
-//! coalesced march / closed-form phase jump (the scale-out fast paths).
-//! These tests pin the optimisation contract:
+//! coalesced march, which jumps the repeats of a rigid period (the
+//! scale-out fast path). These tests pin the optimisation contract:
 //!
 //! * **Bit-identical virtual time** — end time, every per-link
 //!   `free_at` watermark and byte count, and every communicator flow's
@@ -24,7 +24,8 @@
 //!   the same sends written out as one single-repeat segment
 //!   (`Sim::force_unrolled_schedules`) agree under both drivers, with
 //!   and without faults, at one chunk, a short last chunk and three or
-//!   more periods.
+//!   more periods. The unrolling cannot jump, so on the coalesced arm
+//!   this also pins the jump against the march it skips.
 //! * **The price is the driver's** — `XcclComm::price`, which Auto's
 //!   cuts compare, equals the coalesced driver's virtual time on every
 //!   shape here but one fed cell (27 ns over) and stays within a stated
@@ -230,10 +231,11 @@ const SHAPES: [(usize, usize); 4] = [(1, 6), (2, 4), (3, 2), (6, 1)];
 
 fn ops_and_sizes() -> Vec<(XcclOp, u64, &'static str)> {
     vec![
-        // Uniform token split: closed-form steady-state jump territory.
+        // Uniform token split: hop rows repeating one period, where the
+        // coalesced march may jump.
         (XcclOp::AllReduce { op: ReduceOp::SumF32 }, 768 << 10, "allred_768k"),
-        // Ragged split (not divisible by rank counts): explicit warm-up
-        // march with no jump.
+        // Ragged split (not divisible by rank counts): rotating hop rows,
+        // marched send by send.
         (XcclOp::AllReduce { op: ReduceOp::SumF64 }, 100_008, "allred_100k8"),
         (XcclOp::Broadcast { root: 1 }, 96 << 10, "bcast_96k"),
         (XcclOp::AllGather, 24 << 10, "allgather_24k"),
@@ -336,11 +338,30 @@ fn benchmark_cells() -> Vec<(String, Cell)> {
     .into()
 }
 
+/// A single-rail ring allreduce over 64 single-GPU nodes of platform C
+/// on the tuned chunking: 4 MiB splits into uniform tokens, whose hop
+/// rows the coalesced march jumps, and 4 MiB − 4 B into ragged ones,
+/// which rotate.
+fn scale_cells() -> Vec<(String, Cell)> {
+    let c = PlatformSpec::platform_c();
+    let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
+    let engine = CollEngine::Ring(RingConfig::auto(&c, &op, 1));
+    [(4 << 20, "uniform"), ((4 << 20) - 4, "ragged")]
+        .map(|(size, tag)| {
+            let cell = Cell { platform: c.clone(), ..Cell::on_a(64, 1, engine, op, size) };
+            (format!("C/ring/allred_4m_{tag}@64x1"), cell)
+        })
+        .into()
+}
+
+/// The benchmark's 64-GPU cells and the 64-rank single-rail ring:
+/// explicit ≡ coalesced (replayed) ≡ unrolled.
 #[test]
 fn benchmark_shapes_match_explicit() {
-    for (label, cell) in benchmark_cells() {
+    for (label, cell) in benchmark_cells().into_iter().chain(scale_cells()) {
         let (fast, _) = assert_equiv(&label, &cell);
         assert!(fast.coalesced > 0, "{label}: fast path must engage");
+        assert_three_way(&label, &cell);
     }
 }
 
@@ -353,11 +374,9 @@ fn benchmark_shapes_match_explicit() {
 /// Chunks are 16 KiB so the sizes below reach, per rail, a single chunk,
 /// a short last chunk and three or more periods on both platforms: A as
 /// 2 nodes × 4 GPUs (four rails, chains inside the node blocks), C as 6
-/// single-GPU nodes (one rail; its clean ring allreduce takes the
-/// closed-form march, so there the schedule runs on the explicit arms
-/// only). The armed plans spread their windows over 400 ms — across the
-/// 80–90 ms communicator init, so they are live while the collectives
-/// run.
+/// single-GPU nodes (one rail). The armed plans spread their windows
+/// over 400 ms — across the 80–90 ms communicator init, so they are live
+/// while the collectives run.
 #[test]
 fn periodic_segments_match_their_unrolling_under_both_drivers() {
     let rc = RingConfig { chunk_bytes: 16 << 10, max_inflight: 3 };
@@ -374,8 +393,10 @@ fn periodic_segments_match_their_unrolling_under_both_drivers() {
         ("ring/allgather", ring, XcclOp::AllGather, &[8_192, 40_000]),
         // Uniform tokens: 2(n − 1) hop rows.
         ("ring/allred_uniform", ring, sum32, &[3_072, 768 << 10]),
-        // Ragged tokens: one repeat.
-        ("ring/allred_ragged", ring, sum64, &[100_008]),
+        // Ragged tokens: 2(n − 1) rotating hop rows. At 98 312 B one of
+        // C's tokens straddles a chunk boundary and at 40 B some are
+        // empty, so there the rail is one repeat of all its rows.
+        ("ring/allred_ragged", ring, sum64, &[100_008, 98_312, 40]),
         // One segment per (rail, tree).
         ("dbt/allred", dbt, sum32, &[65_536, 300_000]),
         ("dbt/bcast", dbt, bcast, &[300_000]),

@@ -286,8 +286,8 @@ fn blocking_collectives_still_crawl_the_dead_links() {
 }
 
 /// On a healthy fabric a bounded collective is the blocking one, down to
-/// every watermark — including the single-rail ring allreduce, which
-/// leaves the closed-form tier for the schedule when bounded.
+/// every watermark — including the single-rail ring allreduce, whose
+/// rigid hop rows the coalesced march jumps either way.
 #[test]
 fn bounded_collectives_on_a_healthy_fabric_keep_their_virtual_time() {
     let single_rail = Cell {
