@@ -19,7 +19,10 @@
 //!
 //! The 4096-rank ring cell jumps all but a few hop rows; marching its
 //! 33.5 M sends would take several times the tree's host time, so the
-//! sweep asserts the ring's is at most the tree's there.
+//! sweep asserts the ring's is at most the tree's there. Auto's cell
+//! also pays its first scan, which marches every candidate schedule on
+//! idle links to price it; the sweep prints its host time over the
+//! tree's at 4096 ranks and asserts at most 4×, a few marched copies.
 //!
 //! Auto must run the tree at every scale (its mid band has no ceiling,
 //! so the 16 MB cell sits inside it from 256 ranks up); the sweep
@@ -111,9 +114,14 @@ fn main() {
         }
         // `scale_engines()` is ring, dbt, auto. Auto's mid band has no
         // ceiling, so at every swept scale it runs the tree here.
-        let [(ring, ring_ms), (dbt, dbt_ms), (auto, _)] = ends[..] else { unreachable!() };
+        let [(ring, ring_ms), (dbt, dbt_ms), (auto, auto_ms)] = ends[..] else { unreachable!() };
         assert_eq!(auto, dbt, "{n} ranks: Auto must run the tree");
-        assert!(n < 4096 || ring_ms <= dbt_ms, "{n}: ring host {ring_ms:.1} > tree {dbt_ms:.1} ms");
+        if n == 4096 {
+            assert!(ring_ms <= dbt_ms, "{n}: ring host {ring_ms:.1} > tree {dbt_ms:.1} ms");
+            let over = auto_ms / dbt_ms;
+            println!("fig_scale/allred16MB_{n}/auto_over_dbt_wall {over:.2}x");
+            assert!(over <= 4.0, "{n}: Auto host {auto_ms:.1} > 4× tree {dbt_ms:.1} ms");
+        }
         let regret = auto as f64 / ring.min(dbt) as f64;
         regrets.push((n, regret));
         records.push(BenchRecord::new(

@@ -121,8 +121,7 @@ const SCAN_SHIFTS: std::ops::RangeInclusive<u32> = 10..=24;
 
 impl CommPlan {
     /// Out of line: only the first member builds, but inlined into
-    /// [`XcclComm::init`] its frame rides on every member's stack, one
-    /// more page per rank thread.
+    /// [`XcclComm::init`] its frame rides on every member's fiber stack.
     #[inline(never)]
     fn build(world: &FabricWorld, ranks: Vec<usize>, spec: ServerSpec) -> CommPlan {
         // Node-major device ordering minimises ring node-crossings.

@@ -39,22 +39,23 @@
 //! Both drivers act only at *arrival instants* — and, under a bounded
 //! [`Watch`], at the deadline wakes between them — and share one
 //! **event-driven issue pass** ([`March`]).
+//!
+//! [`Schedule::price`] runs the coalesced driver's march against a
+//! throwaway kernel that holds only the priced links, so the price
+//! `CollEngine::Auto` compares regimes by is an idle-link run, not a
+//! model of one.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use diomp_sim::{Ctx, Dur, EventId, FlowId, Reservations, ResourceId, SimTime, Wait};
+use diomp_sim::{Ctx, Dur, EventId, FlowId, Reservations, ResourceId, Sim, SimTime, Wait};
 
 /// "No send" / "no lane" in the intrusive `u32` lists below.
 const NONE: u32 = u32::MAX;
 
 /// Flag on a dependency index: the send sits in the *previous* period.
 const PREV: u32 = 1 << 31;
-
-/// Repeats of a chunk pipeline [`Schedule::price`] marches before it
-/// extrapolates: enough for the in-flight windows to fill.
-const HEAD_REPS: u32 = 16;
 
 /// The longest cycle, in repeats, a [`Jump`] looks for.
 const MAX_CYCLE: u32 = 8;
@@ -106,9 +107,10 @@ impl Watch {
     }
 }
 
-/// The link figures a [`Schedule::price`] reads, by resource index:
+/// The link rates a [`Schedule::price`] runs on, by resource index:
 /// bandwidth in bytes per ns and delivery latency — the numbers the
-/// kernel's FIFO resources were built with.
+/// kernel's FIFO resources were built with, from which the price builds
+/// its own idle copies.
 pub(crate) struct Links(Vec<(f64, Dur)>);
 
 impl Links {
@@ -122,14 +124,6 @@ impl Links {
             self.0.resize(i + 1, (1.0, Dur::ZERO));
         }
         self.0[i] = (bytes_per_ns, latency);
-    }
-
-    /// Busy time and delivery time (busy + latency) of `wire` bytes on
-    /// `res`, in ns: the kernel's reservation arithmetic on an idle link.
-    fn cost(&self, res: ResourceId, wire: u64) -> (u64, u64) {
-        let (bytes_per_ns, latency) = self.0[res.index()];
-        let busy = (wire as f64 / bytes_per_ns).ceil() as u64;
-        (busy, busy + latency.as_nanos())
     }
 }
 
@@ -227,58 +221,6 @@ impl Segment {
         &self.dep_idx[self.dep_off[j as usize] as usize..self.dep_off[j as usize + 1] as usize]
     }
 
-    /// The max-plus cycle time of the period's [`prev_period`] edges,
-    /// every send a slot of step + busy + latency: each send points at
-    /// its heaviest previous-period dependency `d`, weighted by the
-    /// longest path from the period's entry to `d`'s arrival, and the
-    /// heaviest mean weight over the cycles of that functional graph is
-    /// the time one period adds (0 without such edges). Exact where each
-    /// send has one dependency, as in the ring's hop rows.
-    fn cycle_time(&self, links: &Links, step: u64) -> u64 {
-        let p = self.period();
-        // `done[j]`: the longest path from the period's entry to send
-        // `j`'s arrival.
-        let mut done: Vec<u64> = Vec::with_capacity(p);
-        let mut next = vec![NONE; p];
-        let mut weight = vec![0u64; p];
-        for (j, s) in self.sends.iter().enumerate() {
-            let deps = self.deps(j as u32).iter().filter(|&&d| d & PREV == 0);
-            let issue = deps.map(|&d| done[d as usize]).max().unwrap_or(0);
-            done.push(issue + step + links.cost(s.res, s.wire).1);
-        }
-        for j in 0..p {
-            for d in self.deps(j as u32).iter().filter(|&&d| d & PREV != 0).map(|&d| d & !PREV) {
-                if next[j] == NONE || done[d as usize] > weight[j] {
-                    (next[j], weight[j]) = (d, done[d as usize]);
-                }
-            }
-        }
-        // Walk from every send, marking it with the walk that reached it
-        // first; a walk that meets its own mark has closed a cycle.
-        let mut walk = vec![NONE; p];
-        let mut t = 0u64;
-        for s in 0..p as u32 {
-            let mut j = s;
-            while j != NONE && walk[j as usize] == NONE {
-                walk[j as usize] = s;
-                j = next[j as usize];
-            }
-            if j != NONE && walk[j as usize] == s {
-                let (mut sum, mut len, mut k) = (0u64, 0u64, j);
-                loop {
-                    sum += weight[k as usize];
-                    len += 1;
-                    k = next[k as usize];
-                    if k == j {
-                        break;
-                    }
-                }
-                t = t.max(sum.div_ceil(len));
-            }
-        }
-        t
-    }
-
     /// Wire bytes of send `j` in repeat `rep`.
     #[inline]
     fn wire(&self, rep: u32, j: u32) -> u64 {
@@ -299,6 +241,7 @@ impl Segment {
 
 /// A compiled collective: periodic segments over a fixed set of FIFO
 /// lanes.
+#[derive(Clone)]
 pub(crate) struct Schedule {
     segs: Vec<Segment>,
     /// Per lane: the segment that owns it (`NONE` while it has no send)
@@ -390,106 +333,27 @@ impl Schedule {
         out
     }
 
-    /// What the schedule takes on idle links, from the first send's issue
-    /// to the last arrival, read off a few periods per segment in
-    /// O(sends + deps) — the one price `CollEngine::Auto` compares
-    /// regimes by. It is the largest of four readings:
-    ///
-    /// * **the head** ([`Schedule::head`]): the schedule cut to its first
-    ///   [`HEAD_REPS`] repeats per segment (a rotating segment kept
-    ///   whole), marched by the coalesced driver's own issue pass and
-    ///   reservation arithmetic. A schedule no longer than its head is
-    ///   priced to the nanosecond;
-    /// * **each link**: its busy time over every repeat, from its first
-    ///   use in the head to the head's tail after its last;
-    /// * **each lane**: its sends' slot times (step + busy + latency) over
-    ///   every repeat, shared by the in-flight window, from its first
-    ///   issue in the head to the head's tail after its last arrival;
-    /// * **each segment the head cut**: its last arrival in the head
-    ///   plus, per repeat cut, the [`cycle_time`] of its previous-period
-    ///   edges.
-    ///
-    /// A chunk pipeline's steady state runs at its slowest link or lane,
-    /// so past its head the link and lane readings price it.
+    /// What the schedule takes on idle links, from time zero to the last
+    /// arrival — the one price `CollEngine::Auto` compares regimes by.
+    /// It is the coalesced driver's own [`Schedule::march`], jump
+    /// included, run under [`Wait::Block`] against a throwaway kernel
+    /// that holds only the priced links: one resource per [`Links`]
+    /// entry in index order, so every [`ChunkSend::res`] names its own,
+    /// and a fresh flow per flow the schedule charges.
     pub(crate) fn price(&self, links: &Links, window: usize, step: Dur) -> Dur {
-        let step = step.as_nanos();
-        let head = self.head();
-        let mut march = March::new(&head, window);
-        let mut arrivals = Arrivals::new();
-        // The head's first and last use of every link and lane, and the
-        // last arrival of every segment.
-        let mut link_first = vec![u64::MAX; links.0.len()];
-        let mut link_free = vec![0u64; links.0.len()];
-        let mut lane_first = vec![u64::MAX; self.lane_seg.len()];
-        let mut lane_last = vec![0u64; self.lane_seg.len()];
-        let mut seg_last = vec![0u64; self.segs.len()];
-        let mut t = 0u64;
-        loop {
-            march.issue_pass(|si, key, s, wire| {
-                let (busy, deliver) = links.cost(s.res, wire);
-                let (r, l) = (s.res.index(), s.lane as usize);
-                let start = (t + step).max(link_free[r]);
-                link_first[r] = link_first[r].min(start);
-                link_free[r] = start + busy;
-                lane_first[l] = lane_first[l].min(t);
-                lane_last[l] = start + deliver;
-                let g = head.lane_seg[l] as usize;
-                seg_last[g] = seg_last[g].max(start + deliver);
-                arrivals.push(SimTime(start + deliver), si, key);
-            });
-            match arrivals.pop_instant(|si, key| march.retire(si, key)) {
-                Some(at) => t = at.nanos(),
-                None => break,
-            }
+        let h = Sim::new().handle();
+        for &(bytes_per_ns, latency) in &links.0 {
+            h.new_resource(bytes_per_ns, latency);
         }
-        march.assert_drained();
-        if head.total == self.total {
-            return Dur::nanos(t);
+        let flows = self.flows();
+        let fresh: Vec<FlowId> = flows.iter().map(|_| h.new_flow(1000)).collect();
+        let mut idle = self.clone();
+        for s in idle.segs.iter_mut().flat_map(|seg| &mut seg.sends) {
+            s.flow = fresh[flows.iter().position(|&f| f == s.flow).expect("a listed flow")];
         }
-        let head_end = t;
-        let mut busy = vec![0u64; links.0.len()];
-        let mut slots = vec![0u64; self.lane_seg.len()];
-        for seg in &self.segs {
-            // `(count, rep)`: repeats moving `rep`'s wire bytes.
-            let runs: Vec<(u64, u32)> = match seg.group {
-                0 => vec![(u64::from(seg.reps - 1), 0), (1, seg.reps - 1)],
-                _ => (0..seg.reps).map(|rep| (1, rep)).collect(),
-            };
-            for (j, s) in seg.sends.iter().enumerate() {
-                for &(count, rep) in &runs {
-                    let (b, d) = links.cost(s.res, seg.wire(rep, j as u32));
-                    busy[s.res.index()] += count * b;
-                    slots[s.lane as usize] += count * (step + d);
-                }
-            }
-        }
-        for (r, &b) in busy.iter().enumerate().filter(|&(_, &b)| b > 0) {
-            t = t.max(link_first[r] + b + (head_end - link_free[r]));
-        }
-        let window = window.max(1) as u64;
-        for (l, &w) in slots.iter().enumerate().filter(|&(_, &w)| w > 0) {
-            t = t.max(lane_first[l] + w.div_ceil(window) + (head_end - lane_last[l]));
-        }
-        for (g, (seg, cut)) in self.segs.iter().zip(&head.segs).enumerate() {
-            let cut = u64::from(seg.reps - cut.reps);
-            if cut > 0 {
-                t = t.max(seg_last[g] + cut * seg.cycle_time(links, step));
-            }
-        }
-        Dur::nanos(t)
-    }
-
-    /// The schedule cut to its head: every segment to its first
-    /// [`HEAD_REPS`] repeats, the last of which moves the segment's
-    /// final-repeat wire bytes — a rotating segment, whose rows differ,
-    /// to all of them.
-    fn head(&self) -> Schedule {
-        let mut out = Schedule::new(self.lane_seg.len());
-        for seg in &self.segs {
-            let reps = if seg.group > 0 { seg.reps } else { seg.reps.min(HEAD_REPS) };
-            out.add(Segment { reps, ..seg.clone() });
-        }
-        out
+        let block = Watch { wait: Wait::Block, doom: None };
+        let (end, _) = idle.march(&mut h.reserve(), SimTime::ZERO, window, step, block, true);
+        end.expect("a blocking march never aborts") - SimTime::ZERO
     }
 
     /// Drive the schedule to completion in the calling task's context:
@@ -601,21 +465,12 @@ impl Schedule {
         flows
     }
 
-    /// The coalesced driver: an arithmetic march that replays the
-    /// explicit driver's decisions exactly. The [`Arrivals`] queue stands
-    /// in for the kernel's event queue; each issue reserves the real link
-    /// through [`diomp_sim::Reservations::transfer_flow`] — the event
-    /// path's serialisation, rounding, fault windows and flow accounting,
-    /// minus the event — under one hold of the kernel lock, whose clock
-    /// stays frozen meanwhile. One [`Ctx::sleep_until_coalesced`] wake
-    /// carrying the chunk count ends the march.
-    ///
-    /// A bounded `watch` is replayed from the gap before each instant:
-    /// where the explicit driver's park would expire and its probe
-    /// confirm a death ([`Watch::abort_in`]), the march stops with exactly
-    /// the reservations the explicit driver had issued by then. The
-    /// [`Jump`] skips a rigid period's repeats unless a fault plan is
-    /// armed (a degradation window breaks the shift).
+    /// The coalesced driver: [`Schedule::march`] from the current
+    /// instant under one hold of the kernel lock, whose clock stays
+    /// frozen meanwhile, then one [`Ctx::sleep_until_coalesced`] wake
+    /// carrying the chunk count. The [`Jump`] skips a rigid period's
+    /// repeats unless a fault plan is armed (a degradation window breaks
+    /// the shift).
     fn drive_fast(
         &self,
         ctx: &mut Ctx,
@@ -623,20 +478,47 @@ impl Schedule {
         step_d: Dur,
         watch: Watch,
     ) -> Result<(), SimTime> {
+        // Read before `reserve` takes the kernel lock: both lock it too.
+        let (t, fault_armed) = (ctx.now(), ctx.fault_armed());
+        debug_assert!(watch.doom.is_none() || fault_armed, "a doom comes from an armed plan");
+        let (end, issued) =
+            self.march(&mut ctx.handle().reserve(), t, window, step_d, watch, !fault_armed);
+        ctx.sleep_until_coalesced(end.unwrap_or_else(|at| at), issued as u64);
+        end.map(drop)
+    }
+
+    /// The coalesced march from `t`: an arithmetic replay of the explicit
+    /// driver's decisions. The [`Arrivals`] queue stands in for the
+    /// kernel's event queue; each issue reserves the link through
+    /// [`diomp_sim::Reservations::transfer_flow`] — the event path's
+    /// serialisation, rounding, fault windows and flow accounting, minus
+    /// the event. Returns the last arrival instant and the sends issued
+    /// (every one, skipped repeats counted).
+    ///
+    /// A bounded `watch` is replayed from the gap before each instant:
+    /// where the explicit driver's park would expire and its probe
+    /// confirm a death ([`Watch::abort_in`]), the march stops with exactly
+    /// the reservations the explicit driver had issued by then, and `Err`
+    /// carries that instant. A [`Jump`] runs only if `may_jump`.
+    fn march(
+        &self,
+        rsv: &mut Reservations,
+        mut t: SimTime,
+        window: usize,
+        step_d: Dur,
+        watch: Watch,
+        may_jump: bool,
+    ) -> (Result<SimTime, SimTime>, usize) {
         let mut march = March::new(self, window);
         let mut arrivals = Arrivals::new();
-        let mut t = ctx.now();
-        let fault_armed = ctx.fault_armed();
-        debug_assert!(watch.doom.is_none() || fault_armed, "a doom comes from an armed plan");
-        let mut jump = (!fault_armed).then(|| Jump::new(self)).flatten();
-        let mut rsv = ctx.handle().reserve();
+        let mut jump = may_jump.then(|| Jump::new(self)).flatten();
         let aborted = loop {
             let ready = t + step_d;
             march.issue_pass(|si, key, s, wire| {
                 let tr = rsv.transfer_flow(s.res, s.flow, ready, wire);
                 arrivals.push(tr.arrive, si, key);
             });
-            jump.take_if(|j| j.boundary(&mut march, &mut arrivals, &mut rsv, &mut t));
+            jump.take_if(|j| j.boundary(&mut march, &mut arrivals, rsv, &mut t));
             let Some(next) = arrivals.next_instant() else { break None };
             if let Some(at) = watch.abort_in(t, next) {
                 break Some(at);
@@ -647,17 +529,13 @@ impl Schedule {
             arrivals.pop_instant(|si, key| march.retire(si, key));
             t = next;
         };
-        drop(rsv);
         #[cfg(test)]
         MARCHED.set(march.issued - march.skip as usize * self.stored());
         if let Some(at) = aborted {
-            ctx.sleep_until_coalesced(at, march.issued as u64);
-            return Err(at);
+            return (Err(at), march.issued);
         }
         march.assert_drained();
-        // One coalesced wake standing in for every per-chunk completion.
-        ctx.sleep_until_coalesced(t, self.len() as u64);
-        Ok(())
+        (Ok(t), march.issued)
     }
 }
 

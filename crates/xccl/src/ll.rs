@@ -48,8 +48,8 @@ pub struct AutoConfig {
     /// Ring engine used above the crossovers for broadcast-shaped ops
     /// (broadcast, and all-gather — which has no latency-bound regime;
     /// every byte must travel anyway). This is the *live* ring the
-    /// dispatcher falls back to, and the one both crossover closed
-    /// forms price against — the two may never diverge (the pre-PR 5
+    /// dispatcher falls back to, and the one Auto's scans price the
+    /// crossovers against — the two may never diverge (the pre-PR 5
     /// bug priced the switch against `RingConfig::default()` even when
     /// the engine ran a custom ring).
     pub ring_bcast: RingConfig,
@@ -100,8 +100,8 @@ impl AutoConfig {
     /// will fall back to — the single place the fixed-point conversions
     /// live, shared by [`Self::for_platform`] and the core `Tuner`'s
     /// per-conduit derivation. Threading the rings through here is what
-    /// keeps the crossover pricing honest: the closed forms price the
-    /// switch against exactly the ring that runs above it.
+    /// keeps the crossover pricing honest: Auto prices the switch from
+    /// the schedule of exactly the ring that runs above it.
     pub fn for_conduit(
         op_overhead_us: f64,
         wire_eff: f64,

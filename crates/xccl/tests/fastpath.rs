@@ -27,9 +27,9 @@
 //!   more periods. The unrolling cannot jump, so on the coalesced arm
 //!   this also pins the jump against the march it skips.
 //! * **The price is the driver's** — `XcclComm::price`, which Auto's
-//!   cuts compare, equals the coalesced driver's virtual time on every
-//!   shape here but one fed cell (27 ns over) and stays within a stated
-//!   tolerance on the 64-GPU benchmark cells.
+//!   cuts compare, equals the coalesced driver's virtual time to the
+//!   nanosecond on every shape here, the 64-GPU benchmark cells and the
+//!   fed ones included.
 
 use std::sync::Arc;
 
@@ -572,21 +572,13 @@ fn priced_and_driven(cell: &Cell) -> (u64, u64) {
     got
 }
 
-/// What the price may miss where a schedule runs past the head it
-/// marches: 0.11 % on the benchmark cells below (the tree's 4 MiB
-/// allreduce; the others are exact) and on the 256- and 4096-rank scale
-/// cells, nothing on the Fig. 6 cells (`bench_gate`'s `price/*/err`
-/// rows).
-const PRICE_TOL: f64 = 0.01;
-
 /// `XcclComm::price`, the number Auto compares regimes by, against the
-/// coalesced driver it prices: one call on idle links. Every schedule of
-/// the cells above fits the head the price marches with the driver's own
-/// issue pass and reservation arithmetic, so it prices to the
-/// nanosecond — single-repeat LL and server schedules, links each lane
-/// has to itself, and B's NICs shared by two GCDs, which serve in
-/// ready-time order, alike. The benchmark's 64-GPU cells run past the
-/// head.
+/// coalesced driver it prices: one call on idle links. The price is that
+/// driver's own march, jump included, on a kernel holding only the
+/// priced links, so it matches to the nanosecond — single-repeat LL and
+/// server schedules, links each lane has to itself, B's NICs shared by
+/// two GCDs, which serve in ready-time order, and the benchmark's
+/// 64-GPU cells alike.
 #[test]
 fn schedule_price_matches_the_coalesced_driver() {
     let mut cells = ll_cells();
@@ -606,14 +598,10 @@ fn schedule_price_matches_the_coalesced_driver() {
             }
         }
     }
+    cells.extend(benchmark_cells());
     for (label, cell) in cells {
         let (price, driven) = priced_and_driven(&cell);
         assert_eq!(price, driven, "{label}: price vs driven, ns");
-    }
-    for (label, cell) in benchmark_cells() {
-        let (price, driven) = priced_and_driven(&cell);
-        let err = (price as f64 / driven as f64 - 1.0).abs();
-        assert!(err <= PRICE_TOL, "{label}: price {price} ns vs driven {driven} ns");
     }
 }
 
@@ -621,8 +609,7 @@ fn schedule_price_matches_the_coalesced_driver() {
 /// broadcast chunking, rooted on a middle node's middle GPU (a non-zero
 /// one but on C): A 16×4, B 8×8 (two GCDs per NIC), C 16×1 (the root is
 /// its own feeder) and A 2×4 (one other block: both trees are one
-/// edge). 600 008 bytes leave a short last chunk and, on A and B, more
-/// repeats than the price marches.
+/// edge). 600 008 bytes leave a short last chunk.
 fn fed_cells() -> Vec<(String, Cell)> {
     let (a, b, c) =
         (PlatformSpec::platform_a(), PlatformSpec::platform_b(), PlatformSpec::platform_c());
@@ -641,11 +628,7 @@ fn fed_cells() -> Vec<(String, Cell)> {
 /// Explicit ≡ coalesced ≡ unrolled on every fed shape, with and without a
 /// seeded fault plan, and with contention armed (both arms explicit, the
 /// unrolling too); and the price is the coalesced driver's to the
-/// nanosecond — but for one cell. A 2×4's tree halves end in a 1 273-byte
-/// chunk behind 18 full ones; the head the price marches ends 27 ns
-/// later after the feeder NICs' last sends than the run does, so the
-/// link reading overshoots by that (0.07 %). Every other ragged size
-/// tried there, 400 004 B to 3 000 008 B, prices exactly.
+/// nanosecond.
 #[test]
 fn fed_broadcast_matches_explicit_unrolled_and_its_price() {
     for (label, cell) in fed_cells() {
@@ -659,8 +642,7 @@ fn fed_broadcast_matches_explicit_unrolled_and_its_price() {
             (run_cell(&contended, false, false), run_cell(&contended, false, true));
         assert_eq!(periodic.0, unrolled.0, "{label}/contended: unrolled diverged");
         let (price, driven) = priced_and_driven(&cell);
-        let over = if cell.nodes == 2 { 27 } else { 0 };
-        assert_eq!(price, driven + over, "{label}: price vs driven, ns");
+        assert_eq!(price, driven, "{label}: price vs driven, ns");
     }
 }
 
