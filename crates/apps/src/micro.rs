@@ -209,7 +209,7 @@ pub struct CollProbe<'a> {
 /// communicator is initialised during warm-up, as in the paper's
 /// methodology; the entry count is the whole run's
 /// `SimReport::entries_processed` — the wall-clock scheduler cost the
-/// batched `wait_any` wait-groups keep bounded for the ring engine.
+/// schedule drivers keep bounded for the ring engine.
 pub fn diomp_collective(probe: &CollProbe, sizes: &[u64]) -> Vec<(u64, f64, u64)> {
     let &CollProbe { platform, nodes, server_nodes, kind, engine } = probe;
     sizes
@@ -389,7 +389,7 @@ pub struct ScaleRun {
 /// NDR-IB platform (C) in cost-only mode — one `fig_scale` cell. Every
 /// rank is its own node, so the ring is single-rail and every edge
 /// crosses the network; rank count, not node fan-out, is the swept
-/// variable. With `forced_explicit` the run pins the per-chunk event
+/// variable. With `forced_explicit` the run pins the explicit per-chunk
 /// driver ([`Sim::force_explicit_schedules`]) — the uncoalesced
 /// reference arm; virtual time must be bit-identical either way, which
 /// `fig_scale` and the bench gate assert wherever both arms run.

@@ -277,8 +277,7 @@ fn collectives(g: &mut Gate) {
         let ring_engine = CollEngine::default();
 
         // Emergent vs profiled allreduce on 64 A100s; the entry count
-        // gates the progress loop's scheduler cost (what
-        // wait_any keeps bounded).
+        // gates the schedule driver's scheduler cost.
         if tag == "A" {
             for (name, engine) in [("ring", ring_engine), ("profile", CollEngine::Profile)] {
                 for (s, us, entries) in run(allred, engine, &[1 << 20, 64 << 20]) {
@@ -595,10 +594,14 @@ fn work_conservation(g: &mut Gate) {
     for (i, &flow) in flows.iter().enumerate() {
         let h = sim.handle();
         sim.spawn(format!("flow{i}"), move |ctx| {
-            let evs: Vec<_> =
-                (0..10).map(|_| h.transfer_qos(res, flow, SimTime::ZERO, 4 << 20)).collect();
-            for ev in evs {
-                ctx.drain(&[ev], Wait::Block).expect("a blocking drain cannot time out");
+            let cq = h.open_cq();
+            for tag in 0..10 {
+                h.transfer_qos(res, flow, SimTime::ZERO, 4 << 20, (cq, tag));
+            }
+            let mut landed = Vec::new();
+            while landed.len() < 10 {
+                ctx.wait_cq(cq, Wait::Block).expect("a blocking wait cannot time out");
+                h.drain_cq(cq, &mut landed);
             }
         });
     }

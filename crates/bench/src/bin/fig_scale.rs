@@ -15,7 +15,11 @@
 //! ~33.5 M chunk sends (2(n−1) steps × n tokens), which is exactly the
 //! regime the coalesced march exists for. The DBT schedule stays
 //! O(n·chunks), so its explicit arm runs at every scale and carries the
-//! measured ≥50× entry-reduction gate at 4096.
+//! measured ≥50× entry-reduction gate at 4096. That arm parks on one
+//! completion queue, O(1) per park, so its host time stays within a
+//! constant of the coalesced march's: the sweep prints the ratio at 4096
+//! ranks and asserts at most 15× (re-registering a wait on every chunk
+//! in flight at each park made it 41–48×).
 //!
 //! The 4096-rank ring cell jumps all but a few hop rows; marching its
 //! 33.5 M sends would take several times the tree's host time, so the
@@ -56,7 +60,6 @@ fn main() {
         let mut ends = Vec::new();
         for (eng, engine) in scale_engines() {
             let fast = scale_allreduce(n, engine, PAYLOAD, false);
-            ends.push((fast.end_ns, fast.sim_wall_ms));
             let tag = format!("fig_scale/allred16MB_{n}_{eng}");
             records.push(BenchRecord::with_sim_cost(
                 format!("{tag}/coalesced"),
@@ -105,6 +108,7 @@ fn main() {
                 ),
                 None => ("-".into(), "-".into(), "-".into()),
             };
+            ends.push((fast.end_ns, fast.sim_wall_ms, explicit.map(|ex| ex.sim_wall_ms)));
             println!(
                 "{n:>6} {eng:>5} {:>12.3} {:>12} {ex_e:>12} {ratio:>8} {:>10.1} {ex_w:>10}",
                 fast.end_ns as f64 / 1e6,
@@ -114,9 +118,18 @@ fn main() {
         }
         // `scale_engines()` is ring, dbt, auto. Auto's mid band has no
         // ceiling, so at every swept scale it runs the tree here.
-        let [(ring, ring_ms), (dbt, dbt_ms), (auto, auto_ms)] = ends[..] else { unreachable!() };
+        let [(ring, ring_ms, _), (dbt, dbt_ms, dbt_ex_ms), (auto, auto_ms, _)] = ends[..] else {
+            unreachable!()
+        };
         assert_eq!(auto, dbt, "{n} ranks: Auto must run the tree");
         if n == 4096 {
+            let ex_ms = dbt_ex_ms.expect("the tree's explicit arm runs at every scale");
+            let over = ex_ms / dbt_ms;
+            println!("fig_scale/allred16MB_{n}/explicit_over_coalesced_wall {over:.2}x");
+            assert!(
+                over <= 15.0,
+                "{n}: explicit tree host {ex_ms:.1} > 15× coalesced {dbt_ms:.1} ms"
+            );
             assert!(ring_ms <= dbt_ms, "{n}: ring host {ring_ms:.1} > tree {dbt_ms:.1} ms");
             let over = auto_ms / dbt_ms;
             println!("fig_scale/allred16MB_{n}/auto_over_dbt_wall {over:.2}x");

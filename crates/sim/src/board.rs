@@ -9,7 +9,7 @@
 //! GASPI-style ranged notifications (`gaspi_notify_waitsome`).
 //!
 //! Design: a range wait reuses the generation-tagged *wait-group*
-//! machinery of [`crate::Ctx::wait_all`] / [`crate::Ctx::wait_any`]
+//! machinery of [`crate::Ctx::wait_all`] / [`crate::Ctx::wait_cq`]
 //! rather than polling each id. The waiter registers a single group
 //! (remaining count 1) on the board together with its
 //! `[first, first+num)` range and parks exactly once; the first post

@@ -6,10 +6,11 @@
 //! registered its wake-up, the task dispatches the queue itself until it
 //! switches to another task's fiber or its own wake pops.
 //!
-//! There are four waits on events and boards — [`Ctx::wait_all`],
-//! [`Ctx::wait_any`], [`Ctx::drain`] and [`Ctx::board_waitsome`] — and
-//! each takes a [`Wait`]. Each parks on one generation-tagged wait
-//! group, so tasks parked on the same event wake in registration order.
+//! There are four waits on events, completion queues and boards —
+//! [`Ctx::wait_all`], [`Ctx::drain`], [`Ctx::wait_cq`] and
+//! [`Ctx::board_waitsome`] — and each takes a [`Wait`]. Each parks on one
+//! generation-tagged wait group, so tasks parked on the same event wake
+//! in registration order.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -17,7 +18,7 @@ use std::sync::Arc;
 use parking_lot::MutexGuard;
 
 use crate::board::{BoardId, RangeWaiter};
-use crate::event::{EventId, GroupRef};
+use crate::event::{CqId, EventId, GroupRef};
 use crate::fiber::Context;
 use crate::kernel::{KState, SimHandle};
 use crate::task::{ParkedOn, TaskId, TaskStatus};
@@ -193,30 +194,30 @@ impl Ctx {
         self.settle(gref, |st| evs.iter().all(|&ev| st.events.get(ev).completed).then_some(()))
     }
 
-    /// Block until *any* of the events completes, or until `wait`'s
-    /// budget elapses; returns the index of a completed event (the first
-    /// in argument order).
+    /// Block until completion queue `cq` holds a ready tag, or until
+    /// `wait`'s budget elapses (`gaspi_wait` on a queue). Returns at once
+    /// if a tag is ready; [`crate::SimHandle::drain_cq`] then takes them.
     ///
-    /// One wait group with a remaining count of one is registered on
-    /// every event: the first completion produces the only wake entry and
-    /// every later one finds the group dead and pushes nothing. For a
-    /// progress engine polling N in-flight completions per retirement —
-    /// the collective runner's inner loop — that is O(1) scheduler
-    /// entries per park, not O(N).
-    pub fn wait_any(&mut self, evs: &[EventId], wait: Wait) -> Result<usize, WaitTimeout> {
-        assert!(!evs.is_empty(), "wait_any on an empty set");
-        let first_done = |st: &KState| evs.iter().position(|&ev| st.events.get(ev).completed);
+    /// The park arms one wait group with a remaining count of one on the
+    /// queue, and the first post fires it: O(1) work and one wake entry
+    /// per park however many transfers are in flight. A post racing the
+    /// deadline at the same instant resolves by queue order, as for
+    /// [`Ctx::wait_all`]. One task waits on a queue at a time.
+    pub fn wait_cq(&mut self, cq: CqId, wait: Wait) -> Result<(), WaitTimeout> {
         let mut st = self.handle.kernel.state.lock();
-        if let Some(i) = first_done(&st) {
-            return Ok(i);
+        let slot = st.cq_mut(cq);
+        if !slot.ready.is_empty() {
+            return Ok(());
         }
+        let inflight = slot.inflight;
         let deadline = wait.deadline(st.now());
         let gref = self.open_group(&mut st, 1, deadline);
-        for &ev in evs {
-            st.events.get_mut(ev).group_waiters.push(gref);
-        }
-        self.park(st, ParkedOn::WaitAny { n: evs.len(), deadline });
-        self.settle(gref, first_done)
+        st.cq_mut(cq).waiter = Some(gref);
+        self.park(st, ParkedOn::Cq { idx: cq.idx, inflight, deadline });
+        self.settle(gref, |st| {
+            let slot = &st.cqs[cq.idx as usize];
+            (slot.gen == cq.gen && !slot.ready.is_empty()).then_some(())
+        })
     }
 
     /// The one bounded drain: wait for *all* of `evs` under `wait`
@@ -247,7 +248,7 @@ impl Ctx {
     ///
     /// The ranged blocking primitive under GASPI's
     /// `gaspi_notify_waitsome` + `gaspi_notify_reset`. Like
-    /// [`Ctx::wait_any`], the wait registers a single wait group
+    /// [`Ctx::wait_cq`], the wait registers a single wait group
     /// (remaining count 1) instead of polling each id: the task parks
     /// once and the first [`crate::SimHandle::board_post`] landing inside
     /// the range produces the only wake entry. If a concurrent waiter

@@ -1,13 +1,23 @@
-//! One-shot completion events.
+//! Completion: one-shot events and completion queues.
 //!
 //! An [`EventId`] names a one-shot event inside the simulation kernel.
 //! Events start *pending*; any number of tasks may block on one, alone
-//! or among others ([`crate::Ctx::wait_all`], [`crate::Ctx::wait_any`]),
+//! or among others ([`crate::Ctx::wait_all`], [`crate::Ctx::drain`]),
 //! each through a wait-group registration on the event. Completing the
 //! event (from a task or from a scheduled action) counts down every
 //! registration, in registration order, at the current virtual time.
 //! Barriers, rendezvous, RMA completion and stream synchronisation are
 //! all built on top of events.
+//!
+//! A [`CqId`] names a *completion queue*, GPI-2's unit of one-sided
+//! completion: a flow-tagged transfer
+//! ([`crate::SimHandle::transfer_qos`]) is posted to a queue once, with
+//! a `u64` tag, and its completion appends the tag to the queue instead
+//! of completing an event. The one task that owns the queue parks on it
+//! with [`crate::Ctx::wait_cq`]: one wait group armed on the queue,
+//! fired by the first post, so a park costs O(1) however many transfers
+//! are in flight. [`crate::SimHandle::drain_cq`] hands back the ready
+//! tags in post order.
 
 /// Handle to a one-shot completion event. Cheap to copy.
 ///
@@ -19,11 +29,11 @@ pub struct EventId {
     pub(crate) gen: u32,
 }
 
-/// Reference from an event to a wait-group registration. Generation-tagged
-/// like events themselves: a wait-*any* group dies when its first event
-/// completes, leaving stale references on the events that did not win —
-/// completion (and `free_event`) recognises those by a generation mismatch
-/// and skips them instead of corrupting a recycled group slot.
+/// Reference from an event, a board or a completion queue to a wait-group
+/// registration. Generation-tagged like events themselves: a group whose
+/// wait timed out is killed, leaving stale references behind — a firing
+/// (and `free_event`) recognises those by a generation mismatch and skips
+/// them instead of corrupting a recycled group slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct GroupRef {
     pub(crate) gid: u32,
@@ -36,11 +46,11 @@ pub(crate) struct EventSlot {
     pub(crate) gen: u32,
     pub(crate) completed: bool,
     /// Wait-groups with a pending registration on this event, in
-    /// registration order (see [`crate::Ctx::wait_all`] and
-    /// [`crate::Ctx::wait_any`]): completion decrements each live group's
-    /// remaining-count instead of waking a task directly, so a task
-    /// blocked on N events costs one wake, not N. Stale references
-    /// (groups that already fired) are skipped by generation check.
+    /// registration order (see [`crate::Ctx::wait_all`]): completion
+    /// decrements each live group's remaining-count instead of waking a
+    /// task directly, so a task blocked on N events costs one wake, not
+    /// N. Stale references (groups that timed out) are skipped by
+    /// generation check.
     pub(crate) group_waiters: Vec<GroupRef>,
     /// Slot is live (allocated and not yet freed).
     pub(crate) live: bool,
@@ -110,6 +120,32 @@ impl EventArena {
     pub(crate) fn len(&self) -> usize {
         self.slots.len() - self.free.len()
     }
+}
+
+/// Handle to a completion queue (see [`crate::SimHandle::open_cq`]).
+/// Generation-tagged like [`crate::FlowId`]: releasing the queue
+/// invalidates every copy of the handle, a stale copy is rejected, and a
+/// completion still in flight to the released queue is dropped — it can
+/// never reach the slot's next tenant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct CqId {
+    pub(crate) idx: u32,
+    pub(crate) gen: u32,
+}
+
+/// Kernel-internal state of one completion queue.
+#[derive(Debug, Default)]
+pub(crate) struct CqSlot {
+    /// Bumped on release, so handles to an earlier tenancy stop matching.
+    pub(crate) gen: u32,
+    /// Tags posted and not yet drained, in post order.
+    pub(crate) ready: Vec<u64>,
+    /// Transfers posted to the queue that have neither completed nor been
+    /// purged: what a task parked on the queue still waits for.
+    pub(crate) inflight: usize,
+    /// The wait group of the task parked on the queue, if any; the first
+    /// post fires it.
+    pub(crate) waiter: Option<GroupRef>,
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ use parking_lot::{Mutex, MutexGuard};
 
 use crate::board::{BoardId, BoardSlot};
 use crate::ctx::Ctx;
-use crate::event::{EventArena, EventId, GroupRef};
+use crate::event::{CqId, CqSlot, EventArena, EventId, GroupRef};
 use crate::fault::{CtrlFault, FaultPlan, FaultState};
 use crate::fiber::{self, Context, Fiber};
 use crate::qos::{ContentionState, FlowId, FlowSlot};
@@ -87,13 +87,11 @@ impl Ord for Entry {
     }
 }
 
-/// One park on events or a board: a task parked until `remaining`
-/// registrations have fired. The whole group costs a single wake entry,
-/// which is what makes `Ctx::wait_all` (and `ompx_fence` built on it)
-/// cheap for large pending sets. With `remaining == 1` over many events
-/// the same slot implements `Ctx::wait_any`: the first completion fires
-/// the group; later completions find it dead (or recycled under a newer
-/// generation) and push nothing.
+/// One park on events, a board or a completion queue: a task parked until
+/// `remaining` registrations have fired. The whole group costs a single
+/// wake entry, which is what makes `Ctx::wait_all` (and `ompx_fence` built
+/// on it) cheap for large pending sets. A board or queue wait arms a group
+/// with `remaining == 1` in one place: the first post fires it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WaitGroup {
     pub(crate) remaining: usize,
@@ -120,6 +118,9 @@ pub(crate) struct KState {
     /// Scratch buffer for `board_post`'s fired-waiter sweep, reused across
     /// calls so the hot notification path allocates nothing.
     board_fired: Vec<GroupRef>,
+    /// Completion queues (free-list recycled, generation-tagged).
+    pub(crate) cqs: Vec<CqSlot>,
+    free_cqs: Vec<u32>,
     pub(crate) resources: Vec<ResSlot>,
     /// Armed fault injector, if a plan was installed. `None` (the
     /// default) keeps every hook on the one-branch fast path so clean
@@ -144,7 +145,7 @@ pub(crate) struct KState {
     /// entries instead of costing one heap entry each.
     pub(crate) coalesced_chunks: u64,
     /// When set, the collective fast paths stand down and every schedule
-    /// runs through the explicit per-chunk event driver (equivalence
+    /// runs through the explicit per-chunk driver (equivalence
     /// testing and the uncoalesced bench arms).
     pub(crate) force_explicit: bool,
     /// When set, every periodic schedule is unrolled into one
@@ -205,22 +206,19 @@ impl KState {
         }
     }
 
-    /// Recycle a released event whose completion will never fire: its
-    /// transfer was purged from, or dropped before, a fair queue. Only
-    /// dead wait-group references can still be on it — a released event
-    /// has no one waiting.
-    pub(crate) fn free_unfired(&mut self, ev: EventId) {
-        let slot = self.events.get_mut(ev);
-        assert!(slot.auto_free && !slot.completed, "only a released, pending event goes unfired");
-        let groups = std::mem::take(&mut slot.group_waiters);
-        assert!(
-            groups.iter().all(|r| {
-                let g = &self.wait_groups[r.gid as usize];
-                !g.live || g.gen != r.gen
-            }),
-            "a released event still has a live waiter"
-        );
-        self.events.free(ev);
+    /// The live queue `cq` names. Panics on a released handle, like a
+    /// stale [`FlowId`]: every task-side use of a queue comes through here.
+    pub(crate) fn cq_mut(&mut self, cq: CqId) -> &mut CqSlot {
+        let slot = &mut self.cqs[cq.idx as usize];
+        assert_eq!(slot.gen, cq.gen, "stale CqId: queue {} was released", cq.idx);
+        slot
+    }
+
+    /// The queue `cq` names, unless it was released: a completion still
+    /// in flight to a released queue is dropped, never posted to the
+    /// slot's next tenant.
+    pub(crate) fn live_cq(&mut self, cq: CqId) -> Option<&mut CqSlot> {
+        Some(&mut self.cqs[cq.idx as usize]).filter(|slot| slot.gen == cq.gen)
     }
 
     /// Scale a task-local compute delay by its straggle factor, if a
@@ -419,6 +417,8 @@ impl Sim {
                 free_wait_groups: Vec::new(),
                 boards: Vec::new(),
                 board_fired: Vec::new(),
+                cqs: Vec::new(),
+                free_cqs: Vec::new(),
                 resources: Vec::new(),
                 fault: None,
                 flows: Vec::new(),
@@ -483,7 +483,7 @@ impl Sim {
     }
 
     /// Force every collective schedule through the explicit per-chunk
-    /// event driver, disabling the closed-form/coalesced fast paths. The
+    /// driver, disabling the coalesced fast path. The
     /// equivalence tests and the uncoalesced arms of the scale benches
     /// run with this on; virtual time must be bit-identical either way.
     pub fn force_explicit_schedules(&self, on: bool) {
@@ -749,9 +749,9 @@ impl SimHandle {
         let auto_free = slot.auto_free;
         let now = st.now;
         // In registration order, only the registration that brings a
-        // group to zero produces a wake entry. Stale references —
-        // wait-any groups that already fired on another event, possibly
-        // recycled since — are skipped by the generation check.
+        // group to zero produces a wake entry. Stale references — groups
+        // whose wait timed out, possibly recycled since — are skipped by
+        // the generation check.
         for gref in groups {
             self.fire_group_ref(&mut st, gref, now);
         }
@@ -778,8 +778,8 @@ impl SimHandle {
 
     /// Decrement a wait-group registration; the registration that brings
     /// the group to zero wakes its task. Stale references (groups that
-    /// already fired, possibly recycled under a newer generation) are
-    /// skipped. Shared by event completion and board posts.
+    /// timed out, possibly recycled under a newer generation) are
+    /// skipped. Shared by event completion, board posts and queue posts.
     fn fire_group_ref(&self, st: &mut KState, gref: GroupRef, now: SimTime) {
         let g = &mut st.wait_groups[gref.gid as usize];
         if !g.live || g.gen != gref.gen {
@@ -844,6 +844,53 @@ impl SimHandle {
         st.boards[board.index()].values.remove(&id)
     }
 
+    /// Open a completion queue (see [`crate::Ctx::wait_cq`]): transfers
+    /// posted to it with [`SimHandle::transfer_qos`] complete into it by
+    /// tag, without an event each.
+    pub fn open_cq(&self) -> CqId {
+        let mut st = self.kernel.state.lock();
+        if let Some(idx) = st.free_cqs.pop() {
+            return CqId { idx, gen: st.cqs[idx as usize].gen };
+        }
+        st.cqs.push(CqSlot::default());
+        CqId { idx: st.cqs.len() as u32 - 1, gen: 0 }
+    }
+
+    /// Release a queue for reuse by a later [`SimHandle::open_cq`]. Ready
+    /// tags are discarded, and transfers still in flight to it are
+    /// dropped when they complete (or, on an armed fair queue, when they
+    /// would have been enqueued): a straggler never reaches the slot's
+    /// next tenant. Every copy of the handle is stale afterwards, and
+    /// using one (a second release included) panics.
+    pub fn release_cq(&self, cq: CqId) {
+        let mut st = self.kernel.state.lock();
+        let slot = st.cq_mut(cq);
+        slot.gen = slot.gen.wrapping_add(1);
+        slot.ready.clear();
+        slot.inflight = 0;
+        slot.waiter = None;
+        st.free_cqs.push(cq.idx);
+    }
+
+    /// Move every tag posted to `cq` and not yet drained onto the end of
+    /// `into`, in post order.
+    pub fn drain_cq(&self, cq: CqId, into: &mut Vec<u64>) {
+        into.append(&mut self.kernel.state.lock().cq_mut(cq).ready);
+    }
+
+    /// A transfer posted to `cq` completed: append its tag and fire the
+    /// parked task's group, if any. Dropped if the queue was released.
+    pub(crate) fn post_cq(&self, cq: CqId, tag: u64) {
+        let mut st = self.kernel.state.lock();
+        let Some(slot) = st.live_cq(cq) else { return };
+        slot.inflight -= 1;
+        slot.ready.push(tag);
+        if let Some(gref) = slot.waiter.take() {
+            let now = st.now;
+            self.fire_group_ref(&mut st, gref, now);
+        }
+    }
+
     /// Schedule completion of an event at an absolute virtual time.
     pub fn complete_at(&self, ev: EventId, t: SimTime) {
         let h = self.clone();
@@ -853,9 +900,9 @@ impl SimHandle {
     /// Recycle a completed event. The handle must not be used again.
     pub fn free_event(&self, ev: EventId) {
         let mut st = self.kernel.state.lock();
-        // Wait-any groups that fired on another event leave stale
-        // references behind; drop them so only *live* registrations count
-        // as "someone still waits on this event".
+        // Timed-out wait groups leave stale references behind; drop them
+        // so only *live* registrations count as "someone still waits on
+        // this event".
         let refs = std::mem::take(&mut st.events.get_mut(ev).group_waiters);
         let live: Vec<GroupRef> = refs
             .into_iter()

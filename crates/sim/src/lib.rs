@@ -7,8 +7,9 @@
 //! x86_64 assembly over Linux `mmap`: x86_64 Linux is the supported host.
 //!
 //! * [`Sim`] / [`SimHandle`] / [`Ctx`] — the event kernel: spawn tasks,
-//!   wait on [`EventId`]s under a [`Wait`], advance virtual time,
-//!   schedule one-sided completion actions.
+//!   wait on [`EventId`]s and [`CqId`] completion queues under a
+//!   [`Wait`], advance virtual time, schedule one-sided completion
+//!   actions.
 //! * [`ResourceId`] — FIFO bandwidth resources modelling NICs and links.
 //! * [`Topology`] / [`ClusterSpec`] — instantiated cluster fabrics.
 //! * [`PlatformSpec`] — calibrated models of the paper's three systems
@@ -54,7 +55,7 @@ mod trace;
 
 pub use board::BoardId;
 pub use ctx::{Ctx, Wait, WaitTimeout};
-pub use event::EventId;
+pub use event::{CqId, EventId};
 pub use fault::{fault_key, CtrlFault, FaultPlan};
 pub use kernel::{Action, Reservations, Sim, SimError, SimHandle, SimReport};
 pub use platform::{

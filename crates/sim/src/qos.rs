@@ -37,7 +37,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::event::EventId;
+use crate::event::CqId;
 use crate::kernel::{KState, SimHandle};
 use crate::resource::ResourceId;
 use crate::time::{Dur, SimTime};
@@ -137,8 +137,9 @@ struct QTransfer {
     /// The flow credited — through [`KState::flow_mut`], so a transfer
     /// can never be served into a released slot's next tenant.
     flow: FlowId,
-    /// Completed at `depart + latency + extra`.
-    ev: EventId,
+    /// Posted `tag` to `cq` at `depart + latency + extra`.
+    cq: CqId,
+    tag: u64,
     /// Fault-injected extra delivery latency.
     extra: Dur,
 }
@@ -267,11 +268,12 @@ impl SimHandle {
 
     /// `gaspi_queue_purge` on the armed fair queues: every transfer of
     /// `flow` still queued on a link is dropped unserved — its bytes are
-    /// never delivered, its event (which the caller must already have
-    /// [released](SimHandle::release_event)) is recycled — and each link
-    /// it leaves is re-priced for the flows that remain. Transfers of the
-    /// flow not yet enqueued are dropped when their enqueue fires, by the
-    /// same released-event rule. Disarmed this is a no-op: a FIFO
+    /// never delivered and its tag is never posted — and each link it
+    /// leaves is re-priced for the flows that remain. A transfer of the
+    /// flow not yet enqueued still joins its link when its enqueue fires,
+    /// unless its completion queue was released by then
+    /// ([`SimHandle::release_cq`]): an issuer that gives up releases its
+    /// queue first, then purges. Disarmed this is a no-op: a FIFO
     /// reservation is made at issue and completes on its own.
     pub fn purge_flow(&self, flow: FlowId) {
         let mut st = self.kernel.state.lock();
@@ -287,12 +289,14 @@ impl SimHandle {
             }
             ls.advance(now, s.resources[link].bytes_per_ns(), &s.flows);
             let q = ls.queues.remove(&flow.idx).expect("checked");
-            dropped.extend(q.into_iter().map(|qt| qt.ev));
+            dropped.extend(q.into_iter().map(|qt| qt.cq));
             ls.gen += 1;
             touched.push(ResourceId(link as u32));
         }
-        for ev in dropped {
-            st.free_unfired(ev);
+        for cq in dropped {
+            if let Some(slot) = st.live_cq(cq) {
+                slot.inflight -= 1;
+            }
         }
         for res in touched {
             self.qos_reschedule(&mut st, res);
@@ -324,32 +328,41 @@ impl SimHandle {
     }
 
     /// Reserve a flow-tagged transfer of `bytes` on `res`, with the
-    /// payload ready at `at`. Returns an event that completes when the
-    /// last byte arrives at the far side; the caller waits on it and
-    /// frees it, as with any event.
+    /// payload ready at `at`, posted to completion queue `cq` with `tag`:
+    /// when the last byte arrives at the far side the tag is appended to
+    /// the queue ([`crate::Ctx::wait_cq`], [`SimHandle::drain_cq`]). No
+    /// event is allocated.
     ///
-    /// Disarmed (the default) this is *call-for-call identical* to
-    /// `transfer_from` + `new_event` + `complete_at(ev, tr.arrive)` — the
-    /// sequence it replaced in the collective engines — so traces are
-    /// bit-identical to pre-contention builds. Armed, the transfer joins
-    /// its flow's FIFO on the link and is served at the flow's fair share
-    /// (module docs).
-    pub fn transfer_qos(&self, res: ResourceId, flow: FlowId, at: SimTime, bytes: u64) -> EventId {
+    /// Disarmed (the default) the reservation and its one queued action
+    /// are *call-for-call identical* to `transfer_from` +
+    /// `complete_at(ev, tr.arrive)` — the sequence it replaced in the
+    /// collective engines, with the post in place of the completion — so
+    /// traces are bit-identical to pre-contention builds. Armed, the
+    /// transfer joins its flow's FIFO on the link and is served at the
+    /// flow's fair share (module docs).
+    pub fn transfer_qos(
+        &self,
+        res: ResourceId,
+        flow: FlowId,
+        at: SimTime,
+        bytes: u64,
+        (cq, tag): (CqId, u64),
+    ) {
         let mut st = self.kernel.state.lock();
+        st.cq_mut(cq).inflight += 1;
         if st.contention.is_none() {
             // Disarmed fast path: replicate the exact legacy call sequence
-            // (one queue push, same closure, same event allocation order).
+            // (one queue push at the arrival instant).
             let at = at.max(st.now());
             let tr = self.transfer_locked(&mut st, res, at, bytes);
-            let ev = st.events.alloc();
             let h = self.clone();
             let t = tr.arrive.max(st.now());
-            self.push_action(&mut st, t, Box::new(move |_| h.complete(ev)));
+            self.push_action(&mut st, t, Box::new(move |_| h.post_cq(cq, tag)));
             let fs = st.flow_mut(flow);
             fs.stats.bytes += bytes;
             fs.stats.first_start = Some(fs.stats.first_start.unwrap_or(tr.start).min(tr.start));
             fs.stats.last_depart = fs.stats.last_depart.max(tr.depart);
-            return ev;
+            return;
         }
         // Armed: resolve any fault perturbation once at issue time (same
         // policy as the closed form — the window matching the projected
@@ -358,7 +371,6 @@ impl SimHandle {
         st.flow_mut(flow); // reject a stale handle at issue, as the disarmed path does
         let now = st.now();
         let at = at.max(now);
-        let ev = st.events.alloc();
         let mut wire = bytes as f64;
         let mut extra = Dur::ZERO;
         let mut ready = at;
@@ -375,16 +387,16 @@ impl SimHandle {
         self.push_action(
             &mut st,
             ready,
-            Box::new(move |_| h.qos_enqueue(res, flow, wire, bytes, extra, ev)),
+            Box::new(move |_| h.qos_enqueue(res, flow, wire, bytes, extra, (cq, tag))),
         );
-        ev
     }
 
     /// Armed-path enqueue, run as a scheduled action at the transfer's
     /// ready instant: accrue service to date, join the flow's FIFO, and
-    /// re-price the link. A transfer whose event was released in the
-    /// meantime (its issuer gave up on it) is dropped here instead, before
-    /// its flow — possibly released and recycled since — is touched.
+    /// re-price the link. A transfer whose completion queue was released
+    /// in the meantime (its issuer gave up on it) is dropped here instead,
+    /// before its flow — possibly released and recycled since — is
+    /// touched.
     fn qos_enqueue(
         &self,
         res: ResourceId,
@@ -392,11 +404,10 @@ impl SimHandle {
         wire: f64,
         logical: u64,
         extra: Dur,
-        ev: EventId,
+        (cq, tag): (CqId, u64),
     ) {
         let mut st = self.kernel.state.lock();
-        if st.events.get(ev).auto_free {
-            st.free_unfired(ev);
+        if st.live_cq(cq).is_none() {
             return;
         }
         let now = st.now();
@@ -412,7 +423,7 @@ impl SimHandle {
             // transfers keep the closed form's single-`ceil` arithmetic
             // (re-pricing mid-service would split one service interval
             // into separately-rounded segments and drift off it).
-            let qt = QTransfer { remaining: wire, logical, flow, ev, extra };
+            let qt = QTransfer { remaining: wire, logical, flow, cq, tag, extra };
             let was_backlogged = ls.queues.get(&flow.idx).is_some_and(|q| !q.is_empty());
             if was_backlogged {
                 ls.queues.get_mut(&flow.idx).expect("backlogged queue vanished").push_back(qt);
@@ -432,7 +443,7 @@ impl SimHandle {
     pub(crate) fn qos_service(&self, res: ResourceId, gen: u64) {
         let mut st = self.kernel.state.lock();
         let now = st.now();
-        let mut completions: Vec<(EventId, SimTime)> = Vec::new();
+        let mut completions: Vec<(CqId, u64, SimTime)> = Vec::new();
         {
             let s = &mut *st;
             let Some(c) = s.contention.as_mut() else { return };
@@ -450,12 +461,12 @@ impl SimHandle {
                 fs.stats.bytes += qt.logical;
                 fs.stats.last_depart = fs.stats.last_depart.max(now);
                 s.resources[res.index()].bump_free_at(now);
-                completions.push((qt.ev, now + latency + qt.extra));
+                completions.push((qt.cq, qt.tag, now + latency + qt.extra));
             }
         }
-        for (ev, t) in completions {
+        for (cq, tag, t) in completions {
             let h = self.clone();
-            self.push_action(&mut st, t, Box::new(move |_| h.complete(ev)));
+            self.push_action(&mut st, t, Box::new(move |_| h.post_cq(cq, tag)));
         }
         self.qos_reschedule(&mut st, res);
     }
@@ -483,7 +494,16 @@ impl SimHandle {
 mod tests {
     use super::*;
     use crate::kernel::Sim;
-    use crate::Wait;
+    use crate::{Ctx, Wait};
+
+    /// Park on `cq` until `n` tags have been posted to it.
+    fn wait_tags(ctx: &mut Ctx, cq: CqId, n: usize) {
+        let mut tags = Vec::new();
+        while tags.len() < n {
+            ctx.wait_cq(cq, Wait::Block).unwrap();
+            ctx.drain_cq(cq, &mut tags);
+        }
+    }
 
     /// Two equal-weight flows saturating one link split it evenly and the
     /// sum of achieved bandwidths equals capacity (work conservation).
@@ -497,13 +517,15 @@ mod tests {
         let fb = h.new_flow(1000);
         let mut sim = sim;
         sim.spawn("a", move |ctx| {
-            let ev = ctx.transfer_qos(res, fa, SimTime::ZERO, 10_000);
-            ctx.drain(&[ev], Wait::Block).unwrap();
+            let cq = ctx.open_cq();
+            ctx.transfer_qos(res, fa, SimTime::ZERO, 10_000, (cq, 0));
+            wait_tags(ctx, cq, 1);
             assert_eq!(ctx.now(), SimTime(20_000), "half share doubles the service time");
         });
         sim.spawn("b", move |ctx| {
-            let ev = ctx.transfer_qos(res, fb, SimTime::ZERO, 10_000);
-            ctx.drain(&[ev], Wait::Block).unwrap();
+            let cq = ctx.open_cq();
+            ctx.transfer_qos(res, fb, SimTime::ZERO, 10_000, (cq, 0));
+            wait_tags(ctx, cq, 1);
         });
         let rep = sim.run().unwrap();
         assert_eq!(rep.end_time, SimTime(20_000));
@@ -527,13 +549,15 @@ mod tests {
         let done_heavy = std::sync::Arc::new(std::sync::Mutex::new(SimTime::ZERO));
         let (dh1, dh2) = (done_heavy.clone(), done_heavy.clone());
         sim.spawn("heavy", move |ctx| {
-            let ev = ctx.transfer_qos(res, heavy, SimTime::ZERO, 8_000);
-            ctx.drain(&[ev], Wait::Block).unwrap();
+            let cq = ctx.open_cq();
+            ctx.transfer_qos(res, heavy, SimTime::ZERO, 8_000, (cq, 0));
+            wait_tags(ctx, cq, 1);
             *dh1.lock().unwrap() = ctx.now();
         });
         sim.spawn("light", move |ctx| {
-            let ev = ctx.transfer_qos(res, light, SimTime::ZERO, 8_000);
-            ctx.drain(&[ev], Wait::Block).unwrap();
+            let cq = ctx.open_cq();
+            ctx.transfer_qos(res, light, SimTime::ZERO, 8_000, (cq, 0));
+            wait_tags(ctx, cq, 1);
             // Light flow: 2000 B served at 1/5 rate while heavy drains
             // (10 000 ns), then 6000 B alone at full rate.
             assert_eq!(ctx.now(), SimTime(16_000));
@@ -557,12 +581,11 @@ mod tests {
             let flow = h.new_flow(1000);
             let mut sim = sim;
             sim.spawn("job", move |ctx| {
-                let evs: Vec<_> = (0..4)
-                    .map(|i| ctx.transfer_qos(res, flow, SimTime(i * 100), 10_000 + i * 7))
-                    .collect();
-                for ev in evs {
-                    ctx.drain(&[ev], Wait::Block).unwrap();
+                let cq = ctx.open_cq();
+                for i in 0..4 {
+                    ctx.transfer_qos(res, flow, SimTime(i * 100), 10_000 + i * 7, (cq, i));
                 }
+                wait_tags(ctx, cq, 4);
             });
             sim.run().unwrap().end_time
         };
@@ -570,7 +593,8 @@ mod tests {
     }
 
     /// Disarmed, `transfer_qos` replays bit-identically to the legacy
-    /// three-call sequence (same end time *and* same entry count).
+    /// event sequence, its post in place of the completion (same end time
+    /// *and* same entry count).
     #[test]
     fn disarmed_path_is_bit_identical_to_legacy_calls() {
         let run = |qos: bool| -> (SimTime, u64) {
@@ -579,17 +603,18 @@ mod tests {
             let res = h.new_resource(2.0, Dur::nanos(40));
             let flow = h.new_flow(1000);
             sim.spawn("job", move |ctx| {
+                let cq = ctx.open_cq();
                 for i in 0..5u64 {
                     let at = SimTime(i * 30);
-                    let ev = if qos {
-                        ctx.transfer_qos(res, flow, at, 4096)
+                    if qos {
+                        ctx.transfer_qos(res, flow, at, 4096, (cq, i));
+                        wait_tags(ctx, cq, 1);
                     } else {
                         let tr = ctx.handle().transfer_from(res, at, 4096);
                         let ev = ctx.new_event();
                         ctx.complete_at(ev, tr.arrive);
-                        ev
-                    };
-                    ctx.drain(&[ev], Wait::Block).unwrap();
+                        ctx.drain(&[ev], Wait::Block).unwrap();
+                    }
                 }
             });
             let rep = sim.run().unwrap();
@@ -625,19 +650,19 @@ mod tests {
         sim.enable_contention();
         let res = sim.handle().new_resource(1.0, Dur::ZERO);
         sim.spawn("job", move |ctx| {
-            let flow = ctx.new_flow(1000);
-            let ev = ctx.transfer_qos(res, flow, SimTime::ZERO, 10_000);
+            let (flow, cq) = (ctx.new_flow(1000), ctx.open_cq());
+            ctx.transfer_qos(res, flow, SimTime::ZERO, 10_000, (cq, 0));
             ctx.delay(Dur::nanos(100));
-            ctx.release_event(ev);
+            ctx.release_cq(cq);
             ctx.release_flow(flow);
         });
         sim.run().unwrap();
     }
 
-    /// A transfer whose event is released before its ready instant is
-    /// dropped when its enqueue fires: it never joins the fair queue, so
-    /// the other flow keeps the whole link, its own flow is credited
-    /// nothing, and the event slot is recycled.
+    /// A transfer whose completion queue is released before its ready
+    /// instant is dropped when its enqueue fires: it never joins the fair
+    /// queue, so the other flow keeps the whole link and its own flow is
+    /// credited nothing. No event is ever allocated.
     #[test]
     fn a_released_transfer_is_dropped_at_enqueue() {
         let mut sim = Sim::new();
@@ -646,13 +671,15 @@ mod tests {
         let res = h.new_resource(1.0, Dur::ZERO);
         let (fa, fb) = (h.new_flow(1000), h.new_flow(1000));
         sim.spawn("a", move |ctx| {
-            let ev = ctx.transfer_qos(res, fa, SimTime(1_000), 10_000);
-            ctx.release_event(ev);
+            let cq = ctx.open_cq();
+            ctx.transfer_qos(res, fa, SimTime(1_000), 10_000, (cq, 0));
+            ctx.release_cq(cq);
             ctx.release_flow(fa);
         });
         sim.spawn("b", move |ctx| {
-            let ev = ctx.transfer_qos(res, fb, SimTime::ZERO, 10_000);
-            ctx.drain(&[ev], Wait::Block).unwrap();
+            let cq = ctx.open_cq();
+            ctx.transfer_qos(res, fb, SimTime::ZERO, 10_000, (cq, 0));
+            wait_tags(ctx, cq, 1);
             assert_eq!(ctx.now(), SimTime(10_000), "the dropped transfer took no share");
         });
         sim.run().unwrap();
@@ -671,20 +698,21 @@ mod tests {
         let res = h.new_resource(1.0, Dur::ZERO);
         let (fa, fb) = (h.new_flow(1000), h.new_flow(1000));
         sim.spawn("a", move |ctx| {
-            let evs: Vec<_> =
-                (0..3).map(|_| ctx.transfer_qos(res, fa, SimTime::ZERO, 10_000)).collect();
+            let cq = ctx.open_cq();
+            for i in 0..3 {
+                ctx.transfer_qos(res, fa, SimTime::ZERO, 10_000, (cq, i));
+            }
             ctx.delay(Dur::nanos(4_000));
             assert_eq!(ctx.link_backlog(res), 4);
-            for ev in evs {
-                ctx.release_event(ev);
-            }
+            ctx.release_cq(cq);
             ctx.purge_flow(fa);
             assert_eq!(ctx.link_backlog(res), 1);
             ctx.release_flow(fa);
         });
         sim.spawn("b", move |ctx| {
-            let ev = ctx.transfer_qos(res, fb, SimTime::ZERO, 10_000);
-            ctx.drain(&[ev], Wait::Block).unwrap();
+            let cq = ctx.open_cq();
+            ctx.transfer_qos(res, fb, SimTime::ZERO, 10_000, (cq, 0));
+            wait_tags(ctx, cq, 1);
             assert_eq!(ctx.now(), SimTime(12_000));
         });
         sim.run().unwrap();

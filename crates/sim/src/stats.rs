@@ -24,39 +24,6 @@ impl Meter {
         self.samples.len()
     }
 
-    /// Arithmetic mean in microseconds (0 if empty).
-    pub fn mean_us(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Minimum sample in microseconds (0 if empty).
-    pub fn min_us(&self) -> f64 {
-        self.samples.iter().copied().fold(f64::INFINITY, f64::min).min(f64::MAX)
-    }
-
-    /// Maximum sample in microseconds (0 if empty).
-    pub fn max_us(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Median sample in microseconds (0 if empty).
-    pub fn median_us(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut s = self.samples.clone();
-        s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mid = s.len() / 2;
-        if s.len().is_multiple_of(2) {
-            (s[mid - 1] + s[mid]) / 2.0
-        } else {
-            s[mid]
-        }
-    }
-
     /// The `p`-th percentile sample in microseconds (0 if empty), with
     /// `p` in `[0, 100]`. Nearest-rank method on the sorted samples, so
     /// the result is always an observed value — the convention used for
@@ -104,10 +71,10 @@ mod tests {
             m.record(Dur::micros(us));
         }
         assert_eq!(m.count(), 4);
-        assert!((m.mean_us() - 4.0).abs() < 1e-9);
-        assert!((m.median_us() - 2.5).abs() < 1e-9);
-        assert!((m.min_us() - 1.0).abs() < 1e-9);
-        assert!((m.max_us() - 10.0).abs() < 1e-9);
+        // The extremes and the nearest-rank median are observed samples.
+        assert!((m.percentile_us(0.0) - 1.0).abs() < 1e-9);
+        assert!((m.p50_us() - 2.0).abs() < 1e-9);
+        assert!((m.percentile_us(100.0) - 10.0).abs() < 1e-9);
     }
 
     #[test]

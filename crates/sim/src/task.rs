@@ -45,8 +45,10 @@ pub(crate) enum ParkedOn {
         pending: usize,
         deadline: Option<SimTime>,
     },
-    WaitAny {
-        n: usize,
+    /// A completion queue, with the transfers in flight to it at the park.
+    Cq {
+        idx: u32,
+        inflight: usize,
         deadline: Option<SimTime>,
     },
     Board {
@@ -65,8 +67,8 @@ impl std::fmt::Display for ParkedOn {
         let deadline = match *self {
             ParkedOn::Start => return write!(f, "its first wake"),
             ParkedOn::Sleep { until } => return write!(f, "sleep until {until}"),
-            ParkedOn::WaitAny { n, deadline } => {
-                write!(f, "any of {n} events")?;
+            ParkedOn::Cq { idx, inflight, deadline } => {
+                write!(f, "completion queue {idx} with {inflight} in flight")?;
                 deadline
             }
             ParkedOn::WaitAll { pending, deadline } => {
@@ -105,8 +107,8 @@ mod tests {
         assert_eq!(all.to_string(), "all of 3 pending events (deadline 2.000us)");
         let board = ParkedOn::Board { id: BoardId(1), first: 8, num: 4, deadline };
         assert_eq!(board.to_string(), "board 1 ids [8, 12) (deadline 2.000us)");
-        let any = ParkedOn::WaitAny { n: 2, deadline };
-        assert_eq!(any.to_string(), "any of 2 events (deadline 2.000us)");
+        let cq = ParkedOn::Cq { idx: 1, inflight: 5, deadline };
+        assert_eq!(cq.to_string(), "completion queue 1 with 5 in flight (deadline 2.000us)");
         assert_eq!(ParkedOn::Sleep { until: SimTime(5) }.to_string(), "sleep until 5ns");
         assert_eq!(ParkedOn::Start.to_string(), "its first wake");
     }

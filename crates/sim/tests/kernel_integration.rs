@@ -5,7 +5,22 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use diomp_sim::{Dur, Sim, SimError, SimReport, SimTime, Wait};
+use diomp_sim::{CqId, Dur, Sim, SimError, SimHandle, SimReport, SimTime, Wait};
+
+/// Post `tag` to `cq` at `t` (not before now): a flow-tagged transfer of
+/// `t − now` bytes on a fresh idle 1 B/ns link lands exactly then, one
+/// queued action, like `complete_at`.
+fn post_at(h: &SimHandle, cq: CqId, tag: u64, t: SimTime) {
+    let (res, flow) = (h.new_resource(1.0, Dur::ZERO), h.new_flow(1000));
+    h.transfer_qos(res, flow, h.now(), t.since(h.now()).as_nanos(), (cq, tag));
+}
+
+/// Every tag posted to `cq` so far.
+fn drained(h: &SimHandle, cq: CqId) -> Vec<u64> {
+    let mut tags = Vec::new();
+    h.drain_cq(cq, &mut tags);
+    tags
+}
 
 #[test]
 fn delays_accumulate_virtual_time() {
@@ -86,39 +101,39 @@ fn wait_on_completed_event_returns_immediately() {
 }
 
 #[test]
-fn wait_any_returns_first_completed() {
+fn wait_cq_returns_at_the_first_post() {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let slow = h.new_event();
-    let fast = h.new_event();
-    h.complete_at(slow, SimTime(9_000));
-    h.complete_at(fast, SimTime(1_000));
+    let cq = h.open_cq();
+    post_at(&h, cq, 9, SimTime(9_000));
+    post_at(&h, cq, 1, SimTime(1_000));
     sim.spawn("w", move |ctx| {
-        let idx = ctx.wait_any(&[slow, fast], Wait::Block).unwrap();
-        assert_eq!(idx, 1);
+        ctx.wait_cq(cq, Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime(1_000));
-        // A later wait on the slow event still works (no spurious state).
-        ctx.wait_all(&[slow], Wait::Block).unwrap();
+        assert_eq!(drained(ctx, cq), [1]);
+        // A later wait on the same queue still works (no spurious state).
+        ctx.wait_cq(cq, Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime(9_000));
+        assert_eq!(drained(ctx, cq), [9]);
     });
     sim.run().unwrap();
 }
 
 #[test]
 fn spurious_wakes_do_not_break_delay() {
-    // A task waits on an event with wait_any, abandons one registration,
-    // then sleeps; the abandoned registration must not cut the sleep short.
+    // A task waits on a queue, takes the first post, then sleeps; the
+    // second post must not cut the sleep short.
     let mut sim = Sim::new();
     let h = sim.handle();
-    let a = h.new_event();
-    let b = h.new_event();
-    h.complete_at(a, SimTime(1_000));
-    h.complete_at(b, SimTime(2_000)); // fires mid-sleep
+    let cq = h.open_cq();
+    post_at(&h, cq, 0, SimTime(1_000));
+    post_at(&h, cq, 1, SimTime(2_000)); // posts mid-sleep
     sim.spawn("w", move |ctx| {
-        let idx = ctx.wait_any(&[a, b], Wait::Block).unwrap();
-        assert_eq!(idx, 0);
-        ctx.delay(Dur::micros(10.0)); // b completes at 2µs, must not wake us
+        ctx.wait_cq(cq, Wait::Block).unwrap();
+        assert_eq!(drained(ctx, cq), [0]);
+        ctx.delay(Dur::micros(10.0)); // tag 1 lands at 2µs, must not wake us
         assert_eq!(ctx.now(), SimTime(11_000));
+        assert_eq!(drained(ctx, cq), [1]);
     });
     sim.run().unwrap();
 }
@@ -178,7 +193,8 @@ fn deadlock_is_reported_with_task_names() {
     });
     sim.spawn("fence", move |ctx| ctx.wait_all(&[never, other], Wait::Block).unwrap());
     sim.spawn("poller", move |ctx| {
-        ctx.wait_any(&[never, other], Wait::Block).unwrap();
+        let cq = ctx.open_cq();
+        ctx.wait_cq(cq, Wait::Block).unwrap();
     });
     sim.spawn("halo", move |ctx| {
         // The first wait times out (its reason carried a deadline, its
@@ -195,7 +211,7 @@ fn deadlock_is_reported_with_task_names() {
                 &[
                     "all of 1 pending events",
                     "all of 2 pending events",
-                    "any of 2 events",
+                    "completion queue 0 with 0 in flight",
                     "board 0 ids [4, 6)"
                 ]
             );
@@ -206,7 +222,8 @@ fn deadlock_is_reported_with_task_names() {
     assert_eq!(
         err.to_string(),
         "simulation deadlock at 1.000us: blocked tasks [stuck-rank: all of 1 pending events, \
-         fence: all of 2 pending events, poller: any of 2 events, halo: board 0 ids [4, 6)]"
+         fence: all of 2 pending events, poller: completion queue 0 with 0 in flight, \
+         halo: board 0 ids [4, 6)]"
     );
 }
 
@@ -460,100 +477,169 @@ fn wait_all_groups_are_recycled() {
     assert_eq!(h.live_events(), 0);
 }
 
-// ---------- wait_any (wait-any groups) ----------
+// ---------- wait_cq (completion queues) ----------
 
 #[test]
-fn wait_any_batched_returns_first_completed() {
+fn wait_cq_batched_returns_first_posted() {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let slow = h.new_event();
-    let fast = h.new_event();
-    h.complete_at(slow, SimTime(9_000));
-    h.complete_at(fast, SimTime(1_000));
+    let cq = h.open_cq();
+    post_at(&h, cq, 9, SimTime(9_000));
+    post_at(&h, cq, 1, SimTime(1_000));
     sim.spawn("w", move |ctx| {
-        let idx = ctx.wait_any(&[slow, fast], Wait::Block).unwrap();
-        assert_eq!(idx, 1);
+        ctx.wait_cq(cq, Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime(1_000));
-        // The abandoned registration on `slow` must not disturb later
-        // waits: the group is dead, so slow's completion pushes nothing.
-        ctx.wait_all(&[slow], Wait::Block).unwrap();
-        assert_eq!(ctx.now(), SimTime(9_000));
+        assert_eq!(drained(ctx, cq), [1]);
+        // The first post took the armed group off the queue, so the
+        // second finds none and pushes nothing into this sleep.
+        ctx.sleep_until(SimTime(10_000));
+        assert_eq!(drained(ctx, cq), [9]);
     });
     let rep = sim.run().unwrap();
-    // Start wake, two completions and one wake per park: no stale wake
-    // from the dead group.
+    // Start wake, two posts, the queue wake and the sleep's: no stale
+    // wake from the fired group.
     assert_eq!(rep.entries_processed, 5);
 }
 
 #[test]
-fn wait_any_on_completed_event_returns_immediately() {
+fn wait_cq_on_a_ready_tag_returns_immediately() {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let pending = h.new_event();
-    let done = h.new_event();
-    h.complete(done);
+    let cq = h.open_cq();
+    post_at(&h, cq, 7, SimTime::ZERO);
     sim.spawn("w", move |ctx| {
-        assert_eq!(ctx.wait_any(&[pending, done], Wait::Block).unwrap(), 1);
+        ctx.yield_now(); // let the post land
+        ctx.wait_cq(cq, Wait::Block).unwrap();
+        ctx.wait_cq(cq, Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime::ZERO);
-        ctx.complete(pending);
+        assert_eq!(drained(ctx, cq), [7]);
     });
-    sim.run().unwrap();
+    let rep = sim.run().unwrap();
+    // Start wake, the post and the yield's wake: neither wait parked.
+    assert_eq!(rep.entries_processed, 3);
 }
 
-/// Progress-engine shape: retire `n` staggered completions one at a time,
-/// re-waiting on the whole remaining set after each retirement.
+/// Progress-engine shape: retire `n` staggered posts one at a time,
+/// re-parking on the queue after each retirement.
 fn retire_one_by_one(n: u64) -> (SimTime, u64) {
     let mut sim = Sim::new();
     sim.spawn("engine", move |ctx| {
-        let mut evs: Vec<_> = (0..n)
-            .map(|i| {
-                let ev = ctx.new_event();
-                ctx.complete_at(ev, SimTime(1_000 * (i + 1)));
-                ev
-            })
-            .collect();
-        while !evs.is_empty() {
-            let idx = ctx.wait_any(&evs, Wait::Block).unwrap();
-            let ev = evs.remove(idx);
-            ctx.handle().free_event(ev);
+        let cq = ctx.open_cq();
+        for i in 0..n {
+            post_at(ctx, cq, i, SimTime(1_000 * (i + 1)));
         }
+        for i in 0..n {
+            ctx.wait_cq(cq, Wait::Block).unwrap();
+            assert_eq!(drained(ctx, cq), [i]);
+        }
+        ctx.release_cq(cq);
     });
     let rep = sim.run().unwrap();
     (rep.end_time, rep.entries_processed)
 }
 
 #[test]
-fn wait_any_costs_one_wake_per_park() {
-    // Every park registers one group on all remaining events; the first
-    // completion is its only wake and the later ones push nothing: the
-    // start wake, n completions and n wakes.
+fn wait_cq_costs_one_wake_per_park() {
+    // Every park arms one group on the queue and the first post is its
+    // only wake, however many transfers are in flight: the start wake,
+    // n posts and n wakes.
     let n = 100;
     assert_eq!(retire_one_by_one(n), (SimTime(1_000 * n), 1 + 2 * n));
 }
 
 #[test]
-fn wait_any_groups_are_recycled_across_rounds() {
-    // Stale group refs from earlier rounds must never fire a recycled
-    // group (generation check) nor block event recycling.
+fn wait_cq_groups_are_recycled_across_rounds() {
+    // Groups fired or killed in earlier rounds must never fire a recycled
+    // group (generation check), and a recycled queue slot starts empty.
     let mut sim = Sim::new();
     let h = sim.handle();
-    sim.spawn("loop", |ctx| {
+    sim.spawn("loop", move |ctx| {
         for round in 0..300u64 {
-            let evs: Vec<_> = (0..4)
-                .map(|i| {
-                    let ev = ctx.new_event();
-                    ctx.complete_at(ev, ctx.now() + Dur::nanos((i + 1) * (round + 1)));
-                    ev
-                })
-                .collect();
-            let first = ctx.wait_any(&evs, Wait::Block).unwrap();
-            assert_eq!(first, 0, "earliest completion wins");
-            // Drain the rest and recycle everything.
-            ctx.drain(&evs, Wait::Block).unwrap();
+            let cq = ctx.open_cq();
+            for i in 0..4 {
+                post_at(ctx, cq, i, ctx.now() + Dur::nanos((i + 1) * (round + 1)));
+            }
+            if round % 2 == 1 {
+                assert!(ctx.wait_cq(cq, Wait::Until(Dur::nanos(round / 2))).is_err());
+            }
+            ctx.wait_cq(cq, Wait::Block).unwrap();
+            assert_eq!(drained(ctx, cq), [0], "earliest post wins");
+            let mut rest = Vec::new();
+            while rest.len() < 3 {
+                ctx.wait_cq(cq, Wait::Block).unwrap();
+                ctx.drain_cq(cq, &mut rest);
+            }
+            assert_eq!(rest, [1, 2, 3]);
+            ctx.release_cq(cq);
         }
     });
     sim.run().unwrap();
     assert_eq!(h.live_events(), 0);
+}
+
+#[test]
+#[should_panic(expected = "stale CqId")]
+fn a_released_queue_is_rejected_like_a_stale_flow() {
+    let h = Sim::new().handle();
+    let old = h.open_cq();
+    h.release_cq(old);
+    let new = h.open_cq();
+    assert_ne!(new, old, "the recycled slot has a new generation");
+    h.drain_cq(old, &mut Vec::new());
+}
+
+#[test]
+fn a_straggler_post_never_reaches_the_slots_next_tenant() {
+    // Queue `a` is released with a FIFO transfer still in flight; its
+    // slot goes to `b` at once. The straggler lands at 1 µs and is
+    // dropped: `b` sees only its own tag, and its bounded park before
+    // that is a plain timeout.
+    let mut sim = Sim::new();
+    let h = sim.handle();
+    sim.spawn("w", move |ctx| {
+        let a = ctx.open_cq();
+        post_at(ctx, a, 1, SimTime(1_000));
+        ctx.release_cq(a);
+        let b = ctx.open_cq();
+        post_at(ctx, b, 2, SimTime(3_000));
+        let err = ctx.wait_cq(b, Wait::Until(Dur::micros(2.0))).unwrap_err();
+        assert_eq!(err.at, SimTime(2_000));
+        assert!(drained(ctx, b).is_empty(), "the straggler was dropped");
+        ctx.wait_cq(b, Wait::Block).unwrap();
+        assert_eq!((ctx.now(), drained(ctx, b)), (SimTime(3_000), vec![2]));
+    });
+    let rep = sim.run().unwrap();
+    // Start wake, both posts, the deadline wake and the queue wake.
+    assert_eq!(rep.entries_processed, 5);
+    assert_eq!(h.live_events(), 0, "no transfer allocated an event");
+}
+
+#[test]
+fn a_task_parked_forever_on_a_queue_names_it_and_its_inflight_count() {
+    // The waiter parks with one transfer in flight on an armed fair
+    // queue; another task purges the transfer's flow, so nothing will
+    // ever post. The report names the queue and what was in flight.
+    let mut sim = Sim::new();
+    sim.enable_contention();
+    let h = sim.handle();
+    let (res, flow) = (h.new_resource(1.0, Dur::ZERO), h.new_flow(1000));
+    sim.spawn("waiter", move |ctx| {
+        let cq = ctx.open_cq();
+        ctx.transfer_qos(res, flow, SimTime::ZERO, 10_000, (cq, 0));
+        ctx.wait_cq(cq, Wait::Block).unwrap();
+    });
+    sim.spawn("purger", move |ctx| {
+        ctx.delay(Dur::micros(1.0));
+        ctx.purge_flow(flow);
+    });
+    let err = sim.run().unwrap_err();
+    // The queue drains at 10 µs, where the purged head's stale finish
+    // action pops.
+    assert_eq!(
+        err.to_string(),
+        "simulation deadlock at 10.000us: blocked tasks [waiter: completion queue 0 with 1 in flight]"
+    );
+    assert_eq!(h.link_backlog(res), 0);
 }
 
 #[test]
@@ -662,26 +748,27 @@ fn wait_all_timeout_reports_partial_completion() {
 }
 
 #[test]
-fn wait_any_timeout_fires_at_the_deadline_then_takes_the_first_completion() {
+fn wait_cq_timeout_fires_at_the_deadline_then_takes_the_first_post() {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let (slow, slower) = (h.new_event(), h.new_event());
-    h.complete_at(slow, h.now() + Dur::micros(12.0));
-    h.complete_at(slower, h.now() + Dur::micros(20.0));
+    let cq = h.open_cq();
+    post_at(&h, cq, 12, SimTime(12_000));
+    post_at(&h, cq, 20, SimTime(20_000));
     sim.spawn("waiter", move |ctx| {
-        let evs = [slower, slow];
         let budget = Wait::Until(Dur::micros(5.0));
-        assert_eq!(ctx.wait_any(&evs, budget).unwrap_err().at, SimTime(5_000));
-        assert_eq!(ctx.wait_any(&evs, budget).unwrap_err().at, SimTime(10_000));
-        // The killed groups stay inert; the third park takes the completion.
-        assert_eq!(ctx.wait_any(&evs, budget), Ok(1));
+        assert_eq!(ctx.wait_cq(cq, budget).unwrap_err().at, SimTime(5_000));
+        assert_eq!(ctx.wait_cq(cq, budget).unwrap_err().at, SimTime(10_000));
+        // The killed groups stay inert; the third park takes the post.
+        assert_eq!(ctx.wait_cq(cq, budget), Ok(()));
         assert_eq!(ctx.now(), SimTime(12_000));
-        assert_eq!(ctx.wait_any(&evs, Wait::Block), Ok(1), "already complete");
-        ctx.drain(&evs, Wait::Block).unwrap();
+        assert_eq!(ctx.wait_cq(cq, Wait::Block), Ok(()), "already posted");
+        assert_eq!(drained(ctx, cq), [12]);
+        ctx.wait_cq(cq, Wait::Block).unwrap();
+        assert_eq!((ctx.now(), drained(ctx, cq)), (SimTime(20_000), vec![20]));
     });
     let rep = sim.run().unwrap();
-    // The start wake, two completions, three deadline wakes (the last
-    // one stale), and the wake of each park a completion ended.
+    // The start wake, two posts, three deadline wakes (the last one
+    // stale), and the wake of each park a post ended.
     assert_eq!(rep.entries_processed, 8);
 }
 
@@ -763,16 +850,15 @@ fn a_budget_past_the_end_of_time_blocks() {
     assert_eq!(Wait::Until(Dur::nanos(u64::MAX - 11)).deadline(SimTime(10)), Some(SimTime(!0 - 1)));
     let mut sim = Sim::new();
     let h = sim.handle();
-    let (a, b) = (h.new_event(), h.new_event());
-    let board = h.new_board();
-    h.complete_at(a, SimTime(1_000));
-    h.complete_at(b, SimTime(2_000));
+    let (ev, board, cq) = (h.new_event(), h.new_board(), h.open_cq());
+    post_at(&h, cq, 0, SimTime(1_000));
+    h.complete_at(ev, SimTime(2_000));
     h.schedule_at(SimTime(3_000), move |h| h.board_post(board, 5, 50));
     sim.spawn("waiter", move |ctx| {
         ctx.delay(Dur::nanos(10));
-        assert_eq!(ctx.wait_any(&[b, a], forever), Ok(1));
+        assert_eq!(ctx.wait_cq(cq, forever), Ok(()));
         assert_eq!(ctx.now(), SimTime(1_000));
-        assert_eq!(ctx.wait_all(&[a, b], forever), Ok(()));
+        assert_eq!(ctx.wait_all(&[ev], forever), Ok(()));
         assert_eq!(ctx.now(), SimTime(2_000));
         assert_eq!(ctx.board_waitsome(board, 0, 8, forever), Ok((5, 50)));
         assert_eq!(ctx.now(), SimTime(3_000));
@@ -937,7 +1023,7 @@ fn disabled_injection_is_bit_identical_to_no_injection() {
 
 /// Every primitive the dispatcher treats differently, in one run: tasks,
 /// actions, bounded waits that time out and that succeed, board waits,
-/// a wait-any group, a coalesced sleep, a straggler and a degraded link,
+/// a completion-queue wait, a coalesced sleep, a straggler and a degraded link,
 /// and mid-run spawns from both a task and an action.
 fn golden_scenario() -> SimReport {
     let mut sim = Sim::new();
@@ -948,11 +1034,12 @@ fn golden_scenario() -> SimReport {
         FaultPlan::new().degrade_link(link, SimTime(0), SimTime(4_000), 500).straggle("slow", 1500),
     );
     let board = h.new_board();
-    let e: [diomp_sim::EventId; 4] = std::array::from_fn(|_| h.new_event());
+    let e: [diomp_sim::EventId; 3] = std::array::from_fn(|_| h.new_event());
+    let cq = h.open_cq();
     h.complete_at(e[0], SimTime(1_500));
     h.complete_at(e[1], SimTime(5_000));
-    h.complete_at(e[2], SimTime(5_000));
-    h.complete_at(e[3], SimTime(9_000));
+    post_at(&h, cq, 0, SimTime(5_000));
+    h.complete_at(e[2], SimTime(9_000));
     h.schedule_at(SimTime(3_000), move |h| {
         h.trace("action", "spawning");
         h.spawn("from-action", move |ctx| {
@@ -965,10 +1052,10 @@ fn golden_scenario() -> SimReport {
     sim.spawn("waiter", move |ctx| {
         let r = ctx.wait_all(&e[..2], Wait::Until(Dur::micros(2.0)));
         ctx.trace("waiter", format!("first {:?}", r.map_err(|t| t.at.nanos())));
-        let r = ctx.wait_all(&e[..3], Wait::Until(Dur::micros(10.0)));
+        let r = ctx.wait_all(&e[..2], Wait::Until(Dur::micros(10.0)));
         ctx.trace("waiter", format!("second {:?}", r.map_err(|t| t.at.nanos())));
-        let i = ctx.wait_any(&e[2..], Wait::Block).unwrap();
-        ctx.trace("waiter", format!("any {i}"));
+        ctx.wait_cq(cq, Wait::Block).unwrap();
+        ctx.trace("waiter", format!("any {}", drained(ctx, cq)[0]));
         ctx.wait_all(&e, Wait::Block).unwrap();
     });
     sim.spawn("boarder", move |ctx| {
@@ -990,7 +1077,7 @@ fn golden_scenario() -> SimReport {
             ctx.board_post(board, 1, 10);
             ctx.sleep_until_coalesced(SimTime(12_000), 7);
         });
-        ctx.wait_all(&[e[3]], Wait::Block).unwrap();
+        ctx.wait_all(&[e[2]], Wait::Block).unwrap();
     });
     sim.run().unwrap()
 }

@@ -19,11 +19,12 @@
 //!
 //! [`Schedule::drive`] runs it under one of two drivers:
 //!
-//! * the **explicit** driver: every chunk is a kernel event plus a
-//!   scheduled completion, and the progress loop parks on
-//!   [`Ctx::wait_any`]. This is the reference semantics
-//!   (and the only driver that supports an armed contention model, whose
-//!   weighted-fair queues reorder completions at runtime).
+//! * the **explicit** driver: every chunk is a live kernel transfer
+//!   posted to one completion queue with its tag, and the progress loop
+//!   parks on the queue ([`Ctx::wait_cq`]) — O(1) per park, however many
+//!   chunks are in flight. This is the reference semantics (and the only
+//!   driver that supports an armed contention model, whose weighted-fair
+//!   queues reorder completions at runtime).
 //! * the **coalesced** driver: the identical schedule is priced
 //!   arithmetically against the live link resources (same reservation
 //!   arithmetic, same rounding, same fault perturbation) under one hold
@@ -49,7 +50,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use diomp_sim::{Ctx, Dur, EventId, FlowId, Reservations, ResourceId, Sim, SimTime, Wait};
+use diomp_sim::{Ctx, Dur, FlowId, Reservations, ResourceId, Sim, SimTime, Wait};
 
 /// "No send" / "no lane" in the intrusive `u32` lists below.
 const NONE: u32 = u32::MAX;
@@ -373,7 +374,8 @@ impl Schedule {
     /// Under a bounded `watch` both drivers take the same deadline wakes,
     /// and the first that confirms a death abandons the march there:
     /// `Err` carries that instant, and whatever is still in flight is
-    /// left to drain (explicit: released and purged) without the caller.
+    /// left to drain (explicit: its queue released and its flows purged)
+    /// without the caller.
     pub(crate) fn drive(
         &self,
         ctx: &mut Ctx,
@@ -395,18 +397,20 @@ impl Schedule {
         }
     }
 
-    /// The explicit driver: one kernel event per chunk, completions
-    /// drained with [`Ctx::wait_any`] — one wake per park.
+    /// The explicit driver: every chunk is posted to one completion
+    /// queue tagged `(send << 32) | key`, and each park waits on the queue
+    /// ([`Ctx::wait_cq`]) — O(1) work and one wake per park, however many
+    /// chunks are in flight, and no event per chunk.
     ///
     /// Each chunk is charged to its own [`ChunkSend::flow`] (a server's
     /// fan-back to the communicator's server flow), so that under armed
     /// contention concurrent collectives fair-share each link by QoS
     /// weight; disarmed, the charge is a plain FIFO `transfer_from`.
     ///
-    /// An abort issues nothing more, releases every in-flight chunk event
-    /// and purges the schedule's flows from the armed fair queues
-    /// (`gaspi_queue_purge`), so no abandoned chunk keeps a share of a
-    /// live link.
+    /// An abort issues nothing more, releases the queue — a chunk still in
+    /// flight lands, but its tag is dropped — and purges the schedule's
+    /// flows from the armed fair queues (`gaspi_queue_purge`), so no
+    /// abandoned chunk keeps a share of a live link.
     fn drive_explicit(
         &self,
         ctx: &mut Ctx,
@@ -415,41 +419,38 @@ impl Schedule {
         watch: Watch,
     ) -> Result<(), SimTime> {
         let mut march = March::new(self, window);
-        // In flight: `(event, send, key)`.
-        let mut inflight: Vec<(EventId, u32, u32)> = Vec::new();
-        let mut evs: Vec<EventId> = Vec::new();
+        let cq = ctx.open_cq();
+        let mut inflight = 0;
+        let mut landed = Vec::new();
         loop {
             let ready = ctx.now() + step_d;
             march.issue_pass(|si, key, s, wire| {
-                let ev = ctx.handle().transfer_qos(s.res, s.flow, ready, wire);
-                inflight.push((ev, si, key));
+                let tag = u64::from(si) << 32 | u64::from(key);
+                ctx.handle().transfer_qos(s.res, s.flow, ready, wire, (cq, tag));
+                inflight += 1;
             });
-            if inflight.is_empty() {
+            if inflight == 0 {
                 break;
             }
-            evs.clear();
-            evs.extend(inflight.iter().map(|&(ev, ..)| ev));
-            while ctx.wait_any(&evs, watch.wait).is_err() {
+            while ctx.wait_cq(cq, watch.wait).is_err() {
                 if watch.confirms(ctx.now()) {
-                    for &ev in &evs {
-                        ctx.release_event(ev);
-                    }
+                    ctx.release_cq(cq);
                     for flow in self.flows() {
                         ctx.purge_flow(flow);
                     }
                     return Err(ctx.now());
                 }
             }
-            // Retire everything that completed at this instant.
-            inflight.retain(|&(ev, si, key)| {
-                let done = ctx.event_done(ev);
-                if done {
-                    ctx.free_event(ev);
-                    march.retire(si, key);
-                }
-                !done
-            });
+            // Retire everything that landed by this wake. Order within the
+            // instant is free: the next issue pass visits its candidate
+            // lanes in lane order whatever order they were marked in.
+            ctx.drain_cq(cq, &mut landed);
+            inflight -= landed.len();
+            for tag in landed.drain(..) {
+                march.retire((tag >> 32) as u32, tag as u32);
+            }
         }
+        ctx.release_cq(cq);
         march.assert_drained();
         Ok(())
     }

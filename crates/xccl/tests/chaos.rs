@@ -19,6 +19,8 @@
 //! * **Degradation awareness** — dead links blacklist rails at init, and
 //!   a degraded fabric moves the Auto dispatcher's priced regime
 //!   boundaries toward the ring.
+//! * **O(1) parks** — under armed contention the explicit driver posts
+//!   its chunks to one completion queue: no event per chunk in flight.
 
 use std::sync::Arc;
 
@@ -621,4 +623,64 @@ fn repeated_shrink_cycles_recycle_flow_slots() {
     for id in ids.iter() {
         assert!(!XcclComm::is_live(*id), "communicator {id:?} outlived every member");
     }
+}
+
+#[test]
+fn the_explicit_driver_holds_no_event_per_chunk_in_flight() {
+    // Armed contention forces the explicit driver. Right before its
+    // collective, rank 0 starts a probe that samples every microsecond,
+    // until the last rank returns, the live event count beside the
+    // chunks queued on the armed links. Chunks post to one completion
+    // queue, so the event count must not follow the backlog.
+    let mut sim = Sim::new();
+    sim.enable_contention();
+    let world = boot(&sim, &FaultPlan::new());
+    let links = all_links(&world);
+    let id = UniqueId::generate();
+    let len = 4 << 20;
+    let samples: Arc<Mutex<Vec<(usize, usize)>>> = Arc::default();
+    let running = Arc::new(std::sync::atomic::AtomicUsize::new(NRANKS));
+    for r in 0..NRANKS {
+        let (world, links, samples, running) =
+            (world.clone(), links.clone(), samples.clone(), running.clone());
+        sim.spawn(format!("rank{r}"), move |ctx| {
+            let bits = world.bootstrap.exchange(ctx, r, if r == 0 { id.bits() } else { 0 })[0];
+            let engine = CollEngine::Ring(RingConfig::default());
+            let opts = CommOpts { engine, ..CommOpts::default() };
+            let comm = XcclComm::init(
+                ctx,
+                &world,
+                (0..NRANKS).collect(),
+                r,
+                UniqueId::from_bits(bits),
+                opts,
+            );
+            let off = world.primary_dev(r).malloc(len, 256).unwrap();
+            if r == 0 {
+                let (samples, running) = (samples.clone(), running.clone());
+                ctx.handle().spawn("probe", move |ctx| {
+                    while running.load(std::sync::atomic::Ordering::Relaxed) > 0 {
+                        let backlog = links.iter().map(|&l| ctx.link_backlog(l)).sum();
+                        samples.lock().push((ctx.live_events(), backlog));
+                        ctx.delay(Dur::micros(1.0));
+                    }
+                });
+            }
+            let op = XcclOp::AllReduce { op: ReduceOp::SumF64 };
+            comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, len);
+            running.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+        });
+    }
+    sim.run().unwrap();
+    let samples = samples.lock();
+    let max_backlog = samples.iter().map(|s| s.1).max().unwrap();
+    assert!(max_backlog >= 16, "the probe saw the march: {max_backlog} chunks queued at most");
+    // Every sample reads the count the probe started with, before the
+    // march; an event per chunk would make it rise with the backlog.
+    let live = samples[0].0;
+    assert!(
+        samples.iter().all(|s| s.0 == live),
+        "live events followed the chunks in flight: {:?}",
+        samples.iter().filter(|s| s.0 != live).take(8).collect::<Vec<_>>()
+    );
 }

@@ -352,7 +352,7 @@ fn ring_allreduce_on_fractional_f32_matches_the_sequential_fold_and_dbt() {
 #[test]
 fn emergent_ring_trace_is_stable_across_runs() {
     // The fig6 determinism requirement: the ring schedule (thousands of
-    // chunk events racing through wait-any groups) must replay
+    // chunk arrivals racing through one march) must replay
     // bit-identically — same end time, same entry count, same trace.
     let run = || {
         with_engine(8, CollEngine::default(), true, |ctx, world, comm, r| {

@@ -1036,8 +1036,9 @@ proptest! {
             let h = sim.handle();
             sim.spawn(format!("t{i}"), move |ctx| {
                 ctx.delay(Dur::nanos(arrive));
-                let ev = h.transfer_qos(res, flow, ctx.now(), bytes);
-                ctx.drain(&[ev], Wait::Block).unwrap();
+                let cq = h.open_cq();
+                h.transfer_qos(res, flow, ctx.now(), bytes, (cq, 0));
+                ctx.wait_cq(cq, Wait::Block).unwrap();
             });
         }
         let end = sim.run().unwrap().end_time;
