@@ -1,13 +1,16 @@
 //! Device memory: modelled address space with optional real backing.
 //!
 //! Every device owns a flat address space of `capacity` bytes. In
-//! [`DataMode::Functional`] the space is backed by real host memory so
+//! [`DataMode::Functional`] the bytes written are held in host memory so
 //! copies and kernels move and compute real bytes (tests, examples,
 //! correctness runs). In [`DataMode::CostOnly`] only the *bookkeeping*
 //! exists — allocations, offsets and sizes are tracked and timing is
 //! charged, but no bytes move. This lets the paper-scale experiments
 //! (7 GiB matrices, 1200³ grids) run on a laptop through exactly the same
 //! code path that the correctness tests exercise at small sizes.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -61,19 +64,30 @@ impl std::fmt::Display for MemError {
 }
 impl std::error::Error for MemError {}
 
+/// A view `buf[at..at + len]` of one immutable, reference-counted buffer.
+struct Extent {
+    buf: Arc<[u8]>,
+    at: usize,
+    len: usize,
+}
+
+/// Disjoint extents keyed by their start offset.
+type Extents = BTreeMap<u64, Extent>;
+
 /// The memory of one device.
 pub struct DeviceMem {
     capacity: u64,
     mode: DataMode,
-    /// Real backing (Functional mode only). Grown lazily to the high-water
-    /// mark so small tests stay small.
-    backing: Mutex<Vec<u8>>,
+    /// Real backing (Functional mode only): only the bytes written are
+    /// held, and bytes outside every extent read as zero. Extents may share
+    /// a buffer, so one collective result can back every device's copy.
+    backing: Mutex<Extents>,
 }
 
 impl DeviceMem {
     /// Create a device memory of `capacity` modelled bytes.
     pub fn new(capacity: u64, mode: DataMode) -> Self {
-        DeviceMem { capacity, mode, backing: Mutex::new(Vec::new()) }
+        DeviceMem { capacity, mode, backing: Mutex::new(Extents::new()) }
     }
 
     /// Modelled capacity in bytes.
@@ -93,60 +107,49 @@ impl DeviceMem {
         Ok(())
     }
 
-    fn ensure_backing(&self, backing: &mut Vec<u8>, end: u64) {
-        let end = end as usize;
-        if backing.len() < end {
-            backing.resize(end, 0);
-        }
-    }
-
     /// Copy bytes out of device memory. Unwritten memory reads as zero.
     /// In `CostOnly` mode the output is zero-filled.
     pub fn read(&self, offset: u64, out: &mut [u8]) -> Result<(), MemError> {
         self.check(offset, out.len() as u64)?;
-        if self.mode == DataMode::CostOnly {
-            out.fill(0);
-            return Ok(());
+        match self.mode {
+            DataMode::CostOnly => out.fill(0),
+            DataMode::Functional => read_into(&self.backing.lock(), offset, out),
         }
-        let backing = self.backing.lock();
-        let start = offset as usize;
-        let have = backing.len().saturating_sub(start).min(out.len());
-        if have > 0 {
-            out[..have].copy_from_slice(&backing[start..start + have]);
-        }
-        out[have..].fill(0);
         Ok(())
     }
 
-    /// Copy bytes into device memory. A no-op (besides bounds checking) in
-    /// `CostOnly` mode.
+    /// Copy bytes into device memory: in place when one extent with an
+    /// unshared buffer covers them, else as a new buffer of exactly these
+    /// bytes. A no-op (besides bounds checking) in `CostOnly` mode.
     pub fn write(&self, offset: u64, data: &[u8]) -> Result<(), MemError> {
         self.check(offset, data.len() as u64)?;
         if self.mode == DataMode::CostOnly {
             return Ok(());
         }
-        let mut backing = self.backing.lock();
-        self.ensure_backing(&mut backing, offset + data.len() as u64);
-        backing[offset as usize..offset as usize + data.len()].copy_from_slice(data);
+        let mut map = self.backing.lock();
+        match unique_cover(&mut map, offset, data.len()) {
+            Some(dst) => dst.copy_from_slice(data),
+            None => install(&mut map, offset, Arc::from(data)),
+        }
         Ok(())
     }
 
-    /// Device-to-device copy within this memory.
-    pub fn copy_within(&self, src: u64, dst: u64, len: u64) -> Result<(), MemError> {
-        self.check(src, len)?;
-        self.check(dst, len)?;
-        if self.mode == DataMode::CostOnly || len == 0 {
-            return Ok(());
+    /// Store `data` at `offset` as is, without a copy: the same buffer may
+    /// back many memories, and none of them ever changes it in place. A
+    /// no-op (besides bounds checking) in `CostOnly` mode.
+    pub fn write_shared(&self, offset: u64, data: Arc<[u8]>) -> Result<(), MemError> {
+        self.check(offset, data.len() as u64)?;
+        if self.mode == DataMode::Functional {
+            install(&mut self.backing.lock(), offset, data);
         }
-        let mut backing = self.backing.lock();
-        self.ensure_backing(&mut backing, (src + len).max(dst + len));
-        backing.copy_within(src as usize..(src + len) as usize, dst as usize);
         Ok(())
     }
 
     /// Run `f` over a mutable view of `[offset, offset+len)` — the kernel
-    /// execution hook. Returns `false` (without running `f`) in `CostOnly`
-    /// mode.
+    /// execution hook. The view is in place when one extent with an
+    /// unshared buffer covers the range, else a copy that is stored back
+    /// as a new buffer. Returns `Ok(None)` (without running `f`) in
+    /// `CostOnly` mode.
     pub fn with_slice_mut<R>(
         &self,
         offset: u64,
@@ -157,37 +160,77 @@ impl DeviceMem {
         if self.mode == DataMode::CostOnly {
             return Ok(None);
         }
-        let mut backing = self.backing.lock();
-        self.ensure_backing(&mut backing, offset + len);
-        Ok(Some(f(&mut backing[offset as usize..(offset + len) as usize])))
-    }
-
-    /// Like [`Self::with_slice_mut`] but for two disjoint ranges (e.g. a
-    /// GEMM reading one buffer and accumulating into another).
-    pub fn with_two_slices_mut<R>(
-        &self,
-        a: (u64, u64),
-        b: (u64, u64),
-        f: impl FnOnce(&mut [u8], &mut [u8]) -> R,
-    ) -> Result<Option<R>, MemError> {
-        self.check(a.0, a.1)?;
-        self.check(b.0, b.1)?;
-        assert!(
-            a.0 + a.1 <= b.0 || b.0 + b.1 <= a.0,
-            "with_two_slices_mut ranges must be disjoint"
-        );
-        if self.mode == DataMode::CostOnly {
-            return Ok(None);
+        let mut map = self.backing.lock();
+        if let Some(view) = unique_cover(&mut map, offset, len as usize) {
+            return Ok(Some(f(view)));
         }
-        let mut backing = self.backing.lock();
-        self.ensure_backing(&mut backing, (a.0 + a.1).max(b.0 + b.1));
-        let (first, second) = if a.0 < b.0 { (a, b) } else { (b, a) };
-        let (lo, hi) = backing.split_at_mut(second.0 as usize);
-        let sa = &mut lo[first.0 as usize..(first.0 + first.1) as usize];
-        let sb = &mut hi[..second.1 as usize];
-        let r = if a.0 < b.0 { f(sa, sb) } else { f(sb, sa) };
+        let mut view = vec![0; len as usize];
+        read_into(&map, offset, &mut view);
+        let r = f(&mut view);
+        install(&mut map, offset, view.into());
         Ok(Some(r))
     }
+
+    /// Host bytes held by the extents' buffers (one buffer shared by two
+    /// extents counts twice).
+    #[cfg(test)]
+    fn held_bytes(&self) -> usize {
+        self.backing.lock().values().map(|e| e.buf.len()).sum()
+    }
+}
+
+/// Fill `out` from the extents over `[offset, offset + out.len())`,
+/// zeros in the gaps.
+fn read_into(map: &Extents, offset: u64, out: &mut [u8]) {
+    let end = offset + out.len() as u64;
+    let first = map.range(..offset).next_back().map_or(offset, |(&start, _)| start);
+    let mut filled = 0;
+    for (&start, e) in map.range(first..end) {
+        let (lo, hi) = (start.max(offset), (start + e.len as u64).min(end));
+        if hi > lo {
+            let from = e.at + (lo - start) as usize;
+            let (lo, hi) = ((lo - offset) as usize, (hi - offset) as usize);
+            out[filled..lo].fill(0);
+            out[lo..hi].copy_from_slice(&e.buf[from..from + hi - lo]);
+            filled = hi;
+        }
+    }
+    out[filled..].fill(0);
+}
+
+/// The view of `[offset, offset + len)` inside the one extent covering
+/// it, if that extent's buffer has no other owner.
+fn unique_cover(map: &mut Extents, offset: u64, len: usize) -> Option<&mut [u8]> {
+    let (&start, e) = map.range_mut(..=offset).next_back()?;
+    let fits = (offset - start) as usize + len <= e.len;
+    let at = e.at + (offset - start) as usize;
+    Arc::get_mut(&mut e.buf).filter(|_| fits).map(|b| &mut b[at..at + len])
+}
+
+/// Cut the extent straddling `at`, if any, into two views of its buffer.
+fn split(map: &mut Extents, at: u64) {
+    let Some((&start, e)) = map.range_mut(..at).next_back() else { return };
+    let cut = (at - start) as usize;
+    if cut < e.len {
+        let tail = Extent { buf: e.buf.clone(), at: e.at + cut, len: e.len - cut };
+        e.len = cut;
+        map.insert(at, tail);
+    }
+}
+
+/// Put `buf` at `offset`. The extents it overlaps shrink to the views of
+/// their old buffers that lie outside it; no byte is copied.
+fn install(map: &mut Extents, offset: u64, buf: Arc<[u8]>) {
+    if buf.is_empty() {
+        return;
+    }
+    let end = offset + buf.len() as u64;
+    split(map, offset);
+    split(map, end);
+    while let Some((&start, _)) = map.range(offset..end).next() {
+        map.remove(&start);
+    }
+    map.insert(offset, Extent { at: 0, len: buf.len(), buf });
 }
 
 /// A first-fit free-list allocator over a device address space — the
@@ -308,28 +351,33 @@ mod tests {
     }
 
     #[test]
-    fn copy_within_moves_bytes() {
+    fn bytes_read_out_move_to_another_offset_intact() {
         let m = DeviceMem::new(1024, DataMode::Functional);
         m.write(0, &[5, 6, 7]).unwrap();
-        m.copy_within(0, 512, 3).unwrap();
-        let mut out = [0u8; 3];
-        m.read(512, &mut out).unwrap();
-        assert_eq!(out, [5, 6, 7]);
+        let mut out = [0u8; 516];
+        m.read(0, &mut out[..3]).unwrap();
+        m.write(512, &out[..3]).unwrap();
+        m.read(0, &mut out).unwrap();
+        assert_eq!((&out[..4], &out[511..]), (&[5, 6, 7, 0][..], &[0, 5, 6, 7, 0][..]));
     }
 
     #[test]
-    fn two_slices_disjoint_views() {
+    fn kernel_views_of_disjoint_ranges_stay_apart() {
         let m = DeviceMem::new(1024, DataMode::Functional);
-        m.write(0, &[1, 1, 1, 1]).unwrap();
-        let ran = m
-            .with_two_slices_mut((0, 4), (512, 4), |a, b| {
-                b.copy_from_slice(a);
-            })
-            .unwrap();
-        assert!(ran.is_some());
-        let mut out = [0u8; 4];
-        m.read(512, &mut out).unwrap();
-        assert_eq!(out, [1, 1, 1, 1]);
+        assert_eq!(m.with_slice_mut(512, 4, |s| s.fill(1)).unwrap(), Some(()));
+        m.with_slice_mut(0, 4, |s| s.fill(9)).unwrap();
+        let mut out = [0u8; 5];
+        m.read(511, &mut out).unwrap();
+        assert_eq!(out, [0, 1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn a_small_write_far_out_holds_only_its_bytes() {
+        let m = DeviceMem::new(32 << 20, DataMode::Functional);
+        m.write(16 << 20, &[3; 32]).unwrap();
+        assert_eq!(m.held_bytes(), 32, "a dense backing would hold 16 MiB + 32");
+        m.write(16 << 20, &[4; 16]).unwrap();
+        assert_eq!(m.held_bytes(), 32, "a covered write lands in place");
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Collective operation kinds and their data semantics.
 
+use std::sync::Arc;
+
 use diomp_device::DeviceTable;
 use diomp_fabric::ReduceOp;
 
@@ -48,7 +50,8 @@ impl XcclOp {
 
     /// Apply the collective's data semantics on the real buffer bytes.
     /// `bufs` are in ring order; `len` is the per-device payload size.
-    /// No-op when buffers are unbacked (CostOnly mode).
+    /// The result is built once and every receiving device stores that
+    /// same buffer. No-op when buffers are unbacked (CostOnly mode).
     pub fn apply(&self, devs: &DeviceTable, bufs: &[DeviceBuf], len: u64) {
         if devs.mode == diomp_device::DataMode::CostOnly {
             return;
@@ -56,48 +59,46 @@ impl XcclOp {
         let read = |b: &DeviceBuf, out: &mut [u8]| {
             devs.dev(b.flat).mem.read(b.off, out).expect("xccl read in bounds");
         };
-        let write = |b: &DeviceBuf, bytes: &[u8]| {
-            devs.dev(b.flat).mem.write(b.off, bytes).expect("xccl write in bounds");
+        let share = |b: &DeviceBuf, bytes: &Arc<[u8]>| {
+            devs.dev(b.flat).mem.write_shared(b.off, bytes.clone()).expect("xccl write in bounds");
         };
         // The sequential fold over `bufs`, operands read into one scratch.
         let fold = |op: &ReduceOp| {
-            let mut acc = vec![0u8; len as usize];
-            let mut operand = vec![0u8; len as usize];
-            read(&bufs[0], &mut acc);
-            for b in &bufs[1..] {
-                read(b, &mut operand);
-                op.combine(&mut acc, &operand);
-            }
-            acc
+            result(len as usize, |acc| {
+                let mut operand = vec![0u8; len as usize];
+                read(&bufs[0], acc);
+                for b in &bufs[1..] {
+                    read(b, &mut operand);
+                    op.combine(acc, &operand);
+                }
+            })
         };
         match self {
             XcclOp::Broadcast { root } => {
-                let mut payload = vec![0u8; len as usize];
-                read(&bufs[*root], &mut payload);
+                let payload = result(len as usize, |out| read(&bufs[*root], out));
                 for (i, b) in bufs.iter().enumerate() {
                     if i != *root {
-                        write(b, &payload);
+                        share(b, &payload);
                     }
                 }
             }
             XcclOp::AllReduce { op } => {
                 let acc = fold(op);
                 for b in bufs {
-                    write(b, &acc);
+                    share(b, &acc);
                 }
             }
-            XcclOp::Reduce { root, op } => write(&bufs[*root], &fold(op)),
+            XcclOp::Reduce { root, op } => share(&bufs[*root], &fold(op)),
             XcclOp::AllGather => {
-                // Assemble the gathered payload once, then one write per
-                // device (which also sizes its backing once).
-                let mut gathered = vec![0u8; bufs.len() * len as usize];
-                if len > 0 {
-                    for (b, part) in bufs.iter().zip(gathered.chunks_exact_mut(len as usize)) {
-                        read(b, part);
+                let gathered = result(bufs.len() * len as usize, |out| {
+                    if len > 0 {
+                        for (b, part) in bufs.iter().zip(out.chunks_exact_mut(len as usize)) {
+                            read(b, part);
+                        }
                     }
-                }
+                });
                 for b in bufs {
-                    write(b, &gathered);
+                    share(b, &gathered);
                 }
             }
         }
@@ -123,6 +124,13 @@ impl XcclOp {
             XcclOp::AllReduce { .. } | XcclOp::Reduce { .. } => &coll.xccl_allreduce,
         }
     }
+}
+
+/// A new `len`-byte buffer, zeroed and then filled by `fill`.
+fn result(len: usize, fill: impl FnOnce(&mut [u8])) -> Arc<[u8]> {
+    let mut buf: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+    fill(Arc::get_mut(&mut buf).expect("a fresh buffer has one owner"));
+    buf
 }
 
 #[cfg(test)]

@@ -236,3 +236,67 @@ fn a_rank_arriving_twice_at_one_collective_panics() {
         }
     });
 }
+
+#[test]
+fn a_change_to_one_device_never_reaches_the_devices_sharing_its_result() {
+    // Allgather and broadcast store one result buffer in every receiving
+    // device. Device 2 is then changed three ways: a host write, an RMA
+    // put and a kernel. Only device 2 may see any of it; the others must
+    // still read the sequential-fold bytes, so a shared buffer that was
+    // changed in place fails here.
+    const L: usize = 256;
+    const BCAST: usize = 2048;
+    let bytes =
+        |seed: usize, len: usize| (0..len).map(|i| (seed * 37 + i) as u8).collect::<Vec<u8>>();
+    with_comm(4, 1, move |ctx, world, comm, r| {
+        let seg = world.attach_device_segment(r, r, 4096).unwrap();
+        let base = world.segment(seg).base;
+        let mem = |flat: usize| &world.devs.dev(flat).mem;
+        mem(r).write(base, &bytes(r, L)).unwrap();
+        mem(r).write(base + BCAST as u64, &bytes(10 + r, 2 * L)).unwrap();
+        let buf = DeviceBuf { flat: r, off: base };
+        comm.collective(ctx, r, vec![buf], XcclOp::AllGather, L as u64);
+        let bcast = DeviceBuf { flat: r, off: base + BCAST as u64 };
+        comm.collective(ctx, r, vec![bcast], XcclOp::Broadcast { root: 1 }, 2 * L as u64);
+        let mut fold = vec![0u8; 4096];
+        for (i, &flat) in comm.ring.order.iter().enumerate() {
+            fold[i * L..(i + 1) * L].copy_from_slice(&bytes(flat, L));
+        }
+        fold[BCAST..BCAST + 2 * L].copy_from_slice(&bytes(10 + comm.ring.order[1], 2 * L));
+        world.bootstrap.exchange(ctx, r, 0);
+
+        // Device 2 after a host write, an RMA put and a kernel, in order.
+        let mut changed = fold.clone();
+        changed[10..30].fill(0xEE);
+        changed[BCAST + 16..BCAST + 80].fill(0xDD);
+        changed[1000..2100].iter_mut().for_each(|b| *b ^= 0x5A);
+        if r == 0 {
+            let dst = diomp_fabric::SegmentId { rank: 2, index: 0 };
+            let two = world.segment(dst).base;
+            mem(2).write(two + 10, &[0xEE; 20]).unwrap();
+            let src = world.devs.dev(0).malloc(64, 256).unwrap();
+            mem(0).write(src, &[0xDD; 64]).unwrap();
+            let src = diomp_fabric::Loc::dev(0, src);
+            diomp_fabric::gasnet::put_blocking(ctx, world, 0, src, dst, BCAST as u64 + 16, 64)
+                .unwrap();
+            let dev2 = world.devs.dev(2);
+            let stream = dev2.acquire_stream(ctx);
+            let body: diomp_device::KernelBody = Box::new(move |mem| {
+                mem.with_slice_mut(two + 1000, 1100, |s| s.iter_mut().for_each(|b| *b ^= 0x5A))
+                    .unwrap();
+            });
+            let cost = diomp_device::KernelCost::Fixed(diomp_sim::Dur::micros(1.0));
+            let end = dev2.launch(ctx.handle(), stream, &cost, Some(body));
+            ctx.sleep_until(end);
+        }
+        world.bootstrap.exchange(ctx, r, 0);
+
+        let mut got = vec![0u8; 4096];
+        mem(r).read(base, &mut got).unwrap();
+        if r == 2 {
+            assert_eq!(got, changed, "device 2 sees its write, the put and the kernel");
+        } else {
+            assert_eq!(got, fold, "device {r} still reads the sequential fold");
+        }
+    });
+}
