@@ -42,6 +42,7 @@ use crate::fault::{CtrlFault, FaultPlan, FaultState};
 use crate::fiber::{self, Context, Fiber};
 use crate::qos::{ContentionState, FlowId, FlowSlot};
 use crate::resource::{ResSlot, ResourceId, Transfer};
+use crate::rng::derive_seed;
 use crate::task::{ParkedOn, TaskId, TaskSlot, TaskStatus};
 use crate::time::{Dur, SimTime};
 use crate::trace::TraceRec;
@@ -137,6 +138,8 @@ pub(crate) struct KState {
     pub(crate) contention: Option<Box<ContentionState>>,
     n_done: usize,
     entries_processed: u64,
+    /// Rolling hash of every popped entry (see [`SimReport::digest`]).
+    digest: u64,
     /// Switches to another task / wakes consumed by the task that was
     /// dispatching (see [`SimReport`]).
     handoffs: u64,
@@ -331,6 +334,11 @@ pub struct SimReport {
     pub end_time: SimTime,
     /// Total queue entries processed (wakes + actions, including stale).
     pub entries_processed: u64,
+    /// Rolling hash of every processed entry in pop order: its virtual
+    /// time, heap sequence number, kind (action, fresh or stale wake) and,
+    /// for a wake, its task. Always on; equal digests mean the same seed
+    /// replayed the same schedule.
+    pub digest: u64,
     /// Per-chunk completions folded into coalesced wake entries by the
     /// collective fast paths — work the scheduler priced without paying
     /// one heap entry per chunk. `0` when no fast path ran.
@@ -426,6 +434,7 @@ impl Sim {
                 contention: None,
                 n_done: 0,
                 entries_processed: 0,
+                digest: 0,
                 handoffs: 0,
                 inline_wakes: 0,
                 coalesced_chunks: 0,
@@ -540,6 +549,7 @@ impl Sim {
         let report = SimReport {
             end_time: st.now,
             entries_processed: st.entries_processed,
+            digest: st.digest,
             coalesced_chunks: st.coalesced_chunks,
             sim_wall_ms: wall_start.elapsed().as_secs_f64() * 1e3,
             handoffs: st.handoffs,
@@ -618,10 +628,13 @@ impl SimHandle {
                     return self.stop(st, me, Outcome::Limit(err));
                 }
             }
+            let digest = derive_seed(derive_seed(st.digest, entry.t.nanos()), entry.seq);
             match entry.item {
                 Item::Wake { task, park_seq, coalesced } => {
                     let fresh = st.tasks[task.index()].status == TaskStatus::Blocked
                         && st.park_seqs[task.index()] == park_seq;
+                    // Kind and task in one word: a wake is 2·(task + 1) + fresh.
+                    st.digest = derive_seed(digest, (task.index() as u64 + 1) << 1 | fresh as u64);
                     if !fresh {
                         continue; // stale wake: skip
                     }
@@ -643,6 +656,7 @@ impl SimHandle {
                     return;
                 }
                 Item::Action(f) => {
+                    st.digest = derive_seed(digest, 0);
                     drop(st);
                     // Caught here so the panic is not blamed on the task
                     // whose fiber happens to be dispatching.

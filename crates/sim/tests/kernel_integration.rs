@@ -1127,6 +1127,7 @@ fn golden_trace_matches_the_scheduler_thread_kernel() {
     assert_eq!(rep.entries_processed, 25);
     assert_eq!(rep.coalesced_chunks, 7);
     assert_eq!(rep.tasks_completed, 5);
+    assert_eq!(rep.digest, 0xD2DA_012A_1C5B_DB06);
     // Every fresh wake is either a switch to another task or consumed in
     // place by the task that was dispatching.
     let wakes = rep.trace.iter().filter(|r| r.what == "wake").count() as u64;
