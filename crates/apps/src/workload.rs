@@ -112,6 +112,8 @@ pub struct WorkloadReport {
     pub end_time: SimTime,
     /// Scheduler entries processed — the wall-clock cost dimension.
     pub entries_processed: u64,
+    /// The run's [`diomp_sim::SimReport::digest`].
+    pub digest: u64,
 }
 
 /// The seeded draw for iteration `iter` of job `job`: identical on
@@ -356,6 +358,7 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadReport {
         makespan_us: rep.end_time.as_us(),
         end_time: rep.end_time,
         entries_processed: rep.entries_processed,
+        digest: rep.digest,
     }
 }
 
@@ -584,6 +587,7 @@ mod tests {
         let b = run_workload(&recovery_workload());
         assert_eq!(a.end_time, b.end_time);
         assert_eq!(a.entries_processed, b.entries_processed);
+        assert_eq!(a.digest, b.digest);
         for (x, y) in a.jobs.iter().zip(&b.jobs) {
             assert_eq!(x.retries, y.retries, "{}: shrink count must replay", x.name);
             assert_eq!(x.recovery_us, y.recovery_us, "{}: recovery time must replay", x.name);

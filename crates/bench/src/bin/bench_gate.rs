@@ -472,7 +472,7 @@ fn ring_tracks_profile(g: &mut Gate) {
 
 /// Fault-injection hooks: with a plan whose windows, task prefixes and
 /// keys never match, the hooks must cost *nothing* — same virtual end
-/// time, same scheduler entry count, bit for bit. The locked ratio row
+/// time, same scheduler entry count, same run digest. The locked ratio row
 /// keeps the zero-cost claim visible in CI history.
 fn fault_hooks(g: &mut Gate) {
     use diomp_sim::{fault_key, CtrlFault, Dur, FaultPlan, Sim};
@@ -514,7 +514,7 @@ fn fault_hooks(g: &mut Gate) {
             });
         }
         let rep = sim.run().unwrap();
-        (rep.end_time, rep.entries_processed)
+        (rep.end_time, rep.entries_processed, rep.digest)
     };
     let (clean, armed) = (run(false), run(true));
     g.check(clean == armed, || {

@@ -117,7 +117,7 @@ impl FaultPlan {
 
     /// Scale a link's bandwidth to `factor_milli`/1000 of nominal inside
     /// `[from, until)`. `factor_milli == 0` additionally marks the link
-    /// dead for health reporting ([`FaultPlan::worst_factor_milli`]).
+    /// dead for health reporting ([`FaultPlan::degraded_links`]).
     pub fn degrade_link(
         mut self,
         res: ResourceId,
@@ -217,19 +217,6 @@ impl FaultPlan {
         self.rank_kills.iter().map(|(&r, &t)| (r, t)).collect()
     }
 
-    /// The worst bandwidth factor (in thousandths of nominal) any window
-    /// of this plan applies to `res`, over the whole run. 1000 means the
-    /// link is never degraded; 0 means it is marked dead. This is the
-    /// feed for `state_vec`-style health vectors.
-    pub fn worst_factor_milli(&self, res: ResourceId) -> u32 {
-        self.links
-            .get(&res.0)
-            .map(|ws| {
-                ws.iter().filter(|w| !w.rank_kill).map(|w| w.factor_milli).min().unwrap_or(1000)
-            })
-            .unwrap_or(1000)
-    }
-
     /// Every link the plan touches, with its worst factor over the run
     /// (ordered by resource id). Health vectors are built from this.
     /// Windows expanded from rank-kill events are excluded: rank death
@@ -249,7 +236,7 @@ impl FaultPlan {
     }
 
     /// The straggle factor (milli) the plan assigns to a task name, if any.
-    pub fn straggle_factor_milli(&self, name: &str) -> Option<u32> {
+    pub(crate) fn straggle_factor_milli(&self, name: &str) -> Option<u32> {
         self.stragglers.iter().find(|(p, _)| name.starts_with(p.as_str())).map(|&(_, f)| f)
     }
 
@@ -435,12 +422,13 @@ mod tests {
     }
 
     #[test]
-    fn worst_factor_reports_dead_and_nominal_links() {
-        let plan =
-            FaultPlan::new().degrade_link(rid(0), SimTime(0), SimTime(100), 400).kill_link(rid(1));
-        assert_eq!(plan.worst_factor_milli(rid(0)), 400);
-        assert_eq!(plan.worst_factor_milli(rid(1)), 0);
-        assert_eq!(plan.worst_factor_milli(rid(2)), 1000);
+    fn degraded_links_report_the_worst_factor_and_dead_links() {
+        let plan = FaultPlan::new()
+            .degrade_link(rid(0), SimTime(0), SimTime(100), 400)
+            .degrade_link(rid(0), SimTime(200), SimTime(300), 700)
+            .kill_link(rid(1));
+        // rid(2) is never degraded, so it is absent (nominal).
+        assert_eq!(plan.degraded_links(), vec![(rid(0), 400), (rid(1), 0)]);
     }
 
     #[test]
@@ -518,7 +506,6 @@ mod tests {
         // Whole-run link health never sees the expansion: the rank was
         // live until t=100, so build-time health must not report a dead
         // link — only the time-aware rank-kill path reports the death.
-        assert_eq!(st.plan().worst_factor_milli(rid(7)), 1000);
         assert!(st.plan().degraded_links().is_empty());
     }
 

@@ -10,8 +10,8 @@
 //! resumes next (DESIGN.md D19); a task that finishes switches back to
 //! `Sim::run`, which pops on. The queue orders entries by `(virtual time,
 //! sequence number)`; ties are broken by insertion order, so a given
-//! program produces a bit-identical event trace on every run, whichever
-//! context did the popping.
+//! program pops the same entries in the same order on every run, whichever
+//! context did the popping ([`SimReport::digest`] hashes that order).
 //!
 //! Two kinds of queue entries exist:
 //!
@@ -45,7 +45,6 @@ use crate::resource::{ResSlot, ResourceId, Transfer};
 use crate::rng::derive_seed;
 use crate::task::{ParkedOn, TaskId, TaskSlot, TaskStatus};
 use crate::time::{Dur, SimTime};
-use crate::trace::TraceRec;
 
 /// Closure run at a scheduled virtual time, by whichever context pops it.
 pub type Action = Box<dyn FnOnce(&SimHandle) + Send + 'static>;
@@ -155,7 +154,6 @@ pub(crate) struct KState {
     /// single-repeat segment before it is driven (the differential
     /// reference of `crates/xccl/tests/fastpath.rs`).
     pub(crate) force_unrolled: bool,
-    trace: Option<Vec<TraceRec>>,
     limit_entries: Option<u64>,
     limit_time: Option<SimTime>,
     /// Why dispatching stopped, posted for `Sim::run` by whichever context
@@ -336,8 +334,8 @@ pub struct SimReport {
     pub entries_processed: u64,
     /// Rolling hash of every processed entry in pop order: its virtual
     /// time, heap sequence number, kind (action, fresh or stale wake) and,
-    /// for a wake, its task. Always on; equal digests mean the same seed
-    /// replayed the same schedule.
+    /// for a wake, its task. Always on: two runs with equal digests popped
+    /// the same entries in the same order.
     pub digest: u64,
     /// Per-chunk completions folded into coalesced wake entries by the
     /// collective fast paths — work the scheduler priced without paying
@@ -355,8 +353,6 @@ pub struct SimReport {
     pub inline_wakes: u64,
     /// Number of tasks that ran to completion.
     pub tasks_completed: usize,
-    /// Event trace, if tracing was enabled.
-    pub trace: Vec<TraceRec>,
 }
 
 /// Why a simulation failed to complete.
@@ -440,7 +436,6 @@ impl Sim {
                 coalesced_chunks: 0,
                 force_explicit: false,
                 force_unrolled: false,
-                trace: None,
                 limit_entries: None,
                 limit_time: None,
                 outcome: None,
@@ -454,12 +449,6 @@ impl Sim {
     /// Handle usable to spawn tasks and schedule actions before `run()`.
     pub fn handle(&self) -> SimHandle {
         self.handle.clone()
-    }
-
-    /// Record a trace of every wake and user `trace()` call (see
-    /// [`SimReport::trace`]). Used by the determinism property tests.
-    pub fn enable_trace(&self) {
-        self.handle.kernel.state.lock().trace = Some(Vec::new());
     }
 
     /// Abort with [`SimError::LimitExceeded`] after this many queue entries.
@@ -555,7 +544,6 @@ impl Sim {
             handoffs: st.handoffs,
             inline_wakes: st.inline_wakes,
             tasks_completed: st.n_done,
-            trace: st.trace.take().unwrap_or_default(),
         };
         if st.n_done != st.tasks.len() {
             let (blocked, parked_on) = st
@@ -628,23 +616,20 @@ impl SimHandle {
                     return self.stop(st, me, Outcome::Limit(err));
                 }
             }
+            // Fold the entry into the run digest: time and sequence here,
+            // then one word for kind and task — 0 for an action,
+            // 2·(task + 1) + fresh for a wake.
             let digest = derive_seed(derive_seed(st.digest, entry.t.nanos()), entry.seq);
             match entry.item {
                 Item::Wake { task, park_seq, coalesced } => {
                     let fresh = st.tasks[task.index()].status == TaskStatus::Blocked
                         && st.park_seqs[task.index()] == park_seq;
-                    // Kind and task in one word: a wake is 2·(task + 1) + fresh.
                     st.digest = derive_seed(digest, (task.index() as u64 + 1) << 1 | fresh as u64);
                     if !fresh {
                         continue; // stale wake: skip
                     }
                     st.coalesced_chunks += coalesced;
                     st.tasks[task.index()].status = TaskStatus::Running;
-                    if st.trace.is_some() {
-                        let name = st.tasks[task.index()].name.clone();
-                        let t = st.now;
-                        st.trace.as_mut().unwrap().push(TraceRec::new(t, name, "wake"));
-                    }
                     if me.is_some_and(|(id, _)| id == task) {
                         st.inline_wakes += 1;
                         return;
@@ -1080,15 +1065,6 @@ impl SimHandle {
     /// lane together (utilisation reporting / tests).
     pub fn resource_bytes(&self, res: ResourceId) -> u64 {
         self.kernel.state.lock().resources[res.index()].total_bytes()
-    }
-
-    /// Append a record to the trace, if tracing is enabled.
-    pub fn trace(&self, who: impl Into<String>, what: impl Into<String>) {
-        let mut st = self.kernel.state.lock();
-        let t = st.now;
-        if let Some(trace) = st.trace.as_mut() {
-            trace.push(TraceRec::new(t, who.into(), what.into()));
-        }
     }
 
     /// Number of live (allocated, unfreed) events — used by leak tests.

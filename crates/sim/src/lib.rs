@@ -51,7 +51,6 @@ mod stats;
 mod task;
 mod time;
 mod topology;
-mod trace;
 
 pub use board::BoardId;
 pub use ctx::{Ctx, Wait, WaitTimeout};
@@ -63,10 +62,9 @@ pub use platform::{
     MpiRmaModel, NetSpec, PlatformId, PlatformSpec,
 };
 pub use qos::{FlowId, FlowStats, QosClass};
-pub use resource::{gbits, gbps, ResourceId, Transfer};
+pub use resource::{gbps, ResourceId, Transfer};
 pub use rng::{derive_seed, rng_for};
 pub use stats::{bandwidth_gbps, Meter};
 pub use task::TaskId;
 pub use time::{Dur, SimTime};
 pub use topology::{ClusterSpec, DevLoc, Placement, Topology};
-pub use trace::TraceRec;

@@ -159,12 +159,6 @@ pub fn gbps(gigabytes_per_sec: f64) -> f64 {
     gigabytes_per_sec
 }
 
-/// Convert a link speed quoted in Gbit/s to bytes per nanosecond.
-#[inline]
-pub fn gbits(gigabits_per_sec: f64) -> f64 {
-    gigabits_per_sec / 8.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,7 +220,6 @@ mod tests {
     #[test]
     fn unit_helpers() {
         assert!((gbps(25.0) - 25.0).abs() < 1e-12);
-        assert!((gbits(200.0) - 25.0).abs() < 1e-12);
     }
 
     #[test]

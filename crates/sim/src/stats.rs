@@ -28,7 +28,7 @@ impl Meter {
     /// `p` in `[0, 100]`. Nearest-rank method on the sorted samples, so
     /// the result is always an observed value — the convention used for
     /// the per-job latency quantiles in the multi-tenant benchmarks.
-    pub fn percentile_us(&self, p: f64) -> f64 {
+    fn percentile_us(&self, p: f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }

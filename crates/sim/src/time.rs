@@ -41,7 +41,7 @@ impl SimTime {
 
     /// This instant expressed in seconds (lossy, for reporting).
     #[inline]
-    pub fn as_secs(self) -> f64 {
+    fn as_secs(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
     }
 
@@ -106,12 +106,6 @@ impl Dur {
     #[inline]
     pub fn as_ms(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Span in seconds (lossy, for reporting).
-    #[inline]
-    pub fn as_secs(self) -> f64 {
-        self.0 as f64 / 1_000_000_000.0
     }
 
     /// Saturating subtraction of spans.

@@ -159,11 +159,6 @@ impl Topology {
     pub fn dev_loc(&self, flat: usize) -> DevLoc {
         DevLoc { node: flat / self.spec.gpus_per_node, gpu: flat % self.spec.gpus_per_node }
     }
-
-    /// Flat device index for a location.
-    pub fn flat_index(&self, loc: DevLoc) -> usize {
-        loc.node * self.spec.gpus_per_node + loc.gpu
-    }
 }
 
 #[cfg(test)]
@@ -188,12 +183,13 @@ mod tests {
     }
 
     #[test]
-    fn flat_index_roundtrip() {
+    fn dev_loc_is_row_major_by_node() {
         let sim = crate::Sim::new();
         let topo = Topology::build(&sim.handle(), tiny());
-        for flat in 0..topo.spec.total_gpus() {
-            assert_eq!(topo.flat_index(topo.dev_loc(flat)), flat);
-        }
+        let locs: Vec<DevLoc> = (0..topo.spec.total_gpus()).map(|f| topo.dev_loc(f)).collect();
+        let want: Vec<DevLoc> =
+            (0..2).flat_map(|node| (0..4).map(move |gpu| DevLoc { node, gpu })).collect();
+        assert_eq!(locs, want);
     }
 
     #[test]

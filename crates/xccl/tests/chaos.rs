@@ -79,9 +79,9 @@ fn engines() -> Vec<CollEngine> {
 
 /// Run one allreduce of `len` bytes under `plan` with `engine`; every
 /// rank contributes integer-valued f64s. Returns the end-of-sim virtual
-/// time and asserts byte-identity with the sequential reference on every
-/// rank.
-fn run_allreduce(engine: CollEngine, plan: &FaultPlan, len: u64, tag: &str) -> SimTime {
+/// time beside the run digest and asserts byte-identity with the
+/// sequential reference on every rank.
+fn run_allreduce(engine: CollEngine, plan: &FaultPlan, len: u64, tag: &str) -> (SimTime, u64) {
     run_allreduce_contended(engine, plan, len, tag, false)
 }
 
@@ -94,7 +94,7 @@ fn run_allreduce_contended(
     len: u64,
     tag: &str,
     armed: bool,
-) -> SimTime {
+) -> (SimTime, u64) {
     let mut sim = Sim::new();
     if armed {
         sim.enable_contention();
@@ -134,7 +134,7 @@ fn run_allreduce_contended(
                 out.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect();
         });
     }
-    let end = sim.run().unwrap().end_time;
+    let rep = sim.run().unwrap();
     // Sequential reference: element-wise exact integer sums, identical
     // under every association order the engines produce.
     let expect: Vec<f64> = (0..len / 8)
@@ -143,21 +143,22 @@ fn run_allreduce_contended(
     for (r, got) in results.lock().iter().enumerate() {
         assert_eq!(got, &expect, "{tag}: rank {r} diverged from the sequential reference");
     }
-    end
+    (rep.end_time, rep.digest)
 }
 
 /// Chaos runner for the reduction-server offload: the same 2-node world
 /// carved into one client node and one server node (`ServerSpec::tail`).
 /// Asserts the server-comm membership semantics under the plan — client
 /// ranks receive the fold over *client* contributions only, server
-/// buffers pass through untouched — and returns the virtual end time.
+/// buffers pass through untouched — and returns the virtual end time
+/// beside the run digest.
 fn run_server_allreduce(
     engine: CollEngine,
     plan: &FaultPlan,
     len: u64,
     tag: &str,
     armed: bool,
-) -> SimTime {
+) -> (SimTime, u64) {
     let mut sim = Sim::new();
     if armed {
         sim.enable_contention();
@@ -197,7 +198,7 @@ fn run_server_allreduce(
                 out.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect();
         });
     }
-    let end = sim.run().unwrap().end_time;
+    let rep = sim.run().unwrap();
     // Tail placement on the node-major order: the first node's ranks are
     // clients, the second node's are servers.
     let nclients = PER_NODE;
@@ -213,7 +214,7 @@ fn run_server_allreduce(
             assert_eq!(got, &mine, "{tag}: server rank {r} buffer must pass through untouched");
         }
     }
-    end
+    (rep.end_time, rep.digest)
 }
 
 #[test]
@@ -244,7 +245,7 @@ fn same_seed_replays_the_same_trace() {
     let engine = CollEngine::Auto(AutoConfig::for_platform(&PlatformSpec::platform_a()));
     let a = run_allreduce(engine, &plan, 512 << 10, "determinism run A");
     let b = run_allreduce(engine, &plan, 512 << 10, "determinism run B");
-    assert_eq!(a, b, "same seed must replay the same virtual-time trace");
+    assert_eq!(a, b, "same seed must replay the same end time and digest");
 }
 
 #[test]
@@ -276,7 +277,7 @@ fn same_seed_replays_the_same_server_trace() {
     let engine = CollEngine::ReductionServer(RingConfig::default());
     let a = run_server_allreduce(engine, &plan, 512 << 10, "server determinism A", false);
     let b = run_server_allreduce(engine, &plan, 512 << 10, "server determinism B", false);
-    assert_eq!(a, b, "same seed must replay the same server-offload trace");
+    assert_eq!(a, b, "same seed must replay the same server-offload end time and digest");
 }
 
 #[test]
@@ -300,7 +301,8 @@ fn dead_servers_degrade_the_offload_to_the_ring_under_chaos() {
 fn single_tenant_server_comm_replays_contended_traces() {
     // The flow-partition invariant under chaos: client and server flows
     // never share a link, so arming the per-link WFQ on a single-tenant
-    // server comm must not move the trace — clean or faulted.
+    // server comm must not move the end time — clean or faulted. (The
+    // armed queue pops a different entry sequence, so the digests differ.)
     let probe = Sim::new();
     let world = boot(&probe, &FaultPlan::new());
     let links = all_links(&world);
@@ -309,8 +311,8 @@ fn single_tenant_server_comm_replays_contended_traces() {
     let engine = CollEngine::ReductionServer(RingConfig::default());
     for plan in [FaultPlan::new(), faulted] {
         let tag = format!("server single-tenant replay faulted={}", !plan.is_empty());
-        let disarmed = run_server_allreduce(engine, &plan, 256 << 10, &tag, false);
-        let armed = run_server_allreduce(engine, &plan, 256 << 10, &tag, true);
+        let disarmed = run_server_allreduce(engine, &plan, 256 << 10, &tag, false).0;
+        let armed = run_server_allreduce(engine, &plan, 256 << 10, &tag, true).0;
         assert_eq!(disarmed, armed, "{tag}: arming contention moved the single-tenant trace");
     }
 }
@@ -322,7 +324,8 @@ fn single_tenant_contention_replays_chaos_traces() {
     // path; armed, a lone backlogged flow owns the full link share and
     // the weighted fair queue collapses to the same closed form. Both
     // runs must land on the same virtual end time for every engine,
-    // clean and under a randomized fault plan.
+    // clean and under a randomized fault plan. End time only: the armed
+    // queue pops a different entry sequence, so the digests differ.
     let probe = Sim::new();
     let world = boot(&probe, &FaultPlan::new());
     let links = all_links(&world);
@@ -331,8 +334,8 @@ fn single_tenant_contention_replays_chaos_traces() {
     for plan in [FaultPlan::new(), faulted] {
         for engine in engines() {
             let tag = format!("single-tenant replay {engine:?} faulted={}", !plan.is_empty());
-            let disarmed = run_allreduce_contended(engine, &plan, 256 << 10, &tag, false);
-            let armed = run_allreduce_contended(engine, &plan, 256 << 10, &tag, true);
+            let disarmed = run_allreduce_contended(engine, &plan, 256 << 10, &tag, false).0;
+            let armed = run_allreduce_contended(engine, &plan, 256 << 10, &tag, true).0;
             assert_eq!(
                 disarmed, armed,
                 "{tag}: arming contention moved a single-tenant chaos trace"
@@ -345,7 +348,7 @@ fn single_tenant_contention_replays_chaos_traces() {
 fn disabled_injection_leaves_the_trace_bit_identical() {
     // Zero cost when disabled, at the trace level: no plan, an empty
     // plan, and an armed plan whose windows open only after the run all
-    // produce the same end time.
+    // produce the same end time and digest.
     let engine = CollEngine::Ring(RingConfig::default());
     let clean = run_allreduce(engine, &FaultPlan::new(), 256 << 10, "clean");
 

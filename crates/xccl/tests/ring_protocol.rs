@@ -1,5 +1,5 @@
 //! Ring-protocol engine tests (ISSUE 2): data byte-identity against
-//! sequential references across random sizes/dtypes/rank counts, trace
+//! sequential references across random sizes/dtypes/rank counts, replay
 //! determinism of the emergent schedule, and emergent-vs-profile timing
 //! behaviour. ISSUE 4 adds the `CollEngine::Auto` protocol-selection
 //! tests: the LL/tree fast path must agree byte-for-byte with the other
@@ -31,17 +31,13 @@ fn boot(
 
 /// Run `f` on every rank of a `nranks`-device platform-A job with a
 /// communicator over all ranks using `engine`; returns (end time,
-/// entries processed, trace lines).
+/// entries processed, run digest).
 fn with_engine(
     nranks: usize,
     engine: CollEngine,
-    trace: bool,
     f: impl Fn(&mut diomp_sim::Ctx, &Arc<FabricWorld>, &Arc<XcclComm>, usize) + Send + Sync + 'static,
-) -> (SimTime, u64, Vec<String>) {
+) -> (SimTime, u64, u64) {
     let mut sim = Sim::new();
-    if trace {
-        sim.enable_trace();
-    }
     // One device per rank; pack nodes as densely as the rank count
     // divides so odd counts still form valid multi-node rings.
     let per = [4usize, 2, 1].into_iter().find(|&p| nranks.is_multiple_of(p)).unwrap();
@@ -65,7 +61,7 @@ fn with_engine(
         });
     }
     let rep = sim.run().unwrap();
-    (rep.end_time, rep.entries_processed, rep.trace.iter().map(|t| t.to_string()).collect())
+    (rep.end_time, rep.entries_processed, rep.digest)
 }
 
 fn payload(rank: usize, len: usize, dtype: ReduceOp) -> Vec<u8> {
@@ -125,7 +121,7 @@ proptest! {
             [which as usize];
         let engine = CollEngine::Ring(RingConfig { chunk_bytes: chunk, max_inflight: inflight });
         let want = reference(nranks, len, dtype);
-        with_engine(nranks, engine, false, move |ctx, world, comm, r| {
+        with_engine(nranks, engine, move |ctx, world, comm, r| {
             let dev = world.primary_dev(r);
             let off = dev.malloc(len.next_power_of_two().max(64) as u64, 256).unwrap();
             dev.mem.write(off, &payload(r, len, dtype)).unwrap();
@@ -154,7 +150,7 @@ proptest! {
         let run = |engine: CollEngine| {
             let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
             let out2 = out.clone();
-            with_engine(nranks, engine, false, move |ctx, world, comm, r| {
+            with_engine(nranks, engine, move |ctx, world, comm, r| {
                 let n = world.nranks;
                 let dev = world.primary_dev(r);
                 let cap = (len * n).next_power_of_two().max(64) as u64;
@@ -197,7 +193,7 @@ proptest! {
         let run = |engine: CollEngine| {
             let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
             let out2 = out.clone();
-            with_engine(nranks, engine, false, move |ctx, world, comm, r| {
+            with_engine(nranks, engine, move |ctx, world, comm, r| {
                 let n = world.nranks;
                 let dev = world.primary_dev(r);
                 let cap = (len * n).next_power_of_two().max(64) as u64;
@@ -248,7 +244,7 @@ proptest! {
         let dtype = [ReduceOp::SumF64, ReduceOp::SumF32, ReduceOp::SumU64, ReduceOp::MaxF64]
             [which as usize];
         let engine = CollEngine::Dbt(RingConfig { chunk_bytes: chunk, max_inflight: inflight });
-        with_engine(nranks, engine, false, move |ctx, world, comm, r| {
+        with_engine(nranks, engine, move |ctx, world, comm, r| {
             let dev = world.primary_dev(r);
             let off = dev.malloc(len.next_power_of_two().max(64) as u64, 256).unwrap();
             dev.mem.write(off, &payload(r, len, dtype)).unwrap();
@@ -278,7 +274,7 @@ proptest! {
         let run = |engine: CollEngine| {
             let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
             let out2 = out.clone();
-            with_engine(nranks, engine, false, move |ctx, world, comm, r| {
+            with_engine(nranks, engine, move |ctx, world, comm, r| {
                 let n = world.nranks;
                 let dev = world.primary_dev(r);
                 let cap = (len * n).next_power_of_two().max(64) as u64;
@@ -330,7 +326,7 @@ fn ring_allreduce_on_fractional_f32_matches_the_sequential_fold_and_dbt() {
     let run = |engine: CollEngine| {
         let out = Arc::new(parking_lot::Mutex::new(vec![Vec::new(); NRANKS]));
         let out2 = out.clone();
-        with_engine(NRANKS, engine, false, move |ctx, world, comm, r| {
+        with_engine(NRANKS, engine, move |ctx, world, comm, r| {
             let dev = world.primary_dev(r);
             let off = dev.malloc(8192, 256).unwrap();
             dev.mem.write(off, &data(r)).unwrap();
@@ -353,9 +349,9 @@ fn ring_allreduce_on_fractional_f32_matches_the_sequential_fold_and_dbt() {
 fn emergent_ring_trace_is_stable_across_runs() {
     // The fig6 determinism requirement: the ring schedule (thousands of
     // chunk arrivals racing through one march) must replay
-    // bit-identically — same end time, same entry count, same trace.
+    // bit-identically — same end time, same entry count, same digest.
     let run = || {
-        with_engine(8, CollEngine::default(), true, |ctx, world, comm, r| {
+        with_engine(8, CollEngine::default(), |ctx, world, comm, r| {
             let dev = world.primary_dev(r);
             let off = dev.malloc(2 << 20, 256).unwrap();
             comm.collective(
@@ -380,7 +376,7 @@ fn ring_time_is_emergent_not_fitted() {
     // time comes from link scheduling, not the curve), and the emergent
     // time respects the physical lower bound of the bottleneck link.
     let coll = |engine: CollEngine| {
-        with_engine(8, engine, false, move |ctx, _world, comm, r| {
+        with_engine(8, engine, move |ctx, _world, comm, r| {
             let off = 0; // CostOnly-style: allocate nothing, cost only
             let dev_off = _world.primary_dev(r).malloc(8 << 20, 256).unwrap();
             let _ = off;
@@ -413,7 +409,7 @@ fn ring_time_is_emergent_not_fitted() {
 fn cuts16(ac: AutoConfig, op: XcclOp) -> (u64, u64, u64) {
     let cuts = Arc::new(parking_lot::Mutex::new(None));
     let out = cuts.clone();
-    with_engine(16, CollEngine::Auto(ac), false, move |_, _, comm, r| {
+    with_engine(16, CollEngine::Auto(ac), move |_, _, comm, r| {
         if r == 0 {
             *out.lock() = comm.auto_regimes(&op);
         }
@@ -425,7 +421,7 @@ fn cuts16(ac: AutoConfig, op: XcclOp) -> (u64, u64, u64) {
 /// Run one collective of `len` bytes under `engine` at 16 ranks
 /// (4 nodes × 4 A100s) and return the end time.
 fn timed_collective(engine: CollEngine, op: XcclOp, len: u64) -> SimTime {
-    with_engine(16, engine, false, move |ctx, world, comm, r| {
+    with_engine(16, engine, move |ctx, world, comm, r| {
         let off = world.primary_dev(r).malloc((2 * len).next_power_of_two().max(64), 256).unwrap();
         comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, len);
     })
@@ -525,7 +521,7 @@ fn auto_dispatches_three_regimes_in_order() {
 fn broadcast16(engine: CollEngine, root: usize, len: u64) -> (SimTime, Vec<Vec<u8>>) {
     let bufs = Arc::new(parking_lot::Mutex::new(vec![Vec::new(); 16]));
     let out = bufs.clone();
-    let (end, ..) = with_engine(16, engine, false, move |ctx, world, comm, r| {
+    let (end, ..) = with_engine(16, engine, move |ctx, world, comm, r| {
         let dev = world.primary_dev(r);
         let off = dev.malloc(len.next_power_of_two(), 256).unwrap();
         dev.mem.write(off, &payload(r, len as usize, ReduceOp::SumU64)).unwrap();
@@ -611,7 +607,7 @@ fn auto_small_path_is_deterministic_and_cheap_to_schedule() {
     // per collective — cost no more scheduler entries at the same size.
     let ac = AutoConfig::for_platform(&PlatformSpec::platform_a());
     let run = |engine: CollEngine| {
-        with_engine(8, engine, true, |ctx, world, comm, r| {
+        with_engine(8, engine, |ctx, world, comm, r| {
             let dev = world.primary_dev(r);
             let off = dev.malloc(64 << 10, 256).unwrap();
             comm.collective(
@@ -651,7 +647,6 @@ fn larger_chunks_pipeline_worse_at_large_sizes() {
         with_engine(
             8,
             CollEngine::Ring(RingConfig { chunk_bytes, max_inflight: 4 }),
-            false,
             move |ctx, world, comm, r| {
                 let off = world.primary_dev(r).malloc(8 << 20, 256).unwrap();
                 comm.collective(

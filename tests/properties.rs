@@ -147,7 +147,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The DES is deterministic: an arbitrary rank workload in which ranks
-    /// wake each other produces the same trace twice. At each step every
+    /// wake each other produces the same digest twice. At each step every
     /// rank completes its own event, then sometimes waits for another
     /// rank's event of the same step (never a later one, so no rank
     /// waits on a rank that waits on it).
@@ -155,7 +155,6 @@ proptest! {
     fn des_is_deterministic(seed in 0u64..1_000_000) {
         let run = |seed: u64| {
             let mut sim = Sim::new();
-            sim.enable_trace();
             let h = sim.handle();
             let steps: std::sync::Arc<Vec<Vec<_>>> =
                 std::sync::Arc::new((0..15).map(|_| (0..5).map(|_| h.new_event()).collect()).collect());
@@ -175,13 +174,13 @@ proptest! {
             }
             let rep = sim.run().unwrap();
             (rep.end_time, rep.entries_processed,
-             rep.trace.iter().map(|t| t.to_string()).collect::<Vec<_>>())
+             rep.digest)
         };
         prop_assert_eq!(run(seed), run(seed));
     }
 
     /// Ranged waitsome over a shuffled set of in-flight notifications
-    /// drains every id exactly once, and the whole run (trace, entry
+    /// drains every id exactly once, and the whole run (digest, entry
     /// count, end time) is deterministic for a given seed.
     #[test]
     fn waitsome_drains_shuffled_notifications_exactly_once(
@@ -190,7 +189,6 @@ proptest! {
     ) {
         let run = |seed: u64| {
             let mut sim = Sim::new();
-            sim.enable_trace();
             let h = sim.handle();
             let board = h.new_board();
             // Shuffle the post order and stagger arrival times so some
@@ -221,15 +219,15 @@ proptest! {
             let rep = sim.run().unwrap();
             let got = drained.lock().clone();
             (got, rep.end_time, rep.entries_processed,
-             rep.trace.iter().map(|t| t.to_string()).collect::<Vec<_>>())
+             rep.digest)
         };
-        let (got, end, entries, trace) = run(seed);
+        let (got, end, entries, digest) = run(seed);
         // Exactly-once: every id drained, none twice.
         let mut sorted = got.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..n).collect::<Vec<u32>>());
-        // Trace-determinism across reruns of the same seed.
-        prop_assert_eq!(run(seed), (got, end, entries, trace));
+        // Replay determinism across reruns of the same seed.
+        prop_assert_eq!(run(seed), (got, end, entries, digest));
     }
 
     /// ISSUE 6: the exactly-once waitsome guarantee survives injector
@@ -248,7 +246,6 @@ proptest! {
 
         let run = |seed: u64| {
             let mut sim = Sim::new();
-            sim.enable_trace();
             let mut rng = diomp::sim::rng_for(seed, 13);
             use rand::Rng;
             let mut plan = FaultPlan::new().straggle("poster", rng.gen_range(1000..4000));
@@ -291,13 +288,13 @@ proptest! {
             let rep = sim.run().unwrap();
             let got = drained.lock().clone();
             (got, rep.end_time, rep.entries_processed,
-             rep.trace.iter().map(|t| t.to_string()).collect::<Vec<_>>())
+             rep.digest)
         };
-        let (got, end, entries, trace) = run(seed);
+        let (got, end, entries, digest) = run(seed);
         let mut sorted = got.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..n).collect::<Vec<u32>>());
-        prop_assert_eq!(run(seed), (got, end, entries, trace));
+        prop_assert_eq!(run(seed), (got, end, entries, digest));
     }
 
     /// MPI allreduce equals the sequential reduction for arbitrary rank
