@@ -10,10 +10,10 @@
 //! * different nodes → the conduit (GASNet-EX Put/Get or GPI-2
 //!   write/read, per configuration).
 //!
-//! Every operation is *fence-tracked*: its remote-completion event is
-//! appended to the rank's pending list and drained by `ompx_fence`
-//! (Listing 1 of the paper: a loop of `ompx_put` calls followed by one
-//! `ompx_fence`). No path parks the caller on a payload: a transfer is
+//! Every operation is *fence-tracked*: its remote-completion instant,
+//! known at issue, is appended to the rank's pending list and drained
+//! by `ompx_fence` (Listing 1 of the paper: a loop of `ompx_put` calls
+//! followed by one `ompx_fence`). No path parks the caller on a payload: a transfer is
 //! a reservation, or a chain of them, made in the call, which costs the
 //! initiator's software. Device-side copies are additionally threaded
 //! through the source device's bounded stream pool, coupling
@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use diomp_device::copy;
 use diomp_fabric::{gasnet, gpi, FabricError, FabricWorld, Loc};
-use diomp_sim::{Ctx, Dur, Placement, SimTime, Wait};
+use diomp_sim::{Ctx, Dur, Placement, SimTime};
 
 use crate::config::Conduit;
 use crate::error::DiompError;
@@ -31,16 +31,9 @@ use crate::gptr::{AsymPtr, GPtr};
 use crate::runtime::DiompRank;
 
 impl DiompRank {
-    /// Record a completion for the fence to drain.
-    fn track(&self, ev: diomp_sim::EventId) {
-        self.shared.pending[self.rank].lock().push(ev);
-    }
-
     /// Record a completion at instant `t` for the fence to drain.
-    fn track_at(&self, h: &diomp_sim::SimHandle, t: SimTime) {
-        let ev = h.new_event();
-        h.complete_at(ev, t);
-        self.track(ev);
+    fn track(&self, t: SimTime) {
+        self.shared.pending[self.rank].lock().push(t);
     }
 
     /// Post one GPI-2 operation with the GASPI recovery loop: a post
@@ -66,7 +59,7 @@ impl DiompRank {
                 Err(FabricError::QueueError { .. }) if attempt < budget => {
                     attempt += 1;
                     self.rma_retries += 1;
-                    gpi::queue_purge(ctx.handle(), world, self.rank, queue);
+                    gpi::queue_purge(world, self.rank, queue);
                     ctx.delay(backoff);
                     backoff += backoff;
                 }
@@ -76,18 +69,18 @@ impl DiompRank {
     }
 
     /// Thread a device-side transfer through the source device's stream
-    /// pool (lazy/reused/bounded, paper §3.2) and produce its tracked
-    /// completion event.
+    /// pool (lazy/reused/bounded, paper §3.2) and track the stream's
+    /// tail, its completion instant.
     fn track_device_copy(&self, ctx: &mut Ctx, src_flat: usize, done: SimTime) {
         let dev = self.shared.world.devs.dev(src_flat).clone();
         let s = dev.acquire_stream(ctx);
-        {
+        let tail = {
             let mut pool = dev.pool.lock();
             pool.advance_tail(s, done);
-        }
-        let ev = dev.pool.lock().record_event(ctx.handle(), s);
+            pool.tail(s)
+        };
         dev.release_stream(s);
-        self.track(ev);
+        self.track(tail);
     }
 
     /// Core one-sided put between device segments:
@@ -182,9 +175,8 @@ impl DiompRank {
                                     dst_off + coff,
                                     clen,
                                 )?;
-                                // Fence drains both: local completion
-                                // (source buffer reuse) and the remote ack.
-                                self.track(hdl.local);
+                                // The remote ack covers local completion
+                                // (source buffer reuse), which precedes it.
                                 self.track(hdl.remote);
                             }
                         }
@@ -286,7 +278,7 @@ impl DiompRank {
                             // per chunk; the requests pipeline on the wire
                             // and the fence drains all completions at once.
                             for (coff, clen) in pipe.chunks(len) {
-                                let (ev, _) = gasnet::get_nb(
+                                let arrive = gasnet::get_nb(
                                     ctx,
                                     w,
                                     self.rank,
@@ -295,7 +287,7 @@ impl DiompRank {
                                     remote_off + coff,
                                     clen,
                                 )?;
-                                self.track(ev);
+                                self.track(arrive);
                             }
                         }
                     }
@@ -375,13 +367,11 @@ impl DiompRank {
             staged = copy::d2h(h, &dev, src_base + coff, &bufs[slot], 0, clen, slot_free[slot])?;
             injected = staged.max(injected) + overhead;
             let (src, seg) = (Loc::host(bufs[slot].clone(), 0), s.seg[dst_flat]);
-            let (local, remote) =
+            let hdl =
                 gasnet::put_nb_from(h, w, self.rank, src, seg, dst_off + coff, clen, injected)?;
-            slot_free[slot] = local;
-            self.track_at(h, remote);
+            slot_free[slot] = hdl.local;
+            self.track(hdl.remote);
         }
-        // Local completions are FIFO on the NIC: the latest covers them all.
-        self.track_at(h, slot_free.into_iter().max().expect("a staging ring has a slot"));
         let stream = dev.acquire_stream(ctx);
         dev.pool.lock().advance_tail(stream, staged);
         dev.release_stream(stream);
@@ -395,22 +385,22 @@ impl DiompRank {
     /// makes the direct device DMA path the fragile one) under a
     /// pipelining config such as the autotuner's.
     ///
-    /// Non-blocking like every other get path: each chunk lands in one
-    /// of `max_inflight` host bounce buffers via `gex_RMA_GetNB`, and
-    /// its H2D upload is *scheduled at the chunk's modelled arrival
-    /// instant* ([`gasnet::get_nb`] guarantees the upload's
-    /// snapshot runs after the deposit), so uploads overlap later
-    /// chunks' wire time without ever synchronising the issuing task —
-    /// it returns immediately and `ompx_fence` drains both the chunk
-    /// arrivals and the upload completions. The uploads charge the
-    /// host-to-device lane of the destination's host link directly — a
-    /// staged put's D2H copies, on the other lane, never delay them —
-    /// and bypass the bounded stream pool (a scheduled completion action
-    /// cannot acquire a stream); stream-pool coupling remains a put-side
-    /// property.
+    /// Non-blocking like every other get path, and a chain of
+    /// reservations made in the call like the staged put: each chunk
+    /// lands in one of `max_inflight` host bounce buffers via
+    /// `gex_RMA_GetNB`, and its H2D upload is reserved *from the chunk's
+    /// modelled arrival instant* (`copy::h2d` with a ready time), so
+    /// uploads overlap later chunks' wire time without ever
+    /// synchronising the issuing task. The bounce buffer is read by an
+    /// action at that arrival, which [`gasnet::get_nb`] guarantees runs
+    /// after the deposit; `ompx_fence` drains the upload completions.
+    /// The uploads charge the host-to-device lane of the destination's
+    /// host link directly — a staged put's D2H copies, on the other
+    /// lane, never delay them — and bypass the bounded stream pool;
+    /// stream-pool coupling remains a put-side property.
     ///
     /// Slot reuse is race-free without any waiting: arrivals on one NIC
-    /// are FIFO, so chunk `k`'s upload snapshot (at its arrival) always
+    /// are FIFO, so chunk `k`'s upload read (at its arrival) always
     /// precedes chunk `k + max_inflight`'s deposit into the same buffer
     /// (at a strictly later arrival).
     fn get_gasnet_staged(
@@ -427,34 +417,22 @@ impl DiompRank {
         let pipe = s.cfg.pipeline;
         let dev = w.devs.dev(local_flat).clone();
         let dst_base = s.seg_base[local_flat] + local_off;
-        // Pre-check the device destination range once, so the scheduled
-        // upload actions can rely on bounds like every other deposit.
+        // Check the device destination range once, so a refused get
+        // issues no chunk.
         Loc::dev(local_flat, dst_base).check(&w.devs, len)?;
         let bufs = self.staging_ring();
-        let nslots = bufs.len();
         for (k, (coff, clen)) in pipe.chunks(len).enumerate() {
-            let slot = k % nslots;
-            let (arrival_ev, arrive) = gasnet::get_nb(
+            let buf = &bufs[k % bufs.len()];
+            let arrive = gasnet::get_nb(
                 ctx,
                 w,
                 self.rank,
-                Loc::host(bufs[slot].clone(), 0),
+                Loc::host(buf.clone(), 0),
                 s.seg[remote_flat],
                 remote_off + coff,
                 clen,
             )?;
-            self.track(arrival_ev);
-            // Upload the chunk the moment it lands; completion is a
-            // fence-tracked event completed by the scheduled action.
-            let up_ev = ctx.new_event();
-            let dev = dev.clone();
-            let buf = bufs[slot].clone();
-            ctx.handle().schedule_at(arrive, move |h| {
-                let done = copy::h2d(h, &dev, &buf, 0, dst_base + coff, clen)
-                    .expect("staged-get bounds pre-checked");
-                h.complete_at(up_ev, done);
-            });
-            self.track(up_ev);
+            self.track(copy::h2d(ctx.handle(), &dev, buf, 0, dst_base + coff, clen, arrive)?);
         }
         Ok(())
     }
@@ -514,7 +492,7 @@ impl DiompRank {
         }
         // Stage 1: fetch the wrapper (8 bytes) from the remote segment.
         let staging = diomp_device::HostBuf::zeroed(8);
-        let (ev, _) = gasnet::get_nb(
+        let arrive = gasnet::get_nb(
             ctx,
             &s.world,
             self.rank,
@@ -523,7 +501,7 @@ impl DiompRank {
             ptr.wrapper_off,
             8,
         )?;
-        ctx.drain(&[ev], Wait::Block).expect("a blocking drain cannot time out");
+        ctx.sleep_until(arrive);
         let authoritative =
             s.asym_reg.lookup(target_flat, ptr.wrapper_off).expect("asym ptr freed mid-access");
         if s.world.devs.mode == diomp_device::DataMode::Functional {

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use diomp_device::DeviceTable;
 use diomp_fabric::{ExchangeDomain, FabricWorld, SegmentId};
-use diomp_sim::{Ctx, Dur, EventId, Sim, SimError, SimReport, Topology};
+use diomp_sim::{Ctx, Dur, Sim, SimError, SimReport, SimTime, Topology};
 use parking_lot::Mutex;
 
 use crate::config::{Binding, DiompConfig};
@@ -44,8 +44,8 @@ pub struct DiompShared {
     pub(crate) alloc_exch: ExchangeDomain<u64>,
     /// Group registry (split/merge).
     pub groups: GroupRegistry,
-    /// Per-rank pending RMA completions, drained by `ompx_fence`.
-    pub(crate) pending: Vec<Mutex<Vec<EventId>>>,
+    /// Per-rank pending RMA completion instants, drained by `ompx_fence`.
+    pub(crate) pending: Vec<Mutex<Vec<SimTime>>>,
 }
 
 impl DiompShared {

@@ -1,6 +1,6 @@
 //! Synchronisation: `ompx_fence` and `ompx_barrier` (paper §3.2–3.3).
 
-use diomp_sim::{Ctx, EventId, SimTime, Wait};
+use diomp_sim::{Ctx, SimTime, Wait};
 
 use crate::config::Conduit;
 use crate::group::DiompGroup;
@@ -8,18 +8,17 @@ use crate::runtime::DiompRank;
 
 /// Partial-completion state surfaced by a timed-out bounded fence
 /// ([`DiompRank::fence_with`] under [`Wait::Until`]): how much of the
-/// pending RMA had already completed when the deadline fired, and which
-/// completions are still in flight. The in-flight events remain
-/// fence-tracked — a later `fence` (or another bounded fence) picks them
-/// up; nothing is lost.
+/// pending RMA had completed by the deadline, and which completions are
+/// still in flight. Those remain fence-tracked — a later `fence` (or
+/// another bounded fence) picks them up; nothing is lost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FenceTimeout {
     /// Virtual time at which the deadline fired.
     pub at: SimTime,
-    /// Operations that completed (and were retired) before the deadline.
+    /// Operations that completed (and were retired) by the deadline.
     pub completed: usize,
-    /// Completion events still in flight, re-tracked for the next fence.
-    pub in_flight: Vec<EventId>,
+    /// Completion instants still ahead, re-tracked for the next fence.
+    pub in_flight: Vec<SimTime>,
 }
 
 impl std::fmt::Display for FenceTimeout {
@@ -45,20 +44,19 @@ impl DiompRank {
 
     /// `ompx_fence` with an explicit wait discipline: [`Wait::Block`]
     /// blocks until everything is complete; [`Wait::Until`] drains what
-    /// completes before the virtual-time deadline, and on timeout
-    /// reports *which* work is done and which is still in flight
-    /// instead of blocking forever on a degraded fabric.
+    /// completes by the virtual-time deadline, and on timeout reports
+    /// *which* work is done and which is still in flight instead of
+    /// blocking forever on a degraded fabric.
     ///
     /// This is the paper's *hybrid event polling*: the runtime
-    /// simultaneously drains network completions (GASNet-EX events or
-    /// GPI-2 queues) and device-side stream events in one unified loop,
-    /// so neither source of completion stalls the other. In the
-    /// simulation the unified loop is realised by draining the merged
-    /// pending-event list (network events and stream-tail events are the
-    /// same [`diomp_sim::EventId`] currency) with one [`Ctx::drain`] —
-    /// one wait group over the whole set, so the task parks once and the
-    /// completion that empties the set wakes it — and then settling the
-    /// device stream horizon.
+    /// simultaneously drains network completions (GASNet-EX operations
+    /// or GPI-2 queues) and device-side stream completions in one
+    /// unified loop, so neither source of completion stalls the other.
+    /// In the simulation every one of them is an instant known when the
+    /// operation was issued, so the unified loop is one
+    /// [`Ctx::wait_until`] on the latest pending instant: the task
+    /// sleeps once, and wakes behind any deposit due at that instant —
+    /// and then settles the device stream horizon.
     ///
     /// On `Err` the returned [`FenceTimeout`] carries the partial state; the
     /// in-flight completions stay fence-tracked, so callers can consult
@@ -66,17 +64,21 @@ impl DiompRank {
     /// timeout-poll loop. The device stream horizon is only settled on
     /// success (it cannot be partially waited).
     pub fn fence_with(&mut self, ctx: &mut Ctx, wait: Wait) -> Result<(), FenceTimeout> {
-        // Network + stream events, in arrival order. GPI-2 additionally
-        // tracks completions on its queues rather than per-op events;
-        // *every* queue is drained, not just queue 0.
+        // Network + stream completions. GPI-2 additionally tracks
+        // completions on its queues; *every* queue is drained, not just
+        // queue 0.
         let mut pending = std::mem::take(&mut *self.shared.pending[self.rank].lock());
         if self.shared.cfg.conduit == Conduit::Gpi2 {
             pending.extend(diomp_fabric::gpi::take_pending_all(&self.shared.world, self.rank));
         }
-        if let Err((t, in_flight)) = ctx.drain(&pending, wait) {
-            self.shared.pending[self.rank].lock().extend(in_flight.iter().copied());
-            let completed = pending.len() - in_flight.len();
-            return Err(FenceTimeout { at: t.at, completed, in_flight });
+        if let Some(&latest) = pending.iter().max() {
+            if let Err(t) = ctx.wait_until(latest, wait) {
+                let total = pending.len();
+                pending.retain(|&done| done > t.at);
+                let completed = total - pending.len();
+                self.shared.pending[self.rank].lock().extend(pending.iter().copied());
+                return Err(FenceTimeout { at: t.at, completed, in_flight: pending });
+            }
         }
         // Device horizon: all streams the RMA path touched.
         for d in self.my_devices() {

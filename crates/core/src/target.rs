@@ -90,6 +90,7 @@ impl DiompRank {
                             0,
                             d_off,
                             buf.len(),
+                            ctx.now(),
                         )?;
                         done = done.max(t);
                     }

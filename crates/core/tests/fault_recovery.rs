@@ -158,6 +158,51 @@ fn fence_timeout_reports_partial_completion_then_full_fence_drains() {
 }
 
 #[test]
+fn a_bounded_fence_counts_a_completion_at_its_deadline_as_done() {
+    // The 8 B put's completion instant, from a run that fences on it
+    // alone; the deadline then falls exactly on it. Done means
+    // `t <= deadline`: the 8 B put is retired, the 1 MiB one is not.
+    let cfg = || two_nodes(PlatformSpec::platform_a()).with_heap(8 << 20).build();
+    let small = Arc::new(Mutex::new(None));
+    let small2 = small.clone();
+    run_with_plan(cfg(), FaultPlan::new(), move |ctx, rank| {
+        let ptr = rank.alloc_sym(ctx, 8).unwrap();
+        rank.barrier(ctx);
+        if rank.rank == 0 {
+            let t0 = ctx.now();
+            rank.put(ctx, 1, ptr, 0, ptr, 0, 8).unwrap();
+            rank.fence(ctx);
+            *small2.lock() = Some(ctx.now().since(t0));
+        }
+        rank.barrier(ctx);
+    });
+    let small = small.lock().expect("rank 0 fenced");
+    let seen = Arc::new(Mutex::new(None));
+    let seen2 = seen.clone();
+    run_with_plan(cfg(), FaultPlan::new(), move |ctx, rank| {
+        let len: u64 = 1 << 20;
+        let ptr = rank.alloc_sym(ctx, len).unwrap();
+        rank.barrier(ctx);
+        if rank.rank == 0 {
+            let t0 = ctx.now();
+            rank.put(ctx, 1, ptr, 0, ptr, 0, 8).unwrap();
+            let budget = (t0 + small).since(ctx.now());
+            let ok = rank.fence_with(ctx, Wait::Until(budget));
+            assert_eq!((ok, ctx.now()), (Ok(()), t0 + small), "done at the deadline");
+            let t1 = ctx.now();
+            rank.put(ctx, 1, ptr, 0, ptr, 0, 8).unwrap();
+            rank.put(ctx, 1, ptr, 0, ptr, 0, len).unwrap();
+            let budget = (t1 + small).since(ctx.now());
+            let err = rank.fence_with(ctx, Wait::Until(budget)).unwrap_err();
+            *seen2.lock() = Some((err.at == t1 + small, err.completed, err.in_flight.len()));
+            rank.fence(ctx);
+        }
+        rank.barrier(ctx);
+    });
+    assert_eq!(*seen.lock(), Some((true, 1, 1)), "(at the deadline, completed, in flight)");
+}
+
+#[test]
 fn put_notify_retry_and_consumer_timeout_protocol_deliver_exactly_once() {
     // Lost notification end-to-end at the ompx level: the producer's
     // put_notify has its notification dropped in flight; the consumer's

@@ -383,17 +383,18 @@ fn many_put_fence(cfg: DiompConfig, n: usize) -> SimReport {
     .unwrap()
 }
 
-/// The fence drains every pending completion with one `wait_all` park;
-/// one park per pending event reaches the same virtual instant in 1,504
-/// entries (measured before that loop was deleted). Both numbers of the
-/// batched run are pinned so neither the saving nor the result can
-/// drift — the 1000-put twin is the gate row
-/// `ablation/fence1000_batched` (81,932.003 µs, 3,015 entries).
+/// The fence sleeps once, to the latest pending completion instant, and
+/// no put makes an event or a completion entry: what is left is each
+/// put's overhead wake, the fence's one park and the set-up. One park per
+/// pending event reached the same virtual instant in 1,504 entries, one
+/// wait group over them all in 915. Both numbers are pinned so neither
+/// the saving nor the result can drift — the 1000-put twin is the gate
+/// row `ablation/fence1000_batched` (81,932.003 µs).
 #[test]
 fn fence_over_300_puts_is_pinned_in_virtual_time_and_entries() {
     let cfg = two_nodes(PlatformSpec::platform_a()).with_mode(DataMode::CostOnly).build();
     let rep = many_put_fence(cfg, 300);
-    assert_eq!((rep.end_time.nanos(), rep.entries_processed), (24_588_003, 915));
+    assert_eq!((rep.end_time.nanos(), rep.entries_processed), (24_588_003, 315));
 }
 
 /// Platform A, tuned, CostOnly: the rig of the staged-put timing tests.

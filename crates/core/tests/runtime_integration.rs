@@ -5,11 +5,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use diomp_core::{
-    group_merge, group_split, AllocKind, Binding, Conduit, DiompConfig, DiompError, DiompRuntime,
-    DiompTarget, ReduceOp,
+    group_merge, group_split, AllocKind, Binding, Conduit, DiompConfig, DiompError, DiompRank,
+    DiompRuntime, DiompTarget, PtrCache, ReduceOp,
 };
 use diomp_device::{HostBuf, HostId, KernelCost, MapKind};
-use diomp_sim::{ClusterSpec, Dur, PlatformSpec, SimTime};
+use diomp_sim::{ClusterSpec, Ctx, Dur, PlatformSpec, Sim, SimTime};
 
 fn builder_a(nodes: usize) -> diomp_core::DiompConfigBuilder {
     DiompConfig::builder_on(PlatformSpec::platform_a(), nodes).with_heap(4 << 20)
@@ -58,6 +58,73 @@ fn get_pulls_remote_symmetric_data() {
         rank.barrier(ctx);
     })
     .unwrap();
+}
+
+/// Rank 0 runs `op`, then a fence whose call lands exactly on the op's
+/// completion instant, woken there *ahead of* the deposit due at that
+/// instant: a second handle on rank 0 went to sleep until then before
+/// the op was issued. Returns the 64 bytes at rank 0's segment offset
+/// `check` when that fence returns. The instant is taken from a
+/// reference run that fences right after the op.
+fn fence_on_the_completion_instant(op: fn(&mut Ctx, &mut DiompRank), check: u64) -> Vec<u8> {
+    let boot = |sim: &Sim| {
+        let cfg = DiompConfig::builder(ClusterSpec {
+            platform: PlatformSpec::platform_a(),
+            nodes: 2,
+            gpus_per_node: 1,
+        })
+        .with_heap(1 << 20)
+        .build();
+        let shared = DiompRuntime::build(sim, cfg);
+        for (flat, byte) in [(0, 7u8), (1, 9u8)] {
+            shared.world.devs.dev(flat).mem.write(shared.seg_base[flat], &[byte; 64]).unwrap();
+        }
+        shared
+    };
+    let rank0 = |shared| DiompRank { shared, rank: 0, cache: PtrCache::new(), rma_retries: 0 };
+    let done = Arc::new(AtomicU64::new(0));
+    let mut sim = Sim::new();
+    let (shared, done2) = (boot(&sim), done.clone());
+    sim.spawn("reference", move |ctx| {
+        let mut rank = rank0(shared);
+        op(ctx, &mut rank);
+        rank.fence(ctx);
+        done2.store(ctx.now().nanos(), Ordering::SeqCst);
+    });
+    sim.run().unwrap();
+    let done = SimTime(done.load(Ordering::SeqCst));
+
+    let got = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let mut sim = Sim::new();
+    let shared = boot(&sim);
+    let (fencer, got2) = (shared.clone(), got.clone());
+    sim.spawn("fencer", move |ctx| {
+        let mut rank = rank0(fencer);
+        ctx.sleep_until(done);
+        rank.fence(ctx);
+        assert_eq!(ctx.now(), done, "the fence waits for nothing but its own instant");
+        let mut out = vec![0u8; 64];
+        let base = rank.shared.seg_base[0];
+        rank.shared.world.devs.dev(0).mem.read(base + check, &mut out).unwrap();
+        *got2.lock() = out;
+    });
+    sim.spawn("issuer", move |ctx| op(ctx, &mut rank0(shared)));
+    sim.run().unwrap();
+    let got = got.lock().clone();
+    got
+}
+
+#[test]
+fn a_fence_called_at_the_completion_instant_returns_after_the_deposit() {
+    // A same-device put and an inter-node get each deposit at their
+    // completion instant. A fence called at that instant, before the
+    // deposit has run, must still park behind it.
+    let put =
+        fence_on_the_completion_instant(|ctx, r| r.put_dev(ctx, 0, 0, 0, 4096, 64).unwrap(), 4096);
+    assert_eq!(put, [7u8; 64], "put");
+    let get =
+        fence_on_the_completion_instant(|ctx, r| r.get_dev(ctx, 0, 8192, 1, 0, 64).unwrap(), 8192);
+    assert_eq!(get, [9u8; 64], "get");
 }
 
 #[test]

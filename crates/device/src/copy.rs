@@ -7,7 +7,9 @@
 //!
 //! Payloads are snapshotted at initiation (DMA-at-start semantics), so a
 //! source buffer may be reused as soon as the call returns, matching what
-//! a synchronous `cudaMemcpy` from pinned staging would guarantee.
+//! a synchronous `cudaMemcpy` from pinned staging would guarantee. The
+//! one exception is an upload reserved ahead of its `ready` instant
+//! ([`h2d`]): its host bytes are read then.
 
 use std::sync::Arc;
 
@@ -151,7 +153,10 @@ fn snapshot_dev(dev: &Device, off: u64, len: u64) -> Result<Option<Vec<u8>>, Mem
 }
 
 /// Host → device copy over the host-to-device lane of the device's host
-/// link. Returns completion time.
+/// link, starting no earlier than `ready` (a bounce buffer a transfer is
+/// still filling; `h.now()` otherwise). The host bytes are read at
+/// `ready` — in the call when that is now — and land on the device at
+/// the returned completion time.
 pub fn h2d(
     h: &SimHandle,
     dev: &Arc<Device>,
@@ -159,14 +164,27 @@ pub fn h2d(
     src_off: u64,
     d_off: u64,
     len: u64,
+    ready: SimTime,
 ) -> Result<SimTime, MemError> {
     check_dev(dev, d_off, len)?;
     check_host(src, src_off, len)?;
-    let tr = h.transfer(dev.h2d, len);
-    if let Some(bytes) = snapshot_host(src, src_off, len) {
+    let tr = h.transfer_from(dev.h2d, ready, len);
+    if src.is_backed() {
+        // Read and landing are both scheduled now, in order, so the
+        // landing precedes any action scheduled at the completion instant
+        // after this returns — a fence's wake among them.
+        let read = Arc::new(Mutex::new(None));
+        if ready > h.now() {
+            let (src, read) = (src.clone(), Arc::clone(&read));
+            h.schedule_at(ready, move |_| *read.lock() = snapshot_host(&src, src_off, len));
+        } else {
+            *read.lock() = snapshot_host(src, src_off, len);
+        }
         let dev = Arc::clone(dev);
         h.schedule_at(tr.arrive, move |_| {
-            dev.mem.write(d_off, &bytes).expect("bounds pre-checked");
+            if let Some(bytes) = read.lock().take() {
+                dev.mem.write(d_off, &bytes).expect("bounds pre-checked");
+            }
         });
     }
     Ok(tr.arrive)
@@ -292,7 +310,7 @@ mod tests {
         sim.spawn("t", move |ctx| {
             let dev = devs.dev(0);
             let src = HostBuf::from_bytes(vec![1, 2, 3, 4, 5]);
-            let done = h2d(ctx.handle(), dev, &src, 0, 64, 5).unwrap();
+            let done = h2d(ctx.handle(), dev, &src, 0, 64, 5, ctx.now()).unwrap();
             ctx.sleep_until(done);
             let dst = HostBuf::zeroed(5);
             let done = d2h(ctx.handle(), dev, 64, &dst, 0, 5, ctx.now()).unwrap();
@@ -309,7 +327,7 @@ mod tests {
         sim.spawn("t", move |ctx| {
             let dev = devs.dev(0);
             let src = HostBuf::from_bytes(vec![9; 16]);
-            let done = h2d(ctx.handle(), dev, &src, 0, 0, 16).unwrap();
+            let done = h2d(ctx.handle(), dev, &src, 0, 0, 16, ctx.now()).unwrap();
             assert!(done > ctx.now());
             let mut probe = [0u8; 16];
             dev.mem.read(0, &mut probe).unwrap();
@@ -377,7 +395,7 @@ mod tests {
         sim.spawn("t", move |ctx| {
             let dev = devs.dev(0);
             let src = HostBuf::phantom(1 << 18);
-            let done = h2d(ctx.handle(), dev, &src, 0, 0, 1 << 18).unwrap();
+            let done = h2d(ctx.handle(), dev, &src, 0, 0, 1 << 18, ctx.now()).unwrap();
             assert!(done > ctx.now(), "time is still charged");
             ctx.sleep_until(done);
             let mut probe = [0u8; 4];
@@ -394,7 +412,7 @@ mod tests {
         sim.spawn("t", move |ctx| {
             let dev = devs.dev(0);
             let src = HostBuf::zeroed(16);
-            let err = h2d(ctx.handle(), dev, &src, 0, (1 << 20) - 4, 16);
+            let err = h2d(ctx.handle(), dev, &src, 0, (1 << 20) - 4, 16, ctx.now());
             assert!(matches!(err, Err(MemError::OutOfBounds { .. })));
         });
         sim.run().unwrap();

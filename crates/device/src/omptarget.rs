@@ -64,7 +64,8 @@ impl TargetDevice {
                     let d_off = self.dev.malloc(m.buf.len(), 256)?;
                     self.table.lock().insert(m.host, d_off, m.buf.len(), m.kind);
                     if m.kind.copies_in() {
-                        let t = h2d(ctx.handle(), &self.dev, &m.buf, 0, d_off, m.buf.len())?;
+                        let t =
+                            h2d(ctx.handle(), &self.dev, &m.buf, 0, d_off, m.buf.len(), ctx.now())?;
                         done = done.max(t);
                     }
                 }

@@ -17,7 +17,7 @@
 //! ready. The stream's `tail` is the virtual completion time of its last
 //! operation — "synchronising" a stream means sleeping until its tail.
 
-use diomp_sim::{Ctx, Dur, EventId, SimHandle, SimTime};
+use diomp_sim::{Ctx, Dur, SimTime};
 
 /// Default bound on in-flight streams per device (paper §3.2,
 /// `MAX_ACTIVE_STREAMS`).
@@ -136,14 +136,6 @@ impl StreamPool {
         st.tail = st.tail.max(t);
     }
 
-    /// Record an event on the stream: returns an event that completes at
-    /// the stream's current tail (CUDA `cudaEventRecord` semantics).
-    pub fn record_event(&self, h: &SimHandle, s: StreamId) -> EventId {
-        let ev = h.new_event();
-        h.complete_at(ev, self.streams[s.0].tail);
-        ev
-    }
-
     /// Completion time of the stream's last enqueued operation.
     pub fn tail(&self, s: StreamId) -> SimTime {
         self.streams[s.0].tail
@@ -232,14 +224,14 @@ mod tests {
     }
 
     #[test]
-    fn record_event_completes_at_tail() {
+    fn sync_stream_waits_for_its_tail() {
         let mut sim = Sim::new();
         sim.spawn("t", |ctx| {
             let mut pool = StreamPool::new(2);
             let s = pool.acquire(ctx);
             pool.enqueue(s, ctx.now(), Dur::micros(7.0));
-            let ev = pool.record_event(ctx.handle(), s);
-            ctx.drain(&[ev], diomp_sim::Wait::Block).unwrap();
+            assert_eq!(pool.tail(s), SimTime(7_000), "the tail is the completion instant");
+            sync_stream(ctx, &pool, s);
             assert_eq!(ctx.now(), SimTime(7_000));
         });
         sim.run().unwrap();

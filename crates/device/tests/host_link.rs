@@ -24,14 +24,14 @@ fn on_two_gpus(mode: DataMode, body: impl FnOnce(&mut Ctx, &DeviceTable) + Send 
 fn upload_and_download_overlap_while_two_uploads_serialise() {
     on_two_gpus(DataMode::CostOnly, |ctx, devs| {
         let (h, dev, buf) = (ctx.handle().clone(), devs.dev(0), HostBuf::phantom(LEN));
-        let one = h2d(&h, dev, &buf, 0, 0, LEN).unwrap().since(ctx.now());
+        let one = h2d(&h, dev, &buf, 0, 0, LEN, ctx.now()).unwrap().since(ctx.now());
         assert!(one > Dur::micros(600.0), "16 MiB at 25 GB/s is ~670 µs, got {one}");
         ctx.delay(one);
         let t0 = ctx.now();
-        let up = h2d(&h, dev, &buf, 0, 0, LEN).unwrap();
+        let up = h2d(&h, dev, &buf, 0, 0, LEN, t0).unwrap();
         let down = d2h(&h, dev, LEN, &buf, 0, LEN, t0).unwrap();
         assert_eq!((up.since(t0), down.since(t0)), (one, one), "started together, done together");
-        let second_up = h2d(&h, dev, &buf, 0, 0, LEN).unwrap().since(t0);
+        let second_up = h2d(&h, dev, &buf, 0, 0, LEN, t0).unwrap().since(t0);
         assert!(second_up.as_us() > 1.9 * one.as_us(), "one lane, one direction: FIFO");
     });
 }

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use diomp_device::MemError;
-use diomp_sim::{Ctx, Dur, EventId, SimHandle, SimTime, Wait};
+use diomp_sim::{Ctx, Dur, SimHandle, SimTime};
 use parking_lot::Mutex;
 
 use crate::loc::Loc;
@@ -22,14 +22,14 @@ use crate::segment::SegmentId;
 use crate::wire::{self, Price};
 use crate::world::FabricWorld;
 
-/// Completion events of a non-blocking Put.
+/// Completion instants of a non-blocking Put, both known at issue.
 #[derive(Clone, Copy, Debug)]
 pub struct PutHandle {
     /// Source buffer reusable (local completion, `GEX_EVENT_LC`).
-    pub local: EventId,
+    pub local: SimTime,
     /// Data visible at the target and acknowledged (what `ompx_fence`
     /// waits for).
-    pub remote: EventId,
+    pub remote: SimTime,
 }
 
 /// Initiator software of one RMA operation: `base_us` plus the
@@ -89,9 +89,9 @@ pub fn put_overhead(world: &FabricWorld) -> Dur {
 
 /// [`put_nb`] injected at `ready`, the instant [`put_overhead`] has been
 /// paid — by the calling task, or on a progress lane whose times the
-/// caller chains (the staged pipeline). Returns the instants of local
-/// and remote completion. A `ready` still ahead lets a reserved copy
-/// fill `src`: it is read when the NIC releases it, not in the call.
+/// caller chains (the staged pipeline). A `ready` still ahead lets a
+/// reserved copy fill `src`: it is read when the NIC releases it, not in
+/// the call.
 #[allow(clippy::too_many_arguments)]
 pub fn put_nb_from(
     h: &SimHandle,
@@ -102,13 +102,13 @@ pub fn put_nb_from(
     dst_off: u64,
     len: u64,
     ready: SimTime,
-) -> Result<(SimTime, SimTime), MemError> {
+) -> Result<PutHandle, MemError> {
     let dst_loc = world.segment(dst).range(dst_off, len)?;
     let inter = world.node_of(src_rank) != world.node_of(dst.rank);
     let eff = put_eff(world, &src, &dst_loc, inter, len);
     let dst = (dst.rank, dst_loc);
     let wrote = wire::write_from(h, world, (src_rank, src), dst, len, eff, ready)?;
-    Ok((wrote.depart, wrote.acked))
+    Ok(PutHandle { local: wrote.depart, remote: wrote.acked })
 }
 
 /// Non-blocking one-sided Put of `len` bytes from a local buffer into a
@@ -127,22 +127,16 @@ pub fn put_nb(
     src.check(&world.devs, len)?;
     ctx.delay(put_overhead(world));
     let h = ctx.handle();
-    let (local_at, remote_at) = put_nb_from(h, world, src_rank, src, dst, dst_off, len, h.now())?;
-    let local = h.new_event();
-    h.complete_at(local, local_at);
-    let remote = h.new_event();
-    h.complete_at(remote, remote_at);
-    Ok(PutHandle { local, remote })
+    put_nb_from(h, world, src_rank, src, dst, dst_off, len, h.now())
 }
 
 /// Non-blocking one-sided Get of `len` bytes from a remote segment into a
-/// local buffer (`gex_RMA_GetNB`). The returned event completes when the
-/// data has landed locally, at the returned modelled arrival instant —
-/// so staged pipelines can schedule follow-on work (e.g. an H2D upload
-/// out of a bounce buffer) *at* the moment the chunk lands, without
-/// synchronising the issuing task on the arrival. Actions scheduled at
-/// that instant after this call run strictly after the deposit (same
-/// instant, later sequence number).
+/// local buffer (`gex_RMA_GetNB`). Returns the instant the data has
+/// landed locally — so staged pipelines can reserve follow-on work
+/// (e.g. an H2D upload out of a bounce buffer) from the moment the chunk
+/// lands, without synchronising the issuing task on the arrival.
+/// Actions scheduled at that instant after this call run strictly after
+/// the deposit (same instant, later sequence number).
 pub fn get_nb(
     ctx: &mut Ctx,
     world: &Arc<FabricWorld>,
@@ -151,16 +145,13 @@ pub fn get_nb(
     src: SegmentId,
     src_off: u64,
     len: u64,
-) -> Result<(EventId, SimTime), MemError> {
+) -> Result<SimTime, MemError> {
     let src_loc = world.segment(src).range(src_off, len)?;
     let price = Price {
         overhead: initiator_overhead(world, world.platform.gasnet.get_o_us),
         eff: world.platform.gasnet.eff,
     };
-    let arrive = wire::read(ctx, world, (rank, dst), (src.rank, src_loc), len, price)?;
-    let ev = ctx.new_event();
-    ctx.complete_at(ev, arrive);
-    Ok((ev, arrive))
+    wire::read(ctx, world, (rank, dst), (src.rank, src_loc), len, price)
 }
 
 /// Blocking Put: initiate and wait for remote completion.
@@ -174,8 +165,7 @@ pub fn put_blocking(
     len: u64,
 ) -> Result<(), MemError> {
     let hdl = put_nb(ctx, world, src_rank, src, dst, dst_off, len)?;
-    ctx.drain(&[hdl.local], Wait::Block).expect("a blocking drain cannot time out");
-    ctx.drain(&[hdl.remote], Wait::Block).expect("a blocking drain cannot time out");
+    ctx.sleep_until(hdl.remote);
     Ok(())
 }
 
@@ -189,8 +179,8 @@ pub fn get_blocking(
     src_off: u64,
     len: u64,
 ) -> Result<(), MemError> {
-    let (ev, _) = get_nb(ctx, world, rank, dst, src, src_off, len)?;
-    ctx.drain(&[ev], Wait::Block).expect("a blocking drain cannot time out");
+    let arrive = get_nb(ctx, world, rank, dst, src, src_off, len)?;
+    ctx.sleep_until(arrive);
     Ok(())
 }
 

@@ -38,8 +38,8 @@
 //!
 //! * [`wait_queue`] / [`wait_all_queues`] / [`notify_waitsome`] called
 //!   with [`Wait::Until`] return [`FabricError::Timeout`] when the
-//!   virtual-time deadline fires, leaving already-completed operations
-//!   retired and incomplete ones re-queued for a later wait. Every
+//!   virtual-time deadline fires, leaving operations completed by the
+//!   deadline retired and later ones re-queued for a later wait. Every
 //!   expired deadline also probes the `gaspi_state_vec`
 //!   ([`FabricWorld::probe_health`]): a timeout is GASPI's failure
 //!   *signal*, and the probe is how a rank-kill becomes visible as
@@ -49,7 +49,7 @@
 //!   ([`diomp_sim::FaultPlan::ctrl_fault`] keyed
 //!   `fault_key("gpi-queue", rank, queue)`) — an injected `Drop` errors
 //!   the queue, a `Delay` stretches the posting overhead.
-//! * [`queue_purge`] releases the queue's in-flight completions (the
+//! * [`queue_purge`] drops the queue's in-flight completions (the
 //!   data may still land; nobody will wait on it) and clears the error
 //!   state. [`queue_errored`] exposes the flag for health monitoring.
 //!
@@ -61,7 +61,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use diomp_sim::{fault_key, BoardId, CtrlFault, Ctx, Dur, EventId, SimHandle, SimTime, Wait};
+use diomp_sim::{fault_key, BoardId, CtrlFault, Ctx, Dur, SimHandle, SimTime, Wait};
 use parking_lot::Mutex;
 
 use crate::error::FabricError;
@@ -77,9 +77,10 @@ pub struct QueueId(pub u8);
 
 /// Per-world GPI-2 state: queue completion lists and notification boards.
 pub struct GpiState {
-    /// `[rank] → queue → pending remote-completion events`. Ordered map:
-    /// draining *all* queues must visit them in a deterministic order.
-    queues: Mutex<Vec<BTreeMap<QueueId, Vec<EventId>>>>,
+    /// `[rank] → queue → pending remote-completion instants`. Ordered
+    /// map: draining *all* queues must visit them in a deterministic
+    /// order.
+    queues: Mutex<Vec<BTreeMap<QueueId, Vec<SimTime>>>>,
     /// `[rank] → notification board`, created lazily (board allocation
     /// needs a kernel handle, which `FabricWorld::new` does not take).
     boards: Mutex<Vec<Option<BoardId>>>,
@@ -164,7 +165,7 @@ pub fn write(
     let price = Price { overhead: Dur::micros(m.put_o_us), eff: m.eff };
     let dst_loc = world.segment(dst).range(dst_off, len)?;
     let wrote = wire::write(ctx, world, (src_rank, src), (dst.rank, dst_loc), len, price)?;
-    track(ctx, world, src_rank, queue, wrote.acked);
+    track(world, src_rank, queue, wrote.acked);
     Ok(())
 }
 
@@ -185,16 +186,14 @@ pub fn read(
     let price = Price { overhead: Dur::micros(m.get_o_us), eff: m.eff };
     let src_loc = world.segment(src).range(src_off, len)?;
     let arrive = wire::read(ctx, world, (rank, dst), (src.rank, src_loc), len, price)?;
-    track(ctx, world, rank, queue, arrive);
+    track(world, rank, queue, arrive);
     Ok(())
 }
 
-/// Completion bookkeeping of one post: an event completing at `done`,
-/// appended to `queue`'s list.
-fn track(ctx: &Ctx, world: &FabricWorld, rank: usize, queue: QueueId, done: SimTime) {
-    let ev = ctx.new_event();
-    ctx.complete_at(ev, done);
-    world.gpi.queues.lock()[rank].entry(queue).or_default().push(ev);
+/// Completion bookkeeping of one post: its instant `done`, appended to
+/// `queue`'s list.
+fn track(world: &FabricWorld, rank: usize, queue: QueueId, done: SimTime) {
+    world.gpi.queues.lock()[rank].entry(queue).or_default().push(done);
 }
 
 /// Drain a queue (`gaspi_wait`): wait until every posted operation on
@@ -203,11 +202,12 @@ fn track(ctx: &Ctx, world: &FabricWorld, rank: usize, queue: QueueId, done: SimT
 /// GASPI original, the timeout is part of the one signature, not a
 /// separate entry point.
 ///
-/// One batched wait either way: the task parks once regardless of how
-/// many completions are pending. On [`FabricError::Timeout`] the
-/// partial state is preserved, not discarded: operations that *did*
-/// complete are retired, the incomplete ones go back on the queue for a
-/// later wait (or a [`queue_purge`]).
+/// One sleep either way, to the latest pending completion instant or to
+/// the deadline, however many completions are pending. On
+/// [`FabricError::Timeout`] the partial state is preserved, not
+/// discarded: operations that completed by the deadline are retired,
+/// the later ones go back on the queue for a later wait (or a
+/// [`queue_purge`]).
 pub fn wait_queue(
     ctx: &mut Ctx,
     world: &Arc<FabricWorld>,
@@ -224,7 +224,7 @@ fn take_pending(
     world: &FabricWorld,
     rank: usize,
     only: Option<QueueId>,
-) -> Vec<(QueueId, Vec<EventId>)> {
+) -> Vec<(QueueId, Vec<SimTime>)> {
     let mut q = world.gpi.queues.lock();
     match only {
         Some(queue) => q[rank].remove_entry(&queue).into_iter().collect(),
@@ -232,18 +232,17 @@ fn take_pending(
     }
 }
 
-/// Remove and return every pending completion event across *all* of
+/// Remove and return every pending completion instant across *all* of
 /// `rank`'s queues, in queue order, for a caller that merges them into
 /// a wait of its own (`ompx_fence`).
-pub fn take_pending_all(world: &Arc<FabricWorld>, rank: usize) -> Vec<EventId> {
-    take_pending(world, rank, None).into_iter().flat_map(|(_, evs)| evs).collect()
+pub fn take_pending_all(world: &Arc<FabricWorld>, rank: usize) -> Vec<SimTime> {
+    take_pending(world, rank, None).into_iter().flat_map(|(_, ts)| ts).collect()
 }
 
-/// The one queue wait: [`Ctx::drain`] over the taken completions, one
-/// park however many queues they span. On timeout every survivor goes
-/// back on its own queue *ahead* of anything posted while the task was
-/// parked — queue order is completion-tracking order — and the expired
-/// deadline probes the state vector.
+/// The one queue wait: [`Ctx::wait_until`] the latest of the taken
+/// completions, one sleep however many queues they span. On timeout
+/// every completion later than the deadline goes back on its own queue,
+/// and the expired deadline probes the state vector.
 fn drain_queues(
     ctx: &mut Ctx,
     world: &Arc<FabricWorld>,
@@ -252,18 +251,15 @@ fn drain_queues(
     wait: Wait,
 ) -> Result<(), FabricError> {
     let taken = take_pending(world, rank, only);
-    let all: Vec<EventId> = taken.iter().flat_map(|(_, evs)| evs).copied().collect();
-    let Err((t, left)) = ctx.drain(&all, wait) else { return Ok(()) };
-    // `left` keeps `all`'s order, so one pass re-sorts it by queue.
-    let mut left = left.into_iter().peekable();
+    let Some(&latest) = taken.iter().flat_map(|(_, ts)| ts).max() else { return Ok(()) };
+    let Err(t) = ctx.wait_until(latest, wait) else { return Ok(()) };
     {
         let mut q = world.gpi.queues.lock();
-        for (queue, evs) in taken {
-            let mut back: Vec<EventId> =
-                evs.into_iter().filter(|ev| left.next_if_eq(ev).is_some()).collect();
-            let slot = q[rank].entry(queue).or_default();
-            back.append(slot);
-            *slot = back;
+        for (queue, mut ts) in taken {
+            ts.retain(|&done| done > t.at);
+            if !ts.is_empty() {
+                q[rank].entry(queue).or_default().extend(ts);
+            }
         }
     }
     world.probe_health();
@@ -288,13 +284,10 @@ pub fn wait_all_queues(
 /// on it and clear its error state so posts succeed again. In-flight
 /// data may still land at the target — purging discards *completion
 /// tracking*, not bytes already on the wire — but nobody will ever wait
-/// on the abandoned operations and their slots recycle themselves once
-/// the wire drains. This is the GASPI recovery sequence after a
-/// [`FabricError::QueueError`].
-pub fn queue_purge(h: &SimHandle, world: &Arc<FabricWorld>, rank: usize, queue: QueueId) {
-    for ev in take_pending(world, rank, Some(queue)).into_iter().flat_map(|(_, evs)| evs) {
-        h.release_event(ev);
-    }
+/// on the abandoned operations. This is the GASPI recovery sequence
+/// after a [`FabricError::QueueError`].
+pub fn queue_purge(world: &Arc<FabricWorld>, rank: usize, queue: QueueId) {
+    take_pending(world, rank, Some(queue));
     world.gpi.errors.lock()[rank].remove(&queue);
 }
 

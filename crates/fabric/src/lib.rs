@@ -3,7 +3,8 @@
 //! The three communication layers the paper builds on or compares with:
 //!
 //! * [`gasnet`] — a GASNet-EX-like conduit (segments, one-sided Put/Get
-//!   with events, active messages): DiOMP's default middleware.
+//!   with completion instants, active messages): DiOMP's default
+//!   middleware.
 //! * [`gpi`] — a GPI-2-like conduit (queues, ranged notifications): the
 //!   InfiniBand alternative of Fig. 5.
 //! * [`mpi`] — the full MPI baseline (eager/rendezvous P2P with match
@@ -26,10 +27,12 @@
 //! completion bookkeeping. On top of that shared substrate the two PGAS
 //! conduits expose different completion models:
 //!
-//! * **GASNet-EX** tracks each operation with *events*: `put_nb` returns
-//!   local/remote completion [`diomp_sim::EventId`]s the initiator
-//!   waits on. The target learns nothing unless an active message is
-//!   sent.
+//! * **GASNet-EX** hands back each operation's completion: `put_nb`
+//!   returns the local and remote completion instants
+//!   ([`gasnet::PutHandle`]), `get_nb` the arrival — all known at issue,
+//!   so the initiator sleeps to them ([`diomp_sim::Ctx::wait_until`]);
+//!   no event is made. The target learns nothing unless an active
+//!   message is sent.
 //! * **GPI-2 (GASPI)** orders completions on initiator-side *queues*
 //!   ([`gpi::QueueId`], drained by `gpi::wait_queue`) and signals
 //!   *targets* with lightweight **notifications**: a
@@ -45,8 +48,8 @@
 //! | registered memory      | segment (`attach_*`)        | segment (same [`SegmentId`] space)        |
 //! | one-sided write        | `gasnet::put_nb`            | [`gpi::write`]                            |
 //! | one-sided read         | `gasnet::get_nb`            | [`gpi::read`]                             |
-//! | initiator completion   | per-op events (`Ctx::drain`) | per-queue lists ([`gpi::wait_queue`])    |
-//! | bulk drain             | `Ctx::wait_all` over events | [`gpi::wait_all_queues`]                  |
+//! | initiator completion   | per-op instants (`Ctx::wait_until`) | per-queue lists ([`gpi::wait_queue`]) |
+//! | bulk drain             | one `wait_until` to the latest | [`gpi::wait_all_queues`]               |
 //! | target-side signal     | active message ([`gasnet::am_request`]) | notification ([`gpi::write_notify`]) |
 //! | target-side wait       | AM handler side effects     | [`gpi::notify_waitsome`] / [`gpi::notify_wait`] |
 //! | signal consumption     | n/a (handler runs once)     | [`gpi::notify_reset`] (atomic take)       |
@@ -63,9 +66,9 @@
 //! [`diomp_sim::Wait::Until`] maps to `GASPI_TIMEOUT` and surfaces
 //! [`FabricError::Timeout`] with the partial state preserved (completed
 //! queue entries retired, survivors re-queued; unconsumed notifications
-//! left posted). GASNet-EX events have no native bounded wait; the
-//! equivalent discipline is `Ctx::drain` over the event set — the same
-//! call the queue waits are built on.
+//! left posted). GASNet-EX completions have no native bounded wait; the
+//! equivalent discipline is `Ctx::wait_until` on the latest instant
+//! under a `Wait` — the same call the queue waits are built on.
 //!
 //! **Rendezvous.** Everything collective on the CPU side — barriers
 //! ([`BarrierDomain`]), bootstrap all-gathers ([`ExchangeDomain`]), MPI

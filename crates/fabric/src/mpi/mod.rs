@@ -18,7 +18,7 @@ pub use rma::WinId;
 
 use std::sync::Arc;
 
-use diomp_sim::{EventId, Wait};
+use diomp_sim::{EventId, SimTime};
 use parking_lot::Mutex;
 
 use crate::loc::Loc;
@@ -58,8 +58,8 @@ pub(crate) struct WinPart {
     pub len: u64,
 }
 
-/// Pending origin-side completions, per origin rank.
-pub(crate) type PendingByOrigin = Vec<Vec<EventId>>;
+/// Pending origin-side completion instants, per origin rank.
+pub(crate) type PendingByOrigin = Vec<Vec<SimTime>>;
 
 pub(crate) struct Window {
     pub parts: Vec<WinPart>,
@@ -116,13 +116,13 @@ impl MpiRank {
 
     /// Block until a request completes (`MPI_Wait`).
     pub fn wait(&self, ctx: &mut diomp_sim::Ctx, req: MpiReq) {
-        ctx.drain(&[req.ev], Wait::Block).expect("a blocking drain cannot time out");
+        ctx.drain(&[req.ev]);
     }
 
     /// Block until all requests complete (`MPI_Waitall`).
     pub fn waitall(&self, ctx: &mut diomp_sim::Ctx, reqs: &[MpiReq]) {
         for r in reqs {
-            ctx.drain(&[r.ev], Wait::Block).expect("a blocking drain cannot time out");
+            ctx.drain(&[r.ev]);
         }
     }
 

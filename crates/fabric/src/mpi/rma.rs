@@ -63,12 +63,10 @@ impl MpiRank {
         Dur::micros(base_us) + Dur::nanos(sw as u64)
     }
 
-    /// Completion bookkeeping: one more origin-side event for
-    /// [`MpiRank::win_flush`] to wait on.
-    fn pend(&self, ctx: &Ctx, win: WinId, done: SimTime) {
-        let ev = ctx.new_event();
-        ctx.complete_at(ev, done);
-        self.world.mpi.windows.lock()[win.0].pending[self.rank].push(ev);
+    /// Completion bookkeeping: one more origin-side completion instant
+    /// for [`MpiRank::win_flush`] to wait for.
+    fn pend(&self, win: WinId, done: SimTime) {
+        self.world.mpi.windows.lock()[win.0].pending[self.rank].push(done);
     }
 
     /// One-sided put into `target`'s window region (`MPI_Put`). Completion
@@ -86,7 +84,7 @@ impl MpiRank {
         let dst = self.part(win, target, target_off, len);
         let price = Price { overhead: self.software(m.put_o_us, len), eff: m.put_eff };
         let wrote = wire::write(ctx, &self.world, (self.rank, src), dst, len, price)?;
-        self.pend(ctx, win, wrote.acked);
+        self.pend(win, wrote.acked);
         Ok(())
     }
 
@@ -104,18 +102,17 @@ impl MpiRank {
         let src = self.part(win, target, target_off, len);
         let price = Price { overhead: self.software(m.get_o_us, len), eff: m.get_eff };
         let arrive = wire::read(ctx, &self.world, (self.rank, dst), src, len, price)?;
-        self.pend(ctx, win, arrive);
+        self.pend(win, arrive);
         Ok(())
     }
 
     /// Flush all of this origin's pending operations on the window
-    /// (`MPI_Win_flush_all`).
+    /// (`MPI_Win_flush_all`): one sleep, to the latest completion.
     pub fn win_flush(&self, ctx: &mut Ctx, win: WinId) {
-        let m = self.world.platform.mpi_rma.clone();
-        ctx.delay(Dur::micros(m.flush_us));
+        ctx.delay(Dur::micros(self.world.platform.mpi_rma.flush_us));
         let pending = std::mem::take(&mut self.world.mpi.windows.lock()[win.0].pending[self.rank]);
-        for ev in pending {
-            ctx.drain(&[ev], Wait::Block).expect("a blocking drain cannot time out");
+        if let Some(&latest) = pending.iter().max() {
+            ctx.wait_until(latest, Wait::Block).expect("a blocking wait cannot time out");
         }
     }
 }

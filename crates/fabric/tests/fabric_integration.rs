@@ -939,8 +939,8 @@ fn wait_queue_and_wait_all_queues_requeue_survivors_in_the_same_place() {
     // A 1 MiB write outlives a 3 µs wait; while rank 0 is parked in it a
     // helper posts an 8-byte write on the same queue, which the FIFO NIC
     // completes strictly later. Whichever wait timed out, the survivor
-    // goes back *ahead* of the newer post: queue order is
-    // completion-tracking order.
+    // goes back on its own queue, beside the newer post: nothing is
+    // retired early, lost, or moved to another queue.
     for all_queues in [false, true] {
         let mut sim = Sim::new();
         let world = boot(&sim, PlatformSpec::platform_c(), 2, 1, 2);
@@ -956,16 +956,59 @@ fn wait_queue_and_wait_all_queues_requeue_survivors_in_the_same_place() {
                 gpi::wait_queue(ctx, &w0, 0, q, budget)
             };
             assert!(matches!(err, Err(FabricError::Timeout { .. })), "{err:?}");
+            let other = gpi::wait_queue(ctx, &w0, 0, gpi::QueueId(1), Wait::Until(Dur::ZERO));
+            assert!(other.is_ok(), "all_queues = {all_queues}: nothing went to another queue");
             let queued = gpi::take_pending_all(&w0, 0);
-            assert_eq!(queued.len(), 2);
-            ctx.wait_all(&queued[..1], Wait::Block).unwrap();
-            assert!(!ctx.event_done(queued[1]), "all_queues = {all_queues}: survivor first");
-            ctx.drain(&queued, Wait::Block).unwrap();
+            assert_eq!(queued.len(), 2, "all_queues = {all_queues}: survivor and newer post");
+            assert!(queued.iter().all(|&t| t > ctx.now()), "neither completed by the deadline");
         });
         let w1 = world.clone();
         sim.spawn("helper", move |ctx| {
             ctx.delay(Dur::micros(1.0));
             gpi::write(ctx, &w1, 0, q, Loc::dev(0, 0), seg, 0, 8).unwrap();
+        });
+        sim.run().unwrap();
+    }
+}
+
+#[test]
+fn a_queue_wait_counts_a_completion_at_its_deadline_as_done() {
+    // The 8 B write's completion instant, from a run that waits on it
+    // alone; the deadline then falls exactly on it. Done means
+    // `t <= deadline`: on its own queue the wait succeeds, and over all
+    // queues only the 1 MiB write on queue 1 goes back.
+    let boot_one = |sim: &Sim| {
+        let world = boot(sim, PlatformSpec::platform_c(), 2, 1, 2);
+        let seg = world.attach_device_segment(1, 1, 1 << 20).unwrap();
+        (world, seg)
+    };
+    let (q0, q1) = (gpi::QueueId(0), gpi::QueueId(1));
+    let small = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let mut sim = Sim::new();
+    let ((w0, seg), small2) = (boot_one(&sim), small.clone());
+    sim.spawn("rank0", move |ctx| {
+        gpi::write(ctx, &w0, 0, q0, Loc::dev(0, 0), seg, 0, 8).unwrap();
+        gpi::wait_queue(ctx, &w0, 0, q0, Wait::Block).unwrap();
+        small2.store(ctx.now().nanos(), std::sync::atomic::Ordering::SeqCst);
+    });
+    sim.run().unwrap();
+    let done = SimTime(small.load(std::sync::atomic::Ordering::SeqCst));
+    for all_queues in [false, true] {
+        let mut sim = Sim::new();
+        let (w0, seg) = boot_one(&sim);
+        sim.spawn("rank0", move |ctx| {
+            gpi::write(ctx, &w0, 0, q0, Loc::dev(0, 0), seg, 0, 8).unwrap();
+            gpi::write(ctx, &w0, 0, q1, Loc::dev(0, 64), seg, 64, (1 << 20) - 64).unwrap();
+            let budget = Wait::Until(done.since(ctx.now()));
+            if all_queues {
+                let err = gpi::wait_all_queues(ctx, &w0, 0, budget);
+                assert!(matches!(err, Err(FabricError::Timeout { .. })), "{err:?}");
+                let left = gpi::take_pending_all(&w0, 0);
+                assert!(left.len() == 1 && left[0] > done, "only the 1 MiB write is left");
+            } else {
+                gpi::wait_queue(ctx, &w0, 0, q0, budget).unwrap();
+            }
+            assert_eq!(ctx.now(), done, "all_queues = {all_queues}");
         });
         sim.run().unwrap();
     }
@@ -990,7 +1033,7 @@ fn gpi_injected_queue_drop_errors_queue_until_purged() {
         // An unrelated queue is unaffected.
         gpi::write(ctx, &w0, 0, gpi::QueueId(1), Loc::dev(0, 0), seg, 0, 64).unwrap();
         // Purge re-arms the queue; posting and draining work again.
-        gpi::queue_purge(ctx.handle(), &w0, 0, q);
+        gpi::queue_purge(&w0, 0, q);
         assert!(!gpi::queue_errored(&w0, 0, q));
         gpi::write(ctx, &w0, 0, q, Loc::dev(0, 0), seg, 0, 64).unwrap();
         gpi::wait_all_queues(ctx, &w0, 0, Wait::Block).unwrap();
@@ -1002,20 +1045,21 @@ fn gpi_injected_queue_drop_errors_queue_until_purged() {
 
 #[test]
 fn gpi_queue_purge_abandons_inflight_completions_without_leaking() {
-    // Purge a queue while its write is still on the wire: the completion
-    // event must recycle itself when the ack lands (auto-free), not
-    // panic, not leak, and not wake anyone.
+    // Purge a queue while its write is still on the wire: the dropped
+    // completion must not panic, hold no event, and leave nothing to
+    // wait for.
     let mut sim = Sim::new();
     let world = boot(&sim, PlatformSpec::platform_c(), 2, 1, 2);
     let seg = world.attach_device_segment(1, 1, 1 << 20).unwrap();
     let w0 = world.clone();
     sim.spawn("rank0", move |ctx| {
         gpi::write(ctx, &w0, 0, gpi::QueueId(0), Loc::dev(0, 0), seg, 0, 1 << 20).unwrap();
-        gpi::queue_purge(ctx.handle(), &w0, 0, gpi::QueueId(0));
+        gpi::queue_purge(&w0, 0, gpi::QueueId(0));
         // Nothing left to wait on; an immediate drain returns at once.
         let t0 = ctx.now();
         gpi::wait_queue(ctx, &w0, 0, gpi::QueueId(0), Wait::Block).unwrap();
         assert_eq!(ctx.now(), t0, "purged queue has no completions to wait for");
+        assert_eq!(ctx.live_events(), 0, "a queued completion is an instant, not an event");
     });
     sim.run().unwrap();
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use diomp_device::{DataMode, DeviceTable, HostBuf};
 use diomp_fabric::path::{raw_path, End};
 use diomp_fabric::{gasnet, FabricWorld, Loc, RankHealth};
-use diomp_sim::{ClusterSpec, Dur, FaultPlan, PlatformSpec, Sim, SimTime, Topology, Wait};
+use diomp_sim::{ClusterSpec, Dur, FaultPlan, PlatformSpec, Sim, SimTime, Topology};
 
 const LEN: u64 = 1 << 20;
 
@@ -81,8 +81,7 @@ fn a_remote_source_is_read_when_its_nic_releases_it() {
         with_source(1, move |ctx, w| {
             let seg = w.attach_device_segment(0, 0, 2 * LEN).unwrap();
             let (dst, t0) = (HostBuf::zeroed(LEN), ctx.now());
-            let (ev, arrive) =
-                gasnet::get_nb(ctx, w, 1, Loc::host(dst.clone(), 0), seg, 0, LEN).unwrap();
+            let arrive = gasnet::get_nb(ctx, w, 1, Loc::host(dst.clone(), 0), seg, 0, LEN).unwrap();
             // The payload left rank 0's NIC one link latency before it
             // arrived; it started a 1 MiB serialisation (≈ 42 µs) before.
             let net = &w.platform.net;
@@ -93,7 +92,7 @@ fn a_remote_source_is_read_when_its_nic_releases_it() {
             ctx.handle().schedule_at(SimTime(rewrite), move |_| {
                 dev0.mem.write(0, &vec![2; LEN as usize]).unwrap();
             });
-            ctx.drain(&[ev], Wait::Block).unwrap();
+            ctx.sleep_until(arrive);
             assert_eq!(dst.to_bytes(), vec![expect; LEN as usize], "rewritten late: {late}");
         });
     }
@@ -106,10 +105,9 @@ fn the_timed_put_is_the_put_and_reads_a_later_source_later() {
     with_source(1, |ctx, w| {
         let seg = w.attach_device_segment(1, 1, 2 * LEN).unwrap();
         let (h, t0) = (ctx.handle().clone(), ctx.now());
-        let (local, remote) =
-            gasnet::put_nb_from(&h, w, 0, Loc::dev(0, 0), seg, 0, LEN, t0).unwrap();
+        let timed = gasnet::put_nb_from(&h, w, 0, Loc::dev(0, 0), seg, 0, LEN, t0).unwrap();
         w.devs.dev(0).mem.write(0, &vec![2; LEN as usize]).unwrap();
-        ctx.sleep_until(remote);
+        ctx.sleep_until(timed.remote);
         let mut got = vec![0u8; LEN as usize];
         w.devs.dev(1).mem.read(0, &mut got).unwrap();
         assert_eq!(got, vec![1; LEN as usize], "ready now: the source is read in the call");
@@ -118,10 +116,8 @@ fn the_timed_put_is_the_put_and_reads_a_later_source_later() {
         let hdl = gasnet::put_nb(ctx, w, 0, Loc::dev(0, 0), seg, LEN, LEN).unwrap();
         let overhead = gasnet::put_overhead(w);
         assert_eq!(ctx.now(), t1 + overhead, "the task form pays the software, then injects");
-        ctx.drain(&[hdl.local], Wait::Block).unwrap();
-        assert_eq!(ctx.now().since(t1), local.since(t0) + overhead);
-        ctx.drain(&[hdl.remote], Wait::Block).unwrap();
-        assert_eq!(ctx.now().since(t1), remote.since(t0) + overhead);
+        assert_eq!(hdl.local.since(t1), timed.local.since(t0) + overhead);
+        assert_eq!(hdl.remote.since(t1), timed.remote.since(t0) + overhead);
     });
     // Injected later, out of a buffer a reserved copy is still filling:
     // the NIC reads it when it releases it — after the fill, and before
@@ -132,12 +128,12 @@ fn the_timed_put_is_the_put_and_reads_a_later_source_later() {
         let ready = ctx.now() + Dur::micros(50.0);
         let fill = slot.clone();
         h.schedule_at(ready, move |_| fill.write(0, &vec![7; LEN as usize]));
-        let (local, remote) =
+        let hdl =
             gasnet::put_nb_from(&h, w, 0, Loc::host(slot.clone(), 0), seg, 0, LEN, ready).unwrap();
-        assert!(local > ready && remote > local);
+        assert!(hdl.local > ready && hdl.remote > hdl.local);
         let refill = slot.clone();
-        h.schedule_at(local, move |_| refill.write(0, &vec![9; LEN as usize]));
-        ctx.sleep_until(remote);
+        h.schedule_at(hdl.local, move |_| refill.write(0, &vec![9; LEN as usize]));
+        ctx.sleep_until(hdl.remote);
         let mut got = vec![0u8; LEN as usize];
         w.devs.dev(1).mem.read(0, &mut got).unwrap();
         assert_eq!(got, vec![7; LEN as usize]);

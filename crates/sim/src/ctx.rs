@@ -6,11 +6,13 @@
 //! registered its wake-up, the task dispatches the queue itself until it
 //! switches to another task's fiber or its own wake pops.
 //!
-//! There are four waits on events, completion queues and boards —
-//! [`Ctx::wait_all`], [`Ctx::drain`], [`Ctx::wait_cq`] and
-//! [`Ctx::board_waitsome`] — and each takes a [`Wait`]. Each parks on one
-//! generation-tagged wait group, so tasks parked on the same event wake
-//! in registration order.
+//! There are three waits on events, completion queues and boards —
+//! [`Ctx::wait_all`], [`Ctx::wait_cq`] and [`Ctx::board_waitsome`] — and
+//! each takes a [`Wait`]. Each parks on one generation-tagged wait group,
+//! so tasks parked on the same event wake in registration order.
+//! [`Ctx::drain`] is a blocking `wait_all` that recycles its events. A
+//! completion whose instant is known at issue is no event at all:
+//! [`Ctx::wait_until`] sleeps to it, under a [`Wait`] too.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -168,7 +170,7 @@ impl Ctx {
     ///
     /// One wait group covers every pending event and the task parks
     /// exactly once: the completion that brings the group to zero
-    /// produces the only wake entry, so a fence draining N completions
+    /// produces the only wake entry, so a task waiting on N completions
     /// costs one park/wake round-trip, not N. Under [`Wait::Until`] a
     /// timer wake at the deadline rides beside the group. On timeout the
     /// events are left untouched — completed ones stay completed — so the
@@ -220,26 +222,36 @@ impl Ctx {
         })
     }
 
-    /// The one bounded drain: wait for *all* of `evs` under `wait`
-    /// ([`Ctx::wait_all`]: one park either way), recycle every event
-    /// that completed, and on timeout hand back the ones still in flight,
-    /// in the order given. GPI-2 queue waits and `ompx_fence` are this
-    /// call plus their own bookkeeping for the survivors.
-    pub fn drain(
-        &mut self,
-        evs: &[EventId],
-        wait: Wait,
-    ) -> Result<(), (WaitTimeout, Vec<EventId>)> {
-        let timed_out = self.wait_all(evs, wait).err();
-        let mut left = Vec::new();
+    /// Block until every one of `evs` completes ([`Ctx::wait_all`]: one
+    /// park), then recycle them all. MPI's `MPI_Wait` is this call.
+    pub fn drain(&mut self, evs: &[EventId]) {
+        self.wait_all(evs, Wait::Block).expect("a blocking wait cannot time out");
         for &ev in evs {
-            if timed_out.is_none() || self.handle.event_done(ev) {
-                self.handle.free_event(ev);
-            } else {
-                left.push(ev);
-            }
+            self.handle.free_event(ev);
         }
-        timed_out.map_or(Ok(()), |t| Err((t, left)))
+    }
+
+    /// Block until instant `t` — a completion known when its work was
+    /// issued: an RMA's arrival or acknowledgement, a stream's tail — or
+    /// until `wait`'s deadline, whichever comes first. One park, to the
+    /// earlier of the two; none if `t` is already past. At `t == now`
+    /// the task still parks, behind every entry already queued at this
+    /// instant, so an action due at `t` (a payload's deposit) runs first.
+    /// A completion at the deadline is done: the wait times out only if
+    /// `t` is later. `ompx_fence`, GPI-2 queue waits and `win_flush` are
+    /// this call on their latest pending instant.
+    pub fn wait_until(&mut self, t: SimTime, wait: Wait) -> Result<(), WaitTimeout> {
+        let st = self.handle.kernel.state.lock();
+        let now = st.now();
+        if t < now {
+            return Ok(());
+        }
+        let deadline = wait.deadline(now);
+        self.park_until(st, deadline.map_or(t, |at| at.min(t)), 0);
+        match deadline {
+            Some(at) if t > at => Err(WaitTimeout { at }),
+            _ => Ok(()),
+        }
     }
 
     /// Block until some notification id in `[first, first + num)` holds a
@@ -318,19 +330,23 @@ impl Ctx {
             st.coalesced_chunks += coalesced;
             return;
         }
-        let park_seq = self.next_park(&mut st);
-        self.handle.push_wake(&mut st, t, self.id, park_seq, coalesced);
-        self.park(st, ParkedOn::Sleep { until: t });
+        self.park_until(st, t, coalesced);
     }
 
     /// Re-queue this task at the current virtual time, letting every
     /// already-queued same-time entry run first. Deterministic fairness
     /// point for polling loops.
     pub fn yield_now(&mut self) {
-        let mut st = self.handle.kernel.state.lock();
+        let st = self.handle.kernel.state.lock();
         let now = st.now();
+        self.park_until(st, now, 0);
+    }
+
+    /// Park until a wake at `t` (not before now) pops: after every entry
+    /// already queued at `t`. The wake stands in for `coalesced` chunks.
+    fn park_until(&self, mut st: MutexGuard<'_, KState>, t: SimTime, coalesced: u64) {
         let park_seq = self.next_park(&mut st);
-        self.handle.push_wake(&mut st, now, self.id, park_seq, 0);
-        self.park(st, ParkedOn::Sleep { until: now });
+        self.handle.push_wake(&mut st, t, self.id, park_seq, coalesced);
+        self.park(st, ParkedOn::Sleep { until: t });
     }
 }

@@ -6,8 +6,11 @@
 //! each through a wait-group registration on the event. Completing the
 //! event (from a task or from a scheduled action) counts down every
 //! registration, in registration order, at the current virtual time.
-//! Barriers, rendezvous, RMA completion and stream synchronisation are
-//! all built on top of events.
+//! Events are for completions whose instant is *not* known when the
+//! work is issued: rendezvous gates, barriers and MPI two-sided
+//! matching. A one-sided completion (RMA, a stream's tail) is known at
+//! issue, so it stays a [`crate::SimTime`] that a waiter sleeps to
+//! ([`crate::Ctx::wait_until`]) and never becomes an event.
 //!
 //! A [`CqId`] names a *completion queue*, GPI-2's unit of one-sided
 //! completion: a flow-tagged transfer
@@ -54,19 +57,17 @@ pub(crate) struct EventSlot {
     pub(crate) group_waiters: Vec<GroupRef>,
     /// Slot is live (allocated and not yet freed).
     pub(crate) live: bool,
-    /// Abandoned by its owner ([`crate::SimHandle::release_event`]): the
-    /// slot recycles itself the moment completion fires.
-    pub(crate) auto_free: bool,
 }
 
 impl EventSlot {
     pub(crate) fn fresh(gen: u32) -> Self {
-        EventSlot { gen, completed: false, group_waiters: Vec::new(), live: true, auto_free: false }
+        EventSlot { gen, completed: false, group_waiters: Vec::new(), live: true }
     }
 }
 
-/// Free-list based event arena. Events are created at a very high rate
-/// (every RMA operation makes one), so slots are recycled.
+/// Free-list based event arena. Events are created at a high rate (a
+/// rendezvous episode or an MPI message makes one), so slots are
+/// recycled.
 #[derive(Default)]
 pub(crate) struct EventArena {
     slots: Vec<EventSlot>,
@@ -86,7 +87,6 @@ impl EventArena {
             slot.completed = false;
             slot.group_waiters.clear();
             slot.live = true;
-            slot.auto_free = false;
             EventId { index, gen: slot.gen }
         } else {
             let index = self.slots.len() as u32;

@@ -745,7 +745,6 @@ impl SimHandle {
         }
         slot.completed = true;
         let groups = std::mem::take(&mut slot.group_waiters);
-        let auto_free = slot.auto_free;
         let now = st.now;
         // In registration order, only the registration that brings a
         // group to zero produces a wake entry. Stale references — groups
@@ -753,25 +752,6 @@ impl SimHandle {
         // the generation check.
         for gref in groups {
             self.fire_group_ref(&mut st, gref, now);
-        }
-        if auto_free {
-            st.events.free(ev);
-        }
-    }
-
-    /// Abandon an in-flight event: nobody will wait on it again, but a
-    /// completion may still be scheduled. If the event has already
-    /// completed it is recycled immediately; otherwise the slot frees
-    /// itself the moment the completion fires. This is the primitive
-    /// under queue purging — a purged operation's bytes may still land,
-    /// but its completion is discarded instead of leaking the slot.
-    pub fn release_event(&self, ev: EventId) {
-        let mut st = self.kernel.state.lock();
-        if st.events.get(ev).completed {
-            drop(st);
-            self.free_event(ev);
-        } else {
-            st.events.get_mut(ev).auto_free = true;
         }
     }
 
@@ -916,7 +896,7 @@ impl SimHandle {
 
     /// Run a closure at absolute virtual time `t` (clamped to now), in
     /// whichever context pops it — never concurrently with a task. This is
-    /// the primitive behind one-sided completion.
+    /// the primitive behind a one-sided payload's deposit.
     pub fn schedule_at<F>(&self, t: SimTime, f: F)
     where
         F: FnOnce(&SimHandle) + Send + 'static,

@@ -7,9 +7,9 @@
 //! x86_64 assembly over Linux `mmap`: x86_64 Linux is the supported host.
 //!
 //! * [`Sim`] / [`SimHandle`] / [`Ctx`] — the event kernel: spawn tasks,
-//!   wait on [`EventId`]s and [`CqId`] completion queues under a
-//!   [`Wait`], advance virtual time, schedule one-sided completion
-//!   actions.
+//!   wait on [`EventId`]s, [`CqId`] completion queues or a known
+//!   completion instant under a [`Wait`], advance virtual time, schedule
+//!   one-sided deposits.
 //! * [`ResourceId`] — FIFO bandwidth resources modelling NICs and links.
 //! * [`Topology`] / [`ClusterSpec`] — instantiated cluster fabrics.
 //! * [`PlatformSpec`] — calibrated models of the paper's three systems

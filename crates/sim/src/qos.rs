@@ -613,7 +613,7 @@ mod tests {
                         let tr = ctx.handle().transfer_from(res, at, 4096);
                         let ev = ctx.new_event();
                         ctx.complete_at(ev, tr.arrive);
-                        ctx.drain(&[ev], Wait::Block).unwrap();
+                        ctx.drain(&[ev]);
                     }
                 }
             });

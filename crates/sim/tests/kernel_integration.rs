@@ -171,7 +171,7 @@ fn resource_contention_serialises_transfers() {
             let tr = ctx.transfer(link, 1_000);
             let ev = ctx.new_event();
             ctx.complete_at(ev, tr.arrive);
-            ctx.drain(&[ev], Wait::Block).unwrap();
+            ctx.drain(&[ev]);
             finish.lock().push(ctx.now().nanos());
         });
     }
@@ -389,7 +389,7 @@ fn event_slots_are_recycled() {
         for _ in 0..1_000 {
             let ev = ctx.new_event();
             ctx.complete(ev);
-            ctx.drain(&[ev], Wait::Block).unwrap();
+            ctx.drain(&[ev]);
         }
     });
     sim.run().unwrap();
@@ -436,11 +436,11 @@ fn wait_all_processes_far_fewer_entries_than_wait_loop() {
     let n = 200;
     let (end_loop, entries_loop) = drain_with(n, |ctx, evs| {
         for &ev in &evs {
-            ctx.drain(&[ev], Wait::Block).unwrap();
+            ctx.drain(&[ev]);
         }
     });
     let (end_all, entries_all) = drain_with(n, |ctx, evs| {
-        ctx.drain(&evs, Wait::Block).unwrap();
+        ctx.drain(&evs);
     });
     assert_eq!(end_loop, end_all, "batching must not change virtual time");
     // The wait loop costs one wake per event; the group wait costs one
@@ -460,7 +460,7 @@ fn wait_all_with_already_completed_events_returns_immediately() {
     h.complete(a);
     h.complete(b);
     sim.spawn("w", move |ctx| {
-        ctx.drain(&[a, b], Wait::Block).unwrap();
+        ctx.drain(&[a, b]);
         assert_eq!(ctx.now(), SimTime::ZERO);
     });
     sim.run().unwrap();
@@ -475,7 +475,7 @@ fn wait_all_mixes_pending_and_completed() {
     h.complete(done);
     h.complete_at(late, SimTime(5_000));
     sim.spawn("w", move |ctx| {
-        ctx.drain(&[done, late], Wait::Block).unwrap();
+        ctx.drain(&[done, late]);
         assert_eq!(ctx.now(), SimTime(5_000));
     });
     sim.run().unwrap();
@@ -494,7 +494,7 @@ fn wait_all_groups_are_recycled() {
                     ev
                 })
                 .collect();
-            ctx.drain(&evs, Wait::Block).unwrap();
+            ctx.drain(&evs);
         }
     });
     sim.run().unwrap();
@@ -765,10 +765,35 @@ fn wait_all_timeout_reports_partial_completion() {
         let done: Vec<bool> = evs2.iter().map(|&e| ctx.event_done(e)).collect();
         assert_eq!(done, vec![true, false, true, false], "partial state visible");
         // Draining the rest afterwards works: the dead group is inert.
-        ctx.drain(&evs2, Wait::Block).unwrap();
+        ctx.drain(&evs2);
         assert_eq!(ctx.now(), SimTime(30_000));
     });
     sim.run().unwrap();
+}
+
+#[test]
+fn wait_until_parks_once_behind_its_instant_and_counts_the_deadline_as_done() {
+    let mut sim = Sim::new();
+    let landed = Arc::new(AtomicU64::new(0));
+    let seen = landed.clone();
+    sim.spawn("waiter", move |ctx| {
+        // Due now: the task still parks, so the action queued at this
+        // instant before the wait (a deposit) runs first.
+        let land = seen.clone();
+        ctx.schedule_at(ctx.now(), move |_| land.store(1, Ordering::SeqCst));
+        ctx.wait_until(ctx.now(), Wait::Block).unwrap();
+        assert_eq!((ctx.now(), seen.load(Ordering::SeqCst)), (SimTime::ZERO, 1));
+        // At the deadline: done, not timed out; past: no park at all.
+        ctx.wait_until(SimTime(4_000), Wait::Until(Dur::micros(4.0))).unwrap();
+        ctx.wait_until(SimTime(3_999), Wait::Until(Dur::ZERO)).unwrap();
+        assert_eq!(ctx.now(), SimTime(4_000));
+        // Later than the deadline: one park, to the deadline.
+        let err = ctx.wait_until(SimTime(9_000), Wait::Until(Dur::micros(1.0))).unwrap_err();
+        assert_eq!((err.at, ctx.now()), (SimTime(5_000), SimTime(5_000)));
+    });
+    let rep = sim.run().unwrap();
+    // Start, the action, and one wake per park (now, 4 µs, 5 µs).
+    assert_eq!(rep.entries_processed, 5);
 }
 
 #[test]
@@ -811,7 +836,7 @@ fn timed_out_groups_do_not_leak_or_misfire_under_reuse() {
         for _ in 0..16 {
             assert!(ctx.wait_all(&slow, Wait::Until(Dur::micros(1.0))).is_err());
         }
-        ctx.drain(&slow, Wait::Block).unwrap();
+        ctx.drain(&slow);
         assert_eq!(ctx.now(), SimTime(107_000));
     });
     sim.run().unwrap();
@@ -998,7 +1023,7 @@ fn same_fault_plan_replays_bit_identically() {
                     let t = ctx.transfer(links[(r + i) % 4], 4096);
                     let ev = ctx.new_event();
                     ctx.complete_at(ev, t.arrive);
-                    ctx.drain(&[ev], Wait::Block).unwrap();
+                    ctx.drain(&[ev]);
                 }
             });
         }
@@ -1029,7 +1054,7 @@ fn disabled_injection_is_bit_identical_to_no_injection() {
                     let t = ctx.transfer(res, 8192);
                     let ev = ctx.new_event();
                     ctx.complete_at(ev, t.arrive);
-                    ctx.drain(&[ev], Wait::Block).unwrap();
+                    ctx.drain(&[ev]);
                 }
             });
         }
