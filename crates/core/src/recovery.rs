@@ -89,9 +89,10 @@ pub fn survivors(health: &HealthVec) -> Vec<usize> {
 pub struct Checkpoint {
     /// The iteration the snapshot represents: re-running starts here.
     pub iter: u64,
-    /// Snapshotted bytes per buffer (Functional mode; CostOnly runs
-    /// carry lengths only — the time model is identical either way).
-    data: Vec<(usize, u64, Vec<u8>)>,
+    /// Each buffer and its snapshotted bytes (Functional mode; CostOnly
+    /// runs keep no bytes — the length in the spec prices the copy, so
+    /// the time model is identical either way).
+    data: Vec<(BufSpec, Vec<u8>)>,
 }
 
 /// One device-resident application buffer: `(flat device, offset, len)`.
@@ -120,7 +121,7 @@ impl Checkpoint {
             } else {
                 Vec::new()
             };
-            data.push((flat, off, stored));
+            data.push(((flat, off, len), stored));
         }
         ctx.delay(copy_time(world, bytes));
         Checkpoint { iter, data }
@@ -130,11 +131,11 @@ impl Checkpoint {
     /// modelled copy time as the snapshot took.
     pub fn restore(&self, ctx: &mut Ctx, world: &Arc<FabricWorld>) {
         let mut bytes = 0u64;
-        for (flat, off, stored) in &self.data {
-            let dev = world.devs.dev(*flat);
-            bytes += stored.len() as u64;
+        for &((flat, off, len), ref stored) in &self.data {
+            let dev = world.devs.dev(flat);
+            bytes += len;
             if dev.mem.mode() == DataMode::Functional {
-                dev.mem.write(*off, stored).expect("rollback write out of bounds");
+                dev.mem.write(off, stored).expect("rollback write out of bounds");
             }
         }
         ctx.delay(copy_time(world, bytes));

@@ -376,3 +376,26 @@ fn a_kill_mid_collective_aborts_in_flight_and_the_fold_still_holds() {
         assert_survivors_match(&plan, stats, &got, &full, &shrunk, &tag);
     }
 }
+
+#[test]
+fn checkpoint_take_and_restore_charge_the_same_time_in_both_modes() {
+    // A CostOnly checkpoint keeps no bytes; its restore is still priced
+    // by the buffers' lengths, like its take.
+    for mode in [DataMode::Functional, DataMode::CostOnly] {
+        let mut sim = Sim::new();
+        let spec = ClusterSpec { platform: PlatformSpec::platform_a(), nodes: 1, gpus_per_node: 1 };
+        let topo = Arc::new(Topology::build(&sim.handle(), spec));
+        let devs = DeviceTable::build(&sim.handle(), topo.clone(), mode, Some(8 << 20));
+        let world = FabricWorld::new(topo, devs, 1);
+        sim.spawn("rank0", move |ctx| {
+            let t0 = ctx.now();
+            let ck = Checkpoint::take(ctx, &world, &[(0, 0, 4 << 20), (0, 4 << 20, 1 << 20)], 0);
+            let took = ctx.now().since(t0);
+            assert!(took > Dur::ZERO, "{mode:?}: a snapshot costs time");
+            let t1 = ctx.now();
+            ck.restore(ctx, &world);
+            assert_eq!(ctx.now().since(t1), took, "{mode:?}: restore charges what take did");
+        });
+        sim.run().unwrap();
+    }
+}
