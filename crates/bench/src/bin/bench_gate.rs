@@ -202,8 +202,9 @@ fn staged_put(g: &mut Gate) {
     g.row("ablation/staged_put_call_us_16MB", call_us, "us", Lower, None);
 }
 
-/// Batched fence (DESIGN D9): virtual time and entry count of a fence
-/// over 1000 outstanding puts — one `wait_all` park, not one per event.
+/// One-sleep fence (DESIGN D9): virtual time and entry count of a fence
+/// over 1000 outstanding puts — one sleep to the latest completion
+/// instant, no event per put.
 fn fence(g: &mut Gate) {
     let rep = DiompRuntime::run(two_a100_nodes(64 << 20), |ctx, rank| {
         let ptr = rank.alloc_sym(ctx, 256 << 10).unwrap();

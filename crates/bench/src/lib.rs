@@ -132,8 +132,8 @@ pub fn fig8_cfg(platform: &PlatformSpec, gpus: usize) -> MinimodConfig {
 ///
 /// Every record carries the virtual-time metric *and* the backing
 /// simulation's scheduler-entry count, so `BENCH_*.json` history tracks
-/// wall-clock scheduler cost (what the batched `wait_all` fence
-/// optimises) alongside simulated performance.
+/// wall-clock scheduler cost (what the one-sleep fence optimises)
+/// alongside simulated performance.
 pub mod report {
     use std::io::Write;
 

@@ -89,9 +89,9 @@ impl Ord for Entry {
 
 /// One park on events, a board or a completion queue: a task parked until
 /// `remaining` registrations have fired. The whole group costs a single
-/// wake entry, which is what makes `Ctx::wait_all` (and `ompx_fence` built
-/// on it) cheap for large pending sets. A board or queue wait arms a group
-/// with `remaining == 1` in one place: the first post fires it.
+/// wake entry, which is what makes `Ctx::wait_all` cheap for large
+/// pending sets. A board or queue wait arms a group with
+/// `remaining == 1` in one place: the first post fires it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WaitGroup {
     pub(crate) remaining: usize,
