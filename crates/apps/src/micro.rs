@@ -9,6 +9,8 @@
 //! warm-up (to populate caches, streams and communicators) plus a small
 //! number of measured repetitions is exact.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use diomp_core::{
@@ -17,7 +19,6 @@ use diomp_core::{
 use diomp_device::{DataMode, DeviceTable};
 use diomp_fabric::{FabricWorld, Loc, MpiRank, ReduceOp};
 use diomp_sim::{bandwidth_gbps, ClusterSpec, Ctx, PlatformSpec, Sim, SimTime, Topology};
-use parking_lot::Mutex;
 
 /// Which RMA direction a P2P micro-benchmark measures.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -93,7 +94,7 @@ pub fn diomp_p2p(probe: &P2pProbe, sizes: &[u64]) -> Vec<(u64, f64, u64)> {
                 .with_heap(heap)
                 .with_pipeline(pipeline)
                 .build();
-            let out = Arc::new(Mutex::new(0.0f64));
+            let out = Rc::new(RefCell::new(0.0f64));
             let out2 = out.clone();
             let target = platform.gpus_per_node; // first device on node 1
             let rep = DiompRuntime::run(cfg, move |ctx, rank| {
@@ -112,12 +113,12 @@ pub fn diomp_p2p(probe: &P2pProbe, sizes: &[u64]) -> Vec<(u64, f64, u64)> {
                             acc += ctx.now().since(t0).as_us();
                         }
                     }
-                    *out2.lock() = acc / REPS as f64;
+                    *out2.borrow_mut() = acc / REPS as f64;
                 }
                 rank.barrier(ctx);
             })
             .unwrap();
-            let us = *out.lock();
+            let us = *out.borrow();
             (size, metric.of(size, us), rep.entries_processed)
         })
         .collect()
@@ -126,7 +127,7 @@ pub fn diomp_p2p(probe: &P2pProbe, sizes: &[u64]) -> Vec<(u64, f64, u64)> {
 /// A bare cost-only fabric world over `spec` (no DiOMP runtime on top):
 /// what the MPI reference probes and the scale sweep run on, one rank
 /// per device.
-fn bare_world(sim: &Sim, spec: ClusterSpec, heap: u64) -> Arc<FabricWorld> {
+fn bare_world(sim: &Sim, spec: ClusterSpec, heap: u64) -> Rc<FabricWorld> {
     let nranks = spec.total_gpus();
     let topo = Arc::new(Topology::build(&sim.handle(), spec));
     let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, Some(heap));
@@ -149,7 +150,7 @@ pub fn mpi_p2p(
             let per_node = spec.gpus_per_node;
             let heap = (4 * size + (1 << 20)).next_power_of_two();
             let world = bare_world(&sim, spec, heap);
-            let out = Arc::new(Mutex::new(0.0f64));
+            let out = Rc::new(RefCell::new(0.0f64));
             for r in 0..world.nranks {
                 let world = world.clone();
                 let out = out.clone();
@@ -172,13 +173,13 @@ pub fn mpi_p2p(
                                 acc += ctx.now().since(t0).as_us();
                             }
                         }
-                        *out.lock() = acc / REPS as f64;
+                        *out.borrow_mut() = acc / REPS as f64;
                     }
                     mpi.barrier(ctx);
                 });
             }
             sim.run().unwrap();
-            let us = *out.lock();
+            let us = *out.borrow();
             (size, metric.of(size, us))
         })
         .collect()
@@ -222,7 +223,7 @@ pub fn diomp_collective(probe: &CollProbe, sizes: &[u64]) -> Vec<(u64, f64, u64)
                 .with_coll_engine(engine)
                 .with_coll_servers(ServerSpec::tail(server_nodes))
                 .build();
-            let done = Arc::new(Mutex::new((SimTime::ZERO, SimTime::ZERO)));
+            let done = Rc::new(RefCell::new((SimTime::ZERO, SimTime::ZERO)));
             let done2 = done.clone();
             let rep = DiompRuntime::run(cfg, move |ctx, rank| {
                 let world = rank.shared.world_group();
@@ -243,12 +244,12 @@ pub fn diomp_collective(probe: &CollProbe, sizes: &[u64]) -> Vec<(u64, f64, u64)
                     t1 = ctx.now();
                 }
                 if rank.rank == 0 {
-                    *done2.lock() = (t0, t1);
+                    *done2.borrow_mut() = (t0, t1);
                 }
                 rank.barrier(ctx);
             })
             .unwrap();
-            let (t0, t1) = *done.lock();
+            let (t0, t1) = *done.borrow();
             (size, t1.since(t0).as_us() / REPS as f64, rep.entries_processed)
         })
         .collect()
@@ -275,7 +276,7 @@ pub fn collective_price(probe: &CollProbe, sizes: &[u64]) -> CollPrice {
         CollKind::Broadcast => XcclOp::Broadcast { root: 0 },
         CollKind::AllReduce => XcclOp::AllReduce { op: ReduceOp::SumF32 },
     };
-    let out = Arc::new(Mutex::new(CollPrice::default()));
+    let out = Rc::new(RefCell::new(CollPrice::default()));
     let (out2, sizes) = (out.clone(), sizes.to_vec());
     sim.spawn("rank0", move |ctx| {
         let servers = ServerSpec::tail(server_nodes);
@@ -283,10 +284,10 @@ pub fn collective_price(probe: &CollProbe, sizes: &[u64]) -> CollPrice {
         let opts = CommOpts { engine, servers, ..CommOpts::default() };
         let comm = XcclComm::init(ctx, &world, ranks, 0, UniqueId::generate(), opts);
         let priced = sizes.iter().map(|&s| (s, comm.price(&op, s).map_or(0.0, |d| d.as_us())));
-        *out2.lock() = CollPrice { cuts: comm.auto_regimes(&op), us: priced.collect() };
+        *out2.borrow_mut() = CollPrice { cuts: comm.auto_regimes(&op), us: priced.collect() };
     });
     sim.run().expect("pricing a collective never blocks");
-    let mut out = out.lock();
+    let mut out = out.borrow_mut();
     std::mem::take(&mut *out)
 }
 
@@ -307,7 +308,7 @@ pub fn mpi_collective(
             let heap = (4 * size + (1 << 20)).next_power_of_two();
             let world = bare_world(&sim, spec, heap);
             // (start, latest finish) across ranks, per measured rep.
-            let marks = Arc::new(Mutex::new((SimTime::ZERO, SimTime::ZERO)));
+            let marks = Rc::new(RefCell::new((SimTime::ZERO, SimTime::ZERO)));
             for r in 0..world.nranks {
                 let world = world.clone();
                 let marks = marks.clone();
@@ -333,7 +334,7 @@ pub fn mpi_collective(
                         run(ctx, &mut mpi);
                     }
                     let t1 = ctx.now();
-                    let mut m = marks.lock();
+                    let mut m = marks.borrow_mut();
                     if m.0 == SimTime::ZERO || t0 < m.0 {
                         m.0 = t0;
                     }
@@ -341,7 +342,7 @@ pub fn mpi_collective(
                 });
             }
             sim.run().unwrap();
-            let (t0, t1) = *marks.lock();
+            let (t0, t1) = *marks.borrow();
             (size, t1.since(t0).as_us() / REPS as f64)
         })
         .collect()
@@ -409,7 +410,7 @@ pub fn scale_allreduce(
     let world = bare_world(&sim, spec, (2 * bytes + (1 << 20)).next_power_of_two());
     let id = UniqueId::generate();
     let ranks: Arc<Vec<usize>> = Arc::new((0..nranks).collect());
-    let op_ns = Arc::new(Mutex::new(0));
+    let op_ns = Rc::new(RefCell::new(0));
     for r in 0..nranks {
         let (world, ranks, op_ns) = (world.clone(), ranks.clone(), op_ns.clone());
         sim.spawn(format!("rank{r}"), move |ctx| {
@@ -432,12 +433,12 @@ pub fn scale_allreduce(
                 bytes,
             );
             if r == 0 {
-                *op_ns.lock() = ctx.now().since(t0).as_nanos();
+                *op_ns.borrow_mut() = ctx.now().since(t0).as_nanos();
             }
         });
     }
     let rep = sim.run().expect("scale sweep deadlocked");
-    let op_ns = *op_ns.lock();
+    let op_ns = *op_ns.borrow();
     ScaleRun {
         end_ns: rep.end_time.nanos(),
         op_ns,

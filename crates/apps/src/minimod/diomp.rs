@@ -21,12 +21,13 @@
 //! All styles produce byte-identical wavefields (asserted by the
 //! `fig_halo` bench and the apps integration tests).
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use diomp_core::{Conduit, DiompConfig, DiompRuntime, GPtr};
 use diomp_device::{DataMode, KernelBody};
 use diomp_sim::{ClusterSpec, Dur};
-use parking_lot::Mutex;
 
 use crate::matgen;
 
@@ -59,9 +60,9 @@ pub fn run(cfg: &MinimodConfig) -> MinimodResult {
     // tuned() resolution happens once at build(), against the conduit
     // recorded above (explicit > tuned > disabled).
     let dcfg = if cfg.tuned { dcfg.tuned() } else { dcfg }.build();
-    let out: Arc<Mutex<(Dur, bool)>> = Arc::new(Mutex::new((Dur::ZERO, true)));
+    let out: Rc<RefCell<(Dur, bool)>> = Rc::new(RefCell::new((Dur::ZERO, true)));
     let out2 = out.clone();
-    let parts: SlabParts = Arc::new(Mutex::new(Vec::new()));
+    let parts: SlabParts = Rc::new(RefCell::new(Vec::new()));
     let parts2 = parts.clone();
     let want_verify = cfg.verify && cfg.mode == DataMode::Functional;
     let functional = cfg.mode == DataMode::Functional;
@@ -250,16 +251,16 @@ pub fn run(cfg: &MinimodConfig) -> MinimodResult {
                 ok = verify_slab(&cfg, r, &matgen::from_bytes_f32(&bytes), &reference);
                 assert!(ok, "rank {r}: wavefield mismatch (DiOMP {:?})", cfg.halo);
             }
-            parts2.lock().push((r, interior_bytes(&cfg, &bytes)));
+            parts2.borrow_mut().push((r, interior_bytes(&cfg, &bytes)));
         }
-        let mut o = out2.lock();
+        let mut o = out2.borrow_mut();
         o.0 = o.0.max(elapsed);
         o.1 &= ok;
     })
     .unwrap();
 
-    let (elapsed, verified) = *out.lock();
-    let collected = std::mem::take(&mut *parts.lock());
+    let (elapsed, verified) = *out.borrow();
+    let collected = std::mem::take(&mut *parts.borrow_mut());
     let wavefield = if functional { Some(assemble_wavefield(&cfg_out, collected)) } else { None };
     MinimodResult {
         elapsed,

@@ -24,6 +24,9 @@
 pub mod diomp;
 pub mod mpi;
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use diomp_device::{DataMode, DeviceMem, KernelCost};
 use diomp_sim::{Dur, PlatformSpec};
 
@@ -174,7 +177,7 @@ pub struct MinimodResult {
 
 /// Shared collector of per-rank interior slabs: `(rank, bytes)` pairs
 /// pushed by each rank task, assembled after the run.
-pub(crate) type SlabParts = std::sync::Arc<parking_lot::Mutex<Vec<(usize, Vec<u8>)>>>;
+pub(crate) type SlabParts = Rc<RefCell<Vec<(usize, Vec<u8>)>>>;
 
 /// Collect per-rank interior slabs (`(rank, bytes)` pairs, halos
 /// stripped) into one contiguous rank-major wavefield.

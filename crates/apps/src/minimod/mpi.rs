@@ -4,12 +4,13 @@
 //! array, and `Waitall` — plus `use_device_ptr`-style device-buffer
 //! handling — roughly double the lines of the DiOMP version.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use diomp_device::{DataMode, DeviceTable, KernelBody};
 use diomp_fabric::{FabricWorld, Loc, MpiRank, MpiReq};
 use diomp_sim::{ClusterSpec, Dur, Sim, Topology};
-use parking_lot::Mutex;
 
 use crate::matgen;
 
@@ -27,8 +28,8 @@ pub fn run(cfg: &MinimodConfig) -> MinimodResult {
     let devs = DeviceTable::build(&sim.handle(), topo.clone(), cfg.mode, Some(cap));
     let world = FabricWorld::new(topo, devs, cfg.gpus);
 
-    let out: Arc<Mutex<(Dur, bool)>> = Arc::new(Mutex::new((Dur::ZERO, true)));
-    let parts: SlabParts = Arc::new(Mutex::new(Vec::new()));
+    let out: Rc<RefCell<(Dur, bool)>> = Rc::new(RefCell::new((Dur::ZERO, true)));
+    let parts: SlabParts = Rc::new(RefCell::new(Vec::new()));
     let want_verify = cfg.verify && cfg.mode == DataMode::Functional;
     let functional = cfg.mode == DataMode::Functional;
     let reference =
@@ -123,7 +124,7 @@ pub fn run(cfg: &MinimodConfig) -> MinimodResult {
                 if !high.is_empty() {
                     dev.launch(ctx.handle(), stream, &cfg.stencil_cost(high.len()), mk_body(high));
                 }
-                let tail = dev.pool.lock().tail(stream);
+                let tail = dev.pool.borrow().tail(stream);
                 dev.release_stream(stream);
                 ctx.sleep_until(tail);
                 mpi.barrier(ctx);
@@ -144,16 +145,16 @@ pub fn run(cfg: &MinimodConfig) -> MinimodResult {
                     ok = verify_slab(&cfg, r, &matgen::from_bytes_f32(&bytes), &reference);
                     assert!(ok, "rank {r}: wavefield mismatch (MPI)");
                 }
-                parts.lock().push((r, interior_bytes(&cfg, &bytes)));
+                parts.borrow_mut().push((r, interior_bytes(&cfg, &bytes)));
             }
-            let mut o = out.lock();
+            let mut o = out.borrow_mut();
             o.0 = o.0.max(elapsed);
             o.1 &= ok;
         });
     }
     let report = sim.run().unwrap();
-    let (elapsed, verified) = *out.lock();
-    let collected = std::mem::take(&mut *parts.lock());
+    let (elapsed, verified) = *out.borrow();
+    let collected = std::mem::take(&mut *parts.borrow_mut());
     let wavefield = if functional { Some(assemble_wavefield(cfg, collected)) } else { None };
     MinimodResult {
         elapsed,

@@ -15,6 +15,8 @@
 //! achieved-vs-table wire bandwidth — the rows `bench_gate` gates the
 //! canonical 8-job contention scenario on.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use diomp_core::{
@@ -26,7 +28,6 @@ use diomp_fabric::FabricWorld;
 use diomp_sim::{
     derive_seed, ClusterSpec, Dur, FaultPlan, Meter, PlatformSpec, Sim, SimTime, Topology, Wait,
 };
-use parking_lot::Mutex;
 
 /// A multi-tenant workload: which jobs share the fabric, and what each
 /// of them runs.
@@ -177,11 +178,11 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadReport {
         recovery: Dur,
         first_abort: Option<SimTime>,
     }
-    let accs: Vec<Arc<Mutex<JobAcc>>> = spec
+    let accs: Vec<Rc<RefCell<JobAcc>>> = spec
         .jobs
         .iter()
         .map(|_| {
-            Arc::new(Mutex::new(JobAcc {
+            Rc::new(RefCell::new(JobAcc {
                 meter: Meter::new(),
                 wire_bytes: 0.0,
                 busy: Dur::ZERO,
@@ -218,7 +219,7 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadReport {
                 let buf_len = max_size.max(64);
                 let off = world.primary_dev(r).malloc(buf_len, 256).unwrap();
                 if let Some(f) = comm.server_flow() {
-                    acc.lock().server_flows.push(f);
+                    acc.borrow_mut().server_flows.push(f);
                 }
                 let Some(rc) = recovery else {
                     // Disarmed: the historical blocking path, bit for bit.
@@ -229,7 +230,7 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadReport {
                         comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, size);
                         if r == 0 {
                             let d = ctx.now().since(t0);
-                            let mut a = acc.lock();
+                            let mut a = acc.borrow_mut();
                             a.meter.record(d);
                             a.wire_bytes += wire;
                             a.busy += d;
@@ -269,7 +270,7 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadReport {
                         Ok(_) => {
                             if r == 0 && i >= recorded {
                                 let d = ctx.now().since(t0);
-                                let mut a = acc.lock();
+                                let mut a = acc.borrow_mut();
                                 a.meter.record(d);
                                 a.wire_bytes += wire;
                                 a.busy += d;
@@ -302,7 +303,7 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadReport {
                             // bank its bytes and drop the soon-stale id
                             // first, then track the replacement comm's.
                             if let Some(f) = comm.server_flow() {
-                                let mut a = acc.lock();
+                                let mut a = acc.borrow_mut();
                                 if let Some(pos) = a.server_flows.iter().position(|&x| x == f) {
                                     a.server_flows.swap_remove(pos);
                                     a.server_flow_retired += ctx.handle().flow_stats(f).bytes;
@@ -310,10 +311,10 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadReport {
                             }
                             comm = comm.shrink(ctx, &health, r);
                             if let Some(f) = comm.server_flow() {
-                                acc.lock().server_flows.push(f);
+                                acc.borrow_mut().server_flows.push(f);
                             }
                             if r == 0 {
-                                let mut a = acc.lock();
+                                let mut a = acc.borrow_mut();
                                 a.retries += 1;
                                 a.first_abort.get_or_insert(abort.at);
                                 if abort_at.is_none() {
@@ -335,7 +336,7 @@ pub fn run_workload(spec: &WorkloadSpec) -> WorkloadReport {
         .iter()
         .zip(&accs)
         .map(|(job, acc)| {
-            let a = acc.lock();
+            let a = acc.borrow();
             let busy_ns = a.busy.as_nanos();
             JobResult {
                 name: job.name.clone(),

@@ -11,10 +11,10 @@
 //! (paper: "each second-level pointer's cache entry is valid throughout
 //! the lifetime of its corresponding memory allocation").
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use diomp_device::FreeListAlloc;
-use parking_lot::Mutex;
 
 /// Size of a second-level pointer wrapper (paper §3.2: a 32-byte pointer
 /// wrapper, uniformly allocated across all ranks for global alignment).
@@ -24,7 +24,7 @@ pub const WRAPPER_BYTES: u64 = 32;
 /// `[base, base + len)` of each device segment.
 pub struct AsymRegion {
     base: u64,
-    allocs: Vec<Mutex<FreeListAlloc>>,
+    allocs: Vec<RefCell<FreeListAlloc>>,
 }
 
 impl AsymRegion {
@@ -33,19 +33,19 @@ impl AsymRegion {
     pub fn new(base: u64, len: u64, ndevices: usize) -> Self {
         AsymRegion {
             base,
-            allocs: (0..ndevices).map(|_| Mutex::new(FreeListAlloc::new(len))).collect(),
+            allocs: (0..ndevices).map(|_| RefCell::new(FreeListAlloc::new(len))).collect(),
         }
     }
 
     /// Allocate `len` bytes on device `dev` (flat index). Returns the
     /// absolute segment offset.
     pub fn alloc(&self, dev: usize, len: u64) -> Option<u64> {
-        self.allocs[dev].lock().alloc(len.max(1), 64).ok().map(|o| o + self.base)
+        self.allocs[dev].borrow_mut().alloc(len.max(1), 64).ok().map(|o| o + self.base)
     }
 
     /// Free an absolute-offset allocation on `dev`.
     pub fn free(&self, dev: usize, abs_off: u64) {
-        self.allocs[dev].lock().free(abs_off - self.base).expect("asym free");
+        self.allocs[dev].borrow_mut().free(abs_off - self.base).expect("asym free");
     }
 
     /// Start of the asymmetric region within each segment.
@@ -60,7 +60,7 @@ impl AsymRegion {
 /// paper relies on for cache validity.
 #[derive(Default)]
 pub struct AsymRegistry {
-    map: Mutex<HashMap<(usize, u64), u64>>,
+    map: RefCell<HashMap<(usize, u64), u64>>,
 }
 
 impl AsymRegistry {
@@ -71,18 +71,18 @@ impl AsymRegistry {
 
     /// Record an allocation.
     pub fn insert(&self, dev: usize, wrapper: u64, data_off: u64) {
-        let prev = self.map.lock().insert((dev, wrapper), data_off);
+        let prev = self.map.borrow_mut().insert((dev, wrapper), data_off);
         assert!(prev.is_none(), "wrapper slot reused while live");
     }
 
     /// Authoritative lookup.
     pub fn lookup(&self, dev: usize, wrapper: u64) -> Option<u64> {
-        self.map.lock().get(&(dev, wrapper)).copied()
+        self.map.borrow().get(&(dev, wrapper)).copied()
     }
 
     /// Remove on free; stale cache entries die with this entry.
     pub fn remove(&self, dev: usize, wrapper: u64) -> Option<u64> {
-        self.map.lock().remove(&(dev, wrapper))
+        self.map.borrow_mut().remove(&(dev, wrapper))
     }
 }
 

@@ -1,6 +1,6 @@
 //! The symmetric heap: collective allocation with offset translation.
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 
 use super::buddy::BuddyAlloc;
 use super::linear::LinearAlloc;
@@ -25,7 +25,7 @@ enum HeapImpl {
 /// offset plus a remote segment base is a complete remote address
 /// (paper §3.2, Fig. 2).
 pub struct SymHeap {
-    inner: Mutex<HeapImpl>,
+    inner: RefCell<HeapImpl>,
     len: u64,
 }
 
@@ -41,13 +41,13 @@ impl SymHeap {
                 HeapImpl::Buddy(BuddyAlloc::new(cap, 32))
             }
         };
-        SymHeap { inner: Mutex::new(inner), len }
+        SymHeap { inner: RefCell::new(inner), len }
     }
 
     /// Allocate `len` bytes (64-byte aligned). Returns the symmetric
     /// offset valid on every device.
     pub fn alloc(&self, len: u64) -> Option<u64> {
-        match &mut *self.inner.lock() {
+        match &mut *self.inner.borrow_mut() {
             HeapImpl::Linear(a) => a.alloc(len, 64),
             HeapImpl::Buddy(a) => a.alloc(len),
         }
@@ -56,7 +56,7 @@ impl SymHeap {
     /// Free a symmetric allocation (buddy reclaims immediately; linear
     /// defers to a wholesale reset).
     pub fn free(&self, off: u64) {
-        match &mut *self.inner.lock() {
+        match &mut *self.inner.borrow_mut() {
             HeapImpl::Linear(a) => {
                 let _ = off;
                 a.free();

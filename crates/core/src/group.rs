@@ -6,15 +6,15 @@
 //! any subset, and groups can be *split* and *merged* dynamically to
 //! follow program phases.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use diomp_fabric::{BarrierDomain, ExchangeDomain};
 use diomp_sim::{Ctx, Dur};
 use diomp_xccl::XcclComm;
-use parking_lot::Mutex;
 
-/// Shared state of one group. `Arc<GroupShared>` is the `ompx_group_t`
+/// Shared state of one group. `Rc<GroupShared>` is the `ompx_group_t`
 /// handle.
 pub struct GroupShared {
     /// Member ranks, sorted ascending (canonical form).
@@ -25,11 +25,11 @@ pub struct GroupShared {
     pub exch: ExchangeDomain<u64>,
     /// Lazily initialised OMPCCL backend communicator, one slot per
     /// member (each rank runs its own `ncclCommInitRank`).
-    pub(crate) comms: Vec<Mutex<Option<Arc<XcclComm>>>>,
+    pub(crate) comms: Vec<RefCell<Option<Rc<XcclComm>>>>,
 }
 
 /// The `ompx_group_t` handle.
-pub type DiompGroup = Arc<GroupShared>;
+pub type DiompGroup = Rc<GroupShared>;
 
 impl GroupShared {
     /// This rank's index within the group, or `None` if not a member.
@@ -48,13 +48,13 @@ impl GroupShared {
 /// exchange / communicator objects.
 pub struct GroupRegistry {
     hop: Dur,
-    map: Mutex<HashMap<Vec<usize>, DiompGroup>>,
+    map: RefCell<HashMap<Vec<usize>, DiompGroup>>,
 }
 
 impl GroupRegistry {
     /// Registry with the given per-hop synchronisation latency.
     pub fn new(hop: Dur) -> Self {
-        GroupRegistry { hop, map: Mutex::new(HashMap::new()) }
+        GroupRegistry { hop, map: RefCell::new(HashMap::new()) }
     }
 
     /// Get or create the group with exactly these members (sorted,
@@ -64,15 +64,15 @@ impl GroupRegistry {
         ranks.dedup();
         assert!(!ranks.is_empty(), "a group needs at least one member");
         self.map
-            .lock()
+            .borrow_mut()
             .entry(ranks.clone())
             .or_insert_with(|| {
                 let n = ranks.len();
-                Arc::new(GroupShared {
+                Rc::new(GroupShared {
                     ranks,
                     barrier: BarrierDomain::new(n, self.hop),
                     exch: ExchangeDomain::new(n, self.hop),
-                    comms: (0..n).map(|_| Mutex::new(None)).collect(),
+                    comms: (0..n).map(|_| RefCell::new(None)).collect(),
                 })
             })
             .clone()

@@ -17,7 +17,7 @@
 //! #pragma ompx target device_bcast(var, group)  // sugar over the same
 //! ```
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use diomp_fabric::ReduceOp;
 use diomp_sim::Ctx;
@@ -31,9 +31,9 @@ impl DiompRank {
     /// Get (initialising on first use) the OMPCCL backend communicator
     /// for a group. Every member must reach this together the first time
     /// (it performs the UniqueId broadcast and per-rank init).
-    pub fn ompccl_comm(&mut self, ctx: &mut Ctx, group: &DiompGroup) -> Arc<XcclComm> {
+    pub fn ompccl_comm(&mut self, ctx: &mut Ctx, group: &DiompGroup) -> Rc<XcclComm> {
         let idx = group.index_of(self.rank).expect("rank not in group");
-        if let Some(c) = group.comms[idx].lock().clone() {
+        if let Some(c) = group.comms[idx].borrow().clone() {
             return c;
         }
         // Root generates the UniqueId; the CPU-side bootstrap (group
@@ -52,7 +52,7 @@ impl DiompRank {
                 qos: self.shared.cfg.qos,
             },
         );
-        *group.comms[idx].lock() = Some(comm.clone());
+        *group.comms[idx].borrow_mut() = Some(comm.clone());
         comm
     }
 

@@ -30,7 +30,7 @@
 //! [`RecoveryConfig`] armed nothing here runs and traces are
 //! bit-identical to a recovery-free build.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use diomp_device::DataMode;
 use diomp_fabric::{FabricWorld, HealthVec, RankHealth};
@@ -103,12 +103,7 @@ impl Checkpoint {
     /// modelled copy time (one read + one write of every byte at the
     /// device's HBM rate — a device-local shadow copy, the cheapest
     /// consistent checkpoint).
-    pub fn take(
-        ctx: &mut Ctx,
-        world: &Arc<FabricWorld>,
-        bufs: &[BufSpec],
-        iter: u64,
-    ) -> Checkpoint {
+    pub fn take(ctx: &mut Ctx, world: &Rc<FabricWorld>, bufs: &[BufSpec], iter: u64) -> Checkpoint {
         let mut data = Vec::with_capacity(bufs.len());
         let mut bytes = 0u64;
         for &(flat, off, len) in bufs {
@@ -129,7 +124,7 @@ impl Checkpoint {
 
     /// Restore the snapshotted bytes (rollback), charging the same
     /// modelled copy time as the snapshot took.
-    pub fn restore(&self, ctx: &mut Ctx, world: &Arc<FabricWorld>) {
+    pub fn restore(&self, ctx: &mut Ctx, world: &Rc<FabricWorld>) {
         let mut bytes = 0u64;
         for &((flat, off, len), ref stored) in &self.data {
             let dev = world.devs.dev(flat);
@@ -143,7 +138,7 @@ impl Checkpoint {
 }
 
 /// Device-local copy time for `bytes`: read + write at HBM bandwidth.
-fn copy_time(world: &Arc<FabricWorld>, bytes: u64) -> Dur {
+fn copy_time(world: &Rc<FabricWorld>, bytes: u64) -> Dur {
     let gbps = world.platform.gpu.hbm_gbps.max(1.0);
     Dur::micros(2.0 * bytes as f64 / (gbps * 1000.0))
 }

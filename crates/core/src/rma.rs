@@ -19,7 +19,7 @@
 //! through the source device's bounded stream pool, coupling
 //! communication with stream lifecycle exactly as §3.2 describes.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use diomp_device::copy;
 use diomp_fabric::{gasnet, gpi, FabricError, FabricWorld, Loc};
@@ -33,7 +33,7 @@ use crate::runtime::DiompRank;
 impl DiompRank {
     /// Record a completion at instant `t` for the fence to drain.
     fn track(&self, t: SimTime) {
-        self.shared.pending[self.rank].lock().push(t);
+        self.shared.pending[self.rank].borrow_mut().push(t);
     }
 
     /// Post one GPI-2 operation with the GASPI recovery loop: a post
@@ -46,7 +46,7 @@ impl DiompRank {
     pub(crate) fn gpi_retry(
         &mut self,
         ctx: &mut Ctx,
-        world: &Arc<FabricWorld>,
+        world: &Rc<FabricWorld>,
         queue: gpi::QueueId,
         mut post: impl FnMut(&mut Ctx) -> Result<(), FabricError>,
     ) -> Result<(), DiompError> {
@@ -75,7 +75,7 @@ impl DiompRank {
         let dev = self.shared.world.devs.dev(src_flat).clone();
         let s = dev.acquire_stream(ctx);
         let tail = {
-            let mut pool = dev.pool.lock();
+            let mut pool = dev.pool.borrow_mut();
             pool.advance_tail(s, done);
             pool.tail(s)
         };
@@ -373,7 +373,7 @@ impl DiompRank {
             self.track(hdl.remote);
         }
         let stream = dev.acquire_stream(ctx);
-        dev.pool.lock().advance_tail(stream, staged);
+        dev.pool.borrow_mut().advance_tail(stream, staged);
         dev.release_stream(stream);
         ctx.delay(overhead);
         Ok(())

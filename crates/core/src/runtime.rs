@@ -7,12 +7,13 @@
 //! (allocation in `runtime.rs`, RMA in `rma.rs`, synchronisation in
 //! `sync.rs`, collectives in `ompccl.rs`, target regions in `target.rs`).
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use diomp_device::DeviceTable;
 use diomp_fabric::{ExchangeDomain, FabricWorld, SegmentId};
 use diomp_sim::{Ctx, Dur, Sim, SimError, SimReport, SimTime, Topology};
-use parking_lot::Mutex;
 
 use crate::config::{Binding, DiompConfig};
 use crate::error::DiompError;
@@ -29,7 +30,7 @@ pub struct DiompShared {
     /// Configuration the job was booted with.
     pub cfg: DiompConfig,
     /// The conduit world underneath.
-    pub world: Arc<FabricWorld>,
+    pub world: Rc<FabricWorld>,
     /// Per-device attached segment ids (index = flat device).
     pub seg: Vec<SegmentId>,
     /// Per-device segment base offsets in device address space.
@@ -45,7 +46,7 @@ pub struct DiompShared {
     /// Group registry (split/merge).
     pub groups: GroupRegistry,
     /// Per-rank pending RMA completion instants, drained by `ompx_fence`.
-    pub(crate) pending: Vec<Mutex<Vec<SimTime>>>,
+    pub(crate) pending: Vec<RefCell<Vec<SimTime>>>,
 }
 
 impl DiompShared {
@@ -59,7 +60,7 @@ impl DiompShared {
 /// rank's task.
 pub struct DiompRank {
     /// Shared job state.
-    pub shared: Arc<DiompShared>,
+    pub shared: Rc<DiompShared>,
     /// This rank.
     pub rank: usize,
     /// Remote second-level-pointer cache (paper §3.2).
@@ -77,7 +78,7 @@ impl DiompRuntime {
     /// Build the shared state inside an existing simulation (harnesses
     /// that need extra tasks or custom control use this; most callers use
     /// [`DiompRuntime::run`]).
-    pub fn build(sim: &Sim, cfg: DiompConfig) -> Arc<DiompShared> {
+    pub fn build(sim: &Sim, cfg: DiompConfig) -> Rc<DiompShared> {
         let h = sim.handle();
         let topo = Arc::new(Topology::build(&h, cfg.cluster.clone()));
         let devs = DeviceTable::build(&h, topo.clone(), cfg.mode, None);
@@ -120,7 +121,7 @@ impl DiompRuntime {
         let asym_len = (cfg.heap_bytes as f64 * ASYM_FRAC) as u64;
         let sym_len = cfg.heap_bytes - asym_len;
         let hop = Dur::micros(world.platform.net.latency_us);
-        Arc::new(DiompShared {
+        Rc::new(DiompShared {
             world: world.clone(),
             seg,
             seg_base,
@@ -129,7 +130,7 @@ impl DiompRuntime {
             asym_reg: AsymRegistry::new(),
             alloc_exch: ExchangeDomain::new(nranks, hop),
             groups: GroupRegistry::new(hop),
-            pending: (0..nranks).map(|_| Mutex::new(Vec::new())).collect(),
+            pending: (0..nranks).map(|_| RefCell::new(Vec::new())).collect(),
             cfg,
         })
     }
@@ -138,11 +139,11 @@ impl DiompRuntime {
     /// simulation report.
     pub fn run<F>(cfg: DiompConfig, f: F) -> Result<SimReport, SimError>
     where
-        F: Fn(&mut Ctx, &mut DiompRank) + Send + Sync + 'static,
+        F: Fn(&mut Ctx, &mut DiompRank) + 'static,
     {
         let mut sim = Sim::new();
         let shared = Self::build(&sim, cfg);
-        let f = Arc::new(f);
+        let f = Rc::new(f);
         for r in 0..shared.world.nranks {
             let shared = shared.clone();
             let f = f.clone();

@@ -67,7 +67,7 @@ impl DiompRank {
         // Network + stream completions. GPI-2 additionally tracks
         // completions on its queues; *every* queue is drained, not just
         // queue 0.
-        let mut pending = std::mem::take(&mut *self.shared.pending[self.rank].lock());
+        let mut pending = std::mem::take(&mut *self.shared.pending[self.rank].borrow_mut());
         if self.shared.cfg.conduit == Conduit::Gpi2 {
             pending.extend(diomp_fabric::gpi::take_pending_all(&self.shared.world, self.rank));
         }
@@ -76,13 +76,13 @@ impl DiompRank {
                 let total = pending.len();
                 pending.retain(|&done| done > t.at);
                 let completed = total - pending.len();
-                self.shared.pending[self.rank].lock().extend(pending.iter().copied());
+                self.shared.pending[self.rank].borrow_mut().extend(pending.iter().copied());
                 return Err(FenceTimeout { at: t.at, completed, in_flight: pending });
             }
         }
         // Device horizon: all streams the RMA path touched.
         for d in self.my_devices() {
-            let tail = self.shared.world.devs.dev(d).pool.lock().max_tail();
+            let tail = self.shared.world.devs.dev(d).pool.borrow().max_tail();
             ctx.sleep_until(tail);
         }
         Ok(())

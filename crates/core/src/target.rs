@@ -8,11 +8,12 @@
 //! addressable with zero extra registration — the "unified memory view
 //! underpins communication structure" property of §3.2.
 
+use std::cell::RefCell;
+
 use diomp_device::{
     copy, HostBuf, HostId, KernelBody, KernelCost, MapKind, MapOutcome, MappingTable,
 };
 use diomp_sim::{Ctx, SimTime};
-use parking_lot::Mutex;
 
 use crate::error::DiompError;
 use crate::gptr::GPtr;
@@ -21,7 +22,7 @@ use crate::runtime::DiompRank;
 /// Per-rank DiOMP target state: one extended mapping table per owned
 /// device.
 pub struct DiompTarget {
-    tables: Vec<Mutex<MappingTable>>,
+    tables: Vec<RefCell<MappingTable>>,
     first_dev: usize,
 }
 
@@ -31,11 +32,11 @@ impl DiompTarget {
         let devs = rank.my_devices();
         DiompTarget {
             first_dev: devs.start,
-            tables: devs.map(|_| Mutex::new(MappingTable::new())).collect(),
+            tables: devs.map(|_| RefCell::new(MappingTable::new())).collect(),
         }
     }
 
-    fn table(&self, flat: usize) -> &Mutex<MappingTable> {
+    fn table(&self, flat: usize) -> &RefCell<MappingTable> {
         &self.tables[flat - self.first_dev]
     }
 }
@@ -58,15 +59,15 @@ impl DiompRank {
         // consistent behaviour: SPMD ranks map the same objects in the
         // same order.
         let primary = self.primary();
-        let outcome = tgt.table(primary).lock().enter(host);
+        let outcome = tgt.table(primary).borrow_mut().enter(host);
         match outcome {
             MapOutcome::Present { d_off } => {
                 for flat in self.my_devices().skip(1) {
-                    let _ = tgt.table(flat).lock().enter(host);
+                    let _ = tgt.table(flat).borrow_mut().enter(host);
                 }
                 // Reconstruct the GPtr from the recorded device offset.
                 let off = d_off - self.shared.seg_base[primary];
-                let size = tgt.table(primary).lock().lookup(host).unwrap().size;
+                let size = tgt.table(primary).borrow().lookup(host).unwrap().size;
                 Ok(GPtr { off, len: size })
             }
             MapOutcome::New => {
@@ -75,7 +76,7 @@ impl DiompRank {
                 for flat in self.my_devices() {
                     let d_off = self.dev_addr(flat, ptr.off);
                     {
-                        let mut t = tgt.table(flat).lock();
+                        let mut t = tgt.table(flat).borrow_mut();
                         if flat != primary {
                             let _ = t.enter(host);
                         }
@@ -115,7 +116,7 @@ impl DiompRank {
         let mut freed: Option<GPtr> = None;
         let mut done = SimTime::ZERO;
         for flat in self.my_devices() {
-            if let Some(entry) = tgt.table(flat).lock().exit(host) {
+            if let Some(entry) = tgt.table(flat).borrow_mut().exit(host) {
                 if kind.copies_out() && flat == primary {
                     let t = copy::d2h(
                         ctx.handle(),

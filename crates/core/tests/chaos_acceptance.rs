@@ -16,7 +16,7 @@ use diomp_fabric::ReduceOp;
 use diomp_sim::{
     fault_key, ClusterSpec, CtrlFault, Dur, FaultPlan, PlatformSpec, Sim, SimTime, Wait,
 };
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 const NRANKS: usize = 4;
 const NOTIFY_ID: u32 = 7;
@@ -114,7 +114,7 @@ fn run_scenario(engine: CollEngine, plan: FaultPlan, len: u64, tag: &str) -> Sim
             rank.allreduce(ctx, &world, aptr, len, ReduceOp::SumF64);
             let mut out = vec![0u8; len as usize];
             rank.read_local(rank.primary(), aptr, 0, &mut out);
-            sums.lock()[r] =
+            sums.lock().unwrap()[r] =
                 out.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect();
             rank.barrier(ctx);
         });
@@ -128,7 +128,7 @@ fn run_scenario(engine: CollEngine, plan: FaultPlan, len: u64, tag: &str) -> Sim
     let expect: Vec<f64> = (0..len / 8)
         .map(|i| (1..=NRANKS as u64).map(|r| (r * (i % 11 + 1)) as f64).sum())
         .collect();
-    for (r, got) in sums.lock().iter().enumerate() {
+    for (r, got) in sums.lock().unwrap().iter().enumerate() {
         assert_eq!(got, &expect, "{tag}: rank {r} diverged from the sequential reference");
     }
     end

@@ -3,6 +3,7 @@
 //! timeout-driven lost-notification protocol — all under the
 //! deterministic injector.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use diomp_core::{
@@ -10,7 +11,7 @@ use diomp_core::{
     PtrCache,
 };
 use diomp_sim::{fault_key, ClusterSpec, CtrlFault, Dur, FaultPlan, PlatformSpec, Sim, Wait};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 fn two_nodes(platform: PlatformSpec) -> DiompConfigBuilder {
     DiompConfig::builder(ClusterSpec { platform, nodes: 2, gpus_per_node: 1 })
@@ -24,13 +25,13 @@ fn pattern(len: usize) -> Vec<u8> {
 /// per-rank retry counts.
 fn run_with_plan<F>(cfg: DiompConfig, plan: FaultPlan, f: F) -> Vec<u64>
 where
-    F: Fn(&mut diomp_sim::Ctx, &mut DiompRank) + Send + Sync + 'static,
+    F: Fn(&mut diomp_sim::Ctx, &mut DiompRank) + 'static,
 {
     let mut sim = Sim::new();
     sim.set_fault_plan(plan);
     let shared = DiompRuntime::build(&sim, cfg);
     let retries = Arc::new(Mutex::new(vec![0u64; shared.world.nranks]));
-    let f = Arc::new(f);
+    let f = Rc::new(f);
     for r in 0..shared.world.nranks {
         let shared = shared.clone();
         let f = f.clone();
@@ -38,11 +39,11 @@ where
         sim.spawn(format!("diomp-rank{r}"), move |ctx| {
             let mut rank = DiompRank { shared, rank: r, cache: PtrCache::new(), rma_retries: 0 };
             f(ctx, &mut rank);
-            retries.lock()[r] = rank.rma_retries;
+            retries.lock().unwrap()[r] = rank.rma_retries;
         });
     }
     sim.run().unwrap();
-    let v = retries.lock().clone();
+    let v = retries.lock().unwrap().clone();
     v
 }
 
@@ -71,11 +72,11 @@ fn gpi_put_recovers_from_injected_queue_error() {
             if rank.rank == 1 {
                 let mut got = vec![0u8; len as usize];
                 rank.read_local(rank.primary(), ptr, 0, &mut got);
-                *out2.lock() = got;
+                *out2.lock().unwrap() = got;
             }
         },
     );
-    assert_eq!(*out.lock(), pattern(len as usize), "retried put must stay byte-identical");
+    assert_eq!(*out.lock().unwrap(), pattern(len as usize), "retried put must stay byte-identical");
     assert_eq!(retries, vec![1, 0], "exactly one recovery loop, on rank 0 only");
 }
 
@@ -99,12 +100,12 @@ fn gpi_put_exhausted_retry_budget_propagates_queue_error() {
             rank.barrier(ctx);
             if rank.rank == 0 {
                 let err = rank.put(ctx, 1, ptr, 0, ptr, 0, 4096).unwrap_err();
-                errs2.lock().push(err);
+                errs2.lock().unwrap().push(err);
             }
             rank.barrier(ctx);
         },
     );
-    let errs = errs.lock();
+    let errs = errs.lock().unwrap();
     assert_eq!(errs.len(), 1);
     assert!(
         matches!(&errs[0], DiompError::Fabric(FabricError::QueueError { rank: 0, .. })),
@@ -142,19 +143,19 @@ fn fence_timeout_reports_partial_completion_then_full_fence_drains() {
                     .expect_err("1 MiB cannot cross nodes in 30 µs");
                 assert!(err.completed >= 1, "the 8 B put completed inside the window");
                 assert!(!err.in_flight.is_empty(), "the 1 MiB put is still in flight");
-                *seen2.lock() = Some((err.completed, err.in_flight.len()));
+                *seen2.lock().unwrap() = Some((err.completed, err.in_flight.len()));
                 rank.fence(ctx);
             }
             rank.barrier(ctx);
             if rank.rank == 1 {
                 let mut got = vec![0u8; len as usize];
                 rank.read_local(rank.primary(), ptr, 0, &mut got);
-                *out2.lock() = got;
+                *out2.lock().unwrap() = got;
             }
         },
     );
-    assert_eq!(*out.lock(), pattern(len as usize));
-    assert!(seen.lock().is_some());
+    assert_eq!(*out.lock().unwrap(), pattern(len as usize));
+    assert!(seen.lock().unwrap().is_some());
 }
 
 #[test]
@@ -172,11 +173,11 @@ fn a_bounded_fence_counts_a_completion_at_its_deadline_as_done() {
             let t0 = ctx.now();
             rank.put(ctx, 1, ptr, 0, ptr, 0, 8).unwrap();
             rank.fence(ctx);
-            *small2.lock() = Some(ctx.now().since(t0));
+            *small2.lock().unwrap() = Some(ctx.now().since(t0));
         }
         rank.barrier(ctx);
     });
-    let small = small.lock().expect("rank 0 fenced");
+    let small = small.lock().unwrap().expect("rank 0 fenced");
     let seen = Arc::new(Mutex::new(None));
     let seen2 = seen.clone();
     run_with_plan(cfg(), FaultPlan::new(), move |ctx, rank| {
@@ -194,12 +195,17 @@ fn a_bounded_fence_counts_a_completion_at_its_deadline_as_done() {
             rank.put(ctx, 1, ptr, 0, ptr, 0, len).unwrap();
             let budget = (t1 + small).since(ctx.now());
             let err = rank.fence_with(ctx, Wait::Until(budget)).unwrap_err();
-            *seen2.lock() = Some((err.at == t1 + small, err.completed, err.in_flight.len()));
+            *seen2.lock().unwrap() =
+                Some((err.at == t1 + small, err.completed, err.in_flight.len()));
             rank.fence(ctx);
         }
         rank.barrier(ctx);
     });
-    assert_eq!(*seen.lock(), Some((true, 1, 1)), "(at the deadline, completed, in flight)");
+    assert_eq!(
+        *seen.lock().unwrap(),
+        Some((true, 1, 1)),
+        "(at the deadline, completed, in flight)"
+    );
 }
 
 #[test]
@@ -240,11 +246,11 @@ fn put_notify_retry_and_consumer_timeout_protocol_deliver_exactly_once() {
                 assert_eq!((id, value), (4, 9));
                 let mut bytes = vec![0u8; len as usize];
                 rank.read_local(rank.primary(), ptr, 0, &mut bytes);
-                *got2.lock() = bytes;
+                *got2.lock().unwrap() = bytes;
             }
         },
     );
-    assert_eq!(*got.lock(), pattern(len as usize));
+    assert_eq!(*got.lock().unwrap(), pattern(len as usize));
 }
 
 #[test]

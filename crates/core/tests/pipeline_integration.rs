@@ -11,7 +11,7 @@ use diomp_device::DataMode;
 use diomp_sim::{
     ClusterSpec, DevLoc, Dur, FaultPlan, PlatformSpec, Sim, SimReport, SimTime, Topology,
 };
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// Two single-GPU nodes: rank 0 and rank 1 are inter-node neighbours.
 fn two_nodes(platform: PlatformSpec) -> DiompConfigBuilder {
@@ -41,11 +41,11 @@ fn put_roundtrip(cfg: DiompConfig, len: u64) -> (Vec<u8>, SimReport) {
         if rank.rank == 1 {
             let mut got = vec![0u8; len as usize];
             rank.read_local(rank.primary(), ptr, 0, &mut got);
-            *out2.lock() = got;
+            *out2.lock().unwrap() = got;
         }
     })
     .unwrap();
-    let bytes = out.lock().clone();
+    let bytes = out.lock().unwrap().clone();
     (bytes, rep)
 }
 
@@ -64,12 +64,12 @@ fn get_roundtrip(cfg: DiompConfig, len: u64) -> Vec<u8> {
             rank.fence(ctx);
             let mut got = vec![0u8; len as usize];
             rank.read_local(rank.primary(), ptr, 0, &mut got);
-            *out2.lock() = got;
+            *out2.lock().unwrap() = got;
         }
         rank.barrier(ctx);
     })
     .unwrap();
-    let bytes = out.lock().clone();
+    let bytes = out.lock().unwrap().clone();
     bytes
 }
 
@@ -147,12 +147,12 @@ fn put_fence_us(cfg: DiompConfig, len: u64) -> f64 {
             let t0 = ctx.now();
             rank.put(ctx, 1, ptr, 0, ptr, 0, len).unwrap();
             rank.fence(ctx);
-            *us2.lock() = ctx.now().since(t0).as_us();
+            *us2.lock().unwrap() = ctx.now().since(t0).as_us();
         }
         rank.barrier(ctx);
     })
     .unwrap();
-    let v = *us.lock();
+    let v = *us.lock().unwrap();
     v
 }
 
@@ -192,12 +192,12 @@ fn get_fence_us(cfg: DiompConfig, len: u64) -> f64 {
             let t0 = ctx.now();
             rank.get(ctx, 1, ptr, 0, ptr, 0, len).unwrap();
             rank.fence(ctx);
-            *us2.lock() = ctx.now().since(t0).as_us();
+            *us2.lock().unwrap() = ctx.now().since(t0).as_us();
         }
         rank.barrier(ctx);
     })
     .unwrap();
-    let v = *us.lock();
+    let v = *us.lock().unwrap();
     v
 }
 
@@ -266,12 +266,12 @@ fn staged_get_stays_nonblocking_and_overlaps_compute() {
             // 1 ms of "compute" while the chunks stream in.
             ctx.delay(diomp_sim::Dur::micros(1000.0));
             rank.fence(ctx);
-            *times2.lock() = (issue_us, ctx.now().since(t0).as_us());
+            *times2.lock().unwrap() = (issue_us, ctx.now().since(t0).as_us());
         }
         rank.barrier(ctx);
     })
     .unwrap();
-    let (issue_us, total_us) = *times.lock();
+    let (issue_us, total_us) = *times.lock().unwrap();
     assert!(
         issue_us < get_alone_us * 0.2,
         "issuing a staged get must not wait for the wire: {issue_us:.0}µs vs \
@@ -427,12 +427,12 @@ fn staged_put_times(len: u64, put: bool, opposed: bool) -> (f64, f64, u64) {
                 rank.get(ctx, 1, back, 0, back, 0, len).unwrap();
             }
             rank.fence(ctx);
-            *times2.lock() = (call_us, ctx.now().since(t0).as_us());
+            *times2.lock().unwrap() = (call_us, ctx.now().since(t0).as_us());
         }
         rank.barrier(ctx);
     })
     .unwrap();
-    let (call_us, fenced_us) = *times.lock();
+    let (call_us, fenced_us) = *times.lock().unwrap();
     (call_us, fenced_us, rep.entries_processed)
 }
 
@@ -514,18 +514,18 @@ fn staged_put_bytes(len: u64, plan: Option<FaultPlan>) -> (Vec<u8>, Vec<u8>, u64
                 rank.write_local(rank.primary(), out, 0, &vec![0xEE; len as usize]);
                 rank.get(ctx, 1, back, 0, back, 0, len).unwrap();
                 rank.fence(ctx);
-                landed.lock().1 = vec![0; len as usize];
-                rank.read_local(rank.primary(), back, 0, &mut landed.lock().1);
+                landed.lock().unwrap().1 = vec![0; len as usize];
+                rank.read_local(rank.primary(), back, 0, &mut landed.lock().unwrap().1);
             }
             rank.barrier(ctx);
             if r == 1 {
-                landed.lock().0 = vec![0; len as usize];
-                rank.read_local(rank.primary(), out, 0, &mut landed.lock().0);
+                landed.lock().unwrap().0 = vec![0; len as usize];
+                rank.read_local(rank.primary(), out, 0, &mut landed.lock().unwrap().0);
             }
         });
     }
     let rep = sim.run().unwrap();
-    let (put, got) = landed.lock().clone();
+    let (put, got) = landed.lock().unwrap().clone();
     (put, got, rep.digest)
 }
 const STAGED_CHUNK: u64 = 64 << 10;

@@ -18,6 +18,7 @@
 //! * **Determinism** — the same randomized kill plan replays the same
 //!   end time, the same abort epoch, and the same bytes, twice.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use diomp_core::{
@@ -29,7 +30,7 @@ use diomp_fabric::FabricWorld;
 use diomp_sim::{
     ClusterSpec, Dur, FaultPlan, PlatformSpec, ResourceId, Sim, SimTime, Topology, Wait,
 };
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 const NODES: usize = 2;
 const PER_NODE: usize = 4;
@@ -37,7 +38,7 @@ const NRANKS: usize = NODES * PER_NODE;
 const ITERS: usize = 6;
 const LEN: u64 = 64 << 10;
 
-fn boot(sim: &Sim, plan: &FaultPlan) -> Arc<FabricWorld> {
+fn boot(sim: &Sim, plan: &FaultPlan) -> Rc<FabricWorld> {
     sim.set_fault_plan(plan.clone());
     let spec =
         ClusterSpec { platform: PlatformSpec::platform_a(), nodes: NODES, gpus_per_node: PER_NODE };
@@ -154,7 +155,7 @@ fn run_recovery(
                         // whose time has not yet come; it exits rather
                         // than shrinking a comm it has no place in.
                         if my_kill.is_some() {
-                            stats.lock().2 = true;
+                            stats.lock().unwrap().2 = true;
                             return;
                         }
                         assert!(attempt < 4, "recovery did not converge");
@@ -163,7 +164,7 @@ fn run_recovery(
                         ctx.delay(rc.backoff_for(attempt));
                         comm = comm.shrink(ctx, &health, r);
                         if r == 0 {
-                            let mut s = stats.lock();
+                            let mut s = stats.lock().unwrap();
                             if s.0.is_none() {
                                 s.0 = Some(i);
                             }
@@ -176,14 +177,14 @@ fn run_recovery(
             }
             let mut out = vec![0u8; len as usize];
             dev.mem.read(off, &mut out).unwrap();
-            results.lock()[r] =
+            results.lock().unwrap()[r] =
                 out.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect();
         });
     }
     let end = sim.run().unwrap_or_else(|e| panic!("{tag}: {e:?}")).end_time;
-    let (abort_iter, shrinks, doomed_saw_abort) = *stats.lock();
+    let (abort_iter, shrinks, doomed_saw_abort) = *stats.lock().unwrap();
     assert!(shrinks <= 1, "{tag}: survivor agreement must converge in one shrink, saw {shrinks}");
-    let bytes = results.lock().clone();
+    let bytes = results.lock().unwrap().clone();
     (RunStats { end, abort_iter, shrinks, doomed_saw_abort }, bytes)
 }
 

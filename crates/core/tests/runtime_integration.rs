@@ -94,7 +94,7 @@ fn fence_on_the_completion_instant(op: fn(&mut Ctx, &mut DiompRank), check: u64)
     sim.run().unwrap();
     let done = SimTime(done.load(Ordering::SeqCst));
 
-    let got = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let got = Arc::new(std::sync::Mutex::new(Vec::new()));
     let mut sim = Sim::new();
     let shared = boot(&sim);
     let (fencer, got2) = (shared.clone(), got.clone());
@@ -106,11 +106,11 @@ fn fence_on_the_completion_instant(op: fn(&mut Ctx, &mut DiompRank), check: u64)
         let mut out = vec![0u8; 64];
         let base = rank.shared.seg_base[0];
         rank.shared.world.devs.dev(0).mem.read(base + check, &mut out).unwrap();
-        *got2.lock() = out;
+        *got2.lock().unwrap() = out;
     });
     sim.spawn("issuer", move |ctx| op(ctx, &mut rank0(shared)));
     sim.run().unwrap();
-    let got = got.lock().clone();
+    let got = got.lock().unwrap().clone();
     got
 }
 
@@ -129,16 +129,16 @@ fn a_fence_called_at_the_completion_instant_returns_after_the_deposit() {
 
 #[test]
 fn symmetric_offsets_are_identical_across_ranks() {
-    let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
     let seen2 = seen.clone();
     DiompRuntime::run(cfg_a(2), move |ctx, rank| {
         let a = rank.alloc_sym(ctx, 1000).unwrap();
         let b = rank.alloc_sym(ctx, 2000).unwrap();
-        seen2.lock().push((rank.rank, a.off, b.off));
+        seen2.lock().unwrap().push((rank.rank, a.off, b.off));
         assert_ne!(a.off, b.off);
     })
     .unwrap();
-    let seen = seen.lock();
+    let seen = seen.lock().unwrap();
     assert_eq!(seen.len(), 8);
     let (_, a0, b0) = seen[0];
     for &(r, a, b) in seen.iter() {

@@ -11,10 +11,10 @@
 //! one exception is an upload reserved ahead of its `ready` instant
 //! ([`h2d`]): its host bytes are read then.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use diomp_sim::{SimHandle, SimTime};
-use parking_lot::Mutex;
 
 use crate::gpu::Device;
 use crate::memory::{DataMode, MemError};
@@ -24,13 +24,13 @@ use crate::memory::{DataMode, MemError};
 #[derive(Clone)]
 pub struct HostBuf {
     len: u64,
-    data: Option<Arc<Mutex<Vec<u8>>>>,
+    data: Option<Rc<RefCell<Vec<u8>>>>,
 }
 
 impl HostBuf {
     /// A real host buffer initialised from `bytes`.
     pub fn from_bytes(bytes: Vec<u8>) -> Self {
-        HostBuf { len: bytes.len() as u64, data: Some(Arc::new(Mutex::new(bytes))) }
+        HostBuf { len: bytes.len() as u64, data: Some(Rc::new(RefCell::new(bytes))) }
     }
 
     /// A zero-initialised real host buffer.
@@ -79,7 +79,7 @@ impl HostBuf {
     /// Copy of the raw bytes (zeros for phantom buffers).
     pub fn to_bytes(&self) -> Vec<u8> {
         match &self.data {
-            Some(d) => d.lock().clone(),
+            Some(d) => d.borrow().clone(),
             None => vec![0; self.len as usize],
         }
     }
@@ -97,7 +97,7 @@ impl HostBuf {
     /// Overwrite `[off, off+src.len)` with `src` (no-op for phantom).
     pub fn write(&self, off: u64, src: &[u8]) {
         if let Some(d) = &self.data {
-            let mut d = d.lock();
+            let mut d = d.borrow_mut();
             let end = off as usize + src.len();
             assert!(end <= d.len(), "HostBuf write out of bounds");
             d[off as usize..end].copy_from_slice(src);
@@ -108,7 +108,7 @@ impl HostBuf {
     pub fn read(&self, off: u64, out: &mut [u8]) {
         match &self.data {
             Some(d) => {
-                let d = d.lock();
+                let d = d.borrow();
                 let end = off as usize + out.len();
                 assert!(end <= d.len(), "HostBuf read out of bounds");
                 out.copy_from_slice(&d[off as usize..end]);
@@ -138,7 +138,7 @@ fn check_dev(dev: &Device, off: u64, len: u64) -> Result<(), MemError> {
 
 fn snapshot_host(src: &HostBuf, off: u64, len: u64) -> Option<Vec<u8>> {
     src.data.as_ref().map(|d| {
-        let d = d.lock();
+        let d = d.borrow();
         d[off as usize..(off + len) as usize].to_vec()
     })
 }
@@ -159,7 +159,7 @@ fn snapshot_dev(dev: &Device, off: u64, len: u64) -> Result<Option<Vec<u8>>, Mem
 /// the returned completion time.
 pub fn h2d(
     h: &SimHandle,
-    dev: &Arc<Device>,
+    dev: &Rc<Device>,
     src: &HostBuf,
     src_off: u64,
     d_off: u64,
@@ -173,16 +173,16 @@ pub fn h2d(
         // Read and landing are both scheduled now, in order, so the
         // landing precedes any action scheduled at the completion instant
         // after this returns — a fence's wake among them.
-        let read = Arc::new(Mutex::new(None));
+        let read = Rc::new(RefCell::new(None));
         if ready > h.now() {
-            let (src, read) = (src.clone(), Arc::clone(&read));
-            h.schedule_at(ready, move |_| *read.lock() = snapshot_host(&src, src_off, len));
+            let (src, read) = (src.clone(), Rc::clone(&read));
+            h.schedule_at(ready, move |_| *read.borrow_mut() = snapshot_host(&src, src_off, len));
         } else {
-            *read.lock() = snapshot_host(src, src_off, len);
+            *read.borrow_mut() = snapshot_host(src, src_off, len);
         }
-        let dev = Arc::clone(dev);
+        let dev = Rc::clone(dev);
         h.schedule_at(tr.arrive, move |_| {
-            if let Some(bytes) = read.lock().take() {
+            if let Some(bytes) = read.borrow_mut().take() {
                 dev.mem.write(d_off, &bytes).expect("bounds pre-checked");
             }
         });
@@ -196,7 +196,7 @@ pub fn h2d(
 /// they land in `dst` at the returned completion time.
 pub fn d2h(
     h: &SimHandle,
-    dev: &Arc<Device>,
+    dev: &Rc<Device>,
     d_off: u64,
     dst: &HostBuf,
     dst_off: u64,
@@ -218,7 +218,7 @@ pub fn d2h(
 /// Local device-to-device copy (same device) over its copy engine.
 pub fn d2d_local(
     h: &SimHandle,
-    dev: &Arc<Device>,
+    dev: &Rc<Device>,
     src_off: u64,
     dst_off: u64,
     len: u64,
@@ -227,7 +227,7 @@ pub fn d2d_local(
     check_dev(dev, dst_off, len)?;
     let tr = h.transfer(dev.d2d_engine, len);
     if let Some(bytes) = snapshot_dev(dev, src_off, len)? {
-        let dev = Arc::clone(dev);
+        let dev = Rc::clone(dev);
         h.schedule_at(tr.arrive, move |_| {
             dev.mem.write(dst_off, &bytes).expect("bounds pre-checked");
         });
@@ -240,9 +240,9 @@ pub fn d2d_local(
 /// devices to share a node.
 pub fn d2d_peer(
     h: &SimHandle,
-    src: &Arc<Device>,
+    src: &Rc<Device>,
     src_off: u64,
-    dst: &Arc<Device>,
+    dst: &Rc<Device>,
     dst_off: u64,
     len: u64,
 ) -> Result<SimTime, MemError> {
@@ -252,7 +252,7 @@ pub fn d2d_peer(
     check_dev(dst, dst_off, len)?;
     let tr = h.transfer(src.port, len);
     if let Some(bytes) = snapshot_dev(src, src_off, len)? {
-        let dst = Arc::clone(dst);
+        let dst = Rc::clone(dst);
         h.schedule_at(tr.arrive, move |_| {
             dst.mem.write(dst_off, &bytes).expect("bounds pre-checked");
         });
@@ -265,9 +265,9 @@ pub fn d2d_peer(
 /// memory, and H2D over the destination's host-to-device lane, pipelined.
 pub fn d2d_ipc(
     h: &SimHandle,
-    src: &Arc<Device>,
+    src: &Rc<Device>,
     src_off: u64,
-    dst: &Arc<Device>,
+    dst: &Rc<Device>,
     dst_off: u64,
     len: u64,
     shm: diomp_sim::ResourceId,
@@ -283,7 +283,7 @@ pub fn d2d_ipc(
     let t3 = h.transfer_from(dst.h2d, t2.start, len);
     let arrive = t1.arrive.max(t2.arrive).max(t3.arrive);
     if let Some(bytes) = snapshot_dev(src, src_off, len)? {
-        let dst = Arc::clone(dst);
+        let dst = Rc::clone(dst);
         h.schedule_at(arrive, move |_| {
             dst.mem.write(dst_off, &bytes).expect("bounds pre-checked");
         });
@@ -293,11 +293,13 @@ pub fn d2d_ipc(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::gpu::DeviceTable;
     use diomp_sim::{ClusterSpec, PlatformSpec, Sim, Topology};
 
-    fn table(sim: &Sim, mode: DataMode) -> Arc<DeviceTable> {
+    fn table(sim: &Sim, mode: DataMode) -> Rc<DeviceTable> {
         let spec = ClusterSpec { platform: PlatformSpec::platform_a(), nodes: 1, gpus_per_node: 2 };
         let topo = Arc::new(Topology::build(&sim.handle(), spec));
         DeviceTable::build(&sim.handle(), topo, mode, Some(1 << 20))

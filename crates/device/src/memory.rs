@@ -9,10 +9,9 @@
 //! (7 GiB matrices, 1200³ grids) run on a laptop through exactly the same
 //! code path that the correctness tests exercise at small sizes.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 /// Whether simulated memory is really backed (see module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,13 +80,13 @@ pub struct DeviceMem {
     /// Real backing (Functional mode only): only the bytes written are
     /// held, and bytes outside every extent read as zero. Extents may share
     /// a buffer, so one collective result can back every device's copy.
-    backing: Mutex<Extents>,
+    backing: RefCell<Extents>,
 }
 
 impl DeviceMem {
     /// Create a device memory of `capacity` modelled bytes.
     pub fn new(capacity: u64, mode: DataMode) -> Self {
-        DeviceMem { capacity, mode, backing: Mutex::new(Extents::new()) }
+        DeviceMem { capacity, mode, backing: RefCell::new(Extents::new()) }
     }
 
     /// Modelled capacity in bytes.
@@ -113,7 +112,7 @@ impl DeviceMem {
         self.check(offset, out.len() as u64)?;
         match self.mode {
             DataMode::CostOnly => out.fill(0),
-            DataMode::Functional => read_into(&self.backing.lock(), offset, out),
+            DataMode::Functional => read_into(&self.backing.borrow_mut(), offset, out),
         }
         Ok(())
     }
@@ -126,7 +125,7 @@ impl DeviceMem {
         if self.mode == DataMode::CostOnly {
             return Ok(());
         }
-        let mut map = self.backing.lock();
+        let mut map = self.backing.borrow_mut();
         match unique_cover(&mut map, offset, data.len()) {
             Some(dst) => dst.copy_from_slice(data),
             None => install(&mut map, offset, Arc::from(data)),
@@ -140,7 +139,7 @@ impl DeviceMem {
     pub fn write_shared(&self, offset: u64, data: Arc<[u8]>) -> Result<(), MemError> {
         self.check(offset, data.len() as u64)?;
         if self.mode == DataMode::Functional {
-            install(&mut self.backing.lock(), offset, data);
+            install(&mut self.backing.borrow_mut(), offset, data);
         }
         Ok(())
     }
@@ -160,7 +159,7 @@ impl DeviceMem {
         if self.mode == DataMode::CostOnly {
             return Ok(None);
         }
-        let mut map = self.backing.lock();
+        let mut map = self.backing.borrow_mut();
         if let Some(view) = unique_cover(&mut map, offset, len as usize) {
             return Ok(Some(f(view)));
         }
@@ -175,7 +174,7 @@ impl DeviceMem {
     /// extents counts twice).
     #[cfg(test)]
     fn held_bytes(&self) -> usize {
-        self.backing.lock().values().map(|e| e.buf.len()).sum()
+        self.backing.borrow().values().map(|e| e.buf.len()).sum()
     }
 }
 

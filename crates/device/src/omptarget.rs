@@ -8,10 +8,10 @@
 //! DiOMP runtime replaces the allocation path (see `diomp-core`) while
 //! reusing the same mapping semantics.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use diomp_sim::{Ctx, SimHandle, SimTime};
-use parking_lot::Mutex;
 
 use crate::copy::{d2h, h2d, HostBuf};
 use crate::gpu::{Device, KernelBody};
@@ -40,15 +40,15 @@ impl MapArg {
 /// A device together with its OpenMP mapping state.
 pub struct TargetDevice {
     /// The underlying device.
-    pub dev: Arc<Device>,
+    pub dev: Rc<Device>,
     /// The libomptarget present table.
-    pub table: Mutex<MappingTable>,
+    pub table: RefCell<MappingTable>,
 }
 
 impl TargetDevice {
     /// Wrap a device.
-    pub fn new(dev: Arc<Device>) -> Self {
-        TargetDevice { dev, table: Mutex::new(MappingTable::new()) }
+    pub fn new(dev: Rc<Device>) -> Self {
+        TargetDevice { dev, table: RefCell::new(MappingTable::new()) }
     }
 
     /// Map objects onto the device (`target enter data`). Allocates +
@@ -57,12 +57,12 @@ impl TargetDevice {
     pub fn target_enter(&self, ctx: &mut Ctx, maps: &[MapArg]) -> Result<(), MemError> {
         let mut done = SimTime::ZERO;
         for m in maps {
-            let outcome = self.table.lock().enter(m.host);
+            let outcome = self.table.borrow_mut().enter(m.host);
             match outcome {
                 MapOutcome::Present { .. } => {}
                 MapOutcome::New => {
                     let d_off = self.dev.malloc(m.buf.len(), 256)?;
-                    self.table.lock().insert(m.host, d_off, m.buf.len(), m.kind);
+                    self.table.borrow_mut().insert(m.host, d_off, m.buf.len(), m.kind);
                     if m.kind.copies_in() {
                         let t =
                             h2d(ctx.handle(), &self.dev, &m.buf, 0, d_off, m.buf.len(), ctx.now())?;
@@ -80,7 +80,7 @@ impl TargetDevice {
     pub fn target_exit(&self, ctx: &mut Ctx, maps: &[MapArg]) -> Result<(), MemError> {
         let mut done = SimTime::ZERO;
         for m in maps {
-            let released = self.table.lock().exit(m.host);
+            let released = self.table.borrow_mut().exit(m.host);
             if let Some(entry) = released {
                 if m.kind.copies_out() {
                     let (h, now) = (ctx.handle(), ctx.now());
@@ -96,7 +96,7 @@ impl TargetDevice {
 
     /// Device offset of a mapped object (`omp_get_mapped_ptr`).
     pub fn mapped_offset(&self, host: HostId) -> Option<u64> {
-        self.table.lock().lookup(host).map(|e| e.d_off)
+        self.table.borrow().lookup(host).map(|e| e.d_off)
     }
 
     /// Execute a full target region: enter maps, launch the kernel on
@@ -132,12 +132,14 @@ impl TargetDevice {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::gpu::DeviceTable;
     use crate::memory::DataMode;
     use diomp_sim::{ClusterSpec, Dur, PlatformSpec, Sim, Topology};
 
-    fn boot(sim: &Sim) -> Arc<DeviceTable> {
+    fn boot(sim: &Sim) -> Rc<DeviceTable> {
         let spec = ClusterSpec { platform: PlatformSpec::platform_a(), nodes: 1, gpus_per_node: 1 };
         let topo = Arc::new(Topology::build(&sim.handle(), spec));
         DeviceTable::build(&sim.handle(), topo, DataMode::Functional, Some(1 << 20))
@@ -152,10 +154,10 @@ mod tests {
             let x = HostBuf::from_f64(&[1.0, 2.0, 3.0, 4.0]);
             let maps = vec![MapArg::new(HostId(1), x.clone(), MapKind::ToFrom)];
             let s = td.dev.acquire_stream(ctx);
-            let d_off_holder = std::sync::Arc::new(parking_lot::Mutex::new(0u64));
+            let d_off_holder = Rc::new(RefCell::new(0u64));
             td.target_enter(ctx, &maps).unwrap();
-            *d_off_holder.lock() = td.mapped_offset(HostId(1)).unwrap();
-            let d_off = *d_off_holder.lock();
+            *d_off_holder.borrow_mut() = td.mapped_offset(HostId(1)).unwrap();
+            let d_off = *d_off_holder.borrow();
             // Kernel: double every element.
             let body: KernelBody = Box::new(move |mem| {
                 mem.with_slice_mut(d_off, 32, |s| {
@@ -171,7 +173,7 @@ mod tests {
             ctx.sleep_until(end);
             td.target_exit(ctx, &maps).unwrap();
             assert_eq!(x.to_f64(), vec![2.0, 4.0, 6.0, 8.0]);
-            assert!(td.table.lock().is_empty(), "exit must release the mapping");
+            assert!(td.table.borrow().is_empty(), "exit must release the mapping");
         });
         sim.run().unwrap();
     }
@@ -189,9 +191,9 @@ mod tests {
             td.target_enter(ctx, &maps).unwrap(); // present: no transfer
             assert_eq!(ctx.now(), t0, "second enter must not move data");
             td.target_exit(ctx, &maps).unwrap();
-            assert_eq!(td.table.lock().len(), 1, "still mapped once");
+            assert_eq!(td.table.borrow().len(), 1, "still mapped once");
             td.target_exit(ctx, &maps).unwrap();
-            assert!(td.table.lock().is_empty());
+            assert!(td.table.borrow().is_empty());
         });
         sim.run().unwrap();
     }
@@ -202,13 +204,13 @@ mod tests {
         let devs = boot(&sim);
         sim.spawn("t", move |ctx| {
             let td = TargetDevice::new(devs.dev(0).clone());
-            let free0 = td.dev.alloc.lock().total_free();
+            let free0 = td.dev.alloc.borrow().total_free();
             let x = HostBuf::zeroed(4096);
             let maps = vec![MapArg::new(HostId(2), x, MapKind::Alloc)];
             td.target_enter(ctx, &maps).unwrap();
-            assert!(td.dev.alloc.lock().total_free() < free0);
+            assert!(td.dev.alloc.borrow().total_free() < free0);
             td.target_exit(ctx, &maps).unwrap();
-            assert_eq!(td.dev.alloc.lock().total_free(), free0);
+            assert_eq!(td.dev.alloc.borrow().total_free(), free0);
         });
         sim.run().unwrap();
     }

@@ -11,7 +11,7 @@ use diomp_sim::{ClusterSpec, Ctx, Dur, PlatformSpec, Sim, Topology};
 const LEN: u64 = 16 << 20;
 
 /// One platform-A node with two GPUs; `body` runs as the only task.
-fn on_two_gpus(mode: DataMode, body: impl FnOnce(&mut Ctx, &DeviceTable) + Send + 'static) {
+fn on_two_gpus(mode: DataMode, body: impl FnOnce(&mut Ctx, &DeviceTable) + 'static) {
     let mut sim = Sim::new();
     let spec = ClusterSpec { platform: PlatformSpec::platform_a(), nodes: 1, gpus_per_node: 2 };
     let topo = Arc::new(Topology::build(&sim.handle(), spec));

@@ -42,12 +42,12 @@ impl BarrierDomain {
 mod tests {
     use super::*;
     use diomp_sim::{Sim, SimTime};
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     #[test]
     fn all_ranks_leave_after_last_arrival_plus_hops() {
         let mut sim = Sim::new();
-        let bar = Arc::new(BarrierDomain::new(4, Dur::micros(1.0)));
+        let bar = Rc::new(BarrierDomain::new(4, Dur::micros(1.0)));
         for r in 0..4u64 {
             let bar = bar.clone();
             sim.spawn(format!("r{r}"), move |ctx| {
@@ -63,7 +63,7 @@ mod tests {
     #[test]
     fn barrier_is_reusable_across_episodes() {
         let mut sim = Sim::new();
-        let bar = Arc::new(BarrierDomain::new(3, Dur::micros(0.5)));
+        let bar = Rc::new(BarrierDomain::new(3, Dur::micros(0.5)));
         for r in 0..3u64 {
             let bar = bar.clone();
             sim.spawn(format!("r{r}"), move |ctx| {
@@ -80,7 +80,7 @@ mod tests {
     #[test]
     fn single_rank_barrier_is_free() {
         let mut sim = Sim::new();
-        let bar = Arc::new(BarrierDomain::new(1, Dur::micros(1.0)));
+        let bar = Rc::new(BarrierDomain::new(1, Dur::micros(1.0)));
         sim.spawn("solo", move |ctx| {
             bar.arrive_and_wait(ctx, 0);
             assert_eq!(ctx.now(), SimTime::ZERO);
@@ -92,7 +92,7 @@ mod tests {
     fn barrier_events_are_recycled() {
         let mut sim = Sim::new();
         let h = sim.handle();
-        let bar = Arc::new(BarrierDomain::new(2, Dur::micros(0.1)));
+        let bar = Rc::new(BarrierDomain::new(2, Dur::micros(0.1)));
         for r in 0..2 {
             let bar = bar.clone();
             sim.spawn(format!("r{r}"), move |ctx| {

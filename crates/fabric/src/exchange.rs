@@ -18,7 +18,7 @@ pub struct ExchangeDomain<T> {
     meet: Rendezvous<T, Vec<T>>,
 }
 
-impl<T: Clone + Send> ExchangeDomain<T> {
+impl<T: Clone> ExchangeDomain<T> {
     /// Domain over `n` participants with per-hop latency `hop`.
     pub fn new(n: usize, hop: Dur) -> Self {
         ExchangeDomain { n, hop, meet: Rendezvous::new(n) }
@@ -40,12 +40,12 @@ impl<T: Clone + Send> ExchangeDomain<T> {
 mod tests {
     use super::*;
     use diomp_sim::Sim;
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     #[test]
     fn everyone_sees_all_values_in_order() {
         let mut sim = Sim::new();
-        let dom = Arc::new(ExchangeDomain::new(4, Dur::micros(0.5)));
+        let dom = Rc::new(ExchangeDomain::new(4, Dur::micros(0.5)));
         for r in 0..4usize {
             let dom = dom.clone();
             sim.spawn(format!("r{r}"), move |ctx| {
@@ -60,7 +60,7 @@ mod tests {
     #[test]
     fn domain_is_reusable_back_to_back() {
         let mut sim = Sim::new();
-        let dom = Arc::new(ExchangeDomain::new(3, Dur::micros(0.1)));
+        let dom = Rc::new(ExchangeDomain::new(3, Dur::micros(0.1)));
         for r in 0..3usize {
             let dom = dom.clone();
             sim.spawn(format!("r{r}"), move |ctx| {
@@ -80,7 +80,7 @@ mod tests {
     fn exchange_events_are_recycled() {
         let mut sim = Sim::new();
         let h = sim.handle();
-        let dom: Arc<ExchangeDomain<u8>> = Arc::new(ExchangeDomain::new(2, Dur::micros(0.1)));
+        let dom: Rc<ExchangeDomain<u8>> = Rc::new(ExchangeDomain::new(2, Dur::micros(0.1)));
         for r in 0..2usize {
             let dom = dom.clone();
             sim.spawn(format!("r{r}"), move |ctx| {

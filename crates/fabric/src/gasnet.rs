@@ -9,12 +9,12 @@
 //! synchronisation and a per-byte software pipeline along (see
 //! `crate::mpi::rma`).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use diomp_device::MemError;
 use diomp_sim::{Ctx, Dur, SimHandle, SimTime};
-use parking_lot::Mutex;
 
 use crate::loc::Loc;
 use crate::path::{raw_path, End};
@@ -95,7 +95,7 @@ pub fn put_overhead(world: &FabricWorld) -> Dur {
 #[allow(clippy::too_many_arguments)]
 pub fn put_nb_from(
     h: &SimHandle,
-    world: &Arc<FabricWorld>,
+    world: &Rc<FabricWorld>,
     src_rank: usize,
     src: Loc,
     dst: SegmentId,
@@ -115,7 +115,7 @@ pub fn put_nb_from(
 /// remote segment (`gex_RMA_PutNB`).
 pub fn put_nb(
     ctx: &mut Ctx,
-    world: &Arc<FabricWorld>,
+    world: &Rc<FabricWorld>,
     src_rank: usize,
     src: Loc,
     dst: SegmentId,
@@ -139,7 +139,7 @@ pub fn put_nb(
 /// the deposit (same instant, later sequence number).
 pub fn get_nb(
     ctx: &mut Ctx,
-    world: &Arc<FabricWorld>,
+    world: &Rc<FabricWorld>,
     rank: usize,
     dst: Loc,
     src: SegmentId,
@@ -157,7 +157,7 @@ pub fn get_nb(
 /// Blocking Put: initiate and wait for remote completion.
 pub fn put_blocking(
     ctx: &mut Ctx,
-    world: &Arc<FabricWorld>,
+    world: &Rc<FabricWorld>,
     src_rank: usize,
     src: Loc,
     dst: SegmentId,
@@ -172,7 +172,7 @@ pub fn put_blocking(
 /// Blocking Get.
 pub fn get_blocking(
     ctx: &mut Ctx,
-    world: &Arc<FabricWorld>,
+    world: &Rc<FabricWorld>,
     rank: usize,
     dst: Loc,
     src: SegmentId,
@@ -195,41 +195,36 @@ pub struct AmMsg {
     pub payload: Option<Vec<u8>>,
 }
 
-type Handler = Arc<dyn Fn(&SimHandle, AmMsg) + Send + Sync>;
+type Handler = Rc<dyn Fn(&SimHandle, AmMsg)>;
 
 /// Per-rank active-message handler tables.
 pub struct AmRegistry {
-    tables: Mutex<Vec<HashMap<u16, Handler>>>,
+    tables: RefCell<Vec<HashMap<u16, Handler>>>,
 }
 
 impl AmRegistry {
     pub(crate) fn new(nranks: usize) -> Self {
-        AmRegistry { tables: Mutex::new(vec![HashMap::new(); nranks]) }
+        AmRegistry { tables: RefCell::new(vec![HashMap::new(); nranks]) }
     }
 
     /// Register handler `index` on `rank`.
-    pub fn register(
-        &self,
-        rank: usize,
-        index: u16,
-        f: impl Fn(&SimHandle, AmMsg) + Send + Sync + 'static,
-    ) {
-        self.tables.lock()[rank].insert(index, Arc::new(f));
+    pub fn register(&self, rank: usize, index: u16, f: impl Fn(&SimHandle, AmMsg) + 'static) {
+        self.tables.borrow_mut()[rank].insert(index, Rc::new(f));
     }
 
     fn get(&self, rank: usize, index: u16) -> Handler {
-        self.tables.lock()[rank]
+        self.tables.borrow()[rank]
             .get(&index)
             .unwrap_or_else(|| panic!("no AM handler {index} on rank {rank}"))
             .clone()
     }
 }
 
-/// Send an active message; the handler runs on the target at the modelled
+/// Issue an active message; the handler runs on the target at the modelled
 /// arrival time (plus handler dispatch cost).
 pub fn am_request(
     ctx: &mut Ctx,
-    world: &Arc<FabricWorld>,
+    world: &Rc<FabricWorld>,
     from: usize,
     to: usize,
     index: u16,

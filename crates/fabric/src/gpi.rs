@@ -58,11 +58,11 @@
 //! notification lost in flight *after* the payload landed — the classic
 //! failure a timeout-and-retry protocol must survive.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use diomp_sim::{fault_key, BoardId, CtrlFault, Ctx, Dur, SimHandle, SimTime, Wait};
-use parking_lot::Mutex;
 
 use crate::error::FabricError;
 use crate::loc::Loc;
@@ -80,29 +80,29 @@ pub struct GpiState {
     /// `[rank] → queue → pending remote-completion instants`. Ordered
     /// map: draining *all* queues must visit them in a deterministic
     /// order.
-    queues: Mutex<Vec<BTreeMap<QueueId, Vec<SimTime>>>>,
+    queues: RefCell<Vec<BTreeMap<QueueId, Vec<SimTime>>>>,
     /// `[rank] → notification board`, created lazily (board allocation
     /// needs a kernel handle, which `FabricWorld::new` does not take).
-    boards: Mutex<Vec<Option<BoardId>>>,
+    boards: RefCell<Vec<Option<BoardId>>>,
     /// `[rank] → queues in the error state (GASPI `GASPI_ERROR`)`: an
     /// operation posted to them failed in flight. Posts fail until
     /// [`queue_purge`] re-arms the queue.
-    errors: Mutex<Vec<BTreeSet<QueueId>>>,
+    errors: RefCell<Vec<BTreeSet<QueueId>>>,
 }
 
 impl GpiState {
     pub(crate) fn new(nranks: usize) -> Self {
         GpiState {
-            queues: Mutex::new(vec![BTreeMap::new(); nranks]),
-            boards: Mutex::new(vec![None; nranks]),
-            errors: Mutex::new(vec![BTreeSet::new(); nranks]),
+            queues: RefCell::new(vec![BTreeMap::new(); nranks]),
+            boards: RefCell::new(vec![None; nranks]),
+            errors: RefCell::new(vec![BTreeSet::new(); nranks]),
         }
     }
 }
 
 /// The notification board of `rank`, creating it on first use.
 fn board(h: &SimHandle, world: &FabricWorld, rank: usize) -> BoardId {
-    let mut boards = world.gpi.boards.lock();
+    let mut boards = world.gpi.boards.borrow_mut();
     *boards[rank].get_or_insert_with(|| h.new_board())
 }
 
@@ -113,8 +113,8 @@ fn model(world: &FabricWorld) -> Result<&diomp_sim::GpiModel, FabricError> {
 }
 
 /// Is `queue` of `rank` in the error state?
-pub fn queue_errored(world: &Arc<FabricWorld>, rank: usize, queue: QueueId) -> bool {
-    world.gpi.errors.lock()[rank].contains(&queue)
+pub fn queue_errored(world: &Rc<FabricWorld>, rank: usize, queue: QueueId) -> bool {
+    world.gpi.errors.borrow()[rank].contains(&queue)
 }
 
 /// Gate a post on `queue`: refuse if the queue is already errored, then
@@ -123,7 +123,7 @@ pub fn queue_errored(world: &Arc<FabricWorld>, rank: usize, queue: QueueId) -> b
 /// failed); `Delay` stretches the posting overhead but succeeds.
 fn check_queue(
     ctx: &mut Ctx,
-    world: &Arc<FabricWorld>,
+    world: &Rc<FabricWorld>,
     rank: usize,
     queue: QueueId,
 ) -> Result<(), FabricError> {
@@ -132,7 +132,7 @@ fn check_queue(
     }
     match ctx.handle().take_ctrl_fault(fault_key("gpi-queue", rank as u64, queue.0 as u64)) {
         Some(CtrlFault::Drop) => {
-            world.gpi.errors.lock()[rank].insert(queue);
+            world.gpi.errors.borrow_mut()[rank].insert(queue);
             Err(FabricError::QueueError { rank, queue })
         }
         Some(CtrlFault::Delay(d)) => {
@@ -152,7 +152,7 @@ fn check_queue(
 #[allow(clippy::too_many_arguments)]
 pub fn write(
     ctx: &mut Ctx,
-    world: &Arc<FabricWorld>,
+    world: &Rc<FabricWorld>,
     src_rank: usize,
     queue: QueueId,
     src: Loc,
@@ -173,7 +173,7 @@ pub fn write(
 #[allow(clippy::too_many_arguments)]
 pub fn read(
     ctx: &mut Ctx,
-    world: &Arc<FabricWorld>,
+    world: &Rc<FabricWorld>,
     rank: usize,
     queue: QueueId,
     dst: Loc,
@@ -193,7 +193,7 @@ pub fn read(
 /// Completion bookkeeping of one post: its instant `done`, appended to
 /// `queue`'s list.
 fn track(world: &FabricWorld, rank: usize, queue: QueueId, done: SimTime) {
-    world.gpi.queues.lock()[rank].entry(queue).or_default().push(done);
+    world.gpi.queues.borrow_mut()[rank].entry(queue).or_default().push(done);
 }
 
 /// Drain a queue (`gaspi_wait`): wait until every posted operation on
@@ -210,7 +210,7 @@ fn track(world: &FabricWorld, rank: usize, queue: QueueId, done: SimTime) {
 /// [`queue_purge`]).
 pub fn wait_queue(
     ctx: &mut Ctx,
-    world: &Arc<FabricWorld>,
+    world: &Rc<FabricWorld>,
     rank: usize,
     queue: QueueId,
     wait: Wait,
@@ -225,7 +225,7 @@ fn take_pending(
     rank: usize,
     only: Option<QueueId>,
 ) -> Vec<(QueueId, Vec<SimTime>)> {
-    let mut q = world.gpi.queues.lock();
+    let mut q = world.gpi.queues.borrow_mut();
     match only {
         Some(queue) => q[rank].remove_entry(&queue).into_iter().collect(),
         None => std::mem::take(&mut q[rank]).into_iter().collect(),
@@ -235,7 +235,7 @@ fn take_pending(
 /// Remove and return every pending completion instant across *all* of
 /// `rank`'s queues, in queue order, for a caller that merges them into
 /// a wait of its own (`ompx_fence`).
-pub fn take_pending_all(world: &Arc<FabricWorld>, rank: usize) -> Vec<SimTime> {
+pub fn take_pending_all(world: &Rc<FabricWorld>, rank: usize) -> Vec<SimTime> {
     take_pending(world, rank, None).into_iter().flat_map(|(_, ts)| ts).collect()
 }
 
@@ -245,7 +245,7 @@ pub fn take_pending_all(world: &Arc<FabricWorld>, rank: usize) -> Vec<SimTime> {
 /// and the expired deadline probes the state vector.
 fn drain_queues(
     ctx: &mut Ctx,
-    world: &Arc<FabricWorld>,
+    world: &Rc<FabricWorld>,
     rank: usize,
     only: Option<QueueId>,
     wait: Wait,
@@ -254,7 +254,7 @@ fn drain_queues(
     let Some(&latest) = taken.iter().flat_map(|(_, ts)| ts).max() else { return Ok(()) };
     let Err(t) = ctx.wait_until(latest, wait) else { return Ok(()) };
     {
-        let mut q = world.gpi.queues.lock();
+        let mut q = world.gpi.queues.borrow_mut();
         for (queue, mut ts) in taken {
             ts.retain(|&done| done > t.at);
             if !ts.is_empty() {
@@ -273,7 +273,7 @@ fn drain_queues(
 /// timeout, per queue.
 pub fn wait_all_queues(
     ctx: &mut Ctx,
-    world: &Arc<FabricWorld>,
+    world: &Rc<FabricWorld>,
     rank: usize,
     wait: Wait,
 ) -> Result<(), FabricError> {
@@ -286,9 +286,9 @@ pub fn wait_all_queues(
 /// tracking*, not bytes already on the wire — but nobody will ever wait
 /// on the abandoned operations. This is the GASPI recovery sequence
 /// after a [`FabricError::QueueError`].
-pub fn queue_purge(world: &Arc<FabricWorld>, rank: usize, queue: QueueId) {
+pub fn queue_purge(world: &Rc<FabricWorld>, rank: usize, queue: QueueId) {
     take_pending(world, rank, Some(queue));
-    world.gpi.errors.lock()[rank].remove(&queue);
+    world.gpi.errors.borrow_mut()[rank].remove(&queue);
 }
 
 /// Write with a remote notification (`gaspi_write_notify`): after the data
@@ -304,7 +304,7 @@ pub fn queue_purge(world: &Arc<FabricWorld>, rank: usize, queue: QueueId) {
 #[allow(clippy::too_many_arguments)]
 pub fn write_notify(
     ctx: &mut Ctx,
-    world: &Arc<FabricWorld>,
+    world: &Rc<FabricWorld>,
     src_rank: usize,
     queue: QueueId,
     src: Loc,
@@ -345,9 +345,9 @@ pub fn write_notify(
 /// return `(id, value)`.
 ///
 /// This is `gaspi_notify_waitsome` fused with the `gaspi_notify_reset`
-/// that consumes the winning id — the reset happens under the same board
-/// lock, so a value is handed to exactly one waiter even when waitsome
-/// ranges overlap. The task parks once on the whole range (a single
+/// that consumes the winning id — the reset happens in the same kernel
+/// call as the check, so a value is handed to exactly one waiter even
+/// when waitsome ranges overlap. The task parks once on the whole range (a single
 /// generation-tagged wait group, [`diomp_sim::Ctx::board_waitsome`]), not
 /// once per id.
 ///
@@ -359,7 +359,7 @@ pub fn write_notify(
 /// path.
 pub fn notify_waitsome(
     ctx: &mut Ctx,
-    world: &Arc<FabricWorld>,
+    world: &Rc<FabricWorld>,
     rank: usize,
     first_id: u32,
     num_ids: u32,
@@ -379,7 +379,7 @@ pub fn notify_waitsome(
 
 /// Non-blocking consume of notification `id` (`gaspi_notify_reset`):
 /// returns the posted value, or `None` if nothing unconsumed is there.
-pub fn notify_reset(ctx: &Ctx, world: &Arc<FabricWorld>, rank: usize, id: u32) -> Option<u64> {
+pub fn notify_reset(ctx: &Ctx, world: &Rc<FabricWorld>, rank: usize, id: u32) -> Option<u64> {
     let b = board(ctx.handle(), world, rank);
     ctx.handle().board_reset(b, id)
 }
@@ -391,7 +391,7 @@ pub fn notify_reset(ctx: &Ctx, world: &Arc<FabricWorld>, rank: usize, id: u32) -
 /// id and could silently overwrite (and so forever-park) a concurrent
 /// waiter, or re-park a task whose notification was consumed between its
 /// wake and its re-check — arrival checking and value consumption happen
-/// atomically under the board lock.
-pub fn notify_wait(ctx: &mut Ctx, world: &Arc<FabricWorld>, rank: usize, id: u32) -> u64 {
+/// in one kernel call, with no other task running in between.
+pub fn notify_wait(ctx: &mut Ctx, world: &Rc<FabricWorld>, rank: usize, id: u32) -> u64 {
     notify_waitsome(ctx, world, rank, id, 1, Wait::Block).expect("GASPI_BLOCK cannot time out").1
 }

@@ -16,10 +16,10 @@ mod rma;
 pub use coll::ReduceOp;
 pub use rma::WinId;
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use diomp_sim::{EventId, SimTime};
-use parking_lot::Mutex;
 
 use crate::loc::Loc;
 use crate::rendezvous::Rendezvous;
@@ -68,8 +68,8 @@ pub(crate) struct Window {
 
 /// Shared MPI state for a world.
 pub struct MpiWorld {
-    pub(crate) matching: Vec<Mutex<RankMatch>>,
-    pub(crate) windows: Mutex<Vec<Window>>,
+    pub(crate) matching: Vec<RefCell<RankMatch>>,
+    pub(crate) windows: RefCell<Vec<Window>>,
     /// Collective window creation: every rank contributes its part, the
     /// last arrival registers the window, everyone leaves with its id.
     pub(crate) win_meet: Rendezvous<WinPart, WinId>,
@@ -78,8 +78,8 @@ pub struct MpiWorld {
 impl MpiWorld {
     pub(crate) fn new(nranks: usize) -> Self {
         MpiWorld {
-            matching: (0..nranks).map(|_| Mutex::new(RankMatch::default())).collect(),
-            windows: Mutex::new(Vec::new()),
+            matching: (0..nranks).map(|_| RefCell::new(RankMatch::default())).collect(),
+            windows: RefCell::new(Vec::new()),
             win_meet: Rendezvous::new(nranks),
         }
     }
@@ -96,7 +96,7 @@ pub struct MpiReq {
 /// ranks must invoke collectives in the same order, as in real MPI).
 pub struct MpiRank {
     /// The world this rank communicates in.
-    pub world: Arc<FabricWorld>,
+    pub world: Rc<FabricWorld>,
     /// This rank's id.
     pub rank: usize,
     pub(crate) coll_seq: u64,
@@ -104,7 +104,7 @@ pub struct MpiRank {
 
 impl MpiRank {
     /// Create the per-rank handle (`MPI_Init`).
-    pub fn new(world: Arc<FabricWorld>, rank: usize) -> Self {
+    pub fn new(world: Rc<FabricWorld>, rank: usize) -> Self {
         assert!(rank < world.nranks);
         MpiRank { world, rank, coll_seq: 0 }
     }

@@ -8,7 +8,7 @@
 //! protocols require target-side matching — the structural overhead that
 //! one-sided DiOMP puts avoid entirely.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use diomp_device::MemError;
 use diomp_sim::{Ctx, Dur, EventId, SimHandle};
@@ -30,7 +30,7 @@ fn matches(posted: &Posted, src: usize, tag: u64) -> bool {
 #[allow(clippy::too_many_arguments)]
 fn start_rndv(
     h: &SimHandle,
-    world: &Arc<FabricWorld>,
+    world: &Rc<FabricWorld>,
     from: usize,
     to: usize,
     src_loc: Loc,
@@ -83,7 +83,7 @@ impl MpiRank {
             h.complete_at(sender_ev, times.depart);
             let world2 = world.clone();
             h.schedule_at(times.arrive, move |h| {
-                let mut ms = world2.mpi.matching[to].lock();
+                let mut ms = world2.mpi.matching[to].borrow_mut();
                 if let Some(i) = ms.posted.iter().position(|p| matches(p, from, tag)) {
                     let p = ms.posted.remove(i);
                     assert!(len <= p.len, "eager message longer than receive buffer");
@@ -108,7 +108,7 @@ impl MpiRank {
             let world2 = world.clone();
             let src2 = src.clone();
             h.schedule_at(rts_arrive, move |h| {
-                let mut ms = world2.mpi.matching[to].lock();
+                let mut ms = world2.mpi.matching[to].borrow_mut();
                 if let Some(i) = ms.posted.iter().position(|p| matches(p, from, tag)) {
                     let p = ms.posted.remove(i);
                     assert!(len <= p.len, "rendezvous message longer than receive buffer");
@@ -143,7 +143,7 @@ impl MpiRank {
         let ev = h.new_event();
         let to = self.rank;
 
-        let mut ms = world.mpi.matching[to].lock();
+        let mut ms = world.mpi.matching[to].borrow_mut();
         let hit = ms.unexpected.iter().position(|u| {
             src.map(|s| s == u.src).unwrap_or(true) && tag.map(|t| t == u.tag).unwrap_or(true)
         });

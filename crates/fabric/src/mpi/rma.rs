@@ -35,7 +35,7 @@ impl MpiRank {
         let world = &self.world;
         ctx.delay(Dur::micros(world.platform.mpi_rma.win_create_us));
         let register = |ctx: &mut Ctx, parts| {
-            let mut wins = world.mpi.windows.lock();
+            let mut wins = world.mpi.windows.borrow_mut();
             wins.push(Window { parts, pending: vec![Vec::new(); world.nranks] });
             let hop = Dur::micros(world.platform.net.latency_us);
             (after_hops(ctx, hop, 2 * log2_ceil(world.nranks)), WinId(wins.len() - 1))
@@ -49,7 +49,7 @@ impl MpiRank {
 
     /// Addressing: `[off, off + len)` of `target`'s part of the window.
     fn part(&self, win: WinId, target: usize, off: u64, len: u64) -> Side {
-        let wins = self.world.mpi.windows.lock();
+        let wins = self.world.mpi.windows.borrow();
         let part = &wins[win.0].parts[target];
         assert!(off.checked_add(len).is_some_and(|end| end <= part.len), "beyond window part");
         (target, part.base.offset_by(off))
@@ -66,7 +66,7 @@ impl MpiRank {
     /// Completion bookkeeping: one more origin-side completion instant
     /// for [`MpiRank::win_flush`] to wait for.
     fn pend(&self, win: WinId, done: SimTime) {
-        self.world.mpi.windows.lock()[win.0].pending[self.rank].push(done);
+        self.world.mpi.windows.borrow_mut()[win.0].pending[self.rank].push(done);
     }
 
     /// One-sided put into `target`'s window region (`MPI_Put`). Completion
@@ -110,7 +110,8 @@ impl MpiRank {
     /// (`MPI_Win_flush_all`): one sleep, to the latest completion.
     pub fn win_flush(&self, ctx: &mut Ctx, win: WinId) {
         ctx.delay(Dur::micros(self.world.platform.mpi_rma.flush_us));
-        let pending = std::mem::take(&mut self.world.mpi.windows.lock()[win.0].pending[self.rank]);
+        let pending =
+            std::mem::take(&mut self.world.mpi.windows.borrow_mut()[win.0].pending[self.rank]);
         if let Some(&latest) = pending.iter().max() {
             ctx.wait_until(latest, Wait::Block).expect("a blocking wait cannot time out");
         }

@@ -9,10 +9,10 @@
 //! contributions, a device collective runs its whole schedule inside
 //! the rule — so the protocol is written here, once.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use diomp_sim::{Ctx, Dur, EventId, SimTime, Wait, WaitTimeout};
-use parking_lot::Mutex;
 
 struct Episode<T, R> {
     ev: EventId,
@@ -37,21 +37,21 @@ struct Episode<T, R> {
 /// exactly what back-to-back barriers in an application do.
 pub struct Rendezvous<T, R> {
     n: usize,
-    episodes: Mutex<VecDeque<Episode<T, R>>>,
+    episodes: RefCell<VecDeque<Episode<T, R>>>,
 }
 
 impl<T, R: Clone> Rendezvous<T, R> {
     /// Rendezvous over `n` participants.
     pub fn new(n: usize) -> Self {
         assert!(n >= 1);
-        Rendezvous { n, episodes: Mutex::new(VecDeque::new()) }
+        Rendezvous { n, episodes: RefCell::new(VecDeque::new()) }
     }
 
     /// Arrive as participant `idx` with `value`, joining the newest open
     /// episode or opening a fresh one; a participant arriving twice in
     /// one episode is a caller bug and panics. The arrival that fills
-    /// the episode calls `finish` once — outside the lock and in task
-    /// context, so it may charge time — with every contribution in
+    /// the episode calls `finish` once — with the episodes not borrowed,
+    /// and in task context, so it may charge time — with every contribution in
     /// participant order; it returns the completion instant and the
     /// result each participant leaves with at that instant.
     ///
@@ -75,10 +75,10 @@ impl<T, R: Clone> Rendezvous<T, R> {
         finish: impl FnOnce(&mut Ctx, Vec<T>) -> (SimTime, R),
     ) -> Result<R, WaitTimeout> {
         assert!(idx < self.n);
-        // One lock scope per arrival: join (or open) the episode, and if
-        // this arrival fills it, take every contribution out with it.
+        // One borrow per arrival: join (or open) the episode, and if this
+        // arrival fills it, take every contribution out with it.
         let (ev, filled) = {
-            let mut eps = self.episodes.lock();
+            let mut eps = self.episodes.borrow_mut();
             if eps.back().is_none_or(|e| e.arrived == self.n || e.abandoned) {
                 eps.push_back(Episode {
                     ev: ctx.new_event(),
@@ -117,7 +117,7 @@ impl<T, R: Clone> Rendezvous<T, R> {
     }
 
     fn with_episode<O>(&self, ev: EventId, f: impl FnOnce(&mut Episode<T, R>) -> O) -> O {
-        f(self.episodes.lock().iter_mut().find(|e| e.ev == ev).expect("episode vanished"))
+        f(self.episodes.borrow_mut().iter_mut().find(|e| e.ev == ev).expect("episode vanished"))
     }
 
     /// One participant out, taking the result with it. The last one out
@@ -125,7 +125,7 @@ impl<T, R: Clone> Rendezvous<T, R> {
     /// completed episode's waiters have all woken, an abandoned one was
     /// never filled, so no completion is scheduled on it.
     fn leave(&self, ctx: &Ctx, ev: EventId, abandon: bool) -> Option<R> {
-        let mut eps = self.episodes.lock();
+        let mut eps = self.episodes.borrow_mut();
         let pos = eps.iter().position(|e| e.ev == ev).expect("episode vanished");
         let ep = &mut eps[pos];
         ep.abandoned |= abandon;

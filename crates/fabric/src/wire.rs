@@ -13,11 +13,11 @@
 //! schedules no data action at all, so scheduler entries never count
 //! pure bookkeeping.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use diomp_device::{DataMode, MemError};
 use diomp_sim::{Ctx, Dur, SimHandle, SimTime};
-use parking_lot::Mutex;
 
 use crate::loc::Loc;
 use crate::path::{control_msg, raw_path, End, PathTimes};
@@ -144,13 +144,13 @@ pub(crate) fn carry(
     if world.devs.mode != DataMode::Functional {
         return;
     }
-    let in_flight: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
+    let in_flight: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
     let (fill, devs, devs2) = (in_flight.clone(), world.devs.clone(), world.devs.clone());
     h.schedule_at(times.depart, move |_| {
-        *fill.lock() = src.snapshot(&devs, len).expect("bounds pre-checked");
+        *fill.borrow_mut() = src.snapshot(&devs, len).expect("bounds pre-checked");
     });
     h.schedule_at(times.arrive, move |_| {
-        if let Some(bytes) = in_flight.lock().take() {
+        if let Some(bytes) = in_flight.borrow_mut().take() {
             dst.deposit(&devs2, &bytes);
         }
     });

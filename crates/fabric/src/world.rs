@@ -1,11 +1,12 @@
 //! The fabric world: ranks, their devices, and shared conduit state.
 
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::rc::Rc;
+use std::sync::Arc;
 
 use diomp_device::{Device, DeviceTable, MemError};
 use diomp_sim::{Dur, FaultPlan, PlatformSpec, SimHandle, Topology};
-use parking_lot::Mutex;
 
 use crate::barrier::BarrierDomain;
 use crate::exchange::ExchangeDomain;
@@ -21,7 +22,7 @@ pub struct FabricWorld {
     /// Cluster topology.
     pub topo: Arc<Topology>,
     /// All devices in the job.
-    pub devs: Arc<DeviceTable>,
+    pub devs: Rc<DeviceTable>,
     /// Number of ranks.
     pub nranks: usize,
     /// Devices bound to each rank.
@@ -33,7 +34,7 @@ pub struct FabricWorld {
     /// CPU-side bootstrap all-gather (segment exchange, UniqueId bcast).
     pub bootstrap: ExchangeDomain<u64>,
     /// Registered segments, per rank.
-    pub(crate) segments: Mutex<Vec<Vec<Segment>>>,
+    pub(crate) segments: RefCell<Vec<Vec<Segment>>>,
     /// MPI baseline state (match queues, windows).
     pub(crate) mpi: MpiWorld,
     /// GASNet active-message handler tables.
@@ -42,25 +43,25 @@ pub struct FabricWorld {
     pub(crate) gpi: crate::gpi::GpiState,
     /// Per-rank health vector (`gaspi_state_vec`), refreshed from the
     /// installed fault plan via [`FabricWorld::refresh_health_from_plan`].
-    health: Mutex<HealthVec>,
+    health: RefCell<HealthVec>,
     /// The ranks owning a device endpoint on each link resource, by
     /// resource index (NICs are commonly shared by all ranks of a node;
     /// PCIe lanes, fabric ports and copy engines are per-device). The
     /// device table never changes, so this is built once — by the first
     /// fault plan that needs it, so a fault-free world never pays for it.
-    link_owners: OnceLock<BTreeMap<usize, Vec<usize>>>,
+    link_owners: OnceCell<BTreeMap<usize, Vec<usize>>>,
     /// Simulator handle, when attached ([`FabricWorld::attach_sim`]).
     /// With a handle present, [`FabricWorld::health`] derives from the
     /// *currently installed* fault plan at the *current* virtual time —
     /// the live `gaspi_state_vec` — instead of the build-time snapshot.
-    sim: Mutex<Option<SimHandle>>,
+    sim: RefCell<Option<SimHandle>>,
 }
 
 impl FabricWorld {
     /// Create a world of `nranks` ranks over the given devices. The device
     /// count must be divisible by `nranks`; each rank gets a contiguous
     /// block of devices.
-    pub fn new(topo: Arc<Topology>, devs: Arc<DeviceTable>, nranks: usize) -> Arc<FabricWorld> {
+    pub fn new(topo: Arc<Topology>, devs: Rc<DeviceTable>, nranks: usize) -> Rc<FabricWorld> {
         assert!(
             nranks >= 1 && devs.len().is_multiple_of(nranks),
             "devices must divide evenly into ranks"
@@ -68,7 +69,7 @@ impl FabricWorld {
         let gpus_per_rank = devs.len() / nranks;
         let platform = topo.spec.platform.clone();
         let hop = Dur::micros(platform.net.latency_us);
-        Arc::new(FabricWorld {
+        Rc::new(FabricWorld {
             topo,
             devs,
             nranks,
@@ -76,13 +77,13 @@ impl FabricWorld {
             platform,
             barrier: BarrierDomain::new(nranks, hop),
             bootstrap: ExchangeDomain::new(nranks, hop),
-            segments: Mutex::new(vec![Vec::new(); nranks]),
+            segments: RefCell::new(vec![Vec::new(); nranks]),
             mpi: MpiWorld::new(nranks),
             am: crate::gasnet::AmRegistry::new(nranks),
             gpi: crate::gpi::GpiState::new(nranks),
-            health: Mutex::new(HealthVec::healthy(nranks)),
-            link_owners: OnceLock::new(),
-            sim: Mutex::new(None),
+            health: RefCell::new(HealthVec::healthy(nranks)),
+            link_owners: OnceCell::new(),
+            sim: RefCell::new(None),
         })
     }
 
@@ -116,7 +117,7 @@ impl FabricWorld {
             }
             h.arm_rank_kill_windows(&windows);
         }
-        *self.sim.lock() = Some(h.clone());
+        *self.sim.borrow_mut() = Some(h.clone());
     }
 
     /// Current health vector (`gaspi_state_vec`): one entry per rank.
@@ -129,7 +130,7 @@ impl FabricWorld {
     /// observed corrupt stays corrupt. Without a handle it is the stored
     /// snapshot, exactly as before attachment existed.
     pub fn health(&self) -> HealthVec {
-        self.derive_live().unwrap_or_else(|| self.health.lock().clone())
+        self.derive_live().unwrap_or_else(|| self.health.borrow().clone())
     }
 
     /// GASPI `gaspi_state_vec` probe: recompute live health *and commit
@@ -141,10 +142,10 @@ impl FabricWorld {
     pub fn probe_health(&self) -> HealthVec {
         match self.derive_live() {
             Some(v) => {
-                *self.health.lock() = v.clone();
+                *self.health.borrow_mut() = v.clone();
                 v
             }
-            None => self.health.lock().clone(),
+            None => self.health.borrow().clone(),
         }
     }
 
@@ -156,7 +157,7 @@ impl FabricWorld {
     /// consensus round, and chaos runs replay bit-identically.
     pub fn converged_health(&self) -> HealthVec {
         let mut v = self.health();
-        if let Some(h) = self.sim.lock().clone() {
+        if let Some(h) = self.sim.borrow().clone() {
             if let Some(plan) = h.fault_plan() {
                 for (rank, _) in plan.rank_kills() {
                     if (rank as usize) < self.nranks {
@@ -171,10 +172,10 @@ impl FabricWorld {
     /// Live derivation: stored vector ⊔ current plan (worst-wins merge),
     /// or `None` when no simulator is attached / no plan is installed.
     fn derive_live(&self) -> Option<HealthVec> {
-        let h = self.sim.lock().clone()?;
+        let h = self.sim.borrow().clone()?;
         let plan = h.fault_plan()?;
         let now = h.now();
-        let mut v = self.health.lock().clone();
+        let mut v = self.health.borrow().clone();
         self.observe_degraded_links(&mut v, &plan);
         for (rank, at) in plan.rank_kills() {
             if now >= at && (rank as usize) < self.nranks {
@@ -218,7 +219,7 @@ impl FabricWorld {
     pub fn refresh_health_from_plan(&self, plan: &FaultPlan) {
         let mut v = HealthVec::healthy(self.nranks);
         self.observe_degraded_links(&mut v, plan);
-        *self.health.lock() = v;
+        *self.health.borrow_mut() = v;
     }
 
     /// The node a rank's process runs on.
@@ -232,7 +233,7 @@ impl FabricWorld {
     }
 
     /// A rank's first (primary) device.
-    pub fn primary_dev(&self, rank: usize) -> &Arc<Device> {
+    pub fn primary_dev(&self, rank: usize) -> &Rc<Device> {
         self.devs.dev(rank * self.gpus_per_rank)
     }
 
@@ -252,7 +253,7 @@ impl FabricWorld {
     ) -> Result<SegmentId, MemError> {
         assert!(self.devices_of(rank).contains(&flat), "rank {rank} does not own device {flat}");
         let base = self.devs.dev(flat).malloc(len, 4096)?;
-        let mut segs = self.segments.lock();
+        let mut segs = self.segments.borrow_mut();
         let index = segs[rank].len();
         segs[rank].push(Segment { rank, flat, base, len });
         Ok(SegmentId { rank, index })
@@ -260,7 +261,7 @@ impl FabricWorld {
 
     /// Look up a segment.
     pub fn segment(&self, id: SegmentId) -> Segment {
-        self.segments.lock()[id.rank]
+        self.segments.borrow_mut()[id.rank]
             .get(id.index)
             .cloned()
             .unwrap_or_else(|| panic!("unknown segment {id:?}"))

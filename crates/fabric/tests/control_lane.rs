@@ -2,18 +2,19 @@
 //! and RTS/CTS neither wait for nor delay payload on the same link, but
 //! a fault window hits them like any other packet.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use diomp_device::{DataMode, DeviceTable};
 use diomp_fabric::path::{control_msg, raw_path, End};
 use diomp_fabric::{gasnet, FabricWorld, Loc};
 use diomp_sim::{ClusterSpec, Dur, FaultPlan, PlatformSpec, ResourceId, Sim, SimTime, Topology};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 const LEN: u64 = 16 << 20;
 
 /// Two single-GPU platform-A nodes, cost-only, one rank each.
-fn two_nodes(sim: &Sim) -> Arc<FabricWorld> {
+fn two_nodes(sim: &Sim) -> Rc<FabricWorld> {
     let spec = ClusterSpec { platform: PlatformSpec::platform_a(), nodes: 2, gpus_per_node: 1 };
     let topo = Arc::new(Topology::build(&sim.handle(), spec));
     let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, Some(4 * LEN));
@@ -31,11 +32,11 @@ fn get_times(ranks: &[usize]) -> Vec<Dur> {
         let (w, out) = (world.clone(), out.clone());
         sim.spawn(format!("rank{r}"), move |ctx| {
             gasnet::get_blocking(ctx, &w, r, Loc::dev(r, LEN), segs[1 - r], 0, LEN).unwrap();
-            out.lock().push(ctx.now().since(SimTime::ZERO));
+            out.lock().unwrap().push(ctx.now().since(SimTime::ZERO));
         });
     }
     sim.run().unwrap();
-    let times = out.lock().clone();
+    let times = out.lock().unwrap().clone();
     times
 }
 
@@ -60,14 +61,14 @@ fn idle_arrivals(plan: impl Fn(ResourceId) -> FaultPlan, at: SimTime) -> (SimTim
         sim.spawn("rank0", move |ctx| {
             ctx.sleep_until(at);
             let (h, devs, ends) = (ctx.handle(), &world.devs, (End::Dev(0), End::Dev(1)));
-            *out2.lock() = if control {
+            *out2.lock().unwrap() = if control {
                 control_msg(h, devs, ends.0, ends.1, at)
             } else {
                 raw_path(h, devs, ends.0, ends.1, at, 64, 1.0).arrive
             };
         });
         sim.run().unwrap();
-        let t = *out.lock();
+        let t = *out.lock().unwrap();
         t
     };
     (arrival(true), arrival(false))

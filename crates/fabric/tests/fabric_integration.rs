@@ -1,6 +1,7 @@
 //! Integration tests for the fabric: GASNet-EX conduit, GPI-2 conduit,
 //! and the MPI baseline (P2P, RMA, collectives).
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use diomp_device::{DataMode, DeviceTable, HostBuf};
@@ -14,14 +15,14 @@ fn boot(
     nodes: usize,
     gpus_per_node: usize,
     nranks: usize,
-) -> Arc<FabricWorld> {
+) -> Rc<FabricWorld> {
     let spec = ClusterSpec { platform, nodes, gpus_per_node };
     let topo = Arc::new(Topology::build(&sim.handle(), spec));
     let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::Functional, Some(4 << 20));
     FabricWorld::new(topo, devs, nranks)
 }
 
-fn world_a(sim: &Sim, nranks: usize) -> Arc<FabricWorld> {
+fn world_a(sim: &Sim, nranks: usize) -> Rc<FabricWorld> {
     let nodes = nranks.div_ceil(4);
     boot(sim, PlatformSpec::platform_a(), nodes, 4, nranks)
 }
@@ -93,7 +94,7 @@ fn platform_a_put_anomaly_caps_bandwidth_but_get_is_unaffected() {
         }
         let world = boot(&sim, platform, 2, 4, 8);
         let seg = world.attach_device_segment(4, 4, 2 << 20).unwrap();
-        let out = Arc::new(parking_lot::Mutex::new((0.0, 0.0)));
+        let out = Arc::new(std::sync::Mutex::new((0.0, 0.0)));
         let out2 = out.clone();
         let w0 = world.clone();
         sim.spawn("rank0", move |ctx| {
@@ -104,10 +105,10 @@ fn platform_a_put_anomaly_caps_bandwidth_but_get_is_unaffected() {
             let t1 = ctx.now();
             gasnet::get_blocking(ctx, &w0, 0, Loc::dev(0, 0), seg, 0, len).unwrap();
             let get_bw = diomp_sim::bandwidth_gbps(len, ctx.now().since(t1));
-            *out2.lock() = (put_bw, get_bw);
+            *out2.lock().unwrap() = (put_bw, get_bw);
         });
         sim.run().unwrap();
-        let r = *out.lock();
+        let r = *out.lock().unwrap();
         r
     };
     let (put_anom, get_anom) = measure(true);
@@ -141,10 +142,10 @@ fn gasnet_same_node_put_is_faster_than_internode() {
 fn gasnet_active_message_runs_handler_at_target() {
     let mut sim = Sim::new();
     let world = world_a(&sim, 8);
-    let hits = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let hits = Arc::new(std::sync::Mutex::new(Vec::new()));
     let hits2 = hits.clone();
     world.am.register(3, 7, move |_h, msg| {
-        hits2.lock().push((msg.from, msg.args.clone()));
+        hits2.lock().unwrap().push((msg.from, msg.args.clone()));
     });
     let w0 = world.clone();
     sim.spawn("rank0", move |ctx| {
@@ -152,7 +153,7 @@ fn gasnet_active_message_runs_handler_at_target() {
         ctx.delay(Dur::millis(1.0)); // let it land
     });
     sim.run().unwrap();
-    assert_eq!(*hits.lock(), vec![(0, vec![11, 22])]);
+    assert_eq!(*hits.lock().unwrap(), vec![(0, vec![11, 22])]);
 }
 
 #[test]
@@ -637,7 +638,7 @@ fn fabric_runs_are_deterministic() {
     let run = || -> u64 {
         let mut sim = Sim::new();
         let world = world_a(&sim, 8);
-        let done = Arc::new(parking_lot::Mutex::new(0u64));
+        let done = Arc::new(std::sync::Mutex::new(0u64));
         for r in 0..8usize {
             let w = world.clone();
             let done = done.clone();
@@ -646,12 +647,12 @@ fn fabric_runs_are_deterministic() {
                 mpi.allreduce(ctx, Loc::dev(r, 0), 1024, ReduceOp::SumF64).unwrap();
                 mpi.barrier(ctx);
                 if r == 0 {
-                    *done.lock() = ctx.now().nanos();
+                    *done.lock().unwrap() = ctx.now().nanos();
                 }
             });
         }
         sim.run().unwrap();
-        let v = *done.lock();
+        let v = *done.lock().unwrap();
         v
     };
     assert_eq!(run(), run());
@@ -673,7 +674,7 @@ struct WireCase {
     /// `(flat device, offset)` the payload is read from / lands at.
     src: (usize, u64),
     dst: (usize, u64),
-    op: fn(&mut diomp_sim::Ctx, &Arc<FabricWorld>, diomp_fabric::SegmentId, usize),
+    op: fn(&mut diomp_sim::Ctx, &Rc<FabricWorld>, diomp_fabric::SegmentId, usize),
 }
 
 const WIRE_LEN: u64 = 1 << 14;

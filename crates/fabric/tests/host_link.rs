@@ -1,6 +1,7 @@
 //! The two-lane host link as the fabric sees it, the timed put, and the
 //! instant a transfer reads a source that is not read in the call.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use diomp_device::{DataMode, DeviceTable, HostBuf};
@@ -11,7 +12,7 @@ use diomp_sim::{ClusterSpec, Dur, FaultPlan, PlatformSpec, Sim, SimTime, Topolog
 const LEN: u64 = 1 << 20;
 
 /// Two single-GPU platform-A nodes, one rank each.
-fn two_nodes(sim: &Sim, mode: DataMode) -> Arc<FabricWorld> {
+fn two_nodes(sim: &Sim, mode: DataMode) -> Rc<FabricWorld> {
     let spec = ClusterSpec { platform: PlatformSpec::platform_a(), nodes: 2, gpus_per_node: 1 };
     let topo = Arc::new(Topology::build(&sim.handle(), spec));
     let devs = DeviceTable::build(&sim.handle(), topo.clone(), mode, Some(4 * LEN));
@@ -61,10 +62,7 @@ fn a_rank_kill_darkens_both_lanes_and_either_lane_degrades_its_owner() {
 }
 
 /// `body` as the only task, with rank 0's device holding `old`.
-fn with_source(
-    old: u8,
-    body: impl FnOnce(&mut diomp_sim::Ctx, &Arc<FabricWorld>) + Send + 'static,
-) {
+fn with_source(old: u8, body: impl FnOnce(&mut diomp_sim::Ctx, &Rc<FabricWorld>) + 'static) {
     let mut sim = Sim::new();
     let w = two_nodes(&sim, DataMode::Functional);
     w.devs.dev(0).mem.write(0, &vec![old; LEN as usize]).unwrap();

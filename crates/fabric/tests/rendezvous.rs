@@ -5,7 +5,7 @@
 //! own completion rules are tested beside them; the collective gate's
 //! double-arrival check lives in `crates/xccl/tests/xccl_integration.rs`.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use diomp_fabric::{BarrierDomain, ExchangeDomain, Rendezvous};
 use diomp_sim::{Ctx, Dur, Sim, SimTime, Wait};
@@ -18,7 +18,7 @@ use diomp_sim::{Ctx, Dur, Sim, SimTime, Wait};
 fn bounded_arrival_withdraws_and_the_next_one_opens_a_fresh_episode() {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let meet: Arc<Rendezvous<usize, usize>> = Arc::new(Rendezvous::new(3));
+    let meet: Rc<Rendezvous<usize, usize>> = Rc::new(Rendezvous::new(3));
     for r in 0..3usize {
         let meet = meet.clone();
         sim.spawn(format!("r{r}"), move |ctx| {
@@ -47,7 +47,7 @@ fn bounded_arrival_withdraws_and_the_next_one_opens_a_fresh_episode() {
 fn filled_episode_completes_even_when_the_deadline_fires_during_finish() {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let meet: Arc<Rendezvous<(), SimTime>> = Arc::new(Rendezvous::new(3));
+    let meet: Rc<Rendezvous<(), SimTime>> = Rc::new(Rendezvous::new(3));
     for r in 0..3u64 {
         let meet = meet.clone();
         sim.spawn(format!("r{r}"), move |ctx| {
@@ -67,9 +67,9 @@ fn filled_episode_completes_even_when_the_deadline_fires_during_finish() {
 }
 
 /// Two tasks arriving under one participant index, through `arrive`.
-fn arrive_twice(arrive: impl Fn(&mut Ctx) + Send + Sync + 'static) {
+fn arrive_twice(arrive: impl Fn(&mut Ctx) + 'static) {
     let mut sim = Sim::new();
-    let arrive = Arc::new(arrive);
+    let arrive = Rc::new(arrive);
     for name in ["a", "b"] {
         let arrive = arrive.clone();
         sim.spawn(name, move |ctx| arrive(ctx));

@@ -26,8 +26,9 @@
 //!   *overwrites* it — notification ids are level-triggered flags with a
 //!   payload, not queues. Use disjoint id sets (e.g. parity schemes) if
 //!   every post must be observed.
-//! * Consumption is atomic under the kernel lock: a value is returned by
-//!   exactly one `board_waitsome`/`board_reset` call.
+//! * Consumption checks and removes a value within one kernel call, with
+//!   no other task running in between: a value is returned by exactly
+//!   one `board_waitsome`/`board_reset` call.
 
 use std::collections::BTreeMap;
 
@@ -86,8 +87,8 @@ impl BoardSlot {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     use crate::{Dur, Sim, Wait};
 
@@ -149,13 +150,13 @@ mod tests {
         let mut sim = Sim::new();
         let h = sim.handle();
         let b = h.new_board();
-        let sum = Arc::new(AtomicU64::new(0));
+        let sum = Rc::new(Cell::new(0));
         for name in ["a", "b"] {
             let sum = sum.clone();
             sim.spawn(name, move |ctx| {
                 let (id, v) = ctx.board_waitsome(b, 4, 1, Wait::Block).unwrap();
                 assert_eq!(id, 4);
-                sum.fetch_add(v, Ordering::Relaxed);
+                sum.set(sum.get() + v);
             });
         }
         sim.spawn("producer", move |ctx| {
@@ -165,7 +166,7 @@ mod tests {
             ctx.board_post(b, 4, 23);
         });
         sim.run().unwrap();
-        assert_eq!(sum.load(Ordering::Relaxed), 123, "each value consumed exactly once");
+        assert_eq!(sum.get(), 123, "each value consumed exactly once");
     }
 
     #[test]

@@ -14,10 +14,8 @@
 //! completion whose instant is known at issue is no event at all:
 //! [`Ctx::wait_until`] sleeps to it, under a [`Wait`] too.
 
-use std::marker::PhantomData;
-use std::sync::Arc;
-
-use parking_lot::MutexGuard;
+use std::cell::RefMut;
+use std::rc::Rc;
 
 use crate::board::{BoardId, RangeWaiter};
 use crate::event::{CqId, EventId, GroupRef};
@@ -81,15 +79,13 @@ impl std::fmt::Display for WaitTimeout {
 }
 impl std::error::Error for WaitTimeout {}
 
-/// Per-task execution context. It belongs to its task's fiber, so it is
-/// not `Send`: a park must run on the thread inside `Sim::run`.
+/// Per-task execution context, handed to the task on its own fiber.
 pub struct Ctx {
     handle: SimHandle,
     id: TaskId,
     name: String,
     /// Where this task's fiber is saved while it is parked.
-    fiber: Arc<Context>,
-    _not_send: PhantomData<*const ()>,
+    fiber: Rc<Context>,
 }
 
 impl std::ops::Deref for Ctx {
@@ -100,8 +96,8 @@ impl std::ops::Deref for Ctx {
 }
 
 impl Ctx {
-    pub(crate) fn new(handle: SimHandle, id: TaskId, name: String, fiber: Arc<Context>) -> Self {
-        Ctx { handle, id, name, fiber, _not_send: PhantomData }
+    pub(crate) fn new(handle: SimHandle, id: TaskId, name: String, fiber: Rc<Context>) -> Self {
+        Ctx { handle, id, name, fiber }
     }
 
     /// This task's name (as given to `spawn`).
@@ -109,16 +105,16 @@ impl Ctx {
         &self.name
     }
 
-    /// Borrow the underlying non-blocking handle (cloneable, `Send`).
+    /// Borrow the underlying non-blocking handle (cloneable).
     pub fn handle(&self) -> &SimHandle {
         &self.handle
     }
 
-    /// Park this task on `why`. The caller must already have (under the
-    /// kernel lock it hands over) registered a wake-up under a fresh
-    /// `next_park` number; see the blocking ops below for the pattern.
+    /// Park this task on `why`. The caller must already have registered a
+    /// wake-up under a fresh `next_park` number, in the kernel state whose
+    /// borrow it hands over; see the blocking ops below for the pattern.
     /// Returns once that wake-up has popped and this task runs again.
-    fn park(&self, mut st: MutexGuard<'_, KState>, why: ParkedOn) {
+    fn park(&self, mut st: RefMut<'_, KState>, why: ParkedOn) {
         let slot = &mut st.tasks[self.id.index()];
         slot.status = TaskStatus::Blocked;
         slot.parked_on = why;
@@ -154,7 +150,7 @@ impl Ctx {
         gref: GroupRef,
         found: impl FnOnce(&KState) -> Option<R>,
     ) -> Result<R, WaitTimeout> {
-        let mut st = self.handle.kernel.state.lock();
+        let mut st = self.handle.kernel.state.borrow_mut();
         match found(&st) {
             Some(r) => Ok(r),
             None => {
@@ -179,7 +175,7 @@ impl Ctx {
     /// completion racing the deadline at the same instant resolves by
     /// queue order (earlier sequence number wins).
     pub fn wait_all(&mut self, evs: &[EventId], wait: Wait) -> Result<(), WaitTimeout> {
-        let mut st = self.handle.kernel.state.lock();
+        let mut st = self.handle.kernel.state.borrow_mut();
         let pending = evs.iter().filter(|&&ev| !st.events.get(ev).completed).count();
         if pending == 0 {
             return Ok(());
@@ -206,7 +202,7 @@ impl Ctx {
     /// deadline at the same instant resolves by queue order, as for
     /// [`Ctx::wait_all`]. One task waits on a queue at a time.
     pub fn wait_cq(&mut self, cq: CqId, wait: Wait) -> Result<(), WaitTimeout> {
-        let mut st = self.handle.kernel.state.lock();
+        let mut st = self.handle.kernel.state.borrow_mut();
         let slot = st.cq_mut(cq);
         if !slot.ready.is_empty() {
             return Ok(());
@@ -241,7 +237,7 @@ impl Ctx {
     /// `t` is later. `ompx_fence`, GPI-2 queue waits and `win_flush` are
     /// this call on their latest pending instant.
     pub fn wait_until(&mut self, t: SimTime, wait: Wait) -> Result<(), WaitTimeout> {
-        let st = self.handle.kernel.state.lock();
+        let st = self.handle.kernel.state.borrow_mut();
         let now = st.now();
         if t < now {
             return Ok(());
@@ -277,7 +273,7 @@ impl Ctx {
         assert!(num > 0, "board_waitsome on an empty range");
         let deadline = wait.deadline(self.handle.now());
         loop {
-            let mut st = self.handle.kernel.state.lock();
+            let mut st = self.handle.kernel.state.borrow_mut();
             let slot = &mut st.boards[board.index()];
             if let Some((id, _)) = slot.lowest_in_range(first, num) {
                 return Ok((id, slot.values.remove(&id).expect("value vanished")));
@@ -292,7 +288,7 @@ impl Ctx {
             // waiter and fired the group) or by the deadline (both still
             // registered). Clean up either way, then loop: consume,
             // re-park, or report the timeout.
-            let mut st = self.handle.kernel.state.lock();
+            let mut st = self.handle.kernel.state.borrow_mut();
             st.boards[board.index()].waiters.retain(|w| w.group != gref);
             st.kill_group(gref);
         }
@@ -303,7 +299,7 @@ impl Ctx {
     /// delay for straggler-matched tasks.
     pub fn delay(&mut self, d: Dur) {
         let t = {
-            let st = self.handle.kernel.state.lock();
+            let st = self.handle.kernel.state.borrow();
             st.now() + st.scale_delay(self.id, d)
         };
         self.sleep_until(t);
@@ -325,7 +321,7 @@ impl Ctx {
     /// aggregates for entry accounting. If `t` is already past, the count
     /// is still credited (the chunks were still priced without events).
     pub fn sleep_until_coalesced(&mut self, t: SimTime, coalesced: u64) {
-        let mut st = self.handle.kernel.state.lock();
+        let mut st = self.handle.kernel.state.borrow_mut();
         if t <= st.now() {
             st.coalesced_chunks += coalesced;
             return;
@@ -337,14 +333,14 @@ impl Ctx {
     /// already-queued same-time entry run first. Deterministic fairness
     /// point for polling loops.
     pub fn yield_now(&mut self) {
-        let st = self.handle.kernel.state.lock();
+        let st = self.handle.kernel.state.borrow_mut();
         let now = st.now();
         self.park_until(st, now, 0);
     }
 
     /// Park until a wake at `t` (not before now) pops: after every entry
     /// already queued at `t`. The wake stands in for `coalesced` chunks.
-    fn park_until(&self, mut st: MutexGuard<'_, KState>, t: SimTime, coalesced: u64) {
+    fn park_until(&self, mut st: RefMut<'_, KState>, t: SimTime, coalesced: u64) {
         let park_seq = self.next_park(&mut st);
         self.handle.push_wake(&mut st, t, self.id, park_seq, coalesced);
         self.park(st, ParkedOn::Sleep { until: t });

@@ -13,10 +13,9 @@
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 compile_error!("diomp-sim switches fiber stacks in x86_64 assembly over Linux mmap: x86_64 Linux is the only supported host");
 
+use std::cell::Cell;
 use std::ffi::{c_int, c_void};
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Usable stack per task: std's default for a spawned thread. Mapped
 /// `MAP_NORESERVE`, so only the pages a task touches cost memory.
@@ -52,29 +51,27 @@ extern "C" {
 /// Where a suspended execution context resumes: its saved stack pointer.
 #[derive(Default)]
 pub(crate) struct Context {
-    sp: AtomicUsize,
+    sp: Cell<usize>,
 }
 
 impl Context {
     /// Take the right to resume this context, which must be suspended.
     pub(crate) fn take(&self) -> Resume {
-        let sp = self.sp.swap(RUNNING, SeqCst);
+        let sp = self.sp.replace(RUNNING);
         assert!(sp > FINISHED, "resuming a context that is not suspended");
-        Resume { sp, _thread_bound: PhantomData }
+        Resume { sp }
     }
 }
 
-/// The right to resume one suspended context, once. Not `Send`: a context
-/// resumes on the thread it was suspended on.
+/// The right to resume one suspended context, once.
 pub(crate) struct Resume {
     sp: usize,
-    _thread_bound: PhantomData<*const ()>,
 }
 
 /// Suspend the caller into `save` and resume `to`; returns once something
 /// resumes `save`.
 pub(crate) fn switch(save: &Context, to: Resume) {
-    assert_eq!(save.sp.load(SeqCst), RUNNING, "saving over a suspended or finished context");
+    assert_eq!(save.sp.get(), RUNNING, "saving over a suspended or finished context");
     // SAFETY: `to.sp` is a frame on a mapped stack (module invariant), and
     // taking it emptied its slot, so nothing else resumes it. The frame
     // saved here stays where it is until `save` is taken: a fiber's
@@ -131,9 +128,9 @@ unsafe extern "C" fn trampoline() {
 
 /// What a fiber runs: `entry`, then a last switch to `exit`.
 struct Start {
-    entry: Box<dyn FnOnce(Arc<Context>) + Send>,
-    me: Arc<Context>,
-    exit: Arc<Context>,
+    entry: Box<dyn FnOnce(Rc<Context>)>,
+    me: Rc<Context>,
+    exit: Rc<Context>,
 }
 
 extern "C" fn fiber_main(start: *mut Start) -> ! {
@@ -143,7 +140,7 @@ extern "C" fn fiber_main(start: *mut Start) -> ! {
     // The entry drops what it captured before returning, and `me` and
     // `exit` go before the last switch: a finished stack owns nothing.
     entry(me.clone());
-    me.sp.store(FINISHED, SeqCst);
+    me.sp.set(FINISHED);
     drop(me);
     let to = exit.take();
     drop(exit);
@@ -155,27 +152,17 @@ extern "C" fn fiber_main(start: *mut Start) -> ! {
 pub(crate) struct Fiber {
     /// Lowest address of the mapping, guard page included.
     base: *mut c_void,
-    ctx: Arc<Context>,
+    ctx: Rc<Context>,
     /// The frame `new` laid out: still in `ctx` if and only if the fiber
     /// never ran, since every later frame sits deeper in the stack.
     initial_sp: usize,
     start: *mut Start,
 }
 
-// SAFETY: `base` is a private mapping this value owns, and `start` a box
-// of `Send` fields. A fiber that has run is only resumed inside the one
-// `Sim::run` call that started it, on that call's thread, and `Drop`
-// never touches the frames on its stack, so non-`Send` data they hold
-// never leaves that thread.
-unsafe impl Send for Fiber {}
-
 impl Fiber {
     /// Map a stack with a frame that, once resumed, runs `entry` with the
     /// fiber's own context and then switches to `exit` for good.
-    pub(crate) fn new(
-        exit: Arc<Context>,
-        entry: impl FnOnce(Arc<Context>) + Send + 'static,
-    ) -> Fiber {
+    pub(crate) fn new(exit: Rc<Context>, entry: impl FnOnce(Rc<Context>) + 'static) -> Fiber {
         let len = GUARD_BYTES + STACK_BYTES;
         let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK;
         // SAFETY: a fresh anonymous mapping at an address of the kernel's
@@ -185,7 +172,7 @@ impl Fiber {
         // SAFETY: the guard is the first page of the mapping just made.
         let rc = unsafe { mprotect(base, GUARD_BYTES, PROT_NONE) };
         assert_eq!(rc, 0, "guarding a fiber stack: {}", std::io::Error::last_os_error());
-        let ctx = Arc::new(Context::default());
+        let ctx = Rc::new(Context::default());
         let start = Box::new(Start { entry: Box::new(entry), me: ctx.clone(), exit });
         let start = Box::into_raw(start);
         // What `switch_stack` pops: MXCSR and the x87 control word at
@@ -198,7 +185,7 @@ impl Fiber {
         // SAFETY: the frame's 64 bytes lie in the writable part of the
         // mapping, 16 bytes below its 4 KiB-aligned end, so `sp` is aligned.
         unsafe { (sp as *mut [usize; 8]).write(frame) };
-        ctx.sp.store(sp, SeqCst);
+        ctx.sp.set(sp);
         Fiber { base, ctx, initial_sp: sp, start }
     }
 
@@ -210,7 +197,7 @@ impl Fiber {
 
 impl Drop for Fiber {
     fn drop(&mut self) {
-        match self.ctx.sp.swap(RUNNING, SeqCst) {
+        match self.ctx.sp.replace(RUNNING) {
             sp if sp == self.initial_sp => {
                 // SAFETY: `start` is `new`'s box, and the only frame that
                 // would have reclaimed it can no longer be resumed.

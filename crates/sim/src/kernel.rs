@@ -29,11 +29,10 @@
 //! of the park it is meant to resume; mismatched entries are skipped.
 
 use std::any::Any;
+use std::cell::{RefCell, RefMut};
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-
-use parking_lot::{Mutex, MutexGuard};
+use std::rc::Rc;
 
 use crate::board::{BoardId, BoardSlot};
 use crate::ctx::Ctx;
@@ -47,7 +46,7 @@ use crate::task::{ParkedOn, TaskId, TaskSlot, TaskStatus};
 use crate::time::{Dur, SimTime};
 
 /// Closure run at a scheduled virtual time, by whichever context pops it.
-pub type Action = Box<dyn FnOnce(&SimHandle) + Send + 'static>;
+pub type Action = Box<dyn FnOnce(&SimHandle) + 'static>;
 
 enum Item {
     /// Resume task if it is still parked on the park numbered `park_seq`.
@@ -233,30 +232,30 @@ impl KState {
 }
 
 pub(crate) struct Kernel {
-    pub(crate) state: Mutex<KState>,
+    pub(crate) state: RefCell<KState>,
     /// `Sim::run`'s own context, resumed when a task finishes or an
     /// [`Outcome`] is posted.
-    runner: Arc<Context>,
+    runner: Rc<Context>,
 }
 
-/// Cloneable, `Send` handle to the simulation kernel.
+/// Cloneable handle to the simulation kernel, bound to the thread that
+/// runs it.
 ///
 /// Usable from tasks, scheduled actions, and before `run()`. All methods
 /// are non-blocking; blocking operations live on [`Ctx`].
 #[derive(Clone)]
 pub struct SimHandle {
-    pub(crate) kernel: Arc<Kernel>,
+    pub(crate) kernel: Rc<Kernel>,
 }
 
-/// The kernel state lock, held across a whole run of event-free
+/// The kernel state, borrowed across a whole run of event-free
 /// reservations: the collective march prices every chunk of a schedule
-/// against the live link resources under **one** lock acquisition
-/// instead of one per chunk. The task that holds it is the running task,
-/// so nothing else wants the lock meanwhile; the virtual clock stays
-/// frozen for the guard's lifetime.
+/// against the live link resources under **one** borrow instead of one
+/// per chunk. The virtual clock stays frozen for the borrow's lifetime,
+/// and any kernel call made meanwhile panics on the borrow.
 pub struct Reservations<'a> {
     handle: &'a SimHandle,
-    st: MutexGuard<'a, KState>,
+    st: RefMut<'a, KState>,
 }
 
 impl Reservations<'_> {
@@ -265,7 +264,7 @@ impl Reservations<'_> {
     /// disarmed [`SimHandle::transfer_qos`] path, minus the event and the
     /// completion action. The collective fast paths use this to price a
     /// whole chunk schedule arithmetically — fault-plan perturbation
-    /// included, per edge, via the shared `transfer_locked` path — and
+    /// included, per edge, via the shared `transfer_in` path — and
     /// then park once on the final arrival instant.
     ///
     /// Contention must be disarmed ([`SimHandle::contention_armed`]):
@@ -280,7 +279,7 @@ impl Reservations<'_> {
     ) -> Transfer {
         let st = &mut *self.st;
         let at = at.max(st.now);
-        let tr = self.handle.transfer_locked(st, res, at, bytes);
+        let tr = self.handle.transfer_in(st, res, at, bytes);
         let fs = st.flow_mut(flow);
         fs.stats.bytes += bytes;
         fs.stats.first_start = Some(fs.stats.first_start.unwrap_or(tr.start).min(tr.start));
@@ -319,7 +318,7 @@ impl Reservations<'_> {
         fs.stats.last_depart = fs.stats.last_depart.max(last_depart);
     }
 
-    /// Next time the resource is free, read under the held lock.
+    /// Next time the resource is free, read through the held borrow.
     pub fn resource_free_at(&self, res: ResourceId) -> SimTime {
         self.st.resources[res.index()].free_at()
     }
@@ -409,8 +408,8 @@ impl Default for Sim {
 impl Sim {
     /// Create an empty simulation at virtual time zero.
     pub fn new() -> Self {
-        let kernel = Arc::new(Kernel {
-            state: Mutex::new(KState {
+        let kernel = Rc::new(Kernel {
+            state: RefCell::new(KState {
                 now: SimTime::ZERO,
                 seq: 0,
                 queue: BinaryHeap::new(),
@@ -441,7 +440,7 @@ impl Sim {
                 outcome: None,
                 finished: None,
             }),
-            runner: Arc::default(),
+            runner: Rc::default(),
         });
         Sim { handle: SimHandle { kernel } }
     }
@@ -453,12 +452,12 @@ impl Sim {
 
     /// Abort with [`SimError::LimitExceeded`] after this many queue entries.
     pub fn limit_entries(&self, n: u64) {
-        self.handle.kernel.state.lock().limit_entries = Some(n);
+        self.handle.kernel.state.borrow_mut().limit_entries = Some(n);
     }
 
     /// Abort with [`SimError::LimitExceeded`] once virtual time passes `t`.
     pub fn limit_time(&self, t: SimTime) {
-        self.handle.kernel.state.lock().limit_time = Some(t);
+        self.handle.kernel.state.borrow_mut().limit_time = Some(t);
     }
 
     /// Install a fault plan, arming the deterministic injector. Must be
@@ -466,7 +465,7 @@ impl Sim {
     /// spawned (the factor is resolved once at spawn). Installing an
     /// empty plan is equivalent to not installing one.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        let mut st = self.handle.kernel.state.lock();
+        let mut st = self.handle.kernel.state.borrow_mut();
         st.fault = if plan.is_empty() { None } else { Some(Box::new(FaultState::new(plan))) };
     }
 
@@ -477,7 +476,7 @@ impl Sim {
     /// the closed-form FIFO model (the `qos` module docs spell out the
     /// pricing rule).
     pub fn enable_contention(&self) {
-        self.handle.kernel.state.lock().contention = Some(Box::<ContentionState>::default());
+        self.handle.kernel.state.borrow_mut().contention = Some(Box::<ContentionState>::default());
     }
 
     /// Force every collective schedule through the explicit per-chunk
@@ -485,7 +484,7 @@ impl Sim {
     /// equivalence tests and the uncoalesced arms of the scale benches
     /// run with this on; virtual time must be bit-identical either way.
     pub fn force_explicit_schedules(&self, on: bool) {
-        self.handle.kernel.state.lock().force_explicit = on;
+        self.handle.kernel.state.borrow_mut().force_explicit = on;
     }
 
     /// Test pin beside [`Sim::force_explicit_schedules`]: drive every
@@ -494,13 +493,13 @@ impl Sim {
     /// equivalence tests can hold the periodic index arithmetic against
     /// the table it replaced, under either driver.
     pub fn force_unrolled_schedules(&self, on: bool) {
-        self.handle.kernel.state.lock().force_unrolled = on;
+        self.handle.kernel.state.borrow_mut().force_unrolled = on;
     }
 
     /// Spawn a task before the simulation starts. See [`SimHandle::spawn`].
     pub fn spawn<F>(&mut self, name: impl Into<String>, f: F) -> TaskId
     where
-        F: FnOnce(&mut Ctx) + Send + 'static,
+        F: FnOnce(&mut Ctx) + 'static,
     {
         self.handle.spawn(name, f)
     }
@@ -516,10 +515,10 @@ impl Sim {
     pub fn run(self) -> Result<SimReport, SimError> {
         let wall_start = std::time::Instant::now();
         let h = &self.handle;
-        let mut st = h.kernel.state.lock();
+        let mut st = h.kernel.state.borrow_mut();
         while st.outcome.is_none() {
             h.dispatch(st, None);
-            st = h.kernel.state.lock();
+            st = h.kernel.state.borrow_mut();
             if let Some(id) = st.finished.take() {
                 // Switched here from its last frame: nothing runs on that
                 // stack again.
@@ -564,7 +563,7 @@ impl Sim {
 impl SimHandle {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.kernel.state.lock().now
+        self.kernel.state.borrow().now
     }
 
     fn push(&self, st: &mut KState, t: SimTime, item: Item) {
@@ -588,7 +587,7 @@ impl SimHandle {
     /// resumes.
     pub(crate) fn dispatch<'a>(
         &'a self,
-        mut st: MutexGuard<'a, KState>,
+        mut st: RefMut<'a, KState>,
         me: Option<(TaskId, &Context)>,
     ) {
         loop {
@@ -646,7 +645,7 @@ impl SimHandle {
                     // Caught here so the panic is not blamed on the task
                     // whose fiber happens to be dispatching.
                     let result = catch_unwind(AssertUnwindSafe(|| f(self)));
-                    st = self.kernel.state.lock();
+                    st = self.kernel.state.borrow_mut();
                     if let Err(payload) = result {
                         return self.stop(st, me, Outcome::Panicked(payload));
                     }
@@ -658,12 +657,7 @@ impl SimHandle {
     /// Post how the run ended for `Sim::run`, switching back to it from a
     /// dispatching task. That task's fiber is abandoned here, like every
     /// other blocked task's.
-    fn stop(
-        &self,
-        mut st: MutexGuard<'_, KState>,
-        me: Option<(TaskId, &Context)>,
-        outcome: Outcome,
-    ) {
+    fn stop(&self, mut st: RefMut<'_, KState>, me: Option<(TaskId, &Context)>, outcome: Outcome) {
         st.outcome = Some(outcome);
         drop(st);
         if let Some((_, mine)) = me {
@@ -672,8 +666,9 @@ impl SimHandle {
         }
     }
 
-    /// Push a scheduled action (clamped to now) while already holding the
-    /// kernel lock. Crate-internal plumbing for the contention module.
+    /// Push a scheduled action (clamped to now) into kernel state the
+    /// caller already borrows. Crate-internal plumbing for the contention
+    /// module.
     pub(crate) fn push_action(&self, st: &mut KState, t: SimTime, f: Action) {
         let t = t.max(st.now);
         self.push(st, t, Item::Action(f));
@@ -683,14 +678,14 @@ impl SimHandle {
     /// progress engine). The new task starts at the current virtual time.
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> TaskId
     where
-        F: FnOnce(&mut Ctx) + Send + 'static,
+        F: FnOnce(&mut Ctx) + 'static,
     {
         let name = name.into();
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         let id = TaskId(st.tasks.len() as u32);
         // Weak until the task runs, so a `Sim` dropped unrun drops its
         // tasks' closures and stacks with it.
-        let kernel = Arc::downgrade(&self.kernel);
+        let kernel = Rc::downgrade(&self.kernel);
         let task_name = name.clone();
         let fiber = Fiber::new(self.kernel.runner.clone(), move |me| {
             let kernel = kernel.upgrade().expect("a task runs inside Sim::run");
@@ -699,7 +694,7 @@ impl SimHandle {
             // Done either way, and a panic ends the run. The fiber then
             // switches to `Sim::run`, owning nothing: `ctx`, and with it
             // this handle on the kernel, is dropped first.
-            let mut st = ctx.kernel.state.lock();
+            let mut st = ctx.kernel.state.borrow_mut();
             st.tasks[id.index()].status = TaskStatus::Done;
             st.n_done += 1;
             st.finished = Some(id);
@@ -727,18 +722,18 @@ impl SimHandle {
 
     /// Create a pending one-shot event.
     pub fn new_event(&self) -> EventId {
-        self.kernel.state.lock().events.alloc()
+        self.kernel.state.borrow_mut().events.alloc()
     }
 
     /// Has this event completed?
     pub fn event_done(&self, ev: EventId) -> bool {
-        self.kernel.state.lock().events.get(ev).completed
+        self.kernel.state.borrow().events.get(ev).completed
     }
 
     /// Complete an event now, waking all waiters at the current time.
     /// Completing an already-completed event is a no-op.
     pub fn complete(&self, ev: EventId) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         let slot = st.events.get_mut(ev);
         if slot.completed {
             return;
@@ -778,7 +773,7 @@ impl SimHandle {
     /// Boards live as long as the simulation and their slots are never
     /// reused, so a `BoardId` names one board for the whole run.
     pub fn new_board(&self) -> BoardId {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         let id = BoardId(st.boards.len() as u32);
         st.boards.push(BoardSlot::default());
         id
@@ -790,7 +785,7 @@ impl SimHandle {
     /// GASPI semantics — use disjoint id sets if every post matters).
     /// Callable from tasks and from scheduled actions.
     pub fn board_post(&self, board: BoardId, id: u32, value: u64) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         let now = st.now();
         st.boards[board.index()].values.insert(id, value);
         // Fire (and drop) every parked waiter whose range covers the id;
@@ -816,10 +811,10 @@ impl SimHandle {
         st.board_fired = fired;
     }
 
-    /// Atomically consume notification `id`, returning its value if one
+    /// Consume notification `id` in one call, returning its value if one
     /// was posted and not yet consumed (`gaspi_notify_reset`).
     pub fn board_reset(&self, board: BoardId, id: u32) -> Option<u64> {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         st.boards[board.index()].values.remove(&id)
     }
 
@@ -827,7 +822,7 @@ impl SimHandle {
     /// posted to it with [`SimHandle::transfer_qos`] complete into it by
     /// tag, without an event each.
     pub fn open_cq(&self) -> CqId {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         if let Some(idx) = st.free_cqs.pop() {
             return CqId { idx, gen: st.cqs[idx as usize].gen };
         }
@@ -842,7 +837,7 @@ impl SimHandle {
     /// next tenant. Every copy of the handle is stale afterwards, and
     /// using one (a second release included) panics.
     pub fn release_cq(&self, cq: CqId) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         let slot = st.cq_mut(cq);
         slot.gen = slot.gen.wrapping_add(1);
         slot.ready.clear();
@@ -854,13 +849,13 @@ impl SimHandle {
     /// Move every tag posted to `cq` and not yet drained onto the end of
     /// `into`, in post order.
     pub fn drain_cq(&self, cq: CqId, into: &mut Vec<u64>) {
-        into.append(&mut self.kernel.state.lock().cq_mut(cq).ready);
+        into.append(&mut self.kernel.state.borrow_mut().cq_mut(cq).ready);
     }
 
     /// A transfer posted to `cq` completed: append its tag and fire the
     /// parked task's group, if any. Dropped if the queue was released.
     pub(crate) fn post_cq(&self, cq: CqId, tag: u64) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         let Some(slot) = st.live_cq(cq) else { return };
         slot.inflight -= 1;
         slot.ready.push(tag);
@@ -878,7 +873,7 @@ impl SimHandle {
 
     /// Recycle a completed event. The handle must not be used again.
     pub fn free_event(&self, ev: EventId) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         // Timed-out wait groups leave stale references behind; drop them
         // so only *live* registrations count as "someone still waits on
         // this event".
@@ -899,16 +894,16 @@ impl SimHandle {
     /// the primitive behind a one-sided payload's deposit.
     pub fn schedule_at<F>(&self, t: SimTime, f: F)
     where
-        F: FnOnce(&SimHandle) + Send + 'static,
+        F: FnOnce(&SimHandle) + 'static,
     {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         let t = t.max(st.now);
         self.push(&mut st, t, Item::Action(Box::new(f)));
     }
 
     /// Register a FIFO bandwidth resource (a link, NIC or copy engine).
     pub fn new_resource(&self, bytes_per_ns: f64, latency: Dur) -> ResourceId {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         let id = ResourceId(st.resources.len() as u32);
         st.resources.push(ResSlot::new(bytes_per_ns, latency));
         id
@@ -917,17 +912,17 @@ impl SimHandle {
     /// Reserve a transfer of `bytes` on a resource. Returns the modelled
     /// departure/arrival times; the caller schedules completion actions.
     pub fn transfer(&self, res: ResourceId, bytes: u64) -> Transfer {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         let now = st.now;
-        self.transfer_locked(&mut st, res, now, bytes)
+        self.transfer_in(&mut st, res, now, bytes)
     }
 
     /// Reserve a transfer whose payload only becomes available at `at`
     /// (chained staging stages, software-overhead-delayed NIC injection).
     pub fn transfer_from(&self, res: ResourceId, at: SimTime, bytes: u64) -> Transfer {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         let at = at.max(st.now);
-        self.transfer_locked(&mut st, res, at, bytes)
+        self.transfer_in(&mut st, res, at, bytes)
     }
 
     /// Reserve a control packet (request, acknowledgement, RTS/CTS) on
@@ -935,7 +930,7 @@ impl SimHandle {
     /// `at` whatever bulk payload the link is streaming, and perturbed by
     /// an armed fault window exactly as a payload starting at `at` is.
     pub fn control_from(&self, res: ResourceId, at: SimTime, bytes: u64) -> SimTime {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         let at = at.max(st.now);
         let (at, milli, extra) = match st.fault.as_mut().and_then(|f| f.perturb(res, at)) {
             Some(p) => (at.max(p.not_before), p.factor_milli, p.extra),
@@ -944,11 +939,11 @@ impl SimHandle {
         st.resources[res.index()].control(at, bytes, milli, extra)
     }
 
-    /// Take the kernel state lock for a run of event-free reservations
-    /// (see [`Reservations`]). The caller must not touch the handle — or
-    /// park — until the guard is dropped.
+    /// Borrow the kernel state for a run of event-free reservations (see
+    /// [`Reservations`]). The caller must not touch the handle — or park —
+    /// until the borrow is dropped: a kernel call made meanwhile panics.
     pub fn reserve(&self) -> Reservations<'_> {
-        let st = self.kernel.state.lock();
+        let st = self.kernel.state.borrow_mut();
         debug_assert!(st.contention.is_none(), "event-free reservations need disarmed contention");
         Reservations { handle: self, st }
     }
@@ -956,19 +951,19 @@ impl SimHandle {
     /// Are the collective fast paths forced off
     /// ([`Sim::force_explicit_schedules`])?
     pub fn explicit_schedules_forced(&self) -> bool {
-        self.kernel.state.lock().force_explicit
+        self.kernel.state.borrow().force_explicit
     }
 
     /// Are schedules driven from their unrolled form
     /// ([`Sim::force_unrolled_schedules`])?
     pub fn unrolled_schedules_forced(&self) -> bool {
-        self.kernel.state.lock().force_unrolled
+        self.kernel.state.borrow().force_unrolled
     }
 
     /// Shared reservation path: consult the fault injector (one `Option`
     /// branch when disarmed — the zero-cost guarantee) and fall through
     /// to the clean closed form when no window matches.
-    pub(crate) fn transfer_locked(
+    pub(crate) fn transfer_in(
         &self,
         st: &mut KState,
         res: ResourceId,
@@ -996,14 +991,14 @@ impl SimHandle {
     /// Protocol layers call this at the instant a control message is
     /// posted; `None` means deliver normally.
     pub fn take_ctrl_fault(&self, key: u64) -> Option<CtrlFault> {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         st.fault.as_mut().and_then(|f| f.take_ctrl(key))
     }
 
     /// Number of perturbations the armed injector has applied so far
     /// (0 when no plan is installed). Diagnostics for chaos tests.
     pub fn faults_injected(&self) -> u64 {
-        self.kernel.state.lock().fault.as_ref().map_or(0, |f| f.injected)
+        self.kernel.state.borrow().fault.as_ref().map_or(0, |f| f.injected)
     }
 
     /// Is a fault plan armed? Cheaper than [`SimHandle::fault_plan`] (no
@@ -1011,14 +1006,14 @@ impl SimHandle {
     /// the steady-state jump is safe (perturbation windows make steps
     /// non-uniform, so an armed plan keeps per-step pricing).
     pub fn fault_armed(&self) -> bool {
-        self.kernel.state.lock().fault.is_some()
+        self.kernel.state.borrow().fault.is_some()
     }
 
     /// The installed fault plan, if any (a clone — plans are immutable
     /// once armed). Health monitors derive `state_vec`-style views from
     /// it; `None` when the fabric is clean.
     pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.kernel.state.lock().fault.as_ref().map(|f| f.plan().clone())
+        self.kernel.state.borrow().fault.as_ref().map(|f| f.plan().clone())
     }
 
     /// Expand rank-kill events into `[at, ∞)` dead windows over concrete
@@ -1030,7 +1025,7 @@ impl SimHandle {
     /// called once, at a fixed point of the event order, before any
     /// transfer consults the plan.
     pub fn arm_rank_kill_windows(&self, windows: &[(ResourceId, SimTime)]) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         if let Some(f) = st.fault.as_mut() {
             f.extend_kill_windows(windows);
         }
@@ -1038,18 +1033,18 @@ impl SimHandle {
 
     /// Next time the resource is free (for diagnostics / tests).
     pub fn resource_free_at(&self, res: ResourceId) -> SimTime {
-        self.kernel.state.lock().resources[res.index()].free_at()
+        self.kernel.state.borrow().resources[res.index()].free_at()
     }
 
     /// Cumulative bytes reserved on the resource so far, bulk and control
     /// lane together (utilisation reporting / tests).
     pub fn resource_bytes(&self, res: ResourceId) -> u64 {
-        self.kernel.state.lock().resources[res.index()].total_bytes()
+        self.kernel.state.borrow().resources[res.index()].total_bytes()
     }
 
     /// Number of live (allocated, unfreed) events — used by leak tests.
     pub fn live_events(&self) -> usize {
-        self.kernel.state.lock().events.len()
+        self.kernel.state.borrow().events.len()
     }
 
     /// Queue a wake for `task`'s park `park_seq`, standing for

@@ -233,7 +233,7 @@ impl SimHandle {
     /// only routes delivery statistics ([`SimHandle::flow_stats`]).
     pub fn new_flow(&self, weight_milli: u32) -> FlowId {
         assert!(weight_milli > 0, "flow weight must be positive");
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         if let Some(idx) = st.free_flows.pop() {
             let slot = &mut st.flows[idx as usize];
             slot.weight_milli = weight_milli;
@@ -253,7 +253,7 @@ impl SimHandle {
     /// included) panics. So does releasing a flow with transfers still
     /// queued on an armed link — [`SimHandle::purge_flow`] them first.
     pub fn release_flow(&self, flow: FlowId) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         let slot = st.flow_mut(flow);
         slot.gen = slot.gen.wrapping_add(1);
         if let Some(c) = st.contention.as_ref() {
@@ -276,7 +276,7 @@ impl SimHandle {
     /// queue first, then purges. Disarmed this is a no-op: a FIFO
     /// reservation is made at issue and completes on its own.
     pub fn purge_flow(&self, flow: FlowId) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         st.flow_mut(flow);
         let now = st.now();
         let s = &mut *st;
@@ -306,25 +306,25 @@ impl SimHandle {
     /// Flow-tagged transfers queued on `res`'s fair queue, in service or
     /// waiting (0 when contention is disarmed or the link is idle).
     pub fn link_backlog(&self, res: ResourceId) -> usize {
-        let st = self.kernel.state.lock();
+        let st = self.kernel.state.borrow();
         let link = st.contention.as_ref().and_then(|c| c.links.get(&res.index()));
         link.map_or(0, |ls| ls.queues.values().map(VecDeque::len).sum())
     }
 
     /// Number of live (allocated, not yet released) flow slots.
     pub fn flows_in_use(&self) -> usize {
-        let st = self.kernel.state.lock();
+        let st = self.kernel.state.borrow();
         st.flows.len() - st.free_flows.len()
     }
 
     /// Delivery statistics accumulated by a flow so far.
     pub fn flow_stats(&self, flow: FlowId) -> FlowStats {
-        self.kernel.state.lock().flow_mut(flow).stats
+        self.kernel.state.borrow_mut().flow_mut(flow).stats
     }
 
     /// Is weighted-fair-queuing contention armed on this sim?
     pub fn contention_armed(&self) -> bool {
-        self.kernel.state.lock().contention.is_some()
+        self.kernel.state.borrow().contention.is_some()
     }
 
     /// Reserve a flow-tagged transfer of `bytes` on `res`, with the
@@ -348,13 +348,13 @@ impl SimHandle {
         bytes: u64,
         (cq, tag): (CqId, u64),
     ) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         st.cq_mut(cq).inflight += 1;
         if st.contention.is_none() {
             // Disarmed fast path: replicate the exact legacy call sequence
             // (one queue push at the arrival instant).
             let at = at.max(st.now());
-            let tr = self.transfer_locked(&mut st, res, at, bytes);
+            let tr = self.transfer_in(&mut st, res, at, bytes);
             let h = self.clone();
             let t = tr.arrive.max(st.now());
             self.push_action(&mut st, t, Box::new(move |_| h.post_cq(cq, tag)));
@@ -406,7 +406,7 @@ impl SimHandle {
         extra: Dur,
         (cq, tag): (CqId, u64),
     ) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         if st.live_cq(cq).is_none() {
             return;
         }
@@ -441,7 +441,7 @@ impl SimHandle {
     /// generations (the queue changed since this action was scheduled)
     /// fall through without touching anything.
     pub(crate) fn qos_service(&self, res: ResourceId, gen: u64) {
-        let mut st = self.kernel.state.lock();
+        let mut st = self.kernel.state.borrow_mut();
         let now = st.now();
         let mut completions: Vec<(CqId, u64, SimTime)> = Vec::new();
         {
@@ -546,13 +546,13 @@ mod tests {
         let heavy = h.new_flow(4000);
         let light = h.new_flow(1000);
         let mut sim = sim;
-        let done_heavy = std::sync::Arc::new(std::sync::Mutex::new(SimTime::ZERO));
+        let done_heavy = std::rc::Rc::new(std::cell::Cell::new(SimTime::ZERO));
         let (dh1, dh2) = (done_heavy.clone(), done_heavy.clone());
         sim.spawn("heavy", move |ctx| {
             let cq = ctx.open_cq();
             ctx.transfer_qos(res, heavy, SimTime::ZERO, 8_000, (cq, 0));
             wait_tags(ctx, cq, 1);
-            *dh1.lock().unwrap() = ctx.now();
+            dh1.set(ctx.now());
         });
         sim.spawn("light", move |ctx| {
             let cq = ctx.open_cq();
@@ -564,7 +564,7 @@ mod tests {
         });
         sim.run().unwrap();
         // Heavy flow: 8000 B at 4/5 of 1 B/ns = 10 000 ns.
-        assert_eq!(*dh2.lock().unwrap(), SimTime(10_000));
+        assert_eq!(dh2.get(), SimTime(10_000));
     }
 
     /// A lone flow on an armed sim reproduces the closed-form FIFO times

@@ -37,32 +37,32 @@ fn delays_accumulate_virtual_time() {
 
 #[test]
 fn tasks_interleave_by_timestamp_not_spawn_order() {
-    let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let order = Arc::new(std::sync::Mutex::new(Vec::new()));
     let mut sim = Sim::new();
     for (name, d) in [("late", 10.0), ("early", 1.0), ("mid", 5.0)] {
         let order = order.clone();
         sim.spawn(name, move |ctx| {
             ctx.delay(Dur::micros(d));
-            order.lock().push(name);
+            order.lock().unwrap().push(name);
         });
     }
     sim.run().unwrap();
-    assert_eq!(*order.lock(), vec!["early", "mid", "late"]);
+    assert_eq!(*order.lock().unwrap(), vec!["early", "mid", "late"]);
 }
 
 #[test]
 fn same_time_entries_run_in_insertion_order() {
-    let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let order = Arc::new(std::sync::Mutex::new(Vec::new()));
     let mut sim = Sim::new();
     for i in 0..8 {
         let order = order.clone();
         sim.spawn(format!("t{i}"), move |ctx| {
             ctx.delay(Dur::micros(1.0));
-            order.lock().push(i);
+            order.lock().unwrap().push(i);
         });
     }
     sim.run().unwrap();
-    assert_eq!(*order.lock(), (0..8).collect::<Vec<_>>());
+    assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
 }
 
 #[test]
@@ -164,7 +164,7 @@ fn resource_contention_serialises_transfers() {
     let mut sim = Sim::new();
     let h = sim.handle();
     let link = h.new_resource(1.0, Dur::nanos(50)); // 1 B/ns
-    let finish = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let finish = Arc::new(std::sync::Mutex::new(Vec::new()));
     for i in 0..3 {
         let finish = finish.clone();
         sim.spawn(format!("s{i}"), move |ctx| {
@@ -172,13 +172,13 @@ fn resource_contention_serialises_transfers() {
             let ev = ctx.new_event();
             ctx.complete_at(ev, tr.arrive);
             ctx.drain(&[ev]);
-            finish.lock().push(ctx.now().nanos());
+            finish.lock().unwrap().push(ctx.now().nanos());
         });
     }
     sim.run().unwrap();
     // Each 1000-byte transfer takes 1000 ns of link time + 50 ns latency,
     // serialised: arrivals at 1050, 2050, 3050.
-    assert_eq!(*finish.lock(), vec![1_050, 2_050, 3_050]);
+    assert_eq!(*finish.lock().unwrap(), vec![1_050, 2_050, 3_050]);
 }
 
 #[test]
@@ -283,6 +283,19 @@ fn task_panics_propagate_to_run() {
         panic!("boom");
     });
     let _ = sim.run();
+}
+
+#[test]
+#[should_panic(expected = "already mutably borrowed")]
+fn a_kernel_call_under_reservations_panics_on_the_borrow() {
+    // `Reservations` borrows the kernel state until it drops; any kernel
+    // call meanwhile fails at once rather than waiting on itself.
+    let sim = Sim::new();
+    let h = sim.handle();
+    let res = h.new_resource(1.0, Dur::ZERO);
+    let r = h.reserve();
+    let _ = r.resource_free_at(res);
+    let _ = h.now();
 }
 
 #[test]
@@ -402,7 +415,7 @@ fn event_slots_are_recycled() {
 /// (end_time, entries_processed).
 fn drain_with(
     n: u64,
-    f: impl Fn(&mut diomp_sim::Ctx, Vec<diomp_sim::EventId>) + Send + 'static,
+    f: impl Fn(&mut diomp_sim::Ctx, Vec<diomp_sim::EventId>) + 'static,
 ) -> (SimTime, u64) {
     let mut sim = Sim::new();
     sim.spawn("drainer", move |ctx| {
@@ -692,7 +705,7 @@ fn waiters_on_one_event_wake_in_registration_order() {
     // One wake rule for every park, whatever the number of events each
     // waits on: `single` registers on `shared` after `group` does, so it
     // wakes after it at the same instant.
-    let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let order = Arc::new(std::sync::Mutex::new(Vec::new()));
     let mut sim = Sim::new();
     let h = sim.handle();
     let (shared, early) = (h.new_event(), h.new_event());
@@ -701,16 +714,16 @@ fn waiters_on_one_event_wake_in_registration_order() {
     let o = order.clone();
     sim.spawn("group", move |ctx| {
         ctx.wait_all(&[shared, early], Wait::Block).unwrap();
-        o.lock().push(("group", ctx.now()));
+        o.lock().unwrap().push(("group", ctx.now()));
     });
     let o = order.clone();
     sim.spawn("single", move |ctx| {
         ctx.delay(Dur::micros(2.0));
         ctx.wait_all(&[shared], Wait::Block).unwrap();
-        o.lock().push(("single", ctx.now()));
+        o.lock().unwrap().push(("single", ctx.now()));
     });
     sim.run().unwrap();
-    assert_eq!(*order.lock(), [("group", SimTime(5_000)), ("single", SimTime(5_000))]);
+    assert_eq!(*order.lock().unwrap(), [("group", SimTime(5_000)), ("single", SimTime(5_000))]);
 }
 
 // ---------------------------------------------------------------------------
@@ -937,16 +950,16 @@ fn degraded_window_stretches_only_covered_transfers() {
                 500,
             ));
         }
-        let out = Arc::new(parking_lot::Mutex::new((SimTime::ZERO, SimTime::ZERO)));
+        let out = Arc::new(std::sync::Mutex::new((SimTime::ZERO, SimTime::ZERO)));
         let out2 = out.clone();
         sim.spawn("xfer", move |ctx| {
             let a = ctx.transfer(res, 1000); // starts at t=0: inside the window
             ctx.sleep_until(SimTime(1_000_000));
             let b = ctx.transfer(res, 1000); // starts at 1 ms: outside
-            *out2.lock() = (a.arrive, b.arrive);
+            *out2.lock().unwrap() = (a.arrive, b.arrive);
         });
         sim.run().unwrap();
-        let g = out.lock();
+        let g = out.lock().unwrap();
         *g
     };
     let (clean_a, clean_b) = run(false);
@@ -972,18 +985,18 @@ fn flap_holds_transfers_until_the_window_closes() {
 
 #[test]
 fn stragglers_stretch_delays_of_matching_tasks_only() {
-    let times = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let times = Arc::new(std::sync::Mutex::new(Vec::new()));
     let mut sim = Sim::new();
     sim.set_fault_plan(FaultPlan::new().straggle("slow", 2000));
     for name in ["slow-rank", "fast-rank"] {
         let times = times.clone();
         sim.spawn(name, move |ctx| {
             ctx.delay(Dur::micros(10.0));
-            times.lock().push((name, ctx.now()));
+            times.lock().unwrap().push((name, ctx.now()));
         });
     }
     sim.run().unwrap();
-    let g: Vec<(&str, SimTime)> = times.lock().clone();
+    let g: Vec<(&str, SimTime)> = times.lock().unwrap().clone();
     assert!(g.contains(&("slow-rank", SimTime(20_000))), "2x straggle factor: {g:?}");
     assert!(g.contains(&("fast-rank", SimTime(10_000))), "non-matching task unaffected");
 }
@@ -1070,10 +1083,10 @@ fn disabled_injection_is_bit_identical_to_no_injection() {
 // ---------------------------------------------------------------------------
 
 /// What the golden scenario's tasks and action saw, as `nanos who what`.
-type Seen = Arc<parking_lot::Mutex<Vec<String>>>;
+type Seen = Arc<std::sync::Mutex<Vec<String>>>;
 
 fn see(seen: &Seen, t: SimTime, who: &str, what: String) {
-    seen.lock().push(format!("{} {who} {what}", t.nanos()));
+    seen.lock().unwrap().push(format!("{} {who} {what}", t.nanos()));
 }
 
 /// Every primitive the dispatcher treats differently, in one run: tasks,
@@ -1139,7 +1152,7 @@ fn golden_scenario() -> (SimReport, Vec<String>) {
         ctx.wait_all(&[e[2]], Wait::Block).unwrap();
     });
     let rep = sim.run().unwrap();
-    let seen = seen.lock().clone();
+    let seen = seen.lock().unwrap().clone();
     (rep, seen)
 }
 

@@ -4,7 +4,7 @@
 //! everything that is a pure function of `(world, ranks, opts)` — the
 //! node-major ring order, the rails over it, the reduction-server
 //! carving and the rendezvous gate — derived **once per [`UniqueId`]**
-//! by the first rank to reach [`XcclComm::init`] and shared by `Arc`
+//! by the first rank to reach [`XcclComm::init`] and shared by `Rc`
 //! with every other member. The per-rank half ([`XcclComm`]) is what
 //! genuinely differs between members: the rank's index, its QoS flow
 //! ids, and the rail / server-device sets *as filtered by the health
@@ -17,12 +17,13 @@
 //! the gate, with *its* rails, flow and regime boundaries; no other rank
 //! does any per-collective work beyond the arrival (DESIGN.md D18).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, Weak};
+use std::rc::{Rc, Weak};
+use std::sync::Arc;
 
 use diomp_fabric::{FabricWorld, HealthVec, RankHealth, Rendezvous};
 use diomp_sim::{derive_seed, ClusterSpec, Ctx, Dur, FlowId, QosClass, SimTime, Wait, WaitTimeout};
-use parking_lot::Mutex;
 
 use crate::dbt;
 use crate::drive::{Links, Schedule, Watch};
@@ -63,7 +64,7 @@ struct CommPlan {
 }
 
 /// Auto's cuts already scanned ([`XcclComm::auto_regimes`]), by key.
-type CutTable = Mutex<Vec<(CutKey, Cuts)>>;
+type CutTable = std::sync::Mutex<Vec<(CutKey, Cuts)>>;
 
 /// Auto's cuts for one [`CutKey`]: [`XcclComm::auto_regimes`]' three, and
 /// the size from which the tree band runs the fed layout (`u64::MAX`:
@@ -86,12 +87,12 @@ struct Shape {
     servers: ServerSpec,
 }
 
-/// Every shape's [`CutTable`] the process has built.
-type ShapeTables = Mutex<Vec<(Shape, Arc<CutTable>)>>;
-
 fn cut_table(shape: Shape) -> Arc<CutTable> {
-    static TABLES: OnceLock<ShapeTables> = OnceLock::new();
-    let mut tables = TABLES.get_or_init(Default::default).lock();
+    /// Every shape's [`CutTable`] the process has built: one memo for all
+    /// the test harness's threads, so none re-runs Auto's cold scans.
+    static TABLES: std::sync::Mutex<Vec<(Shape, Arc<CutTable>)>> =
+        std::sync::Mutex::new(Vec::new());
+    let mut tables = TABLES.lock().expect("nothing panics while holding the shape tables");
     if let Some((_, table)) = tables.iter().find(|(s, _)| *s == shape) {
         return table.clone();
     }
@@ -170,27 +171,29 @@ impl CommPlan {
     }
 }
 
-/// Process-global plan registry: every rank constructs its own
-/// communicator object, but all communicators created from the same
-/// [`UniqueId`] share one plan (and through it one rendezvous gate). The
-/// first arriver builds it; the rest take the `Arc`. Entries are weak —
-/// a plan lives exactly as long as some member's communicator does — and
-/// dead ones are purged whenever a new plan is registered, so init /
-/// shrink cycles hold the registry at its live size.
-fn plan_for(id: UniqueId, build: impl FnOnce() -> CommPlan) -> Arc<CommPlan> {
-    let mut plans = registry().lock();
-    if let Some(plan) = plans.get(&id.bits()).and_then(Weak::upgrade) {
-        return plan;
-    }
-    plans.retain(|_, p| p.strong_count() > 0);
-    let plan = Arc::new(build());
-    plans.insert(id.bits(), Arc::downgrade(&plan));
-    plan
+thread_local! {
+    /// The plan registry: every rank constructs its own communicator
+    /// object, but all communicators created from the same [`UniqueId`]
+    /// share one plan (and through it one rendezvous gate). Per thread,
+    /// because a simulation never leaves the thread that runs it.
+    static PLANS: RefCell<HashMap<u64, Weak<CommPlan>>> = RefCell::new(HashMap::new());
 }
 
-fn registry() -> &'static Mutex<HashMap<u64, Weak<CommPlan>>> {
-    static PLANS: OnceLock<Mutex<HashMap<u64, Weak<CommPlan>>>> = OnceLock::new();
-    PLANS.get_or_init(|| Mutex::new(HashMap::new()))
+/// The plan registered for `id`. The first arriver builds it; the rest
+/// take the `Rc`. Entries are weak — a plan lives exactly as long as some
+/// member's communicator does — and dead ones are purged whenever a new
+/// plan is registered, so init / shrink cycles hold the registry at its
+/// live size.
+fn plan_for(id: UniqueId, build: impl FnOnce() -> CommPlan) -> Rc<CommPlan> {
+    PLANS.with_borrow_mut(|plans| {
+        if let Some(plan) = plans.get(&id.bits()).and_then(Weak::upgrade) {
+            return plan;
+        }
+        plans.retain(|_, p| p.strong_count() > 0);
+        let plan = Rc::new(build());
+        plans.insert(id.bits(), Rc::downgrade(&plan));
+        plan
+    })
 }
 
 /// Construction options for [`XcclComm::init`] — the one communicator
@@ -240,7 +243,7 @@ pub struct RingInfo {
 /// DiOMP group, paper §3.3).
 pub struct XcclComm {
     /// The fabric world.
-    pub world: Arc<FabricWorld>,
+    pub world: Rc<FabricWorld>,
     /// Participating ranks, in order (shared by every member).
     pub ranks: Arc<[usize]>,
     /// Bootstrap identifier this communicator was created from.
@@ -254,7 +257,7 @@ pub struct XcclComm {
     /// QoS class of the owning job (see [`CommOpts::qos`]).
     pub qos: QosClass,
     /// The once-per-[`UniqueId`] shared half.
-    plan: Arc<CommPlan>,
+    plan: Rc<CommPlan>,
     /// This rank's index in `ranks`.
     idx: usize,
     /// This rank's traffic flow: tags every chunk charge the collective
@@ -288,12 +291,12 @@ impl XcclComm {
     /// constructor.
     pub fn init(
         ctx: &mut Ctx,
-        world: &Arc<FabricWorld>,
+        world: &Rc<FabricWorld>,
         ranks: Vec<usize>,
         my_rank: usize,
         id: UniqueId,
         opts: CommOpts,
-    ) -> Arc<XcclComm> {
+    ) -> Rc<XcclComm> {
         let idx = ranks.iter().position(|&r| r == my_rank).expect("rank not in communicator");
         // The first member to get here derives the plan; the rest share
         // it. The plan reads no health, so it is joined *before* the init
@@ -348,7 +351,7 @@ impl XcclComm {
         });
 
         let flow = ctx.new_flow(opts.qos.weight_milli());
-        Arc::new(XcclComm {
+        Rc::new(XcclComm {
             world: world.clone(),
             ranks: plan.ranks.clone(),
             id,
@@ -381,7 +384,7 @@ impl XcclComm {
     /// round. Each survivor must call this collectively, like `init`.
     ///
     /// Panics if `my_rank` is itself marked dead or no rank survives.
-    pub fn shrink(&self, ctx: &mut Ctx, health: &HealthVec, my_rank: usize) -> Arc<XcclComm> {
+    pub fn shrink(&self, ctx: &mut Ctx, health: &HealthVec, my_rank: usize) -> Rc<XcclComm> {
         let survivors: Vec<usize> = self
             .ranks
             .iter()
@@ -410,7 +413,7 @@ impl XcclComm {
     /// once every member has dropped (or shrunk away from) its handle —
     /// what the elastic path's leak tests assert.
     pub fn is_live(id: UniqueId) -> bool {
-        registry().lock().get(&id.bits()).is_some_and(|p| p.strong_count() > 0)
+        PLANS.with_borrow(|plans| plans.get(&id.bits()).is_some_and(|p| p.strong_count() > 0))
     }
 
     /// The QoS flow this rank's collectives are charged to when it is
@@ -517,11 +520,12 @@ impl XcclComm {
             servers: self.servers.as_ref().map_or(Vec::new(), |(s, _)| s.devs.clone()),
             dead,
         };
-        if let Some(&(_, cuts)) = self.plan.cuts.lock().iter().find(|(k, _)| *k == key) {
+        let table = || self.plan.cuts.lock().expect("nothing panics while holding a cut table");
+        if let Some(&(_, cuts)) = table().iter().find(|(k, _)| *k == key) {
             return Some(cuts);
         }
         let cuts = self.scan(&ac, op, key.factor);
-        self.plan.cuts.lock().push((key, cuts));
+        table().push((key, cuts));
         Some(cuts)
     }
 
@@ -918,8 +922,8 @@ mod tests {
     fn run(
         engine: CollEngine,
         plan_of: impl FnOnce(&FabricWorld) -> FaultPlan,
-        body: impl Fn(&mut Ctx, &XcclComm, usize) + Send + Sync + 'static,
-    ) -> (SimHandle, Vec<Arc<XcclComm>>, SimReport) {
+        body: impl Fn(&mut Ctx, &XcclComm, usize) + 'static,
+    ) -> (SimHandle, Vec<Rc<XcclComm>>, SimReport) {
         let mut sim = Sim::new();
         let spec = ClusterSpec { platform: PlatformSpec::platform_a(), nodes: 2, gpus_per_node: 4 };
         let topo = Arc::new(Topology::build(&sim.handle(), spec));
@@ -931,20 +935,20 @@ mod tests {
         world.attach_sim(&sim.handle());
         world.refresh_health_from_plan(&plan);
         let id = UniqueId::generate();
-        let comms = Arc::new(Mutex::new(vec![None; NRANKS]));
-        let body = Arc::new(body);
+        let comms = Rc::new(RefCell::new(vec![None; NRANKS]));
+        let body = Rc::new(body);
         for r in 0..NRANKS {
             let (world, comms, body) = (world.clone(), comms.clone(), body.clone());
             sim.spawn(format!("rank{r}"), move |ctx| {
                 let opts = CommOpts { engine, ..CommOpts::default() };
                 let comm = XcclComm::init(ctx, &world, (0..NRANKS).collect(), r, id, opts);
                 body(ctx, &comm, r);
-                comms.lock()[r] = Some(comm);
+                comms.borrow_mut()[r] = Some(comm);
             });
         }
         let handle = sim.handle();
         let rep = sim.run().expect("communicator test deadlocked");
-        let comms = comms.lock().drain(..).map(|c| c.expect("every rank finished")).collect();
+        let comms = comms.borrow_mut().drain(..).map(|c| c.expect("every rank finished")).collect();
         (handle, comms, rep)
     }
 
@@ -953,7 +957,7 @@ mod tests {
         let ring = CollEngine::Ring(RingConfig::default());
         let (_, comms, _) = run(ring, |_| FaultPlan::new(), |_, _, _| {});
         for c in &comms {
-            assert!(Arc::ptr_eq(&c.plan, &comms[0].plan), "one plan per UniqueId");
+            assert!(Rc::ptr_eq(&c.plan, &comms[0].plan), "one plan per UniqueId");
             assert!(Arc::ptr_eq(&c.rails, &c.plan.rails), "healthy members hold the plan's rails");
             assert!(Arc::ptr_eq(&c.ring, &c.plan.ring));
             assert!(Arc::ptr_eq(&c.ranks, &c.plan.ranks));
@@ -964,7 +968,7 @@ mod tests {
         let (_, comms, _) =
             run(ring, |w| FaultPlan::new().kill_link(w.devs.dev(1).nic), |_, _, _| {});
         for c in &comms {
-            assert!(Arc::ptr_eq(&c.plan, &comms[0].plan));
+            assert!(Rc::ptr_eq(&c.plan, &comms[0].plan));
             assert_eq!(c.plan.rails.len(), 4);
             assert_eq!((c.rails.len(), c.ring.nrings), (3, 3));
             assert_eq!(c.ring.order, c.plan.ring.order);
@@ -984,23 +988,23 @@ mod tests {
         let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, None);
         let world = FabricWorld::new(topo, devs, NRANKS);
         let id = UniqueId::generate();
-        let left = Arc::new(Mutex::new(Vec::new()));
+        let left = Rc::new(RefCell::new(Vec::new()));
         for r in 0..NRANKS {
             let (world, left) = (world.clone(), left.clone());
             sim.spawn(format!("rank{r}"), move |ctx| {
                 XcclComm::init(ctx, &world, (0..NRANKS).collect(), r, id, CommOpts::default());
-                left.lock().push(ctx.now());
+                left.borrow_mut().push(ctx.now());
             });
         }
-        let live = Arc::new(Mutex::new(None));
+        let live = Rc::new(RefCell::new(None));
         let seen = live.clone();
         sim.spawn("observer", move |ctx| {
             ctx.delay(Dur::micros(1.0));
-            *seen.lock() = Some(XcclComm::is_live(id));
+            *seen.borrow_mut() = Some(XcclComm::is_live(id));
         });
         sim.run().unwrap();
-        assert_eq!(*live.lock(), Some(true), "the plan must exist while members are parked");
-        assert_eq!(*left.lock(), vec![SimTime::ZERO + Dur::micros(init_us); NRANKS]);
+        assert_eq!(*live.borrow(), Some(true), "the plan must exist while members are parked");
+        assert_eq!(*left.borrow(), vec![SimTime::ZERO + Dur::micros(init_us); NRANKS]);
     }
 
     #[test]
@@ -1013,7 +1017,8 @@ mod tests {
         assert!(!XcclComm::is_live(old), "the registry must not keep a plan alive");
         let (_, comms, _) = run(ring, |_| FaultPlan::new(), |_, _, _| {});
         assert!(XcclComm::is_live(comms[0].id));
-        assert!(!registry().lock().contains_key(&old.bits()), "dead entries go on insert");
+        let purged = PLANS.with_borrow(|plans| !plans.contains_key(&old.bits()));
+        assert!(purged, "dead entries go on insert");
     }
 
     /// Rank 5 straggles out of the init delay 135 ms after the others,
@@ -1045,7 +1050,7 @@ mod tests {
             ),
         ];
         for (engine, end_ns, free_at) in cells {
-            let inited = Arc::new(Mutex::new([0u64; NRANKS]));
+            let inited = Rc::new(RefCell::new([0u64; NRANKS]));
             let inited2 = inited.clone();
             let (handle, comms, rep) = run(
                 engine,
@@ -1058,7 +1063,7 @@ mod tests {
                     )
                 },
                 move |ctx, comm, r| {
-                    inited2.lock()[r] = ctx.now().nanos();
+                    inited2.borrow_mut()[r] = ctx.now().nanos();
                     let off = comm.world.primary_dev(r).malloc(1 << 20, 256).unwrap();
                     let op = XcclOp::AllReduce { op: ReduceOp::SumF32 };
                     comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, 1 << 20);
@@ -1066,7 +1071,7 @@ mod tests {
             );
             let mut want_inited = [ms(90).nanos(); NRANKS];
             want_inited[5] = ms(225).nanos();
-            assert_eq!(*inited.lock(), want_inited, "{engine:?}: the window straddles init");
+            assert_eq!(*inited.borrow(), want_inited, "{engine:?}: the window straddles init");
             assert!(comms.iter().all(|c| c.ring.nrings == 3), "{engine:?}: one rail blacklisted");
             assert_eq!((rep.end_time.nanos(), rep.entries_processed), (end_ns, 29), "{engine:?}");
             let devs = &comms[0].world.devs;
@@ -1093,13 +1098,13 @@ pub(crate) mod probe {
     /// × `per_node` GPUs of `platform`, the last `servers` nodes
     /// reduction servers, with `plan_of`'s fault plan armed. Nothing
     /// else runs.
-    pub(crate) fn comm<R: Send + 'static>(
+    pub(crate) fn comm<R: 'static>(
         platform: PlatformSpec,
         (nodes, per_node): (usize, usize),
         servers: usize,
         engine: CollEngine,
         plan_of: impl FnOnce(&FabricWorld) -> FaultPlan,
-        f: impl FnOnce(&XcclComm) -> R + Send + 'static,
+        f: impl FnOnce(&XcclComm) -> R + 'static,
     ) -> R {
         let mut sim = Sim::new();
         let spec = ClusterSpec { platform, nodes, gpus_per_node: per_node };
@@ -1111,16 +1116,16 @@ pub(crate) mod probe {
         sim.set_fault_plan(plan.clone());
         world.attach_sim(&sim.handle());
         world.refresh_health_from_plan(&plan);
-        let out = Arc::new(Mutex::new(None));
+        let out = Rc::new(RefCell::new(None));
         let out2 = out.clone();
         sim.spawn("rank0", move |ctx| {
             let opts =
                 CommOpts { engine, servers: ServerSpec::tail(servers), ..CommOpts::default() };
             let comm = XcclComm::init(ctx, &world, (0..n).collect(), 0, UniqueId::generate(), opts);
-            *out2.lock() = Some(f(&comm));
+            *out2.borrow_mut() = Some(f(&comm));
         });
         sim.run().expect("a lone member never blocks");
-        let got = out.lock().take().expect("the member ran");
+        let got = out.borrow_mut().take().expect("the member ran");
         got
     }
 

@@ -27,8 +27,8 @@
 //!   queues reorder completions at runtime).
 //! * the **coalesced** driver: the identical schedule is priced
 //!   arithmetically against the live link resources (same reservation
-//!   arithmetic, same rounding, same fault perturbation) under one hold
-//!   of the kernel lock ([`diomp_sim::Reservations`]), its pending
+//!   arithmetic, same rounding, same fault perturbation) under one borrow
+//!   of the kernel state ([`diomp_sim::Reservations`]), its pending
 //!   arrivals queued by instant ([`Arrivals`]), and the collective
 //!   collapses to one coalesced wake entry carrying the chunk count. Once
 //!   the march state recurs shifted by one time ([`Jump`]), it charges
@@ -150,7 +150,7 @@ pub(crate) struct Segment {
     dep_off: Vec<u32>,
     dep_idx: Vec<u32>,
     reps: u32,
-    /// Send `j`'s wire bytes in variant `v ≥ 1` (variant 0 is
+    /// The wire bytes of send `j` in variant `v ≥ 1` (variant 0 is
     /// `sends[j].wire`): `alt[j·nalt + v − 1]`. A short final repeat
     /// moves variant 1; a rotating segment, the variant of its token.
     alt: Vec<u64>,
@@ -479,7 +479,8 @@ impl Schedule {
         step_d: Dur,
         watch: Watch,
     ) -> Result<(), SimTime> {
-        // Read before `reserve` takes the kernel lock: both lock it too.
+        // Read before `reserve` borrows the kernel state: both borrow it
+        // too, and would panic under the `Reservations` borrow.
         let (t, fault_armed) = (ctx.now(), ctx.fault_armed());
         debug_assert!(watch.doom.is_none() || fault_armed, "a doom comes from an armed plan");
         let (end, issued) =
@@ -867,7 +868,7 @@ impl<'a> March<'a> {
         }
     }
 
-    /// Send `si` (of `key`) arrived: free its lane's window slot and wake
+    /// The send `si` (of `key`) arrived: free its lane's window slot and wake
     /// the lanes parked on it, unlinking them from the key's list; lanes
     /// parked on another repeat of the key stay.
     fn retire(&mut self, si: u32, key: u32) {
@@ -953,7 +954,8 @@ impl<'a> March<'a> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::{Arc, Mutex};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     use diomp_sim::{FaultPlan, Sim};
 
@@ -985,18 +987,18 @@ mod tests {
             sim.set_fault_plan(FaultPlan::new().degrade_link(idle, SimTime(0), SimTime(1), 500));
         }
         let flow = h.new_flow(1000);
-        let (s, marched) = (build(&res, flow), Arc::new(Mutex::new(0)));
+        let (s, marched) = (build(&res, flow), Rc::new(Cell::new(0)));
         let marched2 = marched.clone();
         sim.spawn("driver", move |ctx| {
             let (step, block) = (Dur::nanos(50), Watch { wait: Wait::Block, doom: None });
             assert_eq!(s.drive(ctx, window, step, block), Ok(()));
-            *marched2.lock().unwrap() = MARCHED.get();
+            marched2.set(MARCHED.get());
         });
         let end = sim.run().unwrap().end_time.nanos();
         let links = res.iter().map(|&r| (h.resource_free_at(r).nanos(), h.resource_bytes(r)));
         let f = h.flow_stats(flow);
         let flow = (f.bytes, f.first_start.map(SimTime::nanos), f.last_depart.nanos());
-        let marched = *marched.lock().unwrap();
+        let marched = marched.get();
         ((end, links.collect(), flow), marched)
     }
 
@@ -1045,7 +1047,7 @@ mod tests {
         }
     }
 
-    /// Send 0 is issued in the first pass and lands at 1150 ns; send 2
+    /// Here send 0 is issued in the first pass and lands at 1150 ns; send 2
     /// is issued one pass later (it waits for send 1, which lands at
     /// 450 ns) and lands at 1150 ns too. The two must retire as *one*
     /// instant: their dependents share link 3, and lane 3 (woken by the

@@ -22,6 +22,7 @@
 //! * **O(1) parks** — under armed contention the explicit driver posts
 //!   its chunks to one completion queue: no event per chunk in flight.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use diomp_device::{DataMode, DeviceTable};
@@ -30,13 +31,13 @@ use diomp_sim::{ClusterSpec, Dur, FaultPlan, PlatformSpec, ResourceId, Sim, SimT
 use diomp_xccl::{
     AutoConfig, CollEngine, CommOpts, DeviceBuf, RingConfig, ServerSpec, UniqueId, XcclComm, XcclOp,
 };
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 const NODES: usize = 2;
 const PER_NODE: usize = 4;
 const NRANKS: usize = NODES * PER_NODE;
 
-fn boot(sim: &Sim, plan: &FaultPlan) -> Arc<FabricWorld> {
+fn boot(sim: &Sim, plan: &FaultPlan) -> Rc<FabricWorld> {
     sim.set_fault_plan(plan.clone());
     let spec =
         ClusterSpec { platform: PlatformSpec::platform_a(), nodes: NODES, gpus_per_node: PER_NODE };
@@ -130,7 +131,7 @@ fn run_allreduce_contended(
             );
             let mut out = vec![0u8; len as usize];
             dev.mem.read(off, &mut out).unwrap();
-            results.lock()[r] =
+            results.lock().unwrap()[r] =
                 out.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect();
         });
     }
@@ -140,7 +141,7 @@ fn run_allreduce_contended(
     let expect: Vec<f64> = (0..len / 8)
         .map(|i| (1..=NRANKS as u64).map(|r| (r * (i % 13 + 1)) as f64).sum())
         .collect();
-    for (r, got) in results.lock().iter().enumerate() {
+    for (r, got) in results.lock().unwrap().iter().enumerate() {
         assert_eq!(got, &expect, "{tag}: rank {r} diverged from the sequential reference");
     }
     (rep.end_time, rep.digest)
@@ -194,7 +195,7 @@ fn run_server_allreduce(
             );
             let mut out = vec![0u8; len as usize];
             dev.mem.read(off, &mut out).unwrap();
-            results.lock()[r] =
+            results.lock().unwrap()[r] =
                 out.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect();
         });
     }
@@ -205,7 +206,7 @@ fn run_server_allreduce(
     let expect_client: Vec<f64> = (0..len / 8)
         .map(|i| (1..=nclients as u64).map(|r| (r * (i % 13 + 1)) as f64).sum())
         .collect();
-    for (r, got) in results.lock().iter().enumerate() {
+    for (r, got) in results.lock().unwrap().iter().enumerate() {
         if r < nclients {
             assert_eq!(got, &expect_client, "{tag}: client rank {r} diverged from the reference");
         } else {
@@ -397,7 +398,7 @@ fn dead_link_blacklists_its_rails_and_the_collective_survives() {
                 CommOpts::default(),
             );
             if r == 0 {
-                *nrings2.lock() = comm.ring.nrings;
+                *nrings2.lock().unwrap() = comm.ring.nrings;
             }
             let dev = world.primary_dev(r);
             let off = dev.malloc(64, 256).unwrap();
@@ -420,7 +421,7 @@ fn dead_link_blacklists_its_rails_and_the_collective_survives() {
         });
     }
     sim.run().unwrap();
-    let survived = *nrings.lock();
+    let survived = *nrings.lock().unwrap();
     assert!(
         (1..PER_NODE).contains(&survived),
         "killing one NIC must blacklist its rails but keep at least one: {survived} of {PER_NODE}"
@@ -493,12 +494,13 @@ fn allreduce_cuts(plan: FaultPlan, late: bool) -> (u64, u64, u64) {
             let opts = CommOpts { engine, ..CommOpts::default() };
             let comm = XcclComm::init(ctx, &world, (0..NRANKS).collect(), r, id, opts);
             if r == 0 {
-                *out.lock() = comm.auto_regimes(&XcclOp::AllReduce { op: ReduceOp::SumF32 });
+                *out.lock().unwrap() =
+                    comm.auto_regimes(&XcclOp::AllReduce { op: ReduceOp::SumF32 });
             }
         });
     }
     sim.run().unwrap();
-    let cuts = out.lock().expect("Auto engine has regimes");
+    let cuts = out.lock().unwrap().expect("Auto engine has regimes");
     cuts
 }
 
@@ -583,8 +585,8 @@ fn repeated_shrink_cycles_recycle_flow_slots() {
             let op = XcclOp::AllReduce { op: ReduceOp::SumF64 };
             comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, 4096);
             if r == 0 {
-                marks.lock().push(handle.flows_in_use());
-                ids.lock().push(comm.id);
+                marks.lock().unwrap().push(handle.flows_in_use());
+                ids.lock().unwrap().push(comm.id);
             }
             let mut health = diomp_fabric::HealthVec::healthy(NRANKS);
             for &k in &KILLS {
@@ -598,10 +600,10 @@ fn repeated_shrink_cycles_recycle_flow_slots() {
                 comm = comm.shrink(ctx, &health, r);
                 comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, 4096);
                 if r == 0 {
-                    marks.lock().push(handle.flows_in_use());
+                    marks.lock().unwrap().push(handle.flows_in_use());
                     // The collective synchronised the survivors, so all
                     // of them have left the previous communicator.
-                    let mut ids = ids.lock();
+                    let mut ids = ids.lock().unwrap();
                     let old = *ids.last().unwrap();
                     assert!(!XcclComm::is_live(old), "shrink leaked the communicator it replaced");
                     assert!(XcclComm::is_live(comm.id));
@@ -611,7 +613,7 @@ fn repeated_shrink_cycles_recycle_flow_slots() {
         });
     }
     sim.run().unwrap();
-    let marks = marks.lock();
+    let marks = marks.lock().unwrap();
     assert_eq!(marks.len(), KILLS.len() + 1, "rank 0 must survive every cycle");
     let f0 = marks[0];
     for (c, &f) in marks.iter().enumerate().skip(1) {
@@ -621,7 +623,7 @@ fn repeated_shrink_cycles_recycle_flow_slots() {
              (survivor re-init must reuse the slots shrink released)"
         );
     }
-    let ids = ids.lock();
+    let ids = ids.lock().unwrap();
     assert_eq!(ids.len(), KILLS.len() + 1);
     for id in ids.iter() {
         assert!(!XcclComm::is_live(*id), "communicator {id:?} outlived every member");
@@ -664,7 +666,7 @@ fn the_explicit_driver_holds_no_event_per_chunk_in_flight() {
                 ctx.handle().spawn("probe", move |ctx| {
                     while running.load(std::sync::atomic::Ordering::Relaxed) > 0 {
                         let backlog = links.iter().map(|&l| ctx.link_backlog(l)).sum();
-                        samples.lock().push((ctx.live_events(), backlog));
+                        samples.lock().unwrap().push((ctx.live_events(), backlog));
                         ctx.delay(Dur::micros(1.0));
                     }
                 });
@@ -675,7 +677,7 @@ fn the_explicit_driver_holds_no_event_per_chunk_in_flight() {
         });
     }
     sim.run().unwrap();
-    let samples = samples.lock();
+    let samples = samples.lock().unwrap();
     let max_backlog = samples.iter().map(|s| s.1).max().unwrap();
     assert!(max_backlog >= 16, "the probe saw the march: {max_backlog} chunks queued at most");
     // Every sample reads the count the probe started with, before the

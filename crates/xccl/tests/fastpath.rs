@@ -40,7 +40,7 @@ use diomp_xccl::{
     default_nrings, AutoConfig, CollEngine, CommOpts, DeviceBuf, RingConfig, ServerSpec, UniqueId,
     XcclComm, XcclOp,
 };
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// Scheduler-visible outcome of one run, compared field by field
 /// between the coalesced and explicit arms.
@@ -131,7 +131,7 @@ fn run_cell(cell: &Cell, forced_explicit: bool, unrolled: bool) -> (RunOut, RunC
                 id,
                 CommOpts { engine, servers, ..CommOpts::default() },
             );
-            flow_ids.lock()[r] = (Some(comm.flow()), comm.server_flow());
+            flow_ids.lock().unwrap()[r] = (Some(comm.flow()), comm.server_flow());
             // `Auto` cells in this file are LL-regime cells, also on the
             // degraded fabric a fault plan makes the boundaries retreat on.
             if let Some((ll_cut, ..)) = comm.auto_regimes(&op) {
@@ -158,7 +158,7 @@ fn run_cell(cell: &Cell, forced_explicit: bool, unrolled: bool) -> (RunOut, RunC
         .collect();
     let free_at = links.iter().map(|&res| handle.resource_free_at(res).nanos()).collect();
     let link_bytes = links.iter().map(|&res| handle.resource_bytes(res)).collect();
-    let flow_ids = flow_ids.lock();
+    let flow_ids = flow_ids.lock().unwrap();
     let flows = flow_ids
         .iter()
         .map(|f| f.0)
@@ -563,12 +563,12 @@ fn priced_and_driven(cell: &Cell) -> (u64, u64) {
             comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, size);
             if r == 0 {
                 let price = comm.price(&op, size).expect("a schedule engine prices");
-                *out.lock() = (price.as_nanos(), ctx.now().since(t0).as_nanos());
+                *out.lock().unwrap() = (price.as_nanos(), ctx.now().since(t0).as_nanos());
             }
         });
     }
     sim.run().expect("price cell deadlocked");
-    let got = *out.lock();
+    let got = *out.lock().unwrap();
     got
 }
 

@@ -25,7 +25,7 @@ use diomp_sim::{ClusterSpec, Dur, FaultPlan, PlatformSpec, Sim, SimTime, Topolog
 use diomp_xccl::{
     AutoConfig, CollEngine, CommOpts, DeviceBuf, RingConfig, ServerSpec, UniqueId, XcclComm, XcclOp,
 };
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// The member the kill plans take: a client on every communicator here.
 const DOOMED: usize = 3;
@@ -150,7 +150,7 @@ fn run(cell: Cell, arm: Arm) -> Out {
             let opts =
                 CommOpts { engine: cell.engine, servers: cell.servers, ..CommOpts::default() };
             let mut comm = XcclComm::init(ctx, &world, (0..nranks).collect(), r, id, opts);
-            flows.lock()[r] = (Some(comm.flow()), comm.server_flow());
+            flows.lock().unwrap()[r] = (Some(comm.flow()), comm.server_flow());
             let dev = world.primary_dev(r);
             let off = dev.malloc(cell.len, 256).unwrap();
             let vals: Vec<u8> = (0..cell.len / 8)
@@ -165,15 +165,15 @@ fn run(cell: Cell, arm: Arm) -> Out {
             // between init and the collective.
             ctx.delay(Dur::micros(10.0));
             if r == 0 {
-                marks.lock().push(mark());
+                marks.lock().unwrap().push(mark());
             }
             ctx.delay(Dur::micros(10.0));
             let (op, bufs) = (cell.op, vec![DeviceBuf { flat: r, off }]);
             let got = comm.try_collective(ctx, r, bufs.clone(), op, cell.len, arm.wait);
             let mut now = vec![0u8; cell.len as usize];
             dev.mem.read(off, &mut now).unwrap();
-            untouched.lock()[r] = now == vals;
-            outcomes.lock()[r] = Some(got.map(|t| t.nanos()).map_err(|a| a.at.nanos()));
+            untouched.lock().unwrap()[r] = now == vals;
+            outcomes.lock().unwrap()[r] = Some(got.map(|t| t.nanos()).map_err(|a| a.at.nanos()));
             if got.is_err() && arm.shrink && r != DOOMED {
                 comm = comm.shrink(ctx, &world.converged_health(), r);
                 let again = comm.try_collective(ctx, r, bufs, op, cell.len, arm.wait);
@@ -181,23 +181,24 @@ fn run(cell: Cell, arm: Arm) -> Out {
                 if r == 0 {
                     // Past every survivor's exit from the re-run's gate.
                     ctx.delay(Dur::millis(1.0));
-                    marks.lock().push(mark());
+                    marks.lock().unwrap().push(mark());
                 }
             }
         });
     }
     sim.run().unwrap_or_else(|e| panic!("{}: {e}", cell.name));
     assert_eq!(handle.live_events(), 0, "{}: every event recycled by the end", cell.name);
-    let outcomes: Vec<_> = outcomes.lock().iter().map(|o| o.expect("every rank called")).collect();
+    let outcomes: Vec<_> =
+        outcomes.lock().unwrap().iter().map(|o| o.expect("every rank called")).collect();
     let flow_bytes = if arm.shrink && outcomes.iter().any(Result::is_err) {
         Vec::new()
     } else {
-        let flows = flows.lock();
+        let flows = flows.lock().unwrap();
         let all = flows.iter().map(|f| f.0).chain(flows.iter().map(|f| f.1));
         all.flatten().map(|f| handle.flow_stats(f).bytes).collect()
     };
-    let marks = marks.lock();
-    let untouched = untouched.lock().clone();
+    let marks = marks.lock().unwrap();
+    let untouched = untouched.lock().unwrap().clone();
     Out {
         outcomes,
         untouched,

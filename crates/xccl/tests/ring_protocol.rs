@@ -6,6 +6,7 @@
 //! engines, beat the ring at small sizes, and collapse onto the ring
 //! above the crossover.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use diomp_device::{DataMode, DeviceTable};
@@ -22,7 +23,7 @@ fn boot(
     nodes: usize,
     per: usize,
     nranks: usize,
-) -> Arc<FabricWorld> {
+) -> Rc<FabricWorld> {
     let spec = ClusterSpec { platform, nodes, gpus_per_node: per };
     let topo = Arc::new(Topology::build(&sim.handle(), spec));
     let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::Functional, Some(8 << 20));
@@ -35,7 +36,7 @@ fn boot(
 fn with_engine(
     nranks: usize,
     engine: CollEngine,
-    f: impl Fn(&mut diomp_sim::Ctx, &Arc<FabricWorld>, &Arc<XcclComm>, usize) + Send + Sync + 'static,
+    f: impl Fn(&mut diomp_sim::Ctx, &Rc<FabricWorld>, &Rc<XcclComm>, usize) + 'static,
 ) -> (SimTime, u64, u64) {
     let mut sim = Sim::new();
     // One device per rank; pack nodes as densely as the rank count
@@ -43,7 +44,7 @@ fn with_engine(
     let per = [4usize, 2, 1].into_iter().find(|&p| nranks.is_multiple_of(p)).unwrap();
     let world = boot(&sim, PlatformSpec::platform_a(), nranks / per, per, nranks);
     let id = UniqueId::generate();
-    let f = Arc::new(f);
+    let f = Rc::new(f);
     for r in 0..nranks {
         let world = world.clone();
         let f = f.clone();
@@ -148,7 +149,7 @@ proptest! {
         kind in 0u8..4,
     ) {
         let run = |engine: CollEngine| {
-            let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let out = Arc::new(std::sync::Mutex::new(Vec::new()));
             let out2 = out.clone();
             with_engine(nranks, engine, move |ctx, world, comm, r| {
                 let n = world.nranks;
@@ -168,9 +169,9 @@ proptest! {
                 comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, payload);
                 let mut got = vec![0u8; len * n];
                 dev.mem.read(off, &mut got).unwrap();
-                out2.lock().push((r, got));
+                out2.lock().unwrap().push((r, got));
             });
-            let mut rows = out.lock().clone();
+            let mut rows = out.lock().unwrap().clone();
             rows.sort_by_key(|&(r, _)| r);
             rows
         };
@@ -191,7 +192,7 @@ proptest! {
         tiny_rings in prop_oneof![Just(false), Just(true)],
     ) {
         let run = |engine: CollEngine| {
-            let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let out = Arc::new(std::sync::Mutex::new(Vec::new()));
             let out2 = out.clone();
             with_engine(nranks, engine, move |ctx, world, comm, r| {
                 let n = world.nranks;
@@ -211,9 +212,9 @@ proptest! {
                 comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, payload);
                 let mut got = vec![0u8; len * n];
                 dev.mem.read(off, &mut got).unwrap();
-                out2.lock().push((r, got));
+                out2.lock().unwrap().push((r, got));
             });
-            let mut rows = out.lock().clone();
+            let mut rows = out.lock().unwrap().clone();
             rows.sort_by_key(|&(r, _)| r);
             rows
         };
@@ -272,7 +273,7 @@ proptest! {
         kind in 0u8..4,
     ) {
         let run = |engine: CollEngine| {
-            let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let out = Arc::new(std::sync::Mutex::new(Vec::new()));
             let out2 = out.clone();
             with_engine(nranks, engine, move |ctx, world, comm, r| {
                 let n = world.nranks;
@@ -292,9 +293,9 @@ proptest! {
                 comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, payload);
                 let mut got = vec![0u8; len * n];
                 dev.mem.read(off, &mut got).unwrap();
-                out2.lock().push((r, got));
+                out2.lock().unwrap().push((r, got));
             });
-            let mut rows = out.lock().clone();
+            let mut rows = out.lock().unwrap().clone();
             rows.sort_by_key(|&(r, _)| r);
             rows
         };
@@ -324,7 +325,7 @@ fn ring_allreduce_on_fractional_f32_matches_the_sequential_fold_and_dbt() {
         ReduceOp::SumF32.combine(&mut want[..LEN / 4 * 4], &data(r)[..LEN / 4 * 4]);
     }
     let run = |engine: CollEngine| {
-        let out = Arc::new(parking_lot::Mutex::new(vec![Vec::new(); NRANKS]));
+        let out = Arc::new(std::sync::Mutex::new(vec![Vec::new(); NRANKS]));
         let out2 = out.clone();
         with_engine(NRANKS, engine, move |ctx, world, comm, r| {
             let dev = world.primary_dev(r);
@@ -334,9 +335,9 @@ fn ring_allreduce_on_fractional_f32_matches_the_sequential_fold_and_dbt() {
             comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, LEN as u64);
             let mut got = vec![0u8; LEN];
             dev.mem.read(off, &mut got).unwrap();
-            out2.lock()[r] = got;
+            out2.lock().unwrap()[r] = got;
         });
-        let rows = out.lock().clone();
+        let rows = out.lock().unwrap().clone();
         rows
     };
     let rc = RingConfig { chunk_bytes: 512, max_inflight: 2 };
@@ -407,14 +408,14 @@ fn ring_time_is_emergent_not_fitted() {
 
 /// Auto's regime boundaries for `op` at 16 ranks (4 nodes × 4 A100s).
 fn cuts16(ac: AutoConfig, op: XcclOp) -> (u64, u64, u64) {
-    let cuts = Arc::new(parking_lot::Mutex::new(None));
+    let cuts = Arc::new(std::sync::Mutex::new(None));
     let out = cuts.clone();
     with_engine(16, CollEngine::Auto(ac), move |_, _, comm, r| {
         if r == 0 {
-            *out.lock() = comm.auto_regimes(&op);
+            *out.lock().unwrap() = comm.auto_regimes(&op);
         }
     });
-    let got = cuts.lock().expect("Auto has regimes");
+    let got = cuts.lock().unwrap().expect("Auto has regimes");
     got
 }
 
@@ -519,7 +520,7 @@ fn auto_dispatches_three_regimes_in_order() {
 /// rank's buffer seeded with its own bytes: the end time and every rank's
 /// buffer after the call.
 fn broadcast16(engine: CollEngine, root: usize, len: u64) -> (SimTime, Vec<Vec<u8>>) {
-    let bufs = Arc::new(parking_lot::Mutex::new(vec![Vec::new(); 16]));
+    let bufs = Arc::new(std::sync::Mutex::new(vec![Vec::new(); 16]));
     let out = bufs.clone();
     let (end, ..) = with_engine(16, engine, move |ctx, world, comm, r| {
         let dev = world.primary_dev(r);
@@ -529,9 +530,9 @@ fn broadcast16(engine: CollEngine, root: usize, len: u64) -> (SimTime, Vec<Vec<u
         comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, len);
         let mut got = vec![0u8; len as usize];
         dev.mem.read(off, &mut got).unwrap();
-        out.lock()[r] = got;
+        out.lock().unwrap()[r] = got;
     });
-    let got = bufs.lock().clone();
+    let got = bufs.lock().unwrap().clone();
     (end, got)
 }
 

@@ -5,6 +5,7 @@
 //! without hanging, and the schedule actually wins its priced region on
 //! the bench cluster layout.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use diomp_device::{DataMode, DeviceTable};
@@ -13,10 +14,10 @@ use diomp_sim::{ClusterSpec, FaultPlan, PlatformSpec, Sim, SimTime, Topology};
 use diomp_xccl::{
     AutoConfig, CollEngine, CommOpts, DeviceBuf, RingConfig, ServerSpec, UniqueId, XcclComm, XcclOp,
 };
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// Boot a platform-A cluster of `nodes` full nodes.
-fn boot(sim: &Sim, nodes: usize, mode: DataMode, heap: u64, plan: &FaultPlan) -> Arc<FabricWorld> {
+fn boot(sim: &Sim, nodes: usize, mode: DataMode, heap: u64, plan: &FaultPlan) -> Rc<FabricWorld> {
     sim.set_fault_plan(plan.clone());
     let platform = PlatformSpec::platform_a();
     let gpn = platform.gpus_per_node;
@@ -75,7 +76,7 @@ fn run_server_allreduce(
             );
             let mut out = vec![0u8; len as usize];
             dev.mem.read(off, &mut out).unwrap();
-            results.lock()[r] =
+            results.lock().unwrap()[r] =
                 out.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect();
         });
     }
@@ -85,7 +86,7 @@ fn run_server_allreduce(
     let expect_client: Vec<f64> = (0..len / 8)
         .map(|i| (1..=nclients as u64).map(|r| (r * (i % 13 + 1)) as f64).sum())
         .collect();
-    for (r, got) in results.lock().iter().enumerate() {
+    for (r, got) in results.lock().unwrap().iter().enumerate() {
         if r < nclients {
             assert_eq!(got, &expect_client, "{tag}: client rank {r} diverged from the reference");
         } else {

@@ -1,5 +1,6 @@
 //! Integration tests for the XCCL collective library.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use diomp_device::{DataMode, DeviceTable};
@@ -13,7 +14,7 @@ fn boot(
     nodes: usize,
     per: usize,
     nranks: usize,
-) -> Arc<FabricWorld> {
+) -> Rc<FabricWorld> {
     let spec = ClusterSpec { platform, nodes, gpus_per_node: per };
     let topo = Arc::new(Topology::build(&sim.handle(), spec));
     let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::Functional, Some(4 << 20));
@@ -25,13 +26,13 @@ fn boot(
 fn with_comm(
     nranks: usize,
     per_rank_devices: usize,
-    f: impl Fn(&mut diomp_sim::Ctx, &Arc<FabricWorld>, &Arc<XcclComm>, usize) + Send + Sync + 'static,
+    f: impl Fn(&mut diomp_sim::Ctx, &Rc<FabricWorld>, &Rc<XcclComm>, usize) + 'static,
 ) -> SimTime {
     let mut sim = Sim::new();
     let nodes = (nranks * per_rank_devices).div_ceil(4);
     let world = boot(&sim, PlatformSpec::platform_a(), nodes, 4, nranks);
     let id = UniqueId::generate();
-    let f = Arc::new(f);
+    let f = Rc::new(f);
     for r in 0..nranks {
         let world = world.clone();
         let f = f.clone();
@@ -219,17 +220,17 @@ fn a_rank_arriving_twice_at_one_collective_panics() {
     // Rank 1 gets hold of rank 0's communicator handle and arrives on
     // its behalf while rank 0 is still waiting at the gate (ranks 2 and 3
     // never show up, so the episode cannot have filled).
-    let lent: Arc<parking_lot::Mutex<Option<Arc<XcclComm>>>> = Arc::default();
+    let lent: Arc<std::sync::Mutex<Option<Rc<XcclComm>>>> = Arc::default();
     with_comm(4, 1, move |ctx, _, comm, r| {
         let op = XcclOp::AllReduce { op: ReduceOp::SumF64 };
         match r {
             0 => {
-                *lent.lock() = Some(comm.clone());
+                *lent.lock().unwrap() = Some(comm.clone());
                 comm.collective(ctx, 0, vec![DeviceBuf { flat: 0, off: 0 }], op, 64);
             }
             1 => {
                 ctx.delay(diomp_sim::Dur::micros(1.0));
-                let comm0 = lent.lock().clone().expect("rank 0 lends its handle first");
+                let comm0 = lent.lock().unwrap().clone().expect("rank 0 lends its handle first");
                 comm0.collective(ctx, 0, vec![DeviceBuf { flat: 0, off: 0 }], op, 64);
             }
             _ => {}

@@ -207,17 +207,17 @@ proptest! {
                     ctx.board_post(board, id, id as u64 + 1);
                 }
             });
-            let drained = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let drained = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
             let drained2 = drained.clone();
             sim.spawn("drainer", move |ctx| {
                 for _ in 0..n {
                     let (id, v) = ctx.board_waitsome(board, 0, n, Wait::Block).unwrap();
                     assert_eq!(v, id as u64 + 1, "value must travel with its id");
-                    drained2.lock().push(id);
+                    drained2.lock().unwrap().push(id);
                 }
             });
             let rep = sim.run().unwrap();
-            let got = drained.lock().clone();
+            let got = drained.lock().unwrap().clone();
             (got, rep.end_time, rep.entries_processed,
              rep.digest)
         };
@@ -276,17 +276,17 @@ proptest! {
                     ctx.board_post(board, id, id as u64 + 1);
                 }
             });
-            let drained = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let drained = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
             let drained2 = drained.clone();
             sim.spawn("drainer", move |ctx| {
                 for _ in 0..n {
                     let (id, v) = ctx.board_waitsome(board, 0, n, Wait::Block).unwrap();
                     assert_eq!(v, id as u64 + 1, "value must travel with its id");
-                    drained2.lock().push(id);
+                    drained2.lock().unwrap().push(id);
                 }
             });
             let rep = sim.run().unwrap();
-            let got = drained.lock().clone();
+            let got = drained.lock().unwrap().clone();
             (got, rep.end_time, rep.entries_processed,
              rep.digest)
         };
@@ -352,7 +352,7 @@ proptest! {
 
         let cfg = DiompConfig::builder_on(PlatformSpec::platform_a(), 2).with_heap(2 << 20).build();
         let colors = Arc::new(colors);
-        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
         let seen2 = seen.clone();
         let colors2 = colors.clone();
         DiompRuntime::run(cfg, move |ctx, rank| {
@@ -366,10 +366,10 @@ proptest! {
                 color,
                 rank.rank as u32,
             );
-            seen2.lock().push((rank.rank, color, g.ranks.clone()));
+            seen2.lock().unwrap().push((rank.rank, color, g.ranks.clone()));
         })
         .unwrap();
-        let seen = seen.lock();
+        let seen = seen.lock().unwrap();
         prop_assert_eq!(seen.len(), 8);
         for (rank, color, members) in seen.iter() {
             prop_assert!(members.contains(rank), "rank {} not in its own group", rank);
@@ -404,7 +404,7 @@ proptest! {
             })
             .with_heap(2 << 20)
             .with_pipeline(pipeline).build();
-            let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let out = Arc::new(std::sync::Mutex::new(Vec::new()));
             let out2 = out.clone();
             DiompRuntime::run(cfg, move |ctx, rank| {
                 let ptr = rank.alloc_sym(ctx, len).unwrap();
@@ -422,11 +422,11 @@ proptest! {
                 if rank.rank == 1 {
                     let mut got = vec![0u8; len as usize];
                     rank.read_local(rank.primary(), ptr, 0, &mut got);
-                    *out2.lock() = got;
+                    *out2.lock().unwrap() = got;
                 }
             })
             .unwrap();
-            let bytes = out.lock().clone();
+            let bytes = out.lock().unwrap().clone();
             bytes
         };
         let chunked = run(PipelineConfig { chunk_bytes: chunk, max_inflight, n_queues: 4 });
@@ -455,7 +455,7 @@ proptest! {
             let cfg = DiompConfig::builder_on(PlatformSpec::platform_a(), nodes)
                 .with_heap(2 << 20)
                 .with_coll_engine(engine).build();
-            let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let out = Arc::new(std::sync::Mutex::new(Vec::new()));
             let out2 = out.clone();
             DiompRuntime::run(cfg, move |ctx, rank| {
                 let world = rank.shared.world_group();
@@ -468,10 +468,10 @@ proptest! {
                 rank.allreduce(ctx, &world, ptr, (elems * 8) as u64, ReduceOp::SumU64);
                 let mut got = vec![0u8; elems * 8];
                 rank.read_local(rank.primary(), ptr, 0, &mut got);
-                out2.lock().push((rank.rank, got));
+                out2.lock().unwrap().push((rank.rank, got));
             })
             .unwrap();
-            let mut rows = out.lock().clone();
+            let mut rows = out.lock().unwrap().clone();
             rows.sort_by_key(|&(r, _)| r);
             rows
         };
@@ -546,7 +546,7 @@ proptest! {
                 ClusterSpec { platform: platform.clone(), nodes: 2, gpus_per_node: 1 };
             let cfg = DiompConfig::builder(cluster).with_heap(8 << 20);
             let cfg = if tuned { cfg.tuned() } else { cfg }.build();
-            let out = Arc::new(parking_lot::Mutex::new((Vec::new(), Vec::new())));
+            let out = Arc::new(std::sync::Mutex::new((Vec::new(), Vec::new())));
             let out2 = out.clone();
             DiompRuntime::run(cfg, move |ctx, rank| {
                 let ptr = rank.alloc_sym(ctx, len).unwrap();
@@ -566,11 +566,11 @@ proptest! {
                 rank.barrier(ctx);
                 let mut got = vec![0u8; len as usize];
                 rank.read_local(rank.primary(), ptr, 0, &mut got);
-                let mut o = out2.lock();
+                let mut o = out2.lock().unwrap();
                 if rank.rank == 0 { o.0 = got } else if rank.rank == 1 { o.1 = got }
             })
             .unwrap();
-            let v = out.lock().clone();
+            let v = out.lock().unwrap().clone();
             v
         };
         prop_assert_eq!(p2p(true), p2p(false), "tuned RMA must move identical bytes");
@@ -581,7 +581,7 @@ proptest! {
         let coll = |tuned: bool| {
             let cfg = DiompConfig::builder_on(platform.clone(), nodes).with_heap(2 << 20);
             let cfg = if tuned { cfg.tuned() } else { cfg }.build();
-            let out = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let out = Arc::new(std::sync::Mutex::new(Vec::new()));
             let out2 = out.clone();
             DiompRuntime::run(cfg, move |ctx, rank| {
                 let world = rank.shared.world_group();
@@ -599,10 +599,10 @@ proptest! {
                 rank.bcast(ctx, &world, 0, ptr, (elems * 8) as u64);
                 let mut got = vec![0u8; elems * 8];
                 rank.read_local(rank.primary(), ptr, 0, &mut got);
-                out2.lock().push((rank.rank, got));
+                out2.lock().unwrap().push((rank.rank, got));
             })
             .unwrap();
-            let mut rows = out.lock().clone();
+            let mut rows = out.lock().unwrap().clone();
             rows.sort_by_key(|&(r, _)| r);
             rows
         };
@@ -728,7 +728,7 @@ fn server_cuts(
     let world = FabricWorld::new(topo, devs, nranks);
     world.refresh_health_from_plan(plan);
     let id = UniqueId::generate();
-    let out = Arc::new(parking_lot::Mutex::new((0u64, 0u64, 0u64)));
+    let out = Arc::new(std::sync::Mutex::new((0u64, 0u64, 0u64)));
     let out2 = out.clone();
     let ac = AutoConfig::for_platform(platform);
     for r in 0..nranks {
@@ -749,14 +749,14 @@ fn server_cuts(
                 },
             );
             if r == 0 {
-                *out2.lock() = comm
+                *out2.lock().unwrap() = comm
                     .auto_regimes(&XcclOp::AllReduce { op: ReduceOp::SumF32 })
                     .expect("Auto engine always has regimes");
             }
         });
     }
     sim.run().unwrap();
-    let v = *out.lock();
+    let v = *out.lock().unwrap();
     v
 }
 
@@ -827,7 +827,7 @@ proptest! {
                 DeviceTable::build(&sim.handle(), topo.clone(), DataMode::Functional, Some(1 << 20));
             let world = FabricWorld::new(topo, devs, nranks);
             let id = UniqueId::generate();
-            let results = Arc::new(parking_lot::Mutex::new(vec![Vec::new(); nranks]));
+            let results = Arc::new(std::sync::Mutex::new(vec![Vec::new(); nranks]));
             for r in 0..nranks {
                 let world = world.clone();
                 let results = results.clone();
@@ -859,11 +859,11 @@ proptest! {
                     );
                     let mut out = vec![0u8; len as usize];
                     dev.mem.read(off, &mut out).unwrap();
-                    results.lock()[r] = out;
+                    results.lock().unwrap()[r] = out;
                 });
             }
             let end = sim.run().unwrap().end_time;
-            let rows = results.lock().clone();
+            let rows = results.lock().unwrap().clone();
             (end, rows)
         };
         let (end_a, rows) = run();
@@ -1090,7 +1090,7 @@ proptest! {
             AutoConfig, CollEngine, CommOpts, DeviceBuf, QosClass, RingConfig, UniqueId,
             XcclComm, XcclOp,
         };
-        use parking_lot::Mutex;
+        use std::sync::Mutex;
 
         const NODES: usize = 2;
         const NJOBS: usize = 3;
@@ -1156,7 +1156,7 @@ proptest! {
                     );
                     let mut out = vec![0u8; len as usize];
                     dev.mem.read(off, &mut out).unwrap();
-                    results.lock()[job][r] = out
+                    results.lock().unwrap()[job][r] = out
                         .chunks_exact(8)
                         .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
                         .collect();
@@ -1165,7 +1165,7 @@ proptest! {
         }
         sim.run().unwrap();
 
-        for (job, per_rank) in results.lock().iter().enumerate() {
+        for (job, per_rank) in results.lock().unwrap().iter().enumerate() {
             let expect: Vec<f64> = (0..lens[job] / 8)
                 .map(|i| {
                     (1..=nranks as u64)
@@ -1180,5 +1180,49 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// `(end_time, entries_processed, digest)` of a seeded DiOMP program on
+/// two platform-A nodes: a communicator init on the world group (the
+/// plan registry), an Auto allreduce (Auto's cut memo), a barrier and a
+/// fenced put to the next rank.
+fn seeded_diomp_run(seed: u64) -> (diomp::sim::SimTime, u64, u64) {
+    use diomp::core::{DiompConfig, DiompRuntime};
+    use diomp::xccl::{AutoConfig, CollEngine};
+
+    let platform = PlatformSpec::platform_a();
+    let engine = CollEngine::Auto(AutoConfig::for_platform(&platform));
+    let cfg = DiompConfig::builder_on(platform, 2).with_heap(2 << 20).with_coll_engine(engine);
+    let len = 8u64 << (8 + diomp::sim::derive_seed(seed, 0) % 8); // 2 KiB .. 256 KiB
+    let rep = DiompRuntime::run(cfg.build(), move |ctx, rank| {
+        let world = rank.shared.world_group();
+        let ptr = rank.alloc_sym(ctx, len).unwrap();
+        let mut rng = diomp::sim::rng_for(seed, rank.rank as u64);
+        use rand::Rng;
+        let bytes: Vec<u8> =
+            (0..len / 8).flat_map(|_| (rng.gen_range(0..64) as f64).to_le_bytes()).collect();
+        rank.write_local(rank.primary(), ptr, 0, &bytes);
+        rank.ompccl_comm(ctx, &world);
+        rank.allreduce(ctx, &world, ptr, len, ReduceOp::SumF64);
+        rank.barrier(ctx);
+        let next = (rank.rank + 1) % rank.nranks();
+        rank.put(ctx, next, ptr, 0, ptr, 0, len).unwrap();
+        rank.fence(ctx);
+    })
+    .unwrap();
+    (rep.end_time, rep.entries_processed, rep.digest)
+}
+
+/// The plan registry is per thread and Auto's cut memo per process: the
+/// same seeded program run twice at once on two OS threads and once on
+/// the calling thread pops the same entries in the same order each time.
+#[test]
+fn same_seed_replays_on_two_threads_at_once_and_on_the_caller() {
+    let seed = 20250613;
+    let runs: Vec<_> = (0..2).map(|_| std::thread::spawn(move || seeded_diomp_run(seed))).collect();
+    let here = seeded_diomp_run(seed);
+    for run in runs {
+        assert_eq!(run.join().expect("the threaded run completes"), here);
     }
 }
