@@ -7,14 +7,19 @@
 //! flight), `FINISHED`, or the stack pointer of a frame that
 //! `switch_stack` saved or [`Fiber::new`] laid out, on a stack that stays
 //! mapped while the pointer is stored. [`Context::take`] empties the slot,
-//! so a saved frame resumes at most once, and a [`Fiber`] unmaps its stack
-//! only when no frame on it can run again.
+//! so a saved frame resumes at most once, and a [`Fiber`] returns its
+//! stack to the pool only when no frame on it can run again.
+//!
+//! Stacks are reused: each thread keeps a pool of the stacks its finished
+//! fibers left, trimmed to their top page, and maps a fresh one only when
+//! the pool is empty. The pool unmaps them when its thread exits.
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 compile_error!("diomp-sim switches fiber stacks in x86_64 assembly over Linux mmap: x86_64 Linux is the only supported host");
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::ffi::{c_int, c_void};
+use std::mem::ManuallyDrop;
 use std::rc::Rc;
 
 /// Usable stack per task: std's default for a spawned thread. Mapped
@@ -22,6 +27,9 @@ use std::rc::Rc;
 const STACK_BYTES: usize = 2 << 20;
 /// One `PROT_NONE` page below the stack turns an overflow into a fault.
 const GUARD_BYTES: usize = 4096;
+/// The top page of a pooled stack stays resident: the next fiber's first
+/// frame and entry run there without a fault.
+const TOP_BYTES: usize = 4096;
 
 const RUNNING: usize = 0;
 const FINISHED: usize = 1;
@@ -34,6 +42,7 @@ const MAP_ANONYMOUS: c_int = 0x20;
 const MAP_NORESERVE: c_int = 0x4000;
 /// Also keeps transparent huge pages off the stack.
 const MAP_STACK: c_int = 0x20000;
+const MADV_DONTNEED: c_int = 4;
 
 extern "C" {
     fn mmap(
@@ -46,6 +55,72 @@ extern "C" {
     ) -> *mut c_void;
     fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
     fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+}
+
+thread_local! {
+    /// Stacks no frame can run on again, for this thread's next fibers.
+    /// Grows to the thread's peak number of live fibers.
+    static POOL: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A guarded stack mapping, unmapped when dropped.
+struct Stack {
+    /// Lowest address of the mapping, guard page included.
+    base: *mut c_void,
+}
+
+impl Stack {
+    const LEN: usize = GUARD_BYTES + STACK_BYTES;
+
+    /// A pooled stack if this thread has one, else a fresh mapping.
+    fn get() -> Stack {
+        POOL.with_borrow_mut(Vec::pop).unwrap_or_else(Stack::map)
+    }
+
+    fn map() -> Stack {
+        let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK;
+        // SAFETY: a fresh anonymous mapping at an address of the kernel's
+        // choosing aliases nothing.
+        let base =
+            unsafe { mmap(std::ptr::null_mut(), Self::LEN, PROT_READ | PROT_WRITE, flags, -1, 0) };
+        assert!(base as isize != -1, "mapping a fiber stack: {}", std::io::Error::last_os_error());
+        // Owned from here on, so a failed guard unmaps it.
+        let stack = Stack { base };
+        // SAFETY: the guard is the first page of the mapping just made.
+        let rc = unsafe { mprotect(base, GUARD_BYTES, PROT_NONE) };
+        assert_eq!(rc, 0, "guarding a fiber stack: {}", std::io::Error::last_os_error());
+        stack
+    }
+
+    /// One past the highest address of the stack, 4 KiB-aligned.
+    fn top(&self) -> usize {
+        self.base as usize + Self::LEN
+    }
+
+    /// Release every page below the top one and put the stack in this
+    /// thread's pool; unmap it if the pool is already gone.
+    fn recycle(self) {
+        // Once this thread's pool is gone, the closure is dropped uncalled
+        // and the stack it owns is unmapped with it.
+        let _ = POOL.try_with(move |pool| {
+            let below = self.base as usize + GUARD_BYTES;
+            // SAFETY: no frame on the stack can run again, so nothing
+            // reads the pages below its top, which read as zeros again.
+            let rc =
+                unsafe { madvise(below as *mut c_void, STACK_BYTES - TOP_BYTES, MADV_DONTNEED) };
+            assert_eq!(rc, 0, "trimming a fiber stack: {}", std::io::Error::last_os_error());
+            pool.borrow_mut().push(self);
+        });
+    }
+}
+
+impl Drop for Stack {
+    fn drop(&mut self) {
+        // SAFETY: the mapping is this value's alone, and nothing points
+        // into it any more.
+        unsafe { munmap(self.base, Self::LEN) };
+    }
 }
 
 /// Where a suspended execution context resumes: its saved stack pointer.
@@ -150,8 +225,8 @@ extern "C" fn fiber_main(start: *mut Start) -> ! {
 
 /// A task's stack and, until the task first runs, its entry.
 pub(crate) struct Fiber {
-    /// Lowest address of the mapping, guard page included.
-    base: *mut c_void,
+    /// Leaked unless the drop finds that no frame on it can run again.
+    stack: ManuallyDrop<Stack>,
     ctx: Rc<Context>,
     /// The frame `new` laid out: still in `ctx` if and only if the fiber
     /// never ran, since every later frame sits deeper in the stack.
@@ -160,18 +235,10 @@ pub(crate) struct Fiber {
 }
 
 impl Fiber {
-    /// Map a stack with a frame that, once resumed, runs `entry` with the
-    /// fiber's own context and then switches to `exit` for good.
+    /// Take a stack and lay out a frame that, once resumed, runs `entry`
+    /// with the fiber's own context and then switches to `exit` for good.
     pub(crate) fn new(exit: Rc<Context>, entry: impl FnOnce(Rc<Context>) + 'static) -> Fiber {
-        let len = GUARD_BYTES + STACK_BYTES;
-        let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK;
-        // SAFETY: a fresh anonymous mapping at an address of the kernel's
-        // choosing aliases nothing.
-        let base = unsafe { mmap(std::ptr::null_mut(), len, PROT_READ | PROT_WRITE, flags, -1, 0) };
-        assert!(base as isize != -1, "mapping a fiber stack: {}", std::io::Error::last_os_error());
-        // SAFETY: the guard is the first page of the mapping just made.
-        let rc = unsafe { mprotect(base, GUARD_BYTES, PROT_NONE) };
-        assert_eq!(rc, 0, "guarding a fiber stack: {}", std::io::Error::last_os_error());
+        let stack = Stack::get();
         let ctx = Rc::new(Context::default());
         let start = Box::new(Start { entry: Box::new(entry), me: ctx.clone(), exit });
         let start = Box::into_raw(start);
@@ -181,12 +248,13 @@ impl Fiber {
         // which then finds the stack 16-byte aligned.
         let (csr, ret) = ((0x037F << 32) | 0x1F80, trampoline as *const () as usize);
         let frame: [usize; 8] = [csr, 0, 0, 0, 0, start as usize, 0, ret];
-        let sp = base as usize + len - 16 - std::mem::size_of_val(&frame);
+        let sp = stack.top() - 16 - std::mem::size_of_val(&frame);
         // SAFETY: the frame's 64 bytes lie in the writable part of the
-        // mapping, 16 bytes below its 4 KiB-aligned end, so `sp` is aligned.
+        // mapping, 16 bytes below its 4 KiB-aligned end, so `sp` is aligned;
+        // no frame of an earlier fiber on a pooled stack can run again.
         unsafe { (sp as *mut [usize; 8]).write(frame) };
         ctx.sp.set(sp);
-        Fiber { base, ctx, initial_sp: sp, start }
+        Fiber { stack: ManuallyDrop::new(stack), ctx, initial_sp: sp, start }
     }
 
     /// Take the right to resume this fiber, which must be suspended.
@@ -209,7 +277,81 @@ impl Drop for Fiber {
             _ => return,
         }
         // SAFETY: the fiber never ran or has finished, so no frame on the
-        // stack can run again and nothing points into it.
-        unsafe { munmap(self.base, GUARD_BYTES + STACK_BYTES) };
+        // stack can run again and nothing points into it; `stack` is not
+        // touched after this drop.
+        unsafe { ManuallyDrop::take(&mut self.stack) }.recycle();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `/proc/self/smaps` from the entry of the mapping that starts at
+    /// `addr` on: its header line, then its fields, then the rest.
+    fn smaps_from(addr: usize) -> Vec<String> {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+        let start = |line: &str| usize::from_str_radix(line.split('-').next().unwrap(), 16).ok();
+        smaps.lines().skip_while(|line| start(line) != Some(addr)).map(String::from).collect()
+    }
+
+    /// The end and permissions of the mapping that starts at `addr`.
+    fn mapping_at(addr: usize) -> Option<(usize, String)> {
+        let header = smaps_from(addr).into_iter().next()?;
+        let mut fields = header.split_whitespace();
+        let end = fields.next()?.split_once('-')?.1;
+        Some((usize::from_str_radix(end, 16).ok()?, fields.next()?.to_string()))
+    }
+
+    /// Resident KiB of the mapping that starts at `addr`.
+    fn rss_kib_at(addr: usize) -> u64 {
+        let smaps = smaps_from(addr);
+        let rss = smaps.iter().find_map(|l| l.strip_prefix("Rss:")).expect("a mapping at addr");
+        rss.trim().trim_end_matches("kB").trim().parse().unwrap()
+    }
+
+    /// Recurse with 1 KiB of live frame per level until `budget` bytes of
+    /// stack lie below `top`; returns the number of levels.
+    fn dig(top: usize, budget: usize) -> u32 {
+        let mut frame = [0u8; 1024];
+        std::hint::black_box(&mut frame);
+        let deeper = if top - frame.as_ptr() as usize >= budget { 0 } else { dig(top, budget) };
+        deeper + 1 + std::hint::black_box(&frame)[0] as u32
+    }
+
+    #[test]
+    fn a_finished_or_unrun_fibers_guarded_stack_goes_to_the_next_fiber() {
+        let runner = Rc::new(Context::default());
+        let ran = Fiber::new(runner.clone(), |_| {});
+        switch(&runner, ran.take());
+        let unrun = Fiber::new(runner.clone(), |_| {});
+        for fiber in [ran, unrun] {
+            let base = fiber.stack.base as usize;
+            drop(fiber);
+            // Still mapped, guard and all, while it waits in the pool.
+            assert_eq!(mapping_at(base), Some((base + GUARD_BYTES, "---p".into())));
+            let stack = base + GUARD_BYTES;
+            assert_eq!(mapping_at(stack), Some((base + Stack::LEN, "rw-p".into())));
+            let next = Fiber::new(runner.clone(), |_| {});
+            assert_eq!(next.stack.base as usize, base, "the pooled stack is reused");
+        }
+    }
+
+    #[test]
+    fn a_pooled_stack_keeps_only_its_top_page_resident() {
+        let runner = Rc::new(Context::default());
+        let levels = Rc::new(Cell::new(0));
+        let dug = levels.clone();
+        let deep = Fiber::new(runner.clone(), move |_| {
+            let top = 0u8;
+            dug.set(dig(std::hint::black_box(&top) as *const u8 as usize, 1 << 20));
+        });
+        switch(&runner, deep.take());
+        assert!(levels.get() >= 900, "{} levels", levels.get());
+        let stack = deep.stack.base as usize + GUARD_BYTES;
+        assert!(rss_kib_at(stack) >= 1024, "the task touched a mebibyte");
+        drop(deep);
+        let rss = rss_kib_at(stack);
+        assert!(rss <= TOP_BYTES as u64 / 1024, "a pooled stack keeps {rss} kB resident");
     }
 }

@@ -159,7 +159,7 @@ pub(crate) struct KState {
     /// was dispatching at the time.
     outcome: Option<Outcome>,
     /// The task whose fiber just switched to `Sim::run` for the last
-    /// time; `run` unmaps its stack.
+    /// time; `run` drops the fiber, returning its stack to the pool.
     finished: Option<TaskId>,
 }
 

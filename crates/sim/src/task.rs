@@ -90,7 +90,7 @@ impl std::fmt::Display for ParkedOn {
 pub(crate) struct TaskSlot {
     pub(crate) name: String,
     pub(crate) status: TaskStatus,
-    /// `None` once the task is done and `Sim::run` has unmapped its stack.
+    /// `None` once the task is done and `Sim::run` has pooled its stack.
     pub(crate) fiber: Option<Fiber>,
     /// Meaningful while `status` is `Blocked`.
     pub(crate) parked_on: ParkedOn,

@@ -467,7 +467,7 @@ impl Schedule {
     }
 
     /// The coalesced driver: [`Schedule::march`] from the current
-    /// instant under one hold of the kernel lock, whose clock stays
+    /// instant under one borrow of the kernel state, whose clock stays
     /// frozen meanwhile, then one [`Ctx::sleep_until_coalesced`] wake
     /// carrying the chunk count. The [`Jump`] skips a rigid period's
     /// repeats unless a fault plan is armed (a degradation window breaks
