@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use diomp_device::{DataMode, DeviceTable, HostBuf};
 use diomp_fabric::{gasnet, gpi, FabricWorld, Loc, ReduceOp};
-use diomp_sim::{ClusterSpec, Dur, PlatformSpec, Sim, Topology, Wait};
+use diomp_sim::{ClusterSpec, Dur, PlatformSpec, Sim, SimTime, Topology, Wait};
 
 /// Build a world of `nranks` ranks, one device each, on `platform`.
 fn boot(
@@ -420,6 +420,52 @@ fn mpi_rendezvous_transfers_large_payload() {
     sim.run().unwrap();
 }
 
+/// One MPI pair, rank 0 to rank 4 (across nodes): the send is issued at
+/// 0 and the receive at `recv_at`. Returns the instants each side's wait
+/// returned and the run's entry count.
+fn mpi_pair(len: u64, recv_at: SimTime) -> (u64, u64, u64) {
+    let mut sim = Sim::new();
+    let world = world_a(&sim, 8);
+    let done = Rc::new(std::cell::Cell::new((0, 0)));
+    let (w0, d0) = (world.clone(), done.clone());
+    sim.spawn("rank0", move |ctx| {
+        let mpi = diomp_fabric::MpiRank::new(w0.clone(), 0);
+        mpi.send(ctx, 4, 7, Loc::dev(0, 0), len).unwrap();
+        d0.set((ctx.now().nanos(), d0.get().1));
+    });
+    let (w4, d4) = (world.clone(), done.clone());
+    sim.spawn("rank4", move |ctx| {
+        let mpi = diomp_fabric::MpiRank::new(w4.clone(), 4);
+        ctx.sleep_until(recv_at);
+        mpi.recv(ctx, Some(0), Some(7), Loc::dev(4, 0), len).unwrap();
+        d4.set((d4.get().0, ctx.now().nanos()));
+    });
+    let rep = sim.run().unwrap();
+    let (send, recv) = done.get();
+    (send, recv, rep.entries_processed)
+}
+
+#[test]
+fn mpi_pairs_complete_at_their_pinned_instants() {
+    // (send done, receive done) in ns, and the entries at the parent
+    // commit, which may only fall. Eager: the receive is posted when the
+    // message lands, or the message waits in the unexpected queue.
+    // Rendezvous: the RTS finds the posted receive, or the receive finds
+    // the queued RTS.
+    let (eager, rndv) = (64, 256 << 10);
+    let cases = [
+        (eager, SimTime::ZERO, (1_304, 4_154), 8),
+        (eager, SimTime(100_000), (1_304, 101_104), 9),
+        (rndv, SimTime::ZERO, (19_814, 22_664), 10),
+        (rndv, SimTime(100_000), (116_761, 119_611), 11),
+    ];
+    for (len, recv_at, instants, entries) in cases {
+        let (send, recv, n) = mpi_pair(len, recv_at);
+        assert_eq!((send, recv), instants, "{len} B, receive at {recv_at}");
+        assert!(n <= entries, "{len} B, receive at {recv_at}: {n} entries > {entries}");
+    }
+}
+
 #[test]
 fn mpi_wildcard_recv_matches_any_source() {
     let mut sim = Sim::new();
@@ -661,7 +707,7 @@ fn fabric_runs_are_deterministic() {
 // ---------------- Timeouts, faults, and recovery (GASPI fault model) ----------------
 
 use diomp_fabric::{FabricError, RankHealth};
-use diomp_sim::{fault_key, CtrlFault, FaultPlan, SimTime};
+use diomp_sim::{fault_key, CtrlFault, FaultPlan};
 
 /// One row of the wire table: an operation moving `WIRE_LEN` bytes
 /// between rank 0 (node 0) and rank 1 (node 1) of a two-node platform C

@@ -90,3 +90,43 @@ fn exchange_participant_contributing_twice_panics() {
     let dom: ExchangeDomain<u8> = ExchangeDomain::new(3, Dur::micros(0.1));
     arrive_twice(move |ctx| drop(dom.exchange(ctx, 0, 7)));
 }
+
+/// 64 bounded participants and a straggler: participant `r < 63`
+/// arrives at `r · 300` ns with a 10 µs budget and re-parks at every
+/// deadline (the probe never says "dead"); participant 63 fills the
+/// episode at 30 µs and completes it 2 µs later. Participants whose
+/// deadline fires between the fill and the completion re-park behind
+/// the filler, so the wake order is each one's most recent park.
+#[test]
+fn sixty_four_bounded_participants_wake_in_their_last_park_order() {
+    let mut sim = Sim::new();
+    let meet: Rc<Rendezvous<u64, u64>> = Rc::new(Rendezvous::new(64));
+    let woke = Rc::new(std::cell::RefCell::new(Vec::new()));
+    for r in 0..64u64 {
+        let (meet, woke) = (meet.clone(), woke.clone());
+        sim.spawn(format!("r{r}"), move |ctx| {
+            ctx.delay(Dur::nanos(if r == 63 { 30_000 } else { r * 300 }));
+            let budget = Wait::Until(Dur::micros(10.0));
+            let sum = |ctx: &mut Ctx, all: Vec<u64>| {
+                (ctx.now() + Dur::micros(2.0), all.iter().sum())
+            };
+            let got = meet.arrive(ctx, r as usize, r, budget, |_| false, sum).unwrap();
+            assert_eq!((got, ctx.now()), ((0..64).sum(), SimTime(32_000)));
+            woke.borrow_mut().push(r);
+        });
+    }
+    let rep = sim.run().unwrap();
+    let woke = woke.borrow();
+    // Wake order is last-park order: 7-28 (second re-park, 22.1-28.4 µs)
+    // interleaved with 41-62 (first re-park, 22.3-28.6 µs), 29-33
+    // (28.7-29.9 µs), the filler 63 at 30 µs, then 0-6 (third re-park)
+    // interleaved with 34-40 (second re-park), 30-32 µs.
+    let mut order: Vec<u64> = (7..=28).flat_map(|k| [k, k + 34]).collect();
+    order.extend([29, 30, 31, 32, 33, 63]);
+    order.extend((0..=6).flat_map(|k| [k, k + 34]));
+    assert_eq!(*woke, order);
+    assert_eq!(
+        (rep.end_time, rep.entries_processed, rep.digest),
+        (SimTime(42_000), 367, 0x7B46_4173_4D90_E85A)
+    );
+}
