@@ -1,6 +1,6 @@
 //! Integration tests for the chunked multi-queue RMA pipeline and the
-//! batched `wait_all` fence (ISSUE 1 acceptance: byte identity, no-later
-//! completion, trace determinism, pinned scheduler-entry cost).
+//! one-sleep fence (byte identity, no-later completion, trace
+//! determinism, pinned scheduler-entry cost).
 
 use std::sync::Arc;
 

@@ -102,6 +102,6 @@ mod tests {
             });
         }
         sim.run().unwrap();
-        assert_eq!(h.live_events(), 0, "barrier must free its events");
+        assert_eq!(h.unconsumed_posts(), 0, "barrier must consume its posts");
     }
 }

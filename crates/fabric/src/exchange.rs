@@ -90,6 +90,6 @@ mod tests {
             });
         }
         sim.run().unwrap();
-        assert_eq!(h.live_events(), 0);
+        assert_eq!(h.unconsumed_posts(), 0);
     }
 }

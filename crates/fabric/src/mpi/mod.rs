@@ -19,7 +19,7 @@ pub use rma::WinId;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use diomp_sim::{EventId, SimTime};
+use diomp_sim::{BoardId, Ctx, SimHandle, SimTime, Wait};
 
 use crate::loc::Loc;
 use crate::rendezvous::Rendezvous;
@@ -31,14 +31,14 @@ pub(crate) struct Posted {
     pub tag: Option<u64>,
     pub dst: Loc,
     pub len: u64,
-    pub ev: EventId,
+    pub done: Post,
 }
 
 pub(crate) enum UnexKind {
     /// Eager payload parked in the unexpected queue.
     Eager { data: Option<Vec<u8>>, len: u64 },
     /// Rendezvous ready-to-send awaiting a matching receive.
-    Rts { src_loc: Loc, len: u64, sender_ev: EventId },
+    Rts { src_loc: Loc, len: u64, sender: Post },
 }
 
 pub(crate) struct Unexpected {
@@ -51,6 +51,36 @@ pub(crate) struct Unexpected {
 pub(crate) struct RankMatch {
     pub posted: Vec<Posted>,
     pub unexpected: Vec<Unexpected>,
+    /// The rank's board, created at its first request that needs one.
+    board: Option<BoardId>,
+    /// The id the next such request takes on it.
+    next_id: u32,
+}
+
+impl RankMatch {
+    /// A fresh id on this rank's board, for a request whose completion
+    /// instant is not known at issue.
+    pub(crate) fn new_post(&mut self, h: &SimHandle) -> Post {
+        let board = *self.board.get_or_insert_with(|| h.new_board());
+        let id = self.next_id;
+        self.next_id = id.wrapping_add(1);
+        Post { board, id }
+    }
+}
+
+/// A request's completion that is not known at issue: an id on its
+/// rank's board, posted by whichever side completes it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Post {
+    board: BoardId,
+    id: u32,
+}
+
+impl Post {
+    /// Complete the request at `t` (not before now).
+    pub(crate) fn post_at(self, h: &SimHandle, t: SimTime) {
+        h.schedule_at(t, move |h| h.board_post(self.board, self.id, 1));
+    }
 }
 
 pub(crate) struct WinPart {
@@ -85,10 +115,15 @@ impl MpiWorld {
     }
 }
 
-/// A non-blocking request (`MPI_Request`).
+/// A non-blocking request (`MPI_Request`): its completion instant when
+/// that was known at issue, else the post that completes it.
 #[derive(Clone, Copy, Debug)]
-pub struct MpiReq {
-    pub(crate) ev: EventId,
+pub struct MpiReq(pub(crate) Done);
+
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Done {
+    At(SimTime),
+    Posted(Post),
 }
 
 /// Per-rank MPI handle — owned by the rank's task, carries the collective
@@ -115,19 +150,23 @@ impl MpiRank {
     }
 
     /// Block until a request completes (`MPI_Wait`).
-    pub fn wait(&self, ctx: &mut diomp_sim::Ctx, req: MpiReq) {
-        ctx.drain(&[req.ev]);
+    pub fn wait(&self, ctx: &mut Ctx, req: MpiReq) {
+        match req.0 {
+            Done::At(t) => ctx.wait_until(t, Wait::Block),
+            Done::Posted(p) => ctx.board_waitsome(p.board, p.id, 1, Wait::Block).map(drop),
+        }
+        .expect("a blocking wait cannot time out");
     }
 
     /// Block until all requests complete (`MPI_Waitall`).
-    pub fn waitall(&self, ctx: &mut diomp_sim::Ctx, reqs: &[MpiReq]) {
-        for r in reqs {
-            ctx.drain(&[r.ev]);
+    pub fn waitall(&self, ctx: &mut Ctx, reqs: &[MpiReq]) {
+        for &r in reqs {
+            self.wait(ctx, r);
         }
     }
 
     /// Barrier over all ranks (`MPI_Barrier`).
-    pub fn barrier(&self, ctx: &mut diomp_sim::Ctx) {
+    pub fn barrier(&self, ctx: &mut Ctx) {
         self.world.barrier.arrive_and_wait(ctx, self.rank);
     }
 }

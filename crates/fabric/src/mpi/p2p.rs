@@ -11,22 +11,23 @@
 use std::rc::Rc;
 
 use diomp_device::MemError;
-use diomp_sim::{Ctx, Dur, EventId, SimHandle};
+use diomp_sim::{Ctx, Dur, SimHandle, SimTime};
 
 use crate::loc::Loc;
 use crate::path::{control_msg, raw_path, End};
 use crate::wire::{carry, end_of};
 use crate::world::FabricWorld;
 
-use super::{MpiRank, MpiReq, Posted, UnexKind, Unexpected};
+use super::{Done, MpiRank, MpiReq, Post, Posted, UnexKind, Unexpected};
 
 fn matches(posted: &Posted, src: usize, tag: u64) -> bool {
     posted.src.map(|s| s == src).unwrap_or(true) && posted.tag.map(|t| t == tag).unwrap_or(true)
 }
 
-/// Launch the rendezvous data transfer once both sides are known.
-/// Callable from task context (receive found an RTS) or action context
-/// (RTS arrival found a posted receive).
+/// Launch the rendezvous data transfer once both sides are known, post
+/// the sender's completion at the payload's departure, and return the
+/// receiver's completion instant. Callable from task context (receive
+/// found an RTS) or action context (RTS arrival found a posted receive).
 #[allow(clippy::too_many_arguments)]
 fn start_rndv(
     h: &SimHandle,
@@ -36,9 +37,8 @@ fn start_rndv(
     src_loc: Loc,
     dst_loc: Loc,
     len: u64,
-    sender_ev: EventId,
-    recv_ev: EventId,
-) {
+    sender: Post,
+) -> SimTime {
     let m = world.platform.mpi_p2p.clone();
     let src_end = end_of(world, from, &src_loc);
     let dst_end = end_of(world, to, &dst_loc);
@@ -48,8 +48,8 @@ fn start_rndv(
     // ...then the payload streams over the path.
     let times = raw_path(h, &world.devs, src_end, dst_end, data_start, len, m.eff);
     carry(h, world, src_loc, dst_loc, len, times);
-    h.complete_at(sender_ev, times.depart);
-    h.complete_at(recv_ev, times.arrive + Dur::micros(m.recv_o_us));
+    sender.post_at(h, times.depart);
+    times.arrive + Dur::micros(m.recv_o_us)
 }
 
 impl MpiRank {
@@ -67,7 +67,6 @@ impl MpiRank {
         src.check(&world.devs, len)?;
         ctx.delay(Dur::micros(m.send_o_us));
         let h = ctx.handle().clone();
-        let sender_ev = h.new_event();
         let from = self.rank;
 
         if len <= m.eager_max {
@@ -80,7 +79,6 @@ impl MpiRank {
             let dst_end = End::Node(world.node_of(to));
             let snapshot = src.snapshot(&world.devs, len)?;
             let times = raw_path(&h, &world.devs, src_end, dst_end, ctx.now(), len.max(1), m.eff);
-            h.complete_at(sender_ev, times.depart);
             let world2 = world.clone();
             h.schedule_at(times.arrive, move |h| {
                 let mut ms = world2.mpi.matching[to].borrow_mut();
@@ -91,7 +89,7 @@ impl MpiRank {
                     if let Some(bytes) = &snapshot {
                         p.dst.deposit(&world2.devs, bytes);
                     }
-                    h.complete_at(p.ev, h.now() + Dur::micros(m.recv_o_us));
+                    p.done.post_at(h, h.now() + Dur::micros(m.recv_o_us));
                 } else {
                     ms.unexpected.push(Unexpected {
                         src: from,
@@ -100,11 +98,13 @@ impl MpiRank {
                     });
                 }
             });
+            Ok(MpiReq(Done::At(times.depart)))
         } else {
             // Rendezvous: RTS first, data once matched.
             let src_end = End::Node(world.node_of(from));
             let dst_end = End::Node(world.node_of(to));
             let rts_arrive = control_msg(&h, &world.devs, src_end, dst_end, ctx.now());
+            let sender = world.mpi.matching[from].borrow_mut().new_post(&h);
             let world2 = world.clone();
             let src2 = src.clone();
             h.schedule_at(rts_arrive, move |h| {
@@ -113,17 +113,18 @@ impl MpiRank {
                     let p = ms.posted.remove(i);
                     assert!(len <= p.len, "rendezvous message longer than receive buffer");
                     drop(ms);
-                    start_rndv(h, &world2, from, to, src2, p.dst, len, sender_ev, p.ev);
+                    let t = start_rndv(h, &world2, from, to, src2, p.dst, len, sender);
+                    p.done.post_at(h, t);
                 } else {
                     ms.unexpected.push(Unexpected {
                         src: from,
                         tag,
-                        kind: UnexKind::Rts { src_loc: src2, len, sender_ev },
+                        kind: UnexKind::Rts { src_loc: src2, len, sender },
                     });
                 }
             });
+            Ok(MpiReq(Done::Posted(sender)))
         }
-        Ok(MpiReq { ev: sender_ev })
     }
 
     /// Non-blocking receive (`MPI_Irecv`). `src`/`tag` of `None` are the
@@ -140,18 +141,17 @@ impl MpiRank {
         let m = world.platform.mpi_p2p.clone();
         dst.check(&world.devs, len)?;
         let h = ctx.handle().clone();
-        let ev = h.new_event();
         let to = self.rank;
 
         let mut ms = world.mpi.matching[to].borrow_mut();
         let hit = ms.unexpected.iter().position(|u| {
             src.map(|s| s == u.src).unwrap_or(true) && tag.map(|t| t == u.tag).unwrap_or(true)
         });
-        match hit {
+        let done = match hit {
             Some(i) => {
                 let u = ms.unexpected.remove(i);
                 drop(ms);
-                match u.kind {
+                Done::At(match u.kind {
                     UnexKind::Eager { data, len: mlen } => {
                         assert!(mlen <= len, "unexpected message longer than receive buffer");
                         if let Some(bytes) = &data {
@@ -161,19 +161,21 @@ impl MpiRank {
                         let copy = Dur::nanos(
                             (mlen as f64 / world.platform.host_memcpy_gbps).ceil() as u64,
                         );
-                        h.complete_at(ev, ctx.now() + Dur::micros(m.recv_o_us) + copy);
+                        ctx.now() + Dur::micros(m.recv_o_us) + copy
                     }
-                    UnexKind::Rts { src_loc, len: mlen, sender_ev } => {
+                    UnexKind::Rts { src_loc, len: mlen, sender } => {
                         assert!(mlen <= len, "rendezvous message longer than receive buffer");
-                        start_rndv(&h, world, u.src, to, src_loc, dst, mlen, sender_ev, ev);
+                        start_rndv(&h, world, u.src, to, src_loc, dst, mlen, sender)
                     }
-                }
+                })
             }
             None => {
-                ms.posted.push(Posted { src, tag, dst, len, ev });
+                let done = ms.new_post(&h);
+                ms.posted.push(Posted { src, tag, dst, len, done });
+                Done::Posted(done)
             }
-        }
-        Ok(MpiReq { ev })
+        };
+        Ok(MpiReq(done))
     }
 
     /// Blocking send (`MPI_Send`).

@@ -9,19 +9,24 @@
 //! contributions, a device collective runs its whole schedule inside
 //! the rule — so the protocol is written here, once.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::rc::Rc;
 
-use diomp_sim::{Ctx, Dur, EventId, SimTime, Wait, WaitTimeout};
+use diomp_sim::{BoardId, Ctx, Dur, SimTime, Wait, WaitTimeout};
 
 struct Episode<T, R> {
-    ev: EventId,
+    seq: u64,
     /// Contributions by participant index (taken by the arrival that
     /// fills the episode).
     slots: Vec<Option<T>>,
     arrived: usize,
-    /// Participants still inside `arrive` (for event recycling).
+    /// Participants still inside `arrive` (the last one out retires the
+    /// episode).
     inside: usize,
+    /// The boards of the participants that parked, in the order of each
+    /// one's most recent park: the order the completion posts them in.
+    parked: Rc<RefCell<Vec<BoardId>>>,
     /// What the filling arrival's completion rule handed out.
     result: Option<R>,
     /// A bounded arrival withdrew after its `dead` probe confirmed the
@@ -38,13 +43,23 @@ struct Episode<T, R> {
 pub struct Rendezvous<T, R> {
     n: usize,
     episodes: RefCell<VecDeque<Episode<T, R>>>,
+    /// Sequence number of the next episode to open.
+    next_seq: Cell<u64>,
+    /// Each participant's board, created at its first arrival. A
+    /// completed episode posts id 0 of every participant's board once.
+    boards: RefCell<Vec<Option<BoardId>>>,
 }
 
 impl<T, R: Clone> Rendezvous<T, R> {
     /// Rendezvous over `n` participants.
     pub fn new(n: usize) -> Self {
         assert!(n >= 1);
-        Rendezvous { n, episodes: RefCell::new(VecDeque::new()) }
+        Rendezvous {
+            n,
+            episodes: RefCell::new(VecDeque::new()),
+            next_seq: Cell::new(0),
+            boards: RefCell::new(vec![None; n]),
+        }
     }
 
     /// Arrive as participant `idx` with `value`, joining the newest open
@@ -55,7 +70,7 @@ impl<T, R: Clone> Rendezvous<T, R> {
     /// participant order; it returns the completion instant and the
     /// result each participant leaves with at that instant.
     ///
-    /// With [`Wait::Block`] a call cannot fail — one event, one park per
+    /// With [`Wait::Block`] a call cannot fail — one post, one park per
     /// participant. With [`Wait::Until`] each park is bounded: when the
     /// deadline fires before the episode fills, `dead` is consulted (the
     /// caller's health probe). If it confirms the episode can never fill
@@ -75,16 +90,20 @@ impl<T, R: Clone> Rendezvous<T, R> {
         finish: impl FnOnce(&mut Ctx, Vec<T>) -> (SimTime, R),
     ) -> Result<R, WaitTimeout> {
         assert!(idx < self.n);
+        let board = *self.boards.borrow_mut()[idx].get_or_insert_with(|| ctx.new_board());
         // One borrow per arrival: join (or open) the episode, and if this
         // arrival fills it, take every contribution out with it.
-        let (ev, filled) = {
+        let (seq, parked, filled) = {
             let mut eps = self.episodes.borrow_mut();
             if eps.back().is_none_or(|e| e.arrived == self.n || e.abandoned) {
+                let seq = self.next_seq.get();
+                self.next_seq.set(seq + 1);
                 eps.push_back(Episode {
-                    ev: ctx.new_event(),
+                    seq,
                     slots: (0..self.n).map(|_| None).collect(),
                     arrived: 0,
                     inside: 0,
+                    parked: Rc::default(),
                     result: None,
                     abandoned: false,
                 });
@@ -94,48 +113,57 @@ impl<T, R: Clone> Rendezvous<T, R> {
             ep.slots[idx] = Some(value);
             ep.arrived += 1;
             ep.inside += 1;
-            (ep.ev, (ep.arrived == self.n).then(|| std::mem::take(&mut ep.slots)))
+            let filled = (ep.arrived == self.n).then(|| std::mem::take(&mut ep.slots));
+            (ep.seq, ep.parked.clone(), filled)
         };
         if let Some(slots) = filled {
             let all = slots.into_iter().map(|s| s.expect("a full episode")).collect();
             let (done, result) = finish(ctx, all);
-            self.with_episode(ev, |ep| ep.result = Some(result));
-            ctx.complete_at(ev, done);
+            self.with_episode(seq, |ep| ep.result = Some(result));
+            let parked = parked.clone();
+            ctx.schedule_at(done, move |h| {
+                for &b in parked.borrow().iter() {
+                    h.board_post(b, 0, seq);
+                }
+            });
         }
-        while ctx.wait_all(&[ev], wait).is_err() {
+        parked.borrow_mut().push(board);
+        while ctx.board_waitsome(board, 0, 1, wait).is_err() {
             // Full by arrival count, not by result: the filling arrival
             // may still be inside `finish` (virtual time passes while it
             // prices and schedules), and the deadline then only means
             // the episode outlives the budget. Re-park.
-            let filled = self.with_episode(ev, |ep| ep.arrived == self.n);
+            let filled = self.with_episode(seq, |ep| ep.arrived == self.n);
             if !filled && dead(ctx) {
-                self.leave(ctx, ev, true);
+                self.leave(seq, true);
                 return Err(WaitTimeout { at: ctx.now() });
             }
+            // Most recent park last: the re-park moves this board to the end.
+            let mut order = parked.borrow_mut();
+            order.retain(|&b| b != board);
+            order.push(board);
         }
-        Ok(self.leave(ctx, ev, false).expect("episode completed without a result"))
+        Ok(self.leave(seq, false).expect("episode completed without a result"))
     }
 
-    fn with_episode<O>(&self, ev: EventId, f: impl FnOnce(&mut Episode<T, R>) -> O) -> O {
-        f(self.episodes.borrow_mut().iter_mut().find(|e| e.ev == ev).expect("episode vanished"))
+    fn with_episode<O>(&self, seq: u64, f: impl FnOnce(&mut Episode<T, R>) -> O) -> O {
+        f(self.episodes.borrow_mut().iter_mut().find(|e| e.seq == seq).expect("episode vanished"))
     }
 
     /// One participant out, taking the result with it. The last one out
-    /// retires the episode; its event is safe to recycle either way — a
-    /// completed episode's waiters have all woken, an abandoned one was
-    /// never filled, so no completion is scheduled on it.
-    fn leave(&self, ctx: &Ctx, ev: EventId, abandon: bool) -> Option<R> {
+    /// retires the episode: a completed episode has posted every board
+    /// and each participant consumed its post, and an abandoned one was
+    /// never filled, so nothing is left posted either way.
+    fn leave(&self, seq: u64, abandon: bool) -> Option<R> {
         let mut eps = self.episodes.borrow_mut();
-        let pos = eps.iter().position(|e| e.ev == ev).expect("episode vanished");
+        let pos = eps.iter().position(|e| e.seq == seq).expect("episode vanished");
         let ep = &mut eps[pos];
         ep.abandoned |= abandon;
         ep.inside -= 1;
         if ep.inside > 0 {
             return ep.result.clone();
         }
-        let ep = eps.remove(pos).expect("position just found");
-        ctx.free_event(ep.ev);
-        ep.result
+        eps.remove(pos).expect("position just found").result
     }
 }
 

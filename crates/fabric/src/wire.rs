@@ -7,7 +7,7 @@
 //! ([`raw_path`]) and the request / acknowledgement control message
 //! ([`control_msg`]), and move the bytes. The conduits keep addressing
 //! (segments, windows), their [`Price`] and their completion
-//! bookkeeping (events, queues, window pending lists).
+//! bookkeeping (completion instants, queues, window pending lists).
 //!
 //! Bytes move in [`DataMode::Functional`] runs only; a CostOnly run
 //! schedules no data action at all, so scheduler entries never count

@@ -1106,7 +1106,7 @@ fn gpi_queue_purge_abandons_inflight_completions_without_leaking() {
         let t0 = ctx.now();
         gpi::wait_queue(ctx, &w0, 0, gpi::QueueId(0), Wait::Block).unwrap();
         assert_eq!(ctx.now(), t0, "purged queue has no completions to wait for");
-        assert_eq!(ctx.live_events(), 0, "a queued completion is an instant, not an event");
+        assert_eq!(ctx.unconsumed_posts(), 0, "a queued completion is an instant, not a post");
     });
     sim.run().unwrap();
 }

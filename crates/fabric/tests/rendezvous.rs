@@ -37,7 +37,7 @@ fn bounded_arrival_withdraws_and_the_next_one_opens_a_fresh_episode() {
         });
     }
     sim.run().unwrap();
-    assert_eq!(h.live_events(), 0, "abandoned and completed episodes both recycle");
+    assert_eq!(h.unconsumed_posts(), 0, "abandoned and completed episodes leave no post");
 }
 
 /// The last arrival spends 50 µs inside `finish`; the others' 10 µs
@@ -63,7 +63,7 @@ fn filled_episode_completes_even_when_the_deadline_fires_during_finish() {
         });
     }
     sim.run().unwrap();
-    assert_eq!(h.live_events(), 0);
+    assert_eq!(h.unconsumed_posts(), 0);
 }
 
 /// Two tasks arriving under one participant index, through `arrive`.
@@ -107,9 +107,8 @@ fn sixty_four_bounded_participants_wake_in_their_last_park_order() {
         sim.spawn(format!("r{r}"), move |ctx| {
             ctx.delay(Dur::nanos(if r == 63 { 30_000 } else { r * 300 }));
             let budget = Wait::Until(Dur::micros(10.0));
-            let sum = |ctx: &mut Ctx, all: Vec<u64>| {
-                (ctx.now() + Dur::micros(2.0), all.iter().sum())
-            };
+            let sum =
+                |ctx: &mut Ctx, all: Vec<u64>| (ctx.now() + Dur::micros(2.0), all.iter().sum());
             let got = meet.arrive(ctx, r as usize, r, budget, |_| false, sum).unwrap();
             assert_eq!((got, ctx.now()), ((0..64).sum(), SimTime(32_000)));
             woke.borrow_mut().push(r);

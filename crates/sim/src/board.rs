@@ -6,15 +6,16 @@
 //! [`crate::SimHandle::board_post`]; a consumer task blocks on a *range*
 //! of ids with [`crate::Ctx::board_waitsome`] and atomically consumes
 //! the lowest posted id in the range. This is the kernel primitive under
-//! GASPI-style ranged notifications (`gaspi_notify_waitsome`).
+//! GASPI-style ranged notifications (`gaspi_notify_waitsome`), and under
+//! every other completion whose instant is not known at issue: MPI
+//! two-sided matching and the fabric's rendezvous post to boards too.
 //!
-//! Design: a range wait reuses the generation-tagged *wait-group*
-//! machinery of [`crate::Ctx::wait_all`] / [`crate::Ctx::wait_cq`]
-//! rather than polling each id. The waiter registers a single group
-//! (remaining count 1) on the board together with its
+//! Design: a range wait arms one generation-tagged *wait group*, like
+//! [`crate::Ctx::wait_cq`], rather than polling each id. The waiter
+//! registers the group on the board together with its
 //! `[first, first+num)` range and parks exactly once; the first post
 //! landing inside the range fires the group and produces the only wake
-//! entry. Posts outside every parked range cost nothing beyond the map
+//! entry. Posts outside every parked range cost nothing beyond the
 //! insert. Multiple waiters with overlapping ranges are all woken by a
 //! matching post; the dispatch order decides who consumes, and the losers
 //! re-park on a fresh group (their dead group's generation check makes
@@ -30,8 +31,6 @@
 //!   no other task running in between: a value is returned by exactly
 //!   one `board_waitsome`/`board_reset` call.
 
-use std::collections::BTreeMap;
-
 use crate::event::GroupRef;
 
 /// Handle to a notification board. Cheap to copy.
@@ -45,8 +44,8 @@ impl BoardId {
 }
 
 /// A task parked on a range of board ids, represented by its wait-group
-/// registration (remaining count 1). Fired and removed by the first
-/// matching post; a stale generation means the group already fired.
+/// registration. Fired and removed by the first matching post; a stale
+/// generation means the group already fired.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RangeWaiter {
     pub(crate) first: u32,
@@ -65,23 +64,35 @@ impl RangeWaiter {
 /// Kernel-side state of one board.
 #[derive(Debug, Default)]
 pub(crate) struct BoardSlot {
-    /// Posted, unconsumed values. Ordered so "lowest posted id in range"
-    /// is a deterministic scan.
-    pub(crate) values: BTreeMap<u32, u64>,
+    /// Posted, unconsumed `(id, value)`s, sorted by id so the lowest
+    /// posted id in a range is one binary search. A board holds a
+    /// handful at a time: a rendezvous participant's or an MPI rank's
+    /// one or two, a halo's notifications in flight.
+    values: Vec<(u32, u64)>,
     /// Parked range waiters, in registration order.
     pub(crate) waiters: Vec<RangeWaiter>,
 }
 
 impl BoardSlot {
-    /// Lowest posted, unconsumed id in `[first, first + num)` and its
-    /// value: the range semantics of `board_waitsome`.
-    pub(crate) fn lowest_in_range(&self, first: u32, num: u32) -> Option<(u32, u64)> {
-        let end = (first as u64 + num as u64).min(u32::MAX as u64 + 1);
-        self.values
-            .range(first..)
-            .next()
-            .filter(|&(&id, _)| (id as u64) < end)
-            .map(|(&id, &v)| (id, v))
+    /// Post `value` to `id`, overwriting an unconsumed value there.
+    pub(crate) fn post(&mut self, id: u32, value: u64) {
+        match self.values.binary_search_by_key(&id, |&(i, _)| i) {
+            Ok(k) => self.values[k].1 = value,
+            Err(k) => self.values.insert(k, (id, value)),
+        }
+    }
+
+    /// Consume the lowest posted id in `[first, first + num)` and return
+    /// it with its value: the range semantics of `board_waitsome`.
+    pub(crate) fn take_lowest(&mut self, first: u32, num: u32) -> Option<(u32, u64)> {
+        let k = self.values.partition_point(|&(id, _)| id < first);
+        let &(id, _) = self.values.get(k)?;
+        (u64::from(id) < u64::from(first) + u64::from(num)).then(|| self.values.remove(k))
+    }
+
+    /// Posted, unconsumed values on this board.
+    pub(crate) fn unconsumed(&self) -> usize {
+        self.values.len()
     }
 }
 
@@ -133,10 +144,14 @@ mod tests {
         h.board_post(b, 5, 50);
         h.board_post(b, 3, 30);
         h.board_post(b, 9, 90);
+        h.board_post(b, u32::MAX, 1);
         sim.spawn("consumer", move |ctx| {
             assert_eq!(ctx.board_waitsome(b, 0, 16, Wait::Block).unwrap(), (3, 30));
             assert_eq!(ctx.board_waitsome(b, 0, 16, Wait::Block).unwrap(), (5, 50));
             assert_eq!(ctx.board_waitsome(b, 0, 16, Wait::Block).unwrap(), (9, 90));
+            // A range reaching past the last id ends there.
+            let top = ctx.board_waitsome(b, u32::MAX - 1, 4, Wait::Block).unwrap();
+            assert_eq!(top, (u32::MAX, 1));
         });
         sim.run().unwrap();
     }

@@ -2,23 +2,22 @@
 //!
 //! A [`Ctx`] is handed to every task closure. It dereferences to
 //! [`SimHandle`] for the non-blocking kernel API and adds the blocking
-//! primitives (`wait_all`, `delay`, …) that park the calling task: having
-//! registered its wake-up, the task dispatches the queue itself until it
-//! switches to another task's fiber or its own wake pops.
+//! primitives (`delay`, `board_waitsome`, …) that park the calling task:
+//! having registered its wake-up, the task dispatches the queue itself
+//! until it switches to another task's fiber or its own wake pops.
 //!
-//! There are three waits on events, completion queues and boards —
-//! [`Ctx::wait_all`], [`Ctx::wait_cq`] and [`Ctx::board_waitsome`] — and
-//! each takes a [`Wait`]. Each parks on one generation-tagged wait group,
-//! so tasks parked on the same event wake in registration order.
-//! [`Ctx::drain`] is a blocking `wait_all` that recycles its events. A
-//! completion whose instant is known at issue is no event at all:
-//! [`Ctx::wait_until`] sleeps to it, under a [`Wait`] too.
+//! A parked task wakes in one of four ways: a timer ([`Ctx::delay`]), a
+//! known instant ([`Ctx::wait_until`]), a board post
+//! ([`Ctx::board_waitsome`]) or a completion-queue post
+//! ([`Ctx::wait_cq`]). The last three take a [`Wait`]. A post wakes
+//! through one generation-tagged wait group per park, so tasks woken by
+//! one post wake in registration order.
 
 use std::cell::RefMut;
 use std::rc::Rc;
 
 use crate::board::{BoardId, RangeWaiter};
-use crate::event::{CqId, EventId, GroupRef};
+use crate::event::{CqId, GroupRef};
 use crate::fiber::Context;
 use crate::kernel::{KState, SimHandle};
 use crate::task::{ParkedOn, TaskId, TaskStatus};
@@ -27,10 +26,10 @@ use crate::time::{Dur, SimTime};
 /// How long a blocking primitive may block: GASPI's timeout parameter as
 /// a type.
 ///
-/// Every bounded-wait primitive in the stack — event waits here,
-/// queue/notification waits in the fabric layer, fences in the runtime —
-/// takes one `Wait` instead of growing a `_timeout` twin per method.
-/// [`Wait::Block`] is `GASPI_BLOCK` (wait forever; the call cannot
+/// Every bounded-wait primitive in the stack — board, queue and instant
+/// waits here, queue/notification waits in the fabric layer, fences in
+/// the runtime — takes one `Wait` instead of growing a `_timeout` twin
+/// per method. [`Wait::Block`] is `GASPI_BLOCK` (wait forever; the call cannot
 /// fail, so callers `expect` its `Result`), [`Wait::Until`] is
 /// `GASPI_TIMEOUT` with a virtual-time budget: if the wake condition is
 /// not met within the budget the primitive returns a timeout error and
@@ -64,8 +63,8 @@ impl Wait {
 
 /// A blocking operation's virtual-time deadline fired before its wake
 /// condition was met (GASPI's `GASPI_TIMEOUT`). The waited state is left
-/// intact — events that completed before the deadline stay completed, so
-/// the caller can inspect partial completion and retry or recover.
+/// intact — a post that lands after the deadline is still there for the
+/// next wait, so the caller can retry or recover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WaitTimeout {
     /// Virtual time at which the deadline fired.
@@ -129,78 +128,28 @@ impl Ctx {
         park_seq
     }
 
-    /// Open a park on a wait group that fires after `need` registrations,
+    /// Open a park on a wait group that the first post reaching it fires,
     /// and queue the deadline's timer wake, if any, under the same park
     /// number: whichever pops first resumes the task and the other is
-    /// stale. Every park on events or a board goes through here, so they
+    /// stale. Every park on a board or a queue goes through here, so they
     /// all wake by one rule — registration order.
-    fn open_group(&self, st: &mut KState, need: usize, deadline: Option<SimTime>) -> GroupRef {
+    fn open_group(&self, st: &mut KState, deadline: Option<SimTime>) -> GroupRef {
         let park_seq = self.next_park(st);
         if let Some(t) = deadline {
             self.handle.push_wake(st, t, self.id, park_seq, 0);
         }
-        st.alloc_wait_group(need, self.id, park_seq)
-    }
-
-    /// After a park on `gref`: the wake condition's value if `found`
-    /// reports it holds, else the deadline won — the group is killed, so
-    /// later completions are inert, and the timeout is returned.
-    fn settle<R>(
-        &self,
-        gref: GroupRef,
-        found: impl FnOnce(&KState) -> Option<R>,
-    ) -> Result<R, WaitTimeout> {
-        let mut st = self.handle.kernel.state.borrow_mut();
-        match found(&st) {
-            Some(r) => Ok(r),
-            None => {
-                st.kill_group(gref);
-                Err(WaitTimeout { at: st.now() })
-            }
-        }
-    }
-
-    /// Block until *all* events complete, or until `wait`'s budget
-    /// elapses, whichever comes first. Returns at once if none is
-    /// pending.
-    ///
-    /// One wait group covers every pending event and the task parks
-    /// exactly once: the completion that brings the group to zero
-    /// produces the only wake entry, so a task waiting on N completions
-    /// costs one park/wake round-trip, not N. Under [`Wait::Until`] a
-    /// timer wake at the deadline rides beside the group. On timeout the
-    /// events are left untouched — completed ones stay completed — so the
-    /// caller can report partial completion
-    /// ([`crate::SimHandle::event_done`]) and wait again or recover. A
-    /// completion racing the deadline at the same instant resolves by
-    /// queue order (earlier sequence number wins).
-    pub fn wait_all(&mut self, evs: &[EventId], wait: Wait) -> Result<(), WaitTimeout> {
-        let mut st = self.handle.kernel.state.borrow_mut();
-        let pending = evs.iter().filter(|&&ev| !st.events.get(ev).completed).count();
-        if pending == 0 {
-            return Ok(());
-        }
-        let deadline = wait.deadline(st.now());
-        let gref = self.open_group(&mut st, pending, deadline);
-        for &ev in evs {
-            let slot = st.events.get_mut(ev);
-            if !slot.completed {
-                slot.group_waiters.push(gref);
-            }
-        }
-        self.park(st, ParkedOn::WaitAll { pending, deadline });
-        self.settle(gref, |st| evs.iter().all(|&ev| st.events.get(ev).completed).then_some(()))
+        st.alloc_wait_group(self.id, park_seq)
     }
 
     /// Block until completion queue `cq` holds a ready tag, or until
     /// `wait`'s budget elapses (`gaspi_wait` on a queue). Returns at once
     /// if a tag is ready; [`crate::SimHandle::drain_cq`] then takes them.
     ///
-    /// The park arms one wait group with a remaining count of one on the
-    /// queue, and the first post fires it: O(1) work and one wake entry
-    /// per park however many transfers are in flight. A post racing the
-    /// deadline at the same instant resolves by queue order, as for
-    /// [`Ctx::wait_all`]. One task waits on a queue at a time.
+    /// The park arms one wait group on the queue, and the first post
+    /// fires it: O(1) work and one wake entry per park however many
+    /// transfers are in flight. A post racing the deadline at the same
+    /// instant resolves by queue order (earlier sequence number wins).
+    /// One task waits on a queue at a time.
     pub fn wait_cq(&mut self, cq: CqId, wait: Wait) -> Result<(), WaitTimeout> {
         let mut st = self.handle.kernel.state.borrow_mut();
         let slot = st.cq_mut(cq);
@@ -209,22 +158,17 @@ impl Ctx {
         }
         let inflight = slot.inflight;
         let deadline = wait.deadline(st.now());
-        let gref = self.open_group(&mut st, 1, deadline);
+        let gref = self.open_group(&mut st, deadline);
         st.cq_mut(cq).waiter = Some(gref);
         self.park(st, ParkedOn::Cq { idx: cq.idx, inflight, deadline });
-        self.settle(gref, |st| {
-            let slot = &st.cqs[cq.idx as usize];
-            (slot.gen == cq.gen && !slot.ready.is_empty()).then_some(())
-        })
-    }
-
-    /// Block until every one of `evs` completes ([`Ctx::wait_all`]: one
-    /// park), then recycle them all. MPI's `MPI_Wait` is this call.
-    pub fn drain(&mut self, evs: &[EventId]) {
-        self.wait_all(evs, Wait::Block).expect("a blocking wait cannot time out");
-        for &ev in evs {
-            self.handle.free_event(ev);
+        let mut st = self.handle.kernel.state.borrow_mut();
+        let slot = &st.cqs[cq.idx as usize];
+        if slot.gen == cq.gen && !slot.ready.is_empty() {
+            return Ok(());
         }
+        // The deadline won: kill the group, so a later post is inert.
+        st.kill_group(gref);
+        Err(WaitTimeout { at: st.now() })
     }
 
     /// Block until instant `t` — a completion known when its work was
@@ -256,13 +200,13 @@ impl Ctx {
     ///
     /// The ranged blocking primitive under GASPI's
     /// `gaspi_notify_waitsome` + `gaspi_notify_reset`. Like
-    /// [`Ctx::wait_cq`], the wait registers a single wait group
-    /// (remaining count 1) instead of polling each id: the task parks
-    /// once and the first [`crate::SimHandle::board_post`] landing inside
-    /// the range produces the only wake entry. If a concurrent waiter
-    /// with an overlapping range consumes the value first, this task
-    /// re-parks on a fresh group. The deadline is absolute across those
-    /// re-parks: losing a post does not extend it.
+    /// [`Ctx::wait_cq`], the wait registers a single wait group instead
+    /// of polling each id: the task parks once and the first
+    /// [`crate::SimHandle::board_post`] landing inside the range produces
+    /// the only wake entry. If a concurrent waiter with an overlapping
+    /// range consumes the value first, this task re-parks on a fresh
+    /// group. The deadline is absolute across those re-parks: losing a
+    /// post does not extend it.
     pub fn board_waitsome(
         &mut self,
         board: BoardId,
@@ -274,23 +218,23 @@ impl Ctx {
         let deadline = wait.deadline(self.handle.now());
         loop {
             let mut st = self.handle.kernel.state.borrow_mut();
-            let slot = &mut st.boards[board.index()];
-            if let Some((id, _)) = slot.lowest_in_range(first, num) {
-                return Ok((id, slot.values.remove(&id).expect("value vanished")));
+            if let Some(posted) = st.boards[board.index()].take_lowest(first, num) {
+                return Ok(posted);
             }
             if deadline.is_some_and(|t| st.now() >= t) {
                 return Err(WaitTimeout { at: st.now() });
             }
-            let gref = self.open_group(&mut st, 1, deadline);
+            let gref = self.open_group(&mut st, deadline);
             st.boards[board.index()].waiters.push(RangeWaiter { first, num, group: gref });
             self.park(st, ParkedOn::Board { id: board, first, num, deadline });
-            // Woken by a matching post (board_post already removed the
-            // waiter and fired the group) or by the deadline (both still
-            // registered). Clean up either way, then loop: consume,
-            // re-park, or report the timeout.
+            // Woken by a matching post, which removed the waiter and
+            // fired the group, or by the deadline, which left both
+            // registered: withdraw them. Then loop: consume, re-park, or
+            // report the timeout.
             let mut st = self.handle.kernel.state.borrow_mut();
-            st.boards[board.index()].waiters.retain(|w| w.group != gref);
-            st.kill_group(gref);
+            if st.kill_group(gref) {
+                st.boards[board.index()].waiters.retain(|w| w.group != gref);
+            }
         }
     }
 

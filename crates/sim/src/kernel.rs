@@ -15,14 +15,16 @@
 //!
 //! Two kinds of queue entries exist:
 //!
-//! * **Wake** — resume a parked task (used by `delay`, event completion,
-//!   barriers, rendezvous).
+//! * **Wake** — resume a parked task: at a timer or known instant
+//!   (`delay`, `wait_until`), or pushed by a board or completion-queue
+//!   post.
 //! * **Action** — run a closure at a given virtual time, on the stack
 //!   of whichever context pops it (never concurrently with a
 //!   task). Actions are how *one-sided* operations complete without any
 //!   participation from the target rank (DESIGN.md D2): an RMA put
 //!   schedules an action at the modelled arrival time which copies the
-//!   bytes into the target segment and completes the initiator's event.
+//!   bytes into the target segment, and a completion whose instant was
+//!   not known at issue is an action that posts to a board.
 //!
 //! Spurious wake-ups are impossible by construction: every park increments
 //! the task's `park_seq`, and every wake entry carries the sequence number
@@ -36,7 +38,7 @@ use std::rc::Rc;
 
 use crate::board::{BoardId, BoardSlot};
 use crate::ctx::Ctx;
-use crate::event::{CqId, CqSlot, EventArena, EventId, GroupRef};
+use crate::event::{CqId, CqSlot, GroupRef};
 use crate::fault::{CtrlFault, FaultPlan, FaultState};
 use crate::fiber::{self, Context, Fiber};
 use crate::qos::{ContentionState, FlowId, FlowSlot};
@@ -86,18 +88,16 @@ impl Ord for Entry {
     }
 }
 
-/// One park on events, a board or a completion queue: a task parked until
-/// `remaining` registrations have fired. The whole group costs a single
-/// wake entry, which is what makes `Ctx::wait_all` cheap for large
-/// pending sets. A board or queue wait arms a group with
-/// `remaining == 1` in one place: the first post fires it.
+/// One park on a board or a completion queue: the first post that
+/// reaches the group fires it, and the group's one wake entry resumes
+/// the task.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct WaitGroup {
-    pub(crate) remaining: usize,
     pub(crate) task: TaskId,
     pub(crate) park_seq: u64,
     pub(crate) live: bool,
-    /// Bumped on slot reuse so stale event-side references are detectable.
+    /// Bumped on slot reuse so stale board- and queue-side references are
+    /// detectable.
     pub(crate) gen: u32,
 }
 
@@ -108,8 +108,7 @@ pub(crate) struct KState {
     pub(crate) tasks: Vec<TaskSlot>,
     /// Per-task park counter used to invalidate stale wakes.
     pub(crate) park_seqs: Vec<u64>,
-    pub(crate) events: EventArena,
-    /// Multi-event wait groups (free-list recycled, like events).
+    /// Wait groups of parked board and queue waits (free-list recycled).
     pub(crate) wait_groups: Vec<WaitGroup>,
     free_wait_groups: Vec<u32>,
     /// Notification boards (range-waitable id → value slots).
@@ -177,33 +176,31 @@ impl KState {
         self.now
     }
 
-    /// Allocate a wait group covering `remaining` pending registrations.
-    /// Returns the generation-tagged reference events store.
-    pub(crate) fn alloc_wait_group(
-        &mut self,
-        remaining: usize,
-        task: TaskId,
-        park_seq: u64,
-    ) -> GroupRef {
+    /// Allocate a wait group for `task`'s park `park_seq`. Returns the
+    /// generation-tagged reference boards and queues store.
+    pub(crate) fn alloc_wait_group(&mut self, task: TaskId, park_seq: u64) -> GroupRef {
         if let Some(i) = self.free_wait_groups.pop() {
             let gen = self.wait_groups[i as usize].gen.wrapping_add(1);
-            self.wait_groups[i as usize] = WaitGroup { remaining, task, park_seq, live: true, gen };
+            self.wait_groups[i as usize] = WaitGroup { task, park_seq, live: true, gen };
             GroupRef { gid: i, gen }
         } else {
-            self.wait_groups.push(WaitGroup { remaining, task, park_seq, live: true, gen: 0 });
+            self.wait_groups.push(WaitGroup { task, park_seq, live: true, gen: 0 });
             GroupRef { gid: (self.wait_groups.len() - 1) as u32, gen: 0 }
         }
     }
 
-    /// Kill a wait group that will never fire (its waiter timed out).
-    /// Registrations left on events become stale references, skipped by
-    /// the generation check exactly like a fired wait-any group's.
-    pub(crate) fn kill_group(&mut self, gref: GroupRef) {
+    /// Kill a wait group that will never fire (its waiter timed out), and
+    /// say whether it was still live. A registration left on a board or
+    /// queue becomes a stale reference, skipped by the generation check
+    /// exactly like a fired group's.
+    pub(crate) fn kill_group(&mut self, gref: GroupRef) -> bool {
         let g = &mut self.wait_groups[gref.gid as usize];
-        if g.live && g.gen == gref.gen {
+        let live = g.live && g.gen == gref.gen;
+        if live {
             g.live = false;
             self.free_wait_groups.push(gref.gid);
         }
+        live
     }
 
     /// The live queue `cq` names. Panics on a released handle, like a
@@ -259,10 +256,10 @@ pub struct Reservations<'a> {
 }
 
 impl Reservations<'_> {
-    /// Reserve a flow-tagged transfer *without* allocating a completion
-    /// event: exactly the resource arithmetic and flow-stat update of the
-    /// disarmed [`SimHandle::transfer_qos`] path, minus the event and the
-    /// completion action. The collective fast paths use this to price a
+    /// Reserve a flow-tagged transfer *without* a completion: exactly the
+    /// resource arithmetic and flow-stat update of the disarmed
+    /// [`SimHandle::transfer_qos`] path, minus the queue post and its
+    /// action. The collective fast paths use this to price a
     /// whole chunk schedule arithmetically — fault-plan perturbation
     /// included, per edge, via the shared `transfer_in` path — and
     /// then park once on the final arrival instant.
@@ -415,7 +412,6 @@ impl Sim {
                 queue: BinaryHeap::new(),
                 tasks: Vec::new(),
                 park_seqs: Vec::new(),
-                events: EventArena::default(),
                 wait_groups: Vec::new(),
                 free_wait_groups: Vec::new(),
                 boards: Vec::new(),
@@ -720,53 +716,18 @@ impl SimHandle {
         id
     }
 
-    /// Create a pending one-shot event.
-    pub fn new_event(&self) -> EventId {
-        self.kernel.state.borrow_mut().events.alloc()
-    }
-
-    /// Has this event completed?
-    pub fn event_done(&self, ev: EventId) -> bool {
-        self.kernel.state.borrow().events.get(ev).completed
-    }
-
-    /// Complete an event now, waking all waiters at the current time.
-    /// Completing an already-completed event is a no-op.
-    pub fn complete(&self, ev: EventId) {
-        let mut st = self.kernel.state.borrow_mut();
-        let slot = st.events.get_mut(ev);
-        if slot.completed {
-            return;
-        }
-        slot.completed = true;
-        let groups = std::mem::take(&mut slot.group_waiters);
-        let now = st.now;
-        // In registration order, only the registration that brings a
-        // group to zero produces a wake entry. Stale references — groups
-        // whose wait timed out, possibly recycled since — are skipped by
-        // the generation check.
-        for gref in groups {
-            self.fire_group_ref(&mut st, gref, now);
-        }
-    }
-
-    /// Decrement a wait-group registration; the registration that brings
-    /// the group to zero wakes its task. Stale references (groups that
-    /// timed out, possibly recycled under a newer generation) are
-    /// skipped. Shared by event completion, board posts and queue posts.
+    /// Fire a wait group: queue its task's wake now and free the slot.
+    /// Stale references (groups that timed out, possibly recycled under a
+    /// newer generation) are skipped. Shared by board and queue posts.
     fn fire_group_ref(&self, st: &mut KState, gref: GroupRef, now: SimTime) {
         let g = &mut st.wait_groups[gref.gid as usize];
         if !g.live || g.gen != gref.gen {
             return;
         }
-        debug_assert!(g.remaining > 0, "live wait group with zero remaining");
-        g.remaining -= 1;
-        if g.remaining == 0 {
-            g.live = false;
-            let (task, park_seq) = (g.task, g.park_seq);
-            st.free_wait_groups.push(gref.gid);
-            self.push(st, now, Item::Wake { task, park_seq, coalesced: 0 });
-        }
+        g.live = false;
+        let (task, park_seq) = (g.task, g.park_seq);
+        st.free_wait_groups.push(gref.gid);
+        self.push(st, now, Item::Wake { task, park_seq, coalesced: 0 });
     }
 
     /// Create a notification board (see [`crate::Ctx::board_waitsome`]).
@@ -787,7 +748,7 @@ impl SimHandle {
     pub fn board_post(&self, board: BoardId, id: u32, value: u64) {
         let mut st = self.kernel.state.borrow_mut();
         let now = st.now();
-        st.boards[board.index()].values.insert(id, value);
+        st.boards[board.index()].post(id, value);
         // Fire (and drop) every parked waiter whose range covers the id;
         // waiters outside the range keep their registration. The fired
         // list lives on the kernel state and is reused across posts so
@@ -815,12 +776,12 @@ impl SimHandle {
     /// was posted and not yet consumed (`gaspi_notify_reset`).
     pub fn board_reset(&self, board: BoardId, id: u32) -> Option<u64> {
         let mut st = self.kernel.state.borrow_mut();
-        st.boards[board.index()].values.remove(&id)
+        st.boards[board.index()].take_lowest(id, 1).map(|(_, v)| v)
     }
 
     /// Open a completion queue (see [`crate::Ctx::wait_cq`]): transfers
     /// posted to it with [`SimHandle::transfer_qos`] complete into it by
-    /// tag, without an event each.
+    /// tag.
     pub fn open_cq(&self) -> CqId {
         let mut st = self.kernel.state.borrow_mut();
         if let Some(idx) = st.free_cqs.pop() {
@@ -863,30 +824,6 @@ impl SimHandle {
             let now = st.now;
             self.fire_group_ref(&mut st, gref, now);
         }
-    }
-
-    /// Schedule completion of an event at an absolute virtual time.
-    pub fn complete_at(&self, ev: EventId, t: SimTime) {
-        let h = self.clone();
-        self.schedule_at(t, move |_| h.complete(ev));
-    }
-
-    /// Recycle a completed event. The handle must not be used again.
-    pub fn free_event(&self, ev: EventId) {
-        let mut st = self.kernel.state.borrow_mut();
-        // Timed-out wait groups leave stale references behind; drop them
-        // so only *live* registrations count as "someone still waits on
-        // this event".
-        let refs = std::mem::take(&mut st.events.get_mut(ev).group_waiters);
-        let live: Vec<GroupRef> = refs
-            .into_iter()
-            .filter(|r| {
-                let g = &st.wait_groups[r.gid as usize];
-                g.live && g.gen == r.gen
-            })
-            .collect();
-        st.events.get_mut(ev).group_waiters = live;
-        st.events.free(ev);
     }
 
     /// Run a closure at absolute virtual time `t` (clamped to now), in
@@ -1042,9 +979,10 @@ impl SimHandle {
         self.kernel.state.borrow().resources[res.index()].total_bytes()
     }
 
-    /// Number of live (allocated, unfreed) events — used by leak tests.
-    pub fn live_events(&self) -> usize {
-        self.kernel.state.borrow().events.len()
+    /// Number of board posts not yet consumed, over every board — what a
+    /// completed protocol must leave at zero (leak tests).
+    pub fn unconsumed_posts(&self) -> usize {
+        self.kernel.state.borrow().boards.iter().map(BoardSlot::unconsumed).sum()
     }
 
     /// Queue a wake for `task`'s park `park_seq`, standing for

@@ -7,7 +7,7 @@
 //! x86_64 assembly over Linux `mmap`: x86_64 Linux is the supported host.
 //!
 //! * [`Sim`] / [`SimHandle`] / [`Ctx`] — the event kernel: spawn tasks,
-//!   wait on [`EventId`]s, [`CqId`] completion queues or a known
+//!   wait on [`BoardId`] posts, [`CqId`] completion queues or a known
 //!   completion instant under a [`Wait`], advance virtual time, schedule
 //!   one-sided deposits.
 //! * [`ResourceId`] — FIFO bandwidth resources modelling NICs and links.
@@ -20,13 +20,14 @@
 //!
 //! let mut sim = Sim::new();
 //! let h = sim.handle();
-//! let ev = h.new_event();
+//! let board = h.new_board();
 //! sim.spawn("producer", move |ctx| {
 //!     ctx.delay(Dur::micros(5.0));
-//!     ctx.complete(ev);
+//!     ctx.board_post(board, 0, 42);
 //! });
 //! sim.spawn("consumer", move |ctx| {
-//!     ctx.wait_all(&[ev], Wait::Block).expect("a blocking wait cannot time out");
+//!     let got = ctx.board_waitsome(board, 0, 1, Wait::Block);
+//!     assert_eq!(got.expect("a blocking wait cannot time out"), (0, 42));
 //!     assert_eq!(ctx.now().as_us(), 5.0);
 //! });
 //! sim.run().unwrap();
@@ -54,7 +55,7 @@ mod topology;
 
 pub use board::BoardId;
 pub use ctx::{Ctx, Wait, WaitTimeout};
-pub use event::{CqId, EventId};
+pub use event::CqId;
 pub use fault::{fault_key, CtrlFault, FaultPlan};
 pub use kernel::{Action, Reservations, Sim, SimError, SimHandle, SimReport};
 pub use platform::{

@@ -330,16 +330,14 @@ impl SimHandle {
     /// Reserve a flow-tagged transfer of `bytes` on `res`, with the
     /// payload ready at `at`, posted to completion queue `cq` with `tag`:
     /// when the last byte arrives at the far side the tag is appended to
-    /// the queue ([`crate::Ctx::wait_cq`], [`SimHandle::drain_cq`]). No
-    /// event is allocated.
+    /// the queue ([`crate::Ctx::wait_cq`], [`SimHandle::drain_cq`]).
     ///
     /// Disarmed (the default) the reservation and its one queued action
-    /// are *call-for-call identical* to `transfer_from` +
-    /// `complete_at(ev, tr.arrive)` — the sequence it replaced in the
-    /// collective engines, with the post in place of the completion — so
-    /// traces are bit-identical to pre-contention builds. Armed, the
-    /// transfer joins its flow's FIFO on the link and is served at the
-    /// flow's fair share (module docs).
+    /// are *call-for-call identical* to `transfer_from` + a
+    /// [`SimHandle::schedule_at`] at `tr.arrive` that posts the
+    /// completion — so traces are bit-identical to pre-contention builds.
+    /// Armed, the transfer joins its flow's FIFO on the link and is
+    /// served at the flow's fair share (module docs).
     pub fn transfer_qos(
         &self,
         res: ResourceId,
@@ -592,8 +590,8 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
-    /// Disarmed, `transfer_qos` replays bit-identically to the legacy
-    /// event sequence, its post in place of the completion (same end time
+    /// Disarmed, `transfer_qos` replays bit-identically to a plain
+    /// reservation whose arrival action posts a board (same end time
     /// *and* same entry count).
     #[test]
     fn disarmed_path_is_bit_identical_to_legacy_calls() {
@@ -601,7 +599,7 @@ mod tests {
             let mut sim = Sim::new();
             let h = sim.handle();
             let res = h.new_resource(2.0, Dur::nanos(40));
-            let flow = h.new_flow(1000);
+            let (flow, board) = (h.new_flow(1000), h.new_board());
             sim.spawn("job", move |ctx| {
                 let cq = ctx.open_cq();
                 for i in 0..5u64 {
@@ -611,9 +609,8 @@ mod tests {
                         wait_tags(ctx, cq, 1);
                     } else {
                         let tr = ctx.handle().transfer_from(res, at, 4096);
-                        let ev = ctx.new_event();
-                        ctx.complete_at(ev, tr.arrive);
-                        ctx.drain(&[ev]);
+                        ctx.schedule_at(tr.arrive, move |h| h.board_post(board, 0, i));
+                        ctx.board_waitsome(board, 0, 1, Wait::Block).unwrap();
                     }
                 }
             });
@@ -662,7 +659,7 @@ mod tests {
     /// A transfer whose completion queue is released before its ready
     /// instant is dropped when its enqueue fires: it never joins the fair
     /// queue, so the other flow keeps the whole link and its own flow is
-    /// credited nothing. No event is ever allocated.
+    /// credited nothing, and nothing is left posted.
     #[test]
     fn a_released_transfer_is_dropped_at_enqueue() {
         let mut sim = Sim::new();
@@ -684,7 +681,7 @@ mod tests {
         });
         sim.run().unwrap();
         assert_eq!(h.flow_stats(fb).bytes, 10_000);
-        assert_eq!((h.live_events(), h.link_backlog(res), h.flows_in_use()), (0, 0, 1));
+        assert_eq!((h.unconsumed_posts(), h.link_backlog(res), h.flows_in_use()), (0, 0, 1));
     }
 
     /// `purge_flow` drops a flow's queued transfers mid-service and
@@ -717,7 +714,7 @@ mod tests {
         });
         sim.run().unwrap();
         assert_eq!(h.flow_stats(fb).bytes, 10_000);
-        assert_eq!((h.live_events(), h.link_backlog(res)), (0, 0));
+        assert_eq!((h.unconsumed_posts(), h.link_backlog(res)), (0, 0));
     }
 
     #[test]

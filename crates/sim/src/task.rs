@@ -4,7 +4,7 @@
 //! rank, sometimes a helper (progress engine, application thread). Each
 //! task runs on a fiber of its own, and all fibers share the thread inside
 //! `Sim::run`, so **exactly one task executes at any moment**: a task
-//! that blocks on virtual time or an event runs the scheduler itself and
+//! that blocks on virtual time or a post runs the scheduler itself and
 //! switches to whichever task the queue resumes next (DESIGN.md D1, D19).
 //! This gives a sequential, deterministic discrete-event simulation with
 //! the programming convenience of ordinary blocking code.
@@ -41,10 +41,6 @@ pub(crate) enum TaskStatus {
 pub(crate) enum ParkedOn {
     /// Spawned, not yet resumed for the first time.
     Start,
-    WaitAll {
-        pending: usize,
-        deadline: Option<SimTime>,
-    },
     /// A completion queue, with the transfers in flight to it at the park.
     Cq {
         idx: u32,
@@ -69,10 +65,6 @@ impl std::fmt::Display for ParkedOn {
             ParkedOn::Sleep { until } => return write!(f, "sleep until {until}"),
             ParkedOn::Cq { idx, inflight, deadline } => {
                 write!(f, "completion queue {idx} with {inflight} in flight")?;
-                deadline
-            }
-            ParkedOn::WaitAll { pending, deadline } => {
-                write!(f, "all of {pending} pending events")?;
                 deadline
             }
             ParkedOn::Board { id, first, num, deadline } => {
@@ -103,8 +95,6 @@ mod tests {
     #[test]
     fn park_reasons_print_their_deadline() {
         let deadline = Some(SimTime(2_000));
-        let all = ParkedOn::WaitAll { pending: 3, deadline };
-        assert_eq!(all.to_string(), "all of 3 pending events (deadline 2.000us)");
         let board = ParkedOn::Board { id: BoardId(1), first: 8, num: 4, deadline };
         assert_eq!(board.to_string(), "board 1 ids [8, 12) (deadline 2.000us)");
         let cq = ParkedOn::Cq { idx: 1, inflight: 5, deadline };

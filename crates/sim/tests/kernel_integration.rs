@@ -5,11 +5,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use diomp_sim::{CqId, Dur, Sim, SimError, SimHandle, SimReport, SimTime, Wait};
+use diomp_sim::{BoardId, CqId, Ctx, Dur, Sim, SimError, SimHandle, SimReport, SimTime, Wait};
 
 /// Post `tag` to `cq` at `t` (not before now): a flow-tagged transfer of
 /// `t − now` bytes on a fresh idle 1 B/ns link lands exactly then, one
-/// queued action, like `complete_at`.
+/// queued action, like a `schedule_at` that posts a board.
 fn post_at(h: &SimHandle, cq: CqId, tag: u64, t: SimTime) {
     let (res, flow) = (h.new_resource(1.0, Dur::ZERO), h.new_flow(1000));
     h.transfer_qos(res, flow, h.now(), t.since(h.now()).as_nanos(), (cq, tag));
@@ -67,21 +67,24 @@ fn same_time_entries_run_in_insertion_order() {
 
 #[test]
 fn event_completion_wakes_all_waiters() {
+    // One completion, four waiters, each on its own id: the completer
+    // posts every id at one instant and every waiter wakes there.
     let mut sim = Sim::new();
-    let h = sim.handle();
-    let ev = h.new_event();
+    let board = sim.handle().new_board();
     let hits = Arc::new(AtomicU64::new(0));
     for i in 0..4 {
         let hits = hits.clone();
         sim.spawn(format!("w{i}"), move |ctx| {
-            ctx.wait_all(&[ev], Wait::Block).unwrap();
+            ctx.board_waitsome(board, i, 1, Wait::Block).unwrap();
             assert_eq!(ctx.now(), SimTime(2_000));
             hits.fetch_add(1, Ordering::Relaxed);
         });
     }
     sim.spawn("completer", move |ctx| {
         ctx.delay(Dur::micros(2.0));
-        ctx.complete(ev);
+        for i in 0..4 {
+            ctx.board_post(board, i, 1);
+        }
     });
     sim.run().unwrap();
     assert_eq!(hits.load(Ordering::Relaxed), 4);
@@ -91,13 +94,13 @@ fn event_completion_wakes_all_waiters() {
 fn wait_on_completed_event_returns_immediately() {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let ev = h.new_event();
-    h.complete(ev);
+    let board = h.new_board();
+    h.board_post(board, 0, 1);
     sim.spawn("w", move |ctx| {
-        ctx.wait_all(&[ev], Wait::Block).unwrap();
+        ctx.board_waitsome(board, 0, 1, Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime::ZERO);
     });
-    sim.run().unwrap();
+    assert_eq!(sim.run().unwrap().entries_processed, 1, "the start wake only: no park");
 }
 
 #[test]
@@ -142,17 +145,17 @@ fn spurious_wakes_do_not_break_delay() {
 fn scheduled_actions_run_at_their_time() {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let ev = h.new_event();
+    let board = h.new_board();
     let stamp = Arc::new(AtomicU64::new(0));
     {
         let stamp = stamp.clone();
         h.schedule_at(SimTime(5_000), move |h| {
             stamp.store(h.now().nanos(), Ordering::Relaxed);
-            h.complete(ev);
+            h.board_post(board, 0, 1);
         });
     }
     sim.spawn("w", move |ctx| {
-        ctx.wait_all(&[ev], Wait::Block).unwrap();
+        ctx.board_waitsome(board, 0, 1, Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime(5_000));
     });
     sim.run().unwrap();
@@ -169,9 +172,7 @@ fn resource_contention_serialises_transfers() {
         let finish = finish.clone();
         sim.spawn(format!("s{i}"), move |ctx| {
             let tr = ctx.transfer(link, 1_000);
-            let ev = ctx.new_event();
-            ctx.complete_at(ev, tr.arrive);
-            ctx.drain(&[ev]);
+            ctx.wait_until(tr.arrive, Wait::Block).unwrap();
             finish.lock().unwrap().push(ctx.now().nanos());
         });
     }
@@ -185,13 +186,13 @@ fn resource_contention_serialises_transfers() {
 fn deadlock_is_reported_with_task_names() {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let never = h.new_event();
-    let other = h.new_event();
-    let board = h.new_board();
+    let (board, never) = (h.new_board(), h.new_board());
     sim.spawn("stuck-rank", move |ctx| {
-        ctx.wait_all(&[never], Wait::Block).unwrap();
+        ctx.board_waitsome(never, 0, 1, Wait::Block).unwrap();
     });
-    sim.spawn("fence", move |ctx| ctx.wait_all(&[never, other], Wait::Block).unwrap());
+    sim.spawn("fence", move |ctx| {
+        ctx.board_waitsome(never, 1, 2, Wait::Block).unwrap();
+    });
     sim.spawn("poller", move |ctx| {
         let cq = ctx.open_cq();
         ctx.wait_cq(cq, Wait::Block).unwrap();
@@ -209,8 +210,8 @@ fn deadlock_is_reported_with_task_names() {
             assert_eq!(
                 parked_on,
                 &[
-                    "all of 1 pending events",
-                    "all of 2 pending events",
+                    "board 1 ids [0, 1)",
+                    "board 1 ids [1, 3)",
                     "completion queue 0 with 0 in flight",
                     "board 0 ids [4, 6)"
                 ]
@@ -221,8 +222,8 @@ fn deadlock_is_reported_with_task_names() {
     }
     assert_eq!(
         err.to_string(),
-        "simulation deadlock at 1.000us: blocked tasks [stuck-rank: all of 1 pending events, \
-         fence: all of 2 pending events, poller: completion queue 0 with 0 in flight, \
+        "simulation deadlock at 1.000us: blocked tasks [stuck-rank: board 1 ids [0, 1), \
+         fence: board 1 ids [1, 3), poller: completion queue 0 with 0 in flight, \
          halo: board 0 ids [4, 6)]"
     );
 }
@@ -232,11 +233,11 @@ fn deadlock_is_detected_when_the_last_dispatcher_is_a_parked_task() {
     // `early-exit` is long gone when `late-stuck` parks for good, so the
     // queue drains on `late-stuck`'s own fiber, inside its park.
     let mut sim = Sim::new();
-    let never = sim.handle().new_event();
+    let never = sim.handle().new_board();
     sim.spawn("early-exit", |_ctx| {});
     sim.spawn("late-stuck", move |ctx| {
         ctx.delay(Dur::micros(1.0));
-        ctx.wait_all(&[never], Wait::Block).unwrap();
+        ctx.board_waitsome(never, 0, 1, Wait::Block).unwrap();
     });
     match sim.run() {
         Err(SimError::Deadlock { blocked, at, .. }) => {
@@ -306,10 +307,12 @@ fn action_panics_are_reraised_by_run_with_their_own_message() {
     for bystander_parks in [true, false] {
         let mut sim = Sim::new();
         let h = sim.handle();
-        let never = h.new_event();
+        let never = h.new_board();
         h.schedule_at(SimTime(1_000), |_| panic!("action boom"));
         if bystander_parks {
-            sim.spawn("bystander", move |ctx| ctx.wait_all(&[never], Wait::Block).unwrap());
+            sim.spawn("bystander", move |ctx| {
+                ctx.board_waitsome(never, 0, 1, Wait::Block).unwrap();
+            });
         } else {
             sim.spawn("leaver", |_ctx| {});
         }
@@ -396,37 +399,35 @@ fn the_digest_tells_apart_runs_equal_in_end_time_and_entries() {
 
 #[test]
 fn event_slots_are_recycled() {
+    // A thousand parks on one id, each ended by a post: every round's
+    // wait group is freed for the next, and every post is consumed.
     let mut sim = Sim::new();
     let h = sim.handle();
     sim.spawn("loop", |ctx| {
-        for _ in 0..1_000 {
-            let ev = ctx.new_event();
-            ctx.complete(ev);
-            ctx.drain(&[ev]);
+        let board = ctx.new_board();
+        for i in 0..1_000 {
+            ctx.schedule_at(ctx.now() + Dur::nanos(1), move |h| h.board_post(board, 0, i));
+            assert_eq!(ctx.board_waitsome(board, 0, 1, Wait::Block), Ok((0, i)));
         }
     });
-    sim.run().unwrap();
-    assert_eq!(h.live_events(), 0, "all events freed");
+    assert_eq!(sim.run().unwrap().end_time, SimTime(1_000));
+    assert_eq!(h.unconsumed_posts(), 0, "every post consumed");
 }
 
-// ---------- batched multi-event waits (wait_all) ----------
+// ---------- waiting for all of a set of completions ----------
 
-/// Run `n` staggered completions and drain them with `f`; returns
-/// (end_time, entries_processed).
-fn drain_with(
-    n: u64,
-    f: impl Fn(&mut diomp_sim::Ctx, Vec<diomp_sim::EventId>) + 'static,
-) -> (SimTime, u64) {
+/// Post id `i` of a fresh board at `i + 1` µs for `i < n`, and wait for
+/// all of them with `f`; returns (end_time, entries_processed).
+fn drain_with(n: u32, f: impl Fn(&mut Ctx, BoardId) + 'static) -> (SimTime, u64) {
     let mut sim = Sim::new();
     sim.spawn("drainer", move |ctx| {
-        let evs: Vec<_> = (0..n)
-            .map(|i| {
-                let ev = ctx.new_event();
-                ctx.complete_at(ev, SimTime(1_000 * (i + 1)));
-                ev
-            })
-            .collect();
-        f(ctx, evs);
+        let board = ctx.new_board();
+        for i in 0..n {
+            ctx.schedule_at(SimTime(1_000 * (u64::from(i) + 1)), move |h| {
+                h.board_post(board, i, 1)
+            });
+        }
+        f(ctx, board);
     });
     let rep = sim.run().unwrap();
     (rep.end_time, rep.entries_processed)
@@ -434,12 +435,11 @@ fn drain_with(
 
 #[test]
 fn wait_all_wakes_at_last_completion() {
-    let (end, _) = drain_with(10, |ctx, evs| {
-        ctx.wait_all(&evs, Wait::Block).unwrap();
-        assert_eq!(ctx.now(), SimTime(10_000), "woken exactly at the last event");
-        for ev in evs {
-            ctx.free_event(ev);
+    let (end, _) = drain_with(10, |ctx, board| {
+        for i in 0..10 {
+            ctx.board_waitsome(board, i, 1, Wait::Block).unwrap();
         }
+        assert_eq!(ctx.now(), SimTime(10_000), "woken exactly at the last completion");
     });
     assert_eq!(end, SimTime(10_000));
 }
@@ -447,19 +447,23 @@ fn wait_all_wakes_at_last_completion() {
 #[test]
 fn wait_all_processes_far_fewer_entries_than_wait_loop() {
     let n = 200;
-    let (end_loop, entries_loop) = drain_with(n, |ctx, evs| {
-        for &ev in &evs {
-            ctx.drain(&[ev]);
+    let (end_loop, entries_loop) = drain_with(n, move |ctx, board| {
+        for i in 0..n {
+            ctx.board_waitsome(board, i, 1, Wait::Block).unwrap();
         }
     });
-    let (end_all, entries_all) = drain_with(n, |ctx, evs| {
-        ctx.drain(&evs);
+    let (end_all, entries_all) = drain_with(n, move |ctx, board| {
+        ctx.board_waitsome(board, n - 1, 1, Wait::Block).unwrap();
+        for i in 0..n - 1 {
+            assert_eq!(ctx.board_waitsome(board, 0, n, Wait::Block).unwrap().0, i);
+        }
     });
     assert_eq!(end_loop, end_all, "batching must not change virtual time");
-    // The wait loop costs one wake per event; the group wait costs one
-    // wake total. Completion actions are identical in both runs.
+    // The wait loop costs one wake per completion; waiting for the last
+    // one first costs one wake in total, and the rest are taken without
+    // a park. The posting actions are identical in both runs.
     assert!(
-        entries_all + n - 1 <= entries_loop,
+        entries_all + u64::from(n) - 1 <= entries_loop,
         "expected ~{n} fewer entries, got {entries_loop} vs {entries_all}"
     );
 }
@@ -468,12 +472,12 @@ fn wait_all_processes_far_fewer_entries_than_wait_loop() {
 fn wait_all_with_already_completed_events_returns_immediately() {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let a = h.new_event();
-    let b = h.new_event();
-    h.complete(a);
-    h.complete(b);
+    let board = h.new_board();
+    h.board_post(board, 0, 1);
+    h.board_post(board, 1, 1);
     sim.spawn("w", move |ctx| {
-        ctx.drain(&[a, b]);
+        ctx.board_waitsome(board, 0, 1, Wait::Block).unwrap();
+        ctx.board_waitsome(board, 1, 1, Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime::ZERO);
     });
     sim.run().unwrap();
@@ -483,12 +487,12 @@ fn wait_all_with_already_completed_events_returns_immediately() {
 fn wait_all_mixes_pending_and_completed() {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let done = h.new_event();
-    let late = h.new_event();
-    h.complete(done);
-    h.complete_at(late, SimTime(5_000));
+    let board = h.new_board();
+    h.board_post(board, 0, 1);
+    h.schedule_at(SimTime(5_000), move |h| h.board_post(board, 1, 1));
     sim.spawn("w", move |ctx| {
-        ctx.drain(&[done, late]);
+        ctx.board_waitsome(board, 0, 1, Wait::Block).unwrap();
+        ctx.board_waitsome(board, 1, 1, Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime(5_000));
     });
     sim.run().unwrap();
@@ -499,19 +503,19 @@ fn wait_all_groups_are_recycled() {
     let mut sim = Sim::new();
     let h = sim.handle();
     sim.spawn("loop", |ctx| {
+        let board = ctx.new_board();
         for round in 0..500u64 {
-            let evs: Vec<_> = (0..4)
-                .map(|i| {
-                    let ev = ctx.new_event();
-                    ctx.complete_at(ev, ctx.now() + Dur::nanos(i + 1 + round));
-                    ev
-                })
-                .collect();
-            ctx.drain(&evs);
+            for i in 0..4u32 {
+                let t = ctx.now() + Dur::nanos(u64::from(i) + 1 + round);
+                ctx.schedule_at(t, move |h| h.board_post(board, i, round));
+            }
+            for i in 0..4 {
+                assert_eq!(ctx.board_waitsome(board, i, 1, Wait::Block), Ok((i, round)));
+            }
         }
     });
     sim.run().unwrap();
-    assert_eq!(h.live_events(), 0);
+    assert_eq!(h.unconsumed_posts(), 0);
 }
 
 // ---------- wait_cq (completion queues) ----------
@@ -589,7 +593,6 @@ fn wait_cq_groups_are_recycled_across_rounds() {
     // Groups fired or killed in earlier rounds must never fire a recycled
     // group (generation check), and a recycled queue slot starts empty.
     let mut sim = Sim::new();
-    let h = sim.handle();
     sim.spawn("loop", move |ctx| {
         for round in 0..300u64 {
             let cq = ctx.open_cq();
@@ -611,7 +614,6 @@ fn wait_cq_groups_are_recycled_across_rounds() {
         }
     });
     sim.run().unwrap();
-    assert_eq!(h.live_events(), 0);
 }
 
 #[test]
@@ -632,7 +634,6 @@ fn a_straggler_post_never_reaches_the_slots_next_tenant() {
     // dropped: `b` sees only its own tag, and its bounded park before
     // that is a plain timeout.
     let mut sim = Sim::new();
-    let h = sim.handle();
     sim.spawn("w", move |ctx| {
         let a = ctx.open_cq();
         post_at(ctx, a, 1, SimTime(1_000));
@@ -648,7 +649,6 @@ fn a_straggler_post_never_reaches_the_slots_next_tenant() {
     let rep = sim.run().unwrap();
     // Start wake, both posts, the deadline wake and the queue wake.
     assert_eq!(rep.entries_processed, 5);
-    assert_eq!(h.live_events(), 0, "no transfer allocated an event");
 }
 
 #[test]
@@ -681,46 +681,53 @@ fn a_task_parked_forever_on_a_queue_names_it_and_its_inflight_count() {
 
 #[test]
 fn two_tasks_can_wait_all_on_overlapping_sets() {
+    // The shared completion posts each waiter's own id: 0 for `a`, 2
+    // for `b`.
     let mut sim = Sim::new();
     let h = sim.handle();
-    let shared = h.new_event();
-    let mine = h.new_event();
-    let yours = h.new_event();
-    h.complete_at(shared, SimTime(3_000));
-    h.complete_at(mine, SimTime(1_000));
-    h.complete_at(yours, SimTime(9_000));
-    sim.spawn("a", move |ctx| {
-        ctx.wait_all(&[shared, mine], Wait::Block).unwrap();
-        assert_eq!(ctx.now(), SimTime(3_000));
-    });
-    sim.spawn("b", move |ctx| {
-        ctx.wait_all(&[shared, yours], Wait::Block).unwrap();
-        assert_eq!(ctx.now(), SimTime(9_000));
-    });
+    let board = h.new_board();
+    let post = |t, ids: &'static [u32]| {
+        h.schedule_at(SimTime(t), move |h| ids.iter().for_each(|&id| h.board_post(board, id, 1)))
+    };
+    post(3_000, &[0, 2]);
+    post(1_000, &[1]);
+    post(9_000, &[3]);
+    for (name, ids, end) in [("a", [0, 1], 3_000), ("b", [2, 3], 9_000)] {
+        sim.spawn(name, move |ctx| {
+            for id in ids {
+                ctx.board_waitsome(board, id, 1, Wait::Block).unwrap();
+            }
+            assert_eq!(ctx.now(), SimTime(end));
+        });
+    }
     sim.run().unwrap();
 }
 
 #[test]
 fn waiters_on_one_event_wake_in_registration_order() {
-    // One wake rule for every park, whatever the number of events each
-    // waits on: `single` registers on `shared` after `group` does, so it
-    // wakes after it at the same instant.
+    // One wake rule for every park: a post wakes every waiter whose range
+    // covers it, in registration order. `single` is spawned first but
+    // registers on id 1 after `group` does, so it wakes after it at the
+    // same instant; the action's second post leaves `group` a value of
+    // its own to take.
     let order = Arc::new(std::sync::Mutex::new(Vec::new()));
     let mut sim = Sim::new();
     let h = sim.handle();
-    let (shared, early) = (h.new_event(), h.new_event());
-    h.complete_at(early, SimTime(1_000));
-    h.complete_at(shared, SimTime(5_000));
-    let o = order.clone();
-    sim.spawn("group", move |ctx| {
-        ctx.wait_all(&[shared, early], Wait::Block).unwrap();
-        o.lock().unwrap().push(("group", ctx.now()));
+    let board = h.new_board();
+    h.schedule_at(SimTime(5_000), move |h| {
+        h.board_post(board, 1, 1);
+        h.board_post(board, 0, 1);
     });
     let o = order.clone();
     sim.spawn("single", move |ctx| {
         ctx.delay(Dur::micros(2.0));
-        ctx.wait_all(&[shared], Wait::Block).unwrap();
+        ctx.board_waitsome(board, 1, 1, Wait::Block).unwrap();
         o.lock().unwrap().push(("single", ctx.now()));
+    });
+    let o = order.clone();
+    sim.spawn("group", move |ctx| {
+        ctx.board_waitsome(board, 0, 2, Wait::Block).unwrap();
+        o.lock().unwrap().push(("group", ctx.now()));
     });
     sim.run().unwrap();
     assert_eq!(*order.lock().unwrap(), [("group", SimTime(5_000)), ("single", SimTime(5_000))]);
@@ -734,11 +741,11 @@ fn waiters_on_one_event_wake_in_registration_order() {
 fn wait_timeout_returns_ok_before_the_deadline() {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let ev = h.new_event();
-    h.complete_at(ev, h.now() + Dur::micros(2.0));
+    let board = h.new_board();
+    h.schedule_at(SimTime(2_000), move |h| h.board_post(board, 0, 1));
     sim.spawn("waiter", move |ctx| {
-        assert!(ctx.wait_all(&[ev], Wait::Until(Dur::micros(10.0))).is_ok());
-        assert_eq!(ctx.now(), SimTime(2_000), "woken by completion, not deadline");
+        assert!(ctx.board_waitsome(board, 0, 1, Wait::Until(Dur::micros(10.0))).is_ok());
+        assert_eq!(ctx.now(), SimTime(2_000), "woken by the post, not the deadline");
     });
     sim.run().unwrap();
 }
@@ -747,39 +754,44 @@ fn wait_timeout_returns_ok_before_the_deadline() {
 fn wait_timeout_fires_at_the_deadline_and_leaves_the_event_pending() {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let ev = h.new_event();
-    h.complete_at(ev, h.now() + Dur::micros(50.0));
+    let board = h.new_board();
+    h.schedule_at(SimTime(50_000), move |h| h.board_post(board, 0, 1));
     sim.spawn("waiter", move |ctx| {
-        let err = ctx.wait_all(&[ev], Wait::Until(Dur::micros(5.0))).unwrap_err();
+        let err = ctx.board_waitsome(board, 0, 1, Wait::Until(Dur::micros(5.0))).unwrap_err();
         assert_eq!(err.at, SimTime(5_000));
         assert_eq!(ctx.now(), SimTime(5_000));
-        assert!(!ctx.event_done(ev), "event still in flight after the timeout");
-        // The late completion is still delivered; waiting again succeeds.
-        ctx.wait_all(&[ev], Wait::Block).unwrap();
+        assert_eq!(ctx.board_reset(board, 0), None, "still in flight after the timeout");
+        // The late post is still delivered; waiting again succeeds.
+        ctx.board_waitsome(board, 0, 1, Wait::Block).unwrap();
         assert_eq!(ctx.now(), SimTime(50_000));
-        ctx.free_event(ev);
     });
     sim.run().unwrap();
+    assert_eq!(h.unconsumed_posts(), 0);
 }
 
 #[test]
 fn wait_all_timeout_reports_partial_completion() {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let evs: Vec<_> = (0..4).map(|_| h.new_event()).collect();
-    // Two complete before the deadline, two after.
-    h.complete_at(evs[0], h.now() + Dur::micros(1.0));
-    h.complete_at(evs[2], h.now() + Dur::micros(2.0));
-    h.complete_at(evs[1], h.now() + Dur::micros(20.0));
-    h.complete_at(evs[3], h.now() + Dur::micros(30.0));
-    let evs2 = evs.clone();
+    let board = h.new_board();
+    // Two land before the deadline, two after.
+    for (id, us) in [(0, 1), (2, 2), (1, 20), (3, 30)] {
+        h.schedule_at(SimTime(us * 1_000), move |h| h.board_post(board, id, 1));
+    }
     sim.spawn("waiter", move |ctx| {
-        assert!(ctx.wait_all(&evs2, Wait::Until(Dur::micros(5.0))).is_err());
-        let done: Vec<bool> = evs2.iter().map(|&e| ctx.event_done(e)).collect();
-        assert_eq!(done, vec![true, false, true, false], "partial state visible");
-        // Draining the rest afterwards works: the dead group is inert.
-        ctx.drain(&evs2);
-        assert_eq!(ctx.now(), SimTime(30_000));
+        let deadline = SimTime(5_000);
+        let mut got = Vec::new();
+        while let Ok((id, _)) =
+            ctx.board_waitsome(board, 0, 4, Wait::Until(deadline.since(ctx.now())))
+        {
+            got.push(id);
+        }
+        assert_eq!((ctx.now(), &got[..]), (deadline, &[0, 2][..]), "partial state visible");
+        // Taking the rest afterwards works: the dead group is inert.
+        while got.len() < 4 {
+            got.push(ctx.board_waitsome(board, 0, 4, Wait::Block).unwrap().0);
+        }
+        assert_eq!((ctx.now(), got), (SimTime(30_000), vec![0, 2, 1, 3]));
     });
     sim.run().unwrap();
 }
@@ -841,15 +853,17 @@ fn timed_out_groups_do_not_leak_or_misfire_under_reuse() {
     // inert (the timeout analogue of the wait-any staleness property).
     let mut sim = Sim::new();
     let h = sim.handle();
-    let slow: Vec<_> = (0..8).map(|_| h.new_event()).collect();
-    for (i, &e) in slow.iter().enumerate() {
-        h.complete_at(e, h.now() + Dur::micros(100.0 + i as f64));
+    let board = h.new_board();
+    for i in 0..8 {
+        h.schedule_at(SimTime(100_000 + 1_000 * u64::from(i)), move |h| h.board_post(board, i, 1));
     }
     sim.spawn("waiter", move |ctx| {
         for _ in 0..16 {
-            assert!(ctx.wait_all(&slow, Wait::Until(Dur::micros(1.0))).is_err());
+            assert!(ctx.board_waitsome(board, 0, 8, Wait::Until(Dur::micros(1.0))).is_err());
         }
-        ctx.drain(&slow);
+        for i in 0..8 {
+            assert_eq!(ctx.board_waitsome(board, 0, 8, Wait::Block).unwrap().0, i);
+        }
         assert_eq!(ctx.now(), SimTime(107_000));
     });
     sim.run().unwrap();
@@ -912,15 +926,15 @@ fn a_budget_past_the_end_of_time_blocks() {
     assert_eq!(Wait::Until(Dur::nanos(u64::MAX - 11)).deadline(SimTime(10)), Some(SimTime(!0 - 1)));
     let mut sim = Sim::new();
     let h = sim.handle();
-    let (ev, board, cq) = (h.new_event(), h.new_board(), h.open_cq());
+    let (board, cq) = (h.new_board(), h.open_cq());
     post_at(&h, cq, 0, SimTime(1_000));
-    h.complete_at(ev, SimTime(2_000));
+    h.schedule_at(SimTime(2_000), move |h| h.board_post(board, 9, 90));
     h.schedule_at(SimTime(3_000), move |h| h.board_post(board, 5, 50));
     sim.spawn("waiter", move |ctx| {
         ctx.delay(Dur::nanos(10));
         assert_eq!(ctx.wait_cq(cq, forever), Ok(()));
         assert_eq!(ctx.now(), SimTime(1_000));
-        assert_eq!(ctx.wait_all(&[ev], forever), Ok(()));
+        assert_eq!(ctx.board_waitsome(board, 9, 1, forever), Ok((9, 90)));
         assert_eq!(ctx.now(), SimTime(2_000));
         assert_eq!(ctx.board_waitsome(board, 0, 8, forever), Ok((5, 50)));
         assert_eq!(ctx.now(), SimTime(3_000));
@@ -1034,9 +1048,7 @@ fn same_fault_plan_replays_bit_identically() {
                 for i in 0..8 {
                     ctx.delay(Dur::micros(3.0));
                     let t = ctx.transfer(links[(r + i) % 4], 4096);
-                    let ev = ctx.new_event();
-                    ctx.complete_at(ev, t.arrive);
-                    ctx.drain(&[ev]);
+                    ctx.wait_until(t.arrive, Wait::Block).unwrap();
                 }
             });
         }
@@ -1065,9 +1077,7 @@ fn disabled_injection_is_bit_identical_to_no_injection() {
                 for _ in 0..16 {
                     ctx.delay(Dur::micros(1.0));
                     let t = ctx.transfer(res, 8192);
-                    let ev = ctx.new_event();
-                    ctx.complete_at(ev, t.arrive);
-                    ctx.drain(&[ev]);
+                    ctx.wait_until(t.arrive, Wait::Block).unwrap();
                 }
             });
         }
@@ -1102,12 +1112,17 @@ fn golden_scenario() -> (SimReport, Vec<String>) {
         FaultPlan::new().degrade_link(link, SimTime(0), SimTime(4_000), 500).straggle("slow", 1500),
     );
     let board = h.new_board();
-    let e: [diomp_sim::EventId; 3] = std::array::from_fn(|_| h.new_event());
+    // Three completions, posted to `done`: ids 0 and 1 for `waiter`, and
+    // the shared third to slow-poster's id 2 first, then waiter's id 3.
+    let done = h.new_board();
+    let post = |t, ids: &'static [u32]| {
+        h.schedule_at(SimTime(t), move |h| ids.iter().for_each(|&id| h.board_post(done, id, 1)))
+    };
     let cq = h.open_cq();
-    h.complete_at(e[0], SimTime(1_500));
-    h.complete_at(e[1], SimTime(5_000));
+    post(1_500, &[0]);
+    post(5_000, &[1]);
     post_at(&h, cq, 0, SimTime(5_000));
-    h.complete_at(e[2], SimTime(9_000));
+    post(9_000, &[2, 3]);
     let s = seen.clone();
     h.schedule_at(SimTime(3_000), move |h| {
         see(&s, h.now(), "action", "spawning".into());
@@ -1120,13 +1135,19 @@ fn golden_scenario() -> (SimReport, Vec<String>) {
     });
     let s = seen.clone();
     sim.spawn("waiter", move |ctx| {
-        let r = ctx.wait_all(&e[..2], Wait::Until(Dur::micros(2.0)));
+        // Both of the first two: the later one first, then the earlier
+        // one, which has landed by then.
+        let both = |ctx: &mut Ctx, wait| {
+            ctx.board_waitsome(done, 1, 1, wait)?;
+            ctx.board_waitsome(done, 0, 1, Wait::Block).map(drop)
+        };
+        let r = both(ctx, Wait::Until(Dur::micros(2.0)));
         see(&s, ctx.now(), "waiter", format!("first {:?}", r.map_err(|t| t.at.nanos())));
-        let r = ctx.wait_all(&e[..2], Wait::Until(Dur::micros(10.0)));
+        let r = both(ctx, Wait::Until(Dur::micros(10.0)));
         see(&s, ctx.now(), "waiter", format!("second {:?}", r.map_err(|t| t.at.nanos())));
         ctx.wait_cq(cq, Wait::Block).unwrap();
         see(&s, ctx.now(), "waiter", format!("any {}", drained(ctx, cq)[0]));
-        ctx.wait_all(&e, Wait::Block).unwrap();
+        ctx.board_waitsome(done, 3, 1, Wait::Block).unwrap();
     });
     let s = seen.clone();
     sim.spawn("boarder", move |ctx| {
@@ -1149,7 +1170,7 @@ fn golden_scenario() -> (SimReport, Vec<String>) {
             ctx.board_post(board, 1, 10);
             ctx.sleep_until_coalesced(SimTime(12_000), 7);
         });
-        ctx.wait_all(&[e[2]], Wait::Block).unwrap();
+        ctx.board_waitsome(done, 2, 1, Wait::Block).unwrap();
     });
     let rep = sim.run().unwrap();
     let seen = seen.lock().unwrap().clone();
@@ -1235,30 +1256,30 @@ fn a_sim_runs_to_completion_inside_another_sims_task() {
     // context is a fiber of the outer kernel: inner tasks must finish back
     // into it, and the outer kernel must resume `host` there afterwards.
     let mut outer = Sim::new();
-    let ev = outer.handle().new_event();
+    let ev = outer.handle().new_board();
     outer.spawn("host", move |ctx| {
         for round in 0..50u64 {
             ctx.delay(Dur::nanos(10));
             let mut inner = Sim::new();
-            let ping = inner.handle().new_event();
+            let ping = inner.handle().new_board();
             inner.spawn("a", move |ctx| {
                 ctx.delay(Dur::nanos(round + 1));
-                ctx.complete(ping);
+                ctx.board_post(ping, 0, 1);
             });
             inner.spawn("b", move |ctx| {
-                ctx.wait_all(&[ping], Wait::Block).unwrap();
+                ctx.board_waitsome(ping, 0, 1, Wait::Block).unwrap();
                 ctx.yield_now();
             });
             let rep = inner.run().unwrap();
             assert_eq!((rep.end_time, rep.tasks_completed), (SimTime(round + 1), 2));
         }
-        ctx.complete(ev);
+        ctx.board_post(ev, 0, 1);
     });
     outer.spawn("peer", move |ctx| {
         for _ in 0..100 {
             ctx.delay(Dur::nanos(5));
         }
-        ctx.wait_all(&[ev], Wait::Block).unwrap();
+        ctx.board_waitsome(ev, 0, 1, Wait::Block).unwrap();
     });
     let rep = outer.run().unwrap();
     assert_eq!((rep.end_time, rep.tasks_completed), (SimTime(500), 2));
@@ -1267,33 +1288,36 @@ fn a_sim_runs_to_completion_inside_another_sims_task() {
 #[test]
 fn handoff_stress_loses_no_wake_up() {
     // Twenty identical replays of a run that mixes cross-task handoffs
-    // (a ring of event completions), self-wakes (delays) and
+    // (a ring of board posts), self-wakes (delays) and
     // action-driven wakes. A lost wake ends as a `Deadlock` or a hang
     // (CI bounds it with `timeout`).
     let run = || {
         let mut sim = Sim::new();
         let h = sim.handle();
         let n = 8usize;
-        let rounds = 1_000usize;
-        let evs: Arc<Vec<Vec<diomp_sim::EventId>>> =
-            Arc::new((0..n).map(|_| (0..rounds).map(|_| h.new_event()).collect()).collect());
+        let rounds = 1_000u32;
+        // Rank r's board holds its tokens, id k for round k.
+        let boards: Vec<BoardId> = (0..n).map(|_| h.new_board()).collect();
         for r in 0..n {
-            let evs = evs.clone();
+            let boards = boards.clone();
             sim.spawn(format!("r{r}"), move |ctx| {
                 for k in 0..rounds {
                     if r != 0 || k != 0 {
                         // Wait for the left neighbour's token of this round.
-                        ctx.wait_all(&[evs[r][k]], Wait::Block).unwrap();
+                        ctx.board_waitsome(boards[r], k, 1, Wait::Block).unwrap();
                     }
                     if k % 3 == 0 {
                         ctx.delay(Dur::nanos(1));
                     }
                     let (next, round) = if r + 1 < n { (r + 1, k) } else { (0, k + 1) };
                     if round < rounds {
+                        let b = boards[next];
                         if k % 5 == 0 {
-                            ctx.complete_at(evs[next][round], ctx.now() + Dur::nanos(2));
+                            ctx.schedule_at(ctx.now() + Dur::nanos(2), move |h| {
+                                h.board_post(b, round, 1)
+                            });
                         } else {
-                            ctx.complete(evs[next][round]);
+                            ctx.board_post(b, round, 1);
                         }
                     }
                 }

@@ -365,7 +365,7 @@ impl Schedule {
     /// Takes the coalesced driver unless armed contention forces the
     /// explicit one: the weighted-fair queues re-price in-service
     /// transfers whenever the backlogged flow set changes, which only
-    /// live events model. An armed *fault plan* does not: its windows
+    /// per-chunk completions model. An armed *fault plan* does not: its windows
     /// perturb the march through the same kernel path.
     /// [`diomp_sim::Sim::force_explicit_schedules`] pins the explicit
     /// driver for the equivalence tests and the bench gate's reference
@@ -492,9 +492,9 @@ impl Schedule {
     /// The coalesced march from `t`: an arithmetic replay of the explicit
     /// driver's decisions. The [`Arrivals`] queue stands in for the
     /// kernel's event queue; each issue reserves the link through
-    /// [`diomp_sim::Reservations::transfer_flow`] — the event path's
+    /// [`diomp_sim::Reservations::transfer_flow`] — the explicit path's
     /// serialisation, rounding, fault windows and flow accounting, minus
-    /// the event. Returns the last arrival instant and the sends issued
+    /// the queue post. Returns the last arrival instant and the sends issued
     /// (every one, skipped repeats counted).
     ///
     /// A bounded `watch` is replayed from the gap before each instant:
@@ -526,8 +526,7 @@ impl Schedule {
                 break Some(at);
             }
             // Retire every arrival of the next instant, exactly as the
-            // explicit loop retires every event completed at its wake
-            // instant.
+            // explicit loop retires every tag posted by its wake instant.
             arrivals.pop_instant(|si, key| march.retire(si, key));
             t = next;
         };

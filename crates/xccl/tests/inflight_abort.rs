@@ -96,7 +96,7 @@ impl Arm {
     }
 }
 
-/// `(flows in use, live events, transfers queued on every link)`.
+/// `(flows in use, unconsumed board posts, transfers queued on every link)`.
 type Marks = (usize, usize, usize);
 
 #[derive(Debug, PartialEq, Eq)]
@@ -159,7 +159,7 @@ fn run(cell: Cell, arm: Arm) -> Out {
             dev.mem.write(off, &vals).unwrap();
             let mark = || {
                 let backlog = links.iter().map(|&l| handle.link_backlog(l)).sum();
-                (handle.flows_in_use(), handle.live_events(), backlog)
+                (handle.flows_in_use(), handle.unconsumed_posts(), backlog)
             };
             // Rank 0 takes its first mark while every member is parked
             // between init and the collective.
@@ -187,7 +187,7 @@ fn run(cell: Cell, arm: Arm) -> Out {
         });
     }
     sim.run().unwrap_or_else(|e| panic!("{}: {e}", cell.name));
-    assert_eq!(handle.live_events(), 0, "{}: every event recycled by the end", cell.name);
+    assert_eq!(handle.unconsumed_posts(), 0, "{}: every post consumed by the end", cell.name);
     let outcomes: Vec<_> =
         outcomes.lock().unwrap().iter().map(|o| o.expect("every rank called")).collect();
     let flow_bytes = if arm.shrink && outcomes.iter().any(Result::is_err) {
@@ -256,7 +256,7 @@ fn abort_and_shrink_leave_nothing_behind() {
             let tag = format!("{} contended={contended}", cell.name);
             let (before, after) = out.marks.unwrap_or_else(|| panic!("{tag}: no shrink"));
             assert_eq!(before.2, 0, "{tag}: idle links before the collective");
-            assert_eq!(after, before, "{tag}: (flows, events, backlog) after abort and shrink");
+            assert_eq!(after, before, "{tag}: (flows, posts, backlog) after abort and shrink");
         }
     }
 }

@@ -148,26 +148,28 @@ proptest! {
 
     /// The DES is deterministic: an arbitrary rank workload in which ranks
     /// wake each other produces the same digest twice. At each step every
-    /// rank completes its own event, then sometimes waits for another
-    /// rank's event of the same step (never a later one, so no rank
-    /// waits on a rank that waits on it).
+    /// rank posts its own completion to every rank's board, then sometimes
+    /// waits on its board for another rank's completion of the same step
+    /// (never a later one, so no rank waits on a rank that waits on it).
     #[test]
     fn des_is_deterministic(seed in 0u64..1_000_000) {
         let run = |seed: u64| {
             let mut sim = Sim::new();
             let h = sim.handle();
-            let steps: std::sync::Arc<Vec<Vec<_>>> =
-                std::sync::Arc::new((0..15).map(|_| (0..5).map(|_| h.new_event()).collect()).collect());
-            for r in 0..5u64 {
-                let steps = steps.clone();
+            let boards: Vec<_> = (0..5).map(|_| h.new_board()).collect();
+            for r in 0..5u32 {
+                let boards = boards.clone();
                 sim.spawn(format!("r{r}"), move |ctx| {
-                    let mut rng = diomp::sim::rng_for(seed, r);
+                    let mut rng = diomp::sim::rng_for(seed, r.into());
                     use rand::Rng;
-                    for step in steps.iter() {
+                    for step in 0..15u32 {
                         ctx.delay(Dur::nanos(rng.gen_range(1..400)));
-                        ctx.handle().complete(step[r as usize]);
+                        for &b in &boards {
+                            ctx.board_post(b, 5 * step + r, 1);
+                        }
                         if rng.gen_bool(0.3) {
-                            ctx.wait_all(&[step[rng.gen_range(0..5)]], Wait::Block).unwrap();
+                            let id = 5 * step + rng.gen_range(0..5);
+                            ctx.board_waitsome(boards[r as usize], id, 1, Wait::Block).unwrap();
                         }
                     }
                 });
