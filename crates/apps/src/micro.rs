@@ -14,11 +14,11 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use diomp_core::{
-    CollEngine, Conduit, DiompConfig, DiompRank, DiompRuntime, PipelineConfig, ServerSpec,
+    CollEngine, Conduit, DiompConfig, DiompRank, DiompRuntime, PipelineConfig, ServerSpec, XcclOp,
 };
 use diomp_device::{DataMode, DeviceTable};
 use diomp_fabric::{FabricWorld, Loc, MpiRank, ReduceOp};
-use diomp_sim::{bandwidth_gbps, ClusterSpec, Ctx, PlatformSpec, Sim, SimTime, Topology};
+use diomp_sim::{bandwidth_gbps, ClusterSpec, Ctx, Dur, PlatformSpec, Sim, SimTime, Topology};
 
 /// Which RMA direction a P2P micro-benchmark measures.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -38,6 +38,15 @@ pub enum CollKind {
     AllReduce,
 }
 
+impl CollKind {
+    fn op(self) -> XcclOp {
+        match self {
+            CollKind::Broadcast => XcclOp::Broadcast { root: 0 },
+            CollKind::AllReduce => XcclOp::AllReduce { op: ReduceOp::SumF32 },
+        }
+    }
+}
+
 const WARMUP: usize = 2;
 const REPS: usize = 3;
 
@@ -54,7 +63,7 @@ impl Metric {
     fn of(self, size: u64, us: f64) -> f64 {
         match self {
             Metric::LatencyUs => us,
-            Metric::BandwidthGbps => bandwidth_gbps(size, diomp_sim::Dur::micros(us)),
+            Metric::BandwidthGbps => bandwidth_gbps(size, Dur::micros(us)),
         }
     }
 }
@@ -268,14 +277,11 @@ pub struct CollPrice {
 
 /// [`CollPrice`] of `probe` at `sizes`.
 pub fn collective_price(probe: &CollProbe, sizes: &[u64]) -> CollPrice {
-    use diomp_core::{CommOpts, UniqueId, XcclComm, XcclOp};
+    use diomp_core::{CommOpts, UniqueId, XcclComm};
     let &CollProbe { platform, nodes, server_nodes, kind, engine } = probe;
     let mut sim = Sim::new();
     let world = bare_world(&sim, ClusterSpec::full_nodes(platform.clone(), nodes), 1 << 20);
-    let op = match kind {
-        CollKind::Broadcast => XcclOp::Broadcast { root: 0 },
-        CollKind::AllReduce => XcclOp::AllReduce { op: ReduceOp::SumF32 },
-    };
+    let op = kind.op();
     let out = Rc::new(RefCell::new(CollPrice::default()));
     let (out2, sizes) = (out.clone(), sizes.to_vec());
     sim.spawn("rank0", move |ctx| {
@@ -283,7 +289,7 @@ pub fn collective_price(probe: &CollProbe, sizes: &[u64]) -> CollPrice {
         let ranks = (0..world.nranks).collect();
         let opts = CommOpts { engine, servers, ..CommOpts::default() };
         let comm = XcclComm::init(ctx, &world, ranks, 0, UniqueId::generate(), opts);
-        let priced = sizes.iter().map(|&s| (s, comm.price(&op, s).map_or(0.0, |d| d.as_us())));
+        let priced = sizes.iter().map(|&s| (s, comm.price(&op, s).as_us()));
         *out2.borrow_mut() = CollPrice { cuts: comm.auto_regimes(&op), us: priced.collect() };
     });
     sim.run().expect("pricing a collective never blocks");
@@ -344,6 +350,35 @@ pub fn mpi_collective(
             sim.run().unwrap();
             let (t0, t1) = *marks.borrow();
             (size, t1.since(t0).as_us() / REPS as f64)
+        })
+        .collect()
+}
+
+/// The vendor library's calibrated Fig. 6 curve per size, µs: the
+/// reference series the emergent engines are checked against and the
+/// input their link efficiency is calibrated from. Launch, one hop per
+/// ring-fill step and the ring's wire bytes over the achieved-bandwidth
+/// curve, evaluated directly: no simulation runs and no link is touched.
+/// The curve already folds in multi-rail aggregation and the library's
+/// protocol switches (LL/LL128/Simple), which is why it need not be
+/// monotone.
+pub fn curve_collective(
+    platform: &PlatformSpec,
+    nodes: usize,
+    kind: CollKind,
+    sizes: &[u64],
+) -> Vec<(u64, f64)> {
+    let n = nodes * platform.gpus_per_node;
+    let hops = (n.max(2) - 1) as u32;
+    let profile = match kind {
+        CollKind::Broadcast => &platform.coll.xccl_bcast,
+        CollKind::AllReduce => &platform.coll.xccl_allreduce,
+    };
+    sizes
+        .iter()
+        .map(|&len| {
+            let wire = ((len as f64 * kind.op().wire_factor(n)).ceil() as u64).max(1);
+            (len, Dur::micros(profile.time_us(wire, hops)).as_us())
         })
         .collect()
 }

@@ -2,7 +2,7 @@
 //!
 //! Re-runs a deterministic subset of the figure measurements and every
 //! DESIGN.md ablation (chunked-pipeline put, batched fence, ring vs
-//! profile collectives, the transport autotuner, the LL/tree, DBT and
+//! calibrated curve, the transport autotuner, the LL/tree, DBT and
 //! reduction-server regimes, fault hooks, tenancy, recovery, the scale
 //! sweep), emits them as `BENCH_*.json`, and compares against the
 //! committed baseline. Every row declares which way is [`Better`]; a
@@ -30,8 +30,8 @@
 
 use diomp_apps::cannon;
 use diomp_apps::micro::{
-    collective_price, diomp_collective, diomp_p2p, fig6_nodes, scale_allreduce, CollKind,
-    CollProbe, Metric, P2pProbe, RmaOp,
+    collective_price, curve_collective, diomp_collective, diomp_p2p, fig6_nodes, scale_allreduce,
+    CollKind, CollProbe, Metric, P2pProbe, RmaOp,
 };
 use diomp_apps::minimod::{self, HaloStyle, MinimodConfig};
 use diomp_apps::workload::{self, run_workload};
@@ -124,7 +124,7 @@ fn measure() -> Gate {
     halo(&mut g);
     apps(&mut g);
     collectives(&mut g);
-    ring_tracks_profile(&mut g);
+    ring_tracks_curve(&mut g);
     fault_hooks(&mut g);
     tenancy(&mut g);
     work_conservation(&mut g);
@@ -277,14 +277,12 @@ fn collectives(g: &mut Gate) {
         };
         let ring_engine = CollEngine::default();
 
-        // Emergent vs profiled allreduce on 64 A100s; the entry count
-        // gates the schedule driver's scheduler cost.
+        // The ring allreduce on 64 A100s; the entry count gates the
+        // schedule driver's scheduler cost.
         if tag == "A" {
-            for (name, engine) in [("ring", ring_engine), ("profile", CollEngine::Profile)] {
-                for (s, us, entries) in run(allred, engine, &[1 << 20, 64 << 20]) {
-                    let name = format!("fig6/allred_A_{}/{name}", size_label(s));
-                    g.row(name, us, "us", Lower, Some(entries));
-                }
+            for (s, us, entries) in run(allred, ring_engine, &[1 << 20, 64 << 20]) {
+                let name = format!("fig6/allred_A_{}/ring", size_label(s));
+                g.row(name, us, "us", Lower, Some(entries));
             }
         }
 
@@ -335,8 +333,7 @@ fn collectives(g: &mut Gate) {
                 g.row(name, auto_us, "us", Lower, Some(auto_entries));
                 // Lock the small/mid-size ring reference so the
                 // auto-vs-ring gap stays visible in history — except
-                // A/allred@1MB, which the ring-vs-profile rows above
-                // already record.
+                // A/allred@1MB, which the ring row above already records.
                 if s <= 1 << 20 && !(tag == "A" && kind == allred && s == 1 << 20) {
                     let name = format!("fig6/{op_tag}_{tag}_{sz}/ring");
                     g.row(name, ring_us, "us", Lower, Some(ring_entries));
@@ -420,13 +417,14 @@ fn collectives(g: &mut Gate) {
 }
 
 /// The emergent ring-protocol curves must stay within tolerance of the
-/// calibrated whole-collective profiles across the Fig. 6 size sweep on
-/// all three platforms: anchor sizes spanning the latency-, mid- and
-/// bandwidth-dominated regimes of both heatmap rows. One row per cell:
-/// the factor the two engines' times differ by, whichever is slower (a
-/// plain quotient, so the row is exact on every machine). The relations
-/// are over those rows, as `log10` of the factor.
-fn ring_tracks_profile(g: &mut Gate) {
+/// calibrated whole-collective curves ([`curve_collective`]) across the
+/// Fig. 6 size sweep on all three platforms: anchor sizes spanning the
+/// latency-, mid- and bandwidth-dominated regimes of both heatmap rows.
+/// One row per cell: the factor the ring's time and the curve's differ
+/// by, whichever is slower (a plain quotient, so the row is exact on
+/// every machine). The relations are over those rows, as `log10` of the
+/// factor.
+fn ring_tracks_curve(g: &mut Gate) {
     /// Per-cell cap on the log10 deviation. The loosest cells are the
     /// fitted LL-protocol dips (e.g. RCCL's very fast small-message
     /// broadcast) that a Simple-protocol ring structurally cannot
@@ -444,13 +442,12 @@ fn ring_tracks_profile(g: &mut Gate) {
             ("bcast", CollKind::Broadcast, [32u64 << 10, 512 << 10, 4 << 20, 64 << 20]),
             ("allred", CollKind::AllReduce, [128 << 10, 1 << 20, 16 << 20, 64 << 20]),
         ] {
-            let run = |engine| {
-                let probe = CollProbe { platform: &platform, nodes, server_nodes: 0, kind, engine };
-                diomp_collective(&probe, &sizes)
-            };
-            let (ring, prof) = (run(CollEngine::default()), run(CollEngine::Profile));
+            let engine = CollEngine::default();
+            let probe = CollProbe { platform: &platform, nodes, server_nodes: 0, kind, engine };
+            let ring = diomp_collective(&probe, &sizes);
+            let curve = curve_collective(&platform, nodes, kind, &sizes);
             let first = g.rows.len();
-            for (r, p) in ring.iter().zip(&prof) {
+            for (r, p) in ring.iter().zip(&curve) {
                 let name = format!("fig6/{op_tag}_{tag}_{}/ring_vs_profile", size_label(r.0));
                 g.row(name, (r.1 / p.1).max(p.1 / r.1), "x", Lower, None);
             }
@@ -461,7 +458,7 @@ fn ring_tracks_profile(g: &mut Gate) {
             }
             let mae = cells.iter().map(|c| c.1).sum::<f64>() / cells.len() as f64;
             g.check(mae <= MAE_TOL, || {
-                format!("fig6/{op_tag}_{tag} ring vs profile: MAE {mae:.2} > {MAE_TOL}")
+                format!("fig6/{op_tag}_{tag} ring vs curve: MAE {mae:.2} > {MAE_TOL}")
             });
             let (name, last) = cells.last().expect("sweep has sizes");
             g.check(*last <= ASYMPTOTE_TOL, || {

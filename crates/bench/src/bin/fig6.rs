@@ -2,8 +2,7 @@
 //! Broadcast (32 KB–64 MB) and AllReduce (128 KB–64 MB) on the paper's
 //! three platforms (64 A100s, 64 GCDs, 16 GH200s). The DiOMP side runs
 //! through the emergent chunk-pipelined ring engine by default; pass
-//! `--profile` for the calibrated whole-collective curve fit (ablation)
-//! or `--auto` for the transport autotuner's protocol-selecting engine
+//! `--auto` for the transport autotuner's protocol-selecting engine
 //! (LL/tree small-message fast paths, ring above the crossover — the
 //! configuration that reproduces the fitted small-size dips).
 //! `--json PATH` emits every cell — DiOMP µs with the run's
@@ -75,10 +74,9 @@ fn run_op(
             100.0 * sign_agreement(&ratio, paper_row),
             mae(&ratio, paper_row)
         );
-        // Tag the DiOMP rows with the engine so ring and --profile
+        // Tag the DiOMP rows with the engine so ring and --auto
         // artifacts stay distinguishable side by side.
         let eng = match engine {
-            CollEngine::Profile => "diomp_profile",
             CollEngine::Ring(_) => "diomp",
             CollEngine::Dbt(_) => "diomp_dbt",
             CollEngine::Auto(_) => "diomp_auto",
@@ -105,9 +103,7 @@ fn run_op(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let json_path = json_path_from_args(&args);
-    let engine: EngineFor = if args.iter().any(|a| a == "--profile") {
-        |_| CollEngine::Profile
-    } else if args.iter().any(|a| a == "--auto") {
+    let engine: EngineFor = if args.iter().any(|a| a == "--auto") {
         |p| Tuner::new(p, Conduit::GasnetEx).coll_engine()
     } else {
         |_| CollEngine::default()

@@ -135,9 +135,9 @@ pub struct DiompConfig {
     pub retry_backoff_us: f64,
     /// OMPCCL completion-time engine: the chunk-pipelined ring protocol
     /// over the simulated links (default — Fig. 6 emerges from protocol
-    /// structure), the autotuner's protocol-selecting
-    /// [`CollEngine::Auto`], or the calibrated whole-collective profiles
-    /// (the curve-fit path, kept for ablation).
+    /// structure), a pinned double-binary-tree or reduction-server
+    /// schedule, or the autotuner's protocol-selecting
+    /// [`CollEngine::Auto`].
     pub coll_engine: CollEngine,
     /// Dedicated in-network reduction servers (paper-style SHARP-like
     /// offload): carve this many nodes out of every communicator as
@@ -412,6 +412,7 @@ impl DiompConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diomp_xccl::RingConfig;
 
     #[test]
     fn chunks_cover_exactly_once() {
@@ -454,12 +455,12 @@ mod tests {
 
     #[test]
     fn precedence_explicit_engine_beats_tuned() {
-        let prof = base().with_coll_engine(CollEngine::Profile).tuned().build();
-        assert_eq!(prof.coll_engine, CollEngine::Profile);
+        let dbt = CollEngine::Dbt(RingConfig { chunk_bytes: 64 << 10, max_inflight: 3 });
+        let pinned = base().with_coll_engine(dbt).tuned().build();
+        assert_eq!(pinned.coll_engine, dbt);
         // The non-explicit knob is still tuned.
-        assert!(prof.pipeline != PipelineConfig::disabled());
-        let prof2 = base().tuned().with_coll_engine(CollEngine::Profile).build();
-        assert_eq!(prof2.coll_engine, CollEngine::Profile);
+        assert!(pinned.pipeline != PipelineConfig::disabled());
+        assert_eq!(base().tuned().with_coll_engine(dbt).build().coll_engine, dbt);
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn canonical_plan() -> FaultPlan {
     // Probe a throwaway world for the NIC resource id — topology
     // construction is deterministic, so the id is stable across sims.
     let sim = Sim::new();
-    let shared = DiompRuntime::build(&sim, cfg(CollEngine::Profile));
+    let shared = DiompRuntime::build(&sim, cfg(CollEngine::default()));
     let nic = shared.world.devs.dev(0).nic;
     drop(sim);
     FaultPlan::new()
@@ -140,8 +140,7 @@ fn canonical_plan_completes_byte_identical_within_the_priced_bound_on_every_engi
     let auto = CollEngine::Auto(AutoConfig::for_platform(&p));
     // (engine, payload): Auto runs twice so both the LL/tree band and
     // the ring band above the crossovers are exercised under faults.
-    let cases: [(CollEngine, u64, &str); 5] = [
-        (CollEngine::Profile, 256 << 10, "profile"),
+    let cases: [(CollEngine, u64, &str); 4] = [
         (CollEngine::Ring(RingConfig::auto(&p, &diomp_xccl_op(), 1)), 256 << 10, "ring"),
         (CollEngine::Dbt(RingConfig::auto(&p, &diomp_xccl_op(), 1)), 256 << 10, "dbt"),
         (auto, 1 << 10, "auto/ll-band"),
@@ -182,7 +181,7 @@ fn canonical_plan_is_visible_in_the_health_vector() {
     // else Healthy — and collectives price against the 400 factor.
     let sim = Sim::new();
     sim.set_fault_plan(canonical_plan());
-    let shared = DiompRuntime::build(&sim, cfg(CollEngine::Profile));
+    let shared = DiompRuntime::build(&sim, cfg(CollEngine::default()));
     let health = shared.world.health();
     assert_eq!(health.rank_health(0), RankHealth::Degraded { factor_milli: 400 });
     for r in 1..NRANKS {

@@ -64,7 +64,6 @@ fn all_links(world: &FabricWorld) -> Vec<ResourceId> {
 fn engines() -> Vec<CollEngine> {
     let p = PlatformSpec::platform_a();
     vec![
-        CollEngine::Profile,
         CollEngine::Ring(RingConfig::default()),
         CollEngine::Dbt(RingConfig::default()),
         CollEngine::ReductionServer(RingConfig::default()),
@@ -241,9 +240,10 @@ fn assert_survivors_match(
 #[test]
 fn mid_run_rank_kill_recovers_byte_identical_on_every_engine() {
     // Rank 3 dies mid-stream (iterations span ~[90 ms, 102 ms] after
-    // the communicator init; the kill lands halfway). Every engine must
-    // detect, shrink once, roll back, and finish with survivor buffers
-    // equal to the sequential reference.
+    // the communicator init; the kill lands halfway, in compute). It
+    // never arrives at the next gate, so every engine withdraws the
+    // survivors' arrivals there, shrinks once, rolls back, and finishes
+    // with survivor buffers equal to the sequential reference.
     let plan = FaultPlan::new().kill_rank(3, SimTime(96_000_000));
     let full: Vec<usize> = (0..NRANKS).collect();
     let shrunk: Vec<usize> = (0..NRANKS).filter(|&r| r != 3).collect();
@@ -254,6 +254,7 @@ fn mid_run_rank_kill_recovers_byte_identical_on_every_engine() {
         assert_eq!(stats.shrinks, 1, "{tag}: the mid-stream kill must force exactly one shrink");
         let d = stats.abort_iter.expect("a shrink records its epoch");
         assert!((1..ITERS).contains(&d), "{tag}: the kill must land mid-stream, aborted at {d}");
+        assert!(!stats.doomed_saw_abort, "{tag}: the death must be detected at the gate");
         assert_survivors_match(&plan, stats, &got, &full, &shrunk, &tag);
     }
 }
@@ -358,12 +359,10 @@ fn randomized_kill_plans_replay_bit_identically_on_every_engine() {
 
 #[test]
 fn a_kill_mid_collective_aborts_in_flight_and_the_fold_still_holds() {
-    // Back-to-back 1 MiB allreduces; rank 3 dies inside the second. The
-    // schedule-driven engines abort that collective in flight — the
-    // doomed rank had arrived, so it sees the abort too — while Profile,
-    // which runs no schedule, keeps the boundary rule and detects at the
-    // next gate. Either way the survivors match the participation-aware
-    // fold, in one shrink.
+    // Back-to-back 1 MiB allreduces; rank 3 dies inside the second.
+    // Every engine aborts that collective in flight — the doomed rank
+    // had arrived, so it sees the abort too — and the survivors match
+    // the participation-aware fold, in one shrink.
     let plan = FaultPlan::new().kill_rank(3, SimTime(90_150_000));
     let full: Vec<usize> = (0..NRANKS).collect();
     let shrunk: Vec<usize> = (0..NRANKS).filter(|&r| r != 3).collect();
@@ -372,8 +371,7 @@ fn a_kill_mid_collective_aborts_in_flight_and_the_fold_still_holds() {
         let (stats, got) =
             run_recovery(engine, &plan, ServerSpec::default(), Dur::ZERO, 1 << 20, &tag);
         assert_eq!((stats.abort_iter, stats.shrinks), (Some(1), 1), "{tag}");
-        let in_flight = !matches!(engine, CollEngine::Profile);
-        assert_eq!(stats.doomed_saw_abort, in_flight, "{tag}: where the death was detected");
+        assert!(stats.doomed_saw_abort, "{tag}: the death must be detected in flight");
         assert_survivors_match(&plan, stats, &got, &full, &shrunk, &tag);
     }
 }

@@ -251,7 +251,7 @@ fn rma_curve(o_us: f64, wire_gbps: f64) -> BwCurve {
 }
 
 /// Cost profile of one collective operation in one library
-/// (a calibrated model of NCCL/RCCL/MPI achieved performance).
+/// (a calibrated model of NCCL/RCCL achieved performance).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CollProfile {
     /// Fixed per-call cost (kernel launches, stream sync, algorithm
@@ -272,19 +272,14 @@ impl CollProfile {
     }
 }
 
-/// Collective-communication models for the platform's MPI and its vendor
-/// collective library (NCCL on A/C, RCCL on B).
+/// Collective-communication models for the platform's vendor collective
+/// library (NCCL on A/C, RCCL on B). MPI collectives are not modelled
+/// here: they emerge from point-to-point messages.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CollModels {
-    /// Vendor library name ("NCCL" / "RCCL").
-    pub xccl_name: &'static str,
     /// One-time communicator initialisation cost, µs (UniqueId exchange,
     /// topology discovery, ring construction).
     pub xccl_init_us: f64,
-    /// MPI broadcast profile (GPU buffers).
-    pub mpi_bcast: CollProfile,
-    /// MPI allreduce profile (GPU buffers).
-    pub mpi_allreduce: CollProfile,
     /// XCCL broadcast profile.
     pub xccl_bcast: CollProfile,
     /// XCCL allreduce profile.
@@ -394,23 +389,7 @@ impl PlatformSpec {
                 win_create_us: 42.0,
             },
             coll: CollModels {
-                xccl_name: "NCCL",
                 xccl_init_us: 90_000.0,
-                mpi_bcast: CollProfile {
-                    launch_us: 16.0,
-                    hop_us: 1.2,
-                    curve: BwCurve::new(vec![
-                        (32 << 10, 5.5),
-                        (256 << 10, 6.5),
-                        (512 << 10, 15.0),
-                        (64 << 20, 14.5),
-                    ]),
-                },
-                mpi_allreduce: CollProfile {
-                    launch_us: 22.0,
-                    hop_us: 1.4,
-                    curve: BwCurve::new(vec![(128 << 10, 4.5), (1 << 20, 4.8), (64 << 20, 2.0)]),
-                },
                 // Calibrated to NCCL's measured behaviour on this system
                 // (fitted so the Fig. 6 ratios land; the dip near 512 KB
                 // is the LL->Simple protocol switch).
@@ -507,18 +486,7 @@ impl PlatformSpec {
                 win_create_us: 38.0,
             },
             coll: CollModels {
-                xccl_name: "RCCL",
                 xccl_init_us: 110_000.0,
-                mpi_bcast: CollProfile {
-                    launch_us: 17.0,
-                    hop_us: 1.2,
-                    curve: BwCurve::new(vec![(32 << 10, 2.2), (512 << 10, 5.0), (64 << 20, 13.0)]),
-                },
-                mpi_allreduce: CollProfile {
-                    launch_us: 18.0,
-                    hop_us: 1.3,
-                    curve: BwCurve::new(vec![(128 << 10, 5.2), (2 << 20, 6.0), (64 << 20, 7.5)]),
-                },
                 // Calibrated to RCCL's measured behaviour (Fig. 6): strong
                 // small-message broadcast, weak allreduce with a very high
                 // fixed cost -- the paper's "RCCL still has room for
@@ -618,18 +586,7 @@ impl PlatformSpec {
                 win_create_us: 70.0,
             },
             coll: CollModels {
-                xccl_name: "NCCL",
                 xccl_init_us: 80_000.0,
-                mpi_bcast: CollProfile {
-                    launch_us: 20.0,
-                    hop_us: 1.6,
-                    curve: BwCurve::new(vec![(32 << 10, 6.0), (512 << 10, 6.5), (64 << 20, 5.5)]),
-                },
-                mpi_allreduce: CollProfile {
-                    launch_us: 24.0,
-                    hop_us: 1.8,
-                    curve: BwCurve::new(vec![(128 << 10, 5.5), (1 << 20, 6.0), (64 << 20, 8.0)]),
-                },
                 // Calibrated to NCCL over single-rail NDR IB (Fig. 6).
                 xccl_bcast: CollProfile {
                     launch_us: 16.73,
@@ -798,8 +755,6 @@ mod tests {
                 p.gasnet_rma_curve(),
                 p.coll.xccl_bcast.curve.clone(),
                 p.coll.xccl_allreduce.curve.clone(),
-                p.coll.mpi_bcast.curve.clone(),
-                p.coll.mpi_allreduce.curve.clone(),
             ];
             curves.extend(p.gpi_rma_curve());
             for c in curves {

@@ -209,8 +209,8 @@ fn plan_for(id: UniqueId, build: impl FnOnce() -> CommPlan) -> Rc<CommPlan> {
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CommOpts {
-    /// Completion-time engine (emergent ring protocol, DBT, LL/tree
-    /// auto-selection, or the calibrated profile).
+    /// Completion-time engine (emergent ring protocol, DBT, reduction
+    /// server, or LL/tree auto-selection).
     pub engine: CollEngine,
     /// QoS class of the owning job: fixes the weight this communicator's
     /// chunk traffic carries in the per-link weighted fair queue when
@@ -251,8 +251,7 @@ pub struct XcclComm {
     /// Discovered ring topology (shared by every member unless this
     /// rank blacklisted dead rails).
     pub ring: Arc<RingInfo>,
-    /// Completion-time engine (emergent ring protocol or calibrated
-    /// profile; see [`CollEngine`]).
+    /// Completion-time engine (see [`CollEngine`]).
     pub engine: CollEngine,
     /// QoS class of the owning job (see [`CommOpts::qos`]).
     pub qos: QosClass,
@@ -584,12 +583,10 @@ impl XcclComm {
     /// `Schedule::price`, one receive-side step, exactly what a call
     /// charges. Inter-node links are rated at the health vector's worst
     /// live factor. This is the price [`XcclComm::auto_regimes`]
-    /// compares regimes by; `None` under [`CollEngine::Profile`], which
-    /// runs no schedule.
-    pub fn price(&self, op: &XcclOp, len: u64) -> Option<Dur> {
-        let regime = self.regime(op, len)?;
+    /// compares regimes by.
+    pub fn price(&self, op: &XcclOp, len: u64) -> Dur {
         let links = self.links(self.world.health().worst_live_factor_milli());
-        Some(self.priced(regime, *op, len, &links))
+        self.priced(self.regime(op, len), *op, len, &links)
     }
 
     fn priced(&self, regime: Regime, op: XcclOp, len: u64, links: &Links) -> Dur {
@@ -655,8 +652,7 @@ impl XcclComm {
     /// untouched — the fold only runs when a schedule completes — and
     /// [`CollAbort`] is returned for the caller to [`XcclComm::shrink`]
     /// and re-run. A timeout *without* a confirmed death re-parks:
-    /// slowness is straggling, not failure. [`CollEngine::Profile`] runs
-    /// no schedule, so only its gate can abort.
+    /// slowness is straggling, not failure.
     pub fn try_collective(
         &self,
         ctx: &mut Ctx,
@@ -710,12 +706,10 @@ impl XcclComm {
     /// engines stay total over ops by falling back to the ring with the
     /// same chunking: all-gather has no tree schedule, and only an
     /// allreduce with a live server (configured, and not every server
-    /// NIC dead) has a server schedule — degrade, never hang. `None` is
-    /// [`CollEngine::Profile`], which runs no schedule at all.
-    fn regime(&self, op: &XcclOp, len: u64) -> Option<Regime> {
+    /// NIC dead) has a server schedule — degrade, never hang.
+    fn regime(&self, op: &XcclOp, len: u64) -> Regime {
         let served = matches!(op, XcclOp::AllReduce { .. }) && self.live_servers() > 0;
-        Some(match self.engine {
-            CollEngine::Profile => return None,
+        match self.engine {
             CollEngine::Ring(rc) => Regime::Ring(rc),
             CollEngine::Dbt(rc) if matches!(op, XcclOp::AllGather) => Regime::Ring(rc),
             CollEngine::Dbt(rc) if matches!(op, XcclOp::Broadcast { .. }) => Regime::Fed(rc),
@@ -740,7 +734,7 @@ impl XcclComm {
                     Regime::Ring(rc)
                 }
             }
-        })
+        }
     }
 
     /// The tuning and in-flight window `regime` runs `op` with.
@@ -858,24 +852,7 @@ impl XcclComm {
             .map(|(_, b)| b)
             .collect();
 
-        let done = match self.regime(&op, len) {
-            None => {
-                // Modelled completion: launch + ring-fill hop latency +
-                // wire bytes over the library's achieved-bandwidth
-                // curve. The curve is calibrated per platform against
-                // the vendor library's measured behaviour (Fig. 6) and
-                // already includes multi-rail aggregation and protocol
-                // switches (LL/LL128/Simple), which is why it need not
-                // be monotonic. No link is touched: this is the oracle
-                // the emergent regimes are calibrated against.
-                let n = order.len();
-                let profile = op.profile(&world.platform.coll);
-                let hops = (n.max(2) - 1) as u32;
-                let wire = (len as f64 * op.wire_factor(n)).ceil() as u64;
-                Ok(ctx.now() + Dur::micros(profile.time_us(wire.max(1), hops)))
-            }
-            Some(regime) => self.run(ctx, regime, op, len, watch),
-        };
+        let done = self.run(ctx, self.regime(&op, len), op, len, watch);
 
         // Real data semantics at completion: one fold for every regime,
         // in the sequential reference order over the ring-ordered

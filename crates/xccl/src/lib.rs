@@ -39,14 +39,10 @@
 //! the real buffer bytes (Functional mode) so correctness is testable
 //! against sequential references.
 //!
-//! Resource-charging note: with the default ring engine, collectives
-//! charge the simulator's NIC and GPU-fabric port resources chunk by
-//! chunk, so concurrent rails and concurrent collectives contend like the
-//! MPI baseline does. The legacy [`CollEngine::Profile`] path instead
-//! prices the whole collective with the calibrated achieved-bandwidth
-//! curve (which already encodes contention as measured for the vendor
-//! library) and touches no link resources; it is kept behind the config
-//! flag for ablation against the emergent curves.
+//! Resource-charging note: every engine's collectives charge the
+//! simulator's NIC and GPU-fabric port resources chunk by chunk, so
+//! concurrent rails and concurrent collectives contend like the MPI
+//! baseline does.
 //!
 //! Every engine has the same shape — **gate → regime → generator →
 //! driver → fold**: the gate (a [`diomp_fabric::Rendezvous`] shared
@@ -56,8 +52,7 @@
 //! drivers, one receive-side step), and one sequential fold writes the
 //! bytes at the completion instant. LL hops are sends in that schedule
 //! like any chunk, so QoS flow accounting, weighted-fair contention and
-//! fault perturbation cover them too. The one exception is
-//! [`CollEngine::Profile`], which runs no schedule.
+//! fault perturbation cover them too.
 //!
 //! # Ring protocol walkthrough
 //!

@@ -1,20 +1,18 @@
 //! The ring-protocol engine: chunk-pipelined ring collectives executed
 //! over the simulated links (paper §3.3, Fig. 6).
 //!
-//! Instead of pricing a collective with a calibrated whole-collective
-//! curve ([`CollEngine::Profile`]), this engine *runs the protocol*: the
-//! payload is split across `nrings` rails (one ring per NIC, NCCL's
-//! multi-rail layout), each rail executes its 2(n−1) (allreduce) or n−1
-//! (broadcast/allgather/reduce) ring steps as chunked transfers over the
-//! simulated link resources — intra-node GPU-fabric ports and inter-node
-//! NIC ports — with several chunks in flight per ring edge, exactly the
-//! machinery PR 1's `PipelineConfig` built for point-to-point RMA. The
-//! Fig. 6 size-dependence then *emerges* from protocol structure (step
-//! count, pipeline fill, link serialisation, rail aggregation); only the
-//! per-platform constants (launch cost, per-step overhead, link
-//! efficiency at the bottleneck) remain calibration parameters, derived
-//! from the same [`diomp_sim::CollProfile`] tables the profile engine
-//! uses.
+//! The engine *runs the protocol*: the payload is split across `nrings`
+//! rails (one ring per NIC, NCCL's multi-rail layout), each rail
+//! executes its 2(n−1) (allreduce) or n−1 (broadcast/allgather/reduce)
+//! ring steps as chunked transfers over the simulated link resources —
+//! intra-node GPU-fabric ports and inter-node NIC ports — with several
+//! chunks in flight per ring edge, the machinery of the point-to-point
+//! RMA `PipelineConfig`. The Fig. 6 size-dependence then *emerges* from
+//! protocol structure (step count, pipeline fill, link serialisation,
+//! rail aggregation); only the per-platform constants (launch cost,
+//! per-step overhead, link efficiency at the bottleneck) remain
+//! calibration parameters, derived from the calibrated
+//! [`diomp_sim::CollProfile`] tables.
 //!
 //! Execution model: every ring edge is a FIFO lane of chunk sends; a
 //! send is issued once the same chunk has arrived one edge upstream and
@@ -111,9 +109,6 @@ impl Default for RingConfig {
 /// Which completion-time engine a communicator uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CollEngine {
-    /// Calibrated whole-collective profile (the curve-fit path, kept for
-    /// ablation against the emergent protocol).
-    Profile,
     /// Chunk-pipelined ring protocol over the simulated links (default).
     Ring(RingConfig),
     /// Chunk-pipelined double-binary-tree protocol (the mid-band
@@ -227,8 +222,8 @@ pub(crate) fn build_rails(world: &FabricWorld, order: &[usize], nrings: usize) -
         .collect()
 }
 
-/// Calibrated per-op constants of the ring engine, derived from the same
-/// platform tables the profile engine reads. The *structure* (steps,
+/// Calibrated per-op constants of the ring engine, derived from the
+/// platform's collective tables. The *structure* (steps,
 /// chunks, rails, link serialisation) is the protocol's; these scalars
 /// pin what each primitive costs on the platform:
 ///

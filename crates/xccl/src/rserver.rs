@@ -324,7 +324,7 @@ mod tests {
                 8,
                 engine,
                 |_| FaultPlan::new(),
-                move |c| sizes.iter().map(|&s| c.price(&allred(), s).unwrap()).collect::<Vec<_>>(),
+                move |c| sizes.iter().map(|&s| c.price(&allred(), s)).collect::<Vec<_>>(),
             )
         };
         let rsv = priced(CollEngine::ReductionServer(rc));

@@ -70,7 +70,6 @@ fn all_links(world: &FabricWorld) -> Vec<ResourceId> {
 fn engines() -> Vec<CollEngine> {
     let p = PlatformSpec::platform_a();
     vec![
-        CollEngine::Profile,
         CollEngine::Ring(RingConfig::default()),
         CollEngine::Dbt(RingConfig::default()),
         CollEngine::ReductionServer(RingConfig::default()),

@@ -562,7 +562,7 @@ fn priced_and_driven(cell: &Cell) -> (u64, u64) {
             let t0 = ctx.now();
             comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, size);
             if r == 0 {
-                let price = comm.price(&op, size).expect("a schedule engine prices");
+                let price = comm.price(&op, size);
                 *out.lock().unwrap() = (price.as_nanos(), ctx.now().since(t0).as_nanos());
             }
         });

@@ -1,6 +1,6 @@
 //! Ring-protocol engine tests (ISSUE 2): data byte-identity against
 //! sequential references across random sizes/dtypes/rank counts, replay
-//! determinism of the emergent schedule, and emergent-vs-profile timing
+//! determinism of the emergent schedule, and emergent-vs-curve timing
 //! behaviour. ISSUE 4 adds the `CollEngine::Auto` protocol-selection
 //! tests: the LL/tree fast path must agree byte-for-byte with the other
 //! engines, beat the ring at small sizes, and collapse onto the ring
@@ -9,6 +9,7 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
+use diomp_apps::micro::{curve_collective, CollKind};
 use diomp_device::{DataMode, DeviceTable};
 use diomp_fabric::{FabricWorld, ReduceOp};
 use diomp_sim::{ClusterSpec, PlatformSpec, Sim, SimTime, Topology};
@@ -140,46 +141,6 @@ proptest! {
         let _ = want;
     }
 
-    /// The ring engine's data semantics agree byte-for-byte with the
-    /// profile engine's for every collective kind on arbitrary payloads.
-    #[test]
-    fn ring_and_profile_engines_deposit_identical_bytes(
-        nranks in 2usize..9,
-        len in 8usize..2048,
-        kind in 0u8..4,
-    ) {
-        let run = |engine: CollEngine| {
-            let out = Arc::new(std::sync::Mutex::new(Vec::new()));
-            let out2 = out.clone();
-            with_engine(nranks, engine, move |ctx, world, comm, r| {
-                let n = world.nranks;
-                let dev = world.primary_dev(r);
-                let cap = (len * n).next_power_of_two().max(64) as u64;
-                let off = dev.malloc(cap, 256).unwrap();
-                let bytes: Vec<u8> =
-                    (0..len * n).map(|i| (r * 31 + i * 7) as u8).collect();
-                dev.mem.write(off, &bytes).unwrap();
-                let op = match kind {
-                    0 => XcclOp::AllReduce { op: ReduceOp::SumU64 },
-                    1 => XcclOp::Broadcast { root: 1 % n },
-                    2 => XcclOp::AllGather,
-                    _ => XcclOp::Reduce { root: 1 % n, op: ReduceOp::SumU64 },
-                };
-                let payload = if kind == 2 { len as u64 } else { (len / 8 * 8).max(8) as u64 };
-                comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, payload);
-                let mut got = vec![0u8; len * n];
-                dev.mem.read(off, &mut got).unwrap();
-                out2.lock().unwrap().push((r, got));
-            });
-            let mut rows = out.lock().unwrap().clone();
-            rows.sort_by_key(|&(r, _)| r);
-            rows
-        };
-        let ring = run(CollEngine::Ring(RingConfig { chunk_bytes: 512, max_inflight: 2 }));
-        let prof = run(CollEngine::Profile);
-        prop_assert_eq!(ring, prof, "engines must agree on the final buffer bytes");
-    }
-
     /// `CollEngine::Auto` deposits the same bytes as the ring engine on
     /// arbitrary payloads whichever regime its prices pick: on the tuned
     /// rings, and on 512-byte rings, whose per-chunk steps hand more of
@@ -265,7 +226,9 @@ proptest! {
     /// The DBT engine deposits the same bytes as the ring engine for
     /// every collective kind — including the rooted ops (the fed
     /// broadcast, the rotated reduce trees) and all-gather (which falls
-    /// back to the ring schedule under `CollEngine::Dbt`).
+    /// back to the ring schedule under `CollEngine::Dbt`) — and so does
+    /// the ring on 512-byte chunks with two slots: chunking never changes
+    /// the bytes.
     #[test]
     fn dbt_engine_matches_ring_bytes(
         nranks in 2usize..9,
@@ -299,9 +262,11 @@ proptest! {
             rows.sort_by_key(|&(r, _)| r);
             rows
         };
-        let dbt = run(CollEngine::Dbt(RingConfig { chunk_bytes: 512, max_inflight: 2 }));
+        let tiny = RingConfig { chunk_bytes: 512, max_inflight: 2 };
         let ring = run(CollEngine::default());
-        prop_assert_eq!(dbt, ring, "dbt must agree with the ring engine's bytes");
+        let dbt = run(CollEngine::Dbt(tiny));
+        prop_assert_eq!(dbt, ring.clone(), "dbt must agree with the ring engine's bytes");
+        prop_assert_eq!(run(CollEngine::Ring(tiny)), ring, "chunking must not change the bytes");
     }
 }
 
@@ -373,37 +338,31 @@ fn emergent_ring_trace_is_stable_across_runs() {
 
 #[test]
 fn ring_time_is_emergent_not_fitted() {
-    // The two engines price the same collective differently (the ring
-    // time comes from link scheduling, not the curve), and the emergent
-    // time respects the physical lower bound of the bottleneck link.
-    let coll = |engine: CollEngine| {
-        with_engine(8, engine, move |ctx, _world, comm, r| {
-            let off = 0; // CostOnly-style: allocate nothing, cost only
-            let dev_off = _world.primary_dev(r).malloc(8 << 20, 256).unwrap();
-            let _ = off;
-            comm.collective(
-                ctx,
-                r,
-                vec![DeviceBuf { flat: r, off: dev_off }],
-                XcclOp::AllReduce { op: ReduceOp::SumF64 },
-                4 << 20,
-            );
-        })
-        .0
-    };
-    let ring = coll(CollEngine::default());
-    let prof = coll(CollEngine::Profile);
-    assert_ne!(ring, prof, "emergent completion must not collapse onto the curve fit");
+    // The ring prices the collective differently from the calibrated
+    // curve (its time comes from link scheduling, not the fit), and the
+    // emergent time respects the physical lower bound of the bottleneck
+    // link.
+    const LEN: u64 = 4 << 20;
+    let took = Rc::new(std::cell::Cell::new(0.0));
+    let out = took.clone();
+    with_engine(8, CollEngine::default(), move |ctx, world, comm, r| {
+        let off = world.primary_dev(r).malloc(2 * LEN, 256).unwrap();
+        let t0 = ctx.now();
+        let op = XcclOp::AllReduce { op: ReduceOp::SumF64 };
+        comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, LEN);
+        if r == 0 {
+            out.set(ctx.now().since(t0).as_us());
+        }
+    });
+    let ring = took.get();
+    let curve = curve_collective(&PlatformSpec::platform_a(), 2, CollKind::AllReduce, &[LEN]);
+    assert_ne!(ring, curve[0].1, "emergent completion must not collapse onto the curve fit");
     // 8 devices over 2 nodes, 4 rails: each inter-node NIC moves at least
     // wire_factor * len / nrings bytes at 25 GB/s — the emergent time can
     // never beat the raw link.
-    let wire_per_rail = (2.0 * 7.0 / 8.0) * (4u64 << 20) as f64 / 4.0;
+    let wire_per_rail = (2.0 * 7.0 / 8.0) * LEN as f64 / 4.0;
     let min_us = wire_per_rail / 25.0e3;
-    assert!(
-        ring.as_us() > min_us,
-        "emergent time {}us beats the physical link bound {min_us}us",
-        ring.as_us()
-    );
+    assert!(ring > min_us, "emergent time {ring}us beats the physical link bound {min_us}us");
 }
 
 /// Auto's regime boundaries for `op` at 16 ranks (4 nodes × 4 A100s).

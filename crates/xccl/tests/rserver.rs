@@ -137,7 +137,6 @@ fn timed_allreduce(engine: CollEngine, nodes: usize, server_nodes: usize, len: u
 fn engines() -> Vec<CollEngine> {
     let p = PlatformSpec::platform_a();
     vec![
-        CollEngine::Profile,
         CollEngine::Ring(RingConfig::default()),
         CollEngine::Dbt(RingConfig::default()),
         CollEngine::ReductionServer(RingConfig::default()),

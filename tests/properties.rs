@@ -439,12 +439,11 @@ proptest! {
         prop_assert_eq!(chunked, expect);
     }
 
-    /// The emergent ring engine deposits the same bytes as the profile
-    /// engine for arbitrary pipeline shapes through the full DiOMP
-    /// runtime (`ompx_allreduce` on the world group), and both match the
-    /// sequential reference.
+    /// A ring of arbitrary pipeline shape deposits the same bytes as the
+    /// default engine through the full DiOMP runtime (`ompx_allreduce`
+    /// on the world group), and both match the sequential reference.
     #[test]
-    fn ring_engine_allreduce_matches_profile_engine(
+    fn random_ring_shape_allreduce_matches_default_engine(
         nodes in 1usize..3,
         elems in 1usize..24,
         chunk in 1u64..512,
@@ -478,8 +477,8 @@ proptest! {
             rows
         };
         let ring = run(CollEngine::Ring(RingConfig { chunk_bytes: chunk, max_inflight: inflight }));
-        let prof = run(CollEngine::Profile);
-        prop_assert_eq!(&ring, &prof, "ring and profile engines must agree");
+        let default = run(CollEngine::default());
+        prop_assert_eq!(&ring, &default, "the ring shape must not change the bytes");
         let n = ring.len();
         for (rank, got) in &ring {
             for i in 0..elems {
