@@ -104,6 +104,37 @@ fn reference(nranks: usize, len: usize, dtype: ReduceOp) -> Vec<u8> {
     acc
 }
 
+/// Runs collective `kind` (0 allreduce, 1 broadcast, 2 all-gather,
+/// 3 reduce) on `nranks` ranks over generated `len`-byte-per-rank
+/// buffers under `engine`, and returns each rank's final buffer bytes in
+/// rank order.
+fn deposit(nranks: usize, len: usize, kind: u8, engine: CollEngine) -> Vec<(usize, Vec<u8>)> {
+    let out = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let out2 = out.clone();
+    with_engine(nranks, engine, move |ctx, world, comm, r| {
+        let n = world.nranks;
+        let dev = world.primary_dev(r);
+        let cap = (len * n).next_power_of_two().max(64) as u64;
+        let off = dev.malloc(cap, 256).unwrap();
+        let bytes: Vec<u8> = (0..len * n).map(|i| (r * 31 + i * 7) as u8).collect();
+        dev.mem.write(off, &bytes).unwrap();
+        let op = match kind {
+            0 => XcclOp::AllReduce { op: ReduceOp::SumU64 },
+            1 => XcclOp::Broadcast { root: 1 % n },
+            2 => XcclOp::AllGather,
+            _ => XcclOp::Reduce { root: 1 % n, op: ReduceOp::SumU64 },
+        };
+        let payload = if kind == 2 { len as u64 } else { (len / 8 * 8).max(8) as u64 };
+        comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, payload);
+        let mut got = vec![0u8; len * n];
+        dev.mem.read(off, &mut got).unwrap();
+        out2.lock().unwrap().push((r, got));
+    });
+    let mut rows = out.lock().unwrap().clone();
+    rows.sort_by_key(|&(r, _)| r);
+    rows
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -152,40 +183,13 @@ proptest! {
         kind in 0u8..4,
         tiny_rings in prop_oneof![Just(false), Just(true)],
     ) {
-        let run = |engine: CollEngine| {
-            let out = Arc::new(std::sync::Mutex::new(Vec::new()));
-            let out2 = out.clone();
-            with_engine(nranks, engine, move |ctx, world, comm, r| {
-                let n = world.nranks;
-                let dev = world.primary_dev(r);
-                let cap = (len * n).next_power_of_two().max(64) as u64;
-                let off = dev.malloc(cap, 256).unwrap();
-                let bytes: Vec<u8> =
-                    (0..len * n).map(|i| (r * 31 + i * 7) as u8).collect();
-                dev.mem.write(off, &bytes).unwrap();
-                let op = match kind {
-                    0 => XcclOp::AllReduce { op: ReduceOp::SumU64 },
-                    1 => XcclOp::Broadcast { root: 1 % n },
-                    2 => XcclOp::AllGather,
-                    _ => XcclOp::Reduce { root: 1 % n, op: ReduceOp::SumU64 },
-                };
-                let payload = if kind == 2 { len as u64 } else { (len / 8 * 8).max(8) as u64 };
-                comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, payload);
-                let mut got = vec![0u8; len * n];
-                dev.mem.read(off, &mut got).unwrap();
-                out2.lock().unwrap().push((r, got));
-            });
-            let mut rows = out.lock().unwrap().clone();
-            rows.sort_by_key(|&(r, _)| r);
-            rows
-        };
         let mut ac = AutoConfig::for_platform(&PlatformSpec::platform_a());
         if tiny_rings {
             let tiny = RingConfig { chunk_bytes: 512, max_inflight: 2 };
             (ac.ring_bcast, ac.ring_allred) = (tiny, tiny);
         }
-        let auto = run(CollEngine::Auto(ac));
-        let ring = run(CollEngine::default());
+        let auto = deposit(nranks, len, kind, CollEngine::Auto(ac));
+        let ring = deposit(nranks, len, kind, CollEngine::default());
         prop_assert_eq!(auto, ring, "auto must agree with the ring engine's bytes");
     }
 
@@ -223,50 +227,37 @@ proptest! {
         });
     }
 
+    /// The ring on 512-byte chunks with two slots deposits the same bytes
+    /// as the default engine for every collective kind on arbitrary
+    /// payloads: chunking never changes the bytes. (The second party was
+    /// once the curve-priced profile engine; the default engine took its
+    /// place when that engine was deleted.)
+    #[test]
+    fn ring_and_profile_engines_deposit_identical_bytes(
+        nranks in 2usize..9,
+        len in 8usize..2048,
+        kind in 0u8..4,
+    ) {
+        let tiny = RingConfig { chunk_bytes: 512, max_inflight: 2 };
+        let ring = deposit(nranks, len, kind, CollEngine::Ring(tiny));
+        let default = deposit(nranks, len, kind, CollEngine::default());
+        prop_assert_eq!(ring, default, "engines must agree on the final buffer bytes");
+    }
+
     /// The DBT engine deposits the same bytes as the ring engine for
     /// every collective kind — including the rooted ops (the fed
     /// broadcast, the rotated reduce trees) and all-gather (which falls
-    /// back to the ring schedule under `CollEngine::Dbt`) — and so does
-    /// the ring on 512-byte chunks with two slots: chunking never changes
-    /// the bytes.
+    /// back to the ring schedule under `CollEngine::Dbt`).
     #[test]
     fn dbt_engine_matches_ring_bytes(
         nranks in 2usize..9,
         len in 8usize..2048,
         kind in 0u8..4,
     ) {
-        let run = |engine: CollEngine| {
-            let out = Arc::new(std::sync::Mutex::new(Vec::new()));
-            let out2 = out.clone();
-            with_engine(nranks, engine, move |ctx, world, comm, r| {
-                let n = world.nranks;
-                let dev = world.primary_dev(r);
-                let cap = (len * n).next_power_of_two().max(64) as u64;
-                let off = dev.malloc(cap, 256).unwrap();
-                let bytes: Vec<u8> =
-                    (0..len * n).map(|i| (r * 31 + i * 7) as u8).collect();
-                dev.mem.write(off, &bytes).unwrap();
-                let op = match kind {
-                    0 => XcclOp::AllReduce { op: ReduceOp::SumU64 },
-                    1 => XcclOp::Broadcast { root: 1 % n },
-                    2 => XcclOp::AllGather,
-                    _ => XcclOp::Reduce { root: 1 % n, op: ReduceOp::SumU64 },
-                };
-                let payload = if kind == 2 { len as u64 } else { (len / 8 * 8).max(8) as u64 };
-                comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, payload);
-                let mut got = vec![0u8; len * n];
-                dev.mem.read(off, &mut got).unwrap();
-                out2.lock().unwrap().push((r, got));
-            });
-            let mut rows = out.lock().unwrap().clone();
-            rows.sort_by_key(|&(r, _)| r);
-            rows
-        };
         let tiny = RingConfig { chunk_bytes: 512, max_inflight: 2 };
-        let ring = run(CollEngine::default());
-        let dbt = run(CollEngine::Dbt(tiny));
-        prop_assert_eq!(dbt, ring.clone(), "dbt must agree with the ring engine's bytes");
-        prop_assert_eq!(run(CollEngine::Ring(tiny)), ring, "chunking must not change the bytes");
+        let dbt = deposit(nranks, len, kind, CollEngine::Dbt(tiny));
+        let ring = deposit(nranks, len, kind, CollEngine::default());
+        prop_assert_eq!(dbt, ring, "dbt must agree with the ring engine's bytes");
     }
 }
 
