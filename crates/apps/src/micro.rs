@@ -400,7 +400,6 @@ pub fn fig6_nodes(platform: &PlatformSpec) -> usize {
         diomp_sim::PlatformId::A => 16, // 64 GPUs
         diomp_sim::PlatformId::B => 8,  // 64 GCDs
         diomp_sim::PlatformId::C => 16, // 16 GPUs
-        diomp_sim::PlatformId::Custom => 4,
     }
 }
 

@@ -1,16 +1,14 @@
 //! Runtime configuration.
 //!
-//! Construction is staged: [`DiompConfigBuilder`] records *what the
-//! caller chose* (explicit knobs, plus whether autotuning was requested)
-//! and [`DiompConfigBuilder::build`] resolves everything **once** —
-//! defaults, then the autotuner for the final `(platform, conduit)`
-//! pair, then explicit settings on top. Precedence (**explicit > tuned >
-//! default**) is therefore order-independent by construction rather than
-//! by careful re-derivation inside each setter, which is what the
-//! (since-removed) mutate-in-place setters on [`DiompConfig`] had to do.
+//! [`DiompConfigBuilder`] writes each plain knob straight into a
+//! [`DiompConfig`]. The two knobs the autotuner may fill, the RMA
+//! pipeline and the collective engine, wait as explicit choices until
+//! [`DiompConfigBuilder::build`] runs the tuner once for the final
+//! `(platform, conduit)` pair. Precedence (**explicit > tuned >
+//! default**) is therefore independent of call order.
 
 use diomp_device::DataMode;
-use diomp_sim::{ClusterSpec, PlatformSpec, QosClass};
+use diomp_sim::{ClusterSpec, PlatformSpec};
 use diomp_xccl::{CollEngine, ServerSpec};
 
 use crate::galloc::AllocKind;
@@ -148,13 +146,6 @@ pub struct DiompConfig {
     /// explicitly); every other op, and every degraded case, falls back
     /// to the client-side schedules.
     pub coll_servers: ServerSpec,
-    /// QoS class of this job's collective traffic on a shared fabric.
-    /// Communicators created by the runtime charge their chunk transfers
-    /// to a flow with this class's weight; on a contention-armed
-    /// simulator concurrent jobs then fair-share each link by weight
-    /// (see `diomp_sim::QosClass`). Irrelevant — and bit-neutral — when
-    /// the simulator runs a single job or contention is disarmed.
-    pub qos: QosClass,
 }
 
 impl DiompConfig {
@@ -174,7 +165,6 @@ impl DiompConfig {
             retry_backoff_us: 50.0,
             coll_engine: CollEngine::default(),
             coll_servers: ServerSpec::default(),
-            qos: QosClass::default(),
         }
     }
 
@@ -205,11 +195,10 @@ impl DiompConfig {
 
 /// Staged builder for [`DiompConfig`].
 ///
-/// Records the caller's choices without resolving anything; [`build`]
-/// then resolves **once**, in fixed order — base defaults, autotuned
-/// parameters (if [`tuned`] was requested) for the *final* conduit, and
-/// explicit settings last. Two consequences, guaranteed by construction
-/// rather than by setter bookkeeping:
+/// Plain setters write the config directly. The pipeline and the
+/// collective engine stay explicit choices until [`build`], which fills
+/// whichever was not chosen from the autotuner (if [`tuned`] was
+/// requested) for the *final* conduit. Two consequences:
 ///
 /// * **explicit > tuned > default**, regardless of call order —
 ///   `b.with_pipeline(p).tuned()` and `b.tuned().with_pipeline(p)` build
@@ -233,18 +222,9 @@ impl DiompConfig {
 /// [`tuned`]: DiompConfigBuilder::tuned
 #[derive(Clone)]
 pub struct DiompConfigBuilder {
-    cluster: ClusterSpec,
-    binding: Option<Binding>,
-    conduit: Option<Conduit>,
-    heap_bytes: Option<u64>,
-    allocator: Option<AllocKind>,
-    mode: Option<DataMode>,
-    use_p2p: Option<bool>,
+    cfg: DiompConfig,
     pipeline: Option<PipelineConfig>,
-    rma_retry: Option<(u32, f64)>,
     coll_engine: Option<CollEngine>,
-    coll_servers: Option<ServerSpec>,
-    qos: Option<QosClass>,
     tuned: bool,
 }
 
@@ -252,18 +232,9 @@ impl DiompConfigBuilder {
     /// Builder over a cluster, all knobs at their defaults.
     pub fn new(cluster: ClusterSpec) -> Self {
         DiompConfigBuilder {
-            cluster,
-            binding: None,
-            conduit: None,
-            heap_bytes: None,
-            allocator: None,
-            mode: None,
-            use_p2p: None,
+            cfg: DiompConfig::new(cluster),
             pipeline: None,
-            rma_retry: None,
             coll_engine: None,
-            coll_servers: None,
-            qos: None,
             tuned: false,
         }
     }
@@ -280,7 +251,7 @@ impl DiompConfigBuilder {
 
     /// Set the device binding strategy.
     pub fn with_binding(mut self, b: Binding) -> Self {
-        self.binding = Some(b);
+        self.cfg.binding = b;
         self
     }
 
@@ -290,31 +261,31 @@ impl DiompConfigBuilder {
     /// [`tuned`]: DiompConfigBuilder::tuned
     /// [`build`]: DiompConfigBuilder::build
     pub fn with_conduit(mut self, c: Conduit) -> Self {
-        self.conduit = Some(c);
+        self.cfg.conduit = c;
         self
     }
 
     /// Set the per-device global heap size in bytes.
     pub fn with_heap(mut self, bytes: u64) -> Self {
-        self.heap_bytes = Some(bytes);
+        self.cfg.heap_bytes = bytes;
         self
     }
 
     /// Set the symmetric allocator strategy.
     pub fn with_allocator(mut self, k: AllocKind) -> Self {
-        self.allocator = Some(k);
+        self.cfg.allocator = k;
         self
     }
 
     /// Set the data mode.
     pub fn with_mode(mut self, m: DataMode) -> Self {
-        self.mode = Some(m);
+        self.cfg.mode = m;
         self
     }
 
     /// Force the IPC path by disabling GPUDirect P2P.
     pub fn without_p2p(mut self) -> Self {
-        self.use_p2p = Some(false);
+        self.cfg.use_p2p = false;
         self
     }
 
@@ -331,7 +302,8 @@ impl DiompConfigBuilder {
     /// and initial (doubling) backoff. `max_retries = 0` disables
     /// recovery — the first queue error propagates.
     pub fn with_rma_retry(mut self, max_retries: u32, backoff_us: f64) -> Self {
-        self.rma_retry = Some((max_retries, backoff_us));
+        self.cfg.max_rma_retries = max_retries;
+        self.cfg.retry_backoff_us = backoff_us;
         self
     }
 
@@ -349,61 +321,26 @@ impl DiompConfigBuilder {
     /// cluster's node budget; every communicator the runtime creates
     /// carves them from its membership.
     pub fn with_coll_servers(mut self, s: ServerSpec) -> Self {
-        self.coll_servers = Some(s);
+        self.cfg.coll_servers = s;
         self
     }
 
-    /// Set the job's QoS class for shared-fabric contention (see
-    /// [`DiompConfig::qos`]).
-    pub fn with_qos(mut self, q: QosClass) -> Self {
-        self.qos = Some(q);
-        self
-    }
-
-    /// Resolve the configuration: defaults, then (if requested) the
-    /// autotuner for the final `(platform, conduit)` pair, then every
-    /// explicit setting on top. The single resolution point is what
-    /// makes the precedence order-independent.
+    /// Resolve the configuration: (if requested) the autotuner for the
+    /// final `(platform, conduit)` pair, then an explicit pipeline and
+    /// engine on top. The single resolution point is what makes the
+    /// precedence order-independent.
     pub fn build(self) -> DiompConfig {
-        let mut cfg = DiompConfig::new(self.cluster);
-        if let Some(c) = self.conduit {
-            cfg.conduit = c;
-        }
+        let mut cfg = self.cfg;
         if self.tuned {
             let t = crate::tune::Tuner::new(&cfg.cluster.platform, cfg.conduit);
             cfg.pipeline = t.pipeline();
             cfg.coll_engine = t.coll_engine();
         }
-        if let Some(b) = self.binding {
-            cfg.binding = b;
-        }
-        if let Some(h) = self.heap_bytes {
-            cfg.heap_bytes = h;
-        }
-        if let Some(k) = self.allocator {
-            cfg.allocator = k;
-        }
-        if let Some(m) = self.mode {
-            cfg.mode = m;
-        }
-        if let Some(p2p) = self.use_p2p {
-            cfg.use_p2p = p2p;
-        }
         if let Some(p) = self.pipeline {
             cfg.pipeline = p;
         }
-        if let Some((r, b)) = self.rma_retry {
-            cfg.max_rma_retries = r;
-            cfg.retry_backoff_us = b;
-        }
         if let Some(e) = self.coll_engine {
             cfg.coll_engine = e;
-        }
-        if let Some(s) = self.coll_servers {
-            cfg.coll_servers = s;
-        }
-        if let Some(q) = self.qos {
-            cfg.qos = q;
         }
         cfg
     }
@@ -484,10 +421,26 @@ mod tests {
     }
 
     #[test]
-    fn precedence_qos_defaults_normal_and_explicit_wins() {
-        assert_eq!(base().build().qos, QosClass::Normal);
-        assert_eq!(base().with_qos(QosClass::High).tuned().build().qos, QosClass::High);
-        assert_eq!(base().tuned().with_qos(QosClass::Low).build().qos, QosClass::Low);
+    fn plain_setters_reach_the_config_on_either_side_of_tuned() {
+        let servers = ServerSpec { nodes: 1 };
+        let set = |b: DiompConfigBuilder| {
+            b.with_binding(Binding::RankPerNode)
+                .with_heap(64 << 20)
+                .with_allocator(AllocKind::Linear)
+                .with_mode(DataMode::CostOnly)
+                .without_p2p()
+                .with_rma_retry(7, 12.5)
+                .with_coll_servers(servers)
+        };
+        for cfg in [set(base()).tuned().build(), set(base().tuned()).build()] {
+            assert_eq!(cfg.binding, Binding::RankPerNode);
+            assert_eq!(cfg.heap_bytes, 64 << 20);
+            assert_eq!(cfg.allocator, AllocKind::Linear);
+            assert_eq!(cfg.mode, DataMode::CostOnly);
+            assert!(!cfg.use_p2p);
+            assert_eq!((cfg.max_rma_retries, cfg.retry_backoff_us), (7, 12.5));
+            assert_eq!(cfg.coll_servers, servers);
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub type DiompGroup = Rc<GroupShared>;
 
 impl GroupShared {
     /// This rank's index within the group, or `None` if not a member.
-    pub fn index_of(&self, rank: usize) -> Option<usize> {
+    pub(crate) fn index_of(&self, rank: usize) -> Option<usize> {
         self.ranks.binary_search(&rank).ok()
     }
 

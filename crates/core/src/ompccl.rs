@@ -49,7 +49,7 @@ impl DiompRank {
             CommOpts {
                 engine: self.shared.cfg.coll_engine,
                 servers: self.shared.cfg.coll_servers,
-                qos: self.shared.cfg.qos,
+                ..CommOpts::default()
             },
         );
         *group.comms[idx].borrow_mut() = Some(comm.clone());

@@ -480,7 +480,7 @@ impl DiompRank {
     /// Resolve a remote asymmetric allocation to its data offset: cache
     /// hit is free; a miss pays a real 8-byte fetch of the second-level
     /// wrapper from the remote device (paper §3.2's two-stage access).
-    pub fn resolve_asym(
+    pub(crate) fn resolve_asym(
         &mut self,
         ctx: &mut Ctx,
         target_flat: usize,

@@ -1,8 +1,8 @@
 //! DiOMP-integrated target regions (paper Fig. 1b).
 //!
-//! The baseline flow (`diomp_device::TargetDevice`) lets `libomptarget`
-//! allocate device memory privately, invisible to the conduit. DiOMP
-//! instead *intercepts* mapped allocations and redirects them into the
+//! The baseline flow (Fig. 1a) lets `libomptarget` allocate device
+//! memory privately, invisible to the conduit. DiOMP instead
+//! *intercepts* mapped allocations and redirects them into the
 //! conduit-registered global segment: every mapped object therefore has
 //! a `Seg_offset` in the extended mapping table and is remotely
 //! addressable with zero extra registration — the "unified memory view

@@ -52,15 +52,6 @@ impl HostBuf {
         HostBuf::from_bytes(bytes)
     }
 
-    /// A real buffer holding `vals` as little-endian f32s.
-    pub fn from_f32(vals: &[f32]) -> Self {
-        let mut bytes = Vec::with_capacity(vals.len() * 4);
-        for v in vals {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        HostBuf::from_bytes(bytes)
-    }
-
     /// Length in bytes.
     pub fn len(&self) -> u64 {
         self.len
@@ -87,11 +78,6 @@ impl HostBuf {
     /// Interpret the contents as little-endian f64s.
     pub fn to_f64(&self) -> Vec<f64> {
         self.to_bytes().chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect()
-    }
-
-    /// Interpret the contents as little-endian f32s.
-    pub fn to_f32(&self) -> Vec<f32> {
-        self.to_bytes().chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect()
     }
 
     /// Overwrite `[off, off+src.len)` with `src` (no-op for phantom).

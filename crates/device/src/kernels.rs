@@ -51,18 +51,6 @@ pub enum KernelCost {
         /// FLOPs per cell (for the compute ceiling).
         flops_per_cell: f64,
     },
-    /// Bandwidth-bound elementwise pass over `bytes` of memory.
-    MemBound {
-        /// DRAM bytes moved.
-        bytes: u64,
-    },
-    /// Compute-bound kernel of `flops` floating-point operations.
-    Compute {
-        /// Total FLOPs.
-        flops: u64,
-        /// Element width in bytes (4 ⇒ FP32 rate, 8 ⇒ FP64 rate).
-        dtype: u64,
-    },
     /// Fixed duration (tests, ablations).
     Fixed(Dur),
 }
@@ -99,12 +87,6 @@ impl KernelCost {
                     cells as f64 * flops_per_cell / (Self::rate(spec, 4) * ELEMENTWISE_EFF);
                 Dur::nanos(mem_ns.max(comp_ns).ceil() as u64)
             }
-            KernelCost::MemBound { bytes } => {
-                Dur::nanos((bytes as f64 / (spec.hbm_gbps * STENCIL_HBM_EFF)).ceil() as u64)
-            }
-            KernelCost::Compute { flops, dtype } => Dur::nanos(
-                (flops as f64 / (Self::rate(spec, dtype) * ELEMENTWISE_EFF)).ceil() as u64,
-            ),
             KernelCost::Fixed(d) => d,
         }
     }
@@ -150,9 +132,8 @@ mod tests {
     #[test]
     fn fp32_runs_faster_than_fp64_on_a100() {
         let spec = a100();
-        let f64t = KernelCost::Compute { flops: 1 << 30, dtype: 8 }.duration(&spec);
-        let f32t = KernelCost::Compute { flops: 1 << 30, dtype: 4 }.duration(&spec);
-        assert!(f32t < f64t);
+        let gemm = |dtype| KernelCost::Gemm { m: 4096, n: 4096, k: 4096, dtype }.duration(&spec);
+        assert!(gemm(4) < gemm(8));
     }
 
     #[test]
@@ -160,11 +141,11 @@ mod tests {
         let spec = a100();
         // Minimod-style: ~34 B/cell of DRAM traffic, 67 flops/cell.
         let c = KernelCost::Stencil { cells: 1 << 20, bytes_per_cell: 34.0, flops_per_cell: 67.0 };
-        let mem_only = KernelCost::MemBound { bytes: (34u64) << 20 }.duration(&spec);
+        let mem_only_ns = (34u64 << 20) as f64 / (spec.hbm_gbps * STENCIL_HBM_EFF);
         let t = c.duration(&spec);
         // Within 1% of the pure-bandwidth time ⇒ the memory term dominated.
-        let diff = (t.as_nanos() as f64 - mem_only.as_nanos() as f64).abs();
-        assert!(diff / (mem_only.as_nanos() as f64) < 0.01, "stencil should be memory-bound");
+        let diff = (t.as_nanos() as f64 - mem_only_ns).abs();
+        assert!(diff / mem_only_ns < 0.01, "stencil should be memory-bound");
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   real bytes at modelled times.
 //! * [`KernelCost`] — calibrated kernel cost models (GEMM with the D7
 //!   cache-efficiency term, memory-bound stencils).
-//! * [`MappingTable`] / [`TargetDevice`] — the libomptarget present table
-//!   and `#pragma omp target` execution flow.
+//! * [`MappingTable`] — the libomptarget present table that
+//!   `diomp-core`'s target regions extend with a segment offset.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -24,7 +24,6 @@ mod gpu;
 mod kernels;
 mod map;
 mod memory;
-mod omptarget;
 mod stream;
 
 pub use copy::HostBuf;
@@ -32,5 +31,4 @@ pub use gpu::{Device, DeviceTable, KernelBody};
 pub use kernels::{gemm_efficiency, KernelCost};
 pub use map::{HostId, MapEntry, MapKind, MapOutcome, MappingTable};
 pub use memory::{DataMode, DeviceMem, FreeListAlloc, MemError};
-pub use omptarget::{MapArg, TargetDevice};
 pub use stream::{sync_device, sync_stream, StreamId, StreamPool, StreamStats, MAX_ACTIVE_STREAMS};

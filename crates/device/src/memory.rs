@@ -304,7 +304,7 @@ impl FreeListAlloc {
     }
 
     /// Largest single free block.
-    pub fn largest_free(&self) -> u64 {
+    pub(crate) fn largest_free(&self) -> u64 {
         self.free.iter().map(|r| r.1).max().unwrap_or(0)
     }
 

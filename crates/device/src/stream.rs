@@ -61,7 +61,7 @@ impl StreamPool {
     /// Acquire a stream, applying the lazy-allocation / reuse /
     /// partial-sync policy. May block (in virtual time) when the
     /// concurrency bound forces a partial synchronisation.
-    pub fn acquire(&mut self, ctx: &mut Ctx) -> StreamId {
+    pub(crate) fn acquire(&mut self, ctx: &mut Ctx) -> StreamId {
         // 1. Reuse a *quiescent* idle stream (tail already passed): new
         //    work must not queue behind an unrelated in-flight transfer.
         let now = ctx.now();
@@ -117,7 +117,7 @@ impl StreamPool {
 
     /// Enqueue `work` on the stream starting no earlier than `ready`
     /// (resource availability); returns the completion time.
-    pub fn enqueue_from(&mut self, s: StreamId, ready: SimTime, work: Dur) -> SimTime {
+    pub(crate) fn enqueue_from(&mut self, s: StreamId, ready: SimTime, work: Dur) -> SimTime {
         let st = &mut self.streams[s.0];
         let start = st.tail.max(ready);
         st.tail = start + work;

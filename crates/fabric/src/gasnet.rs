@@ -1,4 +1,4 @@
-//! GASNet-EX-like conduit: one-sided RMA, active messages, barriers.
+//! GASNet-EX-like conduit: one-sided RMA.
 //!
 //! This is DiOMP's default communication layer (paper §3.1). The key
 //! semantic property — and the root of the Fig. 3 latency advantage over
@@ -9,15 +9,12 @@
 //! synchronisation and a per-byte software pipeline along (see
 //! `crate::mpi::rma`).
 
-use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use diomp_device::MemError;
 use diomp_sim::{Ctx, Dur, SimHandle, SimTime};
 
 use crate::loc::Loc;
-use crate::path::{raw_path, End};
 use crate::segment::SegmentId;
 use crate::wire::{self, Price};
 use crate::world::FabricWorld;
@@ -182,65 +179,4 @@ pub fn get_blocking(
     let arrive = get_nb(ctx, world, rank, dst, src, src_off, len)?;
     ctx.sleep_until(arrive);
     Ok(())
-}
-
-/// An active message delivered to a rank: small scalar arguments plus an
-/// optional payload (GASNet "medium" AM).
-pub struct AmMsg {
-    /// Sending rank.
-    pub from: usize,
-    /// Scalar arguments.
-    pub args: Vec<u64>,
-    /// Optional payload bytes.
-    pub payload: Option<Vec<u8>>,
-}
-
-type Handler = Rc<dyn Fn(&SimHandle, AmMsg)>;
-
-/// Per-rank active-message handler tables.
-pub struct AmRegistry {
-    tables: RefCell<Vec<HashMap<u16, Handler>>>,
-}
-
-impl AmRegistry {
-    pub(crate) fn new(nranks: usize) -> Self {
-        AmRegistry { tables: RefCell::new(vec![HashMap::new(); nranks]) }
-    }
-
-    /// Register handler `index` on `rank`.
-    pub fn register(&self, rank: usize, index: u16, f: impl Fn(&SimHandle, AmMsg) + 'static) {
-        self.tables.borrow_mut()[rank].insert(index, Rc::new(f));
-    }
-
-    fn get(&self, rank: usize, index: u16) -> Handler {
-        self.tables.borrow()[rank]
-            .get(&index)
-            .unwrap_or_else(|| panic!("no AM handler {index} on rank {rank}"))
-            .clone()
-    }
-}
-
-/// Issue an active message; the handler runs on the target at the modelled
-/// arrival time (plus handler dispatch cost).
-pub fn am_request(
-    ctx: &mut Ctx,
-    world: &Rc<FabricWorld>,
-    from: usize,
-    to: usize,
-    index: u16,
-    args: Vec<u64>,
-    payload: Option<Vec<u8>>,
-) {
-    let g = &world.platform.gasnet;
-    ctx.delay(Dur::micros(g.am_o_us));
-    let bytes = 64 + payload.as_ref().map(|p| p.len() as u64).unwrap_or(0);
-    let src_end = End::Node(world.node_of(from));
-    let dst_end = End::Node(world.node_of(to));
-    let h = ctx.handle();
-    let times = raw_path(h, &world.devs, src_end, dst_end, ctx.now(), bytes, 1.0);
-    let handler = world.am.get(to, index);
-    let dispatch = Dur::micros(g.am_o_us);
-    h.schedule_at(times.arrive + dispatch, move |h| {
-        handler(h, AmMsg { from, args, payload });
-    });
 }

@@ -76,7 +76,7 @@ use crate::world::FabricWorld;
 pub struct QueueId(pub u8);
 
 /// Per-world GPI-2 state: queue completion lists and notification boards.
-pub struct GpiState {
+pub(crate) struct GpiState {
     /// `[rank] → queue → pending remote-completion instants`. Ordered
     /// map: draining *all* queues must visit them in a deterministic
     /// order.

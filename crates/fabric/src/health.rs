@@ -61,7 +61,7 @@ impl HealthVec {
     /// Record an observed bandwidth factor for a link, keeping the worst.
     /// Links not owned by any rank (e.g. switch trunks) still show up via
     /// [`HealthVec::link_factor_milli`] even though no rank degrades.
-    pub fn observe_link(&mut self, res: ResourceId, factor_milli: u32) {
+    pub(crate) fn observe_link(&mut self, res: ResourceId, factor_milli: u32) {
         let e = self.links.entry(res.index() as u32).or_insert(1000);
         if factor_milli < *e {
             *e = factor_milli;

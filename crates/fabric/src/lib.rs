@@ -3,8 +3,7 @@
 //! The three communication layers the paper builds on or compares with:
 //!
 //! * [`gasnet`] — a GASNet-EX-like conduit (segments, one-sided Put/Get
-//!   with completion instants, active messages): DiOMP's default
-//!   middleware.
+//!   with completion instants): DiOMP's default middleware.
 //! * [`gpi`] — a GPI-2-like conduit (queues, ranged notifications): the
 //!   InfiniBand alternative of Fig. 5.
 //! * [`mpi`] — the full MPI baseline (eager/rendezvous P2P with match
@@ -31,8 +30,8 @@
 //!   returns the local and remote completion instants
 //!   ([`gasnet::PutHandle`]), `get_nb` the arrival — all known at issue,
 //!   so the initiator sleeps to them ([`diomp_sim::Ctx::wait_until`]);
-//!   no event is made. The target learns nothing unless an active
-//!   message is sent.
+//!   no event is made. The target learns nothing; it synchronises by
+//!   barrier.
 //! * **GPI-2 (GASPI)** orders completions on initiator-side *queues*
 //!   ([`gpi::QueueId`], drained by `gpi::wait_queue`) and signals
 //!   *targets* with lightweight **notifications**: a
@@ -50,9 +49,9 @@
 //! | one-sided read         | `gasnet::get_nb`            | [`gpi::read`]                             |
 //! | initiator completion   | per-op instants (`Ctx::wait_until`) | per-queue lists ([`gpi::wait_queue`]) |
 //! | bulk drain             | one `wait_until` to the latest | [`gpi::wait_all_queues`]               |
-//! | target-side signal     | active message ([`gasnet::am_request`]) | notification ([`gpi::write_notify`]) |
-//! | target-side wait       | AM handler side effects     | [`gpi::notify_waitsome`] / [`gpi::notify_wait`] |
-//! | signal consumption     | n/a (handler runs once)     | [`gpi::notify_reset`] (atomic take)       |
+//! | target-side signal     | none (barrier)              | notification ([`gpi::write_notify`])      |
+//! | target-side wait       | [`BarrierDomain`]           | [`gpi::notify_waitsome`] / [`gpi::notify_wait`] |
+//! | signal consumption     | n/a                         | [`gpi::notify_reset`] (atomic take)       |
 //! | fault visibility       | conduit aborts              | `gaspi_state_vec`: [`HealthVec`] ([`FabricWorld::health`]) |
 //! | queue recovery         | n/a                         | `gaspi_queue_purge`: [`gpi::queue_purge`] after [`FabricError::QueueError`] |
 //!

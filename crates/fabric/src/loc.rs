@@ -82,7 +82,7 @@ impl Loc {
 
     /// The node this location lives on (`None` for host buffers, which are
     /// node-agnostic in the model — callers supply the owning rank's node).
-    pub fn dev_flat(&self) -> Option<usize> {
+    pub(crate) fn dev_flat(&self) -> Option<usize> {
         match self {
             Loc::Dev { flat, .. } => Some(*flat),
             Loc::Host { .. } => None,
@@ -90,7 +90,7 @@ impl Loc {
     }
 
     /// Shift the offset by `delta` bytes (sub-ranges of a buffer).
-    pub fn offset_by(&self, delta: u64) -> Loc {
+    pub(crate) fn offset_by(&self, delta: u64) -> Loc {
         match self {
             Loc::Dev { flat, off } => Loc::Dev { flat: *flat, off: off + delta },
             Loc::Host { buf, off } => Loc::Host { buf: buf.clone(), off: off + delta },

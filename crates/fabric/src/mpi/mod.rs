@@ -97,7 +97,7 @@ pub(crate) struct Window {
 }
 
 /// Shared MPI state for a world.
-pub struct MpiWorld {
+pub(crate) struct MpiWorld {
     pub(crate) matching: Vec<RefCell<RankMatch>>,
     pub(crate) windows: RefCell<Vec<Window>>,
     /// Collective window creation: every rank contributes its part, the

@@ -208,7 +208,7 @@ impl MpiRank {
 
     /// Paired exchange (`MPI_Sendrecv`): both transfers in flight at once.
     #[allow(clippy::too_many_arguments)]
-    pub fn sendrecv(
+    pub(crate) fn sendrecv(
         &self,
         ctx: &mut Ctx,
         to: usize,

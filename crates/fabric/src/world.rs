@@ -37,8 +37,6 @@ pub struct FabricWorld {
     pub(crate) segments: RefCell<Vec<Vec<Segment>>>,
     /// MPI baseline state (match queues, windows).
     pub(crate) mpi: MpiWorld,
-    /// GASNet active-message handler tables.
-    pub am: crate::gasnet::AmRegistry,
     /// GPI-2 conduit state (queues, notifications).
     pub(crate) gpi: crate::gpi::GpiState,
     /// Per-rank health vector (`gaspi_state_vec`), refreshed from the
@@ -79,7 +77,6 @@ impl FabricWorld {
             bootstrap: ExchangeDomain::new(nranks, hop),
             segments: RefCell::new(vec![Vec::new(); nranks]),
             mpi: MpiWorld::new(nranks),
-            am: crate::gasnet::AmRegistry::new(nranks),
             gpi: crate::gpi::GpiState::new(nranks),
             health: RefCell::new(HealthVec::healthy(nranks)),
             link_owners: OnceCell::new(),
@@ -238,7 +235,7 @@ impl FabricWorld {
     }
 
     /// The rank that owns a device.
-    pub fn rank_of_dev(&self, flat: usize) -> usize {
+    pub(crate) fn rank_of_dev(&self, flat: usize) -> usize {
         flat / self.gpus_per_rank
     }
 

@@ -139,24 +139,6 @@ fn gasnet_same_node_put_is_faster_than_internode() {
 }
 
 #[test]
-fn gasnet_active_message_runs_handler_at_target() {
-    let mut sim = Sim::new();
-    let world = world_a(&sim, 8);
-    let hits = Arc::new(std::sync::Mutex::new(Vec::new()));
-    let hits2 = hits.clone();
-    world.am.register(3, 7, move |_h, msg| {
-        hits2.lock().unwrap().push((msg.from, msg.args.clone()));
-    });
-    let w0 = world.clone();
-    sim.spawn("rank0", move |ctx| {
-        gasnet::am_request(ctx, &w0, 0, 3, 7, vec![11, 22], None);
-        ctx.delay(Dur::millis(1.0)); // let it land
-    });
-    sim.run().unwrap();
-    assert_eq!(*hits.lock().unwrap(), vec![(0, vec![11, 22])]);
-}
-
-#[test]
 fn gpi_write_notify_roundtrip_on_platform_c() {
     let mut sim = Sim::new();
     let world = boot(&sim, PlatformSpec::platform_c(), 4, 1, 4);

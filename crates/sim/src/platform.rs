@@ -85,8 +85,6 @@ pub struct GasnetModel {
     pub gpu_reg_us: f64,
     /// Fraction of wire bandwidth achieved asymptotically by RMA.
     pub eff: f64,
-    /// Active-message handler dispatch cost, µs.
-    pub am_o_us: f64,
 }
 
 /// GPI-2 conduit software model (InfiniBand only, paper §4.1).
@@ -295,8 +293,6 @@ pub enum PlatformId {
     B,
     /// NDR InfiniBand + GH200.
     C,
-    /// User-defined.
-    Custom,
 }
 
 /// Complete hardware + software model of one evaluation platform.
@@ -364,13 +360,7 @@ impl PlatformSpec {
                 shm_lat_us: 0.5,
                 ipc_setup_us: 8.0,
             },
-            gasnet: GasnetModel {
-                put_o_us: 0.55,
-                get_o_us: 1.0,
-                gpu_reg_us: 0.95,
-                eff: 0.92,
-                am_o_us: 0.9,
-            },
+            gasnet: GasnetModel { put_o_us: 0.55, get_o_us: 1.0, gpu_reg_us: 0.95, eff: 0.92 },
             gpi: None, // GPI-2 supports only InfiniBand (paper §4.1)
             mpi_p2p: MpiP2pModel {
                 eager_max: 8192,
@@ -461,13 +451,7 @@ impl PlatformSpec {
                 shm_lat_us: 0.5,
                 ipc_setup_us: 9.0,
             },
-            gasnet: GasnetModel {
-                put_o_us: 0.5,
-                get_o_us: 0.95,
-                gpu_reg_us: 0.9,
-                eff: 0.88,
-                am_o_us: 0.9,
-            },
+            gasnet: GasnetModel { put_o_us: 0.5, get_o_us: 0.95, gpu_reg_us: 0.9, eff: 0.88 },
             gpi: None,
             mpi_p2p: MpiP2pModel {
                 eager_max: 8192,
@@ -559,13 +543,7 @@ impl PlatformSpec {
                 shm_lat_us: 0.4,
                 ipc_setup_us: 6.0,
             },
-            gasnet: GasnetModel {
-                put_o_us: 0.8,
-                get_o_us: 1.4,
-                gpu_reg_us: 1.3,
-                eff: 0.97,
-                am_o_us: 1.0,
-            },
+            gasnet: GasnetModel { put_o_us: 0.8, get_o_us: 1.4, gpu_reg_us: 1.3, eff: 0.97 },
             gpi: Some(GpiModel { put_o_us: 1.2, get_o_us: 1.9, notify_us: 0.6, eff: 0.97 }),
             mpi_p2p: MpiP2pModel {
                 eager_max: 4096,

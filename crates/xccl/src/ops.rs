@@ -107,7 +107,7 @@ impl XcclOp {
     /// Element alignment the ring engine must respect when splitting the
     /// payload: reductions may never split an element across a segment
     /// boundary; pure data movement has byte granularity.
-    pub fn elem_align(&self) -> u64 {
+    pub(crate) fn elem_align(&self) -> u64 {
         match self {
             XcclOp::AllReduce { op } | XcclOp::Reduce { op, .. } => op.elem_bytes(),
             XcclOp::Broadcast { .. } | XcclOp::AllGather => 1,
