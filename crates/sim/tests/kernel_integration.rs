@@ -1448,3 +1448,165 @@ fn topology_ids_are_stable_and_the_upload_lanes_come_last() {
         assert_eq!(topo.shm(node).index(), 13 * node + 12);
     }
 }
+
+/// One transfer of a seeded contention plan: `(link, ready offset, bytes)`.
+type Planned = (usize, u64, u64);
+
+/// `(flow, tag, instant in ns)` of every completion, in landing order.
+type Landings = std::rc::Rc<std::cell::RefCell<Vec<(u64, u64, u64)>>>;
+
+/// `n` seeded transfers for `flow`: a link of three, a ready instant
+/// staggered up to 3 µs after issue, and 1–20 KB.
+fn plan_of(seed: u64, flow: u64, n: usize) -> Vec<Planned> {
+    use rand::Rng;
+    let mut rng = diomp_sim::rng_for(seed, flow);
+    (0..n)
+        .map(|_| (rng.gen_range(0..3), rng.gen_range(0..3_000), rng.gen_range(1_000..20_000)))
+        .collect()
+}
+
+/// Issue `plan` on `flow` to `cq` with tags from `tag0`, then wait for
+/// `plan.len()` tags, logging `(flow, tag, instant)` as each lands.
+fn issue_and_wait(
+    ctx: &mut Ctx,
+    links: &[diomp_sim::ResourceId; 3],
+    (flow, fi): (diomp_sim::FlowId, u64),
+    cq: CqId,
+    plan: &[Planned],
+    tag0: u64,
+    log: &Landings,
+) {
+    for (i, &(link, off, bytes)) in plan.iter().enumerate() {
+        ctx.transfer_qos(
+            links[link],
+            flow,
+            ctx.now() + Dur::nanos(off),
+            bytes,
+            (cq, tag0 + i as u64),
+        );
+    }
+    let mut tags = Vec::new();
+    let mut got = 0;
+    while got < plan.len() {
+        ctx.wait_cq(cq, Wait::Block).unwrap();
+        ctx.drain_cq(cq, &mut tags);
+        for tag in tags.drain(..) {
+            log.borrow_mut().push((fi, tag, ctx.now().nanos()));
+            got += 1;
+        }
+    }
+}
+
+/// Armed weighted fair queues under a seeded plan: seven flows of all
+/// three QoS classes over three links, staggered enqueues, one flow
+/// purged mid-service whose late transfer is dropped at enqueue (its
+/// queue was released first), and one flow that drains and rejoins.
+/// Every tag's completion instant, every flow's statistics, the entry
+/// count and the digest are pinned, so a rewrite of the fair queue that
+/// reorders a completion or re-rounds a share shows here.
+#[test]
+fn seeded_armed_contention_replays_its_pinned_trace() {
+    use diomp_sim::{FlowStats, QosClass};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    const SEED: u64 = 20250613;
+    let mut sim = Sim::new();
+    sim.enable_contention();
+    let h = sim.handle();
+    let links = [
+        h.new_resource(1.0, Dur::nanos(100)),
+        h.new_resource(2.5, Dur::nanos(40)),
+        h.new_resource(0.75, Dur::ZERO),
+    ];
+    let classes = [
+        QosClass::High,
+        QosClass::High,
+        QosClass::Normal,
+        QosClass::Normal,
+        QosClass::Low,
+        QosClass::Low,
+    ];
+    let flows: Vec<_> = classes.iter().map(|c| h.new_flow(c.weight_milli())).collect();
+    let log = Rc::new(RefCell::new(Vec::new()));
+    for (fi, &flow) in flows.iter().enumerate() {
+        let (log, fi) = (log.clone(), fi as u64);
+        sim.spawn(format!("flow{fi}"), move |ctx| {
+            let cq = ctx.open_cq();
+            ctx.delay(Dur::nanos(fi * 700));
+            let plan = plan_of(SEED, fi, 6);
+            issue_and_wait(ctx, &links, (flow, fi), cq, &plan, 0, &log);
+            if fi == 1 {
+                // Drain, idle, rejoin: the flow leaves every link's
+                // backlogged set and enters it again.
+                ctx.delay(Dur::nanos(5_000));
+                issue_and_wait(ctx, &links, (flow, fi), cq, &plan_of(SEED, 100, 4), 6, &log);
+            }
+        });
+    }
+    let purged_stats = Rc::new(RefCell::new(FlowStats::default()));
+    let (ps, log6) = (purged_stats.clone(), log.clone());
+    sim.spawn("purged", move |ctx| {
+        let (flow, cq) = (ctx.new_flow(QosClass::Normal.weight_milli()), ctx.open_cq());
+        let plan = [(2, 1_500), (0, 30_000), (1, 40_000), (0, 25_000), (2, 9_000)];
+        for (i, (link, bytes)) in plan.into_iter().enumerate() {
+            ctx.transfer_qos(links[link], flow, SimTime::ZERO, bytes, (cq, i as u64));
+        }
+        // Ready long after the purge: dropped at enqueue, never served.
+        ctx.transfer_qos(links[1], flow, SimTime(60_000), 8_000, (cq, 5));
+        ctx.wait_cq(cq, Wait::Block).unwrap();
+        let mut tags = Vec::new();
+        ctx.drain_cq(cq, &mut tags);
+        log6.borrow_mut().extend(tags.iter().map(|&t| (6, t, ctx.now().nanos())));
+        ctx.delay(SimTime(9_000).since(ctx.now()));
+        ctx.release_cq(cq);
+        *ps.borrow_mut() = ctx.flow_stats(flow);
+        ctx.purge_flow(flow);
+        ctx.release_flow(flow);
+    });
+    let rep = sim.run().unwrap();
+    let stats: Vec<_> = flows
+        .iter()
+        .map(|&f| {
+            let s = h.flow_stats(f);
+            (s.bytes, s.first_start.map(SimTime::nanos), s.last_depart.nanos())
+        })
+        .collect();
+    // (flow, tag, instant in ns), in the order the tags landed.
+    #[rustfmt::skip]
+    let expect_log = [
+        (1, 1, 2997), (6, 0, 4493), (1, 2, 7125), (0, 3, 13535),
+        (0, 0, 24146), (3, 4, 25068), (1, 0, 25649), (5, 4, 28900),
+        (4, 3, 33300), (5, 5, 34470), (0, 2, 36124), (0, 4, 36132),
+        (1, 3, 38591), (4, 2, 39015), (4, 0, 39589), (1, 5, 44728),
+        (1, 4, 52735), (0, 1, 53881), (0, 5, 61430), (1, 7, 64560),
+        (4, 4, 67354), (2, 1, 78348), (1, 9, 80483), (3, 2, 80570),
+        (4, 5, 89682), (5, 1, 98267), (2, 3, 104433), (2, 5, 118507),
+        (2, 4, 120216), (1, 8, 123730), (5, 0, 130323), (3, 5, 130949),
+        (1, 6, 136728), (3, 0, 138279), (2, 0, 145516), (5, 3, 147186),
+        (4, 1, 194833), (3, 1, 195973), (2, 2, 202615), (3, 3, 215760),
+        (5, 2, 220316),
+    ];
+    assert_eq!(*log.borrow(), expect_log);
+    assert_eq!(
+        stats,
+        [
+            (78_088, Some(469), 61_430),
+            (86_344, Some(1_598), 136_728),
+            (79_608, Some(1_590), 202_615),
+            (66_762, Some(3_262), 215_760),
+            (40_116, Some(3_391), 194_833),
+            (66_364, Some(4_150), 220_316),
+        ]
+    );
+    let p = *purged_stats.borrow();
+    assert_eq!(
+        (p.bytes, p.first_start, p.last_depart),
+        (1_500, Some(SimTime::ZERO), SimTime(4_493))
+    );
+    assert_eq!(
+        (rep.end_time, rep.entries_processed, rep.digest),
+        (SimTime(220_316), 205, 6_001_920_644_828_227_489)
+    );
+    assert_eq!((h.unconsumed_posts(), h.flows_in_use()), (0, 6));
+    assert!(links.iter().all(|&l| h.link_backlog(l) == 0));
+}
