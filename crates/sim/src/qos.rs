@@ -35,7 +35,7 @@
 //! (RMA protocol messages, handler occupancy) keeps the serial closed
 //! form; see DESIGN.md D15 for the scope rationale.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::event::CqId;
 use crate::kernel::{KState, SimHandle};
@@ -151,78 +151,70 @@ struct LinkState {
     last_t: SimTime,
     /// Bumped on every queue change; stale head-finish actions no-op.
     gen: u64,
-    /// Flow index → FIFO of queued transfers. Only the front of each
-    /// queue receives service. `BTreeMap` for deterministic iteration.
-    queues: BTreeMap<u32, VecDeque<QTransfer>>,
+    /// Backlogged flows in ascending index, each with its non-empty FIFO
+    /// of queued transfers; only the front of each receives service.
+    queues: Vec<(u32, VecDeque<QTransfer>)>,
+    /// Summed weight of the flows in `queues`, kept where one joins,
+    /// drains or is purged.
+    weight: u64,
 }
 
 impl LinkState {
-    /// Sum of weights of flows with a backlogged queue.
-    fn backlogged_weight(&self, flows: &[FlowSlot]) -> u64 {
-        self.queues
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(f, _)| flows[*f as usize].weight_milli as u64)
-            .sum()
+    /// Where `flow`'s FIFO is in `queues`, or where it would join.
+    fn find(&self, flow: FlowId) -> Result<usize, usize> {
+        self.queues.binary_search_by_key(&flow.idx, |(f, _)| *f)
     }
 
     /// Accrue fluid service on every backlogged head from `last_t` to `now`.
     fn advance(&mut self, now: SimTime, bytes_per_ns: f64, flows: &[FlowSlot]) {
         let dt = (now - self.last_t).as_nanos() as f64;
         self.last_t = now;
-        if dt <= 0.0 {
+        if dt <= 0.0 || self.weight == 0 {
             return;
         }
-        let total_w = self.backlogged_weight(flows);
-        if total_w == 0 {
-            return;
-        }
-        for (f, q) in self.queues.iter_mut() {
-            if let Some(head) = q.front_mut() {
-                let share = bytes_per_ns * flows[*f as usize].weight_milli as f64 / total_w as f64;
-                head.remaining -= dt * share;
-            }
+        for (f, q) in &mut self.queues {
+            let head = q.front_mut().expect("a queued FIFO is never empty");
+            let share = bytes_per_ns * flows[*f as usize].weight_milli as f64 / self.weight as f64;
+            head.remaining -= dt * share;
         }
     }
 
-    /// Pop every head that has been fully served. Empty queues are removed
-    /// so a drained flow stops counting toward the backlogged weight.
-    fn take_finished(&mut self) -> Vec<QTransfer> {
-        let mut done = Vec::new();
-        self.queues.retain(|_, q| {
+    /// Move every fully served head to `done`. A drained FIFO leaves the
+    /// link and its flow's weight leaves the backlogged sum.
+    fn take_finished(&mut self, flows: &[FlowSlot], done: &mut Vec<QTransfer>) {
+        let weight = &mut self.weight;
+        self.queues.retain_mut(|(f, q)| {
             while q.front().is_some_and(|h| h.remaining <= SERVICE_EPS) {
                 done.push(q.pop_front().expect("front vanished"));
             }
+            if q.is_empty() {
+                *weight -= flows[*f as usize].weight_milli as u64;
+            }
             !q.is_empty()
         });
-        done
     }
 
     /// Next head-finish instant at current shares, if any head is in
     /// service. Always at least 1 ns out so progress is guaranteed.
     fn next_finish(&self, now: SimTime, bytes_per_ns: f64, flows: &[FlowSlot]) -> Option<SimTime> {
-        let total_w = self.backlogged_weight(flows);
-        if total_w == 0 {
-            return None;
-        }
         let mut best: Option<f64> = None;
         for (f, q) in &self.queues {
-            if let Some(head) = q.front() {
-                let share = bytes_per_ns * flows[*f as usize].weight_milli as f64 / total_w as f64;
-                let t = head.remaining.max(0.0) / share;
-                best = Some(best.map_or(t, |b: f64| b.min(t)));
-            }
+            let head = q.front().expect("a queued FIFO is never empty");
+            let share = bytes_per_ns * flows[*f as usize].weight_milli as f64 / self.weight as f64;
+            let t = head.remaining.max(0.0) / share;
+            best = Some(best.map_or(t, |b: f64| b.min(t)));
         }
         best.map(|t| now + Dur::nanos((t.ceil() as u64).max(1)))
     }
 }
 
-/// Armed contention subsystem: WFQ state for every link that has seen
-/// flow-tagged traffic. Boxed behind an `Option` on the kernel state so
-/// disarmed runs pay one branch, exactly like the fault injector.
+/// Armed contention subsystem: WFQ state indexed by link, plus the
+/// buffer head-finish actions collect departures in. Boxed behind an
+/// `Option` so disarmed runs pay one branch, like the fault injector.
 #[derive(Debug, Default)]
 pub(crate) struct ContentionState {
-    links: BTreeMap<usize, LinkState>,
+    links: Vec<LinkState>,
+    done: Vec<QTransfer>,
 }
 
 impl SimHandle {
@@ -258,7 +250,7 @@ impl SimHandle {
         slot.gen = slot.gen.wrapping_add(1);
         if let Some(c) = st.contention.as_ref() {
             assert!(
-                c.links.values().all(|ls| ls.queues.get(&flow.idx).is_none_or(|q| q.is_empty())),
+                c.links.iter().all(|ls| ls.find(flow).is_err()),
                 "released flow {} still backlogged on an armed link",
                 flow.idx
             );
@@ -281,14 +273,12 @@ impl SimHandle {
         let now = st.now();
         let s = &mut *st;
         let Some(c) = s.contention.as_mut() else { return };
-        let mut touched = Vec::new();
-        let mut dropped = Vec::new();
-        for (&link, ls) in c.links.iter_mut() {
-            if !ls.queues.contains_key(&flow.idx) {
-                continue;
-            }
+        let (mut touched, mut dropped) = (Vec::new(), Vec::new());
+        for (link, ls) in c.links.iter_mut().enumerate() {
+            let Ok(i) = ls.find(flow) else { continue };
             ls.advance(now, s.resources[link].bytes_per_ns(), &s.flows);
-            let q = ls.queues.remove(&flow.idx).expect("checked");
+            let (_, q) = ls.queues.remove(i);
+            ls.weight -= s.flows[flow.index()].weight_milli as u64;
             dropped.extend(q.into_iter().map(|qt| qt.cq));
             ls.gen += 1;
             touched.push(ResourceId(link as u32));
@@ -307,8 +297,8 @@ impl SimHandle {
     /// waiting (0 when contention is disarmed or the link is idle).
     pub fn link_backlog(&self, res: ResourceId) -> usize {
         let st = self.kernel.state.borrow();
-        let link = st.contention.as_ref().and_then(|c| c.links.get(&res.index()));
-        link.map_or(0, |ls| ls.queues.values().map(VecDeque::len).sum())
+        let link = st.contention.as_ref().and_then(|c| c.links.get(res.index()));
+        link.map_or(0, |ls| ls.queues.iter().map(|(_, q)| q.len()).sum())
     }
 
     /// Number of live (allocated, not yet released) flow slots.
@@ -380,7 +370,6 @@ impl SimHandle {
                 ready = at.max(p.not_before);
             }
         }
-        st.resources[res.index()].note_bytes(bytes);
         let h = self.clone();
         self.push_action(
             &mut st,
@@ -414,7 +403,10 @@ impl SimHandle {
         {
             let s = &mut *st;
             let c = s.contention.as_mut().expect("qos_enqueue with contention disarmed");
-            let ls = c.links.entry(res.index()).or_default();
+            if c.links.len() <= res.index() {
+                c.links.resize_with(res.index() + 1, LinkState::default);
+            }
+            let ls = &mut c.links[res.index()];
             // Re-pricing happens only when the backlogged *flow set*
             // changes. Queuing behind an already-backlogged flow alters
             // no share: the live head pricing stands, and a lone flow's
@@ -422,14 +414,16 @@ impl SimHandle {
             // (re-pricing mid-service would split one service interval
             // into separately-rounded segments and drift off it).
             let qt = QTransfer { remaining: wire, logical, flow, cq, tag, extra };
-            let was_backlogged = ls.queues.get(&flow.idx).is_some_and(|q| !q.is_empty());
-            if was_backlogged {
-                ls.queues.get_mut(&flow.idx).expect("backlogged queue vanished").push_back(qt);
-                return; // shares unchanged; no re-pricing
-            }
-            let bpns = s.resources[res.index()].bytes_per_ns();
-            ls.advance(now, bpns, &s.flows);
-            ls.queues.entry(flow.idx).or_default().push_back(qt);
+            let at = match ls.find(flow) {
+                Ok(i) => {
+                    ls.queues[i].1.push_back(qt);
+                    return; // shares unchanged; no re-pricing
+                }
+                Err(at) => at,
+            };
+            ls.advance(now, s.resources[res.index()].bytes_per_ns(), &s.flows);
+            ls.queues.insert(at, (flow.idx, VecDeque::from([qt])));
+            ls.weight += s.flows[flow.index()].weight_milli as u64;
             ls.gen += 1;
         }
         self.qos_reschedule(&mut st, res);
@@ -441,49 +435,40 @@ impl SimHandle {
     pub(crate) fn qos_service(&self, res: ResourceId, gen: u64) {
         let mut st = self.kernel.state.borrow_mut();
         let now = st.now();
-        let mut completions: Vec<(CqId, u64, SimTime)> = Vec::new();
-        {
-            let s = &mut *st;
-            let Some(c) = s.contention.as_mut() else { return };
-            let Some(ls) = c.links.get_mut(&res.index()) else { return };
-            if ls.gen != gen {
-                return;
-            }
-            let bpns = s.resources[res.index()].bytes_per_ns();
-            let latency = s.resources[res.index()].latency();
-            ls.advance(now, bpns, &s.flows);
-            let done = ls.take_finished();
-            ls.gen += 1;
-            for qt in done {
-                let fs = s.flow_mut(qt.flow);
-                fs.stats.bytes += qt.logical;
-                fs.stats.last_depart = fs.stats.last_depart.max(now);
-                s.resources[res.index()].bump_free_at(now);
-                completions.push((qt.cq, qt.tag, now + latency + qt.extra));
-            }
+        let s = &mut *st;
+        let Some(c) = s.contention.as_mut() else { return };
+        let Some(ls) = c.links.get_mut(res.index()) else { return };
+        if ls.gen != gen {
+            return;
         }
-        for (cq, tag, t) in completions {
-            let h = self.clone();
+        let link = &s.resources[res.index()];
+        let (bpns, latency) = (link.bytes_per_ns(), link.latency());
+        ls.advance(now, bpns, &s.flows);
+        let mut done = std::mem::take(&mut c.done);
+        ls.take_finished(&s.flows, &mut done);
+        ls.gen += 1;
+        for qt in done.drain(..) {
+            let fs = st.flow_mut(qt.flow);
+            fs.stats.bytes += qt.logical;
+            fs.stats.last_depart = fs.stats.last_depart.max(now);
+            // A link counts the bytes it delivered, as the flow does.
+            st.resources[res.index()].bump_free_at(now);
+            st.resources[res.index()].note_bytes(qt.logical);
+            let (h, cq, tag, t) = (self.clone(), qt.cq, qt.tag, now + latency + qt.extra);
             self.push_action(&mut st, t, Box::new(move |_| h.post_cq(cq, tag)));
         }
+        st.contention.as_mut().expect("armed above").done = done;
         self.qos_reschedule(&mut st, res);
     }
 
     /// Schedule the next head-finish action for `res` at current shares,
     /// tagged with the link's present generation.
     fn qos_reschedule(&self, st: &mut KState, res: ResourceId) {
-        let now = st.now();
-        let (finish, gen) = {
-            let s = &mut *st;
-            let Some(c) = s.contention.as_ref() else { return };
-            let Some(ls) = c.links.get(&res.index()) else { return };
-            let bpns = s.resources[res.index()].bytes_per_ns();
-            match ls.next_finish(now, bpns, &s.flows) {
-                Some(finish) => (finish, ls.gen),
-                None => return,
-            }
-        };
-        let h = self.clone();
+        let Some(c) = st.contention.as_ref() else { return };
+        let Some(ls) = c.links.get(res.index()) else { return };
+        let bpns = st.resources[res.index()].bytes_per_ns();
+        let Some(finish) = ls.next_finish(st.now(), bpns, &st.flows) else { return };
+        let (h, gen) = (self.clone(), ls.gen);
         self.push_action(st, finish, Box::new(move |_| h.qos_service(res, gen)));
     }
 }
@@ -714,7 +699,41 @@ mod tests {
         });
         sim.run().unwrap();
         assert_eq!(h.flow_stats(fb).bytes, 10_000);
+        assert_eq!(h.resource_bytes(res), 10_000, "purged bytes were never delivered");
         assert_eq!((h.unconsumed_posts(), h.link_backlog(res)), (0, 0));
+    }
+
+    /// Checked each nanosecond, so after every service, drain and purge,
+    /// a link's cached weight sums its queued flows' and is 0 when idle.
+    #[test]
+    fn the_cached_weight_tracks_every_service_drain_and_purge() {
+        let mut sim = Sim::new();
+        sim.enable_contention();
+        let h = sim.handle();
+        let links = [h.new_resource(2.0, Dur::ZERO), h.new_resource(1.0, Dur::ZERO)];
+        let flows = [4000, 1000, 250, 1000].map(|w| h.new_flow(w));
+        sim.spawn("job", move |ctx| {
+            let cq = ctx.open_cq();
+            for k in 0..16 {
+                let (at, bytes) = (SimTime(k as u64 * 300), 1_000 + 200 * k as u64);
+                ctx.transfer_qos(links[k / 4 % 2], flows[k % 4], at, bytes, (cq, 0));
+            }
+            for t in 0..30_000 {
+                let st = ctx.kernel.state.borrow();
+                for (i, ls) in st.contention.as_ref().expect("armed").links.iter().enumerate() {
+                    let w = |&(f, _): &(u32, _)| st.flows[f as usize].weight_milli as u64;
+                    assert_eq!(ls.weight, ls.queues.iter().map(w).sum());
+                    assert_eq!(ls.weight == 0, ctx.link_backlog(ResourceId(i as u32)) == 0);
+                }
+                drop(st);
+                ctx.delay(Dur::nanos(1));
+                if t == 4_000 {
+                    ctx.purge_flow(flows[3]);
+                }
+            }
+            assert_eq!((ctx.link_backlog(links[0]), ctx.link_backlog(links[1])), (0, 0));
+        });
+        sim.run().unwrap();
     }
 
     #[test]
