@@ -143,6 +143,8 @@ mod comm;
 mod dbt;
 mod drive;
 mod gate;
+#[cfg(test)]
+mod idle_tests;
 mod ll;
 mod ops;
 mod ring;
