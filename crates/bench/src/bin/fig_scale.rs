@@ -28,6 +28,11 @@
 //! idle links to price it; the sweep prints its host time over the
 //! tree's at 4096 ranks and asserts at most 4×, a few marched copies.
 //!
+//! At 4096 ranks a warm tree cell runs in a second `Sim`: it starts on
+//! idle links, so it replays the idle run the cold cell recorded
+//! (DESIGN.md D18). The sweep asserts its virtual time is the cold
+//! cell's and prints its host time over the cold cell's.
+//!
 //! Auto must run the tree at every scale (its mid band has no ceiling,
 //! so the 16 MB cell sits inside it from 256 ranks up); the sweep
 //! asserts that and ends by printing Auto's regret per scale — its time
@@ -108,6 +113,19 @@ fn main() {
                 ),
                 None => ("-".into(), "-".into(), "-".into()),
             };
+            if eng == "dbt" && n == 4096 {
+                let warm = scale_allreduce(n, engine, PAYLOAD, false);
+                assert_eq!(warm.end_ns, fast.end_ns, "{tag}: the warm cell's virtual time moved");
+                records.push(BenchRecord::with_sim_cost(
+                    format!("{tag}/warm"),
+                    warm.end_ns as f64 / 1000.0,
+                    "us",
+                    warm.entries,
+                    warm.sim_wall_ms,
+                ));
+                let over = warm.sim_wall_ms / fast.sim_wall_ms;
+                println!("fig_scale/allred16MB_{n}/dbt_warm_over_cold_wall {over:.2}x");
+            }
             ends.push((fast.end_ns, fast.sim_wall_ms, explicit.map(|ex| ex.sim_wall_ms)));
             println!(
                 "{n:>6} {eng:>5} {:>12.3} {:>12} {ex_e:>12} {ratio:>8} {:>10.1} {ex_w:>10}",

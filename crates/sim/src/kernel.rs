@@ -41,7 +41,7 @@ use crate::ctx::Ctx;
 use crate::event::{CqId, CqSlot, GroupRef};
 use crate::fault::{CtrlFault, FaultPlan, FaultState};
 use crate::fiber::{self, Context, Fiber};
-use crate::qos::{ContentionState, FlowId, FlowSlot};
+use crate::qos::{ContentionState, FlowId, FlowSlot, FlowStats};
 use crate::resource::{ResSlot, ResourceId, Transfer};
 use crate::rng::derive_seed;
 use crate::task::{ParkedOn, TaskId, TaskSlot, TaskStatus};
@@ -305,14 +305,18 @@ impl Reservations<'_> {
         self.st.resources[res.index()].bulk_advance(shift, steps, bytes_per_step);
     }
 
-    /// Credit a flow with `bytes` delivered and a final departure instant
-    /// in one call — the flow-stat half of a steady-state jump
-    /// ([`Reservations::bulk_advance_resource`]). Sum/max arithmetic
-    /// only, so bulk application equals per-transfer application exactly.
-    pub fn bulk_charge_flow(&mut self, flow: FlowId, bytes: u64, last_depart: SimTime) {
+    /// Credit a flow with the bytes, first start (if any) and final
+    /// departure of many transfers in one call — the flow-stat half of a
+    /// steady-state jump ([`Reservations::bulk_advance_resource`]) or of
+    /// a replayed idle run. Sum/min/max arithmetic only, so bulk
+    /// application equals per-transfer application exactly.
+    pub fn bulk_charge_flow(&mut self, flow: FlowId, charge: FlowStats) {
         let fs = self.st.flow_mut(flow);
-        fs.stats.bytes += bytes;
-        fs.stats.last_depart = fs.stats.last_depart.max(last_depart);
+        fs.stats.bytes += charge.bytes;
+        if let Some(at) = charge.first_start {
+            fs.stats.first_start = Some(fs.stats.first_start.map_or(at, |s| s.min(at)));
+        }
+        fs.stats.last_depart = fs.stats.last_depart.max(charge.last_depart);
     }
 
     /// Next time the resource is free, read through the held borrow.

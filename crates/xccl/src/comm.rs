@@ -20,13 +20,15 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::{Rc, Weak};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use diomp_fabric::{FabricWorld, HealthVec, RankHealth, Rendezvous};
-use diomp_sim::{derive_seed, ClusterSpec, Ctx, Dur, FlowId, QosClass, SimTime, Wait, WaitTimeout};
+use diomp_sim::{
+    derive_seed, ClusterSpec, Ctx, Dur, FlowId, QosClass, ResourceId, SimTime, Wait, WaitTimeout,
+};
 
 use crate::dbt;
-use crate::drive::{Links, Schedule, Watch};
+use crate::drive::{idle_runs_apply, IdleRun, Links, Members, Schedule, Watch};
 use crate::gate::{CollAbort, DeviceBuf};
 use crate::ll::{self, AutoConfig};
 use crate::ops::XcclOp;
@@ -54,17 +56,26 @@ struct CommPlan {
     /// Reduction-server carving with every server device listed, before
     /// any dead-NIC blacklisting (None when servers are disabled).
     servers: Option<Arc<ServerSet>>,
+    /// Every member's NIC and fabric port, in ring order: the links a
+    /// schedule can charge, by position.
+    links: Vec<ResourceId>,
     /// The rendezvous gate all members share — that sharing is exactly
     /// what the UniqueId bootstrap establishes in NCCL. Each rank brings
     /// its device buffers; everyone leaves with the runner's outcome: the
     /// completion instant, or the instant it aborted.
     gate: Rendezvous<Vec<DeviceBuf>, Result<SimTime, SimTime>>,
-    /// Auto's cuts, shared by every plan of the same shape.
-    cuts: Arc<CutTable>,
+    /// Auto's cuts and the idle runs, shared by every plan of the same
+    /// shape.
+    cuts: Arc<Mutex<CutTable>>,
 }
 
-/// Auto's cuts already scanned ([`XcclComm::auto_regimes`]), by key.
-type CutTable = std::sync::Mutex<Vec<(CutKey, Cuts)>>;
+/// Auto's cuts already scanned ([`XcclComm::auto_regimes`]) and the idle
+/// runs already recorded ([`XcclComm::run`]), by key.
+#[derive(Default)]
+struct CutTable {
+    cuts: Vec<(CutKey, Cuts)>,
+    runs: Vec<(RunKey, Arc<IdleRun>)>,
+}
 
 /// Auto's cuts for one [`CutKey`]: [`XcclComm::auto_regimes`]' three, and
 /// the size from which the tree band runs the fed layout (`u64::MAX`:
@@ -87,30 +98,49 @@ struct Shape {
     servers: ServerSpec,
 }
 
-fn cut_table(shape: Shape) -> Arc<CutTable> {
+fn cut_table(shape: Shape) -> Arc<Mutex<CutTable>> {
     /// Every shape's [`CutTable`] the process has built: one memo for all
-    /// the test harness's threads, so none re-runs Auto's cold scans.
-    static TABLES: std::sync::Mutex<Vec<(Shape, Arc<CutTable>)>> =
-        std::sync::Mutex::new(Vec::new());
+    /// the test harness's threads, so none re-runs Auto's cold scans or
+    /// re-marches an idle run.
+    static TABLES: Mutex<Vec<(Shape, Arc<Mutex<CutTable>>)>> = Mutex::new(Vec::new());
     let mut tables = TABLES.lock().expect("nothing panics while holding the shape tables");
     if let Some((_, table)) = tables.iter().find(|(s, _)| *s == shape) {
         return table.clone();
     }
-    let table = Arc::new(CutTable::default());
+    let table: Arc<Mutex<CutTable>> = Arc::default();
     tables.push((shape, table.clone()));
     table
 }
 
 /// What Auto's cuts depend on beyond the plan's shape: the op (its root
 /// set to position 0), the engine's config, the health factor the links
-/// are rated at, and the communicator's live state — the leading device
-/// of each live rail, the live server devices, and the member links the
-/// health vector now marks dead.
+/// are rated at, and the communicator's [`Live`] state.
 #[derive(PartialEq)]
 struct CutKey {
     op: XcclOp,
     ac: AutoConfig,
     factor: u32,
+    live: Live,
+}
+
+/// What a schedule is generated from beyond the plan's shape, so what
+/// its idle run depends on: the size, the op with its root, the regime
+/// with its config, window and step, and the [`Live`] state.
+#[derive(PartialEq)]
+struct RunKey {
+    len: u64,
+    op: XcclOp,
+    regime: Regime,
+    window: usize,
+    step: Dur,
+    live: Live,
+}
+
+/// A communicator's live state: the leading device of each live rail,
+/// the live server devices, and the member links (by position) the
+/// health vector now marks dead.
+#[derive(PartialEq)]
+struct Live {
     rails: Vec<usize>,
     servers: Vec<usize>,
     dead: Vec<usize>,
@@ -151,6 +181,8 @@ impl CommPlan {
             pos[f] = i as u32;
         }
         let ranks: Arc<[usize]> = ranks.into();
+        let links = order.iter().flat_map(|&f| [world.devs.dev(f).nic, world.devs.dev(f).port]);
+        let links = links.collect();
         let shape = Shape {
             cluster: world.topo.spec.clone(),
             gpus_per_rank: world.gpus_per_rank,
@@ -166,6 +198,7 @@ impl CommPlan {
             trees: dbt::double_tree(nodes),
             fed_trees: dbt::double_tree(nodes.max(2) - 1),
             servers,
+            links,
             cuts: cut_table(shape),
         }
     }
@@ -503,29 +536,32 @@ impl XcclComm {
             op => op,
         };
         let health = self.world.health();
-        let devs = &self.world.devs;
+        let factor = health.worst_live_factor_milli();
+        let key = CutKey { op, ac, factor, live: self.live(&health) };
+        if let Some(&(_, cuts)) = self.table().cuts.iter().find(|(k, _)| *k == key) {
+            return Some(cuts);
+        }
+        let cuts = self.scan(&ac, op, factor);
+        self.table().cuts.push((key, cuts));
+        Some(cuts)
+    }
+
+    fn table(&self) -> std::sync::MutexGuard<'_, CutTable> {
+        self.plan.cuts.lock().expect("nothing panics while holding a cut table")
+    }
+
+    fn live(&self, health: &HealthVec) -> Live {
         let dead = match health.any_dead_link() {
             false => Vec::new(),
-            true => (self.ring.order.iter().flat_map(|&f| [devs.dev(f).nic, devs.dev(f).port]))
-                .enumerate()
-                .filter_map(|(i, res)| (health.link_factor_milli(res) == 0).then_some(i))
+            true => (self.plan.links.iter().enumerate())
+                .filter_map(|(i, &res)| (health.link_factor_milli(res) == 0).then_some(i))
                 .collect(),
         };
-        let key = CutKey {
-            op,
-            ac,
-            factor: health.worst_live_factor_milli(),
+        Live {
             rails: self.rails.iter().map(|r| r.order[0]).collect(),
             servers: self.servers.as_ref().map_or(Vec::new(), |(s, _)| s.devs.clone()),
             dead,
-        };
-        let table = || self.plan.cuts.lock().expect("nothing panics while holding a cut table");
-        if let Some(&(_, cuts)) = table().iter().find(|(k, _)| *k == key) {
-            return Some(cuts);
         }
-        let cuts = self.scan(&ac, op, key.factor);
-        table().push((key, cuts));
-        Some(cuts)
     }
 
     /// Auto's cuts for `op` ([`XcclComm::cuts`]), each band scanned down
@@ -786,6 +822,12 @@ impl XcclComm {
     /// hop that forwards its result — so what the price charges per
     /// send is what runs. `Err` is the instant a bounded park of the
     /// march confirmed a member death ([`Schedule::drive`]).
+    ///
+    /// Where idle runs apply, the first march of a [`RunKey`] from idle
+    /// links is recorded in the shape's table, and every later call of
+    /// the key that starts on idle links — in any `Sim` of the shape —
+    /// replays it instead of building and marching the schedule
+    /// (DESIGN.md D18).
     fn run(
         &self,
         ctx: &mut Ctx,
@@ -800,13 +842,49 @@ impl XcclComm {
         if self.ring.order.len() <= 1 || len == 0 {
             return Ok(ctx.now());
         }
+        let key = idle_runs_apply(ctx).then(|| RunKey {
+            len,
+            op,
+            regime,
+            window,
+            step,
+            live: self.live(&self.world.health()),
+        });
+        let idle = key.as_ref().and_then(|key| {
+            self.table().runs.iter().find(|(k, _)| k == key).map(|(_, run)| run.clone())
+        });
+        let flows: Vec<FlowId> =
+            [Some(self.flow), self.server_flow()].into_iter().flatten().collect();
+        let members = Members { links: &self.plan.links, flows: &flows };
+        if let Some(idle) = &idle {
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                self.schedule(regime, op, len, &t).fingerprint(&members),
+                idle.print,
+                "an idle run's key must determine its schedule"
+            );
+            if idle.replay(ctx, &members) {
+                ctx.delay(step);
+                return Ok(ctx.now());
+            }
+        }
         let sched = self.schedule(regime, op, len, &t);
         if sched.len() == 0 {
             return Ok(ctx.now());
         }
-        if let Err(at) = sched.drive(ctx, window, step, watch) {
-            self.world.probe_health();
-            return Err(at);
+        let record = (key.is_some() && idle.is_none()).then_some(&members);
+        match sched.drive(ctx, window, step, watch, record) {
+            Err(at) => {
+                self.world.probe_health();
+                return Err(at);
+            }
+            Ok(Some(run)) => {
+                let (key, mut table) = (key.expect("recorded under a key"), self.table());
+                if !table.runs.iter().any(|(k, _)| *k == key) {
+                    table.runs.push((key, Arc::new(run)));
+                }
+            }
+            Ok(None) => {}
         }
         // Receive-side processing of the final chunk (LL: the flag poll
         // of the final fused line).
@@ -867,7 +945,7 @@ impl XcclComm {
 
 /// The resolved form of a [`CollEngine`] for one call (see
 /// [`XcclComm::regime`]): which generator emits the schedule.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 enum Regime {
     /// Fused eager sends over binomial trees (`ll`).
     Ll(ll::AutoConfig),

@@ -32,10 +32,13 @@
 //!   arrivals queued by instant ([`Arrivals`]), and the collective
 //!   collapses to one coalesced wake entry carrying the chunk count. Once
 //!   the march state recurs shifted by one time ([`Jump`]), it charges
-//!   the repeats up to the last but one at once. Virtual time,
-//!   per-resource watermarks and flow statistics are bit-identical to the
-//!   explicit driver — `tests/fastpath.rs` pins this, and the periodic
-//!   form against its own unrolling, across engines, sizes and faults.
+//!   the repeats up to the last but one at once. A march that starts on
+//!   idle links of a clean sim is recorded as an [`IdleRun`], which later
+//!   idle calls of the same schedule replay in O(links). Virtual time,
+//!   per-resource watermarks and flow statistics are bit-identical to
+//!   the explicit driver — `tests/fastpath.rs` pins this, and the
+//!   periodic form against its own unrolling, across engines, sizes and
+//!   faults.
 //!
 //! Both drivers act only at *arrival instants* — and, under a bounded
 //! [`Watch`], at the deadline wakes between them — and share one
@@ -50,7 +53,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use diomp_sim::{Ctx, Dur, FlowId, Reservations, ResourceId, Sim, SimTime, Wait};
+use diomp_sim::{Ctx, Dur, FlowId, FlowStats, Reservations, ResourceId, Sim, SimTime, Wait};
 
 /// "No send" / "no lane" in the intrusive `u32` lists below.
 const NONE: u32 = u32::MAX;
@@ -353,7 +356,7 @@ impl Schedule {
             s.flow = fresh[flows.iter().position(|&f| f == s.flow).expect("a listed flow")];
         }
         let block = Watch { wait: Wait::Block, doom: None };
-        let (end, _) = idle.march(&mut h.reserve(), SimTime::ZERO, window, step, block, true);
+        let (end, _) = idle.march(&mut h.reserve(), SimTime::ZERO, window, step, block, true, None);
         end.expect("a blocking march never aborts") - SimTime::ZERO
     }
 
@@ -376,24 +379,29 @@ impl Schedule {
     /// `Err` carries that instant, and whatever is still in flight is
     /// left to drain (explicit: its queue released and its flows purged)
     /// without the caller.
+    ///
+    /// With `record`, a march from idle links on a clean fabric
+    /// ([`idle_runs_apply`]) returns its [`IdleRun`], naming links and
+    /// flows by their position in `record`.
     pub(crate) fn drive(
         &self,
         ctx: &mut Ctx,
         window: usize,
         step_d: Dur,
         watch: Watch,
-    ) -> Result<(), SimTime> {
+        record: Option<&Members>,
+    ) -> Result<Option<IdleRun>, SimTime> {
         let unrolled;
-        let sched = if ctx.unrolled_schedules_forced() {
+        let (sched, record) = if ctx.unrolled_schedules_forced() {
             unrolled = self.unrolled();
-            &unrolled
+            (&unrolled, None)
         } else {
-            self
+            (self, record)
         };
         if ctx.contention_armed() || ctx.explicit_schedules_forced() {
-            sched.drive_explicit(ctx, window, step_d, watch)
+            sched.drive_explicit(ctx, window, step_d, watch).map(|()| None)
         } else {
-            sched.drive_fast(ctx, window, step_d, watch)
+            sched.drive_fast(ctx, window, step_d, watch, record)
         }
     }
 
@@ -455,6 +463,26 @@ impl Schedule {
         Ok(())
     }
 
+    /// A hash of everything the drivers read — segments, sends,
+    /// dependencies, wire variants — with links and flows by their
+    /// position in `members`: two schedules with equal prints run alike.
+    #[cfg(debug_assertions)]
+    pub(crate) fn fingerprint(&self, members: &Members) -> u64 {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let pos = members.link_positions();
+        let mut h = DefaultHasher::new();
+        self.lane_seg.len().hash(&mut h);
+        for seg in &self.segs {
+            (seg.reps, seg.nalt, seg.group, &seg.class, &seg.alt).hash(&mut h);
+            (&seg.dep_off, &seg.dep_idx).hash(&mut h);
+            for s in &seg.sends {
+                let flow = members.flows.iter().position(|&f| f == s.flow);
+                (pos.get(&s.res), s.lane, s.wire, flow).hash(&mut h);
+            }
+        }
+        h.finish()
+    }
+
     /// Every flow the schedule charges, each once.
     fn flows(&self) -> Vec<FlowId> {
         let mut flows: Vec<FlowId> = Vec::new();
@@ -471,22 +499,28 @@ impl Schedule {
     /// frozen meanwhile, then one [`Ctx::sleep_until_coalesced`] wake
     /// carrying the chunk count. The [`Jump`] skips a rigid period's
     /// repeats unless a fault plan is armed (a degradation window breaks
-    /// the shift).
+    /// the shift). With `record`, a clean march from idle links reads
+    /// what it left behind before the park lets anything else run.
     fn drive_fast(
         &self,
         ctx: &mut Ctx,
         window: usize,
         step_d: Dur,
         watch: Watch,
-    ) -> Result<(), SimTime> {
+        record: Option<&Members>,
+    ) -> Result<Option<IdleRun>, SimTime> {
         // Read before `reserve` borrows the kernel state: both borrow it
         // too, and would panic under the `Reservations` borrow.
         let (t, fault_armed) = (ctx.now(), ctx.fault_armed());
         debug_assert!(watch.doom.is_none() || fault_armed, "a doom comes from an armed plan");
-        let (end, issued) =
-            self.march(&mut ctx.handle().reserve(), t, window, step_d, watch, !fault_armed);
+        let mut rec = record.filter(|_| !fault_armed).and_then(|m| Recording::start(self, ctx, m));
+        let (end, issued) = {
+            let rsv = &mut ctx.handle().reserve();
+            self.march(rsv, t, window, step_d, watch, !fault_armed, rec.as_mut())
+        };
+        let run = end.ok().zip(rec).map(|(at, rec)| rec.finish(ctx, at, issued));
         ctx.sleep_until_coalesced(end.unwrap_or_else(|at| at), issued as u64);
-        end.map(drop)
+        end.map(|_| run)
     }
 
     /// The coalesced march from `t`: an arithmetic replay of the explicit
@@ -501,7 +535,9 @@ impl Schedule {
     /// where the explicit driver's park would expire and its probe
     /// confirm a death ([`Watch::abort_in`]), the march stops with exactly
     /// the reservations the explicit driver had issued by then, and `Err`
-    /// carries that instant. A [`Jump`] runs only if `may_jump`.
+    /// carries that instant. A [`Jump`] runs only if `may_jump`; `rec`
+    /// notes each flow's first start.
+    #[allow(clippy::too_many_arguments)]
     fn march(
         &self,
         rsv: &mut Reservations,
@@ -510,6 +546,7 @@ impl Schedule {
         step_d: Dur,
         watch: Watch,
         may_jump: bool,
+        mut rec: Option<&mut Recording>,
     ) -> (Result<SimTime, SimTime>, usize) {
         let mut march = March::new(self, window);
         let mut arrivals = Arrivals::new();
@@ -518,6 +555,9 @@ impl Schedule {
             let ready = t + step_d;
             march.issue_pass(|si, key, s, wire| {
                 let tr = rsv.transfer_flow(s.res, s.flow, ready, wire);
+                if let Some(rec) = rec.as_deref_mut() {
+                    rec.started(s.flow, tr.start);
+                }
                 arrivals.push(tr.arrive, si, key);
             });
             jump.take_if(|j| j.boundary(&mut march, &mut arrivals, rsv, &mut t));
@@ -542,8 +582,158 @@ impl Schedule {
 
 #[cfg(test)]
 thread_local! {
-    /// Sends the last coalesced march on this thread issued one by one.
-    static MARCHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Sends the last coalesced march on this thread issued one by one
+    /// (0 after a replayed [`IdleRun`]).
+    pub(crate) static MARCHED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Do idle runs apply on this sim? Only a clean coalesced march is a
+/// shifted idle run: contention and the forced references drive
+/// otherwise, and an armed fault plan's windows break the shift.
+pub(crate) fn idle_runs_apply(ctx: &Ctx) -> bool {
+    !(ctx.contention_armed()
+        || ctx.explicit_schedules_forced()
+        || ctx.unrolled_schedules_forced()
+        || ctx.fault_armed())
+}
+
+/// The links and flows a communicator's schedules charge, by position:
+/// an [`IdleRun`] names them so, and replays in any `Sim` of the same
+/// shape, whatever ids its links and flows got there.
+pub(crate) struct Members<'a> {
+    pub(crate) links: &'a [ResourceId],
+    pub(crate) flows: &'a [FlowId],
+}
+
+impl Members<'_> {
+    fn link_positions(&self) -> HashMap<ResourceId, u32> {
+        let mut pos = HashMap::with_capacity(self.links.len());
+        for (i, &res) in self.links.iter().enumerate() {
+            pos.entry(res).or_insert(i as u32);
+        }
+        pos
+    }
+}
+
+/// A coalesced march from `t` on idle links of a clean fabric, every
+/// instant relative to `t` (DESIGN.md D18): max-plus shift covariance
+/// makes any such march of the same schedule this run shifted by its
+/// start, so a replay charges it in O(links) — each touched link
+/// advanced in one step to its final `free_at` with its bytes, each
+/// flow charged — and parks on the same coalesced wake.
+pub(crate) struct IdleRun {
+    end: Dur,
+    issued: u64,
+    /// Per touched link: its member position, final `free_at` and bytes.
+    links: Vec<(u32, Dur, u64)>,
+    /// Per flow, by first appearance: its member position, bytes, first
+    /// start and last departure.
+    flows: Vec<(u32, u64, Dur, Dur)>,
+    /// The recorded schedule's [`Schedule::fingerprint`].
+    #[cfg(debug_assertions)]
+    pub(crate) print: u64,
+}
+
+impl IdleRun {
+    /// Charge the run from now if every link it touches is idle; false
+    /// (and nothing charged) otherwise. Only where [`idle_runs_apply`].
+    pub(crate) fn replay(&self, ctx: &mut Ctx, members: &Members) -> bool {
+        let t = ctx.now();
+        {
+            let mut rsv = ctx.handle().reserve();
+            let res = |pos: u32| members.links[pos as usize];
+            if self.links.iter().any(|&(pos, ..)| rsv.resource_free_at(res(pos)) > t) {
+                return false;
+            }
+            for &(pos, free, bytes) in &self.links {
+                let shift = t + free - rsv.resource_free_at(res(pos));
+                rsv.bulk_advance_resource(res(pos), shift, 1, bytes);
+            }
+            for &(pos, bytes, first, last) in &self.flows {
+                let charge =
+                    FlowStats { bytes, first_start: Some(t + first), last_depart: t + last };
+                rsv.bulk_charge_flow(members.flows[pos as usize], charge);
+            }
+        }
+        #[cfg(test)]
+        MARCHED.set(0);
+        ctx.sleep_until_coalesced(t + self.end, self.issued);
+        true
+    }
+}
+
+/// A march being recorded: its start, each link it touches and flow it
+/// charges with its member position and the bytes held before it, and
+/// each flow's earliest start in the march.
+struct Recording {
+    t: SimTime,
+    links: Vec<(u32, ResourceId, u64)>,
+    flows: Vec<(u32, FlowId, u64, SimTime)>,
+    #[cfg(debug_assertions)]
+    print: u64,
+}
+
+impl Recording {
+    /// Start recording `sched`'s march from now, if every link it touches
+    /// is idle and no flow departs later (its last departure would hide
+    /// the march's); `None` otherwise.
+    fn start(sched: &Schedule, ctx: &Ctx, members: &Members) -> Option<Recording> {
+        let (h, t) = (ctx.handle(), ctx.now());
+        let link_pos = members.link_positions();
+        let mut links = Vec::new();
+        let mut seen = std::collections::HashSet::new();
+        for s in sched.segs.iter().flat_map(|seg| &seg.sends) {
+            if seen.insert(s.res) {
+                if h.resource_free_at(s.res) > t {
+                    return None;
+                }
+                links.push((*link_pos.get(&s.res)?, s.res, h.resource_bytes(s.res)));
+            }
+        }
+        let mut flows = Vec::new();
+        for flow in sched.flows() {
+            let stats = h.flow_stats(flow);
+            let pos = members.flows.iter().position(|&f| f == flow)?;
+            if stats.last_depart > t {
+                return None;
+            }
+            flows.push((pos as u32, flow, stats.bytes, SimTime(u64::MAX)));
+        }
+        Some(Recording {
+            t,
+            links,
+            flows,
+            #[cfg(debug_assertions)]
+            print: sched.fingerprint(members),
+        })
+    }
+
+    #[inline]
+    fn started(&mut self, flow: FlowId, at: SimTime) {
+        let f = self.flows.iter_mut().find(|f| f.1 == flow).expect("a recorded flow");
+        f.3 = f.3.min(at);
+    }
+
+    /// What the march that ended at `end` left behind, read before
+    /// anything else runs.
+    fn finish(self, ctx: &Ctx, end: SimTime, issued: usize) -> IdleRun {
+        let (h, t) = (ctx.handle(), self.t);
+        let links = self.links.iter().map(|&(pos, res, bytes)| {
+            (pos, h.resource_free_at(res) - t, h.resource_bytes(res) - bytes)
+        });
+        let flows = self.flows.iter().map(|&(pos, flow, bytes, first)| {
+            let stats = h.flow_stats(flow);
+            (pos, stats.bytes - bytes, first - t, stats.last_depart - t)
+        });
+        IdleRun {
+            end: end - t,
+            issued: issued as u64,
+            links: links.collect(),
+            flows: flows.collect(),
+            #[cfg(debug_assertions)]
+            print: self.print,
+        }
+    }
 }
 
 /// The coalesced driver's jump over a rigid period (DESIGN.md D18). The
@@ -666,7 +856,8 @@ impl Jump {
             bytes += u64::from(m * c) * rep_bytes;
             last = last.max(rsv.resource_free_at(res));
         }
-        rsv.bulk_charge_flow(sched.segs[0].sends[0].flow, bytes, last);
+        let charge = FlowStats { bytes, first_start: None, last_depart: last };
+        rsv.bulk_charge_flow(sched.segs[0].sends[0].flow, charge);
         march.skip = m * c;
         march.issued += (m * c) as usize * self.per_rep;
         let skipped = Dur::nanos(u64::from(m) * delta.as_nanos());
@@ -990,7 +1181,7 @@ mod tests {
         let marched2 = marched.clone();
         sim.spawn("driver", move |ctx| {
             let (step, block) = (Dur::nanos(50), Watch { wait: Wait::Block, doom: None });
-            assert_eq!(s.drive(ctx, window, step, block), Ok(()));
+            assert!(s.drive(ctx, window, step, block, None).is_ok());
             marched2.set(MARCHED.get());
         });
         let end = sim.run().unwrap().end_time.nanos();

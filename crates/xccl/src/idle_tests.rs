@@ -10,7 +10,9 @@ use std::sync::Arc;
 use diomp_device::{DataMode, DeviceTable};
 use diomp_fabric::{FabricWorld, ReduceOp};
 use diomp_sim::{derive_seed, ClusterSpec, PlatformSpec, ResourceId, Sim, SimHandle, Topology};
+use diomp_sim::{Dur, FaultPlan, SimTime};
 
+use crate::drive::MARCHED;
 use crate::{
     default_nrings, AutoConfig, CollEngine, CommOpts, DeviceBuf, RingConfig, ServerSpec, UniqueId,
     XcclComm, XcclOp,
@@ -265,5 +267,127 @@ fn back_to_back_calls_leave_the_pinned_state() {
         });
         assert_eq!(outs, want, "{label}: end, links and flows of each call");
         assert_eq!((entries, digest), run_pin, "{label}: entries and digest");
+    }
+}
+
+/// How a run departs from the clean coalesced one.
+#[derive(Clone, Copy, Default)]
+struct Arm {
+    explicit: bool,
+    unrolled: bool,
+    /// A fault plan armed on a link no schedule uses.
+    fault: bool,
+    /// A 4 MiB put on rank 1's NIC issued as the members leave init, so
+    /// it is in flight when the first call starts.
+    busy: bool,
+}
+
+/// [`run`] under `arm`, twice: each call's outcome with the sends the
+/// march issued one by one (0: a replayed idle run; `usize::MAX`: no
+/// march, the explicit driver ran).
+fn run_arm(cell: &Cell, arm: Arm) -> Vec<(CallOut, usize)> {
+    let Cell { nodes, per_node, servers, engine, op, size, .. } = *cell;
+    let n = nodes * per_node;
+    let mut sim = Sim::new();
+    sim.force_explicit_schedules(arm.explicit);
+    sim.force_unrolled_schedules(arm.unrolled);
+    let spec = ClusterSpec { platform: cell.platform.clone(), nodes, gpus_per_node: per_node };
+    let init = Dur::micros(spec.platform.coll.xccl_init_us);
+    let topo = Arc::new(Topology::build(&sim.handle(), spec));
+    let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, Some(64 << 20));
+    let world = FabricWorld::new(topo, devs, n);
+    world.attach_sim(&sim.handle());
+    if arm.fault {
+        let unused = sim.handle().new_resource(1.0, Dur::ZERO);
+        sim.set_fault_plan(FaultPlan::new().degrade_link(unused, SimTime(0), SimTime(1), 500));
+    }
+    if arm.busy {
+        let nic = world.devs.dev(1).nic;
+        sim.spawn("put", move |ctx| {
+            ctx.delay(init);
+            ctx.handle().transfer(nic, 4 << 20);
+        });
+    }
+    let links: Rc<Vec<ResourceId>> = Rc::new(
+        (0..world.devs.len())
+            .flat_map(|f| [world.devs.dev(f).nic, world.devs.dev(f).port])
+            .collect(),
+    );
+    let flows = Rc::new(RefCell::new(Vec::new()));
+    let outs = Rc::new(RefCell::new(Vec::new()));
+    let id = UniqueId::generate();
+    for r in 0..n {
+        let (world, links, flows, outs) =
+            (world.clone(), links.clone(), flows.clone(), outs.clone());
+        sim.spawn(format!("rank{r}"), move |ctx| {
+            let opts =
+                CommOpts { engine, servers: ServerSpec::tail(servers), ..CommOpts::default() };
+            let comm = XcclComm::init(ctx, &world, (0..n).collect(), r, id, opts);
+            flows
+                .borrow_mut()
+                .extend([Some(comm.flow()), comm.server_flow()].into_iter().flatten());
+            let off = world.primary_dev(r).malloc(size.max(256), 256).unwrap();
+            for _ in 0..2 {
+                if r == 0 {
+                    MARCHED.set(usize::MAX);
+                }
+                comm.collective(ctx, r, vec![DeviceBuf { flat: r, off }], op, size);
+                if r == 0 {
+                    let out = call_out(ctx.handle(), &links, &flows.borrow());
+                    outs.borrow_mut().push((out, MARCHED.get()));
+                }
+            }
+        });
+    }
+    sim.run().expect("the cell completes");
+    outs.take()
+}
+
+/// The second call on idle links replays the first's march, and so do
+/// both calls of a fresh `Sim` of the same shape — its fresh flow gets
+/// the first start a march would give it. Every outcome is the explicit
+/// driver's.
+#[test]
+fn a_repeated_call_replays_its_idle_run_in_this_sim_and_the_next() {
+    for (label, cell) in cells() {
+        let first = run_arm(&cell, Arm::default());
+        let again = run_arm(&cell, Arm::default());
+        let explicit = run_arm(&cell, Arm { explicit: true, ..Arm::default() });
+        assert_eq!(first[1].1, 0, "{label}: the second call marches nothing");
+        assert_eq!((again[0].1, again[1].1), (0, 0), "{label}: a fresh sim replays both calls");
+        for ((a, b), c) in first.iter().zip(&again).zip(&explicit) {
+            assert_eq!(a.0, b.0, "{label}: the fresh sim's outcome, first start included");
+            assert_eq!(a.0, c.0, "{label}: the explicit driver's outcome");
+        }
+    }
+}
+
+/// With an idle run recorded, a call still marches when a put is in
+/// flight on a link it touches, when a fault plan is armed (even on a
+/// link it never uses), and under either forced reference — and lands
+/// where the explicit driver does.
+#[test]
+fn a_busy_link_an_armed_plan_or_a_forced_reference_still_marches() {
+    for (label, cell) in cells().into_iter().filter(|(l, _)| l.contains("dbt") || l.contains("rs"))
+    {
+        run_arm(&cell, Arm::default());
+        let busy = Arm { busy: true, ..Arm::default() };
+        let fault = Arm { fault: true, ..Arm::default() };
+        let explicit = Arm { explicit: true, ..Arm::default() };
+        let unrolled = Arm { unrolled: true, ..Arm::default() };
+        for (what, arm) in
+            [("busy", busy), ("fault", fault), ("explicit", explicit), ("unrolled", unrolled)]
+        {
+            let got = run_arm(&cell, arm);
+            let want = run_arm(&cell, Arm { explicit: true, unrolled: false, ..arm });
+            let calls = if arm.busy { 1 } else { 2 };
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.0, w.0,
+                    "{label}/{what}: call {i} lands where the explicit driver does"
+                );
+                assert!(i >= calls || g.1 > 0, "{label}/{what}: call {i} marches");
+            }
+        }
     }
 }
