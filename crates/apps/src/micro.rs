@@ -418,6 +418,9 @@ pub struct ScaleRun {
     pub coalesced: u64,
     /// Wall-clock milliseconds the scheduler loop itself took.
     pub sim_wall_ms: f64,
+    /// Finished ranks' fiber stacks trimmed before pooling
+    /// ([`diomp_sim::SimReport::stacks_trimmed`]).
+    pub stacks_trimmed: u64,
 }
 
 /// Run one `bytes`-byte allreduce over `nranks` single-GPU nodes of the
@@ -479,5 +482,6 @@ pub fn scale_allreduce(
         entries: rep.entries_processed,
         coalesced: rep.coalesced_chunks,
         sim_wall_ms: rep.sim_wall_ms,
+        stacks_trimmed: rep.stacks_trimmed,
     }
 }

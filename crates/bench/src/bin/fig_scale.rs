@@ -1,6 +1,6 @@
 //! Scale sweep — scheduler cost of the simulator itself at O(10k)
-//! ranks: one 16 MB allreduce over {256, 1024, 4096} single-GPU nodes
-//! × {ring, dbt, auto}, in cost-only mode on the NDR-IB platform.
+//! ranks: one 16 MB allreduce over {256, 1024, 2048, 4096} single-GPU
+//! nodes × {ring, dbt, auto}, in cost-only mode on the NDR-IB platform.
 //!
 //! Each cell runs the **coalesced** driver (chunk-event coalescing, and
 //! the jump over a rigid period's repeats) and, wherever the uncoalesced
@@ -11,11 +11,11 @@
 //! the scheduler, never of the model — and reports the entry reduction
 //! and the simulator's own wall-clock side by side.
 //!
-//! The explicit ring arm is skipped at 4096 ranks: its schedule is
-//! ~33.5 M chunk sends (2(n−1) steps × n tokens), which is exactly the
-//! regime the coalesced march exists for. The DBT schedule stays
-//! O(n·chunks), so its explicit arm runs at every scale and carries the
-//! measured ≥50× entry-reduction gate at 4096. That arm parks on one
+//! The explicit ring arm is skipped above 1024 ranks: at 4096 its
+//! schedule is ~33.5 M chunk sends (2(n−1) steps × n tokens), which is
+//! exactly the regime the coalesced march exists for. The DBT schedule
+//! stays O(n·chunks), so its explicit arm runs at every scale and carries
+//! the measured ≥50× entry-reduction gate at 4096. That arm parks on one
 //! completion queue, O(1) per park, so its host time stays within a
 //! constant of the coalesced march's: the sweep prints the ratio at 4096
 //! ranks and asserts at most 15× (re-registering a wait on every chunk
@@ -38,6 +38,10 @@
 //! asserts that and ends by printing Auto's regret per scale — its time
 //! over the faster of ring and tree.
 //!
+//! Each cell also prints how many of its ranks' fiber stacks were trimmed
+//! as they were pooled (`SimReport::stacks_trimmed`): a rank whose frames
+//! stayed in its stack's top page is pooled without a syscall.
+//!
 //! `--json PATH` emits every cell as `BENCH_*.json` records with the
 //! run's entry count and simulator wall-clock.
 
@@ -46,9 +50,10 @@ use diomp_bench::report::{json_path_from_args, BenchRecord};
 use diomp_bench::scale_engines;
 
 /// Swept rank counts (= node counts: one GPU per node).
-pub const SCALES: [usize; 3] = [256, 1024, 4096];
+pub const SCALES: [usize; 4] = [256, 1024, 2048, 4096];
 /// Fixed payload: 16 MB splits into uniform per-rank tokens at every
-/// swept scale (2^24 / 4-byte elements divides by 256, 1024 and 4096).
+/// swept scale (2^24 / 4-byte elements divides by every power of two up
+/// to 4096).
 pub const PAYLOAD: u64 = 16 << 20;
 
 fn main() {
@@ -57,8 +62,16 @@ fn main() {
     let mut records = Vec::new();
     println!("fig_scale — 16MB allreduce, platform C, 1 GPU/node, cost-only");
     println!(
-        "{:>6} {:>5} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10}",
-        "ranks", "eng", "virt_ms", "entries", "entries_ex", "ratio", "wall_ms", "wall_ex_ms"
+        "{:>6} {:>5} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8}",
+        "ranks",
+        "eng",
+        "virt_ms",
+        "entries",
+        "entries_ex",
+        "ratio",
+        "wall_ms",
+        "wall_ex_ms",
+        "trimmed"
     );
     let mut regrets = Vec::new();
     for &n in &SCALES {
@@ -128,10 +141,11 @@ fn main() {
             }
             ends.push((fast.end_ns, fast.sim_wall_ms, explicit.map(|ex| ex.sim_wall_ms)));
             println!(
-                "{n:>6} {eng:>5} {:>12.3} {:>12} {ex_e:>12} {ratio:>8} {:>10.1} {ex_w:>10}",
+                "{n:>6} {eng:>5} {:>12.3} {:>12} {ex_e:>12} {ratio:>8} {:>10.1} {ex_w:>10} {:>8}",
                 fast.end_ns as f64 / 1e6,
                 fast.entries,
                 fast.sim_wall_ms,
+                fast.stacks_trimmed,
             );
         }
         // `scale_engines()` is ring, dbt, auto. Auto's mid band has no

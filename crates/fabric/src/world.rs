@@ -130,6 +130,19 @@ impl FabricWorld {
         self.derive_live().unwrap_or_else(|| self.health.borrow().clone())
     }
 
+    /// True when [`FabricWorld::health`] would record a dead link, read
+    /// without copying the vector: a link is dead in the stored vector
+    /// or in the installed plan's whole-run worst, whatever the time.
+    /// Communicator init asks this first and copies the vector only when
+    /// there is a dead link to filter out.
+    pub fn any_dead_link(&self) -> bool {
+        let planned = || {
+            let plan = self.sim.borrow().as_ref().and_then(SimHandle::fault_plan);
+            plan.is_some_and(|plan| plan.degraded_links().iter().any(|&(_, f)| f == 0))
+        };
+        self.health.borrow().any_dead_link() || planned()
+    }
+
     /// GASPI `gaspi_state_vec` probe: recompute live health *and commit
     /// it* to the stored vector, so the death transition persists even
     /// for later un-attached reads. The conduit timeout surfaces

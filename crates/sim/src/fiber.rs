@@ -13,6 +13,16 @@
 //! Stacks are reused: each thread keeps a pool of the stacks its finished
 //! fibers left, trimmed to their top page, and maps a fresh one only when
 //! the pool is empty. The pool unmaps them when its thread exits.
+//!
+//! Most fibers never leave their top page, and trimming such a stack
+//! frees nothing yet costs a syscall. So every stack [`Fiber::new`]
+//! takes carries a band of canary words at the bottom of its top page,
+//! and [`Context::take`] keeps the lowest stack pointer its context was
+//! resumed at. A stack whose band is intact and whose fiber was never
+//! resumed below the top page goes to the pool as it is; any other stack
+//! is trimmed first and its band laid again. The band is laid when a
+//! stack is mapped, so a pooled stack's band is always intact and taking
+//! one writes nothing.
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 compile_error!("diomp-sim switches fiber stacks in x86_64 assembly over Linux mmap: x86_64 Linux is the only supported host");
@@ -30,6 +40,10 @@ const GUARD_BYTES: usize = 4096;
 /// The top page of a pooled stack stays resident: the next fiber's first
 /// frame and entry run there without a fault.
 const TOP_BYTES: usize = 4096;
+/// Canary words at the bottom of the top page: frames that reach below
+/// the page overwrite them on the way down.
+const BAND_WORDS: usize = 64;
+const CANARY: usize = 0x5AFE_57AC_C0DE_CA9A;
 
 const RUNNING: usize = 0;
 const FINISHED: usize = 1;
@@ -62,6 +76,14 @@ thread_local! {
     /// Stacks no frame can run on again, for this thread's next fibers.
     /// Grows to the thread's peak number of live fibers.
     static POOL: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
+    /// Stacks this thread has trimmed before pooling them.
+    static TRIMS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many stacks this thread has trimmed so far: a run's count is the
+/// difference between two reads.
+pub(crate) fn stacks_trimmed() -> u64 {
+    TRIMS.get()
 }
 
 /// A guarded stack mapping, unmapped when dropped.
@@ -90,6 +112,7 @@ impl Stack {
         // SAFETY: the guard is the first page of the mapping just made.
         let rc = unsafe { mprotect(base, GUARD_BYTES, PROT_NONE) };
         assert_eq!(rc, 0, "guarding a fiber stack: {}", std::io::Error::last_os_error());
+        stack.lay_band();
         stack
     }
 
@@ -98,18 +121,46 @@ impl Stack {
         self.base as usize + Self::LEN
     }
 
-    /// Release every page below the top one and put the stack in this
-    /// thread's pool; unmap it if the pool is already gone.
-    fn recycle(self) {
+    /// The canary band at the bottom of the top page.
+    fn band(&self) -> *mut [usize; BAND_WORDS] {
+        (self.top() - TOP_BYTES) as *mut [usize; BAND_WORDS]
+    }
+
+    /// Write the canary band.
+    fn lay_band(&self) {
+        // SAFETY: the band lies in the writable part of the mapping, and
+        // no frame on a stack being mapped or pooled can run again.
+        unsafe { self.band().write([CANARY; BAND_WORDS]) };
+    }
+
+    /// True while no frame has written over the band since it was laid.
+    fn band_intact(&self) -> bool {
+        // SAFETY: the band lies in the writable part of the mapping, and
+        // no frame writes it during this read: none runs on a stack that
+        // is being pooled or handed to a new fiber.
+        unsafe { &*self.band() }.iter().all(|&w| w == CANARY)
+    }
+
+    /// Put the stack in this thread's pool, with its band intact. Unless
+    /// its fiber stayed in the top page (the band is intact, and
+    /// `low_sp`, the lowest stack pointer the fiber was resumed at, lies
+    /// in that page), first release every page below the top one and
+    /// lay the band again. Unmap the stack if the pool is already gone.
+    fn recycle(self, low_sp: usize) {
         // Once this thread's pool is gone, the closure is dropped uncalled
         // and the stack it owns is unmapped with it.
         let _ = POOL.try_with(move |pool| {
-            let below = self.base as usize + GUARD_BYTES;
-            // SAFETY: no frame on the stack can run again, so nothing
-            // reads the pages below its top, which read as zeros again.
-            let rc =
-                unsafe { madvise(below as *mut c_void, STACK_BYTES - TOP_BYTES, MADV_DONTNEED) };
-            assert_eq!(rc, 0, "trimming a fiber stack: {}", std::io::Error::last_os_error());
+            if low_sp < self.top() - TOP_BYTES || !self.band_intact() {
+                let below = self.base as usize + GUARD_BYTES;
+                // SAFETY: no frame on the stack can run again, so nothing
+                // reads the pages below its top, which read as zeros again.
+                let rc = unsafe {
+                    madvise(below as *mut c_void, STACK_BYTES - TOP_BYTES, MADV_DONTNEED)
+                };
+                assert_eq!(rc, 0, "trimming a fiber stack: {}", std::io::Error::last_os_error());
+                TRIMS.set(TRIMS.get() + 1);
+                self.lay_band();
+            }
             pool.borrow_mut().push(self);
         });
     }
@@ -124,9 +175,17 @@ impl Drop for Stack {
 }
 
 /// Where a suspended execution context resumes: its saved stack pointer.
-#[derive(Default)]
 pub(crate) struct Context {
     sp: Cell<usize>,
+    /// The lowest stack pointer this context was resumed at: how deep its
+    /// frames reached when it was suspended.
+    low_sp: Cell<usize>,
+}
+
+impl Default for Context {
+    fn default() -> Context {
+        Context { sp: Cell::new(RUNNING), low_sp: Cell::new(usize::MAX) }
+    }
 }
 
 impl Context {
@@ -134,6 +193,7 @@ impl Context {
     pub(crate) fn take(&self) -> Resume {
         let sp = self.sp.replace(RUNNING);
         assert!(sp > FINISHED, "resuming a context that is not suspended");
+        self.low_sp.set(self.low_sp.get().min(sp));
         Resume { sp }
     }
 }
@@ -235,8 +295,9 @@ pub(crate) struct Fiber {
 }
 
 impl Fiber {
-    /// Take a stack and lay out a frame that, once resumed, runs `entry`
-    /// with the fiber's own context and then switches to `exit` for good.
+    /// Take a stack, its canary band intact, and lay out a frame that,
+    /// once resumed, runs `entry` with the fiber's own context and then
+    /// switches to `exit` for good.
     pub(crate) fn new(exit: Rc<Context>, entry: impl FnOnce(Rc<Context>) + 'static) -> Fiber {
         let stack = Stack::get();
         let ctx = Rc::new(Context::default());
@@ -279,7 +340,7 @@ impl Drop for Fiber {
         // SAFETY: the fiber never ran or has finished, so no frame on the
         // stack can run again and nothing points into it; `stack` is not
         // touched after this drop.
-        unsafe { ManuallyDrop::take(&mut self.stack) }.recycle();
+        unsafe { ManuallyDrop::take(&mut self.stack) }.recycle(self.ctx.low_sp.get());
     }
 }
 
@@ -335,6 +396,77 @@ mod tests {
             let next = Fiber::new(runner.clone(), |_| {});
             assert_eq!(next.stack.base as usize, base, "the pooled stack is reused");
         }
+    }
+
+    /// Run a fresh fiber of `entry` to its end on this thread, then pool
+    /// its stack. Returns the stack's base and how many trims the drop made.
+    fn run_and_pool(entry: impl FnOnce() + 'static) -> (usize, u64) {
+        let runner = Rc::new(Context::default());
+        let fiber = Fiber::new(runner.clone(), move |_| entry());
+        assert!(fiber.stack.band_intact(), "a new fiber's stack has its band intact");
+        switch(&runner, fiber.take());
+        let base = fiber.stack.base as usize;
+        let trims = stacks_trimmed();
+        drop(fiber);
+        (base, stacks_trimmed() - trims)
+    }
+
+    /// Recurse through about `bytes` of stack below the caller.
+    fn go_deep(bytes: usize) {
+        let top = 0u8;
+        dig(std::hint::black_box(&top) as *const u8 as usize, bytes);
+    }
+
+    #[test]
+    fn a_fiber_that_stays_in_its_top_page_is_pooled_without_a_trim() {
+        let (base, trims) = run_and_pool(|| {});
+        assert_eq!(trims, 0, "a shallow fiber's stack is pooled as it is");
+        let stack = base + GUARD_BYTES;
+        assert!(rss_kib_at(stack) <= TOP_BYTES as u64 / 1024);
+        // The next fiber takes the same stack, its band still intact.
+        let (next, trims) = run_and_pool(|| {});
+        assert_eq!((next, trims), (base, 0));
+    }
+
+    #[test]
+    fn a_fiber_one_page_deeper_is_trimmed_back_to_its_top_page() {
+        let (base, trims) = run_and_pool(|| go_deep(6 << 10));
+        assert_eq!(trims, 1, "frames below the top page overwrite the band");
+        let rss = rss_kib_at(base + GUARD_BYTES);
+        assert!(rss <= TOP_BYTES as u64 / 1024, "a pooled stack keeps {rss} kB resident");
+    }
+
+    #[test]
+    fn a_deep_fiber_then_a_shallow_one_trim_their_stack_once() {
+        let (base, trims) = run_and_pool(|| go_deep(6 << 10));
+        assert_eq!(trims, 1);
+        // `run_and_pool` checks that the shallow fiber found its band
+        // intact although the deep one broke it: the trim laid it again.
+        let (next, trims) = run_and_pool(|| {});
+        assert_eq!((next, trims), (base, 0), "only the deep fiber's recycle trims");
+    }
+
+    #[test]
+    fn a_fiber_resumed_below_its_top_page_is_trimmed_though_its_band_is_intact() {
+        // One frame of 6 KiB of uninitialised padding spans the band
+        // without writing it (its stack probe lands a page below the
+        // frame's top), and the fiber suspends below it and is resumed
+        // there: its context's watermark alone calls for the trim.
+        fn park_below_the_band(me: &Context, back: &Context) {
+            let mut pad = std::mem::MaybeUninit::<[u8; 6 << 10]>::uninit();
+            std::hint::black_box(&mut pad);
+            switch(me, back.take());
+        }
+        let runner = Rc::new(Context::default());
+        let back = runner.clone();
+        let fiber = Fiber::new(runner.clone(), move |me| park_below_the_band(&me, &back));
+        switch(&runner, fiber.take());
+        switch(&runner, fiber.take());
+        assert!(fiber.ctx.low_sp.get() < fiber.stack.top() - TOP_BYTES);
+        assert!(fiber.stack.band_intact(), "the padding left the band as it was");
+        let trims = stacks_trimmed();
+        drop(fiber);
+        assert_eq!(stacks_trimmed() - trims, 1);
     }
 
     #[test]

@@ -353,6 +353,10 @@ pub struct SimReport {
     pub inline_wakes: u64,
     /// Number of tasks that ran to completion.
     pub tasks_completed: usize,
+    /// Finished tasks' stacks trimmed before they were pooled: those whose
+    /// frames left the top page (DESIGN.md D19). Counted on the thread
+    /// that ran the simulation, from `run` to its report.
+    pub stacks_trimmed: u64,
 }
 
 /// Why a simulation failed to complete.
@@ -514,6 +518,7 @@ impl Sim {
     /// control returns here when a task finishes or the run ends.
     pub fn run(self) -> Result<SimReport, SimError> {
         let wall_start = std::time::Instant::now();
+        let trims_start = fiber::stacks_trimmed();
         let h = &self.handle;
         let mut st = h.kernel.state.borrow_mut();
         while st.outcome.is_none() {
@@ -543,6 +548,7 @@ impl Sim {
             handoffs: st.handoffs,
             inline_wakes: st.inline_wakes,
             tasks_completed: st.n_done,
+            stacks_trimmed: fiber::stacks_trimmed() - trims_start,
         };
         if st.n_done != st.tasks.len() {
             let (blocked, parked_on) = st

@@ -45,6 +45,9 @@ struct CommPlan {
     /// Ring position of every flat device of the world (`u32::MAX` for
     /// devices outside the communicator).
     pos: Vec<u32>,
+    /// Member index of every rank of the world, its place in `ranks`
+    /// (`u32::MAX` for ranks outside the communicator).
+    index: Vec<u32>,
     /// One rail per NIC, before any dead-link blacklisting. Each carries
     /// its node blocks, which the DBT and server schedules span.
     rails: Arc<Vec<Rail>>,
@@ -154,7 +157,7 @@ impl CommPlan {
     /// Out of line: only the first member builds, but inlined into
     /// [`XcclComm::init`] its frame rides on every member's fiber stack.
     #[inline(never)]
-    fn build(world: &FabricWorld, ranks: Vec<usize>, spec: ServerSpec) -> CommPlan {
+    fn build(world: &FabricWorld, ranks: &[usize], spec: ServerSpec) -> CommPlan {
         // Node-major device ordering minimises ring node-crossings.
         let node_of = |f: usize| world.devs.dev(f).loc.node;
         let mut order: Vec<usize> = ranks.iter().flat_map(|&r| world.devices_of(r)).collect();
@@ -180,6 +183,10 @@ impl CommPlan {
         for (i, &f) in order.iter().enumerate() {
             pos[f] = i as u32;
         }
+        let mut index = vec![u32::MAX; world.nranks];
+        for (i, &r) in ranks.iter().enumerate() {
+            index[r] = i as u32;
+        }
         let ranks: Arc<[usize]> = ranks.into();
         let links = order.iter().flat_map(|&f| [world.devs.dev(f).nic, world.devs.dev(f).port]);
         let links = links.collect();
@@ -194,6 +201,7 @@ impl CommPlan {
             ranks,
             ring: Arc::new(RingInfo { order, nodes, nrings: rails.len() }),
             pos,
+            index,
             rails: Arc::new(rails),
             trees: dbt::double_tree(nodes),
             fed_trees: dbt::double_tree(nodes.max(2) - 1),
@@ -329,12 +337,15 @@ impl XcclComm {
         id: UniqueId,
         opts: CommOpts,
     ) -> Rc<XcclComm> {
-        let idx = ranks.iter().position(|&r| r == my_rank).expect("rank not in communicator");
         // The first member to get here derives the plan; the rest share
         // it. The plan reads no health, so it is joined *before* the init
-        // delay: no member holds its rank list across the park.
-        let plan = plan_for(id, || CommPlan::build(world, ranks, opts.servers));
-        debug_assert_eq!(plan.ranks[idx], my_rank, "members disagree on the rank list");
+        // delay: no member holds its rank list across the park. Its
+        // member index table makes finding this rank O(1).
+        let plan = plan_for(id, || CommPlan::build(world, &ranks, opts.servers));
+        debug_assert_eq!(plan.ranks[..], ranks[..], "members disagree on the rank list");
+        let idx = plan.index.get(my_rank).copied().filter(|&i| i != u32::MAX);
+        let idx = idx.expect("rank not in communicator") as usize;
+        drop(ranks);
 
         // Topology discovery + transport setup (ncclCommInitRank).
         ctx.delay(Dur::micros(world.platform.coll.xccl_init_us));
@@ -342,10 +353,10 @@ impl XcclComm {
         // Degradation awareness, keyed on the health vector
         // (`gaspi_state_vec`) *this* rank observes now. With no dead
         // link in it — always, on a healthy fabric — both filters below
-        // drop nothing, so they are skipped and the layout is the
-        // plan's, bit-identical to the fault-free build.
-        let health = world.health();
-        let any_dead = health.any_dead_link();
+        // drop nothing, so they are skipped without copying the vector,
+        // and the layout is the plan's, bit-identical to the fault-free
+        // build.
+        let health = world.any_dead_link().then(|| world.health());
 
         // Rails whose edges ride a dead link are blacklisted and the
         // payload re-split over the survivors, trading aggregate
@@ -355,9 +366,9 @@ impl XcclComm {
         // and the injector's replay makes the damage visible.
         let mut rails = plan.rails.clone();
         let mut ring = plan.ring.clone();
-        if any_dead {
+        if let Some(health) = &health {
             let alive: Vec<Rail> =
-                rails.iter().filter(|r| !r.uses_dead_link(&health)).cloned().collect();
+                rails.iter().filter(|r| !r.uses_dead_link(health)).cloned().collect();
             if !alive.is_empty() && alive.len() < rails.len() {
                 ring = Arc::new(RingInfo { nrings: alive.len(), ..(*ring).clone() });
                 rails = Arc::new(alive);
@@ -372,13 +383,14 @@ impl XcclComm {
         // server-free communicators keep their historical flow-id
         // sequence bit for bit.
         let servers = plan.servers.as_ref().map(|carved| {
-            let nic_alive = |&f: &usize| health.link_factor_milli(world.devs.dev(f).nic) != 0;
-            let set = if any_dead && !carved.devs.iter().all(nic_alive) {
-                let devs = carved.devs.iter().copied().filter(nic_alive).collect();
-                Arc::new(ServerSet { nodes: carved.nodes.clone(), devs })
-            } else {
-                carved.clone()
-            };
+            let mut set = carved.clone();
+            if let Some(health) = &health {
+                let nic_alive = |&f: &usize| health.link_factor_milli(world.devs.dev(f).nic) != 0;
+                if !carved.devs.iter().all(nic_alive) {
+                    let devs = carved.devs.iter().copied().filter(nic_alive).collect();
+                    set = Arc::new(ServerSet { nodes: carved.nodes.clone(), devs });
+                }
+            }
             (set, ctx.new_flow(opts.qos.weight_milli()))
         });
 
@@ -1028,6 +1040,74 @@ mod tests {
             assert_eq!((c.rails.len(), c.ring.nrings), (3, 3));
             assert_eq!(c.ring.order, c.plan.ring.order);
         }
+    }
+
+    /// Every rank of `callers` initialises one communicator over `list`
+    /// on platform A's 2 × 4 GPUs; `arm` sets up faults on the world (and
+    /// the sim) first. Returns each caller's communicator, in order.
+    fn init_over(
+        list: &[usize],
+        callers: &[usize],
+        arm: impl FnOnce(&Sim, &FabricWorld),
+    ) -> Vec<Rc<XcclComm>> {
+        let mut sim = Sim::new();
+        let spec = ClusterSpec { platform: PlatformSpec::platform_a(), nodes: 2, gpus_per_node: 4 };
+        let topo = Arc::new(Topology::build(&sim.handle(), spec));
+        let devs = DeviceTable::build(&sim.handle(), topo.clone(), DataMode::CostOnly, None);
+        let world = FabricWorld::new(topo, devs, NRANKS);
+        arm(&sim, &world);
+        let id = UniqueId::generate();
+        let comms = Rc::new(RefCell::new(vec![None; callers.len()]));
+        for (i, &r) in callers.iter().enumerate() {
+            let (world, comms, list) = (world.clone(), comms.clone(), list.to_vec());
+            sim.spawn(format!("rank{r}"), move |ctx| {
+                let comm = XcclComm::init(ctx, &world, list, r, id, CommOpts::default());
+                comms.borrow_mut()[i] = Some(comm);
+            });
+        }
+        sim.run().unwrap();
+        comms.take().into_iter().map(|c| c.expect("every caller finished")).collect()
+    }
+
+    #[test]
+    fn a_permuted_sparse_rank_list_gives_each_member_its_index_and_ring_position() {
+        let comms = init_over(&[6, 1, 4], &[6, 1, 4], |_, _| {});
+        // One rank per GPU, so rank r is device r; the ring runs node
+        // major: device 1 (node 0), then 4 and 6 (node 1).
+        for (i, (c, ring_pos)) in comms.iter().zip([2, 0, 1]).enumerate() {
+            assert_eq!(c.idx, i, "rank {}", c.ranks[i]);
+            assert_eq!(c.ranks[..], [6, 1, 4]);
+            assert_eq!(c.ring_pos(c.ranks[i]), ring_pos, "rank {}", c.ranks[i]);
+        }
+        let none = u32::MAX;
+        assert_eq!(comms[0].plan.index, [none, 1, none, none, 2, none, 0, none]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank not in communicator")]
+    fn a_rank_outside_the_list_cannot_init() {
+        init_over(&[6, 1, 4], &[3], |_, _| {});
+    }
+
+    /// A NIC killed before init, whether the stored vector or only the
+    /// attached sim's plan records it, condemns its rail: 3 of 4 survive.
+    #[test]
+    fn a_dead_link_armed_before_init_still_drops_its_rail() {
+        let kill = |world: &FabricWorld| FaultPlan::new().kill_link(world.devs.dev(1).nic);
+        let stored = |_: &Sim, world: &FabricWorld| world.refresh_health_from_plan(&kill(world));
+        let live = |sim: &Sim, world: &FabricWorld| {
+            sim.set_fault_plan(kill(world));
+            world.attach_sim(&sim.handle());
+        };
+        let all: Vec<usize> = (0..NRANKS).collect();
+        for comms in [init_over(&all, &all, stored), init_over(&all, &all, live)] {
+            for c in &comms {
+                assert_eq!(c.plan.rails.len(), 4);
+                assert_eq!((c.rails.len(), c.ring.nrings), (3, 3));
+            }
+        }
+        let healthy = init_over(&all, &all, |_, _| {});
+        assert!(healthy.iter().all(|c| Arc::ptr_eq(&c.rails, &c.plan.rails)));
     }
 
     /// Init joins the plan before it parks in the init delay, so no
